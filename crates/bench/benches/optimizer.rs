@@ -54,30 +54,18 @@ fn bench_baseline_planners(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_planner_warm_vs_cold(c: &mut Criterion) {
-    // ISSUE 2 acceptance point: OPT-6.7B at 16 devices, single-threaded,
-    // planning a 4-layer slab of the stack (the Table-2 unit of work; layer
-    // doubling composes it to full depth). `cold` is the seed per-operator/
-    // per-edge path (`memoize: false`); `warm` is the structurally memoized
-    // planner. Both produce bitwise-identical plans; warm must be ≥ 3× faster.
-    let mut group = c.benchmark_group("planner_warm_vs_cold");
+fn bench_planner_table2_slab(c: &mut Criterion) {
+    // The Table-2 unit of work: OPT-6.7B at 16 devices, single-threaded,
+    // planning a 4-layer slab of the stack (layer doubling composes it to
+    // full depth).
+    let mut group = c.benchmark_group("planner_table2_slab");
     group.sample_size(10);
     let model = ModelConfig::opt_6_7b();
     let cluster = Cluster::v100_like(16);
     let stack = 4usize;
     let graph = model.layer_graph(8, 2048).stack(stack);
     let layers = model.layers / stack as u64;
-    group.bench_function("cold_seed_path", |b| {
-        b.iter(|| {
-            Planner::new(
-                &cluster,
-                &graph,
-                PlannerOptions::default().with_memoize(false),
-            )
-            .optimize(layers)
-        })
-    });
-    group.bench_function("warm_memoized", |b| {
+    group.bench_function("exact", |b| {
         b.iter(|| Planner::new(&cluster, &graph, PlannerOptions::default()).optimize(layers))
     });
     group.finish();
@@ -88,6 +76,6 @@ criterion_group!(
     bench_optimizer_scaling,
     bench_optimizer_models,
     bench_baseline_planners,
-    bench_planner_warm_vs_cold
+    bench_planner_table2_slab
 );
 criterion_main!(benches);

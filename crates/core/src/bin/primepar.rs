@@ -115,7 +115,7 @@ fn usage() -> &'static str {
      \x20 models                       list the model zoo\n\
      \x20 plan    --model M --devices N   search and explain a partition plan\n\
      \x20         [--system primepar|alpa|megatron] [--batch B] [--seq S]\n\
-     \x20         [--alpha A] [--no-batch-split] [--no-memoize] [--prune] [--gantt]\n\
+     \x20         [--alpha A] [--no-batch-split] [--gantt]\n\
      \x20         [--strategy exact|beam:WIDTH|anytime:BUDGETms]\n\
      \x20         exact (default) runs the full segment DP; beam:8 keeps the 8\n\
      \x20         best-looking states per operator; anytime:500ms widens the\n\
@@ -257,8 +257,6 @@ fn run() -> Result<(), Error> {
                         })
                         .with_alpha(alpha)
                         .with_threads(args.parse("--threads", 0)?)
-                        .with_memoize(!args.flag("--no-memoize"))
-                        .with_prune(args.flag("--prune"))
                         .with_strategy(strategy);
                     let (p, tm) =
                         Planner::new(&cluster, &graph, opts).optimize_instrumented(model.layers);

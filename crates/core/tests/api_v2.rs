@@ -21,7 +21,6 @@ fn facade_plan_matches_engine_bitwise() {
         .seq(256)
         .layers(Some(2))
         .alpha(1e-6)
-        .prune(true)
         .strategy(SearchStrategy::Beam { width: 8 })
         .build();
     let resolved = req.resolve().expect("valid request");

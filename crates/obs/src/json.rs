@@ -461,12 +461,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err("invalid utf-8", *pos))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the unescaped run up to the next quote or backslash as
+                // one slice: both delimiters are ASCII, so the run ends on a
+                // char boundary and each byte is validated once.
+                let start = *pos;
+                let end = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| start + n);
+                let run = std::str::from_utf8(&bytes[start..end])
+                    .map_err(|_| err("invalid utf-8", start))?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -508,6 +514,20 @@ mod tests {
     fn escapes_and_unicode_roundtrip() {
         let v = Json::Str("line\nquote\" back\\ tab\t control\u{1} ünïcode".into());
         assert_eq!(parse_json(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn multibyte_runs_between_escapes_roundtrip() {
+        // Unescaped runs are copied as whole slices: multi-byte scalars at a
+        // run's start, end and next to every escape must survive intact.
+        let text = "é\"ünï\\cødé\n日本語\t🦀\u{7}end€";
+        let v = Json::Str(text.into());
+        assert_eq!(parse_json(&v.render()).unwrap(), v);
+        let doc = r#"{"k€y":"a\u00e9b\"😀\\","e":""}"#;
+        let parsed = parse_json(doc).unwrap();
+        assert_eq!(parsed.get("k€y").and_then(Json::as_str), Some("aéb\"😀\\"));
+        assert_eq!(parsed.get("e").and_then(Json::as_str), Some(""));
+        assert!(parse_json("\"abc").is_err(), "unterminated string");
     }
 
     #[test]

@@ -103,46 +103,49 @@ impl EdgeTables {
         })
     }
 
-    /// Rebuilds the arena keeping, per node, only the states listed in
-    /// `kept[node]` (`None` keeps the node's full space). Rows filter by the
-    /// pair's `src`, columns by its `dst`.
-    pub fn compact(&self, kept: &[Option<Vec<u32>>]) -> EdgeTables {
-        let mut plane = Vec::new();
-        let mut index = Vec::with_capacity(self.index.len());
-        for &s in &self.index {
-            let old = &self.plane[s.offset..s.offset + s.rows * s.cols];
-            let offset = plane.len();
-            let (rows, cols) = match (&kept[s.src], &kept[s.dst]) {
-                (None, None) => {
-                    plane.extend_from_slice(old);
-                    (s.rows, s.cols)
-                }
-                (row_keep, col_keep) => {
-                    let rows: Vec<usize> = match row_keep {
-                        Some(k) => k.iter().map(|&i| i as usize).collect(),
-                        None => (0..s.rows).collect(),
-                    };
-                    let cols: Vec<usize> = match col_keep {
-                        Some(k) => k.iter().map(|&i| i as usize).collect(),
-                        None => (0..s.cols).collect(),
-                    };
-                    for &r in &rows {
-                        let row = &old[r * s.cols..(r + 1) * s.cols];
-                        plane.extend(cols.iter().map(|&c| row[c]));
+    /// Compacts the arena in place, keeping, per node, only the states listed
+    /// in `kept[node]` (`None` keeps the node's full space). Rows filter by
+    /// the pair's `src`, columns by its `dst`. Slots are rewritten in
+    /// ascending `offset` order: a kept entry only ever moves towards the
+    /// front, so every read lands at or after the write cursor and no value
+    /// is overwritten before it is copied. The plane is then truncated and
+    /// shrunk, so no second plane is ever allocated.
+    pub fn compact(mut self, kept: &[Option<Vec<u32>>]) -> EdgeTables {
+        let mut order: Vec<usize> = (0..self.index.len()).collect();
+        order.sort_by_key(|&i| self.index[i].offset);
+        let mut write = 0usize;
+        for i in order {
+            let s = self.index[i];
+            let rows: Vec<u32> = kept[s.src]
+                .clone()
+                .unwrap_or_else(|| (0..s.rows as u32).collect());
+            let offset = write;
+            for &r in &rows {
+                let row = s.offset + r as usize * s.cols;
+                match &kept[s.dst] {
+                    None => {
+                        self.plane.copy_within(row..row + s.cols, write);
+                        write += s.cols;
                     }
-                    (rows.len(), cols.len())
+                    Some(cols) => {
+                        for &c in cols {
+                            self.plane[write] = self.plane[row + c as usize];
+                            write += 1;
+                        }
+                    }
                 }
-            };
-            index.push(EdgeSlot {
-                src: s.src,
-                dst: s.dst,
+            }
+            self.index[i] = EdgeSlot {
                 offset,
-                rows,
-                cols,
-            });
+                rows: rows.len(),
+                cols: kept[s.dst].as_ref().map_or(s.cols, Vec::len),
+                ..s
+            };
         }
-        // The index was sorted before compaction and pair order is preserved.
-        EdgeTables { plane, index }
+        self.plane.truncate(write);
+        self.plane.shrink_to_fit();
+        // Slot order in the index is untouched, so it stays sorted.
+        self
     }
 }
 
@@ -222,11 +225,41 @@ mod tests {
         let mat: Vec<f64> = (0..12).map(|i| i as f64).collect();
         let arena = EdgeTables::build(&edges, &sizes, |_| &mat);
         let kept = vec![Some(vec![0u32, 2]), Some(vec![1u32, 3])];
-        let small = arena.compact(&kept);
+        let small = arena.clone().compact(&kept);
         // Rows {0, 2} × cols {1, 3} of the 3×4 plane.
         assert_eq!(small.get(0, 1).unwrap(), &[1.0, 3.0, 9.0, 11.0]);
         let untouched = arena.compact(&[None, None]);
         assert_eq!(untouched.get(0, 1).unwrap(), mat.as_slice());
+    }
+
+    #[test]
+    fn compact_in_place_moves_later_slots_forward() {
+        // Slot offsets follow first-edge order (2→3 before 0→1), not the
+        // sorted index order, and an untouched slot sits behind a shrunk
+        // one: every plane must survive the in-place rewrite.
+        let edges = [edge(2, 3), edge(0, 1), edge(1, 2)];
+        let sizes = [2usize, 3, 3, 2];
+        let mats: Vec<Vec<f64>> = (0..3)
+            .map(|e| {
+                let (s, d) = (edges[e].src, edges[e].dst);
+                (0..sizes[s] * sizes[d])
+                    .map(|i| (100 * e + i) as f64)
+                    .collect()
+            })
+            .collect();
+        let arena = EdgeTables::build(&edges, &sizes, |e| &mats[e]);
+        let kept = vec![None, Some(vec![0u32, 2]), None, None];
+        let small = arena.compact(&kept);
+        // 0→1 keeps columns {0, 2} of its 2×3 plane.
+        assert_eq!(small.get(0, 1).unwrap(), &[100.0, 102.0, 103.0, 105.0]);
+        // 1→2 keeps rows {0, 2} of its 3×3 plane.
+        assert_eq!(
+            small.get(1, 2).unwrap(),
+            &[200.0, 201.0, 202.0, 206.0, 207.0, 208.0]
+        );
+        // 2→3 is untouched.
+        assert_eq!(small.get(2, 3).unwrap(), mats[0].as_slice());
+        assert_eq!(small.plane.len(), 4 + 6 + 6);
     }
 
     #[test]

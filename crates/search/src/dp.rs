@@ -10,9 +10,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use primepar_cost::{
-    edge_cost_matrix, intra_cost, matrix_job_ids, CostCtx, EdgeCostCache, IntraCost, PreparedEdge,
-};
+use primepar_cost::{intra_cost, matrix_job_ids, CostCtx, EdgeCostCache, IntraCost, PreparedEdge};
 use primepar_graph::Graph;
 use primepar_partition::PartitionSeq;
 use primepar_topology::Cluster;
@@ -20,10 +18,7 @@ use primepar_topology::Cluster;
 use crate::arena::{ChoiceArena, EdgeTables};
 use crate::prune::{dominance_prune, PruneKey};
 use crate::strategy::{self, SearchInterrupt, SearchStrategy};
-use crate::{
-    minplus, operator_space, PlannerMetrics, PlannerWarmCache, SegmentMetrics, SpaceCache,
-    SpaceOptions,
-};
+use crate::{minplus, PlannerMetrics, PlannerWarmCache, SegmentMetrics, SpaceCache, SpaceOptions};
 
 /// Per-node partition spaces, shared by `Arc` between structurally equal nodes.
 type SharedSpaces = Vec<Arc<Vec<PartitionSeq>>>;
@@ -59,7 +54,6 @@ fn gap_upper_bound(best_total: f64, lower_bound: f64) -> f64 {
 ///
 /// let opts = PlannerOptions::new()
 ///     .with_threads(4)
-///     .with_prune(true)
 ///     .with_strategy(SearchStrategy::Beam { width: 64 });
 /// assert_eq!(opts.threads, 4);
 /// ```
@@ -74,22 +68,6 @@ pub struct PlannerOptions {
     /// parallelism §5.3 observes is available in Eqs. 11–14. `0` (default)
     /// runs single-threaded, matching the paper's Table 2 measurement setup.
     pub threads: usize,
-    /// Structural memoization (on by default): one space enumeration and one
-    /// intra-cost vector per unique operator signature, interned edge-side
-    /// profiles with whole-matrix reuse, and the vectorized min-plus kernels
-    /// for Eqs. 11–14. `false` runs the seed per-operator/per-edge path;
-    /// plans and costs are bitwise-identical either way (the equivalence
-    /// suite pins this).
-    pub memoize: bool,
-    /// Dominance pruning (off by default, matching the seed path): before
-    /// the Bellman sweeps, drop interior partition states that some
-    /// earlier state beats on intra cost, memory *and* every incident
-    /// edge-cost column/row. Because every DP recursion only *adds* an
-    /// interior state's contributions and IEEE-754 addition is monotone,
-    /// a dominated state can never be the strict argmin — plans and costs
-    /// stay bitwise-identical (pinned by the equivalence suite) while the
-    /// `O(P³)` sweep volume shrinks with the surviving state count.
-    pub prune: bool,
     /// How the partition spaces are explored: the provably optimal
     /// [`SearchStrategy::Exact`] sweep (default), a per-node
     /// [`SearchStrategy::Beam`], or the width-doubling
@@ -105,8 +83,6 @@ impl Default for PlannerOptions {
             space: SpaceOptions::default(),
             alpha: 0.0,
             threads: 0,
-            memoize: true,
-            prune: false,
             strategy: SearchStrategy::Exact,
         }
     }
@@ -114,7 +90,7 @@ impl Default for PlannerOptions {
 
 impl PlannerOptions {
     /// The default configuration: full space, `α = 0`, single-threaded,
-    /// memoized, unpruned, exact.
+    /// exact.
     pub fn new() -> Self {
         PlannerOptions::default()
     }
@@ -137,20 +113,6 @@ impl PlannerOptions {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Enables or disables structural memoization.
-    #[must_use]
-    pub fn with_memoize(mut self, memoize: bool) -> Self {
-        self.memoize = memoize;
-        self
-    }
-
-    /// Enables or disables dominance pruning.
-    #[must_use]
-    pub fn with_prune(mut self, prune: bool) -> Self {
-        self.prune = prune;
         self
     }
 
@@ -284,9 +246,7 @@ impl<'a> Planner<'a> {
     /// [`PlannerWarmCache`]: stage-2 edge-cost matrices whose `(scope,
     /// MatrixKey)` is already interned are reused instead of recomputed, and
     /// fresh ones are interned for later runs. Plans are bitwise-identical
-    /// to the cold path (equal scopes imply equal bytes); the warm path only
-    /// applies when [`PlannerOptions::memoize`] is on — without structural
-    /// keys there is nothing sound to share.
+    /// to the cold path (equal scopes imply equal bytes).
     ///
     /// # Panics
     ///
@@ -446,10 +406,9 @@ impl<'a> Planner<'a> {
 
         let t0 = Instant::now();
         // 1. Per-operator spaces plus per-state intra-cost and memory
-        // vectors (both unzipped from the *same* Eq. 7 evaluation, so the
-        // call count is unchanged). Memoized: one enumeration and one vector
-        // pair per unique structural signature, shared by every node carrying
-        // it. Unmemoized: per node, as seeded.
+        // vectors (both unzipped from the *same* Eq. 7 evaluation): one
+        // enumeration and one vector pair per unique structural signature,
+        // shared by every node carrying it.
         let unzip_intra = |op: &primepar_graph::Operator, space: &[PartitionSeq]| {
             let (cost, mem): (Vec<f64>, Vec<f64>) = space
                 .iter()
@@ -460,47 +419,24 @@ impl<'a> Planner<'a> {
                 .unzip();
             (Arc::new(cost), Arc::new(mem))
         };
-        let (mut spaces, mut intra, mut mem): (SharedSpaces, SharedVecs, SharedVecs) =
-            if self.opts.memoize {
-                let mut space_cache = SpaceCache::new();
-                type VecPair = (Arc<Vec<f64>>, Arc<Vec<f64>>);
-                let mut by_sig: Vec<Option<VecPair>> = vec![None; tm.unique_signatures];
-                let mut spaces = Vec::with_capacity(self.graph.ops.len());
-                let mut intra = Vec::with_capacity(self.graph.ops.len());
-                let mut mem = Vec::with_capacity(self.graph.ops.len());
-                for (op, &sig) in self.graph.ops.iter().zip(&sig_ids) {
-                    let s = space_cache.get(op, n_bits, &self.opts.space);
-                    assert!(!s.is_empty(), "empty partition space for {}", op.name);
-                    let (c, m) = by_sig[sig]
-                        .get_or_insert_with(|| unzip_intra(op, &s))
-                        .clone();
-                    spaces.push(s);
-                    intra.push(c);
-                    mem.push(m);
-                }
-                tm.space_cache_hits += space_cache.hits();
-                tm.space_cache_misses += space_cache.misses();
-                (spaces, intra, mem)
-            } else {
-                let spaces: SharedSpaces = self
-                    .graph
-                    .ops
-                    .iter()
-                    .map(|op| {
-                        let s = operator_space(op, n_bits, &self.opts.space);
-                        assert!(!s.is_empty(), "empty partition space for {}", op.name);
-                        Arc::new(s)
-                    })
-                    .collect();
-                let (intra, mem) = self
-                    .graph
-                    .ops
-                    .iter()
-                    .zip(&spaces)
-                    .map(|(op, space)| unzip_intra(op, space))
-                    .unzip();
-                (spaces, intra, mem)
-            };
+        let mut space_cache = SpaceCache::new();
+        type VecPair = (Arc<Vec<f64>>, Arc<Vec<f64>>);
+        let mut by_sig: Vec<Option<VecPair>> = vec![None; tm.unique_signatures];
+        let mut spaces: SharedSpaces = Vec::with_capacity(self.graph.ops.len());
+        let mut intra: SharedVecs = Vec::with_capacity(self.graph.ops.len());
+        let mut mem: SharedVecs = Vec::with_capacity(self.graph.ops.len());
+        for (op, &sig) in self.graph.ops.iter().zip(&sig_ids) {
+            let s = space_cache.get(op, n_bits, &self.opts.space);
+            assert!(!s.is_empty(), "empty partition space for {}", op.name);
+            let (c, m) = by_sig[sig]
+                .get_or_insert_with(|| unzip_intra(op, &s))
+                .clone();
+            spaces.push(s);
+            intra.push(c);
+            mem.push(m);
+        }
+        tm.space_cache_hits += space_cache.hits();
+        tm.space_cache_misses += space_cache.misses();
         tm.op_names = self.graph.ops.iter().map(|op| op.name.clone()).collect();
         tm.space_sizes = spaces.iter().map(|s| s.len()).collect();
         tm.intra_evaluations += ctx.intra_evaluations();
@@ -597,125 +533,67 @@ impl<'a> Planner<'a> {
         dp_trace("beam", tb.elapsed());
         let t1 = Instant::now();
         // 2. Edge-cost matrices, summed per (src, dst) pair into the flat
-        // columnar arena. Memoized: whole matrices dedup by the precomputed
+        // columnar arena. Whole matrices dedup by the precomputed
         // interned job ids (structural keys over `signature_ids`) *before*
         // any parallelism — so cache telemetry is thread-count-invariant —
         // then each unique matrix computes once against the one shared
-        // `Sync` context. Unmemoized: the seed per-edge path.
+        // `Sync` context.
         let sizes: Vec<usize> = spaces.iter().map(|s| s.len()).collect();
-        let edge_tables: EdgeTables = if self.opts.memoize {
-            // Interned job ids: dense first-seen over (src sig, dst sig,
-            // edge parameters) — index arithmetic instead of hashing a
-            // MatrixKey per edge.
-            let edge_jobs = matrix_job_ids(&self.graph.edges, &eff_sig_ids);
-            let mut jobs: Vec<PreparedEdge> = Vec::new();
-            for (edge, &job) in self.graph.edges.iter().zip(&edge_jobs) {
-                if job == jobs.len() {
-                    cache.note_matrix(false);
-                    jobs.push(cache.prepare(
-                        edge,
-                        &self.graph.ops[edge.src],
-                        &self.graph.ops[edge.dst],
-                        &spaces[edge.src],
-                        &spaces[edge.dst],
-                        eff_sig_ids[edge.src],
-                        eff_sig_ids[edge.dst],
-                    ));
-                } else {
-                    cache.note_matrix(true);
-                }
-            }
-            // Warm pre-fill: matrices a previous run interned under the same
-            // scope are reused byte-for-byte; only the rest compute. With no
-            // warm cache every slot is pending and this is the seeded sweep.
-            let mut unique: Vec<Option<Arc<Vec<f64>>>> = vec![None; jobs.len()];
-            let warm_scope = warm.map(|_| self.warm_scope(n_bits, beam_width));
-            if let (Some(w), Some(sc)) = (warm, warm_scope) {
-                for (slot, job) in jobs.iter().enumerate() {
-                    if let Some(m) = w.lookup(sc, job.key()) {
-                        unique[slot] = Some(m);
-                        tm.warm_matrix_hits += 1;
-                    } else {
-                        tm.warm_matrix_misses += 1;
-                    }
-                }
-            }
-            let pending: Vec<usize> = unique
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| m.is_none())
-                .map(|(i, _)| i)
-                .collect();
-            if self.opts.threads > 1 {
-                let threads = self.opts.threads;
-                let mut computed: Vec<Option<Arc<Vec<f64>>>> = vec![None; pending.len()];
-                std::thread::scope(|scope| {
-                    let chunk = pending.len().div_ceil(threads).max(1);
-                    let mut handles = Vec::new();
-                    for (band, out) in pending.chunks(chunk).zip(computed.chunks_mut(chunk)) {
-                        let ctx = &ctx;
-                        let jobs = &jobs;
-                        handles.push(scope.spawn(move || {
-                            let busy = Instant::now();
-                            for (&slot, cell) in band.iter().zip(out.iter_mut()) {
-                                *cell = Some(Arc::new(jobs[slot].matrix(ctx)));
-                            }
-                            busy.elapsed().as_secs_f64()
-                        }));
-                    }
-                    for (slot, handle) in handles.into_iter().enumerate() {
-                        tm.thread_busy_seconds[slot] += handle.join().expect("edge-matrix worker");
-                    }
-                });
-                for (&slot, m) in pending.iter().zip(computed) {
-                    unique[slot] = Some(m.expect("computed"));
-                }
+        // Interned job ids: dense first-seen over (src sig, dst sig,
+        // edge parameters) — index arithmetic instead of hashing a
+        // MatrixKey per edge.
+        let edge_jobs = matrix_job_ids(&self.graph.edges, &eff_sig_ids);
+        let mut jobs: Vec<PreparedEdge> = Vec::new();
+        for (edge, &job) in self.graph.edges.iter().zip(&edge_jobs) {
+            if job == jobs.len() {
+                cache.note_matrix(false);
+                jobs.push(cache.prepare(
+                    edge,
+                    &self.graph.ops[edge.src],
+                    &self.graph.ops[edge.dst],
+                    &spaces[edge.src],
+                    &spaces[edge.dst],
+                    eff_sig_ids[edge.src],
+                    eff_sig_ids[edge.dst],
+                ));
             } else {
-                let sweep = Instant::now();
-                for &slot in &pending {
-                    unique[slot] = Some(Arc::new(jobs[slot].matrix(&ctx)));
-                }
-                tm.thread_busy_seconds[0] += sweep.elapsed().as_secs_f64();
+                cache.note_matrix(true);
             }
-            if let (Some(w), Some(sc)) = (warm, warm_scope) {
-                for &slot in &pending {
-                    let m = unique[slot].as_ref().expect("computed").clone();
-                    w.insert(sc, jobs[slot].key().clone(), m);
+        }
+        // Warm pre-fill: matrices a previous run interned under the same
+        // scope are reused byte-for-byte; only the rest compute. With no
+        // warm cache every slot is pending and this is the full sweep.
+        let mut unique: Vec<Option<Arc<Vec<f64>>>> = vec![None; jobs.len()];
+        let warm_scope = warm.map(|_| self.warm_scope(n_bits, beam_width));
+        if let (Some(w), Some(sc)) = (warm, warm_scope) {
+            for (slot, job) in jobs.iter().enumerate() {
+                if let Some(m) = w.lookup(sc, job.key()) {
+                    unique[slot] = Some(m);
+                    tm.warm_matrix_hits += 1;
+                } else {
+                    tm.warm_matrix_misses += 1;
                 }
             }
-            let stats = cache.stats();
-            tm.profile_cache_hits += stats.profile_hits;
-            tm.profile_cache_misses += stats.profile_misses;
-            tm.edge_matrix_cache_hits += stats.matrix_hits;
-            tm.edge_matrix_cache_misses += stats.matrix_misses;
-            EdgeTables::build(&self.graph.edges, &sizes, |e| {
-                unique[edge_jobs[e]].as_ref().expect("computed").as_slice()
-            })
-        } else if self.opts.threads > 1 {
+        }
+        let pending: Vec<usize> = unique
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| m.is_none())
+            .map(|(i, _)| i)
+            .collect();
+        if self.opts.threads > 1 {
             let threads = self.opts.threads;
-            let mut results: Vec<Option<Vec<f64>>> = vec![None; self.graph.edges.len()];
+            let mut computed: Vec<Option<Arc<Vec<f64>>>> = vec![None; pending.len()];
             std::thread::scope(|scope| {
-                let chunk = self.graph.edges.len().div_ceil(threads).max(1);
+                let chunk = pending.len().div_ceil(threads).max(1);
                 let mut handles = Vec::new();
-                for (edges, out) in self
-                    .graph
-                    .edges
-                    .chunks(chunk)
-                    .zip(results.chunks_mut(chunk))
-                {
-                    let spaces = &spaces;
+                for (band, out) in pending.chunks(chunk).zip(computed.chunks_mut(chunk)) {
                     let ctx = &ctx;
+                    let jobs = &jobs;
                     handles.push(scope.spawn(move || {
                         let busy = Instant::now();
-                        for (edge, slot) in edges.iter().zip(out.iter_mut()) {
-                            *slot = Some(edge_cost_matrix(
-                                ctx,
-                                edge,
-                                &self.graph.ops[edge.src],
-                                &self.graph.ops[edge.dst],
-                                &spaces[edge.src],
-                                &spaces[edge.dst],
-                            ));
+                        for (&slot, cell) in band.iter().zip(out.iter_mut()) {
+                            *cell = Some(Arc::new(jobs[slot].matrix(ctx)));
                         }
                         busy.elapsed().as_secs_f64()
                     }));
@@ -724,97 +602,89 @@ impl<'a> Planner<'a> {
                     tm.thread_busy_seconds[slot] += handle.join().expect("edge-matrix worker");
                 }
             });
-            let matrices: Vec<Vec<f64>> =
-                results.into_iter().map(|m| m.expect("computed")).collect();
-            EdgeTables::build(&self.graph.edges, &sizes, |e| matrices[e].as_slice())
+            for (&slot, m) in pending.iter().zip(computed) {
+                unique[slot] = Some(m.expect("computed"));
+            }
         } else {
-            let matrices: Vec<Vec<f64>> = self
-                .graph
-                .edges
-                .iter()
-                .map(|edge| {
-                    edge_cost_matrix(
-                        &ctx,
-                        edge,
-                        &self.graph.ops[edge.src],
-                        &self.graph.ops[edge.dst],
-                        &spaces[edge.src],
-                        &spaces[edge.dst],
-                    )
-                })
-                .collect();
-            tm.thread_busy_seconds[0] += t1.elapsed().as_secs_f64();
-            EdgeTables::build(&self.graph.edges, &sizes, |e| matrices[e].as_slice())
-        };
+            let sweep = Instant::now();
+            for &slot in &pending {
+                unique[slot] = Some(Arc::new(jobs[slot].matrix(&ctx)));
+            }
+            tm.thread_busy_seconds[0] += sweep.elapsed().as_secs_f64();
+        }
+        if let (Some(w), Some(sc)) = (warm, warm_scope) {
+            for &slot in &pending {
+                let m = unique[slot].as_ref().expect("computed").clone();
+                w.insert(sc, jobs[slot].key().clone(), m);
+            }
+        }
+        let stats = cache.stats();
+        tm.profile_cache_hits += stats.profile_hits;
+        tm.profile_cache_misses += stats.profile_misses;
+        tm.edge_matrix_cache_hits += stats.matrix_hits;
+        tm.edge_matrix_cache_misses += stats.matrix_misses;
+        let mut edge_tables = EdgeTables::build(&self.graph.edges, &sizes, |e| {
+            unique[edge_jobs[e]].as_ref().expect("computed").as_slice()
+        });
         tm.edge_evaluations += ctx.inter_evaluations();
         tm.edge_matrices_seconds += t1.elapsed().as_secs_f64();
 
         dp_trace("edge matrices", t1.elapsed());
         let tp = Instant::now();
-        // 2b. Optional dominance pruning: drop interior states an earlier
-        // state dominates on (intra, memory, every incident edge row/column),
-        // then compact the spaces, intra vectors and edge planes to the
+        // 2b. Dominance pruning: drop interior states an earlier state
+        // dominates on (intra, memory, every incident edge row/column), then
+        // compact the spaces, intra vectors and edge planes to the
         // survivors. A dominated state can never be a strict argmin, so the
         // plan and every cost are bitwise-unchanged.
-        let mut seg_pruned = vec![0u64; segments.len()];
-        let edge_tables = if self.opts.prune {
-            // Structural prune keys: nodes with the same operator signature
-            // and the same incident unique matrices (interned job id, per
-            // coalesced slot and direction) share one survivor scan.
-            let prune_keys: Vec<PruneKey> = {
-                let edge_jobs = matrix_job_ids(&self.graph.edges, &eff_sig_ids);
-                (0..sizes.len())
-                    .map(|n| {
-                        let mut slots: HashMap<(usize, bool), Vec<usize>> = HashMap::new();
-                        for (e, edge) in self.graph.edges.iter().enumerate() {
-                            if edge.dst == n {
-                                slots
-                                    .entry((edge.src, true))
-                                    .or_default()
-                                    .push(edge_jobs[e]);
-                            } else if edge.src == n {
-                                slots
-                                    .entry((edge.dst, false))
-                                    .or_default()
-                                    .push(edge_jobs[e]);
-                            }
-                        }
-                        let mut slots: Vec<(bool, Vec<usize>)> = slots
-                            .into_iter()
-                            .map(|((_, inc), mut jobs)| {
-                                jobs.sort_unstable();
-                                (inc, jobs)
-                            })
-                            .collect();
-                        slots.sort_unstable();
-                        (eff_sig_ids[n], slots)
-                    })
-                    .collect()
-            };
-            let report =
-                dominance_prune(&segments, &sizes, &intra, &mem, &edge_tables, &prune_keys);
-            let pass_pruned = report.total();
-            tm.states_pruned += pass_pruned;
-            for (slot, &(s, e)) in seg_pruned.iter_mut().zip(&segments) {
-                *slot = report.pruned_in_segment(s, e);
-            }
-            if pass_pruned > 0 {
-                for (n, kept) in report.kept.iter().enumerate() {
-                    if let Some(k) = kept {
-                        let space: Vec<PartitionSeq> =
-                            k.iter().map(|&i| spaces[n][i as usize].clone()).collect();
-                        let cost: Vec<f64> = k.iter().map(|&i| intra[n][i as usize]).collect();
-                        spaces[n] = Arc::new(space);
-                        intra[n] = Arc::new(cost);
+        //
+        // Structural prune keys: nodes with the same operator signature and
+        // the same incident unique matrices (interned job id, per coalesced
+        // slot and direction) share one survivor scan.
+        let prune_keys: Vec<PruneKey> = (0..sizes.len())
+            .map(|n| {
+                let mut slots: HashMap<(usize, bool), Vec<usize>> = HashMap::new();
+                for (e, edge) in self.graph.edges.iter().enumerate() {
+                    if edge.dst == n {
+                        slots
+                            .entry((edge.src, true))
+                            .or_default()
+                            .push(edge_jobs[e]);
+                    } else if edge.src == n {
+                        slots
+                            .entry((edge.dst, false))
+                            .or_default()
+                            .push(edge_jobs[e]);
                     }
                 }
-                edge_tables.compact(&report.kept)
-            } else {
-                edge_tables
+                let mut slots: Vec<(bool, Vec<usize>)> = slots
+                    .into_iter()
+                    .map(|((_, inc), mut jobs)| {
+                        jobs.sort_unstable();
+                        (inc, jobs)
+                    })
+                    .collect();
+                slots.sort_unstable();
+                (eff_sig_ids[n], slots)
+            })
+            .collect();
+        let report = dominance_prune(&segments, &sizes, &intra, &mem, &edge_tables, &prune_keys);
+        let seg_pruned: Vec<u64> = segments
+            .iter()
+            .map(|&(s, e)| report.pruned_in_segment(s, e))
+            .collect();
+        tm.states_pruned += report.total();
+        if report.total() > 0 {
+            for (n, kept) in report.kept.iter().enumerate() {
+                if let Some(k) = kept {
+                    let space: Vec<PartitionSeq> =
+                        k.iter().map(|&i| spaces[n][i as usize].clone()).collect();
+                    let cost: Vec<f64> = k.iter().map(|&i| intra[n][i as usize]).collect();
+                    spaces[n] = Arc::new(space);
+                    intra[n] = Arc::new(cost);
+                }
             }
-        } else {
-            edge_tables
-        };
+            edge_tables = edge_tables.compact(&report.kept);
+        }
         tm.prune_seconds += tp.elapsed().as_secs_f64();
 
         dp_trace("prune", tp.elapsed());
@@ -855,7 +725,6 @@ impl<'a> Planner<'a> {
                 &intra[seg.0],
                 edge_tables.get(span.0, seg.1),
                 self.opts.threads,
-                self.opts.memoize,
                 &mut choices,
                 &mut tm.thread_busy_seconds,
             );
@@ -879,7 +748,6 @@ impl<'a> Planner<'a> {
                 boundary_intra,
                 layers,
                 self.opts.threads,
-                self.opts.memoize,
                 &mut tm.thread_busy_seconds,
             );
             // Steady-state representative layer: the boundary state with the
@@ -983,7 +851,6 @@ impl<'a> Planner<'a> {
             let choice = choices.alloc(rows * new_cols);
             minplus::bellman_extend(
                 self.opts.threads,
-                self.opts.memoize,
                 rows,
                 cols,
                 new_cols,
@@ -1027,8 +894,8 @@ impl<'a> Planner<'a> {
 
 /// Eq. 13: merge `left` (span `a..mid`) and `right` (span `mid..c`),
 /// subtracting the shared node's intra cost and adding any direct `a → c`
-/// edge. Routed through the min-plus kernels: vectorized when memoizing,
-/// row-parallel when threads are requested — bitwise-identical either way.
+/// edge. Routed through the lane-tiled min-plus kernels, row-parallel when
+/// threads are requested — bitwise-identical either way.
 #[allow(clippy::too_many_arguments)]
 fn merge(
     left: Table,
@@ -1037,7 +904,6 @@ fn merge(
     mid_intra: &[f64],
     span_edge: Option<&[f64]>,
     threads: usize,
-    vectorized: bool,
     choices: &mut ChoiceArena,
     busy: &mut [f64],
 ) -> Table {
@@ -1049,7 +915,6 @@ fn merge(
     let choice = choices.alloc(rows * cols);
     minplus::merge_tables(
         threads,
-        vectorized,
         rows,
         k,
         cols,
@@ -1084,14 +949,12 @@ fn minplus_chain(
     boundary_intra: &[f64],
     layers: u64,
     threads: usize,
-    vectorized: bool,
     busy: &mut [f64],
 ) -> f64 {
     assert_eq!(t.rows, t.cols, "layer table must be square");
     let n = t.rows;
-    let mut join = |a: &[f64], b: &[f64]| {
-        minplus::minplus_join(threads, vectorized, n, a, b, boundary_intra, busy)
-    };
+    let mut join =
+        |a: &[f64], b: &[f64]| minplus::minplus_join(threads, n, a, b, boundary_intra, busy);
     let mut result: Option<Vec<f64>> = None;
     let mut power = t.cost.clone();
     let mut remaining = layers.max(1);
@@ -1165,6 +1028,7 @@ fn extract(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operator_space;
     use primepar_graph::ModelConfig;
 
     #[test]
@@ -1280,22 +1144,15 @@ mod tests {
     #[test]
     fn pruned_planner_matches_unpruned_bitwise() {
         // The dominance relation only ever removes states that can never be
-        // a strict argmin: same plan, same costs, to the last bit.
+        // a strict argmin: the cost bits equal the ones the unpruned
+        // per-edge planner produced for this point (recorded before that
+        // path was retired; `tests/goldens/mod.rs` holds the full table).
         let cluster = Cluster::v100_like(8);
         let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
-        let base = Planner::new(&cluster, &graph, PlannerOptions::default()).optimize(4);
-        let (pruned, tm) = Planner::new(
-            &cluster,
-            &graph,
-            PlannerOptions {
-                prune: true,
-                ..PlannerOptions::default()
-            },
-        )
-        .optimize_instrumented(4);
-        assert_eq!(base.seqs, pruned.seqs);
-        assert_eq!(base.total_cost.to_bits(), pruned.total_cost.to_bits());
-        assert_eq!(base.layer_cost.to_bits(), pruned.layer_cost.to_bits());
+        let (plan, tm) =
+            Planner::new(&cluster, &graph, PlannerOptions::default()).optimize_instrumented(4);
+        assert_eq!(plan.layer_cost.to_bits(), 0x3f8a_5bd1_2db9_fae3);
+        assert_eq!(plan.total_cost.to_bits(), 0x3faa_62ce_4e56_d24a);
         assert_eq!(
             tm.states_pruned,
             tm.segments.iter().map(|s| s.states_pruned).sum::<u64>()

@@ -1,16 +1,16 @@
 //! Vectorizable, multi-threaded min-plus kernels for the segmented DP.
 //!
 //! The Bellman extension (Eq. 12), the segment merge (Eq. 13) and the layer
-//! doubling (Eq. 14) are all min-plus matrix products. The seed planner's
-//! inner loops walk the chain matrix column-wise (`chain[p·C + nc]` with `p`
-//! innermost), touching one cache line per element; the vectorized variants
-//! tile the output into fixed-width lanes of [`LANES`] `f64`s with a scalar
-//! tail, so the row-min reduction becomes `LANES` independent running minima
-//! the autovectorizer can keep in SIMD registers (compare + blend, no
-//! cross-lane dependency). The candidate *order* per output cell is unchanged
-//! (ascending interior state, strict `<`), and every sum keeps the original
+//! doubling (Eq. 14) are all min-plus matrix products. A scalar loop walks
+//! the chain matrix column-wise (`chain[p·C + nc]` with `p` innermost),
+//! touching one cache line per element; these kernels instead tile the
+//! output into fixed-width lanes of [`LANES`] `f64`s with a scalar tail, so
+//! the row-min reduction becomes `LANES` independent running minima the
+//! autovectorizer can keep in SIMD registers (compare + blend, no cross-lane
+//! dependency). The candidate *order* per output cell is the scalar one
+//! (ascending interior state, strict `<`), and every sum keeps the scalar
 //! association — results and argmin choices are bitwise-identical to the
-//! scalar path, which the tests pin down.
+//! per-cell scalar rows, which survive only as the tests' oracle.
 //!
 //! All three products parallelize over output rows and write into
 //! caller-provided planes (the DP's arena scratch), so the hot loop does no
@@ -82,7 +82,6 @@ fn drive(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bellman_extend(
     threads: usize,
-    vectorized: bool,
     rows: usize,
     cols: usize,
     new_cols: usize,
@@ -106,16 +105,14 @@ pub(crate) fn bellman_extend(
         |r, out_cost, out_choice| {
             let row = &cost[r * cols..(r + 1) * cols];
             let head_row = head.map(|h| &h[r * new_cols..(r + 1) * new_cols]);
-            if vectorized {
-                extend_row_lanes(row, chain, intra_j, head_row, out_cost, out_choice);
-            } else {
-                extend_row_scalar(row, chain, intra_j, head_row, out_cost, out_choice);
-            }
+            extend_row_lanes(row, chain, intra_j, head_row, out_cost, out_choice);
         },
     );
 }
 
-/// The seed planner's per-row extension loop, verbatim.
+/// The per-cell scalar extension row: the oracle the lane-tiled kernel is
+/// pinned against.
+#[cfg(test)]
 fn extend_row_scalar(
     row: &[f64],
     chain: &[f64],
@@ -150,7 +147,7 @@ fn extend_row_scalar(
 /// so the reduction vectorizes. Candidates arrive per cell in the same
 /// ascending-`p` order with the same strict `<`, and the final sums keep the
 /// `(best + intra) + head` association, so cost and argmin match the scalar
-/// path bitwise.
+/// row bitwise.
 fn extend_row_lanes(
     row: &[f64],
     chain: &[f64],
@@ -186,7 +183,7 @@ fn extend_row_lanes(
         }
         nc0 += LANES;
     }
-    // Scalar tail: per-cell loop identical to the seed path.
+    // Scalar tail: the per-cell loop of the scalar row.
     for nc in tiled..new_cols {
         let mut best = f64::INFINITY;
         let mut best_p = 0u32;
@@ -212,7 +209,6 @@ fn extend_row_lanes(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn merge_tables(
     threads: usize,
-    vectorized: bool,
     rows: usize,
     k: usize,
     cols: usize,
@@ -236,16 +232,13 @@ pub(crate) fn merge_tables(
         |r, out_cost, out_choice| {
             let left_row = &left[r * k..(r + 1) * k];
             let edge_row = span_edge.map(|e| &e[r * cols..(r + 1) * cols]);
-            if vectorized {
-                merge_row_lanes(left_row, right, mid_intra, edge_row, out_cost, out_choice);
-            } else {
-                merge_row_scalar(left_row, right, mid_intra, edge_row, out_cost, out_choice);
-            }
+            merge_row_lanes(left_row, right, mid_intra, edge_row, out_cost, out_choice);
         },
     );
 }
 
-/// The seed planner's per-row merge loop, verbatim.
+/// The per-cell scalar merge row (test oracle).
+#[cfg(test)]
 fn merge_row_scalar(
     left_row: &[f64],
     right: &[f64],
@@ -331,7 +324,6 @@ fn merge_row_lanes(
 /// boundary_intra[q] + b[q, c])` over the shared `n × n` boundary space.
 pub(crate) fn minplus_join(
     threads: usize,
-    vectorized: bool,
     n: usize,
     a: &[f64],
     b: &[f64],
@@ -339,13 +331,7 @@ pub(crate) fn minplus_join(
     busy: &mut [f64],
 ) -> Vec<f64> {
     let mut out = vec![f64::INFINITY; n * n];
-    let join = |r: usize, out_row: &mut [f64]| {
-        if vectorized {
-            join_row_lanes(r * n, a, b, boundary_intra, out_row);
-        } else {
-            join_row(r * n, a, b, boundary_intra, out_row);
-        }
-    };
+    let join = |r: usize, out_row: &mut [f64]| join_row_lanes(r * n, a, b, boundary_intra, out_row);
     if threads > 1 && n > 1 {
         std::thread::scope(|scope| {
             let chunk = n.div_ceil(threads).max(1);
@@ -374,7 +360,8 @@ pub(crate) fn minplus_join(
     out
 }
 
-/// The seed planner's join row, verbatim (`a_off = r · n`).
+/// The per-cell scalar join row, `a_off = r · n` (test oracle).
+#[cfg(test)]
 fn join_row(a_off: usize, a: &[f64], b: &[f64], boundary_intra: &[f64], out_row: &mut [f64]) {
     let n = out_row.len();
     for q in 0..n {
@@ -455,10 +442,10 @@ mod tests {
         }
     }
 
+    /// The lane-tiled [`bellman_extend`] into fresh planes.
     #[allow(clippy::too_many_arguments)]
     fn extend(
         threads: usize,
-        vectorized: bool,
         rows: usize,
         cols: usize,
         new_cols: usize,
@@ -472,7 +459,6 @@ mod tests {
         let mut busy = vec![0.0; threads.max(1)];
         bellman_extend(
             threads,
-            vectorized,
             rows,
             cols,
             new_cols,
@@ -487,10 +473,35 @@ mod tests {
         (out_cost, out_choice)
     }
 
+    /// Oracle: the scalar extension row over every row, serially.
+    fn extend_scalar(
+        cols: usize,
+        new_cols: usize,
+        cost: &[f64],
+        chain: &[f64],
+        intra: &[f64],
+        head: Option<&[f64]>,
+    ) -> (Vec<f64>, Vec<u32>) {
+        let rows = cost.len() / cols;
+        let mut out_cost = vec![f64::NAN; rows * new_cols];
+        let mut out_choice = vec![u32::MAX; rows * new_cols];
+        for r in 0..rows {
+            extend_row_scalar(
+                &cost[r * cols..(r + 1) * cols],
+                chain,
+                intra,
+                head.map(|h| &h[r * new_cols..(r + 1) * new_cols]),
+                &mut out_cost[r * new_cols..(r + 1) * new_cols],
+                &mut out_choice[r * new_cols..(r + 1) * new_cols],
+            );
+        }
+        (out_cost, out_choice)
+    }
+
+    /// The lane-tiled [`merge_tables`] into fresh planes.
     #[allow(clippy::too_many_arguments)]
     fn merge(
         threads: usize,
-        vectorized: bool,
         rows: usize,
         k: usize,
         cols: usize,
@@ -504,7 +515,6 @@ mod tests {
         let mut busy = vec![0.0; threads.max(1)];
         merge_tables(
             threads,
-            vectorized,
             rows,
             k,
             cols,
@@ -519,6 +529,40 @@ mod tests {
         (out_cost, out_choice)
     }
 
+    /// Oracle: the scalar merge row over every row, serially.
+    fn merge_scalar(
+        k: usize,
+        cols: usize,
+        left: &[f64],
+        right: &[f64],
+        mid: &[f64],
+        span: Option<&[f64]>,
+    ) -> (Vec<f64>, Vec<u32>) {
+        let rows = left.len() / k;
+        let mut out_cost = vec![f64::NAN; rows * cols];
+        let mut out_choice = vec![u32::MAX; rows * cols];
+        for r in 0..rows {
+            merge_row_scalar(
+                &left[r * k..(r + 1) * k],
+                right,
+                mid,
+                span.map(|e| &e[r * cols..(r + 1) * cols]),
+                &mut out_cost[r * cols..(r + 1) * cols],
+                &mut out_choice[r * cols..(r + 1) * cols],
+            );
+        }
+        (out_cost, out_choice)
+    }
+
+    /// Oracle: the scalar join row over every row, serially.
+    fn join_scalar(n: usize, a: &[f64], b: &[f64], intra: &[f64]) -> Vec<f64> {
+        let mut out = vec![f64::INFINITY; n * n];
+        for (r, out_row) in out.chunks_mut(n).enumerate() {
+            join_row(r * n, a, b, intra, out_row);
+        }
+        out
+    }
+
     #[test]
     fn vectorized_extension_matches_scalar_bitwise() {
         // Sizes straddle the lane width: 5 exercises the pure tail, 21 the
@@ -531,11 +575,10 @@ mod tests {
             let head = noise(rows * new_cols, 4);
             for (head_opt, threads) in [(None, 0usize), (Some(&head), 0), (Some(&head), 3)] {
                 let head_opt = head_opt.map(|h: &Vec<f64>| h.as_slice());
-                let (c_scalar, ch_scalar) = extend(
-                    1, false, rows, cols, new_cols, &cost, &chain, &intra, head_opt,
-                );
+                let (c_scalar, ch_scalar) =
+                    extend_scalar(cols, new_cols, &cost, &chain, &intra, head_opt);
                 let (c_lanes, ch_lanes) = extend(
-                    threads, true, rows, cols, new_cols, &cost, &chain, &intra, head_opt,
+                    threads, rows, cols, new_cols, &cost, &chain, &intra, head_opt,
                 );
                 assert_bitwise(&c_scalar, &c_lanes);
                 assert_eq!(ch_scalar, ch_lanes);
@@ -551,10 +594,10 @@ mod tests {
         let cost = vec![1.0; rows * cols];
         let chain = vec![2.0; cols * new_cols];
         let intra = vec![0.5; new_cols];
-        for vectorized in [false, true] {
-            let (c, ch) = extend(
-                1, vectorized, rows, cols, new_cols, &cost, &chain, &intra, None,
-            );
+        for (c, ch) in [
+            extend_scalar(cols, new_cols, &cost, &chain, &intra, None),
+            extend(1, rows, cols, new_cols, &cost, &chain, &intra, None),
+        ] {
             assert!(ch.iter().all(|&p| p == 0));
             assert!(c.iter().all(|&v| v == 3.5));
         }
@@ -570,10 +613,9 @@ mod tests {
             let span = noise(rows * cols, 13);
             for (span_opt, threads) in [(None, 0usize), (Some(&span), 0), (Some(&span), 4)] {
                 let span_opt = span_opt.map(|s: &Vec<f64>| s.as_slice());
-                let (c_scalar, ch_scalar) =
-                    merge(1, false, rows, k, cols, &left, &right, &mid, span_opt);
+                let (c_scalar, ch_scalar) = merge_scalar(k, cols, &left, &right, &mid, span_opt);
                 let (c_lanes, ch_lanes) =
-                    merge(threads, true, rows, k, cols, &left, &right, &mid, span_opt);
+                    merge(threads, rows, k, cols, &left, &right, &mid, span_opt);
                 assert_bitwise(&c_scalar, &c_lanes);
                 assert_eq!(ch_scalar, ch_lanes);
             }
@@ -610,9 +652,9 @@ mod tests {
                 let (chain, rest) = rest.split_at(cols * new_cols);
                 let intra = &rest[..new_cols];
                 let (c_scalar, ch_scalar) =
-                    extend(1, false, rows, cols, new_cols, cost, chain, intra, None);
+                    extend_scalar(cols, new_cols, cost, chain, intra, None);
                 let (c_lanes, ch_lanes) =
-                    extend(threads, true, rows, cols, new_cols, cost, chain, intra, None);
+                    extend(threads, rows, cols, new_cols, cost, chain, intra, None);
                 assert_bitwise(&c_scalar, &c_lanes);
                 prop_assert_eq!(ch_scalar, ch_lanes);
             }
@@ -630,10 +672,9 @@ mod tests {
                 let (right, rest) = rest.split_at(k * cols);
                 let (mid, rest) = rest.split_at(k);
                 let span_opt = (with_span == 1).then_some(&rest[..rows * cols]);
-                let (c_scalar, ch_scalar) =
-                    merge(1, false, rows, k, cols, left, right, mid, span_opt);
+                let (c_scalar, ch_scalar) = merge_scalar(k, cols, left, right, mid, span_opt);
                 let (c_lanes, ch_lanes) =
-                    merge(2, true, rows, k, cols, left, right, mid, span_opt);
+                    merge(2, rows, k, cols, left, right, mid, span_opt);
                 assert_bitwise(&c_scalar, &c_lanes);
                 prop_assert_eq!(ch_scalar, ch_lanes);
             }
@@ -655,8 +696,8 @@ mod tests {
                     a[poison_at % (n * n)] = f64::INFINITY;
                 }
                 let mut busy = vec![0.0; 4];
-                let serial = minplus_join(1, false, n, &a, b, intra, &mut busy);
-                let lanes = minplus_join(4, true, n, &a, b, intra, &mut busy);
+                let serial = join_scalar(n, &a, b, intra);
+                let lanes = minplus_join(4, n, &a, b, intra, &mut busy);
                 assert_bitwise(&serial, &lanes);
             }
         }
@@ -671,9 +712,9 @@ mod tests {
             let intra = noise(n, 22);
             a[3] = f64::INFINITY; // an unreachable boundary state
             let mut busy = vec![0.0; 4];
-            let serial = minplus_join(1, false, n, &a, &b, &intra, &mut busy);
-            for (threads, vectorized) in [(1, true), (4, false), (4, true)] {
-                let other = minplus_join(threads, vectorized, n, &a, &b, &intra, &mut busy);
+            let serial = join_scalar(n, &a, &b, &intra);
+            for threads in [1, 4] {
+                let other = minplus_join(threads, n, &a, &b, &intra, &mut busy);
                 assert_bitwise(&serial, &other);
             }
             assert!(serial.iter().all(|v| v.is_finite()));

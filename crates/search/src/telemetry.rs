@@ -26,8 +26,7 @@ pub struct SegmentMetrics {
     pub bellman_relaxations: u64,
     /// Wall-clock seconds of this segment's sweep.
     pub sweep_seconds: f64,
-    /// Interior states dominance pruning removed from this segment's nodes
-    /// (0 unless [`PlannerOptions::prune`](crate::PlannerOptions) is on).
+    /// Interior states dominance pruning removed from this segment's nodes.
     pub states_pruned: u64,
 }
 
@@ -95,11 +94,11 @@ pub struct PlannerMetrics {
     /// Inner-loop candidate evaluations of the Eq. 13 segment merges.
     pub merge_relaxations: u64,
     /// Interior partition states removed by dominance pruning across all
-    /// nodes (0 on the default no-prune path).
+    /// nodes.
     pub states_pruned: u64,
     /// Stage 1 (spaces + intra vectors) wall seconds.
     pub spaces_intra_seconds: f64,
-    /// Dominance-pruning stage wall seconds (0 when pruning is off).
+    /// Dominance-pruning stage wall seconds.
     pub prune_seconds: f64,
     /// Stage 2 (edge-cost matrices) wall seconds.
     pub edge_matrices_seconds: f64,
@@ -144,13 +143,13 @@ impl PlannerMetrics {
     /// The run's pipeline stages as ordered `(name, wall_seconds)` spans, in
     /// execution order — the hook request-scoped tracing uses to synthesize
     /// per-stage spans without threading callbacks through the DP itself.
-    /// Zero-duration stages (e.g. `prune` when pruning is off) are skipped.
+    /// Zero-duration stages (e.g. `beam` on an exact run) are skipped.
     pub fn stage_spans(&self) -> Vec<(&'static str, f64)> {
         [
             ("spaces_intra", self.spaces_intra_seconds),
             ("beam", self.beam_seconds),
-            ("prune", self.prune_seconds),
             ("edge_matrices", self.edge_matrices_seconds),
+            ("prune", self.prune_seconds),
             ("segment_dp", self.segment_dp_seconds),
             ("merge", self.merge_seconds),
             ("compose", self.compose_seconds),
@@ -302,8 +301,8 @@ mod tests {
             vec![
                 "spaces_intra",
                 "beam",
-                "prune",
                 "edge_matrices",
+                "prune",
                 "segment_dp"
             ]
         );

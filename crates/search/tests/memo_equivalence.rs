@@ -1,148 +1,42 @@
-//! ISSUE 2 acceptance: the memoized planner is *bitwise-identical* to the
-//! seed path. Structural memoization, profile interning, whole-matrix reuse
-//! and the blocked min-plus kernels may only change *where* numbers come
-//! from, never the numbers — `seqs`, `layer_cost` and `total_cost` must
-//! agree to the last bit across the full `SpaceOptions` grid and for both
-//! the serial and the multi-threaded planner.
+//! The memoized planner is *bitwise-identical* to the seed path. Structural
+//! memoization, profile interning, whole-matrix reuse and the blocked
+//! min-plus kernels may only change *where* numbers come from, never the
+//! numbers: plan, `layer_cost` and `total_cost` must match the seed
+//! planner's goldens (`goldens/mod.rs`) to the last bit across the full
+//! `SpaceOptions` grid, for the serial and the multi-threaded planner.
 
-use primepar_graph::ModelConfig;
-use primepar_search::{Planner, PlannerOptions, SpaceOptions};
-use primepar_topology::Cluster;
+mod goldens;
 
-/// The option grid of the ISSUE: temporal on/off × batch splits on/off ×
-/// temporal depth, crossed with thread counts.
-fn space_grid() -> Vec<SpaceOptions> {
-    let mut grid = Vec::new();
-    for allow_temporal in [true, false] {
-        for allow_batch_split in [true, false] {
-            for max_temporal_k in [1, 2] {
-                grid.push(SpaceOptions {
-                    allow_temporal,
-                    allow_batch_split,
-                    max_temporal_k,
-                });
-            }
-        }
-    }
-    grid
-}
+use primepar_graph::Graph;
+use primepar_search::PlannerMetrics;
 
-fn assert_plans_bitwise_equal(
-    cluster: &Cluster,
-    graph: &primepar_graph::Graph,
-    layers: u64,
-    space: SpaceOptions,
-    threads: usize,
-) {
-    let seed = Planner::new(
-        cluster,
-        graph,
-        PlannerOptions::default()
-            .with_space(space)
-            .with_threads(threads)
-            .with_memoize(false),
-    )
-    .optimize(layers);
-    let memo = Planner::new(
-        cluster,
-        graph,
-        PlannerOptions::default()
-            .with_space(space)
-            .with_threads(threads)
-            .with_memoize(true),
-    )
-    .optimize(layers);
+/// Every node's space went through the signature cache: one miss per unique
+/// signature, a hit for each repeat.
+fn assert_memoized(graph: &Graph, tm: &PlannerMetrics) {
+    assert_eq!(tm.space_cache_misses, tm.unique_signatures as u64);
     assert_eq!(
-        seed.seqs, memo.seqs,
-        "plan diverged ({space:?}, threads {threads})"
+        tm.space_cache_hits + tm.space_cache_misses,
+        graph.ops.len() as u64
     );
-    assert_eq!(
-        seed.layer_cost.to_bits(),
-        memo.layer_cost.to_bits(),
-        "layer cost diverged ({space:?}, threads {threads}): {} vs {}",
-        seed.layer_cost,
-        memo.layer_cost
-    );
-    assert_eq!(
-        seed.total_cost.to_bits(),
-        memo.total_cost.to_bits(),
-        "total cost diverged ({space:?}, threads {threads}): {} vs {}",
-        seed.total_cost,
-        memo.total_cost
-    );
+    assert!(tm.edge_matrix_cache_hits + tm.edge_matrix_cache_misses > 0);
 }
 
 #[test]
 fn memoized_planner_is_bitwise_identical_across_the_option_grid() {
-    let cluster = Cluster::v100_like(4);
-    let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
-    for space in space_grid() {
-        assert_plans_bitwise_equal(&cluster, &graph, 4, space, 1);
+    let graph = goldens::opt_layer();
+    for (space, golden) in goldens::option_grid() {
+        for tm in goldens::assert_golden(4, &graph, 4, space, golden) {
+            assert_memoized(&graph, &tm);
+        }
     }
 }
 
 #[test]
 fn memoized_planner_is_bitwise_identical_with_threads() {
-    let cluster = Cluster::v100_like(8);
-    let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
-    for space in [
-        SpaceOptions::default(),
-        SpaceOptions {
-            allow_temporal: false,
-            ..SpaceOptions::default()
-        },
-    ] {
-        assert_plans_bitwise_equal(&cluster, &graph, 4, space, 4);
+    let graph = goldens::opt_layer();
+    for (space, golden) in goldens::eight_devices() {
+        for tm in goldens::assert_golden(8, &graph, 4, space, golden) {
+            assert_memoized(&graph, &tm);
+        }
     }
-}
-
-#[test]
-fn memoized_planner_is_bitwise_identical_on_a_second_model() {
-    // A different layer shape (LLaMA's SwiGLU widths) exercises other
-    // signature/extent combinations through the same caches.
-    let cluster = Cluster::v100_like(8);
-    let graph = ModelConfig::llama2_7b().layer_graph(8, 512);
-    assert_plans_bitwise_equal(&cluster, &graph, 2, SpaceOptions::default(), 1);
-}
-
-#[test]
-fn memoization_reduces_cost_model_work() {
-    // The counters behind the speedup: fewer Eq. 7 evaluations (one vector
-    // per unique signature) and fewer Eq. 8-9 cells (one per unique matrix),
-    // with the structural caches reporting real hits.
-    let cluster = Cluster::v100_like(8);
-    let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
-    let (_, seed_tm) = Planner::new(
-        &cluster,
-        &graph,
-        PlannerOptions::default().with_memoize(false),
-    )
-    .optimize_instrumented(4);
-    let (_, memo_tm) =
-        Planner::new(&cluster, &graph, PlannerOptions::default()).optimize_instrumented(4);
-
-    // 13 ops share 10 signatures; 3 intra vectors come for free.
-    assert_eq!(memo_tm.unique_signatures, 10);
-    assert_eq!(memo_tm.space_cache_misses, 10);
-    assert_eq!(memo_tm.space_cache_hits, 3);
-    assert!(
-        memo_tm.intra_evaluations < seed_tm.intra_evaluations,
-        "intra {} !< {}",
-        memo_tm.intra_evaluations,
-        seed_tm.intra_evaluations
-    );
-    assert!(
-        memo_tm.edge_evaluations < seed_tm.edge_evaluations,
-        "edge {} !< {}",
-        memo_tm.edge_evaluations,
-        seed_tm.edge_evaluations
-    );
-    assert!(memo_tm.profile_cache_hits > 0);
-    assert!(memo_tm.edge_matrix_cache_hits > 0);
-    // The seed path reports no cache traffic at all.
-    assert_eq!(seed_tm.space_cache_hits + seed_tm.space_cache_misses, 0);
-    assert_eq!(
-        seed_tm.edge_matrix_cache_hits + seed_tm.edge_matrix_cache_misses,
-        0
-    );
 }

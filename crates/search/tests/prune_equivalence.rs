@@ -1,164 +1,43 @@
-//! ISSUE 7 acceptance: the pruned planner is *bitwise-identical* to the
-//! unpruned planner. Dominance pruning may only drop states the argmin can
-//! never select — `seqs`, `layer_cost` and `total_cost` must agree to the
-//! last bit across the full `SpaceOptions` grid, for the serial and the
-//! multi-threaded planner, and on a graph shaped like the scaling benchmark
-//! (where nearly half the interior states are dominated).
+//! The pruned planner is *bitwise-identical* to the unpruned planner.
+//! Dominance pruning may only drop states the argmin can never select:
+//! plan, `layer_cost` and `total_cost` must match the unpruned planner's
+//! goldens (`goldens/mod.rs`) to the last bit across the full
+//! `SpaceOptions` grid, for the serial and the multi-threaded planner.
+//! `plan_goldens.rs` adds the chain on which pruning really drops states.
 
-use primepar_graph::{Axis, Edge, Graph, ModelConfig, OpKind, Operator};
-use primepar_search::{Planner, PlannerOptions, SpaceOptions};
-use primepar_topology::Cluster;
+mod goldens;
 
-/// The same option grid as the memoization-equivalence suite: temporal
-/// on/off × batch splits on/off × temporal depth.
-fn space_grid() -> Vec<SpaceOptions> {
-    let mut grid = Vec::new();
-    for allow_temporal in [true, false] {
-        for allow_batch_split in [true, false] {
-            for max_temporal_k in [1, 2] {
-                grid.push(SpaceOptions {
-                    allow_temporal,
-                    allow_batch_split,
-                    max_temporal_k,
-                });
-            }
-        }
-    }
-    grid
-}
+use primepar_search::PlannerMetrics;
 
-fn assert_plans_bitwise_equal(
-    cluster: &Cluster,
-    graph: &Graph,
-    layers: u64,
-    space: SpaceOptions,
-    threads: usize,
-) {
-    let base = Planner::new(
-        cluster,
-        graph,
-        PlannerOptions::default()
-            .with_space(space)
-            .with_threads(threads)
-            .with_prune(false),
-    )
-    .optimize(layers);
-    let pruned = Planner::new(
-        cluster,
-        graph,
-        PlannerOptions::default()
-            .with_space(space)
-            .with_threads(threads)
-            .with_prune(true),
-    )
-    .optimize(layers);
-    assert_eq!(
-        base.seqs, pruned.seqs,
-        "plan diverged ({space:?}, threads {threads})"
+/// The prune stage ran and its per-segment counts add up to the run total.
+fn assert_pruned(tm: &PlannerMetrics) {
+    assert!(
+        tm.stage_spans().iter().any(|&(name, _)| name == "prune"),
+        "prune stage missing from {:?}",
+        tm.stage_spans()
     );
     assert_eq!(
-        base.layer_cost.to_bits(),
-        pruned.layer_cost.to_bits(),
-        "layer cost diverged ({space:?}, threads {threads}): {} vs {}",
-        base.layer_cost,
-        pruned.layer_cost
-    );
-    assert_eq!(
-        base.total_cost.to_bits(),
-        pruned.total_cost.to_bits(),
-        "total cost diverged ({space:?}, threads {threads}): {} vs {}",
-        base.total_cost,
-        pruned.total_cost
+        tm.states_pruned,
+        tm.segments.iter().map(|s| s.states_pruned).sum::<u64>()
     );
 }
 
 #[test]
 fn pruned_planner_is_bitwise_identical_across_the_option_grid() {
-    let cluster = Cluster::v100_like(4);
-    let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
-    for space in space_grid() {
-        assert_plans_bitwise_equal(&cluster, &graph, 4, space, 1);
+    let graph = goldens::opt_layer();
+    for (space, golden) in goldens::option_grid() {
+        for tm in goldens::assert_golden(4, &graph, 4, space, golden) {
+            assert_pruned(&tm);
+        }
     }
 }
 
 #[test]
 fn pruned_planner_is_bitwise_identical_with_threads() {
-    let cluster = Cluster::v100_like(8);
-    let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
-    for space in [
-        SpaceOptions::default(),
-        SpaceOptions {
-            allow_temporal: false,
-            ..SpaceOptions::default()
-        },
-    ] {
-        assert_plans_bitwise_equal(&cluster, &graph, 4, space, 4);
+    let graph = goldens::opt_layer();
+    for (space, golden) in goldens::eight_devices() {
+        for tm in goldens::assert_golden(8, &graph, 4, space, golden) {
+            assert_pruned(&tm);
+        }
     }
-}
-
-/// A small cousin of the scaling benchmark's alternating chain (see
-/// `primepar_bench::planner_scale_graph`, which cannot be imported here
-/// without a dependency cycle): capped-batch linears whose forced `M`/`N`/`K`
-/// bits create a dominated position-swap family, glued by poor-space
-/// pointwise operators.
-fn alternating_chain(devices: u64, nodes: usize) -> Graph {
-    let ops = (0..nodes)
-        .map(|i| {
-            if i % 2 == 1 {
-                Operator {
-                    name: format!("pw{i}"),
-                    kind: OpKind::Elementwise,
-                    extents: [devices, 2, 1, 2],
-                    axes: [
-                        vec![(Axis::Batch, devices)],
-                        vec![(Axis::Seq, 2)],
-                        vec![],
-                        vec![(Axis::Hidden, 2)],
-                    ],
-                }
-            } else {
-                Operator {
-                    name: format!("lin{i}"),
-                    kind: OpKind::Linear,
-                    extents: [devices / 8, 2, 2, 2],
-                    axes: [
-                        vec![(Axis::Batch, devices / 8)],
-                        vec![(Axis::Seq, 2)],
-                        vec![(Axis::Hidden, 2)],
-                        vec![(Axis::Hidden, 2)],
-                    ],
-                }
-            }
-        })
-        .collect();
-    let edges = (1..nodes).map(|i| Edge::plain(i - 1, i)).collect();
-    Graph { ops, edges }
-}
-
-#[test]
-fn pruned_planner_is_bitwise_identical_where_pruning_actually_fires() {
-    let cluster = Cluster::v100_like(64);
-    let graph = alternating_chain(64, 9);
-    assert_plans_bitwise_equal(&cluster, &graph, 2, SpaceOptions::default(), 1);
-    assert_plans_bitwise_equal(&cluster, &graph, 2, SpaceOptions::default(), 4);
-
-    // The point of the shape: the interior linears really do lose states.
-    let (_, tm) = Planner::new(&cluster, &graph, PlannerOptions::default().with_prune(true))
-        .optimize_instrumented(2);
-    assert!(
-        tm.states_pruned > 0,
-        "expected dominated states in the chain"
-    );
-}
-
-#[test]
-fn pruning_reports_zero_drops_on_rich_neighbourhoods() {
-    // On the transformer layer every neighbour space is rich enough to
-    // distinguish the candidate states, so the pass keeps everything — and
-    // must say so in the telemetry rather than silently diverge.
-    let cluster = Cluster::v100_like(4);
-    let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
-    let (_, tm) = Planner::new(&cluster, &graph, PlannerOptions::default().with_prune(true))
-        .optimize_instrumented(4);
-    assert_eq!(tm.states_pruned, 0);
 }

@@ -2,8 +2,8 @@
 //!
 //! * `beam(∞)` is *bitwise-identical* to the exact planner — same `seqs`,
 //!   same `layer_cost`/`total_cost` bits — across the full `SpaceOptions`
-//!   grid × threads {1, 4} × prune {on, off}, because a wide-enough beam
-//!   never touches a space (`strategy.rs`'s no-op-at-full-width argument).
+//!   grid × threads {1, 4}, because a wide-enough beam never touches a
+//!   space (`strategy.rs`'s no-op-at-full-width argument).
 //! * Property battery: beam cost is monotone non-increasing in width and
 //!   never below the exact cost (nested kept sets ⇒ the DP optimum over a
 //!   superset is never worse).
@@ -72,24 +72,17 @@ fn beam_at_full_width_is_bitwise_exact_across_the_grid() {
     let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
     for space in space_grid() {
         for threads in [1usize, 4] {
-            for prune in [false, true] {
-                let base = PlannerOptions::default()
-                    .with_space(space)
-                    .with_threads(threads)
-                    .with_prune(prune);
-                let exact = plan_with(&cluster, &graph, 4, base);
-                let beamed = plan_with(
-                    &cluster,
-                    &graph,
-                    4,
-                    base.with_strategy(SearchStrategy::Beam { width: usize::MAX }),
-                );
-                assert_bitwise_equal(
-                    &exact,
-                    &beamed,
-                    &format!("{space:?}, threads {threads}, prune {prune}"),
-                );
-            }
+            let base = PlannerOptions::default()
+                .with_space(space)
+                .with_threads(threads);
+            let exact = plan_with(&cluster, &graph, 4, base);
+            let beamed = plan_with(
+                &cluster,
+                &graph,
+                4,
+                base.with_strategy(SearchStrategy::Beam { width: usize::MAX }),
+            );
+            assert_bitwise_equal(&exact, &beamed, &format!("{space:?}, threads {threads}"));
         }
     }
 }
@@ -139,16 +132,14 @@ fn exact_cost() -> f64 {
     })
 }
 
-fn beam_cost(width: usize, prune: bool) -> f64 {
+fn beam_cost(width: usize) -> f64 {
     let cluster = Cluster::v100_like(4);
     let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
     plan_with(
         &cluster,
         &graph,
         2,
-        PlannerOptions::default()
-            .with_strategy(SearchStrategy::Beam { width })
-            .with_prune(prune),
+        PlannerOptions::default().with_strategy(SearchStrategy::Beam { width }),
     )
     .total_cost
 }
@@ -161,15 +152,13 @@ proptest! {
     #[test]
     fn beam_cost_is_monotone_in_width_and_never_below_exact(
         widths in proptest::collection::vec(1usize..32, 2..4),
-        prune in 0u8..2,
     ) {
-        let prune = prune == 1;
         let mut widths = widths;
         widths.sort_unstable();
         let exact = exact_cost();
         let mut prev = f64::INFINITY;
         for &w in &widths {
-            let cost = beam_cost(w, prune);
+            let cost = beam_cost(w);
             prop_assert!(
                 cost <= prev,
                 "cost must not increase with width (w={w}, {cost} > {prev})"
@@ -198,7 +187,7 @@ proptest! {
         prop_assert_eq!(plan.seqs.len(), graph.ops.len());
         prop_assert!(plan.total_cost.is_finite());
         prop_assert!(plan.total_cost >= exact_cost());
-        prop_assert!(plan.total_cost <= beam_cost(1, false));
+        prop_assert!(plan.total_cost <= beam_cost(1));
         prop_assert!(tm.anytime_rounds >= 1, "at least one round always runs");
         prop_assert!((0.0..=1.0).contains(&tm.optimality_gap));
         if tm.anytime_converged {

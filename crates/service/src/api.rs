@@ -15,9 +15,9 @@
 //! Requests have a *canonical fingerprint* naming the plan they produce:
 //! everything that changes the optimizer's output is included (model,
 //! devices, batch, seq, layers, `α`, space options, and any non-exact
-//! search strategy) and everything proven not to is excluded (`threads`,
-//! `memoize` and `prune` — the equivalence suites pin all three to
-//! bitwise-identical plans; `id` and `deadline_ms` — delivery concerns).
+//! search strategy) and everything proven not to is excluded (`threads` —
+//! pinned to bitwise-identical plans; `id` and `deadline_ms` — delivery
+//! concerns).
 //! Whole-plan memoization keys on this fingerprint.
 
 use std::time::Duration;
@@ -33,13 +33,13 @@ use primepar_topology::{AppliedPerturbation, PerturbationModel};
 use crate::Error;
 
 /// Schema tag carried by every service protocol frame (`schema_version`).
-/// `v2` adds the `replan` frame, the `prune` planner knob and the replan
-/// counters in `stats`; [`SERVICE_SCHEMA_V1`]-tagged frames are still
-/// accepted, answered with a deprecation warning.
+/// `v2` adds the `replan` frame and the replan counters in `stats`;
+/// [`SERVICE_SCHEMA_V1`]-tagged frames are still accepted, answered with a
+/// deprecation warning.
 pub const SERVICE_SCHEMA: &str = "primepar.service.v2";
 
 /// The previous protocol generation. Frames tagged with it parse exactly as
-/// before (it predates `replan`/`prune`, both of which have defaults) but
+/// before (it predates `replan`, which has defaults) but
 /// draw the legacy warning on their responses, like untagged frames.
 pub const SERVICE_SCHEMA_V1: &str = "primepar.service.v1";
 
@@ -64,11 +64,6 @@ pub struct PlanRequest {
     pub alpha: f64,
     /// Planner worker threads (`0` = single-threaded).
     pub threads: usize,
-    /// Structural memoization (`PlannerOptions::memoize`).
-    pub memoize: bool,
-    /// Dominance pruning (`PlannerOptions::prune`). Equivalence-pinned to
-    /// bitwise-identical plans, so it is excluded from the fingerprint.
-    pub prune: bool,
     /// Include the temporal `P_{2^k×2^k}` primitives in the space.
     pub allow_temporal: bool,
     /// Include batch splits in the space.
@@ -98,8 +93,6 @@ impl Default for PlanRequest {
             layers: None,
             alpha: 0.0,
             threads: 0,
-            memoize: true,
-            prune: false,
             allow_temporal: space.allow_temporal,
             allow_batch_split: space.allow_batch_split,
             max_temporal_k: space.max_temporal_k,
@@ -112,7 +105,7 @@ impl Default for PlanRequest {
 
 impl PlanRequest {
     /// A builder pre-loaded with the CLI defaults (4 devices, batch 8,
-    /// sequence 2048, full space, memoization on).
+    /// sequence 2048, full space, exact search).
     pub fn builder(model: impl Into<String>) -> PlanRequestBuilder {
         PlanRequestBuilder(PlanRequest {
             model: model.into(),
@@ -164,8 +157,6 @@ impl PlanRequest {
                 })
                 .with_alpha(self.alpha)
                 .with_threads(self.threads)
-                .with_memoize(self.memoize)
-                .with_prune(self.prune)
                 .with_strategy(self.strategy),
         })
     }
@@ -235,14 +226,6 @@ impl PlanRequestBuilder {
     setter!(
         /// Sets the planner thread count.
         threads: usize
-    );
-    setter!(
-        /// Toggles structural memoization.
-        memoize: bool
-    );
-    setter!(
-        /// Toggles dominance pruning (plans stay bitwise-identical).
-        prune: bool
     );
     setter!(
         /// Toggles the temporal primitives.
@@ -695,7 +678,6 @@ mod tests {
             .layers(Some(2))
             .alpha(1e-12)
             .threads(3)
-            .memoize(false)
             .allow_temporal(false)
             .allow_batch_split(false)
             .max_temporal_k(1)
@@ -705,7 +687,7 @@ mod tests {
         assert_eq!(req.id, "r1");
         assert_eq!(req.devices, 16);
         assert_eq!(req.layers, Some(2));
-        assert!(!req.memoize && !req.allow_temporal && !req.allow_batch_split);
+        assert!(!req.allow_temporal && !req.allow_batch_split);
         assert_eq!(req.deadline_ms, Some(50));
         let resolved = req.resolve().expect("valid");
         assert_eq!(resolved.model.name, "OPT 6.7B");
@@ -738,14 +720,6 @@ mod tests {
             },
             PlanRequest {
                 threads: 8,
-                ..base.clone()
-            },
-            PlanRequest {
-                memoize: false,
-                ..base.clone()
-            },
-            PlanRequest {
-                prune: true,
                 ..base.clone()
             },
             PlanRequest {
@@ -820,14 +794,6 @@ mod tests {
     fn sim_request_rejects_unknown_profile() {
         let sim = SimRequest::of(PlanRequest::builder("opt-6.7b").build()).with_sweep("wild", 4, 1);
         assert!(matches!(sim.resolve(), Err(Error::Config(_))));
-    }
-
-    #[test]
-    fn prune_round_trips_and_reaches_the_planner() {
-        let req = PlanRequest::builder("opt-6.7b").prune(true).build();
-        assert!(req.prune);
-        let resolved = req.resolve().expect("valid");
-        assert!(resolved.opts.prune);
     }
 
     #[test]

@@ -204,13 +204,7 @@ impl WarmCache {
         if let Some(interrupt) = interrupt {
             planner = planner.with_interrupt(interrupt.clone());
         }
-        // The warm path piggybacks on structural memoization; without it
-        // there are no sound cross-run keys, so plan exactly as seeded.
-        let (plan, metrics) = if resolved.opts.memoize {
-            planner.optimize_warm_instrumented(resolved.layers, &self.warm)
-        } else {
-            planner.optimize_instrumented(resolved.layers)
-        };
+        let (plan, metrics) = planner.optimize_warm_instrumented(resolved.layers, &self.warm);
         CachedPlan {
             key: resolved.key(),
             plan_text: render_plan(&graph, &plan.seqs),

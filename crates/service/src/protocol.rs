@@ -159,8 +159,6 @@ fn parse_plan_request(obj: &Json) -> Result<PlanRequest, Error> {
         layers: field_u64(obj, "layers")?,
         alpha: field_f64(obj, "alpha")?.unwrap_or(defaults.alpha),
         threads: field_u64(obj, "threads")?.map_or(defaults.threads, |n| n as usize),
-        memoize: field_bool(obj, "memoize")?.unwrap_or(defaults.memoize),
-        prune: field_bool(obj, "prune")?.unwrap_or(defaults.prune),
         allow_temporal: field_bool(obj, "allow_temporal")?.unwrap_or(defaults.allow_temporal),
         allow_batch_split: field_bool(obj, "allow_batch_split")?
             .unwrap_or(defaults.allow_batch_split),
@@ -288,7 +286,6 @@ pub fn request_json(req: &PlanRequest) -> Json {
     doc = doc
         .with("alpha", req.alpha)
         .with("threads", req.threads)
-        .with("memoize", req.memoize)
         .with("allow_temporal", req.allow_temporal)
         .with("allow_batch_split", req.allow_batch_split)
         .with("max_temporal_k", req.max_temporal_k)
@@ -300,9 +297,6 @@ pub fn request_json(req: &PlanRequest) -> Json {
     // byte-identically (mirrors the fingerprint's `:st:` suffix rule).
     if req.strategy != SearchStrategy::Exact {
         doc.set("strategy", req.strategy.to_string());
-    }
-    if req.prune {
-        doc.set("prune", true);
     }
     doc
 }
@@ -1138,6 +1132,18 @@ mod tests {
             .lines()
             .map(|l| parse_json(l).expect("frame json"))
             .collect()
+    }
+
+    #[test]
+    fn retired_memoize_and_prune_keys_are_ignored() {
+        // Older clients still send the two retired planner knobs; like any
+        // unknown key they no longer change (or fail) the parse.
+        let plain = r#"{"schema_version":"primepar.service.v2","type":"plan","id":"r1","model":"opt-6.7b"}"#;
+        let retired = r#"{"schema_version":"primepar.service.v2","type":"plan","id":"r1","model":"opt-6.7b","memoize":false,"prune":true}"#;
+        let expect = parse_frame(plain).expect("parses");
+        assert_eq!(parse_frame(retired).expect("parses"), expect);
+        let encoded = request_json(&PlanRequest::builder("opt-6.7b").build()).render();
+        assert!(!encoded.contains("memoize") && !encoded.contains("prune"));
     }
 
     #[test]
