@@ -54,7 +54,7 @@ fn bench_baseline_planners(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_planner_table2_slab(c: &mut Criterion) {
+fn bench_table2_slab(c: &mut Criterion) {
     // The Table-2 unit of work: OPT-6.7B at 16 devices, single-threaded,
     // planning a 4-layer slab of the stack (layer doubling composes it to
     // full depth).
@@ -76,6 +76,6 @@ criterion_group!(
     bench_optimizer_scaling,
     bench_optimizer_models,
     bench_baseline_planners,
-    bench_planner_table2_slab
+    bench_table2_slab
 );
 criterion_main!(benches);

@@ -10,9 +10,8 @@
 //! (enum {config, topology, protocol, cancelled, internal}), which the CLI
 //! maps onto distinct exit codes. The service internals ride along for
 //! hosts that need them: the sharded warm cache ([`WarmCache`] /
-//! [`CacheConfig`] / [`ShardedMap`]), `primepar.cache.v1` persistence
-//! ([`CACHE_SCHEMA`], [`validate_cache_doc`]) and the load-test harness
-//! ([`run_loadtest`]).
+//! [`CacheConfig`] / [`ShardedMap`]) and `primepar.cache.v1` persistence
+//! ([`CACHE_SCHEMA`], [`validate_cache_doc`]).
 //!
 //! ```
 //! use primepar::api::PlanRequest;
@@ -33,18 +32,17 @@
 //! for borrowed-input callers, and the request types cover everything else.
 //! See `CHANGELOG.md` for the migration table.
 
+#[cfg(unix)]
+pub use primepar_service::serve_unix_socket;
 pub use primepar_service::{
     cache_to_json, cancel_json, error_json, parse_frame, plan_response_json, replan_request_json,
-    replan_response_json, request_json, run_loadtest, serve_lines, serve_lines_with_cache,
-    sim_request_json, sim_response_json, validate_cache_doc, CacheConfig, CacheOutcome, CachedPlan,
-    CancelToken, Error, Frame, LoadtestOptions, LoadtestReport, Outcome, ParsedFrame, Pending,
-    PhaseReport, PlanKey, PlanRequest, PlanRequestBuilder, PlanResponse, PlannerService,
-    ReplanRequest, ReplanResponse, ResolvedPlan, ServeEnd, ServeOptions, ServiceCacheStats,
-    ServiceClient, ServiceOptions, ShardStats, ShardedMap, SimRequest, SimResponse, WarmCache,
-    CACHE_SCHEMA, SERVICE_SCHEMA, SERVICE_SCHEMA_V1,
+    replan_response_json, request_json, serve_lines, serve_lines_with_cache, sim_request_json,
+    sim_response_json, validate_cache_doc, CacheConfig, CacheOutcome, CachedPlan, CancelToken,
+    Error, Frame, Outcome, ParsedFrame, Pending, PlanKey, PlanRequest, PlanRequestBuilder,
+    PlanResponse, PlannerService, ReplanRequest, ReplanResponse, ResolvedPlan, ServeEnd,
+    ServeOptions, ServiceCacheStats, ServiceClient, ServiceOptions, ShardStats, ShardedMap,
+    SimRequest, SimResponse, WarmCache, CACHE_SCHEMA, SERVICE_SCHEMA,
 };
-#[cfg(unix)]
-pub use primepar_service::{run_loadtest_socket, serve_unix_socket};
 
 // Re-exported domain types, so facade users need no sub-crate imports.
 pub use primepar_graph::ModelConfig;

@@ -28,16 +28,13 @@
 //! primepar serve   [--workers 2] [--plan-dir DIR] [--socket PATH] [--cache-file PATH]
 //!                  [--event-log PATH] [--trace-out PATH] [--stats-out PATH]
 //!                  [--slow-ms 250] [--logical-clock]
-//! primepar loadtest [--requests 24] [--unique 4] [--workers 4] [--seed 42]
-//!                  [--cancel-fraction 0.125] [--socket PATH]
-//!                  [--metrics-json results/loadtest.metrics.json]
 //! primepar validate [--dir results]...   # strict re-parse of emitted artifacts
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use primepar::api::{run_loadtest, serve_lines, LoadtestOptions, ServeOptions};
+use primepar::api::{serve_lines, ServeOptions};
 use primepar::audit::{audit_layer, audit_metrics, render_audit};
 use primepar::exec::{train_distributed, train_serial};
 use primepar::graph::ModelConfig;
@@ -152,12 +149,6 @@ fn usage() -> &'static str {
      \x20         --stats-out dumps a primepar.stats.v1 snapshot on shutdown,\n\
      \x20         --slow-ms logs a stage breakdown for slow requests, and\n\
      \x20         --logical-clock makes event timestamps deterministic\n\
-     \x20 loadtest [--requests N] [--unique K] [--workers W] [--seed S]\n\
-     \x20         [--cancel-fraction F] [--socket PATH] [--metrics-json PATH]\n\
-     \x20         [--min-repeat-hit-rate R]\n\
-     \x20         seeded mixed repeat/unique/cancelled workload against the\n\
-     \x20         service; snapshots p50/p95/p99 latency + throughput\n\
-     \x20         (default results/loadtest.metrics.json)\n\
      \x20 validate [--dir DIR]...         strict re-parse of *.metrics.json /\n\
      \x20         *.trace.json / *.report.json / *.cache.json /\n\
      \x20         *.events.jsonl / *.stats.json (warns on untagged legacy docs)\n\
@@ -923,78 +914,6 @@ fn run() -> Result<(), Error> {
                 end.errors,
                 if end.shutdown { ", shutdown" } else { "" }
             );
-            Ok(())
-        }
-        "loadtest" => {
-            let opts = LoadtestOptions {
-                requests: args.parse("--requests", 24)?,
-                unique: args.parse("--unique", 4)?,
-                workers: args.parse("--workers", 4)?,
-                seed: args.parse("--seed", 42)?,
-                cancel_fraction: args.parse("--cancel-fraction", 0.125)?,
-            };
-            let report = match args.value("--socket") {
-                Some(path) => {
-                    #[cfg(unix)]
-                    {
-                        eprintln!("primepar loadtest: hammering {path}");
-                        primepar::api::run_loadtest_socket(std::path::Path::new(path), &opts)?
-                    }
-                    #[cfg(not(unix))]
-                    {
-                        let _ = path;
-                        return Err(Error::config("--socket requires a unix platform"));
-                    }
-                }
-                None => run_loadtest(&opts)?,
-            };
-            println!(
-                "loadtest: {} request(s) ({} unique, {} repeat) over {} worker(s), seed {}",
-                opts.requests,
-                opts.unique,
-                opts.requests - opts.unique,
-                opts.workers,
-                opts.seed
-            );
-            println!(
-                "  {} response(s) in {:.3}s — {:.0} req/s",
-                report.responses,
-                report.elapsed.as_secs_f64(),
-                report.throughput_rps
-            );
-            println!(
-                "  latency: p50 {:.1}ms p95 {:.1}ms p99 {:.1}ms (over {} ok)",
-                report.latency_us.p50 / 1e3,
-                report.latency_us.p95 / 1e3,
-                report.latency_us.p99 / 1e3,
-                report.latency_us.count
-            );
-            for (name, phase) in [("unique", &report.unique), ("repeat", &report.repeat)] {
-                println!(
-                    "  {name}: {} ok, {} cancelled, {} error(s), hit rate {:.2} \
-                     ({} hit(s), {} coalesced)",
-                    phase.ok,
-                    phase.cancelled,
-                    phase.errors,
-                    phase.hit_rate,
-                    phase.hits,
-                    phase.coalesced
-                );
-            }
-            let out = args
-                .value("--metrics-json")
-                .unwrap_or("results/loadtest.metrics.json");
-            primepar::write_metrics_json(out, &report.metrics)
-                .map_err(|e| Error::internal(format!("cannot write {out}: {e}")))?;
-            println!("metrics written to {out}");
-            // CI pins the repeat-phase hit rate with this floor.
-            let floor: f64 = args.parse("--min-repeat-hit-rate", 0.0)?;
-            if report.repeat.hit_rate < floor {
-                return Err(Error::internal(format!(
-                    "repeat-phase hit rate {:.3} below the --min-repeat-hit-rate floor {floor}",
-                    report.repeat.hit_rate
-                )));
-            }
             Ok(())
         }
         "--help" | "-h" | "help" => {

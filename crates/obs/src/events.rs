@@ -28,7 +28,7 @@ pub enum EventLevel {
     Debug,
     /// Normal request lifecycle.
     Info,
-    /// Something off-nominal (slow request, legacy frame…).
+    /// Something off-nominal, such as a slow request.
     Warn,
     /// A failed or panicked request.
     Error,

@@ -32,16 +32,10 @@ use primepar_topology::{AppliedPerturbation, PerturbationModel};
 
 use crate::Error;
 
-/// Schema tag carried by every service protocol frame (`schema_version`).
-/// `v2` adds the `replan` frame and the replan counters in `stats`;
-/// [`SERVICE_SCHEMA_V1`]-tagged frames are still accepted, answered with a
-/// deprecation warning.
+/// Schema tag carried by every service protocol frame (`schema_version`),
+/// in both directions: a request frame without it, or with any other tag,
+/// is answered with an in-band `protocol` error.
 pub const SERVICE_SCHEMA: &str = "primepar.service.v2";
-
-/// The previous protocol generation. Frames tagged with it parse exactly as
-/// before (it predates `replan`, which has defaults) but
-/// draw the legacy warning on their responses, like untagged frames.
-pub const SERVICE_SCHEMA_V1: &str = "primepar.service.v1";
 
 /// A plan request: one workload to optimize.
 #[derive(Debug, Clone, PartialEq)]

@@ -21,9 +21,6 @@
 //!   [`serve_lines`], every emitted document tagged with
 //!   [`SERVICE_SCHEMA`] as `schema_version`. Responses are out of order,
 //!   keyed by the echoed client `id` and a server-assigned `request_id`.
-//! * the load-test harness — [`run_loadtest`] drives the real wire protocol
-//!   with a seeded mixed repeat/unique/cancelled workload and snapshots
-//!   latency percentiles and throughput (`primepar loadtest`).
 //!
 //! Determinism contract: a served plan is **bitwise-identical** to a direct
 //! [`Planner::optimize`](primepar_search::Planner::optimize) call on the
@@ -35,7 +32,6 @@
 mod api;
 mod cache;
 mod error;
-mod loadtest;
 mod observe;
 mod persist;
 mod protocol;
@@ -44,13 +40,10 @@ mod shard;
 
 pub use api::{
     CacheOutcome, PlanKey, PlanRequest, PlanRequestBuilder, PlanResponse, ReplanRequest,
-    ReplanResponse, ResolvedPlan, SimRequest, SimResponse, SERVICE_SCHEMA, SERVICE_SCHEMA_V1,
+    ReplanResponse, ResolvedPlan, SimRequest, SimResponse, SERVICE_SCHEMA,
 };
 pub use cache::{CacheConfig, CachedPlan, ServiceCacheStats, WarmCache};
 pub use error::Error;
-#[cfg(unix)]
-pub use loadtest::run_loadtest_socket;
-pub use loadtest::{run_loadtest, LoadtestOptions, LoadtestReport, PhaseReport};
 pub use observe::{
     validate_stats_doc, FlightRecord, ObserveOptions, RequestTrace, ServiceObserver, SpanRecord,
     STATS_SCHEMA,

@@ -288,8 +288,6 @@ pub struct ServiceObserver {
     errors: AtomicU64,
     // Plan/sim submissions by requested search strategy: exact, beam, anytime.
     strategies: [AtomicU64; 3],
-    // Frames accepted under the legacy (untagged or v1) protocol.
-    legacy: AtomicU64,
     workers: Vec<WorkerSlot>,
     latency: Mutex<Metrics>,
     recorder: Mutex<VecDeque<FlightRecord>>,
@@ -316,7 +314,6 @@ impl ServiceObserver {
             completed: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             strategies: Default::default(),
-            legacy: AtomicU64::new(0),
             workers: (0..opts.workers.max(1))
                 .map(|_| WorkerSlot::default())
                 .collect(),
@@ -375,13 +372,6 @@ impl ServiceObserver {
             SearchStrategy::Anytime { .. } => 2,
         };
         self.strategies[slot].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a frame accepted under the legacy protocol — untagged or
-    /// `primepar.service.v1` — surfaced as `requests.legacy` in the stats
-    /// snapshot so operators can find clients that still need upgrading.
-    pub fn note_legacy(&self) {
-        self.legacy.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Worker `idx` picked a job off the queue.
@@ -538,8 +528,7 @@ impl ServiceObserver {
                     .with("submitted", self.submitted.load(Ordering::Relaxed))
                     .with("completed", self.completed.load(Ordering::Relaxed))
                     .with("errors", self.errors.load(Ordering::Relaxed))
-                    .with("queue_depth", self.queue_depth())
-                    .with("legacy", self.legacy.load(Ordering::Relaxed)),
+                    .with("queue_depth", self.queue_depth()),
             )
             .with(
                 "strategies",
@@ -644,7 +633,7 @@ pub fn validate_stats_doc(doc: &Json) -> Result<(), Error> {
     stats_num(doc, "uptime_us", "")?;
     stats_num(doc, "peak_rss_bytes", "")?;
     let requests = stats_field(doc, "requests", "")?;
-    for key in ["submitted", "completed", "errors", "queue_depth", "legacy"] {
+    for key in ["submitted", "completed", "errors", "queue_depth"] {
         stats_num(requests, key, "`requests`")?;
     }
     let strategies = stats_field(doc, "strategies", "")?;

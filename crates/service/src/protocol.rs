@@ -1,11 +1,10 @@
 //! The line-delimited JSON wire protocol of `primepar serve`.
 //!
-//! One frame per line, one JSON object per frame. Every frame the service
-//! *emits* carries `schema_version` ([`SERVICE_SCHEMA`]) as its first key;
-//! frames it *accepts* may omit the tag or carry the previous generation's
-//! ([`SERVICE_SCHEMA_V1`]) — both are legacy clients, answered with a
-//! `warning` field and counted in the `stats` snapshot — but a
-//! present-and-unknown tag is a protocol error.
+//! One frame per line, one JSON object per frame. Frames in both directions
+//! carry `schema_version` = [`SERVICE_SCHEMA`] (the first key of every frame
+//! the service emits). A request frame without the tag, or with any other
+//! one (the retired `primepar.service.v1` included), is answered with an
+//! in-band `protocol` error, and the session goes on.
 //!
 //! ```text
 //! → {"schema_version":"primepar.service.v2","type":"plan","id":"r1","model":"opt-6.7b","devices":16}
@@ -58,7 +57,7 @@ use crate::observe::{FlightRecord, ObserveOptions, RequestTrace, ServiceObserver
 use crate::server::{Pending, PlannerService, ServiceOptions};
 use crate::{
     Error, PlanRequest, PlanResponse, ReplanRequest, ReplanResponse, SimRequest, SimResponse,
-    SERVICE_SCHEMA, SERVICE_SCHEMA_V1,
+    SERVICE_SCHEMA,
 };
 
 /// One parsed request frame.
@@ -89,15 +88,11 @@ pub enum Frame {
     Shutdown,
 }
 
-/// A [`Frame`] plus how it was tagged.
+/// A [`Frame`] plus its trace context.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedFrame {
     /// The decoded frame.
     pub frame: Frame,
-    /// The frame omitted `schema_version` or carried the previous
-    /// generation's ([`SERVICE_SCHEMA_V1`]) — accepted, but the response
-    /// warns and the `stats` snapshot counts it.
-    pub legacy: bool,
     /// Client-supplied trace context, echoed on the response. Plan/sim
     /// frames without one get a server-minted id.
     pub trace_id: Option<String>,
@@ -208,33 +203,26 @@ fn parse_replan_request(obj: &Json) -> Result<ReplanRequest, Error> {
 ///
 /// # Errors
 ///
-/// [`Error::Protocol`] for non-JSON input, a non-object frame, an unknown
-/// `schema_version`, a missing/unknown `type`, a mistyped field, or a
-/// `cancel` naming neither an `id` nor a `request_id`.
+/// [`Error::Protocol`] for non-JSON input, a non-object frame, a missing or
+/// non-[`SERVICE_SCHEMA`] `schema_version`, a missing/unknown `type`, a
+/// mistyped field, or a `cancel` naming neither an `id` nor a `request_id`.
 pub fn parse_frame(line: &str) -> Result<ParsedFrame, Error> {
     let doc = parse_json(line).map_err(|e| Error::protocol(format!("bad frame: {e}")))?;
     if doc.as_object().is_none() {
         return Err(Error::protocol("frame must be a JSON object"));
     }
-    let legacy = match field(&doc, "schema_version") {
-        None => true,
-        Some(tag) => {
-            let tag = tag
-                .as_str()
-                .ok_or_else(|| Error::protocol("schema_version must be a string"))?;
-            if tag == SERVICE_SCHEMA {
-                false
-            } else if tag == SERVICE_SCHEMA_V1 {
-                // The previous generation parses unchanged (v2 only adds
-                // fields with defaults); the response carries the warning.
-                true
-            } else {
-                return Err(Error::protocol(format!(
-                    "unsupported schema_version: {tag} (expected {SERVICE_SCHEMA})"
-                )));
-            }
-        }
-    };
+    let tag = field_str(&doc, "schema_version")?.ok_or_else(|| {
+        Error::protocol(format!(
+            "frame is missing schema_version (tag frames with {SERVICE_SCHEMA}; \
+             see CHANGELOG.md)"
+        ))
+    })?;
+    if tag != SERVICE_SCHEMA {
+        return Err(Error::protocol(format!(
+            "unsupported schema_version: {tag} (tag frames with {SERVICE_SCHEMA}; \
+             see CHANGELOG.md)"
+        )));
+    }
     let kind = field_str(&doc, "type")?
         .ok_or_else(|| Error::protocol("frame is missing its type field"))?;
     let frame = match kind.as_str() {
@@ -260,7 +248,6 @@ pub fn parse_frame(line: &str) -> Result<ParsedFrame, Error> {
     };
     Ok(ParsedFrame {
         frame,
-        legacy,
         trace_id: field_str(&doc, "trace_id")?,
     })
 }
@@ -361,11 +348,8 @@ fn cache_json(resp: &crate::CacheOutcome) -> Json {
         .with("clusters_interned", resp.clusters_interned)
 }
 
-const LEGACY_WARNING: &str =
-    "legacy frame: missing or v1 schema_version; tag requests with primepar.service.v2";
-
 /// Encodes a [`PlanResponse`] as a `plan_response` frame.
-pub fn plan_response_json(resp: &PlanResponse, legacy: bool) -> Json {
+pub fn plan_response_json(resp: &PlanResponse) -> Json {
     let mut doc = tagged("plan_response")
         .with("id", resp.id.as_str())
         .with("ok", true)
@@ -392,14 +376,11 @@ pub fn plan_response_json(resp: &PlanResponse, legacy: bool) -> Json {
                 .with("tokens_per_second", sim.tokens_per_second),
         );
     }
-    if legacy {
-        doc.set("warning", LEGACY_WARNING);
-    }
     doc
 }
 
 /// Encodes a [`SimResponse`] as a `sim_response` frame.
-pub fn sim_response_json(resp: &SimResponse, legacy: bool) -> Json {
+pub fn sim_response_json(resp: &SimResponse) -> Json {
     let report = &resp.report;
     let mut doc = tagged("sim_response")
         .with("id", resp.id.as_str())
@@ -413,16 +394,13 @@ pub fn sim_response_json(resp: &SimResponse, legacy: bool) -> Json {
     if let Some(sweep) = &report.layer.robustness {
         doc.set("robustness", robustness_json(sweep));
     }
-    if legacy {
-        doc.set("warning", LEGACY_WARNING);
-    }
     doc
 }
 
 /// Encodes a [`ReplanResponse`] as a `replan_response` frame: the decision
 /// tag, the migration bill, and the full candidate table the decision was
 /// ranked over.
-pub fn replan_response_json(resp: &ReplanResponse, legacy: bool) -> Json {
+pub fn replan_response_json(resp: &ReplanResponse) -> Json {
     let outcome = &resp.outcome;
     let candidates = Json::Arr(
         outcome
@@ -439,7 +417,7 @@ pub fn replan_response_json(resp: &ReplanResponse, legacy: bool) -> Json {
             })
             .collect(),
     );
-    let mut doc = tagged("replan_response")
+    tagged("replan_response")
         .with("id", resp.id.as_str())
         .with("ok", true)
         .with("fingerprint", resp.fingerprint.as_str())
@@ -448,11 +426,7 @@ pub fn replan_response_json(resp: &ReplanResponse, legacy: bool) -> Json {
         .with("migration_seconds", outcome.migration_seconds)
         .with("candidates", candidates)
         .with("elapsed_us", resp.elapsed.as_micros() as u64)
-        .with("cache", cache_json(&resp.cache));
-    if legacy {
-        doc.set("warning", LEGACY_WARNING);
-    }
-    doc
+        .with("cache", cache_json(&resp.cache))
 }
 
 /// Encodes a failure as an `error` frame.
@@ -518,7 +492,6 @@ enum PendingReply {
 struct Reply {
     request_id: u64,
     id: String,
-    legacy: bool,
     trace: Arc<RequestTrace>,
     pending: PendingReply,
 }
@@ -577,6 +550,32 @@ fn log_event(events: &mut Option<EventLog>, event: Event) -> Result<(), Error> {
             .map_err(|e| Error::internal(format!("event log write failed: {e}"))),
         None => Ok(()),
     }
+}
+
+/// Admits one plan/sim/replan frame (client `id`) as request `request_id`:
+/// counts its strategy, opens its trace (minting a trace id when the client
+/// sent none) and logs its receipt.
+fn admit(
+    observer: &ServiceObserver,
+    events: &mut Option<EventLog>,
+    trace_id: Option<String>,
+    request_id: u64,
+    kind: &'static str,
+    id: &str,
+    strategy: SearchStrategy,
+) -> Result<Arc<RequestTrace>, Error> {
+    observer.note_strategy(strategy);
+    let trace_id = trace_id.unwrap_or_else(|| observer.gen_trace_id());
+    let trace = observer.begin_request(trace_id, request_id, kind);
+    log_event(
+        events,
+        Event::new(EventLevel::Info, "request.received")
+            .context(trace.trace_id(), "s0")
+            .field("kind", kind)
+            .field("id", id)
+            .field("request_id", request_id),
+    )?;
+    Ok(trace)
 }
 
 fn outcome_label(cache: &crate::CacheOutcome) -> &'static str {
@@ -639,7 +638,7 @@ fn emit(
                     std::fs::write(&path, &resp.plan_text)
                         .map_err(|e| Error::internal(format!("--plan-dir write failed: {e}")))?;
                 }
-                plan_response_json(&resp, reply.legacy)
+                plan_response_json(&resp)
             }
             Err(err) => {
                 end.errors += 1;
@@ -647,14 +646,14 @@ fn emit(
             }
         },
         Verdict::Sim(result) => match *result {
-            Ok(resp) => sim_response_json(&resp, reply.legacy),
+            Ok(resp) => sim_response_json(&resp),
             Err(err) => {
                 end.errors += 1;
                 error_json(&reply.id, &err)
             }
         },
         Verdict::Replan(result) => match *result {
-            Ok(resp) => replan_response_json(&resp, reply.legacy),
+            Ok(resp) => replan_response_json(&resp),
             Err(err) => {
                 end.errors += 1;
                 error_json(&reply.id, &err)
@@ -878,135 +877,99 @@ pub fn serve_lines_with_cache(
                                 writeln!(writer, "{}", error_json("", &err).render())
                                     .map_err(io)?;
                             }
-                            Ok(ParsedFrame {
-                                frame,
-                                legacy,
-                                trace_id,
-                            }) => {
-                                if legacy {
-                                    observer.note_legacy();
+                            Ok(ParsedFrame { frame, trace_id }) => match frame {
+                                Frame::Plan(req) => {
+                                    end.requests += 1;
+                                    next_request_id += 1;
+                                    let trace = admit(
+                                        observer,
+                                        &mut events,
+                                        trace_id,
+                                        next_request_id,
+                                        "plan",
+                                        &req.id,
+                                        req.strategy,
+                                    )?;
+                                    pending.push(Reply {
+                                        request_id: next_request_id,
+                                        id: req.id.clone(),
+                                        trace: trace.clone(),
+                                        pending: PendingReply::Plan(
+                                            client.submit_plan_traced(req, Some(trace)),
+                                        ),
+                                    });
                                 }
-                                match frame {
-                                    Frame::Plan(req) => {
-                                        end.requests += 1;
-                                        next_request_id += 1;
-                                        observer.note_strategy(req.strategy);
-                                        let trace_id =
-                                            trace_id.unwrap_or_else(|| observer.gen_trace_id());
-                                        let trace = observer.begin_request(
-                                            trace_id,
-                                            next_request_id,
-                                            "plan",
-                                        );
-                                        log_event(
-                                            &mut events,
-                                            Event::new(EventLevel::Info, "request.received")
-                                                .context(trace.trace_id(), "s0")
-                                                .field("kind", "plan")
-                                                .field("id", req.id.as_str())
-                                                .field("request_id", next_request_id)
-                                                .field("legacy", legacy),
-                                        )?;
-                                        pending.push(Reply {
-                                            request_id: next_request_id,
-                                            id: req.id.clone(),
-                                            legacy,
-                                            trace: trace.clone(),
-                                            pending: PendingReply::Plan(
-                                                client.submit_plan_traced(req, Some(trace)),
-                                            ),
-                                        });
-                                    }
-                                    Frame::Sim(req) => {
-                                        end.requests += 1;
-                                        next_request_id += 1;
-                                        observer.note_strategy(req.plan.strategy);
-                                        let trace_id =
-                                            trace_id.unwrap_or_else(|| observer.gen_trace_id());
-                                        let trace = observer.begin_request(
-                                            trace_id,
-                                            next_request_id,
-                                            "sim",
-                                        );
-                                        log_event(
-                                            &mut events,
-                                            Event::new(EventLevel::Info, "request.received")
-                                                .context(trace.trace_id(), "s0")
-                                                .field("kind", "sim")
-                                                .field("id", req.id.as_str())
-                                                .field("request_id", next_request_id)
-                                                .field("legacy", legacy),
-                                        )?;
-                                        pending.push(Reply {
-                                            request_id: next_request_id,
-                                            id: req.id.clone(),
-                                            legacy,
-                                            trace: trace.clone(),
-                                            pending: PendingReply::Sim(
-                                                client.submit_sim_traced(req, Some(trace)),
-                                            ),
-                                        });
-                                    }
-                                    Frame::Replan(req) => {
-                                        end.requests += 1;
-                                        next_request_id += 1;
-                                        observer.note_strategy(req.plan.strategy);
-                                        let trace_id =
-                                            trace_id.unwrap_or_else(|| observer.gen_trace_id());
-                                        let trace = observer.begin_request(
-                                            trace_id,
-                                            next_request_id,
-                                            "replan",
-                                        );
-                                        log_event(
-                                            &mut events,
-                                            Event::new(EventLevel::Info, "request.received")
-                                                .context(trace.trace_id(), "s0")
-                                                .field("kind", "replan")
-                                                .field("id", req.id.as_str())
-                                                .field("request_id", next_request_id)
-                                                .field("legacy", legacy),
-                                        )?;
-                                        pending.push(Reply {
-                                            request_id: next_request_id,
-                                            id: req.id.clone(),
-                                            legacy,
-                                            trace: trace.clone(),
-                                            pending: PendingReply::Replan(
-                                                client.submit_replan_traced(req, Some(trace)),
-                                            ),
-                                        });
-                                    }
-                                    Frame::Cancel { id, request_id } => {
-                                        for reply in pending.iter().filter(|r| {
-                                            id.as_deref() == Some(r.id.as_str())
-                                                || request_id == Some(r.request_id)
-                                        }) {
-                                            reply.cancel();
-                                        }
-                                    }
-                                    Frame::Stats => {
-                                        let mut doc = tagged("stats").with("ok", true);
-                                        if let Some(trace_id) = &trace_id {
-                                            doc.set("trace_id", trace_id.as_str());
-                                        }
-                                        doc.set("stats", observer.stats_json(cache));
-                                        writeln!(writer, "{}", doc.render()).map_err(io)?;
-                                        writer.flush().map_err(io)?;
-                                    }
-                                    Frame::Ping => {
-                                        let mut doc = tagged("pong");
-                                        if let Some(trace_id) = &trace_id {
-                                            doc.set("trace_id", trace_id.as_str());
-                                        }
-                                        writeln!(writer, "{}", doc.render()).map_err(io)?;
-                                        writer.flush().map_err(io)?;
-                                    }
-                                    Frame::Shutdown => {
-                                        end.shutdown = true;
+                                Frame::Sim(req) => {
+                                    end.requests += 1;
+                                    next_request_id += 1;
+                                    let trace = admit(
+                                        observer,
+                                        &mut events,
+                                        trace_id,
+                                        next_request_id,
+                                        "sim",
+                                        &req.id,
+                                        req.plan.strategy,
+                                    )?;
+                                    pending.push(Reply {
+                                        request_id: next_request_id,
+                                        id: req.id.clone(),
+                                        trace: trace.clone(),
+                                        pending: PendingReply::Sim(
+                                            client.submit_sim_traced(req, Some(trace)),
+                                        ),
+                                    });
+                                }
+                                Frame::Replan(req) => {
+                                    end.requests += 1;
+                                    next_request_id += 1;
+                                    let trace = admit(
+                                        observer,
+                                        &mut events,
+                                        trace_id,
+                                        next_request_id,
+                                        "replan",
+                                        &req.id,
+                                        req.plan.strategy,
+                                    )?;
+                                    pending.push(Reply {
+                                        request_id: next_request_id,
+                                        id: req.id.clone(),
+                                        trace: trace.clone(),
+                                        pending: PendingReply::Replan(
+                                            client.submit_replan_traced(req, Some(trace)),
+                                        ),
+                                    });
+                                }
+                                Frame::Cancel { id, request_id } => {
+                                    for reply in pending.iter().filter(|r| {
+                                        id.as_deref() == Some(r.id.as_str())
+                                            || request_id == Some(r.request_id)
+                                    }) {
+                                        reply.cancel();
                                     }
                                 }
-                            }
+                                Frame::Stats => {
+                                    let mut doc = tagged("stats").with("ok", true);
+                                    if let Some(trace_id) = &trace_id {
+                                        doc.set("trace_id", trace_id.as_str());
+                                    }
+                                    doc.set("stats", observer.stats_json(cache));
+                                    writeln!(writer, "{}", doc.render()).map_err(io)?;
+                                    writer.flush().map_err(io)?;
+                                }
+                                Frame::Ping => {
+                                    let mut doc = tagged("pong");
+                                    if let Some(trace_id) = &trace_id {
+                                        doc.set("trace_id", trace_id.as_str());
+                                    }
+                                    writeln!(writer, "{}", doc.render()).map_err(io)?;
+                                    writer.flush().map_err(io)?;
+                                }
+                                Frame::Shutdown => {
+                                    end.shutdown = true;
+                                }
+                            },
                         }
                     }
                 }
@@ -1067,17 +1030,30 @@ pub fn serve_lines_with_cache(
 /// Hosts the line protocol on a Unix domain socket, one connection at a
 /// time, sharing one [`WarmCache`] across connections (and persisting it
 /// via [`ServeOptions::cache_file`]). A `shutdown` frame ends the whole
-/// server; a disconnect only ends that connection.
+/// server and removes the socket; a disconnect only ends that connection.
+/// A stale socket left at `path` is replaced; any other file there is left
+/// alone.
 ///
 /// # Errors
 ///
+/// [`Error::Config`] when `path` exists and is not a socket;
 /// [`Error::Internal`] when binding or accepting fails.
 #[cfg(unix)]
 pub fn serve_unix_socket(path: &std::path::Path, opts: &ServeOptions) -> Result<ServeEnd, Error> {
     use std::io::BufReader;
+    use std::os::unix::fs::FileTypeExt;
     use std::os::unix::net::UnixListener;
 
-    let _ = std::fs::remove_file(path);
+    if let Ok(meta) = std::fs::symlink_metadata(path) {
+        if !meta.file_type().is_socket() {
+            return Err(Error::config(format!(
+                "{} exists and is not a socket; refusing to replace it",
+                path.display()
+            )));
+        }
+        std::fs::remove_file(path)
+            .map_err(|e| Error::internal(format!("remove {} failed: {e}", path.display())))?;
+    }
     let listener = UnixListener::bind(path)
         .map_err(|e| Error::internal(format!("bind {} failed: {e}", path.display())))?;
     let cache = WarmCache::new();
@@ -1157,10 +1133,9 @@ mod tests {
         let encoded = request_json(&req).render();
         assert!(
             !encoded.contains("strategy"),
-            "exact requests omit the strategy field (legacy transcripts)"
+            "exact requests omit the strategy field"
         );
         let parsed = parse_frame(&encoded).expect("parses");
-        assert!(!parsed.legacy);
         assert_eq!(parsed.frame, Frame::Plan(req.clone()));
 
         // Non-default strategies survive the wire both ways.
@@ -1175,7 +1150,9 @@ mod tests {
             Frame::Plan(anytime)
         );
         assert!(matches!(
-            parse_frame(r#"{"type":"plan","model":"opt-6.7b","strategy":"beam:zero"}"#),
+            parse_frame(
+                r#"{"schema_version":"primepar.service.v2","type":"plan","model":"opt-6.7b","strategy":"beam:zero"}"#
+            ),
             Err(Error::Protocol(_))
         ));
 
@@ -1188,7 +1165,6 @@ mod tests {
             .with_lambda(1.5)
             .with_horizon(250);
         let parsed = parse_frame(&replan_request_json(&replan).render()).expect("parses");
-        assert!(!parsed.legacy);
         assert_eq!(parsed.frame, Frame::Replan(replan));
 
         let cancel = cancel_json(Some("r1"), Some(7));
@@ -1199,32 +1175,9 @@ mod tests {
                 request_id: Some(7),
             }
         );
-    }
-
-    #[test]
-    fn legacy_frames_are_accepted_and_flagged() {
-        let parsed = parse_frame(r#"{"type":"plan","model":"opt-6.7b"}"#).expect("parses");
-        assert!(parsed.legacy, "untagged frames are legacy");
-        assert!(matches!(parsed.frame, Frame::Plan(_)));
-        // The previous protocol generation still parses, but draws the flag.
-        let parsed = parse_frame(
-            r#"{"schema_version":"primepar.service.v1","type":"plan","model":"opt-6.7b"}"#,
-        )
-        .expect("parses");
-        assert!(parsed.legacy, "v1-tagged frames are legacy");
-        assert!(matches!(parsed.frame, Frame::Plan(_)));
-        // Control frames parse too, by either cancellation key.
+        // Either cancellation key alone is enough.
         assert_eq!(
-            parse_frame(r#"{"type":"cancel","id":"r9"}"#)
-                .expect("parses")
-                .frame,
-            Frame::Cancel {
-                id: Some("r9".into()),
-                request_id: None,
-            }
-        );
-        assert_eq!(
-            parse_frame(r#"{"type":"cancel","request_id":3}"#)
+            parse_frame(&cancel_json(None, Some(3)).render())
                 .expect("parses")
                 .frame,
             Frame::Cancel {
@@ -1232,9 +1185,58 @@ mod tests {
                 request_id: Some(3),
             }
         );
+    }
+
+    #[test]
+    fn untagged_and_v1_frames_are_rejected_in_band() {
+        let untagged = r#"{"type":"plan","id":"old","model":"opt-6.7b"}"#;
+        let v1 = r#"{"schema_version":"primepar.service.v1","type":"plan","id":"old","model":"opt-6.7b"}"#;
+        for frame in [untagged, v1] {
+            match parse_frame(frame) {
+                Err(Error::Protocol(message)) => assert!(
+                    message.contains(SERVICE_SCHEMA) && message.contains("CHANGELOG"),
+                    "the rejection names the current tag and the migration notes: {message}"
+                ),
+                other => panic!("{frame}: {other:?}"),
+            }
+        }
+        // Each draws exactly one error frame; the next v2 frame is served.
+        let input = format!(
+            "{}{}{}",
+            line(untagged),
+            line(v1),
+            line(
+                r#"{"schema_version":"primepar.service.v2","type":"plan","id":"new","model":"opt-6.7b","devices":4,"seq":512,"layers":1}"#
+            ),
+        );
+        let mut out = Vec::new();
+        let end = serve_lines(
+            input.as_bytes(),
+            &mut out,
+            &ServeOptions {
+                workers: 1,
+                ..ServeOptions::default()
+            },
+        )
+        .expect("serves");
+        assert_eq!((end.requests, end.errors), (1, 2));
+        let lines = parse_lines(out);
+        let types: Vec<_> = lines
+            .iter()
+            .map(|doc| doc.get("type").and_then(Json::as_str).expect("type"))
+            .collect();
+        assert_eq!(types, ["error", "error", "plan_response", "bye"]);
+        for doc in &lines[..2] {
+            assert_eq!(
+                doc.get("error")
+                    .and_then(|e| e.get("kind"))
+                    .and_then(Json::as_str),
+                Some("protocol")
+            );
+        }
         assert_eq!(
-            parse_frame(r#"{"type":"ping"}"#).expect("parses").frame,
-            Frame::Ping
+            by_id(&lines, "new").get("ok").and_then(Json::as_bool),
+            Some(true)
         );
     }
 
@@ -1249,17 +1251,23 @@ mod tests {
             ),
             (
                 "missing type",
-                r#"{"schema_version":"primepar.service.v1"}"#,
+                r#"{"schema_version":"primepar.service.v2"}"#,
             ),
-            ("unknown type", r#"{"type":"dance"}"#),
+            (
+                "unknown type",
+                r#"{"schema_version":"primepar.service.v2","type":"dance"}"#,
+            ),
             (
                 "mistyped field",
-                r#"{"type":"plan","model":"opt-6.7b","devices":"many"}"#,
+                r#"{"schema_version":"primepar.service.v2","type":"plan","model":"opt-6.7b","devices":"many"}"#,
             ),
-            ("cancel without keys", r#"{"type":"cancel"}"#),
+            (
+                "cancel without keys",
+                r#"{"schema_version":"primepar.service.v2","type":"cancel"}"#,
+            ),
             (
                 "cancel with mistyped request_id",
-                r#"{"type":"cancel","request_id":"three"}"#,
+                r#"{"schema_version":"primepar.service.v2","type":"cancel","request_id":"three"}"#,
             ),
         ] {
             let verdict = parse_frame(input);
@@ -1318,7 +1326,6 @@ mod tests {
             r2.get("plan_text").and_then(Json::as_str),
             "served plans are byte-identical"
         );
-        assert!(r1.get("warning").is_none(), "tagged frames draw no warning");
     }
 
     #[test]
@@ -1328,12 +1335,12 @@ mod tests {
         let input = format!(
             "{}{}{}",
             line(
-                r#"{"type":"plan","id":"slow","model":"opt-6.7b","devices":8,"seq":512,"layers":4}"#
+                r#"{"schema_version":"primepar.service.v2","type":"plan","id":"slow","model":"opt-6.7b","devices":8,"seq":512,"layers":4}"#
             ),
             line(
-                r#"{"type":"plan","id":"fast","model":"opt-6.7b","devices":4,"seq":512,"layers":1}"#
+                r#"{"schema_version":"primepar.service.v2","type":"plan","id":"fast","model":"opt-6.7b","devices":4,"seq":512,"layers":1}"#
             ),
-            line(r#"{"type":"shutdown"}"#),
+            line(r#"{"schema_version":"primepar.service.v2","type":"shutdown"}"#),
         );
         let mut out = Vec::new();
         let end = serve_lines(
@@ -1361,13 +1368,13 @@ mod tests {
         let input = format!(
             "{}{}{}{}",
             line(
-                r#"{"type":"plan","id":"busy","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#
+                r#"{"schema_version":"primepar.service.v2","type":"plan","id":"busy","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#
             ),
             line(
-                r#"{"type":"plan","id":"doomed","model":"opt-6.7b","devices":8,"seq":512,"layers":4}"#
+                r#"{"schema_version":"primepar.service.v2","type":"plan","id":"doomed","model":"opt-6.7b","devices":8,"seq":512,"layers":4}"#
             ),
-            line(r#"{"type":"cancel","request_id":2}"#),
-            line(r#"{"type":"shutdown"}"#),
+            line(r#"{"schema_version":"primepar.service.v2","type":"cancel","request_id":2}"#),
+            line(r#"{"schema_version":"primepar.service.v2","type":"shutdown"}"#),
         );
         let mut out = Vec::new();
         let end = serve_lines(
@@ -1403,10 +1410,10 @@ mod tests {
         let input = format!(
             "{}{}",
             line(
-                r#"{"type":"plan","id":"late","model":"opt-6.7b","devices":4,"seq":512,"layers":2,"deadline_ms":0}"#
+                r#"{"schema_version":"primepar.service.v2","type":"plan","id":"late","model":"opt-6.7b","devices":4,"seq":512,"layers":2,"deadline_ms":0}"#
             ),
             line(
-                r#"{"type":"plan","id":"fine","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#
+                r#"{"schema_version":"primepar.service.v2","type":"plan","id":"fine","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#
             ),
         );
         let mut out = Vec::new();
@@ -1431,16 +1438,15 @@ mod tests {
         );
         let fine = by_id(&lines, "fine");
         assert_eq!(fine.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(
-            fine.get("warning").and_then(Json::as_str),
-            Some(LEGACY_WARNING),
-            "untagged frames are answered with a warning"
-        );
     }
 
     #[test]
     fn malformed_lines_answer_errors_without_ending_the_session() {
-        let input = format!("{}{}", line("{broken"), line(r#"{"type":"ping"}"#),);
+        let input = format!(
+            "{}{}",
+            line("{broken"),
+            line(r#"{"schema_version":"primepar.service.v2","type":"ping"}"#),
+        );
         let mut out = Vec::new();
         let end =
             serve_lines(input.as_bytes(), &mut out, &ServeOptions::default()).expect("serves");
@@ -1461,8 +1467,7 @@ mod tests {
             cache_file: Some(dir.join("warm.cache.json")),
             ..ServeOptions::default()
         };
-        let request =
-            r#"{"type":"plan","id":"ID","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#;
+        let request = r#"{"schema_version":"primepar.service.v2","type":"plan","id":"ID","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#;
 
         let mut first_out = Vec::new();
         serve_lines(
@@ -1517,12 +1522,12 @@ mod tests {
         let input = format!(
             "{}{}{}",
             line(
-                r#"{"type":"plan","id":"tagged","trace_id":"abc-123","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#
+                r#"{"schema_version":"primepar.service.v2","type":"plan","id":"tagged","trace_id":"abc-123","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#
             ),
             line(
-                r#"{"type":"plan","id":"bare","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#
+                r#"{"schema_version":"primepar.service.v2","type":"plan","id":"bare","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#
             ),
-            line(r#"{"type":"ping","trace_id":"ping-7"}"#),
+            line(r#"{"schema_version":"primepar.service.v2","type":"ping","trace_id":"ping-7"}"#),
         );
         let mut out = Vec::new();
         let end = serve_lines(
@@ -1568,10 +1573,10 @@ mod tests {
         let input = format!(
             "{}{}{}",
             line(
-                r#"{"type":"plan","id":"warm","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#
+                r#"{"schema_version":"primepar.service.v2","type":"plan","id":"warm","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#
             ),
-            line(r#"{"type":"stats","trace_id":"probe-1"}"#),
-            line(r#"{"type":"shutdown"}"#),
+            line(r#"{"schema_version":"primepar.service.v2","type":"stats","trace_id":"probe-1"}"#),
+            line(r#"{"schema_version":"primepar.service.v2","type":"shutdown"}"#),
         );
         let mut out = Vec::new();
         serve_lines(
@@ -1609,9 +1614,11 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let input = format!(
             "{}{}{}",
-            line(r#"{"type":"plan","id":"a","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#),
+            line(
+                r#"{"schema_version":"primepar.service.v2","type":"plan","id":"a","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#
+            ),
             line("{broken"),
-            line(r#"{"type":"shutdown"}"#),
+            line(r#"{"schema_version":"primepar.service.v2","type":"shutdown"}"#),
         );
         let serve = |path: &std::path::Path| {
             let mut out = Vec::new();
@@ -1664,9 +1671,9 @@ mod tests {
         let input = format!(
             "{}{}",
             line(
-                r#"{"type":"plan","id":"a","trace_id":"tr-a","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#
+                r#"{"schema_version":"primepar.service.v2","type":"plan","id":"a","trace_id":"tr-a","model":"opt-6.7b","devices":4,"seq":512,"layers":2}"#
             ),
-            line(r#"{"type":"shutdown"}"#),
+            line(r#"{"schema_version":"primepar.service.v2","type":"shutdown"}"#),
         );
         let mut out = Vec::new();
         serve_lines(

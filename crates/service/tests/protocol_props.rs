@@ -1,8 +1,9 @@
 //! Protocol round-trip properties (ISSUE 10 satellite).
 //!
 //! Every request frame the v2 builders can spell — plan, sim, and the new
-//! replan — must survive `encode → parse_frame` losslessly, come back tagged
-//! non-legacy, and carry its scenario identity. The generators deliberately
+//! replan — must survive `encode → parse_frame` losslessly and carry its
+//! scenario identity, and the same frame without the v2 tag must be refused.
+//! The generators deliberately
 //! roam the full knob space (including `f64` fields like `alpha` and
 //! `lambda`, which exercise the JSON writer's shortest-round-trip float
 //! formatting).
@@ -11,8 +12,8 @@ use proptest::prelude::*;
 
 use primepar_search::SearchStrategy;
 use primepar_service::{
-    parse_frame, replan_request_json, request_json, sim_request_json, Frame, PlanRequest,
-    ReplanRequest, SimRequest,
+    parse_frame, replan_request_json, request_json, sim_request_json, Error, Frame, PlanRequest,
+    ReplanRequest, SimRequest, SERVICE_SCHEMA,
 };
 
 const MODELS: [&str; 4] = ["opt-6.7b", "gpt3-13b", "opt-30b", "llama2-70b"];
@@ -60,11 +61,10 @@ fn plan_request_strategy() -> impl Strategy<Value = PlanRequest> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `plan` frames round-trip bit-for-bit and are never flagged legacy.
+    /// `plan` frames round-trip bit-for-bit.
     #[test]
     fn plan_frames_round_trip(req in plan_request_strategy()) {
         let parsed = parse_frame(&request_json(&req).render()).expect("parses");
-        prop_assert!(!parsed.legacy, "v2-tagged frames are not legacy");
         prop_assert_eq!(parsed.frame, Frame::Plan(req));
     }
 
@@ -80,7 +80,6 @@ proptest! {
         let mut req = SimRequest::of(plan).with_sweep(PROFILES[profile_ix], scenarios, seed);
         req.recompute_activations = recompute == 1;
         let parsed = parse_frame(&sim_request_json(&req).render()).expect("parses");
-        prop_assert!(!parsed.legacy);
         prop_assert_eq!(parsed.frame, Frame::Sim(req));
     }
 
@@ -100,17 +99,22 @@ proptest! {
             .with_lambda(lambda)
             .with_horizon(horizon);
         let parsed = parse_frame(&replan_request_json(&req).render()).expect("parses");
-        prop_assert!(!parsed.legacy);
         prop_assert_eq!(parsed.frame, Frame::Replan(req));
     }
 
-    /// A v1 tag downgrades a frame to legacy without changing what parses.
+    /// The same frame tagged v1, or untagged, is a protocol error that
+    /// names the v2 tag.
     #[test]
-    fn v1_tags_parse_as_legacy(req in plan_request_strategy()) {
+    fn v1_and_untagged_frames_are_protocol_errors(req in plan_request_strategy()) {
         let v2 = request_json(&req).render();
-        let v1 = v2.replace("primepar.service.v2", "primepar.service.v1");
-        let parsed = parse_frame(&v1).expect("v1 parses");
-        prop_assert!(parsed.legacy, "v1-tagged frames are legacy");
-        prop_assert_eq!(parsed.frame, Frame::Plan(req));
+        let v1 = v2.replace(SERVICE_SCHEMA, "primepar.service.v1");
+        let untagged = v2.replace(&format!(r#""schema_version":"{SERVICE_SCHEMA}","#), "");
+        prop_assert!(!untagged.contains("schema_version"));
+        for frame in [v1, untagged] {
+            match parse_frame(&frame) {
+                Err(Error::Protocol(message)) => prop_assert!(message.contains(SERVICE_SCHEMA)),
+                other => prop_assert!(false, "{frame}: {other:?}"),
+            }
+        }
     }
 }

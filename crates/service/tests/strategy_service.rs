@@ -70,9 +70,9 @@ fn anytime_with_headroom_converges_and_reports_gap_zero() {
 #[test]
 fn served_anytime_frames_echo_strategy_and_gap() {
     let input = concat!(
-        r#"{"schema_version":"primepar.service.v1","type":"plan","id":"a1","model":"opt-6.7b","devices":4,"seq":512,"layers":2,"strategy":"anytime:60000ms","deadline_ms":0}"#,
+        r#"{"schema_version":"primepar.service.v2","type":"plan","id":"a1","model":"opt-6.7b","devices":4,"seq":512,"layers":2,"strategy":"anytime:60000ms","deadline_ms":0}"#,
         "\n",
-        r#"{"schema_version":"primepar.service.v1","type":"shutdown"}"#,
+        r#"{"schema_version":"primepar.service.v2","type":"shutdown"}"#,
         "\n",
     );
     let mut out = Vec::new();

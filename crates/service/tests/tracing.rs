@@ -45,7 +45,7 @@ fn parallel_clients_get_their_own_trace_ids_and_well_nested_spans() {
         input.push_str(&frame.render());
         input.push('\n');
     }
-    input.push_str("{\"schema_version\":\"primepar.service.v1\",\"type\":\"shutdown\"}\n");
+    input.push_str("{\"schema_version\":\"primepar.service.v2\",\"type\":\"shutdown\"}\n");
 
     let mut out = Vec::new();
     serve_lines(

@@ -1,11 +1,12 @@
 //! End-to-end tests of `primepar serve` and the typed exit codes, invoking
 //! the actual binary and speaking the line protocol over stdin/stdout.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
 
-use primepar::api::{request_json, PlanRequest};
+use primepar::api::{cancel_json, request_json, PlanRequest};
 use primepar::obs::{parse_json, Json};
+use primepar::service::stats_request_json;
 
 /// Runs `primepar serve` with `input` piped to stdin, returning
 /// (exit-ok, stdout, stderr).
@@ -70,7 +71,7 @@ fn serve_answers_repeats_from_the_plan_memo_bitwise_identically() {
         input.push_str(&request_json(&small_request(id)).render());
         input.push('\n');
     }
-    input.push_str("{\"schema_version\":\"primepar.service.v1\",\"type\":\"shutdown\"}\n");
+    input.push_str("{\"schema_version\":\"primepar.service.v2\",\"type\":\"shutdown\"}\n");
 
     let (ok, stdout, stderr) = serve(&input, &["--workers", "1"]);
     assert!(ok, "serve failed: {stderr}");
@@ -81,8 +82,7 @@ fn serve_answers_repeats_from_the_plan_memo_bitwise_identically() {
     assert_eq!(str_field(r1, "id"), "r1");
     assert_eq!(str_field(r2, "id"), "r2");
     for frame in [r1, r2] {
-        // Responses are always tagged with the current protocol version,
-        // even when the session mixes in legacy v1 frames (the shutdown).
+        // Responses are always tagged with the current protocol version.
         assert_eq!(str_field(frame, "schema_version"), "primepar.service.v2");
         assert_eq!(frame.get("ok").and_then(Json::as_bool), Some(true));
     }
@@ -108,29 +108,43 @@ fn serve_answers_repeats_from_the_plan_memo_bitwise_identically() {
 }
 
 #[test]
-fn legacy_frames_are_answered_with_a_warning() {
+fn untagged_and_v1_frames_are_rejected_in_band() {
     let frame = request_json(&small_request("old"));
-    let legacy = match frame {
+    let untagged = match &frame {
         Json::Obj(entries) => Json::Obj(
             entries
-                .into_iter()
+                .iter()
                 .filter(|(k, _)| k != "schema_version")
+                .cloned()
                 .collect(),
         ),
-        other => other,
+        other => other.clone(),
     };
+    let mut v1 = frame.clone();
+    v1.set("schema_version", "primepar.service.v1");
     let input = format!(
-        "{}\n{{\"schema_version\":\"primepar.service.v1\",\"type\":\"shutdown\"}}\n",
-        legacy.render()
+        "{}\n{}\n{}\n{{\"schema_version\":\"primepar.service.v2\",\"type\":\"shutdown\"}}\n",
+        untagged.render(),
+        v1.render(),
+        request_json(&small_request("new")).render()
     );
     let (ok, stdout, stderr) = serve(&input, &["--workers", "1"]);
     assert!(ok, "serve failed: {stderr}");
     let frames = response_lines(&stdout);
-    assert_eq!(frames[0].get("ok").and_then(Json::as_bool), Some(true));
-    assert!(
-        str_field(&frames[0], "warning").contains("legacy frame"),
-        "untagged request must be warned, got:\n{stdout}"
-    );
+    assert_eq!(frames.len(), 4, "two errors, new, bye:\n{stdout}");
+    for error in &frames[..2] {
+        assert_eq!(str_field(error, "type"), "error");
+        let error = error.get("error").expect("error body");
+        assert_eq!(str_field(error, "kind"), "protocol");
+        let message = str_field(error, "message");
+        assert!(
+            message.contains("primepar.service.v2") && message.contains("CHANGELOG"),
+            "the rejection names the current tag and the migration notes: {message}"
+        );
+    }
+    assert_eq!(str_field(&frames[2], "id"), "new");
+    assert_eq!(frames[2].get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(str_field(&frames[3], "type"), "bye");
 }
 
 #[test]
@@ -138,7 +152,7 @@ fn protocol_errors_stay_in_band_and_the_session_survives() {
     let mut input = String::from("this is not json\n");
     input.push_str(&request_json(&small_request("after")).render());
     input.push('\n');
-    input.push_str("{\"schema_version\":\"primepar.service.v1\",\"type\":\"shutdown\"}\n");
+    input.push_str("{\"schema_version\":\"primepar.service.v2\",\"type\":\"shutdown\"}\n");
     let (ok, stdout, stderr) = serve(&input, &["--workers", "1"]);
     assert!(ok, "serve failed: {stderr}");
     let frames = response_lines(&stdout);
@@ -179,14 +193,14 @@ fn interleaved_cancels_stay_in_band_under_load() {
     }
     // "busy" was accepted first, so the queued requests are ids 2 and 3.
     input.push_str(
-        "{\"schema_version\":\"primepar.service.v1\",\"type\":\"cancel\",\"request_id\":2}\n",
+        "{\"schema_version\":\"primepar.service.v2\",\"type\":\"cancel\",\"request_id\":2}\n",
     );
     input.push_str(
-        "{\"schema_version\":\"primepar.service.v1\",\"type\":\"cancel\",\"id\":\"doomed-id\"}\n",
+        "{\"schema_version\":\"primepar.service.v2\",\"type\":\"cancel\",\"id\":\"doomed-id\"}\n",
     );
     input.push_str(&request_json(&small_request("after")).render());
     input.push('\n');
-    input.push_str("{\"schema_version\":\"primepar.service.v1\",\"type\":\"shutdown\"}\n");
+    input.push_str("{\"schema_version\":\"primepar.service.v2\",\"type\":\"shutdown\"}\n");
 
     let (ok, stdout, stderr) = serve(&input, &["--workers", "1"]);
     assert!(ok, "serve failed: {stderr}");
@@ -237,7 +251,7 @@ fn cheap_requests_overtake_expensive_ones_out_of_order() {
     input.push('\n');
     input.push_str(&request_json(&small_request("fast")).render());
     input.push('\n');
-    input.push_str("{\"schema_version\":\"primepar.service.v1\",\"type\":\"shutdown\"}\n");
+    input.push_str("{\"schema_version\":\"primepar.service.v2\",\"type\":\"shutdown\"}\n");
 
     let (ok, stdout, stderr) = serve(&input, &["--workers", "2"]);
     assert!(ok, "serve failed: {stderr}");
@@ -264,7 +278,7 @@ fn cache_file_persists_warm_state_across_serve_restarts() {
     let cache_arg = cache.to_str().expect("utf-8 temp path");
 
     let input = format!(
-        "{}\n{{\"schema_version\":\"primepar.service.v1\",\"type\":\"shutdown\"}}\n",
+        "{}\n{{\"schema_version\":\"primepar.service.v2\",\"type\":\"shutdown\"}}\n",
         request_json(&small_request("first")).render()
     );
     let (ok, stdout1, stderr) = serve(&input, &["--workers", "1", "--cache-file", cache_arg]);
@@ -272,7 +286,7 @@ fn cache_file_persists_warm_state_across_serve_restarts() {
     assert!(cache.exists(), "shutdown must dump the warm cache");
 
     let input = format!(
-        "{}\n{{\"schema_version\":\"primepar.service.v1\",\"type\":\"shutdown\"}}\n",
+        "{}\n{{\"schema_version\":\"primepar.service.v2\",\"type\":\"shutdown\"}}\n",
         request_json(&small_request("second")).render()
     );
     let (ok, stdout2, stderr) = serve(&input, &["--workers", "1", "--cache-file", cache_arg]);
@@ -299,71 +313,152 @@ fn cache_file_persists_warm_state_across_serve_restarts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One plan key of the scripted session: only the layer count varies.
+fn session_request(id: &str, layers: u64) -> PlanRequest {
+    PlanRequest::builder("opt-6.7b")
+        .id(id)
+        .devices(4)
+        .batch(8)
+        .seq(256)
+        .layers(Some(layers))
+        .build()
+}
+
 #[test]
-fn loadtest_subcommand_writes_a_valid_metrics_artifact() {
-    let path = std::env::temp_dir().join(format!(
-        "primepar_cli_loadtest_{}.metrics.json",
+fn scripted_session_answers_every_request_and_hits_repeats() {
+    // A fixed transcript over four workers: 4 unique keys, planned cold,
+    // then 20 repeats of those keys with 3 of them cancelled by request_id,
+    // a live stats probe and a shutdown. The repeats are sent once every
+    // unique key has answered, so each one that is not cancelled is a memo
+    // hit.
+    const UNIQUE: u64 = 4;
+    const REPEATS: u64 = 20;
+    let stats_out = std::env::temp_dir().join(format!(
+        "primepar_service_cli_session_{}.stats.json",
         std::process::id()
     ));
-    let out = Command::new(env!("CARGO_BIN_EXE_primepar"))
-        .args([
-            "loadtest",
-            "--requests",
-            "8",
-            "--unique",
-            "2",
-            "--workers",
-            "2",
-            "--seed",
-            "7",
-            "--cancel-fraction",
-            "0",
-            "--min-repeat-hit-rate",
-            "0.99",
-            "--metrics-json",
-            path.to_str().expect("utf-8 temp path"),
-        ])
-        .output()
+    let mut child = Command::new(env!("CARGO_BIN_EXE_primepar"))
+        .args(["serve", "--workers", "4", "--stats-out"])
+        .arg(&stats_out)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
         .expect("binary runs");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut frames = Vec::new();
+
+    for i in 0..UNIQUE {
+        let frame = request_json(&session_request(&format!("u{i}"), 1 + i)).render();
+        writeln!(stdin, "{frame}").expect("send");
+    }
+    stdin.flush().expect("flush");
+    while frames.len() < UNIQUE as usize {
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("read");
+        assert!(!line.is_empty(), "serve exited during the unique phase");
+        frames.push(parse_json(&line).expect("response frame parses"));
+    }
+
+    // Server request ids count submissions from 1: repeat `j` is `UNIQUE + 1 + j`.
+    let cancelled_ids = [UNIQUE + 3, UNIQUE + 10, UNIQUE + 17];
+    for j in 0..REPEATS {
+        let frame = request_json(&session_request(&format!("r{j}"), 1 + j % UNIQUE)).render();
+        writeln!(stdin, "{frame}").expect("send");
+        let request_id = UNIQUE + 1 + j;
+        if cancelled_ids.contains(&request_id) {
+            writeln!(stdin, "{}", cancel_json(None, Some(request_id)).render()).expect("send");
+        }
+    }
+    writeln!(stdin, "{}", stats_request_json(None).render()).expect("send");
+    writeln!(
+        stdin,
+        "{{\"schema_version\":\"primepar.service.v2\",\"type\":\"shutdown\"}}"
+    )
+    .expect("send");
+    drop(stdin);
+    for line in stdout.lines() {
+        frames.push(parse_json(&line.expect("read")).expect("response frame parses"));
+    }
+    let out = child.wait_with_output().expect("serve exits");
     assert!(
         out.status.success(),
-        "loadtest failed: {}",
+        "serve failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let doc = parse_json(&std::fs::read_to_string(&path).expect("artifact")).expect("json");
-    assert_eq!(
-        str_field(&doc, "schema_version"),
-        "primepar.metrics.v1",
-        "artifact must be schema-tagged"
-    );
-    let latency = doc.get("loadtest.latency_us").expect("latency histogram");
-    for q in ["p50", "p95", "p99"] {
-        assert!(
-            latency.get(q).and_then(Json::as_f64).is_some(),
-            "latency histogram missing {q}"
-        );
-    }
-    assert!(doc.get("loadtest.throughput_rps").is_some());
-    std::fs::remove_file(&path).ok();
 
-    // An unreachable hit-rate floor must fail with the internal exit code.
+    // Every plan id is answered exactly once, and the session ends with bye.
+    let mut ids: Vec<&str> = frames
+        .iter()
+        .filter(|f| u64_field(f, "request_id").is_some())
+        .map(|f| str_field(f, "id"))
+        .collect();
+    ids.sort_unstable();
+    let mut expected: Vec<String> = (0..UNIQUE)
+        .map(|i| format!("u{i}"))
+        .chain((0..REPEATS).map(|j| format!("r{j}")))
+        .collect();
+    expected.sort_unstable();
+    assert_eq!(ids, expected);
     assert_eq!(
-        exit_code(&[
-            "loadtest",
-            "--requests",
-            "4",
-            "--unique",
-            "4",
-            "--workers",
-            "1",
-            "--min-repeat-hit-rate",
-            "0.5",
-            "--metrics-json",
-            "/dev/null",
-        ]),
-        6,
-        "all-unique workload has no repeats, so the floor must trip"
+        frames.last().map(|f| str_field(f, "type")),
+        Some("bye"),
+        "the session ends with bye"
     );
+
+    // Cancelled repeats answer in-band (a cancel may lose the race to its
+    // memo hit); every other repeat is served, at least 80% from the memo.
+    let hit = |f: &Json| {
+        f.get("cache")
+            .and_then(|c| c.get("plan_cache_hit"))
+            .and_then(Json::as_bool)
+            == Some(true)
+    };
+    let (mut served, mut hits, mut cancelled) = (0usize, 0usize, 0u64);
+    for j in 0..REPEATS {
+        let f = by_id(&frames, &format!("r{j}"));
+        if f.get("ok").and_then(Json::as_bool) == Some(true) {
+            served += 1;
+            hits += usize::from(hit(f));
+        } else {
+            assert!(
+                cancelled_ids.contains(&(UNIQUE + 1 + j)),
+                "only cancelled repeats may fail: {}",
+                f.render()
+            );
+            assert_eq!(
+                f.get("error").map(|e| str_field(e, "kind").to_owned()),
+                Some("cancelled".into())
+            );
+            cancelled += 1;
+        }
+    }
+    assert!(
+        hits * 5 >= served * 4,
+        "{hits} of {served} served repeats hit the memo (floor 80%)"
+    );
+    for i in 0..UNIQUE {
+        let f = by_id(&frames, &format!("u{i}"));
+        assert_eq!(f.get("ok").and_then(Json::as_bool), Some(true));
+    }
+
+    // The live probe counted every submission; the shutdown snapshot
+    // accounts for each one as completed, the cancelled ones as errors.
+    let live = frames
+        .iter()
+        .find(|f| str_field(f, "type") == "stats")
+        .and_then(|f| f.get("stats"))
+        .and_then(|s| s.get("requests"))
+        .expect("stats response");
+    assert_eq!(u64_field(live, "submitted"), Some(UNIQUE + REPEATS));
+    let dump = parse_json(&std::fs::read_to_string(&stats_out).expect("stats dump")).expect("json");
+    let requests = dump.get("requests").expect("requests section");
+    assert_eq!(u64_field(requests, "submitted"), Some(UNIQUE + REPEATS));
+    assert_eq!(u64_field(requests, "completed"), Some(UNIQUE + REPEATS));
+    assert_eq!(u64_field(requests, "errors"), Some(cancelled));
+    assert_eq!(u64_field(requests, "queue_depth"), Some(0));
+    std::fs::remove_file(&stats_out).ok();
 }
 
 #[test]

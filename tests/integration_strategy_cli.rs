@@ -157,7 +157,7 @@ fn served_plan_frames_echo_the_strategy_and_gap() {
         input.push_str(&request_json(req).render());
         input.push('\n');
     }
-    input.push_str("{\"schema_version\":\"primepar.service.v1\",\"type\":\"shutdown\"}\n");
+    input.push_str("{\"schema_version\":\"primepar.service.v2\",\"type\":\"shutdown\"}\n");
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_primepar"))
         .args(["serve", "--workers", "1"])
