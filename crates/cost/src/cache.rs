@@ -10,8 +10,13 @@
 //!   role)` suffices — the [`EdgeCostCache`] interns them;
 //! * within one side's profile vector, most per-device holdings repeat (a
 //!   coarse split leaves many devices with identical slices), so the dense
-//!   intervals are deduplicated and each cell becomes a handful of table
-//!   lookups instead of axis-interval products — see [`PreparedEdge::matrix`];
+//!   intervals are deduplicated. Each direction then gets one dense
+//!   `|need uniques| × |hold uniques|` table of `total · overlap`, and each
+//!   cell becomes a handful of lookups into it — see [`PreparedEdge::matrix`];
+//! * the overlap is a product of per-axis factors, and on each axis a side
+//!   holds only a few distinct intervals, so the dense table is filled from
+//!   small per-axis factor tables rather than one eight-axis product per
+//!   entry;
 //! * whole matrices repeat across edges whose endpoints share signatures and
 //!   edge parameters (the residual adds, the stacked-layer boundary), keyed
 //!   by [`MatrixKey`].
@@ -19,7 +24,9 @@
 //! Everything here is *bitwise-identical* to the direct path: deduplication
 //! only reuses values that would have been recomputed from identical inputs,
 //! and every floating-point accumulation keeps the original operation order
-//! (ascending device order, `(v − overlap).max(0)` per device).
+//! (axes ascending from `1.0` within an overlap, ascending device order with
+//! `(v − overlap).max(0)` per device within a cell). Skipping an axis whose
+//! factors are all exactly `1.0` is exact, since `x · 1.0 == x`.
 //!
 //! [`OpSignature`]: primepar_graph::OpSignature
 
@@ -224,47 +231,6 @@ impl SideProfiles {
     pub fn unique_holdings(&self) -> usize {
         self.uniques.len()
     }
-
-    /// The distinct holdings observed at device `d`, in ascending global-id
-    /// order — canonical, so devices observing the same unique *set* produce
-    /// identical `(locals, table)` blocks no matter in which sequence order
-    /// they first saw each holding. On return `scratch.rank_of[g]` maps each
-    /// returned global id to its rank in the list; `scratch` is reusable
-    /// across devices without reallocation.
-    fn locals_at(&self, d: usize, scratch: &mut RankScratch) -> Vec<u32> {
-        let mut locals = Vec::new();
-        for s in 0..self.len() {
-            let g = self.ids[s * self.devices + d];
-            if !scratch.seen[g as usize] {
-                scratch.seen[g as usize] = true;
-                locals.push(g);
-            }
-        }
-        locals.sort_unstable();
-        for (r, &g) in locals.iter().enumerate() {
-            scratch.rank_of[g as usize] = r as u32;
-            scratch.seen[g as usize] = false;
-        }
-        locals
-    }
-}
-
-/// Reusable per-side scratch for [`SideProfiles::locals_at`] — sized to the
-/// side's unique count, cleared incrementally so building one direction
-/// table touches each buffer once per *observed* holding, not once per
-/// unique per device.
-struct RankScratch {
-    seen: Vec<bool>,
-    rank_of: Vec<u32>,
-}
-
-impl RankScratch {
-    fn for_side(side: &SideProfiles) -> Self {
-        RankScratch {
-            seen: vec![false; side.uniques.len()],
-            rank_of: vec![u32::MAX; side.uniques.len()],
-        }
-    }
 }
 
 /// Exact bit pattern of a dense interval set, for hashing.
@@ -340,11 +306,11 @@ impl PreparedEdge {
     }
 }
 
-/// One direction's lookup state: the per-device `total · overlap(need,
-/// hold)` tables flattened into one array, plus per-sequence per-device
-/// precomputed indices into it. `need_pre[s · devices + d]` carries the
-/// device's table base *and* the need rank row offset, so a cell's product
-/// is `table[need_pre + hold_rank]`.
+/// One direction's lookup state: the dense `|needs| × |holds|` table of
+/// `total · overlap(need, hold)` over the two sides' unique holdings, plus
+/// per-sequence per-device indices into it. `need_pre[s · devices + d]` is
+/// the need's row offset (`id · |holds|`) and `hold_rank` the hold's id, so a
+/// cell's product is `table[need_pre + hold_rank]`.
 #[derive(Debug)]
 struct DirectionTables {
     table: Vec<f64>,
@@ -353,124 +319,72 @@ struct DirectionTables {
 }
 
 impl DirectionTables {
+    /// Fills the table from per-axis factor tables. On each axis, both
+    /// sides hold only a few distinct intervals: each distinct pair's factor
+    /// is computed once with [`DenseIntervals::overlap_fraction`]'s exact
+    /// expression and multiplied in axis order from `1.0`, so every entry is
+    /// bitwise `total · need.overlap_fraction(hold)`. An axis whose factors
+    /// are all exactly `1.0` is skipped (`x · 1.0 == x`).
     fn build(total_elems: f64, needs: &SideProfiles, holds: &SideProfiles) -> Self {
-        let devices = needs.devices;
-        let mut table = Vec::new();
-        let mut need_pre = vec![0u32; needs.len() * devices];
-        let mut hold_rank = vec![0u32; holds.len() * devices];
-        // Devices that observe the same local unique sets (common — a
-        // symmetric split makes device groups interchangeable) share one
-        // table block; only their rank arrays stay per-device. Within
-        // distinct blocks, each global (need, hold) pair's overlap is still
-        // computed only once, via the pair memo.
-        let mut block_of: HashMap<(Vec<u32>, Vec<u32>), (usize, usize)> = HashMap::new();
-        let mut memo = PairMemo::new(needs.uniques.len() * 4);
-        let mut need_scratch = RankScratch::for_side(needs);
-        let mut hold_scratch = RankScratch::for_side(holds);
-        for d in 0..devices {
-            let need_locals = needs.locals_at(d, &mut need_scratch);
-            let hold_locals = holds.locals_at(d, &mut hold_scratch);
-            let key = (need_locals, hold_locals);
-            let (base, nh) = match block_of.get(&key) {
-                Some(&block) => block,
-                None => {
-                    // The argument order matches the direct path's
-                    // `need.overlap_fraction(hold)`.
-                    let base = table.len();
-                    let nh = key.1.len();
-                    for &ng in &key.0 {
-                        for &hg in &key.1 {
-                            table.push(memo.get_or_insert(ng, hg, || {
-                                total_elems
-                                    * needs.uniques[ng as usize]
-                                        .overlap_fraction(&holds.uniques[hg as usize])
-                            }));
-                        }
-                    }
-                    block_of.insert(key.clone(), (base, nh));
-                    (base, nh)
+        let cols = holds.uniques.len();
+        let mut table = vec![1.0f64; needs.uniques.len() * cols];
+        for axis in 0..Axis::COUNT {
+            let (need_ids, need_ivs) = intern_axis(&needs.uniques, axis);
+            let (hold_ids, hold_ivs) = intern_axis(&holds.uniques, axis);
+            // The argument order matches the direct path's
+            // `need.overlap_fraction(hold)`.
+            let factors: Vec<f64> = need_ivs
+                .iter()
+                .flat_map(|a| {
+                    hold_ivs
+                        .iter()
+                        .map(move |b| (a.1.min(b.1) - a.0.max(b.0)).max(0.0))
+                })
+                .collect();
+            if factors.iter().all(|f| f.to_bits() == 1.0f64.to_bits()) {
+                continue;
+            }
+            // One full-width factor row per distinct need interval, so each
+            // table row is a contiguous elementwise product.
+            let gathered: Vec<f64> = factors
+                .chunks(hold_ivs.len())
+                .flat_map(|f_row| hold_ids.iter().map(move |&hi| f_row[hi]))
+                .collect();
+            for (row, &ni) in table.chunks_mut(cols).zip(&need_ids) {
+                for (cell, f) in row.iter_mut().zip(&gathered[ni * cols..(ni + 1) * cols]) {
+                    *cell *= f;
                 }
-            };
-            for s in 0..needs.len() {
-                let nr = need_scratch.rank_of[needs.ids[s * devices + d] as usize] as usize;
-                need_pre[s * devices + d] = (base + nr * nh) as u32;
             }
-            for s in 0..holds.len() {
-                hold_rank[s * devices + d] =
-                    hold_scratch.rank_of[holds.ids[s * devices + d] as usize];
-            }
+        }
+        for cell in &mut table {
+            *cell *= total_elems;
         }
         DirectionTables {
             table,
-            need_pre,
-            hold_rank,
+            need_pre: needs.ids.iter().map(|&n| n * cols as u32).collect(),
+            hold_rank: holds.ids.clone(),
         }
     }
 }
 
-/// Open-addressed `(need id, hold id) → value` memo with a multiplicative
-/// hash — a `HashMap` here would spend more time hashing than the overlap
-/// products it saves.
-struct PairMemo {
-    /// Packed key + 1 (`0` = empty slot).
-    keys: Vec<u64>,
-    vals: Vec<f64>,
-    mask: usize,
-    len: usize,
-}
-
-impl PairMemo {
-    fn new(capacity_hint: usize) -> Self {
-        let cap = capacity_hint.next_power_of_two().max(64);
-        PairMemo {
-            keys: vec![0; cap],
-            vals: vec![0.0; cap],
-            mask: cap - 1,
-            len: 0,
-        }
-    }
-
-    fn get_or_insert(&mut self, ng: u32, hg: u32, compute: impl FnOnce() -> f64) -> f64 {
-        let key = (((ng as u64) << 32) | hg as u64) + 1;
-        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask;
-        loop {
-            let k = self.keys[slot];
-            if k == key {
-                return self.vals[slot];
-            }
-            if k == 0 {
-                let v = compute();
-                self.keys[slot] = key;
-                self.vals[slot] = v;
-                self.len += 1;
-                if self.len * 2 > self.keys.len() {
-                    self.grow();
-                }
-                return v;
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let cap = self.keys.len() * 2;
-        let (old_keys, old_vals) = (
-            std::mem::replace(&mut self.keys, vec![0; cap]),
-            std::mem::replace(&mut self.vals, vec![0.0; cap]),
-        );
-        self.mask = cap - 1;
-        for (key, val) in old_keys.into_iter().zip(old_vals) {
-            if key == 0 {
-                continue;
-            }
-            let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask;
-            while self.keys[slot] != 0 {
-                slot = (slot + 1) & self.mask;
-            }
-            self.keys[slot] = key;
-            self.vals[slot] = val;
-        }
-    }
+/// One axis of `uniques`, interned by bit pattern: each holding's index into
+/// the distinct `(lo, hi)` intervals, in first-seen order.
+fn intern_axis(uniques: &[DenseIntervals], axis: usize) -> (Vec<usize>, Vec<(f64, f64)>) {
+    let mut distinct: Vec<(f64, f64)> = Vec::new();
+    let mut by_bits: HashMap<(u64, u64), usize> = HashMap::new();
+    let ids = uniques
+        .iter()
+        .map(|u| {
+            let iv = u.0[axis];
+            *by_bits
+                .entry((iv.0.to_bits(), iv.1.to_bits()))
+                .or_insert_with(|| {
+                    distinct.push(iv);
+                    distinct.len() - 1
+                })
+        })
+        .collect();
+    (ids, distinct)
 }
 
 /// Interning cache of side profiles and whole edge matrices, keyed by
@@ -759,6 +673,79 @@ mod tests {
                 );
             }
             assert_eq!(ctx.inter_evaluations(), (seqs.len() * seqs.len()) as u64);
+        }
+    }
+
+    /// Intervals `[lo, hi)` on the listed axes, `[0, 1)` elsewhere.
+    fn dense(axes: &[(usize, f64, f64)]) -> DenseIntervals {
+        let mut d = [(0.0, 1.0); Axis::COUNT];
+        for &(a, lo, hi) in axes {
+            d[a] = (lo, hi);
+        }
+        DenseIntervals(d)
+    }
+
+    /// One sequence over `uniques.len()` devices, device `d` holding
+    /// `uniques[d]`.
+    fn one_seq_side(uniques: Vec<DenseIntervals>) -> SideProfiles {
+        SideProfiles {
+            volume_fraction: vec![1.0],
+            ids: (0..uniques.len() as u32).collect(),
+            devices: uniques.len(),
+            uniques,
+        }
+    }
+
+    #[test]
+    fn direction_tables_match_overlap_fraction_bitwise() {
+        let full = dense(&[]);
+        let third = 1.0 / 3.0;
+        let cases = [
+            // Disjoint intervals: every factor on axis 1 or 4 is zero.
+            (
+                vec![dense(&[(1, 0.0, 0.5)]), dense(&[(4, 0.5, 1.0)])],
+                vec![dense(&[(1, 0.5, 1.0)]), dense(&[(4, 0.0, 0.25)])],
+            ),
+            // All-full axes: every axis is skipped, every entry is `total`.
+            (vec![full, full], vec![full, full, full]),
+            // Nested sub-intervals on several axes, with inexact factors.
+            (
+                vec![
+                    full,
+                    dense(&[(0, 0.25, 0.5), (3, third, 2.0 * third), (7, 0.1, 0.7)]),
+                    dense(&[(0, 0.0, 0.5), (3, 0.0, 2.0 * third), (5, 0.2, 0.9)]),
+                ],
+                vec![
+                    dense(&[(0, 0.0, 0.5)]),
+                    dense(&[(3, 0.0, 2.0 * third), (7, 0.0, 0.5)]),
+                    dense(&[
+                        (0, 0.375, 0.5),
+                        (3, third, 0.9),
+                        (5, 0.3, 0.7),
+                        (7, 0.2, 0.3),
+                    ]),
+                    full,
+                ],
+            ),
+        ];
+        let total = 3.0 * 7.0 * 11.0 * 4096.0;
+        for (needs, holds) in cases {
+            let (needs, holds) = (one_seq_side(needs), one_seq_side(holds));
+            let t = DirectionTables::build(total, &needs, &holds);
+            let cols = holds.uniques.len();
+            assert_eq!(t.table.len(), needs.uniques.len() * cols);
+            for (n, need) in needs.uniques.iter().enumerate() {
+                assert_eq!(t.need_pre[n], (n * cols) as u32);
+                for (h, hold) in holds.uniques.iter().enumerate() {
+                    let expect = total * need.overlap_fraction(hold);
+                    let got = t.table[t.need_pre[n] as usize + t.hold_rank[h] as usize];
+                    assert_eq!(
+                        got.to_bits(),
+                        expect.to_bits(),
+                        "({n}, {h}): {got} vs {expect}"
+                    );
+                }
+            }
         }
     }
 

@@ -302,15 +302,21 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let one line of `[`s overflow
+/// the stack; every document this workspace writes nests a handful deep.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Parses one JSON document (rejecting trailing garbage).
 ///
 /// # Errors
 ///
-/// Returns [`JsonError`] on malformed input.
+/// Returns [`JsonError`] on malformed input, including arrays and objects
+/// nested deeper than [`MAX_JSON_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing characters after document", pos));
@@ -340,8 +346,15 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if depth == MAX_JSON_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(err(
+            &format!("nesting deeper than {MAX_JSON_DEPTH} levels"),
+            *pos,
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -357,7 +370,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -382,7 +395,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 entries.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -552,6 +565,20 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert!(parse_json(bad).is_err(), "accepted `{bad}`");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+        let e = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_JSON_DEPTH);
+        assert!(e.message.contains("nesting"), "{e}");
+        let objects = "{\"a\":".repeat(MAX_JSON_DEPTH + 1) + "1" + &"}".repeat(MAX_JSON_DEPTH + 1);
+        assert!(parse_json(&objects).is_err());
+        // Far past the limit the parser stops at the limit rather than
+        // recursing until the stack overflows.
+        assert!(parse_json(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -560,6 +560,8 @@ impl<'a> Planner<'a> {
                 cache.note_matrix(true);
             }
         }
+        dp_trace("edge prepare", t1.elapsed());
+        let t_sweep = Instant::now();
         // Warm pre-fill: matrices a previous run interned under the same
         // scope are reused byte-for-byte; only the rest compute. With no
         // warm cache every slot is pending and this is the full sweep.
@@ -612,6 +614,7 @@ impl<'a> Planner<'a> {
             }
             tm.thread_busy_seconds[0] += sweep.elapsed().as_secs_f64();
         }
+        dp_trace("edge sweep", t_sweep.elapsed());
         if let (Some(w), Some(sc)) = (warm, warm_scope) {
             for &slot in &pending {
                 let m = unique[slot].as_ref().expect("computed").clone();

@@ -169,6 +169,33 @@ fn protocol_errors_stay_in_band_and_the_session_survives() {
     assert_eq!(frames[1].get("ok").and_then(Json::as_bool), Some(true));
 }
 
+#[test]
+fn deeply_nested_frames_get_a_protocol_error_and_the_session_survives() {
+    // A frame nested far past the JSON depth limit is refused in-band like
+    // any other malformed frame, without overflowing the parser's stack,
+    // and the next request is served.
+    let mut input = "[".repeat(100_000);
+    input.push('\n');
+    input.push_str(&request_json(&small_request("after")).render());
+    input.push('\n');
+    let (ok, stdout, stderr) = serve(&input, &["--workers", "1"]);
+    assert!(ok, "serve failed: {stderr}");
+    let frames = response_lines(&stdout);
+    let errors: Vec<&Json> = frames
+        .iter()
+        .filter(|f| f.get("ok").and_then(Json::as_bool) == Some(false))
+        .collect();
+    assert_eq!(errors.len(), 1, "{stdout}");
+    let kind = errors[0].get("error").map(|e| str_field(e, "kind"));
+    assert_eq!(kind, Some("protocol"));
+    let replies: Vec<&Json> = frames
+        .iter()
+        .filter(|f| str_field(f, "id") == "after")
+        .collect();
+    assert_eq!(replies.len(), 1, "{stdout}");
+    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true));
+}
+
 fn by_id<'j>(frames: &'j [Json], id: &str) -> &'j Json {
     frames
         .iter()
