@@ -37,7 +37,7 @@
 
 use std::collections::BTreeMap;
 
-use primepar_cost::{inter_traffic_bytes, intra_cost, memory_bytes, phase_events, CostCtx};
+use primepar_cost::{intra_cost, memory_bytes, phase_events, plan_traffic_bytes, CostCtx};
 use primepar_graph::Graph;
 use primepar_obs::Metrics;
 use primepar_partition::{PartitionSeq, Phase};
@@ -88,16 +88,10 @@ pub fn plan_comm_volume(cluster: &Cluster, graph: &Graph, seqs: &[PartitionSeq])
             v.collective_bytes += ev.collective_wire_bytes(n);
         }
     }
-    for edge in &graph.edges {
+    for bytes in plan_traffic_bytes(graph, seqs) {
         // The simulator charges each direction half the edge's traffic and
         // skips free (zero-latency) transfers; mirror both.
-        let per_direction = inter_traffic_bytes(
-            edge,
-            &graph.ops[edge.src],
-            &graph.ops[edge.dst],
-            &seqs[edge.src],
-            &seqs[edge.dst],
-        ) / 2.0;
+        let per_direction = bytes / 2.0;
         if ctx.redistribution_time(per_direction) > 0.0 {
             v.redistribution_bytes += 2.0 * per_direction;
         }
@@ -322,14 +316,7 @@ pub fn audit_layer(
     // edge — compare it against the summed predicted cost instead.
     let mut edge_rows: Vec<AuditRow> = Vec::new();
     let mut edge_index: BTreeMap<String, usize> = BTreeMap::new();
-    for edge in &graph.edges {
-        let bytes = inter_traffic_bytes(
-            edge,
-            &graph.ops[edge.src],
-            &graph.ops[edge.dst],
-            &seqs[edge.src],
-            &seqs[edge.dst],
-        );
+    for (edge, bytes) in graph.edges.iter().zip(plan_traffic_bytes(graph, seqs)) {
         let predicted = ctx.redistribution_time(bytes);
         // The simulator-consistent charge: each direction pays its own
         // latency term (the PR-3 double-charge, priced explicitly).

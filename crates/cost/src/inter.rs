@@ -8,7 +8,7 @@
 //! per-device overlap is the product of interval intersections (Eq. 9's
 //! `∏_X |S¹_X ∩ S²_X|`).
 
-use primepar_graph::{Edge, Operator};
+use primepar_graph::{Edge, Graph, Operator};
 use primepar_partition::{Dim, PartitionSeq, Phase, TensorKind};
 use primepar_topology::DeviceSpace;
 
@@ -303,6 +303,31 @@ pub fn inter_traffic_bytes(
     let bwd = directional_traffic(total_elems, &g_consume, &g_produce);
 
     4.0 * (fwd + bwd)
+}
+
+/// [`inter_traffic_bytes`] of every edge of `graph` under the plan `seqs`, in
+/// `graph.edges` order. The volumes depend only on the operators, the
+/// sequences and the device bits, never on the cluster, so one vector serves
+/// every simulation of the plan on any cluster of its size.
+///
+/// # Panics
+///
+/// Panics if `seqs.len() != graph.ops.len()`.
+pub fn plan_traffic_bytes(graph: &Graph, seqs: &[PartitionSeq]) -> Vec<f64> {
+    assert_eq!(seqs.len(), graph.ops.len(), "one sequence per operator");
+    graph
+        .edges
+        .iter()
+        .map(|edge| {
+            inter_traffic_bytes(
+                edge,
+                &graph.ops[edge.src],
+                &graph.ops[edge.dst],
+                &seqs[edge.src],
+                &seqs[edge.dst],
+            )
+        })
+        .collect()
 }
 
 /// Eq. 9 for one direction: `Σ_D (V − |needed ∩ held|)` in elements.

@@ -7,7 +7,8 @@
 //! * [`inter_cost`] — Eqs. 8–9: redistribution traffic between consecutive
 //!   operators from DSI slice-interval intersections, evaluated in the shared
 //!   named-axis space so reshape boundaries (fused QKV, head folding) are
-//!   priced correctly.
+//!   priced correctly. [`plan_traffic_bytes`] evaluates every edge of one
+//!   plan at once, for the simulator and the audit.
 //! * [`edge_cost_matrix`] / [`BoundaryProfile`] — vectorized edge-cost tables
 //!   for the dynamic-programming optimizer (the `e(p_i, p_j)` inputs of
 //!   Eqs. 11–14).
@@ -43,7 +44,9 @@ pub mod migration;
 
 pub use cache::{matrix_job_ids, CacheStats, EdgeCostCache, MatrixKey, PreparedEdge, SideProfiles};
 pub use ctx::CostCtx;
-pub use inter::{edge_cost_matrix, inter_cost, inter_traffic_bytes, BoundaryProfile};
+pub use inter::{
+    edge_cost_matrix, inter_cost, inter_traffic_bytes, plan_traffic_bytes, BoundaryProfile,
+};
 pub use intervals::{AxisIntervals, DenseIntervals};
 pub use intra::{
     intra_cost, memory_bytes, phase_events, tensor_block_elems, CollectiveEvent, IntraCost,

@@ -54,14 +54,16 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Edges arriving at node `dst`.
-    pub fn in_edges(&self, dst: usize) -> impl Iterator<Item = &Edge> {
-        self.edges.iter().filter(move |e| e.dst == dst)
+    /// Indices into [`Graph::edges`] of the edges arriving at node `dst`, in
+    /// edge order.
+    pub fn in_edge_ids(&self, dst: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.edges.len()).filter(move |&e| self.edges[e].dst == dst)
     }
 
-    /// Edges leaving node `src`.
-    pub fn out_edges(&self, src: usize) -> impl Iterator<Item = &Edge> {
-        self.edges.iter().filter(move |e| e.src == src)
+    /// Indices into [`Graph::edges`] of the edges leaving node `src`, in edge
+    /// order.
+    pub fn out_edge_ids(&self, src: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.edges.len()).filter(move |&e| self.edges[e].src == src)
     }
 
     /// `true` when `(src, dst)` skips over intermediate nodes — the paper's

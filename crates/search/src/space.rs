@@ -46,6 +46,24 @@ impl Default for SpaceOptions {
 /// assert_eq!(space.len(), 17);
 /// ```
 pub fn operator_space(op: &Operator, n_bits: usize, opts: &SpaceOptions) -> Vec<PartitionSeq> {
+    let (splits, temporal_ks) = tokens(op, n_bits, opts);
+    let mut out = Vec::new();
+    let mut current = Vec::new();
+    rec(
+        op,
+        n_bits,
+        &splits,
+        &temporal_ks,
+        false,
+        [1; 4],
+        &mut current,
+        &mut out,
+    );
+    out
+}
+
+/// The split dimensions and temporal `k`s a sequence of `op` may use.
+fn tokens(op: &Operator, n_bits: usize, opts: &SpaceOptions) -> (Vec<Dim>, Vec<u32>) {
     let mut splits: Vec<Dim> = op.allowed_splits();
     if !opts.allow_batch_split && op.sample_batch_dim() == Dim::B {
         // Attention operators keep their B (= heads) splits; their sample
@@ -60,60 +78,62 @@ pub fn operator_space(op: &Operator, n_bits: usize, opts: &SpaceOptions) -> Vec<
     } else {
         Vec::new()
     };
-    let mut out = Vec::new();
-    let mut current = Vec::new();
-    rec(
-        op,
-        n_bits,
-        &splits,
-        &temporal_ks,
-        false,
-        &mut current,
-        &mut out,
-    );
-    out
+    (splits, temporal_ks)
 }
 
+/// Depth-first enumeration in token order. `slices` holds the prefix's slice
+/// count per [`Dim::index`]; slice counts only grow along a sequence, so a
+/// prefix that already cuts a dimension finer than its extent is dropped
+/// with its whole subtree — the same list, in the same order, as filtering
+/// the complete sequences by extent (the `fits` test oracle).
+#[allow(clippy::too_many_arguments)]
 fn rec(
     op: &Operator,
     remaining: usize,
     splits: &[Dim],
     temporal_ks: &[u32],
     used_temporal: bool,
+    slices: [u64; 4],
     current: &mut Vec<Primitive>,
     out: &mut Vec<PartitionSeq>,
 ) {
     if remaining == 0 {
-        let seq = PartitionSeq::new(current.clone()).expect("at most one temporal by construction");
-        if fits(op, &seq) {
-            out.push(seq);
-        }
+        out.push(PartitionSeq::new(current.clone()).expect("at most one temporal by construction"));
         return;
     }
     for &d in splits {
-        current.push(Primitive::Split(d));
-        rec(
-            op,
-            remaining - 1,
-            splits,
-            temporal_ks,
-            used_temporal,
-            current,
-            out,
-        );
-        current.pop();
+        let token = Primitive::Split(d);
+        if let Some(slices) = extend(op, slices, token) {
+            current.push(token);
+            rec(
+                op,
+                remaining - 1,
+                splits,
+                temporal_ks,
+                used_temporal,
+                slices,
+                current,
+                out,
+            );
+            current.pop();
+        }
     }
     if !used_temporal {
         for &k in temporal_ks {
             let bits = 2 * k as usize;
-            if bits <= remaining {
-                current.push(Primitive::Temporal { k });
+            let token = Primitive::Temporal { k };
+            if bits > remaining {
+                continue;
+            }
+            if let Some(slices) = extend(op, slices, token) {
+                current.push(token);
                 rec(
                     op,
                     remaining - bits,
                     splits,
                     temporal_ks,
                     true,
+                    slices,
                     current,
                     out,
                 );
@@ -121,6 +141,19 @@ fn rec(
             }
         }
     }
+}
+
+/// The slice counts after appending `token`, or `None` once a dimension is
+/// sliced finer than its extent.
+fn extend(op: &Operator, mut slices: [u64; 4], token: Primitive) -> Option<[u64; 4]> {
+    for d in Dim::ALL {
+        let n = &mut slices[d.index()];
+        *n *= token.slice_factor(d) as u64;
+        if *n > op.extent(d).max(1) {
+            return None;
+        }
+    }
+    Some(slices)
 }
 
 /// Memoized [`operator_space`] keyed by structural operator signature:
@@ -171,17 +204,104 @@ impl SpaceCache {
     }
 }
 
-/// `true` when no dimension is sliced finer than its extent.
-fn fits(op: &Operator, seq: &PartitionSeq) -> bool {
-    Dim::ALL
-        .iter()
-        .all(|&d| seq.num_slices(d) as u64 <= op.extent(d).max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use primepar_graph::ModelConfig;
+
+    /// `true` when no dimension is sliced finer than its extent.
+    fn fits(op: &Operator, seq: &PartitionSeq) -> bool {
+        Dim::ALL
+            .iter()
+            .all(|&d| seq.num_slices(d) as u64 <= op.extent(d).max(1))
+    }
+
+    /// The unpruned enumeration: every token sequence, filtered by [`fits`]
+    /// only at the leaves.
+    fn leaf_filter_space(op: &Operator, n_bits: usize, opts: &SpaceOptions) -> Vec<PartitionSeq> {
+        fn walk(
+            op: &Operator,
+            remaining: usize,
+            tokens: &(Vec<Dim>, Vec<u32>),
+            used_temporal: bool,
+            current: &mut Vec<Primitive>,
+            out: &mut Vec<PartitionSeq>,
+        ) {
+            if remaining == 0 {
+                let seq = PartitionSeq::new(current.clone()).unwrap();
+                if fits(op, &seq) {
+                    out.push(seq);
+                }
+                return;
+            }
+            for &d in &tokens.0 {
+                current.push(Primitive::Split(d));
+                walk(op, remaining - 1, tokens, used_temporal, current, out);
+                current.pop();
+            }
+            if !used_temporal {
+                for &k in &tokens.1 {
+                    if 2 * k as usize <= remaining {
+                        current.push(Primitive::Temporal { k });
+                        walk(op, remaining - 2 * k as usize, tokens, true, current, out);
+                        current.pop();
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(
+            op,
+            n_bits,
+            &tokens(op, n_bits, opts),
+            false,
+            &mut Vec::new(),
+            &mut out,
+        );
+        out
+    }
+
+    #[test]
+    fn pruned_enumeration_matches_the_leaf_filter() {
+        // Every `SpaceOptions` variant, 1–9 bits, one operator per kind (linear,
+        // attention, pointwise, norm), on the default slab and on a small one
+        // whose batch and sequence extents prune deep prefixes.
+        let mut variants = Vec::new();
+        for allow_batch_split in [true, false] {
+            variants.push(SpaceOptions {
+                allow_temporal: false,
+                allow_batch_split,
+                max_temporal_k: 2,
+            });
+            for max_temporal_k in 1..=3 {
+                variants.push(SpaceOptions {
+                    allow_temporal: true,
+                    allow_batch_split,
+                    max_temporal_k,
+                });
+            }
+        }
+        let mut pruned_some = false;
+        for g in [graph(), ModelConfig::opt_6_7b().layer_graph(2, 64)] {
+            for op in [&g.ops[9], &g.ops[3], &g.ops[10], &g.ops[0]] {
+                for opts in &variants {
+                    for n_bits in 1..=9 {
+                        let oracle = leaf_filter_space(op, n_bits, opts);
+                        let pure_splits = oracle.iter().filter(|s| s.temporal_k().is_none());
+                        pruned_some |= pure_splits.count()
+                            < tokens(op, n_bits, opts).0.len().pow(n_bits as u32);
+                        assert_eq!(
+                            operator_space(op, n_bits, opts),
+                            oracle,
+                            "{} at {n_bits} bits under {opts:?}",
+                            op.name
+                        );
+                    }
+                }
+            }
+        }
+        assert!(pruned_some, "the fixtures must exercise extent pruning");
+    }
 
     fn graph() -> primepar_graph::Graph {
         ModelConfig::opt_6_7b().layer_graph(8, 2048)

@@ -55,6 +55,7 @@ pub use protocol::{
     cancel_json, error_json, parse_frame, plan_response_json, replan_request_json,
     replan_response_json, request_json, serve_lines, serve_lines_with_cache, sim_request_json,
     sim_response_json, stats_request_json, Frame, ParsedFrame, ServeEnd, ServeOptions,
+    MAX_FRAME_BYTES,
 };
 pub use server::{CancelToken, Pending, PlannerService, ServiceClient, ServiceOptions};
 pub use shard::{FixedSeedHasher, FixedSeedState, Outcome, ShardLoad, ShardStats, ShardedMap};

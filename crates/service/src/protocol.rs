@@ -4,7 +4,8 @@
 //! carry `schema_version` = [`SERVICE_SCHEMA`] (the first key of every frame
 //! the service emits). A request frame without the tag, or with any other
 //! one (the retired `primepar.service.v1` included), is answered with an
-//! in-band `protocol` error, and the session goes on.
+//! in-band `protocol` error, and the session goes on. So is a line longer
+//! than [`MAX_FRAME_BYTES`] or not valid UTF-8.
 //!
 //! ```text
 //! → {"schema_version":"primepar.service.v2","type":"plan","id":"r1","model":"opt-6.7b","devices":16}
@@ -41,7 +42,7 @@
 //! restarted service serves memo hits for everything the previous run
 //! planned (see [`crate::persist`]).
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -758,6 +759,44 @@ pub fn serve_lines(
 /// input (or draining after shutdown).
 const POLL: Duration = Duration::from_millis(1);
 
+/// Longest request frame the serve loop reads, in bytes, line terminator
+/// excluded. A longer line is skipped, never buffered past the cap, and
+/// answered with an in-band `protocol` error; the session goes on.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// Reads the next `\n`-terminated frame (a trailing `\r` is dropped, as
+/// [`BufRead::lines`] does). Returns `Ok(None)` at end of input, and an
+/// in-band `protocol` error for a line longer than [`MAX_FRAME_BYTES`] or
+/// not valid UTF-8.
+fn read_frame(reader: &mut impl BufRead) -> std::io::Result<Option<Result<String, Error>>> {
+    let cap = MAX_FRAME_BYTES as u64 + 1;
+    let mut buf = Vec::new();
+    if reader.by_ref().take(cap).read_until(b'\n', &mut buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() != Some(&b'\n') && buf.len() > MAX_FRAME_BYTES {
+        // Skip the rest of the line, holding at most one capped chunk.
+        while buf.last() != Some(&b'\n') {
+            buf.clear();
+            if reader.by_ref().take(cap).read_until(b'\n', &mut buf)? == 0 {
+                break;
+            }
+        }
+        return Ok(Some(Err(Error::protocol(format!(
+            "frame longer than {MAX_FRAME_BYTES} bytes"
+        )))));
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    Ok(Some(
+        String::from_utf8(buf).map_err(|_| Error::protocol("frame is not valid UTF-8")),
+    ))
+}
+
 /// [`serve_lines`] over a caller-owned cache — the shape multi-connection
 /// hosts use so warm state survives across sessions. The caller also owns
 /// persistence ([`ServeOptions::cache_file`] is ignored here).
@@ -812,9 +851,10 @@ pub fn serve_lines_with_cache(
             // loop can emit finished responses while input is idle —
             // without this, out-of-order completion would still be gated on
             // the next input line arriving.
-            let (line_tx, lines) = mpsc::channel::<std::io::Result<String>>();
+            let (line_tx, lines) = mpsc::channel::<std::io::Result<Result<String, Error>>>();
             scope.spawn(move || {
-                for line in reader.lines() {
+                let mut reader = reader;
+                while let Some(line) = read_frame(&mut reader).transpose() {
                     let failed = line.is_err();
                     if line_tx.send(line).is_err() || failed {
                         return;
@@ -865,8 +905,8 @@ pub fn serve_lines_with_cache(
                 };
                 if let Some(line) = message {
                     let line = line.map_err(io)?;
-                    if !line.trim().is_empty() {
-                        match parse_frame(&line) {
+                    if line.as_ref().map_or(true, |l| !l.trim().is_empty()) {
+                        match line.and_then(|l| parse_frame(&l)) {
                             Err(err) => {
                                 end.errors += 1;
                                 log_event(
@@ -1108,6 +1148,30 @@ mod tests {
             .lines()
             .map(|l| parse_json(l).expect("frame json"))
             .collect()
+    }
+
+    #[test]
+    fn read_frame_caps_line_length_and_resynchronizes() {
+        let fits = "a".repeat(MAX_FRAME_BYTES);
+        // Spans three capped chunks, so skipping it takes more than one read.
+        let over = "b".repeat(2 * MAX_FRAME_BYTES + 5);
+        let mut bytes = format!("{fits}\n{over}\nnext\r\n").into_bytes();
+        bytes.extend_from_slice(b"\xff\nlast");
+        let mut reader = std::io::Cursor::new(bytes);
+        let mut frames = Vec::new();
+        while let Some(frame) = read_frame(&mut reader).expect("in-memory read") {
+            frames.push(frame);
+        }
+        assert_eq!(frames.len(), 5);
+        assert_eq!(frames[0].as_deref().ok(), Some(fits.as_str()));
+        assert!(frames[1]
+            .as_ref()
+            .unwrap_err()
+            .message()
+            .contains("longer than"));
+        assert_eq!(frames[2].as_deref().ok(), Some("next"));
+        assert!(frames[3].as_ref().unwrap_err().message().contains("UTF-8"));
+        assert_eq!(frames[4].as_deref().ok(), Some("last"));
     }
 
     #[test]

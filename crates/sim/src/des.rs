@@ -12,7 +12,7 @@
 //! couples devices — the temporal primitive's per-step ring handoffs versus
 //! the conventional strategies' per-phase collectives.
 
-use primepar_cost::{inter_traffic_bytes, phase_events, CostCtx};
+use primepar_cost::{phase_events, plan_traffic_bytes, CostCtx};
 use primepar_graph::Graph;
 use primepar_partition::{ring_transfers, PartitionSeq, Phase};
 use primepar_topology::{Cluster, DeviceId, DeviceSpace};
@@ -69,7 +69,26 @@ pub fn simulate_layer_des(
     seqs: &[PartitionSeq],
     options: &DesOptions,
 ) -> DesReport {
+    simulate_layer_des_traffic(
+        cluster,
+        graph,
+        seqs,
+        &plan_traffic_bytes(graph, seqs),
+        options,
+    )
+}
+
+/// [`simulate_layer_des`] over the plan's precomputed Eqs. 8–9 volumes
+/// (`traffic` is [`plan_traffic_bytes`]`(graph, seqs)`).
+pub(crate) fn simulate_layer_des_traffic(
+    cluster: &Cluster,
+    graph: &Graph,
+    seqs: &[PartitionSeq],
+    traffic: &[f64],
+    options: &DesOptions,
+) -> DesReport {
     assert_eq!(seqs.len(), graph.ops.len(), "one sequence per operator");
+    assert_eq!(traffic.len(), graph.edges.len(), "one volume per edge");
     let n = cluster.num_devices();
     if let Some((d, f)) = options.straggler {
         assert!(d < n, "straggler device {d} out of range");
@@ -150,15 +169,8 @@ pub fn simulate_layer_des(
             }
         };
 
-    let redistribute = |clocks: &mut Vec<f64>, busy: &mut Vec<f64>, edge: &primepar_graph::Edge| {
-        let bytes = inter_traffic_bytes(
-            edge,
-            &graph.ops[edge.src],
-            &graph.ops[edge.dst],
-            &seqs[edge.src],
-            &seqs[edge.dst],
-        ) / 2.0;
-        let t = ctx.redistribution_time(bytes);
+    let redistribute = |clocks: &mut Vec<f64>, busy: &mut Vec<f64>, e: usize| {
+        let t = ctx.redistribution_time(traffic[e] / 2.0);
         if t > 0.0 {
             // All-to-all-ish: a global synchronization point.
             let latest = clocks.iter().cloned().fold(0.0, f64::max);
@@ -172,14 +184,14 @@ pub fn simulate_layer_des(
     };
 
     for i in 0..graph.ops.len() {
-        for edge in graph.in_edges(i) {
-            redistribute(&mut clocks, &mut busy, edge);
+        for e in graph.in_edge_ids(i) {
+            redistribute(&mut clocks, &mut busy, e);
         }
         run_op_phase(&mut clocks, &mut busy, i, Phase::Forward);
     }
     for i in (0..graph.ops.len()).rev() {
-        for edge in graph.out_edges(i) {
-            redistribute(&mut clocks, &mut busy, edge);
+        for e in graph.out_edge_ids(i) {
+            redistribute(&mut clocks, &mut busy, e);
         }
         run_op_phase(&mut clocks, &mut busy, i, Phase::Backward);
         run_op_phase(&mut clocks, &mut busy, i, Phase::Gradient);

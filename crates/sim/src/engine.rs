@@ -1,6 +1,6 @@
 //! The event-walking core: executes one training iteration of a layer plan.
 
-use primepar_cost::{inter_traffic_bytes, memory_bytes, phase_events, CostCtx};
+use primepar_cost::{memory_bytes, phase_events, plan_traffic_bytes, CostCtx};
 use primepar_graph::Graph;
 use primepar_partition::{PartitionSeq, Phase};
 use primepar_topology::{Cluster, Perturbation};
@@ -46,7 +46,28 @@ pub fn simulate_layer_with(
     seqs: &[PartitionSeq],
     options: &SimOptions,
 ) -> LayerReport {
+    simulate_layer_traffic(
+        cluster,
+        graph,
+        seqs,
+        &plan_traffic_bytes(graph, seqs),
+        options,
+    )
+}
+
+/// [`simulate_layer_with`] over the plan's precomputed Eqs. 8–9 volumes:
+/// `traffic` is [`plan_traffic_bytes`]`(graph, seqs)`, which does not depend
+/// on the cluster, so callers simulating one plan on many clusters compute
+/// it once.
+pub(crate) fn simulate_layer_traffic(
+    cluster: &Cluster,
+    graph: &Graph,
+    seqs: &[PartitionSeq],
+    traffic: &[f64],
+    options: &SimOptions,
+) -> LayerReport {
     assert_eq!(seqs.len(), graph.ops.len(), "one sequence per operator");
+    assert_eq!(traffic.len(), graph.edges.len(), "one volume per edge");
     // Applying a perturbation derives a degraded cluster; every downstream
     // consumer (profiles, cost context, accounting) sees it transparently.
     let derived;
@@ -142,15 +163,10 @@ pub fn simulate_layer_with(
                         breakdown: &mut Breakdown,
                         timeline: &mut Timeline,
                         acct: &mut AccountingBuilder,
-                        edge: &primepar_graph::Edge,
+                        e: usize,
                         direction: &str| {
-        let bytes = inter_traffic_bytes(
-            edge,
-            &graph.ops[edge.src],
-            &graph.ops[edge.dst],
-            &seqs[edge.src],
-            &seqs[edge.dst],
-        ) / 2.0; // the helper returns fwd+bwd; each direction pays half
+        let edge = &graph.edges[e];
+        let bytes = traffic[e] / 2.0; // the volume is fwd+bwd; each direction pays half
         let t = ctx.redistribution_time(bytes);
         if t > 0.0 {
             timeline.push(TimelineEvent {
@@ -179,15 +195,8 @@ pub fn simulate_layer_with(
 
     // Forward sweep.
     for i in 0..graph.ops.len() {
-        for edge in graph.in_edges(i) {
-            redistribute(
-                &mut now,
-                &mut breakdown,
-                &mut timeline,
-                &mut acct,
-                edge,
-                "fwd",
-            );
+        for e in graph.in_edge_ids(i) {
+            redistribute(&mut now, &mut breakdown, &mut timeline, &mut acct, e, "fwd");
         }
         // Double buffers and stash become live while the operator runs.
         live += mems[i].double_buffer + mems[i].stash;
@@ -215,15 +224,8 @@ pub fn simulate_layer_with(
 
     // Backward + gradient sweep, reverse topological order.
     for i in (0..graph.ops.len()).rev() {
-        for edge in graph.out_edges(i) {
-            redistribute(
-                &mut now,
-                &mut breakdown,
-                &mut timeline,
-                &mut acct,
-                edge,
-                "bwd",
-            );
+        for e in graph.out_edge_ids(i) {
+            redistribute(&mut now, &mut breakdown, &mut timeline, &mut acct, e, "bwd");
         }
         live += mems[i].double_buffer;
         if options.recompute_activations {

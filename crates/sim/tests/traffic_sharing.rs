@@ -1,0 +1,90 @@
+//! One Eqs. 8–9 volume vector per plan: `plan_traffic_bytes` equals the
+//! per-edge `inter_traffic_bytes`, and a robustness sweep that shares the
+//! vector across its simulations reports bitwise what per-scenario calls of
+//! the public entry points report.
+
+use primepar_cost::{inter_traffic_bytes, plan_traffic_bytes};
+use primepar_graph::ModelConfig;
+use primepar_search::{Planner, PlannerOptions};
+use primepar_sim::{
+    robustness_sweep, simulate_layer_des, simulate_layer_with, DesOptions, RobustnessOptions,
+    SimOptions,
+};
+use primepar_topology::{Cluster, PerturbationModel};
+
+#[test]
+fn plan_traffic_matches_per_edge_traffic_on_the_table2_plan() {
+    let cluster = Cluster::v100_like(16);
+    let graph = ModelConfig::opt_6_7b().layer_graph(8, 2048);
+    let plan = Planner::new(&cluster, &graph, PlannerOptions::default())
+        .optimize(32)
+        .seqs;
+    let traffic = plan_traffic_bytes(&graph, &plan);
+    assert_eq!(traffic.len(), graph.edges.len());
+    for (e, edge) in graph.edges.iter().enumerate() {
+        let direct = inter_traffic_bytes(
+            edge,
+            &graph.ops[edge.src],
+            &graph.ops[edge.dst],
+            &plan[edge.src],
+            &plan[edge.dst],
+        );
+        assert_eq!(
+            traffic[e].to_bits(),
+            direct.to_bits(),
+            "edge {e} ({} -> {})",
+            edge.src,
+            edge.dst
+        );
+    }
+    // The fused qkv projection feeds qk twice (as Q and as K): both parallel
+    // edges keep their own entry.
+    let qkv_to_qk: Vec<usize> = (0..graph.edges.len())
+        .filter(|&e| {
+            let edge = &graph.edges[e];
+            graph.ops[edge.src].name == "qkv" && graph.ops[edge.dst].name == "qk"
+        })
+        .collect();
+    assert_eq!(qkv_to_qk.len(), 2, "qkv feeds qk as Q and as K");
+}
+
+#[test]
+fn shared_traffic_sweep_matches_per_scenario_simulations() {
+    let cluster = Cluster::v100_like(8);
+    let graph = ModelConfig::opt_6_7b().layer_graph(8, 1024);
+    let plan = Planner::new(&cluster, &graph, PlannerOptions::default())
+        .optimize(32)
+        .seqs;
+    let opts = RobustnessOptions {
+        model: PerturbationModel::harsh(),
+        scenarios: 16,
+        base_seed: 42,
+        sim: SimOptions::default(),
+    };
+    let report = robustness_sweep(&cluster, &graph, &plan, &opts);
+    let ideal = simulate_layer_with(&cluster, &graph, &plan, &SimOptions::default());
+    assert_eq!(report.ideal_makespan.to_bits(), ideal.layer_time.to_bits());
+    assert_eq!(report.outcomes.len(), 16);
+    for o in &report.outcomes {
+        let perturbed = cluster.perturbed(&opts.model, o.seed);
+        let spmd = simulate_layer_with(&perturbed, &graph, &plan, &SimOptions::default());
+        let des = simulate_layer_des(&perturbed, &graph, &plan, &DesOptions::default());
+        let s = o.scenario;
+        assert_eq!(
+            o.makespan.to_bits(),
+            spmd.layer_time.to_bits(),
+            "scenario {s}"
+        );
+        assert_eq!(
+            o.des_makespan.to_bits(),
+            des.iteration_time.to_bits(),
+            "scenario {s}"
+        );
+        assert_eq!(
+            o.slowdown.to_bits(),
+            (spmd.layer_time / ideal.layer_time).to_bits(),
+            "scenario {s}"
+        );
+        assert_eq!(o.critical_device, des.critical_device(), "scenario {s}");
+    }
+}

@@ -209,16 +209,29 @@ cmp "$artifacts/replan1.metrics.json" "$artifacts/replan2.metrics.json" \
     || { echo "replan decision metrics are not deterministic" >&2; exit 1; }
 grep -q 'decision: replan' "$artifacts/replan1.txt" \
     || { echo "harsh seed 13 must decide a full replan" >&2; exit 1; }
-./target/release/replan >"$artifacts/elastic1.txt" \
-    || { echo "elastic timeline study failed (loop must beat both extremes)" >&2; exit 1; }
-cp results/replan.metrics.json "$artifacts/elastic1.metrics.json"
-./target/release/replan >"$artifacts/elastic2.txt" \
-    || { echo "elastic timeline study rerun failed" >&2; exit 1; }
+for run in 1 2; do
+    mkdir -p "$artifacts/elastic$run"
+    ./target/release/replan --out-dir "$artifacts/elastic$run" \
+        | grep -v ' written to ' >"$artifacts/elastic$run.txt" \
+        || { echo "elastic timeline study failed (loop must beat both extremes)" >&2; exit 1; }
+done
 cmp "$artifacts/elastic1.txt" "$artifacts/elastic2.txt" \
     || { echo "elastic timeline decisions are not deterministic" >&2; exit 1; }
-cmp "$artifacts/elastic1.metrics.json" results/replan.metrics.json \
-    || { echo "replan.metrics.json is not byte-stable across runs" >&2; exit 1; }
 ./target/release/primepar validate --dir "$artifacts"
+./target/release/primepar validate --dir "$artifacts/elastic1"
+
+echo "== committed sim artifacts (bench bins reproduce results/ byte for byte) =="
+# Any bit a simulator or planner change moves in the committed robustness
+# study or elastic timeline fails here; regenerate results/ deliberately.
+mkdir -p "$artifacts/robustness"
+./target/release/robustness --out-dir "$artifacts/robustness" >/dev/null \
+    || { echo "robustness study failed" >&2; exit 1; }
+cmp "$artifacts/robustness/robustness.metrics.json" results/robustness.metrics.json \
+    || { echo "robustness.metrics.json differs from results/" >&2; exit 1; }
+for run in 1 2; do
+    cmp "$artifacts/elastic$run/replan.metrics.json" results/replan.metrics.json \
+        || { echo "replan.metrics.json (run $run) differs from results/" >&2; exit 1; }
+done
 
 echo "== cargo doc (whole workspace, -D warnings) =="
 # Broken or private intra-doc links anywhere in the workspace fail the gate.

@@ -6,7 +6,7 @@ use std::process::{Command, Stdio};
 
 use primepar::api::{cancel_json, request_json, PlanRequest};
 use primepar::obs::{parse_json, Json};
-use primepar::service::stats_request_json;
+use primepar::service::{stats_request_json, MAX_FRAME_BYTES};
 
 /// Runs `primepar serve` with `input` piped to stdin, returning
 /// (exit-ok, stdout, stderr).
@@ -194,6 +194,33 @@ fn deeply_nested_frames_get_a_protocol_error_and_the_session_survives() {
         .collect();
     assert_eq!(replies.len(), 1, "{stdout}");
     assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(true));
+}
+
+#[test]
+fn over_long_frames_get_a_protocol_error_and_the_session_survives() {
+    // A line one byte past the frame cap is skipped without being buffered
+    // whole and refused in-band; the plan frame after it is served.
+    let mut input = format!("{{\"pad\":\"{}\"}}", "a".repeat(MAX_FRAME_BYTES));
+    assert!(input.len() > MAX_FRAME_BYTES);
+    input.push('\n');
+    input.push_str(&request_json(&small_request("after")).render());
+    input.push('\n');
+    let (ok, stdout, stderr) = serve(&input, &["--workers", "1"]);
+    assert!(ok, "serve failed: {stderr}");
+    let frames = response_lines(&stdout);
+    let errors: Vec<&Json> = frames
+        .iter()
+        .filter(|f| f.get("ok").and_then(Json::as_bool) == Some(false))
+        .collect();
+    assert_eq!(errors.len(), 1, "{stdout}");
+    let error = errors[0].get("error").expect("error object");
+    assert_eq!(str_field(error, "kind"), "protocol");
+    assert!(
+        str_field(error, "message").contains("longer than"),
+        "{stdout}"
+    );
+    let reply = by_id(&frames, "after");
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
 }
 
 fn by_id<'j>(frames: &'j [Json], id: &str) -> &'j Json {
