@@ -6,9 +6,10 @@
 //! the [`PlanResponse`]. Simulation rides the same shapes via [`SimRequest`]
 //! / [`SimResponse`], and the elastic re-planning loop via [`ReplanRequest`]
 //! / [`ReplanResponse`] (a costed [`MigrationDecision`] over stay / patch /
-//! full-replan candidates). Every failure is the one typed [`Error`]
-//! (enum {config, topology, protocol, cancelled, internal}), which the CLI
-//! maps onto distinct exit codes. The service internals ride along for
+//! full-replan candidates); [`Request`] / [`Response`] carry any of the
+//! three through the worker pool and the wire protocol. Every failure is
+//! the one typed [`Error`] (enum {config, topology, protocol, cancelled,
+//! internal}), which the CLI maps onto distinct exit codes. The service internals ride along for
 //! hosts that need them: the sharded warm cache ([`WarmCache`] /
 //! [`CacheConfig`] / [`ShardedMap`]) and `primepar.cache.v1` persistence
 //! ([`CACHE_SCHEMA`], [`validate_cache_doc`]).
@@ -39,9 +40,9 @@ pub use primepar_service::{
     replan_response_json, request_json, serve_lines, serve_lines_with_cache, sim_request_json,
     sim_response_json, validate_cache_doc, CacheConfig, CacheOutcome, CachedPlan, CancelToken,
     Error, Frame, Outcome, ParsedFrame, Pending, PlanKey, PlanRequest, PlanRequestBuilder,
-    PlanResponse, PlannerService, ReplanRequest, ReplanResponse, ResolvedPlan, ServeEnd,
-    ServeOptions, ServiceCacheStats, ServiceClient, ServiceOptions, ShardStats, ShardedMap,
-    SimRequest, SimResponse, WarmCache, CACHE_SCHEMA, SERVICE_SCHEMA,
+    PlanResponse, PlannerService, ReplanRequest, ReplanResponse, Request, ResolvedPlan, Response,
+    ServeEnd, ServeOptions, ServiceCacheStats, ServiceClient, ServiceOptions, ShardStats,
+    ShardedMap, SimRequest, SimResponse, WarmCache, CACHE_SCHEMA, SERVICE_SCHEMA,
 };
 
 // Re-exported domain types, so facade users need no sub-crate imports.

@@ -658,6 +658,79 @@ pub struct ReplanResponse {
     pub elapsed: Duration,
 }
 
+/// Any one request the service answers: the single job type its worker
+/// pool runs and its `plan` / `sim` / `replan` frames decode to.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// Plan a workload.
+    Plan(PlanRequest),
+    /// Plan and simulate a workload.
+    Sim(SimRequest),
+    /// Decide the costed migration for a running workload.
+    Replan(ReplanRequest),
+}
+
+impl Request {
+    /// The frame type: `"plan"`, `"sim"` or `"replan"`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Request::Plan(_) => "plan",
+            Request::Sim(_) => "sim",
+            Request::Replan(_) => "replan",
+        }
+    }
+
+    /// The caller-chosen request id.
+    pub fn id(&self) -> &str {
+        match self {
+            Request::Plan(req) => &req.id,
+            Request::Sim(req) => &req.id,
+            Request::Replan(req) => &req.id,
+        }
+    }
+
+    /// The search strategy of the workload's plan.
+    pub fn strategy(&self) -> SearchStrategy {
+        match self {
+            Request::Plan(req) => req.strategy,
+            Request::Sim(req) => req.plan.strategy,
+            Request::Replan(req) => req.plan.strategy,
+        }
+    }
+
+    /// The relative pickup deadline.
+    pub fn deadline_ms(&self) -> Option<u64> {
+        match self {
+            Request::Plan(req) => req.deadline_ms,
+            Request::Sim(req) => req.deadline_ms,
+            Request::Replan(req) => req.deadline_ms,
+        }
+    }
+}
+
+/// The answer to a [`Request`], of the same kind. The payloads are boxed so
+/// a verdict moves through the service's channels as one pointer.
+#[derive(Debug, Clone)]
+pub enum Response {
+    /// The answer to [`Request::Plan`].
+    Plan(Box<PlanResponse>),
+    /// The answer to [`Request::Sim`].
+    Sim(Box<SimResponse>),
+    /// The answer to [`Request::Replan`].
+    Replan(Box<ReplanResponse>),
+}
+
+impl Response {
+    /// Fingerprint of the plan the request was answered from.
+    pub fn fingerprint(&self) -> &str {
+        match self {
+            Response::Plan(resp) => &resp.fingerprint,
+            Response::Sim(resp) => &resp.fingerprint,
+            Response::Replan(resp) => &resp.fingerprint,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -32,16 +32,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use primepar_graph::Graph;
 use primepar_search::{
     render_plan, replan, MigrationDecision, ModelPlan, Planner, PlannerMetrics, PlannerWarmCache,
     SearchInterrupt, WarmStats,
 };
-use primepar_sim::{robustness_sweep, simulate_model_with, SimOptions};
+use primepar_sim::{
+    robustness_sweep, simulate_model_with, ModelReport, RobustnessOptions, SimOptions,
+};
 use primepar_topology::Cluster;
 
 use crate::api::{
-    CacheOutcome, PlanKey, PlanRequest, PlanResponse, ReplanRequest, ReplanResponse, ResolvedPlan,
-    SimRequest, SimResponse,
+    CacheOutcome, PlanKey, PlanRequest, PlanResponse, ReplanRequest, ReplanResponse, Request,
+    ResolvedPlan, Response, SimRequest, SimResponse,
 };
 use crate::observe::RequestTrace;
 use crate::shard::{Outcome, ShardLoad, ShardedMap};
@@ -258,6 +261,90 @@ impl WarmCache {
         }
     }
 
+    /// Executes any request against the cache — the one path the worker
+    /// pool runs. Each request is validated before its plan lookup, so a bad
+    /// one never plans.
+    ///
+    /// With a `trace`, the cache lookup becomes a span named by its outcome
+    /// (`cache.hit` / `cache.miss` / `cache.coalesced`), a miss adds
+    /// `planner.<stage>` child spans synthesized from the cold run's
+    /// [`PlannerMetrics`] (recorded after the fact, so tracing cannot
+    /// perturb planning), and the simulation or replan decision becomes a
+    /// `sim.simulate` / `replan.decide` span. An `interrupt`, when given, is
+    /// attached to any cold planner run: the service bridges an anytime
+    /// plan's cancel token onto it so the search answers with its
+    /// best-so-far plan instead of `cancelled`. Memo hits and coalesced
+    /// waits never consult it (there is nothing to stop).
+    pub(crate) fn execute(
+        &self,
+        req: &Request,
+        trace: Option<&RequestTrace>,
+        interrupt: Option<&SearchInterrupt>,
+    ) -> Result<Response, Error> {
+        let start = Instant::now();
+        Ok(match req {
+            Request::Plan(req) => {
+                let resolved = req.resolve()?;
+                let (cached, outcome) = self.lookup(&resolved, trace, interrupt);
+                let sim = req.simulate.then(|| {
+                    self.simulate(trace, &resolved, &cached, &SimOptions::default(), None)
+                });
+                Response::Plan(Box::new(PlanResponse {
+                    id: req.id.clone(),
+                    fingerprint: resolved.fingerprint(),
+                    model: resolved.model.name.to_string(),
+                    devices: resolved.devices,
+                    batch: resolved.batch,
+                    seq: resolved.seq,
+                    layers: resolved.layers,
+                    strategy: resolved.opts.strategy,
+                    plan: cached.plan.clone(),
+                    plan_text: cached.plan_text.clone(),
+                    metrics: cached.metrics.clone(),
+                    sim,
+                    cache: self.outcome(outcome, &cached.metrics),
+                    elapsed: start.elapsed(),
+                }))
+            }
+            Request::Sim(req) => {
+                let (resolved, opts, sweep) = req.resolve()?;
+                let (cached, outcome) = self.lookup(&resolved, trace, interrupt);
+                let report = self.simulate(trace, &resolved, &cached, &opts, sweep.as_ref());
+                Response::Sim(Box::new(SimResponse {
+                    id: req.id.clone(),
+                    fingerprint: resolved.fingerprint(),
+                    report,
+                    cache: self.outcome(outcome, &cached.metrics),
+                    elapsed: start.elapsed(),
+                }))
+            }
+            Request::Replan(req) => {
+                let (resolved, applied, opts) = req.resolve()?;
+                let (cached, outcome) = self.lookup(&resolved, trace, interrupt);
+                let (cluster, graph) = self.scene(&resolved);
+                let decision = traced(trace, "replan.decide", || {
+                    let (seqs, layers) = (&cached.plan.seqs, resolved.layers);
+                    let warm = Some(&self.warm);
+                    replan(&cluster, &graph, seqs, &applied, layers, &opts, warm)
+                });
+                let slot = match decision.decision {
+                    MigrationDecision::Stay => 0,
+                    MigrationDecision::Patch => 1,
+                    MigrationDecision::FullReplan => 2,
+                };
+                self.replans[slot].fetch_add(1, Ordering::Relaxed);
+                Response::Replan(Box::new(ReplanResponse {
+                    id: req.id.clone(),
+                    fingerprint: resolved.fingerprint(),
+                    decision: decision.decision,
+                    outcome: decision,
+                    cache: self.outcome(outcome, &cached.metrics),
+                    elapsed: start.elapsed(),
+                }))
+            }
+        })
+    }
+
     /// Executes a plan request against the cache.
     ///
     /// # Errors
@@ -265,86 +352,10 @@ impl WarmCache {
     /// Propagates [`PlanRequest::resolve`] failures; never panics on bad
     /// input.
     pub fn execute_plan(&self, req: &PlanRequest) -> Result<PlanResponse, Error> {
-        self.execute_plan_traced(req, None)
-    }
-
-    /// [`WarmCache::execute_plan`] with request-scoped tracing: the cache
-    /// lookup becomes a span named by its outcome (`cache.hit` /
-    /// `cache.miss` / `cache.coalesced`), and a miss additionally gets
-    /// `planner.<stage>` child spans synthesized from the cold run's
-    /// [`PlannerMetrics`] — recorded after the fact, so tracing cannot
-    /// perturb planning.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`WarmCache::execute_plan`].
-    pub fn execute_plan_traced(
-        &self,
-        req: &PlanRequest,
-        trace: Option<&RequestTrace>,
-    ) -> Result<PlanResponse, Error> {
-        self.execute_plan_interruptible(req, trace, None)
-    }
-
-    /// [`WarmCache::execute_plan_traced`] with an optional
-    /// [`SearchInterrupt`] attached to any cold planner run — the service
-    /// bridges a `plan` frame's cancel token onto it so an anytime search
-    /// answers with its best-so-far plan instead of `cancelled`. Memo hits
-    /// and coalesced waits never consult the interrupt (there is nothing to
-    /// stop).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`WarmCache::execute_plan`].
-    pub fn execute_plan_interruptible(
-        &self,
-        req: &PlanRequest,
-        trace: Option<&RequestTrace>,
-        interrupt: Option<&SearchInterrupt>,
-    ) -> Result<PlanResponse, Error> {
-        let start = Instant::now();
-        let resolved = req.resolve()?;
-        let lookup_start = trace.map(RequestTrace::now_us);
-        let (cached, outcome) = self.plan_for(&resolved, interrupt);
-        if let (Some(trace), Some(lookup_start)) = (trace, lookup_start) {
-            record_lookup(trace, lookup_start, outcome, &cached.metrics);
+        match self.execute(&Request::Plan(req.clone()), None, None)? {
+            Response::Plan(resp) => Ok(*resp),
+            _ => unreachable!("a plan request is answered by a plan response"),
         }
-        let sim = if req.simulate {
-            let cluster = self.cluster(resolved.devices);
-            let graph = resolved.model.layer_graph(resolved.batch, resolved.seq);
-            let sim_start = trace.map(RequestTrace::now_us);
-            let report = simulate_model_with(
-                &cluster,
-                &graph,
-                &cached.plan.seqs,
-                resolved.layers,
-                (resolved.batch * resolved.seq) as f64,
-                &SimOptions::default(),
-            );
-            if let (Some(trace), Some(sim_start)) = (trace, sim_start) {
-                let dur = trace.now_us().saturating_sub(sim_start);
-                trace.span(trace.exec_span(), "sim.simulate", sim_start, dur);
-            }
-            Some(report)
-        } else {
-            None
-        };
-        Ok(PlanResponse {
-            id: req.id.clone(),
-            fingerprint: resolved.fingerprint(),
-            model: resolved.model.name.to_string(),
-            devices: resolved.devices,
-            batch: resolved.batch,
-            seq: resolved.seq,
-            layers: resolved.layers,
-            strategy: resolved.opts.strategy,
-            plan: cached.plan.clone(),
-            plan_text: cached.plan_text.clone(),
-            metrics: cached.metrics.clone(),
-            sim,
-            cache: self.outcome(outcome, &cached.metrics),
-            elapsed: start.elapsed(),
-        })
     }
 
     /// Executes a simulation request: plans (or recalls) the workload, then
@@ -354,57 +365,10 @@ impl WarmCache {
     ///
     /// Propagates [`SimRequest::resolve`] failures.
     pub fn execute_sim(&self, req: &SimRequest) -> Result<SimResponse, Error> {
-        self.execute_sim_traced(req, None)
-    }
-
-    /// [`WarmCache::execute_sim`] with request-scoped tracing; see
-    /// [`WarmCache::execute_plan_traced`] for the span contract.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`WarmCache::execute_sim`].
-    pub fn execute_sim_traced(
-        &self,
-        req: &SimRequest,
-        trace: Option<&RequestTrace>,
-    ) -> Result<SimResponse, Error> {
-        let start = Instant::now();
-        let (resolved, sim_opts, sweep) = req.resolve()?;
-        let lookup_start = trace.map(RequestTrace::now_us);
-        let (cached, outcome) = self.plan_for(&resolved, None);
-        if let (Some(trace), Some(lookup_start)) = (trace, lookup_start) {
-            record_lookup(trace, lookup_start, outcome, &cached.metrics);
+        match self.execute(&Request::Sim(req.clone()), None, None)? {
+            Response::Sim(resp) => Ok(*resp),
+            _ => unreachable!("a sim request is answered by a sim response"),
         }
-        let cluster = self.cluster(resolved.devices);
-        let graph = resolved.model.layer_graph(resolved.batch, resolved.seq);
-        let sim_start = trace.map(RequestTrace::now_us);
-        let mut report = simulate_model_with(
-            &cluster,
-            &graph,
-            &cached.plan.seqs,
-            resolved.layers,
-            (resolved.batch * resolved.seq) as f64,
-            &sim_opts,
-        );
-        if let (Some(trace), Some(sim_start)) = (trace, sim_start) {
-            let dur = trace.now_us().saturating_sub(sim_start);
-            trace.span(trace.exec_span(), "sim.simulate", sim_start, dur);
-        }
-        if let Some(sweep) = sweep {
-            report.layer.robustness = Some(robustness_sweep(
-                &cluster,
-                &graph,
-                &cached.plan.seqs,
-                &sweep,
-            ));
-        }
-        Ok(SimResponse {
-            id: req.id.clone(),
-            fingerprint: resolved.fingerprint(),
-            report,
-            cache: self.outcome(outcome, &cached.metrics),
-            elapsed: start.elapsed(),
-        })
     }
 
     /// Executes a replan request: recalls (or plans) the running workload,
@@ -417,58 +381,54 @@ impl WarmCache {
     ///
     /// Propagates [`ReplanRequest::resolve`] failures.
     pub fn execute_replan(&self, req: &ReplanRequest) -> Result<ReplanResponse, Error> {
-        self.execute_replan_traced(req, None)
+        match self.execute(&Request::Replan(req.clone()), None, None)? {
+            Response::Replan(resp) => Ok(*resp),
+            _ => unreachable!("a replan request is answered by a replan response"),
+        }
     }
 
-    /// [`WarmCache::execute_replan`] with request-scoped tracing: the plan
-    /// lookup span follows the [`WarmCache::execute_plan_traced`] contract,
-    /// and the decision itself is recorded as a `replan.decide` span.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`WarmCache::execute_replan`].
-    pub fn execute_replan_traced(
+    /// The memoized plan for a validated request, looked up under the
+    /// trace's lookup span (see [`record_lookup`]).
+    fn lookup(
         &self,
-        req: &ReplanRequest,
+        resolved: &ResolvedPlan,
         trace: Option<&RequestTrace>,
-    ) -> Result<ReplanResponse, Error> {
-        let start = Instant::now();
-        let (resolved, applied, opts) = req.resolve()?;
-        let lookup_start = trace.map(RequestTrace::now_us);
-        let (cached, outcome) = self.plan_for(&resolved, None);
-        if let (Some(trace), Some(lookup_start)) = (trace, lookup_start) {
-            record_lookup(trace, lookup_start, outcome, &cached.metrics);
+        interrupt: Option<&SearchInterrupt>,
+    ) -> (Arc<CachedPlan>, Outcome) {
+        let start_us = trace.map(RequestTrace::now_us);
+        let (cached, outcome) = self.plan_for(resolved, interrupt);
+        if let (Some(trace), Some(start_us)) = (trace, start_us) {
+            record_lookup(trace, start_us, outcome, &cached.metrics);
         }
-        let cluster = self.cluster(resolved.devices);
+        (cached, outcome)
+    }
+
+    /// The interned cluster and the layer graph a resolved request runs on.
+    fn scene(&self, resolved: &ResolvedPlan) -> (Arc<Cluster>, Graph) {
         let graph = resolved.model.layer_graph(resolved.batch, resolved.seq);
-        let decide_start = trace.map(RequestTrace::now_us);
-        let decision = replan(
-            &cluster,
-            &graph,
-            &cached.plan.seqs,
-            &applied,
-            resolved.layers,
-            &opts,
-            Some(&self.warm),
-        );
-        if let (Some(trace), Some(decide_start)) = (trace, decide_start) {
-            let dur = trace.now_us().saturating_sub(decide_start);
-            trace.span(trace.exec_span(), "replan.decide", decide_start, dur);
+        (self.cluster(resolved.devices), graph)
+    }
+
+    /// Simulates one training iteration of a memoized plan, recorded as a
+    /// `sim.simulate` span, plus the robustness `sweep` when one is given.
+    fn simulate(
+        &self,
+        trace: Option<&RequestTrace>,
+        resolved: &ResolvedPlan,
+        cached: &CachedPlan,
+        opts: &SimOptions,
+        sweep: Option<&RobustnessOptions>,
+    ) -> ModelReport {
+        let (cluster, graph) = self.scene(resolved);
+        let seqs = &cached.plan.seqs;
+        let tokens = (resolved.batch * resolved.seq) as f64;
+        let mut report = traced(trace, "sim.simulate", || {
+            simulate_model_with(&cluster, &graph, seqs, resolved.layers, tokens, opts)
+        });
+        if let Some(sweep) = sweep {
+            report.layer.robustness = Some(robustness_sweep(&cluster, &graph, seqs, sweep));
         }
-        let slot = match decision.decision {
-            MigrationDecision::Stay => 0,
-            MigrationDecision::Patch => 1,
-            MigrationDecision::FullReplan => 2,
-        };
-        self.replans[slot].fetch_add(1, Ordering::Relaxed);
-        Ok(ReplanResponse {
-            id: req.id.clone(),
-            fingerprint: resolved.fingerprint(),
-            decision: decision.decision,
-            outcome: decision,
-            cache: self.outcome(outcome, &cached.metrics),
-            elapsed: start.elapsed(),
-        })
+        report
     }
 
     /// Per-shard occupancy of the whole-plan memo, for the live `stats`
@@ -494,6 +454,17 @@ impl WarmCache {
             replan_full: self.replans[2].load(Ordering::Relaxed),
         }
     }
+}
+
+/// Runs `f`, recorded as a `name` span under the trace's execution span.
+fn traced<T>(trace: Option<&RequestTrace>, name: &str, f: impl FnOnce() -> T) -> T {
+    let start_us = trace.map(RequestTrace::now_us);
+    let out = f();
+    if let (Some(trace), Some(start_us)) = (trace, start_us) {
+        let dur_us = trace.now_us().saturating_sub(start_us);
+        trace.span(trace.exec_span(), name, start_us, dur_us);
+    }
+    out
 }
 
 /// Records the cache-lookup span (named by outcome) under the trace's

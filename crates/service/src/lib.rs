@@ -13,7 +13,8 @@
 //!   persistence across restarts as `primepar.cache.v1` artifacts
 //!   ([`CACHE_SCHEMA`]).
 //! * the server — a bounded worker pool ([`PlannerService`]) sharing one
-//!   [`WarmCache`]; submissions return a [`Pending`] handle carrying a
+//!   [`WarmCache`]. Every request is one [`Request`] job answered by one
+//!   [`Response`]; submissions return a [`Pending`] handle carrying a
 //!   [`CancelToken`], and deadlines/cancellations surface as
 //!   [`Error::Cancelled`] without poisoning the pool.
 //! * the wire protocol — the line-delimited JSON format behind
@@ -40,7 +41,7 @@ mod shard;
 
 pub use api::{
     CacheOutcome, PlanKey, PlanRequest, PlanRequestBuilder, PlanResponse, ReplanRequest,
-    ReplanResponse, ResolvedPlan, SimRequest, SimResponse, SERVICE_SCHEMA,
+    ReplanResponse, Request, ResolvedPlan, Response, SimRequest, SimResponse, SERVICE_SCHEMA,
 };
 pub use cache::{CacheConfig, CachedPlan, ServiceCacheStats, WarmCache};
 pub use error::Error;

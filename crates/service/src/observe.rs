@@ -106,7 +106,7 @@ impl RequestTrace {
         self.request_id
     }
 
-    /// `"plan"` or `"sim"`.
+    /// `"plan"`, `"sim"` or `"replan"`.
     pub fn kind(&self) -> &'static str {
         self.kind
     }
@@ -201,7 +201,7 @@ pub struct FlightRecord {
     pub id: String,
     /// The request's trace id.
     pub trace_id: String,
-    /// `"plan"` or `"sim"`.
+    /// `"plan"`, `"sim"` or `"replan"`.
     pub kind: String,
     /// Canonical plan fingerprint (empty when the request failed before
     /// resolving).
@@ -363,8 +363,8 @@ impl ServiceObserver {
         Arc::new(RequestTrace::new(trace_id, request_id, kind, self.origin))
     }
 
-    /// Counts an accepted plan/sim submission against its requested search
-    /// strategy (the `strategies` section of the stats snapshot).
+    /// Counts an accepted plan/sim/replan submission against its requested
+    /// search strategy (the `strategies` section of the stats snapshot).
     pub fn note_strategy(&self, strategy: SearchStrategy) {
         let slot = match strategy {
             SearchStrategy::Exact => 0,

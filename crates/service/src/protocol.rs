@@ -29,9 +29,9 @@
 //! `shutdown` (drain outstanding work and exit; input after `shutdown` is
 //! ignored).
 //!
-//! **Trace context**: any frame may carry a `trace_id`; plan/sim frames
-//! without one get a server-minted id (`t-<counter>`). The response echoes
-//! it, the event log ([`ServeOptions::event_log`]) stamps it on every
+//! **Trace context**: any frame may carry a `trace_id`; plan/sim/replan
+//! frames without one get a server-minted id (`t-<counter>`). The response
+//! echoes it, the event log ([`ServeOptions::event_log`]) stamps it on every
 //! request-lifecycle event, and the per-session Chrome trace
 //! ([`ServeOptions::trace_out`]) groups the request's spans under it — one
 //! lane per worker.
@@ -44,10 +44,9 @@
 
 use std::io::{BufRead, Read, Write};
 use std::path::PathBuf;
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use primepar_obs::{parse_json, peak_rss_bytes, ClockMode, Event, EventLevel, EventLog, Json};
 use primepar_search::SearchStrategy;
@@ -55,22 +54,17 @@ use primepar_sim::robustness_json;
 
 use crate::cache::WarmCache;
 use crate::observe::{FlightRecord, ObserveOptions, RequestTrace, ServiceObserver};
-use crate::server::{Pending, PlannerService, ServiceOptions};
+use crate::server::{CancelToken, PlannerService, ServiceOptions};
 use crate::{
-    Error, PlanRequest, PlanResponse, ReplanRequest, ReplanResponse, SimRequest, SimResponse,
-    SERVICE_SCHEMA,
+    Error, PlanRequest, PlanResponse, ReplanRequest, ReplanResponse, Request, Response, SimRequest,
+    SimResponse, SERVICE_SCHEMA,
 };
 
 /// One parsed request frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Plan a workload.
-    Plan(PlanRequest),
-    /// Plan and simulate a workload.
-    Sim(SimRequest),
-    /// Decide the costed migration for a running workload under an observed
-    /// degradation scenario (v2).
-    Replan(ReplanRequest),
+    /// A `plan`, `sim` or `replan` request for the worker pool.
+    Request(Request),
     /// Cancel in-flight requests by client `id`, server `request_id`, or
     /// both (a frame carrying neither is a protocol error). Cancelling a
     /// request that already answered is a no-op.
@@ -94,7 +88,7 @@ pub enum Frame {
 pub struct ParsedFrame {
     /// The decoded frame.
     pub frame: Frame,
-    /// Client-supplied trace context, echoed on the response. Plan/sim
+    /// Client-supplied trace context, echoed on the response. Plan/sim/replan
     /// frames without one get a server-minted id.
     pub trace_id: Option<String>,
 }
@@ -227,9 +221,9 @@ pub fn parse_frame(line: &str) -> Result<ParsedFrame, Error> {
     let kind = field_str(&doc, "type")?
         .ok_or_else(|| Error::protocol("frame is missing its type field"))?;
     let frame = match kind.as_str() {
-        "plan" => Frame::Plan(parse_plan_request(&doc)?),
-        "sim" => Frame::Sim(parse_sim_request(&doc)?),
-        "replan" => Frame::Replan(parse_replan_request(&doc)?),
+        "plan" => Frame::Request(Request::Plan(parse_plan_request(&doc)?)),
+        "sim" => Frame::Request(Request::Sim(parse_sim_request(&doc)?)),
+        "replan" => Frame::Request(Request::Replan(parse_replan_request(&doc)?)),
         "cancel" => {
             let id = field_str(&doc, "id")?;
             let request_id = field_u64(&doc, "request_id")?;
@@ -475,7 +469,7 @@ pub struct ServeOptions {
 /// How a serve loop ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeEnd {
-    /// Plan/sim requests submitted.
+    /// Plan/sim/replan requests submitted.
     pub requests: u64,
     /// Error frames emitted (parse failures and failed requests).
     pub errors: u64,
@@ -483,46 +477,22 @@ pub struct ServeEnd {
     pub shutdown: bool,
 }
 
-enum PendingReply {
-    Plan(Pending<PlanResponse>),
-    Sim(Pending<SimResponse>),
-    Replan(Pending<ReplanResponse>),
+/// What the serve loop waits on: the reader thread's lines and the
+/// workers' verdicts, in one arrival order.
+enum Input {
+    /// One request line, or the transport failure that ended the input.
+    Line(std::io::Result<Result<String, Error>>),
+    /// End of input.
+    Eof,
+    /// Request `request_id` finished.
+    Done(u64, Result<Response, Error>),
 }
 
-/// One submitted request awaiting its worker.
-struct Reply {
-    request_id: u64,
+/// One accepted request awaiting its verdict.
+struct Admitted {
     id: String,
     trace: Arc<RequestTrace>,
-    pending: PendingReply,
-}
-
-enum Verdict {
-    Plan(Box<Result<PlanResponse, Error>>),
-    Sim(Box<Result<SimResponse, Error>>),
-    Replan(Box<Result<ReplanResponse, Error>>),
-}
-
-impl Reply {
-    fn cancel(&self) {
-        match &self.pending {
-            PendingReply::Plan(pending) => pending.cancel(),
-            PendingReply::Sim(pending) => pending.cancel(),
-            PendingReply::Replan(pending) => pending.cancel(),
-        }
-    }
-
-    /// The verdict if it has already arrived — the caller must then emit
-    /// this reply, since the arrival is consumed from the channel.
-    fn try_verdict(&self) -> Option<Verdict> {
-        match &self.pending {
-            PendingReply::Plan(pending) => pending.try_wait().map(|r| Verdict::Plan(Box::new(r))),
-            PendingReply::Sim(pending) => pending.try_wait().map(|r| Verdict::Sim(Box::new(r))),
-            PendingReply::Replan(pending) => {
-                pending.try_wait().map(|r| Verdict::Replan(Box::new(r)))
-            }
-        }
-    }
+    cancel: CancelToken,
 }
 
 fn sanitize_artifact_id(id: &str) -> String {
@@ -543,43 +513,25 @@ fn sanitize_artifact_id(id: &str) -> String {
     }
 }
 
-/// Appends an event to the session log, if one is configured.
-fn log_event(events: &mut Option<EventLog>, event: Event) -> Result<(), Error> {
-    match events {
-        Some(log) => log
-            .emit(event)
-            .map_err(|e| Error::internal(format!("event log write failed: {e}"))),
-        None => Ok(()),
-    }
+/// A request-lifecycle event: the request's trace context, kind, client id
+/// and request id.
+fn request_event(level: EventLevel, name: &str, trace: &RequestTrace, id: &str) -> Event {
+    Event::new(level, name)
+        .context(trace.trace_id(), "s0")
+        .field("kind", trace.kind())
+        .field("id", id)
+        .field("request_id", trace.request_id())
 }
 
-/// Admits one plan/sim/replan frame (client `id`) as request `request_id`:
-/// counts its strategy, opens its trace (minting a trace id when the client
-/// sent none) and logs its receipt.
-fn admit(
-    observer: &ServiceObserver,
-    events: &mut Option<EventLog>,
-    trace_id: Option<String>,
-    request_id: u64,
-    kind: &'static str,
-    id: &str,
-    strategy: SearchStrategy,
-) -> Result<Arc<RequestTrace>, Error> {
-    observer.note_strategy(strategy);
-    let trace_id = trace_id.unwrap_or_else(|| observer.gen_trace_id());
-    let trace = observer.begin_request(trace_id, request_id, kind);
-    log_event(
-        events,
-        Event::new(EventLevel::Info, "request.received")
-            .context(trace.trace_id(), "s0")
-            .field("kind", kind)
-            .field("id", id)
-            .field("request_id", request_id),
-    )?;
-    Ok(trace)
-}
-
-fn outcome_label(cache: &crate::CacheOutcome) -> &'static str {
+/// The flight recorder's outcome of a served request: the decision of a
+/// replan (not the memo result its running plan came from), else the cache
+/// outcome.
+fn outcome_label(resp: &Response) -> &'static str {
+    let cache = match resp {
+        Response::Plan(resp) => &resp.cache,
+        Response::Sim(resp) => &resp.cache,
+        Response::Replan(resp) => return resp.decision.tag(),
+    };
     if cache.plan_cache_hit {
         "hit"
     } else if cache.coalesced {
@@ -589,142 +541,151 @@ fn outcome_label(cache: &crate::CacheOutcome) -> &'static str {
     }
 }
 
-fn emit(
-    writer: &mut impl Write,
-    end: &mut ServeEnd,
-    opts: &ServeOptions,
-    observer: &ServiceObserver,
-    events: &mut Option<EventLog>,
-    reply: &Reply,
-    verdict: Verdict,
-) -> Result<(), Error> {
-    // Summarize for the flight recorder before the verdict is consumed
-    // building the response document.
-    let (status, outcome, fingerprint) = match &verdict {
-        Verdict::Plan(result) => match result.as_ref() {
+/// The serve loop's output side: the client writer, the session's observer
+/// and event log, and the running totals.
+struct Session<'s, W> {
+    writer: &'s mut W,
+    opts: &'s ServeOptions,
+    observer: &'s ServiceObserver,
+    events: Option<EventLog>,
+    end: ServeEnd,
+}
+
+impl<W: Write> Session<'_, W> {
+    /// Writes one frame to the client and flushes it.
+    fn send(&mut self, doc: &Json) -> Result<(), Error> {
+        writeln!(self.writer, "{}", doc.render())
+            .and_then(|()| self.writer.flush())
+            .map_err(|e| Error::internal(format!("transport failed: {e}")))
+    }
+
+    /// Appends an event to the session log, if one is configured.
+    fn log(&mut self, event: Event) -> Result<(), Error> {
+        match &mut self.events {
+            Some(log) => log
+                .emit(event)
+                .map_err(|e| Error::internal(format!("event log write failed: {e}"))),
+            None => Ok(()),
+        }
+    }
+
+    /// Answers a line that failed to read or parse.
+    fn reject(&mut self, err: &Error) -> Result<(), Error> {
+        self.end.errors += 1;
+        self.log(
+            Event::new(EventLevel::Error, "request.rejected").field("message", err.message()),
+        )?;
+        self.send(&error_json("", err))
+    }
+
+    /// Admits one request frame as the session's next `request_id`: counts
+    /// its strategy, opens its trace (minting a trace id when the client
+    /// sent none) and logs its receipt.
+    fn admit(
+        &mut self,
+        trace_id: Option<String>,
+        req: &Request,
+    ) -> Result<Arc<RequestTrace>, Error> {
+        self.end.requests += 1;
+        let observer = self.observer;
+        observer.note_strategy(req.strategy());
+        let trace_id = trace_id.unwrap_or_else(|| observer.gen_trace_id());
+        let trace = observer.begin_request(trace_id, self.end.requests, req.kind());
+        self.log(request_event(
+            EventLevel::Info,
+            "request.received",
+            &trace,
+            req.id(),
+        ))?;
+        Ok(trace)
+    }
+
+    /// Answers an admitted request with its worker's verdict, then records
+    /// it: the flight recorder, a `request.done` event, and a `request.slow`
+    /// breakdown past the threshold.
+    fn emit(&mut self, reply: &Admitted, verdict: Result<Response, Error>) -> Result<(), Error> {
+        // Summarize for the flight recorder before the verdict is consumed
+        // building the response document.
+        let (status, outcome, fingerprint) = match &verdict {
             Ok(resp) => (
                 "ok".to_string(),
-                outcome_label(&resp.cache).to_string(),
-                resp.fingerprint.clone(),
+                outcome_label(resp),
+                resp.fingerprint().to_string(),
             ),
-            Err(Error::Cancelled(_)) => ("cancelled".to_string(), "-".into(), String::new()),
-            Err(err) => (format!("error:{}", err.kind()), "-".into(), String::new()),
-        },
-        Verdict::Sim(result) => match result.as_ref() {
-            Ok(resp) => (
-                "ok".to_string(),
-                outcome_label(&resp.cache).to_string(),
-                resp.fingerprint.clone(),
-            ),
-            Err(Error::Cancelled(_)) => ("cancelled".to_string(), "-".into(), String::new()),
-            Err(err) => (format!("error:{}", err.kind()), "-".into(), String::new()),
-        },
-        Verdict::Replan(result) => match result.as_ref() {
-            Ok(resp) => (
-                "ok".to_string(),
-                // The decision is the interesting outcome of a replan, not
-                // the memo result the running plan came from.
-                resp.decision.tag().to_string(),
-                resp.fingerprint.clone(),
-            ),
-            Err(Error::Cancelled(_)) => ("cancelled".to_string(), "-".into(), String::new()),
-            Err(err) => (format!("error:{}", err.kind()), "-".into(), String::new()),
-        },
-    };
-    let mut doc = match verdict {
-        Verdict::Plan(result) => match *result {
-            Ok(resp) => {
-                if let Some(dir) = &opts.plan_dir {
+            Err(Error::Cancelled(_)) => ("cancelled".to_string(), "-", String::new()),
+            Err(err) => (format!("error:{}", err.kind()), "-", String::new()),
+        };
+        let level = match status.as_str() {
+            "ok" => EventLevel::Info,
+            _ => EventLevel::Error,
+        };
+        let mut doc = match verdict {
+            Ok(Response::Plan(resp)) => {
+                if let Some(dir) = &self.opts.plan_dir {
                     let path = dir.join(format!("{}.plan.txt", sanitize_artifact_id(&reply.id)));
                     std::fs::write(&path, &resp.plan_text)
                         .map_err(|e| Error::internal(format!("--plan-dir write failed: {e}")))?;
                 }
                 plan_response_json(&resp)
             }
+            Ok(Response::Sim(resp)) => sim_response_json(&resp),
+            Ok(Response::Replan(resp)) => replan_response_json(&resp),
             Err(err) => {
-                end.errors += 1;
+                self.end.errors += 1;
                 error_json(&reply.id, &err)
             }
-        },
-        Verdict::Sim(result) => match *result {
-            Ok(resp) => sim_response_json(&resp),
-            Err(err) => {
-                end.errors += 1;
-                error_json(&reply.id, &err)
-            }
-        },
-        Verdict::Replan(result) => match *result {
-            Ok(resp) => replan_response_json(&resp),
-            Err(err) => {
-                end.errors += 1;
-                error_json(&reply.id, &err)
-            }
-        },
-    };
-    doc.set("request_id", reply.request_id);
-    doc.set("trace_id", reply.trace.trace_id());
-    doc.set("peak_rss_bytes", peak_rss_bytes());
-    writeln!(writer, "{}", doc.render())
-        .map_err(|e| Error::internal(format!("write failed: {e}")))?;
+        };
+        let trace = &reply.trace;
+        doc.set("request_id", trace.request_id());
+        doc.set("trace_id", trace.trace_id());
+        doc.set("peak_rss_bytes", peak_rss_bytes());
+        self.send(&doc)?;
 
-    let trace = &reply.trace;
-    let elapsed_us = trace.elapsed_us();
-    let stages: Vec<(String, u64)> = trace
-        .spans()
-        .iter()
-        .skip(1) // the root `request` span is the elapsed time itself
-        .map(|span| (span.name.clone(), span.dur_us))
-        .collect();
-    let slow = observer.complete_request(
-        trace,
-        FlightRecord {
-            request_id: reply.request_id,
-            id: reply.id.clone(),
-            trace_id: trace.trace_id().to_string(),
-            kind: trace.kind().to_string(),
-            fingerprint,
-            outcome: outcome.clone(),
-            status: status.clone(),
-            elapsed_us,
-            worker: trace.worker(),
-            stages: stages.clone(),
-        },
-    );
-    let level = if status == "ok" {
-        EventLevel::Info
-    } else {
-        EventLevel::Error
-    };
-    let mut done = Event::new(level, "request.done")
-        .context(trace.trace_id(), "s0")
-        .field("kind", trace.kind())
-        .field("id", reply.id.as_str())
-        .field("request_id", reply.request_id)
-        .field("status", status.as_str())
-        .field("outcome", outcome.as_str());
-    // Wall-derived fields would break the logical clock's byte-identical
-    // same-input guarantee; the flight recorder still has them.
-    if !opts.logical_clock {
-        done = done.field("elapsed_us", elapsed_us);
-        if let Some(worker) = trace.worker() {
-            done = done.field("worker", worker as u64);
+        let elapsed_us = trace.elapsed_us();
+        let stages: Vec<(String, u64)> = trace
+            .spans()
+            .iter()
+            .skip(1) // the root `request` span is the elapsed time itself
+            .map(|span| (span.name.clone(), span.dur_us))
+            .collect();
+        let slow = self.observer.complete_request(
+            trace,
+            FlightRecord {
+                request_id: trace.request_id(),
+                id: reply.id.clone(),
+                trace_id: trace.trace_id().to_string(),
+                kind: trace.kind().to_string(),
+                fingerprint,
+                outcome: outcome.to_string(),
+                status: status.clone(),
+                elapsed_us,
+                worker: trace.worker(),
+                stages: stages.clone(),
+            },
+        );
+        let mut done = request_event(level, "request.done", trace, &reply.id)
+            .field("status", status.as_str())
+            .field("outcome", outcome);
+        // Wall-derived fields would break the logical clock's byte-identical
+        // same-input guarantee; the flight recorder still has them.
+        if !self.opts.logical_clock {
+            done = done.field("elapsed_us", elapsed_us);
+            if let Some(worker) = trace.worker() {
+                done = done.field("worker", worker as u64);
+            }
         }
-    }
-    log_event(events, done)?;
-    if slow {
-        let mut warn = Event::new(EventLevel::Warn, "request.slow")
-            .context(trace.trace_id(), "s0")
-            .field("kind", trace.kind())
-            .field("id", reply.id.as_str())
-            .field("request_id", reply.request_id)
-            .field("elapsed_us", elapsed_us)
-            .field("threshold_ms", opts.slow_ms.unwrap_or(0));
-        for (name, dur_us) in &stages {
-            warn = warn.field(format!("stage.{name}"), *dur_us);
+        self.log(done)?;
+        if slow {
+            let mut warn = request_event(EventLevel::Warn, "request.slow", trace, &reply.id)
+                .field("elapsed_us", elapsed_us)
+                .field("threshold_ms", self.opts.slow_ms.unwrap_or(0));
+            for (name, dur_us) in &stages {
+                warn = warn.field(format!("stage.{name}"), *dur_us);
+            }
+            self.log(warn)?;
         }
-        log_event(events, warn)?;
+        Ok(())
     }
-    Ok(())
 }
 
 /// Serves the line protocol from `reader` to `writer` over a private
@@ -754,10 +715,6 @@ pub fn serve_lines(
     }
     Ok(end)
 }
-
-/// How often the serve loop polls in-flight replies while also watching for
-/// input (or draining after shutdown).
-const POLL: Duration = Duration::from_millis(1);
 
 /// Longest request frame the serve loop reads, in bytes, line terminator
 /// excluded. A longer line is skipped, never buffered past the cap, and
@@ -834,7 +791,7 @@ pub fn serve_lines_with_cache(
         recorder_capacity: 0,
     });
     let observer = &observer;
-    let mut events = match &opts.event_log {
+    let events = match &opts.event_log {
         Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| Error::internal(format!("--event-log open failed: {e}")))?;
@@ -845,30 +802,39 @@ pub fn serve_lines_with_cache(
         }
         None => None,
     };
+    let mut session = Session {
+        writer,
+        opts,
+        observer,
+        events,
+        end: ServeEnd::default(),
+    };
     PlannerService::run_observed(pool, cache, Some(observer), |client| {
         thread::scope(|scope| {
-            // A reader thread feeds lines through a channel so the main
-            // loop can emit finished responses while input is idle —
-            // without this, out-of-order completion would still be gated on
-            // the next input line arriving.
-            let (line_tx, lines) = mpsc::channel::<std::io::Result<Result<String, Error>>>();
+            // The reader thread and the workers post into one inbox, so the
+            // loop blocks on a single `recv` and handles input lines and
+            // finished requests in the order they arrive: a response goes
+            // out as soon as its worker finishes, input idle or not.
+            let (inbox_tx, inbox) = mpsc::channel::<Input>();
+            let reader_tx = inbox_tx.clone();
             scope.spawn(move || {
                 let mut reader = reader;
-                while let Some(line) = read_frame(&mut reader).transpose() {
-                    let failed = line.is_err();
-                    if line_tx.send(line).is_err() || failed {
+                loop {
+                    let input = match read_frame(&mut reader) {
+                        Ok(Some(line)) => Input::Line(Ok(line)),
+                        Ok(None) => Input::Eof,
+                        Err(e) => Input::Line(Err(e)),
+                    };
+                    let last = !matches!(input, Input::Line(Ok(_)));
+                    if reader_tx.send(input).is_err() || last {
                         return;
                     }
                 }
             });
 
-            let io = |e: std::io::Error| Error::internal(format!("transport failed: {e}"));
-            let mut end = ServeEnd::default();
-            let mut pending: Vec<Reply> = Vec::new();
-            let mut next_request_id: u64 = 0;
+            let mut pending: Vec<Admitted> = Vec::new();
             let mut input_open = true;
-            log_event(
-                &mut events,
+            session.log(
                 Event::new(EventLevel::Info, "serve.start")
                     .field("workers", pool.workers as u64)
                     .field(
@@ -880,178 +846,86 @@ pub fn serve_lines_with_cache(
                         },
                     ),
             )?;
-            loop {
-                let message = if !input_open || end.shutdown {
-                    None
-                } else if pending.is_empty() {
-                    // Nothing in flight: block until the next line.
-                    match lines.recv() {
-                        Ok(message) => Some(message),
-                        Err(_) => {
-                            input_open = false;
-                            None
-                        }
+            // Every accepted request answers exactly one `Done` (see
+            // `ServiceClient::dispatch`), so draining `pending` terminates.
+            while (input_open && !session.end.shutdown) || !pending.is_empty() {
+                let input = inbox
+                    .recv()
+                    .map_err(|_| Error::internal("serve inbox closed"))?;
+                let line = match input {
+                    Input::Eof => {
+                        input_open = false;
+                        continue;
                     }
-                } else {
-                    // Work in flight: poll for input, then for completions.
-                    match lines.recv_timeout(POLL) {
-                        Ok(message) => Some(message),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => {
-                            input_open = false;
-                            None
+                    Input::Done(request_id, verdict) => {
+                        let at = pending
+                            .iter()
+                            .position(|r| r.trace.request_id() == request_id);
+                        if let Some(at) = at {
+                            session.emit(&pending.remove(at), verdict)?;
                         }
+                        continue;
+                    }
+                    // Input after `shutdown` is ignored.
+                    Input::Line(_) if session.end.shutdown => continue,
+                    Input::Line(line) => {
+                        line.map_err(|e| Error::internal(format!("transport failed: {e}")))?
                     }
                 };
-                if let Some(line) = message {
-                    let line = line.map_err(io)?;
-                    if line.as_ref().map_or(true, |l| !l.trim().is_empty()) {
-                        match line.and_then(|l| parse_frame(&l)) {
-                            Err(err) => {
-                                end.errors += 1;
-                                log_event(
-                                    &mut events,
-                                    Event::new(EventLevel::Error, "request.rejected")
-                                        .field("message", err.message()),
-                                )?;
-                                writeln!(writer, "{}", error_json("", &err).render())
-                                    .map_err(io)?;
-                            }
-                            Ok(ParsedFrame { frame, trace_id }) => match frame {
-                                Frame::Plan(req) => {
-                                    end.requests += 1;
-                                    next_request_id += 1;
-                                    let trace = admit(
-                                        observer,
-                                        &mut events,
-                                        trace_id,
-                                        next_request_id,
-                                        "plan",
-                                        &req.id,
-                                        req.strategy,
-                                    )?;
-                                    pending.push(Reply {
-                                        request_id: next_request_id,
-                                        id: req.id.clone(),
-                                        trace: trace.clone(),
-                                        pending: PendingReply::Plan(
-                                            client.submit_plan_traced(req, Some(trace)),
-                                        ),
-                                    });
-                                }
-                                Frame::Sim(req) => {
-                                    end.requests += 1;
-                                    next_request_id += 1;
-                                    let trace = admit(
-                                        observer,
-                                        &mut events,
-                                        trace_id,
-                                        next_request_id,
-                                        "sim",
-                                        &req.id,
-                                        req.plan.strategy,
-                                    )?;
-                                    pending.push(Reply {
-                                        request_id: next_request_id,
-                                        id: req.id.clone(),
-                                        trace: trace.clone(),
-                                        pending: PendingReply::Sim(
-                                            client.submit_sim_traced(req, Some(trace)),
-                                        ),
-                                    });
-                                }
-                                Frame::Replan(req) => {
-                                    end.requests += 1;
-                                    next_request_id += 1;
-                                    let trace = admit(
-                                        observer,
-                                        &mut events,
-                                        trace_id,
-                                        next_request_id,
-                                        "replan",
-                                        &req.id,
-                                        req.plan.strategy,
-                                    )?;
-                                    pending.push(Reply {
-                                        request_id: next_request_id,
-                                        id: req.id.clone(),
-                                        trace: trace.clone(),
-                                        pending: PendingReply::Replan(
-                                            client.submit_replan_traced(req, Some(trace)),
-                                        ),
-                                    });
-                                }
-                                Frame::Cancel { id, request_id } => {
-                                    for reply in pending.iter().filter(|r| {
-                                        id.as_deref() == Some(r.id.as_str())
-                                            || request_id == Some(r.request_id)
-                                    }) {
-                                        reply.cancel();
-                                    }
-                                }
-                                Frame::Stats => {
-                                    let mut doc = tagged("stats").with("ok", true);
-                                    if let Some(trace_id) = &trace_id {
-                                        doc.set("trace_id", trace_id.as_str());
-                                    }
-                                    doc.set("stats", observer.stats_json(cache));
-                                    writeln!(writer, "{}", doc.render()).map_err(io)?;
-                                    writer.flush().map_err(io)?;
-                                }
-                                Frame::Ping => {
-                                    let mut doc = tagged("pong");
-                                    if let Some(trace_id) = &trace_id {
-                                        doc.set("trace_id", trace_id.as_str());
-                                    }
-                                    writeln!(writer, "{}", doc.render()).map_err(io)?;
-                                    writer.flush().map_err(io)?;
-                                }
-                                Frame::Shutdown => {
-                                    end.shutdown = true;
-                                }
-                            },
+                if line.as_ref().is_ok_and(|l| l.trim().is_empty()) {
+                    continue;
+                }
+                let ParsedFrame { frame, trace_id } = match line.and_then(|l| parse_frame(&l)) {
+                    Ok(parsed) => parsed,
+                    Err(err) => {
+                        session.reject(&err)?;
+                        continue;
+                    }
+                };
+                match frame {
+                    Frame::Request(req) => {
+                        let trace = session.admit(trace_id, &req)?;
+                        let (id, request_id) = (req.id().to_string(), trace.request_id());
+                        let done = inbox_tx.clone();
+                        let cancel = client.dispatch(req, Some(trace.clone()), move |verdict| {
+                            drop(done.send(Input::Done(request_id, verdict)));
+                        });
+                        pending.push(Admitted { id, trace, cancel });
+                    }
+                    Frame::Cancel { id, request_id } => {
+                        for reply in pending.iter().filter(|r| {
+                            id.as_deref() == Some(r.id.as_str())
+                                || request_id == Some(r.trace.request_id())
+                        }) {
+                            reply.cancel.cancel();
                         }
                     }
-                }
-                // Emit every finished reply, in completion (scan) order.
-                let mut emitted = false;
-                let mut i = 0;
-                while i < pending.len() {
-                    if let Some(verdict) = pending[i].try_verdict() {
-                        let reply = pending.remove(i);
-                        emit(
-                            writer,
-                            &mut end,
-                            opts,
-                            observer,
-                            &mut events,
-                            &reply,
-                            verdict,
-                        )?;
-                        emitted = true;
-                    } else {
-                        i += 1;
+                    Frame::Stats => {
+                        let mut doc = tagged("stats").with("ok", true);
+                        if let Some(trace_id) = &trace_id {
+                            doc.set("trace_id", trace_id.as_str());
+                        }
+                        doc.set("stats", observer.stats_json(cache));
+                        session.send(&doc)?;
                     }
-                }
-                if emitted {
-                    writer.flush().map_err(io)?;
-                }
-                if pending.is_empty() && (!input_open || end.shutdown) {
-                    break;
-                }
-                // Draining without input: pace the completion polling.
-                if (!input_open || end.shutdown) && !emitted {
-                    thread::sleep(POLL);
+                    Frame::Ping => {
+                        let mut doc = tagged("pong");
+                        if let Some(trace_id) = &trace_id {
+                            doc.set("trace_id", trace_id.as_str());
+                        }
+                        session.send(&doc)?;
+                    }
+                    Frame::Shutdown => session.end.shutdown = true,
                 }
             }
-            log_event(
-                &mut events,
+            let end = session.end;
+            session.log(
                 Event::new(EventLevel::Info, "serve.shutdown")
                     .field("requests", end.requests)
                     .field("errors", end.errors)
                     .field("shutdown_frame", end.shutdown),
             )?;
-            if let Some(log) = &mut events {
+            if let Some(log) = &mut session.events {
                 log.flush()
                     .map_err(|e| Error::internal(format!("event log flush failed: {e}")))?;
             }
@@ -1060,8 +934,7 @@ pub fn serve_lines_with_cache(
                     .map_err(|e| Error::internal(format!("--trace-out write failed: {e}")))?;
             }
             observer.dump_stats(cache, "shutdown")?;
-            writeln!(writer, "{}", tagged("bye").render()).map_err(io)?;
-            writer.flush().map_err(io)?;
+            session.send(&tagged("bye"))?;
             Ok(end)
         })
     })
@@ -1200,7 +1073,7 @@ mod tests {
             "exact requests omit the strategy field"
         );
         let parsed = parse_frame(&encoded).expect("parses");
-        assert_eq!(parsed.frame, Frame::Plan(req.clone()));
+        assert_eq!(parsed.frame, Frame::Request(Request::Plan(req.clone())));
 
         // Non-default strategies survive the wire both ways.
         let anytime = PlanRequest::builder("opt-6.7b")
@@ -1211,7 +1084,7 @@ mod tests {
         assert!(encoded.contains(r#""strategy":"anytime:500ms""#));
         assert_eq!(
             parse_frame(&encoded).expect("parses").frame,
-            Frame::Plan(anytime)
+            Frame::Request(Request::Plan(anytime))
         );
         assert!(matches!(
             parse_frame(
@@ -1222,14 +1095,14 @@ mod tests {
 
         let sim = SimRequest::of(req.clone()).with_sweep("harsh", 3, 9);
         let parsed = parse_frame(&sim_request_json(&sim).render()).expect("parses");
-        assert_eq!(parsed.frame, Frame::Sim(sim));
+        assert_eq!(parsed.frame, Frame::Request(Request::Sim(sim)));
 
         let replan = ReplanRequest::of(req)
             .with_scenario("mild", 7)
             .with_lambda(1.5)
             .with_horizon(250);
         let parsed = parse_frame(&replan_request_json(&replan).render()).expect("parses");
-        assert_eq!(parsed.frame, Frame::Replan(replan));
+        assert_eq!(parsed.frame, Frame::Request(Request::Replan(replan)));
 
         let cancel = cancel_json(Some("r1"), Some(7));
         assert_eq!(

@@ -2,8 +2,9 @@
 //!
 //! [`PlannerService::run`] spawns `workers` scoped threads draining one
 //! job queue into a shared [`WarmCache`] and hands the closure a
-//! [`ServiceClient`]. Submissions return immediately with a [`Pending`]
-//! handle; the caller waits, polls, or cancels.
+//! [`ServiceClient`]. Every request is one [`Request`] job answered by one
+//! [`Response`]; [`ServiceClient::submit`] returns immediately with a
+//! [`Pending`] handle the caller waits on or cancels.
 //!
 //! The pool is unpoisonable by construction: every job runs under
 //! [`catch_unwind`], a cancelled or deadline-expired ticket short-circuits
@@ -22,9 +23,7 @@ use primepar_search::{SearchInterrupt, SearchStrategy};
 
 use crate::cache::{ServiceCacheStats, WarmCache};
 use crate::observe::{RequestTrace, ServiceObserver};
-use crate::{
-    Error, PlanRequest, PlanResponse, ReplanRequest, ReplanResponse, SimRequest, SimResponse,
-};
+use crate::{Error, PlanRequest, PlanResponse, Request, Response};
 
 /// Pool configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,50 +89,35 @@ impl Ticket {
     }
 }
 
-enum Job {
-    Plan {
-        req: PlanRequest,
-        ticket: Ticket,
-        trace: Option<Arc<RequestTrace>>,
-        reply: Sender<Result<PlanResponse, Error>>,
-    },
-    Sim {
-        req: SimRequest,
-        ticket: Ticket,
-        trace: Option<Arc<RequestTrace>>,
-        reply: Sender<Result<SimResponse, Error>>,
-    },
-    Replan {
-        req: ReplanRequest,
-        ticket: Ticket,
-        trace: Option<Arc<RequestTrace>>,
-        reply: Sender<Result<ReplanResponse, Error>>,
-    },
+/// A job's outcome.
+type Verdict = Result<Response, Error>;
+
+struct Job {
+    req: Request,
+    ticket: Ticket,
+    trace: Option<Arc<RequestTrace>>,
+    /// Where the verdict goes; called exactly once per job.
+    reply: Box<dyn FnOnce(Verdict) + Send>,
 }
 
 /// Handle to one in-flight request.
 #[derive(Debug)]
-pub struct Pending<T> {
-    rx: Receiver<Result<T, Error>>,
+pub struct Pending {
+    rx: Receiver<Verdict>,
     cancel: CancelToken,
 }
 
-impl<T> Pending<T> {
+impl Pending {
     /// Blocks until the response arrives.
     ///
     /// # Errors
     ///
     /// The worker's verdict, or [`Error::Internal`] if the pool went away
     /// without answering.
-    pub fn wait(self) -> Result<T, Error> {
+    pub fn wait(self) -> Result<Response, Error> {
         self.rx
             .recv()
             .unwrap_or_else(|_| Err(Error::internal("service dropped the reply channel")))
-    }
-
-    /// The response if it has already arrived, `None` otherwise.
-    pub fn try_wait(&self) -> Option<Result<T, Error>> {
-        self.rx.try_recv().ok()
     }
 
     /// Requests cancellation of this request.
@@ -168,29 +152,17 @@ impl Clone for ServiceClient<'_> {
 }
 
 impl ServiceClient<'_> {
-    /// Enqueues a plan request; returns immediately.
-    pub fn submit_plan(&self, req: PlanRequest) -> Pending<PlanResponse> {
-        self.submit_plan_traced(req, None)
+    /// Enqueues a request; returns immediately. The worker that picks the
+    /// job up records its execution spans into `trace`, when given.
+    pub fn submit(&self, req: Request, trace: Option<Arc<RequestTrace>>) -> Pending {
+        let (tx, rx) = mpsc::channel();
+        let cancel = self.dispatch(req, trace, move |verdict| drop(tx.send(verdict)));
+        Pending { rx, cancel }
     }
 
-    /// [`ServiceClient::submit_plan`] carrying a request trace: the worker
-    /// that picks the job up records its execution spans into `trace`.
-    pub fn submit_plan_traced(
-        &self,
-        req: PlanRequest,
-        trace: Option<Arc<RequestTrace>>,
-    ) -> Pending<PlanResponse> {
-        let (reply, rx) = mpsc::channel();
-        let cancel = CancelToken::new();
-        let ticket = Ticket::for_deadline(cancel.clone(), req.deadline_ms);
-        let job = Job::Plan {
-            req,
-            ticket,
-            trace,
-            reply,
-        };
-        self.dispatch(job);
-        Pending { rx, cancel }
+    /// Enqueues a plan request; returns immediately.
+    pub fn submit_plan(&self, req: PlanRequest) -> Pending {
+        self.submit(Request::Plan(req), None)
     }
 
     /// Plans synchronously on the pool.
@@ -199,75 +171,10 @@ impl ServiceClient<'_> {
     ///
     /// The worker's verdict for this request.
     pub fn plan(&self, req: PlanRequest) -> Result<PlanResponse, Error> {
-        self.submit_plan(req).wait()
-    }
-
-    /// Enqueues a simulation request; returns immediately.
-    pub fn submit_sim(&self, req: SimRequest) -> Pending<SimResponse> {
-        self.submit_sim_traced(req, None)
-    }
-
-    /// [`ServiceClient::submit_sim`] carrying a request trace; see
-    /// [`ServiceClient::submit_plan_traced`].
-    pub fn submit_sim_traced(
-        &self,
-        req: SimRequest,
-        trace: Option<Arc<RequestTrace>>,
-    ) -> Pending<SimResponse> {
-        let (reply, rx) = mpsc::channel();
-        let cancel = CancelToken::new();
-        let ticket = Ticket::for_deadline(cancel.clone(), req.deadline_ms);
-        let job = Job::Sim {
-            req,
-            ticket,
-            trace,
-            reply,
-        };
-        self.dispatch(job);
-        Pending { rx, cancel }
-    }
-
-    /// Simulates synchronously on the pool.
-    ///
-    /// # Errors
-    ///
-    /// The worker's verdict for this request.
-    pub fn sim(&self, req: SimRequest) -> Result<SimResponse, Error> {
-        self.submit_sim(req).wait()
-    }
-
-    /// Enqueues a replan request; returns immediately.
-    pub fn submit_replan(&self, req: ReplanRequest) -> Pending<ReplanResponse> {
-        self.submit_replan_traced(req, None)
-    }
-
-    /// [`ServiceClient::submit_replan`] carrying a request trace; see
-    /// [`ServiceClient::submit_plan_traced`].
-    pub fn submit_replan_traced(
-        &self,
-        req: ReplanRequest,
-        trace: Option<Arc<RequestTrace>>,
-    ) -> Pending<ReplanResponse> {
-        let (reply, rx) = mpsc::channel();
-        let cancel = CancelToken::new();
-        let ticket = Ticket::for_deadline(cancel.clone(), req.deadline_ms);
-        let job = Job::Replan {
-            req,
-            ticket,
-            trace,
-            reply,
-        };
-        self.dispatch(job);
-        Pending { rx, cancel }
-    }
-
-    /// Decides a replan synchronously on the pool.
-    ///
-    /// # Errors
-    ///
-    /// The worker's verdict for this request.
-    pub fn replan(&self, req: ReplanRequest) -> Result<ReplanResponse, Error> {
-        self.submit_replan(req).wait()
+        match self.submit_plan(req).wait()? {
+            Response::Plan(resp) => Ok(*resp),
+            _ => unreachable!("a plan request is answered by a plan response"),
+        }
     }
 
     /// Counters of the cache this service plans against.
@@ -275,17 +182,27 @@ impl ServiceClient<'_> {
         self.cache.stats()
     }
 
-    fn dispatch(&self, job: Job) {
-        // A send can only fail once every worker is gone; answer through the
-        // job's own reply channel so the Pending handle still resolves.
+    /// Enqueues `req`, to be answered exactly once through `reply`; returns
+    /// the request's cancellation token.
+    pub(crate) fn dispatch(
+        &self,
+        req: Request,
+        trace: Option<Arc<RequestTrace>>,
+        reply: impl FnOnce(Verdict) + Send + 'static,
+    ) -> CancelToken {
+        let cancel = CancelToken::new();
+        let job = Job {
+            ticket: Ticket::for_deadline(cancel.clone(), req.deadline_ms()),
+            req,
+            trace,
+            reply: Box::new(reply),
+        };
+        // A send fails only once every worker is gone; the job comes back,
+        // so it still answers through its own reply.
         if let Err(failed) = self.tx.send(job) {
-            const GONE: &str = "service workers are gone";
-            match failed.0 {
-                Job::Plan { reply, .. } => drop(reply.send(Err(Error::internal(GONE)))),
-                Job::Sim { reply, .. } => drop(reply.send(Err(Error::internal(GONE)))),
-                Job::Replan { reply, .. } => drop(reply.send(Err(Error::internal(GONE)))),
-            }
+            (failed.0.reply)(Err(Error::internal("service workers are gone")));
         }
+        cancel
     }
 }
 
@@ -342,77 +259,37 @@ fn worker_loop(
     observer: Option<&ServiceObserver>,
 ) {
     loop {
-        // Lock only around the recv so a worker deep in a plan never blocks
-        // its siblings' pickups.
-        let job = match rx.lock().expect("job queue lock").recv() {
-            Ok(job) => job,
-            Err(_) => return, // queue closed: service is shutting down
+        // Lock only around the recv (a statement, so the guard drops before
+        // the job runs) so a worker deep in a plan never blocks its
+        // siblings' pickups.
+        let Ok(job) = rx.lock().expect("job queue lock").recv() else {
+            return; // queue closed: service is shutting down
         };
         let picked = Instant::now();
         if let Some(obs) = observer {
             obs.job_started(idx);
         }
         let panic_dump = observer.map(|obs| (obs, cache));
-        match job {
-            Job::Plan {
-                req,
-                ticket,
-                trace,
-                reply,
-            } => {
-                if let Some(trace) = &trace {
-                    trace.begin_exec(idx);
-                }
-                let verdict = if matches!(req.strategy, SearchStrategy::Anytime { .. }) {
-                    let interrupt = ticket.cancel.search_interrupt();
-                    guarded_anytime(&ticket, panic_dump, || {
-                        cache.execute_plan_interruptible(&req, trace.as_deref(), Some(&interrupt))
-                    })
-                } else {
-                    guarded(&ticket, panic_dump, || {
-                        cache.execute_plan_traced(&req, trace.as_deref())
-                    })
-                };
-                if let Some(trace) = &trace {
-                    trace.end_exec();
-                }
-                drop(reply.send(verdict));
-            }
-            Job::Sim {
-                req,
-                ticket,
-                trace,
-                reply,
-            } => {
-                if let Some(trace) = &trace {
-                    trace.begin_exec(idx);
-                }
-                let verdict = guarded(&ticket, panic_dump, || {
-                    cache.execute_sim_traced(&req, trace.as_deref())
-                });
-                if let Some(trace) = &trace {
-                    trace.end_exec();
-                }
-                drop(reply.send(verdict));
-            }
-            Job::Replan {
-                req,
-                ticket,
-                trace,
-                reply,
-            } => {
-                if let Some(trace) = &trace {
-                    trace.begin_exec(idx);
-                }
-                let verdict = guarded(&ticket, panic_dump, || {
-                    cache.execute_replan_traced(&req, trace.as_deref())
-                });
-                if let Some(trace) = &trace {
-                    trace.end_exec();
-                }
-                drop(reply.send(verdict));
-            }
+        let (req, ticket, trace) = (&job.req, &job.ticket, job.trace.as_deref());
+        if let Some(trace) = trace {
+            trace.begin_exec(idx);
         }
+        let anytime = match req {
+            Request::Plan(plan) => matches!(plan.strategy, SearchStrategy::Anytime { .. }),
+            _ => false,
+        };
+        let verdict = if anytime {
+            let interrupt = ticket.cancel.search_interrupt();
+            guarded_anytime(ticket, panic_dump, || {
+                cache.execute(req, trace, Some(&interrupt))
+            })
+        } else {
+            guarded(ticket, panic_dump, || cache.execute(req, trace, None))
+        };
+        if let Some(trace) = trace {
+            trace.end_exec();
+        }
+        (job.reply)(verdict);
         if let Some(obs) = observer {
             obs.job_finished(idx, picked.elapsed().as_micros() as u64);
         }
@@ -431,10 +308,11 @@ fn guarded<T>(
     if ticket.cancel.is_cancelled() {
         return Err(Error::cancelled("request cancelled before pickup"));
     }
-    if let Some(deadline) = ticket.deadline {
-        if Instant::now() >= deadline {
-            return Err(Error::cancelled("deadline expired before pickup"));
-        }
+    if ticket
+        .deadline
+        .is_some_and(|deadline| Instant::now() >= deadline)
+    {
+        return Err(Error::cancelled("deadline expired before pickup"));
     }
     match run_caught(panic_dump, job) {
         Ok(_) if ticket.cancel.is_cancelled() => {
@@ -454,10 +332,11 @@ fn guarded_anytime<T>(
     panic_dump: Option<(&ServiceObserver, &WarmCache)>,
     job: impl FnOnce() -> Result<T, Error>,
 ) -> Result<T, Error> {
-    if let Some(deadline) = ticket.deadline {
-        if Instant::now() >= deadline {
-            ticket.cancel.cancel();
-        }
+    if ticket
+        .deadline
+        .is_some_and(|deadline| Instant::now() >= deadline)
+    {
+        ticket.cancel.cancel();
     }
     run_caught(panic_dump, job)
 }
@@ -495,6 +374,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReplanRequest;
 
     fn tiny(id: &str) -> PlanRequest {
         PlanRequest::builder("opt-6.7b")
@@ -551,9 +431,11 @@ mod tests {
     #[test]
     fn replan_requests_flow_through_the_pool() {
         PlannerService::run(ServiceOptions::default(), |client| {
-            let resp = client
-                .replan(ReplanRequest::of(tiny("r")).with_scenario("harsh", 5))
-                .expect("decides");
+            let req = ReplanRequest::of(tiny("r")).with_scenario("harsh", 5);
+            let verdict = client.submit(Request::Replan(req), None).wait();
+            let Ok(Response::Replan(resp)) = verdict else {
+                panic!("expected a replan response, got {verdict:?}");
+            };
             assert_eq!(resp.id, "r");
             assert_eq!(resp.decision, resp.outcome.decision);
             let stats = client.stats();
@@ -578,19 +460,5 @@ mod tests {
         ticket.cancel.cancel();
         let verdict: Result<(), Error> = guarded(&ticket, None, || Ok(()));
         assert!(matches!(verdict, Err(Error::Cancelled(_))));
-    }
-
-    #[test]
-    fn pending_try_wait_polls_without_blocking() {
-        PlannerService::run(ServiceOptions::default(), |client| {
-            let pending = client.submit_plan(tiny("poll"));
-            loop {
-                if let Some(verdict) = pending.try_wait() {
-                    assert!(verdict.is_ok());
-                    break;
-                }
-                thread::yield_now();
-            }
-        });
     }
 }

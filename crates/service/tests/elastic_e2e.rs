@@ -22,7 +22,8 @@ use std::time::Duration;
 use primepar_graph::ModelConfig;
 use primepar_search::{run_elastic, ElasticPolicy, Planner, PlannerOptions, ReplanOptions};
 use primepar_service::{
-    parse_frame, replan_request_json, serve_lines, Frame, PlanRequest, ReplanRequest, ServeOptions,
+    parse_frame, replan_request_json, serve_lines, Frame, PlanRequest, ReplanRequest, Request,
+    ServeOptions,
 };
 use primepar_sim::ElasticEvent;
 use primepar_topology::{AppliedPerturbation, Cluster};
@@ -167,7 +168,10 @@ fn served_replan_decisions_are_reproducible() {
     // The round-trip of the frame itself is lossless.
     let encoded = replan_request_json(&request).render();
     let parsed = parse_frame(&encoded).expect("parses");
-    assert_eq!(parsed.frame, Frame::Replan(request.clone()));
+    assert_eq!(
+        parsed.frame,
+        Frame::Request(Request::Replan(request.clone()))
+    );
 
     let first = serve_once();
     let second = serve_once();

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use primepar_search::SearchStrategy;
 use primepar_service::{
     parse_frame, replan_request_json, request_json, sim_request_json, Error, Frame, PlanRequest,
-    ReplanRequest, SimRequest, SERVICE_SCHEMA,
+    ReplanRequest, Request, SimRequest, SERVICE_SCHEMA,
 };
 
 const MODELS: [&str; 4] = ["opt-6.7b", "gpt3-13b", "opt-30b", "llama2-70b"];
@@ -65,7 +65,7 @@ proptest! {
     #[test]
     fn plan_frames_round_trip(req in plan_request_strategy()) {
         let parsed = parse_frame(&request_json(&req).render()).expect("parses");
-        prop_assert_eq!(parsed.frame, Frame::Plan(req));
+        prop_assert_eq!(parsed.frame, Frame::Request(Request::Plan(req)));
     }
 
     /// `sim` frames round-trip, sweep knobs included.
@@ -80,7 +80,7 @@ proptest! {
         let mut req = SimRequest::of(plan).with_sweep(PROFILES[profile_ix], scenarios, seed);
         req.recompute_activations = recompute == 1;
         let parsed = parse_frame(&sim_request_json(&req).render()).expect("parses");
-        prop_assert_eq!(parsed.frame, Frame::Sim(req));
+        prop_assert_eq!(parsed.frame, Frame::Request(Request::Sim(req)));
     }
 
     /// `replan` frames (new in v2) round-trip, scenario identity — profile,
@@ -99,7 +99,7 @@ proptest! {
             .with_lambda(lambda)
             .with_horizon(horizon);
         let parsed = parse_frame(&replan_request_json(&req).render()).expect("parses");
-        prop_assert_eq!(parsed.frame, Frame::Replan(req));
+        prop_assert_eq!(parsed.frame, Frame::Request(Request::Replan(req)));
     }
 
     /// The same frame tagged v1, or untagged, is a protocol error that

@@ -82,7 +82,9 @@ cmp "$artifacts/robustness1.txt" "$artifacts/robustness2.txt" \
 echo "== service smoke (Table 2 point: OPT-6.7B, 16 devices) =="
 # Two identical requests through one `primepar serve` session: the second
 # must be answered from the whole-plan memo, and both served plans must be
-# byte-identical to a direct `plan --save` of the same point.
+# byte-identical to a direct `plan --save` of the same point. Every serve
+# session here runs under `timeout 120`: the serve loop blocks on one inbox
+# until each request's reply arrives, so a lost reply fails CI, not hangs it.
 ./target/release/primepar plan --model opt-6.7b --devices 16 \
     --save "$artifacts/direct.plan.txt" >/dev/null
 frame='{"schema_version":"primepar.service.v2","type":"plan","id":"ID","model":"opt-6.7b","devices":16,"batch":8,"seq":2048}'
@@ -90,7 +92,7 @@ frame='{"schema_version":"primepar.service.v2","type":"plan","id":"ID","model":"
     printf '%s\n' "${frame/ID/r1}"
     printf '%s\n' "${frame/ID/r2}"
     printf '{"schema_version":"primepar.service.v2","type":"shutdown"}\n'
-} | ./target/release/primepar serve --workers 1 --plan-dir "$artifacts/served" \
+} | timeout 120 ./target/release/primepar serve --workers 1 --plan-dir "$artifacts/served" \
     >"$artifacts/serve.out" 2>"$artifacts/serve.err"
 cmp "$artifacts/direct.plan.txt" "$artifacts/served/r1.plan.txt" \
     || { echo "served r1 plan differs from direct optimize()" >&2; exit 1; }
@@ -113,10 +115,10 @@ echo "== cache persistence smoke (warm memo across serve restarts) =="
 # answer the same request as a memo hit with a byte-identical plan artifact.
 frame='{"schema_version":"primepar.service.v2","type":"plan","id":"ID","model":"opt-6.7b","devices":4,"seq":512,"layers":2}'
 printf '%s\n' "${frame/ID/c1}" \
-    | ./target/release/primepar serve --workers 1 --plan-dir "$artifacts/persist1" \
+    | timeout 120 ./target/release/primepar serve --workers 1 --plan-dir "$artifacts/persist1" \
         --cache-file "$artifacts/warm.cache.json" >"$artifacts/persist1.out"
 printf '%s\n' "${frame/ID/c2}" \
-    | ./target/release/primepar serve --workers 1 --plan-dir "$artifacts/persist2" \
+    | timeout 120 ./target/release/primepar serve --workers 1 --plan-dir "$artifacts/persist2" \
         --cache-file "$artifacts/warm.cache.json" >"$artifacts/persist2.out"
 grep -q '"plan_cache_hit":true' "$artifacts/persist2.out" \
     || { echo "restored cache did not serve a memo hit" >&2; exit 1; }
@@ -134,7 +136,7 @@ frame='{"schema_version":"primepar.service.v2","type":"plan","id":"t1","model":"
     printf '%s\n' "$frame"
     printf '{"schema_version":"primepar.service.v2","type":"stats","trace_id":"ci-stats-1"}\n'
     printf '{"schema_version":"primepar.service.v2","type":"shutdown"}\n'
-} | ./target/release/primepar serve --workers 1 --slow-ms 30000 \
+} | timeout 120 ./target/release/primepar serve --workers 1 --slow-ms 30000 \
     --plan-dir "$artifacts/traced" \
     --event-log "$artifacts/serve.events.jsonl" \
     --trace-out "$artifacts/serve.trace.json" \
@@ -158,7 +160,7 @@ for run in 1 2; do
     {
         printf '%s\n' "$det_frame"
         printf '{"schema_version":"primepar.service.v2","type":"shutdown"}\n'
-    } | ./target/release/primepar serve --workers 1 --logical-clock \
+    } | timeout 120 ./target/release/primepar serve --workers 1 --logical-clock \
         --event-log "$artifacts/det$run.events.jsonl" >/dev/null
 done
 cmp "$artifacts/det1.events.jsonl" "$artifacts/det2.events.jsonl" \
