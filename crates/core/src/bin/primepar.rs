@@ -41,13 +41,13 @@ use primepar::graph::ModelConfig;
 use primepar::partition::{PartitionSeq, Primitive};
 use primepar::search::PlannerMetrics;
 use primepar::search::{
-    best_megatron, explain_plan, parse_plan, render_plan, score_robustness, Planner,
-    PlannerOptions, SearchStrategy, SpaceOptions,
+    best_megatron, explain_plan, parse_plan, render_plan, Planner, PlannerOptions, SearchStrategy,
+    SpaceOptions,
 };
 use primepar::sim::ModelReport;
 use primepar::sim::{
-    render_gantt, robustness_json, robustness_metrics, simulate_layer, simulate_model,
-    RobustnessOptions,
+    render_gantt, robustness_json, robustness_metrics, robustness_sweep, simulate_layer,
+    simulate_model, RobustnessOptions,
 };
 use primepar::tensor::Tensor;
 use primepar::topology::{Cluster, PerturbationModel};
@@ -65,16 +65,14 @@ impl Args {
         self.0.iter().any(|a| a == name)
     }
 
-    fn value(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
+    /// The token after `name`, if the flag is present. A flag given as the
+    /// last token has no value, which is a config error naming it.
+    fn value(&self, name: &str) -> Result<Option<&str>, Error> {
+        Ok(self.values(name)?.into_iter().next())
     }
 
     fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, Error> {
-        match self.value(name) {
+        match self.value(name)? {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -83,13 +81,17 @@ impl Args {
     }
 
     /// All values of a repeatable flag.
-    fn values(&self, name: &str) -> Vec<&str> {
+    fn values(&self, name: &str) -> Result<Vec<&str>, Error> {
         self.0
             .iter()
             .enumerate()
             .filter(|(_, a)| *a == name)
-            .filter_map(|(i, _)| self.0.get(i + 1))
-            .map(String::as_str)
+            .map(|(i, _)| {
+                self.0
+                    .get(i + 1)
+                    .map(String::as_str)
+                    .ok_or_else(|| Error::config(format!("{name} needs a value")))
+            })
             .collect()
     }
 }
@@ -197,8 +199,8 @@ fn run() -> Result<(), Error> {
             let batch: u64 = args.parse("--batch", 8)?;
             let seq: u64 = args.parse("--seq", 2048)?;
             let alpha: f64 = args.parse("--alpha", 0.0)?;
-            let system = args.value("--system").unwrap_or("primepar").to_lowercase();
-            let strategy = match args.value("--strategy") {
+            let system = args.value("--system")?.unwrap_or("primepar").to_lowercase();
+            let strategy = match args.value("--strategy")? {
                 None => SearchStrategy::default(),
                 Some(text) => text
                     .parse::<SearchStrategy>()
@@ -206,7 +208,7 @@ fn run() -> Result<(), Error> {
             };
             let cluster = cluster_for(devices)?;
             let graph = model.layer_graph(batch, seq);
-            if let Some(path) = args.value("--plan") {
+            if let Some(path) = args.value("--plan")? {
                 // Load a saved plan instead of searching.
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| Error::internal(format!("cannot read {path}: {e}")))?;
@@ -267,7 +269,7 @@ fn run() -> Result<(), Error> {
             };
             let mut seqs = seqs;
             // Manual strategy overrides: --set fc2=N.P2x2 ('.' separates tokens).
-            for spec in args.values("--set") {
+            for spec in args.values("--set")? {
                 let (op_name, text) = spec
                     .split_once('=')
                     .ok_or_else(|| Error::config(format!("--set expects op=SEQ, got {spec}")))?;
@@ -299,7 +301,7 @@ fn run() -> Result<(), Error> {
                 report.tokens_per_second,
                 report.peak_memory_bytes / 1e9
             );
-            if let Some(path) = args.value("--save") {
+            if let Some(path) = args.value("--save")? {
                 std::fs::write(path, render_plan(&graph, &seqs))
                     .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
                 println!("plan saved to {path}");
@@ -350,22 +352,15 @@ fn run() -> Result<(), Error> {
             );
             // Optional robustness re-ranking under seeded fault & variance
             // scenarios (--perturb-scenarios enables it).
-            let scenarios: usize = args.parse("--perturb-scenarios", 0)?;
+            let (profile, opts) = robustness_options(&args, 0)?;
             let mut robust = primepar::obs::Metrics::new();
-            if scenarios > 0 {
-                let (profile, perturb) = perturb_profile(&args)?;
-                let opts = RobustnessOptions {
-                    model: perturb,
-                    scenarios,
-                    base_seed: args.parse("--perturb-seed", 42)?,
-                    ..RobustnessOptions::default()
-                };
+            if opts.scenarios > 0 {
                 let cluster = cluster_for(devices)?;
                 let graph = model.layer_graph(batch, seq);
                 println!(
                     "\nrobustness under the {profile} variance model \
-                     ({scenarios} scenarios, seed {}):",
-                    opts.base_seed
+                     ({} scenarios, seed {}):",
+                    opts.scenarios, opts.base_seed
                 );
                 println!(
                     "{:<10} {:>11} {:>11} {:>14}",
@@ -373,7 +368,7 @@ fn run() -> Result<(), Error> {
                 );
                 robust.text("sim.robustness.profile", profile);
                 for r in &rows {
-                    let s = score_robustness(&cluster, &graph, &r.plan, &opts);
+                    let s = robustness_sweep(&cluster, &graph, &r.plan, &opts);
                     println!(
                         "{:<10} {:>11.2} {:>11.2} {:>13.2}x",
                         r.system,
@@ -403,14 +398,14 @@ fn run() -> Result<(), Error> {
                 batch,
                 seq,
             };
-            if let Some(path) = args.value("--metrics-json") {
+            if let Some(path) = args.value("--metrics-json")? {
                 let mut metrics = compare_metrics(&run, &rows);
                 metrics.merge(&robust);
                 primepar::write_metrics_json(path, &metrics)
                     .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
                 println!("metrics written to {path}");
             }
-            if let Some(path) = args.value("--chrome-trace") {
+            if let Some(path) = args.value("--chrome-trace")? {
                 let cluster = cluster_for(devices)?;
                 let graph = model.layer_graph(batch, seq);
                 let layer = simulate_layer(&cluster, &graph, &prime.plan);
@@ -465,17 +460,16 @@ fn run() -> Result<(), Error> {
         }
         "sweep" => {
             let model = required_model(&args)?;
-            let list = args.value("--devices").unwrap_or("2,4,8,16");
+            let list = args.value("--devices")?.unwrap_or("2,4,8,16");
             let batch: u64 = args.parse("--batch", 8)?;
             let seq: u64 = args.parse("--seq", 2048)?;
-            let scenarios: usize = args.parse("--perturb-scenarios", 0)?;
-            let perturb_seed: u64 = args.parse("--perturb-seed", 42)?;
+            let (profile, opts) = robustness_options(&args, 0)?;
             println!("{} scaling sweep\n", model.name);
-            if scenarios > 0 {
-                let (profile, _) = perturb_profile(&args)?;
+            if opts.scenarios > 0 {
                 println!(
                     "(robustness columns: {profile} variance model, \
-                     {scenarios} scenarios, seed {perturb_seed})\n"
+                     {} scenarios, seed {})\n",
+                    opts.scenarios, opts.base_seed
                 );
                 println!(
                     "{:>8} {:>14} {:>14} {:>9} {:>13} {:>13} {:>12}",
@@ -524,16 +518,9 @@ fn run() -> Result<(), Error> {
                     (batch * seq) as f64,
                 );
                 let p = format!("sweep.{devices:02}");
-                if scenarios > 0 {
-                    let (_, perturb) = perturb_profile(&args)?;
-                    let opts = RobustnessOptions {
-                        model: perturb,
-                        scenarios,
-                        base_seed: perturb_seed,
-                        ..RobustnessOptions::default()
-                    };
-                    let mega_s = score_robustness(&cluster, &graph, &mega_plan, &opts);
-                    let prime_s = score_robustness(&cluster, &graph, &plan.seqs, &opts);
+                if opts.scenarios > 0 {
+                    let mega_s = robustness_sweep(&cluster, &graph, &mega_plan, &opts);
+                    let prime_s = robustness_sweep(&cluster, &graph, &plan.seqs, &opts);
                     println!(
                         "{devices:>8} {:>14.0} {:>14.0} {:>8.2}x {:>13.2} {:>13.2} {:>11.2}x",
                         mega.tokens_per_second,
@@ -574,12 +561,12 @@ fn run() -> Result<(), Error> {
                 );
                 last_prime_layer = Some(prime.layer);
             }
-            if let Some(path) = args.value("--metrics-json") {
+            if let Some(path) = args.value("--metrics-json")? {
                 primepar::write_metrics_json(path, &metrics)
                     .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
                 println!("metrics written to {path}");
             }
-            if let Some(path) = args.value("--chrome-trace") {
+            if let Some(path) = args.value("--chrome-trace")? {
                 let layer =
                     last_prime_layer.ok_or_else(|| Error::config("empty --devices list"))?;
                 primepar::write_layer_chrome_trace(path, &layer)
@@ -594,7 +581,7 @@ fn run() -> Result<(), Error> {
             let batch: u64 = args.parse("--batch", 8)?;
             let seq: u64 = args.parse("--seq", 2048)?;
             let alpha: f64 = args.parse("--alpha", 0.0)?;
-            let system = args.value("--system").unwrap_or("primepar").to_lowercase();
+            let system = args.value("--system")?.unwrap_or("primepar").to_lowercase();
             let cluster = cluster_for(devices)?;
             let graph = if args.flag("--mlp-block") {
                 model.mlp_block_graph(batch, seq)
@@ -618,7 +605,7 @@ fn run() -> Result<(), Error> {
             println!("{} {block} on {devices} GPUs — {system} plan\n", model.name);
             let audit = audit_layer(&cluster, &graph, &seqs, alpha);
             print!("{}", render_audit(&audit));
-            if let Some(path) = args.value("--metrics-json") {
+            if let Some(path) = args.value("--metrics-json")? {
                 let mut m = primepar::obs::Metrics::new();
                 m.text("run.model", model.name);
                 m.text("run.system", &system);
@@ -638,17 +625,10 @@ fn run() -> Result<(), Error> {
             let devices: usize = args.parse("--devices", 8)?;
             let batch: u64 = args.parse("--batch", 8)?;
             let seq: u64 = args.parse("--seq", 2048)?;
-            let scenarios: usize = args.parse("--perturb-scenarios", 16)?;
-            if scenarios == 0 {
+            let (profile, opts) = robustness_options(&args, 16)?;
+            if opts.scenarios == 0 {
                 return Err(Error::config("--perturb-scenarios must be > 0"));
             }
-            let (profile, perturb) = perturb_profile(&args)?;
-            let opts = RobustnessOptions {
-                model: perturb,
-                scenarios,
-                base_seed: args.parse("--perturb-seed", 42)?,
-                ..RobustnessOptions::default()
-            };
             let cluster = cluster_for(devices)?;
             let (graph, block) = if args.flag("--mlp-block") {
                 (model.mlp_block_graph(batch, seq), "MLP block")
@@ -657,15 +637,15 @@ fn run() -> Result<(), Error> {
             };
             println!(
                 "{} {block} on {devices} GPUs — {profile} variance model, \
-                 {scenarios} scenarios (seed {})\n",
-                model.name, opts.base_seed
+                 {} scenarios (seed {})\n",
+                model.name, opts.scenarios, opts.base_seed
             );
             let (mega_plan, (d, m), _) = best_megatron(&cluster, &graph, 0.0);
             let prime_plan = Planner::new(&cluster, &graph, PlannerOptions::default())
                 .optimize(model.layers)
                 .seqs;
-            let mega = score_robustness(&cluster, &graph, &mega_plan, &opts);
-            let prime = score_robustness(&cluster, &graph, &prime_plan, &opts);
+            let mega = robustness_sweep(&cluster, &graph, &mega_plan, &opts);
+            let prime = robustness_sweep(&cluster, &graph, &prime_plan, &opts);
             println!(
                 "{:<22} {:>10} {:>10} {:>10} {:>10} {:>10} {:>14}",
                 "system", "ideal ms", "min ms", "median ms", "p95 ms", "max ms", "mean slowdown"
@@ -677,15 +657,15 @@ fn run() -> Result<(), Error> {
                 println!(
                     "{name:<22} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>13.2}x",
                     s.ideal_makespan * 1e3,
-                    s.report.min_makespan * 1e3,
-                    s.report.median_makespan * 1e3,
+                    s.min_makespan * 1e3,
+                    s.median_makespan * 1e3,
                     s.p95_makespan * 1e3,
-                    s.report.max_makespan * 1e3,
+                    s.max_makespan * 1e3,
                     s.mean_slowdown
                 );
             }
             let ideal_prime_wins = prime.ideal_makespan < mega.ideal_makespan;
-            let perturbed_prime_wins = prime.score < mega.score;
+            let perturbed_prime_wins = prime.p95_makespan < mega.p95_makespan;
             println!(
                 "\nideal ranking:      {}  ({:.2}x)",
                 if ideal_prime_wins {
@@ -702,7 +682,7 @@ fn run() -> Result<(), Error> {
                 } else {
                     "Megatron <= PrimePar"
                 },
-                mega.score / prime.score
+                mega.p95_makespan / prime.p95_makespan
             );
             let flipped = ideal_prime_wins != perturbed_prime_wins;
             if flipped {
@@ -712,7 +692,7 @@ fn run() -> Result<(), Error> {
                      pay it once per\nphase (DESIGN.md §9)."
                 );
             }
-            if let Some(path) = args.value("--metrics-json") {
+            if let Some(path) = args.value("--metrics-json")? {
                 let mut metrics = primepar::obs::Metrics::new();
                 metrics.text("run.model", model.name);
                 metrics.text("run.system", "robustness");
@@ -738,13 +718,13 @@ fn run() -> Result<(), Error> {
                         s.mean_slowdown,
                     );
                 }
-                metrics.merge(&robustness_metrics(&prime.report));
+                metrics.merge(&robustness_metrics(&prime));
                 primepar::write_metrics_json(path, &metrics)
                     .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
                 println!("metrics written to {path}");
             }
-            if let Some(path) = args.value("--report-json") {
-                std::fs::write(path, robustness_json(&prime.report).render())
+            if let Some(path) = args.value("--report-json")? {
+                std::fs::write(path, robustness_json(&prime).render())
                     .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
                 println!("robustness report written to {path}");
             }
@@ -799,7 +779,7 @@ fn run() -> Result<(), Error> {
                 resp.outcome.migration_seconds,
                 resp.fingerprint
             );
-            if let Some(path) = args.value("--metrics-json") {
+            if let Some(path) = args.value("--metrics-json")? {
                 let mut m = primepar::obs::Metrics::new();
                 m.text("run.model", model.name);
                 m.text("run.system", "replan");
@@ -831,7 +811,7 @@ fn run() -> Result<(), Error> {
             Ok(())
         }
         "validate" => {
-            let dirs = args.values("--dir");
+            let dirs = args.values("--dir")?;
             let dirs: Vec<&str> = if dirs.is_empty() {
                 vec!["results"]
             } else {
@@ -862,14 +842,14 @@ fn run() -> Result<(), Error> {
         }
         "serve" => {
             let workers: usize = args.parse("--workers", 2)?;
-            let plan_dir = args.value("--plan-dir").map(PathBuf::from);
+            let plan_dir = args.value("--plan-dir")?.map(PathBuf::from);
             if let Some(dir) = &plan_dir {
                 std::fs::create_dir_all(dir).map_err(|e| {
                     Error::internal(format!("cannot create {}: {e}", dir.display()))
                 })?;
             }
-            let cache_file = args.value("--cache-file").map(PathBuf::from);
-            let slow_ms = match args.value("--slow-ms") {
+            let cache_file = args.value("--cache-file")?.map(PathBuf::from);
+            let slow_ms = match args.value("--slow-ms")? {
                 None => None,
                 Some(v) => Some(
                     v.parse()
@@ -880,13 +860,13 @@ fn run() -> Result<(), Error> {
                 workers,
                 plan_dir,
                 cache_file,
-                event_log: args.value("--event-log").map(PathBuf::from),
-                trace_out: args.value("--trace-out").map(PathBuf::from),
-                stats_out: args.value("--stats-out").map(PathBuf::from),
+                event_log: args.value("--event-log")?.map(PathBuf::from),
+                trace_out: args.value("--trace-out")?.map(PathBuf::from),
+                stats_out: args.value("--stats-out")?.map(PathBuf::from),
                 slow_ms,
                 logical_clock: args.flag("--logical-clock"),
             };
-            if let Some(path) = args.value("--socket") {
+            if let Some(path) = args.value("--socket")? {
                 #[cfg(unix)]
                 {
                     eprintln!("primepar serve: listening on {path} ({workers} workers)");
@@ -932,13 +912,13 @@ fn write_observability(
     planner: Option<&PlannerMetrics>,
     report: &ModelReport,
 ) -> Result<(), Error> {
-    if let Some(path) = args.value("--metrics-json") {
+    if let Some(path) = args.value("--metrics-json")? {
         let metrics = run_metrics(run, planner, Some(report));
         primepar::write_metrics_json(path, &metrics)
             .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
         println!("metrics written to {path}");
     }
-    if let Some(path) = args.value("--chrome-trace") {
+    if let Some(path) = args.value("--chrome-trace")? {
         primepar::write_layer_chrome_trace(path, &report.layer)
             .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
         println!("chrome trace written to {path}");
@@ -946,9 +926,23 @@ fn write_observability(
     Ok(())
 }
 
+/// The seeded variance sweep of `--perturb-scenarios` (default `scenarios`),
+/// `--perturb-seed` (default 42) and `--perturb-profile`, with the profile's
+/// name.
+fn robustness_options(args: &Args, scenarios: usize) -> Result<(&str, RobustnessOptions), Error> {
+    let (profile, model) = perturb_profile(args)?;
+    let opts = RobustnessOptions {
+        model,
+        scenarios: args.parse("--perturb-scenarios", scenarios)?,
+        base_seed: args.parse("--perturb-seed", 42)?,
+        ..RobustnessOptions::default()
+    };
+    Ok((profile, opts))
+}
+
 /// Resolves `--perturb-profile` (default `mild`) to a named variance model.
 fn perturb_profile(args: &Args) -> Result<(&str, PerturbationModel), Error> {
-    match args.value("--perturb-profile").unwrap_or("mild") {
+    match args.value("--perturb-profile")?.unwrap_or("mild") {
         "ideal" => Ok(("ideal", PerturbationModel::ideal())),
         "mild" => Ok(("mild", PerturbationModel::mild())),
         "harsh" => Ok(("harsh", PerturbationModel::harsh())),
@@ -960,7 +954,7 @@ fn perturb_profile(args: &Args) -> Result<(&str, PerturbationModel), Error> {
 
 fn required_model(args: &Args) -> Result<ModelConfig, Error> {
     let name = args
-        .value("--model")
+        .value("--model")?
         .ok_or_else(|| Error::config("missing --model"))?;
     ModelConfig::by_name(name).ok_or_else(|| {
         Error::config(format!(

@@ -106,5 +106,5 @@
 //! ```
 //!
 //! From here: [`crate::compare_systems`] reproduces the paper's Fig. 7/8
-//! comparisons, the `primepar-bench` binaries regenerate every figure, and
-//! `EXPERIMENTS.md` records paper-vs-measured.
+//! comparisons, the `primepar-bench` crate's `figures` binary regenerates
+//! every figure, and `EXPERIMENTS.md` records paper-vs-measured.

@@ -401,6 +401,18 @@ mod tests {
     }
 
     #[test]
+    fn mlp_block_structure() {
+        let g = ModelConfig::opt_175b().mlp_block_graph(8, 2048);
+        assert_eq!(g.ops.len(), 6);
+        assert_eq!(g.ops[2].name, "fc1");
+        assert_eq!(g.ops[4].name, "fc2");
+        // Residual skip add1 -> add2 survives reindexing as (0, 5).
+        assert!(g.edges.iter().any(|e| e.src == 0 && e.dst == 5));
+        assert_eq!(g.segments(), vec![(0, 5)]);
+        g.validate_segmentation();
+    }
+
+    #[test]
     fn full_graph_structure() {
         let cfg = ModelConfig::opt_6_7b();
         let g = cfg.full_graph(4, 256, 2);

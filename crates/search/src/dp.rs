@@ -25,13 +25,6 @@ type SharedSpaces = Vec<Arc<Vec<PartitionSeq>>>;
 /// Per-node per-state vectors (intra cost, memory), shared the same way.
 type SharedVecs = Vec<Arc<Vec<f64>>>;
 
-/// Emits a `[dp] stage: duration` line when `PRIMEPAR_DP_TRACE` is set.
-fn dp_trace(stage: &str, elapsed: Duration) {
-    if std::env::var("PRIMEPAR_DP_TRACE").is_ok() {
-        eprintln!("[dp] {stage}: {elapsed:?}");
-    }
-}
-
 /// Upper bound on the relative optimality gap from an intra-only lower
 /// bound: `lb ≤ exact ≤ best` gives `(best − exact)/best ≤ (best − lb)/best`,
 /// clamped into `[0, 1]` (degenerate bounds report the vacuous `1.0`).
@@ -442,7 +435,6 @@ impl<'a> Planner<'a> {
         tm.intra_evaluations += ctx.intra_evaluations();
         tm.spaces_intra_seconds += t0.elapsed().as_secs_f64();
 
-        dp_trace("spaces+intra", t0.elapsed());
         let segments = self.graph.segments();
         let mut endpoint = vec![false; spaces.len()];
         for &(s, e) in &segments {
@@ -530,7 +522,6 @@ impl<'a> Planner<'a> {
         }
         tm.beam_seconds += tb.elapsed().as_secs_f64();
 
-        dp_trace("beam", tb.elapsed());
         let t1 = Instant::now();
         // 2. Edge-cost matrices, summed per (src, dst) pair into the flat
         // columnar arena. Whole matrices dedup by the precomputed
@@ -560,8 +551,7 @@ impl<'a> Planner<'a> {
                 cache.note_matrix(true);
             }
         }
-        dp_trace("edge prepare", t1.elapsed());
-        let t_sweep = Instant::now();
+        tm.edge_prepare_seconds += t1.elapsed().as_secs_f64();
         // Warm pre-fill: matrices a previous run interned under the same
         // scope are reused byte-for-byte; only the rest compute. With no
         // warm cache every slot is pending and this is the full sweep.
@@ -614,7 +604,6 @@ impl<'a> Planner<'a> {
             }
             tm.thread_busy_seconds[0] += sweep.elapsed().as_secs_f64();
         }
-        dp_trace("edge sweep", t_sweep.elapsed());
         if let (Some(w), Some(sc)) = (warm, warm_scope) {
             for &slot in &pending {
                 let m = unique[slot].as_ref().expect("computed").clone();
@@ -632,7 +621,6 @@ impl<'a> Planner<'a> {
         tm.edge_evaluations += ctx.inter_evaluations();
         tm.edge_matrices_seconds += t1.elapsed().as_secs_f64();
 
-        dp_trace("edge matrices", t1.elapsed());
         let tp = Instant::now();
         // 2b. Dominance pruning: drop interior states an earlier state
         // dominates on (intra, memory, every incident edge row/column), then
@@ -690,7 +678,6 @@ impl<'a> Planner<'a> {
         }
         tm.prune_seconds += tp.elapsed().as_secs_f64();
 
-        dp_trace("prune", tp.elapsed());
         let t2 = Instant::now();
         // 3. Segment DP (Eqs. 11-12). Backtrack choice planes append-allocate
         // from one shared arena.
@@ -714,7 +701,6 @@ impl<'a> Planner<'a> {
         }
         tm.segment_dp_seconds += t2.elapsed().as_secs_f64();
 
-        dp_trace("segment DP", t2.elapsed());
         let t3 = Instant::now();
         // 4. Merge segments left to right (Eq. 13).
         let mut merged = tables.remove(0);
@@ -735,7 +721,6 @@ impl<'a> Planner<'a> {
         }
         tm.merge_seconds += t3.elapsed().as_secs_f64();
 
-        dp_trace("merges", t3.elapsed());
         let t4 = Instant::now();
         // 5. Compose layers by min-plus doubling (Eq. 14). Boundary nodes of
         // consecutive layers coincide, so the shared node's intra cost is
@@ -781,8 +766,6 @@ impl<'a> Planner<'a> {
             col_star = idx % merged.cols;
             layer_cost = best;
         }
-
-        dp_trace("min-plus chain", t4.elapsed());
         // 6. Backtrack per-operator states for the chosen endpoint pair.
         let mut states = vec![usize::MAX; self.graph.ops.len()];
         states[first] = row_star;
@@ -1033,6 +1016,16 @@ mod tests {
     use super::*;
     use crate::operator_space;
     use primepar_graph::ModelConfig;
+
+    #[test]
+    fn edge_prepare_is_timed_inside_the_edge_stage() {
+        let cluster = Cluster::v100_like(4);
+        let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
+        let (_, tm) =
+            Planner::new(&cluster, &graph, PlannerOptions::default()).optimize_instrumented(4);
+        assert!(tm.edge_prepare_seconds > 0.0);
+        assert!(tm.edge_prepare_seconds <= tm.edge_matrices_seconds);
+    }
 
     #[test]
     fn optimizer_runs_and_improves_on_naive_dp() {

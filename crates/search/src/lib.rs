@@ -13,8 +13,6 @@
 //!   (§6.1's enumeration).
 //! * [`alpa_plan`] — the Alpa stand-in: the same optimal search restricted to
 //!   the conventional (spatial-only) partition space.
-//! * [`score_robustness`] — re-rank finished plans under seeded fault &
-//!   variance sweeps (tail-latency score over [`primepar_sim`] scenarios).
 //! * [`replan`] / [`run_elastic`] — online re-planning: the costed
 //!   `Stay / Patch / FullReplan` migration decision for an observed
 //!   fault/variance scenario, and the elastic timeline driver racing it
@@ -44,7 +42,6 @@ mod plan_io;
 mod prune;
 mod replan;
 mod report;
-mod robustness;
 mod space;
 mod strategy;
 mod telemetry;
@@ -58,7 +55,6 @@ pub use replan::{
     ReplanOptions, ReplanOutcome,
 };
 pub use report::explain_plan;
-pub use robustness::{score_robustness, RobustnessScore};
 pub use space::{operator_space, SpaceCache, SpaceOptions};
 pub use strategy::{SearchInterrupt, SearchStrategy};
 pub use telemetry::{PlannerMetrics, SegmentMetrics};

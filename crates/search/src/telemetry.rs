@@ -102,6 +102,10 @@ pub struct PlannerMetrics {
     pub prune_seconds: f64,
     /// Stage 2 (edge-cost matrices) wall seconds.
     pub edge_matrices_seconds: f64,
+    /// The part of [`edge_matrices_seconds`](Self::edge_matrices_seconds)
+    /// spent preparing the unique matrices (side profiles and direction
+    /// tables) before the cell sweep; the rest is the sweep itself.
+    pub edge_prepare_seconds: f64,
     /// Stage 3 (per-segment Bellman sweeps) wall seconds.
     pub segment_dp_seconds: f64,
     /// Stage 4 (segment merges) wall seconds.
@@ -181,6 +185,10 @@ impl PlannerMetrics {
         m.record_seconds(
             "planner.stage.edge_matrices_seconds",
             self.edge_matrices_seconds,
+        );
+        m.record_seconds(
+            "planner.stage.edge_prepare_seconds",
+            self.edge_prepare_seconds,
         );
         m.record_seconds("planner.stage.segment_dp_seconds", self.segment_dp_seconds);
         m.record_seconds("planner.stage.merge_seconds", self.merge_seconds);
@@ -272,6 +280,7 @@ mod tests {
             spaces_intra_seconds: 0.5,
             prune_seconds: 0.1,
             edge_matrices_seconds: 1.0,
+            edge_prepare_seconds: 0.75,
             segment_dp_seconds: 1.0,
             merge_seconds: 0.0,
             compose_seconds: 0.0,
@@ -333,6 +342,7 @@ mod tests {
             Some((1u64 << 20) as f64)
         );
         assert!(m.timer_seconds("planner.stage.prune_seconds") > 0.0);
+        assert_eq!(m.timer_seconds("planner.stage.edge_prepare_seconds"), 0.75);
         assert!(m.timer_seconds("planner.stage.segment_dp_seconds") > 0.0);
         assert_eq!(m.gauge_value("planner.space.01.fc1.size"), Some(17.0));
         assert_eq!(m.gauge_value("planner.segment.00.rows"), Some(4.0));

@@ -195,8 +195,9 @@ cmp "$artifacts/anytime1.plan.txt" "$artifacts/anytime2.plan.txt" \
 echo "== elastic smoke (replan decision + degradation timeline, determinism) =="
 # The costed replan decision and the seeded degradation-timeline study must
 # both be bit-reproducible: two same-seed runs write byte-identical decision
-# transcripts, decision metrics, and results/replan.metrics.json. The bench
-# bin itself asserts the elastic loop strictly beats both static extremes.
+# transcripts, decision metrics, and results/replan.metrics.json. The
+# `figures replan` study itself asserts the elastic loop strictly beats both
+# static extremes.
 for run in 1 2; do
     ./target/release/primepar replan --model opt-6.7b --devices 8 \
         --batch 8 --seq 256 --layers 2 \
@@ -213,7 +214,7 @@ grep -q 'decision: replan' "$artifacts/replan1.txt" \
     || { echo "harsh seed 13 must decide a full replan" >&2; exit 1; }
 for run in 1 2; do
     mkdir -p "$artifacts/elastic$run"
-    ./target/release/replan --out-dir "$artifacts/elastic$run" \
+    ./target/release/figures replan --out-dir "$artifacts/elastic$run" \
         | grep -v ' written to ' >"$artifacts/elastic$run.txt" \
         || { echo "elastic timeline study failed (loop must beat both extremes)" >&2; exit 1; }
 done
@@ -222,17 +223,29 @@ cmp "$artifacts/elastic1.txt" "$artifacts/elastic2.txt" \
 ./target/release/primepar validate --dir "$artifacts"
 ./target/release/primepar validate --dir "$artifacts/elastic1"
 
-echo "== committed sim artifacts (bench bins reproduce results/ byte for byte) =="
+echo "== committed artifacts (figures reproduce results/ byte for byte) =="
 # Any bit a simulator or planner change moves in the committed robustness
-# study or elastic timeline fails here; regenerate results/ deliberately.
+# study, elastic timeline or figure tables fails here; regenerate results/
+# deliberately.
 mkdir -p "$artifacts/robustness"
-./target/release/robustness --out-dir "$artifacts/robustness" >/dev/null \
+./target/release/figures robustness --out-dir "$artifacts/robustness" >/dev/null \
     || { echo "robustness study failed" >&2; exit 1; }
 cmp "$artifacts/robustness/robustness.metrics.json" results/robustness.metrics.json \
     || { echo "robustness.metrics.json differs from results/" >&2; exit 1; }
 for run in 1 2; do
     cmp "$artifacts/elastic$run/replan.metrics.json" results/replan.metrics.json \
         || { echo "replan.metrics.json (run $run) differs from results/" >&2; exit 1; }
+done
+# The deterministic figure tables (stdout minus the "written to" lines).
+# ablations.txt and table2_opt_time.txt carry wall-clock timings, so they
+# are not pinned.
+mkdir -p "$artifacts/figures"
+for name in fig2_motivation fig7_throughput fig8_memory fig9_ablation fig10_3d; do
+    ./target/release/figures "$name" --out-dir "$artifacts/figures" \
+        | grep -v ' written to ' >"$artifacts/figures/$name.txt" \
+        || { echo "figure $name failed" >&2; exit 1; }
+    cmp "$artifacts/figures/$name.txt" "results/$name.txt" \
+        || { echo "$name output differs from results/$name.txt" >&2; exit 1; }
 done
 
 echo "== cargo doc (whole workspace, -D warnings) =="

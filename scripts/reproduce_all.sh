@@ -9,11 +9,12 @@ QUICK="${1:-}"
 run() {
   local name="$1"; shift
   echo "== $name =="
-  cargo run --release -q -p primepar-bench --bin "$name" -- $QUICK | tee "results/$name.txt"
+  # The committed tables omit the "written to" lines (scripts/ci.sh pins them).
+  ./target/release/figures "$name" $QUICK | grep -v ' written to ' | tee "results/$name.txt"
   echo
 }
 
-cargo build --release -q -p primepar-bench
+cargo build --release -q -p primepar-bench --bin figures
 
 run fig2_motivation
 run fig7_throughput

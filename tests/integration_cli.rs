@@ -270,3 +270,38 @@ fn unknown_model_fails_helpfully() {
     assert!(stderr.contains("unknown model"));
     assert!(stderr.contains("OPT 6.7B"));
 }
+
+#[test]
+fn a_trailing_flag_without_a_value_is_a_config_error() {
+    for args in [
+        &[
+            "plan",
+            "--model",
+            "opt-6.7b",
+            "--devices",
+            "2",
+            "--seq",
+            "512",
+            "--metrics-json",
+        ][..],
+        &[
+            "plan",
+            "--model",
+            "opt-6.7b",
+            "--devices",
+            "2",
+            "--seq",
+            "512",
+            "--batch",
+        ],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_primepar"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let flag = args.last().expect("non-empty");
+        assert!(stderr.contains(flag), "error must name {flag}: {stderr}");
+    }
+}
