@@ -31,7 +31,7 @@
 //! primepar validate [--dir results]...   # strict re-parse of emitted artifacts
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use primepar::api::{serve_lines, ServeOptions};
@@ -44,6 +44,7 @@ use primepar::search::{
     best_megatron, explain_plan, parse_plan, render_plan, Planner, PlannerOptions, SearchStrategy,
     SpaceOptions,
 };
+use primepar::service::read_artifact;
 use primepar::sim::ModelReport;
 use primepar::sim::{
     render_gantt, robustness_json, robustness_metrics, robustness_sweep, simulate_layer,
@@ -153,7 +154,8 @@ fn usage() -> &'static str {
      \x20         --logical-clock makes event timestamps deterministic\n\
      \x20 validate [--dir DIR]...         strict re-parse of *.metrics.json /\n\
      \x20         *.trace.json / *.report.json / *.cache.json /\n\
-     \x20         *.events.jsonl / *.stats.json (warns on untagged legacy docs)\n\
+     \x20         *.events.jsonl / *.stats.json; every document must carry its\n\
+     \x20         schema_version tag, and files over 16 MiB are rejected\n\
      \n\
      exit codes: 0 ok, 2 config, 3 topology, 4 protocol, 5 cancelled, 6 internal\n"
 }
@@ -210,8 +212,7 @@ fn run() -> Result<(), Error> {
             let graph = model.layer_graph(batch, seq);
             if let Some(path) = args.value("--plan")? {
                 // Load a saved plan instead of searching.
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| Error::internal(format!("cannot read {path}: {e}")))?;
+                let text = read_artifact(Path::new(path))?;
                 let seqs = parse_plan(&graph, &text).map_err(|e| Error::protocol(e.to_string()))?;
                 println!("{} on {devices} GPUs — plan from {path}\n", model.name);
                 println!("{}", explain_plan(&cluster, &graph, &seqs));
@@ -830,13 +831,6 @@ fn run() -> Result<(), Error> {
                     summary.events_files,
                     summary.stats_files
                 );
-                if summary.legacy_files > 0 {
-                    eprintln!(
-                        "warning: {dir}: {} legacy document(s) without schema_version; \
-                         re-emit to tag them",
-                        summary.legacy_files
-                    );
-                }
             }
             Ok(())
         }

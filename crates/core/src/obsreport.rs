@@ -11,12 +11,12 @@
 use std::io;
 use std::path::Path;
 
-use primepar_obs::{Json, Metrics};
+use primepar_obs::{parse_event_log, parse_json, parse_trace, Json, Metrics, SchemaError};
 use primepar_search::PlannerMetrics;
-use primepar_service::Error;
+use primepar_service::{read_artifact, validate_cache_doc, validate_stats_doc, Error};
 use primepar_sim::{
-    layer_report_metrics, render_chrome_trace, render_chrome_trace_with_accounting, LayerReport,
-    ModelReport, Timeline,
+    layer_report_metrics, parse_robustness, render_chrome_trace,
+    render_chrome_trace_with_accounting, LayerReport, ModelReport, Timeline,
 };
 
 use crate::SystemReport;
@@ -66,12 +66,7 @@ pub fn run_metrics(
 /// registry: `run.*` identifies the configuration, `compare.<system>.*` the
 /// per-system throughput, memory and breakdown.
 pub fn compare_metrics(run: &RunInfo<'_>, rows: &[SystemReport]) -> Metrics {
-    let mut m = Metrics::new();
-    m.text("run.model", run.model);
-    m.text("run.system", run.system);
-    m.gauge("run.devices", run.devices as f64);
-    m.gauge("run.batch", run.batch as f64);
-    m.gauge("run.seq", run.seq as f64);
+    let mut m = run_metrics(run, None, None);
     for r in rows {
         let p = format!("compare.{}", r.system.to_lowercase());
         m.gauge(&format!("{p}.tokens_per_second"), r.tokens_per_second);
@@ -109,33 +104,41 @@ pub struct ArtifactSummary {
     pub events_files: usize,
     /// `*.stats.json` service stats snapshots parsed.
     pub stats_files: usize,
-    /// Documents accepted without a `schema_version` tag (pre-versioning
-    /// emitters); the CLI warns when this is nonzero.
-    pub legacy_files: usize,
 }
 
-fn read_artifact(path: &Path) -> Result<String, Error> {
-    std::fs::read_to_string(path)
-        .map_err(|e| Error::internal(format!("cannot read {}: {e}", path.display())))
+fn parse(text: &str) -> Result<Json, Error> {
+    Ok(parse_json(text).map_err(SchemaError::from)?)
 }
+
+/// A strict reader of one artifact's text, and the summary count it bumps.
+type Validator = fn(&str) -> Result<(), Error>;
+type Counter = fn(&mut ArtifactSummary) -> &mut usize;
+
+/// Which reader validates which file suffix, and which count it bumps.
+#[rustfmt::skip]
+const VALIDATORS: [(&str, Validator, Counter); 6] = [
+    (".metrics.json", |t| Ok(parse(t)?.check_schema(METRICS_SCHEMA)?), |s| &mut s.metrics_files),
+    (".trace.json", |t| Ok(parse_trace(t).map(drop)?), |s| &mut s.trace_files),
+    (".report.json", |t| Ok(parse_robustness(&parse(t)?).map(drop)?), |s| &mut s.report_files),
+    (".cache.json", |t| validate_cache_doc(&parse(t)?).map(drop), |s| &mut s.cache_files),
+    (".events.jsonl", |t| Ok(parse_event_log(t).map(drop)?), |s| &mut s.events_files),
+    (".stats.json", |t| validate_stats_doc(&parse(t)?), |s| &mut s.stats_files),
+];
 
 /// Re-parses every `*.metrics.json`, `*.trace.json`, `*.report.json`,
 /// `*.cache.json`, `*.events.jsonl` and `*.stats.json` under `dir` with the
-/// strict `obs`/`sim`/`service` parsers: metrics documents must be valid
-/// JSON objects, trace documents valid Chrome `trace_event` arrays, report
-/// documents valid robustness sweeps, cache documents valid
-/// `primepar.cache.v1` warm-cache dumps, event logs valid
-/// `primepar.events.v1` JSONL, stats snapshots valid `primepar.stats.v1`
-/// documents. Versioned documents must carry the right `schema_version`;
-/// untagged (legacy) documents are accepted and counted in
-/// [`ArtifactSummary::legacy_files`] — except cache dumps, event logs and
-/// stats snapshots, which postdate versioning and must always be tagged.
+/// strict `obs`/`sim`/`service` readers. Every document must carry its
+/// `schema_version` tag ([`METRICS_SCHEMA`], `primepar.trace.v1`,
+/// `primepar.robustness.v1`, `primepar.cache.v1`, `primepar.events.v1` on
+/// every line, `primepar.stats.v1`); untagged documents are malformed. Files
+/// longer than [`MAX_ARTIFACT_BYTES`](primepar_service::MAX_ARTIFACT_BYTES)
+/// are rejected unread.
 ///
 /// # Errors
 ///
 /// [`Error::Internal`] for an unreadable directory or file,
-/// [`Error::Protocol`] for the first malformed or wrongly-versioned
-/// artifact.
+/// [`Error::Protocol`] for the first malformed, untagged, wrongly-versioned
+/// or oversized artifact.
 pub fn validate_artifacts(dir: impl AsRef<Path>) -> Result<ArtifactSummary, Error> {
     let dir = dir.as_ref();
     let mut entries: Vec<_> = std::fs::read_dir(dir)
@@ -149,70 +152,28 @@ pub fn validate_artifacts(dir: impl AsRef<Path>) -> Result<ArtifactSummary, Erro
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        let bad = |msg: String| Error::protocol(format!("{}: {msg}", path.display()));
-        if name.ends_with(".metrics.json") {
-            let doc =
-                primepar_obs::parse_json(&read_artifact(&path)?).map_err(|e| bad(e.to_string()))?;
-            if !matches!(doc, Json::Obj(_)) {
-                return Err(bad("not a metrics object".into()));
-            }
-            match doc.get("schema_version") {
-                None => summary.legacy_files += 1,
-                Some(tag) => {
-                    if tag.as_str() != Some(METRICS_SCHEMA) {
-                        return Err(bad(format!(
-                            "bad schema_version (expected {METRICS_SCHEMA})"
-                        )));
-                    }
-                }
-            }
-            summary.metrics_files += 1;
-        } else if name.ends_with(".trace.json") {
-            let text = read_artifact(&path)?;
-            primepar_obs::parse_trace(&text).map_err(|e| bad(e.to_string()))?;
-            // The pre-versioning export was a bare array (`get` on a
-            // non-object answers None).
-            let doc = primepar_obs::parse_json(&text).map_err(|e| bad(e.to_string()))?;
-            if doc.get("schema_version").is_none() {
-                summary.legacy_files += 1;
-            }
-            summary.trace_files += 1;
-        } else if name.ends_with(".report.json") {
-            let doc =
-                primepar_obs::parse_json(&read_artifact(&path)?).map_err(|e| bad(e.to_string()))?;
-            primepar_sim::parse_robustness(&doc).map_err(bad)?;
-            if doc.get("schema_version").is_none() {
-                summary.legacy_files += 1;
-            }
-            summary.report_files += 1;
-        } else if name.ends_with(".cache.json") {
-            // Warm-cache dumps postdate schema versioning: untagged documents
-            // are rejected, never counted as legacy.
-            let doc =
-                primepar_obs::parse_json(&read_artifact(&path)?).map_err(|e| bad(e.to_string()))?;
-            primepar_service::validate_cache_doc(&doc).map_err(|e| bad(e.to_string()))?;
-            summary.cache_files += 1;
-        } else if name.ends_with(".events.jsonl") {
-            // Service event logs postdate versioning too: every line must
-            // carry the primepar.events.v1 tag.
-            primepar_obs::parse_event_log(&read_artifact(&path)?)
-                .map_err(|e| bad(e.to_string()))?;
-            summary.events_files += 1;
-        } else if name.ends_with(".stats.json") {
-            let doc =
-                primepar_obs::parse_json(&read_artifact(&path)?).map_err(|e| bad(e.to_string()))?;
-            primepar_service::validate_stats_doc(&doc).map_err(|e| bad(e.to_string()))?;
-            summary.stats_files += 1;
-        }
+        let Some((_, validate, count)) = VALIDATORS
+            .iter()
+            .find(|(suffix, ..)| name.ends_with(suffix))
+        else {
+            continue;
+        };
+        validate(&read_artifact(&path)?)
+            .map_err(|e| Error::protocol(format!("{}: {}", path.display(), e.message())))?;
+        *count(&mut summary) += 1;
     }
     Ok(summary)
 }
 
-fn ensure_parent(path: &Path) -> io::Result<()> {
+/// Writes `text` plus a trailing newline at `path`, creating parent
+/// directories.
+fn write_artifact(path: &Path, mut text: String) -> io::Result<()> {
     match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
-        _ => Ok(()),
+        Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir)?,
+        _ => {}
     }
+    text.push('\n');
+    std::fs::write(path, text)
 }
 
 /// Writes the registry as pretty JSON at `path`, creating parent
@@ -223,29 +184,21 @@ fn ensure_parent(path: &Path) -> io::Result<()> {
 ///
 /// Propagates filesystem errors.
 pub fn write_metrics_json(path: impl AsRef<Path>, metrics: &Metrics) -> io::Result<()> {
-    let path = path.as_ref();
-    ensure_parent(path)?;
-    let mut doc = metrics.to_json();
-    if let Json::Obj(entries) = &mut doc {
-        entries.insert(0, ("schema_version".into(), Json::from(METRICS_SCHEMA)));
+    let mut doc = Json::tagged(METRICS_SCHEMA);
+    if let (Json::Obj(head), Json::Obj(entries)) = (&mut doc, metrics.to_json()) {
+        head.extend(entries);
     }
-    let mut text = doc.render_pretty();
-    text.push('\n');
-    std::fs::write(path, text)
+    write_artifact(path.as_ref(), doc.render_pretty())
 }
 
-/// Writes the timeline as a Chrome/Perfetto-loadable `trace_event` JSON
-/// array at `path`, creating parent directories.
+/// Writes the timeline as a Chrome/Perfetto-loadable `primepar.trace.v1`
+/// document at `path`, creating parent directories.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
 pub fn write_chrome_trace(path: impl AsRef<Path>, timeline: &Timeline) -> io::Result<()> {
-    let path = path.as_ref();
-    ensure_parent(path)?;
-    let mut doc = render_chrome_trace(timeline);
-    doc.push('\n');
-    std::fs::write(path, doc)
+    write_artifact(path.as_ref(), render_chrome_trace(timeline))
 }
 
 /// Like [`write_chrome_trace`], but from a full [`LayerReport`]: the kernel
@@ -256,11 +209,7 @@ pub fn write_chrome_trace(path: impl AsRef<Path>, timeline: &Timeline) -> io::Re
 ///
 /// Propagates filesystem errors.
 pub fn write_layer_chrome_trace(path: impl AsRef<Path>, report: &LayerReport) -> io::Result<()> {
-    let path = path.as_ref();
-    ensure_parent(path)?;
-    let mut doc = render_chrome_trace_with_accounting(report);
-    doc.push('\n');
-    std::fs::write(path, doc)
+    write_artifact(path.as_ref(), render_chrome_trace_with_accounting(report))
 }
 
 #[cfg(test)]
@@ -334,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_counts_legacy_and_rejects_wrong_versions() {
+    fn validate_rejects_untagged_and_wrong_versions() {
         use primepar_sim::{robustness_json, robustness_sweep, RobustnessOptions};
         let dir = std::env::temp_dir().join("primepar-obsreport-validate-test");
         let _ = std::fs::remove_dir_all(&dir);
@@ -343,7 +292,6 @@ mod tests {
         let mut m = Metrics::new();
         m.incr("x", 1);
         write_metrics_json(dir.join("a.metrics.json"), &m).unwrap();
-        std::fs::write(dir.join("b.metrics.json"), "{\"x\": 1}\n").unwrap();
 
         let cluster = Cluster::v100_like(4);
         let graph = ModelConfig::opt_6_7b().layer_graph(8, 256);
@@ -389,38 +337,35 @@ mod tests {
         .unwrap();
 
         let summary = validate_artifacts(&dir).unwrap();
-        assert_eq!(summary.metrics_files, 2);
+        assert_eq!(summary.metrics_files, 1);
         assert_eq!(summary.report_files, 1);
         assert_eq!(summary.cache_files, 1);
         assert_eq!(summary.events_files, 1);
         assert_eq!(summary.stats_files, 1);
-        assert_eq!(summary.legacy_files, 1, "b.metrics.json has no tag");
 
-        // An untagged cache dump is malformed, not legacy.
-        std::fs::write(dir.join("bad.cache.json"), "{\"entries\": []}\n").unwrap();
-        let verdict = validate_artifacts(&dir);
-        assert!(
-            matches!(verdict, Err(Error::Protocol(_))),
-            "untagged cache dumps must be rejected: {verdict:?}"
-        );
-        std::fs::remove_file(dir.join("bad.cache.json")).unwrap();
-
-        // Same for event logs and stats snapshots: untagged is malformed.
-        std::fs::write(dir.join("bad.events.jsonl"), "{\"name\": \"x\"}\n").unwrap();
-        let verdict = validate_artifacts(&dir);
-        assert!(
-            matches!(verdict, Err(Error::Protocol(_))),
-            "untagged event lines must be rejected: {verdict:?}"
-        );
-        std::fs::remove_file(dir.join("bad.events.jsonl")).unwrap();
-
-        std::fs::write(dir.join("bad.stats.json"), "{\"uptime_us\": 0}\n").unwrap();
-        let verdict = validate_artifacts(&dir);
-        assert!(
-            matches!(verdict, Err(Error::Protocol(_))),
-            "untagged stats snapshots must be rejected: {verdict:?}"
-        );
-        std::fs::remove_file(dir.join("bad.stats.json")).unwrap();
+        // Every untagged document is malformed: the pre-versioning metrics
+        // object, the bare-array trace and the `schema`-only robustness
+        // report included.
+        let mut legacy_report = robustness_json(&report);
+        if let Json::Obj(entries) = &mut legacy_report {
+            entries[0].0 = "schema".into();
+        }
+        for (name, text) in [
+            ("b.metrics.json", "{\"x\": 1}\n".to_string()),
+            ("b.trace.json", "[]\n".to_string()),
+            ("b.report.json", legacy_report.render()),
+            ("bad.cache.json", "{\"entries\": []}\n".to_string()),
+            ("bad.events.jsonl", "{\"name\": \"x\"}\n".to_string()),
+            ("bad.stats.json", "{\"uptime_us\": 0}\n".to_string()),
+        ] {
+            std::fs::write(dir.join(name), text).unwrap();
+            let verdict = validate_artifacts(&dir);
+            assert!(
+                matches!(&verdict, Err(Error::Protocol(m)) if m.contains(name) && m.contains("schema_version")),
+                "untagged {name} must be rejected: {verdict:?}"
+            );
+            std::fs::remove_file(dir.join(name)).unwrap();
+        }
 
         std::fs::write(
             dir.join("d.metrics.json"),

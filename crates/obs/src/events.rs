@@ -16,7 +16,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::time::Instant;
 
-use crate::json::{parse_json, Json, JsonError};
+use crate::json::{parse_json, Json, SchemaError};
 
 /// Schema tag stamped on every event line.
 pub const EVENTS_SCHEMA: &str = "primepar.events.v1";
@@ -34,26 +34,24 @@ pub enum EventLevel {
     Error,
 }
 
+/// Each level with its wire spelling, in declaration order (`as_str`
+/// indexes it by discriminant).
+const LEVELS: [(EventLevel, &str); 4] = [
+    (EventLevel::Debug, "debug"),
+    (EventLevel::Info, "info"),
+    (EventLevel::Warn, "warn"),
+    (EventLevel::Error, "error"),
+];
+
 impl EventLevel {
     /// The wire spelling.
     pub fn as_str(self) -> &'static str {
-        match self {
-            EventLevel::Debug => "debug",
-            EventLevel::Info => "info",
-            EventLevel::Warn => "warn",
-            EventLevel::Error => "error",
-        }
+        LEVELS[self as usize].1
     }
 
     /// Parses the wire spelling back.
     pub fn parse(text: &str) -> Option<EventLevel> {
-        match text {
-            "debug" => Some(EventLevel::Debug),
-            "info" => Some(EventLevel::Info),
-            "warn" => Some(EventLevel::Warn),
-            "error" => Some(EventLevel::Error),
-            _ => None,
-        }
+        LEVELS.iter().find(|(_, s)| *s == text).map(|(l, _)| *l)
     }
 }
 
@@ -210,8 +208,7 @@ pub fn render_event(event: &Event) -> String {
             .map(|(key, value)| (key.clone(), value.to_json()))
             .collect(),
     );
-    Json::obj()
-        .with("schema_version", EVENTS_SCHEMA)
+    Json::tagged(EVENTS_SCHEMA)
         .with("level", event.level.as_str())
         .with("ts_us", event.ts_us)
         .with("trace_id", event.trace_id.as_str())
@@ -221,92 +218,52 @@ pub fn render_event(event: &Event) -> String {
         .render()
 }
 
-/// Why an event line failed to parse.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventError {
-    /// The line is not valid JSON.
-    Json(JsonError),
-    /// The line parsed but is not an event: message names the defect.
-    Shape(String),
-}
-
-impl fmt::Display for EventError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EventError::Json(e) => write!(f, "event line is not JSON: {e}"),
-            EventError::Shape(m) => write!(f, "event line has wrong shape: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for EventError {}
-
-fn shape(msg: impl Into<String>) -> EventError {
-    EventError::Shape(msg.into())
-}
-
-/// Parses one JSONL event line. Untagged lines are rejected — the event log
-/// postdates schema versioning, so there is no legacy shape to honor.
-pub fn parse_event(line: &str) -> Result<Event, EventError> {
-    let doc = parse_json(line).map_err(EventError::Json)?;
-    if doc.as_object().is_none() {
-        return Err(shape("event line must be a JSON object"));
-    }
-    match doc.get("schema_version").and_then(Json::as_str) {
-        Some(EVENTS_SCHEMA) => {}
-        Some(other) => return Err(shape(format!("bad schema_version {other:?}"))),
-        None => return Err(shape(format!("missing schema_version {EVENTS_SCHEMA:?}"))),
-    }
-    let level_text = doc
-        .get("level")
-        .and_then(Json::as_str)
-        .ok_or_else(|| shape("missing string `level`"))?;
-    let level =
-        EventLevel::parse(level_text).ok_or_else(|| shape(format!("bad level {level_text:?}")))?;
-    let ts_us = doc
-        .get("ts_us")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| shape("missing integer `ts_us`"))?;
-    let text = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| shape(format!("missing string `{key}`")))
-    };
-    let mut fields = Vec::new();
-    for (key, value) in doc
-        .get("fields")
-        .and_then(Json::as_object)
-        .ok_or_else(|| shape("missing object `fields`"))?
-    {
-        let value = FieldValue::from_json(value)
-            .ok_or_else(|| shape(format!("field `{key}` is not a scalar")))?;
-        fields.push((key.clone(), value));
-    }
+/// Parses one JSONL event line.
+///
+/// # Errors
+///
+/// [`SchemaError`] for a line that is not JSON, not tagged
+/// [`EVENTS_SCHEMA`], or not an event.
+pub fn parse_event(line: &str) -> Result<Event, SchemaError> {
+    let doc = parse_json(line)?;
+    doc.check_schema(EVENTS_SCHEMA)?;
+    let level = doc.req::<&str>("level")?;
+    let fields = doc
+        .req::<&[(String, Json)]>("fields")?
+        .iter()
+        .map(|(key, value)| match FieldValue::from_json(value) {
+            Some(value) => Ok((key.clone(), value)),
+            None => Err(SchemaError::shape(
+                format!("fields.{key}"),
+                "must be a scalar",
+            )),
+        })
+        .collect::<Result<_, _>>()?;
     Ok(Event {
-        level,
-        ts_us,
-        trace_id: text("trace_id")?,
-        span_id: text("span_id")?,
-        name: text("name")?,
+        level: EventLevel::parse(level)
+            .ok_or_else(|| SchemaError::shape("level", format!("has unknown value {level:?}")))?,
+        ts_us: doc.req("ts_us")?,
+        trace_id: doc.req("trace_id")?,
+        span_id: doc.req("span_id")?,
+        name: doc.req("name")?,
         fields,
     })
 }
 
 /// Parses a whole JSONL event log (blank lines are skipped). Errors name the
 /// 1-based line of the first defect.
-pub fn parse_event_log(text: &str) -> Result<Vec<Event>, EventError> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        events.push(parse_event(line).map_err(|e| match e {
-            EventError::Json(e) => shape(format!("line {}: not JSON: {e}", i + 1)),
-            EventError::Shape(m) => shape(format!("line {}: {m}", i + 1)),
-        })?);
-    }
-    Ok(events)
+///
+/// # Errors
+///
+/// A [`SchemaError::Shape`] naming the first bad line and its error.
+pub fn parse_event_log(text: &str) -> Result<Vec<Event>, SchemaError> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            parse_event(line).map_err(|e| SchemaError::shape("", format!("line {}: {e}", i + 1)))
+        })
+        .collect()
 }
 
 /// Timestamp domain of an [`EventLog`].
@@ -425,12 +382,18 @@ mod tests {
         let untagged = line.replacen("\"schema_version\":\"primepar.events.v1\",", "", 1);
         assert!(matches!(
             parse_event(&untagged),
-            Err(EventError::Shape(m)) if m.contains("schema_version")
+            Err(SchemaError::Shape { message, .. }) if message.contains("schema_version")
         ));
         let wrong = line.replace("primepar.events.v1", "primepar.events.v0");
-        assert!(matches!(parse_event(&wrong), Err(EventError::Shape(_))));
-        assert!(matches!(parse_event("[1,2]"), Err(EventError::Shape(_))));
-        assert!(matches!(parse_event("{"), Err(EventError::Json(_))));
+        assert!(matches!(
+            parse_event(&wrong),
+            Err(SchemaError::Shape { .. })
+        ));
+        assert!(matches!(
+            parse_event("[1,2]"),
+            Err(SchemaError::Shape { .. })
+        ));
+        assert!(matches!(parse_event("{"), Err(SchemaError::Syntax(_))));
     }
 
     #[derive(Clone)]

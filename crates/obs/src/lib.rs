@@ -4,8 +4,9 @@
 //! times, Fig. 9 kernel timelines, Eq. 7 cost breakdowns — so every layer of
 //! this workspace reports through this crate:
 //!
-//! * [`json`] — a hand-rolled JSON value model with writer **and** parser (in
-//!   the spirit of `search/src/plan_io.rs`: the build is offline, so no serde),
+//! * [`json`] — a hand-rolled JSON value model with writer **and** strict
+//!   parser (the build is offline, so no serde), plus the one schema layer
+//!   every frame and artifact reader goes through ([`SchemaError`]),
 //! * [`metrics`] — a lightweight registry of counters, gauges, histograms and
 //!   span timers that renders to a stable machine-readable JSON document,
 //! * [`trace`] — Chrome `trace_event` spans loadable in `chrome://tracing` /
@@ -42,10 +43,10 @@ pub mod rss;
 pub mod trace;
 
 pub use events::{
-    parse_event, parse_event_log, render_event, ClockMode, Event, EventError, EventLevel, EventLog,
-    FieldValue, EVENTS_SCHEMA,
+    parse_event, parse_event_log, render_event, ClockMode, Event, EventLevel, EventLog, FieldValue,
+    EVENTS_SCHEMA,
 };
-pub use json::{parse_json, Json, JsonError};
+pub use json::{parse_json, FromJson, Json, JsonError, SchemaError};
 pub use metrics::{HistogramStats, Metrics, Span};
 pub use rss::peak_rss_bytes;
-pub use trace::{parse_trace, render_trace, TraceError, TraceEvent, TracePhase, TRACE_SCHEMA};
+pub use trace::{parse_trace, render_trace, TraceEvent, TracePhase, TRACE_SCHEMA};

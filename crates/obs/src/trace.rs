@@ -1,17 +1,14 @@
 //! Chrome `trace_event` export: complete (`"ph": "X"`) duration spans and
 //! counter (`"ph": "C"`) samples in the JSON object format that
 //! `chrome://tracing` and Perfetto load directly (a `traceEvents` array plus
-//! top-level metadata — here the [`TRACE_SCHEMA`] version tag). The legacy
-//! bare-array form is still accepted on parse.
+//! top-level metadata — here the [`TRACE_SCHEMA`] version tag).
 //!
 //! Timestamps and durations are microseconds per the trace-event spec; `pid`
 //! groups a whole export and `tid` carries the lane (e.g. one lane per
 //! operator × event-kind in the simulator's timeline export). Counter events
 //! render their `args` as the plotted series and carry no duration.
 
-use std::fmt;
-
-use crate::json::{parse_json, Json};
+use crate::json::{parse_json, Json, SchemaError};
 
 /// Version tag stamped on every emitted trace document.
 pub const TRACE_SCHEMA: &str = "primepar.trace.v1";
@@ -60,31 +57,26 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     fn to_json(&self) -> Json {
-        let mut args = Json::obj();
-        for (k, v) in &self.args {
-            args.set(k, v.clone());
-        }
-        let doc = Json::obj()
+        // Counter events carry no `dur` per the trace-event spec.
+        Json::obj()
             .with("name", self.name.as_str())
             .with("cat", self.cat.as_str())
             .with("ph", self.ph.as_str())
-            .with("ts", self.ts_us);
-        // Counter events carry no `dur` per the trace-event spec.
-        let doc = match self.ph {
-            TracePhase::Complete => doc.with("dur", self.dur_us),
-            TracePhase::Counter => doc,
-        };
-        doc.with("pid", self.pid)
+            .with("ts", self.ts_us)
+            .with_opt(
+                "dur",
+                (self.ph == TracePhase::Complete).then_some(self.dur_us),
+            )
+            .with("pid", self.pid)
             .with("tid", self.tid)
-            .with("args", args)
+            .with("args", Json::Obj(self.args.clone()))
     }
 }
 
 /// Renders events as a Chrome-loadable JSON object: a `schema_version` tag
 /// plus the `traceEvents` array (the viewer ignores unknown metadata keys).
 pub fn render_trace(events: &[TraceEvent]) -> String {
-    Json::obj()
-        .with("schema_version", TRACE_SCHEMA)
+    Json::tagged(TRACE_SCHEMA)
         .with(
             "traceEvents",
             Json::Arr(events.iter().map(TraceEvent::to_json).collect()),
@@ -92,105 +84,53 @@ pub fn render_trace(events: &[TraceEvent]) -> String {
         .render_pretty()
 }
 
-/// Why a trace failed to parse.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceError {
-    /// The document is not valid JSON.
-    Json(crate::json::JsonError),
-    /// The document parsed but is not a trace: message names the defect.
-    Shape(String),
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::Json(e) => write!(f, "trace is not JSON: {e}"),
-            TraceError::Shape(m) => write!(f, "trace has wrong shape: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-/// Parses a JSON-array trace back into events, validating the `trace_event`
-/// contract: every element must be an object with string `name`/`cat`,
-/// `"ph"` either `"X"` (with numeric `dur`) or `"C"` (no duration), and
-/// numeric `ts`/`pid`/`tid`.
+/// Parses a [`TRACE_SCHEMA`] document back into events, validating the
+/// `trace_event` contract: every element of `traceEvents` must be an object
+/// with a string `name`, `"ph"` either `"X"` (with numeric `dur`) or `"C"`
+/// (no duration), numeric `ts` and integer `pid`/`tid`.
 ///
 /// # Errors
 ///
-/// Returns [`TraceError`] on invalid JSON or a non-conforming event.
-pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, TraceError> {
-    let doc = parse_json(text).map_err(TraceError::Json)?;
-    // Versioned documents are objects carrying `traceEvents`; the legacy
-    // export was the bare array. A present-but-wrong tag is a hard error.
-    let items = if doc.as_object().is_some() {
-        if let Some(tag) = doc.get("schema_version") {
-            if tag.as_str() != Some(TRACE_SCHEMA) {
-                return Err(TraceError::Shape(format!(
-                    "bad schema_version (expected {TRACE_SCHEMA})"
-                )));
-            }
-        }
-        doc.get("traceEvents")
-            .and_then(Json::as_array)
-            .ok_or_else(|| TraceError::Shape("missing `traceEvents` array".into()))?
-    } else if let Some(items) = doc.as_array() {
-        items
-    } else {
-        return Err(TraceError::Shape(
-            "top level must be a trace object or a JSON array".into(),
-        ));
+/// Returns [`SchemaError`] on invalid JSON, a missing or wrong tag, or a
+/// non-conforming event.
+pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, SchemaError> {
+    let doc = parse_json(text)?;
+    doc.check_schema(TRACE_SCHEMA)?;
+    doc.req_items("traceEvents", trace_event)
+}
+
+fn trace_event(item: &Json) -> Result<TraceEvent, SchemaError> {
+    let ph = match item.req::<&str>("ph")? {
+        "X" => TracePhase::Complete,
+        "C" => TracePhase::Counter,
+        _ => return Err(SchemaError::shape("ph", "must be \"X\" or \"C\"")),
     };
-    let mut events = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let fail = |m: &str| TraceError::Shape(format!("event {i}: {m}"));
-        if item.as_object().is_none() {
-            return Err(fail("not an object"));
+    let dur_us = match ph {
+        TracePhase::Complete => item.req("dur")?,
+        TracePhase::Counter if item.get("dur").is_some() => {
+            return Err(SchemaError::shape(
+                "dur",
+                "must be absent on counter events",
+            ))
         }
-        let name = item
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| fail("missing string `name`"))?;
-        let cat = item.get("cat").and_then(Json::as_str).unwrap_or_default();
-        let ph = match item.get("ph").and_then(Json::as_str) {
-            Some("X") => TracePhase::Complete,
-            Some("C") => TracePhase::Counter,
-            _ => return Err(fail("`ph` must be \"X\" or \"C\"")),
-        };
-        let num = |key: &str| {
-            item.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| fail(&format!("missing numeric `{key}`")))
-        };
-        let (ts_us, pid, tid) = (num("ts")?, num("pid")?, num("tid")?);
-        let dur_us = match ph {
-            TracePhase::Complete => num("dur")?,
-            TracePhase::Counter => match item.get("dur") {
-                None => 0.0,
-                Some(_) => return Err(fail("counter events must not carry `dur`")),
-            },
-        };
-        if !(ts_us.is_finite() && dur_us.is_finite() && dur_us >= 0.0) {
-            return Err(fail("non-finite or negative ts/dur"));
-        }
-        let args = match item.get("args") {
-            None => Vec::new(),
-            Some(Json::Obj(entries)) => entries.clone(),
-            Some(_) => return Err(fail("`args` must be an object")),
-        };
-        events.push(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            ph,
-            pid: pid as u64,
-            tid: tid as u64,
-            ts_us,
-            dur_us,
-            args,
-        });
+        TracePhase::Counter => 0.0,
+    };
+    // The parser yields finite numbers only: a negative span is the one defect left.
+    if dur_us < 0.0 {
+        return Err(SchemaError::shape("dur", "must not be negative"));
     }
-    Ok(events)
+    Ok(TraceEvent {
+        name: item.req("name")?,
+        cat: item.opt("cat")?.unwrap_or_default(),
+        ph,
+        pid: item.req("pid")?,
+        tid: item.req("tid")?,
+        ts_us: item.req("ts")?,
+        dur_us,
+        args: item
+            .opt::<&[(String, Json)]>("args")?
+            .map_or_else(Vec::new, <[_]>::to_vec),
+    })
 }
 
 #[cfg(test)]
@@ -247,16 +187,22 @@ mod tests {
     }
 
     #[test]
-    fn parser_accepts_legacy_arrays_and_rejects_wrong_versions() {
+    fn parser_rejects_legacy_arrays_and_wrong_versions() {
         let events = vec![ev("fc1", 0, 0.0, 12.5)];
         let tagged = render_trace(&events);
         let doc = parse_json(&tagged).unwrap();
-        // The legacy export was the bare array: still parses.
+        // The pre-versioning export was the bare array: no longer a trace.
         let legacy = doc.get("traceEvents").unwrap().render();
-        assert_eq!(parse_trace(&legacy).unwrap(), events);
+        assert!(matches!(
+            parse_trace(&legacy),
+            Err(SchemaError::Shape { .. })
+        ));
         // A present-but-wrong tag is a hard error.
         let wrong = tagged.replace(TRACE_SCHEMA, "primepar.trace.v0");
-        assert!(matches!(parse_trace(&wrong), Err(TraceError::Shape(_))));
+        assert!(matches!(
+            parse_trace(&wrong),
+            Err(SchemaError::Shape { .. })
+        ));
     }
 
     #[test]
@@ -278,21 +224,26 @@ mod tests {
 
     #[test]
     fn parser_rejects_non_traces() {
-        assert!(matches!(parse_trace("{}"), Err(TraceError::Shape(_))));
-        assert!(matches!(parse_trace("not json"), Err(TraceError::Json(_))));
+        let traced = |event: &str| {
+            format!("{{\"schema_version\":\"{TRACE_SCHEMA}\",\"traceEvents\":[{event}]}}")
+        };
+        let shape = |text: &str| matches!(parse_trace(text), Err(SchemaError::Shape { .. }));
+        assert!(shape("{}"));
+        assert!(shape(&format!("{{\"schema_version\":\"{TRACE_SCHEMA}\"}}")));
         assert!(matches!(
-            parse_trace("[{\"name\":\"a\",\"ph\":\"B\",\"ts\":0,\"dur\":0,\"pid\":0,\"tid\":0}]"),
-            Err(TraceError::Shape(_))
+            parse_trace("not json"),
+            Err(SchemaError::Syntax(_))
         ));
-        assert!(matches!(
-            parse_trace("[{\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"dur\":-1,\"pid\":0,\"tid\":0}]"),
-            Err(TraceError::Shape(_))
-        ));
+        assert!(shape(&traced(
+            r#"{"name":"a","ph":"B","ts":0,"dur":0,"pid":0,"tid":0}"#
+        )));
+        assert!(shape(&traced(
+            r#"{"name":"a","ph":"X","ts":0,"dur":-1,"pid":0,"tid":0}"#
+        )));
         // A counter smuggling a duration violates the spec.
-        assert!(matches!(
-            parse_trace("[{\"name\":\"a\",\"ph\":\"C\",\"ts\":0,\"dur\":1,\"pid\":0,\"tid\":0}]"),
-            Err(TraceError::Shape(_))
-        ));
+        let counter = traced(r#"{"name":"a","ph":"C","ts":0,"dur":1,"pid":0,"tid":0}"#);
+        let err = parse_trace(&counter).unwrap_err().to_string();
+        assert!(err.contains("traceEvents[0].dur"), "{err}");
     }
 
     #[test]

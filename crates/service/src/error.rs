@@ -97,6 +97,13 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// A frame or artifact that fails to read is a [`Error::Protocol`].
+impl From<primepar_obs::SchemaError> for Error {
+    fn from(e: primepar_obs::SchemaError) -> Self {
+        Error::Protocol(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

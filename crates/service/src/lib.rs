@@ -53,10 +53,10 @@ pub use persist::{cache_to_json, validate_cache_doc, CACHE_SCHEMA};
 #[cfg(unix)]
 pub use protocol::serve_unix_socket;
 pub use protocol::{
-    cancel_json, error_json, parse_frame, plan_response_json, replan_request_json,
+    cancel_json, error_json, parse_frame, plan_response_json, read_artifact, replan_request_json,
     replan_response_json, request_json, serve_lines, serve_lines_with_cache, sim_request_json,
     sim_response_json, stats_request_json, Frame, ParsedFrame, ServeEnd, ServeOptions,
-    MAX_FRAME_BYTES,
+    MAX_ARTIFACT_BYTES, MAX_FRAME_BYTES,
 };
 pub use server::{CancelToken, Pending, PlannerService, ServiceClient, ServiceOptions};
 pub use shard::{FixedSeedHasher, FixedSeedState, Outcome, ShardLoad, ShardStats, ShardedMap};

@@ -27,7 +27,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use primepar_obs::{peak_rss_bytes, render_trace, ClockMode, Json, Metrics, TraceEvent};
+use primepar_obs::{
+    peak_rss_bytes, render_trace, ClockMode, FromJson, Json, Metrics, SchemaError, TraceEvent,
+};
 use primepar_search::SearchStrategy;
 
 use crate::cache::WarmCache;
@@ -224,7 +226,7 @@ impl FlightRecord {
         for (name, dur) in &self.stages {
             stages.set(name, *dur);
         }
-        let mut doc = Json::obj()
+        Json::obj()
             .with("request_id", self.request_id)
             .with("id", self.id.as_str())
             .with("trace_id", self.trace_id.as_str())
@@ -233,11 +235,8 @@ impl FlightRecord {
             .with("outcome", self.outcome.as_str())
             .with("status", self.status.as_str())
             .with("elapsed_us", self.elapsed_us)
-            .with("stages_us", stages);
-        if let Some(worker) = self.worker {
-            doc.set("worker", worker as u64);
-        }
-        doc
+            .with("stages_us", stages)
+            .with_opt("worker", self.worker)
     }
 }
 
@@ -518,8 +517,7 @@ impl ServiceObserver {
             }
         }
         drop(latency);
-        Json::obj()
-            .with("schema_version", STATS_SCHEMA)
+        Json::tagged(STATS_SCHEMA)
             .with("uptime_us", self.uptime_us())
             .with("peak_rss_bytes", peak_rss_bytes())
             .with(
@@ -593,107 +591,67 @@ impl ServiceObserver {
     }
 }
 
-fn stats_field<'d>(doc: &'d Json, key: &str, ctx: &str) -> Result<&'d Json, Error> {
-    doc.get(key)
-        .ok_or_else(|| Error::protocol(format!("stats document {ctx} is missing `{key}`")))
-}
-
-fn stats_num(doc: &Json, key: &str, ctx: &str) -> Result<(), Error> {
-    stats_field(doc, key, ctx)?
-        .as_f64()
-        .map(drop)
-        .ok_or_else(|| Error::protocol(format!("stats document {ctx} `{key}` is not a number")))
-}
-
-/// Strictly validates a `primepar.stats.v1` document: the schema tag is
-/// mandatory (the format postdates schema versioning, so untagged documents
-/// are rejected, consistent with `primepar.cache.v1`), and every section the
-/// snapshot promises must be present and well-typed.
+/// Strictly validates a `primepar.stats.v1` document: the tag and every
+/// section the snapshot promises must be present and well-typed.
 ///
 /// # Errors
 ///
 /// [`Error::Protocol`] naming the first defect.
 pub fn validate_stats_doc(doc: &Json) -> Result<(), Error> {
-    if doc.as_object().is_none() {
-        return Err(Error::protocol("stats document must be a JSON object"));
+    check_stats(doc).map_err(|e| Error::protocol(format!("stats document: {e}")))
+}
+
+/// Checks that each of `keys` in `doc` reads as a `T`.
+fn each<'a, T: FromJson<'a>>(doc: &'a Json, keys: &[&str]) -> Result<(), SchemaError> {
+    keys.iter().try_for_each(|key| doc.req::<T>(key).map(drop))
+}
+
+/// Checks that each of `keys` in the object field `section` is a number.
+fn numbers(doc: &Json, section: &str, keys: &[&str]) -> Result<(), SchemaError> {
+    each::<f64>(doc.req(section)?, keys).map_err(|e| e.at(section))
+}
+
+fn check_stats(doc: &Json) -> Result<(), SchemaError> {
+    doc.check_schema(STATS_SCHEMA)?;
+    each::<f64>(doc, &["uptime_us", "peak_rss_bytes"])?;
+    numbers(
+        doc,
+        "requests",
+        &["submitted", "completed", "errors", "queue_depth"],
+    )?;
+    numbers(doc, "strategies", &["exact", "beam", "anytime"])?;
+    numbers(doc, "replan", &["stay", "patch", "replan"])?;
+    numbers(
+        doc,
+        "cache",
+        &["hits", "misses", "coalesced", "evictions", "len", "weight"],
+    )?;
+    doc.req_items("workers", |worker| {
+        worker.req::<bool>("busy")?;
+        each::<f64>(worker, &["busy_us", "idle_us", "jobs"])
+    })?;
+    let cache: &Json = doc.req("cache")?;
+    cache
+        .req_items("shards", |shard| {
+            each::<f64>(shard, &["len", "weight", "in_flight"])
+        })
+        .map_err(|e| e.at("cache"))?;
+    if doc
+        .req::<&Json>("latency_us")?
+        .req::<u64>("count")
+        .map_err(|e| e.at("latency_us"))?
+        > 0
+    {
+        numbers(doc, "latency_us", &["p50", "p95", "p99"])?;
     }
-    match doc.get("schema_version").and_then(Json::as_str) {
-        Some(STATS_SCHEMA) => {}
-        Some(other) => {
-            return Err(Error::protocol(format!(
-                "stats document has schema_version {other:?}, expected {STATS_SCHEMA:?}"
-            )))
-        }
-        None => {
-            return Err(Error::protocol(format!(
-                "stats document is missing schema_version (expected {STATS_SCHEMA:?})"
-            )))
-        }
-    }
-    stats_num(doc, "uptime_us", "")?;
-    stats_num(doc, "peak_rss_bytes", "")?;
-    let requests = stats_field(doc, "requests", "")?;
-    for key in ["submitted", "completed", "errors", "queue_depth"] {
-        stats_num(requests, key, "`requests`")?;
-    }
-    let strategies = stats_field(doc, "strategies", "")?;
-    for key in ["exact", "beam", "anytime"] {
-        stats_num(strategies, key, "`strategies`")?;
-    }
-    let replan = stats_field(doc, "replan", "")?;
-    for key in ["stay", "patch", "replan"] {
-        stats_num(replan, key, "`replan`")?;
-    }
-    let workers = stats_field(doc, "workers", "")?
-        .as_array()
-        .ok_or_else(|| Error::protocol("stats document `workers` is not an array"))?;
-    for worker in workers {
-        stats_field(worker, "busy", "worker")?
-            .as_bool()
-            .ok_or_else(|| Error::protocol("stats worker `busy` is not a bool"))?;
-        for key in ["busy_us", "idle_us", "jobs"] {
-            stats_num(worker, key, "worker")?;
-        }
-    }
-    let cache = stats_field(doc, "cache", "")?;
-    for key in ["hits", "misses", "coalesced", "evictions", "len", "weight"] {
-        stats_num(cache, key, "`cache`")?;
-    }
-    let shards = stats_field(cache, "shards", "`cache`")?
-        .as_array()
-        .ok_or_else(|| Error::protocol("stats `cache.shards` is not an array"))?;
-    for shard in shards {
-        for key in ["len", "weight", "in_flight"] {
-            stats_num(shard, key, "`cache.shards` entry")?;
-        }
-    }
-    let latency = stats_field(doc, "latency_us", "")?;
-    let count = stats_field(latency, "count", "`latency_us`")?
-        .as_u64()
-        .ok_or_else(|| Error::protocol("stats `latency_us.count` is not an integer"))?;
-    if count > 0 {
-        for key in ["p50", "p95", "p99"] {
-            stats_num(latency, key, "`latency_us`")?;
-        }
-    }
-    let recorder = stats_field(doc, "flight_recorder", "")?
-        .as_array()
-        .ok_or_else(|| Error::protocol("stats `flight_recorder` is not an array"))?;
-    for entry in recorder {
-        for key in ["request_id", "elapsed_us"] {
-            stats_num(entry, key, "flight-recorder entry")?;
-        }
-        for key in ["trace_id", "status", "fingerprint", "kind", "outcome"] {
-            stats_field(entry, key, "flight-recorder entry")?
-                .as_str()
-                .ok_or_else(|| {
-                    Error::protocol(format!("flight-recorder entry `{key}` is not a string"))
-                })?;
-        }
-        stats_field(entry, "stages_us", "flight-recorder entry")?
-            .as_object()
-            .ok_or_else(|| Error::protocol("flight-recorder entry `stages_us` is not an object"))?;
-    }
+    doc.req_items("flight_recorder", |entry| {
+        each::<f64>(entry, &["request_id", "elapsed_us"])?;
+        each::<&str>(
+            entry,
+            &["trace_id", "status", "fingerprint", "kind", "outcome"],
+        )?;
+        entry.req::<&[(String, Json)]>("stages_us").map(drop)
+    })?;
     Ok(())
 }
 

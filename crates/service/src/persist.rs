@@ -22,11 +22,12 @@ use std::path::Path;
 use std::time::Duration;
 
 use primepar_graph::ModelConfig;
-use primepar_obs::{parse_json, Json};
+use primepar_obs::{parse_json, Json, SchemaError};
 use primepar_search::{parse_plan, ModelPlan, PlannerMetrics, SearchStrategy};
 
 use crate::api::PlanKey;
 use crate::cache::{CachedPlan, WarmCache};
+use crate::protocol::read_artifact;
 use crate::Error;
 
 /// Schema tag of persisted warm-cache artifacts (`*.cache.json`).
@@ -37,40 +38,19 @@ fn f64_hex(value: f64) -> String {
     format!("{:016x}", value.to_bits())
 }
 
-/// Parses the artifact's exact-f64 encoding.
-fn parse_f64_hex(field: &str, value: &Json) -> Result<f64, Error> {
-    let text = value
-        .as_str()
-        .ok_or_else(|| Error::protocol(format!("cache entry field `{field}` must be a string")))?;
-    let bits = u64::from_str_radix(text, 16)
-        .map_err(|_| Error::protocol(format!("cache entry field `{field}` is not hex: {text}")))?;
-    Ok(f64::from_bits(bits))
-}
-
-fn entry_str<'a>(entry: &'a Json, field: &str) -> Result<&'a str, Error> {
-    entry
-        .get(field)
-        .and_then(Json::as_str)
-        .ok_or_else(|| Error::protocol(format!("cache entry missing string field `{field}`")))
-}
-
-fn entry_u64(entry: &Json, field: &str) -> Result<u64, Error> {
-    entry
-        .get(field)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| Error::protocol(format!("cache entry missing integer field `{field}`")))
-}
-
-fn entry_bool(entry: &Json, field: &str) -> Result<bool, Error> {
-    entry
-        .get(field)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| Error::protocol(format!("cache entry missing boolean field `{field}`")))
+/// Reads the exact-f64 encoding of the field `key`.
+fn hex_f64(entry: &Json, key: &str) -> Result<f64, SchemaError> {
+    let text = entry.req::<&str>(key)?;
+    u64::from_str_radix(text, 16)
+        .map(f64::from_bits)
+        .map_err(|_| SchemaError::shape(key, format!("is not hex: {text}")))
 }
 
 fn entry_json(entry: &CachedPlan) -> Json {
     let key = &entry.key;
-    let mut json = Json::obj()
+    // `strategy` is written only for non-exact plans, so exact-only dumps
+    // stay byte-identical to pre-strategy artifacts (and restore under them).
+    Json::obj()
         .with("fingerprint", key.fingerprint())
         .with("model", key.model.as_str())
         .with("devices", key.devices)
@@ -80,13 +60,12 @@ fn entry_json(entry: &CachedPlan) -> Json {
         .with("alpha_bits", f64_hex(key.alpha))
         .with("allow_temporal", key.allow_temporal)
         .with("allow_batch_split", key.allow_batch_split)
-        .with("max_temporal_k", key.max_temporal_k);
-    // Written only for non-exact plans, so exact-only dumps stay
-    // byte-identical to pre-strategy artifacts (and restore under them).
-    if key.strategy != SearchStrategy::Exact {
-        json = json.with("strategy", key.strategy.to_string());
-    }
-    json.with("layer_cost_bits", f64_hex(entry.plan.layer_cost))
+        .with("max_temporal_k", key.max_temporal_k)
+        .with_opt(
+            "strategy",
+            (key.strategy != SearchStrategy::Exact).then(|| key.strategy.to_string()),
+        )
+        .with("layer_cost_bits", f64_hex(entry.plan.layer_cost))
         .with("total_cost_bits", f64_hex(entry.plan.total_cost))
         .with("search_time_us", entry.plan.search_time.as_micros() as u64)
         .with("plan_text", entry.plan_text.as_str())
@@ -101,42 +80,33 @@ pub fn cache_to_json(cache: &WarmCache) -> Json {
         entries.push((fingerprint.to_string(), entry_json(entry)));
     });
     entries.sort_by(|a, b| a.0.cmp(&b.0));
-    Json::obj().with("schema_version", CACHE_SCHEMA).with(
+    Json::tagged(CACHE_SCHEMA).with(
         "entries",
         Json::Arr(entries.into_iter().map(|e| e.1).collect()),
     )
 }
 
 /// Rebuilds one memo entry from its persisted form.
-fn restore_entry(entry: &Json) -> Result<(String, CachedPlan), Error> {
+fn restore_entry(entry: &Json) -> Result<CachedPlan, Error> {
     let key = PlanKey {
-        model: entry_str(entry, "model")?.to_string(),
-        devices: entry_u64(entry, "devices")? as usize,
-        batch: entry_u64(entry, "batch")?,
-        seq: entry_u64(entry, "seq")?,
-        layers: entry_u64(entry, "layers")?,
-        alpha: parse_f64_hex(
-            "alpha_bits",
-            entry
-                .get("alpha_bits")
-                .ok_or_else(|| Error::protocol("cache entry missing `alpha_bits`"))?,
-        )?,
-        allow_temporal: entry_bool(entry, "allow_temporal")?,
-        allow_batch_split: entry_bool(entry, "allow_batch_split")?,
-        max_temporal_k: entry_u64(entry, "max_temporal_k")? as u32,
-        // Absent in pre-strategy artifacts and for exact plans.
-        strategy: match entry.get("strategy") {
+        model: entry.req("model")?,
+        devices: entry.req("devices")?,
+        batch: entry.req("batch")?,
+        seq: entry.req("seq")?,
+        layers: entry.req("layers")?,
+        alpha: hex_f64(entry, "alpha_bits")?,
+        allow_temporal: entry.req("allow_temporal")?,
+        allow_batch_split: entry.req("allow_batch_split")?,
+        max_temporal_k: entry.req("max_temporal_k")?,
+        // Absent for exact plans.
+        strategy: match entry.opt::<&str>("strategy")? {
             None => SearchStrategy::Exact,
-            Some(v) => {
-                let text = v.as_str().ok_or_else(|| {
-                    Error::protocol("cache entry field `strategy` must be a string")
-                })?;
-                text.parse()
-                    .map_err(|e| Error::protocol(format!("cache entry strategy rejected: {e}")))?
-            }
+            Some(text) => text
+                .parse()
+                .map_err(|e| Error::protocol(format!("cache entry strategy rejected: {e}")))?,
         },
     };
-    let recorded = entry_str(entry, "fingerprint")?;
+    let recorded = entry.req::<&str>("fingerprint")?;
     let fingerprint = key.fingerprint();
     if fingerprint != recorded {
         return Err(Error::protocol(format!(
@@ -146,56 +116,47 @@ fn restore_entry(entry: &Json) -> Result<(String, CachedPlan), Error> {
     let model = ModelConfig::by_name(&key.model)
         .ok_or_else(|| Error::protocol(format!("cache entry names unknown model {}", key.model)))?;
     let graph = model.layer_graph(key.batch, key.seq);
-    let plan_text = entry_str(entry, "plan_text")?.to_string();
+    let plan_text: String = entry.req("plan_text")?;
     let seqs = parse_plan(&graph, &plan_text)
         .map_err(|e| Error::protocol(format!("cache entry plan text rejected: {e}")))?;
     let plan = ModelPlan {
         seqs,
-        layer_cost: parse_f64_hex(
-            "layer_cost_bits",
-            entry
-                .get("layer_cost_bits")
-                .ok_or_else(|| Error::protocol("cache entry missing `layer_cost_bits`"))?,
-        )?,
-        total_cost: parse_f64_hex(
-            "total_cost_bits",
-            entry
-                .get("total_cost_bits")
-                .ok_or_else(|| Error::protocol("cache entry missing `total_cost_bits`"))?,
-        )?,
-        search_time: Duration::from_micros(entry_u64(entry, "search_time_us")?),
+        layer_cost: hex_f64(entry, "layer_cost_bits")?,
+        total_cost: hex_f64(entry, "total_cost_bits")?,
+        search_time: Duration::from_micros(entry.req("search_time_us")?),
     };
-    Ok((
-        fingerprint,
-        CachedPlan {
-            key,
-            plan,
-            metrics: PlannerMetrics::default(),
-            plan_text,
-        },
-    ))
+    Ok(CachedPlan {
+        key,
+        plan,
+        metrics: PlannerMetrics::default(),
+        plan_text,
+    })
+}
+
+/// Restores every entry of a parsed `primepar.cache.v1` document in order,
+/// handing each to `adopt`; the first bad entry stops the walk. Returns the
+/// entry count.
+fn restore_entries(doc: &Json, mut adopt: impl FnMut(CachedPlan)) -> Result<usize, Error> {
+    doc.check_schema(CACHE_SCHEMA)?;
+    let entries = doc.req::<&[Json]>("entries")?;
+    for (i, entry) in entries.iter().enumerate() {
+        adopt(
+            restore_entry(entry)
+                .map_err(|e| Error::protocol(format!("entry {i}: {}", e.message())))?,
+        );
+    }
+    Ok(entries.len())
 }
 
 /// Structural validation of a parsed `primepar.cache.v1` document, as used
-/// by the `primepar validate` artifact sweep. Returns the entry count.
+/// by the `primepar validate` artifact sweep: every entry must restore.
+/// Returns the entry count.
 ///
 /// # Errors
 ///
-/// A human-readable description of the first problem found.
-pub fn validate_cache_doc(doc: &Json) -> Result<usize, String> {
-    match doc.get("schema_version").and_then(Json::as_str) {
-        Some(CACHE_SCHEMA) => {}
-        Some(other) => return Err(format!("schema_version {other}, expected {CACHE_SCHEMA}")),
-        None => return Err("missing schema_version".into()),
-    }
-    let entries = doc
-        .get("entries")
-        .and_then(Json::as_array)
-        .ok_or("missing entries array")?;
-    for (i, entry) in entries.iter().enumerate() {
-        restore_entry(entry).map_err(|e| format!("entry {i}: {}", e.message()))?;
-    }
-    Ok(entries.len())
+/// [`Error::Protocol`] describing the first problem found.
+pub fn validate_cache_doc(doc: &Json) -> Result<usize, Error> {
+    restore_entries(doc, drop)
 }
 
 impl WarmCache {
@@ -208,10 +169,7 @@ impl WarmCache {
     pub fn save(&self, path: impl AsRef<Path>) -> Result<usize, Error> {
         let path = path.as_ref();
         let doc = cache_to_json(self);
-        let count = doc
-            .get("entries")
-            .and_then(Json::as_array)
-            .map_or(0, <[Json]>::len);
+        let count = doc.req::<&[Json]>("entries").map_or(0, <[_]>::len);
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)
@@ -229,40 +187,14 @@ impl WarmCache {
     /// # Errors
     ///
     /// [`Error::Internal`] on I/O failure; [`Error::Protocol`] for a
-    /// malformed or wrong-schema artifact. On error the cache is left as it
+    /// malformed or wrong-schema artifact, or one longer than
+    /// [`MAX_ARTIFACT_BYTES`](crate::MAX_ARTIFACT_BYTES). On error the cache is left as it
     /// was (entries restored before the failure are kept — they are valid).
     pub fn load(&self, path: impl AsRef<Path>) -> Result<usize, Error> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| Error::internal(format!("read {}: {e}", path.display())))?;
-        let doc =
-            parse_json(&text).map_err(|e| Error::protocol(format!("{}: {e}", path.display())))?;
-        match doc.get("schema_version").and_then(Json::as_str) {
-            Some(CACHE_SCHEMA) => {}
-            Some(other) => {
-                return Err(Error::protocol(format!(
-                    "{}: schema_version {other}, expected {CACHE_SCHEMA}",
-                    path.display()
-                )))
-            }
-            None => {
-                return Err(Error::protocol(format!(
-                    "{}: missing schema_version",
-                    path.display()
-                )))
-            }
-        }
-        let entries = doc
-            .get("entries")
-            .and_then(Json::as_array)
-            .ok_or_else(|| Error::protocol(format!("{}: missing entries array", path.display())))?;
-        let mut restored = 0usize;
-        for entry in entries {
-            let (_, cached) = restore_entry(entry)?;
-            self.adopt(cached);
-            restored += 1;
-        }
-        Ok(restored)
+        let in_file = |e: String| Error::protocol(format!("{}: {e}", path.display()));
+        let doc = parse_json(&read_artifact(path)?).map_err(|e| in_file(e.to_string()))?;
+        restore_entries(&doc, |cached| self.adopt(cached)).map_err(|e| in_file(e.message().into()))
     }
 }
 

@@ -93,70 +93,29 @@ pub struct ParsedFrame {
     pub trace_id: Option<String>,
 }
 
-fn field<'j>(obj: &'j Json, key: &str) -> Option<&'j Json> {
-    match obj.get(key) {
-        None | Some(Json::Null) => None,
-        Some(value) => Some(value),
-    }
-}
-
-fn field_str(obj: &Json, key: &str) -> Result<Option<String>, Error> {
-    field(obj, key)
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| Error::protocol(format!("field {key} must be a string")))
-        })
-        .transpose()
-}
-
-fn field_u64(obj: &Json, key: &str) -> Result<Option<u64>, Error> {
-    field(obj, key)
-        .map(|v| {
-            v.as_u64().ok_or_else(|| {
-                Error::protocol(format!("field {key} must be a non-negative integer"))
-            })
-        })
-        .transpose()
-}
-
-fn field_f64(obj: &Json, key: &str) -> Result<Option<f64>, Error> {
-    field(obj, key)
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| Error::protocol(format!("field {key} must be a number")))
-        })
-        .transpose()
-}
-
-fn field_bool(obj: &Json, key: &str) -> Result<Option<bool>, Error> {
-    field(obj, key)
-        .map(|v| {
-            v.as_bool()
-                .ok_or_else(|| Error::protocol(format!("field {key} must be a boolean")))
-        })
-        .transpose()
-}
-
 fn parse_plan_request(obj: &Json) -> Result<PlanRequest, Error> {
     let defaults = PlanRequest::default();
     Ok(PlanRequest {
-        id: field_str(obj, "id")?.unwrap_or_default(),
-        model: field_str(obj, "model")?.unwrap_or_default(),
-        devices: field_u64(obj, "devices")?.map_or(defaults.devices, |n| n as usize),
-        batch: field_u64(obj, "batch")?.unwrap_or(defaults.batch),
-        seq: field_u64(obj, "seq")?.unwrap_or(defaults.seq),
-        layers: field_u64(obj, "layers")?,
-        alpha: field_f64(obj, "alpha")?.unwrap_or(defaults.alpha),
-        threads: field_u64(obj, "threads")?.map_or(defaults.threads, |n| n as usize),
-        allow_temporal: field_bool(obj, "allow_temporal")?.unwrap_or(defaults.allow_temporal),
-        allow_batch_split: field_bool(obj, "allow_batch_split")?
+        id: obj.opt("id")?.unwrap_or_default(),
+        model: obj.opt("model")?.unwrap_or_default(),
+        devices: obj.opt("devices")?.unwrap_or(defaults.devices),
+        batch: obj.opt("batch")?.unwrap_or(defaults.batch),
+        seq: obj.opt("seq")?.unwrap_or(defaults.seq),
+        layers: obj.opt("layers")?,
+        alpha: obj.opt("alpha")?.unwrap_or(defaults.alpha),
+        threads: obj.opt("threads")?.unwrap_or(defaults.threads),
+        allow_temporal: obj
+            .opt("allow_temporal")?
+            .unwrap_or(defaults.allow_temporal),
+        allow_batch_split: obj
+            .opt("allow_batch_split")?
             .unwrap_or(defaults.allow_batch_split),
-        max_temporal_k: field_u64(obj, "max_temporal_k")?
-            .map_or(defaults.max_temporal_k, |n| n as u32),
-        simulate: field_bool(obj, "simulate")?.unwrap_or(defaults.simulate),
-        deadline_ms: field_u64(obj, "deadline_ms")?,
-        strategy: match field_str(obj, "strategy")? {
+        max_temporal_k: obj
+            .opt("max_temporal_k")?
+            .unwrap_or(defaults.max_temporal_k),
+        simulate: obj.opt("simulate")?.unwrap_or(defaults.simulate),
+        deadline_ms: obj.opt("deadline_ms")?,
+        strategy: match obj.opt::<&str>("strategy")? {
             None => defaults.strategy,
             Some(text) => text
                 .parse::<SearchStrategy>()
@@ -166,31 +125,26 @@ fn parse_plan_request(obj: &Json) -> Result<PlanRequest, Error> {
 }
 
 fn parse_sim_request(obj: &Json) -> Result<SimRequest, Error> {
-    let plan = parse_plan_request(obj)?;
-    let base = SimRequest::of(plan);
+    let base = SimRequest::of(parse_plan_request(obj)?);
     Ok(SimRequest {
-        recompute_activations: field_bool(obj, "recompute_activations")?
+        recompute_activations: obj
+            .opt("recompute_activations")?
             .unwrap_or(base.recompute_activations),
-        scenarios: field_u64(obj, "scenarios")?.map_or(base.scenarios, |n| n as usize),
-        profile: field_str(obj, "profile")?.unwrap_or_else(|| base.profile.clone()),
-        seed: field_u64(obj, "seed")?.unwrap_or(base.seed),
-        deadline_ms: base.plan.deadline_ms,
-        id: base.id.clone(),
-        plan: base.plan,
+        scenarios: obj.opt("scenarios")?.unwrap_or(base.scenarios),
+        profile: obj.opt("profile")?.unwrap_or(base.profile),
+        seed: obj.opt("seed")?.unwrap_or(base.seed),
+        ..base
     })
 }
 
 fn parse_replan_request(obj: &Json) -> Result<ReplanRequest, Error> {
-    let plan = parse_plan_request(obj)?;
-    let base = ReplanRequest::of(plan);
+    let base = ReplanRequest::of(parse_plan_request(obj)?);
     Ok(ReplanRequest {
-        profile: field_str(obj, "profile")?.unwrap_or_else(|| base.profile.clone()),
-        seed: field_u64(obj, "seed")?.unwrap_or(base.seed),
-        lambda: field_f64(obj, "lambda")?.unwrap_or(base.lambda),
-        horizon: field_u64(obj, "horizon")?.unwrap_or(base.horizon),
-        deadline_ms: base.plan.deadline_ms,
-        id: base.id.clone(),
-        plan: base.plan,
+        profile: obj.opt("profile")?.unwrap_or(base.profile),
+        seed: obj.opt("seed")?.unwrap_or(base.seed),
+        lambda: obj.opt("lambda")?.unwrap_or(base.lambda),
+        horizon: obj.opt("horizon")?.unwrap_or(base.horizon),
+        ..base
     })
 }
 
@@ -203,30 +157,18 @@ fn parse_replan_request(obj: &Json) -> Result<ReplanRequest, Error> {
 /// mistyped field, or a `cancel` naming neither an `id` nor a `request_id`.
 pub fn parse_frame(line: &str) -> Result<ParsedFrame, Error> {
     let doc = parse_json(line).map_err(|e| Error::protocol(format!("bad frame: {e}")))?;
-    if doc.as_object().is_none() {
-        return Err(Error::protocol("frame must be a JSON object"));
-    }
-    let tag = field_str(&doc, "schema_version")?.ok_or_else(|| {
-        Error::protocol(format!(
-            "frame is missing schema_version (tag frames with {SERVICE_SCHEMA}; \
-             see CHANGELOG.md)"
-        ))
-    })?;
-    if tag != SERVICE_SCHEMA {
-        return Err(Error::protocol(format!(
-            "unsupported schema_version: {tag} (tag frames with {SERVICE_SCHEMA}; \
-             see CHANGELOG.md)"
-        )));
-    }
-    let kind = field_str(&doc, "type")?
+    doc.check_schema(SERVICE_SCHEMA)
+        .map_err(|e| Error::protocol(format!("frame rejected: {e}; see CHANGELOG.md")))?;
+    let kind = doc
+        .opt::<&str>("type")?
         .ok_or_else(|| Error::protocol("frame is missing its type field"))?;
-    let frame = match kind.as_str() {
+    let frame = match kind {
         "plan" => Frame::Request(Request::Plan(parse_plan_request(&doc)?)),
         "sim" => Frame::Request(Request::Sim(parse_sim_request(&doc)?)),
         "replan" => Frame::Request(Request::Replan(parse_replan_request(&doc)?)),
         "cancel" => {
-            let id = field_str(&doc, "id")?;
-            let request_id = field_u64(&doc, "request_id")?;
+            let id = doc.opt("id")?;
+            let request_id = doc.opt("request_id")?;
             if id.is_none() && request_id.is_none() {
                 return Err(Error::protocol("cancel frame needs an id or a request_id"));
             }
@@ -243,44 +185,38 @@ pub fn parse_frame(line: &str) -> Result<ParsedFrame, Error> {
     };
     Ok(ParsedFrame {
         frame,
-        trace_id: field_str(&doc, "trace_id")?,
+        trace_id: doc.opt("trace_id")?,
     })
 }
 
 fn tagged(kind: &str) -> Json {
-    Json::obj()
-        .with("schema_version", SERVICE_SCHEMA)
-        .with("type", kind)
+    Json::tagged(SERVICE_SCHEMA).with("type", kind)
 }
 
 /// Encodes a [`PlanRequest`] as a `plan` frame (the client side of the
 /// protocol; also the transcript format of the README quickstart).
 pub fn request_json(req: &PlanRequest) -> Json {
-    let mut doc = tagged("plan")
+    // `strategy` is emitted only when non-default so pre-strategy
+    // transcripts replay byte-identically (mirrors the fingerprint's `:st:`
+    // suffix rule).
+    tagged("plan")
         .with("id", req.id.as_str())
         .with("model", req.model.as_str())
         .with("devices", req.devices)
         .with("batch", req.batch)
-        .with("seq", req.seq);
-    if let Some(layers) = req.layers {
-        doc.set("layers", layers);
-    }
-    doc = doc
+        .with("seq", req.seq)
+        .with_opt("layers", req.layers)
         .with("alpha", req.alpha)
         .with("threads", req.threads)
         .with("allow_temporal", req.allow_temporal)
         .with("allow_batch_split", req.allow_batch_split)
         .with("max_temporal_k", req.max_temporal_k)
-        .with("simulate", req.simulate);
-    if let Some(ms) = req.deadline_ms {
-        doc.set("deadline_ms", ms);
-    }
-    // Emitted only when non-default so pre-strategy transcripts replay
-    // byte-identically (mirrors the fingerprint's `:st:` suffix rule).
-    if req.strategy != SearchStrategy::Exact {
-        doc.set("strategy", req.strategy.to_string());
-    }
-    doc
+        .with("simulate", req.simulate)
+        .with_opt("deadline_ms", req.deadline_ms)
+        .with_opt(
+            "strategy",
+            (req.strategy != SearchStrategy::Exact).then(|| req.strategy.to_string()),
+        )
 }
 
 /// Encodes a [`SimRequest`] as a `sim` frame.
@@ -308,24 +244,15 @@ pub fn replan_request_json(req: &ReplanRequest) -> Json {
 /// Encodes a `cancel` frame naming a client `id` and/or a server
 /// `request_id`.
 pub fn cancel_json(id: Option<&str>, request_id: Option<u64>) -> Json {
-    let mut doc = tagged("cancel");
-    if let Some(id) = id {
-        doc.set("id", id);
-    }
-    if let Some(rid) = request_id {
-        doc.set("request_id", rid);
-    }
-    doc
+    tagged("cancel")
+        .with_opt("id", id)
+        .with_opt("request_id", request_id)
 }
 
 /// Encodes a `stats` introspection frame, optionally carrying a trace id to
 /// be echoed on the snapshot response.
 pub fn stats_request_json(trace_id: Option<&str>) -> Json {
-    let mut doc = tagged("stats");
-    if let Some(trace_id) = trace_id {
-        doc.set("trace_id", trace_id);
-    }
-    doc
+    tagged("stats").with_opt("trace_id", trace_id)
 }
 
 fn cache_json(resp: &crate::CacheOutcome) -> Json {
@@ -345,7 +272,7 @@ fn cache_json(resp: &crate::CacheOutcome) -> Json {
 
 /// Encodes a [`PlanResponse`] as a `plan_response` frame.
 pub fn plan_response_json(resp: &PlanResponse) -> Json {
-    let mut doc = tagged("plan_response")
+    tagged("plan_response")
         .with("id", resp.id.as_str())
         .with("ok", true)
         .with("fingerprint", resp.fingerprint.as_str())
@@ -361,23 +288,22 @@ pub fn plan_response_json(resp: &PlanResponse) -> Json {
         .with("total_cost", resp.plan.total_cost)
         .with("plan_text", resp.plan_text.as_str())
         .with("cache", cache_json(&resp.cache))
-        .with("metrics", resp.metrics.to_metrics().to_json());
-    if let Some(sim) = &resp.sim {
-        doc.set(
+        .with("metrics", resp.metrics.to_metrics().to_json())
+        .with_opt(
             "sim",
-            Json::obj()
-                .with("iteration_time", sim.iteration_time)
-                .with("peak_memory_bytes", sim.peak_memory_bytes)
-                .with("tokens_per_second", sim.tokens_per_second),
-        );
-    }
-    doc
+            resp.sim.as_ref().map(|sim| {
+                Json::obj()
+                    .with("iteration_time", sim.iteration_time)
+                    .with("peak_memory_bytes", sim.peak_memory_bytes)
+                    .with("tokens_per_second", sim.tokens_per_second)
+            }),
+        )
 }
 
 /// Encodes a [`SimResponse`] as a `sim_response` frame.
 pub fn sim_response_json(resp: &SimResponse) -> Json {
     let report = &resp.report;
-    let mut doc = tagged("sim_response")
+    tagged("sim_response")
         .with("id", resp.id.as_str())
         .with("ok", true)
         .with("fingerprint", resp.fingerprint.as_str())
@@ -385,11 +311,11 @@ pub fn sim_response_json(resp: &SimResponse) -> Json {
         .with("iteration_time", report.iteration_time)
         .with("peak_memory_bytes", report.peak_memory_bytes)
         .with("tokens_per_second", report.tokens_per_second)
-        .with("cache", cache_json(&resp.cache));
-    if let Some(sweep) = &report.layer.robustness {
-        doc.set("robustness", robustness_json(sweep));
-    }
-    doc
+        .with("cache", cache_json(&resp.cache))
+        .with_opt(
+            "robustness",
+            report.layer.robustness.as_ref().map(robustness_json),
+        )
 }
 
 /// Encodes a [`ReplanResponse`] as a `replan_response` frame: the decision
@@ -688,6 +614,15 @@ impl<W: Write> Session<'_, W> {
     }
 }
 
+/// A fresh cache, warmed from [`ServeOptions::cache_file`] if it exists.
+fn restored_cache(opts: &ServeOptions) -> Result<WarmCache, Error> {
+    let cache = WarmCache::new();
+    match &opts.cache_file {
+        Some(path) if path.exists() => cache.load(path).map(|_| cache),
+        _ => Ok(cache),
+    }
+}
+
 /// Serves the line protocol from `reader` to `writer` over a private
 /// [`WarmCache`] until EOF or a `shutdown` frame, honouring
 /// [`ServeOptions::cache_file`].
@@ -703,12 +638,7 @@ pub fn serve_lines(
     writer: &mut impl Write,
     opts: &ServeOptions,
 ) -> Result<ServeEnd, Error> {
-    let cache = WarmCache::new();
-    if let Some(path) = &opts.cache_file {
-        if path.exists() {
-            cache.load(path)?;
-        }
-    }
+    let cache = restored_cache(opts)?;
     let end = serve_lines_with_cache(reader, writer, &cache, opts)?;
     if let Some(path) = &opts.cache_file {
         cache.save(path)?;
@@ -720,6 +650,47 @@ pub fn serve_lines(
 /// excluded. A longer line is skipped, never buffered past the cap, and
 /// answered with an in-band `protocol` error; the session goes on.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// Largest artifact file the CLI and the service read whole, in bytes:
+/// `primepar validate`, `serve --cache-file` and `plan --plan` go through
+/// [`read_artifact`]. The largest artifact `scripts/ci.sh` writes, a
+/// 2-device plan's Chrome trace, is 28,971 bytes, and a 32-device OPT-175B
+/// trace is 67 KB: 16 MiB leaves over 200× room, and holds a warm-cache dump
+/// of some 20,000 plans.
+pub const MAX_ARTIFACT_BYTES: u64 = 16 << 20;
+
+/// Reads an artifact file as UTF-8 text, refusing one longer than
+/// [`MAX_ARTIFACT_BYTES`] without reading it whole.
+///
+/// # Errors
+///
+/// [`Error::Internal`] when the file cannot be opened or read;
+/// [`Error::Protocol`] naming the cap for an oversized file, or for one that
+/// is not UTF-8.
+pub fn read_artifact(path: &std::path::Path) -> Result<String, Error> {
+    let io = |e: std::io::Error| Error::internal(format!("cannot read {}: {e}", path.display()));
+    let too_long = || {
+        Error::protocol(format!(
+            "{}: file longer than {MAX_ARTIFACT_BYTES} bytes",
+            path.display()
+        ))
+    };
+    let file = std::fs::File::open(path).map_err(io)?;
+    // The size check refuses a regular file unread; the `take` bounds what a
+    // pipe, a device or a growing file can deliver.
+    if file.metadata().map_err(io)?.len() > MAX_ARTIFACT_BYTES {
+        return Err(too_long());
+    }
+    let mut bytes = Vec::new();
+    file.take(MAX_ARTIFACT_BYTES + 1)
+        .read_to_end(&mut bytes)
+        .map_err(io)?;
+    if bytes.len() as u64 > MAX_ARTIFACT_BYTES {
+        return Err(too_long());
+    }
+    String::from_utf8(bytes)
+        .map_err(|_| Error::protocol(format!("{}: not valid UTF-8", path.display())))
+}
 
 /// Reads the next `\n`-terminated frame (a trailing `\r` is dropped, as
 /// [`BufRead::lines`] does). Returns `Ok(None)` at end of input, and an
@@ -900,21 +871,13 @@ pub fn serve_lines_with_cache(
                             reply.cancel.cancel();
                         }
                     }
-                    Frame::Stats => {
-                        let mut doc = tagged("stats").with("ok", true);
-                        if let Some(trace_id) = &trace_id {
-                            doc.set("trace_id", trace_id.as_str());
-                        }
-                        doc.set("stats", observer.stats_json(cache));
-                        session.send(&doc)?;
-                    }
-                    Frame::Ping => {
-                        let mut doc = tagged("pong");
-                        if let Some(trace_id) = &trace_id {
-                            doc.set("trace_id", trace_id.as_str());
-                        }
-                        session.send(&doc)?;
-                    }
+                    Frame::Stats => session.send(
+                        &tagged("stats")
+                            .with("ok", true)
+                            .with_opt("trace_id", trace_id)
+                            .with("stats", observer.stats_json(cache)),
+                    )?,
+                    Frame::Ping => session.send(&tagged("pong").with_opt("trace_id", trace_id))?,
                     Frame::Shutdown => session.end.shutdown = true,
                 }
             }
@@ -969,12 +932,7 @@ pub fn serve_unix_socket(path: &std::path::Path, opts: &ServeOptions) -> Result<
     }
     let listener = UnixListener::bind(path)
         .map_err(|e| Error::internal(format!("bind {} failed: {e}", path.display())))?;
-    let cache = WarmCache::new();
-    if let Some(file) = &opts.cache_file {
-        if file.exists() {
-            cache.load(file)?;
-        }
-    }
+    let cache = restored_cache(opts)?;
     let mut total = ServeEnd::default();
     loop {
         let (stream, _) = listener
@@ -1045,6 +1003,29 @@ mod tests {
         assert_eq!(frames[2].as_deref().ok(), Some("next"));
         assert!(frames[3].as_ref().unwrap_err().message().contains("UTF-8"));
         assert_eq!(frames[4].as_deref().ok(), Some("last"));
+    }
+
+    #[test]
+    fn read_artifact_refuses_files_over_the_cap_unread() {
+        let dir = std::env::temp_dir().join(format!("primepar-read-cap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let fits = dir.join("fits.metrics.json");
+        std::fs::write(&fits, "{}").expect("writes");
+        assert_eq!(read_artifact(&fits).expect("reads"), "{}");
+        // A sparse file one byte over the cap: refused from its size alone.
+        let over = dir.join("over.trace.json");
+        std::fs::File::create(&over)
+            .and_then(|f| f.set_len(MAX_ARTIFACT_BYTES + 1))
+            .expect("sizes");
+        match read_artifact(&over) {
+            Err(Error::Protocol(m)) => assert!(m.contains(&MAX_ARTIFACT_BYTES.to_string()), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(
+            read_artifact(&dir.join("absent")).unwrap_err().exit_code(),
+            6
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

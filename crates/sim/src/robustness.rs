@@ -18,7 +18,7 @@
 
 use primepar_cost::plan_traffic_bytes;
 use primepar_graph::Graph;
-use primepar_obs::{Json, Metrics};
+use primepar_obs::{Json, Metrics, SchemaError};
 use primepar_partition::PartitionSeq;
 use primepar_topology::{Cluster, PerturbationModel};
 
@@ -268,11 +268,7 @@ pub fn robustness_json(report: &RobustnessReport) -> Json {
                 .with("dead_devices", o.dead_devices as f64)
         })
         .collect();
-    Json::obj()
-        // `schema_version` is the workspace-wide artifact tag (PR 5); the
-        // bare `schema` key is kept for readers of the original format.
-        .with("schema_version", ROBUSTNESS_SCHEMA)
-        .with("schema", ROBUSTNESS_SCHEMA)
+    Json::tagged(ROBUSTNESS_SCHEMA)
         .with("base_seed", report.base_seed.to_string())
         .with("scenarios", report.scenarios as f64)
         .with("ideal_makespan", report.ideal_makespan)
@@ -303,85 +299,51 @@ pub fn robustness_json(report: &RobustnessReport) -> Json {
         .with("outcomes", Json::Arr(outcomes))
 }
 
-fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
-    doc.get(key).ok_or_else(|| format!("missing field `{key}`"))
+/// Reads a seed carried as a decimal string (exact past 2^53).
+fn seed(doc: &Json, key: &str) -> Result<u64, SchemaError> {
+    doc.req::<&str>(key)?
+        .parse()
+        .map_err(|e| SchemaError::shape(key, format!("is not a u64: {e}")))
 }
 
-fn num(doc: &Json, key: &str) -> Result<f64, String> {
-    field(doc, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
-fn seed_str(doc: &Json, key: &str) -> Result<u64, String> {
-    field(doc, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))?
-        .parse::<u64>()
-        .map_err(|e| format!("field `{key}`: {e}"))
+fn outcome(o: &Json) -> Result<ScenarioOutcome, SchemaError> {
+    Ok(ScenarioOutcome {
+        scenario: o.req("scenario")?,
+        seed: seed(o, "seed")?,
+        makespan: o.req("makespan")?,
+        des_makespan: o.req("des_makespan")?,
+        slowdown: o.req("slowdown")?,
+        critical_device: o.req("critical_device")?,
+        max_compute_slowdown: o.req("max_compute_slowdown")?,
+        worst_link_factor: o.req("worst_link_factor")?,
+        dead_devices: o.req("dead_devices")?,
+    })
 }
 
 /// Parses a document produced by [`robustness_json`].
 ///
 /// # Errors
 ///
-/// Returns a description of the first structural mismatch (wrong schema tag,
-/// missing field, wrong type). Documents may carry the workspace-wide
-/// `schema_version` tag, the legacy `schema` tag, or both — at least one is
-/// required, and any tag present must match [`ROBUSTNESS_SCHEMA`].
-pub fn parse_robustness(doc: &Json) -> Result<RobustnessReport, String> {
-    let tags = [doc.get("schema_version"), doc.get("schema")];
-    if tags.iter().all(Option::is_none) {
-        return Err("missing schema tag (`schema_version` or legacy `schema`)".into());
-    }
-    for tag in tags.into_iter().flatten() {
-        match tag.as_str() {
-            Some(ROBUSTNESS_SCHEMA) => {}
-            other => return Err(format!("bad schema tag {other:?}")),
-        }
-    }
-    let makespan = field(doc, "makespan")?;
-    let slowdown = field(doc, "slowdown")?;
-    let histogram = field(doc, "critical_device_histogram")?
-        .as_array()
-        .ok_or("critical_device_histogram is not an array")?
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .map(|f| f as u64)
-                .ok_or_else(|| "histogram entry is not a number".to_string())
-        })
-        .collect::<Result<Vec<u64>, String>>()?;
-    let outcomes = field(doc, "outcomes")?
-        .as_array()
-        .ok_or("outcomes is not an array")?
-        .iter()
-        .map(|o| {
-            Ok(ScenarioOutcome {
-                scenario: num(o, "scenario")? as usize,
-                seed: seed_str(o, "seed")?,
-                makespan: num(o, "makespan")?,
-                des_makespan: num(o, "des_makespan")?,
-                slowdown: num(o, "slowdown")?,
-                critical_device: num(o, "critical_device")? as usize,
-                max_compute_slowdown: num(o, "max_compute_slowdown")?,
-                worst_link_factor: num(o, "worst_link_factor")?,
-                dead_devices: num(o, "dead_devices")? as usize,
-            })
-        })
-        .collect::<Result<Vec<ScenarioOutcome>, String>>()?;
+/// Returns the first structural mismatch: a missing or wrong
+/// `schema_version` tag, a missing field, or a wrong type.
+pub fn parse_robustness(doc: &Json) -> Result<RobustnessReport, SchemaError> {
+    doc.check_schema(ROBUSTNESS_SCHEMA)?;
+    let stat = |section: &str, key: &str| {
+        doc.req::<&Json>(section)
+            .and_then(|s| s.req::<f64>(key).map_err(|e| e.at(section)))
+    };
     Ok(RobustnessReport {
-        base_seed: seed_str(doc, "base_seed")?,
-        scenarios: num(doc, "scenarios")? as usize,
-        ideal_makespan: num(doc, "ideal_makespan")?,
-        min_makespan: num(makespan, "min")?,
-        median_makespan: num(makespan, "median")?,
-        p95_makespan: num(makespan, "p95")?,
-        max_makespan: num(makespan, "max")?,
-        mean_slowdown: num(slowdown, "mean")?,
-        max_slowdown: num(slowdown, "max")?,
-        critical_device_histogram: histogram,
-        outcomes,
+        base_seed: seed(doc, "base_seed")?,
+        scenarios: doc.req("scenarios")?,
+        ideal_makespan: doc.req("ideal_makespan")?,
+        min_makespan: stat("makespan", "min")?,
+        median_makespan: stat("makespan", "median")?,
+        p95_makespan: stat("makespan", "p95")?,
+        max_makespan: stat("makespan", "max")?,
+        mean_slowdown: stat("slowdown", "mean")?,
+        max_slowdown: stat("slowdown", "max")?,
+        critical_device_histogram: doc.req_items("critical_device_histogram", Json::read)?,
+        outcomes: doc.req_items("outcomes", outcome)?,
     })
 }
 
@@ -459,49 +421,45 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_documents() {
         assert!(parse_robustness(&Json::obj()).is_err());
-        let bad = robustness_json(&sweep(2, 1)).with("schema", "nope");
-        assert!(parse_robustness(&bad).unwrap_err().contains("schema"));
+        let bad = robustness_json(&sweep(2, 1)).with("schema_version", "nope");
+        assert!(parse_robustness(&bad)
+            .unwrap_err()
+            .to_string()
+            .contains("schema"));
     }
 
     #[test]
-    fn parse_accepts_versioned_and_legacy_tags() {
+    fn parse_rejects_legacy_schema_only_documents() {
         let report = sweep(2, 3);
         let doc = robustness_json(&report);
-        // Emitted documents carry both tags.
-        assert_eq!(
-            doc.get("schema_version").and_then(Json::as_str),
-            Some(ROBUSTNESS_SCHEMA)
-        );
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some(ROBUSTNESS_SCHEMA)
-        );
-        // Either tag alone is enough…
-        let strip = |doc: &Json, drop: &str| {
-            let Json::Obj(entries) = doc else {
-                unreachable!()
-            };
-            Json::Obj(entries.iter().filter(|(k, _)| k != drop).cloned().collect())
+        // Emitted documents lead with `schema_version` and no longer carry
+        // the pre-versioning `schema` key.
+        assert_eq!(doc.as_object().expect("object")[0].0, "schema_version");
+        assert!(doc.get("schema").is_none());
+        let Json::Obj(entries) = &doc else {
+            unreachable!()
         };
-        let legacy_only = strip(&doc, "schema_version");
-        assert_eq!(
-            parse_robustness(&legacy_only).expect("legacy accepted"),
-            report
-        );
-        let versioned_only = strip(&doc, "schema");
-        assert_eq!(
-            parse_robustness(&versioned_only).expect("versioned accepted"),
-            report
-        );
-        // …but a wrong `schema_version` is rejected even with a good legacy
-        // tag, and an untagged document is rejected outright.
-        let wrong = doc.with("schema_version", "primepar.robustness.v999");
-        assert!(parse_robustness(&wrong).unwrap_err().contains("schema"));
-        let untagged = strip(
-            &strip(&robustness_json(&report), "schema"),
-            "schema_version",
-        );
-        assert!(parse_robustness(&untagged).unwrap_err().contains("schema"));
+        // A document tagged only with the legacy `schema` key is rejected,
+        // as is one with a wrong `schema_version` next to a good legacy tag.
+        let legacy_only = Json::Obj(
+            entries
+                .iter()
+                .filter(|(k, _)| k != "schema_version")
+                .cloned()
+                .collect(),
+        )
+        .with("schema", ROBUSTNESS_SCHEMA);
+        let err = parse_robustness(&legacy_only).unwrap_err().to_string();
+        assert!(err.contains("missing schema_version"), "{err}");
+        let wrong = doc
+            .clone()
+            .with("schema", ROBUSTNESS_SCHEMA)
+            .with("schema_version", "primepar.robustness.v999");
+        assert!(parse_robustness(&wrong)
+            .unwrap_err()
+            .to_string()
+            .contains("schema"));
+        assert_eq!(parse_robustness(&doc).expect("tagged accepted"), report);
     }
 
     #[test]

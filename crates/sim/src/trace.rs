@@ -9,7 +9,7 @@
 //! shortest-round-trip form), so export → parse reproduces every
 //! [`TimelineEvent`] bit for bit.
 
-use primepar_obs::{Json, Metrics, TraceError, TraceEvent, TracePhase};
+use primepar_obs::{Json, Metrics, SchemaError, TraceEvent, TracePhase};
 use primepar_partition::Phase;
 use primepar_topology::LinkClass;
 
@@ -22,40 +22,28 @@ const SIM_PID: u64 = 1;
 /// [`chrome_trace_with_accounting`] — far above any span lane.
 const COUNTER_TID_BASE: u64 = 1000;
 
-fn kind_name(kind: EventKind) -> &'static str {
-    match kind {
-        EventKind::Compute => "compute",
-        EventKind::Ring => "ring",
-        EventKind::AllReduce => "allreduce",
-        EventKind::Redistribution => "redistribution",
-    }
+/// The `cat` spelling of each event kind and the `args.phase` spelling of
+/// each phase: written by [`chrome_trace`], read back by
+/// [`timeline_from_trace`].
+const KINDS: [(EventKind, &str); 4] = [
+    (EventKind::Compute, "compute"),
+    (EventKind::Ring, "ring"),
+    (EventKind::AllReduce, "allreduce"),
+    (EventKind::Redistribution, "redistribution"),
+];
+const PHASES: [(Phase, &str); 3] = [
+    (Phase::Forward, "forward"),
+    (Phase::Backward, "backward"),
+    (Phase::Gradient, "gradient"),
+];
+
+fn name_of<T: PartialEq>(table: &[(T, &'static str)], value: T) -> &'static str {
+    let entry = table.iter().find(|(v, _)| *v == value);
+    entry.expect("the tables name every variant").1
 }
 
-fn kind_from_name(name: &str) -> Option<EventKind> {
-    match name {
-        "compute" => Some(EventKind::Compute),
-        "ring" => Some(EventKind::Ring),
-        "allreduce" => Some(EventKind::AllReduce),
-        "redistribution" => Some(EventKind::Redistribution),
-        _ => None,
-    }
-}
-
-fn phase_name(phase: Phase) -> &'static str {
-    match phase {
-        Phase::Forward => "forward",
-        Phase::Backward => "backward",
-        Phase::Gradient => "gradient",
-    }
-}
-
-fn phase_from_name(name: &str) -> Option<Phase> {
-    match name {
-        "forward" => Some(Phase::Forward),
-        "backward" => Some(Phase::Backward),
-        "gradient" => Some(Phase::Gradient),
-        _ => None,
-    }
+fn named<T: Copy>(table: &[(T, &str)], name: &str) -> Option<T> {
+    table.iter().find(|(_, n)| *n == name).map(|(v, _)| *v)
 }
 
 /// Maps a timeline onto Chrome `trace_event` spans: `name` is the operator,
@@ -76,7 +64,7 @@ pub fn chrome_trace(timeline: &Timeline) -> Vec<TraceEvent> {
                 });
             TraceEvent {
                 name: ev.op.clone(),
-                cat: kind_name(ev.kind).to_string(),
+                cat: name_of(&KINDS, ev.kind).to_string(),
                 ph: TracePhase::Complete,
                 pid: SIM_PID,
                 tid: lane as u64,
@@ -85,7 +73,7 @@ pub fn chrome_trace(timeline: &Timeline) -> Vec<TraceEvent> {
                 args: vec![
                     (
                         "phase".to_string(),
-                        Json::Str(phase_name(ev.phase).to_string()),
+                        Json::Str(name_of(&PHASES, ev.phase).to_string()),
                     ),
                     ("start_s".to_string(), Json::Num(ev.start)),
                     ("dur_s".to_string(), Json::Num(ev.duration)),
@@ -107,46 +95,38 @@ pub fn render_chrome_trace(timeline: &Timeline) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Shape`] when a span is missing the simulator args
+/// Returns [`SchemaError::Shape`] when a span is missing the simulator args
 /// or names an unknown phase or event kind.
-pub fn timeline_from_trace(events: &[TraceEvent]) -> Result<Timeline, TraceError> {
+pub fn timeline_from_trace(events: &[TraceEvent]) -> Result<Timeline, SchemaError> {
     events
         .iter()
         .enumerate()
         .filter(|(_, ev)| ev.ph != TracePhase::Counter)
-        .map(|(i, ev)| {
-            let fail = |m: &str| TraceError::Shape(format!("event {i}: {m}"));
-            let kind = kind_from_name(&ev.cat)
-                .ok_or_else(|| fail(&format!("unknown event kind `{}`", ev.cat)))?;
-            let arg = |key: &str| ev.args.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            let phase = arg("phase")
-                .and_then(Json::as_str)
-                .and_then(phase_from_name)
-                .ok_or_else(|| fail("missing or unknown `args.phase`"))?;
-            let start = arg("start_s")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| fail("missing numeric `args.start_s`"))?;
-            let duration = arg("dur_s")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| fail("missing numeric `args.dur_s`"))?;
-            Ok(TimelineEvent {
-                op: ev.name.clone(),
-                phase,
-                kind,
-                start,
-                duration,
-            })
-        })
+        .map(|(i, ev)| timeline_event(ev).map_err(|e| e.at(&format!("traceEvents[{i}]"))))
         .collect()
+}
+
+fn timeline_event(ev: &TraceEvent) -> Result<TimelineEvent, SchemaError> {
+    let args = Json::Obj(ev.args.clone());
+    let in_args = |e: SchemaError| e.at("args");
+    let unknown = |path: &str| SchemaError::shape(path, "has an unknown value");
+    Ok(TimelineEvent {
+        op: ev.name.clone(),
+        phase: named(&PHASES, args.req("phase").map_err(in_args)?)
+            .ok_or_else(|| unknown("args.phase"))?,
+        kind: named(&KINDS, &ev.cat).ok_or_else(|| unknown("cat"))?,
+        start: args.req("start_s").map_err(in_args)?,
+        duration: args.req("dur_s").map_err(in_args)?,
+    })
 }
 
 /// Parses a rendered Chrome trace back into a timeline.
 ///
 /// # Errors
 ///
-/// Returns [`TraceError`] on invalid JSON, a malformed `trace_event` array,
-/// or spans that are not simulator exports.
-pub fn parse_chrome_trace(text: &str) -> Result<Timeline, TraceError> {
+/// Returns [`SchemaError`] on invalid JSON, a malformed trace document, or
+/// spans that are not simulator exports.
+pub fn parse_chrome_trace(text: &str) -> Result<Timeline, SchemaError> {
     timeline_from_trace(&primepar_obs::parse_trace(text)?)
 }
 
@@ -228,7 +208,7 @@ pub fn accounting_metrics(acct: &ClusterAccounting) -> Metrics {
         m.gauge(&format!("{p}.occupancy"), link.occupancy(acct.makespan));
     }
     for c in &acct.collectives {
-        let p = format!("sim.collective.{}", kind_name(c.kind));
+        let p = format!("sim.collective.{}", name_of(&KINDS, c.kind));
         m.incr(&format!("{p}.count"), c.count);
         m.gauge(&format!("{p}.wire_bytes"), c.wire_bytes);
         m.gauge(&format!("{p}.seconds"), c.seconds);
@@ -278,9 +258,12 @@ pub fn layer_report_metrics(report: &LayerReport) -> Metrics {
     m.gauge("sim.stash_bytes", report.stash_bytes);
     m.incr("sim.timeline.events", report.timeline.len() as u64);
     for ev in &report.timeline {
-        m.incr(&format!("sim.timeline.{}_events", kind_name(ev.kind)), 1);
+        m.incr(
+            &format!("sim.timeline.{}_events", name_of(&KINDS, ev.kind)),
+            1,
+        );
         m.observe(
-            &format!("sim.timeline.{}_seconds", kind_name(ev.kind)),
+            &format!("sim.timeline.{}_seconds", name_of(&KINDS, ev.kind)),
             ev.duration,
         );
     }
@@ -343,13 +326,13 @@ mod tests {
         spans[0].cat = "mystery".into();
         assert!(matches!(
             timeline_from_trace(&spans),
-            Err(TraceError::Shape(_))
+            Err(SchemaError::Shape { .. })
         ));
         let mut spans = chrome_trace(&sample_timeline());
         spans[0].args.clear();
         assert!(matches!(
             timeline_from_trace(&spans),
-            Err(TraceError::Shape(_))
+            Err(SchemaError::Shape { .. })
         ));
     }
 

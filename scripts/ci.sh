@@ -49,6 +49,21 @@ if [ -d results ]; then
     ./target/release/primepar validate --dir results
 fi
 
+echo "== artifact rejection (untagged, bare-array and oversized documents) =="
+# Pre-versioning documents and files over service::MAX_ARTIFACT_BYTES
+# (16 MiB) are protocol errors (exit 4), never warnings. Each case gets its
+# own directory so each must fail on its own.
+for case in untagged bare oversized; do mkdir -p "$artifacts/reject-$case"; done
+printf '{"x": 1}\n' >"$artifacts/reject-untagged/old.metrics.json"
+printf '[]\n' >"$artifacts/reject-bare/old.trace.json"
+truncate -s $((16 * 1024 * 1024 + 1)) "$artifacts/reject-oversized/big.trace.json"
+for case in untagged bare oversized; do
+    status=0
+    ./target/release/primepar validate --dir "$artifacts/reject-$case" 2>/dev/null || status=$?
+    [ "$status" -eq 4 ] \
+        || { echo "validate must reject the $case artifact (exit $status, want 4)" >&2; exit 1; }
+done
+
 echo "== drift audit smoke (Fig. 9 workload: OPT-175B MLP block, 8 GPUs) =="
 # Must be deterministic: two runs, identical bytes.
 ./target/release/primepar audit --model opt-175b --devices 8 --mlp-block \
