@@ -8,6 +8,8 @@
 //! * The plan text round-trips through `parse_plan`.
 //! * beam(8) never beats the exact optimum, is much faster than the exact
 //!   sweep on the chain, and stays within 5% of it on the Table-2 slab.
+//! * The exact sweep's early-exit min-plus kernel relaxes under 15% of the
+//!   chain's nominal Bellman candidates.
 //!
 //! `cargo test --release -p primepar-bench --test scale_chain`
 
@@ -50,8 +52,17 @@ fn plan_digest(graph: &Graph, plan: &ModelPlan) -> String {
 fn exact_chain_plan_is_pinned_and_beam_is_faster_and_never_better() {
     let cluster = Cluster::v100_like(512);
     let graph = planner_scale_graph(512, 97);
-    let exact = Planner::new(&cluster, &graph, PlannerOptions::default()).optimize(1);
+    let (exact, metrics) =
+        Planner::new(&cluster, &graph, PlannerOptions::default()).optimize_instrumented(1);
     assert_eq!(plan_digest(&graph, &exact), PIN_CHAIN512);
+
+    let nominal: u64 = metrics.segments.iter().map(|s| s.bellman_relaxations).sum();
+    let visited: u64 = metrics.segments.iter().map(|s| s.bellman_visited).sum();
+    assert!(visited <= nominal, "visited {visited} > nominal {nominal}");
+    assert!(
+        visited * 100 < nominal * 15,
+        "the bounded kernel relaxed {visited} of {nominal} candidates (>= 15%)"
+    );
 
     let text = render_plan(&graph, &exact.seqs);
     let reparsed = parse_plan(&graph, &text).expect("plan text re-parses");

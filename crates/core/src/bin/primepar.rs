@@ -151,7 +151,7 @@ fn usage() -> &'static str {
      \x20         writes a per-session Chrome trace (one lane per worker),\n\
      \x20         --stats-out dumps a primepar.stats.v1 snapshot on shutdown,\n\
      \x20         --slow-ms logs a stage breakdown for slow requests, and\n\
-     \x20         --logical-clock makes event timestamps deterministic\n\
+     \x20         --logical-clock makes the event log deterministic\n\
      \x20 validate [--dir DIR]...         strict re-parse of *.metrics.json /\n\
      \x20         *.trace.json / *.report.json / *.cache.json /\n\
      \x20         *.events.jsonl / *.stats.json; every document must carry its\n\

@@ -16,7 +16,9 @@
 //! * the overlap is a product of per-axis factors, and on each axis a side
 //!   holds only a few distinct intervals, so the dense table is filled from
 //!   small per-axis factor tables rather than one eight-axis product per
-//!   entry;
+//!   entry — unless the matrix is so small (a beam probe, a pair of
+//!   beam-restricted spaces) that its device lookups are cheaper to price
+//!   one eight-axis product at a time than the tables are to build;
 //! * whole matrices repeat across edges whose endpoints share signatures and
 //!   edge parameters (the residual adds, the stacked-layer boundary), keyed
 //!   by [`MatrixKey`].
@@ -247,10 +249,7 @@ fn dense_bits(d: &DenseIntervals) -> [u64; 2 * Axis::COUNT] {
 /// matrices compute on worker threads against one shared [`CostCtx`].
 #[derive(Debug, Clone)]
 pub struct PreparedEdge {
-    /// Forward direction: consumer needs vs producer holds.
-    fwd: Arc<DirectionTables>,
-    /// Backward direction: gradient needs vs gradient holds.
-    bwd: Arc<DirectionTables>,
+    pricing: Pricing,
     /// Per-column needed volume (`V` of Eq. 9, elements) — forward.
     vc: Vec<f64>,
     /// Per-row needed volume — backward.
@@ -262,6 +261,34 @@ pub struct PreparedEdge {
     pub cols: usize,
     /// Structural identity of the matrix this job computes.
     key: MatrixKey,
+}
+
+/// Relative cost of one [`Pricing::Direct`] device lookup (two eight-axis
+/// overlap products) against building one [`DirectionTables`] cell: a
+/// prepared edge prices directly only when its matrix makes fewer than
+/// `1 / DIRECT_LOOKUP_COST` as many lookups as its tables would have cells.
+const DIRECT_LOOKUP_COST: usize = 5;
+
+/// How a [`PreparedEdge`] looks up `total · overlap(need, hold)`.
+#[derive(Debug, Clone)]
+enum Pricing {
+    /// One [`DirectionTables`] per direction. Forward: consumer needs vs
+    /// producer holds; backward: gradient needs vs gradient holds.
+    Tables {
+        fwd: Arc<DirectionTables>,
+        bwd: Arc<DirectionTables>,
+    },
+    /// A matrix with few device lookups against the cells its two tables
+    /// would have (a beam probe's anchored row against a small space, a
+    /// pair of beam-restricted spaces) evaluates each overlap where it is
+    /// needed instead.
+    Direct {
+        total_elems: f64,
+        produce: Arc<SideProfiles>,
+        consume: Arc<SideProfiles>,
+        g_produce: Arc<SideProfiles>,
+        g_consume: Arc<SideProfiles>,
+    },
 }
 
 impl PreparedEdge {
@@ -278,13 +305,44 @@ impl PreparedEdge {
     ///
     /// The sweep writes each cell exactly once, accumulating both directions
     /// over devices ascending (the direct path's order) from the prepared
-    /// overlap tables — a single pass over the output instead of one
-    /// read-modify-write pass per device and direction.
+    /// overlap tables, or the overlaps themselves for a small matrix — a
+    /// single pass over the output instead of one read-modify-write pass per
+    /// device and direction.
     pub fn matrix(&self, ctx: &CostCtx<'_>) -> Vec<f64> {
         let (rows, cols, d) = (self.rows, self.cols, self.devices);
         ctx.note_inter_evals((rows * cols) as u64);
-        let (fwd, bwd) = (&*self.fwd, &*self.bwd);
         let mut out = vec![0.0; rows * cols];
+        let (fwd, bwd) = match &self.pricing {
+            Pricing::Tables { fwd, bwd } => (&**fwd, &**bwd),
+            Pricing::Direct {
+                total_elems,
+                produce,
+                consume,
+                g_produce,
+                g_consume,
+            } => {
+                // `total · need.overlap_fraction(hold)` is the table entry's
+                // expression: the same factors, in axis order from `1.0`.
+                let entry = |needs: &SideProfiles, n: usize, holds: &SideProfiles, h: usize| {
+                    let need = &needs.uniques[needs.ids[n] as usize];
+                    total_elems * need.overlap_fraction(&holds.uniques[holds.ids[h] as usize])
+                };
+                for (i, out_row) in out.chunks_mut(cols).enumerate() {
+                    for (j, slot) in out_row.iter_mut().enumerate() {
+                        let mut f = 0.0;
+                        let mut b = 0.0;
+                        for k in 0..d {
+                            let fe = entry(consume, j * d + k, produce, i * d + k);
+                            f += (self.vc[j] - fe).max(0.0);
+                            let be = entry(g_consume, i * d + k, g_produce, j * d + k);
+                            b += (self.vg[i] - be).max(0.0);
+                        }
+                        *slot = ctx.redistribution_time(4.0 * (f + b));
+                    }
+                }
+                return out;
+            }
+        };
         for (i, out_row) in out.chunks_mut(cols).enumerate() {
             let f_hold = &fwd.hold_rank[i * d..(i + 1) * d];
             let b_pre = &bwd.need_pre[i * d..(i + 1) * d];
@@ -514,16 +572,32 @@ impl EdgeCostCache {
             .iter()
             .map(|f| total_elems * f)
             .collect();
-        let fwd = self.direction(total_elems, &consume, &produce);
-        let bwd = self.direction(total_elems, &g_consume, &g_produce);
+        let (rows, cols) = (src_seqs.len(), dst_seqs.len());
+        let d = produce.devices;
+        let lookups = rows * cols * d;
+        let table_cells = consume.uniques.len() * produce.uniques.len()
+            + g_consume.uniques.len() * g_produce.uniques.len();
+        let pricing = if DIRECT_LOOKUP_COST * lookups < table_cells {
+            Pricing::Direct {
+                total_elems,
+                produce,
+                consume,
+                g_produce,
+                g_consume,
+            }
+        } else {
+            Pricing::Tables {
+                fwd: self.direction(total_elems, &consume, &produce),
+                bwd: self.direction(total_elems, &g_consume, &g_produce),
+            }
+        };
         PreparedEdge {
-            fwd,
-            bwd,
+            pricing,
             vc,
             vg,
-            devices: produce.devices,
-            rows: src_seqs.len(),
-            cols: dst_seqs.len(),
+            devices: d,
+            rows,
+            cols,
             key: MatrixKey::new(edge, src_sig, dst_sig),
         }
     }
@@ -646,34 +720,47 @@ mod tests {
         let g = ModelConfig::opt_6_7b().layer_graph(8, 512);
         let sig_ids = g.signature_ids();
         let seqs = seqs_4dev();
-        let mut cache = EdgeCostCache::new();
-        for edge in &g.edges {
-            let (src, dst) = (&g.ops[edge.src], &g.ops[edge.dst]);
-            let direct_ctx = CostCtx::new(&cluster, 0.0);
-            let direct = edge_cost_matrix(&direct_ctx, edge, src, dst, &seqs, &seqs);
-            let prepared = cache.prepare(
-                edge,
-                src,
-                dst,
-                &seqs,
-                &seqs,
-                sig_ids[edge.src],
-                sig_ids[edge.dst],
-            );
-            let ctx = CostCtx::new(&cluster, 0.0);
-            let fast = prepared.matrix(&ctx);
-            assert_eq!(direct.len(), fast.len());
-            for (i, (a, b)) in direct.iter().zip(&fast).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "edge ({}, {}) cell {i}: {a} vs {b}",
-                    edge.src,
-                    edge.dst
+        // Full spaces, a single anchored row or column (a beam probe) and a
+        // two-state pair: both pricing modes must occur, and match.
+        let shapes: [(&[PartitionSeq], &[PartitionSeq]); 4] = [
+            (&seqs, &seqs),
+            (&seqs[3..4], &seqs),
+            (&seqs, &seqs[5..6]),
+            (&seqs[..2], &seqs[7..9]),
+        ];
+        let mut modes = [0usize; 2];
+        for (src_seqs, dst_seqs) in shapes {
+            let mut cache = EdgeCostCache::new();
+            for edge in &g.edges {
+                let (src, dst) = (&g.ops[edge.src], &g.ops[edge.dst]);
+                let direct_ctx = CostCtx::new(&cluster, 0.0);
+                let direct = edge_cost_matrix(&direct_ctx, edge, src, dst, src_seqs, dst_seqs);
+                let prepared = cache.prepare(
+                    edge,
+                    src,
+                    dst,
+                    src_seqs,
+                    dst_seqs,
+                    sig_ids[edge.src],
+                    sig_ids[edge.dst],
                 );
+                modes[usize::from(matches!(prepared.pricing, Pricing::Direct { .. }))] += 1;
+                let ctx = CostCtx::new(&cluster, 0.0);
+                let fast = prepared.matrix(&ctx);
+                assert_eq!(direct.len(), fast.len());
+                for (i, (a, b)) in direct.iter().zip(&fast).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "edge ({}, {}) cell {i}: {a} vs {b}",
+                        edge.src,
+                        edge.dst
+                    );
+                }
+                assert_eq!(ctx.inter_evaluations(), direct.len() as u64);
             }
-            assert_eq!(ctx.inter_evaluations(), (seqs.len() * seqs.len()) as u64);
         }
+        assert!(modes.iter().all(|&m| m > 0), "tables/direct: {modes:?}");
     }
 
     /// Intervals `[lo, hi)` on the listed axes, `[0, 1)` elsewhere.

@@ -707,7 +707,8 @@ impl<'a> Planner<'a> {
         let mut span = segments[0];
         for (table, seg) in tables.into_iter().zip(&segments[1..]) {
             tm.merge_relaxations += (merged.rows * table.cols * merged.cols) as u64;
-            merged = merge(
+            let visited;
+            (merged, visited) = merge(
                 merged,
                 table,
                 span.1,
@@ -717,6 +718,7 @@ impl<'a> Planner<'a> {
                 &mut choices,
                 &mut tm.thread_busy_seconds,
             );
+            tm.merge_visited += visited;
             span = (span.0, seg.1);
         }
         tm.merge_seconds += t3.elapsed().as_secs_f64();
@@ -798,7 +800,8 @@ impl<'a> Planner<'a> {
     /// and appending every argmin plane to the shared [`ChoiceArena`].
     /// Worker busy time is accumulated into `busy` (indexed by worker slot);
     /// the returned [`SegmentMetrics`] carries table dimensions and
-    /// relaxation counts — the caller stamps `sweep_seconds`.
+    /// relaxation counts, nominal and visited — the caller stamps
+    /// `sweep_seconds`.
     #[allow(clippy::too_many_arguments)]
     fn segment_dp(
         &self,
@@ -810,7 +813,7 @@ impl<'a> Planner<'a> {
         choices: &mut ChoiceArena,
         busy: &mut [f64],
     ) -> (Table, SegmentMetrics) {
-        let mut relaxations = 0u64;
+        let (mut relaxations, mut visited) = (0u64, 0u64);
         let rows = spaces[s].len();
         let max_cols = (s + 1..=e).map(|j| spaces[j].len()).max().expect("span");
         let mut cur = vec![0.0; rows * max_cols];
@@ -835,7 +838,7 @@ impl<'a> Planner<'a> {
             // Eq. 12's e_{i,j+1} term.
             let head = edge_tables.get(s, j);
             let choice = choices.alloc(rows * new_cols);
-            minplus::bellman_extend(
+            visited += minplus::bellman_extend(
                 self.opts.threads,
                 rows,
                 cols,
@@ -863,6 +866,7 @@ impl<'a> Planner<'a> {
             rows,
             cols,
             bellman_relaxations: relaxations,
+            bellman_visited: visited,
             sweep_seconds: 0.0,
             states_pruned: 0,
         };
@@ -881,7 +885,8 @@ impl<'a> Planner<'a> {
 /// Eq. 13: merge `left` (span `a..mid`) and `right` (span `mid..c`),
 /// subtracting the shared node's intra cost and adding any direct `a → c`
 /// edge. Routed through the lane-tiled min-plus kernels, row-parallel when
-/// threads are requested — bitwise-identical either way.
+/// threads are requested — bitwise-identical either way. Also returns the
+/// candidates the kernel relaxed.
 #[allow(clippy::too_many_arguments)]
 fn merge(
     left: Table,
@@ -892,14 +897,14 @@ fn merge(
     threads: usize,
     choices: &mut ChoiceArena,
     busy: &mut [f64],
-) -> Table {
+) -> (Table, u64) {
     assert_eq!(left.cols, right.rows, "merge point spaces must agree");
     let rows = left.rows;
     let cols = right.cols;
     let k = left.cols;
     let mut cost = vec![0.0; rows * cols];
     let choice = choices.alloc(rows * cols);
-    minplus::merge_tables(
+    let visited = minplus::merge_tables(
         threads,
         rows,
         k,
@@ -919,12 +924,15 @@ fn merge(
         choice,
         cols,
     }];
-    Table {
-        rows,
-        cols,
-        cost,
-        steps,
-    }
+    (
+        Table {
+            rows,
+            cols,
+            cost,
+            steps,
+        },
+        visited,
+    )
 }
 
 /// Eq. 14 generalized: exact cost of `layers` stacked copies of the layer
@@ -1184,6 +1192,7 @@ mod tests {
         assert_eq!(single_tm.intra_evaluations, multi_tm.intra_evaluations);
         assert_eq!(single_tm.edge_evaluations, multi_tm.edge_evaluations);
         assert_eq!(single_tm.merge_relaxations, multi_tm.merge_relaxations);
+        assert_eq!(single_tm.merge_visited, multi_tm.merge_visited);
         // ISSUE 2: cache telemetry is deterministic too — the matrix dedup
         // happens before any work is parallelized.
         assert_eq!(single_tm.unique_signatures, multi_tm.unique_signatures);
@@ -1210,6 +1219,7 @@ mod tests {
             assert_eq!(s.rows, m.rows);
             assert_eq!(s.cols, m.cols);
             assert_eq!(s.bellman_relaxations, m.bellman_relaxations);
+            assert_eq!(s.bellman_visited, m.bellman_visited);
         }
 
         // Sanity on the counters themselves: the planner did real work.

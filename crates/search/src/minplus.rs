@@ -12,6 +12,10 @@
 //! association — results and argmin choices are bitwise-identical to the
 //! per-cell scalar rows, which survive only as the tests' oracle.
 //!
+//! The two argmin products (Eqs. 12–13) also skip every candidate that
+//! provably cannot reach a tile's minimum; [`argmin_row`] states the bound
+//! and why the result stays bitwise.
+//!
 //! All three products parallelize over output rows and write into
 //! caller-provided planes (the DP's arena scratch), so the hot loop does no
 //! allocation. Per-worker busy seconds accumulate into the planner's
@@ -25,7 +29,7 @@ const LANES: usize = 8;
 
 /// Runs `row_fn(r, cost_row, choice_row)` for every row, chunked across
 /// `threads` scoped workers (serial when `threads <= 1`), adding per-worker
-/// busy seconds into `busy`.
+/// busy seconds into `busy`. Returns the sum of `row_fn`'s counts.
 fn drive(
     threads: usize,
     rows: usize,
@@ -33,8 +37,8 @@ fn drive(
     cost: &mut [f64],
     choice: &mut [u32],
     busy: &mut [f64],
-    row_fn: impl Fn(usize, &mut [f64], &mut [u32]) + Sync,
-) {
+    row_fn: impl Fn(usize, &mut [f64], &mut [u32]) -> u64 + Sync,
+) -> u64 {
     if threads > 1 && rows > 1 {
         std::thread::scope(|scope| {
             let chunk = rows.div_ceil(threads).max(1);
@@ -47,38 +51,63 @@ fn drive(
                 let row_fn = &row_fn;
                 handles.push(scope.spawn(move || {
                     let sweep = Instant::now();
+                    let mut count = 0;
                     for (i, (oc, och)) in cost_band
                         .chunks_mut(width)
                         .zip(choice_band.chunks_mut(width))
                         .enumerate()
                     {
-                        row_fn(band * chunk + i, oc, och);
+                        count += row_fn(band * chunk + i, oc, och);
                     }
-                    sweep.elapsed().as_secs_f64()
+                    (sweep.elapsed().as_secs_f64(), count)
                 }));
             }
+            let mut count = 0;
             for (slot, handle) in handles.into_iter().enumerate() {
-                busy[slot] += handle.join().expect("min-plus worker");
+                let (seconds, band_count) = handle.join().expect("min-plus worker");
+                busy[slot] += seconds;
+                count += band_count;
             }
-        });
+            count
+        })
     } else {
         let sweep = Instant::now();
+        let mut count = 0;
         for (r, (oc, och)) in cost
             .chunks_mut(width)
             .zip(choice.chunks_mut(width))
             .enumerate()
         {
-            row_fn(r, oc, och);
+            count += row_fn(r, oc, och);
         }
         busy[0] += sweep.elapsed().as_secs_f64();
+        count
     }
+}
+
+/// Per-column minima of a row-major plane `width` wide, or `None` when the
+/// plane holds a non-finite value — which turns the skip bound off.
+fn column_minima(plane: &[f64], width: usize) -> Option<Vec<f64>> {
+    if plane.iter().any(|v| !v.is_finite()) {
+        return None;
+    }
+    let mut min = vec![f64::INFINITY; width];
+    for row in plane.chunks_exact(width) {
+        for (m, &v) in min.iter_mut().zip(row) {
+            if v < *m {
+                *m = v;
+            }
+        }
+    }
+    Some(min)
 }
 
 /// One Bellman chain extension (Eq. 12): from the `rows × cols` table against
 /// the `cols × new_cols` chain-edge matrix, adding the new endpoint's intra
 /// cost and the optional segment-head edge. Writes into the caller's
 /// `rows × new_cols` planes: `out_choice[r·new_cols + nc]` is the argmin
-/// previous-endpoint state.
+/// previous-endpoint state. Returns the candidates relaxed, in cells (see
+/// [`argmin_row`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bellman_extend(
     threads: usize,
@@ -92,9 +121,11 @@ pub(crate) fn bellman_extend(
     out_cost: &mut [f64],
     out_choice: &mut [u32],
     busy: &mut [f64],
-) {
+) -> u64 {
     assert_eq!(out_cost.len(), rows * new_cols);
     assert_eq!(out_choice.len(), rows * new_cols);
+    assert_eq!(chain.len(), cols * new_cols);
+    let chain_min = column_minima(chain, new_cols);
     drive(
         threads,
         rows,
@@ -105,9 +136,25 @@ pub(crate) fn bellman_extend(
         |r, out_cost, out_choice| {
             let row = &cost[r * cols..(r + 1) * cols];
             let head_row = head.map(|h| &h[r * new_cols..(r + 1) * new_cols]);
-            extend_row_lanes(row, chain, intra_j, head_row, out_cost, out_choice);
+            let bound = chain_min
+                .as_deref()
+                .filter(|_| row.iter().all(|v| v.is_finite()));
+            argmin_row(
+                chain,
+                bound,
+                |p| {
+                    let base = row[p];
+                    move |c| base + c
+                },
+                |nc, best| {
+                    let v = best + intra_j[nc];
+                    head_row.map_or(v, |h| v + h[nc])
+                },
+                out_cost,
+                out_choice,
+            )
         },
-    );
+    )
 }
 
 /// The per-cell scalar extension row: the oracle the lane-tiled kernel is
@@ -141,71 +188,145 @@ fn extend_row_scalar(
     }
 }
 
-/// Lane-tiled extension: `LANES` output cells share one pass over the
-/// candidates, each lane keeping its own running (min, argmin) pair — the
-/// `if`-converted compare/select has no loop-carried cross-lane dependency,
-/// so the reduction vectorizes. Candidates arrive per cell in the same
-/// ascending-`p` order with the same strict `<`, and the final sums keep the
-/// `(best + intra) + head` association, so cost and argmin match the scalar
-/// row bitwise.
-fn extend_row_lanes(
-    row: &[f64],
-    chain: &[f64],
-    intra_j: &[f64],
-    head_row: Option<&[f64]>,
+/// One output row of an argmin min-plus product over the `n × width` plane
+/// `m`: cell `c` is `finish(c, min_p value(p)(m[p, c]))`, its choice the
+/// argmin `p`; `value(p)` reads candidate `p`'s row terms once for all the
+/// lanes it relaxes. Returns the candidates relaxed, counted in cells:
+/// `LANES` per candidate a tile visits, one per candidate a tail cell
+/// visits.
+///
+/// `LANES` output cells share one pass over the candidates, each lane
+/// keeping its own running (min, argmin) pair — the `if`-converted
+/// compare/select has no loop-carried cross-lane dependency, so the
+/// reduction vectorizes. Candidates arrive per cell in the same
+/// ascending-`p` order with the same strict `<`, and `value` and `finish`
+/// keep the scalar row's association, so cost and argmin match it bitwise.
+///
+/// With `colmin` (the per-column minima of `m`, given only when every input
+/// is finite) each tile first takes a bound `U = max over its lanes of
+/// value(p0)(m[p0, c])` at the seed `p0` that minimizes `value(p)(0)`, and
+/// skips every `p` with `value(p)(min over its lanes of colmin) > U`.
+/// Each `value(p)` is monotone — a chain of correctly rounded additions —
+/// so a skipped candidate is strictly above `U`, which is at least every
+/// lane's final minimum. Under ascending-`p`, strict-`<` scanning the result
+/// is the first candidate that attains the minimum, and no such candidate
+/// is ever skipped: the choice and its cost bits are those of the full scan.
+/// Without `colmin` every candidate is visited, as in the dense kernel.
+///
+/// The bound costs a test per candidate, which only pays while it skips:
+/// once the row's tiles have visited half their candidates, the rest of the
+/// row scans densely — the same result, without the test.
+fn argmin_row<V: Fn(f64) -> f64>(
+    m: &[f64],
+    colmin: Option<&[f64]>,
+    value: impl Fn(usize) -> V,
+    finish: impl Fn(usize, f64) -> f64,
     out_cost: &mut [f64],
     out_choice: &mut [u32],
-) {
-    let new_cols = out_cost.len();
-    let tiled = new_cols - new_cols % LANES;
-    let mut nc0 = 0;
-    while nc0 < tiled {
-        let mut min = [f64::INFINITY; LANES];
-        let mut arg = [0u32; LANES];
-        for (p, &base) in row.iter().enumerate() {
-            let c: &[f64; LANES] = chain[p * new_cols + nc0..][..LANES]
-                .try_into()
-                .expect("lane");
-            for l in 0..LANES {
-                let v = base + c[l];
-                let better = v < min[l];
-                min[l] = if better { v } else { min[l] };
-                arg[l] = if better { p as u32 } else { arg[l] };
+) -> u64 {
+    let width = out_cost.len();
+    let n = m.len() / width;
+    let seed = colmin.map(|colmin| {
+        let (p0, _) = (0..n).fold((0, f64::INFINITY), |(best, least), p| {
+            let v = value(p)(0.0);
+            if v < least {
+                (p, v)
+            } else {
+                (best, least)
             }
-        }
+        });
+        (&m[p0 * width..(p0 + 1) * width], colmin, value(p0))
+    });
+    // The skip rule for output columns `cols`: (lane floor, bound U).
+    let bound = |cols: std::ops::Range<usize>| match seed {
+        Some((seed_row, colmin, ref seed)) => (
+            colmin[cols.clone()]
+                .iter()
+                .fold(f64::INFINITY, |a, &b| a.min(b)),
+            seed_row[cols]
+                .iter()
+                .fold(f64::NEG_INFINITY, |a, &b| a.max(seed(b))),
+        ),
+        None => (0.0, f64::INFINITY),
+    };
+    let mut bounded = seed.is_some();
+    let mut visited = 0u64;
+    let tiled = width - width % LANES;
+    for (t, c0) in (0..tiled).step_by(LANES).enumerate() {
+        let (min, arg, tile_visited) = if bounded {
+            let (floor, cap) = bound(c0..c0 + LANES);
+            relax_tile::<true, _>(m, width, c0, &value, floor, cap)
+        } else {
+            relax_tile::<false, _>(m, width, c0, &value, 0.0, 0.0)
+        };
+        visited += LANES as u64 * tile_visited;
+        bounded &= 2 * visited < ((t + 1) * n * LANES) as u64;
         for l in 0..LANES {
-            let mut v = min[l] + intra_j[nc0 + l];
-            if let Some(h) = head_row {
-                v += h[nc0 + l];
-            }
-            out_cost[nc0 + l] = v;
-            out_choice[nc0 + l] = arg[l];
+            out_cost[c0 + l] = finish(c0 + l, min[l]);
+            out_choice[c0 + l] = arg[l];
         }
-        nc0 += LANES;
     }
-    // Scalar tail: the per-cell loop of the scalar row.
-    for nc in tiled..new_cols {
+    // Scalar tail: the per-cell loop of the scalar row, each cell its own
+    // one-lane tile.
+    for c in tiled..width {
+        let (floor, cap) = bound(c..c + 1);
         let mut best = f64::INFINITY;
         let mut best_p = 0u32;
-        for (p, &base) in row.iter().enumerate() {
-            let v = base + chain[p * new_cols + nc];
+        for p in 0..n {
+            let value = value(p);
+            if value(floor) > cap {
+                continue;
+            }
+            visited += 1;
+            let v = value(m[p * width + c]);
             if v < best {
                 best = v;
                 best_p = p as u32;
             }
         }
-        let mut v = best + intra_j[nc];
-        if let Some(h) = head_row {
-            v += h[nc];
-        }
-        out_cost[nc] = v;
-        out_choice[nc] = best_p;
+        out_cost[c] = finish(c, best);
+        out_choice[c] = best_p;
     }
+    visited
+}
+
+/// One tile of [`argmin_row`] — the `LANES` columns from `c0` of the plane
+/// `m`, `width` wide: each lane's `(min, argmin)` over the candidates,
+/// skipping those with `value(p)(floor) > cap` when `BOUNDED`, and how many
+/// candidates it visited.
+fn relax_tile<const BOUNDED: bool, V: Fn(f64) -> f64>(
+    m: &[f64],
+    width: usize,
+    c0: usize,
+    value: &impl Fn(usize) -> V,
+    floor: f64,
+    cap: f64,
+) -> ([f64; LANES], [u32; LANES], u64) {
+    let n = m.len() / width;
+    let mut min = [f64::INFINITY; LANES];
+    let mut arg = [0u32; LANES];
+    let mut visited = 0;
+    for p in 0..n {
+        let value = value(p);
+        if BOUNDED && value(floor) > cap {
+            continue;
+        }
+        visited += 1;
+        let x: &[f64; LANES] = m[p * width + c0..][..LANES].try_into().expect("lane");
+        for l in 0..LANES {
+            let v = value(x[l]);
+            let better = v < min[l];
+            min[l] = if better { v } else { min[l] };
+            arg[l] = if better { p as u32 } else { arg[l] };
+        }
+    }
+    (min, arg, visited)
 }
 
 /// One segment merge (Eq. 13): `out[r, c] = min_m (left[r, m] + right[m, c] −
 /// mid_intra[m])`, plus the optional direct span edge added after the argmin.
-/// Writes into the caller's `rows × cols` planes.
+/// Writes into the caller's `rows × cols` planes. Returns the candidates
+/// relaxed, in cells.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn merge_tables(
     threads: usize,
@@ -219,9 +340,11 @@ pub(crate) fn merge_tables(
     out_cost: &mut [f64],
     out_choice: &mut [u32],
     busy: &mut [f64],
-) {
+) -> u64 {
     assert_eq!(out_cost.len(), rows * cols);
     assert_eq!(out_choice.len(), rows * cols);
+    assert_eq!(right.len(), k * cols);
+    let right_min = column_minima(right, cols).filter(|_| mid_intra.iter().all(|v| v.is_finite()));
     drive(
         threads,
         rows,
@@ -232,9 +355,22 @@ pub(crate) fn merge_tables(
         |r, out_cost, out_choice| {
             let left_row = &left[r * k..(r + 1) * k];
             let edge_row = span_edge.map(|e| &e[r * cols..(r + 1) * cols]);
-            merge_row_lanes(left_row, right, mid_intra, edge_row, out_cost, out_choice);
+            let bound = right_min
+                .as_deref()
+                .filter(|_| left_row.iter().all(|v| v.is_finite()));
+            argmin_row(
+                right,
+                bound,
+                |m| {
+                    let (l, mid) = (left_row[m], mid_intra[m]);
+                    move |x| l + x - mid
+                },
+                |c, best| edge_row.map_or(best, |e| best + e[c]),
+                out_cost,
+                out_choice,
+            )
         },
-    );
+    )
 }
 
 /// The per-cell scalar merge row (test oracle).
@@ -249,60 +385,6 @@ fn merge_row_scalar(
 ) {
     let cols = out_cost.len();
     for c in 0..cols {
-        let mut best = f64::INFINITY;
-        let mut best_m = 0u32;
-        for (m, &l) in left_row.iter().enumerate() {
-            let v = l + right[m * cols + c] - mid_intra[m];
-            if v < best {
-                best = v;
-                best_m = m as u32;
-            }
-        }
-        if let Some(e) = edge_row {
-            best += e[c];
-        }
-        out_cost[c] = best;
-        out_choice[c] = best_m;
-    }
-}
-
-/// Lane-tiled merge; same candidate order and association
-/// (`(l + r) − mid`), bitwise-identical to the scalar row.
-fn merge_row_lanes(
-    left_row: &[f64],
-    right: &[f64],
-    mid_intra: &[f64],
-    edge_row: Option<&[f64]>,
-    out_cost: &mut [f64],
-    out_choice: &mut [u32],
-) {
-    let cols = out_cost.len();
-    let tiled = cols - cols % LANES;
-    let mut c0 = 0;
-    while c0 < tiled {
-        let mut min = [f64::INFINITY; LANES];
-        let mut arg = [0u32; LANES];
-        for (m, &l) in left_row.iter().enumerate() {
-            let mid = mid_intra[m];
-            let r: &[f64; LANES] = right[m * cols + c0..][..LANES].try_into().expect("lane");
-            for lane in 0..LANES {
-                let v = l + r[lane] - mid;
-                let better = v < min[lane];
-                min[lane] = if better { v } else { min[lane] };
-                arg[lane] = if better { m as u32 } else { arg[lane] };
-            }
-        }
-        for lane in 0..LANES {
-            let mut best = min[lane];
-            if let Some(e) = edge_row {
-                best += e[c0 + lane];
-            }
-            out_cost[c0 + lane] = best;
-            out_choice[c0 + lane] = arg[lane];
-        }
-        c0 += LANES;
-    }
-    for c in tiled..cols {
         let mut best = f64::INFINITY;
         let mut best_m = 0u32;
         for (m, &l) in left_row.iter().enumerate() {
@@ -442,7 +524,8 @@ mod tests {
         }
     }
 
-    /// The lane-tiled [`bellman_extend`] into fresh planes.
+    /// The lane-tiled [`bellman_extend`] into fresh planes, with the
+    /// candidates it relaxed.
     #[allow(clippy::too_many_arguments)]
     fn extend(
         threads: usize,
@@ -453,11 +536,11 @@ mod tests {
         chain: &[f64],
         intra: &[f64],
         head: Option<&[f64]>,
-    ) -> (Vec<f64>, Vec<u32>) {
+    ) -> (Vec<f64>, Vec<u32>, u64) {
         let mut out_cost = vec![f64::NAN; rows * new_cols];
         let mut out_choice = vec![u32::MAX; rows * new_cols];
         let mut busy = vec![0.0; threads.max(1)];
-        bellman_extend(
+        let visited = bellman_extend(
             threads,
             rows,
             cols,
@@ -470,7 +553,7 @@ mod tests {
             &mut out_choice,
             &mut busy,
         );
-        (out_cost, out_choice)
+        (out_cost, out_choice, visited)
     }
 
     /// Oracle: the scalar extension row over every row, serially.
@@ -498,7 +581,8 @@ mod tests {
         (out_cost, out_choice)
     }
 
-    /// The lane-tiled [`merge_tables`] into fresh planes.
+    /// The lane-tiled [`merge_tables`] into fresh planes, with the
+    /// candidates it relaxed.
     #[allow(clippy::too_many_arguments)]
     fn merge(
         threads: usize,
@@ -509,11 +593,11 @@ mod tests {
         right: &[f64],
         mid: &[f64],
         span: Option<&[f64]>,
-    ) -> (Vec<f64>, Vec<u32>) {
+    ) -> (Vec<f64>, Vec<u32>, u64) {
         let mut out_cost = vec![f64::NAN; rows * cols];
         let mut out_choice = vec![u32::MAX; rows * cols];
         let mut busy = vec![0.0; threads.max(1)];
-        merge_tables(
+        let visited = merge_tables(
             threads,
             rows,
             k,
@@ -526,7 +610,7 @@ mod tests {
             &mut out_choice,
             &mut busy,
         );
-        (out_cost, out_choice)
+        (out_cost, out_choice, visited)
     }
 
     /// Oracle: the scalar merge row over every row, serially.
@@ -577,7 +661,7 @@ mod tests {
                 let head_opt = head_opt.map(|h: &Vec<f64>| h.as_slice());
                 let (c_scalar, ch_scalar) =
                     extend_scalar(cols, new_cols, &cost, &chain, &intra, head_opt);
-                let (c_lanes, ch_lanes) = extend(
+                let (c_lanes, ch_lanes, _) = extend(
                     threads, rows, cols, new_cols, &cost, &chain, &intra, head_opt,
                 );
                 assert_bitwise(&c_scalar, &c_lanes);
@@ -594,9 +678,10 @@ mod tests {
         let cost = vec![1.0; rows * cols];
         let chain = vec![2.0; cols * new_cols];
         let intra = vec![0.5; new_cols];
+        let (c_lanes, ch_lanes, _) = extend(1, rows, cols, new_cols, &cost, &chain, &intra, None);
         for (c, ch) in [
             extend_scalar(cols, new_cols, &cost, &chain, &intra, None),
-            extend(1, rows, cols, new_cols, &cost, &chain, &intra, None),
+            (c_lanes, ch_lanes),
         ] {
             assert!(ch.iter().all(|&p| p == 0));
             assert!(c.iter().all(|&v| v == 3.5));
@@ -614,12 +699,155 @@ mod tests {
             for (span_opt, threads) in [(None, 0usize), (Some(&span), 0), (Some(&span), 4)] {
                 let span_opt = span_opt.map(|s: &Vec<f64>| s.as_slice());
                 let (c_scalar, ch_scalar) = merge_scalar(k, cols, &left, &right, &mid, span_opt);
-                let (c_lanes, ch_lanes) =
+                let (c_lanes, ch_lanes, _) =
                     merge(threads, rows, k, cols, &left, &right, &mid, span_opt);
                 assert_bitwise(&c_scalar, &c_lanes);
                 assert_eq!(ch_scalar, ch_lanes);
             }
         }
+    }
+
+    /// Checks the extension kernel against the scalar oracle bitwise —
+    /// costs and choices, with and without a head plane, serial and on 3
+    /// workers — and returns the candidates it relaxed.
+    fn check_extension(cols: usize, new_cols: usize, cost: &[f64], chain: &[f64]) -> u64 {
+        let rows = cost.len() / cols;
+        let intra = noise(new_cols, 30);
+        let head = noise(rows * new_cols, 31);
+        let mut visited = Vec::new();
+        for head_opt in [None, Some(head.as_slice())] {
+            let (c_scalar, ch_scalar) =
+                extend_scalar(cols, new_cols, cost, chain, &intra, head_opt);
+            for threads in [0, 3] {
+                let (c, ch, v) =
+                    extend(threads, rows, cols, new_cols, cost, chain, &intra, head_opt);
+                assert_bitwise(&c_scalar, &c);
+                assert_eq!(ch_scalar, ch);
+                visited.push(v);
+            }
+        }
+        assert!(visited.windows(2).all(|w| w[0] == w[1]), "{visited:?}");
+        assert!(visited[0] <= (rows * cols * new_cols) as u64);
+        visited[0]
+    }
+
+    /// [`check_extension`] for the merge kernel (`k` interior states, a
+    /// span-edge plane or none).
+    fn check_merge(k: usize, cols: usize, left: &[f64], right: &[f64], mid: &[f64]) -> u64 {
+        let rows = left.len() / k;
+        let span = noise(rows * cols, 32);
+        let mut visited = Vec::new();
+        for span_opt in [None, Some(span.as_slice())] {
+            let (c_scalar, ch_scalar) = merge_scalar(k, cols, left, right, mid, span_opt);
+            for threads in [0, 3] {
+                let (c, ch, v) = merge(threads, rows, k, cols, left, right, mid, span_opt);
+                assert_bitwise(&c_scalar, &c);
+                assert_eq!(ch_scalar, ch);
+                visited.push(v);
+            }
+        }
+        assert!(visited.windows(2).all(|w| w[0] == w[1]), "{visited:?}");
+        assert!(visited[0] <= (rows * k * cols) as u64);
+        visited[0]
+    }
+
+    /// `len` values on a coarse grid of four levels, so equal values recur
+    /// at many positions.
+    fn coarse(len: usize, seed: u64) -> Vec<f64> {
+        noise(len, seed).iter().map(|v| (v * 4.0).floor()).collect()
+    }
+
+    /// Landscapes built against the skip bound, at widths straddling
+    /// `LANES` (tail only, one tile, tiles plus a tail): every candidate
+    /// tied, equal minima at different states, and `+∞` or NaN in a table
+    /// row or in the chain matrix (the dense fallback).
+    #[test]
+    fn bounded_kernels_match_the_oracle_on_adversarial_landscapes() {
+        let (rows, cols) = (4, 9);
+        for new_cols in [5usize, 8, 13, 21] {
+            let nominal = (rows * cols * new_cols) as u64;
+            // Every candidate ties: the earliest state wins every cell.
+            check_extension(
+                cols,
+                new_cols,
+                &vec![1.0; rows * cols],
+                &vec![2.0; cols * new_cols],
+            );
+            // Equal minima at different p: coarse rows, and chain rows that
+            // repeat every three states.
+            let chain: Vec<f64> = (0..cols)
+                .flat_map(|p| coarse(new_cols, 40 + (p % 3) as u64))
+                .collect();
+            check_extension(cols, new_cols, &coarse(rows * cols, 41), &chain);
+            // Non-finite entries. A row holding one falls back to the dense
+            // sweep; a chain holding one turns the bound off for every row.
+            let base = noise(rows * cols, 42);
+            let chain = noise(cols * new_cols, 43);
+            for (at, poison) in [(1, f64::INFINITY), (cols + 4, f64::NAN)] {
+                let mut cost = base.clone();
+                cost[at] = poison;
+                check_extension(cols, new_cols, &cost, &chain);
+                let mut bad_chain = chain.clone();
+                bad_chain[at % (cols * new_cols)] = poison;
+                assert_eq!(check_extension(cols, new_cols, &base, &bad_chain), nominal);
+            }
+            let mut dead_row = base.clone();
+            dead_row[2 * cols..3 * cols].fill(f64::INFINITY);
+            check_extension(cols, new_cols, &dead_row, &chain);
+        }
+    }
+
+    #[test]
+    fn bounded_merge_matches_the_oracle_on_adversarial_landscapes() {
+        let (rows, k) = (4, 9);
+        for cols in [5usize, 8, 13, 21] {
+            let nominal = (rows * k * cols) as u64;
+            check_merge(
+                k,
+                cols,
+                &vec![3.0; rows * k],
+                &vec![2.0; k * cols],
+                &vec![1.0; k],
+            );
+            let right: Vec<f64> = (0..k)
+                .flat_map(|m| coarse(cols, 50 + (m % 3) as u64))
+                .collect();
+            check_merge(k, cols, &coarse(rows * k, 51), &right, &coarse(k, 52));
+            let (left, right, mid) = (noise(rows * k, 53), noise(k * cols, 54), noise(k, 55));
+            for (at, poison) in [(2, f64::INFINITY), (k + 5, f64::NAN)] {
+                let mut bad_left = left.clone();
+                bad_left[at] = poison;
+                check_merge(k, cols, &bad_left, &right, &mid);
+                let mut bad_right = right.clone();
+                bad_right[at % (k * cols)] = poison;
+                assert_eq!(check_merge(k, cols, &left, &bad_right, &mid), nominal);
+                let mut bad_mid = mid.clone();
+                bad_mid[at % k] = poison;
+                assert_eq!(check_merge(k, cols, &left, &right, &bad_mid), nominal);
+            }
+        }
+    }
+
+    #[test]
+    fn the_bound_skips_candidates_that_cannot_win() {
+        // One cheap state per row and a chain in [0, 1): every other state
+        // starts 100 above the seed's worst lane, so each tile and tail cell
+        // relaxes the seed alone.
+        let (rows, cols, new_cols) = (3, 12, 21);
+        let mut cost = vec![100.0; rows * cols];
+        for r in 0..rows {
+            cost[r * cols + (r * 5) % cols] = 0.0;
+        }
+        let chain = noise(cols * new_cols, 60);
+        assert_eq!(
+            check_extension(cols, new_cols, &cost, &chain),
+            (rows * new_cols) as u64
+        );
+        let mid = vec![0.5; cols];
+        assert_eq!(
+            check_merge(cols, new_cols, &cost, &chain, &mid),
+            (rows * new_cols) as u64
+        );
     }
 
     mod props {
@@ -653,10 +881,37 @@ mod tests {
                 let intra = &rest[..new_cols];
                 let (c_scalar, ch_scalar) =
                     extend_scalar(cols, new_cols, cost, chain, intra, None);
-                let (c_lanes, ch_lanes) =
+                let (c_lanes, ch_lanes, _) =
                     extend(threads, rows, cols, new_cols, cost, chain, intra, None);
                 assert_bitwise(&c_scalar, &c_lanes);
                 prop_assert_eq!(ch_scalar, ch_lanes);
+            }
+
+            /// Eqs. 12–13 on tie-heavy inputs: entries from four levels, so
+            /// equal candidates recur, with an optional `+∞` or NaN planted in
+            /// the table or in the matrix.
+            #[test]
+            fn bounded_kernels_are_bitwise_on_tied_and_poisoned_matrices(
+                rows in 1usize..6,
+                cols in 1usize..10,
+                new_cols in 1usize..20,
+                poison in 0u8..5,
+                poison_at in 0usize..1000,
+                pool in proptest::collection::vec(0u8..4, 5 * 9 + 9 * 19 + 9)
+                    .prop_map(|v| v.into_iter().map(f64::from).collect::<Vec<f64>>()),
+            ) {
+                let mut pool = pool;
+                let (table_len, matrix_len) = (rows * cols, cols * new_cols);
+                let value = [f64::INFINITY, f64::NAN][usize::from(poison % 2)];
+                match poison {
+                    1 | 2 => pool[poison_at % table_len] = value,
+                    3 | 4 => pool[table_len + poison_at % matrix_len] = value,
+                    _ => {}
+                }
+                let (table, rest) = pool.split_at(table_len);
+                let (matrix, rest) = rest.split_at(matrix_len);
+                check_extension(cols, new_cols, table, matrix);
+                check_merge(cols, new_cols, table, matrix, &rest[..cols]);
             }
 
             /// Eq. 13: the merge, with and without a span-edge plane.
@@ -673,7 +928,7 @@ mod tests {
                 let (mid, rest) = rest.split_at(k);
                 let span_opt = (with_span == 1).then_some(&rest[..rows * cols]);
                 let (c_scalar, ch_scalar) = merge_scalar(k, cols, left, right, mid, span_opt);
-                let (c_lanes, ch_lanes) =
+                let (c_lanes, ch_lanes, _) =
                     merge(2, rows, k, cols, left, right, mid, span_opt);
                 assert_bitwise(&c_scalar, &c_lanes);
                 prop_assert_eq!(ch_scalar, ch_lanes);

@@ -24,6 +24,10 @@ pub struct SegmentMetrics {
     /// Inner-loop candidate evaluations across all chain extensions:
     /// `Σ_j rows × |space(op_j)| × |space(op_{j-1})|`.
     pub bellman_relaxations: u64,
+    /// The candidates of those the extension kernel actually relaxed, in
+    /// the same cell units: the rest provably could not win their tile.
+    /// At most `bellman_relaxations`.
+    pub bellman_visited: u64,
     /// Wall-clock seconds of this segment's sweep.
     pub sweep_seconds: f64,
     /// Interior states dominance pruning removed from this segment's nodes.
@@ -93,6 +97,9 @@ pub struct PlannerMetrics {
     pub warm_matrix_misses: u64,
     /// Inner-loop candidate evaluations of the Eq. 13 segment merges.
     pub merge_relaxations: u64,
+    /// The merge candidates the kernel actually relaxed (at most
+    /// `merge_relaxations`).
+    pub merge_visited: u64,
     /// Interior partition states removed by dominance pruning across all
     /// nodes.
     pub states_pruned: u64,
@@ -196,6 +203,7 @@ impl PlannerMetrics {
         m.incr("planner.intra_evaluations", self.intra_evaluations);
         m.incr("planner.edge_evaluations", self.edge_evaluations);
         m.incr("planner.merge_relaxations", self.merge_relaxations);
+        m.incr("planner.merge_visited", self.merge_visited);
         m.incr("planner.prune.states_pruned", self.states_pruned);
         m.gauge("planner.peak_rss_bytes", self.peak_rss_bytes as f64);
         m.gauge("planner.unique_signatures", self.unique_signatures as f64);
@@ -234,6 +242,7 @@ impl PlannerMetrics {
                 &format!("{prefix}.bellman_relaxations"),
                 seg.bellman_relaxations,
             );
+            m.incr(&format!("{prefix}.bellman_visited"), seg.bellman_visited);
             m.incr(&format!("{prefix}.states_pruned"), seg.states_pruned);
             m.record_seconds(&format!("{prefix}.sweep_seconds"), seg.sweep_seconds);
         }
@@ -260,13 +269,15 @@ mod tests {
                 span: (0, 1),
                 rows: 4,
                 cols: 17,
-                bellman_relaxations: 0,
+                bellman_relaxations: 40,
+                bellman_visited: 12,
                 sweep_seconds: 0.25,
                 states_pruned: 6,
             }],
             intra_evaluations: 21,
             edge_evaluations: 68,
             merge_relaxations: 0,
+            merge_visited: 0,
             states_pruned: 6,
             unique_signatures: 2,
             space_cache_hits: 3,
@@ -337,6 +348,8 @@ mod tests {
         assert_eq!(m.counter("planner.cache.warm_matrix.misses"), 3);
         assert_eq!(m.counter("planner.prune.states_pruned"), 6);
         assert_eq!(m.counter("planner.segment.00.states_pruned"), 6);
+        assert_eq!(m.counter("planner.segment.00.bellman_relaxations"), 40);
+        assert_eq!(m.counter("planner.segment.00.bellman_visited"), 12);
         assert_eq!(
             m.gauge_value("planner.peak_rss_bytes"),
             Some((1u64 << 20) as f64)

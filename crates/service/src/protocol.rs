@@ -387,8 +387,10 @@ pub struct ServeOptions {
     /// over this wall-clock threshold, milliseconds.
     pub slow_ms: Option<u64>,
     /// Stamp event timestamps from a logical clock (append sequence) instead
-    /// of wall time, and omit wall-derived event fields: two serve runs over
-    /// the same input then produce byte-identical event logs.
+    /// of wall time, omit wall-derived event fields, and hold each request's
+    /// completion events until the input closes, then write them in admit
+    /// order: two serve runs over the same input then produce
+    /// byte-identical event logs.
     pub logical_clock: bool,
 }
 
@@ -474,6 +476,11 @@ struct Session<'s, W> {
     opts: &'s ServeOptions,
     observer: &'s ServiceObserver,
     events: Option<EventLog>,
+    /// Under the logical clock, each finished request's events keyed by
+    /// its `request_id`: [`Session::close_log`] writes them in admit order,
+    /// after the input events, so the log's order depends on the input
+    /// alone and not on when workers finish.
+    held: Vec<(u64, Event)>,
     end: ServeEnd,
 }
 
@@ -493,6 +500,40 @@ impl<W: Write> Session<'_, W> {
                 .map_err(|e| Error::internal(format!("event log write failed: {e}"))),
             None => Ok(()),
         }
+    }
+
+    /// Logs an event of request `request_id`'s completion: at once on the
+    /// wall clock, held for [`Session::close_log`] on the logical one.
+    fn log_finished(&mut self, request_id: u64, event: Event) -> Result<(), Error> {
+        if self.opts.logical_clock && self.events.is_some() {
+            self.held.push((request_id, event));
+            Ok(())
+        } else {
+            self.log(event)
+        }
+    }
+
+    /// Writes the held completion events in admit order (a request's `done`
+    /// before its `slow`), then the closing `serve.shutdown` event, and
+    /// flushes the log.
+    fn close_log(&mut self) -> Result<(), Error> {
+        let mut held = std::mem::take(&mut self.held);
+        held.sort_by_key(|&(request_id, _)| request_id);
+        for (_, event) in held {
+            self.log(event)?;
+        }
+        let end = self.end;
+        self.log(
+            Event::new(EventLevel::Info, "serve.shutdown")
+                .field("requests", end.requests)
+                .field("errors", end.errors)
+                .field("shutdown_frame", end.shutdown),
+        )?;
+        if let Some(log) = &mut self.events {
+            log.flush()
+                .map_err(|e| Error::internal(format!("event log flush failed: {e}")))?;
+        }
+        Ok(())
     }
 
     /// Answers a line that failed to read or parse.
@@ -600,7 +641,7 @@ impl<W: Write> Session<'_, W> {
                 done = done.field("worker", worker as u64);
             }
         }
-        self.log(done)?;
+        self.log_finished(trace.request_id(), done)?;
         if slow {
             let mut warn = request_event(EventLevel::Warn, "request.slow", trace, &reply.id)
                 .field("elapsed_us", elapsed_us)
@@ -608,7 +649,7 @@ impl<W: Write> Session<'_, W> {
             for (name, dur_us) in &stages {
                 warn = warn.field(format!("stage.{name}"), *dur_us);
             }
-            self.log(warn)?;
+            self.log_finished(trace.request_id(), warn)?;
         }
         Ok(())
     }
@@ -778,6 +819,7 @@ pub fn serve_lines_with_cache(
         opts,
         observer,
         events,
+        held: Vec::new(),
         end: ServeEnd::default(),
     };
     PlannerService::run_observed(pool, cache, Some(observer), |client| {
@@ -881,17 +923,8 @@ pub fn serve_lines_with_cache(
                     Frame::Shutdown => session.end.shutdown = true,
                 }
             }
+            session.close_log()?;
             let end = session.end;
-            session.log(
-                Event::new(EventLevel::Info, "serve.shutdown")
-                    .field("requests", end.requests)
-                    .field("errors", end.errors)
-                    .field("shutdown_frame", end.shutdown),
-            )?;
-            if let Some(log) = &mut session.events {
-                log.flush()
-                    .map_err(|e| Error::internal(format!("event log flush failed: {e}")))?;
-            }
             if let Some(path) = &opts.trace_out {
                 std::fs::write(path, observer.chrome_trace())
                     .map_err(|e| Error::internal(format!("--trace-out write failed: {e}")))?;

@@ -35,6 +35,24 @@ echo "== planner scaling contracts (512-device chain, Table-2 slab) =="
 # Table-2 slab.
 cargo test --release -q --offline -p primepar-bench --test scale_chain
 
+echo "== event-log determinism tripwire (100 release runs) =="
+# The logical-clock event log must be ordered by the input alone, however a
+# worker's completion races the reader's next line. The race shows under
+# load, so the 100 runs go four at a time; one failure fails the gate.
+events_test="$(cargo test --release --offline -p primepar-service --lib --no-run 2>&1 \
+    | sed -n 's/.*Executable .*(\(.*\))$/\1/p')"
+events_case=protocol::tests::event_log_captures_the_request_lifecycle_deterministically
+[ "$("$events_test" --list --exact "$events_case" | grep -c ': test$')" -eq 1 ] \
+    || { echo "event-log test $events_case not found" >&2; exit 1; }
+for batch in $(seq 1 25); do
+    for _ in 1 2 3 4; do
+        "$events_test" -q --exact "$events_case" >/dev/null 2>&1 &
+    done
+    for _ in 1 2 3 4; do
+        wait -n || { echo "event-log order depended on scheduling (batch $batch)" >&2; exit 1; }
+    done
+done
+
 echo "== artifact validation (strict metrics/trace re-parse) =="
 # Regenerate one plan's artifacts into a scratch dir and re-parse them with
 # the strict obs parsers; also sweep results/ if previous figure runs left
