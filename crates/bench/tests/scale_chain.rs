@@ -10,12 +10,15 @@
 //!   sweep on the chain, and stays within 5% of it on the Table-2 slab.
 //! * The exact sweep's early-exit min-plus kernel relaxes under 15% of the
 //!   chain's nominal Bellman candidates.
+//! * On both inputs the planner's closed-form `arena_bytes` prediction
+//!   equals the bytes its edge and choice arenas hold, and the chain's 96
+//!   edges read at most 4 distinct compacted planes.
 //!
 //! `cargo test --release -p primepar-bench --test scale_chain`
 
 use primepar::graph::{Graph, ModelConfig};
 use primepar::search::{
-    parse_plan, render_plan, ModelPlan, Planner, PlannerOptions, SearchStrategy,
+    parse_plan, render_plan, ModelPlan, Planner, PlannerMetrics, PlannerOptions, SearchStrategy,
 };
 use primepar::topology::Cluster;
 use primepar_bench::planner_scale_graph;
@@ -48,6 +51,16 @@ fn plan_digest(graph: &Graph, plan: &ModelPlan) -> String {
     format!("{h:016x}")
 }
 
+/// The arena prediction is exact: what the planner sized from the post-prune
+/// spaces is what its arenas held.
+fn assert_arena_is_sized_before_allocation(metrics: &PlannerMetrics) {
+    assert!(metrics.arena_bytes > 0);
+    assert_eq!(
+        metrics.arena_bytes, metrics.arena_bytes_allocated,
+        "predicted arena bytes differ from the allocated ones"
+    );
+}
+
 #[test]
 fn exact_chain_plan_is_pinned_and_beam_is_faster_and_never_better() {
     let cluster = Cluster::v100_like(512);
@@ -62,6 +75,13 @@ fn exact_chain_plan_is_pinned_and_beam_is_faster_and_never_better() {
     assert!(
         visited * 100 < nominal * 15,
         "the bounded kernel relaxed {visited} of {nominal} candidates (>= 15%)"
+    );
+
+    assert_arena_is_sized_before_allocation(&metrics);
+    assert!(
+        metrics.edge_planes <= 4,
+        "the chain's edges read {} distinct planes",
+        metrics.edge_planes
     );
 
     let text = render_plan(&graph, &exact.seqs);
@@ -94,7 +114,9 @@ fn beam_stays_within_five_percent_on_the_table2_slab() {
     let stack = 4;
     let graph = model.layer_graph(8, 2048).stack(stack);
     let layers = model.layers / stack as u64;
-    let exact = Planner::new(&cluster, &graph, PlannerOptions::default()).optimize(layers);
+    let (exact, metrics) =
+        Planner::new(&cluster, &graph, PlannerOptions::default()).optimize_instrumented(layers);
+    assert_arena_is_sized_before_allocation(&metrics);
     let beam = Planner::new(&cluster, &graph, beam8()).optimize(layers);
     let ratio = beam.total_cost / exact.total_cost;
     assert!(

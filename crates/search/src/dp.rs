@@ -15,7 +15,7 @@ use primepar_graph::Graph;
 use primepar_partition::PartitionSeq;
 use primepar_topology::Cluster;
 
-use crate::arena::{ChoiceArena, EdgeTables};
+use crate::arena::{choice_width, Choice, ChoiceArena, EdgeTables};
 use crate::prune::{dominance_prune, PruneKey};
 use crate::strategy::{self, SearchInterrupt, SearchStrategy};
 use crate::{minplus, PlannerMetrics, PlannerWarmCache, SegmentMetrics, SpaceCache, SpaceOptions};
@@ -173,6 +173,44 @@ struct PassOutcome {
     plan: ModelPlan,
     lower_bound: f64,
     max_interior: usize,
+}
+
+/// What stages 3–6 of one pass read: the layer count, the segments with
+/// the states pruned in each, and the pruned spaces, intra vectors and edge
+/// planes.
+#[derive(Clone, Copy)]
+struct DpInputs<'p> {
+    layers: u64,
+    segments: &'p [(usize, usize)],
+    seg_pruned: &'p [u64],
+    spaces: &'p [Arc<Vec<PartitionSeq>>],
+    intra: &'p [Arc<Vec<f64>>],
+    edge_tables: &'p EdgeTables,
+}
+
+/// What stages 3–6 return: each operator's chosen state index, and the
+/// plan's total and steady-state layer costs.
+struct Solved {
+    states: Vec<usize>,
+    total_cost: f64,
+    layer_cost: f64,
+}
+
+/// Choice-plane cells one pass allocates, in closed form from the post-prune
+/// space sizes and the segments: a `|space(s)| × |space(j)|` plane for each
+/// Bellman extension to node `j` of segment `(s, e)` (Eq. 12), and a
+/// `|space(first)| × |space(e)|` plane for each merge onto segment `(_, e)`
+/// (Eq. 13), where `first` is the first segment's left endpoint.
+fn choice_cells(sizes: &[usize], segments: &[(usize, usize)]) -> usize {
+    let extensions: usize = segments
+        .iter()
+        .map(|&(s, e)| (s + 2..=e).map(|j| sizes[s] * sizes[j]).sum::<usize>())
+        .sum();
+    let merges: usize = segments[1..]
+        .iter()
+        .map(|&(_, e)| sizes[segments[0].0] * sizes[e])
+        .sum();
+    extensions + merges
 }
 
 /// The segmented-DP planner for one transformer layer graph stacked
@@ -615,9 +653,13 @@ impl<'a> Planner<'a> {
         tm.profile_cache_misses += stats.profile_misses;
         tm.edge_matrix_cache_hits += stats.matrix_hits;
         tm.edge_matrix_cache_misses += stats.matrix_misses;
-        let mut edge_tables = EdgeTables::build(&self.graph.edges, &sizes, |e| {
-            unique[edge_jobs[e]].as_ref().expect("computed").as_slice()
-        });
+        // The tables take the unique matrices over; the prepared jobs, their
+        // direction tables and the profile cache are done with, so they go
+        // before prune and the DP allocate.
+        let unique: Vec<Arc<Vec<f64>>> = unique.into_iter().map(|m| m.expect("computed")).collect();
+        let edge_tables = EdgeTables::build(&self.graph.edges, &sizes, &edge_jobs, unique);
+        drop(jobs);
+        drop(cache);
         tm.edge_evaluations += ctx.inter_evaluations();
         tm.edge_matrices_seconds += t1.elapsed().as_secs_f64();
 
@@ -664,33 +706,86 @@ impl<'a> Planner<'a> {
             .map(|&(s, e)| report.pruned_in_segment(s, e))
             .collect();
         tm.states_pruned += report.total();
-        if report.total() > 0 {
-            for (n, kept) in report.kept.iter().enumerate() {
-                if let Some(k) = kept {
-                    let space: Vec<PartitionSeq> =
-                        k.iter().map(|&i| spaces[n][i as usize].clone()).collect();
-                    let cost: Vec<f64> = k.iter().map(|&i| intra[n][i as usize]).collect();
-                    spaces[n] = Arc::new(space);
-                    intra[n] = Arc::new(cost);
-                }
+        for (n, kept) in report.kept.iter().enumerate() {
+            if let Some(k) = kept {
+                let space: Vec<PartitionSeq> =
+                    k.iter().map(|&i| spaces[n][i as usize].clone()).collect();
+                let cost: Vec<f64> = k.iter().map(|&i| intra[n][i as usize]).collect();
+                spaces[n] = Arc::new(space);
+                intra[n] = Arc::new(cost);
             }
-            edge_tables = edge_tables.compact(&report.kept);
         }
+        // Both arenas in closed form from the post-prune spaces, before
+        // either is allocated: the compacted edge planes, and one choice
+        // per cell of every Bellman extension and merge.
+        let sizes: Vec<usize> = spaces.iter().map(|s| s.len()).collect();
+        let width = choice_width(sizes.iter().copied().max().unwrap_or(0));
+        tm.arena_bytes = (edge_tables.compacted_bytes(&report.kept)
+            + width * choice_cells(&sizes, &segments)) as u64;
+        let edge_tables = edge_tables.compact(&report.kept);
+        tm.edge_planes = edge_tables.planes();
         tm.prune_seconds += tp.elapsed().as_secs_f64();
 
+        let dp = DpInputs {
+            layers,
+            segments: &segments,
+            seg_pruned: &seg_pruned,
+            spaces: &spaces,
+            intra: &intra,
+            edge_tables: &edge_tables,
+        };
+        let solved = if width == std::mem::size_of::<u16>() {
+            self.solve::<u16>(&dp, tm)
+        } else {
+            self.solve::<u32>(&dp, tm)
+        };
+        let seqs: Vec<PartitionSeq> = solved
+            .states
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                assert!(s != usize::MAX, "operator {i} missing from backtrack");
+                spaces[i][s].clone()
+            })
+            .collect();
+        PassOutcome {
+            plan: ModelPlan {
+                seqs,
+                layer_cost: solved.layer_cost,
+                total_cost: solved.total_cost,
+                search_time: start.elapsed(),
+            },
+            lower_bound,
+            max_interior,
+        }
+    }
+
+    /// Stages 3–6 over the pruned spaces — segment DP (Eqs. 11–12), merges
+    /// (Eq. 13), layer composition (Eq. 14) and backtrack — with every
+    /// choice plane a `C` sized exactly to its step.
+    /// Stamps the stage seconds and the bytes both arenas hold into `tm`.
+    fn solve<C: Choice>(&self, dp: &DpInputs<'_>, tm: &mut PlannerMetrics) -> Solved {
+        let DpInputs {
+            layers,
+            segments,
+            seg_pruned,
+            spaces,
+            intra,
+            edge_tables,
+        } = *dp;
         let t2 = Instant::now();
-        // 3. Segment DP (Eqs. 11-12). Backtrack choice planes append-allocate
-        // from one shared arena.
-        let mut choices = ChoiceArena::new();
+        // 3. Segment DP (Eqs. 11-12). Each step allocates its backtrack
+        // choice plane in the pass's arena.
+        let mut choices = ChoiceArena::<C>::new();
         let mut tables: Vec<Table> = Vec::with_capacity(segments.len());
-        for (&(s, e), &pruned) in segments.iter().zip(&seg_pruned) {
+        for (&(s, e), &pruned) in segments.iter().zip(seg_pruned) {
             let sweep = Instant::now();
             let (table, mut seg_tm) = self.segment_dp(
                 s,
                 e,
-                &spaces,
-                &intra,
-                &edge_tables,
+                spaces,
+                intra,
+                edge_tables,
                 &mut choices,
                 &mut tm.thread_busy_seconds,
             );
@@ -722,6 +817,7 @@ impl<'a> Planner<'a> {
             span = (span.0, seg.1);
         }
         tm.merge_seconds += t3.elapsed().as_secs_f64();
+        tm.arena_bytes_allocated = (edge_tables.bytes() + choices.bytes()) as u64;
 
         let t4 = Instant::now();
         // 5. Compose layers by min-plus doubling (Eq. 14). Boundary nodes of
@@ -773,44 +869,30 @@ impl<'a> Planner<'a> {
         states[first] = row_star;
         states[last] = col_star;
         extract(&merged.steps, row_star, col_star, &choices, &mut states);
-        let seqs: Vec<PartitionSeq> = states
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| {
-                assert!(s != usize::MAX, "operator {i} missing from backtrack");
-                spaces[i][s].clone()
-            })
-            .collect();
-
         tm.compose_seconds += t4.elapsed().as_secs_f64();
-        PassOutcome {
-            plan: ModelPlan {
-                seqs,
-                layer_cost,
-                total_cost,
-                search_time: start.elapsed(),
-            },
-            lower_bound,
-            max_interior,
+        Solved {
+            states,
+            total_cost,
+            layer_cost,
         }
     }
 
     /// Bellman iteration over segment `(s, e)` (Eqs. 11-12), ping-ponging
     /// between two arena-backed cost planes (no allocation per extension)
-    /// and appending every argmin plane to the shared [`ChoiceArena`].
+    /// and allocating every argmin plane in the pass's [`ChoiceArena`].
     /// Worker busy time is accumulated into `busy` (indexed by worker slot);
     /// the returned [`SegmentMetrics`] carries table dimensions and
     /// relaxation counts, nominal and visited — the caller stamps
     /// `sweep_seconds`.
     #[allow(clippy::too_many_arguments)]
-    fn segment_dp(
+    fn segment_dp<C: Choice>(
         &self,
         s: usize,
         e: usize,
         spaces: &[Arc<Vec<PartitionSeq>>],
         intra: &[Arc<Vec<f64>>],
         edge_tables: &EdgeTables,
-        choices: &mut ChoiceArena,
+        choices: &mut ChoiceArena<C>,
         busy: &mut [f64],
     ) -> (Table, SegmentMetrics) {
         let (mut relaxations, mut visited) = (0u64, 0u64);
@@ -848,7 +930,7 @@ impl<'a> Planner<'a> {
                 &intra[j],
                 head,
                 &mut next[..rows * new_cols],
-                choices.slice_mut(choice, rows * new_cols),
+                choices.plane_mut(choice),
                 busy,
             );
             steps.push(BacktrackStep::Extend {
@@ -888,14 +970,14 @@ impl<'a> Planner<'a> {
 /// threads are requested — bitwise-identical either way. Also returns the
 /// candidates the kernel relaxed.
 #[allow(clippy::too_many_arguments)]
-fn merge(
+fn merge<C: Choice>(
     left: Table,
     right: Table,
     mid: usize,
     mid_intra: &[f64],
     span_edge: Option<&[f64]>,
     threads: usize,
-    choices: &mut ChoiceArena,
+    choices: &mut ChoiceArena<C>,
     busy: &mut [f64],
 ) -> (Table, u64) {
     assert_eq!(left.cols, right.rows, "merge point spaces must agree");
@@ -914,7 +996,7 @@ fn merge(
         mid_intra,
         span_edge,
         &mut cost,
-        choices.slice_mut(choice, rows * cols),
+        choices.plane_mut(choice),
         busy,
     );
     let steps = vec![BacktrackStep::Merge {
@@ -974,11 +1056,11 @@ fn minplus_chain(
 
 /// Recursively resolves the argmin interior states for endpoint states
 /// `(row, col)` into `states`, reading choice planes from the arena.
-fn extract(
+fn extract<C: Choice>(
     steps: &[BacktrackStep],
     row: usize,
     col: usize,
-    choices: &ChoiceArena,
+    choices: &ChoiceArena<C>,
     states: &mut [usize],
 ) {
     if let [BacktrackStep::Merge {
@@ -989,7 +1071,7 @@ fn extract(
         cols,
     }] = steps
     {
-        let m = choices.at(*choice, row * cols + col) as usize;
+        let m = choices.at(*choice, row * cols + col);
         states[*mid] = m;
         extract(left_steps, row, m, choices, states);
         extract(right_steps, m, col, choices, states);
@@ -1006,7 +1088,7 @@ fn extract(
                 cols,
             } => {
                 states[*node] = current_col;
-                let prev = choices.at(*choice, row * cols + current_col) as usize;
+                let prev = choices.at(*choice, row * cols + current_col);
                 states[*prev_node] = prev;
                 current_col = prev;
             }
@@ -1229,6 +1311,29 @@ mod tests {
         assert_eq!(single_tm.threads_used, 1);
         assert_eq!(multi_tm.threads_used, 4);
         assert!(multi_tm.thread_busy_seconds.len() == 4);
+    }
+
+    #[test]
+    fn arena_bytes_are_predicted_exactly_under_every_strategy() {
+        // The closed form must hold for the spaces each pass really ran on:
+        // full, beam-restricted, and the last of several anytime rounds,
+        // serial and threaded.
+        let cluster = Cluster::v100_like(8);
+        let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
+        for (strategy, threads) in [
+            (SearchStrategy::Exact, 0),
+            (SearchStrategy::Exact, 3),
+            (SearchStrategy::Beam { width: 4 }, 0),
+            (SearchStrategy::Anytime { budget_ms: 0 }, 0),
+        ] {
+            let opts = PlannerOptions::new()
+                .with_strategy(strategy)
+                .with_threads(threads);
+            let (_, tm) = Planner::new(&cluster, &graph, opts).optimize_instrumented(4);
+            assert!(tm.arena_bytes > 0, "{strategy}");
+            assert_eq!(tm.arena_bytes, tm.arena_bytes_allocated, "{strategy}");
+            assert!(tm.edge_planes > 0 && tm.edge_planes <= graph.edges.len());
+        }
     }
 
     #[test]

@@ -18,10 +18,14 @@
 //!
 //! All three products parallelize over output rows and write into
 //! caller-provided planes (the DP's arena scratch), so the hot loop does no
-//! allocation. Per-worker busy seconds accumulate into the planner's
-//! `thread_busy_seconds` slots.
+//! allocation. The argmin products are generic over the [`Choice`] type of
+//! the planner's choice arena (`u16` or `u32`): the width changes how a
+//! choice is stored, never which state it names. Per-worker busy seconds
+//! accumulate into the planner's `thread_busy_seconds` slots.
 
 use std::time::Instant;
+
+use crate::arena::Choice;
 
 /// Fixed lane width of the vectorized kernels: 8 `f64`s — one 64-byte cache
 /// line, two AVX2 registers or one AVX-512 register.
@@ -30,14 +34,14 @@ const LANES: usize = 8;
 /// Runs `row_fn(r, cost_row, choice_row)` for every row, chunked across
 /// `threads` scoped workers (serial when `threads <= 1`), adding per-worker
 /// busy seconds into `busy`. Returns the sum of `row_fn`'s counts.
-fn drive(
+fn drive<C: Choice>(
     threads: usize,
     rows: usize,
     width: usize,
     cost: &mut [f64],
-    choice: &mut [u32],
+    choice: &mut [C],
     busy: &mut [f64],
-    row_fn: impl Fn(usize, &mut [f64], &mut [u32]) -> u64 + Sync,
+    row_fn: impl Fn(usize, &mut [f64], &mut [C]) -> u64 + Sync,
 ) -> u64 {
     if threads > 1 && rows > 1 {
         std::thread::scope(|scope| {
@@ -109,7 +113,7 @@ fn column_minima(plane: &[f64], width: usize) -> Option<Vec<f64>> {
 /// previous-endpoint state. Returns the candidates relaxed, in cells (see
 /// [`argmin_row`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn bellman_extend(
+pub(crate) fn bellman_extend<C: Choice>(
     threads: usize,
     rows: usize,
     cols: usize,
@@ -119,7 +123,7 @@ pub(crate) fn bellman_extend(
     intra_j: &[f64],
     head: Option<&[f64]>,
     out_cost: &mut [f64],
-    out_choice: &mut [u32],
+    out_choice: &mut [C],
     busy: &mut [f64],
 ) -> u64 {
     assert_eq!(out_cost.len(), rows * new_cols);
@@ -216,13 +220,13 @@ fn extend_row_scalar(
 /// The bound costs a test per candidate, which only pays while it skips:
 /// once the row's tiles have visited half their candidates, the rest of the
 /// row scans densely — the same result, without the test.
-fn argmin_row<V: Fn(f64) -> f64>(
+fn argmin_row<C: Choice, V: Fn(f64) -> f64>(
     m: &[f64],
     colmin: Option<&[f64]>,
     value: impl Fn(usize) -> V,
     finish: impl Fn(usize, f64) -> f64,
     out_cost: &mut [f64],
-    out_choice: &mut [u32],
+    out_choice: &mut [C],
 ) -> u64 {
     let width = out_cost.len();
     let n = m.len() / width;
@@ -255,9 +259,9 @@ fn argmin_row<V: Fn(f64) -> f64>(
     for (t, c0) in (0..tiled).step_by(LANES).enumerate() {
         let (min, arg, tile_visited) = if bounded {
             let (floor, cap) = bound(c0..c0 + LANES);
-            relax_tile::<true, _>(m, width, c0, &value, floor, cap)
+            relax_tile::<true, C, _>(m, width, c0, &value, floor, cap)
         } else {
-            relax_tile::<false, _>(m, width, c0, &value, 0.0, 0.0)
+            relax_tile::<false, C, _>(m, width, c0, &value, 0.0, 0.0)
         };
         visited += LANES as u64 * tile_visited;
         bounded &= 2 * visited < ((t + 1) * n * LANES) as u64;
@@ -271,7 +275,7 @@ fn argmin_row<V: Fn(f64) -> f64>(
     for c in tiled..width {
         let (floor, cap) = bound(c..c + 1);
         let mut best = f64::INFINITY;
-        let mut best_p = 0u32;
+        let mut best_p = C::default();
         for p in 0..n {
             let value = value(p);
             if value(floor) > cap {
@@ -281,7 +285,7 @@ fn argmin_row<V: Fn(f64) -> f64>(
             let v = value(m[p * width + c]);
             if v < best {
                 best = v;
-                best_p = p as u32;
+                best_p = C::from_state(p);
             }
         }
         out_cost[c] = finish(c, best);
@@ -294,17 +298,17 @@ fn argmin_row<V: Fn(f64) -> f64>(
 /// `m`, `width` wide: each lane's `(min, argmin)` over the candidates,
 /// skipping those with `value(p)(floor) > cap` when `BOUNDED`, and how many
 /// candidates it visited.
-fn relax_tile<const BOUNDED: bool, V: Fn(f64) -> f64>(
+fn relax_tile<const BOUNDED: bool, C: Choice, V: Fn(f64) -> f64>(
     m: &[f64],
     width: usize,
     c0: usize,
     value: &impl Fn(usize) -> V,
     floor: f64,
     cap: f64,
-) -> ([f64; LANES], [u32; LANES], u64) {
+) -> ([f64; LANES], [C; LANES], u64) {
     let n = m.len() / width;
     let mut min = [f64::INFINITY; LANES];
-    let mut arg = [0u32; LANES];
+    let mut arg = [C::default(); LANES];
     let mut visited = 0;
     for p in 0..n {
         let value = value(p);
@@ -312,12 +316,13 @@ fn relax_tile<const BOUNDED: bool, V: Fn(f64) -> f64>(
             continue;
         }
         visited += 1;
+        let choice = C::from_state(p);
         let x: &[f64; LANES] = m[p * width + c0..][..LANES].try_into().expect("lane");
         for l in 0..LANES {
             let v = value(x[l]);
             let better = v < min[l];
             min[l] = if better { v } else { min[l] };
-            arg[l] = if better { p as u32 } else { arg[l] };
+            arg[l] = if better { choice } else { arg[l] };
         }
     }
     (min, arg, visited)
@@ -328,7 +333,7 @@ fn relax_tile<const BOUNDED: bool, V: Fn(f64) -> f64>(
 /// Writes into the caller's `rows × cols` planes. Returns the candidates
 /// relaxed, in cells.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_tables(
+pub(crate) fn merge_tables<C: Choice>(
     threads: usize,
     rows: usize,
     k: usize,
@@ -338,7 +343,7 @@ pub(crate) fn merge_tables(
     mid_intra: &[f64],
     span_edge: Option<&[f64]>,
     out_cost: &mut [f64],
-    out_choice: &mut [u32],
+    out_choice: &mut [C],
     busy: &mut [f64],
 ) -> u64 {
     assert_eq!(out_cost.len(), rows * cols);
@@ -524,8 +529,33 @@ mod tests {
         }
     }
 
-    /// The lane-tiled [`bellman_extend`] into fresh planes, with the
-    /// candidates it relaxed.
+    /// A kernel's output: cost plane, choice plane (widened to `u32`) and
+    /// the candidates it relaxed.
+    type Planes = (Vec<f64>, Vec<u32>, u64);
+
+    /// Runs `kernel` into fresh `u16` and `u32` choice planes, asserts the
+    /// two widths agree bitwise — costs, choices and candidates relaxed —
+    /// and returns the result.
+    fn at_both_widths(
+        len: usize,
+        kernel16: impl FnOnce(&mut [f64], &mut [u16]) -> u64,
+        kernel32: impl FnOnce(&mut [f64], &mut [u32]) -> u64,
+    ) -> Planes {
+        let mut cost16 = vec![f64::NAN; len];
+        let mut choice16 = vec![u16::MAX; len];
+        let visited16 = kernel16(&mut cost16, &mut choice16);
+        let mut cost = vec![f64::NAN; len];
+        let mut choice = vec![u32::MAX; len];
+        let visited = kernel32(&mut cost, &mut choice);
+        assert_bitwise(&cost16, &cost);
+        let widened: Vec<u32> = choice16.iter().map(|&c| u32::from(c)).collect();
+        assert_eq!(widened, choice, "u16 and u32 choices differ");
+        assert_eq!(visited16, visited);
+        (cost, choice, visited)
+    }
+
+    /// The lane-tiled [`bellman_extend`] into fresh planes, at both choice
+    /// widths.
     #[allow(clippy::too_many_arguments)]
     fn extend(
         threads: usize,
@@ -536,24 +566,33 @@ mod tests {
         chain: &[f64],
         intra: &[f64],
         head: Option<&[f64]>,
-    ) -> (Vec<f64>, Vec<u32>, u64) {
-        let mut out_cost = vec![f64::NAN; rows * new_cols];
-        let mut out_choice = vec![u32::MAX; rows * new_cols];
+    ) -> Planes {
         let mut busy = vec![0.0; threads.max(1)];
-        let visited = bellman_extend(
-            threads,
-            rows,
-            cols,
-            new_cols,
-            cost,
-            chain,
-            intra,
-            head,
-            &mut out_cost,
-            &mut out_choice,
-            &mut busy,
-        );
-        (out_cost, out_choice, visited)
+        let mut busy32 = busy.clone();
+        at_both_widths(
+            rows * new_cols,
+            |out_cost, out_choice| {
+                bellman_extend(
+                    threads, rows, cols, new_cols, cost, chain, intra, head, out_cost, out_choice,
+                    &mut busy,
+                )
+            },
+            |out_cost, out_choice| {
+                bellman_extend(
+                    threads,
+                    rows,
+                    cols,
+                    new_cols,
+                    cost,
+                    chain,
+                    intra,
+                    head,
+                    out_cost,
+                    out_choice,
+                    &mut busy32,
+                )
+            },
+        )
     }
 
     /// Oracle: the scalar extension row over every row, serially.
@@ -581,8 +620,8 @@ mod tests {
         (out_cost, out_choice)
     }
 
-    /// The lane-tiled [`merge_tables`] into fresh planes, with the
-    /// candidates it relaxed.
+    /// The lane-tiled [`merge_tables`] into fresh planes, at both choice
+    /// widths.
     #[allow(clippy::too_many_arguments)]
     fn merge(
         threads: usize,
@@ -593,24 +632,32 @@ mod tests {
         right: &[f64],
         mid: &[f64],
         span: Option<&[f64]>,
-    ) -> (Vec<f64>, Vec<u32>, u64) {
-        let mut out_cost = vec![f64::NAN; rows * cols];
-        let mut out_choice = vec![u32::MAX; rows * cols];
+    ) -> Planes {
         let mut busy = vec![0.0; threads.max(1)];
-        let visited = merge_tables(
-            threads,
-            rows,
-            k,
-            cols,
-            left,
-            right,
-            mid,
-            span,
-            &mut out_cost,
-            &mut out_choice,
-            &mut busy,
-        );
-        (out_cost, out_choice, visited)
+        let mut busy32 = busy.clone();
+        at_both_widths(
+            rows * cols,
+            |out_cost, out_choice| {
+                merge_tables(
+                    threads, rows, k, cols, left, right, mid, span, out_cost, out_choice, &mut busy,
+                )
+            },
+            |out_cost, out_choice| {
+                merge_tables(
+                    threads,
+                    rows,
+                    k,
+                    cols,
+                    left,
+                    right,
+                    mid,
+                    span,
+                    out_cost,
+                    out_choice,
+                    &mut busy32,
+                )
+            },
+        )
     }
 
     /// Oracle: the scalar merge row over every row, serially.

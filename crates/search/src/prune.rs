@@ -210,7 +210,7 @@ mod tests {
         let m01 = vec![1.0, 2.0, 1.5, 1.0, 2.0, 1.5]; // 2×3, col 2 ≥ col 0
         let m12 = vec![3.0, 3.0, 0.0, 0.0, 4.0, 4.0]; // 3×2, row 2 ≥ row 0
         let mats = [m01, m12];
-        let arena = EdgeTables::build(&edges, &sizes, |e| &mats[e]);
+        let arena = EdgeTables::per_edge(&edges, &sizes, &mats);
         let intra = vec![
             arc(vec![0.0; 2]),
             arc(vec![5.0, 9.0, 6.0]),
@@ -239,7 +239,7 @@ mod tests {
         let m01 = vec![1.0, 2.0];
         let m12 = vec![5.0, 1.0];
         let mats = [m01, m12];
-        let arena = EdgeTables::build(&edges, &sizes, |e| &mats[e]);
+        let arena = EdgeTables::per_edge(&edges, &sizes, &mats);
         let intra = vec![arc(vec![0.0]), arc(vec![9.0, 2.0]), arc(vec![0.0])];
         let mem = vec![arc(vec![0.0]), arc(vec![0.0, 0.0]), arc(vec![0.0])];
         let report = dominance_prune(&[(0, 2)], &sizes, &intra, &mem, &arena, &keys(3));
@@ -254,7 +254,7 @@ mod tests {
         let edges = [Edge::plain(0, 1), Edge::plain(1, 2)];
         let sizes = [1usize, 2, 1];
         let mats = [vec![1.0, 1.0], vec![2.0, 2.0]];
-        let arena = EdgeTables::build(&edges, &sizes, |e| &mats[e]);
+        let arena = EdgeTables::per_edge(&edges, &sizes, &mats);
         let intra = vec![arc(vec![0.0]), arc(vec![3.0, 3.0]), arc(vec![0.0])];
         let mem = vec![arc(vec![0.0]), arc(vec![8.0, 4.0]), arc(vec![0.0])];
         let report = dominance_prune(&[(0, 2)], &sizes, &intra, &mem, &arena, &keys(3));

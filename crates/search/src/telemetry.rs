@@ -132,6 +132,17 @@ pub struct PlannerMetrics {
     /// Process peak resident set size (`VmHWM`) sampled at the end of the
     /// run, in bytes; 0 where the platform has no cheap probe.
     pub peak_rss_bytes: u64,
+    /// Bytes of the DP's two arenas — the compacted edge planes and the
+    /// backtrack choice planes — predicted in closed form from the
+    /// post-prune space sizes and the segments before either is allocated
+    /// (last pass).
+    pub arena_bytes: u64,
+    /// Bytes those two arenas actually held once the merges were done (last
+    /// pass); equal to [`arena_bytes`](Self::arena_bytes).
+    pub arena_bytes_allocated: u64,
+    /// Distinct compacted edge planes the DP read (last pass): pairs with
+    /// one edge share their matrix job's plane.
+    pub edge_planes: usize,
 }
 
 impl PlannerMetrics {
@@ -206,6 +217,12 @@ impl PlannerMetrics {
         m.incr("planner.merge_visited", self.merge_visited);
         m.incr("planner.prune.states_pruned", self.states_pruned);
         m.gauge("planner.peak_rss_bytes", self.peak_rss_bytes as f64);
+        m.gauge("planner.arena_bytes", self.arena_bytes as f64);
+        m.gauge(
+            "planner.arena_bytes_allocated",
+            self.arena_bytes_allocated as f64,
+        );
+        m.gauge("planner.edge_planes", self.edge_planes as f64);
         m.gauge("planner.unique_signatures", self.unique_signatures as f64);
         m.incr("planner.cache.space.hits", self.space_cache_hits);
         m.incr("planner.cache.space.misses", self.space_cache_misses);
@@ -300,6 +317,9 @@ mod tests {
             threads_used: 2,
             thread_busy_seconds: vec![1.0, 1.0],
             peak_rss_bytes: 1 << 20,
+            arena_bytes: 3 << 10,
+            arena_bytes_allocated: 3 << 10,
+            edge_planes: 4,
         }
     }
 
@@ -354,6 +374,9 @@ mod tests {
             m.gauge_value("planner.peak_rss_bytes"),
             Some((1u64 << 20) as f64)
         );
+        assert_eq!(m.gauge_value("planner.arena_bytes"), Some(3072.0));
+        assert_eq!(m.gauge_value("planner.arena_bytes_allocated"), Some(3072.0));
+        assert_eq!(m.gauge_value("planner.edge_planes"), Some(4.0));
         assert!(m.timer_seconds("planner.stage.prune_seconds") > 0.0);
         assert_eq!(m.timer_seconds("planner.stage.edge_prepare_seconds"), 0.75);
         assert!(m.timer_seconds("planner.stage.segment_dp_seconds") > 0.0);

@@ -492,6 +492,21 @@ fn record_lookup(trace: &RequestTrace, start_us: u64, outcome: Outcome, metrics:
 }
 
 #[cfg(test)]
+impl WarmCache {
+    /// Plans `req` as the leader of its memo flight, running `hold` before
+    /// the planner: an identical request that arrives meanwhile coalesces
+    /// onto the flight and cannot answer until `hold` returns and the plan
+    /// lands. Tests use it to fix which of two requests finishes first.
+    pub(crate) fn plan_held(&self, req: &PlanRequest, hold: impl FnOnce()) {
+        let resolved = req.resolve().expect("a valid plan request");
+        self.plans.get_or_compute(&resolved.fingerprint(), || {
+            hold();
+            self.plan_cold(&resolved, None)
+        });
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

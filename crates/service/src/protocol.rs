@@ -1279,30 +1279,90 @@ mod tests {
         );
     }
 
+    /// A client writer that runs `on_line` on each complete line written.
+    struct Watched<F> {
+        bytes: Vec<u8>,
+        scanned: usize,
+        on_line: F,
+    }
+
+    impl<F: FnMut(&str)> Write for Watched<F> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            while let Some(end) = self.bytes[self.scanned..].iter().position(|&b| b == b'\n') {
+                let line = &self.bytes[self.scanned..self.scanned + end];
+                (self.on_line)(std::str::from_utf8(line).expect("utf8 frame"));
+                self.scanned += end + 1;
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn cheap_responses_overtake_expensive_ones() {
         // Two workers, an expensive request first, a cheap one second: the
         // cheap response must come back first (out-of-order emission).
+        // Scheduling alone cannot promise that under load, so the test
+        // holds the expensive plan: it leads that plan's memo flight before
+        // the session starts, and releases it only once the client has
+        // read the cheap response. The expensive request coalesces onto
+        // the held flight. A loop that answered in admit order would hold
+        // the cheap response behind it; the flight then lands after the
+        // timeout and the order check below fails.
+        let slow = r#"{"schema_version":"primepar.service.v2","type":"plan","id":"slow","model":"opt-6.7b","devices":8,"seq":512,"layers":4}"#;
         let input = format!(
             "{}{}{}",
-            line(
-                r#"{"schema_version":"primepar.service.v2","type":"plan","id":"slow","model":"opt-6.7b","devices":8,"seq":512,"layers":4}"#
-            ),
+            line(slow),
             line(
                 r#"{"schema_version":"primepar.service.v2","type":"plan","id":"fast","model":"opt-6.7b","devices":4,"seq":512,"layers":1}"#
             ),
             line(r#"{"schema_version":"primepar.service.v2","type":"shutdown"}"#),
         );
-        let mut out = Vec::new();
-        let end = serve_lines(
-            input.as_bytes(),
-            &mut out,
-            &ServeOptions {
-                workers: 2,
-                ..ServeOptions::default()
-            },
-        )
-        .expect("serves");
+        let Ok(ParsedFrame {
+            frame: Frame::Request(Request::Plan(slow_req)),
+            ..
+        }) = parse_frame(slow)
+        else {
+            panic!("the slow frame is a plan request");
+        };
+        let cache = WarmCache::new();
+        let (held_tx, held) = mpsc::channel::<()>();
+        let (release_tx, release) = mpsc::channel::<()>();
+        let (end, out) = thread::scope(|scope| {
+            let (cache, slow_req) = (&cache, &slow_req);
+            scope.spawn(move || {
+                cache.plan_held(slow_req, || {
+                    held_tx.send(()).expect("test waits for the hold");
+                    let _ = release.recv_timeout(std::time::Duration::from_secs(60));
+                });
+            });
+            held.recv().expect("the slow plan's flight is held");
+            let mut release_tx = Some(release_tx);
+            let mut out = Watched {
+                bytes: Vec::new(),
+                scanned: 0,
+                on_line: |frame: &str| {
+                    if let Some(tx) = release_tx.take_if(|_| frame.contains(r#""id":"fast""#)) {
+                        let _ = tx.send(());
+                    }
+                },
+            };
+            let end = serve_lines_with_cache(
+                input.as_bytes(),
+                &mut out,
+                cache,
+                &ServeOptions {
+                    workers: 2,
+                    ..ServeOptions::default()
+                },
+            )
+            .expect("serves");
+            (end, out.bytes)
+        });
         assert_eq!((end.requests, end.errors), (2, 0));
         let lines = parse_lines(out);
         assert_eq!(lines[0].get("id").and_then(Json::as_str), Some("fast"));

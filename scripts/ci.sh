@@ -35,21 +35,23 @@ echo "== planner scaling contracts (512-device chain, Table-2 slab) =="
 # Table-2 slab.
 cargo test --release -q --offline -p primepar-bench --test scale_chain
 
-echo "== event-log determinism tripwire (100 release runs) =="
+echo "== serve-loop ordering tripwire (100 release runs) =="
 # The logical-clock event log must be ordered by the input alone, however a
-# worker's completion races the reader's next line. The race shows under
-# load, so the 100 runs go four at a time; one failure fails the gate.
+# worker's completion races the reader's next line; and a cheap response
+# must overtake an expensive one the test holds behind it. Both races show
+# under load, so the 100 runs go four at a time; one failure fails the gate.
 events_test="$(cargo test --release --offline -p primepar-service --lib --no-run 2>&1 \
     | sed -n 's/.*Executable .*(\(.*\))$/\1/p')"
 events_case=protocol::tests::event_log_captures_the_request_lifecycle_deterministically
-[ "$("$events_test" --list --exact "$events_case" | grep -c ': test$')" -eq 1 ] \
-    || { echo "event-log test $events_case not found" >&2; exit 1; }
+overtake_case=protocol::tests::cheap_responses_overtake_expensive_ones
+[ "$("$events_test" --list --exact "$events_case" "$overtake_case" | grep -c ': test$')" -eq 2 ] \
+    || { echo "serve-loop test $events_case or $overtake_case not found" >&2; exit 1; }
 for batch in $(seq 1 25); do
     for _ in 1 2 3 4; do
-        "$events_test" -q --exact "$events_case" >/dev/null 2>&1 &
+        "$events_test" -q --exact "$events_case" "$overtake_case" >/dev/null 2>&1 &
     done
     for _ in 1 2 3 4; do
-        wait -n || { echo "event-log order depended on scheduling (batch $batch)" >&2; exit 1; }
+        wait -n || { echo "serve-loop order depended on scheduling (batch $batch)" >&2; exit 1; }
     done
 done
 
