@@ -5,23 +5,37 @@
 //! cell as a per-device product of eight axis-interval intersections. Both
 //! are heavily redundant on a real transformer graph:
 //!
-//! * structurally identical operators (equal [`OpSignature`]s) produce the
-//!   *same* profile vectors, so one build per unique `(signature, tensor
-//!   role)` suffices — the [`EdgeCostCache`] interns them;
+//! * a side's profile vector depends on its *layout* alone, not on the
+//!   operator that holds it: the sequence list, the side's ordered
+//!   dimensions (each with its extent and its axis decomposition after the
+//!   edge's renames) and the edge selector — plus the DSI phase and step
+//!   side, but only when the list has a temporal sequence (without one every
+//!   DSI is phase- and step-invariant). The [`EdgeCostCache`] interns
+//!   profiles under exactly that key, so one layout builds once however
+//!   many operators and tensor roles share it: a residual add's and a
+//!   layernorm's activations, a pointwise operator's input and its
+//!   gradient, a batched matmul's weight and its gradient. Sequence lists
+//!   are interned by content, never by address, and a build whose bytes
+//!   equal an earlier one's (the K and V slices of the fused QKV output
+//!   when no cut reaches the Q/K/V axis) ends on that one's `Arc`;
 //! * within one side's profile vector, most per-device holdings repeat (a
 //!   coarse split leaves many devices with identical slices), so the dense
 //!   intervals are deduplicated. Each direction then gets one dense
 //!   `|need uniques| × |hold uniques|` table of `total · overlap`, and each
-//!   cell becomes a handful of lookups into it — see [`PreparedEdge::matrix`];
+//!   cell becomes a handful of lookups into it — see [`PreparedEdge::matrix`].
+//!   Tables are interned by the two profiles' identity and the element
+//!   count, so canonical profiles dedup them too;
 //! * the overlap is a product of per-axis factors, and on each axis a side
 //!   holds only a few distinct intervals, so the dense table is filled from
 //!   small per-axis factor tables rather than one eight-axis product per
 //!   entry — unless the matrix is so small (a beam probe, a pair of
 //!   beam-restricted spaces) that its device lookups are cheaper to price
 //!   one eight-axis product at a time than the tables are to build;
-//! * whole matrices repeat across edges whose endpoints share signatures and
-//!   edge parameters (the residual adds, the stacked-layer boundary), keyed
-//!   by [`MatrixKey`].
+//! * a matrix is a function of its four profiles and its element count, so
+//!   prepared edges that read the same ones share one sweep
+//!   ([`EdgeCostCache::sweep_ids`]); whole matrices also repeat across edges
+//!   whose endpoints share signatures and edge parameters (the residual
+//!   adds, the stacked-layer boundary), keyed by [`MatrixKey`].
 //!
 //! Everything here is *bitwise-identical* to the direct path: deduplication
 //! only reuses values that would have been recomputed from identical inputs,
@@ -29,17 +43,15 @@
 //! (axes ascending from `1.0` within an overlap, ascending device order with
 //! `(v − overlap).max(0)` per device within a cell). Skipping an axis whose
 //! factors are all exactly `1.0` is exact, since `x · 1.0 == x`.
-//!
-//! [`OpSignature`]: primepar_graph::OpSignature
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use primepar_graph::{Axis, Edge, Operator};
-use primepar_partition::{PartitionSeq, Phase, TensorKind};
+use primepar_partition::{Dim, PartitionSeq, Phase, TensorKind};
 use primepar_topology::DeviceSpace;
 
-use crate::inter::{profile_dedup_into, side_dims, ShapeMemo, Side};
+use crate::inter::{profile_dedup_into, renamed, side_dims, ShapeMemo, Side};
 use crate::{CostCtx, DenseIntervals};
 
 /// Hit/miss telemetry of an [`EdgeCostCache`].
@@ -49,25 +61,46 @@ pub struct CacheStats {
     pub profile_hits: u64,
     /// Side-profile vectors built from scratch.
     pub profile_misses: u64,
+    /// Direction tables served from the cache.
+    pub table_hits: u64,
+    /// Direction tables built from scratch.
+    pub table_misses: u64,
     /// Whole edge matrices reused via [`MatrixKey`] equality.
     pub matrix_hits: u64,
-    /// Whole edge matrices actually computed.
+    /// Whole edge matrices prepared, one per distinct [`MatrixKey`].
     pub matrix_misses: u64,
+    /// Prepared matrices that share another one's sweep (see
+    /// [`EdgeCostCache::sweep_ids`]); `matrix_misses − matrix_aliases`
+    /// sweeps actually run.
+    pub matrix_aliases: u64,
 }
 
-/// Interning key of one side's profile vector: the operator signature id,
-/// the tensor role and DSI phase/side, and the edge parameters that shape
-/// the holdings. Valid within one planner run (fixed device count and
-/// partition-space options).
+/// Interning key of one side's profile vector: everything its bytes depend
+/// on, and nothing that merely names it (operator, signature, tensor role).
+/// Valid within one [`EdgeCostCache`], whose sequence-list ids it embeds.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ProfileKey {
-    sig: usize,
-    kind: TensorKind,
-    phase: Phase,
-    side: Side,
-    renames: Vec<(Axis, Axis)>,
+    /// The content-interned sequence list (its device bits come with it).
+    seqs: u32,
+    /// The side's dimensions in order.
+    dims: Vec<SideDim>,
     /// Selector endpoints as IEEE-754 bits (`f64` is not `Hash`).
     selector: Option<(u64, u64)>,
+    /// The DSI phase and step side, only for a list with a temporal
+    /// sequence: every other sequence's DSIs are phase- and step-invariant.
+    steps: Option<(Phase, Side)>,
+}
+
+/// One dimension of a side's layout: the dimension, its extent and its axis
+/// decomposition after the edge's renames.
+type SideDim = (Dim, u64, Vec<(Axis, u64)>);
+
+/// A sequence list interned by content within one [`EdgeCostCache`].
+#[derive(Debug, Clone, Copy)]
+struct SeqList {
+    id: u32,
+    /// Whether any sequence of the list has temporal steps.
+    temporal: bool,
 }
 
 /// Identity of a whole edge-cost matrix: `(left signature, right signature,
@@ -145,9 +178,10 @@ pub struct SideProfiles {
 impl SideProfiles {
     /// Builds and deduplicates the holdings of every sequence on one side.
     ///
-    /// `base` is an already-built profile vector over the *same* operator,
-    /// sequence list, dimension family, renames and selector (the caller
-    /// guarantees this — in practice the forward twin of a backward side).
+    /// `base` is an already-built profile vector over the *same* layout —
+    /// sequence list, dimensions, renames and selector — in another phase or
+    /// step side (the caller guarantees this — in practice the forward twin
+    /// of a backward side).
     /// Sequences without temporal primitives have phase- and step-invariant
     /// DSIs, so their rows are copied from `base` instead of rebuilt; only
     /// temporal sequences are profiled from scratch.
@@ -233,6 +267,41 @@ impl SideProfiles {
     pub fn unique_holdings(&self) -> usize {
         self.uniques.len()
     }
+
+    /// A hash of the bits [`same_bits`](Self::same_bits) compares, bar the
+    /// `[seq][device]` ids: they are the bulk of a large space's profile,
+    /// and `same_bits` settles any collision.
+    fn content_hash(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.devices.hash(&mut h);
+        for vf in &self.volume_fraction {
+            vf.to_bits().hash(&mut h);
+        }
+        for u in &self.uniques {
+            dense_bits(u).hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// Whether the two vectors are bitwise equal: then every table and
+    /// matrix built from one is bitwise the other's.
+    fn same_bits(&self, other: &SideProfiles) -> bool {
+        self.devices == other.devices
+            && self.ids == other.ids
+            && self.volume_fraction.len() == other.volume_fraction.len()
+            && self
+                .volume_fraction
+                .iter()
+                .zip(&other.volume_fraction)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+            && self.uniques.len() == other.uniques.len()
+            && self
+                .uniques
+                .iter()
+                .zip(&other.uniques)
+                .all(|(a, b)| dense_bits(a) == dense_bits(b))
+    }
 }
 
 /// Exact bit pattern of a dense interval set, for hashing.
@@ -259,8 +328,10 @@ pub struct PreparedEdge {
     pub rows: usize,
     /// `|dst_seqs|` — the matrix column count.
     pub cols: usize,
-    /// Structural identity of the matrix this job computes.
-    key: MatrixKey,
+    /// The identities of the four interned profiles the matrix reads plus
+    /// its element count's bits: equal for two jobs of one cache exactly
+    /// when their matrices are one computation.
+    sweep: ([usize; 4], u64),
 }
 
 /// Relative cost of one [`Pricing::Direct`] device lookup (two eight-axis
@@ -292,14 +363,6 @@ enum Pricing {
 }
 
 impl PreparedEdge {
-    /// The structural [`MatrixKey`] this prepared job computes the matrix
-    /// for. Keys are graph-order-relative (they embed first-seen signature
-    /// ids), so they identify matrices across planner runs over graphs with
-    /// the same ordered signature list — the handle cross-request warm
-    /// caches index by.
-    pub fn key(&self) -> &MatrixKey {
-        &self.key
-    }
     /// Computes the dense `rows × cols` edge-cost matrix, bitwise-identical
     /// to [`edge_cost_matrix`](crate::edge_cost_matrix) on the same inputs.
     ///
@@ -445,15 +508,22 @@ fn intern_axis(uniques: &[DenseIntervals], axis: usize) -> (Vec<usize>, Vec<(f64
     (ids, distinct)
 }
 
-/// Interning cache of side profiles and whole edge matrices, keyed by
-/// operator signature ids. One cache serves one planner run (the keys assume
-/// a fixed device count and one shared space enumeration per signature).
+/// Interning cache of sequence lists, side profiles and direction tables,
+/// keyed by layout (see the module docs). One cache serves one planner
+/// pass; it holds every profile it built until it drops, so a profile's
+/// address names it for the cache's lifetime.
 #[derive(Debug, Default)]
 pub struct EdgeCostCache {
+    /// Sequence lists by content. Addresses would not do: a freed beam
+    /// subset can reuse one.
+    lists: HashMap<Vec<PartitionSeq>, SeqList>,
     profiles: HashMap<ProfileKey, Arc<SideProfiles>>,
+    /// The distinct built profiles by content hash: every key whose build
+    /// came out bitwise equal to an earlier one maps to that one's `Arc`.
+    by_content: HashMap<u64, Vec<Arc<SideProfiles>>>,
     /// Direction tables keyed by the interned profile pair's identity plus
     /// the edge's element count — profile interning makes `Arc` pointer
-    /// equality equivalent to [`ProfileKey`] equality within one cache.
+    /// equality equivalent to bitwise profile equality within one cache.
     tables: HashMap<(usize, usize, u64), Arc<DirectionTables>>,
     stats: CacheStats,
 }
@@ -479,10 +549,33 @@ impl EdgeCostCache {
         }
     }
 
+    /// Dense first-seen sweep numbering of `jobs`, all prepared by this
+    /// cache: `ids[a] == ids[b]` exactly when the two jobs read the same
+    /// four interned profiles at the same element count, so their matrices
+    /// are one computation and one sweep serves both. Every job after the
+    /// first of its sweep counts as a matrix alias.
+    pub fn sweep_ids(&mut self, jobs: &[PreparedEdge]) -> Vec<usize> {
+        let mut firsts: Vec<usize> = Vec::new();
+        let ids = jobs
+            .iter()
+            .enumerate()
+            .map(|(j, job)| {
+                firsts
+                    .iter()
+                    .position(|&f| jobs[f].sweep == job.sweep)
+                    .unwrap_or_else(|| {
+                        firsts.push(j);
+                        firsts.len() - 1
+                    })
+            })
+            .collect();
+        self.stats.matrix_aliases += (jobs.len() - firsts.len()) as u64;
+        ids
+    }
+
     /// Interns the four side profiles of `edge` and returns the prepared
-    /// cell evaluator. Profile builds are shared across edges whose endpoint
-    /// signatures and edge parameters agree.
-    #[allow(clippy::too_many_arguments)]
+    /// cell evaluator. Profile builds are shared across every side of every
+    /// edge with the same layout.
     pub fn prepare(
         &mut self,
         edge: &Edge,
@@ -490,8 +583,6 @@ impl EdgeCostCache {
         dst_op: &Operator,
         src_seqs: &[PartitionSeq],
         dst_seqs: &[PartitionSeq],
-        src_sig: usize,
-        dst_sig: usize,
     ) -> PreparedEdge {
         let space = DeviceSpace::new(src_seqs[0].bits());
         assert_eq!(
@@ -499,6 +590,7 @@ impl EdgeCostCache {
             dst_seqs[0].bits(),
             "both operators span the same devices"
         );
+        let (src_list, dst_list) = (self.list(src_seqs), self.list(dst_seqs));
         let total_elems: f64 = side_dims(dst_op, edge.dst_kind)
             .iter()
             .map(|&d| dst_op.extent(d).max(1) as f64)
@@ -512,9 +604,9 @@ impl EdgeCostCache {
             _ => Phase::Backward,
         };
         let produce = self.side(
-            src_sig,
             src_op,
             src_seqs,
+            src_list,
             space,
             TensorKind::Output,
             Phase::Forward,
@@ -524,9 +616,9 @@ impl EdgeCostCache {
             None,
         );
         let consume = self.side(
-            dst_sig,
             dst_op,
             dst_seqs,
+            dst_list,
             space,
             edge.dst_kind,
             Phase::Forward,
@@ -536,9 +628,9 @@ impl EdgeCostCache {
             None,
         );
         let g_produce = self.side(
-            dst_sig,
             dst_op,
             dst_seqs,
+            dst_list,
             space,
             grad_kind,
             grad_phase,
@@ -548,9 +640,9 @@ impl EdgeCostCache {
             Some(&consume),
         );
         let g_consume = self.side(
-            src_sig,
             src_op,
             src_seqs,
+            src_list,
             space,
             TensorKind::GradOutput,
             Phase::Backward,
@@ -577,6 +669,10 @@ impl EdgeCostCache {
         let lookups = rows * cols * d;
         let table_cells = consume.uniques.len() * produce.uniques.len()
             + g_consume.uniques.len() * g_produce.uniques.len();
+        let sweep = (
+            [&produce, &consume, &g_produce, &g_consume].map(|p| Arc::as_ptr(p) as usize),
+            total_elems.to_bits(),
+        );
         let pricing = if DIRECT_LOOKUP_COST * lookups < table_cells {
             Pricing::Direct {
                 total_elems,
@@ -598,7 +694,7 @@ impl EdgeCostCache {
             devices: d,
             rows,
             cols,
-            key: MatrixKey::new(edge, src_sig, dst_sig),
+            sweep,
         }
     }
 
@@ -615,19 +711,38 @@ impl EdgeCostCache {
             total_elems.to_bits(),
         );
         if let Some(tables) = self.tables.get(&key) {
+            self.stats.table_hits += 1;
             return tables.clone();
         }
+        self.stats.table_misses += 1;
         let built = Arc::new(DirectionTables::build(total_elems, needs, holds));
         self.tables.insert(key, built.clone());
         built
     }
 
+    /// `seqs` interned by content.
+    fn list(&mut self, seqs: &[PartitionSeq]) -> SeqList {
+        if let Some(&list) = self.lists.get(seqs) {
+            return list;
+        }
+        let list = SeqList {
+            id: self.lists.len() as u32,
+            temporal: seqs.iter().any(|s| s.temporal_steps() > 1),
+        };
+        self.lists.insert(seqs.to_vec(), list);
+        list
+    }
+
+    /// The interned profile vector of one side. `base`, when given, is a
+    /// profile over the same layout in another phase or step side (the
+    /// forward twin of a backward side), whose non-temporal rows a fresh
+    /// build copies.
     #[allow(clippy::too_many_arguments)]
     fn side(
         &mut self,
-        sig: usize,
         op: &Operator,
         seqs: &[PartitionSeq],
+        list: SeqList,
         space: DeviceSpace,
         kind: TensorKind,
         phase: Phase,
@@ -636,20 +751,28 @@ impl EdgeCostCache {
         selector: Option<(f64, f64)>,
         base: Option<&Arc<SideProfiles>>,
     ) -> Arc<SideProfiles> {
+        let dims = side_dims(op, kind)
+            .into_iter()
+            .map(|d| {
+                let axes = op.axes[d.index()]
+                    .iter()
+                    .map(|&(axis, n)| (renamed(renames, axis), n))
+                    .collect();
+                (d, op.extent(d), axes)
+            })
+            .collect();
         let key = ProfileKey {
-            sig,
-            kind,
-            phase,
-            side,
-            renames: renames.to_vec(),
+            seqs: list.id,
+            dims,
             selector: selector_bits(selector),
+            steps: list.temporal.then_some((phase, side)),
         };
         if let Some(cached) = self.profiles.get(&key) {
             self.stats.profile_hits += 1;
             return cached.clone();
         }
         self.stats.profile_misses += 1;
-        let built = Arc::new(SideProfiles::build(
+        let built = SideProfiles::build(
             op,
             seqs,
             space,
@@ -659,7 +782,20 @@ impl EdgeCostCache {
             renames,
             selector,
             base.map(Arc::as_ref),
-        ));
+        );
+        // Two keys can still build the same bytes (a selector that no
+        // holding reaches, two lists that cut the same axes in the same
+        // order): one `Arc` per distinct content lets the tables and sweeps
+        // downstream dedup them by identity too.
+        let bucket = self.by_content.entry(built.content_hash()).or_default();
+        let built = match bucket.iter().find(|p| p.same_bits(&built)) {
+            Some(same) => same.clone(),
+            None => {
+                let built = Arc::new(built);
+                bucket.push(built.clone());
+                built
+            }
+        };
         self.profiles.insert(key, built.clone());
         built
     }
@@ -673,20 +809,27 @@ mod tests {
     use primepar_partition::{Dim, Primitive};
     use primepar_topology::Cluster;
 
-    /// Every 2-bit spatial sequence plus the temporal primitive — a dense
-    /// slice through the real 4-device partition space.
-    fn seqs_4dev() -> Vec<PartitionSeq> {
+    /// Every `bits`-bit spatial sequence, then the temporal primitive after
+    /// every spatial prefix that leaves it two bits — a dense slice through
+    /// the real partition space.
+    fn seqs_for(bits: usize) -> Vec<PartitionSeq> {
         let dims = [Dim::B, Dim::M, Dim::N, Dim::K];
-        let mut out = Vec::new();
-        for a in dims {
-            for b in dims {
-                out.push(
-                    PartitionSeq::new(vec![Primitive::Split(a), Primitive::Split(b)]).unwrap(),
-                );
-            }
-        }
-        out.push(PartitionSeq::new(vec![Primitive::Temporal { k: 1 }]).unwrap());
-        out
+        let splits = |n: usize| {
+            (0..n).fold(vec![Vec::new()], |acc: Vec<Vec<Primitive>>, _| {
+                acc.iter()
+                    .flat_map(|p| dims.map(|d| [p.as_slice(), &[Primitive::Split(d)]].concat()))
+                    .collect()
+            })
+        };
+        let temporal = splits(bits - 2).into_iter().map(|mut p| {
+            p.push(Primitive::Temporal { k: 1 });
+            p
+        });
+        splits(bits)
+            .into_iter()
+            .chain(temporal)
+            .map(|p| PartitionSeq::new(p).unwrap())
+            .collect()
     }
 
     #[test]
@@ -716,51 +859,63 @@ mod tests {
 
     #[test]
     fn prepared_matrix_is_bitwise_identical_to_direct() {
-        let cluster = Cluster::v100_like(4);
         let g = ModelConfig::opt_6_7b().layer_graph(8, 512);
         let sig_ids = g.signature_ids();
-        let seqs = seqs_4dev();
-        // Full spaces, a single anchored row or column (a beam probe) and a
-        // two-state pair: both pricing modes must occur, and match.
-        let shapes: [(&[PartitionSeq], &[PartitionSeq]); 4] = [
-            (&seqs, &seqs),
-            (&seqs[3..4], &seqs),
-            (&seqs, &seqs[5..6]),
-            (&seqs[..2], &seqs[7..9]),
-        ];
+        // One cache prepares every edge at 4 and 8 devices, for full spaces,
+        // a single anchored row or column (a beam probe) and a two-state
+        // pair: both pricing modes must occur, and match the direct path.
+        let mut cache = EdgeCostCache::new();
         let mut modes = [0usize; 2];
-        for (src_seqs, dst_seqs) in shapes {
-            let mut cache = EdgeCostCache::new();
-            for edge in &g.edges {
-                let (src, dst) = (&g.ops[edge.src], &g.ops[edge.dst]);
-                let direct_ctx = CostCtx::new(&cluster, 0.0);
-                let direct = edge_cost_matrix(&direct_ctx, edge, src, dst, src_seqs, dst_seqs);
-                let prepared = cache.prepare(
-                    edge,
-                    src,
-                    dst,
-                    src_seqs,
-                    dst_seqs,
-                    sig_ids[edge.src],
-                    sig_ids[edge.dst],
-                );
-                modes[usize::from(matches!(prepared.pricing, Pricing::Direct { .. }))] += 1;
-                let ctx = CostCtx::new(&cluster, 0.0);
-                let fast = prepared.matrix(&ctx);
-                assert_eq!(direct.len(), fast.len());
-                for (i, (a, b)) in direct.iter().zip(&fast).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "edge ({}, {}) cell {i}: {a} vs {b}",
-                        edge.src,
-                        edge.dst
-                    );
+        // Interned profile → the signatures of the operators that read it.
+        let mut readers: HashMap<usize, Vec<usize>> = HashMap::new();
+        for bits in [2, 3] {
+            let cluster = Cluster::v100_like(1 << bits);
+            let seqs = seqs_for(bits);
+            let shapes: [(&[PartitionSeq], &[PartitionSeq]); 4] = [
+                (&seqs, &seqs),
+                (&seqs[3..4], &seqs),
+                (&seqs, &seqs[5..6]),
+                (&seqs[..2], &seqs[7..9]),
+            ];
+            for (src_seqs, dst_seqs) in shapes {
+                for edge in &g.edges {
+                    let (src, dst) = (&g.ops[edge.src], &g.ops[edge.dst]);
+                    let direct_ctx = CostCtx::new(&cluster, 0.0);
+                    let direct = edge_cost_matrix(&direct_ctx, edge, src, dst, src_seqs, dst_seqs);
+                    let prepared = cache.prepare(edge, src, dst, src_seqs, dst_seqs);
+                    modes[usize::from(matches!(prepared.pricing, Pricing::Direct { .. }))] += 1;
+                    let [p, c, gp, gc] = prepared.sweep.0;
+                    for (profile, op) in
+                        [(p, edge.src), (c, edge.dst), (gp, edge.dst), (gc, edge.src)]
+                    {
+                        let sigs = readers.entry(profile).or_default();
+                        if !sigs.contains(&sig_ids[op]) {
+                            sigs.push(sig_ids[op]);
+                        }
+                    }
+                    let ctx = CostCtx::new(&cluster, 0.0);
+                    let fast = prepared.matrix(&ctx);
+                    assert_eq!(direct.len(), fast.len());
+                    for (i, (a, b)) in direct.iter().zip(&fast).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{bits} bits, edge ({}, {}) cell {i}: {a} vs {b}",
+                            edge.src,
+                            edge.dst
+                        );
+                    }
+                    assert_eq!(ctx.inter_evaluations(), direct.len() as u64);
                 }
-                assert_eq!(ctx.inter_evaluations(), direct.len() as u64);
             }
         }
         assert!(modes.iter().all(|&m| m > 0), "tables/direct: {modes:?}");
+        assert!(
+            readers.values().any(|sigs| sigs.len() > 1),
+            "some layout must be shared across operator signatures"
+        );
+        let stats = cache.stats();
+        assert!(stats.profile_hits > 0 && stats.table_hits > 0, "{stats:?}");
     }
 
     /// Intervals `[lo, hi)` on the listed axes, `[0, 1)` elsewhere.
@@ -840,18 +995,22 @@ mod tests {
     fn profiles_are_shared_across_structurally_equal_edges() {
         let g = ModelConfig::opt_6_7b().layer_graph(8, 512);
         let sig_ids = g.signature_ids();
-        let seqs = seqs_4dev();
+        let seqs = seqs_for(2);
         let mut cache = EdgeCostCache::new();
-        // anchor→norm1 and add1→norm2 have equal endpoint signatures and
-        // parameters: the second prepare must hit all four profile slots.
+        // anchor→norm1 and add1→norm2 have equal endpoint layouts and
+        // parameters: the second prepare must hit all four profile slots,
+        // both direction tables, and share the first one's sweep.
         let e01 = g.edges.iter().find(|e| e.src == 0 && e.dst == 1).unwrap();
         let e78 = g.edges.iter().find(|e| e.src == 7 && e.dst == 8).unwrap();
         assert_eq!(MatrixKey::new(e01, 0, 1), MatrixKey::new(e78, 0, 1));
-        cache.prepare(e01, &g.ops[0], &g.ops[1], &seqs, &seqs, 0, 1);
+        let first = cache.prepare(e01, &g.ops[0], &g.ops[1], &seqs, &seqs);
         assert_eq!(cache.stats().profile_misses, 4);
-        cache.prepare(e78, &g.ops[7], &g.ops[8], &seqs, &seqs, 0, 1);
+        let second = cache.prepare(e78, &g.ops[7], &g.ops[8], &seqs, &seqs);
         assert_eq!(cache.stats().profile_misses, 4);
         assert_eq!(cache.stats().profile_hits, 4);
+        assert_eq!(cache.stats().table_hits, 2);
+        assert_eq!(cache.sweep_ids(&[first, second]), vec![0, 0]);
+        assert_eq!(cache.stats().matrix_aliases, 1);
         // QKV selector edges must NOT collide despite equal signatures.
         let q = g
             .edges
@@ -867,6 +1026,72 @@ mod tests {
             MatrixKey::new(q, sig_ids[2], sig_ids[3]),
             MatrixKey::new(k, sig_ids[2], sig_ids[3])
         );
+        let q = cache.prepare(q, &g.ops[2], &g.ops[3], &seqs, &seqs);
+        let k = cache.prepare(k, &g.ops[2], &g.ops[3], &seqs, &seqs);
+        assert_eq!(cache.sweep_ids(&[q, k]), vec![0, 1]);
+    }
+
+    #[test]
+    fn layouts_that_differ_in_extent_rename_or_selector_never_share() {
+        let g = ModelConfig::opt_6_7b().layer_graph(8, 512);
+        let seqs = seqs_for(2);
+        let mut cache = EdgeCostCache::new();
+        let list = cache.list(&seqs);
+        let side =
+            |cache: &mut EdgeCostCache, op: &Operator, renames: &[(Axis, Axis)], selector| {
+                cache.side(
+                    op,
+                    &seqs,
+                    list,
+                    DeviceSpace::new(2),
+                    TensorKind::Output,
+                    Phase::Forward,
+                    Side::Produce,
+                    renames,
+                    selector,
+                    None,
+                )
+            };
+        let builds =
+            |cache: &EdgeCostCache| (cache.stats().profile_misses, cache.stats().profile_hits);
+        let fc1 = &g.ops[9];
+        let base = side(&mut cache, fc1, &[], None);
+        // The same layout under another name and operator kind is a hit.
+        let mut twin = fc1.clone();
+        twin.name = "twin".into();
+        twin.kind = primepar_graph::OpKind::Embedding;
+        assert!(Arc::ptr_eq(&base, &side(&mut cache, &twin, &[], None)));
+        assert_eq!(builds(&cache), (1, 1));
+        // A key that differs is always a build of its own. One that builds
+        // the same bytes (a larger extent no sequence cuts down to) still
+        // ends on the same `Arc`, by content.
+        let mut wider = fc1.clone();
+        wider.extents[Dim::K.index()] *= 2;
+        assert!(Arc::ptr_eq(&base, &side(&mut cache, &wider, &[], None)));
+        assert_eq!(builds(&cache), (2, 1));
+        // Each of these differs in one thing that changes the bytes: an
+        // extent a 4-way cut exceeds, a renamed axis, a selector over an
+        // operator whose cuts reach the selected axis.
+        let mut narrow = fc1.clone();
+        narrow.extents[Dim::K.index()] = 2;
+        let mut fused = fc1.clone();
+        fused.axes[Dim::K.index()] = vec![(Axis::Qkv, 4), (Axis::Ffn, 4096)];
+        let variants = [
+            side(&mut cache, &narrow, &[], None),
+            side(&mut cache, fc1, &[(Axis::Ffn, Axis::Hidden)], None),
+            side(&mut cache, &fused, &[], Some((0.0, 0.5))),
+            side(&mut cache, &fused, &[], Some((0.5, 1.0))),
+        ];
+        for (i, a) in variants.iter().enumerate() {
+            assert!(
+                !Arc::ptr_eq(a, &base),
+                "variant {i} shared the base profile"
+            );
+            for b in &variants[..i] {
+                assert!(!Arc::ptr_eq(a, b), "variant {i} shared an earlier one");
+            }
+        }
+        assert_eq!(builds(&cache), (6, 1));
     }
 
     #[test]
@@ -874,7 +1099,7 @@ mod tests {
         // A coarse B-split leaves many devices with repeated slices; the
         // interned uniques must be far fewer than len() × devices.
         let g = ModelConfig::opt_6_7b().layer_graph(8, 512);
-        let seqs = seqs_4dev();
+        let seqs = seqs_for(2);
         let space = DeviceSpace::new(2);
         let side = SideProfiles::build(
             &g.ops[9],

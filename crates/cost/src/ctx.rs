@@ -2,7 +2,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use primepar_topology::{Cluster, CommProfile, ComputeProfile, GroupIndicator};
+use primepar_topology::{
+    Cluster, CommProfile, ComputeProfile, GroupIndicator, LinkClass, LinkModel,
+};
 
 /// Shared state for cost evaluation: the cluster model, the latency/memory
 /// trade-off coefficient `α` of Eq. 7, and a cache of fitted communication
@@ -19,6 +21,11 @@ pub struct CostCtx<'a> {
     alpha: f64,
     profiles: RwLock<HashMap<GroupIndicator, CommProfile>>,
     compute: ComputeProfile,
+    /// The link redistribution is charged on and the worst per-device link
+    /// factor: both fixed by the cluster, so they are picked once here
+    /// instead of on every edge-matrix cell.
+    redistribution_link: LinkModel,
+    worst_link_factor: f64,
     /// Telemetry: Eq. 7 evaluations performed through this context.
     intra_evals: AtomicU64,
     /// Telemetry: Eq. 8-9 pair evaluations performed through this context.
@@ -29,11 +36,20 @@ impl<'a> CostCtx<'a> {
     /// Creates a context. `alpha` weighs peak memory (bytes) against latency
     /// (seconds) in the intra-operator cost; `0.0` optimizes latency only.
     pub fn new(cluster: &'a Cluster, alpha: f64) -> Self {
+        // Redistribution is all-to-all-ish: charge the slowest link class
+        // present in the cluster, with per-device traffic in flight.
+        let class = if cluster.num_devices() > cluster.devices_per_node() {
+            LinkClass::InterNode
+        } else {
+            LinkClass::IntraNode
+        };
         CostCtx {
             cluster,
             alpha,
             profiles: RwLock::new(HashMap::new()),
             compute: ComputeProfile::profile(cluster.device_model()),
+            redistribution_link: cluster.link(class),
+            worst_link_factor: cluster.worst_link_factor(),
             intra_evals: AtomicU64::new(0),
             inter_evals: AtomicU64::new(0),
         }
@@ -102,17 +118,10 @@ impl<'a> CostCtx<'a> {
         }
         let n = self.cluster.num_devices() as f64;
         let per_device = total_bytes / n;
-        // Redistribution is all-to-all-ish: charge the slowest link class
-        // present in the cluster, with per-device traffic in flight.
-        let class = if self.cluster.num_devices() > self.cluster.devices_per_node() {
-            primepar_topology::LinkClass::InterNode
-        } else {
-            primepar_topology::LinkClass::IntraNode
-        };
         // All-to-all finishes with its slowest participant: under a fault /
         // variance scenario the worst per-device link factor gates the
-        // exchange (the class-wide factor is already in `link`).
-        self.cluster.link(class).transfer_time(per_device) * self.cluster.worst_link_factor()
+        // exchange (the class-wide factor is already in the link model).
+        self.redistribution_link.transfer_time(per_device) * self.worst_link_factor
     }
 
     /// Latency of the same traffic charged the way the simulator executes it:
@@ -236,5 +245,32 @@ mod tests {
         let ind = GroupIndicator::new(vec![1]);
         assert!(pert.allreduce_time(&ind, 1e7) >= base.allreduce_time(&ind, 1e7));
         assert!(pert.ring_shift_time(&ind, 1e6) >= base.ring_shift_time(&ind, 1e6));
+    }
+
+    #[test]
+    fn hoisted_redistribution_charge_is_bitwise_the_per_call_one() {
+        // The link and worst factor picked once in `new` must price every
+        // volume exactly as picking them per call did, perturbed or not,
+        // single-node or not.
+        let harsh = primepar_topology::PerturbationModel::harsh();
+        for cluster in [
+            Cluster::v100_like(4),
+            Cluster::v100_like(16),
+            Cluster::v100_like(8).perturbed(&harsh, 3),
+            Cluster::v100_like(512).perturbed(&harsh, 11),
+        ] {
+            let ctx = CostCtx::new(&cluster, 0.0);
+            let class = if cluster.num_devices() > cluster.devices_per_node() {
+                LinkClass::InterNode
+            } else {
+                LinkClass::IntraNode
+            };
+            for bytes in [1.0, 3.5e4, 1e7, 2.75e9] {
+                let per_device = bytes / cluster.num_devices() as f64;
+                let expect =
+                    cluster.link(class).transfer_time(per_device) * cluster.worst_link_factor();
+                assert_eq!(ctx.redistribution_time(bytes).to_bits(), expect.to_bits());
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! per-device overlap is the product of interval intersections (Eq. 9's
 //! `∏_X |S¹_X ∩ S²_X|`).
 
-use primepar_graph::{Edge, Graph, Operator};
+use primepar_graph::{Axis, Edge, Graph, Operator};
 use primepar_partition::{Dim, PartitionSeq, Phase, TensorKind};
 use primepar_topology::DeviceSpace;
 
@@ -54,6 +54,14 @@ pub(crate) fn side_dims(op: &Operator, kind: TensorKind) -> Vec<Dim> {
     }
 }
 
+/// `axis` after the edge's destination-side `renames`.
+pub(crate) fn renamed(renames: &[(Axis, Axis)], axis: Axis) -> Axis {
+    renames
+        .iter()
+        .find(|&&(from, _)| from == axis)
+        .map_or(axis, |&(_, to)| to)
+}
+
 /// Builds the per-device holdings of one endpoint.
 ///
 /// * `kind` — the tensor role on this operator (`Output`/`GradOutput` on the
@@ -69,7 +77,7 @@ pub(crate) fn profile(
     kind: TensorKind,
     phase: Phase,
     side: Side,
-    renames: &[(primepar_graph::Axis, primepar_graph::Axis)],
+    renames: &[(Axis, Axis)],
     selector: Option<(f64, f64)>,
 ) -> BoundaryProfile {
     let t = match side {
@@ -77,13 +85,7 @@ pub(crate) fn profile(
         Side::Consume => 0,
     };
     let dims = side_dims(op, kind);
-    let rename = |a: primepar_graph::Axis| {
-        renames
-            .iter()
-            .find(|&&(from, _)| from == a)
-            .map(|&(_, to)| to)
-            .unwrap_or(a)
-    };
+    let rename = |a| renamed(renames, a);
     let mut volume_fraction = 1.0;
     for &dim in &dims {
         let extent = op.extent(dim).max(1) as f64;
@@ -103,14 +105,14 @@ pub(crate) fn profile(
                 iv.project(&op.axes[dim.index()], lo, hi, rename);
             }
             if let Some((s0, s1)) = selector {
-                alive = iv.select(primepar_graph::Axis::Qkv, s0, s1);
+                alive = iv.select(Axis::Qkv, s0, s1);
             }
             if alive {
                 iv
             } else {
                 // Holds nothing of the selected sub-tensor.
                 let mut empty = AxisIntervals::full();
-                empty.narrow(primepar_graph::Axis::Qkv, 0.0, 0.0);
+                empty.narrow(Axis::Qkv, 0.0, 0.0);
                 empty
             }
         })
@@ -161,7 +163,7 @@ pub(crate) fn profile_dedup_into(
     kind: TensorKind,
     phase: Phase,
     side: Side,
-    renames: &[(primepar_graph::Axis, primepar_graph::Axis)],
+    renames: &[(Axis, Axis)],
     selector: Option<(f64, f64)>,
     memo: &mut ShapeMemo,
     intern: &mut dyn FnMut(AxisIntervals) -> u32,
@@ -172,13 +174,7 @@ pub(crate) fn profile_dedup_into(
         Side::Consume => 0,
     };
     let dims = side_dims(op, kind);
-    let rename = |a: primepar_graph::Axis| {
-        renames
-            .iter()
-            .find(|&&(from, _)| from == a)
-            .map(|&(_, to)| to)
-            .unwrap_or(a)
-    };
+    let rename = |a| renamed(renames, a);
     let mut volume_fraction = 1.0;
     let mut slices4 = [0usize; 4];
     for (slot, &dim) in slices4.iter_mut().zip(&dims) {
@@ -205,14 +201,14 @@ pub(crate) fn profile_dedup_into(
                 iv.project(&op.axes[dim.index()], lo, hi, rename);
             }
             if let Some((s0, s1)) = selector {
-                alive = iv.select(primepar_graph::Axis::Qkv, s0, s1);
+                alive = iv.select(Axis::Qkv, s0, s1);
             }
             let holding = if alive {
                 iv
             } else {
                 // Holds nothing of the selected sub-tensor.
                 let mut empty = AxisIntervals::full();
-                empty.narrow(primepar_graph::Axis::Qkv, 0.0, 0.0);
+                empty.narrow(Axis::Qkv, 0.0, 0.0);
                 empty
             };
             intern(holding)

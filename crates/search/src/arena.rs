@@ -8,7 +8,7 @@
 //! [`EdgeTables`] indexes every `(src, dst)` pair's cost plane by a sorted
 //! slot table (binary search + index arithmetic, no hashing). A pair with
 //! one edge *shares* its unique matrix with every other such pair of the
-//! same matrix job instead of copying it; only a pair with parallel edges
+//! same matrix sweep instead of copying it; only a pair with parallel edges
 //! holds a plane of its own, summed in edge order. [`ChoiceArena`] holds
 //! the backtrack choice planes, one exact-size plane per DP step, whose
 //! element is `u16` or `u32` by [`choice_width`]. Neither changes any
@@ -40,9 +40,9 @@ pub(crate) struct EdgeTables {
 }
 
 impl EdgeTables {
-    /// One plane per distinct `(src, dst)` pair. `matrices[jobs[e]]` is edge
+    /// One plane per distinct `(src, dst)` pair. `matrices[ids[e]]` is edge
     /// `e`'s `sizes[src] × sizes[dst]` matrix. A pair with one edge
-    /// references that matrix, shared with every pair of the same job; a
+    /// references that matrix, shared with every pair of the same id; a
     /// pair's parallel edges sum into a plane of its own, the first edge
     /// copied and later ones added in edge order — the fold the seed's
     /// `HashMap` entry path performed, so every plane is bitwise-identical
@@ -50,7 +50,7 @@ impl EdgeTables {
     pub fn build(
         edges: &[Edge],
         sizes: &[usize],
-        jobs: &[usize],
+        ids: &[usize],
         matrices: Vec<Arc<Vec<f64>>>,
     ) -> Self {
         let mut pairs: Vec<(usize, usize, Vec<usize>)> = Vec::new();
@@ -68,15 +68,15 @@ impl EdgeTables {
         let mut index = Vec::with_capacity(pairs.len());
         for (src, dst, pair_edges) in pairs {
             let plane = match pair_edges[..] {
-                [e] => *shared[jobs[e]].get_or_insert_with(|| {
-                    planes.push(matrices[jobs[e]].clone());
+                [e] => *shared[ids[e]].get_or_insert_with(|| {
+                    planes.push(matrices[ids[e]].clone());
                     planes.len() - 1
                 }),
                 _ => {
-                    let mut sum = matrices[jobs[pair_edges[0]]].to_vec();
+                    let mut sum = matrices[ids[pair_edges[0]]].to_vec();
                     for &e in &pair_edges[1..] {
                         sum.iter_mut()
-                            .zip(matrices[jobs[e]].iter())
+                            .zip(matrices[ids[e]].iter())
                             .for_each(|(a, b)| *a += b);
                     }
                     planes.push(Arc::new(sum));

@@ -10,7 +10,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use primepar_cost::{intra_cost, matrix_job_ids, CostCtx, EdgeCostCache, IntraCost, PreparedEdge};
+use primepar_cost::{
+    intra_cost, matrix_job_ids, CostCtx, EdgeCostCache, IntraCost, MatrixKey, PreparedEdge,
+};
 use primepar_graph::Graph;
 use primepar_partition::PartitionSeq;
 use primepar_topology::Cluster;
@@ -497,11 +499,11 @@ impl<'a> Planner<'a> {
             .unwrap_or(0);
 
         let tb = Instant::now();
-        // One profile/matrix cache serves the whole pass: the beam stage's
+        // One profile/table cache serves the whole pass: the beam stage's
         // anchored probes intern the probed nodes' *full-space* side
-        // profiles under their original signature ids, and stage 2 reuses
-        // them verbatim for every node the beam left untouched (endpoints
-        // above all) instead of rebuilding the most expensive profiles.
+        // profiles, and stage 2 reuses them verbatim for every node the beam
+        // left untouched (endpoints above all) instead of rebuilding the most
+        // expensive profiles.
         let mut cache = EdgeCostCache::new();
         // 1b. Beam restriction (strategy layer): interior nodes wider than
         // the beam keep only their `beam_width` best states by the anchored
@@ -531,14 +533,11 @@ impl<'a> Planner<'a> {
                 }
                 tm.states_beamed = dropped;
                 // Refined signature ids: untouched nodes keep their original
-                // ids, so the full-space profiles the probes interned stay
-                // shared with stage 2. Equal-signature nodes may keep
-                // different state subsets (their neighbourhoods differ), so
-                // each distinct (signature, kept set) class of beamed nodes
-                // gets a fresh id above the original range — stage-2 matrix
-                // dedup and the prune keys then only identify nodes whose
-                // (signature, kept set) agree, and restricted-space profiles
-                // never collide with full-space ones.
+                // ids. Equal-signature nodes may keep different state subsets
+                // (their neighbourhoods differ), so each distinct (signature,
+                // kept set) class of beamed nodes gets a fresh id above the
+                // original range — stage-2 matrix keys and the prune keys
+                // then only identify nodes whose (signature, kept set) agree.
                 let mut classes: Vec<(usize, &Vec<u32>)> = Vec::new();
                 eff_sig_ids = (0..kept.len())
                     .map(|n| match kept[n].as_ref() {
@@ -565,14 +564,15 @@ impl<'a> Planner<'a> {
         // columnar arena. Whole matrices dedup by the precomputed
         // interned job ids (structural keys over `signature_ids`) *before*
         // any parallelism — so cache telemetry is thread-count-invariant —
-        // then each unique matrix computes once against the one shared
-        // `Sync` context.
+        // then jobs that read the same profiles share one sweep, and each
+        // sweep computes once against the one shared `Sync` context.
         let sizes: Vec<usize> = spaces.iter().map(|s| s.len()).collect();
         // Interned job ids: dense first-seen over (src sig, dst sig,
         // edge parameters) — index arithmetic instead of hashing a
         // MatrixKey per edge.
         let edge_jobs = matrix_job_ids(&self.graph.edges, &eff_sig_ids);
         let mut jobs: Vec<PreparedEdge> = Vec::new();
+        let mut keys: Vec<MatrixKey> = Vec::new();
         for (edge, &job) in self.graph.edges.iter().zip(&edge_jobs) {
             if job == jobs.len() {
                 cache.note_matrix(false);
@@ -582,6 +582,9 @@ impl<'a> Planner<'a> {
                     &self.graph.ops[edge.dst],
                     &spaces[edge.src],
                     &spaces[edge.dst],
+                ));
+                keys.push(MatrixKey::new(
+                    edge,
                     eff_sig_ids[edge.src],
                     eff_sig_ids[edge.dst],
                 ));
@@ -589,18 +592,30 @@ impl<'a> Planner<'a> {
                 cache.note_matrix(true);
             }
         }
+        // Sweep ids: jobs whose prepared edges read the same four profiles
+        // at the same element count compute one matrix and share its plane.
+        let job_sweeps = cache.sweep_ids(&jobs);
+        let mut sweep_jobs: Vec<usize> = Vec::new();
+        for (j, &sweep) in job_sweeps.iter().enumerate() {
+            if sweep == sweep_jobs.len() {
+                sweep_jobs.push(j);
+            }
+        }
         tm.edge_prepare_seconds += t1.elapsed().as_secs_f64();
         // Warm pre-fill: matrices a previous run interned under the same
-        // scope are reused byte-for-byte; only the rest compute. With no
-        // warm cache every slot is pending and this is the full sweep.
-        let mut unique: Vec<Option<Arc<Vec<f64>>>> = vec![None; jobs.len()];
+        // scope are reused byte-for-byte, by every job of their sweep; only
+        // the rest compute. With no warm cache every sweep is pending and
+        // this is the full sweep.
+        let mut unique: Vec<Option<Arc<Vec<f64>>>> = vec![None; sweep_jobs.len()];
         let warm_scope = warm.map(|_| self.warm_scope(n_bits, beam_width));
+        let mut warm_missed: Vec<usize> = Vec::new();
         if let (Some(w), Some(sc)) = (warm, warm_scope) {
-            for (slot, job) in jobs.iter().enumerate() {
-                if let Some(m) = w.lookup(sc, job.key()) {
-                    unique[slot] = Some(m);
+            for (j, key) in keys.iter().enumerate() {
+                if let Some(m) = w.lookup(sc, key) {
+                    unique[job_sweeps[j]].get_or_insert(m);
                     tm.warm_matrix_hits += 1;
                 } else {
+                    warm_missed.push(j);
                     tm.warm_matrix_misses += 1;
                 }
             }
@@ -619,11 +634,11 @@ impl<'a> Planner<'a> {
                 let mut handles = Vec::new();
                 for (band, out) in pending.chunks(chunk).zip(computed.chunks_mut(chunk)) {
                     let ctx = &ctx;
-                    let jobs = &jobs;
+                    let (jobs, sweep_jobs) = (&jobs, &sweep_jobs);
                     handles.push(scope.spawn(move || {
                         let busy = Instant::now();
-                        for (&slot, cell) in band.iter().zip(out.iter_mut()) {
-                            *cell = Some(Arc::new(jobs[slot].matrix(ctx)));
+                        for (&sweep, cell) in band.iter().zip(out.iter_mut()) {
+                            *cell = Some(Arc::new(jobs[sweep_jobs[sweep]].matrix(ctx)));
                         }
                         busy.elapsed().as_secs_f64()
                     }));
@@ -632,35 +647,40 @@ impl<'a> Planner<'a> {
                     tm.thread_busy_seconds[slot] += handle.join().expect("edge-matrix worker");
                 }
             });
-            for (&slot, m) in pending.iter().zip(computed) {
-                unique[slot] = Some(m.expect("computed"));
+            for (&sweep, m) in pending.iter().zip(computed) {
+                unique[sweep] = Some(m.expect("computed"));
             }
         } else {
             let sweep = Instant::now();
-            for &slot in &pending {
-                unique[slot] = Some(Arc::new(jobs[slot].matrix(&ctx)));
+            for &s in &pending {
+                unique[s] = Some(Arc::new(jobs[sweep_jobs[s]].matrix(&ctx)));
             }
             tm.thread_busy_seconds[0] += sweep.elapsed().as_secs_f64();
         }
         if let (Some(w), Some(sc)) = (warm, warm_scope) {
-            for &slot in &pending {
-                let m = unique[slot].as_ref().expect("computed").clone();
-                w.insert(sc, jobs[slot].key().clone(), m);
+            for j in warm_missed {
+                let m = unique[job_sweeps[j]].as_ref().expect("computed").clone();
+                w.insert(sc, keys[j].clone(), m);
             }
         }
         let stats = cache.stats();
         tm.profile_cache_hits += stats.profile_hits;
         tm.profile_cache_misses += stats.profile_misses;
+        tm.direction_table_cache_hits += stats.table_hits;
+        tm.direction_table_cache_misses += stats.table_misses;
         tm.edge_matrix_cache_hits += stats.matrix_hits;
         tm.edge_matrix_cache_misses += stats.matrix_misses;
-        // The tables take the unique matrices over; the prepared jobs, their
-        // direction tables and the profile cache are done with, so they go
-        // before prune and the DP allocate.
+        tm.edge_matrix_aliases += stats.matrix_aliases;
+        // The tables take the unique matrices over, one plane per sweep; the
+        // prepared jobs, their direction tables and the profile cache are
+        // done with, so they go before prune and the DP allocate.
         let unique: Vec<Arc<Vec<f64>>> = unique.into_iter().map(|m| m.expect("computed")).collect();
-        let edge_tables = EdgeTables::build(&self.graph.edges, &sizes, &edge_jobs, unique);
+        let edge_sweeps: Vec<usize> = edge_jobs.iter().map(|&j| job_sweeps[j]).collect();
+        let edge_tables = EdgeTables::build(&self.graph.edges, &sizes, &edge_sweeps, unique);
         drop(jobs);
         drop(cache);
         tm.edge_evaluations += ctx.inter_evaluations();
+        tm.edge_terms += ctx.inter_evaluations() * 2 * (1u64 << n_bits);
         tm.edge_matrices_seconds += t1.elapsed().as_secs_f64();
 
         let tp = Instant::now();
@@ -1293,7 +1313,22 @@ mod tests {
             single_tm.edge_matrix_cache_misses,
             multi_tm.edge_matrix_cache_misses
         );
+        assert_eq!(
+            single_tm.direction_table_cache_hits,
+            multi_tm.direction_table_cache_hits
+        );
+        assert_eq!(
+            single_tm.direction_table_cache_misses,
+            multi_tm.direction_table_cache_misses
+        );
+        assert_eq!(single_tm.edge_matrix_aliases, multi_tm.edge_matrix_aliases);
+        assert_eq!(single_tm.edge_terms, multi_tm.edge_terms);
         assert!(single_tm.unique_signatures > 0);
+        assert!(
+            single_tm.edge_matrix_aliases > 0,
+            "equal layouts share sweeps"
+        );
+        assert_eq!(single_tm.edge_terms, single_tm.edge_evaluations * 8 * 2);
         assert!(single_tm.edge_matrix_cache_hits > 0, "residual adds repeat");
         assert_eq!(single_tm.segments.len(), multi_tm.segments.len());
         for (s, m) in single_tm.segments.iter().zip(&multi_tm.segments) {

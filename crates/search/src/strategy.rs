@@ -143,11 +143,11 @@ impl SearchInterrupt {
 /// equal structural signature share anchors, spaces and intra vectors, so
 /// the memoized probe is bitwise the one a fresh evaluation would produce.
 ///
-/// Probes route through the pass's shared [`EdgeCostCache`]: the probed
-/// node's full-space side profiles are interned under its *original*
-/// signature id (the anchored single-state side under a disjoint synthetic
-/// id), so the expensive full-space profile builds here are the same ones
-/// stage 2 reuses for the never-beamed endpoints instead of rebuilding them.
+/// Probes route through the pass's shared [`EdgeCostCache`], which keys
+/// profiles by layout, sequence list included: the probed node's full-space
+/// side profiles are the very ones stage 2 reuses for the never-beamed
+/// endpoints instead of rebuilding them, and an anchored single-state side
+/// can never collide with a full-space one.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn beam_kept(
     graph: &Graph,
@@ -178,11 +178,6 @@ pub(crate) fn beam_kept(
         })
         .collect();
     let jobs = matrix_job_ids(&graph.edges, sig_ids);
-    // A single-state anchored side must not intern its profiles under the
-    // full-space key its signature owns — park anchors in a disjoint
-    // synthetic id range instead (equal-signature nodes share anchors, so
-    // the anchored profiles still dedup across probes).
-    let anchor_sig = |m: usize| usize::MAX - sig_ids[m];
     // (job id, node-is-src) → probe vector over the node's full space.
     let mut probes: HashMap<(usize, bool), Arc<Vec<f64>>> = HashMap::new();
     let mut kept: Vec<Option<Vec<u32>>> = vec![None; nodes];
@@ -202,8 +197,6 @@ pub(crate) fn beam_kept(
                             &graph.ops[edge.dst],
                             std::slice::from_ref(&spaces[edge.src][anchors[edge.src]]),
                             &spaces[n],
-                            anchor_sig(edge.src),
-                            sig_ids[n],
                         );
                         Arc::new(prepared.matrix(ctx))
                     })
@@ -218,8 +211,6 @@ pub(crate) fn beam_kept(
                             &graph.ops[edge.dst],
                             &spaces[n],
                             std::slice::from_ref(&spaces[edge.dst][anchors[edge.dst]]),
-                            sig_ids[n],
-                            anchor_sig(edge.dst),
                         );
                         Arc::new(prepared.matrix(ctx))
                     })

@@ -73,6 +73,9 @@ pub struct PlannerMetrics {
     /// memoization each *unique* matrix is charged once, so duplicate edges
     /// add nothing.
     pub edge_evaluations: u64,
+    /// Per-device terms behind those cells: `edge_evaluations × devices ×
+    /// 2` (one forward and one backward term per device per cell).
+    pub edge_terms: u64,
     /// Distinct structural operator signatures in the graph (vs `op_names
     /// .len()` nodes).
     pub unique_signatures: usize,
@@ -84,10 +87,19 @@ pub struct PlannerMetrics {
     pub profile_cache_hits: u64,
     /// Stage 2 side-profile vectors built from scratch.
     pub profile_cache_misses: u64,
+    /// Stage 2 direction tables reused across edges.
+    pub direction_table_cache_hits: u64,
+    /// Stage 2 direction tables built from scratch.
+    pub direction_table_cache_misses: u64,
     /// Stage 2 whole edge matrices reused via structural keys.
     pub edge_matrix_cache_hits: u64,
-    /// Stage 2 whole edge matrices actually computed.
+    /// Stage 2 whole edge matrices prepared, one per distinct structural
+    /// key.
     pub edge_matrix_cache_misses: u64,
+    /// Prepared matrices that read the same four profiles as an earlier
+    /// one and share its sweep and plane: `edge_matrix_cache_misses −
+    /// edge_matrix_aliases` sweeps run (fewer on warm hits).
+    pub edge_matrix_aliases: u64,
     /// Stage 2 unique matrices served from a cross-run
     /// [`PlannerWarmCache`](crate::PlannerWarmCache) (always 0 on the cold
     /// [`optimize`](crate::Planner::optimize) path).
@@ -141,7 +153,7 @@ pub struct PlannerMetrics {
     /// pass); equal to [`arena_bytes`](Self::arena_bytes).
     pub arena_bytes_allocated: u64,
     /// Distinct compacted edge planes the DP read (last pass): pairs with
-    /// one edge share their matrix job's plane.
+    /// one edge share their matrix sweep's plane.
     pub edge_planes: usize,
 }
 
@@ -213,6 +225,7 @@ impl PlannerMetrics {
         m.record_seconds("planner.stage.compose_seconds", self.compose_seconds);
         m.incr("planner.intra_evaluations", self.intra_evaluations);
         m.incr("planner.edge_evaluations", self.edge_evaluations);
+        m.incr("planner.edge_terms", self.edge_terms);
         m.incr("planner.merge_relaxations", self.merge_relaxations);
         m.incr("planner.merge_visited", self.merge_visited);
         m.incr("planner.prune.states_pruned", self.states_pruned);
@@ -229,12 +242,24 @@ impl PlannerMetrics {
         m.incr("planner.cache.profile.hits", self.profile_cache_hits);
         m.incr("planner.cache.profile.misses", self.profile_cache_misses);
         m.incr(
+            "planner.cache.direction_table.hits",
+            self.direction_table_cache_hits,
+        );
+        m.incr(
+            "planner.cache.direction_table.misses",
+            self.direction_table_cache_misses,
+        );
+        m.incr(
             "planner.cache.edge_matrix.hits",
             self.edge_matrix_cache_hits,
         );
         m.incr(
             "planner.cache.edge_matrix.misses",
             self.edge_matrix_cache_misses,
+        );
+        m.incr(
+            "planner.cache.edge_matrix.aliased",
+            self.edge_matrix_aliases,
         );
         m.incr("planner.cache.warm_matrix.hits", self.warm_matrix_hits);
         m.incr("planner.cache.warm_matrix.misses", self.warm_matrix_misses);
@@ -293,6 +318,7 @@ mod tests {
             }],
             intra_evaluations: 21,
             edge_evaluations: 68,
+            edge_terms: 544,
             merge_relaxations: 0,
             merge_visited: 0,
             states_pruned: 6,
@@ -301,8 +327,11 @@ mod tests {
             space_cache_misses: 2,
             profile_cache_hits: 4,
             profile_cache_misses: 8,
+            direction_table_cache_hits: 6,
+            direction_table_cache_misses: 10,
             edge_matrix_cache_hits: 5,
             edge_matrix_cache_misses: 12,
+            edge_matrix_aliases: 2,
             warm_matrix_hits: 9,
             warm_matrix_misses: 3,
             spaces_intra_seconds: 0.5,
@@ -360,10 +389,14 @@ mod tests {
         assert!(m.timer_seconds("planner.stage.beam_seconds") > 0.0);
         assert_eq!(m.counter("planner.intra_evaluations"), 21);
         assert_eq!(m.counter("planner.edge_evaluations"), 68);
+        assert_eq!(m.counter("planner.edge_terms"), 544);
         assert_eq!(m.gauge_value("planner.unique_signatures"), Some(2.0));
         assert_eq!(m.counter("planner.cache.space.hits"), 3);
         assert_eq!(m.counter("planner.cache.profile.misses"), 8);
+        assert_eq!(m.counter("planner.cache.direction_table.hits"), 6);
+        assert_eq!(m.counter("planner.cache.direction_table.misses"), 10);
         assert_eq!(m.counter("planner.cache.edge_matrix.hits"), 5);
+        assert_eq!(m.counter("planner.cache.edge_matrix.aliased"), 2);
         assert_eq!(m.counter("planner.cache.warm_matrix.hits"), 9);
         assert_eq!(m.counter("planner.cache.warm_matrix.misses"), 3);
         assert_eq!(m.counter("planner.prune.states_pruned"), 6);

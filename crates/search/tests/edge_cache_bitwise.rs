@@ -5,7 +5,7 @@
 
 use primepar_cost::{edge_cost_matrix, matrix_job_ids, CostCtx, EdgeCostCache};
 use primepar_graph::ModelConfig;
-use primepar_search::{SpaceCache, SpaceOptions};
+use primepar_search::{Planner, PlannerOptions, SpaceCache, SpaceOptions};
 use primepar_topology::Cluster;
 
 #[test]
@@ -32,15 +32,7 @@ fn prepared_matrices_match_direct_on_the_table2_spaces_at_16_devices() {
         let ctx = CostCtx::new(&cluster, 0.0);
         let direct = edge_cost_matrix(&ctx, edge, src, dst, src_seqs, dst_seqs);
         let prepared = cache
-            .prepare(
-                edge,
-                src,
-                dst,
-                src_seqs,
-                dst_seqs,
-                sig_ids[edge.src],
-                sig_ids[edge.dst],
-            )
+            .prepare(edge, src, dst, src_seqs, dst_seqs)
             .matrix(&ctx);
         assert_eq!(direct.len(), src_seqs.len() * dst_seqs.len());
         assert_eq!(direct.len(), prepared.len());
@@ -57,4 +49,33 @@ fn prepared_matrices_match_direct_on_the_table2_spaces_at_16_devices() {
     }
     // The Table-2 layer has 14 unique matrices (residual adds dedup).
     assert_eq!(checked, 14);
+}
+
+/// The edge stage's work on the Table-2 point, counted: profiles, direction
+/// tables and matrix sweeps are keyed by layout, so each is built once per
+/// distinct input rather than once per operator that holds it.
+#[test]
+fn table2_edge_stage_builds_each_layout_once() {
+    let cluster = Cluster::v100_like(16);
+    let graph = ModelConfig::opt_6_7b().layer_graph(8, 2048);
+    let (_, tm) =
+        Planner::new(&cluster, &graph, PlannerOptions::default()).optimize_instrumented(32);
+    // 56 side requests (14 matrix jobs × 4 sides) build 25 profiles.
+    assert_eq!((tm.profile_cache_misses, tm.profile_cache_hits), (25, 31));
+    // 28 direction requests build 17 tables.
+    assert_eq!(
+        (
+            tm.direction_table_cache_misses,
+            tm.direction_table_cache_hits
+        ),
+        (17, 11)
+    );
+    // 16 edges, 14 matrix jobs, 10 sweeps.
+    assert_eq!(
+        (tm.edge_matrix_cache_misses, tm.edge_matrix_cache_hits),
+        (14, 2)
+    );
+    assert_eq!(tm.edge_matrix_aliases, 4);
+    assert_eq!(tm.edge_evaluations, 180_144);
+    assert_eq!(tm.edge_terms, 180_144 * 16 * 2);
 }

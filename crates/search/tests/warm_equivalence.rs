@@ -57,6 +57,39 @@ fn warm_plans_are_bitwise_identical_to_cold() {
 }
 
 #[test]
+fn aliased_jobs_hit_on_the_second_warm_run() {
+    // On the Table-2 layer several matrix jobs share one sweep (their edges
+    // read the same profiles). The first warm run computes each sweep once
+    // and interns the plane under every job's key; the second run hits on
+    // every job, aliases included, and sweeps nothing.
+    let cluster = Cluster::v100_like(16);
+    let graph = ModelConfig::opt_6_7b().layer_graph(8, 2048);
+    let planner = Planner::new(&cluster, &graph, PlannerOptions::default());
+    let cold = planner.optimize(2);
+    let warm = PlannerWarmCache::new();
+    let (first, first_tm) = planner.optimize_warm_instrumented(2, &warm);
+    let (second, second_tm) = planner.optimize_warm_instrumented(2, &warm);
+    assert_bitwise_equal(&cold, &first, "cold vs first warm");
+    assert_bitwise_equal(&cold, &second, "cold vs repeat warm");
+    assert!(first_tm.edge_matrix_aliases > 0);
+    assert_eq!(
+        first_tm.warm_matrix_misses,
+        first_tm.edge_matrix_cache_misses
+    );
+    assert_eq!(
+        warm.stats().entries as u64,
+        first_tm.edge_matrix_cache_misses
+    );
+    assert_eq!(second_tm.edge_matrix_aliases, first_tm.edge_matrix_aliases);
+    assert_eq!(second_tm.warm_matrix_misses, 0);
+    assert_eq!(
+        second_tm.warm_matrix_hits,
+        first_tm.edge_matrix_cache_misses
+    );
+    assert_eq!(second_tm.edge_evaluations, 0);
+}
+
+#[test]
 fn cold_path_reports_no_warm_traffic() {
     let cluster = Cluster::v100_like(4);
     let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
