@@ -20,17 +20,20 @@
 //!   when no cut reaches the Q/K/V axis) ends on that one's `Arc`;
 //! * within one side's profile vector, most per-device holdings repeat (a
 //!   coarse split leaves many devices with identical slices), so the dense
-//!   intervals are deduplicated. Each direction then gets one dense
-//!   `|need uniques| × |hold uniques|` table of `total · overlap`, and each
-//!   cell becomes a handful of lookups into it — see [`PreparedEdge::matrix`].
-//!   Tables are interned by the two profiles' identity and the element
-//!   count, so canonical profiles dedup them too;
+//!   intervals are deduplicated and each device's holding ids over the whole
+//!   space are stored together (`[device][seq]`);
 //! * the overlap is a product of per-axis factors, and on each axis a side
-//!   holds only a few distinct intervals, so the dense table is filled from
-//!   small per-axis factor tables rather than one eight-axis product per
-//!   entry — unless the matrix is so small (a beam probe, a pair of
-//!   beam-restricted spaces) that its device lookups are cheaper to price
-//!   one eight-axis product at a time than the tables are to build;
+//!   holds only a few distinct intervals. So each direction keeps, per axis
+//!   whose factors are not all exactly `1.0`, one factor row per distinct
+//!   hold interval over the need side's unique holdings, and never a
+//!   `|need uniques| × |hold uniques|` table. Directions are interned by the
+//!   two profiles' identity and the element count, so canonical profiles
+//!   dedup them too;
+//! * the sweep is device-major: per device and direction it builds one term
+//!   row `(V − total·overlap)⁺` per distinct holding on the hold side, from
+//!   the factor rows, and adds it into every cell that holds it — see
+//!   [`PreparedEdge::matrix`]. Many sequences share each device's holding,
+//!   so the entries number well under the terms they sum;
 //! * a matrix is a function of its four profiles and its element count, so
 //!   prepared edges that read the same ones share one sweep
 //!   ([`EdgeCostCache::sweep_ids`]); whole matrices also repeat across edges
@@ -40,9 +43,10 @@
 //! Everything here is *bitwise-identical* to the direct path: deduplication
 //! only reuses values that would have been recomputed from identical inputs,
 //! and every floating-point accumulation keeps the original operation order
-//! (axes ascending from `1.0` within an overlap, ascending device order with
-//! `(v − overlap).max(0)` per device within a cell). Skipping an axis whose
-//! factors are all exactly `1.0` is exact, since `x · 1.0 == x`.
+//! (axes ascending from `1.0` within an overlap, then `· total`; ascending
+//! device order from `0.0` with `(v − overlap).max(0)` per device within a
+//! cell). Skipping an axis whose factors are all exactly `1.0` is exact,
+//! since `x · 1.0 == x`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,9 +65,9 @@ pub struct CacheStats {
     pub profile_hits: u64,
     /// Side-profile vectors built from scratch.
     pub profile_misses: u64,
-    /// Direction tables served from the cache.
+    /// Directions (per-axis factor-row sets) served from the cache.
     pub table_hits: u64,
-    /// Direction tables built from scratch.
+    /// Directions built from scratch.
     pub table_misses: u64,
     /// Whole edge matrices reused via [`MatrixKey`] equality.
     pub matrix_hits: u64,
@@ -162,15 +166,16 @@ pub fn matrix_job_ids(edges: &[Edge], sig_ids: &[usize]) -> Vec<usize> {
 }
 
 /// One side's boundary profiles over a whole partition-space vector, with
-/// per-device holdings deduplicated: `ids[seq * devices + d]` indexes into
-/// `uniques`, the distinct dense interval sets observed on this side.
+/// per-device holdings deduplicated: `ids[device * len() + seq]` indexes
+/// into `uniques`, the distinct dense interval sets observed on this side.
 #[derive(Debug, Clone)]
 pub struct SideProfiles {
     /// Per-sequence block volume fraction (the `V` of Eq. 9, as a fraction).
     volume_fraction: Vec<f64>,
     /// Distinct per-device holdings, in first-seen order.
     uniques: Vec<DenseIntervals>,
-    /// `[seq][device]` (row-major) indices into `uniques`.
+    /// `[device][seq]` (device-major) indices into `uniques`: one device's
+    /// holdings over the whole space are contiguous, as the sweep reads them.
     ids: Vec<u32>,
     devices: usize,
 }
@@ -200,7 +205,9 @@ impl SideProfiles {
         let devices = space.devices().count();
         let mut volume_fraction = Vec::with_capacity(seqs.len());
         let mut uniques: Vec<DenseIntervals> = Vec::new();
-        let mut ids = Vec::with_capacity(seqs.len() * devices);
+        // `[seq][device]`, as the profile builder emits them; transposed once
+        // at the end.
+        let mut by_seq = Vec::with_capacity(seqs.len() * devices);
         let mut by_bits: HashMap<[u64; 2 * Axis::COUNT], u32> = HashMap::new();
         // base unique id → this build's unique id, filled on demand.
         let mut translate = vec![u32::MAX; base.map_or(0, |b| b.uniques.len())];
@@ -209,7 +216,7 @@ impl SideProfiles {
             if let Some(b) = base.filter(|_| seq.temporal_steps() == 1) {
                 volume_fraction.push(b.volume_fraction[i]);
                 for d in 0..devices {
-                    let g = b.ids[i * devices + d] as usize;
+                    let g = b.on_device(d)[i] as usize;
                     if translate[g] == u32::MAX {
                         let dense = b.uniques[g];
                         translate[g] = *by_bits.entry(dense_bits(&dense)).or_insert_with(|| {
@@ -217,7 +224,7 @@ impl SideProfiles {
                             (uniques.len() - 1) as u32
                         });
                     }
-                    ids.push(translate[g]);
+                    by_seq.push(translate[g]);
                 }
                 continue;
             }
@@ -241,9 +248,15 @@ impl SideProfiles {
                         (uniques.len() - 1) as u32
                     })
                 },
-                &mut ids,
+                &mut by_seq,
             );
             volume_fraction.push(vf);
+        }
+        let mut ids = vec![0u32; by_seq.len()];
+        for (i, seq_ids) in by_seq.chunks_exact(devices).enumerate() {
+            for (d, &id) in seq_ids.iter().enumerate() {
+                ids[d * seqs.len() + i] = id;
+            }
         }
         SideProfiles {
             volume_fraction,
@@ -268,8 +281,14 @@ impl SideProfiles {
         self.uniques.len()
     }
 
+    /// Device `d`'s holding ids, one per sequence.
+    fn on_device(&self, d: usize) -> &[u32] {
+        let n = self.len();
+        &self.ids[d * n..(d + 1) * n]
+    }
+
     /// A hash of the bits [`same_bits`](Self::same_bits) compares, bar the
-    /// `[seq][device]` ids: they are the bulk of a large space's profile,
+    /// `[device][seq]` ids: they are the bulk of a large space's profile,
     /// and `same_bits` settles any collision.
     fn content_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
@@ -284,7 +303,7 @@ impl SideProfiles {
         h.finish()
     }
 
-    /// Whether the two vectors are bitwise equal: then every table and
+    /// Whether the two vectors are bitwise equal: then every direction and
     /// matrix built from one is bitwise the other's.
     fn same_bits(&self, other: &SideProfiles) -> bool {
         self.devices == other.devices
@@ -318,181 +337,241 @@ fn dense_bits(d: &DenseIntervals) -> [u64; 2 * Axis::COUNT] {
 /// matrices compute on worker threads against one shared [`CostCtx`].
 #[derive(Debug, Clone)]
 pub struct PreparedEdge {
-    pricing: Pricing,
+    /// Forward: consumer needs (columns) against producer holds (rows).
+    fwd: Arc<Direction>,
+    /// Backward: gradient needs (rows) against gradient holds (columns).
+    bwd: Arc<Direction>,
+    /// The four interned side profiles whose ids the sweep reads per device.
+    produce: Arc<SideProfiles>,
+    consume: Arc<SideProfiles>,
+    g_produce: Arc<SideProfiles>,
+    g_consume: Arc<SideProfiles>,
     /// Per-column needed volume (`V` of Eq. 9, elements) — forward.
     vc: Vec<f64>,
     /// Per-row needed volume — backward.
     vg: Vec<f64>,
-    devices: usize,
     /// `|src_seqs|` — the matrix row count.
     pub rows: usize,
     /// `|dst_seqs|` — the matrix column count.
     pub cols: usize,
-    /// The identities of the four interned profiles the matrix reads plus
-    /// its element count's bits: equal for two jobs of one cache exactly
-    /// when their matrices are one computation.
-    sweep: ([usize; 4], u64),
-}
-
-/// Relative cost of one [`Pricing::Direct`] device lookup (two eight-axis
-/// overlap products) against building one [`DirectionTables`] cell: a
-/// prepared edge prices directly only when its matrix makes fewer than
-/// `1 / DIRECT_LOOKUP_COST` as many lookups as its tables would have cells.
-const DIRECT_LOOKUP_COST: usize = 5;
-
-/// How a [`PreparedEdge`] looks up `total · overlap(need, hold)`.
-#[derive(Debug, Clone)]
-enum Pricing {
-    /// One [`DirectionTables`] per direction. Forward: consumer needs vs
-    /// producer holds; backward: gradient needs vs gradient holds.
-    Tables {
-        fwd: Arc<DirectionTables>,
-        bwd: Arc<DirectionTables>,
-    },
-    /// A matrix with few device lookups against the cells its two tables
-    /// would have (a beam probe's anchored row against a small space, a
-    /// pair of beam-restricted spaces) evaluates each overlap where it is
-    /// needed instead.
-    Direct {
-        total_elems: f64,
-        produce: Arc<SideProfiles>,
-        consume: Arc<SideProfiles>,
-        g_produce: Arc<SideProfiles>,
-        g_consume: Arc<SideProfiles>,
-    },
 }
 
 impl PreparedEdge {
+    /// The identities of the four interned profiles the matrix reads plus
+    /// its element count's bits: equal for two jobs of one cache exactly
+    /// when their matrices are one computation.
+    fn sweep(&self) -> ([usize; 4], u64) {
+        let profiles = [
+            &self.produce,
+            &self.consume,
+            &self.g_produce,
+            &self.g_consume,
+        ];
+        (
+            profiles.map(|p| Arc::as_ptr(p) as usize),
+            self.fwd.total_elems.to_bits(),
+        )
+    }
+
     /// Computes the dense `rows × cols` edge-cost matrix, bitwise-identical
     /// to [`edge_cost_matrix`](crate::edge_cost_matrix) on the same inputs.
     ///
-    /// The sweep writes each cell exactly once, accumulating both directions
-    /// over devices ascending (the direct path's order) from the prepared
-    /// overlap tables, or the overlaps themselves for a small matrix — a
-    /// single pass over the output instead of one read-modify-write pass per
-    /// device and direction.
+    /// The sweep is device-major. For each device and direction it builds
+    /// one term row `(V − ((G_a·G_b)·…)·total)⁺` per distinct holding on
+    /// the hold side (rows forward, columns backward), across the need side,
+    /// from the direction's per-axis factor rows, and adds it into every
+    /// accumulator row that holds it with one contiguous loop: forward
+    /// accumulates `[row][col]`, backward `[col][row]`. A one-sequence need
+    /// side (a beam probe's anchor) is priced along the hold side instead,
+    /// the accumulator's long side. Each cell thus sums its devices in
+    /// ascending order from `0.0`, as the direct path does, and a cell is
+    /// `redistribution_time(4·(f + b))` once at the end. The entries built
+    /// are counted in [`CostCtx::term_row_entries`].
     pub fn matrix(&self, ctx: &CostCtx<'_>) -> Vec<f64> {
-        let (rows, cols, d) = (self.rows, self.cols, self.devices);
+        let (rows, cols) = (self.rows, self.cols);
         ctx.note_inter_evals((rows * cols) as u64);
         let mut out = vec![0.0; rows * cols];
-        let (fwd, bwd) = match &self.pricing {
-            Pricing::Tables { fwd, bwd } => (&**fwd, &**bwd),
-            Pricing::Direct {
-                total_elems,
-                produce,
-                consume,
-                g_produce,
-                g_consume,
-            } => {
-                // `total · need.overlap_fraction(hold)` is the table entry's
-                // expression: the same factors, in axis order from `1.0`.
-                let entry = |needs: &SideProfiles, n: usize, holds: &SideProfiles, h: usize| {
-                    let need = &needs.uniques[needs.ids[n] as usize];
-                    total_elems * need.overlap_fraction(&holds.uniques[holds.ids[h] as usize])
-                };
-                for (i, out_row) in out.chunks_mut(cols).enumerate() {
-                    for (j, slot) in out_row.iter_mut().enumerate() {
-                        let mut f = 0.0;
-                        let mut b = 0.0;
-                        for k in 0..d {
-                            let fe = entry(consume, j * d + k, produce, i * d + k);
-                            f += (self.vc[j] - fe).max(0.0);
-                            let be = entry(g_consume, i * d + k, g_produce, j * d + k);
-                            b += (self.vg[i] - be).max(0.0);
-                        }
-                        *slot = ctx.redistribution_time(4.0 * (f + b));
-                    }
-                }
-                return out;
-            }
-        };
-        for (i, out_row) in out.chunks_mut(cols).enumerate() {
-            let f_hold = &fwd.hold_rank[i * d..(i + 1) * d];
-            let b_pre = &bwd.need_pre[i * d..(i + 1) * d];
-            let vgi = self.vg[i];
+        let mut bwd = vec![0.0; cols * rows];
+        let built = self
+            .fwd
+            .accumulate(&self.consume, &self.produce, &self.vc, &mut out)
+            + self
+                .bwd
+                .accumulate(&self.g_consume, &self.g_produce, &self.vg, &mut bwd);
+        ctx.note_term_row_entries(built);
+        for (i, out_row) in out.chunks_exact_mut(cols).enumerate() {
             for (j, slot) in out_row.iter_mut().enumerate() {
-                let f_pre = &fwd.need_pre[j * d..(j + 1) * d];
-                let b_hold = &bwd.hold_rank[j * d..(j + 1) * d];
-                let vcj = self.vc[j];
-                let mut f = 0.0;
-                let mut b = 0.0;
-                for k in 0..d {
-                    f += (vcj - fwd.table[(f_pre[k] + f_hold[k]) as usize]).max(0.0);
-                    b += (vgi - bwd.table[(b_pre[k] + b_hold[k]) as usize]).max(0.0);
-                }
-                *slot = ctx.redistribution_time(4.0 * (f + b));
+                *slot = ctx.redistribution_time(4.0 * (*slot + bwd[j * rows + i]));
             }
         }
         out
     }
 }
 
-/// One direction's lookup state: the dense `|needs| × |holds|` table of
-/// `total · overlap(need, hold)` over the two sides' unique holdings, plus
-/// per-sequence per-device indices into it. `need_pre[s · devices + d]` is
-/// the need's row offset (`id · |holds|`) and `hold_rank` the hold's id, so a
-/// cell's product is `table[need_pre + hold_rank]`.
+/// One direction's pricing state: for every axis whose factors are not all
+/// exactly `1.0`, one factor row per distinct hold interval over the need
+/// side's unique holdings. The product of an axis-ordered pick of those rows
+/// times the element count is `total · need.overlap_fraction(hold)`, bitwise
+/// (skipping an all-`1.0` axis is exact: `x · 1.0 == x`), so no `|needs| ×
+/// |holds|` table is ever built.
 #[derive(Debug)]
-struct DirectionTables {
-    table: Vec<f64>,
-    need_pre: Vec<u32>,
-    hold_rank: Vec<u32>,
+struct Direction {
+    total_elems: f64,
+    /// The need side's unique holding count: every factor row's length.
+    needs: usize,
+    /// The live axes, ascending.
+    axes: Vec<AxisFactors>,
 }
 
-impl DirectionTables {
-    /// Fills the table from per-axis factor tables. On each axis, both
-    /// sides hold only a few distinct intervals: each distinct pair's factor
-    /// is computed once with [`DenseIntervals::overlap_fraction`]'s exact
-    /// expression and multiplied in axis order from `1.0`, so every entry is
-    /// bitwise `total · need.overlap_fraction(hold)`. An axis whose factors
-    /// are all exactly `1.0` is skipped (`x · 1.0 == x`).
+/// One live axis of a [`Direction`].
+#[derive(Debug)]
+struct AxisFactors {
+    /// Each hold unique's factor row.
+    hold_row: Vec<u32>,
+    /// `[hold interval][need unique]` factors `(min(hi) − max(lo))⁺` —
+    /// [`DenseIntervals::overlap_fraction`]'s per-axis expression, with the
+    /// need as its receiver.
+    rows: Vec<f64>,
+}
+
+impl AxisFactors {
+    /// The factor row of hold unique `hold`, `needs` long.
+    fn row(&self, hold: usize, needs: usize) -> &[f64] {
+        &self.rows[self.hold_row[hold] as usize * needs..][..needs]
+    }
+}
+
+impl Direction {
     fn build(total_elems: f64, needs: &SideProfiles, holds: &SideProfiles) -> Self {
-        let cols = holds.uniques.len();
-        let mut table = vec![1.0f64; needs.uniques.len() * cols];
-        for axis in 0..Axis::COUNT {
-            let (need_ids, need_ivs) = intern_axis(&needs.uniques, axis);
-            let (hold_ids, hold_ivs) = intern_axis(&holds.uniques, axis);
-            // The argument order matches the direct path's
-            // `need.overlap_fraction(hold)`.
-            let factors: Vec<f64> = need_ivs
-                .iter()
-                .flat_map(|a| {
-                    hold_ivs
-                        .iter()
-                        .map(move |b| (a.1.min(b.1) - a.0.max(b.0)).max(0.0))
-                })
-                .collect();
-            if factors.iter().all(|f| f.to_bits() == 1.0f64.to_bits()) {
-                continue;
+        let axes = (0..Axis::COUNT)
+            .filter_map(|axis| {
+                let (need_iv, need_ivs) = intern_axis(&needs.uniques, axis);
+                let (hold_row, hold_ivs) = intern_axis(&holds.uniques, axis);
+                // Each distinct interval pair's factor, `[hold][need]`.
+                let factors: Vec<f64> = hold_ivs
+                    .iter()
+                    .flat_map(|b| {
+                        need_ivs
+                            .iter()
+                            .map(move |a| (a.1.min(b.1) - a.0.max(b.0)).max(0.0))
+                    })
+                    .collect();
+                if factors.iter().all(|f| f.to_bits() == 1.0f64.to_bits()) {
+                    return None;
+                }
+                let mut rows = Vec::with_capacity(hold_ivs.len() * need_iv.len());
+                for f in factors.chunks_exact(need_ivs.len()) {
+                    rows.extend(need_iv.iter().map(|&i| f[i as usize]));
+                }
+                Some(AxisFactors { hold_row, rows })
+            })
+            .collect();
+        Direction {
+            total_elems,
+            needs: needs.uniques.len(),
+            axes,
+        }
+    }
+
+    /// `out[x] = finish(x, ((G_a·G_b)·…)·total)` for hold unique `hold`
+    /// against need unique `need[x]`: the live axes' factors multiplied in
+    /// axis order, as the overlap product does from `1.0`. Three live axes,
+    /// the common count on the planner's graphs (every direction of the
+    /// 512-device chain), run in one fused pass; any other count takes
+    /// [`product`](Self::product) per entry. The fused pass is the fast
+    /// one: gathering the first axis's row and multiplying each later axis
+    /// in place, one pass per axis, made the chain's sweep about 30%
+    /// slower, and a per-entry fold over pre-gathered rows about 70%.
+    fn fill(&self, hold: usize, need: &[u32], out: &mut [f64], finish: impl Fn(usize, f64) -> f64) {
+        let slots = out.iter_mut().zip(need).enumerate();
+        if let [a, b, c] = self.axes.as_slice() {
+            let [ga, gb, gc] = [a, b, c].map(|g| g.row(hold, self.needs));
+            for (x, (p, &u)) in slots {
+                let u = u as usize;
+                *p = finish(x, ga[u] * gb[u] * gc[u] * self.total_elems);
             }
-            // One full-width factor row per distinct need interval, so each
-            // table row is a contiguous elementwise product.
-            let gathered: Vec<f64> = factors
-                .chunks(hold_ivs.len())
-                .flat_map(|f_row| hold_ids.iter().map(move |&hi| f_row[hi]))
-                .collect();
-            for (row, &ni) in table.chunks_mut(cols).zip(&need_ids) {
-                for (cell, f) in row.iter_mut().zip(&gathered[ni * cols..(ni + 1) * cols]) {
-                    *cell *= f;
+        } else {
+            for (x, (p, &u)) in slots {
+                *p = finish(x, self.product(hold, u as usize));
+            }
+        }
+    }
+
+    /// `((G_a·G_b)·…)·total` for one hold unique against one need unique
+    /// (`1.0 · total` with no live axis).
+    fn product(&self, hold: usize, need: usize) -> f64 {
+        let overlap = self.axes.iter().fold(1.0, |p, a| {
+            p * a.rows[a.hold_row[hold] as usize * self.needs + need]
+        });
+        overlap * self.total_elems
+    }
+
+    /// Adds this direction's per-device terms into `acc`, `[hold seq][need
+    /// seq]`, devices ascending; `v` is the need side's per-sequence volume.
+    /// Returns the number of term-row entries built.
+    fn accumulate(
+        &self,
+        needs: &SideProfiles,
+        holds: &SideProfiles,
+        v: &[f64],
+        acc: &mut [f64],
+    ) -> u64 {
+        let inner = needs.len();
+        if inner == 1 {
+            // A one-sequence need side (a beam probe's anchor): term rows of
+            // one entry each would cost more to lay out and add than to
+            // price, so each device prices the hold side's distinct holdings
+            // in place and adds along the accumulator, which is contiguous
+            // on the long side.
+            let mut term = vec![(usize::MAX, 0.0); holds.uniques.len()];
+            let mut built = 0;
+            for d in 0..holds.devices {
+                let (n, v) = (needs.on_device(d)[0] as usize, v[0]);
+                for (a, &h) in acc.iter_mut().zip(holds.on_device(d)) {
+                    let (seen, t) = &mut term[h as usize];
+                    if *seen != d {
+                        *seen = d;
+                        *t = (v - self.product(h as usize, n)).max(0.0);
+                        built += 1;
+                    }
+                    *a += *t;
                 }
             }
+            return built;
         }
-        for cell in &mut table {
-            *cell *= total_elems;
+        // Per hold unique: the last device that built its term row, and the
+        // row's offset in `terms`.
+        let mut slot = vec![(usize::MAX, 0); holds.uniques.len()];
+        let mut terms: Vec<f64> = Vec::new();
+        let mut built = 0;
+        for d in 0..holds.devices {
+            let need = needs.on_device(d);
+            terms.clear();
+            for (&h, acc_row) in holds.on_device(d).iter().zip(acc.chunks_exact_mut(inner)) {
+                let (seen, at) = &mut slot[h as usize];
+                if *seen != d {
+                    *seen = d;
+                    *at = terms.len();
+                    terms.resize(*at + inner, 0.0);
+                    self.fill(h as usize, need, &mut terms[*at..], |x, p| {
+                        (v[x] - p).max(0.0)
+                    });
+                }
+                for (a, t) in acc_row.iter_mut().zip(&terms[*at..]) {
+                    *a += t;
+                }
+            }
+            built += terms.len() as u64;
         }
-        DirectionTables {
-            table,
-            need_pre: needs.ids.iter().map(|&n| n * cols as u32).collect(),
-            hold_rank: holds.ids.clone(),
-        }
+        built
     }
 }
 
 /// One axis of `uniques`, interned by bit pattern: each holding's index into
 /// the distinct `(lo, hi)` intervals, in first-seen order.
-fn intern_axis(uniques: &[DenseIntervals], axis: usize) -> (Vec<usize>, Vec<(f64, f64)>) {
+fn intern_axis(uniques: &[DenseIntervals], axis: usize) -> (Vec<u32>, Vec<(f64, f64)>) {
     let mut distinct: Vec<(f64, f64)> = Vec::new();
-    let mut by_bits: HashMap<(u64, u64), usize> = HashMap::new();
+    let mut by_bits: HashMap<(u64, u64), u32> = HashMap::new();
     let ids = uniques
         .iter()
         .map(|u| {
@@ -501,14 +580,14 @@ fn intern_axis(uniques: &[DenseIntervals], axis: usize) -> (Vec<usize>, Vec<(f64
                 .entry((iv.0.to_bits(), iv.1.to_bits()))
                 .or_insert_with(|| {
                     distinct.push(iv);
-                    distinct.len() - 1
+                    (distinct.len() - 1) as u32
                 })
         })
         .collect();
     (ids, distinct)
 }
 
-/// Interning cache of sequence lists, side profiles and direction tables,
+/// Interning cache of sequence lists, side profiles and directions,
 /// keyed by layout (see the module docs). One cache serves one planner
 /// pass; it holds every profile it built until it drops, so a profile's
 /// address names it for the cache's lifetime.
@@ -521,10 +600,10 @@ pub struct EdgeCostCache {
     /// The distinct built profiles by content hash: every key whose build
     /// came out bitwise equal to an earlier one maps to that one's `Arc`.
     by_content: HashMap<u64, Vec<Arc<SideProfiles>>>,
-    /// Direction tables keyed by the interned profile pair's identity plus
-    /// the edge's element count — profile interning makes `Arc` pointer
+    /// Directions keyed by the interned profile pair's identity plus the
+    /// edge's element count — profile interning makes `Arc` pointer
     /// equality equivalent to bitwise profile equality within one cache.
-    tables: HashMap<(usize, usize, u64), Arc<DirectionTables>>,
+    directions: HashMap<(usize, usize, u64), Arc<Direction>>,
     stats: CacheStats,
 }
 
@@ -562,7 +641,7 @@ impl EdgeCostCache {
             .map(|(j, job)| {
                 firsts
                     .iter()
-                    .position(|&f| jobs[f].sweep == job.sweep)
+                    .position(|&f| jobs[f].sweep() == job.sweep())
                     .unwrap_or_else(|| {
                         firsts.push(j);
                         firsts.len() - 1
@@ -654,69 +733,45 @@ impl EdgeCostCache {
         // Forward traffic: consumer needs (varies by column) vs producer
         // holds (varies by row). Backward: producer-side needs (rows) vs
         // consumer-side holds (cols).
-        let vc = consume
-            .volume_fraction
-            .iter()
-            .map(|f| total_elems * f)
-            .collect();
-        let vg = g_consume
-            .volume_fraction
-            .iter()
-            .map(|f| total_elems * f)
-            .collect();
-        let (rows, cols) = (src_seqs.len(), dst_seqs.len());
-        let d = produce.devices;
-        let lookups = rows * cols * d;
-        let table_cells = consume.uniques.len() * produce.uniques.len()
-            + g_consume.uniques.len() * g_produce.uniques.len();
-        let sweep = (
-            [&produce, &consume, &g_produce, &g_consume].map(|p| Arc::as_ptr(p) as usize),
-            total_elems.to_bits(),
-        );
-        let pricing = if DIRECT_LOOKUP_COST * lookups < table_cells {
-            Pricing::Direct {
-                total_elems,
-                produce,
-                consume,
-                g_produce,
-                g_consume,
-            }
-        } else {
-            Pricing::Tables {
-                fwd: self.direction(total_elems, &consume, &produce),
-                bwd: self.direction(total_elems, &g_consume, &g_produce),
-            }
+        let volumes = |side: &SideProfiles| {
+            side.volume_fraction
+                .iter()
+                .map(|f| total_elems * f)
+                .collect()
         };
         PreparedEdge {
-            pricing,
-            vc,
-            vg,
-            devices: d,
-            rows,
-            cols,
-            sweep,
+            fwd: self.direction(total_elems, &consume, &produce),
+            bwd: self.direction(total_elems, &g_consume, &g_produce),
+            vc: volumes(&consume),
+            vg: volumes(&g_consume),
+            rows: src_seqs.len(),
+            cols: dst_seqs.len(),
+            produce,
+            consume,
+            g_produce,
+            g_consume,
         }
     }
 
-    /// Interned [`DirectionTables`] for one `(needs, holds, total)` triple.
+    /// The interned [`Direction`] of one `(needs, holds, total)` triple.
     fn direction(
         &mut self,
         total_elems: f64,
         needs: &Arc<SideProfiles>,
         holds: &Arc<SideProfiles>,
-    ) -> Arc<DirectionTables> {
+    ) -> Arc<Direction> {
         let key = (
             Arc::as_ptr(needs) as usize,
             Arc::as_ptr(holds) as usize,
             total_elems.to_bits(),
         );
-        if let Some(tables) = self.tables.get(&key) {
+        if let Some(direction) = self.directions.get(&key) {
             self.stats.table_hits += 1;
-            return tables.clone();
+            return direction.clone();
         }
         self.stats.table_misses += 1;
-        let built = Arc::new(DirectionTables::build(total_elems, needs, holds));
-        self.tables.insert(key, built.clone());
+        let built = Arc::new(Direction::build(total_elems, needs, holds));
+        self.directions.insert(key, built.clone());
         built
     }
 
@@ -785,7 +840,7 @@ impl EdgeCostCache {
         );
         // Two keys can still build the same bytes (a selector that no
         // holding reaches, two lists that cut the same axes in the same
-        // order): one `Arc` per distinct content lets the tables and sweeps
+        // order): one `Arc` per distinct content lets the directions and sweeps
         // downstream dedup them by identity too.
         let bucket = self.by_content.entry(built.content_hash()).or_default();
         let built = match bucket.iter().find(|p| p.same_bits(&built)) {
@@ -863,9 +918,8 @@ mod tests {
         let sig_ids = g.signature_ids();
         // One cache prepares every edge at 4 and 8 devices, for full spaces,
         // a single anchored row or column (a beam probe) and a two-state
-        // pair: both pricing modes must occur, and match the direct path.
+        // pair: every shape must match the direct path.
         let mut cache = EdgeCostCache::new();
-        let mut modes = [0usize; 2];
         // Interned profile → the signatures of the operators that read it.
         let mut readers: HashMap<usize, Vec<usize>> = HashMap::new();
         for bits in [2, 3] {
@@ -883,8 +937,7 @@ mod tests {
                     let direct_ctx = CostCtx::new(&cluster, 0.0);
                     let direct = edge_cost_matrix(&direct_ctx, edge, src, dst, src_seqs, dst_seqs);
                     let prepared = cache.prepare(edge, src, dst, src_seqs, dst_seqs);
-                    modes[usize::from(matches!(prepared.pricing, Pricing::Direct { .. }))] += 1;
-                    let [p, c, gp, gc] = prepared.sweep.0;
+                    let [p, c, gp, gc] = prepared.sweep().0;
                     for (profile, op) in
                         [(p, edge.src), (c, edge.dst), (gp, edge.dst), (gc, edge.src)]
                     {
@@ -906,10 +959,12 @@ mod tests {
                         );
                     }
                     assert_eq!(ctx.inter_evaluations(), direct.len() as u64);
+                    // At most one term-row entry per summed term.
+                    let terms = (direct.len() as u64 * 2) << bits;
+                    assert!((1..=terms).contains(&ctx.term_row_entries()));
                 }
             }
         }
-        assert!(modes.iter().all(|&m| m > 0), "tables/direct: {modes:?}");
         assert!(
             readers.values().any(|sigs| sigs.len() > 1),
             "some layout must be shared across operator signatures"
@@ -938,18 +993,121 @@ mod tests {
         }
     }
 
+    /// A pseudo-random side: `seqs` sequences over `devices` devices, each
+    /// device holding one of `pool` sets of inexact intervals on axes 0, 3
+    /// and 6, under an inexact volume fraction per sequence. The fractions
+    /// exceed 1, so as a need side every term `(V − total·overlap)⁺` is
+    /// positive and inexact, and a cell's sum depends on its device order.
+    fn synthetic_side(seed: u64, seqs: usize, devices: usize, pool: usize) -> SideProfiles {
+        let mut state = seed;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let uniques = (0..pool)
+            .map(|_| {
+                let mut d = [(0.0, 1.0); Axis::COUNT];
+                for a in [0, 3, 6] {
+                    let lo = next(7) as f64 / 11.0;
+                    d[a] = (lo, (lo + (1 + next(5)) as f64 / 9.0).min(1.0));
+                }
+                DenseIntervals(d)
+            })
+            .collect();
+        SideProfiles {
+            volume_fraction: (0..seqs).map(|_| (8 + next(6)) as f64 / 7.0).collect(),
+            ids: (0..seqs * devices)
+                .map(|_| next(pool as u64) as u32)
+                .collect(),
+            devices,
+            uniques,
+        }
+    }
+
     #[test]
-    fn direction_tables_match_overlap_fraction_bitwise() {
+    fn device_major_sweep_sums_each_cell_in_device_order() {
+        // Inexact volumes and factors make every product and every sum
+        // order-sensitive, so a sweep that reorders a cell's devices or an
+        // entry's factors cannot match the cell-major reference below. The
+        // shapes cover long and short term rows in both directions (5 × 400
+        // and its mirror) and the one-sequence need sides of beam probes.
+        let devices = 8;
+        let cluster = Cluster::v100_like(devices);
+        let total = 3.0 * 5.0 * 7.0;
+        for (rows, cols) in [(5, 400), (400, 5), (1, 300), (300, 1)] {
+            let produce = Arc::new(synthetic_side(1, rows, devices, 40));
+            let g_consume = Arc::new(synthetic_side(2, rows, devices, 40));
+            let consume = Arc::new(synthetic_side(3, cols, devices, 40));
+            let g_produce = Arc::new(synthetic_side(4, cols, devices, 40));
+            let volumes = |s: &SideProfiles| s.volume_fraction.iter().map(|f| total * f).collect();
+            let edge = PreparedEdge {
+                fwd: Arc::new(Direction::build(total, &consume, &produce)),
+                bwd: Arc::new(Direction::build(total, &g_consume, &g_produce)),
+                vc: volumes(&consume),
+                vg: volumes(&g_consume),
+                rows,
+                cols,
+                produce,
+                consume,
+                g_produce,
+                g_consume,
+            };
+            assert_eq!(edge.fwd.axes.len(), 3);
+            let ctx = CostCtx::new(&cluster, 0.0);
+            let swept = edge.matrix(&ctx);
+            // The cell-major direct loop: devices ascending from `0.0`.
+            let traffic =
+                |needs: &SideProfiles, n: usize, holds: &SideProfiles, h: usize, v: f64| {
+                    (0..devices).fold(0.0, |sum, d| {
+                        let need = &needs.uniques[needs.on_device(d)[n] as usize];
+                        let hold = &holds.uniques[holds.on_device(d)[h] as usize];
+                        sum + (v - total * need.overlap_fraction(hold)).max(0.0)
+                    })
+                };
+            // Each direction's sums too, before the cost model rounds them.
+            let mut fwd = vec![0.0; rows * cols];
+            let mut bwd = vec![0.0; cols * rows];
+            edge.fwd
+                .accumulate(&edge.consume, &edge.produce, &edge.vc, &mut fwd);
+            edge.bwd
+                .accumulate(&edge.g_consume, &edge.g_produce, &edge.vg, &mut bwd);
+            for (c, got) in swept.iter().enumerate() {
+                let (i, j) = (c / cols, c % cols);
+                let f = traffic(&edge.consume, j, &edge.produce, i, edge.vc[j]);
+                let b = traffic(&edge.g_consume, i, &edge.g_produce, j, edge.vg[i]);
+                let expect = ctx.redistribution_time(4.0 * (f + b));
+                for (what, got, expect) in [
+                    ("forward", fwd[c], f),
+                    ("backward", bwd[j * rows + i], b),
+                    ("cell", *got, expect),
+                ] {
+                    assert_eq!(
+                        got.to_bits(),
+                        expect.to_bits(),
+                        "{rows}×{cols} {what} ({i}, {j}): {got} vs {expect}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn direction_factor_rows_match_overlap_fraction_bitwise() {
         let full = dense(&[]);
         let third = 1.0 / 3.0;
+        // (needs, holds, live axes): the products must be bitwise
+        // `total · need.overlap_fraction(hold)` whatever the live-axis count.
         let cases = [
             // Disjoint intervals: every factor on axis 1 or 4 is zero.
             (
                 vec![dense(&[(1, 0.0, 0.5)]), dense(&[(4, 0.5, 1.0)])],
                 vec![dense(&[(1, 0.5, 1.0)]), dense(&[(4, 0.0, 0.25)])],
+                2,
             ),
             // All-full axes: every axis is skipped, every entry is `total`.
-            (vec![full, full], vec![full, full, full]),
+            (vec![full, full], vec![full, full, full], 0),
             // Nested sub-intervals on several axes, with inexact factors.
             (
                 vec![
@@ -968,24 +1126,68 @@ mod tests {
                     ]),
                     full,
                 ],
+                4,
+            ),
+            // Six live axes, each factor inexact: the general product path.
+            (
+                vec![
+                    dense(&[(0, 0.1, 0.7), (1, third, 0.9), (2, 0.0, third)]),
+                    dense(&[(3, 0.2, 0.6), (4, 0.15, 0.95), (6, third, 1.0)]),
+                    dense(&[(0, 0.3, 0.9), (2, 0.05, 0.55), (4, 0.0, 0.7), (6, 0.1, 0.3)]),
+                ],
+                vec![
+                    dense(&[
+                        (0, 0.2, 0.8),
+                        (1, 0.0, 0.6),
+                        (2, 0.1, 0.3),
+                        (3, 0.3, 0.9),
+                        (4, 0.25, 0.75),
+                        (6, 0.0, 2.0 * third),
+                    ]),
+                    dense(&[(0, 0.0, third), (3, 0.1, 0.4), (6, 0.2, 0.45)]),
+                    full,
+                ],
+                6,
+            ),
+            // One live axis (the product path) and three (the fused pass).
+            (
+                vec![dense(&[(2, 0.1, 0.8)]), full],
+                vec![dense(&[(2, third, 0.9)]), dense(&[(2, 0.0, 0.3)])],
+                1,
+            ),
+            // The last pair's product rounds differently if reassociated.
+            (
+                vec![
+                    dense(&[(1, 0.2, 0.7), (5, 0.0, third)]),
+                    dense(&[(6, 0.4, 0.9)]),
+                    dense(&[(1, 0.1, 0.7), (5, 0.1, 0.7), (6, 0.1, 0.7)]),
+                ],
+                vec![
+                    dense(&[(1, 0.1, 0.5), (6, third, 1.0)]),
+                    dense(&[(5, 0.25, 0.5)]),
+                    dense(&[(1, 0.1, 0.7), (5, 0.15, 0.85), (6, third, 0.9)]),
+                ],
+                3,
             ),
         ];
         let total = 3.0 * 7.0 * 11.0 * 4096.0;
-        for (needs, holds) in cases {
+        for (needs, holds, live) in cases {
             let (needs, holds) = (one_seq_side(needs), one_seq_side(holds));
-            let t = DirectionTables::build(total, &needs, &holds);
-            let cols = holds.uniques.len();
-            assert_eq!(t.table.len(), needs.uniques.len() * cols);
-            for (n, need) in needs.uniques.iter().enumerate() {
-                assert_eq!(t.need_pre[n], (n * cols) as u32);
-                for (h, hold) in holds.uniques.iter().enumerate() {
+            let dir = Direction::build(total, &needs, &holds);
+            assert_eq!(dir.axes.len(), live);
+            let every_need: Vec<u32> = (0..needs.uniques.len() as u32).collect();
+            let mut got = vec![f64::NAN; every_need.len()];
+            for (h, hold) in holds.uniques.iter().enumerate() {
+                dir.fill(h, &every_need, &mut got, |_, p| p);
+                for (n, need) in needs.uniques.iter().enumerate() {
                     let expect = total * need.overlap_fraction(hold);
-                    let got = t.table[t.need_pre[n] as usize + t.hold_rank[h] as usize];
-                    assert_eq!(
-                        got.to_bits(),
-                        expect.to_bits(),
-                        "({n}, {h}): {got} vs {expect}"
-                    );
+                    for (path, p) in [("fill", got[n]), ("product", dir.product(h, n))] {
+                        assert_eq!(
+                            p.to_bits(),
+                            expect.to_bits(),
+                            "{live} live axes, {path} ({n}, {h}): {p} vs {expect}",
+                        );
+                    }
                 }
             }
         }
@@ -999,7 +1201,7 @@ mod tests {
         let mut cache = EdgeCostCache::new();
         // anchor→norm1 and add1→norm2 have equal endpoint layouts and
         // parameters: the second prepare must hit all four profile slots,
-        // both direction tables, and share the first one's sweep.
+        // both directions, and share the first one's sweep.
         let e01 = g.edges.iter().find(|e| e.src == 0 && e.dst == 1).unwrap();
         let e78 = g.edges.iter().find(|e| e.src == 7 && e.dst == 8).unwrap();
         assert_eq!(MatrixKey::new(e01, 0, 1), MatrixKey::new(e78, 0, 1));

@@ -30,6 +30,8 @@ pub struct CostCtx<'a> {
     intra_evals: AtomicU64,
     /// Telemetry: Eq. 8-9 pair evaluations performed through this context.
     inter_evals: AtomicU64,
+    /// Telemetry: entries of the per-device term rows the edge sweeps built.
+    term_row_entries: AtomicU64,
 }
 
 impl<'a> CostCtx<'a> {
@@ -52,6 +54,7 @@ impl<'a> CostCtx<'a> {
             worst_link_factor: cluster.worst_link_factor(),
             intra_evals: AtomicU64::new(0),
             inter_evals: AtomicU64::new(0),
+            term_row_entries: AtomicU64::new(0),
         }
     }
 
@@ -73,6 +76,18 @@ impl<'a> CostCtx<'a> {
 
     pub(crate) fn note_inter_evals(&self, n: u64) {
         self.inter_evals.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Number of term-row entries the prepared edge sweeps built so far —
+    /// one `(V − total·overlap)⁺` per entry, against `inter_evaluations() ×
+    /// devices × 2` terms summed (see
+    /// [`PreparedEdge::matrix`](crate::PreparedEdge::matrix)).
+    pub fn term_row_entries(&self) -> u64 {
+        self.term_row_entries.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn note_term_row_entries(&self, n: u64) {
+        self.term_row_entries.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Predicted kernel latency from the fitted compute profile (§4.1's

@@ -499,7 +499,7 @@ impl<'a> Planner<'a> {
             .unwrap_or(0);
 
         let tb = Instant::now();
-        // One profile/table cache serves the whole pass: the beam stage's
+        // One profile/direction cache serves the whole pass: the beam stage's
         // anchored probes intern the probed nodes' *full-space* side
         // profiles, and stage 2 reuses them verbatim for every node the beam
         // left untouched (endpoints above all) instead of rebuilding the most
@@ -672,7 +672,7 @@ impl<'a> Planner<'a> {
         tm.edge_matrix_cache_misses += stats.matrix_misses;
         tm.edge_matrix_aliases += stats.matrix_aliases;
         // The tables take the unique matrices over, one plane per sweep; the
-        // prepared jobs, their direction tables and the profile cache are
+        // prepared jobs, their directions and the profile cache are
         // done with, so they go before prune and the DP allocate.
         let unique: Vec<Arc<Vec<f64>>> = unique.into_iter().map(|m| m.expect("computed")).collect();
         let edge_sweeps: Vec<usize> = edge_jobs.iter().map(|&j| job_sweeps[j]).collect();
@@ -681,6 +681,7 @@ impl<'a> Planner<'a> {
         drop(cache);
         tm.edge_evaluations += ctx.inter_evaluations();
         tm.edge_terms += ctx.inter_evaluations() * 2 * (1u64 << n_bits);
+        tm.edge_term_row_entries += ctx.term_row_entries();
         tm.edge_matrices_seconds += t1.elapsed().as_secs_f64();
 
         let tp = Instant::now();
@@ -1323,12 +1324,17 @@ mod tests {
         );
         assert_eq!(single_tm.edge_matrix_aliases, multi_tm.edge_matrix_aliases);
         assert_eq!(single_tm.edge_terms, multi_tm.edge_terms);
+        assert_eq!(
+            single_tm.edge_term_row_entries,
+            multi_tm.edge_term_row_entries
+        );
         assert!(single_tm.unique_signatures > 0);
         assert!(
             single_tm.edge_matrix_aliases > 0,
             "equal layouts share sweeps"
         );
         assert_eq!(single_tm.edge_terms, single_tm.edge_evaluations * 8 * 2);
+        assert!((1..=single_tm.edge_terms).contains(&single_tm.edge_term_row_entries));
         assert!(single_tm.edge_matrix_cache_hits > 0, "residual adds repeat");
         assert_eq!(single_tm.segments.len(), multi_tm.segments.len());
         for (s, m) in single_tm.segments.iter().zip(&multi_tm.segments) {

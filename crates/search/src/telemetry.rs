@@ -76,6 +76,11 @@ pub struct PlannerMetrics {
     /// Per-device terms behind those cells: `edge_evaluations × devices ×
     /// 2` (one forward and one backward term per device per cell).
     pub edge_terms: u64,
+    /// Entries of the per-device term rows the device-major sweep built to
+    /// sum those terms: one `(V − total·overlap)⁺` per distinct holding on a
+    /// direction's hold side, per device, across its need side. At most
+    /// `edge_terms`.
+    pub edge_term_row_entries: u64,
     /// Distinct structural operator signatures in the graph (vs `op_names
     /// .len()` nodes).
     pub unique_signatures: usize,
@@ -87,9 +92,11 @@ pub struct PlannerMetrics {
     pub profile_cache_hits: u64,
     /// Stage 2 side-profile vectors built from scratch.
     pub profile_cache_misses: u64,
-    /// Stage 2 direction tables reused across edges.
+    /// Stage 2 directions (one per need/hold profile pair and element
+    /// count: the per-axis factor rows the sweep prices from) reused across
+    /// edges.
     pub direction_table_cache_hits: u64,
-    /// Stage 2 direction tables built from scratch.
+    /// Stage 2 directions built from scratch.
     pub direction_table_cache_misses: u64,
     /// Stage 2 whole edge matrices reused via structural keys.
     pub edge_matrix_cache_hits: u64,
@@ -122,8 +129,9 @@ pub struct PlannerMetrics {
     /// Stage 2 (edge-cost matrices) wall seconds.
     pub edge_matrices_seconds: f64,
     /// The part of [`edge_matrices_seconds`](Self::edge_matrices_seconds)
-    /// spent preparing the unique matrices (side profiles and direction
-    /// tables) before the cell sweep; the rest is the sweep itself.
+    /// spent preparing the unique matrices (side profiles and the
+    /// directions' per-axis factor rows) before the device-major sweep; the
+    /// rest is the sweep itself.
     pub edge_prepare_seconds: f64,
     /// Stage 3 (per-segment Bellman sweeps) wall seconds.
     pub segment_dp_seconds: f64,
@@ -226,6 +234,7 @@ impl PlannerMetrics {
         m.incr("planner.intra_evaluations", self.intra_evaluations);
         m.incr("planner.edge_evaluations", self.edge_evaluations);
         m.incr("planner.edge_terms", self.edge_terms);
+        m.incr("planner.edge_term_rows", self.edge_term_row_entries);
         m.incr("planner.merge_relaxations", self.merge_relaxations);
         m.incr("planner.merge_visited", self.merge_visited);
         m.incr("planner.prune.states_pruned", self.states_pruned);
@@ -319,6 +328,7 @@ mod tests {
             intra_evaluations: 21,
             edge_evaluations: 68,
             edge_terms: 544,
+            edge_term_row_entries: 200,
             merge_relaxations: 0,
             merge_visited: 0,
             states_pruned: 6,
@@ -390,6 +400,7 @@ mod tests {
         assert_eq!(m.counter("planner.intra_evaluations"), 21);
         assert_eq!(m.counter("planner.edge_evaluations"), 68);
         assert_eq!(m.counter("planner.edge_terms"), 544);
+        assert_eq!(m.counter("planner.edge_term_rows"), 200);
         assert_eq!(m.gauge_value("planner.unique_signatures"), Some(2.0));
         assert_eq!(m.counter("planner.cache.space.hits"), 3);
         assert_eq!(m.counter("planner.cache.profile.misses"), 8);

@@ -51,9 +51,10 @@ fn prepared_matrices_match_direct_on_the_table2_spaces_at_16_devices() {
     assert_eq!(checked, 14);
 }
 
-/// The edge stage's work on the Table-2 point, counted: profiles, direction
-/// tables and matrix sweeps are keyed by layout, so each is built once per
-/// distinct input rather than once per operator that holds it.
+/// The edge stage's work on the Table-2 point, counted: profiles, directions
+/// and matrix sweeps are keyed by layout, so each is built once per distinct
+/// input rather than once per operator that holds it; the device-major sweep
+/// builds one term-row entry per distinct holding, not one per summed term.
 #[test]
 fn table2_edge_stage_builds_each_layout_once() {
     let cluster = Cluster::v100_like(16);
@@ -62,7 +63,7 @@ fn table2_edge_stage_builds_each_layout_once() {
         Planner::new(&cluster, &graph, PlannerOptions::default()).optimize_instrumented(32);
     // 56 side requests (14 matrix jobs × 4 sides) build 25 profiles.
     assert_eq!((tm.profile_cache_misses, tm.profile_cache_hits), (25, 31));
-    // 28 direction requests build 17 tables.
+    // 28 direction requests build 17 factor-row sets.
     assert_eq!(
         (
             tm.direction_table_cache_misses,
@@ -78,4 +79,5 @@ fn table2_edge_stage_builds_each_layout_once() {
     assert_eq!(tm.edge_matrix_aliases, 4);
     assert_eq!(tm.edge_evaluations, 180_144);
     assert_eq!(tm.edge_terms, 180_144 * 16 * 2);
+    assert_eq!(tm.edge_term_row_entries, 2_341_231);
 }

@@ -25,16 +25,20 @@ cargo test --release -q --offline --manifest-path crates/bench/src/bin/benchmark
 echo "== planner smoke timing (OPT-6.7B, 16 devices) =="
 # The memoized planner finishes this point in well under a second; the 60 s
 # budget is a generous regression tripwire, not a tight perf gate. The edge
-# stage's cell count is exact: the layout-keyed cache sweeps 180,144 cells
-# on this point, and any rise means some dedup was lost.
+# stage's counts are exact: the layout-keyed cache sweeps 180,144 cells on
+# this point, and the device-major sweep builds 2,341,231 term-row entries
+# for them; any rise means some dedup was lost.
 smoke_metrics="$(mktemp)"
 timeout 60 ./target/release/primepar plan --model opt-6.7b --devices 16 --batch 8 --seq 2048 \
     --metrics-json "$smoke_metrics" \
     >/dev/null || { echo "planner smoke run failed or exceeded 60 s" >&2; exit 1; }
 edge_cells="$(sed -n 's/^ *"planner.edge_evaluations": *\([0-9]*\),*$/\1/p' "$smoke_metrics")"
+term_rows="$(sed -n 's/^ *"planner.edge_term_rows": *\([0-9]*\),*$/\1/p' "$smoke_metrics")"
 rm -f "$smoke_metrics"
 [ -n "$edge_cells" ] && [ "$edge_cells" -le 180144 ] \
     || { echo "planner.edge_evaluations ${edge_cells:-missing} > 180144 on the Table-2 point" >&2; exit 1; }
+[ -n "$term_rows" ] && [ "$term_rows" -le 2341231 ] \
+    || { echo "planner.edge_term_rows ${term_rows:-missing} > 2341231 on the Table-2 point" >&2; exit 1; }
 
 echo "== planner scaling contracts (512-device chain, Table-2 slab) =="
 # The exact plan of the 512-device chain is pinned to its digest and must
