@@ -7,7 +7,7 @@
 //!
 //! `cargo test -p primepar-bench --test edge_sweep_bitwise`
 
-use primepar::cost::{edge_cost_matrix, CostCtx, EdgeCostCache};
+use primepar::cost::{edge_cost_matrix, CacheStats, CostCtx, EdgeCostCache};
 use primepar::search::{SpaceCache, SpaceOptions};
 use primepar::topology::Cluster;
 use primepar_bench::planner_scale_graph;
@@ -24,6 +24,7 @@ fn device_major_sweep_matches_direct_on_the_chain_at_64_devices() {
         .map(|op| spaces.get(op, n_bits, &SpaceOptions::default()))
         .collect();
     let mut cache = EdgeCostCache::new();
+    let mut stats = CacheStats::default();
     let mut checked = 0;
     // A linear → pointwise edge and a pointwise → linear one.
     for edge in &graph.edges[..2] {
@@ -46,9 +47,10 @@ fn device_major_sweep_matches_direct_on_the_chain_at_64_devices() {
             let direct_ctx = CostCtx::new(&cluster, 0.0);
             let direct = edge_cost_matrix(&direct_ctx, edge, src, dst, src_seqs, dst_seqs);
             let ctx = CostCtx::new(&cluster, 0.0);
-            let swept = cache
-                .prepare(edge, src, dst, src_seqs, dst_seqs)
-                .matrix(&ctx);
+            let mut swept = cache
+                .prepare(&mut stats, edge, src, dst, src_seqs, dst_seqs)
+                .volumes(&ctx);
+            ctx.price(&mut swept);
             assert_eq!(direct.len(), src_seqs.len() * dst_seqs.len());
             assert_eq!(swept.len(), direct.len());
             for (i, (a, b)) in direct.iter().zip(&swept).enumerate() {

@@ -32,24 +32,37 @@
 //! * the sweep is device-major: per device and direction it builds one term
 //!   row `(V − total·overlap)⁺` per distinct holding on the hold side, from
 //!   the factor rows, and adds it into every cell that holds it — see
-//!   [`PreparedEdge::matrix`]. Many sequences share each device's holding,
+//!   [`PreparedEdge::volumes`]. Many sequences share each device's holding,
 //!   so the entries number well under the terms they sum;
-//! * a matrix is a function of its four profiles and its element count, so
-//!   prepared edges that read the same ones share one sweep
-//!   ([`EdgeCostCache::sweep_ids`]); whole matrices also repeat across edges
-//!   whose endpoints share signatures and edge parameters (the residual
-//!   adds, the stacked-layer boundary), keyed by [`MatrixKey`].
+//! * a matrix's traffic is a function of its four profiles and its element
+//!   count, never of the cluster: the sweep yields each cell's
+//!   redistribution *volume* `4·(f + b)` in bytes (Eqs. 8–9), and Eq. 10's
+//!   pricing, [`CostCtx::price`], turns it into seconds as a separate step.
+//!   So the cache memoizes volume planes by that sweep identity, and every
+//!   prepared edge reading the same four profiles at the same element count
+//!   shares one plane ([`PreparedEdge::plane`]) — across the edges of one
+//!   pass, and across clusters, `α` and runs when the cache outlives a pass.
+//!   Before any prepare, [`matrix_job_ids`] numbers the edges whose
+//!   endpoints share signatures and edge parameters (the residual adds, the
+//!   stacked-layer boundary), so a repeated job is not even prepared.
+//!
+//! A cache lives for one planner pass, or for the lifetime of a
+//! `PlannerWarmCache` that keeps it across runs. Either way it evicts
+//! nothing: directions and planes are keyed by profile *addresses*, which
+//! name a profile only while the cache owns every profile it built, so an
+//! address can never be reused by a different profile while a key holds it.
 //!
 //! Everything here is *bitwise-identical* to the direct path: deduplication
 //! only reuses values that would have been recomputed from identical inputs,
 //! and every floating-point accumulation keeps the original operation order
 //! (axes ascending from `1.0` within an overlap, then `· total`; ascending
 //! device order from `0.0` with `(v − overlap).max(0)` per device within a
-//! cell). Skipping an axis whose factors are all exactly `1.0` is exact,
-//! since `x · 1.0 == x`.
+//! cell, then `4·(f + b)` and the pricing). Skipping an axis whose factors
+//! are all exactly `1.0` is exact, since `x · 1.0 == x`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::mem::size_of;
+use std::sync::{Arc, OnceLock};
 
 use primepar_graph::{Axis, Edge, Operator};
 use primepar_partition::{Dim, PartitionSeq, Phase, TensorKind};
@@ -58,7 +71,9 @@ use primepar_topology::DeviceSpace;
 use crate::inter::{profile_dedup_into, renamed, side_dims, ShapeMemo, Side};
 use crate::{CostCtx, DenseIntervals};
 
-/// Hit/miss telemetry of an [`EdgeCostCache`].
+/// Hit/miss telemetry of one run's use of an [`EdgeCostCache`]. The run
+/// owns it and passes it to every call, so runs sharing one cache each count
+/// their own work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Side-profile vectors served from the cache.
@@ -69,14 +84,22 @@ pub struct CacheStats {
     pub table_hits: u64,
     /// Directions built from scratch.
     pub table_misses: u64,
-    /// Whole edge matrices reused via [`MatrixKey`] equality.
-    pub matrix_hits: u64,
-    /// Whole edge matrices prepared, one per distinct [`MatrixKey`].
-    pub matrix_misses: u64,
-    /// Prepared matrices that share another one's sweep (see
-    /// [`EdgeCostCache::sweep_ids`]); `matrix_misses − matrix_aliases`
-    /// sweeps actually run.
-    pub matrix_aliases: u64,
+    /// Volume planes already swept when the run first read them.
+    pub plane_hits: u64,
+    /// Volume planes the run found unswept.
+    pub plane_misses: u64,
+}
+
+impl CacheStats {
+    /// Counts the run's first read of `edge`'s volume plane as a hit when
+    /// the cache already holds it swept, as a miss otherwise.
+    pub fn note_plane(&mut self, edge: &PreparedEdge) {
+        if edge.is_swept() {
+            self.plane_hits += 1;
+        } else {
+            self.plane_misses += 1;
+        }
+    }
 }
 
 /// Interning key of one side's profile vector: everything its bytes depend
@@ -107,42 +130,20 @@ struct SeqList {
     temporal: bool,
 }
 
-/// Identity of a whole edge-cost matrix: `(left signature, right signature,
-/// tensor kind)` plus the edge's selector/rename parameters. Two edges with
-/// equal keys have bitwise-identical matrices (given one shared
-/// partition-space enumeration per signature).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct MatrixKey {
-    src_sig: usize,
-    dst_sig: usize,
-    dst_kind: TensorKind,
-    renames: Vec<(Axis, Axis)>,
-    selector: Option<(u64, u64)>,
-}
-
-impl MatrixKey {
-    /// The key of `edge` between operators with the given signature ids.
-    pub fn new(edge: &Edge, src_sig: usize, dst_sig: usize) -> Self {
-        MatrixKey {
-            src_sig,
-            dst_sig,
-            dst_kind: edge.dst_kind,
-            renames: edge.renames.clone(),
-            selector: selector_bits(edge.selector),
-        }
-    }
-}
+/// A memoized volume plane: empty until the first sweep of its identity.
+type VolumePlane = Arc<OnceLock<Vec<f64>>>;
 
 fn selector_bits(selector: Option<(f64, f64)>) -> Option<(u64, u64)> {
     selector.map(|(a, b)| (a.to_bits(), b.to_bits()))
 }
 
 /// Dense first-seen matrix-job ids per edge: `ids[e] == ids[f]` exactly when
-/// the two edges' [`MatrixKey`]s are equal. Building a `MatrixKey` per edge
-/// clones the rename list and hashes it on every dedup lookup; this instead
-/// interns the edge parameters `(dst_kind, renames, selector)` once by a
-/// linear scan (edge lists are short) and dedups the remaining `Copy` tuple
-/// `(src_sig, dst_sig, param_id)` the same way — no hashing, no clones.
+/// the two edges join the same `(source signature, destination signature)`
+/// with equal parameters `(dst_kind, renames, selector)`, so their matrices
+/// are bitwise equal (given one shared partition-space enumeration per
+/// signature). The parameters are interned once by a linear scan (edge
+/// lists are short) and the remaining `Copy` tuple `(src_sig, dst_sig,
+/// param_id)` dedups the same way — no hashing, no clones.
 pub fn matrix_job_ids(edges: &[Edge], sig_ids: &[usize]) -> Vec<usize> {
     type EdgeParams<'a> = (TensorKind, &'a [(Axis, Axis)], Option<(u64, u64)>);
     let mut params: Vec<EdgeParams> = Vec::new();
@@ -281,6 +282,13 @@ impl SideProfiles {
         self.uniques.len()
     }
 
+    /// Heap bytes of the profile vector's payload.
+    fn heap_bytes(&self) -> usize {
+        size_of::<f64>() * self.volume_fraction.len()
+            + size_of::<DenseIntervals>() * self.uniques.len()
+            + size_of::<u32>() * self.ids.len()
+    }
+
     /// Device `d`'s holding ids, one per sequence.
     fn on_device(&self, d: usize) -> &[u32] {
         let n = self.len();
@@ -333,8 +341,9 @@ fn dense_bits(d: &DenseIntervals) -> [u64; 2 * Axis::COUNT] {
     bits
 }
 
-/// One edge's precomputed cell-pricing state — `Send + Sync`, so unique
-/// matrices compute on worker threads against one shared [`CostCtx`].
+/// One edge's precomputed sweep state and its cache's volume plane —
+/// `Send + Sync`, so distinct planes sweep on worker threads against one
+/// shared [`CostCtx`].
 #[derive(Debug, Clone)]
 pub struct PreparedEdge {
     /// Forward: consumer needs (columns) against producer holds (rows).
@@ -354,27 +363,16 @@ pub struct PreparedEdge {
     pub rows: usize,
     /// `|dst_seqs|` — the matrix column count.
     pub cols: usize,
+    /// The cache's plane for this sweep identity (the four profiles and the
+    /// element count), shared by every prepared edge that reads them.
+    plane: VolumePlane,
 }
 
 impl PreparedEdge {
-    /// The identities of the four interned profiles the matrix reads plus
-    /// its element count's bits: equal for two jobs of one cache exactly
-    /// when their matrices are one computation.
-    fn sweep(&self) -> ([usize; 4], u64) {
-        let profiles = [
-            &self.produce,
-            &self.consume,
-            &self.g_produce,
-            &self.g_consume,
-        ];
-        (
-            profiles.map(|p| Arc::as_ptr(p) as usize),
-            self.fwd.total_elems.to_bits(),
-        )
-    }
-
-    /// Computes the dense `rows × cols` edge-cost matrix, bitwise-identical
-    /// to [`edge_cost_matrix`](crate::edge_cost_matrix) on the same inputs.
+    /// Sweeps the dense `rows × cols` redistribution-volume matrix afresh:
+    /// `4·(f + b)` bytes per cell (Eqs. 8–9). Priced by [`CostCtx::price`],
+    /// it is bitwise [`edge_cost_matrix`](crate::edge_cost_matrix) on the
+    /// same inputs.
     ///
     /// The sweep is device-major. For each device and direction it builds
     /// one term row `(V − ((G_a·G_b)·…)·total)⁺` per distinct holding on
@@ -385,9 +383,10 @@ impl PreparedEdge {
     /// side (a beam probe's anchor) is priced along the hold side instead,
     /// the accumulator's long side. Each cell thus sums its devices in
     /// ascending order from `0.0`, as the direct path does, and a cell is
-    /// `redistribution_time(4·(f + b))` once at the end. The entries built
-    /// are counted in [`CostCtx::term_row_entries`].
-    pub fn matrix(&self, ctx: &CostCtx<'_>) -> Vec<f64> {
+    /// `4·(f + b)` once at the end. The entries built are counted in
+    /// [`CostCtx::term_row_entries`], the cells in
+    /// [`CostCtx::inter_evaluations`].
+    pub fn volumes(&self, ctx: &CostCtx<'_>) -> Vec<f64> {
         let (rows, cols) = (self.rows, self.cols);
         ctx.note_inter_evals((rows * cols) as u64);
         let mut out = vec![0.0; rows * cols];
@@ -401,10 +400,43 @@ impl PreparedEdge {
         ctx.note_term_row_entries(built);
         for (i, out_row) in out.chunks_exact_mut(cols).enumerate() {
             for (j, slot) in out_row.iter_mut().enumerate() {
-                *slot = ctx.redistribution_time(4.0 * (*slot + bwd[j * rows + i]));
+                *slot = 4.0 * (*slot + bwd[j * rows + i]);
             }
         }
         out
+    }
+
+    /// Whether the cache already holds this edge's volume plane swept.
+    pub fn is_swept(&self) -> bool {
+        self.plane.get().is_some()
+    }
+
+    /// Whether the two prepared edges read one volume plane.
+    pub fn shares_plane(&self, other: &PreparedEdge) -> bool {
+        Arc::ptr_eq(&self.plane, &other.plane)
+    }
+
+    /// The memoized volume plane, swept by the first read of its identity.
+    /// Concurrent first reads wait for that one sweep.
+    pub fn plane(&self, ctx: &CostCtx<'_>) -> &[f64] {
+        self.plane.get_or_init(|| self.volumes(ctx))
+    }
+
+    /// The swept plane priced by [`CostCtx::price`]: in place when this
+    /// edge holds the plane's last reference (its cache has dropped), else
+    /// on a copy, leaving the cache its volumes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plane was never swept.
+    pub fn into_priced(self, ctx: &CostCtx<'_>) -> Vec<f64> {
+        let mut plane = match Arc::try_unwrap(self.plane) {
+            Ok(plane) => plane.into_inner(),
+            Err(shared) => shared.get().cloned(),
+        }
+        .expect("plane swept before pricing");
+        ctx.price(&mut plane);
+        plane
     }
 }
 
@@ -442,6 +474,14 @@ impl AxisFactors {
 }
 
 impl Direction {
+    /// Heap bytes of the factor rows.
+    fn heap_bytes(&self) -> usize {
+        self.axes
+            .iter()
+            .map(|a| size_of::<u32>() * a.hold_row.len() + size_of::<f64>() * a.rows.len())
+            .sum()
+    }
+
     fn build(total_elems: f64, needs: &SideProfiles, holds: &SideProfiles) -> Self {
         let axes = (0..Axis::COUNT)
             .filter_map(|axis| {
@@ -587,10 +627,10 @@ fn intern_axis(uniques: &[DenseIntervals], axis: usize) -> (Vec<u32>, Vec<(f64, 
     (ids, distinct)
 }
 
-/// Interning cache of sequence lists, side profiles and directions,
-/// keyed by layout (see the module docs). One cache serves one planner
-/// pass; it holds every profile it built until it drops, so a profile's
-/// address names it for the cache's lifetime.
+/// Interning cache of sequence lists, side profiles, directions and volume
+/// planes, keyed by layout (see the module docs). A cache serves one planner
+/// pass or, shared, many runs; it holds every profile it built until it
+/// drops, so a profile's address names it for the cache's lifetime.
 #[derive(Debug, Default)]
 pub struct EdgeCostCache {
     /// Sequence lists by content. Addresses would not do: a freed beam
@@ -604,7 +644,9 @@ pub struct EdgeCostCache {
     /// edge's element count — profile interning makes `Arc` pointer
     /// equality equivalent to bitwise profile equality within one cache.
     directions: HashMap<(usize, usize, u64), Arc<Direction>>,
-    stats: CacheStats,
+    /// Volume planes by sweep identity: the four interned profiles'
+    /// addresses plus the element count's bits.
+    planes: HashMap<([usize; 4], u64), VolumePlane>,
 }
 
 impl EdgeCostCache {
@@ -613,50 +655,28 @@ impl EdgeCostCache {
         EdgeCostCache::default()
     }
 
-    /// Hit/miss counters accumulated so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
+    /// The swept volume planes held, and the heap bytes of everything held:
+    /// profiles, directions and swept planes (payloads only).
+    pub fn footprint(&self) -> (usize, u64) {
+        let swept: Vec<&Vec<f64>> = self.planes.values().filter_map(|p| p.get()).collect();
+        let bytes = self
+            .by_content
+            .values()
+            .flatten()
+            .map(|p| p.heap_bytes())
+            .chain(self.directions.values().map(|d| d.heap_bytes()))
+            .chain(swept.iter().map(|p| size_of::<f64>() * p.len()))
+            .sum::<usize>();
+        (swept.len(), bytes as u64)
     }
 
-    /// Records a whole-matrix reuse (`hit`) or computation (miss) — the
-    /// caller owns the [`MatrixKey`]-level dedup so it can batch the misses.
-    pub fn note_matrix(&mut self, hit: bool) {
-        if hit {
-            self.stats.matrix_hits += 1;
-        } else {
-            self.stats.matrix_misses += 1;
-        }
-    }
-
-    /// Dense first-seen sweep numbering of `jobs`, all prepared by this
-    /// cache: `ids[a] == ids[b]` exactly when the two jobs read the same
-    /// four interned profiles at the same element count, so their matrices
-    /// are one computation and one sweep serves both. Every job after the
-    /// first of its sweep counts as a matrix alias.
-    pub fn sweep_ids(&mut self, jobs: &[PreparedEdge]) -> Vec<usize> {
-        let mut firsts: Vec<usize> = Vec::new();
-        let ids = jobs
-            .iter()
-            .enumerate()
-            .map(|(j, job)| {
-                firsts
-                    .iter()
-                    .position(|&f| jobs[f].sweep() == job.sweep())
-                    .unwrap_or_else(|| {
-                        firsts.push(j);
-                        firsts.len() - 1
-                    })
-            })
-            .collect();
-        self.stats.matrix_aliases += (jobs.len() - firsts.len()) as u64;
-        ids
-    }
-
-    /// Interns the four side profiles of `edge` and returns the prepared
-    /// cell evaluator. Profile builds are shared across every side of every
-    /// edge with the same layout.
+    /// Interns the four side profiles of `edge`, their two directions and
+    /// their volume plane, and returns the prepared edge. Profile builds are
+    /// shared across every side of every edge with the same layout; the
+    /// hits and misses are counted in `stats`.
     pub fn prepare(
         &mut self,
+        stats: &mut CacheStats,
         edge: &Edge,
         src_op: &Operator,
         dst_op: &Operator,
@@ -683,6 +703,7 @@ impl EdgeCostCache {
             _ => Phase::Backward,
         };
         let produce = self.side(
+            stats,
             src_op,
             src_seqs,
             src_list,
@@ -695,6 +716,7 @@ impl EdgeCostCache {
             None,
         );
         let consume = self.side(
+            stats,
             dst_op,
             dst_seqs,
             dst_list,
@@ -707,6 +729,7 @@ impl EdgeCostCache {
             None,
         );
         let g_produce = self.side(
+            stats,
             dst_op,
             dst_seqs,
             dst_list,
@@ -719,6 +742,7 @@ impl EdgeCostCache {
             Some(&consume),
         );
         let g_consume = self.side(
+            stats,
             src_op,
             src_seqs,
             src_list,
@@ -739,9 +763,16 @@ impl EdgeCostCache {
                 .map(|f| total_elems * f)
                 .collect()
         };
+        let identity =
+            [&produce, &consume, &g_produce, &g_consume].map(|p| Arc::as_ptr(p) as usize);
         PreparedEdge {
-            fwd: self.direction(total_elems, &consume, &produce),
-            bwd: self.direction(total_elems, &g_consume, &g_produce),
+            fwd: self.direction(stats, total_elems, &consume, &produce),
+            bwd: self.direction(stats, total_elems, &g_consume, &g_produce),
+            plane: self
+                .planes
+                .entry((identity, total_elems.to_bits()))
+                .or_default()
+                .clone(),
             vc: volumes(&consume),
             vg: volumes(&g_consume),
             rows: src_seqs.len(),
@@ -756,6 +787,7 @@ impl EdgeCostCache {
     /// The interned [`Direction`] of one `(needs, holds, total)` triple.
     fn direction(
         &mut self,
+        stats: &mut CacheStats,
         total_elems: f64,
         needs: &Arc<SideProfiles>,
         holds: &Arc<SideProfiles>,
@@ -766,10 +798,10 @@ impl EdgeCostCache {
             total_elems.to_bits(),
         );
         if let Some(direction) = self.directions.get(&key) {
-            self.stats.table_hits += 1;
+            stats.table_hits += 1;
             return direction.clone();
         }
-        self.stats.table_misses += 1;
+        stats.table_misses += 1;
         let built = Arc::new(Direction::build(total_elems, needs, holds));
         self.directions.insert(key, built.clone());
         built
@@ -795,6 +827,7 @@ impl EdgeCostCache {
     #[allow(clippy::too_many_arguments)]
     fn side(
         &mut self,
+        stats: &mut CacheStats,
         op: &Operator,
         seqs: &[PartitionSeq],
         list: SeqList,
@@ -823,10 +856,10 @@ impl EdgeCostCache {
             steps: list.temporal.then_some((phase, side)),
         };
         if let Some(cached) = self.profiles.get(&key) {
-            self.stats.profile_hits += 1;
+            stats.profile_hits += 1;
             return cached.clone();
         }
-        self.stats.profile_misses += 1;
+        stats.profile_misses += 1;
         let built = SideProfiles::build(
             op,
             seqs,
@@ -862,7 +895,7 @@ mod tests {
     use crate::edge_cost_matrix;
     use primepar_graph::ModelConfig;
     use primepar_partition::{Dim, Primitive};
-    use primepar_topology::Cluster;
+    use primepar_topology::{AppliedPerturbation, Cluster, PerturbationModel};
 
     /// Every `bits`-bit spatial sequence, then the temporal primitive after
     /// every spatial prefix that leaves it two bits — a dense slice through
@@ -890,17 +923,30 @@ mod tests {
     #[test]
     fn matrix_job_ids_match_matrix_key_dedup() {
         // The interned ids must reproduce the first-seen dense numbering a
-        // `HashMap<MatrixKey, usize>` dedup would assign, edge for edge —
-        // including the QKV selector edges that share signatures but must
-        // not collide.
+        // hash-map dedup over the whole key (both signatures, tensor kind,
+        // renames, selector bits) would assign, edge for edge — including
+        // the QKV selector edges that share signatures but must not collide.
         let g = ModelConfig::opt_6_7b().layer_graph(8, 512);
         let sig_ids = g.signature_ids();
         let ids = matrix_job_ids(&g.edges, &sig_ids);
         assert_eq!(ids.len(), g.edges.len());
-        let mut by_key: HashMap<MatrixKey, usize> = HashMap::new();
+        type Key = (
+            usize,
+            usize,
+            TensorKind,
+            Vec<(Axis, Axis)>,
+            Option<(u64, u64)>,
+        );
+        let mut by_key: HashMap<Key, usize> = HashMap::new();
         let mut next = 0usize;
         for (edge, &id) in g.edges.iter().zip(&ids) {
-            let key = MatrixKey::new(edge, sig_ids[edge.src], sig_ids[edge.dst]);
+            let key = (
+                sig_ids[edge.src],
+                sig_ids[edge.dst],
+                edge.dst_kind,
+                edge.renames.clone(),
+                selector_bits(edge.selector),
+            );
             let expect = *by_key.entry(key).or_insert_with(|| {
                 let fresh = next;
                 next += 1;
@@ -918,12 +964,18 @@ mod tests {
         let sig_ids = g.signature_ids();
         // One cache prepares every edge at 4 and 8 devices, for full spaces,
         // a single anchored row or column (a beam probe) and a two-state
-        // pair: every shape must match the direct path.
+        // pair: every shape must match the direct path. The memoized volume
+        // plane, priced under a harsh-perturbed cluster of the same size,
+        // must match the direct path on that cluster too: volumes carry no
+        // cluster.
         let mut cache = EdgeCostCache::new();
+        let mut stats = CacheStats::default();
         // Interned profile → the signatures of the operators that read it.
         let mut readers: HashMap<usize, Vec<usize>> = HashMap::new();
         for bits in [2, 3] {
             let cluster = Cluster::v100_like(1 << bits);
+            let harsh = AppliedPerturbation::draw(&PerturbationModel::harsh(), 7, 1 << bits);
+            let perturbed = cluster.with_perturbation(harsh);
             let seqs = seqs_for(bits);
             let shapes: [(&[PartitionSeq], &[PartitionSeq]); 4] = [
                 (&seqs, &seqs),
@@ -936,27 +988,37 @@ mod tests {
                     let (src, dst) = (&g.ops[edge.src], &g.ops[edge.dst]);
                     let direct_ctx = CostCtx::new(&cluster, 0.0);
                     let direct = edge_cost_matrix(&direct_ctx, edge, src, dst, src_seqs, dst_seqs);
-                    let prepared = cache.prepare(edge, src, dst, src_seqs, dst_seqs);
-                    let [p, c, gp, gc] = prepared.sweep().0;
-                    for (profile, op) in
-                        [(p, edge.src), (c, edge.dst), (gp, edge.dst), (gc, edge.src)]
-                    {
-                        let sigs = readers.entry(profile).or_default();
+                    let prepared = cache.prepare(&mut stats, edge, src, dst, src_seqs, dst_seqs);
+                    for (profile, op) in [
+                        (&prepared.produce, edge.src),
+                        (&prepared.consume, edge.dst),
+                        (&prepared.g_produce, edge.dst),
+                        (&prepared.g_consume, edge.src),
+                    ] {
+                        let sigs = readers.entry(Arc::as_ptr(profile) as usize).or_default();
                         if !sigs.contains(&sig_ids[op]) {
                             sigs.push(sig_ids[op]);
                         }
                     }
                     let ctx = CostCtx::new(&cluster, 0.0);
-                    let fast = prepared.matrix(&ctx);
-                    assert_eq!(direct.len(), fast.len());
-                    for (i, (a, b)) in direct.iter().zip(&fast).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{bits} bits, edge ({}, {}) cell {i}: {a} vs {b}",
-                            edge.src,
-                            edge.dst
-                        );
+                    let mut fast = prepared.volumes(&ctx);
+                    ctx.price(&mut fast);
+                    let perturbed_ctx = CostCtx::new(&perturbed, 0.0);
+                    let mut repriced = prepared.plane(&perturbed_ctx).to_vec();
+                    perturbed_ctx.price(&mut repriced);
+                    let perturbed_direct =
+                        edge_cost_matrix(&perturbed_ctx, edge, src, dst, src_seqs, dst_seqs);
+                    for (got, expect) in [(&fast, &direct), (&repriced, &perturbed_direct)] {
+                        assert_eq!(expect.len(), got.len());
+                        for (i, (a, b)) in expect.iter().zip(got).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{bits} bits, edge ({}, {}) cell {i}: {a} vs {b}",
+                                edge.src,
+                                edge.dst
+                            );
+                        }
                     }
                     assert_eq!(ctx.inter_evaluations(), direct.len() as u64);
                     // At most one term-row entry per summed term.
@@ -969,7 +1031,6 @@ mod tests {
             readers.values().any(|sigs| sigs.len() > 1),
             "some layout must be shared across operator signatures"
         );
-        let stats = cache.stats();
         assert!(stats.profile_hits > 0 && stats.table_hits > 0, "{stats:?}");
     }
 
@@ -1043,6 +1104,7 @@ mod tests {
             let g_produce = Arc::new(synthetic_side(4, cols, devices, 40));
             let volumes = |s: &SideProfiles| s.volume_fraction.iter().map(|f| total * f).collect();
             let edge = PreparedEdge {
+                plane: VolumePlane::default(),
                 fwd: Arc::new(Direction::build(total, &consume, &produce)),
                 bwd: Arc::new(Direction::build(total, &g_consume, &g_produce)),
                 vc: volumes(&consume),
@@ -1056,7 +1118,8 @@ mod tests {
             };
             assert_eq!(edge.fwd.axes.len(), 3);
             let ctx = CostCtx::new(&cluster, 0.0);
-            let swept = edge.matrix(&ctx);
+            let mut swept = edge.volumes(&ctx);
+            ctx.price(&mut swept);
             // The cell-major direct loop: devices ascending from `0.0`.
             let traffic =
                 |needs: &SideProfiles, n: usize, holds: &SideProfiles, h: usize, v: f64| {
@@ -1199,20 +1262,30 @@ mod tests {
         let sig_ids = g.signature_ids();
         let seqs = seqs_for(2);
         let mut cache = EdgeCostCache::new();
+        let mut stats = CacheStats::default();
         // anchor→norm1 and add1→norm2 have equal endpoint layouts and
         // parameters: the second prepare must hit all four profile slots,
-        // both directions, and share the first one's sweep.
+        // both directions, and share the first one's volume plane.
         let e01 = g.edges.iter().find(|e| e.src == 0 && e.dst == 1).unwrap();
         let e78 = g.edges.iter().find(|e| e.src == 7 && e.dst == 8).unwrap();
-        assert_eq!(MatrixKey::new(e01, 0, 1), MatrixKey::new(e78, 0, 1));
-        let first = cache.prepare(e01, &g.ops[0], &g.ops[1], &seqs, &seqs);
-        assert_eq!(cache.stats().profile_misses, 4);
-        let second = cache.prepare(e78, &g.ops[7], &g.ops[8], &seqs, &seqs);
-        assert_eq!(cache.stats().profile_misses, 4);
-        assert_eq!(cache.stats().profile_hits, 4);
-        assert_eq!(cache.stats().table_hits, 2);
-        assert_eq!(cache.sweep_ids(&[first, second]), vec![0, 0]);
-        assert_eq!(cache.stats().matrix_aliases, 1);
+        assert_eq!(
+            matrix_job_ids(&[e01.clone(), e78.clone()], &sig_ids),
+            vec![0, 0]
+        );
+        let first = cache.prepare(&mut stats, e01, &g.ops[0], &g.ops[1], &seqs, &seqs);
+        assert_eq!(stats.profile_misses, 4);
+        let second = cache.prepare(&mut stats, e78, &g.ops[7], &g.ops[8], &seqs, &seqs);
+        assert_eq!(stats.profile_misses, 4);
+        assert_eq!(stats.profile_hits, 4);
+        assert_eq!(stats.table_hits, 2);
+        assert!(first.shares_plane(&second));
+        // One sweep fills the shared plane for both.
+        let cluster = Cluster::v100_like(4);
+        let ctx = CostCtx::new(&cluster, 0.0);
+        assert!(!second.is_swept());
+        first.plane(&ctx);
+        assert!(second.is_swept());
+        assert_eq!(ctx.inter_evaluations(), (seqs.len() * seqs.len()) as u64);
         // QKV selector edges must NOT collide despite equal signatures.
         let q = g
             .edges
@@ -1224,38 +1297,42 @@ mod tests {
             .iter()
             .find(|e| e.src == 2 && e.dst == 3 && e.dst_kind == TensorKind::Weight)
             .unwrap();
-        assert_ne!(
-            MatrixKey::new(q, sig_ids[2], sig_ids[3]),
-            MatrixKey::new(k, sig_ids[2], sig_ids[3])
+        assert_eq!(
+            matrix_job_ids(&[q.clone(), k.clone()], &sig_ids),
+            vec![0, 1]
         );
-        let q = cache.prepare(q, &g.ops[2], &g.ops[3], &seqs, &seqs);
-        let k = cache.prepare(k, &g.ops[2], &g.ops[3], &seqs, &seqs);
-        assert_eq!(cache.sweep_ids(&[q, k]), vec![0, 1]);
+        let q = cache.prepare(&mut stats, q, &g.ops[2], &g.ops[3], &seqs, &seqs);
+        let k = cache.prepare(&mut stats, k, &g.ops[2], &g.ops[3], &seqs, &seqs);
+        assert!(!q.shares_plane(&k));
     }
 
     #[test]
     fn layouts_that_differ_in_extent_rename_or_selector_never_share() {
         let g = ModelConfig::opt_6_7b().layer_graph(8, 512);
         let seqs = seqs_for(2);
-        let mut cache = EdgeCostCache::new();
-        let list = cache.list(&seqs);
-        let side =
-            |cache: &mut EdgeCostCache, op: &Operator, renames: &[(Axis, Axis)], selector| {
-                cache.side(
-                    op,
-                    &seqs,
-                    list,
-                    DeviceSpace::new(2),
-                    TensorKind::Output,
-                    Phase::Forward,
-                    Side::Produce,
-                    renames,
-                    selector,
-                    None,
-                )
-            };
+        // The cache and the stats of its one run.
+        let mut cache = (EdgeCostCache::new(), CacheStats::default());
+        let list = cache.0.list(&seqs);
+        let side = |(cache, stats): &mut (EdgeCostCache, CacheStats),
+                    op: &Operator,
+                    renames: &[(Axis, Axis)],
+                    selector| {
+            cache.side(
+                stats,
+                op,
+                &seqs,
+                list,
+                DeviceSpace::new(2),
+                TensorKind::Output,
+                Phase::Forward,
+                Side::Produce,
+                renames,
+                selector,
+                None,
+            )
+        };
         let builds =
-            |cache: &EdgeCostCache| (cache.stats().profile_misses, cache.stats().profile_hits);
+            |(_, stats): &(EdgeCostCache, CacheStats)| (stats.profile_misses, stats.profile_hits);
         let fc1 = &g.ops[9];
         let base = side(&mut cache, fc1, &[], None);
         // The same layout under another name and operator kind is a hit.

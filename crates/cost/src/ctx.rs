@@ -81,7 +81,7 @@ impl<'a> CostCtx<'a> {
     /// Number of term-row entries the prepared edge sweeps built so far —
     /// one `(V − total·overlap)⁺` per entry, against `inter_evaluations() ×
     /// devices × 2` terms summed (see
-    /// [`PreparedEdge::matrix`](crate::PreparedEdge::matrix)).
+    /// [`PreparedEdge::volumes`](crate::PreparedEdge::volumes)).
     pub fn term_row_entries(&self) -> u64 {
         self.term_row_entries.load(Ordering::Relaxed)
     }
@@ -137,6 +137,18 @@ impl<'a> CostCtx<'a> {
         // variance scenario the worst per-device link factor gates the
         // exchange (the class-wide factor is already in the link model).
         self.redistribution_link.transfer_time(per_device) * self.worst_link_factor
+    }
+
+    /// Eq. 10's pricing step over a plane of redistribution volumes: each
+    /// cell's bytes `4·(f + b)` become [`redistribution_time`] of them, in
+    /// place. The volumes depend on the layouts alone; this is where the
+    /// cluster comes in.
+    ///
+    /// [`redistribution_time`]: CostCtx::redistribution_time
+    pub fn price(&self, plane: &mut [f64]) {
+        for cell in plane {
+            *cell = self.redistribution_time(*cell);
+        }
     }
 
     /// Latency of the same traffic charged the way the simulator executes it:

@@ -42,7 +42,7 @@ mod intervals;
 mod intra;
 pub mod migration;
 
-pub use cache::{matrix_job_ids, CacheStats, EdgeCostCache, MatrixKey, PreparedEdge, SideProfiles};
+pub use cache::{matrix_job_ids, CacheStats, EdgeCostCache, PreparedEdge, SideProfiles};
 pub use ctx::CostCtx;
 pub use inter::{
     edge_cost_matrix, inter_cost, inter_traffic_bytes, plan_traffic_bytes, BoundaryProfile,

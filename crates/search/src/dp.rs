@@ -7,11 +7,11 @@
 //! doublings across the stacked identical layers per Eq. 14.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use primepar_cost::{
-    intra_cost, matrix_job_ids, CostCtx, EdgeCostCache, IntraCost, MatrixKey, PreparedEdge,
+    intra_cost, matrix_job_ids, CacheStats, CostCtx, EdgeCostCache, IntraCost, PreparedEdge,
 };
 use primepar_graph::Graph;
 use primepar_partition::PartitionSeq;
@@ -276,10 +276,12 @@ impl<'a> Planner<'a> {
     }
 
     /// [`optimize`](Planner::optimize) against a cross-run
-    /// [`PlannerWarmCache`]: stage-2 edge-cost matrices whose `(scope,
-    /// MatrixKey)` is already interned are reused instead of recomputed, and
-    /// fresh ones are interned for later runs. Plans are bitwise-identical
-    /// to the cold path (equal scopes imply equal bytes).
+    /// [`PlannerWarmCache`]: side profiles, directions and volume planes an
+    /// earlier run interned under the same layout are reused instead of
+    /// rebuilt, whatever that run's cluster and `α`, and fresh ones are
+    /// interned for later runs. Plans are bitwise-identical to the cold path
+    /// (equal layouts imply equal volumes, and each run prices them on its
+    /// own cluster).
     ///
     /// # Panics
     ///
@@ -303,36 +305,6 @@ impl<'a> Planner<'a> {
         warm: &PlannerWarmCache,
     ) -> (ModelPlan, PlannerMetrics) {
         self.optimize_inner(layers, Some(warm))
-    }
-
-    /// Everything an edge-cost matrix's bytes depend on besides its
-    /// [`MatrixKey`](primepar_cost::MatrixKey): the ordered
-    /// operator-signature list (matrix keys embed graph-relative first-seen
-    /// signature ids), the edge wiring (a beam restricts spaces by each
-    /// node's *neighbourhood*, so identical keys under different wirings
-    /// would name different restricted matrices), the full cluster model
-    /// (link latencies/bandwidths, device profile, perturbations), `α`, the
-    /// space options, and the pass's effective beam width
-    /// (`usize::MAX` = unrestricted — restricted matrices must never leak
-    /// into an exact or wider run). `DefaultHasher` uses fixed SipHash keys,
-    /// so the scope is stable across processes.
-    fn warm_scope(&self, n_bits: usize, beam_width: usize) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        n_bits.hash(&mut h);
-        format!("{:?}", self.cluster).hash(&mut h);
-        self.opts.alpha.to_bits().hash(&mut h);
-        self.opts.space.allow_temporal.hash(&mut h);
-        self.opts.space.allow_batch_split.hash(&mut h);
-        self.opts.space.max_temporal_k.hash(&mut h);
-        beam_width.hash(&mut h);
-        for op in &self.graph.ops {
-            op.signature().hash(&mut h);
-        }
-        for edge in &self.graph.edges {
-            format!("{edge:?}").hash(&mut h);
-        }
-        h.finish()
     }
 
     fn optimize_inner(
@@ -499,12 +471,14 @@ impl<'a> Planner<'a> {
             .unwrap_or(0);
 
         let tb = Instant::now();
-        // One profile/direction cache serves the whole pass: the beam stage's
-        // anchored probes intern the probed nodes' *full-space* side
-        // profiles, and stage 2 reuses them verbatim for every node the beam
-        // left untouched (endpoints above all) instead of rebuilding the most
-        // expensive profiles.
-        let mut cache = EdgeCostCache::new();
+        // One edge cache serves the whole pass — the warm one, or one of the
+        // pass's own: the beam stage's anchored probes intern the probed
+        // nodes' *full-space* side profiles, and stage 2 reuses them verbatim
+        // for every node the beam left untouched (endpoints above all)
+        // instead of rebuilding the most expensive profiles.
+        let own = Mutex::new(EdgeCostCache::new());
+        let cache = warm.map_or(&own, |w| &w.edges);
+        let mut stats = CacheStats::default();
         // 1b. Beam restriction (strategy layer): interior nodes wider than
         // the beam keep only their `beam_width` best states by the anchored
         // probe heuristic — *before* the stage-2 matrices are built on them,
@@ -515,7 +489,8 @@ impl<'a> Planner<'a> {
         let mut eff_sig_ids = sig_ids.clone();
         if beam_width != usize::MAX {
             let kept = strategy::beam_kept(
-                self.graph, &ctx, &mut cache, &segments, &spaces, &intra, &sig_ids, beam_width,
+                self.graph, &ctx, cache, &mut stats, &segments, &spaces, &intra, &sig_ids,
+                beam_width,
             );
             if kept.iter().any(Option::is_some) {
                 let mut dropped = 0u64;
@@ -564,121 +539,93 @@ impl<'a> Planner<'a> {
         // columnar arena. Whole matrices dedup by the precomputed
         // interned job ids (structural keys over `signature_ids`) *before*
         // any parallelism — so cache telemetry is thread-count-invariant —
-        // then jobs that read the same profiles share one sweep, and each
-        // sweep computes once against the one shared `Sync` context.
+        // then jobs whose prepared edges share a volume plane (the same four
+        // profiles at the same element count) share its sweep, and each
+        // unswept plane sweeps once against the one shared `Sync` context.
         let sizes: Vec<usize> = spaces.iter().map(|s| s.len()).collect();
-        // Interned job ids: dense first-seen over (src sig, dst sig,
-        // edge parameters) — index arithmetic instead of hashing a
-        // MatrixKey per edge.
         let edge_jobs = matrix_job_ids(&self.graph.edges, &eff_sig_ids);
-        let mut jobs: Vec<PreparedEdge> = Vec::new();
-        let mut keys: Vec<MatrixKey> = Vec::new();
+        // One prepared edge per distinct plane, and each job's plane.
+        let mut sweeps: Vec<PreparedEdge> = Vec::new();
+        let mut job_planes: Vec<usize> = Vec::new();
         for (edge, &job) in self.graph.edges.iter().zip(&edge_jobs) {
-            if job == jobs.len() {
-                cache.note_matrix(false);
-                jobs.push(cache.prepare(
-                    edge,
-                    &self.graph.ops[edge.src],
-                    &self.graph.ops[edge.dst],
-                    &spaces[edge.src],
-                    &spaces[edge.dst],
-                ));
-                keys.push(MatrixKey::new(
-                    edge,
-                    eff_sig_ids[edge.src],
-                    eff_sig_ids[edge.dst],
-                ));
-            } else {
-                cache.note_matrix(true);
+            if job < job_planes.len() {
+                tm.edge_matrix_cache_hits += 1;
+                continue;
             }
-        }
-        // Sweep ids: jobs whose prepared edges read the same four profiles
-        // at the same element count compute one matrix and share its plane.
-        let job_sweeps = cache.sweep_ids(&jobs);
-        let mut sweep_jobs: Vec<usize> = Vec::new();
-        for (j, &sweep) in job_sweeps.iter().enumerate() {
-            if sweep == sweep_jobs.len() {
-                sweep_jobs.push(j);
-            }
-        }
-        tm.edge_prepare_seconds += t1.elapsed().as_secs_f64();
-        // Warm pre-fill: matrices a previous run interned under the same
-        // scope are reused byte-for-byte, by every job of their sweep; only
-        // the rest compute. With no warm cache every sweep is pending and
-        // this is the full sweep.
-        let mut unique: Vec<Option<Arc<Vec<f64>>>> = vec![None; sweep_jobs.len()];
-        let warm_scope = warm.map(|_| self.warm_scope(n_bits, beam_width));
-        let mut warm_missed: Vec<usize> = Vec::new();
-        if let (Some(w), Some(sc)) = (warm, warm_scope) {
-            for (j, key) in keys.iter().enumerate() {
-                if let Some(m) = w.lookup(sc, key) {
-                    unique[job_sweeps[j]].get_or_insert(m);
-                    tm.warm_matrix_hits += 1;
-                } else {
-                    warm_missed.push(j);
-                    tm.warm_matrix_misses += 1;
+            tm.edge_matrix_cache_misses += 1;
+            let prepared = cache.lock().expect("edge cache lock").prepare(
+                &mut stats,
+                edge,
+                &self.graph.ops[edge.src],
+                &self.graph.ops[edge.dst],
+                &spaces[edge.src],
+                &spaces[edge.dst],
+            );
+            let plane = match sweeps.iter().position(|s| s.shares_plane(&prepared)) {
+                Some(plane) => plane,
+                None => {
+                    stats.note_plane(&prepared);
+                    sweeps.push(prepared);
+                    sweeps.len() - 1
                 }
-            }
+            };
+            job_planes.push(plane);
         }
-        let pending: Vec<usize> = unique
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.is_none())
-            .map(|(i, _)| i)
-            .collect();
+        tm.edge_matrix_aliases += (job_planes.len() - sweeps.len()) as u64;
+        tm.edge_prepare_seconds += t1.elapsed().as_secs_f64();
+        // Planes an earlier run swept are read as they are; only the rest
+        // sweep. With no warm cache every plane is pending and this is the
+        // full sweep.
+        let pending: Vec<&PreparedEdge> = sweeps.iter().filter(|s| !s.is_swept()).collect();
         if self.opts.threads > 1 {
             let threads = self.opts.threads;
-            let mut computed: Vec<Option<Arc<Vec<f64>>>> = vec![None; pending.len()];
             std::thread::scope(|scope| {
                 let chunk = pending.len().div_ceil(threads).max(1);
-                let mut handles = Vec::new();
-                for (band, out) in pending.chunks(chunk).zip(computed.chunks_mut(chunk)) {
-                    let ctx = &ctx;
-                    let (jobs, sweep_jobs) = (&jobs, &sweep_jobs);
-                    handles.push(scope.spawn(move || {
-                        let busy = Instant::now();
-                        for (&sweep, cell) in band.iter().zip(out.iter_mut()) {
-                            *cell = Some(Arc::new(jobs[sweep_jobs[sweep]].matrix(ctx)));
-                        }
-                        busy.elapsed().as_secs_f64()
-                    }));
-                }
+                let ctx = &ctx;
+                let handles: Vec<_> = pending
+                    .chunks(chunk)
+                    .map(|band| {
+                        scope.spawn(move || {
+                            let busy = Instant::now();
+                            for job in band {
+                                job.plane(ctx);
+                            }
+                            busy.elapsed().as_secs_f64()
+                        })
+                    })
+                    .collect();
                 for (slot, handle) in handles.into_iter().enumerate() {
                     tm.thread_busy_seconds[slot] += handle.join().expect("edge-matrix worker");
                 }
             });
-            for (&sweep, m) in pending.iter().zip(computed) {
-                unique[sweep] = Some(m.expect("computed"));
-            }
         } else {
             let sweep = Instant::now();
-            for &s in &pending {
-                unique[s] = Some(Arc::new(jobs[sweep_jobs[s]].matrix(&ctx)));
+            for job in &pending {
+                job.plane(&ctx);
             }
             tm.thread_busy_seconds[0] += sweep.elapsed().as_secs_f64();
         }
-        if let (Some(w), Some(sc)) = (warm, warm_scope) {
-            for j in warm_missed {
-                let m = unique[job_sweeps[j]].as_ref().expect("computed").clone();
-                w.insert(sc, keys[j].clone(), m);
-            }
-        }
-        let stats = cache.stats();
         tm.profile_cache_hits += stats.profile_hits;
         tm.profile_cache_misses += stats.profile_misses;
         tm.direction_table_cache_hits += stats.table_hits;
         tm.direction_table_cache_misses += stats.table_misses;
-        tm.edge_matrix_cache_hits += stats.matrix_hits;
-        tm.edge_matrix_cache_misses += stats.matrix_misses;
-        tm.edge_matrix_aliases += stats.matrix_aliases;
-        // The tables take the unique matrices over, one plane per sweep; the
-        // prepared jobs, their directions and the profile cache are
-        // done with, so they go before prune and the DP allocate.
-        let unique: Vec<Arc<Vec<f64>>> = unique.into_iter().map(|m| m.expect("computed")).collect();
-        let edge_sweeps: Vec<usize> = edge_jobs.iter().map(|&j| job_sweeps[j]).collect();
-        let edge_tables = EdgeTables::build(&self.graph.edges, &sizes, &edge_sweeps, unique);
-        drop(jobs);
-        drop(cache);
+        if let Some(w) = warm {
+            tm.warm_matrix_hits += stats.plane_hits;
+            tm.warm_matrix_misses += stats.plane_misses;
+            w.note_run(&stats);
+        }
+        // The pricing step: the tables take the planes over priced, one per
+        // distinct plane. The pass's own cache goes first, so each plane is
+        // priced in place; a warm cache keeps its volumes and the pass
+        // prices copies. The prepared edges, their directions and profiles
+        // are done with before prune and the DP allocate.
+        drop(own);
+        let planes: Vec<Arc<Vec<f64>>> = sweeps
+            .into_iter()
+            .map(|job| Arc::new(job.into_priced(&ctx)))
+            .collect();
+        let edge_planes: Vec<usize> = edge_jobs.iter().map(|&j| job_planes[j]).collect();
+        let edge_tables = EdgeTables::build(&self.graph.edges, &sizes, &edge_planes, planes);
         tm.edge_evaluations += ctx.inter_evaluations();
         tm.edge_terms += ctx.inter_evaluations() * 2 * (1u64 << n_bits);
         tm.edge_term_row_entries += ctx.term_row_entries();

@@ -35,7 +35,9 @@ use primepar_partition::PartitionSeq;
 use primepar_sim::{simulate_elastic, ElasticAction, ElasticEvent, ElasticReport, SimOptions};
 use primepar_topology::{AppliedPerturbation, Cluster};
 
-use crate::{evaluate_layer_plan, Planner, PlannerOptions, PlannerWarmCache};
+use crate::{
+    evaluate_layer_plan, ModelPlan, Planner, PlannerMetrics, PlannerOptions, PlannerWarmCache,
+};
 
 /// Which recovery action the replan loop decided on. The declaration order
 /// is the tie-break order: under equal total time-to-recover the less
@@ -142,6 +144,11 @@ pub struct ReplanOutcome {
     pub migration_seconds: f64,
     /// Wall-clock spent deciding (dominated by the planner run).
     pub decision_time: Duration,
+    /// Volume planes this decision's planner run found in the warm cache;
+    /// 0 when it ran no planner or had no warm cache.
+    pub warm_matrix_hits: u64,
+    /// Volume planes that run had to sweep; 0 likewise.
+    pub warm_matrix_misses: u64,
 }
 
 impl ReplanOutcome {
@@ -231,6 +238,8 @@ pub fn replan(
             migration_bytes: 0.0,
             migration_seconds: 0.0,
             decision_time: start.elapsed(),
+            warm_matrix_hits: 0,
+            warm_matrix_misses: 0,
         };
     }
 
@@ -268,11 +277,7 @@ pub fn replan(
         total_seconds: patch_seconds + horizon * current_iter,
     };
 
-    let planner = Planner::new(&degraded, graph, opts.planner);
-    let plan = match warm {
-        Some(w) => planner.optimize_warm(layers.max(1), w),
-        None => planner.optimize(layers.max(1)),
-    };
+    let (plan, tm) = plan_on(&degraded, graph, layers, opts, warm);
     // Dead shards are re-homed first (the failover term), then the surviving
     // layout redistributes into the new plan's layout.
     let switch = migration_traffic(graph, current_seqs, &plan.seqs);
@@ -310,6 +315,23 @@ pub fn replan(
         decision: chosen.decision,
         candidates,
         decision_time: start.elapsed(),
+        warm_matrix_hits: tm.warm_matrix_hits,
+        warm_matrix_misses: tm.warm_matrix_misses,
+    }
+}
+
+/// Plans `graph` on the degraded cluster, against `warm` when given.
+fn plan_on(
+    degraded: &Cluster,
+    graph: &Graph,
+    layers: u64,
+    opts: &ReplanOptions,
+    warm: Option<&PlannerWarmCache>,
+) -> (ModelPlan, PlannerMetrics) {
+    let planner = Planner::new(degraded, graph, opts.planner);
+    match warm {
+        Some(w) => planner.optimize_warm_instrumented(layers.max(1), w),
+        None => planner.optimize_instrumented(layers.max(1)),
     }
 }
 
@@ -389,6 +411,8 @@ pub fn run_elastic(
                     migration_bytes: 0.0,
                     migration_seconds: 0.0,
                     decision_time: Duration::ZERO,
+                    warm_matrix_hits: 0,
+                    warm_matrix_misses: 0,
                 },
                 ElasticPolicy::Always => always_outcome(
                     cluster,
@@ -434,11 +458,7 @@ fn always_outcome(
     let start = Instant::now();
     let layers_f = layers.max(1) as f64;
     let degraded = cluster.with_perturbation(applied.clone());
-    let planner = Planner::new(&degraded, graph, opts.planner);
-    let plan = match warm {
-        Some(w) => planner.optimize_warm(layers.max(1), w),
-        None => planner.optimize(layers.max(1)),
-    };
+    let (plan, tm) = plan_on(&degraded, graph, layers, opts, warm);
     let failover = failover_traffic(graph, current_seqs, &applied.dead);
     let switch = migration_traffic(graph, current_seqs, &plan.seqs);
     let bytes = (failover.total_bytes + switch.total_bytes) * layers_f;
@@ -459,6 +479,8 @@ fn always_outcome(
         migration_bytes: bytes,
         migration_seconds: seconds,
         decision_time: start.elapsed(),
+        warm_matrix_hits: tm.warm_matrix_hits,
+        warm_matrix_misses: tm.warm_matrix_misses,
     }
 }
 

@@ -34,10 +34,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use primepar_cost::{matrix_job_ids, CostCtx, EdgeCostCache};
-use primepar_graph::Graph;
+use primepar_cost::{matrix_job_ids, CacheStats, CostCtx, EdgeCostCache, PreparedEdge};
+use primepar_graph::{Edge, Graph};
 use primepar_partition::PartitionSeq;
 
 /// How the planner explores the per-operator partition spaces.
@@ -138,21 +138,24 @@ impl SearchInterrupt {
 
 /// Per-node kept sets for a beam of `width`: `Some(ascending state ids)` for
 /// each interior node whose space exceeds the width, `None` for everything
-/// left untouched (endpoints, and nodes already inside the beam). Probe
-/// vectors are memoized by interned matrix-job id and direction — nodes of
+/// left untouched (endpoints, and nodes already inside the beam). Probes
+/// are prepared once per interned matrix-job id and direction — nodes of
 /// equal structural signature share anchors, spaces and intra vectors, so
 /// the memoized probe is bitwise the one a fresh evaluation would produce.
 ///
-/// Probes route through the pass's shared [`EdgeCostCache`], which keys
-/// profiles by layout, sequence list included: the probed node's full-space
-/// side profiles are the very ones stage 2 reuses for the never-beamed
-/// endpoints instead of rebuilding them, and an anchored single-state side
-/// can never collide with a full-space one.
+/// Probes route through the pass's [`EdgeCostCache`], which keys profiles
+/// and volume planes by layout, sequence list included: the probed node's
+/// full-space side profiles are the very ones stage 2 reuses for the
+/// never-beamed endpoints instead of rebuilding them, an anchored
+/// single-state side can never collide with a full-space one, and a warm
+/// cache serves a probe's plane to every later run with the same anchors.
+/// Each probe cell is priced as it is added into the score.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn beam_kept(
     graph: &Graph,
     ctx: &CostCtx<'_>,
-    cache: &mut EdgeCostCache,
+    cache: &Mutex<EdgeCostCache>,
+    stats: &mut CacheStats,
     segments: &[(usize, usize)],
     spaces: &[Arc<Vec<PartitionSeq>>],
     intra: &[Arc<Vec<f64>>],
@@ -178,8 +181,20 @@ pub(crate) fn beam_kept(
         })
         .collect();
     let jobs = matrix_job_ids(&graph.edges, sig_ids);
-    // (job id, node-is-src) → probe vector over the node's full space.
-    let mut probes: HashMap<(usize, bool), Arc<Vec<f64>>> = HashMap::new();
+    // (job id, node-is-src) → the prepared probe over the node's full space.
+    let mut probes: HashMap<(usize, bool), PreparedEdge> = HashMap::new();
+    let prepare = |stats: &mut CacheStats, edge: &Edge, src: &[PartitionSeq], dst| {
+        let probe = cache.lock().expect("edge cache lock").prepare(
+            stats,
+            edge,
+            &graph.ops[edge.src],
+            &graph.ops[edge.dst],
+            src,
+            dst,
+        );
+        stats.note_plane(&probe);
+        probe
+    };
     let mut kept: Vec<Option<Vec<u32>>> = vec![None; nodes];
     for n in 0..nodes {
         if endpoint[n] || spaces[n].len() <= width {
@@ -187,40 +202,23 @@ pub(crate) fn beam_kept(
         }
         let mut h: Vec<f64> = intra[n].to_vec();
         for (e, edge) in graph.edges.iter().enumerate() {
-            let v = if edge.dst == n {
-                probes
-                    .entry((jobs[e], false))
-                    .or_insert_with(|| {
-                        let prepared = cache.prepare(
-                            edge,
-                            &graph.ops[edge.src],
-                            &graph.ops[edge.dst],
-                            std::slice::from_ref(&spaces[edge.src][anchors[edge.src]]),
-                            &spaces[n],
-                        );
-                        Arc::new(prepared.matrix(ctx))
-                    })
-                    .clone()
+            let probe = if edge.dst == n {
+                probes.entry((jobs[e], false)).or_insert_with(|| {
+                    let anchor = std::slice::from_ref(&spaces[edge.src][anchors[edge.src]]);
+                    prepare(stats, edge, anchor, &spaces[n])
+                })
             } else if edge.src == n {
-                probes
-                    .entry((jobs[e], true))
-                    .or_insert_with(|| {
-                        let prepared = cache.prepare(
-                            edge,
-                            &graph.ops[edge.src],
-                            &graph.ops[edge.dst],
-                            &spaces[n],
-                            std::slice::from_ref(&spaces[edge.dst][anchors[edge.dst]]),
-                        );
-                        Arc::new(prepared.matrix(ctx))
-                    })
-                    .clone()
+                probes.entry((jobs[e], true)).or_insert_with(|| {
+                    let anchor = std::slice::from_ref(&spaces[edge.dst][anchors[edge.dst]]);
+                    prepare(stats, edge, &spaces[n], anchor)
+                })
             } else {
                 continue;
             };
-            debug_assert_eq!(v.len(), h.len(), "probe shape mismatch");
-            for (hi, &p) in h.iter_mut().zip(v.iter()) {
-                *hi += p;
+            let bytes = probe.plane(ctx);
+            debug_assert_eq!(bytes.len(), h.len(), "probe shape mismatch");
+            for (hi, &b) in h.iter_mut().zip(bytes) {
+                *hi += ctx.redistribution_time(b);
             }
         }
         // Top `width` by (score, state index), re-sorted ascending so the

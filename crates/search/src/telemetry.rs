@@ -107,12 +107,13 @@ pub struct PlannerMetrics {
     /// one and share its sweep and plane: `edge_matrix_cache_misses −
     /// edge_matrix_aliases` sweeps run (fewer on warm hits).
     pub edge_matrix_aliases: u64,
-    /// Stage 2 unique matrices served from a cross-run
-    /// [`PlannerWarmCache`](crate::PlannerWarmCache) (always 0 on the cold
-    /// [`optimize`](crate::Planner::optimize) path).
+    /// Distinct volume planes (stage 2's and the beam probes') a
+    /// cross-run [`PlannerWarmCache`](crate::PlannerWarmCache) already held
+    /// swept (always 0 on the cold [`optimize`](crate::Planner::optimize)
+    /// path).
     pub warm_matrix_hits: u64,
-    /// Stage 2 unique matrices the warm cache did not hold yet (0 unless
-    /// running [`optimize_warm`](crate::Planner::optimize_warm)).
+    /// Distinct volume planes the warm cache did not hold swept yet (0
+    /// unless running [`optimize_warm`](crate::Planner::optimize_warm)).
     pub warm_matrix_misses: u64,
     /// Inner-loop candidate evaluations of the Eq. 13 segment merges.
     pub merge_relaxations: u64,

@@ -1,47 +1,49 @@
-//! Cross-request warm state for the planner (service tentpole, PR 5).
+//! Cross-run warm state for the planner.
 //!
-//! A [`PlannerWarmCache`] outlives individual [`Planner`](crate::Planner)
-//! runs and interns the expensive stage-2 products — whole edge-cost
-//! matrices — keyed by `(scope, MatrixKey)`. The *scope* is a fingerprint of
-//! everything a matrix's bytes depend on besides its structural key: the
-//! graph's ordered signature list (signature ids inside a
-//! [`MatrixKey`](primepar_cost::MatrixKey) are first-seen graph-relative),
-//! the cluster model, `α`, and the space options. Two planner runs with
-//! equal scopes therefore agree bitwise on every matrix a shared key names,
-//! so a warm hit returns exactly the bytes the cold path would recompute —
+//! A [`PlannerWarmCache`] is one [`EdgeCostCache`] kept alive across
+//! [`Planner`](crate::Planner) runs: the same layout-keyed cache a cold pass
+//! builds for itself and drops. Its sequence lists, side profiles,
+//! directions and volume planes are keyed by what their bytes depend on —
+//! operators, sequences, device bits — and never by the cluster or `α`,
+//! which only the per-run pricing step ([`CostCtx::price`]) reads. So a run
+//! on a perturbed cluster of the same size, or under another `α`, reuses
+//! every plane an earlier run swept, and a different device count, a
+//! beam-restricted space or other space options are different sequence
+//! lists and miss. Equal keys name bitwise-equal volumes, so
 //! [`Planner::optimize_warm`](crate::Planner::optimize_warm) stays
 //! bitwise-identical to [`Planner::optimize`](crate::Planner::optimize),
 //! pinned by `tests/warm_equivalence.rs`.
 //!
-//! The cache is `Sync`: the matrix map sits behind a `Mutex` (lookups and
-//! inserts are short; the planning work happens outside the lock) and the
-//! hit/miss counters are atomics, so one cache serves a whole worker pool.
+//! The cache is `Sync`. Runs lock it only to prepare an edge — intern its
+//! profiles, directions and plane — never across a sweep or a pricing step;
+//! a plane sweeps once however many runs wait for it. Nothing is evicted
+//! (see [`EdgeCostCache`] for why addresses must stay owned).
+//!
+//! [`CostCtx::price`]: primepar_cost::CostCtx::price
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use primepar_cost::MatrixKey;
+use primepar_cost::{CacheStats, EdgeCostCache};
 
-/// One warm scope's interned matrices.
-type ScopeMatrices = HashMap<MatrixKey, Arc<Vec<f64>>>;
-
-/// Cumulative counters of a [`PlannerWarmCache`].
+/// Point-in-time counters of a [`PlannerWarmCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WarmStats {
-    /// Matrices currently interned (across all scopes).
+    /// Swept volume planes held, one per distinct sweep identity.
     pub entries: usize,
-    /// Lookups answered from the cache since creation.
+    /// Planes warm runs found already swept, summed over runs.
     pub hits: u64,
-    /// Lookups that had to compute since creation.
+    /// Planes warm runs found unswept, summed over runs.
     pub misses: u64,
+    /// Heap bytes of the held profiles, directions and planes.
+    pub bytes: u64,
 }
 
-/// A cross-run edge-cost-matrix cache shared between planner invocations.
+/// An edge cache shared between planner invocations.
 #[derive(Debug, Default)]
 pub struct PlannerWarmCache {
-    /// `scope → (matrix key → matrix)`, scopes as computed by the planner.
-    matrices: Mutex<HashMap<u64, ScopeMatrices>>,
+    /// The shared cache; locked per prepare, never across a sweep.
+    pub(crate) edges: Mutex<EdgeCostCache>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -52,47 +54,20 @@ impl PlannerWarmCache {
         PlannerWarmCache::default()
     }
 
-    /// The interned matrix for `key` under `scope`, counting a hit or miss.
-    pub(crate) fn lookup(&self, scope: u64, key: &MatrixKey) -> Option<Arc<Vec<f64>>> {
-        let found = self
-            .matrices
-            .lock()
-            .expect("warm cache lock")
-            .get(&scope)
-            .and_then(|m| m.get(key))
-            .cloned();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Interns a freshly computed matrix. Concurrent inserts under the same
-    /// key are benign: equal scopes guarantee equal bytes, so first-in wins.
-    pub(crate) fn insert(&self, scope: u64, key: MatrixKey, matrix: Arc<Vec<f64>>) {
-        self.matrices
-            .lock()
-            .expect("warm cache lock")
-            .entry(scope)
-            .or_default()
-            .entry(key)
-            .or_insert(matrix);
+    /// Adds one run's plane hits and misses to the totals.
+    pub(crate) fn note_run(&self, run: &CacheStats) {
+        self.hits.fetch_add(run.plane_hits, Ordering::Relaxed);
+        self.misses.fetch_add(run.plane_misses, Ordering::Relaxed);
     }
 
     /// Current counters.
     pub fn stats(&self) -> WarmStats {
+        let (entries, bytes) = self.edges.lock().expect("warm cache lock").footprint();
         WarmStats {
-            entries: self
-                .matrices
-                .lock()
-                .expect("warm cache lock")
-                .values()
-                .map(HashMap::len)
-                .sum(),
+            entries,
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            bytes,
         }
     }
 }
@@ -100,23 +75,26 @@ impl PlannerWarmCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Planner, PlannerOptions};
     use primepar_graph::ModelConfig;
+    use primepar_topology::Cluster;
 
     #[test]
     fn stats_track_lookups_and_entries() {
         let cache = PlannerWarmCache::new();
         assert_eq!(cache.stats(), WarmStats::default());
+        let cluster = Cluster::v100_like(4);
         let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
-        let sig = graph.signature_ids();
-        let edge = &graph.edges[0];
-        let key = MatrixKey::new(edge, sig[edge.src], sig[edge.dst]);
-        assert!(cache.lookup(7, &key).is_none());
-        cache.insert(7, key.clone(), Arc::new(vec![1.0, 2.0]));
-        let hit = cache.lookup(7, &key).expect("interned");
-        assert_eq!(*hit, vec![1.0, 2.0]);
-        // Same key under another scope is a distinct entry.
-        assert!(cache.lookup(8, &key).is_none());
+        let planner = Planner::new(&cluster, &graph, PlannerOptions::default());
+        let (_, cold) = planner.optimize_warm_instrumented(1, &cache);
+        let first = cache.stats();
+        assert_eq!((first.hits, first.misses), (0, cold.warm_matrix_misses));
+        assert_eq!(first.entries as u64, cold.warm_matrix_misses);
+        assert!(first.bytes > 0);
+        // A repeat run hits every plane and adds nothing.
+        let (_, warm) = planner.optimize_warm_instrumented(1, &cache);
         let s = cache.stats();
-        assert_eq!((s.entries, s.hits, s.misses), (1, 1, 2));
+        assert_eq!((s.hits, s.misses), (warm.warm_matrix_hits, first.misses));
+        assert_eq!((s.entries, s.bytes), (first.entries, first.bytes));
     }
 }

@@ -3,7 +3,7 @@
 //! Table-2 layer (OPT-6.7B, 16 devices) equals `edge_cost_matrix` over the
 //! same operator spaces, enumerated as the planner enumerates them.
 
-use primepar_cost::{edge_cost_matrix, matrix_job_ids, CostCtx, EdgeCostCache};
+use primepar_cost::{edge_cost_matrix, matrix_job_ids, CacheStats, CostCtx, EdgeCostCache};
 use primepar_graph::ModelConfig;
 use primepar_search::{Planner, PlannerOptions, SpaceCache, SpaceOptions};
 use primepar_topology::Cluster;
@@ -22,6 +22,7 @@ fn prepared_matrices_match_direct_on_the_table2_spaces_at_16_devices() {
     let sig_ids = graph.signature_ids();
     let jobs = matrix_job_ids(&graph.edges, &sig_ids);
     let mut cache = EdgeCostCache::new();
+    let mut stats = CacheStats::default();
     let mut checked = 0;
     for (e, edge) in graph.edges.iter().enumerate() {
         if jobs[..e].contains(&jobs[e]) {
@@ -31,9 +32,10 @@ fn prepared_matrices_match_direct_on_the_table2_spaces_at_16_devices() {
         let (src_seqs, dst_seqs) = (&spaces[edge.src], &spaces[edge.dst]);
         let ctx = CostCtx::new(&cluster, 0.0);
         let direct = edge_cost_matrix(&ctx, edge, src, dst, src_seqs, dst_seqs);
-        let prepared = cache
-            .prepare(edge, src, dst, src_seqs, dst_seqs)
-            .matrix(&ctx);
+        let mut prepared = cache
+            .prepare(&mut stats, edge, src, dst, src_seqs, dst_seqs)
+            .volumes(&ctx);
+        ctx.price(&mut prepared);
         assert_eq!(direct.len(), src_seqs.len() * dst_seqs.len());
         assert_eq!(direct.len(), prepared.len());
         for (i, (a, b)) in direct.iter().zip(&prepared).enumerate() {

@@ -1,16 +1,19 @@
-//! PR 5 tentpole pin: planning against a cross-run [`PlannerWarmCache`] is
-//! bitwise-identical to the cold path, warm repeats actually hit, and the
-//! cache never bleeds across scopes (different α, cluster, or space options).
+//! Planning against a cross-run [`PlannerWarmCache`] is bitwise-identical to
+//! the cold path, warm repeats actually hit, and the cache is keyed by layout
+//! alone: another `α` or a perturbed cluster of the same size reuses every
+//! volume plane, while another device count or space misses.
 
-use primepar_graph::ModelConfig;
-use primepar_search::{Planner, PlannerOptions, PlannerWarmCache, SpaceOptions};
-use primepar_topology::Cluster;
+use std::sync::Barrier;
+use std::thread;
 
-fn assert_bitwise_equal(
-    a: &primepar_search::ModelPlan,
-    b: &primepar_search::ModelPlan,
-    label: &str,
-) {
+use primepar_graph::{Graph, ModelConfig};
+use primepar_search::{
+    ModelPlan, Planner, PlannerMetrics, PlannerOptions, PlannerWarmCache, SearchStrategy,
+    SpaceOptions,
+};
+use primepar_topology::{AppliedPerturbation, Cluster, PerturbationModel};
+
+fn assert_bitwise_equal(a: &ModelPlan, b: &ModelPlan, label: &str) {
     assert_eq!(a.seqs, b.seqs, "{label}: seqs diverge");
     assert_eq!(
         a.layer_cost.to_bits(),
@@ -24,6 +27,28 @@ fn assert_bitwise_equal(
     );
 }
 
+/// `v100_like(devices)` under harsh scenario `seed`.
+fn harsh(devices: usize, seed: u64) -> Cluster {
+    let applied = AppliedPerturbation::draw(&PerturbationModel::harsh(), seed, devices);
+    Cluster::v100_like(devices).with_perturbation(applied)
+}
+
+/// Plans cold and against `warm`, asserts the two plans bitwise equal and
+/// returns the warm run's metrics.
+fn warm_matches_cold(
+    cluster: &Cluster,
+    graph: &Graph,
+    opts: PlannerOptions,
+    warm: &PlannerWarmCache,
+    label: &str,
+) -> PlannerMetrics {
+    let planner = Planner::new(cluster, graph, opts);
+    let cold = planner.optimize(4);
+    let (plan, tm) = planner.optimize_warm_instrumented(4, warm);
+    assert_bitwise_equal(&cold, &plan, label);
+    tm
+}
+
 #[test]
 fn warm_plans_are_bitwise_identical_to_cold() {
     let cluster = Cluster::v100_like(8);
@@ -33,9 +58,9 @@ fn warm_plans_are_bitwise_identical_to_cold() {
         let opts = PlannerOptions::default().with_threads(threads);
         let planner = Planner::new(&cluster, &graph, opts);
         let cold = planner.optimize(4);
-        // First warm run: nothing interned yet — every unique matrix misses.
+        // First warm run: nothing interned yet — every plane misses.
         let (first, first_tm) = planner.optimize_warm_instrumented(4, &warm);
-        // Second warm run: every unique matrix must now hit.
+        // Second warm run: every plane must now hit.
         let (second, second_tm) = planner.optimize_warm_instrumented(4, &warm);
         assert_bitwise_equal(&cold, &first, "cold vs first warm");
         assert_bitwise_equal(&cold, &second, "cold vs repeat warm");
@@ -44,11 +69,11 @@ fn warm_plans_are_bitwise_identical_to_cold() {
             assert!(first_tm.warm_matrix_misses > 0);
             assert_eq!(second_tm.warm_matrix_misses, 0);
             assert_eq!(second_tm.warm_matrix_hits, first_tm.warm_matrix_misses);
-            // Warm hits skip PreparedEdge::matrix entirely, so the Eq. 8-9
-            // evaluation counter collapses on the repeat run.
+            // Warm hits skip the sweep entirely, so the Eq. 8-9 evaluation
+            // counter collapses on the repeat run.
             assert_eq!(second_tm.edge_evaluations, 0);
         } else {
-            // threads=4 re-enters an already-warmed scope: all hits again.
+            // threads=4 re-reads an already-warmed layout: all hits again.
             assert_eq!(second_tm.warm_matrix_misses, 0);
         }
     }
@@ -58,10 +83,10 @@ fn warm_plans_are_bitwise_identical_to_cold() {
 
 #[test]
 fn aliased_jobs_hit_on_the_second_warm_run() {
-    // On the Table-2 layer several matrix jobs share one sweep (their edges
-    // read the same profiles). The first warm run computes each sweep once
-    // and interns the plane under every job's key; the second run hits on
-    // every job, aliases included, and sweeps nothing.
+    // On the Table-2 layer several matrix jobs share one volume plane
+    // (their edges read the same profiles). The warm cache holds one entry
+    // per distinct plane, not per job: the first warm run sweeps each plane
+    // once, and the second hits every plane and sweeps nothing.
     let cluster = Cluster::v100_like(16);
     let graph = ModelConfig::opt_6_7b().layer_graph(8, 2048);
     let planner = Planner::new(&cluster, &graph, PlannerOptions::default());
@@ -71,22 +96,22 @@ fn aliased_jobs_hit_on_the_second_warm_run() {
     let (second, second_tm) = planner.optimize_warm_instrumented(2, &warm);
     assert_bitwise_equal(&cold, &first, "cold vs first warm");
     assert_bitwise_equal(&cold, &second, "cold vs repeat warm");
-    assert!(first_tm.edge_matrix_aliases > 0);
+    // 14 matrix jobs, 4 of them aliases: 10 distinct planes.
+    assert_eq!(first_tm.edge_matrix_cache_misses, 14);
+    assert_eq!(first_tm.edge_matrix_aliases, 4);
+    let planes = first_tm.edge_matrix_cache_misses - first_tm.edge_matrix_aliases;
     assert_eq!(
-        first_tm.warm_matrix_misses,
-        first_tm.edge_matrix_cache_misses
+        (first_tm.warm_matrix_hits, first_tm.warm_matrix_misses),
+        (0, planes)
     );
-    assert_eq!(
-        warm.stats().entries as u64,
-        first_tm.edge_matrix_cache_misses
-    );
+    assert_eq!(warm.stats().entries as u64, planes);
     assert_eq!(second_tm.edge_matrix_aliases, first_tm.edge_matrix_aliases);
-    assert_eq!(second_tm.warm_matrix_misses, 0);
     assert_eq!(
-        second_tm.warm_matrix_hits,
-        first_tm.edge_matrix_cache_misses
+        (second_tm.warm_matrix_hits, second_tm.warm_matrix_misses),
+        (planes, 0)
     );
     assert_eq!(second_tm.edge_evaluations, 0);
+    assert_eq!(warm.stats().entries as u64, planes);
 }
 
 #[test]
@@ -100,31 +125,126 @@ fn cold_path_reports_no_warm_traffic() {
 }
 
 #[test]
-fn scopes_partition_the_cache() {
+fn layouts_partition_the_cache() {
     let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
     let warm = PlannerWarmCache::new();
     let c4 = Cluster::v100_like(4);
-    Planner::new(&c4, &graph, PlannerOptions::default()).optimize_warm(1, &warm);
-    let after_first = warm.stats().entries;
-    assert!(after_first > 0);
+    let first = warm_matches_cold(&c4, &graph, PlannerOptions::default(), &warm, "first");
+    let entries = warm.stats().entries;
+    assert!(entries > 0);
+    assert_eq!(first.warm_matrix_misses, entries as u64);
 
-    // A different α must not reuse the α=0 matrices (costs embed α).
-    let alpha_opts = PlannerOptions::default().with_alpha(1e-12);
-    let (_, tm) = Planner::new(&c4, &graph, alpha_opts).optimize_warm_instrumented(1, &warm);
-    assert_eq!(tm.warm_matrix_hits, 0, "alpha change must change scope");
-    assert!(warm.stats().entries > after_first);
+    // Neither α nor the cluster's links reach a volume: a different α and a
+    // perturbed cluster of the same size both read every plane as it is.
+    let alpha = PlannerOptions::default().with_alpha(1e-12);
+    let perturbed = harsh(4, 3);
+    for (cluster, opts, label) in [
+        (&c4, alpha, "alpha change"),
+        (&perturbed, PlannerOptions::default(), "perturbed cluster"),
+    ] {
+        let tm = warm_matches_cold(cluster, &graph, opts, &warm, label);
+        assert_eq!(tm.warm_matrix_misses, 0, "{label}");
+        assert_eq!(tm.warm_matrix_hits, first.warm_matrix_misses, "{label}");
+        assert_eq!(warm.stats().entries, entries, "{label}");
+    }
 
-    // A different cluster size likewise.
+    // Another device count is another set of sequence lists: all misses.
     let c8 = Cluster::v100_like(8);
-    let (_, tm) =
-        Planner::new(&c8, &graph, PlannerOptions::default()).optimize_warm_instrumented(1, &warm);
-    assert_eq!(tm.warm_matrix_hits, 0, "cluster change must change scope");
+    let tm = warm_matches_cold(&c8, &graph, PlannerOptions::default(), &warm, "8 devices");
+    assert_eq!(
+        tm.warm_matrix_hits, 0,
+        "device count must change the layouts"
+    );
+    assert!(warm.stats().entries > entries);
 
-    // A restricted space changes the enumeration, hence the scope.
+    // A restricted space is another enumeration: whatever it shares with
+    // the full space, its plan stays the cold one.
     let conventional = PlannerOptions::default().with_space(SpaceOptions {
         allow_temporal: false,
         ..SpaceOptions::default()
     });
-    let (_, tm) = Planner::new(&c4, &graph, conventional).optimize_warm_instrumented(1, &warm);
-    assert_eq!(tm.warm_matrix_hits, 0, "space change must change scope");
+    let tm = warm_matches_cold(&c4, &graph, conventional, &warm, "conventional space");
+    assert!(
+        tm.warm_matrix_misses > 0,
+        "space change must change the layouts"
+    );
+}
+
+#[test]
+fn perturbed_scenarios_share_one_warm_cache() {
+    // Eight harsh scenarios on one 8-device shape, planned twice over
+    // through one warm cache per strategy; every plan is the cold one bit
+    // for bit. Volumes carry no cluster, so once a layout has been planned,
+    // every plane, profile and direction of it comes from the cache. Under
+    // the exact sweep every scenario plans the same full spaces, so that
+    // holds from the second scenario on. A beam keeps each node's best
+    // states by cluster-priced probes, so a scenario whose kept sets (or
+    // anchors) no earlier scenario produced adds their layouts; from the
+    // second round on, every beam scenario is warm too.
+    let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
+    for strategy in [SearchStrategy::Exact, SearchStrategy::Beam { width: 8 }] {
+        let opts = PlannerOptions::default().with_strategy(strategy);
+        let warm = PlannerWarmCache::new();
+        let mut entries = None;
+        for (round, seed) in [1, 2]
+            .into_iter()
+            .flat_map(|r| (1..=8).map(move |s| (r, s)))
+        {
+            let cluster = harsh(8, seed);
+            let label = format!("{strategy} round {round} seed {seed}");
+            let tm = warm_matches_cold(&cluster, &graph, opts, &warm, &label);
+            let now = warm.stats().entries;
+            if round == 1 && seed == 1 {
+                assert!(tm.warm_matrix_misses > 0, "{label}");
+            }
+            let warmed = strategy == SearchStrategy::Exact || round == 2;
+            if seed == 1 && warmed {
+                entries = Some(now);
+            } else if let Some(first) = entries {
+                assert_eq!(tm.warm_matrix_misses, 0, "{label}");
+                assert!(tm.warm_matrix_hits > 0, "{label}");
+                assert_eq!(tm.profile_cache_misses, 0, "{label}");
+                assert_eq!(tm.edge_evaluations, 0, "{label}");
+                assert_eq!(now, first, "{label}: entries must stay constant");
+            }
+        }
+        assert!(entries.is_some(), "{strategy}");
+    }
+}
+
+#[test]
+fn concurrent_runs_on_different_clusters_share_one_warm_cache() {
+    // Two threads plan two different perturbed clusters of one size against
+    // one warm cache at once (a barrier starts them together): the lock is
+    // never held across a sweep, a plane sweeps once whoever reads it first,
+    // and each thread prices the shared volumes on its own cluster — both
+    // get their cold bits, on the round that fills the cache and after.
+    let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
+    let clusters = [harsh(8, 11), harsh(8, 12)];
+    let cold: Vec<ModelPlan> = clusters
+        .iter()
+        .map(|c| Planner::new(c, &graph, PlannerOptions::default()).optimize(4))
+        .collect();
+    let warm = PlannerWarmCache::new();
+    let start = Barrier::new(clusters.len());
+    for _ in 0..3 {
+        let plans: Vec<ModelPlan> = thread::scope(|scope| {
+            let handles: Vec<_> = clusters
+                .iter()
+                .map(|c| {
+                    let (graph, warm, start) = (&graph, &warm, &start);
+                    scope.spawn(move || {
+                        let planner = Planner::new(c, graph, PlannerOptions::default());
+                        start.wait();
+                        planner.optimize_warm(4, warm)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (i, (cold, warm)) in cold.iter().zip(&plans).enumerate() {
+            assert_bitwise_equal(cold, warm, &format!("thread {i}"));
+        }
+    }
+    assert!(warm.stats().hits > 0);
 }

@@ -375,10 +375,11 @@ pub struct CacheOutcome {
     pub plan_cache_evictions: u64,
     /// Approximate resident bytes of the serving cache's plan memo.
     pub plan_cache_bytes: u64,
-    /// This run's edge matrices served warm (0 on a memo hit — no planner
-    /// ran at all).
+    /// Volume planes the request's planner run found in the warm cache:
+    /// the cold plan's run on a memo miss, the decision's own run for a
+    /// replan, 0 when no planner ran.
     pub warm_matrix_hits: u64,
-    /// This run's edge matrices computed cold.
+    /// Volume planes that run had to sweep.
     pub warm_matrix_misses: u64,
     /// Plans currently interned by the serving cache.
     pub plans_interned: usize,

@@ -12,9 +12,11 @@
 //!    memory budget ([`CacheConfig::memory_budget_bytes`]).
 //! 2. **Edge-matrix warm cache** — a
 //!    [`PlannerWarmCache`](primepar_search::PlannerWarmCache) shared by
-//!    every planner run, so *similar* requests (same model/cluster/α, a
-//!    different layer count, say) reuse the expensive stage-2 DP inputs even
-//!    on a memo miss.
+//!    every planner run. Its side profiles and volume planes are keyed by
+//!    layout alone — model shape, device count and space, never the
+//!    cluster's links or α — so *similar* requests reuse the expensive
+//!    stage-2 DP inputs even on a memo miss: another layer count or α, and
+//!    every replan on a perturbed cluster of the same size.
 //! 3. **Interned clusters** — one [`Cluster`] handle per device count,
 //!    shared by `Arc`.
 //!
@@ -239,9 +241,10 @@ impl WarmCache {
         self.plans.for_each(f);
     }
 
-    fn outcome(&self, outcome: Outcome, metrics: &PlannerMetrics) -> CacheOutcome {
+    /// The response's cache fields; `warm` is the `(hits, misses)` of the
+    /// planner run the request made, if any.
+    fn outcome(&self, outcome: Outcome, warm: (u64, u64)) -> CacheOutcome {
         let stats = self.stats();
-        let planned = outcome == Outcome::Miss;
         CacheOutcome {
             plan_cache_hit: outcome == Outcome::Hit,
             coalesced: outcome == Outcome::Coalesced,
@@ -250,12 +253,8 @@ impl WarmCache {
             plan_cache_coalesced: stats.plan_coalesced,
             plan_cache_evictions: stats.plan_evictions,
             plan_cache_bytes: stats.plan_bytes,
-            warm_matrix_hits: if planned { metrics.warm_matrix_hits } else { 0 },
-            warm_matrix_misses: if planned {
-                metrics.warm_matrix_misses
-            } else {
-                0
-            },
+            warm_matrix_hits: warm.0,
+            warm_matrix_misses: warm.1,
             plans_interned: stats.plans_interned,
             clusters_interned: stats.clusters_interned,
         }
@@ -302,7 +301,7 @@ impl WarmCache {
                     plan_text: cached.plan_text.clone(),
                     metrics: cached.metrics.clone(),
                     sim,
-                    cache: self.outcome(outcome, &cached.metrics),
+                    cache: self.outcome(outcome, planned_warm(outcome, &cached.metrics)),
                     elapsed: start.elapsed(),
                 }))
             }
@@ -314,7 +313,7 @@ impl WarmCache {
                     id: req.id.clone(),
                     fingerprint: resolved.fingerprint(),
                     report,
-                    cache: self.outcome(outcome, &cached.metrics),
+                    cache: self.outcome(outcome, planned_warm(outcome, &cached.metrics)),
                     elapsed: start.elapsed(),
                 }))
             }
@@ -333,12 +332,15 @@ impl WarmCache {
                     MigrationDecision::FullReplan => 2,
                 };
                 self.replans[slot].fetch_add(1, Ordering::Relaxed);
+                // The warm counters are the decision's own planner run's, not
+                // the memoized base plan's.
+                let warm = (decision.warm_matrix_hits, decision.warm_matrix_misses);
                 Response::Replan(Box::new(ReplanResponse {
                     id: req.id.clone(),
                     fingerprint: resolved.fingerprint(),
                     decision: decision.decision,
                     outcome: decision,
-                    cache: self.outcome(outcome, &cached.metrics),
+                    cache: self.outcome(outcome, warm),
                     elapsed: start.elapsed(),
                 }))
             }
@@ -374,8 +376,8 @@ impl WarmCache {
     /// Executes a replan request: recalls (or plans) the running workload,
     /// draws the named scenario, and answers the costed
     /// [`MigrationDecision`]. The `FullReplan` candidate's planner run
-    /// shares the cache's edge-matrix warm state, so repeat decisions on the
-    /// same degraded cluster reuse the expensive stage-2 inputs.
+    /// shares the cache's edge-matrix warm state, so decisions on any
+    /// degraded cluster of a planned shape reuse its stage-2 volume planes.
     ///
     /// # Errors
     ///
@@ -453,6 +455,15 @@ impl WarmCache {
             replan_patch: self.replans[1].load(Ordering::Relaxed),
             replan_full: self.replans[2].load(Ordering::Relaxed),
         }
+    }
+}
+
+/// The warm `(hits, misses)` of the plan lookup's planner run: the cold
+/// run's on a memo miss, none on a hit or a coalesced wait.
+fn planned_warm(outcome: Outcome, metrics: &PlannerMetrics) -> (u64, u64) {
+    match outcome {
+        Outcome::Miss => (metrics.warm_matrix_hits, metrics.warm_matrix_misses),
+        _ => (0, 0),
     }
 }
 
@@ -547,7 +558,7 @@ mod tests {
     fn memo_miss_with_shared_scope_still_reuses_matrices() {
         let cache = WarmCache::new();
         cache.execute_plan(&small_request("a")).expect("plans");
-        // Different layer count → different fingerprint, same warm scope.
+        // Different layer count → different fingerprint, same layouts.
         let sibling = PlanRequest {
             layers: Some(2),
             ..small_request("b")
@@ -607,6 +618,30 @@ mod tests {
             .expect("decides");
         assert_eq!(idle.decision, MigrationDecision::Stay);
         assert_eq!(cache.stats().replan_stay, stats.replan_stay + 1);
+    }
+
+    #[test]
+    fn replan_frames_report_their_own_warm_counters() {
+        // Each decision reports its own planner run's warm counters, not the
+        // memoized base plan's. The base plan fills the warm cache with the
+        // shape's volume planes; every decision on a perturbed cluster of
+        // the same size then reads them all, whatever its seed.
+        let cache = WarmCache::new();
+        for (id, seed, base_planned) in [("r1", 5, true), ("r2", 6, false)] {
+            let req = ReplanRequest::of(small_request(id)).with_scenario("harsh", seed);
+            let resp = cache.execute_replan(&req).expect("decides");
+            assert_eq!(resp.cache.plan_cache_hit, !base_planned, "{id}");
+            let own = (
+                resp.outcome.warm_matrix_hits,
+                resp.outcome.warm_matrix_misses,
+            );
+            assert_eq!(
+                (resp.cache.warm_matrix_hits, resp.cache.warm_matrix_misses),
+                own,
+                "{id}"
+            );
+            assert!(own.0 > 0 && own.1 == 0, "{id}: {own:?}");
+        }
     }
 
     #[test]

@@ -554,6 +554,14 @@ impl ServiceObserver {
                     .with("weight", cache_stats.plan_bytes)
                     .with("shards", shards),
             )
+            .with(
+                "warm",
+                Json::obj()
+                    .with("entries", cache_stats.warm.entries as u64)
+                    .with("hits", cache_stats.warm.hits)
+                    .with("misses", cache_stats.warm.misses)
+                    .with("bytes", cache_stats.warm.bytes),
+            )
             .with("latency_us", latency_doc)
             .with(
                 "flight_recorder",
@@ -626,6 +634,7 @@ fn check_stats(doc: &Json) -> Result<(), SchemaError> {
         "cache",
         &["hits", "misses", "coalesced", "evictions", "len", "weight"],
     )?;
+    numbers(doc, "warm", &["entries", "hits", "misses", "bytes"])?;
     doc.req_items("workers", |worker| {
         worker.req::<bool>("busy")?;
         each::<f64>(worker, &["busy_us", "idle_us", "jobs"])
@@ -753,6 +762,14 @@ mod tests {
     #[test]
     fn stats_snapshot_validates_and_round_trips() {
         let cache = WarmCache::new();
+        cache
+            .execute_plan(
+                &crate::PlanRequest::builder("opt-6.7b")
+                    .devices(2)
+                    .seq(512)
+                    .build(),
+            )
+            .expect("plans");
         let obs = observer();
         let trace = obs.begin_request("t-1".into(), 1, "plan");
         obs.job_started(0);
@@ -769,6 +786,29 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
+        // The warm section reports the planner warm cache the plan filled.
+        let warm = cache.stats().warm;
+        let section = reparsed.get("warm").expect("warm section");
+        for (key, value) in [
+            ("entries", warm.entries as u64),
+            ("hits", warm.hits),
+            ("misses", warm.misses),
+            ("bytes", warm.bytes),
+        ] {
+            assert_eq!(
+                section.get(key).and_then(Json::as_u64),
+                Some(value),
+                "{key}"
+            );
+        }
+        assert!(
+            warm.entries > 0 && warm.misses > 0 && warm.bytes > 0,
+            "{warm:?}"
+        );
+        // A snapshot without it does not validate.
+        let mut stripped = reparsed.clone();
+        stripped.set("warm", Json::obj());
+        assert!(validate_stats_doc(&stripped).is_err());
     }
 
     #[test]

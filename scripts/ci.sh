@@ -213,6 +213,31 @@ done
 cmp "$artifacts/det1.events.jsonl" "$artifacts/det2.events.jsonl" \
     || { echo "logical-clock event log is not deterministic" >&2; exit 1; }
 
+echo "== warm cache smoke (replans on perturbed clusters share one shape's planes) =="
+# The planner warm cache keys volume planes by layout, never by the cluster:
+# a session answering 20 harsh replans with distinct seeds on one shape
+# (OPT-6.7B, 8 devices, seq 512) must hold exactly as many warm entries as a
+# session answering one.
+for frames in 1 20; do
+    {
+        for seed in $(seq 1 "$frames"); do
+            printf '{"schema_version":"primepar.service.v2","type":"replan","id":"w%s","model":"opt-6.7b","devices":8,"seq":512,"profile":"harsh","seed":%s}\n' \
+                "$seed" "$seed"
+        done
+        printf '{"schema_version":"primepar.service.v2","type":"shutdown"}\n'
+    } | timeout 120 ./target/release/primepar serve --workers 1 \
+        --stats-out "$artifacts/warm$frames.stats.json" >/dev/null
+done
+warm_entries() {
+    sed -n '/"warm": {/,/}/s/^ *"entries": *\([0-9]*\),*$/\1/p' "$1"
+}
+warm1="$(warm_entries "$artifacts/warm1.stats.json")"
+warm20="$(warm_entries "$artifacts/warm20.stats.json")"
+[ -n "$warm1" ] && [ "$warm1" -gt 0 ] && [ "$warm1" = "$warm20" ] \
+    || { echo "warm entries grew with scenarios: ${warm1:-missing} after 1 replan, ${warm20:-missing} after 20" >&2; exit 1; }
+echo "warm entries: $warm1 after 1 replan, $warm20 after 20"
+./target/release/primepar validate --dir "$artifacts"
+
 echo "== strategy smoke (beam(inf)==exact, anytime under deadline, determinism) =="
 # A beam wide enough to cover every interior space is a literal no-op, so its
 # plan must be byte-identical to the exact sweep on the Table-2 point; an
