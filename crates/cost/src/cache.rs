@@ -23,12 +23,12 @@
 //!   intervals are deduplicated and each device's holding ids over the whole
 //!   space are stored together (`[device][seq]`);
 //! * the overlap is a product of per-axis factors, and on each axis a side
-//!   holds only a few distinct intervals. So each direction keeps, per axis
-//!   whose factors are not all exactly `1.0`, one factor row per distinct
-//!   hold interval over the need side's unique holdings, and never a
-//!   `|need uniques| × |hold uniques|` table. Directions are interned by the
-//!   two profiles' identity and the element count, so canonical profiles
-//!   dedup them too;
+//!   holds only a few distinct intervals. So each direction of a sweep
+//!   keeps, per axis whose factors are not all exactly `1.0`, one factor row
+//!   per distinct hold interval over the need side's unique holdings, and
+//!   never a `|need uniques| × |hold uniques|` table. The sweep builds its
+//!   two directions from the plane's profiles and drops them when it ends;
+//!   the cache never holds them;
 //! * the sweep is device-major: per device and direction it builds one term
 //!   row `(V − total·overlap)⁺` per distinct holding on the hold side, from
 //!   the factor rows, and adds it into every cell that holds it — see
@@ -47,10 +47,11 @@
 //!   stacked-layer boundary), so a repeated job is not even prepared.
 //!
 //! A cache lives for one planner pass, or for the lifetime of a
-//! `PlannerWarmCache` that keeps it across runs. Either way it evicts
-//! nothing: directions and planes are keyed by profile *addresses*, which
-//! name a profile only while the cache owns every profile it built, so an
-//! address can never be reused by a different profile while a key holds it.
+//! `PlannerWarmCache` that keeps it across runs, and holds two kinds of
+//! entry: side profiles and volume planes. A plane's entry owns the four
+//! profiles its key names by address, so no key in the cache can name a
+//! profile that its own entry does not keep alive, and a prepared edge is a
+//! handle on that one entry.
 //!
 //! Everything here is *bitwise-identical* to the direct path: deduplication
 //! only reuses values that would have been recomputed from identical inputs,
@@ -62,7 +63,7 @@
 
 use std::collections::HashMap;
 use std::mem::size_of;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use primepar_graph::{Axis, Edge, Operator};
 use primepar_partition::{Dim, PartitionSeq, Phase, TensorKind};
@@ -74,27 +75,31 @@ use crate::{CostCtx, DenseIntervals};
 /// Hit/miss telemetry of one run's use of an [`EdgeCostCache`]. The run
 /// owns it and passes it to every call, so runs sharing one cache each count
 /// their own work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct CacheStats {
     /// Side-profile vectors served from the cache.
     pub profile_hits: u64,
     /// Side-profile vectors built from scratch.
     pub profile_misses: u64,
-    /// Directions (per-axis factor-row sets) served from the cache.
-    pub table_hits: u64,
-    /// Directions built from scratch.
-    pub table_misses: u64,
-    /// Volume planes already swept when the run first read them.
+    /// Distinct volume planes already swept when the run first read them.
     pub plane_hits: u64,
-    /// Volume planes the run found unswept.
+    /// Distinct volume planes the run found unswept.
     pub plane_misses: u64,
+    /// The planes the run has read. A `Weak` keeps each one's address from
+    /// being reused without keeping the plane, so pricing in place still
+    /// works once the cache drops.
+    read: Vec<Weak<PlaneEntry>>,
 }
 
 impl CacheStats {
-    /// Counts the run's first read of `edge`'s volume plane as a hit when
-    /// the cache already holds it swept, as a miss otherwise.
-    pub fn note_plane(&mut self, edge: &PreparedEdge) {
-        if edge.is_swept() {
+    /// Counts the run's first read of `entry` as a hit when the cache
+    /// already held it swept, as a miss otherwise; later reads count nothing.
+    fn note_plane(&mut self, entry: &Arc<PlaneEntry>) {
+        if self.read.iter().any(|p| p.as_ptr() == Arc::as_ptr(entry)) {
+            return;
+        }
+        self.read.push(Arc::downgrade(entry));
+        if entry.plane.get().is_some() {
             self.plane_hits += 1;
         } else {
             self.plane_misses += 1;
@@ -130,8 +135,20 @@ struct SeqList {
     temporal: bool,
 }
 
-/// A memoized volume plane: empty until the first sweep of its identity.
-type VolumePlane = Arc<OnceLock<Vec<f64>>>;
+/// One sweep identity's cache entry: the four interned side profiles the
+/// sweep reads, the edge's element count, and the volume plane, empty until
+/// the first sweep.
+#[derive(Debug)]
+struct PlaneEntry {
+    /// Forward: consumer needs (columns) against producer holds (rows).
+    produce: Arc<SideProfiles>,
+    consume: Arc<SideProfiles>,
+    /// Backward: gradient needs (rows) against gradient holds (columns).
+    g_produce: Arc<SideProfiles>,
+    g_consume: Arc<SideProfiles>,
+    total_elems: f64,
+    plane: OnceLock<Vec<f64>>,
+}
 
 fn selector_bits(selector: Option<(f64, f64)>) -> Option<(u64, u64)> {
     selector.map(|(a, b)| (a.to_bits(), b.to_bits()))
@@ -311,8 +328,8 @@ impl SideProfiles {
         h.finish()
     }
 
-    /// Whether the two vectors are bitwise equal: then every direction and
-    /// matrix built from one is bitwise the other's.
+    /// Whether the two vectors are bitwise equal: then every plane swept
+    /// from one is bitwise the other's.
     fn same_bits(&self, other: &SideProfiles) -> bool {
         self.devices == other.devices
             && self.ids == other.ids
@@ -341,31 +358,13 @@ fn dense_bits(d: &DenseIntervals) -> [u64; 2 * Axis::COUNT] {
     bits
 }
 
-/// One edge's precomputed sweep state and its cache's volume plane —
-/// `Send + Sync`, so distinct planes sweep on worker threads against one
-/// shared [`CostCtx`].
+/// A prepared edge: a handle on its cache's volume-plane entry, which every
+/// prepared edge reading the same four profiles at the same element count
+/// shares — `Send + Sync`, so distinct planes sweep on worker threads
+/// against one shared [`CostCtx`].
 #[derive(Debug, Clone)]
 pub struct PreparedEdge {
-    /// Forward: consumer needs (columns) against producer holds (rows).
-    fwd: Arc<Direction>,
-    /// Backward: gradient needs (rows) against gradient holds (columns).
-    bwd: Arc<Direction>,
-    /// The four interned side profiles whose ids the sweep reads per device.
-    produce: Arc<SideProfiles>,
-    consume: Arc<SideProfiles>,
-    g_produce: Arc<SideProfiles>,
-    g_consume: Arc<SideProfiles>,
-    /// Per-column needed volume (`V` of Eq. 9, elements) — forward.
-    vc: Vec<f64>,
-    /// Per-row needed volume — backward.
-    vg: Vec<f64>,
-    /// `|src_seqs|` — the matrix row count.
-    pub rows: usize,
-    /// `|dst_seqs|` — the matrix column count.
-    pub cols: usize,
-    /// The cache's plane for this sweep identity (the four profiles and the
-    /// element count), shared by every prepared edge that reads them.
-    plane: VolumePlane,
+    entry: Arc<PlaneEntry>,
 }
 
 impl PreparedEdge {
@@ -383,20 +382,28 @@ impl PreparedEdge {
     /// side (a beam probe's anchor) is priced along the hold side instead,
     /// the accumulator's long side. Each cell thus sums its devices in
     /// ascending order from `0.0`, as the direct path does, and a cell is
-    /// `4·(f + b)` once at the end. The entries built are counted in
+    /// `4·(f + b)` once at the end. Each direction's factor rows are built
+    /// here and dropped once it is summed. The entries built are counted in
     /// [`CostCtx::term_row_entries`], the cells in
     /// [`CostCtx::inter_evaluations`].
     pub fn volumes(&self, ctx: &CostCtx<'_>) -> Vec<f64> {
-        let (rows, cols) = (self.rows, self.cols);
+        let e = &*self.entry;
+        let (rows, cols) = (e.produce.len(), e.consume.len());
         ctx.note_inter_evals((rows * cols) as u64);
+        // One direction: the need side's per-sequence volume (`V` of Eq. 9,
+        // elements) and its factor rows against the hold side.
+        let sweep = |needs: &SideProfiles, holds: &SideProfiles, acc: &mut [f64]| {
+            let v: Vec<f64> = needs
+                .volume_fraction
+                .iter()
+                .map(|f| e.total_elems * f)
+                .collect();
+            Direction::build(e.total_elems, needs, holds).accumulate(needs, holds, &v, acc)
+        };
         let mut out = vec![0.0; rows * cols];
         let mut bwd = vec![0.0; cols * rows];
-        let built = self
-            .fwd
-            .accumulate(&self.consume, &self.produce, &self.vc, &mut out)
-            + self
-                .bwd
-                .accumulate(&self.g_consume, &self.g_produce, &self.vg, &mut bwd);
+        let built =
+            sweep(&e.consume, &e.produce, &mut out) + sweep(&e.g_consume, &e.g_produce, &mut bwd);
         ctx.note_term_row_entries(built);
         for (i, out_row) in out.chunks_exact_mut(cols).enumerate() {
             for (j, slot) in out_row.iter_mut().enumerate() {
@@ -408,31 +415,31 @@ impl PreparedEdge {
 
     /// Whether the cache already holds this edge's volume plane swept.
     pub fn is_swept(&self) -> bool {
-        self.plane.get().is_some()
+        self.entry.plane.get().is_some()
     }
 
     /// Whether the two prepared edges read one volume plane.
     pub fn shares_plane(&self, other: &PreparedEdge) -> bool {
-        Arc::ptr_eq(&self.plane, &other.plane)
+        Arc::ptr_eq(&self.entry, &other.entry)
     }
 
     /// The memoized volume plane, swept by the first read of its identity.
     /// Concurrent first reads wait for that one sweep.
     pub fn plane(&self, ctx: &CostCtx<'_>) -> &[f64] {
-        self.plane.get_or_init(|| self.volumes(ctx))
+        self.entry.plane.get_or_init(|| self.volumes(ctx))
     }
 
     /// The swept plane priced by [`CostCtx::price`]: in place when this
-    /// edge holds the plane's last reference (its cache has dropped), else
+    /// edge holds the entry's last reference (its cache has dropped), else
     /// on a copy, leaving the cache its volumes.
     ///
     /// # Panics
     ///
     /// Panics if the plane was never swept.
     pub fn into_priced(self, ctx: &CostCtx<'_>) -> Vec<f64> {
-        let mut plane = match Arc::try_unwrap(self.plane) {
-            Ok(plane) => plane.into_inner(),
-            Err(shared) => shared.get().cloned(),
+        let mut plane = match Arc::try_unwrap(self.entry) {
+            Ok(entry) => entry.plane.into_inner(),
+            Err(shared) => shared.plane.get().cloned(),
         }
         .expect("plane swept before pricing");
         ctx.price(&mut plane);
@@ -474,14 +481,6 @@ impl AxisFactors {
 }
 
 impl Direction {
-    /// Heap bytes of the factor rows.
-    fn heap_bytes(&self) -> usize {
-        self.axes
-            .iter()
-            .map(|a| size_of::<u32>() * a.hold_row.len() + size_of::<f64>() * a.rows.len())
-            .sum()
-    }
-
     fn build(total_elems: f64, needs: &SideProfiles, holds: &SideProfiles) -> Self {
         let axes = (0..Axis::COUNT)
             .filter_map(|axis| {
@@ -627,10 +626,9 @@ fn intern_axis(uniques: &[DenseIntervals], axis: usize) -> (Vec<u32>, Vec<(f64, 
     (ids, distinct)
 }
 
-/// Interning cache of sequence lists, side profiles, directions and volume
-/// planes, keyed by layout (see the module docs). A cache serves one planner
-/// pass or, shared, many runs; it holds every profile it built until it
-/// drops, so a profile's address names it for the cache's lifetime.
+/// Interning cache of sequence lists, side profiles and volume planes, keyed
+/// by layout (see the module docs). A cache serves one planner pass or,
+/// shared, many runs, and evicts nothing.
 #[derive(Debug, Default)]
 pub struct EdgeCostCache {
     /// Sequence lists by content. Addresses would not do: a freed beam
@@ -640,13 +638,10 @@ pub struct EdgeCostCache {
     /// The distinct built profiles by content hash: every key whose build
     /// came out bitwise equal to an earlier one maps to that one's `Arc`.
     by_content: HashMap<u64, Vec<Arc<SideProfiles>>>,
-    /// Directions keyed by the interned profile pair's identity plus the
-    /// edge's element count — profile interning makes `Arc` pointer
-    /// equality equivalent to bitwise profile equality within one cache.
-    directions: HashMap<(usize, usize, u64), Arc<Direction>>,
-    /// Volume planes by sweep identity: the four interned profiles'
-    /// addresses plus the element count's bits.
-    planes: HashMap<([usize; 4], u64), VolumePlane>,
+    /// Plane entries by sweep identity: the four interned profiles'
+    /// addresses, which the entry owns, plus the element count's bits.
+    /// Profile interning makes `Arc` identity bitwise profile equality.
+    planes: HashMap<([usize; 4], u64), Arc<PlaneEntry>>,
 }
 
 impl EdgeCostCache {
@@ -656,24 +651,23 @@ impl EdgeCostCache {
     }
 
     /// The swept volume planes held, and the heap bytes of everything held:
-    /// profiles, directions and swept planes (payloads only).
+    /// profiles and swept planes (payloads only).
     pub fn footprint(&self) -> (usize, u64) {
-        let swept: Vec<&Vec<f64>> = self.planes.values().filter_map(|p| p.get()).collect();
+        let swept: Vec<&Vec<f64>> = self.planes.values().filter_map(|e| e.plane.get()).collect();
         let bytes = self
             .by_content
             .values()
             .flatten()
             .map(|p| p.heap_bytes())
-            .chain(self.directions.values().map(|d| d.heap_bytes()))
             .chain(swept.iter().map(|p| size_of::<f64>() * p.len()))
             .sum::<usize>();
         (swept.len(), bytes as u64)
     }
 
-    /// Interns the four side profiles of `edge`, their two directions and
-    /// their volume plane, and returns the prepared edge. Profile builds are
-    /// shared across every side of every edge with the same layout; the
-    /// hits and misses are counted in `stats`.
+    /// Interns the four side profiles of `edge` and their plane entry, and
+    /// returns the prepared edge. Profile builds are shared across every side
+    /// of every edge with the same layout; the profile hits and misses, and
+    /// the run's first read of each plane, are counted in `stats`.
     pub fn prepare(
         &mut self,
         stats: &mut CacheStats,
@@ -754,57 +748,26 @@ impl EdgeCostCache {
             edge.selector,
             Some(&produce),
         );
-        // Forward traffic: consumer needs (varies by column) vs producer
-        // holds (varies by row). Backward: producer-side needs (rows) vs
-        // consumer-side holds (cols).
-        let volumes = |side: &SideProfiles| {
-            side.volume_fraction
-                .iter()
-                .map(|f| total_elems * f)
-                .collect()
-        };
-        let identity =
-            [&produce, &consume, &g_produce, &g_consume].map(|p| Arc::as_ptr(p) as usize);
-        PreparedEdge {
-            fwd: self.direction(stats, total_elems, &consume, &produce),
-            bwd: self.direction(stats, total_elems, &g_consume, &g_produce),
-            plane: self
-                .planes
-                .entry((identity, total_elems.to_bits()))
-                .or_default()
-                .clone(),
-            vc: volumes(&consume),
-            vg: volumes(&g_consume),
-            rows: src_seqs.len(),
-            cols: dst_seqs.len(),
-            produce,
-            consume,
-            g_produce,
-            g_consume,
-        }
-    }
-
-    /// The interned [`Direction`] of one `(needs, holds, total)` triple.
-    fn direction(
-        &mut self,
-        stats: &mut CacheStats,
-        total_elems: f64,
-        needs: &Arc<SideProfiles>,
-        holds: &Arc<SideProfiles>,
-    ) -> Arc<Direction> {
         let key = (
-            Arc::as_ptr(needs) as usize,
-            Arc::as_ptr(holds) as usize,
+            [&produce, &consume, &g_produce, &g_consume].map(|p| Arc::as_ptr(p) as usize),
             total_elems.to_bits(),
         );
-        if let Some(direction) = self.directions.get(&key) {
-            stats.table_hits += 1;
-            return direction.clone();
-        }
-        stats.table_misses += 1;
-        let built = Arc::new(Direction::build(total_elems, needs, holds));
-        self.directions.insert(key, built.clone());
-        built
+        let entry = self
+            .planes
+            .entry(key)
+            .or_insert_with(|| {
+                Arc::new(PlaneEntry {
+                    produce,
+                    consume,
+                    g_produce,
+                    g_consume,
+                    total_elems,
+                    plane: OnceLock::new(),
+                })
+            })
+            .clone();
+        stats.note_plane(&entry);
+        PreparedEdge { entry }
     }
 
     /// `seqs` interned by content.
@@ -873,8 +836,8 @@ impl EdgeCostCache {
         );
         // Two keys can still build the same bytes (a selector that no
         // holding reaches, two lists that cut the same axes in the same
-        // order): one `Arc` per distinct content lets the directions and sweeps
-        // downstream dedup them by identity too.
+        // order): one `Arc` per distinct content lets the planes downstream
+        // dedup them by identity too.
         let bucket = self.by_content.entry(built.content_hash()).or_default();
         let built = match bucket.iter().find(|p| p.same_bits(&built)) {
             Some(same) => same.clone(),
@@ -990,10 +953,10 @@ mod tests {
                     let direct = edge_cost_matrix(&direct_ctx, edge, src, dst, src_seqs, dst_seqs);
                     let prepared = cache.prepare(&mut stats, edge, src, dst, src_seqs, dst_seqs);
                     for (profile, op) in [
-                        (&prepared.produce, edge.src),
-                        (&prepared.consume, edge.dst),
-                        (&prepared.g_produce, edge.dst),
-                        (&prepared.g_consume, edge.src),
+                        (&prepared.entry.produce, edge.src),
+                        (&prepared.entry.consume, edge.dst),
+                        (&prepared.entry.g_produce, edge.dst),
+                        (&prepared.entry.g_consume, edge.src),
                     ] {
                         let sigs = readers.entry(Arc::as_ptr(profile) as usize).or_default();
                         if !sigs.contains(&sig_ids[op]) {
@@ -1031,7 +994,7 @@ mod tests {
             readers.values().any(|sigs| sigs.len() > 1),
             "some layout must be shared across operator signatures"
         );
-        assert!(stats.profile_hits > 0 && stats.table_hits > 0, "{stats:?}");
+        assert!(stats.profile_hits > 0, "{stats:?}");
     }
 
     /// Intervals `[lo, hi)` on the listed axes, `[0, 1)` elsewhere.
@@ -1102,21 +1065,25 @@ mod tests {
             let g_consume = Arc::new(synthetic_side(2, rows, devices, 40));
             let consume = Arc::new(synthetic_side(3, cols, devices, 40));
             let g_produce = Arc::new(synthetic_side(4, cols, devices, 40));
-            let volumes = |s: &SideProfiles| s.volume_fraction.iter().map(|f| total * f).collect();
-            let edge = PreparedEdge {
-                plane: VolumePlane::default(),
-                fwd: Arc::new(Direction::build(total, &consume, &produce)),
-                bwd: Arc::new(Direction::build(total, &g_consume, &g_produce)),
-                vc: volumes(&consume),
-                vg: volumes(&g_consume),
-                rows,
-                cols,
+            let entry = PlaneEntry {
                 produce,
                 consume,
                 g_produce,
                 g_consume,
+                total_elems: total,
+                plane: OnceLock::new(),
             };
-            assert_eq!(edge.fwd.axes.len(), 3);
+            let volumes = |s: &SideProfiles| -> Vec<f64> {
+                s.volume_fraction.iter().map(|f| total * f).collect()
+            };
+            let (vc, vg) = (volumes(&entry.consume), volumes(&entry.g_consume));
+            let fwd_dir = Direction::build(total, &entry.consume, &entry.produce);
+            let bwd_dir = Direction::build(total, &entry.g_consume, &entry.g_produce);
+            assert_eq!(fwd_dir.axes.len(), 3);
+            let edge = PreparedEdge {
+                entry: Arc::new(entry),
+            };
+            let e = &edge.entry;
             let ctx = CostCtx::new(&cluster, 0.0);
             let mut swept = edge.volumes(&ctx);
             ctx.price(&mut swept);
@@ -1132,14 +1099,12 @@ mod tests {
             // Each direction's sums too, before the cost model rounds them.
             let mut fwd = vec![0.0; rows * cols];
             let mut bwd = vec![0.0; cols * rows];
-            edge.fwd
-                .accumulate(&edge.consume, &edge.produce, &edge.vc, &mut fwd);
-            edge.bwd
-                .accumulate(&edge.g_consume, &edge.g_produce, &edge.vg, &mut bwd);
+            fwd_dir.accumulate(&e.consume, &e.produce, &vc, &mut fwd);
+            bwd_dir.accumulate(&e.g_consume, &e.g_produce, &vg, &mut bwd);
             for (c, got) in swept.iter().enumerate() {
                 let (i, j) = (c / cols, c % cols);
-                let f = traffic(&edge.consume, j, &edge.produce, i, edge.vc[j]);
-                let b = traffic(&edge.g_consume, i, &edge.g_produce, j, edge.vg[i]);
+                let f = traffic(&e.consume, j, &e.produce, i, vc[j]);
+                let b = traffic(&e.g_consume, i, &e.g_produce, j, vg[i]);
                 let expect = ctx.redistribution_time(4.0 * (f + b));
                 for (what, got, expect) in [
                     ("forward", fwd[c], f),
@@ -1264,8 +1229,8 @@ mod tests {
         let mut cache = EdgeCostCache::new();
         let mut stats = CacheStats::default();
         // anchor→norm1 and add1→norm2 have equal endpoint layouts and
-        // parameters: the second prepare must hit all four profile slots,
-        // both directions, and share the first one's volume plane.
+        // parameters: the second prepare must hit all four profile slots
+        // and share the first one's volume plane, which the run counts once.
         let e01 = g.edges.iter().find(|e| e.src == 0 && e.dst == 1).unwrap();
         let e78 = g.edges.iter().find(|e| e.src == 7 && e.dst == 8).unwrap();
         assert_eq!(
@@ -1277,8 +1242,8 @@ mod tests {
         let second = cache.prepare(&mut stats, e78, &g.ops[7], &g.ops[8], &seqs, &seqs);
         assert_eq!(stats.profile_misses, 4);
         assert_eq!(stats.profile_hits, 4);
-        assert_eq!(stats.table_hits, 2);
         assert!(first.shares_plane(&second));
+        assert_eq!((stats.plane_hits, stats.plane_misses), (0, 1));
         // One sweep fills the shared plane for both.
         let cluster = Cluster::v100_like(4);
         let ctx = CostCtx::new(&cluster, 0.0);

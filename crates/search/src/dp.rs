@@ -276,7 +276,7 @@ impl<'a> Planner<'a> {
     }
 
     /// [`optimize`](Planner::optimize) against a cross-run
-    /// [`PlannerWarmCache`]: side profiles, directions and volume planes an
+    /// [`PlannerWarmCache`]: side profiles and volume planes an
     /// earlier run interned under the same layout are reused instead of
     /// rebuilt, whatever that run's cluster and `α`, and fresh ones are
     /// interned for later runs. Plans are bitwise-identical to the cold path
@@ -564,7 +564,6 @@ impl<'a> Planner<'a> {
             let plane = match sweeps.iter().position(|s| s.shares_plane(&prepared)) {
                 Some(plane) => plane,
                 None => {
-                    stats.note_plane(&prepared);
                     sweeps.push(prepared);
                     sweeps.len() - 1
                 }
@@ -607,8 +606,6 @@ impl<'a> Planner<'a> {
         }
         tm.profile_cache_hits += stats.profile_hits;
         tm.profile_cache_misses += stats.profile_misses;
-        tm.direction_table_cache_hits += stats.table_hits;
-        tm.direction_table_cache_misses += stats.table_misses;
         if let Some(w) = warm {
             tm.warm_matrix_hits += stats.plane_hits;
             tm.warm_matrix_misses += stats.plane_misses;
@@ -617,8 +614,8 @@ impl<'a> Planner<'a> {
         // The pricing step: the tables take the planes over priced, one per
         // distinct plane. The pass's own cache goes first, so each plane is
         // priced in place; a warm cache keeps its volumes and the pass
-        // prices copies. The prepared edges, their directions and profiles
-        // are done with before prune and the DP allocate.
+        // prices copies. The prepared edges and their profiles are done
+        // with before prune and the DP allocate.
         drop(own);
         let planes: Vec<Arc<Vec<f64>>> = sweeps
             .into_iter()
@@ -1260,14 +1257,6 @@ mod tests {
         assert_eq!(
             single_tm.edge_matrix_cache_misses,
             multi_tm.edge_matrix_cache_misses
-        );
-        assert_eq!(
-            single_tm.direction_table_cache_hits,
-            multi_tm.direction_table_cache_hits
-        );
-        assert_eq!(
-            single_tm.direction_table_cache_misses,
-            multi_tm.direction_table_cache_misses
         );
         assert_eq!(single_tm.edge_matrix_aliases, multi_tm.edge_matrix_aliases);
         assert_eq!(single_tm.edge_terms, multi_tm.edge_terms);

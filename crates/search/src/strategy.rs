@@ -184,16 +184,14 @@ pub(crate) fn beam_kept(
     // (job id, node-is-src) → the prepared probe over the node's full space.
     let mut probes: HashMap<(usize, bool), PreparedEdge> = HashMap::new();
     let prepare = |stats: &mut CacheStats, edge: &Edge, src: &[PartitionSeq], dst| {
-        let probe = cache.lock().expect("edge cache lock").prepare(
+        cache.lock().expect("edge cache lock").prepare(
             stats,
             edge,
             &graph.ops[edge.src],
             &graph.ops[edge.dst],
             src,
             dst,
-        );
-        stats.note_plane(&probe);
-        probe
+        )
     };
     let mut kept: Vec<Option<Vec<u32>>> = vec![None; nodes];
     for n in 0..nodes {

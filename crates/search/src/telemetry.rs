@@ -92,12 +92,6 @@ pub struct PlannerMetrics {
     pub profile_cache_hits: u64,
     /// Stage 2 side-profile vectors built from scratch.
     pub profile_cache_misses: u64,
-    /// Stage 2 directions (one per need/hold profile pair and element
-    /// count: the per-axis factor rows the sweep prices from) reused across
-    /// edges.
-    pub direction_table_cache_hits: u64,
-    /// Stage 2 directions built from scratch.
-    pub direction_table_cache_misses: u64,
     /// Stage 2 whole edge matrices reused via structural keys.
     pub edge_matrix_cache_hits: u64,
     /// Stage 2 whole edge matrices prepared, one per distinct structural
@@ -107,10 +101,11 @@ pub struct PlannerMetrics {
     /// one and share its sweep and plane: `edge_matrix_cache_misses −
     /// edge_matrix_aliases` sweeps run (fewer on warm hits).
     pub edge_matrix_aliases: u64,
-    /// Distinct volume planes (stage 2's and the beam probes') a
-    /// cross-run [`PlannerWarmCache`](crate::PlannerWarmCache) already held
-    /// swept (always 0 on the cold [`optimize`](crate::Planner::optimize)
-    /// path).
+    /// Distinct volume planes (stage 2's and the beam probes', each counted
+    /// once per run) a cross-run
+    /// [`PlannerWarmCache`](crate::PlannerWarmCache) already held swept when
+    /// the run first read them (always 0 on the cold
+    /// [`optimize`](crate::Planner::optimize) path).
     pub warm_matrix_hits: u64,
     /// Distinct volume planes the warm cache did not hold swept yet (0
     /// unless running [`optimize_warm`](crate::Planner::optimize_warm)).
@@ -130,9 +125,10 @@ pub struct PlannerMetrics {
     /// Stage 2 (edge-cost matrices) wall seconds.
     pub edge_matrices_seconds: f64,
     /// The part of [`edge_matrices_seconds`](Self::edge_matrices_seconds)
-    /// spent preparing the unique matrices (side profiles and the
-    /// directions' per-axis factor rows) before the device-major sweep; the
-    /// rest is the sweep itself.
+    /// spent preparing the unique matrices (interning their side profiles
+    /// and plane entries) before the device-major sweep; the rest is the
+    /// sweep, which builds each direction's per-axis factor rows itself,
+    /// and the pricing step.
     pub edge_prepare_seconds: f64,
     /// Stage 3 (per-segment Bellman sweeps) wall seconds.
     pub segment_dp_seconds: f64,
@@ -252,14 +248,6 @@ impl PlannerMetrics {
         m.incr("planner.cache.profile.hits", self.profile_cache_hits);
         m.incr("planner.cache.profile.misses", self.profile_cache_misses);
         m.incr(
-            "planner.cache.direction_table.hits",
-            self.direction_table_cache_hits,
-        );
-        m.incr(
-            "planner.cache.direction_table.misses",
-            self.direction_table_cache_misses,
-        );
-        m.incr(
             "planner.cache.edge_matrix.hits",
             self.edge_matrix_cache_hits,
         );
@@ -338,8 +326,6 @@ mod tests {
             space_cache_misses: 2,
             profile_cache_hits: 4,
             profile_cache_misses: 8,
-            direction_table_cache_hits: 6,
-            direction_table_cache_misses: 10,
             edge_matrix_cache_hits: 5,
             edge_matrix_cache_misses: 12,
             edge_matrix_aliases: 2,
@@ -405,8 +391,6 @@ mod tests {
         assert_eq!(m.gauge_value("planner.unique_signatures"), Some(2.0));
         assert_eq!(m.counter("planner.cache.space.hits"), 3);
         assert_eq!(m.counter("planner.cache.profile.misses"), 8);
-        assert_eq!(m.counter("planner.cache.direction_table.hits"), 6);
-        assert_eq!(m.counter("planner.cache.direction_table.misses"), 10);
         assert_eq!(m.counter("planner.cache.edge_matrix.hits"), 5);
         assert_eq!(m.counter("planner.cache.edge_matrix.aliased"), 2);
         assert_eq!(m.counter("planner.cache.warm_matrix.hits"), 9);

@@ -2,9 +2,9 @@
 //!
 //! A [`PlannerWarmCache`] is one [`EdgeCostCache`] kept alive across
 //! [`Planner`](crate::Planner) runs: the same layout-keyed cache a cold pass
-//! builds for itself and drops. Its sequence lists, side profiles,
-//! directions and volume planes are keyed by what their bytes depend on —
-//! operators, sequences, device bits — and never by the cluster or `α`,
+//! builds for itself and drops. Its sequence lists, side profiles and
+//! volume planes are keyed by what their bytes depend on — operators,
+//! sequences, device bits — and never by the cluster or `α`,
 //! which only the per-run pricing step ([`CostCtx::price`]) reads. So a run
 //! on a perturbed cluster of the same size, or under another `α`, reuses
 //! every plane an earlier run swept, and a different device count, a
@@ -15,9 +15,11 @@
 //! pinned by `tests/warm_equivalence.rs`.
 //!
 //! The cache is `Sync`. Runs lock it only to prepare an edge — intern its
-//! profiles, directions and plane — never across a sweep or a pricing step;
-//! a plane sweeps once however many runs wait for it. Nothing is evicted
-//! (see [`EdgeCostCache`] for why addresses must stay owned).
+//! profiles and plane entry — never across a sweep or a pricing step; a
+//! plane sweeps once however many runs wait for it. It holds profiles and
+//! planes only: each plane entry owns the four profiles its key names, and
+//! a sweep's factor rows live only as long as the sweep, outside the lock.
+//! Nothing is evicted.
 //!
 //! [`CostCtx::price`]: primepar_cost::CostCtx::price
 
@@ -35,7 +37,8 @@ pub struct WarmStats {
     pub hits: u64,
     /// Planes warm runs found unswept, summed over runs.
     pub misses: u64,
-    /// Heap bytes of the held profiles, directions and planes.
+    /// Heap bytes of the held side profiles and swept volume planes
+    /// (payloads only).
     pub bytes: u64,
 }
 

@@ -115,6 +115,33 @@ fn aliased_jobs_hit_on_the_second_warm_run() {
 }
 
 #[test]
+fn beam_runs_count_each_plane_once() {
+    // A beam pass reads some planes twice: a probe another probe of the
+    // same pass already swept, or a stage-2 plane a probe swept. Each
+    // distinct plane counts once per run, as a hit only when an earlier run
+    // swept it, so a fresh cache's first run is all misses, one per entry.
+    let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
+    let opts = PlannerOptions::default().with_strategy(SearchStrategy::Beam { width: 8 });
+    for devices in [4, 8] {
+        let cluster = Cluster::v100_like(devices);
+        let warm = PlannerWarmCache::new();
+        let first = warm_matches_cold(&cluster, &graph, opts, &warm, "first beam run");
+        assert_eq!(first.warm_matrix_hits, 0, "{devices} devices");
+        assert_eq!(
+            first.warm_matrix_misses,
+            warm.stats().entries as u64,
+            "{devices} devices"
+        );
+        let second = warm_matches_cold(&cluster, &graph, opts, &warm, "repeat beam run");
+        assert_eq!(second.warm_matrix_misses, 0, "{devices} devices");
+        assert_eq!(
+            second.warm_matrix_hits, first.warm_matrix_misses,
+            "{devices} devices"
+        );
+    }
+}
+
+#[test]
 fn cold_path_reports_no_warm_traffic() {
     let cluster = Cluster::v100_like(4);
     let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);

@@ -216,8 +216,12 @@ cmp "$artifacts/det1.events.jsonl" "$artifacts/det2.events.jsonl" \
 echo "== warm cache smoke (replans on perturbed clusters share one shape's planes) =="
 # The planner warm cache keys volume planes by layout, never by the cluster:
 # a session answering 20 harsh replans with distinct seeds on one shape
-# (OPT-6.7B, 8 devices, seq 512) must hold exactly as many warm entries as a
-# session answering one.
+# (OPT-6.7B, 8 devices, seq 512) must hold exactly as many warm entries and
+# warm bytes as a session answering one. The cache holds only side profiles
+# and volume planes; the bytes ceiling is its reading on this shape when the
+# sweep-local factor rows left the cache (376,288 bytes, down from 864,224),
+# so a tier that creeps back into the warm cache trips it.
+warm_bytes_ceiling=376288
 for frames in 1 20; do
     {
         for seed in $(seq 1 "$frames"); do
@@ -228,14 +232,21 @@ for frames in 1 20; do
     } | timeout 120 ./target/release/primepar serve --workers 1 \
         --stats-out "$artifacts/warm$frames.stats.json" >/dev/null
 done
-warm_entries() {
-    sed -n '/"warm": {/,/}/s/^ *"entries": *\([0-9]*\),*$/\1/p' "$1"
+warm_field() {
+    sed -n "/\"warm\": {/,/}/s/^ *\"$2\": *\([0-9]*\),*\$/\1/p" "$1"
 }
-warm1="$(warm_entries "$artifacts/warm1.stats.json")"
-warm20="$(warm_entries "$artifacts/warm20.stats.json")"
+warm1="$(warm_field "$artifacts/warm1.stats.json" entries)"
+warm20="$(warm_field "$artifacts/warm20.stats.json" entries)"
 [ -n "$warm1" ] && [ "$warm1" -gt 0 ] && [ "$warm1" = "$warm20" ] \
     || { echo "warm entries grew with scenarios: ${warm1:-missing} after 1 replan, ${warm20:-missing} after 20" >&2; exit 1; }
 echo "warm entries: $warm1 after 1 replan, $warm20 after 20"
+bytes1="$(warm_field "$artifacts/warm1.stats.json" bytes)"
+bytes20="$(warm_field "$artifacts/warm20.stats.json" bytes)"
+[ -n "$bytes1" ] && [ "$bytes1" = "$bytes20" ] \
+    || { echo "warm bytes grew with scenarios: ${bytes1:-missing} after 1 replan, ${bytes20:-missing} after 20" >&2; exit 1; }
+[ "$bytes1" -le "$warm_bytes_ceiling" ] \
+    || { echo "warm bytes $bytes1 exceed the ceiling $warm_bytes_ceiling" >&2; exit 1; }
+echo "warm bytes: $bytes1 after 1 replan, $bytes20 after 20 (ceiling $warm_bytes_ceiling)"
 ./target/release/primepar validate --dir "$artifacts"
 
 echo "== strategy smoke (beam(inf)==exact, anytime under deadline, determinism) =="
