@@ -1,9 +1,9 @@
 //! Structural memoization of the inter-operator cost model (Eqs. 8–9).
 //!
-//! [`edge_cost_matrix`](crate::edge_cost_matrix) rebuilds each endpoint's
-//! boundary profiles from scratch per edge and evaluates every `(row, col)`
-//! cell as a per-device product of eight axis-interval intersections. Both
-//! are heavily redundant on a real transformer graph:
+//! The reference [`edge_cost_matrix`](crate::edge_cost_matrix) rebuilds
+//! each side's holdings from scratch per sequence and evaluates every `(row,
+//! col)` cell as a per-device product of eight axis-interval intersections.
+//! Both are heavily redundant on a real transformer graph:
 //!
 //! * a side's profile vector depends on its *layout* alone, not on the
 //!   operator that holds it: the sequence list, the side's ordered
@@ -69,7 +69,7 @@ use primepar_graph::{Axis, Edge, Operator};
 use primepar_partition::{Dim, PartitionSeq, Phase, TensorKind};
 use primepar_topology::DeviceSpace;
 
-use crate::inter::{profile_dedup_into, renamed, side_dims, ShapeMemo, Side};
+use crate::inter::{renamed, EdgeSide, EdgeSides, ShapeMemo, Side};
 use crate::{CostCtx, DenseIntervals};
 
 /// Hit/miss telemetry of one run's use of an [`EdgeCostCache`]. The run
@@ -199,7 +199,7 @@ pub struct SideProfiles {
 }
 
 impl SideProfiles {
-    /// Builds and deduplicates the holdings of every sequence on one side.
+    /// Builds and deduplicates the holdings of every sequence on `side`.
     ///
     /// `base` is an already-built profile vector over the *same* layout —
     /// sequence list, dimensions, renames and selector — in another phase or
@@ -208,16 +208,10 @@ impl SideProfiles {
     /// Sequences without temporal primitives have phase- and step-invariant
     /// DSIs, so their rows are copied from `base` instead of rebuilt; only
     /// temporal sequences are profiled from scratch.
-    #[allow(clippy::too_many_arguments)]
     fn build(
-        op: &Operator,
+        side: &EdgeSide,
         seqs: &[PartitionSeq],
         space: DeviceSpace,
-        kind: TensorKind,
-        phase: Phase,
-        side: Side,
-        renames: &[(Axis, Axis)],
-        selector: Option<(f64, f64)>,
         base: Option<&SideProfiles>,
     ) -> Self {
         let devices = space.devices().count();
@@ -246,23 +240,16 @@ impl SideProfiles {
                 }
                 continue;
             }
-            // `profile_dedup_into` computes each distinct DSI-tuple holding
+            // `profile_dedup_into` builds each distinct DSI-tuple holding
             // once per slice shape across the whole sequence list; only
-            // those few are densified, hashed and interned here.
-            let vf = profile_dedup_into(
-                op,
+            // those few are hashed and interned here.
+            let vf = side.profile_dedup_into(
                 seq,
                 space,
-                kind,
-                phase,
-                side,
-                renames,
-                selector,
                 &mut memo,
                 &mut |holding| {
-                    let dense = holding.to_dense();
-                    *by_bits.entry(dense_bits(&dense)).or_insert_with(|| {
-                        uniques.push(dense);
+                    *by_bits.entry(dense_bits(&holding)).or_insert_with(|| {
+                        uniques.push(holding);
                         (uniques.len() - 1) as u32
                     })
                 },
@@ -677,80 +664,29 @@ impl EdgeCostCache {
         src_seqs: &[PartitionSeq],
         dst_seqs: &[PartitionSeq],
     ) -> PreparedEdge {
-        let space = DeviceSpace::new(src_seqs[0].bits());
-        assert_eq!(
-            src_seqs[0].bits(),
-            dst_seqs[0].bits(),
-            "both operators span the same devices"
-        );
+        let sides = EdgeSides::new(edge, src_op, dst_op, src_seqs[0].bits(), dst_seqs[0].bits());
         let (src_list, dst_list) = (self.list(src_seqs), self.list(dst_seqs));
-        let total_elems: f64 = side_dims(dst_op, edge.dst_kind)
-            .iter()
-            .map(|&d| dst_op.extent(d).max(1) as f64)
-            .product();
-        let grad_kind = match edge.dst_kind {
-            TensorKind::Weight => TensorKind::GradWeight,
-            _ => TensorKind::GradInput,
-        };
-        let grad_phase = match grad_kind {
-            TensorKind::GradWeight => Phase::Gradient,
-            _ => Phase::Backward,
-        };
-        let produce = self.side(
-            stats,
-            src_op,
-            src_seqs,
-            src_list,
-            space,
-            TensorKind::Output,
-            Phase::Forward,
-            Side::Produce,
-            &[],
-            edge.selector,
-            None,
-        );
-        let consume = self.side(
-            stats,
-            dst_op,
-            dst_seqs,
-            dst_list,
-            space,
-            edge.dst_kind,
-            Phase::Forward,
-            Side::Consume,
-            &edge.renames,
-            None,
-            None,
-        );
+        let produce = self.side(stats, &sides.produce, src_seqs, src_list, sides.space, None);
+        let consume = self.side(stats, &sides.consume, dst_seqs, dst_list, sides.space, None);
         let g_produce = self.side(
             stats,
-            dst_op,
+            &sides.g_produce,
             dst_seqs,
             dst_list,
-            space,
-            grad_kind,
-            grad_phase,
-            Side::Produce,
-            &edge.renames,
-            None,
+            sides.space,
             Some(&consume),
         );
         let g_consume = self.side(
             stats,
-            src_op,
+            &sides.g_consume,
             src_seqs,
             src_list,
-            space,
-            TensorKind::GradOutput,
-            Phase::Backward,
-            Side::Consume,
-            &[],
-            edge.selector,
+            sides.space,
             Some(&produce),
         );
         let key = (
             [&produce, &consume, &g_produce, &g_consume].map(|p| Arc::as_ptr(p) as usize),
-            total_elems.to_bits(),
+            sides.total_elems.to_bits(),
         );
         let entry = self
             .planes
@@ -761,7 +697,7 @@ impl EdgeCostCache {
                     consume,
                     g_produce,
                     g_consume,
-                    total_elems,
+                    total_elems: sides.total_elems,
                     plane: OnceLock::new(),
                 })
             })
@@ -783,31 +719,27 @@ impl EdgeCostCache {
         list
     }
 
-    /// The interned profile vector of one side. `base`, when given, is a
-    /// profile over the same layout in another phase or step side (the
-    /// forward twin of a backward side), whose non-temporal rows a fresh
-    /// build copies.
-    #[allow(clippy::too_many_arguments)]
+    /// The interned profile vector of `side` over `seqs`. `base`, when
+    /// given, is a profile over the same layout in another phase or step
+    /// side (the forward twin of a backward side), whose non-temporal rows a
+    /// fresh build copies.
     fn side(
         &mut self,
         stats: &mut CacheStats,
-        op: &Operator,
+        side: &EdgeSide,
         seqs: &[PartitionSeq],
         list: SeqList,
         space: DeviceSpace,
-        kind: TensorKind,
-        phase: Phase,
-        side: Side,
-        renames: &[(Axis, Axis)],
-        selector: Option<(f64, f64)>,
         base: Option<&Arc<SideProfiles>>,
     ) -> Arc<SideProfiles> {
-        let dims = side_dims(op, kind)
-            .into_iter()
-            .map(|d| {
+        let op = side.op;
+        let dims = side
+            .dims
+            .iter()
+            .map(|&d| {
                 let axes = op.axes[d.index()]
                     .iter()
-                    .map(|&(axis, n)| (renamed(renames, axis), n))
+                    .map(|&(axis, n)| (renamed(side.renames, axis), n))
                     .collect();
                 (d, op.extent(d), axes)
             })
@@ -815,25 +747,15 @@ impl EdgeCostCache {
         let key = ProfileKey {
             seqs: list.id,
             dims,
-            selector: selector_bits(selector),
-            steps: list.temporal.then_some((phase, side)),
+            selector: selector_bits(side.selector),
+            steps: list.temporal.then_some((side.phase, side.side)),
         };
         if let Some(cached) = self.profiles.get(&key) {
             stats.profile_hits += 1;
             return cached.clone();
         }
         stats.profile_misses += 1;
-        let built = SideProfiles::build(
-            op,
-            seqs,
-            space,
-            kind,
-            phase,
-            side,
-            renames,
-            selector,
-            base.map(Arc::as_ref),
-        );
+        let built = SideProfiles::build(side, seqs, space, base.map(Arc::as_ref));
         // Two keys can still build the same bytes (a selector that no
         // holding reaches, two lists that cut the same axes in the same
         // order): one `Arc` per distinct content lets the planes downstream
@@ -1282,19 +1204,15 @@ mod tests {
                     op: &Operator,
                     renames: &[(Axis, Axis)],
                     selector| {
-            cache.side(
-                stats,
+            let side = EdgeSide::new(
                 op,
-                &seqs,
-                list,
-                DeviceSpace::new(2),
                 TensorKind::Output,
                 Phase::Forward,
                 Side::Produce,
                 renames,
                 selector,
-                None,
-            )
+            );
+            cache.side(stats, &side, &seqs, list, DeviceSpace::new(2), None)
         };
         let builds =
             |(_, stats): &(EdgeCostCache, CacheStats)| (stats.profile_misses, stats.profile_hits);
@@ -1345,17 +1263,15 @@ mod tests {
         let g = ModelConfig::opt_6_7b().layer_graph(8, 512);
         let seqs = seqs_for(2);
         let space = DeviceSpace::new(2);
-        let side = SideProfiles::build(
+        let fc1 = EdgeSide::new(
             &g.ops[9],
-            &seqs,
-            space,
             TensorKind::Output,
             Phase::Forward,
             Side::Produce,
             &[],
             None,
-            None,
         );
+        let side = SideProfiles::build(&fc1, &seqs, space, None);
         assert_eq!(side.len(), seqs.len());
         assert!(
             side.unique_holdings() < seqs.len() * 4 / 2,

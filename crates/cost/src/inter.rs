@@ -7,12 +7,17 @@
 //! and the consumer's first, per Eq. 8) projects onto axis intervals, and the
 //! per-device overlap is the product of interval intersections (Eq. 9's
 //! `∏_X |S¹_X ∩ S²_X|`).
+//!
+//! One model serves every caller: `EdgeSides` names an edge's four sides,
+//! `EdgeSide::holding` builds every per-device holding, and `traffic` is the
+//! direct reduction. The planner's cache, the simulator's plan volumes, the
+//! reference [`edge_cost_matrix`] and the migration prices all read them.
 
 use primepar_graph::{Axis, Edge, Graph, Operator};
 use primepar_partition::{Dim, PartitionSeq, Phase, TensorKind};
 use primepar_topology::DeviceSpace;
 
-use crate::{AxisIntervals, CostCtx};
+use crate::{CostCtx, DenseIntervals};
 
 /// Which side of the edge a profile describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,37 +28,6 @@ pub(crate) enum Side {
     Consume,
 }
 
-/// Per-device axis holdings of one endpoint of an edge, precomputed so the
-/// dynamic-programming optimizer can evaluate `e(p_i, p_j)` for all partition
-/// pairs cheaply.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoundaryProfile {
-    holdings: Vec<AxisIntervals>,
-    volume_fraction: f64,
-}
-
-impl BoundaryProfile {
-    /// Fraction of the edge tensor one device's block covers.
-    pub fn volume_fraction(&self) -> f64 {
-        self.volume_fraction
-    }
-
-    /// Per-device holdings.
-    pub fn holdings(&self) -> &[AxisIntervals] {
-        &self.holdings
-    }
-}
-
-/// The dimensions an operator exposes on an edge for the given operand role.
-pub(crate) fn side_dims(op: &Operator, kind: TensorKind) -> Vec<Dim> {
-    if op.is_matmul_like() {
-        kind.dims(op.weight_has_batch()).to_vec()
-    } else {
-        // Point-wise operators pass activations through: input ≡ output dims.
-        vec![Dim::B, Dim::M, Dim::K]
-    }
-}
-
 /// `axis` after the edge's destination-side `renames`.
 pub(crate) fn renamed(renames: &[(Axis, Axis)], axis: Axis) -> Axis {
     renames
@@ -62,64 +36,154 @@ pub(crate) fn renamed(renames: &[(Axis, Axis)], axis: Axis) -> Axis {
         .map_or(axis, |&(_, to)| to)
 }
 
-/// Builds the per-device holdings of one endpoint.
-///
-/// * `kind` — the tensor role on this operator (`Output`/`GradOutput` on the
-///   producer side, the edge's `dst_kind` or its gradient on the consumer).
-/// * `phase`/`side` — which DSIs apply (Eq. 8 uses the producer's last step
-///   and the consumer's step 0).
-/// * `renames` — destination-side axis renames from the edge.
-/// * `selector` — source-side `Qkv` sub-range from the edge.
-pub(crate) fn profile(
-    op: &Operator,
-    seq: &PartitionSeq,
-    space: DeviceSpace,
-    kind: TensorKind,
-    phase: Phase,
-    side: Side,
-    renames: &[(Axis, Axis)],
-    selector: Option<(f64, f64)>,
-) -> BoundaryProfile {
-    let t = match side {
-        Side::Produce => seq.temporal_steps() - 1,
-        Side::Consume => 0,
-    };
-    let dims = side_dims(op, kind);
-    let rename = |a| renamed(renames, a);
-    let mut volume_fraction = 1.0;
-    for &dim in &dims {
-        let extent = op.extent(dim).max(1) as f64;
-        let slices = seq.num_slices(dim) as f64;
-        volume_fraction /= slices.min(extent);
+/// One side of an edge: one operator's tensor in one role, read at one DSI
+/// phase and temporal step, with the edge's renames and selector applied.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EdgeSide<'a> {
+    pub(crate) op: &'a Operator,
+    /// The tensor's dimensions on `op`, in order.
+    pub(crate) dims: &'static [Dim],
+    pub(crate) phase: Phase,
+    pub(crate) side: Side,
+    /// Destination-side axis renames from the edge.
+    pub(crate) renames: &'a [(Axis, Axis)],
+    /// Source-side `Qkv` sub-range from the edge.
+    pub(crate) selector: Option<(f64, f64)>,
+}
+
+impl<'a> EdgeSide<'a> {
+    /// The side of `op`'s tensor `kind`. Point-wise operators pass
+    /// activations through, so every role of theirs has the output's dims.
+    pub(crate) fn new(
+        op: &'a Operator,
+        kind: TensorKind,
+        phase: Phase,
+        side: Side,
+        renames: &'a [(Axis, Axis)],
+        selector: Option<(f64, f64)>,
+    ) -> Self {
+        let dims: &'static [Dim] = if op.is_matmul_like() {
+            kind.dims(op.weight_has_batch())
+        } else {
+            &[Dim::B, Dim::M, Dim::K]
+        };
+        assert!(dims.len() <= 4, "DSI tuple key holds at most four dims");
+        EdgeSide {
+            op,
+            dims,
+            phase,
+            side,
+            renames,
+            selector,
+        }
     }
-    let holdings = space
-        .devices()
-        .map(|device| {
-            let mut iv = AxisIntervals::full();
-            let mut alive = true;
-            for &dim in &dims {
-                let slices = seq.num_slices(dim);
-                let idx = seq.dsi(space, phase, dim, device, t);
-                let lo = idx as f64 / slices as f64;
-                let hi = (idx + 1) as f64 / slices as f64;
-                iv.project(&op.axes[dim.index()], lo, hi, rename);
+
+    /// The DSI step Eq. 8 reads under `seq`: a producer's last temporal
+    /// step, a consumer's step 0.
+    fn step(&self, seq: &PartitionSeq) -> usize {
+        match self.side {
+            Side::Produce => seq.temporal_steps() - 1,
+            Side::Consume => 0,
+        }
+    }
+
+    /// Each dimension's slice count under `seq` (trailing slots 0), and the
+    /// fraction of the tensor one block covers (Eq. 9's `V`, as a fraction).
+    fn slicing(&self, seq: &PartitionSeq) -> ([usize; 4], f64) {
+        let mut slices = [0usize; 4];
+        let mut volume_fraction = 1.0;
+        for (slot, &dim) in slices.iter_mut().zip(self.dims) {
+            let extent = self.op.extent(dim).max(1) as f64;
+            *slot = seq.num_slices(dim);
+            volume_fraction /= (*slot as f64).min(extent);
+        }
+        (slices, volume_fraction)
+    }
+
+    /// The one holding builder: the per-dimension `(slice count, DSI index)`
+    /// pairs projected onto the renamed axes, then scoped by the selector. A
+    /// holding that misses the selected sub-tensor holds nothing: full on
+    /// every axis but `Qkv`, which is `(0, 0)`.
+    fn holding(&self, slices: &[usize; 4], idxs: &[usize; 4]) -> DenseIntervals {
+        let mut iv = DenseIntervals::FULL;
+        for ((&dim, &slices), &idx) in self.dims.iter().zip(slices).zip(idxs) {
+            let lo = idx as f64 / slices as f64;
+            let hi = (idx + 1) as f64 / slices as f64;
+            iv.project(&self.op.axes[dim.index()], lo, hi, |a| {
+                renamed(self.renames, a)
+            });
+        }
+        if let Some((s0, s1)) = self.selector {
+            if !iv.select(Axis::Qkv, s0, s1) {
+                iv = DenseIntervals::FULL;
+                iv.narrow(Axis::Qkv, 0.0, 0.0);
             }
-            if let Some((s0, s1)) = selector {
-                alive = iv.select(Axis::Qkv, s0, s1);
+        }
+        iv
+    }
+
+    /// The direct builder: the block volume fraction and every device's
+    /// holding under `seq`, one [`PartitionSeq::dsi`] per dimension and
+    /// device.
+    pub(crate) fn profile(
+        &self,
+        seq: &PartitionSeq,
+        space: DeviceSpace,
+    ) -> (f64, Vec<DenseIntervals>) {
+        let (slices, volume_fraction) = self.slicing(seq);
+        let t = self.step(seq);
+        let holdings = space
+            .devices()
+            .map(|device| {
+                let mut idxs = [0usize; 4];
+                for (idx, &dim) in idxs.iter_mut().zip(self.dims) {
+                    *idx = seq.dsi(space, self.phase, dim, device, t);
+                }
+                self.holding(&slices, &idxs)
+            })
+            .collect();
+        (volume_fraction, holdings)
+    }
+
+    /// The DSI-program builder: [`profile`](Self::profile) with
+    /// deduplication, appending per-device interned ids to `ids` (one per
+    /// device, in device order) and returning the block volume fraction.
+    /// Devices whose DSI index tuples coincide hold bitwise-identical
+    /// intervals, so each distinct tuple is built once: the compiled
+    /// [`DsiProgram`](primepar_partition::DsiProgram) names the device-index
+    /// bits the tuple can depend on, tuples are evaluated once per distinct
+    /// *masked* index (every submask of the mask), resolved through `memo`,
+    /// and fanned out to the full device list by a mask-and-lookup — the hot
+    /// loop of whole-space profile builds. `intern` maps a freshly built
+    /// holding to the caller's unique id.
+    pub(crate) fn profile_dedup_into(
+        &self,
+        seq: &PartitionSeq,
+        space: DeviceSpace,
+        memo: &mut ShapeMemo,
+        intern: &mut dyn FnMut(DenseIntervals) -> u32,
+        ids: &mut Vec<u32>,
+    ) -> f64 {
+        let (slices, volume_fraction) = self.slicing(seq);
+        let next_shape = memo.shapes.len() as u32;
+        let shape = *memo.shapes.entry(slices).or_insert(next_shape);
+        let prog = seq.dsi_program(space, self.phase, self.dims, self.step(seq));
+        let mask = prog.relevant_mask();
+        let mut id_of_masked = vec![u32::MAX; space.num_devices()];
+        let mut sub = mask;
+        loop {
+            let idxs = prog.keys(sub);
+            id_of_masked[sub] = *memo
+                .of_tuple
+                .entry((shape, idxs))
+                .or_insert_with(|| intern(self.holding(&slices, &idxs)));
+            if sub == 0 {
+                break;
             }
-            if alive {
-                iv
-            } else {
-                // Holds nothing of the selected sub-tensor.
-                let mut empty = AxisIntervals::full();
-                empty.narrow(Axis::Qkv, 0.0, 0.0);
-                empty
-            }
-        })
-        .collect();
-    BoundaryProfile {
-        holdings,
-        volume_fraction,
+            sub = (sub - 1) & mask;
+        }
+        ids.extend((0..space.num_devices()).map(|d| id_of_masked[d & mask]));
+        volume_fraction
     }
 }
 
@@ -129,7 +193,7 @@ pub(crate) fn profile(
 /// sequences that cut a dimension into the same number of slices share every
 /// holding, no matter how their primitives are ordered. The memo maps
 /// `(slice-shape id, DSI tuple) → interned unique id`, so repeat tuples
-/// across sequences skip interval construction and densification entirely.
+/// across sequences skip interval construction entirely.
 #[derive(Debug, Default)]
 pub(crate) struct ShapeMemo {
     /// Per-dimension slice counts → dense shape id.
@@ -144,82 +208,109 @@ impl ShapeMemo {
     }
 }
 
-/// [`profile`] with deduplication, appending per-device interned ids to
-/// `ids` (one per device, in device order) and returning the side's volume
-/// fraction. Devices whose DSI index tuples coincide hold bitwise-identical
-/// axis intervals (the projection depends on the sequence and the
-/// per-dimension slice indices only), so each distinct tuple is computed
-/// once: the compiled [`DsiProgram`](primepar_partition::DsiProgram) names
-/// the device-index bits the tuple can depend on, tuples are evaluated once
-/// per distinct *masked* index (every submask of the mask), resolved
-/// through `memo`, and fanned out to the full device list by a
-/// mask-and-lookup — the hot loop of whole-space profile builds. `intern`
-/// maps a freshly built holding to the caller's unique id.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn profile_dedup_into(
-    op: &Operator,
-    seq: &PartitionSeq,
-    space: DeviceSpace,
-    kind: TensorKind,
-    phase: Phase,
-    side: Side,
-    renames: &[(Axis, Axis)],
-    selector: Option<(f64, f64)>,
-    memo: &mut ShapeMemo,
-    intern: &mut dyn FnMut(AxisIntervals) -> u32,
-    ids: &mut Vec<u32>,
-) -> f64 {
-    let t = match side {
-        Side::Produce => seq.temporal_steps() - 1,
-        Side::Consume => 0,
-    };
-    let dims = side_dims(op, kind);
-    let rename = |a| renamed(renames, a);
-    let mut volume_fraction = 1.0;
-    let mut slices4 = [0usize; 4];
-    for (slot, &dim) in slices4.iter_mut().zip(&dims) {
-        let extent = op.extent(dim).max(1) as f64;
-        let slices = seq.num_slices(dim);
-        *slot = slices;
-        volume_fraction /= (slices as f64).min(extent);
-    }
-    assert!(dims.len() <= 4, "DSI tuple key holds at most four dims");
-    let next_shape = memo.shapes.len() as u32;
-    let shape = *memo.shapes.entry(slices4).or_insert(next_shape);
-    let prog = seq.dsi_program(space, phase, &dims, t);
-    let mask = prog.relevant_mask();
-    let mut id_of_masked = vec![u32::MAX; space.num_devices()];
-    let mut sub = mask;
-    loop {
-        let idxs = prog.keys(sub);
-        id_of_masked[sub] = *memo.of_tuple.entry((shape, idxs)).or_insert_with(|| {
-            let mut iv = AxisIntervals::full();
-            let mut alive = true;
-            for ((&idx, &slices), &dim) in idxs.iter().zip(&slices4).zip(&dims) {
-                let lo = idx as f64 / slices as f64;
-                let hi = (idx + 1) as f64 / slices as f64;
-                iv.project(&op.axes[dim.index()], lo, hi, rename);
-            }
-            if let Some((s0, s1)) = selector {
-                alive = iv.select(Axis::Qkv, s0, s1);
-            }
-            let holding = if alive {
-                iv
-            } else {
-                // Holds nothing of the selected sub-tensor.
-                let mut empty = AxisIntervals::full();
-                empty.narrow(Axis::Qkv, 0.0, 0.0);
-                empty
-            };
-            intern(holding)
-        });
-        if sub == 0 {
-            break;
+/// Eq. 8's four sides of one edge and its element count, for every caller
+/// that prices the edge.
+#[derive(Debug)]
+pub(crate) struct EdgeSides<'a> {
+    pub(crate) space: DeviceSpace,
+    /// Forward holds (rows): the producer's output at its last forward step.
+    pub(crate) produce: EdgeSide<'a>,
+    /// Forward needs (columns): the consumer's operand at forward step 0.
+    pub(crate) consume: EdgeSide<'a>,
+    /// Backward holds (columns): the consumer's operand gradient at the last
+    /// step of its backward phase (the gradient phase for a weight).
+    pub(crate) g_produce: EdgeSide<'a>,
+    /// Backward needs (rows): the producer's dO at backward step 0.
+    pub(crate) g_consume: EdgeSide<'a>,
+    /// Elements of the edge tensor (the consumer's operand).
+    pub(crate) total_elems: f64,
+}
+
+impl<'a> EdgeSides<'a> {
+    /// The sides of `edge` when the producer's sequences span `src_bits`
+    /// device bits and the consumer's `dst_bits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two bit counts differ.
+    pub(crate) fn new(
+        edge: &'a Edge,
+        src_op: &'a Operator,
+        dst_op: &'a Operator,
+        src_bits: usize,
+        dst_bits: usize,
+    ) -> Self {
+        assert_eq!(src_bits, dst_bits, "both operators span the same devices");
+        let (grad_kind, grad_phase) = match edge.dst_kind {
+            TensorKind::Weight => (TensorKind::GradWeight, Phase::Gradient),
+            _ => (TensorKind::GradInput, Phase::Backward),
+        };
+        let src = |kind, phase, side| EdgeSide::new(src_op, kind, phase, side, &[], edge.selector);
+        let dst = |kind, phase, side| EdgeSide::new(dst_op, kind, phase, side, &edge.renames, None);
+        let consume = dst(edge.dst_kind, Phase::Forward, Side::Consume);
+        EdgeSides {
+            space: DeviceSpace::new(src_bits),
+            produce: src(TensorKind::Output, Phase::Forward, Side::Produce),
+            consume,
+            g_produce: dst(grad_kind, grad_phase, Side::Produce),
+            g_consume: src(TensorKind::GradOutput, Phase::Backward, Side::Consume),
+            total_elems: consume
+                .dims
+                .iter()
+                .map(|&d| dst_op.extent(d).max(1) as f64)
+                .product(),
         }
-        sub = (sub - 1) & mask;
     }
-    ids.extend((0..space.num_devices()).map(|d| id_of_masked[d & mask]));
-    volume_fraction
+}
+
+/// Eq. 9 for one direction, in elements: `Σ_d (V − total·|need_d ∩
+/// hold_d|)⁺` over the devices ascending from `0.0`, where `V = total ·
+/// need_fraction` is one need block.
+pub(crate) fn traffic(
+    total_elems: f64,
+    need_fraction: f64,
+    needs: &[DenseIntervals],
+    holds: &[DenseIntervals],
+) -> f64 {
+    let v = total_elems * need_fraction;
+    let mut traffic = 0.0;
+    for (need, hold) in needs.iter().zip(holds) {
+        let overlap = total_elems * need.overlap_fraction(hold);
+        traffic += (v - overlap).max(0.0);
+    }
+    traffic
+}
+
+/// The reference volume plane of `edge`: the redistribution bytes `4·(f +
+/// b)` (Eqs. 8–9, forward plus backward) of every `(src, dst)` sequence
+/// pair, row-major. Each side is built per sequence by the direct builder
+/// and each cell is reduced on its own, independently of the planner's
+/// cache and sweep.
+fn volume_plane(
+    edge: &Edge,
+    src_op: &Operator,
+    dst_op: &Operator,
+    src_seqs: &[PartitionSeq],
+    dst_seqs: &[PartitionSeq],
+) -> Vec<f64> {
+    let sides = EdgeSides::new(edge, src_op, dst_op, src_seqs[0].bits(), dst_seqs[0].bits());
+    let profiles = |side: &EdgeSide, seqs: &[PartitionSeq]| -> Vec<(f64, Vec<DenseIntervals>)> {
+        seqs.iter().map(|s| side.profile(s, sides.space)).collect()
+    };
+    let produce = profiles(&sides.produce, src_seqs);
+    let consume = profiles(&sides.consume, dst_seqs);
+    let g_produce = profiles(&sides.g_produce, dst_seqs);
+    let g_consume = profiles(&sides.g_consume, src_seqs);
+    let total = sides.total_elems;
+    let mut plane = Vec::with_capacity(src_seqs.len() * dst_seqs.len());
+    for (p, gc) in produce.iter().zip(&g_consume) {
+        for (c, gp) in consume.iter().zip(&g_produce) {
+            let fwd = traffic(total, c.0, &c.1, &p.1);
+            let bwd = traffic(total, gc.0, &gc.1, &gp.1);
+            plane.push(4.0 * (fwd + bwd));
+        }
+    }
+    plane
 }
 
 /// Total redistribution traffic (bytes, forward + backward) of `edge` when
@@ -232,73 +323,8 @@ pub fn inter_traffic_bytes(
     src_seq: &PartitionSeq,
     dst_seq: &PartitionSeq,
 ) -> f64 {
-    let space = DeviceSpace::new(src_seq.bits());
-    assert_eq!(
-        src_seq.bits(),
-        dst_seq.bits(),
-        "both operators span the same devices"
-    );
-    let total_elems: f64 = side_dims(dst_op, edge.dst_kind)
-        .iter()
-        .map(|&d| dst_op.extent(d).max(1) as f64)
-        .product();
-
-    // Forward: producer's output (last step) vs consumer's operand (step 0).
-    let produce = profile(
-        src_op,
-        src_seq,
-        space,
-        TensorKind::Output,
-        Phase::Forward,
-        Side::Produce,
-        &[],
-        edge.selector,
-    );
-    let consume = profile(
-        dst_op,
-        dst_seq,
-        space,
-        edge.dst_kind,
-        Phase::Forward,
-        Side::Consume,
-        &edge.renames,
-        None,
-    );
-    let fwd = directional_traffic(total_elems, &consume, &produce);
-
-    // Backward: consumer produces the operand's gradient (its backward or
-    // gradient phase, last step); producer needs its dO (backward step 0).
-    let grad_kind = match edge.dst_kind {
-        TensorKind::Weight => TensorKind::GradWeight,
-        _ => TensorKind::GradInput,
-    };
-    let grad_phase = match grad_kind {
-        TensorKind::GradWeight => Phase::Gradient,
-        _ => Phase::Backward,
-    };
-    let g_produce = profile(
-        dst_op,
-        dst_seq,
-        space,
-        grad_kind,
-        grad_phase,
-        Side::Produce,
-        &edge.renames,
-        None,
-    );
-    let g_consume = profile(
-        src_op,
-        src_seq,
-        space,
-        TensorKind::GradOutput,
-        Phase::Backward,
-        Side::Consume,
-        &[],
-        edge.selector,
-    );
-    let bwd = directional_traffic(total_elems, &g_consume, &g_produce);
-
-    4.0 * (fwd + bwd)
+    use std::slice::from_ref;
+    volume_plane(edge, src_op, dst_op, from_ref(src_seq), from_ref(dst_seq))[0]
 }
 
 /// [`inter_traffic_bytes`] of every edge of `graph` under the plan `seqs`, in
@@ -326,21 +352,6 @@ pub fn plan_traffic_bytes(graph: &Graph, seqs: &[PartitionSeq]) -> Vec<f64> {
         .collect()
 }
 
-/// Eq. 9 for one direction: `Σ_D (V − |needed ∩ held|)` in elements.
-pub(crate) fn directional_traffic(
-    total_elems: f64,
-    needs: &BoundaryProfile,
-    holds: &BoundaryProfile,
-) -> f64 {
-    let mut traffic = 0.0;
-    let v = total_elems * needs.volume_fraction;
-    for (need, hold) in needs.holdings.iter().zip(&holds.holdings) {
-        let overlap = total_elems * need.overlap_fraction(hold);
-        traffic += (v - overlap).max(0.0);
-    }
-    traffic
-}
-
 /// Inter-operator cost: the latency of the redistribution traffic under the
 /// context's fitted linear model (paper §4.2).
 pub fn inter_cost(
@@ -355,9 +366,9 @@ pub fn inter_cost(
     ctx.redistribution_time(inter_traffic_bytes(edge, src_op, dst_op, src_seq, dst_seq))
 }
 
-/// Dense `|src_seqs| × |dst_seqs|` edge-cost matrix (row-major) for the
-/// optimizer. Endpoint profiles are precomputed once per sequence, so each
-/// pair costs only the per-device interval products.
+/// Dense `|src_seqs| × |dst_seqs|` edge-cost matrix (row-major): the
+/// reference the planner's [`EdgeCostCache`](crate::EdgeCostCache) sweep is
+/// checked against, bit for bit. Each cell is [`inter_cost`] of its pair.
 pub fn edge_cost_matrix(
     ctx: &CostCtx<'_>,
     edge: &Edge,
@@ -366,123 +377,10 @@ pub fn edge_cost_matrix(
     src_seqs: &[PartitionSeq],
     dst_seqs: &[PartitionSeq],
 ) -> Vec<f64> {
-    let space = DeviceSpace::new(src_seqs[0].bits());
-    let total_elems: f64 = side_dims(dst_op, edge.dst_kind)
-        .iter()
-        .map(|&d| dst_op.extent(d).max(1) as f64)
-        .product();
-    let produce: Vec<BoundaryProfile> = src_seqs
-        .iter()
-        .map(|s| {
-            profile(
-                src_op,
-                s,
-                space,
-                TensorKind::Output,
-                Phase::Forward,
-                Side::Produce,
-                &[],
-                edge.selector,
-            )
-        })
-        .collect();
-    let consume: Vec<BoundaryProfile> = dst_seqs
-        .iter()
-        .map(|s| {
-            profile(
-                dst_op,
-                s,
-                space,
-                edge.dst_kind,
-                Phase::Forward,
-                Side::Consume,
-                &edge.renames,
-                None,
-            )
-        })
-        .collect();
-    let grad_kind = match edge.dst_kind {
-        TensorKind::Weight => TensorKind::GradWeight,
-        _ => TensorKind::GradInput,
-    };
-    let grad_phase = match grad_kind {
-        TensorKind::GradWeight => Phase::Gradient,
-        _ => Phase::Backward,
-    };
-    let g_produce: Vec<BoundaryProfile> = dst_seqs
-        .iter()
-        .map(|s| {
-            profile(
-                dst_op,
-                s,
-                space,
-                grad_kind,
-                grad_phase,
-                Side::Produce,
-                &edge.renames,
-                None,
-            )
-        })
-        .collect();
-    let g_consume: Vec<BoundaryProfile> = src_seqs
-        .iter()
-        .map(|s| {
-            profile(
-                src_op,
-                s,
-                space,
-                TensorKind::GradOutput,
-                Phase::Backward,
-                Side::Consume,
-                &[],
-                edge.selector,
-            )
-        })
-        .collect();
-
-    // Dense per-axis tables for the O(|src| x |dst| x devices) hot loop.
-    let dense = |ps: &[BoundaryProfile]| -> Vec<(f64, Vec<crate::DenseIntervals>)> {
-        ps.iter()
-            .map(|p| {
-                (
-                    p.volume_fraction,
-                    p.holdings.iter().map(|h| h.to_dense()).collect(),
-                )
-            })
-            .collect()
-    };
-    let (produce_d, consume_d, g_produce_d, g_consume_d) = (
-        dense(&produce),
-        dense(&consume),
-        dense(&g_produce),
-        dense(&g_consume),
-    );
-
     ctx.note_inter_evals((src_seqs.len() * dst_seqs.len()) as u64);
-    let mut matrix = vec![0.0; src_seqs.len() * dst_seqs.len()];
-    for i in 0..src_seqs.len() {
-        for j in 0..dst_seqs.len() {
-            let fwd = dense_traffic(total_elems, &consume_d[j], &produce_d[i]);
-            let bwd = dense_traffic(total_elems, &g_consume_d[i], &g_produce_d[j]);
-            matrix[i * dst_seqs.len() + j] = ctx.redistribution_time(4.0 * (fwd + bwd));
-        }
-    }
+    let mut matrix = volume_plane(edge, src_op, dst_op, src_seqs, dst_seqs);
+    ctx.price(&mut matrix);
     matrix
-}
-
-/// Dense-path counterpart of [`directional_traffic`].
-fn dense_traffic(
-    total_elems: f64,
-    needs: &(f64, Vec<crate::DenseIntervals>),
-    holds: &(f64, Vec<crate::DenseIntervals>),
-) -> f64 {
-    let v = total_elems * needs.0;
-    let mut traffic = 0.0;
-    for (need, hold) in needs.1.iter().zip(&holds.1) {
-        let overlap = total_elems * need.overlap_fraction(hold);
-        traffic += (v - overlap).max(0.0);
-    }
-    traffic
 }
 
 #[cfg(test)]
@@ -600,8 +498,9 @@ mod tests {
             for (j, ds) in dst_seqs.iter().enumerate() {
                 let direct = inter_cost(&ctx, edge, &g.ops[9], &g.ops[10], ss, ds);
                 let cached = matrix[i * dst_seqs.len() + j];
-                assert!(
-                    (direct - cached).abs() < 1e-12,
+                assert_eq!(
+                    direct.to_bits(),
+                    cached.to_bits(),
                     "({i},{j}): {direct} vs {cached}"
                 );
             }

@@ -9,9 +9,16 @@
 //!   named-axis space so reshape boundaries (fused QKV, head folding) are
 //!   priced correctly. [`plan_traffic_bytes`] evaluates every edge of one
 //!   plan at once, for the simulator and the audit.
-//! * [`edge_cost_matrix`] / [`BoundaryProfile`] — vectorized edge-cost tables
-//!   for the dynamic-programming optimizer (the `e(p_i, p_j)` inputs of
-//!   Eqs. 11–14).
+//! * [`EdgeCostCache`] / [`PreparedEdge`] — the optimizer's edge-cost
+//!   planes (the `e(p_i, p_j)` inputs of Eqs. 11–14), swept from
+//!   layout-interned side profiles.
+//! * [`edge_cost_matrix`] — the cell-by-cell reference those planes are
+//!   checked against, bit for bit.
+//!
+//! Every Eqs. 8–9 path — the planner's planes, the simulator's volumes, the
+//! reference matrix and the migration prices — reads one holding type,
+//! [`DenseIntervals`], built by one builder from one description of an
+//! edge's four sides.
 //!
 //! # Example
 //!
@@ -44,10 +51,8 @@ pub mod migration;
 
 pub use cache::{matrix_job_ids, CacheStats, EdgeCostCache, PreparedEdge, SideProfiles};
 pub use ctx::CostCtx;
-pub use inter::{
-    edge_cost_matrix, inter_cost, inter_traffic_bytes, plan_traffic_bytes, BoundaryProfile,
-};
-pub use intervals::{AxisIntervals, DenseIntervals};
+pub use inter::{edge_cost_matrix, inter_cost, inter_traffic_bytes, plan_traffic_bytes};
+pub use intervals::DenseIntervals;
 pub use intra::{
     intra_cost, memory_bytes, phase_events, tensor_block_elems, CollectiveEvent, IntraCost,
     MemoryBytes, PhaseEvents,

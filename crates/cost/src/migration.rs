@@ -20,11 +20,11 @@
 //! Optimizer moments are excluded — the byte constant below covers the f32
 //! parameter plus its f32 gradient accumulator, which move together.
 
-use primepar_graph::Graph;
+use primepar_graph::{Graph, Operator};
 use primepar_partition::{PartitionSeq, Phase, TensorKind};
 use primepar_topology::DeviceSpace;
 
-use crate::inter::{directional_traffic, profile, Side};
+use crate::inter::{traffic, EdgeSide, Side};
 use crate::CostCtx;
 
 /// Bytes of persistent state per weight element: the f32 parameter plus its
@@ -61,6 +61,11 @@ impl MigrationVolume {
     }
 }
 
+/// The weight tensor of `op` as the `side` of a forward-phase exchange.
+fn weight(op: &Operator, side: Side) -> EdgeSide<'_> {
+    EdgeSide::new(op, TensorKind::Weight, Phase::Forward, side, &[], None)
+}
+
 /// Weight-state redistribution traffic (bytes) of switching one layer from
 /// `old` to `new` partition sequences (Eq. 9 over the weight tensor's DSI
 /// layouts). Sequences are per-operator, graph order; aligned layouts cost 0.
@@ -91,27 +96,9 @@ pub fn migration_traffic(
         // Where the weight sits at the end of an iteration under the old
         // plan, vs where the new plan's first step needs it (Eq. 8's
         // producer-last / consumer-first convention).
-        let holds = profile(
-            op,
-            &old[i],
-            space,
-            TensorKind::Weight,
-            Phase::Forward,
-            Side::Produce,
-            &[],
-            None,
-        );
-        let needs = profile(
-            op,
-            &new[i],
-            space,
-            TensorKind::Weight,
-            Phase::Forward,
-            Side::Consume,
-            &[],
-            None,
-        );
-        let moved = directional_traffic(elems, &needs, &holds);
+        let (_, holds) = weight(op, Side::Produce).profile(&old[i], space);
+        let (need_fraction, needs) = weight(op, Side::Consume).profile(&new[i], space);
+        let moved = traffic(elems, need_fraction, &needs, &holds);
         let bytes = STATE_BYTES_PER_ELEM * moved;
         if bytes > 0.0 {
             per_op.push(OpMigration {
@@ -147,17 +134,8 @@ pub fn failover_traffic(graph: &Graph, seqs: &[PartitionSeq], dead: &[bool]) -> 
         let space = DeviceSpace::new(seqs[i].bits());
         assert_eq!(dead.len(), space.num_devices(), "one dead flag per device");
         let elems = op.weight_elems();
-        let layout = profile(
-            op,
-            &seqs[i],
-            space,
-            TensorKind::Weight,
-            Phase::Forward,
-            Side::Produce,
-            &[],
-            None,
-        );
-        let v = elems * layout.volume_fraction();
+        let (volume_fraction, layout) = weight(op, Side::Produce).profile(&seqs[i], space);
+        let v = elems * volume_fraction;
         let mut bytes = 0.0;
         for (d, &is_dead) in dead.iter().enumerate() {
             if !is_dead {
@@ -167,9 +145,7 @@ pub fn failover_traffic(graph: &Graph, seqs: &[PartitionSeq], dead: &[bool]) -> 
             if buddy >= dead.len() {
                 continue;
             }
-            let need = &layout.holdings()[d];
-            let hold = &layout.holdings()[buddy];
-            let overlap = elems * need.overlap_fraction(hold);
+            let overlap = elems * layout[d].overlap_fraction(&layout[buddy]);
             bytes += STATE_BYTES_PER_ELEM * (v - overlap).max(0.0);
         }
         if bytes > 0.0 {

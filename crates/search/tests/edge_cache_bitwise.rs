@@ -1,24 +1,118 @@
 //! The edge-cost cache is *bitwise-identical* to the direct Eqs. 8–9 path at
 //! a real device count: every cell of every unique prepared matrix of the
 //! Table-2 layer (OPT-6.7B, 16 devices) equals `edge_cost_matrix` over the
-//! same operator spaces, enumerated as the planner enumerates them.
+//! same operator spaces, enumerated as the planner enumerates them. The
+//! simulator's per-pair volume, `inter_traffic_bytes`, equals the swept
+//! plane's cell bit for bit too, so the planner optimizes the volumes the
+//! simulator charges.
 
-use primepar_cost::{edge_cost_matrix, matrix_job_ids, CacheStats, CostCtx, EdgeCostCache};
-use primepar_graph::ModelConfig;
+use primepar_cost::{
+    edge_cost_matrix, inter_traffic_bytes, matrix_job_ids, CacheStats, CostCtx, EdgeCostCache,
+};
+use primepar_graph::{Graph, ModelConfig};
+use primepar_partition::PartitionSeq;
 use primepar_search::{Planner, PlannerOptions, SpaceCache, SpaceOptions};
 use primepar_topology::Cluster;
+
+/// Every operator's partition space, enumerated as the planner enumerates it.
+fn op_spaces(cluster: &Cluster, graph: &Graph) -> Vec<Vec<PartitionSeq>> {
+    let n_bits = cluster.space().n_bits();
+    let mut spaces = SpaceCache::new();
+    graph
+        .ops
+        .iter()
+        .map(|op| spaces.get(op, n_bits, &SpaceOptions::default()).to_vec())
+        .collect()
+}
+
+/// Checks `inter_traffic_bytes` of edge `e` at every listed `(i, j)` state
+/// pair against cell `i·cols + j` of its swept volume plane, bit for bit.
+/// Returns the number of cells checked.
+fn check_cells(
+    cluster: &Cluster,
+    graph: &Graph,
+    spaces: &[Vec<PartitionSeq>],
+    e: usize,
+    cells: impl Iterator<Item = (usize, usize)>,
+) -> usize {
+    let edge = &graph.edges[e];
+    let (src, dst) = (&graph.ops[edge.src], &graph.ops[edge.dst]);
+    let (src_seqs, dst_seqs) = (&spaces[edge.src], &spaces[edge.dst]);
+    let ctx = CostCtx::new(cluster, 0.0);
+    let plane = EdgeCostCache::new()
+        .prepare(
+            &mut CacheStats::default(),
+            edge,
+            src,
+            dst,
+            src_seqs,
+            dst_seqs,
+        )
+        .volumes(&ctx);
+    let mut checked = 0;
+    for (i, j) in cells {
+        let sim = inter_traffic_bytes(edge, src, dst, &src_seqs[i], &dst_seqs[j]);
+        let swept = plane[i * dst_seqs.len() + j];
+        assert_eq!(
+            sim.to_bits(),
+            swept.to_bits(),
+            "edge {e} ({} -> {}) cell ({i}, {j}): {sim} vs {swept}",
+            edge.src,
+            edge.dst
+        );
+        checked += 1;
+    }
+    checked
+}
+
+#[test]
+fn simulator_volumes_match_swept_planes_on_the_replan_point() {
+    // The elastic replan point (OPT-6.7B, 8 devices, seq 1024): every cell of
+    // every edge.
+    let cluster = Cluster::v100_like(8);
+    let graph = ModelConfig::opt_6_7b().layer_graph(8, 1024);
+    let spaces = op_spaces(&cluster, &graph);
+    let checked: usize = (0..graph.edges.len())
+        .map(|e| {
+            let edge = &graph.edges[e];
+            let (rows, cols) = (spaces[edge.src].len(), spaces[edge.dst].len());
+            let cells = (0..rows).flat_map(move |i| (0..cols).map(move |j| (i, j)));
+            check_cells(&cluster, &graph, &spaces, e, cells)
+        })
+        .sum();
+    assert_eq!(checked, 22_788);
+}
+
+#[test]
+fn simulator_volumes_match_swept_planes_at_the_table2_plan() {
+    // The Table-2 point (OPT-6.7B, 16 devices): the cell of every edge at
+    // the exact plan's states.
+    let cluster = Cluster::v100_like(16);
+    let graph = ModelConfig::opt_6_7b().layer_graph(8, 2048);
+    let plan = Planner::new(&cluster, &graph, PlannerOptions::default())
+        .optimize(32)
+        .seqs;
+    let spaces = op_spaces(&cluster, &graph);
+    let state = |op: usize| {
+        spaces[op]
+            .iter()
+            .position(|s| *s == plan[op])
+            .expect("the plan's state is in its operator's space")
+    };
+    for (e, edge) in graph.edges.iter().enumerate() {
+        let cell = (state(edge.src), state(edge.dst));
+        assert_eq!(
+            check_cells(&cluster, &graph, &spaces, e, std::iter::once(cell)),
+            1
+        );
+    }
+}
 
 #[test]
 fn prepared_matrices_match_direct_on_the_table2_spaces_at_16_devices() {
     let cluster = Cluster::v100_like(16);
     let graph = ModelConfig::opt_6_7b().layer_graph(8, 2048);
-    let n_bits = cluster.space().n_bits();
-    let mut spaces = SpaceCache::new();
-    let spaces: Vec<_> = graph
-        .ops
-        .iter()
-        .map(|op| spaces.get(op, n_bits, &SpaceOptions::default()))
-        .collect();
+    let spaces = op_spaces(&cluster, &graph);
     let sig_ids = graph.signature_ids();
     let jobs = matrix_job_ids(&graph.edges, &sig_ids);
     let mut cache = EdgeCostCache::new();

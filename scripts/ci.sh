@@ -22,6 +22,16 @@ echo "== benchmark package (outside the workspace) =="
 cargo build --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 cargo test --release -q --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
+echo "== benchmark output checks (contract workloads, 1 s each) =="
+# Each contract workload checks its own outputs against the digests it pins
+# (PIN_T2, PIN_CHAIN512, PIN_SCENARIOS) and exits non-zero on a mismatch,
+# so a planner- or simulator-side bit change fails here too.
+for workload in plan-t2 plan-chain512 replan-harsh; do
+    cargo run --release --quiet --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 42 --seconds 1 --trace 0 >/dev/null \
+        || { echo "benchmark workload $workload failed its output checks" >&2; exit 1; }
+done
+
 echo "== planner smoke timing (OPT-6.7B, 16 devices) =="
 # The memoized planner finishes this point in well under a second; the 60 s
 # budget is a generous regression tripwire, not a tight perf gate. The edge
