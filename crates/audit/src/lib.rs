@@ -119,8 +119,11 @@ pub struct AuditRow {
     /// exchange (one latency term) while the simulator pays each direction
     /// its own — the known latency double-charge. This field re-prices the
     /// edge with [`CostCtx::redistribution_time_split`], so
-    /// `simulated − corrected` is genuine drift, not the known charging gap;
-    /// migration costing keys off this corrected view.
+    /// `simulated − corrected` is genuine drift, not the known charging gap.
+    /// It feeds [`AuditRow::corrected_drift`],
+    /// [`AuditReport::max_corrected_drift`] and the `audit.row.*.corrected`
+    /// metrics; migration costing does not read it
+    /// ([`primepar_cost::migration_seconds`] charges one exchange).
     pub corrected: f64,
     /// The simulated timeline's value.
     pub simulated: f64,

@@ -27,7 +27,7 @@
 //!                  [--lambda 1.0] [--horizon 1000] [--metrics-json out.json]
 //! primepar serve   [--workers 2] [--plan-dir DIR] [--socket PATH] [--cache-file PATH]
 //!                  [--event-log PATH] [--trace-out PATH] [--stats-out PATH]
-//!                  [--slow-ms 250] [--logical-clock]
+//!                  [--slow-ms 250 | --logical-clock]
 //! primepar validate [--dir results]...   # strict re-parse of emitted artifacts
 //! ```
 
@@ -142,7 +142,7 @@ fn usage() -> &'static str {
      \x20         [--perturb-seed S] [--lambda F] [--horizon N] [--metrics-json PATH]\n\
      \x20 serve   [--workers N] [--plan-dir DIR] [--socket PATH] [--cache-file PATH]\n\
      \x20         [--event-log PATH] [--trace-out PATH] [--stats-out PATH]\n\
-     \x20         [--slow-ms N] [--logical-clock]\n\
+     \x20         [--slow-ms N | --logical-clock]\n\
      \x20         long-lived planner service: line-delimited JSON requests on\n\
      \x20         stdin (or a Unix socket), out-of-order responses tagged with\n\
      \x20         request_id on stdout; --cache-file persists the warm cache\n\
@@ -151,7 +151,8 @@ fn usage() -> &'static str {
      \x20         writes a per-session Chrome trace (one lane per worker),\n\
      \x20         --stats-out dumps a primepar.stats.v1 snapshot on shutdown,\n\
      \x20         --slow-ms logs a stage breakdown for slow requests, and\n\
-     \x20         --logical-clock makes the event log deterministic\n\
+     \x20         --logical-clock makes the event log deterministic; the\n\
+     \x20         two exclude each other (slowness is a wall-clock verdict)\n\
      \x20 validate [--dir DIR]...         strict re-parse of *.metrics.json /\n\
      \x20         *.trace.json / *.report.json / *.cache.json /\n\
      \x20         *.events.jsonl / *.stats.json; every document must carry its\n\

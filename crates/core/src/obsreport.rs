@@ -328,11 +328,13 @@ mod tests {
         );
         std::fs::write(dir.join("serve.events.jsonl"), format!("{line}\n")).unwrap();
 
-        let observer =
-            primepar_service::ServiceObserver::new(primepar_service::ObserveOptions::default());
-        std::fs::write(
-            dir.join("serve.stats.json"),
-            observer.stats_json(&cache).render_pretty(),
+        primepar_service::serve_lines(
+            &b""[..],
+            &mut Vec::new(),
+            &primepar_service::ServeOptions {
+                stats_out: Some(dir.join("serve.stats.json")),
+                ..primepar_service::ServeOptions::default()
+            },
         )
         .unwrap();
 

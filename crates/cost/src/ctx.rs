@@ -157,11 +157,13 @@ impl<'a> CostCtx<'a> {
     /// (the alpha term) is paid twice. [`CostCtx::redistribution_time`] — the
     /// model plan search optimizes — charges one combined exchange and thus
     /// one latency term; the gap between the two is exactly the audit's
-    /// known redistribution-latency drift (one extra alpha per edge). The
-    /// drift auditor's corrected column and any consumer that must agree
-    /// with simulated reality (e.g. replan migration accounting) use this
-    /// variant; the search keeps the single-charge model so every pinned
-    /// plan stays bitwise stable.
+    /// known redistribution-latency drift (one extra alpha per edge). Its
+    /// one consumer is the drift auditor's corrected column
+    /// (`AuditRow::corrected` in `primepar-audit`). Everything else charges
+    /// [`CostCtx::redistribution_time`]: the search, so every pinned plan
+    /// stays bitwise stable, and replan migration
+    /// ([`migration_seconds`](crate::migration_seconds)), because the
+    /// simulator moves migration traffic as one exchange.
     pub fn redistribution_time_split(&self, total_bytes: f64) -> f64 {
         if total_bytes <= 0.0 {
             return 0.0;

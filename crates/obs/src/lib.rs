@@ -8,7 +8,7 @@
 //!   parser (the build is offline, so no serde), plus the one schema layer
 //!   every frame and artifact reader goes through ([`SchemaError`]),
 //! * [`metrics`] — a lightweight registry of counters, gauges, histograms and
-//!   span timers that renders to a stable machine-readable JSON document,
+//!   timers that renders to a stable machine-readable JSON document,
 //! * [`trace`] — Chrome `trace_event` spans loadable in `chrome://tracing` /
 //!   Perfetto, with a parser so exports can be validated in tests,
 //! * [`events`] — an append-only JSONL structured-event log
@@ -26,9 +26,7 @@
 //! let mut m = Metrics::new();
 //! m.incr("planner.intra_evaluations", 1272);
 //! m.gauge("planner.layer_cost", 0.0123);
-//! let t = m.start_span("planner.segment_dp_seconds");
-//! // ... work ...
-//! m.end_span(t);
+//! m.record_seconds("planner.segment_dp_seconds", 0.013);
 //! let doc = m.to_json().render();
 //! assert!(doc.contains("planner.intra_evaluations"));
 //! ```
@@ -47,6 +45,6 @@ pub use events::{
     EVENTS_SCHEMA,
 };
 pub use json::{parse_json, FromJson, Json, JsonError, SchemaError};
-pub use metrics::{HistogramStats, Metrics, Span};
+pub use metrics::{HistogramStats, Metrics};
 pub use rss::peak_rss_bytes;
 pub use trace::{parse_trace, render_trace, TraceEvent, TracePhase, TRACE_SCHEMA};

@@ -1,10 +1,8 @@
-//! A lightweight metrics registry: counters, gauges, histograms, span timers.
+//! A lightweight metrics registry: counters, gauges, histograms, timers.
 //!
 //! Metric names are dotted paths (`"planner.segment_dp_seconds"`). The
 //! registry preserves first-insertion order so rendered JSON is stable across
 //! runs, which keeps machine-readable artifacts diffable.
-
-use std::time::Instant;
 
 use crate::json::Json;
 
@@ -84,19 +82,13 @@ enum Value {
     Counter(u64),
     Gauge(f64),
     Histogram(HistogramData),
-    /// Accumulated span time: total seconds and number of completed spans.
+    /// Accumulated time: total seconds and number of recorded durations
+    /// (rendered as `spans`).
     Timer {
         seconds: f64,
         spans: u64,
     },
     Text(String),
-}
-
-/// A running span handle returned by [`Metrics::start_span`].
-#[derive(Debug)]
-pub struct Span {
-    name: String,
-    started: Instant,
 }
 
 /// The registry.
@@ -151,20 +143,6 @@ impl Metrics {
         }
     }
 
-    /// Starts a wall-clock span accumulating into the timer `name`.
-    #[must_use]
-    pub fn start_span(&mut self, name: &str) -> Span {
-        Span {
-            name: name.to_string(),
-            started: Instant::now(),
-        }
-    }
-
-    /// Finishes a span, accumulating its elapsed seconds.
-    pub fn end_span(&mut self, span: Span) {
-        self.record_seconds(&span.name, span.started.elapsed().as_secs_f64());
-    }
-
     /// Accumulates an externally measured duration into the timer `name`.
     pub fn record_seconds(&mut self, name: &str, seconds: f64) {
         match self.slot(
@@ -183,14 +161,6 @@ impl Metrics {
             }
             other => panic!("metric `{name}` is not a timer: {other:?}"),
         }
-    }
-
-    /// Times `f`, accumulating into the timer `name`.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        let span = self.start_span(name);
-        let result = f();
-        self.end_span(span);
-        result
     }
 
     /// The counter's current value (0 if absent).
@@ -426,13 +396,9 @@ mod tests {
     #[test]
     fn spans_accumulate_time() {
         let mut m = Metrics::new();
-        let r = m.time("t", || {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            7
-        });
-        assert_eq!(r, 7);
+        m.record_seconds("t", 0.25);
         m.record_seconds("t", 1.0);
-        assert!(m.timer_seconds("t") > 1.0);
+        assert_eq!(m.timer_seconds("t"), 1.25);
     }
 
     #[test]

@@ -152,6 +152,20 @@ pub struct ReplanOutcome {
 }
 
 impl ReplanOutcome {
+    /// A `Stay` decision over `candidates`: no migration, no planner run.
+    fn stay(candidates: Vec<CandidateCost>, decision_time: Duration) -> ReplanOutcome {
+        ReplanOutcome {
+            decision: MigrationDecision::Stay,
+            candidates,
+            new_seqs: None,
+            migration_bytes: 0.0,
+            migration_seconds: 0.0,
+            decision_time,
+            warm_matrix_hits: 0,
+            warm_matrix_misses: 0,
+        }
+    }
+
     /// The chosen candidate's costing row.
     pub fn chosen(&self) -> &CandidateCost {
         self.candidates
@@ -231,26 +245,14 @@ pub fn replan(
             iteration_seconds: iter,
             total_seconds: horizon * iter,
         };
-        return ReplanOutcome {
-            decision: MigrationDecision::Stay,
-            candidates: vec![stay],
-            new_seqs: None,
-            migration_bytes: 0.0,
-            migration_seconds: 0.0,
-            decision_time: start.elapsed(),
-            warm_matrix_hits: 0,
-            warm_matrix_misses: 0,
-        };
+        return ReplanOutcome::stay(vec![stay], start.elapsed());
     }
 
     let degraded = cluster.with_perturbation(applied.clone());
     // Migration is a pure transfer: price it at alpha = 0 like the simulator.
     let migration_ctx = CostCtx::new(&degraded, 0.0);
-    let iter_cost = |seqs: &[PartitionSeq]| {
-        evaluate_layer_plan(&degraded, graph, seqs, opts.planner.alpha) * layers_f
-    };
-
-    let current_iter = iter_cost(current_seqs);
+    let current_iter =
+        evaluate_layer_plan(&degraded, graph, current_seqs, opts.planner.alpha) * layers_f;
     let stay_feasible = applied.dead_devices() == 0;
     let stay = CandidateCost {
         decision: MigrationDecision::Stay,
@@ -278,20 +280,15 @@ pub fn replan(
     };
 
     let (plan, tm) = plan_on(&degraded, graph, layers, opts, warm);
-    // Dead shards are re-homed first (the failover term), then the surviving
-    // layout redistributes into the new plan's layout.
-    let switch = migration_traffic(graph, current_seqs, &plan.seqs);
-    let full_bytes = (failover.total_bytes + switch.total_bytes) * layers_f;
-    let full_seconds = migration_seconds(&migration_ctx, full_bytes);
-    let full_iter = iter_cost(&plan.seqs);
-    let full = CandidateCost {
-        decision: MigrationDecision::FullReplan,
-        feasible: true,
-        migration_bytes: full_bytes,
-        migration_seconds: full_seconds,
-        iteration_seconds: full_iter,
-        total_seconds: full_seconds + horizon * full_iter,
-    };
+    let full = full_replan_cost(
+        &migration_ctx,
+        graph,
+        current_seqs,
+        &plan.seqs,
+        failover.total_bytes,
+        layers,
+        opts,
+    );
 
     let candidates = vec![stay, patch, full];
     // Strict improvement only: declaration order is the tie-break.
@@ -317,6 +314,36 @@ pub fn replan(
         decision_time: start.elapsed(),
         warm_matrix_hits: tm.warm_matrix_hits,
         warm_matrix_misses: tm.warm_matrix_misses,
+    }
+}
+
+/// The full-replan candidate: adopt `new_seqs` on the degraded cluster
+/// `migration_ctx` prices on. Dead shards are re-homed first (the
+/// `failover_bytes` of one layer), then the surviving layout redistributes
+/// into the new plan's layout.
+fn full_replan_cost(
+    migration_ctx: &CostCtx<'_>,
+    graph: &Graph,
+    current_seqs: &[PartitionSeq],
+    new_seqs: &[PartitionSeq],
+    failover_bytes: f64,
+    layers: u64,
+    opts: &ReplanOptions,
+) -> CandidateCost {
+    let layers_f = layers.max(1) as f64;
+    let switch = migration_traffic(graph, current_seqs, new_seqs);
+    let bytes = (failover_bytes + switch.total_bytes) * layers_f;
+    let seconds = migration_seconds(migration_ctx, bytes);
+    let iter = evaluate_layer_plan(migration_ctx.cluster(), graph, new_seqs, opts.planner.alpha)
+        * layers_f;
+    let horizon = opts.horizon_iterations.max(1) as f64;
+    CandidateCost {
+        decision: MigrationDecision::FullReplan,
+        feasible: true,
+        migration_bytes: bytes,
+        migration_seconds: seconds,
+        iteration_seconds: iter,
+        total_seconds: seconds + horizon * iter,
     }
 }
 
@@ -404,16 +431,7 @@ pub fn run_elastic(
         &sim_options,
         |ctx| {
             let outcome = match policy {
-                ElasticPolicy::Never => ReplanOutcome {
-                    decision: MigrationDecision::Stay,
-                    candidates: Vec::new(),
-                    new_seqs: None,
-                    migration_bytes: 0.0,
-                    migration_seconds: 0.0,
-                    decision_time: Duration::ZERO,
-                    warm_matrix_hits: 0,
-                    warm_matrix_misses: 0,
-                },
+                ElasticPolicy::Never => ReplanOutcome::stay(Vec::new(), Duration::ZERO),
                 ElasticPolicy::Always => always_outcome(
                     cluster,
                     ctx.applied,
@@ -456,28 +474,24 @@ fn always_outcome(
     warm: Option<&PlannerWarmCache>,
 ) -> ReplanOutcome {
     let start = Instant::now();
-    let layers_f = layers.max(1) as f64;
     let degraded = cluster.with_perturbation(applied.clone());
     let (plan, tm) = plan_on(&degraded, graph, layers, opts, warm);
     let failover = failover_traffic(graph, current_seqs, &applied.dead);
-    let switch = migration_traffic(graph, current_seqs, &plan.seqs);
-    let bytes = (failover.total_bytes + switch.total_bytes) * layers_f;
-    let seconds = migration_seconds(&CostCtx::new(&degraded, 0.0), bytes);
-    let iter = evaluate_layer_plan(&degraded, graph, &plan.seqs, opts.planner.alpha) * layers_f;
-    let horizon = opts.horizon_iterations.max(1) as f64;
+    let full = full_replan_cost(
+        &CostCtx::new(&degraded, 0.0),
+        graph,
+        current_seqs,
+        &plan.seqs,
+        failover.total_bytes,
+        layers,
+        opts,
+    );
     ReplanOutcome {
         decision: MigrationDecision::FullReplan,
-        candidates: vec![CandidateCost {
-            decision: MigrationDecision::FullReplan,
-            feasible: true,
-            migration_bytes: bytes,
-            migration_seconds: seconds,
-            iteration_seconds: iter,
-            total_seconds: seconds + horizon * iter,
-        }],
         new_seqs: Some(plan.seqs),
-        migration_bytes: bytes,
-        migration_seconds: seconds,
+        migration_bytes: full.migration_bytes,
+        migration_seconds: full.migration_seconds,
+        candidates: vec![full],
         decision_time: start.elapsed(),
         warm_matrix_hits: tm.warm_matrix_hits,
         warm_matrix_misses: tm.warm_matrix_misses,

@@ -45,10 +45,7 @@ pub use api::{
 };
 pub use cache::{CacheConfig, CachedPlan, ServiceCacheStats, WarmCache};
 pub use error::Error;
-pub use observe::{
-    validate_stats_doc, FlightRecord, ObserveOptions, RequestTrace, ServiceObserver, SpanRecord,
-    STATS_SCHEMA,
-};
+pub use observe::{validate_stats_doc, STATS_SCHEMA};
 pub use persist::{cache_to_json, validate_cache_doc, CACHE_SCHEMA};
 #[cfg(unix)]
 pub use protocol::serve_unix_socket;

@@ -1,42 +1,52 @@
 //! Request-scoped tracing and live service introspection.
 //!
-//! One [`ServiceObserver`] lives for the duration of a serve session. It
-//! owns everything the request path reports into:
+//! One [`ServiceObserver`] lives for the duration of a serve session. Every
+//! accepted `plan`/`sim`/`replan` frame gets a [`RequestTrace`]: its
+//! `trace_id` (client-supplied or minted from a deterministic counter) and
+//! an append-only span tree that workers and the cache record into. When
+//! the response goes out the serve loop closes the trace, stamping how the
+//! request ended, and the closed trace is the request's one record. Three
+//! views render from it:
 //!
-//! * **trace context** — every accepted `plan`/`sim` frame gets a
-//!   [`RequestTrace`] carrying its `trace_id` (client-supplied or generated
-//!   from a deterministic counter) and an append-only span list. Workers
-//!   and the cache record spans into it; the serve loop converts the
-//!   finished tree into `primepar.events.v1` lines and Chrome trace lanes.
-//! * **live gauges** — queue depth, per-worker busy/idle, latency samples —
-//!   answered over the wire by the `stats` protocol frame as a
-//!   schema-tagged [`STATS_SCHEMA`] snapshot.
-//! * **the flight recorder** — a bounded ring of the last N request
-//!   summaries (fingerprint, cache outcome, stage timings, status), dumped
-//!   as a `*.stats.json` artifact on shutdown and from the worker pool's
-//!   `catch_unwind` panic path.
+//! * **the flight recorder** — the last [`RECORDER_CAPACITY`] closed traces,
+//!   one [`RequestTrace::record_json`] entry each, in the [`STATS_SCHEMA`]
+//!   snapshot that the `stats` frame answers and that is dumped on shutdown
+//!   and from the worker pool's `catch_unwind` panic path;
+//! * **the stage breakdown** — [`RequestTrace::stages`], which is both the
+//!   recorder's `stages_us` and the `request.slow` event's `stage.*` fields;
+//! * **the Chrome trace** — every closed trace's spans on its worker's lane,
+//!   rendered at exit by [`ServiceObserver::chrome_trace`].
+//!
+//! Beside the traces the observer keeps the live gauges: queue depth,
+//! per-worker busy/idle and latency samples.
 //!
 //! Instrumentation must not perturb planning: traces record *around* the
 //! planner (stage spans are synthesized from [`PlannerMetrics`] after the
 //! fact), never inside it, so served plans stay bitwise-identical with
 //! tracing on and off.
+//!
+//! [`PlannerMetrics`]: primepar_search::PlannerMetrics
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use primepar_obs::{
-    peak_rss_bytes, render_trace, ClockMode, FromJson, Json, Metrics, SchemaError, TraceEvent,
+    peak_rss_bytes, render_trace, FromJson, Json, Metrics, SchemaError, TraceEvent,
 };
 use primepar_search::SearchStrategy;
 
 use crate::cache::WarmCache;
 use crate::error::Error;
+use crate::{Request, Response, ServeOptions};
 
 /// Schema tag of the live stats snapshot / flight-recorder artifact.
 pub const STATS_SCHEMA: &str = "primepar.stats.v1";
+
+/// How many closed traces the flight recorder holds.
+const RECORDER_CAPACITY: usize = 64;
 
 /// One recorded span of a request: a named interval with a parent link.
 ///
@@ -44,7 +54,7 @@ pub const STATS_SCHEMA: &str = "primepar.stats.v1";
 /// after its parent and clamped inside it — so the tree reconstructs from
 /// the flat list without timestamps.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpanRecord {
+pub(crate) struct SpanRecord {
     /// Dotted span name (`request`, `exec`, `cache.miss`, `planner.segment_dp`…).
     pub name: String,
     /// Start offset, microseconds since the session began.
@@ -56,51 +66,94 @@ pub struct SpanRecord {
     pub parent: Option<usize>,
 }
 
+/// How a request ended, stamped on its trace when it closes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Ending {
+    /// `ok`, `cancelled`, or `error:<kind>`.
+    pub status: String,
+    /// Cache outcome (`hit`, `miss`, `coalesced`), a replan's decision, or
+    /// `-` when the request failed.
+    pub outcome: &'static str,
+    /// Canonical plan fingerprint (empty when the request failed).
+    pub fingerprint: String,
+}
+
+impl Ending {
+    /// How `verdict` ends its request.
+    pub fn of(verdict: &Result<Response, Error>) -> Ending {
+        let failed = |status| Ending {
+            status,
+            outcome: "-",
+            fingerprint: String::new(),
+        };
+        match verdict {
+            Ok(resp) => Ending {
+                status: "ok".to_string(),
+                outcome: outcome_label(resp),
+                fingerprint: resp.fingerprint().to_string(),
+            },
+            Err(Error::Cancelled(_)) => failed("cancelled".to_string()),
+            Err(err) => failed(format!("error:{}", err.kind())),
+        }
+    }
+
+    /// Whether the request answered successfully.
+    pub fn ok(&self) -> bool {
+        self.status == "ok"
+    }
+}
+
+/// The outcome of a served request: the decision of a replan (not the memo
+/// result its running plan came from), else the cache outcome.
+fn outcome_label(resp: &Response) -> &'static str {
+    let cache = match resp {
+        Response::Plan(resp) => &resp.cache,
+        Response::Sim(resp) => &resp.cache,
+        Response::Replan(resp) => return resp.decision.tag(),
+    };
+    if cache.plan_cache_hit {
+        "hit"
+    } else if cache.coalesced {
+        "coalesced"
+    } else {
+        "miss"
+    }
+}
+
 #[derive(Debug, Default)]
 struct TraceInner {
     spans: Vec<SpanRecord>,
     exec_span: usize,
     worker: Option<usize>,
+    ending: Ending,
 }
 
-/// The trace context of one in-flight request, shared between the serve
-/// loop (which creates and finally drains it) and the worker executing the
-/// job (which records execution spans into it).
+/// The record of one request, shared between the serve loop (which opens,
+/// closes and renders it) and the worker executing the job (which records
+/// execution spans into it).
 #[derive(Debug)]
-pub struct RequestTrace {
+pub(crate) struct RequestTrace {
     trace_id: String,
+    id: String,
     request_id: u64,
     kind: &'static str,
     origin: Instant,
-    submitted_us: u64,
     inner: Mutex<TraceInner>,
 }
 
 impl RequestTrace {
-    fn new(trace_id: String, request_id: u64, kind: &'static str, origin: Instant) -> RequestTrace {
-        let submitted_us = origin.elapsed().as_micros() as u64;
-        RequestTrace {
-            trace_id,
-            request_id,
-            kind,
-            origin,
-            submitted_us,
-            inner: Mutex::new(TraceInner {
-                spans: vec![SpanRecord {
-                    name: "request".to_string(),
-                    start_us: submitted_us,
-                    dur_us: 0,
-                    parent: None,
-                }],
-                exec_span: 0,
-                worker: None,
-            }),
-        }
+    fn lock(&self) -> MutexGuard<'_, TraceInner> {
+        self.inner.lock().expect("trace lock")
     }
 
     /// The request's trace id, echoed on its response.
     pub fn trace_id(&self) -> &str {
         &self.trace_id
+    }
+
+    /// The caller-chosen id (may be empty).
+    pub fn id(&self) -> &str {
+        &self.id
     }
 
     /// The server-assigned request id.
@@ -118,15 +171,15 @@ impl RequestTrace {
         self.origin.elapsed().as_micros() as u64
     }
 
-    /// Wall microseconds this request has been in the service so far
-    /// (submission to now).
+    /// Wall microseconds from submission to close: the root span's
+    /// duration (0 while the trace is open).
     pub fn elapsed_us(&self) -> u64 {
-        self.now_us().saturating_sub(self.submitted_us)
+        self.lock().spans[0].dur_us
     }
 
     /// Records a closed span under `parent`; returns its index.
     pub fn span(&self, parent: usize, name: &str, start_us: u64, dur_us: u64) -> usize {
-        let mut inner = self.inner.lock().expect("trace lock");
+        let mut inner = self.lock();
         // Clamp into the parent's window when the parent is already closed,
         // so the recorded tree is well-nested by construction.
         let (start_us, dur_us) = match inner.spans.get(parent) {
@@ -149,7 +202,7 @@ impl RequestTrace {
     /// Marks worker pickup: opens the `exec` span on `worker`'s lane.
     pub fn begin_exec(&self, worker: usize) {
         let now = self.now_us();
-        let mut inner = self.inner.lock().expect("trace lock");
+        let mut inner = self.lock();
         inner.worker = Some(worker);
         inner.spans.push(SpanRecord {
             name: "exec".to_string(),
@@ -163,7 +216,7 @@ impl RequestTrace {
     /// Closes the `exec` span.
     pub fn end_exec(&self) {
         let now = self.now_us();
-        let mut inner = self.inner.lock().expect("trace lock");
+        let mut inner = self.lock();
         let idx = inner.exec_span;
         if idx > 0 {
             let span = &mut inner.spans[idx];
@@ -173,93 +226,83 @@ impl RequestTrace {
 
     /// The index of the open `exec` span (0 — the root — before pickup).
     pub fn exec_span(&self) -> usize {
-        self.inner.lock().expect("trace lock").exec_span
-    }
-
-    /// Closes the root `request` span; call once, at response emission.
-    pub fn finish(&self) {
-        let now = self.now_us();
-        let mut inner = self.inner.lock().expect("trace lock");
-        inner.spans[0].dur_us = now.saturating_sub(self.submitted_us);
+        self.lock().exec_span
     }
 
     /// The worker that executed the request, if one picked it up.
     pub fn worker(&self) -> Option<usize> {
-        self.inner.lock().expect("trace lock").worker
+        self.lock().worker
     }
 
-    /// A snapshot of the recorded spans.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.lock().expect("trace lock").spans.clone()
+    /// Closes the root `request` span and stamps how the request ended;
+    /// call once, at response emission.
+    fn close(&self, ending: Ending) {
+        let now = self.now_us();
+        let mut inner = self.lock();
+        inner.spans[0].dur_us = now.saturating_sub(inner.spans[0].start_us);
+        inner.ending = ending;
     }
-}
 
-/// One entry of the flight recorder: the summary of a finished request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightRecord {
-    /// Server-assigned request id.
-    pub request_id: u64,
-    /// Caller-chosen id (may be empty).
-    pub id: String,
-    /// The request's trace id.
-    pub trace_id: String,
-    /// `"plan"`, `"sim"` or `"replan"`.
-    pub kind: String,
-    /// Canonical plan fingerprint (empty when the request failed before
-    /// resolving).
-    pub fingerprint: String,
-    /// Cache outcome: `hit`, `miss`, `coalesced`, or `-` when no lookup ran.
-    pub outcome: String,
-    /// `ok`, `cancelled`, or `error:<kind>`.
-    pub status: String,
-    /// Wall-clock service time in microseconds.
-    pub elapsed_us: u64,
-    /// Worker lane that executed the request, if one picked it up.
-    pub worker: Option<usize>,
-    /// Stage-level breakdown: `(span name, dur_us)` of the non-root spans.
-    pub stages: Vec<(String, u64)>,
-}
+    /// The stage breakdown: `(span name, dur_us)` of every span below the
+    /// root, whose own duration is [`RequestTrace::elapsed_us`].
+    pub fn stages(&self) -> Vec<(String, u64)> {
+        self.lock().spans[1..]
+            .iter()
+            .map(|span| (span.name.clone(), span.dur_us))
+            .collect()
+    }
 
-impl FlightRecord {
-    fn to_json(&self) -> Json {
+    /// The request's flight-recorder entry.
+    fn record_json(&self) -> Json {
         let mut stages = Json::obj();
-        for (name, dur) in &self.stages {
-            stages.set(name, *dur);
+        for (name, dur_us) in self.stages() {
+            stages.set(&name, dur_us);
         }
+        let inner = self.lock();
         Json::obj()
             .with("request_id", self.request_id)
             .with("id", self.id.as_str())
             .with("trace_id", self.trace_id.as_str())
-            .with("kind", self.kind.as_str())
-            .with("fingerprint", self.fingerprint.as_str())
-            .with("outcome", self.outcome.as_str())
-            .with("status", self.status.as_str())
-            .with("elapsed_us", self.elapsed_us)
+            .with("kind", self.kind)
+            .with("fingerprint", inner.ending.fingerprint.as_str())
+            .with("outcome", inner.ending.outcome)
+            .with("status", inner.ending.status.as_str())
+            .with("elapsed_us", inner.spans[0].dur_us)
             .with("stages_us", stages)
-            .with_opt("worker", self.worker)
+            .with_opt("worker", inner.worker)
     }
-}
 
-/// [`ServiceObserver`] configuration.
-#[derive(Debug, Clone, Default)]
-pub struct ObserveOptions {
-    /// Worker lanes to track (the pool's effective worker count).
-    pub workers: usize,
-    /// Event-timestamp domain: logical mode makes same-input serve runs
-    /// byte-identical (CI `cmp`s two such logs).
-    pub clock: ClockMode,
-    /// Emit a stage-level `request.slow` event for requests over this
-    /// wall-clock threshold.
-    pub slow_ms: Option<u64>,
-    /// Where to dump the stats snapshot (with the flight recorder) on
-    /// shutdown and from the worker panic path.
-    pub stats_out: Option<PathBuf>,
-    /// Accumulate the per-session Chrome trace ([`ServiceObserver::chrome_trace`]).
-    /// Off by default: span trees are unbounded state, so only sessions that
-    /// will export them should pay for keeping them.
-    pub chrome: bool,
-    /// Flight-recorder ring capacity (default 64).
-    pub recorder_capacity: usize,
+    /// The request's spans as Chrome trace events on its worker's lane:
+    /// lane 0 is the serve loop (requests that never reached a worker),
+    /// lanes 1..=N are the pool.
+    fn chrome_events(&self) -> Vec<TraceEvent> {
+        let inner = self.lock();
+        let tid = inner.worker.map_or(0, |w| w as u64 + 1);
+        inner
+            .spans
+            .iter()
+            .enumerate()
+            .map(|(idx, span)| {
+                let mut args = vec![
+                    ("trace_id".to_string(), Json::from(self.trace_id.as_str())),
+                    ("span_id".to_string(), Json::from(format!("s{idx}"))),
+                ];
+                if let Some(parent) = span.parent {
+                    args.push(("parent".to_string(), Json::from(format!("s{parent}"))));
+                }
+                TraceEvent {
+                    name: span.name.clone(),
+                    cat: self.kind.to_string(),
+                    ph: Default::default(),
+                    pid: 1,
+                    tid,
+                    ts_us: span.start_us as f64,
+                    dur_us: span.dur_us as f64,
+                    args,
+                }
+            })
+            .collect()
+    }
 }
 
 #[derive(Debug, Default)]
@@ -270,15 +313,16 @@ struct WorkerSlot {
 }
 
 /// Session-wide observability state: trace-context minting, live gauges,
-/// latency histograms, the flight recorder, and the per-session Chrome
-/// trace. See the module docs for the full picture.
+/// latency histograms and the closed request traces. See the module docs
+/// for the full picture.
 #[derive(Debug)]
-pub struct ServiceObserver {
-    clock: ClockMode,
+pub(crate) struct ServiceObserver {
     slow_ms: Option<u64>,
     stats_out: Option<PathBuf>,
+    /// Keep every closed trace for the Chrome trace export, not just the
+    /// flight recorder's: span trees are unbounded state, so only sessions
+    /// that export them pay for keeping them.
     chrome: bool,
-    recorder_capacity: usize,
     origin: Instant,
     next_trace: AtomicU64,
     submitted: AtomicU64,
@@ -289,23 +333,20 @@ pub struct ServiceObserver {
     strategies: [AtomicU64; 3],
     workers: Vec<WorkerSlot>,
     latency: Mutex<Metrics>,
-    recorder: Mutex<VecDeque<FlightRecord>>,
-    trace_events: Mutex<Vec<TraceEvent>>,
+    /// Closed traces in completion order; the last [`RECORDER_CAPACITY`] are
+    /// the flight recorder.
+    closed: Mutex<VecDeque<Arc<RequestTrace>>>,
 }
 
 impl ServiceObserver {
-    /// A fresh observer; the session clock starts now.
-    pub fn new(opts: ObserveOptions) -> ServiceObserver {
+    /// A fresh observer of a serve session configured by `opts`, over
+    /// `workers` worker lanes (the pool's effective count); the session
+    /// clock starts now.
+    pub fn new(opts: &ServeOptions, workers: usize) -> ServiceObserver {
         ServiceObserver {
-            clock: opts.clock,
             slow_ms: opts.slow_ms,
-            stats_out: opts.stats_out,
-            chrome: opts.chrome,
-            recorder_capacity: if opts.recorder_capacity == 0 {
-                64
-            } else {
-                opts.recorder_capacity
-            },
+            stats_out: opts.stats_out.clone(),
+            chrome: opts.trace_out.is_some(),
             origin: Instant::now(),
             next_trace: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
@@ -313,28 +354,10 @@ impl ServiceObserver {
             completed: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             strategies: Default::default(),
-            workers: (0..opts.workers.max(1))
-                .map(|_| WorkerSlot::default())
-                .collect(),
+            workers: (0..workers.max(1)).map(|_| WorkerSlot::default()).collect(),
             latency: Mutex::new(Metrics::new()),
-            recorder: Mutex::new(VecDeque::new()),
-            trace_events: Mutex::new(Vec::new()),
+            closed: Mutex::new(VecDeque::new()),
         }
-    }
-
-    /// The timestamp domain events are stamped in.
-    pub fn clock(&self) -> ClockMode {
-        self.clock
-    }
-
-    /// The `--slow-ms` threshold, if configured.
-    pub fn slow_ms(&self) -> Option<u64> {
-        self.slow_ms
-    }
-
-    /// Where the stats snapshot is dumped, if configured.
-    pub fn stats_out(&self) -> Option<&PathBuf> {
-        self.stats_out.as_ref()
     }
 
     /// Microseconds since the observer was created.
@@ -344,33 +367,45 @@ impl ServiceObserver {
 
     /// Mints a server-side trace id: counter-based, so generated ids are
     /// deterministic across same-input runs.
-    pub fn gen_trace_id(&self) -> String {
+    fn gen_trace_id(&self) -> String {
         format!(
             "t-{:08x}",
             self.next_trace.fetch_add(1, Ordering::Relaxed) + 1
         )
     }
 
-    /// Registers an accepted request and opens its trace.
+    /// Registers an accepted request as `request_id`, counts its search
+    /// strategy (the `strategies` section of the stats snapshot) and opens
+    /// its trace, minting a trace id when the client sent none.
     pub fn begin_request(
         &self,
-        trace_id: String,
+        trace_id: Option<String>,
         request_id: u64,
-        kind: &'static str,
+        req: &Request,
     ) -> Arc<RequestTrace> {
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        Arc::new(RequestTrace::new(trace_id, request_id, kind, self.origin))
-    }
-
-    /// Counts an accepted plan/sim/replan submission against its requested
-    /// search strategy (the `strategies` section of the stats snapshot).
-    pub fn note_strategy(&self, strategy: SearchStrategy) {
-        let slot = match strategy {
+        let slot = match req.strategy() {
             SearchStrategy::Exact => 0,
             SearchStrategy::Beam { .. } => 1,
             SearchStrategy::Anytime { .. } => 2,
         };
         self.strategies[slot].fetch_add(1, Ordering::Relaxed);
+        Arc::new(RequestTrace {
+            trace_id: trace_id.unwrap_or_else(|| self.gen_trace_id()),
+            id: req.id().to_string(),
+            request_id,
+            kind: req.kind(),
+            origin: self.origin,
+            inner: Mutex::new(TraceInner {
+                spans: vec![SpanRecord {
+                    name: "request".to_string(),
+                    start_us: self.uptime_us(),
+                    dur_us: 0,
+                    parent: None,
+                }],
+                ..TraceInner::default()
+            }),
+        })
     }
 
     /// Worker `idx` picked a job off the queue.
@@ -397,84 +432,44 @@ impl ServiceObserver {
             .saturating_sub(self.started.load(Ordering::Relaxed))
     }
 
-    /// Folds a finished request into the session: closes the trace, records
-    /// latency, appends the flight-recorder entry, and converts the span
-    /// tree into Chrome trace lanes. Returns whether the request crossed
-    /// the `--slow-ms` threshold.
-    pub fn complete_request(&self, trace: &RequestTrace, record: FlightRecord) -> bool {
-        trace.finish();
+    /// Closes a finished request's trace with its `ending`, records its
+    /// latency and keeps the closed trace. Returns whether the request
+    /// crossed the `--slow-ms` threshold.
+    pub fn complete_request(&self, trace: &Arc<RequestTrace>, ending: Ending) -> bool {
         self.completed.fetch_add(1, Ordering::Relaxed);
-        if record.status != "ok" {
+        if !ending.ok() {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
+        trace.close(ending);
+        let elapsed_us = trace.elapsed_us();
         self.latency
             .lock()
             .expect("latency lock")
-            .observe("service.latency_us", record.elapsed_us as f64);
-        let slow = self
-            .slow_ms
-            .is_some_and(|ms| record.elapsed_us >= ms.saturating_mul(1000));
-        if self.chrome {
-            self.absorb_chrome(trace);
+            .observe("service.latency_us", elapsed_us as f64);
+        let mut closed = self.closed.lock().expect("closed traces lock");
+        if !self.chrome && closed.len() == RECORDER_CAPACITY {
+            closed.pop_front();
         }
-        let mut ring = self.recorder.lock().expect("recorder lock");
-        if ring.len() == self.recorder_capacity {
-            ring.pop_front();
-        }
-        ring.push_back(record);
-        slow
+        closed.push_back(trace.clone());
+        self.slow_ms
+            .is_some_and(|ms| elapsed_us >= ms.saturating_mul(1000))
     }
 
-    /// A latency quantile in microseconds (`None` before the first sample).
-    pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        self.latency
-            .lock()
-            .expect("latency lock")
-            .histogram_quantile("service.latency_us", q)
-    }
-
-    /// The flight recorder's current entries, oldest first.
-    pub fn flight_records(&self) -> Vec<FlightRecord> {
-        self.recorder
-            .lock()
-            .expect("recorder lock")
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    fn absorb_chrome(&self, trace: &RequestTrace) {
-        // One lane per worker: lane 0 is the serve loop (requests that
-        // never reached a worker), lanes 1..=N are the pool.
-        let tid = trace.worker().map_or(0, |w| w as u64 + 1);
-        let mut events = self.trace_events.lock().expect("trace events lock");
-        for (idx, span) in trace.spans().iter().enumerate() {
-            let mut args = vec![
-                ("trace_id".to_string(), Json::from(trace.trace_id())),
-                ("span_id".to_string(), Json::from(format!("s{idx}"))),
-            ];
-            if let Some(parent) = span.parent {
-                args.push(("parent".to_string(), Json::from(format!("s{parent}"))));
-            }
-            events.push(TraceEvent {
-                name: span.name.clone(),
-                cat: trace.kind().to_string(),
-                ph: Default::default(),
-                pid: 1,
-                tid,
-                ts_us: span.start_us as f64,
-                dur_us: span.dur_us as f64,
-                args,
-            });
-        }
+    /// The flight recorder: the last [`RECORDER_CAPACITY`] closed traces,
+    /// oldest first.
+    fn recorder(&self) -> Vec<Arc<RequestTrace>> {
+        let closed = self.closed.lock().expect("closed traces lock");
+        let skip = closed.len().saturating_sub(RECORDER_CAPACITY);
+        closed.iter().skip(skip).cloned().collect()
     }
 
     /// The per-session Chrome trace (one lane per worker) as a
-    /// `primepar.trace.v1` document.
+    /// `primepar.trace.v1` document, rendered from every closed trace.
     pub fn chrome_trace(&self) -> String {
-        render_trace(&self.trace_events.lock().expect("trace events lock"))
+        let closed = self.closed.lock().expect("closed traces lock");
+        let events: Vec<TraceEvent> = closed.iter().flat_map(|t| t.chrome_events()).collect();
+        render_trace(&events)
     }
-
     /// The live introspection snapshot as a self-contained
     /// `primepar.stats.v1` document.
     pub fn stats_json(&self, cache: &WarmCache) -> Json {
@@ -565,17 +560,12 @@ impl ServiceObserver {
             .with("latency_us", latency_doc)
             .with(
                 "flight_recorder",
-                Json::Arr(
-                    self.flight_records()
-                        .iter()
-                        .map(FlightRecord::to_json)
-                        .collect(),
-                ),
+                Json::Arr(self.recorder().iter().map(|t| t.record_json()).collect()),
             )
     }
 
     /// Dumps the stats snapshot (flight recorder included) to
-    /// [`ObserveOptions::stats_out`], if configured. `reason` is stamped
+    /// [`ServeOptions::stats_out`], if configured. `reason` is stamped
     /// into the artifact (`shutdown` or `panic`).
     ///
     /// # Errors
@@ -589,13 +579,6 @@ impl ServiceObserver {
         doc.set("dump_reason", reason);
         std::fs::write(path, doc.render_pretty())
             .map_err(|e| Error::internal(format!("cannot write {}: {e}", path.display())))
-    }
-
-    /// The panic-path hook: best-effort recorder dump from inside the
-    /// worker pool's `catch_unwind` handler (errors are swallowed — the
-    /// panic verdict must still reach the client).
-    pub fn dump_on_panic(&self, cache: &WarmCache) {
-        let _ = self.dump_stats(cache, "panic");
     }
 }
 
@@ -667,27 +650,25 @@ fn check_stats(doc: &Json) -> Result<(), SchemaError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlanRequest;
 
-    fn observer() -> ServiceObserver {
-        ServiceObserver::new(ObserveOptions {
-            workers: 2,
-            recorder_capacity: 3,
-            ..ObserveOptions::default()
-        })
+    fn observer_with(opts: &ServeOptions) -> ServiceObserver {
+        ServiceObserver::new(opts, 2)
     }
 
-    fn record(n: u64, status: &str) -> FlightRecord {
-        FlightRecord {
-            request_id: n,
-            id: format!("r{n}"),
-            trace_id: format!("t-{n:08x}"),
-            kind: "plan".to_string(),
-            fingerprint: "plan:opt67b:d4".to_string(),
-            outcome: "miss".to_string(),
+    fn observer() -> ServiceObserver {
+        observer_with(&ServeOptions::default())
+    }
+
+    fn plan() -> Request {
+        Request::Plan(PlanRequest::builder("opt-6.7b").id("r").build())
+    }
+
+    fn ending(status: &str) -> Ending {
+        Ending {
             status: status.to_string(),
-            elapsed_us: 100 * n,
-            worker: Some(0),
-            stages: vec![("exec".to_string(), 90 * n)],
+            outcome: "miss",
+            fingerprint: "plan:opt67b:d4".to_string(),
         }
     }
 
@@ -703,7 +684,7 @@ mod tests {
     #[test]
     fn span_trees_are_well_nested_by_construction() {
         let obs = observer();
-        let trace = obs.begin_request("t-1".to_string(), 1, "plan");
+        let trace = obs.begin_request(Some("t-1".to_string()), 1, &plan());
         trace.begin_exec(1);
         let exec = trace.exec_span();
         let lookup_start = trace.now_us();
@@ -715,8 +696,8 @@ mod tests {
         // A synthesized stage span far wider than its parent must clamp.
         trace.span(lookup, "planner.segment_dp", lookup_start, 1_000_000);
         trace.end_exec();
-        obs.complete_request(&trace, record(1, "ok"));
-        let spans = trace.spans();
+        obs.complete_request(&trace, ending("ok"));
+        let spans = trace.lock().spans.clone();
         assert_eq!(spans[0].name, "request");
         for (idx, span) in spans.iter().enumerate().skip(1) {
             let parent = span.parent.expect("non-root spans have parents");
@@ -732,26 +713,29 @@ mod tests {
     #[test]
     fn flight_recorder_is_a_bounded_ring() {
         let obs = observer();
-        for n in 1..=5 {
-            let trace = obs.begin_request(format!("t-{n}"), n, "plan");
-            obs.complete_request(
-                &trace,
-                record(n, if n == 5 { "error:internal" } else { "ok" }),
-            );
+        let total = RECORDER_CAPACITY as u64 + 6;
+        for n in 1..=total {
+            let trace = obs.begin_request(Some(format!("t-{n}")), n, &plan());
+            let status = if n == total { "error:internal" } else { "ok" };
+            obs.complete_request(&trace, ending(status));
         }
-        let records = obs.flight_records();
-        assert_eq!(records.len(), 3, "capacity 3 keeps the last 3");
+        let records = obs.recorder();
         assert_eq!(
-            records.iter().map(|r| r.request_id).collect::<Vec<_>>(),
-            vec![3, 4, 5]
+            records.len(),
+            RECORDER_CAPACITY,
+            "the ring keeps the last {RECORDER_CAPACITY}"
+        );
+        assert_eq!(
+            records.iter().map(|r| r.request_id()).collect::<Vec<_>>(),
+            (7..=total).collect::<Vec<_>>()
         );
     }
 
     #[test]
     fn queue_depth_tracks_submit_minus_pickup() {
         let obs = observer();
-        let _t1 = obs.begin_request("a".into(), 1, "plan");
-        let _t2 = obs.begin_request("b".into(), 2, "plan");
+        let _t1 = obs.begin_request(Some("a".into()), 1, &plan());
+        let _t2 = obs.begin_request(Some("b".into()), 2, &plan());
         assert_eq!(obs.queue_depth(), 2);
         obs.job_started(0);
         assert_eq!(obs.queue_depth(), 1);
@@ -771,10 +755,10 @@ mod tests {
             )
             .expect("plans");
         let obs = observer();
-        let trace = obs.begin_request("t-1".into(), 1, "plan");
+        let trace = obs.begin_request(Some("t-1".into()), 1, &plan());
         obs.job_started(0);
         obs.job_finished(0, 500);
-        obs.complete_request(&trace, record(1, "ok"));
+        obs.complete_request(&trace, ending("ok"));
         let doc = obs.stats_json(&cache);
         validate_stats_doc(&doc).expect("snapshot must validate");
         let reparsed = primepar_obs::parse_json(&doc.render_pretty()).expect("renders as JSON");
@@ -831,15 +815,14 @@ mod tests {
 
     #[test]
     fn chrome_trace_parses_and_lanes_follow_workers() {
-        let obs = ServiceObserver::new(ObserveOptions {
-            workers: 2,
-            chrome: true,
-            ..ObserveOptions::default()
+        let obs = observer_with(&ServeOptions {
+            trace_out: Some(PathBuf::from("session.trace.json")),
+            ..ServeOptions::default()
         });
-        let trace = obs.begin_request("t-1".into(), 7, "plan");
+        let trace = obs.begin_request(Some("t-1".into()), 7, &plan());
         trace.begin_exec(1);
         trace.end_exec();
-        obs.complete_request(&trace, record(7, "ok"));
+        obs.complete_request(&trace, ending("ok"));
         let events = primepar_obs::parse_trace(&obs.chrome_trace()).expect("valid trace");
         assert!(!events.is_empty());
         assert!(events.iter().all(|e| e.tid == 2), "worker 1 is lane 2");

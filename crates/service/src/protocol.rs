@@ -53,7 +53,7 @@ use primepar_search::SearchStrategy;
 use primepar_sim::robustness_json;
 
 use crate::cache::WarmCache;
-use crate::observe::{FlightRecord, ObserveOptions, RequestTrace, ServiceObserver};
+use crate::observe::{Ending, RequestTrace, ServiceObserver};
 use crate::server::{CancelToken, PlannerService, ServiceOptions};
 use crate::{
     Error, PlanRequest, PlanResponse, ReplanRequest, ReplanResponse, Request, Response, SimRequest,
@@ -390,7 +390,9 @@ pub struct ServeOptions {
     /// of wall time, omit wall-derived event fields, and hold each request's
     /// completion events until the input closes, then write them in admit
     /// order: two serve runs over the same input then produce
-    /// byte-identical event logs.
+    /// byte-identical event logs. Whether a request is slow is a wall-clock
+    /// verdict, so a session that sets both this and
+    /// [`ServeOptions::slow_ms`] is refused with [`Error::Config`].
     pub logical_clock: bool,
 }
 
@@ -418,7 +420,6 @@ enum Input {
 
 /// One accepted request awaiting its verdict.
 struct Admitted {
-    id: String,
     trace: Arc<RequestTrace>,
     cancel: CancelToken,
 }
@@ -443,30 +444,12 @@ fn sanitize_artifact_id(id: &str) -> String {
 
 /// A request-lifecycle event: the request's trace context, kind, client id
 /// and request id.
-fn request_event(level: EventLevel, name: &str, trace: &RequestTrace, id: &str) -> Event {
+fn request_event(level: EventLevel, name: &str, trace: &RequestTrace) -> Event {
     Event::new(level, name)
         .context(trace.trace_id(), "s0")
         .field("kind", trace.kind())
-        .field("id", id)
+        .field("id", trace.id())
         .field("request_id", trace.request_id())
-}
-
-/// The flight recorder's outcome of a served request: the decision of a
-/// replan (not the memo result its running plan came from), else the cache
-/// outcome.
-fn outcome_label(resp: &Response) -> &'static str {
-    let cache = match resp {
-        Response::Plan(resp) => &resp.cache,
-        Response::Sim(resp) => &resp.cache,
-        Response::Replan(resp) => return resp.decision.tag(),
-    };
-    if cache.plan_cache_hit {
-        "hit"
-    } else if cache.coalesced {
-        "coalesced"
-    } else {
-        "miss"
-    }
 }
 
 /// The serve loop's output side: the client writer, the session's observer
@@ -476,10 +459,10 @@ struct Session<'s, W> {
     opts: &'s ServeOptions,
     observer: &'s ServiceObserver,
     events: Option<EventLog>,
-    /// Under the logical clock, each finished request's events keyed by
-    /// its `request_id`: [`Session::close_log`] writes them in admit order,
-    /// after the input events, so the log's order depends on the input
-    /// alone and not on when workers finish.
+    /// Under the logical clock, each finished request's `request.done`
+    /// event keyed by its `request_id`: [`Session::close_log`] writes them
+    /// in admit order, after the input events, so the log's order depends
+    /// on the input alone and not on when workers finish.
     held: Vec<(u64, Event)>,
     end: ServeEnd,
 }
@@ -502,7 +485,7 @@ impl<W: Write> Session<'_, W> {
         }
     }
 
-    /// Logs an event of request `request_id`'s completion: at once on the
+    /// Logs request `request_id`'s `request.done` event: at once on the
     /// wall clock, held for [`Session::close_log`] on the logical one.
     fn log_finished(&mut self, request_id: u64, event: Event) -> Result<(), Error> {
         if self.opts.logical_clock && self.events.is_some() {
@@ -513,9 +496,8 @@ impl<W: Write> Session<'_, W> {
         }
     }
 
-    /// Writes the held completion events in admit order (a request's `done`
-    /// before its `slow`), then the closing `serve.shutdown` event, and
-    /// flushes the log.
+    /// Writes the held `request.done` events in admit order, then the
+    /// closing `serve.shutdown` event, and flushes the log.
     fn close_log(&mut self) -> Result<(), Error> {
         let mut held = std::mem::take(&mut self.held);
         held.sort_by_key(|&(request_id, _)| request_id);
@@ -545,51 +527,44 @@ impl<W: Write> Session<'_, W> {
         self.send(&error_json("", err))
     }
 
-    /// Admits one request frame as the session's next `request_id`: counts
-    /// its strategy, opens its trace (minting a trace id when the client
-    /// sent none) and logs its receipt.
+    /// Admits one request frame as the session's next `request_id`: opens
+    /// its trace and logs its receipt.
     fn admit(
         &mut self,
         trace_id: Option<String>,
         req: &Request,
     ) -> Result<Arc<RequestTrace>, Error> {
         self.end.requests += 1;
-        let observer = self.observer;
-        observer.note_strategy(req.strategy());
-        let trace_id = trace_id.unwrap_or_else(|| observer.gen_trace_id());
-        let trace = observer.begin_request(trace_id, self.end.requests, req.kind());
-        self.log(request_event(
-            EventLevel::Info,
-            "request.received",
-            &trace,
-            req.id(),
-        ))?;
+        let trace = self
+            .observer
+            .begin_request(trace_id, self.end.requests, req);
+        self.log(request_event(EventLevel::Info, "request.received", &trace))?;
         Ok(trace)
     }
 
-    /// Answers an admitted request with its worker's verdict, then records
-    /// it: the flight recorder, a `request.done` event, and a `request.slow`
+    /// Answers an admitted request with its worker's verdict, then closes
+    /// its trace and logs it: a `request.done` event, and a `request.slow`
     /// breakdown past the threshold.
-    fn emit(&mut self, reply: &Admitted, verdict: Result<Response, Error>) -> Result<(), Error> {
-        // Summarize for the flight recorder before the verdict is consumed
-        // building the response document.
-        let (status, outcome, fingerprint) = match &verdict {
-            Ok(resp) => (
-                "ok".to_string(),
-                outcome_label(resp),
-                resp.fingerprint().to_string(),
-            ),
-            Err(Error::Cancelled(_)) => ("cancelled".to_string(), "-", String::new()),
-            Err(err) => (format!("error:{}", err.kind()), "-", String::new()),
+    fn emit(
+        &mut self,
+        trace: &Arc<RequestTrace>,
+        verdict: Result<Response, Error>,
+    ) -> Result<(), Error> {
+        // Read how the request ended before the verdict is consumed building
+        // the response document.
+        let ending = Ending::of(&verdict);
+        let level = if ending.ok() {
+            EventLevel::Info
+        } else {
+            EventLevel::Error
         };
-        let level = match status.as_str() {
-            "ok" => EventLevel::Info,
-            _ => EventLevel::Error,
-        };
+        let mut done = request_event(level, "request.done", trace)
+            .field("status", ending.status.as_str())
+            .field("outcome", ending.outcome);
         let mut doc = match verdict {
             Ok(Response::Plan(resp)) => {
                 if let Some(dir) = &self.opts.plan_dir {
-                    let path = dir.join(format!("{}.plan.txt", sanitize_artifact_id(&reply.id)));
+                    let path = dir.join(format!("{}.plan.txt", sanitize_artifact_id(trace.id())));
                     std::fs::write(&path, &resp.plan_text)
                         .map_err(|e| Error::internal(format!("--plan-dir write failed: {e}")))?;
                 }
@@ -599,40 +574,16 @@ impl<W: Write> Session<'_, W> {
             Ok(Response::Replan(resp)) => replan_response_json(&resp),
             Err(err) => {
                 self.end.errors += 1;
-                error_json(&reply.id, &err)
+                error_json(trace.id(), &err)
             }
         };
-        let trace = &reply.trace;
         doc.set("request_id", trace.request_id());
         doc.set("trace_id", trace.trace_id());
         doc.set("peak_rss_bytes", peak_rss_bytes());
         self.send(&doc)?;
 
+        let slow = self.observer.complete_request(trace, ending);
         let elapsed_us = trace.elapsed_us();
-        let stages: Vec<(String, u64)> = trace
-            .spans()
-            .iter()
-            .skip(1) // the root `request` span is the elapsed time itself
-            .map(|span| (span.name.clone(), span.dur_us))
-            .collect();
-        let slow = self.observer.complete_request(
-            trace,
-            FlightRecord {
-                request_id: trace.request_id(),
-                id: reply.id.clone(),
-                trace_id: trace.trace_id().to_string(),
-                kind: trace.kind().to_string(),
-                fingerprint,
-                outcome: outcome.to_string(),
-                status: status.clone(),
-                elapsed_us,
-                worker: trace.worker(),
-                stages: stages.clone(),
-            },
-        );
-        let mut done = request_event(level, "request.done", trace, &reply.id)
-            .field("status", status.as_str())
-            .field("outcome", outcome);
         // Wall-derived fields would break the logical clock's byte-identical
         // same-input guarantee; the flight recorder still has them.
         if !self.opts.logical_clock {
@@ -642,14 +593,16 @@ impl<W: Write> Session<'_, W> {
             }
         }
         self.log_finished(trace.request_id(), done)?;
+        // Slow verdicts exist only on the wall clock (see `check_clock`), so
+        // the breakdown is never held.
         if slow {
-            let mut warn = request_event(EventLevel::Warn, "request.slow", trace, &reply.id)
+            let mut warn = request_event(EventLevel::Warn, "request.slow", trace)
                 .field("elapsed_us", elapsed_us)
                 .field("threshold_ms", self.opts.slow_ms.unwrap_or(0));
-            for (name, dur_us) in &stages {
-                warn = warn.field(format!("stage.{name}"), *dur_us);
+            for (name, dur_us) in trace.stages() {
+                warn = warn.field(format!("stage.{name}"), dur_us);
             }
-            self.log_finished(trace.request_id(), warn)?;
+            self.log(warn)?;
         }
         Ok(())
     }
@@ -776,13 +729,15 @@ fn read_frame(reader: &mut impl BufRead) -> std::io::Result<Option<Result<String
 ///
 /// # Errors
 ///
-/// See [`serve_lines`].
+/// See [`serve_lines`]; also [`Error::Config`] when `opts` sets both
+/// [`ServeOptions::logical_clock`] and [`ServeOptions::slow_ms`].
 pub fn serve_lines_with_cache(
     reader: impl BufRead + Send,
     writer: &mut impl Write,
     cache: &WarmCache,
     opts: &ServeOptions,
 ) -> Result<ServeEnd, Error> {
+    check_clock(opts)?;
     let pool = ServiceOptions {
         workers: if opts.workers == 0 {
             ServiceOptions::default().workers
@@ -790,27 +745,17 @@ pub fn serve_lines_with_cache(
             opts.workers
         },
     };
-    let observer = ServiceObserver::new(ObserveOptions {
-        workers: pool.workers,
-        clock: if opts.logical_clock {
-            ClockMode::Logical
-        } else {
-            ClockMode::Wall
-        },
-        slow_ms: opts.slow_ms,
-        stats_out: opts.stats_out.clone(),
-        chrome: opts.trace_out.is_some(),
-        recorder_capacity: 0,
-    });
-    let observer = &observer;
+    let observer = &ServiceObserver::new(opts, pool.workers);
     let events = match &opts.event_log {
         Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| Error::internal(format!("--event-log open failed: {e}")))?;
-            Some(EventLog::new(
-                std::io::BufWriter::new(file),
-                observer.clock(),
-            ))
+            let clock = if opts.logical_clock {
+                ClockMode::Logical
+            } else {
+                ClockMode::Wall
+            };
+            Some(EventLog::new(std::io::BufWriter::new(file), clock))
         }
         None => None,
     };
@@ -875,7 +820,7 @@ pub fn serve_lines_with_cache(
                             .iter()
                             .position(|r| r.trace.request_id() == request_id);
                         if let Some(at) = at {
-                            session.emit(&pending.remove(at), verdict)?;
+                            session.emit(&pending.remove(at).trace, verdict)?;
                         }
                         continue;
                     }
@@ -898,16 +843,16 @@ pub fn serve_lines_with_cache(
                 match frame {
                     Frame::Request(req) => {
                         let trace = session.admit(trace_id, &req)?;
-                        let (id, request_id) = (req.id().to_string(), trace.request_id());
+                        let request_id = trace.request_id();
                         let done = inbox_tx.clone();
                         let cancel = client.dispatch(req, Some(trace.clone()), move |verdict| {
                             drop(done.send(Input::Done(request_id, verdict)));
                         });
-                        pending.push(Admitted { id, trace, cancel });
+                        pending.push(Admitted { trace, cancel });
                     }
                     Frame::Cancel { id, request_id } => {
                         for reply in pending.iter().filter(|r| {
-                            id.as_deref() == Some(r.id.as_str())
+                            id.as_deref() == Some(r.trace.id())
                                 || request_id == Some(r.trace.request_id())
                         }) {
                             reply.cancel.cancel();
@@ -936,6 +881,19 @@ pub fn serve_lines_with_cache(
     })
 }
 
+/// Refuses a session that would judge slowness under the logical clock:
+/// `request.slow` is a wall-clock verdict carrying wall-clock fields, so it
+/// would break the clock's byte-identical event logs.
+fn check_clock(opts: &ServeOptions) -> Result<(), Error> {
+    if opts.logical_clock && opts.slow_ms.is_some() {
+        return Err(Error::config(
+            "--slow-ms needs the wall clock: a slow verdict and its stage times are \
+             wall-clock readings, which --logical-clock omits from the event log",
+        ));
+    }
+    Ok(())
+}
+
 /// Hosts the line protocol on a Unix domain socket, one connection at a
 /// time, sharing one [`WarmCache`] across connections (and persisting it
 /// via [`ServeOptions::cache_file`]). A `shutdown` frame ends the whole
@@ -945,7 +903,8 @@ pub fn serve_lines_with_cache(
 ///
 /// # Errors
 ///
-/// [`Error::Config`] when `path` exists and is not a socket;
+/// [`Error::Config`] when `path` exists and is not a socket, or `opts` sets
+/// both [`ServeOptions::logical_clock`] and [`ServeOptions::slow_ms`];
 /// [`Error::Internal`] when binding or accepting fails.
 #[cfg(unix)]
 pub fn serve_unix_socket(path: &std::path::Path, opts: &ServeOptions) -> Result<ServeEnd, Error> {
@@ -953,6 +912,7 @@ pub fn serve_unix_socket(path: &std::path::Path, opts: &ServeOptions) -> Result<
     use std::os::unix::fs::FileTypeExt;
     use std::os::unix::net::UnixListener;
 
+    check_clock(opts)?;
     if let Ok(meta) = std::fs::symlink_metadata(path) {
         if !meta.file_type().is_socket() {
             return Err(Error::config(format!(

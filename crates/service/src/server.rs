@@ -152,17 +152,16 @@ impl Clone for ServiceClient<'_> {
 }
 
 impl ServiceClient<'_> {
-    /// Enqueues a request; returns immediately. The worker that picks the
-    /// job up records its execution spans into `trace`, when given.
-    pub fn submit(&self, req: Request, trace: Option<Arc<RequestTrace>>) -> Pending {
+    /// Enqueues a request; returns immediately.
+    pub fn submit(&self, req: Request) -> Pending {
         let (tx, rx) = mpsc::channel();
-        let cancel = self.dispatch(req, trace, move |verdict| drop(tx.send(verdict)));
+        let cancel = self.dispatch(req, None, move |verdict| drop(tx.send(verdict)));
         Pending { rx, cancel }
     }
 
     /// Enqueues a plan request; returns immediately.
     pub fn submit_plan(&self, req: PlanRequest) -> Pending {
-        self.submit(Request::Plan(req), None)
+        self.submit(Request::Plan(req))
     }
 
     /// Plans synchronously on the pool.
@@ -183,7 +182,8 @@ impl ServiceClient<'_> {
     }
 
     /// Enqueues `req`, to be answered exactly once through `reply`; returns
-    /// the request's cancellation token.
+    /// the request's cancellation token. The worker that picks the job up
+    /// records its execution spans into `trace`, when given.
     pub(crate) fn dispatch(
         &self,
         req: Request,
@@ -230,7 +230,7 @@ impl PlannerService {
     /// [`ServiceObserver`]: each worker gets a stable lane index, announces
     /// pickups/completions, records execution spans into job traces, and
     /// dumps the flight recorder should a job panic.
-    pub fn run_observed<R>(
+    pub(crate) fn run_observed<R>(
         opts: ServiceOptions,
         cache: &WarmCache,
         observer: Option<&ServiceObserver>,
@@ -351,7 +351,9 @@ fn run_caught<T>(
         Ok(result) => result,
         Err(payload) => {
             if let Some((obs, cache)) = panic_dump {
-                obs.dump_on_panic(cache);
+                // Best effort: the panic verdict must reach the client even
+                // when the dump cannot be written.
+                let _ = obs.dump_stats(cache, "panic");
             }
             Err(Error::internal(format!(
                 "worker panicked: {}",
@@ -432,7 +434,7 @@ mod tests {
     fn replan_requests_flow_through_the_pool() {
         PlannerService::run(ServiceOptions::default(), |client| {
             let req = ReplanRequest::of(tiny("r")).with_scenario("harsh", 5);
-            let verdict = client.submit(Request::Replan(req), None).wait();
+            let verdict = client.submit(Request::Replan(req)).wait();
             let Ok(Response::Replan(resp)) = verdict else {
                 panic!("expected a replan response, got {verdict:?}");
             };

@@ -6,10 +6,13 @@
 //! * The exported per-session Chrome trace groups spans by trace id, every
 //!   span tree is well-nested (children inside their parent's window), and
 //!   executed requests land on a worker lane (`tid >= 1`).
+//! * One record, three views: a request's `request.slow` breakdown, its
+//!   flight-recorder entry and its Chrome spans report the same stage
+//!   durations.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
-use primepar_obs::{parse_json, parse_trace, Json, TraceEvent};
+use primepar_obs::{parse_event_log, parse_json, parse_trace, FieldValue, Json, TraceEvent};
 use primepar_service::{request_json, serve_lines, PlanRequest, ServeOptions};
 
 fn arg<'a>(event: &'a TraceEvent, key: &str) -> Option<&'a str> {
@@ -144,6 +147,119 @@ fn parallel_clients_get_their_own_trace_ids_and_well_nested_spans() {
                 );
             }
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Per trace id: the root duration and each stage's duration, µs.
+type Breakdowns = BTreeMap<String, (u64, BTreeMap<String, u64>)>;
+
+#[test]
+fn slow_log_flight_recorder_and_chrome_trace_agree_per_trace_id() {
+    let dir = std::env::temp_dir().join("primepar-slow-views-itest");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (event_log, trace_out, stats_out) = (
+        dir.join("slow.events.jsonl"),
+        dir.join("slow.trace.json"),
+        dir.join("slow.stats.json"),
+    );
+
+    // Two cold plans and a repeat of the first (a memo hit or a coalesced
+    // wait), each under a client trace id.
+    let mut input = String::new();
+    for (i, seq) in [256u64, 320, 256].into_iter().enumerate() {
+        let req = PlanRequest::builder("opt-6.7b")
+            .id(format!("s{i}"))
+            .devices(4)
+            .batch(8)
+            .seq(seq)
+            .layers(Some(1))
+            .build();
+        let mut frame = request_json(&req);
+        frame.set("trace_id", format!("slow-{i}"));
+        input.push_str(&frame.render());
+        input.push('\n');
+    }
+    let mut out = Vec::new();
+    let end = serve_lines(
+        input.as_bytes(),
+        &mut out,
+        &ServeOptions {
+            workers: 2,
+            event_log: Some(event_log.clone()),
+            trace_out: Some(trace_out.clone()),
+            stats_out: Some(stats_out.clone()),
+            slow_ms: Some(0),
+            ..ServeOptions::default()
+        },
+    )
+    .expect("serves");
+    assert_eq!((end.requests, end.errors), (3, 0));
+
+    // Every request crosses a 0 ms threshold: its `request.slow` event.
+    let mut slow = Breakdowns::new();
+    for event in parse_event_log(&std::fs::read_to_string(&event_log).unwrap()).unwrap() {
+        if event.name != "request.slow" {
+            continue;
+        }
+        let mut elapsed = None;
+        let mut stages = BTreeMap::new();
+        for (key, value) in &event.fields {
+            let FieldValue::U64(us) = value else {
+                continue;
+            };
+            if key == "elapsed_us" {
+                elapsed = Some(*us);
+            } else if let Some(stage) = key.strip_prefix("stage.") {
+                stages.insert(stage.to_string(), *us);
+            }
+        }
+        let elapsed = elapsed.expect("request.slow carries elapsed_us");
+        assert!(slow.insert(event.trace_id, (elapsed, stages)).is_none());
+    }
+
+    // The shutdown dump's flight recorder.
+    let stats = parse_json(&std::fs::read_to_string(&stats_out).unwrap()).unwrap();
+    let mut recorded = Breakdowns::new();
+    for entry in stats
+        .get("flight_recorder")
+        .and_then(Json::as_array)
+        .expect("flight recorder")
+    {
+        let field = |key| entry.get(key).expect(key);
+        let Json::Obj(stages) = field("stages_us") else {
+            panic!("stages_us is an object");
+        };
+        let stages = stages
+            .iter()
+            .map(|(name, us)| (name.clone(), us.as_u64().expect("µs")))
+            .collect();
+        let trace_id = field("trace_id").as_str().unwrap().to_string();
+        let elapsed = field("elapsed_us").as_u64().unwrap();
+        assert!(recorded.insert(trace_id, (elapsed, stages)).is_none());
+    }
+
+    // The Chrome trace: the root span and the spans below it.
+    let mut chrome = Breakdowns::new();
+    for event in parse_trace(&std::fs::read_to_string(&trace_out).unwrap()).unwrap() {
+        let trace_id = arg(&event, "trace_id").expect("trace_id").to_string();
+        let (elapsed, stages) = chrome.entry(trace_id).or_default();
+        if arg(&event, "parent").is_none() {
+            *elapsed = event.dur_us as u64;
+        } else {
+            assert!(stages
+                .insert(event.name.clone(), event.dur_us as u64)
+                .is_none());
+        }
+    }
+
+    let ids: Vec<&str> = slow.keys().map(String::as_str).collect();
+    assert_eq!(ids, ["slow-0", "slow-1", "slow-2"]);
+    assert_eq!(slow, recorded, "slow log vs flight recorder");
+    assert_eq!(slow, chrome, "slow log vs Chrome trace");
+    for (trace_id, (_, stages)) in &slow {
+        assert!(stages.contains_key("exec"), "{trace_id}: {stages:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -187,19 +187,23 @@ echo "== observability smoke (events, stats frame, Chrome trace, determinism) ==
 # One traced serve session: a client-tagged plan, a live `stats` probe, and a
 # shutdown. The event log, Chrome trace and shutdown stats snapshot must all
 # re-parse under `validate`, the response must echo the client trace id, and
-# the stats frame must answer with a tagged snapshot.
+# the stats frame must answer with a tagged snapshot. `--slow-ms 0` makes
+# every request slow, so the log `validate` re-parses holds a `request.slow`
+# stage breakdown.
 frame='{"schema_version":"primepar.service.v2","type":"plan","id":"t1","model":"opt-6.7b","devices":4,"seq":512,"layers":2,"trace_id":"ci-trace-1"}'
 {
     printf '%s\n' "$frame"
     printf '{"schema_version":"primepar.service.v2","type":"stats","trace_id":"ci-stats-1"}\n'
     printf '{"schema_version":"primepar.service.v2","type":"shutdown"}\n'
-} | timeout 120 ./target/release/primepar serve --workers 1 --slow-ms 30000 \
+} | timeout 120 ./target/release/primepar serve --workers 1 --slow-ms 0 \
     --plan-dir "$artifacts/traced" \
     --event-log "$artifacts/serve.events.jsonl" \
     --trace-out "$artifacts/serve.trace.json" \
     --stats-out "$artifacts/serve.stats.json" >"$artifacts/traced.out"
 grep -q '"trace_id":"ci-trace-1"' "$artifacts/traced.out" \
     || { echo "response did not echo the client trace id" >&2; exit 1; }
+grep '"request.slow"' "$artifacts/serve.events.jsonl" | grep -q '"trace_id":"ci-trace-1"' \
+    || { echo "--slow-ms 0 logged no request.slow breakdown for ci-trace-1" >&2; exit 1; }
 # Tracing is inert: the traced session's plan (same point as the persistence
 # smoke, which ran untraced) must be byte-identical.
 cmp "$artifacts/persist1/c1.plan.txt" "$artifacts/traced/t1.plan.txt" \

@@ -549,3 +549,17 @@ fn error_variants_map_to_distinct_exit_codes() {
     // success path still exits 0.
     assert_eq!(exit_code(&["models"]), 0);
 }
+
+#[test]
+fn slow_ms_under_the_logical_clock_is_a_config_error() {
+    // Whether a request is slow is a wall-clock verdict, and `request.slow`
+    // carries wall-clock stage times: it cannot ride in an event log that
+    // promises byte-identical reruns.
+    assert_eq!(
+        exit_code(&["serve", "--logical-clock", "--slow-ms", "5"]),
+        2
+    );
+    // Either flag alone still serves.
+    assert_eq!(exit_code(&["serve", "--logical-clock"]), 0);
+    assert_eq!(exit_code(&["serve", "--slow-ms", "5"]), 0);
+}
