@@ -18,6 +18,7 @@ mod fig9_ablation;
 mod replan;
 mod robustness;
 mod table2_opt_time;
+mod work;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -44,6 +45,7 @@ const FIGURES: &[(&str, Figure)] = &[
     ("ablations", ablations::run),
     ("robustness", robustness::run),
     ("replan", replan::run),
+    ("work", work::run),
 ];
 
 const USAGE: &str = "usage: figures <name>... [--out-dir DIR] [--quick] [--devices 4,8]";

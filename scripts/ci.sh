@@ -333,6 +333,14 @@ for run in 1 2; do
     cmp "$artifacts/elastic$run/replan.metrics.json" results/replan.metrics.json \
         || { echo "replan.metrics.json (run $run) differs from results/" >&2; exit 1; }
 done
+# The work ledger: the planner's thread-invariant counters on the contract
+# runs. `figures work` exits non-zero if 0 and 4 threads count differently;
+# a change that moves counted work re-blesses results/work.metrics.json.
+mkdir -p "$artifacts/work"
+./target/release/figures work --out-dir "$artifacts/work" >/dev/null \
+    || { echo "work ledger differs between thread counts" >&2; exit 1; }
+cmp "$artifacts/work/work.metrics.json" results/work.metrics.json \
+    || { echo "work.metrics.json differs from results/" >&2; exit 1; }
 # The deterministic figure tables (stdout minus the "written to" lines).
 # ablations.txt and table2_opt_time.txt carry wall-clock timings, so they
 # are not pinned.
