@@ -6,19 +6,16 @@
 //! subtracting the shared node), and finally composes `log₂(#layers)` min-plus
 //! doublings across the stacked identical layers per Eq. 14.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use primepar_cost::{
-    intra_cost, matrix_job_ids, CacheStats, CostCtx, EdgeCostCache, IntraCost, PreparedEdge,
-};
+use primepar_cost::{intra_cost, matrix_job_ids, CacheStats, CostCtx, EdgeCostCache, PreparedEdge};
 use primepar_graph::Graph;
 use primepar_partition::PartitionSeq;
 use primepar_topology::Cluster;
 
 use crate::arena::{choice_width, Choice, ChoiceArena, EdgeTables};
-use crate::prune::{dominance_prune, PruneKey};
+use crate::prune::{dominance_prune, prune_keys};
 use crate::strategy::{self, SearchInterrupt, SearchStrategy};
 use crate::{minplus, PlannerMetrics, PlannerWarmCache, SegmentMetrics, SpaceCache, SpaceOptions};
 
@@ -168,34 +165,92 @@ enum BacktrackStep {
     },
 }
 
-/// One `plan_pass` run's outputs beyond the plan itself: the intra-only
-/// lower bound behind the reported optimality gap, and the widest interior
-/// space (a beam at least that wide is exact).
-struct PassOutcome {
-    plan: ModelPlan,
-    lower_bound: f64,
-    max_interior: usize,
+/// What every stage after stage 1 reads: each operator's partition space
+/// with its per-state Eq. 7 intra-cost and memory vectors, the structural
+/// signature ids that key stage 2's matrix jobs and the prune, and the
+/// Fig. 6 segments with their endpoints. Stage 1 builds it once per
+/// `optimize` call; the beam and the dominance prune narrow it with
+/// [`restrict`](PassState::restrict). A clone shares every vector by `Arc`.
+#[derive(Debug, Clone)]
+pub(crate) struct PassState {
+    pub(crate) spaces: SharedSpaces,
+    pub(crate) intra: SharedVecs,
+    pub(crate) mem: SharedVecs,
+    pub(crate) sig_ids: Vec<usize>,
+    pub(crate) segments: Vec<(usize, usize)>,
+    /// Whether each node is a segment endpoint. Endpoints are never beamed
+    /// or pruned: merges (Eq. 13) and layer joins (Eq. 14) subtract their
+    /// intra cost, and the stackability test compares their spaces.
+    pub(crate) endpoint: Vec<bool>,
 }
 
-/// What stages 3–6 of one pass read: the layer count, the segments with
-/// the states pruned in each, and the pruned spaces, intra vectors and edge
-/// planes.
-#[derive(Clone, Copy)]
-struct DpInputs<'p> {
-    layers: u64,
-    segments: &'p [(usize, usize)],
-    seg_pruned: &'p [u64],
-    spaces: &'p [Arc<Vec<PartitionSeq>>],
-    intra: &'p [Arc<Vec<f64>>],
-    edge_tables: &'p EdgeTables,
-}
+impl PassState {
+    /// Each node's state count.
+    fn sizes(&self) -> Vec<usize> {
+        self.spaces.iter().map(|s| s.len()).collect()
+    }
 
-/// What stages 3–6 return: each operator's chosen state index, and the
-/// plan's total and steady-state layer costs.
-struct Solved {
-    states: Vec<usize>,
-    total_cost: f64,
-    layer_cost: f64,
+    /// The bytes of one backtrack choice over these spaces.
+    fn choice_width(&self) -> usize {
+        choice_width(self.spaces.iter().map(|s| s.len()).max().unwrap_or(0))
+    }
+
+    /// The nodes that are not segment endpoints.
+    fn interior(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.spaces.len()).filter(|&n| !self.endpoint[n])
+    }
+
+    /// Intra-only lower bound on the exact optimum over these spaces: each
+    /// interior operator contributes its cheapest Eq. 7 cost in every
+    /// stacked layer, and every other cost term (boundary intra, Eqs. 8–9
+    /// edge costs) is nonnegative. On stage 1's state it bounds the exact
+    /// plan, not just a beam's restricted one, so the reported gap bounds
+    /// the true gap.
+    fn lower_bound(&self, layers: u64) -> f64 {
+        layers.max(1) as f64
+            * self
+                .interior()
+                .map(|n| self.intra[n].iter().copied().fold(f64::INFINITY, f64::min))
+                .sum::<f64>()
+    }
+
+    /// The widest interior space: a beam at least this wide is exact.
+    fn max_interior(&self) -> usize {
+        self.interior()
+            .map(|n| self.spaces[n].len())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Narrows every node with `Some(kept)` to those states (ascending ids
+    /// into its current space), gathering its space, intra and memory
+    /// vectors; `None` nodes keep their shared vectors. Equal-signature
+    /// nodes may keep different subsets, so each distinct (signature id,
+    /// kept set) class of restricted nodes gets a fresh id above the
+    /// current maximum: matrix job ids and prune keys then identify only
+    /// nodes whose signature and kept set agree. Returns the states dropped.
+    fn restrict(&mut self, kept: &[Option<Vec<u32>>]) -> u64 {
+        fn gather<T: Clone>(v: &[T], kept: &[u32]) -> Arc<Vec<T>> {
+            Arc::new(kept.iter().map(|&i| v[i as usize].clone()).collect())
+        }
+        let fresh = self.sig_ids.iter().max().map_or(0, |m| m + 1);
+        let mut classes: Vec<(usize, &Vec<u32>)> = Vec::new();
+        let mut dropped = 0;
+        for (n, k) in kept.iter().enumerate() {
+            let Some(k) = k else { continue };
+            dropped += (self.spaces[n].len() - k.len()) as u64;
+            self.spaces[n] = gather(self.spaces[n].as_slice(), k);
+            self.intra[n] = gather(self.intra[n].as_slice(), k);
+            self.mem[n] = gather(self.mem[n].as_slice(), k);
+            let key = (self.sig_ids[n], k);
+            let class = classes.iter().position(|c| *c == key).unwrap_or_else(|| {
+                classes.push(key);
+                classes.len() - 1
+            });
+            self.sig_ids[n] = fresh + class;
+        }
+        dropped
+    }
 }
 
 /// Choice-plane cells one pass allocates, in closed form from the post-prune
@@ -245,13 +300,6 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// Intra-operator cost details of one operator under one sequence —
-    /// exposed so reports and simulators price plans identically.
-    pub fn intra(&self, op_index: usize, seq: &PartitionSeq) -> IntraCost {
-        let ctx = CostCtx::new(self.cluster, self.opts.alpha);
-        intra_cost(&ctx, &self.graph.ops[op_index], seq)
-    }
-
     /// Runs the optimization for `layers` stacked layers.
     ///
     /// # Panics
@@ -275,25 +323,14 @@ impl<'a> Planner<'a> {
         self.optimize_inner(layers, None)
     }
 
-    /// [`optimize`](Planner::optimize) against a cross-run
-    /// [`PlannerWarmCache`]: side profiles and volume planes an
+    /// [`optimize_instrumented`](Planner::optimize_instrumented) against a
+    /// cross-run [`PlannerWarmCache`]: side profiles and volume planes an
     /// earlier run interned under the same layout are reused instead of
     /// rebuilt, whatever that run's cluster and `α`, and fresh ones are
     /// interned for later runs. Plans are bitwise-identical to the cold path
     /// (equal layouts imply equal volumes, and each run prices them on its
-    /// own cluster).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any operator's partition space is empty for this cluster
-    /// size (an operator too small to split that far).
-    pub fn optimize_warm(&self, layers: u64, warm: &PlannerWarmCache) -> ModelPlan {
-        self.optimize_warm_instrumented(layers, warm).0
-    }
-
-    /// [`optimize_warm`](Planner::optimize_warm) with full
-    /// [`PlannerMetrics`], including the warm-cache hit/miss counters of
-    /// this run.
+    /// own cluster). The metrics include the warm-cache hit/miss counters
+    /// of this run.
     ///
     /// # Panics
     ///
@@ -321,104 +358,99 @@ impl<'a> Planner<'a> {
             thread_busy_seconds: vec![0.0; threads_used],
             ..PlannerMetrics::default()
         };
-        let (mut plan, gap) = match self.opts.strategy {
-            SearchStrategy::Exact => {
-                let out = self.plan_pass(layers, warm, usize::MAX, &mut tm);
-                (out.plan, 0.0)
-            }
-            SearchStrategy::Beam { width } => {
-                let width = width.max(1);
-                let out = self.plan_pass(layers, warm, width, &mut tm);
-                tm.beam_width = width;
-                let gap = if width >= out.max_interior {
-                    0.0
-                } else {
-                    gap_upper_bound(out.plan.total_cost, out.lower_bound)
-                };
-                (out.plan, gap)
-            }
-            SearchStrategy::Anytime { budget_ms } => {
-                let budget = Duration::from_millis(budget_ms);
-                let mut width = 1usize;
-                let mut best: Option<ModelPlan> = None;
-                let mut lower_bound;
-                let mut converged = false;
-                loop {
-                    let out = self.plan_pass(layers, warm, width, &mut tm);
-                    tm.anytime_rounds += 1;
-                    tm.beam_width = width;
-                    lower_bound = out.lower_bound;
-                    // Strict improvement only: a wider round that merely
-                    // ties keeps the earlier plan, so the winner is a
-                    // deterministic function of the completed rounds.
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| out.plan.total_cost < b.total_cost)
-                    {
-                        best = Some(out.plan);
-                    }
-                    if width >= out.max_interior {
-                        converged = true;
-                        break;
-                    }
-                    if self
-                        .interrupt
-                        .as_ref()
-                        .is_some_and(SearchInterrupt::is_interrupted)
-                    {
-                        break;
-                    }
-                    if start.elapsed() >= budget {
-                        break;
-                    }
-                    width = width.saturating_mul(2);
-                }
-                tm.anytime_converged = converged;
-                let best = best.expect("at least one anytime round");
-                let gap = if converged {
-                    0.0
-                } else {
-                    gap_upper_bound(best.total_cost, lower_bound)
-                };
-                (best, gap)
-            }
+        let ctx = CostCtx::new(self.cluster, self.opts.alpha);
+        let full = self.spaces(&ctx, &mut tm);
+        let max_interior = full.max_interior();
+        // A beam is one round at its width. The anytime driver doubles the
+        // width from 1 until a round covers every interior space (which is
+        // exact), the budget runs out or the interrupt fires.
+        let (mut width, budget) = match self.opts.strategy {
+            SearchStrategy::Exact => (usize::MAX, None),
+            SearchStrategy::Beam { width } => (width.max(1), None),
+            SearchStrategy::Anytime { budget_ms } => (1, Some(Duration::from_millis(budget_ms))),
         };
-        tm.optimality_gap = gap;
+        let mut best: Option<ModelPlan> = None;
+        loop {
+            let plan = self.pass(full.clone(), &ctx, layers, warm, width, &mut tm);
+            // Strict improvement only: a wider round that merely ties keeps
+            // the earlier plan, so the winner is a deterministic function of
+            // the completed rounds.
+            if best.as_ref().is_none_or(|b| plan.total_cost < b.total_cost) {
+                best = Some(plan);
+            }
+            let Some(budget) = budget else { break };
+            tm.anytime_rounds += 1;
+            tm.anytime_converged = width >= max_interior;
+            let interrupted = self
+                .interrupt
+                .as_ref()
+                .is_some_and(SearchInterrupt::is_interrupted);
+            if tm.anytime_converged || interrupted || start.elapsed() >= budget {
+                break;
+            }
+            width = width.saturating_mul(2);
+        }
+        let mut plan = best.expect("at least one round");
+        if self.opts.strategy != SearchStrategy::Exact {
+            tm.beam_width = width;
+        }
+        tm.optimality_gap = if width >= max_interior {
+            0.0
+        } else {
+            gap_upper_bound(plan.total_cost, full.lower_bound(layers))
+        };
         tm.peak_rss_bytes = primepar_obs::peak_rss_bytes();
         tm.total_seconds = start.elapsed().as_secs_f64();
         plan.search_time = start.elapsed();
         (plan, tm)
     }
 
-    /// One full pipeline pass — stages 1–6 — under an optional per-node
-    /// beam. `beam_width == usize::MAX` runs the unrestricted exact
-    /// pipeline. Counters and stage seconds *accumulate* into `tm` (the
-    /// anytime driver runs several passes); structural fields (`op_names`,
-    /// `space_sizes`, `segments`) describe the latest pass.
-    fn plan_pass(
+    /// Stages 1b–6 over a copy of stage 1's state under an optional
+    /// per-node beam: beam, edges, prune, solve. `beam_width == usize::MAX`
+    /// runs the unrestricted exact pipeline. The anytime driver runs one
+    /// pass per round; see [`PlannerMetrics`] for which fields add up over
+    /// rounds and which describe the last one.
+    fn pass(
         &self,
+        mut state: PassState,
+        ctx: &CostCtx<'_>,
         layers: u64,
         warm: Option<&PlannerWarmCache>,
         beam_width: usize,
         tm: &mut PlannerMetrics,
-    ) -> PassOutcome {
-        let start = Instant::now();
+    ) -> ModelPlan {
+        // One edge cache serves the whole pass — the warm one, or one of the
+        // pass's own: the beam's anchored probes intern the probed nodes'
+        // *full-space* side profiles, and stage 2 reuses them verbatim for
+        // every node the beam left untouched (endpoints above all) instead
+        // of rebuilding the most expensive profiles.
+        let own = Mutex::new(EdgeCostCache::new());
+        let mut stats = CacheStats::default();
+        let cache = warm.map_or(&own, |w| &w.edges);
+        self.beam(&mut state, ctx, cache, &mut stats, beam_width, tm);
+        let (edge_tables, edge_jobs) = self.edges(&state, ctx, own, warm, stats, tm);
+        let (edge_tables, seg_pruned) = self.prune(&mut state, edge_tables, &edge_jobs, tm);
+        if state.choice_width() == std::mem::size_of::<u16>() {
+            self.solve::<u16>(&state, &edge_tables, &seg_pruned, layers, tm)
+        } else {
+            self.solve::<u32>(&state, &edge_tables, &seg_pruned, layers, tm)
+        }
+    }
+
+    /// Stage 1: per-operator spaces plus per-state intra-cost and memory
+    /// vectors (both unzipped from the *same* Eq. 7 evaluation): one
+    /// enumeration and one vector pair per unique structural signature,
+    /// shared by every node carrying it. Runs once per `optimize` call.
+    fn spaces(&self, ctx: &CostCtx<'_>, tm: &mut PlannerMetrics) -> PassState {
         let n_bits = self.cluster.space().n_bits();
-        let ctx = CostCtx::new(self.cluster, self.opts.alpha);
         let sig_ids = self.graph.signature_ids();
         tm.unique_signatures = sig_ids.iter().max().map_or(0, |m| m + 1);
-        tm.segments.clear();
-
         let t0 = Instant::now();
-        // 1. Per-operator spaces plus per-state intra-cost and memory
-        // vectors (both unzipped from the *same* Eq. 7 evaluation): one
-        // enumeration and one vector pair per unique structural signature,
-        // shared by every node carrying it.
         let unzip_intra = |op: &primepar_graph::Operator, space: &[PartitionSeq]| {
             let (cost, mem): (Vec<f64>, Vec<f64>) = space
                 .iter()
                 .map(|q| {
-                    let ic = intra_cost(&ctx, op, q);
+                    let ic = intra_cost(ctx, op, q);
                     (ic.cost, ic.memory_bytes)
                 })
                 .unzip();
@@ -440,12 +472,12 @@ impl<'a> Planner<'a> {
             intra.push(c);
             mem.push(m);
         }
-        tm.space_cache_hits += space_cache.hits();
-        tm.space_cache_misses += space_cache.misses();
+        tm.space_cache_hits = space_cache.hits();
+        tm.space_cache_misses = space_cache.misses();
         tm.op_names = self.graph.ops.iter().map(|op| op.name.clone()).collect();
         tm.space_sizes = spaces.iter().map(|s| s.len()).collect();
-        tm.intra_evaluations += ctx.intra_evaluations();
-        tm.spaces_intra_seconds += t0.elapsed().as_secs_f64();
+        tm.intra_evaluations = ctx.intra_evaluations();
+        tm.spaces_intra_seconds = t0.elapsed().as_secs_f64();
 
         let segments = self.graph.segments();
         let mut endpoint = vec![false; spaces.len()];
@@ -453,97 +485,60 @@ impl<'a> Planner<'a> {
             endpoint[s] = true;
             endpoint[e] = true;
         }
-        // Intra-only lower bound on the *exact* optimum: each interior
-        // operator contributes its cheapest Eq. 7 cost in every stacked
-        // layer, and every other cost term (boundary intra, Eqs. 8-9 edge
-        // costs) is nonnegative. Computed on the full pre-beam vectors, so
-        // it bounds the exact plan, not just this pass's restricted one —
-        // which makes the reported gap an upper bound on the true gap.
-        let lower_bound = layers.max(1) as f64
-            * (0..spaces.len())
-                .filter(|&n| !endpoint[n])
-                .map(|n| intra[n].iter().copied().fold(f64::INFINITY, f64::min))
-                .sum::<f64>();
-        let max_interior = (0..spaces.len())
-            .filter(|&n| !endpoint[n])
-            .map(|n| spaces[n].len())
-            .max()
-            .unwrap_or(0);
+        PassState {
+            spaces,
+            intra,
+            mem,
+            sig_ids,
+            segments,
+            endpoint,
+        }
+    }
 
+    /// Stage 1b, the beam (strategy layer): interior nodes wider than the
+    /// beam keep only their `width` best states by the anchored probe
+    /// heuristic — *before* the stage-2 matrices are built on them, so both
+    /// the O(P²) matrix volume and the O(P³) sweeps shrink. Nodes already
+    /// inside the beam are untouched, so a wide-enough beam leaves this
+    /// stage a literal no-op and the pass stays bitwise-exact (pinned by
+    /// `tests/strategy_equivalence.rs`).
+    fn beam(
+        &self,
+        state: &mut PassState,
+        ctx: &CostCtx<'_>,
+        cache: &Mutex<EdgeCostCache>,
+        stats: &mut CacheStats,
+        width: usize,
+        tm: &mut PlannerMetrics,
+    ) {
         let tb = Instant::now();
-        // One edge cache serves the whole pass — the warm one, or one of the
-        // pass's own: the beam stage's anchored probes intern the probed
-        // nodes' *full-space* side profiles, and stage 2 reuses them verbatim
-        // for every node the beam left untouched (endpoints above all)
-        // instead of rebuilding the most expensive profiles.
-        let own = Mutex::new(EdgeCostCache::new());
-        let cache = warm.map_or(&own, |w| &w.edges);
-        let mut stats = CacheStats::default();
-        // 1b. Beam restriction (strategy layer): interior nodes wider than
-        // the beam keep only their `beam_width` best states by the anchored
-        // probe heuristic — *before* the stage-2 matrices are built on them,
-        // so both the O(P²) matrix volume and the O(P³) sweeps shrink.
-        // Nodes already inside the beam are untouched, so a wide-enough
-        // beam leaves this stage a literal no-op and the pass stays
-        // bitwise-exact (pinned by `tests/strategy_equivalence.rs`).
-        let mut eff_sig_ids = sig_ids.clone();
-        if beam_width != usize::MAX {
-            let kept = strategy::beam_kept(
-                self.graph, &ctx, cache, &mut stats, &segments, &spaces, &intra, &sig_ids,
-                beam_width,
-            );
-            if kept.iter().any(Option::is_some) {
-                let mut dropped = 0u64;
-                for (n, k) in kept.iter().enumerate() {
-                    if let Some(k) = k {
-                        dropped += (spaces[n].len() - k.len()) as u64;
-                        let space: Vec<PartitionSeq> =
-                            k.iter().map(|&i| spaces[n][i as usize].clone()).collect();
-                        let cost: Vec<f64> = k.iter().map(|&i| intra[n][i as usize]).collect();
-                        let bytes: Vec<f64> = k.iter().map(|&i| mem[n][i as usize]).collect();
-                        spaces[n] = Arc::new(space);
-                        intra[n] = Arc::new(cost);
-                        mem[n] = Arc::new(bytes);
-                    }
-                }
-                tm.states_beamed = dropped;
-                // Refined signature ids: untouched nodes keep their original
-                // ids. Equal-signature nodes may keep different state subsets
-                // (their neighbourhoods differ), so each distinct (signature,
-                // kept set) class of beamed nodes gets a fresh id above the
-                // original range — stage-2 matrix keys and the prune keys
-                // then only identify nodes whose (signature, kept set) agree.
-                let mut classes: Vec<(usize, &Vec<u32>)> = Vec::new();
-                eff_sig_ids = (0..kept.len())
-                    .map(|n| match kept[n].as_ref() {
-                        None => sig_ids[n],
-                        Some(k) => {
-                            let key = (sig_ids[n], k);
-                            let class =
-                                classes.iter().position(|c| *c == key).unwrap_or_else(|| {
-                                    classes.push(key);
-                                    classes.len() - 1
-                                });
-                            tm.unique_signatures + class
-                        }
-                    })
-                    .collect();
-            } else {
-                tm.states_beamed = 0;
-            }
+        if width != usize::MAX {
+            let kept = strategy::beam_kept(self.graph, ctx, cache, stats, state, width);
+            tm.states_beamed = state.restrict(&kept);
         }
         tm.beam_seconds += tb.elapsed().as_secs_f64();
+    }
 
+    /// Stage 2: edge-cost matrices, summed per (src, dst) pair into the
+    /// flat columnar arena. Whole matrices dedup by the precomputed
+    /// interned job ids (structural keys over the state's signature ids)
+    /// *before* any parallelism — so cache telemetry is
+    /// thread-count-invariant — then jobs whose prepared edges share a
+    /// volume plane (the same four profiles at the same element count)
+    /// share its sweep, and each unswept plane sweeps once against the one
+    /// shared `Sync` context. Returns the tables and each edge's job id.
+    fn edges(
+        &self,
+        state: &PassState,
+        ctx: &CostCtx<'_>,
+        own: Mutex<EdgeCostCache>,
+        warm: Option<&PlannerWarmCache>,
+        mut stats: CacheStats,
+        tm: &mut PlannerMetrics,
+    ) -> (EdgeTables, Vec<usize>) {
         let t1 = Instant::now();
-        // 2. Edge-cost matrices, summed per (src, dst) pair into the flat
-        // columnar arena. Whole matrices dedup by the precomputed
-        // interned job ids (structural keys over `signature_ids`) *before*
-        // any parallelism — so cache telemetry is thread-count-invariant —
-        // then jobs whose prepared edges share a volume plane (the same four
-        // profiles at the same element count) share its sweep, and each
-        // unswept plane sweeps once against the one shared `Sync` context.
-        let sizes: Vec<usize> = spaces.iter().map(|s| s.len()).collect();
-        let edge_jobs = matrix_job_ids(&self.graph.edges, &eff_sig_ids);
+        let cache = warm.map_or(&own, |w| &w.edges);
+        let edge_jobs = matrix_job_ids(&self.graph.edges, &state.sig_ids);
         // One prepared edge per distinct plane, and each job's plane.
         let mut sweeps: Vec<PreparedEdge> = Vec::new();
         let mut job_planes: Vec<usize> = Vec::new();
@@ -558,8 +553,8 @@ impl<'a> Planner<'a> {
                 edge,
                 &self.graph.ops[edge.src],
                 &self.graph.ops[edge.dst],
-                &spaces[edge.src],
-                &spaces[edge.dst],
+                &state.spaces[edge.src],
+                &state.spaces[edge.dst],
             );
             let plane = match sweeps.iter().position(|s| s.shares_plane(&prepared)) {
                 Some(plane) => plane,
@@ -580,7 +575,6 @@ impl<'a> Planner<'a> {
             let threads = self.opts.threads;
             std::thread::scope(|scope| {
                 let chunk = pending.len().div_ceil(threads).max(1);
-                let ctx = &ctx;
                 let handles: Vec<_> = pending
                     .chunks(chunk)
                     .map(|band| {
@@ -600,7 +594,7 @@ impl<'a> Planner<'a> {
         } else {
             let sweep = Instant::now();
             for job in &pending {
-                job.plane(&ctx);
+                job.plane(ctx);
             }
             tm.thread_busy_seconds[0] += sweep.elapsed().as_secs_f64();
         }
@@ -619,137 +613,89 @@ impl<'a> Planner<'a> {
         drop(own);
         let planes: Vec<Arc<Vec<f64>>> = sweeps
             .into_iter()
-            .map(|job| Arc::new(job.into_priced(&ctx)))
+            .map(|job| Arc::new(job.into_priced(ctx)))
             .collect();
         let edge_planes: Vec<usize> = edge_jobs.iter().map(|&j| job_planes[j]).collect();
-        let edge_tables = EdgeTables::build(&self.graph.edges, &sizes, &edge_planes, planes);
-        tm.edge_evaluations += ctx.inter_evaluations();
-        tm.edge_terms += ctx.inter_evaluations() * 2 * (1u64 << n_bits);
-        tm.edge_term_row_entries += ctx.term_row_entries();
+        let edge_tables =
+            EdgeTables::build(&self.graph.edges, &state.sizes(), &edge_planes, planes);
+        // The context has counted every Eqs. 8–9 cell of this call — each
+        // round's probes and sweeps — so these add up over anytime rounds.
+        let devices = 1u64 << self.cluster.space().n_bits();
+        tm.edge_evaluations = ctx.inter_evaluations();
+        tm.edge_terms = ctx.inter_evaluations() * 2 * devices;
+        tm.edge_term_row_entries = ctx.term_row_entries();
         tm.edge_matrices_seconds += t1.elapsed().as_secs_f64();
+        (edge_tables, edge_jobs)
+    }
 
+    /// Stage 2b, dominance pruning: drop interior states an earlier state
+    /// dominates on (intra, memory, every incident edge row/column), then
+    /// restrict the state and compact the edge planes to the survivors. A
+    /// dominated state can never be a strict argmin, so the plan and every
+    /// cost are bitwise-unchanged. Returns the compacted tables and the
+    /// states pruned inside each segment.
+    fn prune(
+        &self,
+        state: &mut PassState,
+        edge_tables: EdgeTables,
+        edge_jobs: &[usize],
+        tm: &mut PlannerMetrics,
+    ) -> (EdgeTables, Vec<u64>) {
         let tp = Instant::now();
-        // 2b. Dominance pruning: drop interior states an earlier state
-        // dominates on (intra, memory, every incident edge row/column), then
-        // compact the spaces, intra vectors and edge planes to the
-        // survivors. A dominated state can never be a strict argmin, so the
-        // plan and every cost are bitwise-unchanged.
-        //
-        // Structural prune keys: nodes with the same operator signature and
-        // the same incident unique matrices (interned job id, per coalesced
-        // slot and direction) share one survivor scan.
-        let prune_keys: Vec<PruneKey> = (0..sizes.len())
-            .map(|n| {
-                let mut slots: HashMap<(usize, bool), Vec<usize>> = HashMap::new();
-                for (e, edge) in self.graph.edges.iter().enumerate() {
-                    if edge.dst == n {
-                        slots
-                            .entry((edge.src, true))
-                            .or_default()
-                            .push(edge_jobs[e]);
-                    } else if edge.src == n {
-                        slots
-                            .entry((edge.dst, false))
-                            .or_default()
-                            .push(edge_jobs[e]);
-                    }
-                }
-                let mut slots: Vec<(bool, Vec<usize>)> = slots
-                    .into_iter()
-                    .map(|((_, inc), mut jobs)| {
-                        jobs.sort_unstable();
-                        (inc, jobs)
-                    })
-                    .collect();
-                slots.sort_unstable();
-                (eff_sig_ids[n], slots)
-            })
-            .collect();
-        let report = dominance_prune(&segments, &sizes, &intra, &mem, &edge_tables, &prune_keys);
-        let seg_pruned: Vec<u64> = segments
+        // Structural prune keys: nodes with equal keys share one survivor
+        // scan.
+        let keys = prune_keys(&self.graph.edges, edge_jobs, &state.sig_ids);
+        let report = dominance_prune(
+            &state.endpoint,
+            &state.intra,
+            &state.mem,
+            &edge_tables,
+            &keys,
+        );
+        let seg_pruned: Vec<u64> = state
+            .segments
             .iter()
             .map(|&(s, e)| report.pruned_in_segment(s, e))
             .collect();
-        tm.states_pruned += report.total();
-        for (n, kept) in report.kept.iter().enumerate() {
-            if let Some(k) = kept {
-                let space: Vec<PartitionSeq> =
-                    k.iter().map(|&i| spaces[n][i as usize].clone()).collect();
-                let cost: Vec<f64> = k.iter().map(|&i| intra[n][i as usize]).collect();
-                spaces[n] = Arc::new(space);
-                intra[n] = Arc::new(cost);
-            }
-        }
+        tm.states_pruned += state.restrict(&report.kept);
         // Both arenas in closed form from the post-prune spaces, before
         // either is allocated: the compacted edge planes, and one choice
         // per cell of every Bellman extension and merge.
-        let sizes: Vec<usize> = spaces.iter().map(|s| s.len()).collect();
-        let width = choice_width(sizes.iter().copied().max().unwrap_or(0));
         tm.arena_bytes = (edge_tables.compacted_bytes(&report.kept)
-            + width * choice_cells(&sizes, &segments)) as u64;
+            + state.choice_width() * choice_cells(&state.sizes(), &state.segments))
+            as u64;
         let edge_tables = edge_tables.compact(&report.kept);
         tm.edge_planes = edge_tables.planes();
         tm.prune_seconds += tp.elapsed().as_secs_f64();
-
-        let dp = DpInputs {
-            layers,
-            segments: &segments,
-            seg_pruned: &seg_pruned,
-            spaces: &spaces,
-            intra: &intra,
-            edge_tables: &edge_tables,
-        };
-        let solved = if width == std::mem::size_of::<u16>() {
-            self.solve::<u16>(&dp, tm)
-        } else {
-            self.solve::<u32>(&dp, tm)
-        };
-        let seqs: Vec<PartitionSeq> = solved
-            .states
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| {
-                assert!(s != usize::MAX, "operator {i} missing from backtrack");
-                spaces[i][s].clone()
-            })
-            .collect();
-        PassOutcome {
-            plan: ModelPlan {
-                seqs,
-                layer_cost: solved.layer_cost,
-                total_cost: solved.total_cost,
-                search_time: start.elapsed(),
-            },
-            lower_bound,
-            max_interior,
-        }
+        (edge_tables, seg_pruned)
     }
 
-    /// Stages 3–6 over the pruned spaces — segment DP (Eqs. 11–12), merges
+    /// Stages 3–6 over the pruned state — segment DP (Eqs. 11–12), merges
     /// (Eq. 13), layer composition (Eq. 14) and backtrack — with every
-    /// choice plane a `C` sized exactly to its step.
-    /// Stamps the stage seconds and the bytes both arenas hold into `tm`.
-    fn solve<C: Choice>(&self, dp: &DpInputs<'_>, tm: &mut PlannerMetrics) -> Solved {
-        let DpInputs {
-            layers,
-            segments,
-            seg_pruned,
-            spaces,
-            intra,
-            edge_tables,
-        } = *dp;
+    /// choice plane a `C` sized exactly to its step. `seg_pruned` holds the
+    /// states pruned in each segment. Stamps the stage seconds and the
+    /// bytes both arenas hold into `tm`.
+    fn solve<C: Choice>(
+        &self,
+        state: &PassState,
+        edge_tables: &EdgeTables,
+        seg_pruned: &[u64],
+        layers: u64,
+        tm: &mut PlannerMetrics,
+    ) -> ModelPlan {
+        let (spaces, intra, segments) = (&state.spaces, &state.intra, &state.segments);
         let t2 = Instant::now();
         // 3. Segment DP (Eqs. 11-12). Each step allocates its backtrack
         // choice plane in the pass's arena.
         let mut choices = ChoiceArena::<C>::new();
         let mut tables: Vec<Table> = Vec::with_capacity(segments.len());
+        tm.segments.clear();
         for (&(s, e), &pruned) in segments.iter().zip(seg_pruned) {
             let sweep = Instant::now();
             let (table, mut seg_tm) = self.segment_dp(
                 s,
                 e,
-                spaces,
-                intra,
+                state,
                 edge_tables,
                 &mut choices,
                 &mut tm.thread_busy_seconds,
@@ -835,10 +781,20 @@ impl<'a> Planner<'a> {
         states[last] = col_star;
         extract(&merged.steps, row_star, col_star, &choices, &mut states);
         tm.compose_seconds += t4.elapsed().as_secs_f64();
-        Solved {
-            states,
-            total_cost,
+        let seqs = states
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                assert!(s != usize::MAX, "operator {i} missing from backtrack");
+                spaces[i][s].clone()
+            })
+            .collect();
+        // The caller stamps the whole run's search time.
+        ModelPlan {
+            seqs,
             layer_cost,
+            total_cost,
+            search_time: Duration::ZERO,
         }
     }
 
@@ -849,17 +805,16 @@ impl<'a> Planner<'a> {
     /// the returned [`SegmentMetrics`] carries table dimensions and
     /// relaxation counts, nominal and visited — the caller stamps
     /// `sweep_seconds`.
-    #[allow(clippy::too_many_arguments)]
     fn segment_dp<C: Choice>(
         &self,
         s: usize,
         e: usize,
-        spaces: &[Arc<Vec<PartitionSeq>>],
-        intra: &[Arc<Vec<f64>>],
+        state: &PassState,
         edge_tables: &EdgeTables,
         choices: &mut ChoiceArena<C>,
         busy: &mut [f64],
     ) -> (Table, SegmentMetrics) {
+        let (spaces, intra) = (&state.spaces, &state.intra);
         let (mut relaxations, mut visited) = (0u64, 0u64);
         let rows = spaces[s].len();
         let max_cols = (s + 1..=e).map(|j| spaces[j].len()).max().expect("span");
@@ -1311,6 +1266,80 @@ mod tests {
             assert_eq!(tm.arena_bytes, tm.arena_bytes_allocated, "{strategy}");
             assert!(tm.edge_planes > 0 && tm.edge_planes <= graph.edges.len());
         }
+    }
+
+    #[test]
+    fn restrict_composes_shares_untouched_vectors_and_refines_signatures() {
+        let cluster = Cluster::v100_like(4);
+        let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
+        let planner = Planner::new(&cluster, &graph, PlannerOptions::default());
+        let ctx = CostCtx::new(&cluster, 0.0);
+        let full = planner.spaces(&ctx, &mut PlannerMetrics::default());
+        let nodes = full.spaces.len();
+        let every = |state: &PassState, n: usize, step: usize| -> Vec<u32> {
+            (0..state.spaces[n].len() as u32).step_by(step).collect()
+        };
+
+        // A beam keeps every other state of the odd nodes, then a prune
+        // every third survivor of the nodes divisible by 3: the same
+        // vectors as one restrict by the composed kept lists.
+        let beam: Vec<Option<Vec<u32>>> = (0..nodes)
+            .map(|n| (n % 2 == 1).then(|| every(&full, n, 2)))
+            .collect();
+        let mut twice = full.clone();
+        twice.restrict(&beam);
+        let prune: Vec<Option<Vec<u32>>> = (0..nodes)
+            .map(|n| (n % 3 == 0).then(|| every(&twice, n, 3)))
+            .collect();
+        twice.restrict(&prune);
+        let composed: Vec<Option<Vec<u32>>> = beam
+            .iter()
+            .zip(&prune)
+            .map(|(b, p)| match (b, p) {
+                (Some(b), Some(p)) => Some(p.iter().map(|&i| b[i as usize]).collect()),
+                (b, None) => b.clone(),
+                (None, p) => p.clone(),
+            })
+            .collect();
+        let mut once = full.clone();
+        let dropped = once.restrict(&composed);
+        assert_eq!(twice.spaces, once.spaces);
+        assert_eq!(twice.intra, once.intra);
+        assert_eq!(twice.mem, once.mem);
+        let total = |s: &PassState| s.spaces.iter().map(|v| v.len() as u64).sum::<u64>();
+        assert_eq!(dropped, total(&full) - total(&once));
+
+        // Untouched nodes keep stage 1's shared vectors.
+        let untouched: Vec<usize> = (0..nodes).filter(|&n| composed[n].is_none()).collect();
+        assert!(!untouched.is_empty());
+        for n in untouched {
+            assert!(Arc::ptr_eq(&once.spaces[n], &full.spaces[n]));
+            assert!(Arc::ptr_eq(&once.intra[n], &full.intra[n]));
+            assert!(Arc::ptr_eq(&once.mem[n], &full.mem[n]));
+            assert_eq!(once.sig_ids[n], full.sig_ids[n]);
+        }
+
+        // Two nodes of one signature: equal kept sets share a fresh id,
+        // different ones get two.
+        let (a, b) = (0..nodes)
+            .flat_map(|a| (a + 1..nodes).map(move |b| (a, b)))
+            .find(|&(a, b)| full.sig_ids[a] == full.sig_ids[b] && full.spaces[a].len() > 3)
+            .expect("a repeated signature");
+        let ids = |ka: Vec<u32>, kb: Vec<u32>| {
+            let mut kept = vec![None; nodes];
+            kept[a] = Some(ka);
+            kept[b] = Some(kb);
+            let mut state = full.clone();
+            state.restrict(&kept);
+            (state.sig_ids[a], state.sig_ids[b])
+        };
+        let max = *full.sig_ids.iter().max().expect("nodes");
+        let (same_a, same_b) = ids(every(&full, a, 2), every(&full, a, 2));
+        assert_eq!(same_a, same_b);
+        assert!(same_a > max);
+        let (diff_a, diff_b) = ids(every(&full, a, 2), every(&full, a, 3));
+        assert_ne!(diff_a, diff_b);
+        assert!(diff_a > max && diff_b > max);
     }
 
     #[test]

@@ -26,6 +26,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use primepar_graph::Edge;
+
 use crate::arena::EdgeTables;
 
 /// Structural identity of one node's prune inputs: its operator signature id
@@ -34,6 +36,32 @@ use crate::arena::EdgeTables;
 /// bitwise-identical intra/memory vectors and edge planes, so they share one
 /// survivor scan (every interior repeat of a stacked layer, for instance).
 pub(crate) type PruneKey = (usize, Vec<(bool, Vec<usize>)>);
+
+/// Each node's [`PruneKey`] from the graph's `edges`, each edge's interned
+/// matrix-job id `jobs[e]` and the nodes' signature ids.
+pub(crate) fn prune_keys(edges: &[Edge], jobs: &[usize], sig_ids: &[usize]) -> Vec<PruneKey> {
+    (0..sig_ids.len())
+        .map(|n| {
+            let mut slots: HashMap<(usize, bool), Vec<usize>> = HashMap::new();
+            for (edge, &job) in edges.iter().zip(jobs) {
+                if edge.dst == n {
+                    slots.entry((edge.src, true)).or_default().push(job);
+                } else if edge.src == n {
+                    slots.entry((edge.dst, false)).or_default().push(job);
+                }
+            }
+            let mut slots: Vec<(bool, Vec<usize>)> = slots
+                .into_iter()
+                .map(|((_, incoming), mut jobs)| {
+                    jobs.sort_unstable();
+                    (incoming, jobs)
+                })
+                .collect();
+            slots.sort_unstable();
+            (sig_ids[n], slots)
+        })
+        .collect()
+}
 
 /// Outcome of one dominance pass over all interior nodes.
 #[derive(Debug, Clone, Default)]
@@ -46,11 +74,6 @@ pub(crate) struct PruneReport {
 }
 
 impl PruneReport {
-    /// Total states dropped across all nodes.
-    pub fn total(&self) -> u64 {
-        self.pruned.iter().sum()
-    }
-
     /// States dropped from nodes strictly inside segment `(s, e)`.
     pub fn pruned_in_segment(&self, s: usize, e: usize) -> u64 {
         self.pruned[s + 1..e].iter().sum()
@@ -67,30 +90,26 @@ struct NodeEdges<'a> {
     outgoing: Vec<(&'a [f64], usize)>,
 }
 
-/// Runs the dominance pass. `sizes[n]` is node `n`'s state count; `intra`
-/// and `mem` are the per-state Eq. 7 cost and memory vectors; `keys[n]` is
-/// the node's structural [`PruneKey`] — equal keys reuse one survivor scan.
+/// Runs the dominance pass over the nodes `endpoint` leaves interior.
+/// `intra` and `mem` are the per-state Eq. 7 cost and memory vectors;
+/// `keys[n]` is the node's structural [`PruneKey`] — equal keys reuse one
+/// survivor scan.
 pub(crate) fn dominance_prune(
-    segments: &[(usize, usize)],
-    sizes: &[usize],
+    endpoint: &[bool],
     intra: &[Arc<Vec<f64>>],
     mem: &[Arc<Vec<f64>>],
     edges: &EdgeTables,
     keys: &[PruneKey],
 ) -> PruneReport {
-    let nodes = sizes.len();
-    let mut endpoint = vec![false; nodes];
-    for &(s, e) in segments {
-        endpoint[s] = true;
-        endpoint[e] = true;
-    }
+    let nodes = intra.len();
     let mut report = PruneReport {
         kept: vec![None; nodes],
         pruned: vec![0; nodes],
     };
     let mut memo: HashMap<&PruneKey, Vec<u32>> = HashMap::new();
     for n in 0..nodes {
-        if endpoint[n] || sizes[n] < 2 {
+        let states = intra[n].len();
+        if endpoint[n] || states < 2 {
             continue;
         }
         let kept = match memo.get(&keys[n]) {
@@ -108,13 +127,13 @@ pub(crate) fn dominance_prune(
                         .map(|(.., cols, plane)| (plane, cols))
                         .collect(),
                 };
-                let kept = prune_node(sizes[n], &intra[n], &mem[n], &views);
+                let kept = prune_node(states, &intra[n], &mem[n], &views);
                 memo.insert(&keys[n], kept.clone());
                 kept
             }
         };
-        if kept.len() < sizes[n] {
-            report.pruned[n] = (sizes[n] - kept.len()) as u64;
+        if kept.len() < states {
+            report.pruned[n] = (states - kept.len()) as u64;
             report.kept[n] = Some(kept);
         }
     }
@@ -190,11 +209,13 @@ fn dominates(i: usize, j: usize, views: &NodeEdges<'_>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use primepar_graph::Edge;
 
     fn arc(v: Vec<f64>) -> Arc<Vec<f64>> {
         Arc::new(v)
     }
+
+    /// The three-node chain of every test: node 1 is interior.
+    const ENDPOINTS: [bool; 3] = [true, false, true];
 
     /// Distinct per-node keys: no survivor-scan sharing in these tests.
     fn keys(n: usize) -> Vec<PruneKey> {
@@ -221,10 +242,10 @@ mod tests {
             arc(vec![1.0, 1.0, 1.0]),
             arc(vec![0.0; 2]),
         ];
-        let report = dominance_prune(&[(0, 2)], &sizes, &intra, &mem, &arena, &keys(3));
+        let report = dominance_prune(&ENDPOINTS, &intra, &mem, &arena, &keys(3));
         assert_eq!(report.kept[1], Some(vec![0, 1]));
         assert_eq!(report.pruned, vec![0, 1, 0]);
-        assert_eq!(report.total(), 1);
+        assert_eq!(report.pruned.iter().sum::<u64>(), 1);
         assert_eq!(report.pruned_in_segment(0, 2), 1);
         // Endpoints are never pruned, whatever their vectors say.
         assert_eq!(report.kept[0], None);
@@ -242,9 +263,9 @@ mod tests {
         let arena = EdgeTables::per_edge(&edges, &sizes, &mats);
         let intra = vec![arc(vec![0.0]), arc(vec![9.0, 2.0]), arc(vec![0.0])];
         let mem = vec![arc(vec![0.0]), arc(vec![0.0, 0.0]), arc(vec![0.0])];
-        let report = dominance_prune(&[(0, 2)], &sizes, &intra, &mem, &arena, &keys(3));
+        let report = dominance_prune(&ENDPOINTS, &intra, &mem, &arena, &keys(3));
         assert_eq!(report.kept[1], None);
-        assert_eq!(report.total(), 0);
+        assert_eq!(report.pruned.iter().sum::<u64>(), 0);
     }
 
     #[test]
@@ -257,11 +278,11 @@ mod tests {
         let arena = EdgeTables::per_edge(&edges, &sizes, &mats);
         let intra = vec![arc(vec![0.0]), arc(vec![3.0, 3.0]), arc(vec![0.0])];
         let mem = vec![arc(vec![0.0]), arc(vec![8.0, 4.0]), arc(vec![0.0])];
-        let report = dominance_prune(&[(0, 2)], &sizes, &intra, &mem, &arena, &keys(3));
+        let report = dominance_prune(&ENDPOINTS, &intra, &mem, &arena, &keys(3));
         assert_eq!(report.kept[1], None);
         // With equal memory the tie resolves to the earlier state.
         let mem_eq = vec![arc(vec![0.0]), arc(vec![4.0, 4.0]), arc(vec![0.0])];
-        let report = dominance_prune(&[(0, 2)], &sizes, &intra, &mem_eq, &arena, &keys(3));
+        let report = dominance_prune(&ENDPOINTS, &intra, &mem_eq, &arena, &keys(3));
         assert_eq!(report.kept[1], Some(vec![0]));
     }
 }

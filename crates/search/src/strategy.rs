@@ -40,6 +40,8 @@ use primepar_cost::{matrix_job_ids, CacheStats, CostCtx, EdgeCostCache, Prepared
 use primepar_graph::{Edge, Graph};
 use primepar_partition::PartitionSeq;
 
+use crate::dp::PassState;
+
 /// How the planner explores the per-operator partition spaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SearchStrategy {
@@ -150,24 +152,15 @@ impl SearchInterrupt {
 /// single-state side can never collide with a full-space one, and a warm
 /// cache serves a probe's plane to every later run with the same anchors.
 /// Each probe cell is priced as it is added into the score.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn beam_kept(
     graph: &Graph,
     ctx: &CostCtx<'_>,
     cache: &Mutex<EdgeCostCache>,
     stats: &mut CacheStats,
-    segments: &[(usize, usize)],
-    spaces: &[Arc<Vec<PartitionSeq>>],
-    intra: &[Arc<Vec<f64>>],
-    sig_ids: &[usize],
+    state: &PassState,
     width: usize,
 ) -> Vec<Option<Vec<u32>>> {
-    let nodes = spaces.len();
-    let mut endpoint = vec![false; nodes];
-    for &(s, e) in segments {
-        endpoint[s] = true;
-        endpoint[e] = true;
-    }
+    let (spaces, intra) = (&state.spaces, &state.intra);
     // Anchor: each node's cheapest state by intra cost, ties to the lowest
     // index — width-independent, so kept sets nest across widths.
     let anchors: Vec<usize> = intra
@@ -180,7 +173,7 @@ pub(crate) fn beam_kept(
                 .expect("non-empty space")
         })
         .collect();
-    let jobs = matrix_job_ids(&graph.edges, sig_ids);
+    let jobs = matrix_job_ids(&graph.edges, &state.sig_ids);
     // (job id, node-is-src) → the prepared probe over the node's full space.
     let mut probes: HashMap<(usize, bool), PreparedEdge> = HashMap::new();
     let prepare = |stats: &mut CacheStats, edge: &Edge, src: &[PartitionSeq], dst| {
@@ -193,9 +186,9 @@ pub(crate) fn beam_kept(
             dst,
         )
     };
-    let mut kept: Vec<Option<Vec<u32>>> = vec![None; nodes];
-    for n in 0..nodes {
-        if endpoint[n] || spaces[n].len() <= width {
+    let mut kept: Vec<Option<Vec<u32>>> = vec![None; spaces.len()];
+    for n in 0..spaces.len() {
+        if state.endpoint[n] || spaces[n].len() <= width {
             continue;
         }
         let mut h: Vec<f64> = intra[n].to_vec();

@@ -35,14 +35,32 @@ pub struct SegmentMetrics {
 }
 
 /// Telemetry of one [`Planner::optimize`](crate::Planner::optimize) run.
+///
+/// The [`SearchStrategy::Anytime`](crate::SearchStrategy::Anytime) driver
+/// builds stage 1 once and then runs one pass (beam, edges, prune, solve)
+/// per round, so a field falls in one of three groups. Each field's doc
+/// says which:
+///
+/// * **once per run** (stage 1): `op_names`, `space_sizes`,
+///   `unique_signatures`, the space-cache counters, `intra_evaluations`
+///   and `spaces_intra_seconds`;
+/// * **summed over rounds**: the edge-stage counters (evaluations, terms,
+///   term rows, profile, matrix and warm cache counters, aliases), the
+///   merge counters, `states_pruned`, and every stage's seconds after
+///   stage 1 and the worker busy time;
+/// * **last round**: `beam_width`, `states_beamed`, `segments` (with their
+///   Bellman counts), `arena_bytes`, `arena_bytes_allocated` and
+///   `edge_planes`.
+///
+/// Exact and beam runs have one round, so the groups agree there.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlannerMetrics {
     /// The [`SearchStrategy`](crate::SearchStrategy) that produced the run,
     /// in its canonical `Display` form (`exact`, `beam:8`, `anytime:500ms`).
     /// Empty only on hand-built metrics.
     pub strategy: String,
-    /// Final effective beam width (0 = unrestricted exact sweep). For
-    /// anytime runs, the width of the *last* completed round.
+    /// Final effective beam width (0 = unrestricted exact sweep). Last
+    /// round: for anytime runs, the width of the last completed round.
     pub beam_width: usize,
     /// Upper bound on the relative optimality gap of the returned plan:
     /// `(total_cost − lower_bound) / total_cost`, clamped to `[0, 1]`, and
@@ -55,40 +73,45 @@ pub struct PlannerMetrics {
     /// space — i.e. the returned plan is provably optimal.
     pub anytime_converged: bool,
     /// Interior partition states the beam dropped before stage 2, summed
-    /// over nodes (last pass; 0 for exact or wide-enough beams).
+    /// over nodes (last round; 0 for exact or wide-enough beams).
     pub states_beamed: u64,
-    /// Beam-restriction stage (1b) wall seconds, heuristic probes included.
+    /// Beam-restriction stage (1b) wall seconds, heuristic probes included
+    /// (summed over rounds).
     pub beam_seconds: f64,
-    /// Operator names, indexed like `graph.ops`.
+    /// Operator names, indexed like `graph.ops` (stage 1).
     pub op_names: Vec<String>,
-    /// Enumerated partition-space size per operator (same indexing).
+    /// Enumerated partition-space size per operator, before any beam or
+    /// prune (same indexing; stage 1).
     pub space_sizes: Vec<usize>,
-    /// One entry per segment of `graph.segments()`, in order.
+    /// One entry per segment of `graph.segments()`, in order (last round).
     pub segments: Vec<SegmentMetrics>,
-    /// Eq. 7 evaluations (stage 1's per-operator intra-cost vectors). With
-    /// memoization these drop by the structural-dedup factor: one vector per
-    /// unique signature instead of per node.
+    /// Eq. 7 evaluations (stage 1's per-operator intra-cost vectors, once
+    /// per run). With memoization these drop by the structural-dedup
+    /// factor: one vector per unique signature instead of per node.
     pub intra_evaluations: u64,
-    /// Eqs. 8-9 pair evaluations (stage 2's edge-cost matrix cells). With
-    /// memoization each *unique* matrix is charged once, so duplicate edges
-    /// add nothing.
+    /// Eqs. 8-9 pair evaluations (stage 2's edge-cost matrix cells and the
+    /// beam's probe cells, summed over rounds). With memoization each
+    /// *unique* matrix is charged once, so duplicate edges add nothing.
     pub edge_evaluations: u64,
     /// Per-device terms behind those cells: `edge_evaluations × devices ×
-    /// 2` (one forward and one backward term per device per cell).
+    /// 2` (one forward and one backward term per device per cell; summed
+    /// over rounds).
     pub edge_terms: u64,
     /// Entries of the per-device term rows the device-major sweep built to
     /// sum those terms: one `(V − total·overlap)⁺` per distinct holding on a
     /// direction's hold side, per device, across its need side. At most
-    /// `edge_terms`.
+    /// `edge_terms` (summed over rounds).
     pub edge_term_row_entries: u64,
     /// Distinct structural operator signatures in the graph (vs `op_names
-    /// .len()` nodes).
+    /// .len()` nodes; stage 1).
     pub unique_signatures: usize,
-    /// Stage 1 space enumerations served from the signature-keyed cache.
+    /// Stage 1 space enumerations served from the signature-keyed cache
+    /// (once per run).
     pub space_cache_hits: u64,
-    /// Stage 1 space enumerations actually run.
+    /// Stage 1 space enumerations actually run (once per run).
     pub space_cache_misses: u64,
-    /// Stage 2 side-profile vectors reused across edges.
+    /// Stage 2 side-profile vectors reused across edges (summed over
+    /// rounds, as are the four counters below).
     pub profile_cache_hits: u64,
     /// Stage 2 side-profile vectors built from scratch.
     pub profile_cache_misses: u64,
@@ -102,25 +125,28 @@ pub struct PlannerMetrics {
     /// edge_matrix_aliases` sweeps run (fewer on warm hits).
     pub edge_matrix_aliases: u64,
     /// Distinct volume planes (stage 2's and the beam probes', each counted
-    /// once per run) a cross-run
+    /// once per round and summed over rounds) a cross-run
     /// [`PlannerWarmCache`](crate::PlannerWarmCache) already held swept when
     /// the run first read them (always 0 on the cold
     /// [`optimize`](crate::Planner::optimize) path).
     pub warm_matrix_hits: u64,
     /// Distinct volume planes the warm cache did not hold swept yet (0
-    /// unless running [`optimize_warm`](crate::Planner::optimize_warm)).
+    /// unless running
+    /// [`optimize_warm_instrumented`](crate::Planner::optimize_warm_instrumented)).
     pub warm_matrix_misses: u64,
-    /// Inner-loop candidate evaluations of the Eq. 13 segment merges.
+    /// Inner-loop candidate evaluations of the Eq. 13 segment merges
+    /// (summed over rounds).
     pub merge_relaxations: u64,
     /// The merge candidates the kernel actually relaxed (at most
-    /// `merge_relaxations`).
+    /// `merge_relaxations`; summed over rounds).
     pub merge_visited: u64,
     /// Interior partition states removed by dominance pruning across all
-    /// nodes.
+    /// nodes (summed over rounds).
     pub states_pruned: u64,
-    /// Stage 1 (spaces + intra vectors) wall seconds.
+    /// Stage 1 (spaces + intra vectors) wall seconds (once per run).
     pub spaces_intra_seconds: f64,
-    /// Dominance-pruning stage wall seconds.
+    /// Dominance-pruning stage wall seconds (summed over rounds, as are
+    /// the stage seconds below).
     pub prune_seconds: f64,
     /// Stage 2 (edge-cost matrices) wall seconds.
     pub edge_matrices_seconds: f64,
@@ -152,12 +178,12 @@ pub struct PlannerMetrics {
     /// Bytes of the DP's two arenas — the compacted edge planes and the
     /// backtrack choice planes — predicted in closed form from the
     /// post-prune space sizes and the segments before either is allocated
-    /// (last pass).
+    /// (last round).
     pub arena_bytes: u64,
     /// Bytes those two arenas actually held once the merges were done (last
-    /// pass); equal to [`arena_bytes`](Self::arena_bytes).
+    /// round); equal to [`arena_bytes`](Self::arena_bytes).
     pub arena_bytes_allocated: u64,
-    /// Distinct compacted edge planes the DP read (last pass): pairs with
+    /// Distinct compacted edge planes the DP read (last round): pairs with
     /// one edge share their matrix sweep's plane.
     pub edge_planes: usize,
 }

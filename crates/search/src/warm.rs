@@ -10,8 +10,8 @@
 //! every plane an earlier run swept, and a different device count, a
 //! beam-restricted space or other space options are different sequence
 //! lists and miss. Equal keys name bitwise-equal volumes, so
-//! [`Planner::optimize_warm`](crate::Planner::optimize_warm) stays
-//! bitwise-identical to [`Planner::optimize`](crate::Planner::optimize),
+//! [`Planner::optimize_warm_instrumented`](crate::Planner::optimize_warm_instrumented)
+//! stays bitwise-identical to [`Planner::optimize`](crate::Planner::optimize),
 //! pinned by `tests/warm_equivalence.rs`.
 //!
 //! The cache is `Sync`. Runs lock it only to prepare an edge — intern its

@@ -200,7 +200,8 @@ proptest! {
 fn anytime_with_a_generous_budget_converges_to_the_exact_plan() {
     let cluster = Cluster::v100_like(4);
     let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
-    let exact = plan_with(&cluster, &graph, 2, PlannerOptions::default());
+    let (exact, exact_tm) =
+        Planner::new(&cluster, &graph, PlannerOptions::default()).optimize_instrumented(2);
     let (plan, tm) = Planner::new(
         &cluster,
         &graph,
@@ -210,6 +211,14 @@ fn anytime_with_a_generous_budget_converges_to_the_exact_plan() {
     assert!(tm.anytime_converged, "60 s covers this 4-device graph");
     assert_eq!(tm.optimality_gap, 0.0);
     assert_bitwise_equal(&exact, &plan, "converged anytime vs exact");
+    // Stage 1 runs once per call, however many rounds the driver completes.
+    assert!(tm.anytime_rounds > 1, "width 1 cannot cover this graph");
+    assert_eq!(tm.intra_evaluations, exact_tm.intra_evaluations);
+    assert_eq!(tm.space_cache_misses, tm.unique_signatures as u64);
+    assert_eq!(
+        tm.space_cache_hits + tm.space_cache_misses,
+        graph.ops.len() as u64
+    );
 }
 
 #[test]

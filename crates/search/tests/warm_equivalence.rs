@@ -263,7 +263,7 @@ fn concurrent_runs_on_different_clusters_share_one_warm_cache() {
                     scope.spawn(move || {
                         let planner = Planner::new(c, graph, PlannerOptions::default());
                         start.wait();
-                        planner.optimize_warm(4, warm)
+                        planner.optimize_warm_instrumented(4, warm).0
                     })
                 })
                 .collect();
