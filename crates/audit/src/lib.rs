@@ -37,7 +37,7 @@
 
 use std::collections::BTreeMap;
 
-use primepar_cost::{intra_cost, memory_bytes, phase_events, plan_traffic_bytes, CostCtx};
+use primepar_cost::{CostCtx, PlanGeometry};
 use primepar_graph::Graph;
 use primepar_obs::Metrics;
 use primepar_partition::{PartitionSeq, Phase};
@@ -77,18 +77,23 @@ impl CommVolume {
 ///
 /// Panics if `seqs.len() != graph.ops.len()`.
 pub fn plan_comm_volume(cluster: &Cluster, graph: &Graph, seqs: &[PartitionSeq]) -> CommVolume {
-    assert_eq!(seqs.len(), graph.ops.len(), "one sequence per operator");
-    let ctx = CostCtx::new(cluster, 0.0);
-    let n = cluster.num_devices();
+    comm_volume(&CostCtx::new(cluster, 0.0), &PlanGeometry::new(graph, seqs))
+}
+
+/// [`plan_comm_volume`] of a plan's geometry, priced on `ctx`'s cluster.
+fn comm_volume(ctx: &CostCtx<'_>, geometry: &PlanGeometry) -> CommVolume {
+    let n = ctx.cluster().num_devices();
     let mut v = CommVolume::default();
-    for (op, seq) in graph.ops.iter().zip(seqs) {
+    for op in &geometry.ops {
         for phase in Phase::ALL {
-            let ev = phase_events(&ctx, op, seq, phase);
-            v.ring_bytes += ev.ring_wire_bytes(n);
-            v.collective_bytes += ev.collective_wire_bytes(n);
+            // Every device sends its block each ring step and its share of
+            // each collective.
+            let ev = ctx.price_phase(op, phase);
+            v.ring_bytes += n as f64 * ev.ring_bytes_steps.iter().sum::<f64>();
+            v.collective_bytes += ev.collectives.iter().map(|c| c.wire_bytes(n)).sum::<f64>();
         }
     }
-    for bytes in plan_traffic_bytes(graph, seqs) {
+    for &bytes in &geometry.edge_bytes {
         // The simulator charges each direction half the edge's traffic and
         // skips free (zero-latency) transfers; mirror both.
         let per_direction = bytes / 2.0;
@@ -251,7 +256,7 @@ pub fn audit_layer(
     seqs: &[PartitionSeq],
     alpha: f64,
 ) -> AuditReport {
-    assert_eq!(seqs.len(), graph.ops.len(), "one sequence per operator");
+    let geometry = PlanGeometry::new(graph, seqs);
     let ctx = CostCtx::new(cluster, alpha);
     let sim = simulate_layer(cluster, graph, seqs);
     let segments = graph.segments();
@@ -293,8 +298,8 @@ pub fn audit_layer(
 
     let mut rows = Vec::new();
     let mut predicted_layer_time = 0.0;
-    for (i, (op, seq)) in graph.ops.iter().zip(seqs).enumerate() {
-        let ic = intra_cost(&ctx, op, seq);
+    for (i, (op, op_geometry)) in graph.ops.iter().zip(&geometry.ops).enumerate() {
+        let ic = ctx.price_intra(op_geometry);
         predicted_layer_time += ic.latency;
         let sums = op_sums.get(op.name.as_str()).cloned().unwrap_or_default();
         let seg = segment_of(&segments, i);
@@ -319,7 +324,7 @@ pub fn audit_layer(
     // edge — compare it against the summed predicted cost instead.
     let mut edge_rows: Vec<AuditRow> = Vec::new();
     let mut edge_index: BTreeMap<String, usize> = BTreeMap::new();
-    for (edge, bytes) in graph.edges.iter().zip(plan_traffic_bytes(graph, seqs)) {
+    for (edge, &bytes) in graph.edges.iter().zip(&geometry.edge_bytes) {
         let predicted = ctx.redistribution_time(bytes);
         // The simulator-consistent charge: each direction pays its own
         // latency term (the PR-3 double-charge, priced explicitly).
@@ -347,17 +352,9 @@ pub fn audit_layer(
     // Layer-level peak memory: the analytic bound every operator's
     // persistent state plus all stashes plus the widest double buffer —
     // against the simulator's traced high-water mark.
-    let mems: Vec<_> = graph
-        .ops
-        .iter()
-        .zip(seqs)
-        .map(|(op, seq)| memory_bytes(op, seq))
-        .collect();
-    let predicted_peak = mems
-        .iter()
-        .map(|m| m.params + m.grads + m.stash)
-        .sum::<f64>()
-        + mems.iter().map(|m| m.double_buffer).fold(0.0, f64::max);
+    let mems = || geometry.ops.iter().map(|g| &g.memory);
+    let predicted_peak = mems().map(|m| m.params + m.grads + m.stash).sum::<f64>()
+        + mems().map(|m| m.double_buffer).fold(0.0, f64::max);
     rows.push(AuditRow {
         label: "layer".to_string(),
         segment: 0,
@@ -371,7 +368,7 @@ pub fn audit_layer(
         rows,
         predicted_layer_time,
         simulated_layer_time: sim.layer_time,
-        plan_comm: plan_comm_volume(cluster, graph, seqs),
+        plan_comm: comm_volume(&ctx, &geometry),
         sim,
     }
 }
@@ -517,7 +514,7 @@ pub fn summary_metrics(audit: &AuditReport) -> Metrics {
 mod tests {
     use super::*;
     use primepar_graph::ModelConfig;
-    use primepar_search::megatron_layer_plan;
+    use primepar_search::{best_megatron, megatron_layer_plan, Planner, PlannerOptions};
 
     fn fixture() -> (Cluster, Graph, Vec<PartitionSeq>) {
         let cluster = Cluster::v100_like(4);
@@ -572,20 +569,42 @@ mod tests {
 
     #[test]
     fn intra_components_agree_with_simulation() {
-        // The simulator executes phase_events directly, so compute, exposed
-        // ring and all-reduce must match the model exactly.
-        let (cluster, graph, plan) = fixture();
-        let audit = audit_layer(&cluster, &graph, &plan, 0.0);
-        for r in &audit.rows {
-            if r.component != "redistribution" && r.component != "peak_memory" {
-                assert!(
-                    r.rel_drift().abs() < 1e-9,
-                    "{}.{} drifted: {} vs {}",
-                    r.label,
-                    r.component,
-                    r.predicted,
-                    r.simulated
-                );
+        // The walk prices the plan's geometry with the step Eq. 7 folds, so
+        // compute, exposed ring and all-reduce agree bit for bit: on the
+        // Fig. 9 MLP block and on the Table-2 layer, under Megatron and
+        // under PrimePar.
+        let points = [
+            (
+                Cluster::v100_like(8),
+                ModelConfig::opt_175b().mlp_block_graph(8, 2048),
+                96,
+            ),
+            (
+                Cluster::v100_like(16),
+                ModelConfig::opt_6_7b().layer_graph(8, 2048),
+                32,
+            ),
+        ];
+        for (cluster, graph, layers) in &points {
+            let megatron = best_megatron(cluster, graph, 0.0).0;
+            let primepar = Planner::new(cluster, graph, PlannerOptions::default())
+                .optimize(*layers)
+                .seqs;
+            for plan in [megatron, primepar] {
+                let audit = audit_layer(cluster, graph, &plan, 0.0);
+                for r in &audit.rows {
+                    if r.component != "redistribution" && r.component != "peak_memory" {
+                        assert_eq!(
+                            r.predicted.to_bits(),
+                            r.simulated.to_bits(),
+                            "{}.{} drifted: {} vs {}",
+                            r.label,
+                            r.component,
+                            r.predicted,
+                            r.simulated
+                        );
+                    }
+                }
             }
         }
     }

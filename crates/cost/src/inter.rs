@@ -13,7 +13,7 @@
 //! direct reduction. The planner's cache, the simulator's plan volumes, the
 //! reference [`edge_cost_matrix`] and the migration prices all read them.
 
-use primepar_graph::{Axis, Edge, Graph, Operator};
+use primepar_graph::{Axis, Edge, Operator};
 use primepar_partition::{Dim, PartitionSeq, Phase, TensorKind};
 use primepar_topology::DeviceSpace;
 
@@ -325,31 +325,6 @@ pub fn inter_traffic_bytes(
 ) -> f64 {
     use std::slice::from_ref;
     volume_plane(edge, src_op, dst_op, from_ref(src_seq), from_ref(dst_seq))[0]
-}
-
-/// [`inter_traffic_bytes`] of every edge of `graph` under the plan `seqs`, in
-/// `graph.edges` order. The volumes depend only on the operators, the
-/// sequences and the device bits, never on the cluster, so one vector serves
-/// every simulation of the plan on any cluster of its size.
-///
-/// # Panics
-///
-/// Panics if `seqs.len() != graph.ops.len()`.
-pub fn plan_traffic_bytes(graph: &Graph, seqs: &[PartitionSeq]) -> Vec<f64> {
-    assert_eq!(seqs.len(), graph.ops.len(), "one sequence per operator");
-    graph
-        .edges
-        .iter()
-        .map(|edge| {
-            inter_traffic_bytes(
-                edge,
-                &graph.ops[edge.src],
-                &graph.ops[edge.dst],
-                &seqs[edge.src],
-                &seqs[edge.dst],
-            )
-        })
-        .collect()
 }
 
 /// Inter-operator cost: the latency of the redistribution traffic under the

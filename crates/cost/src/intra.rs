@@ -1,11 +1,13 @@
 //! Intra-operator cost (paper Eq. 7):
-//! `intraC(n, 𝒫) = Σ_t max(compute, ring) + allreduce + α·memory`.
+//! `intraC(n, 𝒫) = Σ_t max(compute, ring) + allreduce + α·memory`, split
+//! into a cluster-free geometry ([`OpGeometry`], [`PlanGeometry`]) and one
+//! pricing step ([`CostCtx::price_phase`]).
 
-use primepar_graph::{OpKind, Operator};
+use primepar_graph::{Graph, OpKind, Operator};
 use primepar_partition::{ring_transfers, Dim, PartitionSeq, Phase, TensorKind};
 use primepar_topology::GroupIndicator;
 
-use crate::CostCtx;
+use crate::{inter_traffic_bytes, CostCtx};
 
 /// Decomposed intra-operator cost of one training iteration of one operator.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -55,9 +57,8 @@ fn work_fraction(op: &Operator, seq: &PartitionSeq) -> f64 {
         .product()
 }
 
-/// One end-of-phase collective with enough detail for cluster accounting:
-/// which group pattern it runs over and how many payload bytes each device
-/// contributes.
+/// One priced end-of-phase collective: which group pattern it runs over, how
+/// many payload bytes each device contributes, and what it costs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectiveEvent {
     /// Group pattern the all-reduce runs over.
@@ -77,15 +78,13 @@ impl CollectiveEvent {
     }
 }
 
-/// Per-phase event parameters of one operator under one partition sequence —
-/// the building blocks both Eq. 7 and the discrete-event simulator consume.
+/// One phase of an [`OpGeometry`] priced on a cluster by
+/// [`CostCtx::price_phase`]: the inputs of Eq. 7's `max(compute, ring)`
+/// overlap and `allreduce` terms, which both simulators execute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseEvents {
     /// Kernel latency of one temporal step on one device.
     pub compute_step: f64,
-    /// Group pattern of the per-step ring shifts (empty when no temporal
-    /// primitive is present).
-    pub ring_indicator: GroupIndicator,
     /// Ring-shift latency overlapping each step (one entry per step).
     pub ring_steps: Vec<f64>,
     /// Per-device bytes each ring shift moves (one entry per step, aligned
@@ -95,171 +94,242 @@ pub struct PhaseEvents {
     /// always equals the sum of `collectives[..].seconds`.
     pub allreduce: f64,
     /// The individual collectives behind `allreduce`, for per-event
-    /// accounting (counts, volumes, link classes).
+    /// accounting (counts, volumes, link classes, barrier groups).
     pub collectives: Vec<CollectiveEvent>,
 }
 
-impl PhaseEvents {
-    /// The phase's contribution to Eq. 7: overlapped steps plus collectives.
-    pub fn latency(&self) -> f64 {
-        self.ring_steps
-            .iter()
-            .map(|&r| r.max(self.compute_step))
-            .sum::<f64>()
-            + self.allreduce
-    }
-
-    /// Cluster-wide wire bytes of all ring shifts in this phase: every one of
-    /// the `num_devices` devices sends its block each step.
-    pub fn ring_wire_bytes(&self, num_devices: usize) -> f64 {
-        num_devices as f64 * self.ring_bytes_steps.iter().sum::<f64>()
-    }
-
-    /// Cluster-wide wire bytes of all collectives in this phase.
-    pub fn collective_wire_bytes(&self, num_devices: usize) -> f64 {
-        self.collectives
-            .iter()
-            .map(|c| c.wire_bytes(num_devices))
-            .sum()
-    }
+/// Eq. 7's geometry of one phase of one operator: FLOPs and bytes, never
+/// seconds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseGeometry {
+    /// FLOPs of one kernel step on one device (0 when the phase does no
+    /// work).
+    pub sub_flops: f64,
+    /// Bytes one kernel step reads and writes on one device.
+    pub sub_bytes: f64,
+    /// Per-device bytes each ring shift moves, one entry per temporal step.
+    pub ring_bytes: Vec<f64>,
+    /// The end-of-phase collective candidates: group pattern and per-device
+    /// payload bytes.
+    pub collectives: Vec<(GroupIndicator, f64)>,
 }
 
-/// Computes the per-step compute, ring and collective latencies of `phase`
-/// (the inputs of Eq. 7's `max(compute, ring)` overlap and `allreduce` terms).
+/// Eq. 7's geometry of one operator under one partition sequence: which
+/// device groups communicate, how many bytes and how many FLOPs. It depends
+/// on the operator and the sequence alone, never on the cluster;
+/// [`CostCtx::price_phase`] turns it into seconds.
 ///
 /// # Example
 ///
 /// ```
-/// use primepar_cost::{phase_events, CostCtx};
+/// use primepar_cost::{CostCtx, OpGeometry};
 /// use primepar_graph::ModelConfig;
 /// use primepar_partition::{PartitionSeq, Phase, Primitive};
 /// use primepar_topology::Cluster;
 ///
-/// let cluster = Cluster::v100_like(4);
-/// let ctx = CostCtx::new(&cluster, 0.0);
 /// let graph = ModelConfig::opt_6_7b().layer_graph(8, 2048);
 /// let seq = PartitionSeq::new(vec![Primitive::Temporal { k: 1 }])?;
-/// let ev = phase_events(&ctx, &graph.ops[9], &seq, Phase::Forward);
+/// let geometry = OpGeometry::new(&graph.ops[9], &seq);
+/// let cluster = Cluster::v100_like(4);
+/// let ev = CostCtx::new(&cluster, 0.0).price_phase(&geometry, Phase::Forward);
 /// assert_eq!(ev.ring_steps.len(), 2);     // 2^k temporal steps
 /// assert_eq!(ev.allreduce, 0.0);          // feature 1
 /// # Ok::<(), primepar_partition::PartitionError>(())
 /// ```
-pub fn phase_events(
-    ctx: &CostCtx<'_>,
-    op: &Operator,
-    seq: &PartitionSeq,
-    phase: Phase,
-) -> PhaseEvents {
-    let steps = seq.temporal_steps();
-    let ring_ind = seq.ring_indicator();
-    let frac = work_fraction(op, seq);
-    let out_block = tensor_block_elems(op, seq, TensorKind::Output);
-    let in_block = tensor_block_elems(op, seq, TensorKind::Input);
+#[derive(Debug, Clone, PartialEq)]
+pub struct OpGeometry {
+    /// Group pattern of the per-step ring shifts (empty when no temporal
+    /// primitive is present).
+    pub ring_indicator: GroupIndicator,
+    /// One entry per phase, in [`Phase::ALL`] order.
+    pub phases: [PhaseGeometry; 3],
+    /// Per-device memory footprint.
+    pub memory: MemoryBytes,
+}
+
+impl OpGeometry {
+    /// Derives the geometry of `op` partitioned by `seq`.
+    pub fn new(op: &Operator, seq: &PartitionSeq) -> Self {
+        let frac = work_fraction(op, seq);
+        let (in_block, w_block, out_block) = blocks(op, seq);
+        let sub_bytes = if op.is_matmul_like() {
+            4.0 * (in_block + w_block + out_block)
+        } else {
+            4.0 * 2.0 * out_block
+        };
+        let phase = |phase: Phase| PhaseGeometry {
+            sub_flops: op.flops(phase) * frac,
+            sub_bytes,
+            ring_bytes: (0..seq.temporal_steps())
+                .map(|t| {
+                    ring_transfers(seq, phase, t)
+                        .iter()
+                        .map(|tr| 4.0 * tensor_block_elems(op, seq, tr.tensor))
+                        .sum()
+                })
+                .collect(),
+            collectives: collectives(op, seq, phase),
+        };
+        OpGeometry {
+            ring_indicator: seq.ring_indicator(),
+            phases: Phase::ALL.map(phase),
+            memory: memory_bytes(op, seq),
+        }
+    }
+}
+
+/// Elements of one device's input, weight and output blocks; the weight
+/// block is capped at the weight's volume, and 0 without a weight.
+fn blocks(op: &Operator, seq: &PartitionSeq) -> (f64, f64, f64) {
+    let block = |kind| tensor_block_elems(op, seq, kind);
     let w_block = if op.weight_volume() > 0.0 {
-        tensor_block_elems(op, seq, TensorKind::Weight).min(op.weight_volume())
+        block(TensorKind::Weight).min(op.weight_volume())
     } else {
         0.0
     };
-    let phase_flops = op.flops(phase);
-    let sub_flops = phase_flops * frac;
-    let sub_bytes = if op.is_matmul_like() {
-        4.0 * (in_block + w_block + out_block)
-    } else {
-        4.0 * 2.0 * out_block
-    };
-    let compute_step = if phase_flops > 0.0 {
-        ctx.kernel_time(sub_flops, sub_bytes)
-    } else {
-        0.0
-    };
+    (block(TensorKind::Input), w_block, block(TensorKind::Output))
+}
 
-    let mut ring_steps = Vec::with_capacity(steps);
-    let mut ring_bytes_steps = Vec::with_capacity(steps);
-    for t in 0..steps {
-        let ring_bytes: f64 = ring_transfers(seq, phase, t)
-            .iter()
-            .map(|tr| 4.0 * tensor_block_elems(op, seq, tr.tensor))
-            .sum();
-        let t_ring = ctx.ring_shift_time(&ring_ind, ring_bytes);
-        ring_steps.push(t_ring);
-        // A free shift moved nothing: keep byte accounting aligned with time.
-        ring_bytes_steps.push(if t_ring > 0.0 { ring_bytes } else { 0.0 });
-    }
+/// Rows (`B × M` elements) of one device's block: the length of a norm's
+/// statistics.
+fn block_rows(op: &Operator, seq: &PartitionSeq) -> f64 {
+    [Dim::B, Dim::M]
+        .iter()
+        .map(|&d| (op.extent(d).max(1) as f64 / seq.num_slices(d) as f64).max(1.0))
+        .product()
+}
 
-    let mut allreduce = 0.0;
-    let mut collectives = Vec::new();
-    let mut collective = |indicator: GroupIndicator, bytes: f64, seconds: f64| {
-        if seconds > 0.0 {
-            allreduce += seconds;
-            collectives.push(CollectiveEvent {
-                indicator,
-                bytes,
-                seconds,
-            });
+/// The end-of-phase collective candidates of `op` under `seq`: a matmul's
+/// reduction over its split reduce dimensions, and a norm's small
+/// collectives for statistics (hidden split, charged in forward) and for γ/β
+/// gradients (batch/sequence splits, charged in gradient) — paper §3.2.
+fn collectives(op: &Operator, seq: &PartitionSeq, phase: Phase) -> Vec<(GroupIndicator, f64)> {
+    let split = |dims: &[Dim]| {
+        GroupIndicator::new(dims.iter().flat_map(|&d| seq.split_positions(d)).collect())
+    };
+    vec![match op.kind {
+        _ if op.is_matmul_like() => (
+            seq.allreduce_indicator(phase, op.weight_has_batch()),
+            4.0 * tensor_block_elems(op, seq, phase.output_tensor()),
+        ),
+        OpKind::Norm(_) if phase == Phase::Forward => {
+            (split(&[Dim::K]), 4.0 * 2.0 * block_rows(op, seq))
         }
-    };
-    if op.is_matmul_like() {
-        let indicator = seq.allreduce_indicator(phase, op.weight_has_batch());
-        let bytes = 4.0 * tensor_block_elems(op, seq, phase.output_tensor());
-        let t = ctx.allreduce_time(&indicator, bytes);
-        collective(indicator, bytes, t);
+        OpKind::Norm(_) if phase == Phase::Gradient => (
+            split(&[Dim::B, Dim::M]),
+            4.0 * op.weight_elems() / seq.num_slices(Dim::K) as f64,
+        ),
+        _ => return Vec::new(),
+    }]
+}
+
+/// The cluster-free geometry of one plan: every operator's Eq. 7 geometry
+/// and every edge's Eqs. 8–9 volume. One value serves every pricing of the
+/// plan on any cluster of its size — the simulators, the robustness sweep,
+/// the drift audit and the fixed-plan evaluators.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanGeometry {
+    /// [`OpGeometry`] of each operator, in `graph.ops` order.
+    pub ops: Vec<OpGeometry>,
+    /// [`inter_traffic_bytes`] (forward plus backward bytes) of each edge, in
+    /// `graph.edges` order.
+    pub edge_bytes: Vec<f64>,
+}
+
+impl PlanGeometry {
+    /// Derives the geometry of the plan `seqs` over `graph`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seqs.len() != graph.ops.len()`.
+    pub fn new(graph: &Graph, seqs: &[PartitionSeq]) -> Self {
+        assert_eq!(seqs.len(), graph.ops.len(), "one sequence per operator");
+        PlanGeometry {
+            ops: graph
+                .ops
+                .iter()
+                .zip(seqs)
+                .map(|(op, seq)| OpGeometry::new(op, seq))
+                .collect(),
+            edge_bytes: graph
+                .edges
+                .iter()
+                .map(|e| {
+                    let (src, dst) = (e.src, e.dst);
+                    inter_traffic_bytes(e, &graph.ops[src], &graph.ops[dst], &seqs[src], &seqs[dst])
+                })
+                .collect(),
+        }
     }
-    // Norm operators: small collectives for statistics (hidden split, charged
-    // in forward) and for γ/β gradients (batch/sequence splits, charged in
-    // gradient) — paper §3.2.
-    if matches!(op.kind, OpKind::Norm(_)) {
-        if phase == Phase::Forward {
-            let k_positions = seq.split_positions(Dim::K);
-            if !k_positions.is_empty() {
-                let rows = (op.extent(Dim::B).max(1) as f64 / seq.num_slices(Dim::B) as f64)
-                    .max(1.0)
-                    * (op.extent(Dim::M).max(1) as f64 / seq.num_slices(Dim::M) as f64).max(1.0);
-                let indicator = GroupIndicator::new(k_positions);
-                let bytes = 4.0 * 2.0 * rows;
-                let t = ctx.allreduce_time(&indicator, bytes);
-                collective(indicator, bytes, t);
+}
+
+impl CostCtx<'_> {
+    /// Eq. 7's pricing step: the seconds of `phase` of `op` on this
+    /// context's cluster. A phase without FLOPs computes for 0 s, a ring
+    /// shift that costs nothing moves no bytes, and a collective that costs
+    /// nothing is dropped.
+    pub fn price_phase(&self, op: &OpGeometry, phase: Phase) -> PhaseEvents {
+        // `Phase::ALL` lists the variants in declaration order.
+        let g = &op.phases[phase as usize];
+        let compute_step = if g.sub_flops > 0.0 {
+            self.kernel_time(g.sub_flops, g.sub_bytes)
+        } else {
+            0.0
+        };
+        let mut ring_steps = Vec::with_capacity(g.ring_bytes.len());
+        let mut ring_bytes_steps = Vec::with_capacity(g.ring_bytes.len());
+        for &bytes in &g.ring_bytes {
+            let t_ring = self.ring_shift_time(&op.ring_indicator, bytes);
+            ring_steps.push(t_ring);
+            ring_bytes_steps.push(if t_ring > 0.0 { bytes } else { 0.0 });
+        }
+        let mut allreduce = 0.0;
+        let mut collectives = Vec::new();
+        for (indicator, bytes) in &g.collectives {
+            let seconds = self.allreduce_time(indicator, *bytes);
+            if seconds > 0.0 {
+                allreduce += seconds;
+                collectives.push(CollectiveEvent {
+                    indicator: indicator.clone(),
+                    bytes: *bytes,
+                    seconds,
+                });
             }
         }
-        if phase == Phase::Gradient {
-            let mut bm_positions = seq.split_positions(Dim::B);
-            bm_positions.extend(seq.split_positions(Dim::M));
-            if !bm_positions.is_empty() {
-                let grad_bytes = 4.0 * op.weight_elems() / seq.num_slices(Dim::K) as f64;
-                let indicator = GroupIndicator::new(bm_positions);
-                let t = ctx.allreduce_time(&indicator, grad_bytes);
-                collective(indicator, grad_bytes, t);
-            }
+        PhaseEvents {
+            compute_step,
+            ring_steps,
+            ring_bytes_steps,
+            allreduce,
+            collectives,
         }
     }
-    PhaseEvents {
-        compute_step,
-        ring_indicator: ring_ind,
-        ring_steps,
-        ring_bytes_steps,
-        allreduce,
-        collectives,
+
+    /// Eq. 7 of one operator: every phase's [`CostCtx::price_phase`] folded
+    /// into `Σ_t max(compute, ring) + allreduce + α·memory`.
+    pub fn price_intra(&self, op: &OpGeometry) -> IntraCost {
+        let mut cost = IntraCost::default();
+        for phase in Phase::ALL {
+            let ev = self.price_phase(op, phase);
+            for &ring_step in &ev.ring_steps {
+                cost.compute += ev.compute_step;
+                cost.ring_total += ring_step;
+                cost.ring_exposed += (ring_step - ev.compute_step).max(0.0);
+                cost.latency += ev.compute_step.max(ring_step);
+            }
+            cost.allreduce += ev.allreduce;
+            cost.latency += ev.allreduce;
+        }
+        cost.memory_bytes = op.memory.total();
+        cost.cost = cost.latency + self.alpha() * cost.memory_bytes;
+        cost
     }
 }
 
 /// Evaluates Eq. 7 for `op` partitioned by `seq` on the context's cluster.
 pub fn intra_cost(ctx: &CostCtx<'_>, op: &Operator, seq: &PartitionSeq) -> IntraCost {
     ctx.note_intra_eval();
-    let mut cost = IntraCost::default();
-    for phase in Phase::ALL {
-        let ev = phase_events(ctx, op, seq, phase);
-        for &ring_step in &ev.ring_steps {
-            cost.compute += ev.compute_step;
-            cost.ring_total += ring_step;
-            cost.ring_exposed += (ring_step - ev.compute_step).max(0.0);
-            cost.latency += ev.compute_step.max(ring_step);
-        }
-        cost.allreduce += ev.allreduce;
-        cost.latency += ev.allreduce;
-    }
-
-    cost.memory_bytes = memory_bytes(op, seq).total();
-    cost.cost = cost.latency + ctx.alpha() * cost.memory_bytes;
-    cost
+    ctx.price_intra(&OpGeometry::new(op, seq))
 }
 
 /// Per-device memory footprint components of one operator (paper §4.1's
@@ -300,13 +370,7 @@ impl MemoryBytes {
 /// assert!(m.total() > 0.0);
 /// ```
 pub fn memory_bytes(op: &Operator, seq: &PartitionSeq) -> MemoryBytes {
-    let out_block = tensor_block_elems(op, seq, TensorKind::Output);
-    let in_block = tensor_block_elems(op, seq, TensorKind::Input);
-    let w_block = if op.weight_volume() > 0.0 {
-        tensor_block_elems(op, seq, TensorKind::Weight).min(op.weight_volume())
-    } else {
-        0.0
-    };
+    let (in_block, w_block, out_block) = blocks(op, seq);
     let weight_frac = if op.has_weight() {
         1.0 / (seq.num_slices(Dim::N) as f64 * seq.num_slices(Dim::K) as f64)
     } else {
@@ -317,12 +381,7 @@ pub fn memory_bytes(op: &Operator, seq: &PartitionSeq) -> MemoryBytes {
         OpKind::Linear => in_block,
         OpKind::BatchedMatmul => in_block + w_block,
         OpKind::Softmax | OpKind::Activation(_) => out_block,
-        OpKind::Norm(_) => {
-            out_block
-                + 2.0
-                    * (op.extent(Dim::B).max(1) as f64 / seq.num_slices(Dim::B) as f64).max(1.0)
-                    * (op.extent(Dim::M).max(1) as f64 / seq.num_slices(Dim::M) as f64).max(1.0)
-        }
+        OpKind::Norm(_) => out_block + 2.0 * block_rows(op, seq),
         // Embeddings stash only token ids (negligible).
         OpKind::Elementwise | OpKind::Embedding => 0.0,
     };

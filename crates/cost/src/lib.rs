@@ -7,8 +7,11 @@
 //! * [`inter_cost`] — Eqs. 8–9: redistribution traffic between consecutive
 //!   operators from DSI slice-interval intersections, evaluated in the shared
 //!   named-axis space so reshape boundaries (fused QKV, head folding) are
-//!   priced correctly. [`plan_traffic_bytes`] evaluates every edge of one
-//!   plan at once, for the simulator and the audit.
+//!   priced correctly.
+//! * [`OpGeometry`] / [`PlanGeometry`] — the cluster-free geometry of one
+//!   operator (Eq. 7's FLOPs, bytes, groups and memory) or of a plan (plus
+//!   each edge's Eqs. 8–9 volume). [`CostCtx::price_phase`] is the one step
+//!   that turns it into seconds, for the planner, the simulators and the audit.
 //! * [`EdgeCostCache`] / [`PreparedEdge`] — the optimizer's edge-cost
 //!   planes (the `e(p_i, p_j)` inputs of Eqs. 11–14), swept from
 //!   layout-interned side profiles.
@@ -51,11 +54,11 @@ pub mod migration;
 
 pub use cache::{matrix_job_ids, CacheStats, EdgeCostCache, PreparedEdge, SideProfiles};
 pub use ctx::CostCtx;
-pub use inter::{edge_cost_matrix, inter_cost, inter_traffic_bytes, plan_traffic_bytes};
+pub use inter::{edge_cost_matrix, inter_cost, inter_traffic_bytes};
 pub use intervals::DenseIntervals;
 pub use intra::{
-    intra_cost, memory_bytes, phase_events, tensor_block_elems, CollectiveEvent, IntraCost,
-    MemoryBytes, PhaseEvents,
+    intra_cost, memory_bytes, tensor_block_elems, CollectiveEvent, IntraCost, MemoryBytes,
+    OpGeometry, PhaseEvents, PhaseGeometry, PlanGeometry,
 };
 pub use migration::{
     failover_traffic, migration_seconds, migration_traffic, MigrationVolume, OpMigration,

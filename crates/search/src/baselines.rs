@@ -2,7 +2,7 @@
 //! swept over data-parallel degrees, and an Alpa stand-in — the same optimal
 //! search restricted to the conventional (spatial-only) space.
 
-use primepar_cost::{inter_cost, intra_cost, CostCtx};
+use primepar_cost::{CostCtx, PlanGeometry};
 use primepar_graph::{Graph, OpKind};
 use primepar_partition::{Dim, PartitionSeq, Primitive};
 use primepar_topology::Cluster;
@@ -83,19 +83,13 @@ pub fn evaluate_layer_plan(
     alpha: f64,
 ) -> f64 {
     let ctx = CostCtx::new(cluster, alpha);
+    let geometry = PlanGeometry::new(graph, seqs);
     let mut total = 0.0;
-    for (i, op) in graph.ops.iter().enumerate().skip(1) {
-        total += intra_cost(&ctx, op, &seqs[i]).cost;
+    for op in geometry.ops.iter().skip(1) {
+        total += ctx.price_intra(op).cost;
     }
-    for e in &graph.edges {
-        total += inter_cost(
-            &ctx,
-            e,
-            &graph.ops[e.src],
-            &graph.ops[e.dst],
-            &seqs[e.src],
-            &seqs[e.dst],
-        );
+    for &bytes in &geometry.edge_bytes {
+        total += ctx.redistribution_time(bytes);
     }
     total
 }
@@ -158,6 +152,7 @@ pub fn alpa_plan(cluster: &Cluster, graph: &Graph, layers: u64, alpha: f64) -> M
 #[cfg(test)]
 mod tests {
     use super::*;
+    use primepar_cost::inter_cost;
     use primepar_graph::ModelConfig;
 
     #[test]

@@ -1024,7 +1024,7 @@ fn extract<C: Choice>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator_space;
+    use crate::{evaluate_layer_plan, operator_space};
     use primepar_graph::ModelConfig;
 
     #[test]
@@ -1049,32 +1049,11 @@ mod tests {
         // The found plan must be no worse than pure data parallelism.
         let dp_plan = crate::megatron_layer_plan(&graph, 4, 1);
         let planner_cost: f64 = plan.layer_cost;
-        let dp_cost: f64 = plan_cost(&cluster, &graph, &dp_plan);
+        let dp_cost: f64 = evaluate_layer_plan(&cluster, &graph, &dp_plan, 0.0);
         assert!(
             planner_cost <= dp_cost * 1.001,
             "{planner_cost} vs DP {dp_cost}"
         );
-    }
-
-    /// Reference evaluation of a fixed plan: sum of intra costs + edge costs
-    /// (marginal layer, boundary counted once).
-    fn plan_cost(cluster: &Cluster, graph: &Graph, seqs: &[PartitionSeq]) -> f64 {
-        let ctx = CostCtx::new(cluster, 0.0);
-        let mut total = 0.0;
-        for (i, op) in graph.ops.iter().enumerate().skip(1) {
-            total += intra_cost(&ctx, op, &seqs[i]).cost;
-        }
-        for e in &graph.edges {
-            total += primepar_cost::inter_cost(
-                &ctx,
-                e,
-                &graph.ops[e.src],
-                &graph.ops[e.dst],
-                &seqs[e.src],
-                &seqs[e.dst],
-            );
-        }
-        total
     }
 
     #[test]
@@ -1086,7 +1065,7 @@ mod tests {
         let graph = ModelConfig::llama2_7b().layer_graph(8, 512);
         let planner = Planner::new(&cluster, &graph, PlannerOptions::default());
         let plan = planner.optimize(1);
-        let eval = plan_cost(&cluster, &graph, &plan.seqs);
+        let eval = evaluate_layer_plan(&cluster, &graph, &plan.seqs, 0.0);
         let rel = (plan.layer_cost - eval).abs() / eval.max(1e-12);
         assert!(rel < 1e-9, "dp {} vs eval {}", plan.layer_cost, eval);
     }
@@ -1105,7 +1084,7 @@ mod tests {
         // check optimality by local perturbation: changing any single
         // operator's sequence must not improve the cost.
         let opts = SpaceOptions::default();
-        let mut best = plan_cost(&cluster, &graph, &plan.seqs);
+        let mut best = evaluate_layer_plan(&cluster, &graph, &plan.seqs, 0.0);
         for i in 1..graph.ops.len() {
             for alt in operator_space(&graph.ops[i], 1, &opts) {
                 let mut seqs = plan.seqs.clone();
@@ -1115,11 +1094,11 @@ mod tests {
                     continue;
                 }
                 seqs[i] = alt;
-                let c = plan_cost(&cluster, &graph, &seqs);
+                let c = evaluate_layer_plan(&cluster, &graph, &seqs, 0.0);
                 best = best.min(c);
             }
         }
-        let own = plan_cost(&cluster, &graph, &plan.seqs);
+        let own = evaluate_layer_plan(&cluster, &graph, &plan.seqs, 0.0);
         assert!(
             own <= best * 1.0001,
             "one-step improvement found: {best} < {own}"

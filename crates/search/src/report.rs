@@ -1,7 +1,7 @@
 //! Human-readable plan reports: per-operator cost tables in the spirit of
 //! the paper's Fig. 9 strategy listings, used by the CLI and examples.
 
-use primepar_cost::{inter_cost, intra_cost, CostCtx};
+use primepar_cost::{CostCtx, PlanGeometry};
 use primepar_graph::Graph;
 use primepar_partition::PartitionSeq;
 use primepar_topology::Cluster;
@@ -24,7 +24,7 @@ use primepar_topology::Cluster;
 /// assert!(table.contains("fc2") && table.contains("redistribution"));
 /// ```
 pub fn explain_plan(cluster: &Cluster, graph: &Graph, seqs: &[PartitionSeq]) -> String {
-    assert_eq!(seqs.len(), graph.ops.len(), "one sequence per operator");
+    let geometry = PlanGeometry::new(graph, seqs);
     let ctx = CostCtx::new(cluster, 0.0);
     let mut out = String::new();
     out.push_str(&format!(
@@ -32,8 +32,8 @@ pub fn explain_plan(cluster: &Cluster, graph: &Graph, seqs: &[PartitionSeq]) -> 
         "operator", "strategy", "lat ms", "comp ms", "coll ms", "ring ms", "mem MB"
     ));
     let mut totals = (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for (op, seq) in graph.ops.iter().zip(seqs) {
-        let c = intra_cost(&ctx, op, seq);
+    for ((op, seq), op_geometry) in graph.ops.iter().zip(seqs).zip(&geometry.ops) {
+        let c = ctx.price_intra(op_geometry);
         out.push_str(&format!(
             "{:<9} {:<18} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.1}\n",
             op.name,
@@ -60,19 +60,10 @@ pub fn explain_plan(cluster: &Cluster, graph: &Graph, seqs: &[PartitionSeq]) -> 
         totals.3 * 1e3,
         totals.4 / 1e6,
     ));
-    let redistribution: f64 = graph
-        .edges
+    let redistribution: f64 = geometry
+        .edge_bytes
         .iter()
-        .map(|e| {
-            inter_cost(
-                &ctx,
-                e,
-                &graph.ops[e.src],
-                &graph.ops[e.dst],
-                &seqs[e.src],
-                &seqs[e.dst],
-            )
-        })
+        .map(|&bytes| ctx.redistribution_time(bytes))
         .sum();
     out.push_str(&format!(
         "redistribution across edges: {:.3} ms\n",

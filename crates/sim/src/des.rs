@@ -7,12 +7,17 @@
 //! collectives barrier whole groups — so a slow device (a *straggler*)
 //! propagates delay exactly the way the communication pattern dictates.
 //!
+//! Both simulators execute one [`PlanGeometry`] priced by
+//! [`CostCtx::price_phase`], the step the planner's Eq. 7 prices too. Each
+//! priced collective barriers the groups of its own indicator, so a norm's
+//! statistics all-reduce waits for its hidden-split peers only.
+//!
 //! With homogeneous devices the result provably coincides with the SPMD walk
 //! (unit-tested); with a straggler it quantifies how tightly each strategy
 //! couples devices — the temporal primitive's per-step ring handoffs versus
 //! the conventional strategies' per-phase collectives.
 
-use primepar_cost::{phase_events, plan_traffic_bytes, CostCtx};
+use primepar_cost::{CostCtx, PlanGeometry};
 use primepar_graph::Graph;
 use primepar_partition::{ring_transfers, PartitionSeq, Phase};
 use primepar_topology::{Cluster, DeviceId, DeviceSpace};
@@ -69,26 +74,19 @@ pub fn simulate_layer_des(
     seqs: &[PartitionSeq],
     options: &DesOptions,
 ) -> DesReport {
-    simulate_layer_des_traffic(
-        cluster,
-        graph,
-        seqs,
-        &plan_traffic_bytes(graph, seqs),
-        options,
-    )
+    let geometry = PlanGeometry::new(graph, seqs);
+    simulate_layer_des_geometry(cluster, graph, seqs, &geometry, options)
 }
 
-/// [`simulate_layer_des`] over the plan's precomputed Eqs. 8–9 volumes
-/// (`traffic` is [`plan_traffic_bytes`]`(graph, seqs)`).
-pub(crate) fn simulate_layer_des_traffic(
+/// [`simulate_layer_des`] over the plan's precomputed geometry
+/// ([`PlanGeometry::new`]`(graph, seqs)`).
+pub(crate) fn simulate_layer_des_geometry(
     cluster: &Cluster,
     graph: &Graph,
     seqs: &[PartitionSeq],
-    traffic: &[f64],
+    geometry: &PlanGeometry,
     options: &DesOptions,
 ) -> DesReport {
-    assert_eq!(seqs.len(), graph.ops.len(), "one sequence per operator");
-    assert_eq!(traffic.len(), graph.edges.len(), "one volume per edge");
     let n = cluster.num_devices();
     if let Some((d, f)) = options.straggler {
         assert!(d < n, "straggler device {d} out of range");
@@ -112,13 +110,10 @@ pub(crate) fn simulate_layer_des_traffic(
 
     let run_op_phase =
         |clocks: &mut Vec<f64>, busy: &mut Vec<f64>, op_index: usize, phase: Phase| {
-            let op = &graph.ops[op_index];
             let seq = &seqs[op_index];
-            let ev = phase_events(&ctx, op, seq, phase);
-            let steps = seq.temporal_steps();
-            for t in 0..steps {
-                let ring = ev.ring_steps[t];
-                if ring > 0.0 && seq.temporal_k().is_some() {
+            let ev = ctx.price_phase(&geometry.ops[op_index], phase);
+            for (t, &ring) in ev.ring_steps.iter().enumerate() {
+                if ring > 0.0 {
                     // Ring handoff: each receiver waits for its sender of this
                     // step before the overlapped (compute ‖ shift) completes.
                     let transfers = ring_transfers(seq, phase, t);
@@ -142,35 +137,24 @@ pub(crate) fn simulate_layer_des_traffic(
                     }
                 }
             }
-            if ev.allreduce > 0.0 {
-                // Collectives barrier their groups: everyone leaves at the
-                // group's latest arrival plus the collective time.
-                let indicator = seq.allreduce_indicator(phase, op.weight_has_batch());
-                if indicator.is_empty() {
-                    // Norm statistics collectives (charged without an indicator
-                    // path here) — treat as a global barrier, conservatively.
-                    let latest = clocks.iter().cloned().fold(0.0, f64::max);
-                    for c in clocks.iter_mut() {
-                        *c = latest + ev.allreduce;
-                    }
-                } else {
-                    for group in space.groups(&indicator) {
-                        let latest = group.iter().map(|d| clocks[d.index()]).fold(0.0, f64::max);
-                        for d in &group {
-                            clocks[d.index()] = latest + ev.allreduce;
-                        }
+            // Each collective barriers its own groups: everyone leaves at the
+            // group's latest arrival plus the collective time. The collective
+            // itself is work; the wait to the group's latest arrival was idle.
+            for c in &ev.collectives {
+                for group in space.groups(&c.indicator) {
+                    let latest = group.iter().map(|d| clocks[d.index()]).fold(0.0, f64::max);
+                    for d in &group {
+                        clocks[d.index()] = latest + c.seconds;
                     }
                 }
-                // The collective itself is work; the wait to the group's latest
-                // arrival was idle.
                 for b in busy.iter_mut() {
-                    *b += ev.allreduce;
+                    *b += c.seconds;
                 }
             }
         };
 
     let redistribute = |clocks: &mut Vec<f64>, busy: &mut Vec<f64>, e: usize| {
-        let t = ctx.redistribution_time(traffic[e] / 2.0);
+        let t = ctx.redistribution_time(geometry.edge_bytes[e] / 2.0);
         if t > 0.0 {
             // All-to-all-ish: a global synchronization point.
             let latest = clocks.iter().cloned().fold(0.0, f64::max);

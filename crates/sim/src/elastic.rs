@@ -18,13 +18,13 @@
 //! never-replan and always-replan static extremes are just two trivial
 //! policies, which is what the pinned end-to-end comparison exploits.
 
-use primepar_cost::{migration_seconds, plan_traffic_bytes, CostCtx};
+use primepar_cost::{migration_seconds, CostCtx, PlanGeometry};
 use primepar_graph::Graph;
 use primepar_obs::Metrics;
 use primepar_partition::PartitionSeq;
 use primepar_topology::{AppliedPerturbation, Cluster};
 
-use crate::engine::{simulate_layer_traffic, SimOptions};
+use crate::engine::{simulate_layer_geometry, SimOptions};
 
 /// One scheduled degradation: `perturbation` becomes the observed scenario
 /// just before iteration `at_iteration` starts. Scenarios replace each other
@@ -191,15 +191,15 @@ where
         );
     }
 
-    let iter_time = |c: &Cluster, seqs: &[PartitionSeq], traffic: &[f64]| -> f64 {
-        simulate_layer_traffic(c, graph, seqs, traffic, options).layer_time * layers as f64
+    let iter_time = |c: &Cluster, geometry: &PlanGeometry| -> f64 {
+        simulate_layer_geometry(c, graph, geometry, options).layer_time * layers as f64
     };
 
     let mut segments = Vec::with_capacity(events.len() + 1);
     let mut current_cluster = cluster.clone();
     let mut current_seqs = initial_seqs.to_vec();
-    // The plan's Eqs. 8–9 volumes hold across scenarios until it changes.
-    let mut current_traffic = plan_traffic_bytes(graph, &current_seqs);
+    // The plan's geometry holds across scenarios until the plan changes.
+    let mut current_geometry = PlanGeometry::new(graph, &current_seqs);
     let mut cursor = 0u64;
     let mut decision = "initial".to_string();
     let mut pending_bytes = 0.0f64;
@@ -216,7 +216,7 @@ where
             decision: std::mem::take(&mut decision),
             migration_bytes: pending_bytes,
             migration_seconds: pending_seconds,
-            iteration_seconds: iter_time(&current_cluster, &current_seqs, &current_traffic),
+            iteration_seconds: iter_time(&current_cluster, &current_geometry),
         });
         cursor = boundary;
         let Some(event) = events.get(i) else { break };
@@ -244,7 +244,7 @@ where
                     graph.ops.len(),
                     "adopted plan must cover every operator"
                 );
-                current_traffic = plan_traffic_bytes(graph, &seqs);
+                current_geometry = PlanGeometry::new(graph, &seqs);
                 current_seqs = seqs;
                 migration_bytes
             }

@@ -1,6 +1,6 @@
 //! The event-walking core: executes one training iteration of a layer plan.
 
-use primepar_cost::{memory_bytes, phase_events, plan_traffic_bytes, CostCtx};
+use primepar_cost::{CostCtx, MemoryBytes, OpGeometry, PlanGeometry};
 use primepar_graph::Graph;
 use primepar_partition::{PartitionSeq, Phase};
 use primepar_topology::{Cluster, Perturbation};
@@ -46,28 +46,18 @@ pub fn simulate_layer_with(
     seqs: &[PartitionSeq],
     options: &SimOptions,
 ) -> LayerReport {
-    simulate_layer_traffic(
-        cluster,
-        graph,
-        seqs,
-        &plan_traffic_bytes(graph, seqs),
-        options,
-    )
+    simulate_layer_geometry(cluster, graph, &PlanGeometry::new(graph, seqs), options)
 }
 
-/// [`simulate_layer_with`] over the plan's precomputed Eqs. 8–9 volumes:
-/// `traffic` is [`plan_traffic_bytes`]`(graph, seqs)`, which does not depend
-/// on the cluster, so callers simulating one plan on many clusters compute
-/// it once.
-pub(crate) fn simulate_layer_traffic(
+/// [`simulate_layer_with`] over the plan's precomputed geometry
+/// ([`PlanGeometry::new`]`(graph, seqs)`), which does not depend on the
+/// cluster, so callers simulating one plan on many clusters derive it once.
+pub(crate) fn simulate_layer_geometry(
     cluster: &Cluster,
     graph: &Graph,
-    seqs: &[PartitionSeq],
-    traffic: &[f64],
+    geometry: &PlanGeometry,
     options: &SimOptions,
 ) -> LayerReport {
-    assert_eq!(seqs.len(), graph.ops.len(), "one sequence per operator");
-    assert_eq!(traffic.len(), graph.edges.len(), "one volume per edge");
     // Applying a perturbation derives a degraded cluster; every downstream
     // consumer (profiles, cost context, accounting) sees it transparently.
     let derived;
@@ -84,12 +74,7 @@ pub(crate) fn simulate_layer_traffic(
     let mut breakdown = Breakdown::default();
     let mut timeline: Timeline = Vec::new();
 
-    let mems: Vec<primepar_cost::MemoryBytes> = graph
-        .ops
-        .iter()
-        .zip(seqs)
-        .map(|(op, seq)| memory_bytes(op, seq))
-        .collect();
+    let mems: Vec<&MemoryBytes> = geometry.ops.iter().map(|g| &g.memory).collect();
     let persistent_bytes: f64 = mems.iter().map(|m| m.params + m.grads).sum();
     let mut live = persistent_bytes;
     let mut peak = live;
@@ -103,8 +88,8 @@ pub(crate) fn simulate_layer_traffic(
                      op_index: usize,
                      phase: Phase| {
         let op = &graph.ops[op_index];
-        let ev = phase_events(&ctx, op, &seqs[op_index], phase);
-        let ring_class = indicator_link_class(cluster, &ev.ring_indicator);
+        let ev = ctx.price_phase(&geometry.ops[op_index], phase);
+        let ring_class = indicator_link_class(cluster, &geometry.ops[op_index].ring_indicator);
         for (t, &ring) in ev.ring_steps.iter().enumerate() {
             if ev.compute_step > 0.0 {
                 timeline.push(TimelineEvent {
@@ -166,7 +151,7 @@ pub(crate) fn simulate_layer_traffic(
                         e: usize,
                         direction: &str| {
         let edge = &graph.edges[e];
-        let bytes = traffic[e] / 2.0; // the volume is fwd+bwd; each direction pays half
+        let bytes = geometry.edge_bytes[e] / 2.0; // the volume is fwd+bwd; each direction pays half
         let t = ctx.redistribution_time(bytes);
         if t > 0.0 {
             timeline.push(TimelineEvent {
@@ -366,7 +351,7 @@ pub fn ideal_memory_bytes(graph: &Graph, layers: u64, num_devices: usize) -> f64
         .ops
         .iter()
         .map(|op| {
-            let m = memory_bytes(op, &serial);
+            let m = OpGeometry::new(op, &serial).memory;
             m.params + m.grads + m.stash
         })
         .sum();

@@ -16,15 +16,15 @@
 //! inputs produce identical reports, and [`robustness_json`] /
 //! [`parse_robustness`] round-trip a report exactly.
 
-use primepar_cost::plan_traffic_bytes;
+use primepar_cost::PlanGeometry;
 use primepar_graph::Graph;
 use primepar_obs::{Json, Metrics, SchemaError};
 use primepar_partition::PartitionSeq;
 use primepar_topology::{Cluster, PerturbationModel};
 
-use crate::des::{simulate_layer_des_traffic, DesOptions};
+use crate::des::{simulate_layer_des_geometry, DesOptions};
 use crate::engine::{
-    simulate_layer_traffic, simulate_layer_with, simulate_model_with, ModelReport, SimOptions,
+    simulate_layer_geometry, simulate_layer_with, simulate_model_with, ModelReport, SimOptions,
 };
 use crate::LayerReport;
 
@@ -137,10 +137,10 @@ pub fn robustness_sweep(
     assert!(opts.scenarios > 0, "robustness sweep needs >= 1 scenario");
     let mut sim = opts.sim;
     sim.perturbation = None;
-    // One plan on clusters of one size: the Eqs. 8–9 volumes are shared by
-    // the ideal run and every scenario's SPMD and DES runs.
-    let traffic = plan_traffic_bytes(graph, seqs);
-    let ideal = simulate_layer_traffic(cluster, graph, seqs, &traffic, &sim);
+    // One plan on clusters of one size: its geometry is shared by the ideal
+    // run and every scenario's SPMD and DES runs.
+    let geometry = PlanGeometry::new(graph, seqs);
+    let ideal = simulate_layer_geometry(cluster, graph, &geometry, &sim);
     let ideal_makespan = ideal.layer_time;
 
     let mut outcomes = Vec::with_capacity(opts.scenarios);
@@ -148,12 +148,12 @@ pub fn robustness_sweep(
     for scenario in 0..opts.scenarios {
         let seed = opts.base_seed.wrapping_add(scenario as u64);
         let perturbed = cluster.perturbed(&opts.model, seed);
-        let spmd = simulate_layer_traffic(&perturbed, graph, seqs, &traffic, &sim);
+        let spmd = simulate_layer_geometry(&perturbed, graph, &geometry, &sim);
         spmd.accounting
             .validate()
             .expect("accounting identities must hold under perturbation");
         let des =
-            simulate_layer_des_traffic(&perturbed, graph, seqs, &traffic, &DesOptions::default());
+            simulate_layer_des_geometry(&perturbed, graph, seqs, &geometry, &DesOptions::default());
         let critical_device = des.critical_device();
         histogram[critical_device] += 1;
         outcomes.push(ScenarioOutcome {

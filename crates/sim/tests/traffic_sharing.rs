@@ -1,9 +1,9 @@
-//! One Eqs. 8–9 volume vector per plan: `plan_traffic_bytes` equals the
-//! per-edge `inter_traffic_bytes`, and a robustness sweep that shares the
-//! vector across its simulations reports bitwise what per-scenario calls of
-//! the public entry points report.
+//! One geometry per plan: `PlanGeometry`'s per-edge volumes equal
+//! `inter_traffic_bytes` and its priced operators equal `intra_cost`, and a
+//! robustness sweep that shares the geometry across its simulations reports
+//! bitwise what per-scenario calls of the public entry points report.
 
-use primepar_cost::{inter_traffic_bytes, plan_traffic_bytes};
+use primepar_cost::{inter_traffic_bytes, intra_cost, CostCtx, PlanGeometry};
 use primepar_graph::ModelConfig;
 use primepar_search::{Planner, PlannerOptions};
 use primepar_sim::{
@@ -19,7 +19,8 @@ fn plan_traffic_matches_per_edge_traffic_on_the_table2_plan() {
     let plan = Planner::new(&cluster, &graph, PlannerOptions::default())
         .optimize(32)
         .seqs;
-    let traffic = plan_traffic_bytes(&graph, &plan);
+    let geometry = PlanGeometry::new(&graph, &plan);
+    let traffic = &geometry.edge_bytes;
     assert_eq!(traffic.len(), graph.edges.len());
     for (e, edge) in graph.edges.iter().enumerate() {
         let direct = inter_traffic_bytes(
@@ -46,6 +47,23 @@ fn plan_traffic_matches_per_edge_traffic_on_the_table2_plan() {
         })
         .collect();
     assert_eq!(qkv_to_qk.len(), 2, "qkv feeds qk as Q and as K");
+    // Pricing the shared geometry is Eq. 7 itself, field by field.
+    let ctx = CostCtx::new(&cluster, 0.0);
+    for (i, op) in graph.ops.iter().enumerate() {
+        let priced = ctx.price_intra(&geometry.ops[i]);
+        let direct = intra_cost(&ctx, op, &plan[i]);
+        for (field, p, d) in [
+            ("latency", priced.latency, direct.latency),
+            ("compute", priced.compute, direct.compute),
+            ("ring_total", priced.ring_total, direct.ring_total),
+            ("ring_exposed", priced.ring_exposed, direct.ring_exposed),
+            ("allreduce", priced.allreduce, direct.allreduce),
+            ("memory_bytes", priced.memory_bytes, direct.memory_bytes),
+            ("cost", priced.cost, direct.cost),
+        ] {
+            assert_eq!(p.to_bits(), d.to_bits(), "{}.{field}", op.name);
+        }
+    }
 }
 
 #[test]

@@ -342,8 +342,7 @@ mkdir -p "$artifacts/work"
 cmp "$artifacts/work/work.metrics.json" results/work.metrics.json \
     || { echo "work.metrics.json differs from results/" >&2; exit 1; }
 # The deterministic figure tables (stdout minus the "written to" lines).
-# ablations.txt and table2_opt_time.txt carry wall-clock timings, so they
-# are not pinned.
+# table2_opt_time.txt carries wall-clock timings, so it is not pinned.
 mkdir -p "$artifacts/figures"
 for name in fig2_motivation fig7_throughput fig8_memory fig9_ablation fig10_3d; do
     ./target/release/figures "$name" --out-dir "$artifacts/figures" \
@@ -352,6 +351,17 @@ for name in fig2_motivation fig7_throughput fig8_memory fig9_ablation fig10_3d; 
     cmp "$artifacts/figures/$name.txt" "results/$name.txt" \
         || { echo "$name output differs from results/$name.txt" >&2; exit 1; }
 done
+# ablations.txt is pinned minus its wall-clock rows: the Ablation E block
+# (search ms and the host's core count) and the "written to" line. Every
+# other row, the DES straggler rows of Ablation F included, is deterministic.
+drop_wall_clock() {
+    grep -v ' written to ' "$1" | sed '/^Ablation E/,/^Ablation F/{/^Ablation F/!d}'
+}
+./target/release/figures ablations --out-dir "$artifacts/figures" \
+    >"$artifacts/figures/ablations.txt" \
+    || { echo "figure ablations failed" >&2; exit 1; }
+cmp <(drop_wall_clock "$artifacts/figures/ablations.txt") <(drop_wall_clock results/ablations.txt) \
+    || { echo "ablations output differs from results/ablations.txt" >&2; exit 1; }
 
 echo "== cargo doc (whole workspace, -D warnings) =="
 # Broken or private intra-doc links anywhere in the workspace fail the gate.
