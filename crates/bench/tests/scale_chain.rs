@@ -98,6 +98,10 @@ fn exact_chain_plan_is_pinned_and_beam_is_faster_and_never_better() {
         "beam beat the exact optimum"
     );
     let speedup = exact.search_time.as_secs_f64() / beam.search_time.as_secs_f64();
+    eprintln!(
+        "scale_chain: beam(8)/exact speedup {speedup:.2}x (exact {:?}, beam(8) {:?})",
+        exact.search_time, beam.search_time
+    );
     assert!(
         speedup >= BEAM_SCALE_SPEEDUP,
         "beam(8) must be >={BEAM_SCALE_SPEEDUP}x faster than exact on the scaling chain, \

@@ -165,18 +165,18 @@ impl<'a> EdgeSide<'a> {
         ids: &mut Vec<u32>,
     ) -> f64 {
         let (slices, volume_fraction) = self.slicing(seq);
-        let next_shape = memo.shapes.len() as u32;
-        let shape = *memo.shapes.entry(slices).or_insert(next_shape);
+        let table = memo.table(slices);
         let prog = seq.dsi_program(space, self.phase, self.dims, self.step(seq));
         let mask = prog.relevant_mask();
         let mut id_of_masked = vec![u32::MAX; space.num_devices()];
         let mut sub = mask;
         loop {
             let idxs = prog.keys(sub);
-            id_of_masked[sub] = *memo
-                .of_tuple
-                .entry((shape, idxs))
-                .or_insert_with(|| intern(self.holding(&slices, &idxs)));
+            let id = &mut table[tuple_index(&slices, &idxs)];
+            if *id == u32::MAX {
+                *id = intern(self.holding(&slices, &idxs));
+            }
+            id_of_masked[sub] = *id;
             if sub == 0 {
                 break;
             }
@@ -191,21 +191,41 @@ impl<'a> EdgeSide<'a> {
 /// operator, tensor kind, renames and selector are fixed, so a holding is
 /// fully determined by the per-dimension `(slice count, slice index)` pair —
 /// sequences that cut a dimension into the same number of slices share every
-/// holding, no matter how their primitives are ordered. The memo maps
-/// `(slice-shape id, DSI tuple) → interned unique id`, so repeat tuples
-/// across sequences skip interval construction entirely.
+/// holding, no matter how their primitives are ordered. The memo keeps one
+/// dense table per slice shape, indexed by the DSI tuple read as a
+/// mixed-radix number over that shape's slice counts ([`tuple_index`]), so
+/// repeat tuples across sequences skip interval construction — and hashing —
+/// entirely.
 #[derive(Debug, Default)]
 pub(crate) struct ShapeMemo {
-    /// Per-dimension slice counts → dense shape id.
-    shapes: std::collections::HashMap<[usize; 4], u32>,
-    /// `(shape id, DSI tuple)` → the caller's interned unique id.
-    of_tuple: std::collections::HashMap<(u32, [usize; 4]), u32>,
+    /// Per-dimension slice counts → the caller's interned unique id of every
+    /// DSI tuple of that shape (`u32::MAX` until first built).
+    tables: std::collections::HashMap<[usize; 4], Vec<u32>>,
 }
 
 impl ShapeMemo {
     pub(crate) fn new() -> Self {
         ShapeMemo::default()
     }
+
+    /// The id table of slice shape `slices`, allocated on first use.
+    fn table(&mut self, slices: [usize; 4]) -> &mut [u32] {
+        self.tables.entry(slices).or_insert_with(|| {
+            let tuples = slices.iter().map(|&n| n.max(1)).product();
+            vec![u32::MAX; tuples]
+        })
+    }
+}
+
+/// The dense index of DSI tuple `idxs` under per-dimension slice counts
+/// `slices`: the tuple as a mixed-radix number, first dimension most
+/// significant. Unused trailing slots (count 0, index 0) have radix 1.
+fn tuple_index(slices: &[usize; 4], idxs: &[usize; 4]) -> usize {
+    slices.iter().zip(idxs).fold(0, |index, (&n, &idx)| {
+        let radix = n.max(1);
+        debug_assert!(idx < radix, "DSI {idx} out of {radix} slices");
+        index * radix + idx
+    })
 }
 
 /// Eq. 8's four sides of one edge and its element count, for every caller
@@ -480,6 +500,68 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The dense per-shape tables resolve DSI tuples exactly as a
+    /// `(slice shape, tuple)` hash map would: on one side whose slice shapes
+    /// (2, 4) and (4, 2) have unequal radices, every device of every sequence
+    /// gets the id of its tuple, equal tuples share an id and distinct tuples
+    /// never do.
+    #[test]
+    fn dense_tables_match_a_hash_map_oracle() {
+        use std::collections::HashMap;
+        let g = graph();
+        let op = &g.ops[9];
+        let side = EdgeSide::new(
+            op,
+            TensorKind::Weight,
+            Phase::Forward,
+            Side::Consume,
+            &[],
+            None,
+        );
+        let split = Primitive::Split;
+        let seqs = [
+            seq(vec![split(Dim::N), split(Dim::K), split(Dim::K)]),
+            seq(vec![split(Dim::N), split(Dim::N), split(Dim::K)]),
+            seq(vec![split(Dim::K), split(Dim::N), split(Dim::K)]),
+            seq(vec![split(Dim::B), Primitive::Temporal { k: 1 }]),
+        ];
+        let space = DeviceSpace::new(3);
+        let mut memo = ShapeMemo::new();
+        let mut built = 0u32;
+        let mut oracle: HashMap<([usize; 4], [usize; 4]), u32> = HashMap::new();
+        let mut tuple_of_id: HashMap<u32, ([usize; 4], [usize; 4])> = HashMap::new();
+        for s in &seqs {
+            let mut ids = Vec::new();
+            side.profile_dedup_into(
+                s,
+                space,
+                &mut memo,
+                &mut |_| {
+                    built += 1;
+                    built - 1
+                },
+                &mut ids,
+            );
+            let slices = side.slicing(s).0;
+            for (device, &id) in space.devices().zip(&ids) {
+                let mut idxs = [0usize; 4];
+                for (idx, &dim) in idxs.iter_mut().zip(side.dims) {
+                    *idx = s.dsi(space, side.phase, dim, device, 0);
+                }
+                let key = (slices, idxs);
+                assert_eq!(*oracle.entry(key).or_insert(id), id, "{s} on {device}");
+                assert_eq!(
+                    *tuple_of_id.entry(id).or_insert(key),
+                    key,
+                    "{s} on {device}"
+                );
+            }
+        }
+        // (2, 4) and (4, 2) hold 8 tuples each, (2, 2) holds 4: each built once.
+        assert_eq!(oracle.len(), 20);
+        assert_eq!(built, 20);
     }
 
     #[test]

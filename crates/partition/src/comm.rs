@@ -6,7 +6,11 @@
 //! (paper §3.3, "Formulation of Communication"). This module *derives* the
 //! communication pattern from the DSIs — solving "which device held the block
 //! I need next" — rather than hard-coding the paper's Table 1; the unit tests
-//! then assert the derivation reproduces Table 1 exactly.
+//! then assert the derivation reproduces Table 1 exactly. The schedule reads
+//! nothing of a sequence but `k`, so it is derived once per `k` and process
+//! and [`ring_transfers`] hands out `'static` slices of it.
+
+use std::sync::OnceLock;
 
 use primepar_topology::{DeviceId, DeviceSpace};
 
@@ -53,10 +57,15 @@ fn next_use(phase: Phase, tensor: TensorKind) -> Option<Phase> {
     }
 }
 
-/// Derives the ring transfers performed during temporal step `t` of `phase`.
+/// The ring transfers performed during temporal step `t` of `phase`.
 ///
-/// Returns an empty schedule for sequences without a temporal primitive (all
-/// conventional partitions communicate via all-reduce at phase end instead).
+/// The schedule is a property of the temporal square alone: `Split`
+/// primitives contribute device-constant DSI digits that never move between
+/// steps, so every sequence holding `P_{2^k×2^k}` shares the bare square's
+/// schedule. That schedule (3 phases × `2^k` steps) is derived once per `k`
+/// and process, on first use, and this is a lookup into it. Returns an empty
+/// schedule for sequences without a temporal primitive (all conventional
+/// partitions communicate via all-reduce at phase end instead).
 ///
 /// # Example
 ///
@@ -78,62 +87,34 @@ fn next_use(phase: Phase, tensor: TensorKind) -> Option<Phase> {
 ///
 /// Panics if `t >= seq.temporal_steps()`, or — indicating an internal
 /// inconsistency — if a needed block has no unique holder.
-pub fn ring_transfers(seq: &PartitionSeq, phase: Phase, t: usize) -> Vec<RingTransfer> {
+pub fn ring_transfers(seq: &PartitionSeq, phase: Phase, t: usize) -> &'static [RingTransfer] {
     let Some(k) = seq.temporal_k() else {
         assert!(t < 1, "step {t} out of range for non-temporal sequence");
-        return Vec::new();
+        return &[];
     };
     let side = 1usize << k;
     assert!(t < side, "step {t} out of range for P_{side}x{side}");
-    let square = Square::new(k);
-    let mut transfers = Vec::new();
+    &schedule(k)[phase as usize * side + t]
+}
 
-    for tensor in phase.input_tensors() {
-        if t + 1 < side {
-            // Prefetch the block needed at t + 1.
-            if let Some(delta) = square.holder_delta(
-                |r, c| square.dsi(phase, tensor, r, c, t),
-                |r, c| square.dsi(phase, tensor, r, c, t + 1),
-            ) {
-                transfers.push(RingTransfer {
-                    tensor,
-                    delta,
-                    reason: TransferReason::Prefetch,
-                });
-            }
-        } else if let Some(next_phase) = next_use(phase, tensor) {
-            // Last step: realign for the tensor's next use at that phase's t=0.
-            if let Some(delta) = square.holder_delta(
-                |r, c| square.dsi(phase, tensor, r, c, t),
-                |r, c| square.dsi(next_phase, tensor, r, c, 0),
-            ) {
-                transfers.push(RingTransfer {
-                    tensor,
-                    delta,
-                    reason: TransferReason::Realign,
-                });
-            }
-        }
-    }
+/// One lazily derived schedule per `k` a device space can hold (`2k ≤ 30`
+/// bits, see [`DeviceSpace::new`]).
+static SCHEDULES: [OnceLock<Vec<Vec<RingTransfer>>>; 16] = [const { OnceLock::new() }; 16];
 
-    // Output accumulator: when the output DSI moves between steps (dW at the
-    // final gradient step, per the δ term of Eq. 6), the partial accumulated
-    // so far must be shifted before the final local add.
-    let out = phase.output_tensor();
-    if t > 0 {
-        if let Some(delta) = square.holder_delta(
-            |r, c| square.dsi(phase, out, r, c, t - 1),
-            |r, c| square.dsi(phase, out, r, c, t),
-        ) {
-            transfers.push(RingTransfer {
-                tensor: out,
-                delta,
-                reason: TransferReason::AccumulatorShift,
-            });
-        }
-    }
-
-    transfers
+/// The ring schedule of `P_{2^k×2^k}`, indexed `[phase · 2^k + t]` with
+/// phases in [`Phase::ALL`] order.
+fn schedule(k: u32) -> &'static [Vec<RingTransfer>] {
+    let cell = SCHEDULES
+        .get(k as usize)
+        .unwrap_or_else(|| panic!("P_2^{k} does not fit a device space"));
+    cell.get_or_init(|| {
+        let square = Square::new(k);
+        Phase::ALL
+            .iter()
+            .flat_map(|&phase| (0..square.side).map(move |t| (phase, t)))
+            .map(|(phase, t)| square.transfers(phase, t))
+            .collect()
+    })
 }
 
 /// The pure `2^k × 2^k` temporal square, independent of any surrounding
@@ -157,6 +138,60 @@ impl Square {
             seq,
             space,
         }
+    }
+
+    /// Derives the ring transfers of step `t` of `phase` by solving "which
+    /// device held the block I need next" for every tensor that moves.
+    fn transfers(&self, phase: Phase, t: usize) -> Vec<RingTransfer> {
+        let side = self.side;
+        let mut transfers = Vec::new();
+
+        for tensor in phase.input_tensors() {
+            if t + 1 < side {
+                // Prefetch the block needed at t + 1.
+                if let Some(delta) = self.holder_delta(
+                    |r, c| self.dsi(phase, tensor, r, c, t),
+                    |r, c| self.dsi(phase, tensor, r, c, t + 1),
+                ) {
+                    transfers.push(RingTransfer {
+                        tensor,
+                        delta,
+                        reason: TransferReason::Prefetch,
+                    });
+                }
+            } else if let Some(next_phase) = next_use(phase, tensor) {
+                // Last step: realign for the tensor's next use at that phase's t=0.
+                if let Some(delta) = self.holder_delta(
+                    |r, c| self.dsi(phase, tensor, r, c, t),
+                    |r, c| self.dsi(next_phase, tensor, r, c, 0),
+                ) {
+                    transfers.push(RingTransfer {
+                        tensor,
+                        delta,
+                        reason: TransferReason::Realign,
+                    });
+                }
+            }
+        }
+
+        // Output accumulator: when the output DSI moves between steps (dW at
+        // the final gradient step, per the δ term of Eq. 6), the partial
+        // accumulated so far must be shifted before the final local add.
+        let out = phase.output_tensor();
+        if t > 0 {
+            if let Some(delta) = self.holder_delta(
+                |r, c| self.dsi(phase, out, r, c, t - 1),
+                |r, c| self.dsi(phase, out, r, c, t),
+            ) {
+                transfers.push(RingTransfer {
+                    tensor: out,
+                    delta,
+                    reason: TransferReason::AccumulatorShift,
+                });
+            }
+        }
+
+        transfers
     }
 
     /// Device index of square coordinate `(r, c)`: row and column bits
@@ -200,6 +235,7 @@ impl Square {
         want: impl Fn(usize, usize) -> Vec<usize>,
     ) -> Option<(i64, i64)> {
         let side = self.side;
+        let held: Vec<Vec<usize>> = (0..side * side).map(|i| have(i / side, i % side)).collect();
         let mut delta: Option<(i64, i64)> = None;
         for r in 0..side {
             for c in 0..side {
@@ -209,7 +245,7 @@ impl Square {
                     for dc in 0..side {
                         let sr = (r + dr) % side;
                         let sc = (c + dc) % side;
-                        if have(sr, sc) == target {
+                        if held[sr * side + sc] == target {
                             assert!(
                                 found.is_none(),
                                 "block held by multiple devices: replication within square"
@@ -253,7 +289,7 @@ mod tests {
         let seq = PartitionSeq::new(vec![Primitive::Temporal { k }]).unwrap();
         let side = 1i64 << k;
         ring_transfers(&seq, phase, t)
-            .into_iter()
+            .iter()
             .map(|tr| {
                 (
                     tr.tensor,
@@ -397,6 +433,23 @@ mod tests {
                     ring_transfers(&pure, phase, t),
                     ring_transfers(&mixed, phase, t)
                 );
+            }
+        }
+    }
+
+    /// The per-`k` table holds exactly what a fresh derivation on the bare
+    /// square yields, and every lookup returns the one stored slice.
+    #[test]
+    fn table_equals_fresh_derivation() {
+        for k in 1u32..=4 {
+            let seq = PartitionSeq::new(vec![Primitive::Temporal { k }]).unwrap();
+            let square = Square::new(k);
+            for phase in Phase::ALL {
+                for t in 0..1usize << k {
+                    let table = ring_transfers(&seq, phase, t);
+                    assert_eq!(table, square.transfers(phase, t), "k={k} {phase} t={t}");
+                    assert!(std::ptr::eq(table, ring_transfers(&seq, phase, t)));
+                }
             }
         }
     }

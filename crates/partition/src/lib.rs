@@ -12,7 +12,8 @@
 //!   sub-operator `(D, t)` in each training [`Phase`].
 //! * [`ring_transfers`] — the ring point-to-point communication schedule of
 //!   `P_{2^k×2^k}` derived from the DSIs and verified against the paper's
-//!   Table 1.
+//!   Table 1. It depends on `k` alone, so each `k`'s schedule is derived
+//!   once per process and handed out as `'static` slices.
 //! * [`verify`] — machine-checkable statements of the paper's features 1–3
 //!   (collective-communication freedom, no replication, phase alignment), the
 //!   all-reduce *group indicator* of a sequence, and the local-reduction

@@ -7,8 +7,10 @@ use proptest::prelude::*;
 use primepar_partition::verify::{
     check_phase_alignment, check_reduction_coverage, replication_factor,
 };
-use primepar_partition::{ring_transfers, Dim, PartitionSeq, Phase, Primitive, TensorKind};
-use primepar_topology::DeviceSpace;
+use primepar_partition::{
+    ring_transfers, Dim, PartitionSeq, Phase, Primitive, TensorKind, TransferReason,
+};
+use primepar_topology::{DeviceId, DeviceSpace};
 
 /// Strategy: a random sequence of up to 4 split primitives and at most one
 /// temporal primitive (k in 1..=2) inserted at a random position.
@@ -32,8 +34,90 @@ fn arb_seq() -> impl Strategy<Value = PartitionSeq> {
         })
 }
 
+/// Strategy: up to 4 split primitives around exactly one `Temporal { k }`
+/// (k in 1..=2) at a random position.
+fn arb_temporal_seq() -> impl Strategy<Value = PartitionSeq> {
+    let split = prop_oneof![
+        Just(Primitive::Split(Dim::B)),
+        Just(Primitive::Split(Dim::M)),
+        Just(Primitive::Split(Dim::N)),
+        Just(Primitive::Split(Dim::K)),
+    ];
+    (proptest::collection::vec(split, 0..4), 1u32..=2, 0usize..4).prop_map(|(mut prims, k, pos)| {
+        let pos = pos.min(prims.len());
+        prims.insert(pos, Primitive::Temporal { k });
+        PartitionSeq::new(prims).expect("one temporal by construction")
+    })
+}
+
+/// The device that sends to `device` under a ring offset `delta`: the same
+/// split bits, square coordinates `(r + Δr, c + Δc)` mod `2^k`.
+fn ring_sender(
+    seq: &PartitionSeq,
+    space: DeviceSpace,
+    device: DeviceId,
+    delta: (i64, i64),
+) -> DeviceId {
+    let k = seq.temporal_k().expect("temporal present") as usize;
+    let side = 1i64 << k;
+    let (r, c) = seq.square_coords(space, device).expect("temporal present");
+    let sr = (r as i64 + delta.0).rem_euclid(side) as usize;
+    let sc = (c as i64 + delta.1).rem_euclid(side) as usize;
+    let n = space.n_bits();
+    let mut idx = device.index();
+    // Row and column bits interleave, most significant first.
+    for (j, pair) in seq.ring_indicator().positions().chunks(2).enumerate() {
+        for (&pos, coord) in pair.iter().zip([sr, sc]) {
+            let bit = (coord >> (k - 1 - j)) & 1;
+            idx = (idx & !(1 << (n - pos))) | (bit << (n - pos));
+        }
+    }
+    DeviceId(idx)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The ring schedule reads nothing of a sequence but `k`: with splits
+    /// around `P_{2^k×2^k}` it is the bare square's, step for step, and on
+    /// the sequence's own DSIs every transfer's sender holds exactly the
+    /// block its receiver needs next.
+    #[test]
+    fn ring_schedule_is_the_bare_squares(seq in arb_temporal_seq()) {
+        let k = seq.temporal_k().expect("temporal by construction");
+        let bare = PartitionSeq::new(vec![Primitive::Temporal { k }]).expect("valid");
+        let space = DeviceSpace::new(seq.bits());
+        for phase in Phase::ALL {
+            for t in 0..1usize << k {
+                let transfers = ring_transfers(&seq, phase, t);
+                prop_assert_eq!(transfers, ring_transfers(&bare, phase, t), "{} {} t={}", seq, phase, t);
+                for tr in transfers {
+                    // (phase, step) the sender holds the block at, and the
+                    // (phase, step) the receiver needs it at.
+                    let (have, want) = match tr.reason {
+                        TransferReason::Prefetch => ((phase, t), (phase, t + 1)),
+                        TransferReason::AccumulatorShift => ((phase, t - 1), (phase, t)),
+                        TransferReason::Realign => {
+                            let next = match (phase, tr.tensor) {
+                                (Phase::Forward, TensorKind::Weight) => Phase::Backward,
+                                (Phase::Backward, TensorKind::Weight) => Phase::Forward,
+                                _ => Phase::Gradient,
+                            };
+                            ((phase, t), (next, 0))
+                        }
+                    };
+                    for device in space.devices() {
+                        let sender = ring_sender(&seq, space, device, tr.delta);
+                        prop_assert_eq!(
+                            seq.tensor_dsi(space, have.0, tr.tensor, false, sender, have.1),
+                            seq.tensor_dsi(space, want.0, tr.tensor, false, device, want.1),
+                            "{} {} t={} {:?} to {}", seq, phase, t, tr, device
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     /// The reduction-coverage invariant holds for every sequence and phase:
     /// each output block receives every reduce slice exactly once.

@@ -111,17 +111,18 @@ pub(crate) fn simulate_layer_des_geometry(
     let run_op_phase =
         |clocks: &mut Vec<f64>, busy: &mut Vec<f64>, op_index: usize, phase: Phase| {
             let seq = &seqs[op_index];
-            let ev = ctx.price_phase(&geometry.ops[op_index], phase);
+            let op = &geometry.ops[op_index];
+            let ev = ctx.price_phase(op, phase);
             for (t, &ring) in ev.ring_steps.iter().enumerate() {
                 if ring > 0.0 {
                     // Ring handoff: each receiver waits for its sender of this
                     // step before the overlapped (compute ‖ shift) completes.
-                    let transfers = ring_transfers(seq, phase, t);
                     let mut next = clocks.clone();
                     for d in 0..n {
                         let mut ready = clocks[d];
-                        for tr in &transfers {
-                            let sender = ring_peer(seq, space, d, tr.delta);
+                        for tr in ring_transfers(seq, phase, t) {
+                            let sender =
+                                ring_peer(seq, space, op.ring_indicator.positions(), d, tr.delta);
                             ready = ready.max(clocks[sender]);
                         }
                         let step = slow(d, ev.compute_step).max(ring);
@@ -190,8 +191,15 @@ pub(crate) fn simulate_layer_des_geometry(
 }
 
 /// The device whose block `device` receives under a ring transfer with
-/// `delta`, within the same temporal square group.
-fn ring_peer(seq: &PartitionSeq, space: DeviceSpace, device: usize, delta: (i64, i64)) -> usize {
+/// `delta`, within the same temporal square group; `positions` are the
+/// sequence's ring-indicator bits.
+fn ring_peer(
+    seq: &PartitionSeq,
+    space: DeviceSpace,
+    positions: &[usize],
+    device: usize,
+    delta: (i64, i64),
+) -> usize {
     let k = seq.temporal_k().expect("temporal primitive present") as usize;
     let side = 1i64 << k;
     let (r, c) = seq
@@ -199,7 +207,6 @@ fn ring_peer(seq: &PartitionSeq, space: DeviceSpace, device: usize, delta: (i64,
         .expect("temporal primitive present");
     let sr = (r as i64 + delta.0).rem_euclid(side) as usize;
     let sc = (c as i64 + delta.1).rem_euclid(side) as usize;
-    let positions: Vec<usize> = seq.ring_indicator().positions().to_vec();
     let nb = space.n_bits();
     let mut idx = device;
     for j in 0..k {
