@@ -36,13 +36,14 @@
 #[cfg(unix)]
 pub use primepar_service::serve_unix_socket;
 pub use primepar_service::{
-    cache_to_json, cancel_json, error_json, parse_frame, plan_response_json, replan_request_json,
-    replan_response_json, request_json, serve_lines, serve_lines_with_cache, sim_request_json,
-    sim_response_json, validate_cache_doc, CacheConfig, CacheOutcome, CachedPlan, CancelToken,
-    Error, Frame, Outcome, ParsedFrame, Pending, PlanKey, PlanRequest, PlanRequestBuilder,
-    PlanResponse, PlannerService, ReplanRequest, ReplanResponse, Request, ResolvedPlan, Response,
-    ServeEnd, ServeOptions, ServiceCacheStats, ServiceClient, ServiceOptions, ShardStats,
-    ShardedMap, SimRequest, SimResponse, WarmCache, CACHE_SCHEMA, SERVICE_SCHEMA,
+    cache_to_json, cancel_json, error_json, parse_frame, perturbation_profile, plan_response_json,
+    replan_request_json, replan_response_json, request_json, serve_lines, serve_lines_with_cache,
+    sim_request_json, sim_response_json, validate_cache_doc, CacheConfig, CacheOutcome, CachedPlan,
+    CancelToken, Error, Frame, Outcome, ParsedFrame, Pending, PlanKey, PlanRequest,
+    PlanRequestBuilder, PlanResponse, PlannerService, ReplanRequest, ReplanResponse, Request,
+    ResolvedPlan, Response, ServeEnd, ServeOptions, ServiceCacheStats, ServiceClient,
+    ServiceOptions, ShardStats, ShardedMap, SimRequest, SimResponse, WarmCache, CACHE_SCHEMA,
+    SERVICE_SCHEMA,
 };
 
 // Re-exported domain types, so facade users need no sub-crate imports.

@@ -1,57 +1,29 @@
 //! `primepar` — command-line front end for the PrimePar reproduction.
 //!
-//! ```text
-//! primepar models
-//! primepar plan    --model opt-175b --devices 8 [--system primepar|alpa|megatron]
-//!                  [--batch 8] [--seq 2048] [--alpha 0] [--no-batch-split] [--gantt]
-//!                  [--strategy exact|beam:8|anytime:500ms]   # bounded-search modes
-
-//!                  [--set op=SEQ]...   # override strategies, e.g. --set fc2=N.P2x2
-//!                  [--save plan.txt] [--plan plan.txt]   # persist / reuse plans
-//!                  [--metrics-json out.json]   # planner + sim telemetry as JSON
-//!                  [--chrome-trace out.json]   # Fig. 9 timeline for chrome://tracing
-//! primepar compare --model llama2-70b --devices 16 [--batch 8] [--seq 2048]
-//!                  [--perturb-scenarios 8] [--perturb-seed 42] [--perturb-profile mild]
-//!                  [--metrics-json out.json] [--chrome-trace out.json]
-//! primepar verify  [--k 1] [--iters 8]
-//! primepar sweep   --model bloom-176b [--devices 2,4,8,16]
-//!                  [--perturb-scenarios 8] [--perturb-seed 42] [--perturb-profile mild]
-//!                  [--metrics-json out.json] [--chrome-trace out.json]
-//! primepar robustness --model opt-175b --devices 8 [--mlp-block] [--batch 8] [--seq 2048]
-//!                  [--perturb-scenarios 16] [--perturb-seed 42] [--perturb-profile mild]
-//!                  [--metrics-json out.json] [--report-json robustness.json]
-//! primepar audit   --model opt-175b --devices 8 [--mlp-block] [--batch 8] [--seq 2048]
-//!                  [--system primepar|alpa|megatron] [--alpha 0] [--metrics-json out.json]
-//! primepar replan  --model opt-6.7b --devices 8 [--batch 8] [--seq 2048] [--layers L]
-//!                  [--perturb-profile ideal|mild|harsh] [--perturb-seed 42]
-//!                  [--lambda 1.0] [--horizon 1000] [--metrics-json out.json]
-//! primepar serve   [--workers 2] [--plan-dir DIR] [--socket PATH] [--cache-file PATH]
-//!                  [--event-log PATH] [--trace-out PATH] [--stats-out PATH]
-//!                  [--slow-ms 250 | --logical-clock]
-//! primepar validate [--dir results]...   # strict re-parse of emitted artifacts
-//! ```
+//! `primepar help` lists every subcommand and flag. Each subcommand resolves
+//! its workload through [`PlanRequest::resolve`], and `plan` and `sweep`
+//! plan PrimePar through [`PlanRequest::run`], so the CLI and the planner
+//! service validate and answer a workload alike.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use primepar::api::{serve_lines, ServeOptions};
+use primepar::api::{perturbation_profile, serve_lines, PlanRequest, ReplanRequest, ServeOptions};
 use primepar::audit::{audit_layer, audit_metrics, render_audit};
 use primepar::exec::{train_distributed, train_serial};
-use primepar::graph::ModelConfig;
+use primepar::graph::{Graph, ModelConfig};
+use primepar::obs::Metrics;
 use primepar::partition::{PartitionSeq, Primitive};
-use primepar::search::PlannerMetrics;
 use primepar::search::{
-    best_megatron, explain_plan, parse_plan, render_plan, Planner, PlannerOptions, SearchStrategy,
-    SpaceOptions,
+    alpa_plan, best_megatron, explain_plan, parse_plan, render_plan, Planner, SearchStrategy,
 };
-use primepar::service::read_artifact;
-use primepar::sim::ModelReport;
+use primepar::service::{read_artifact, ResolvedPlan};
 use primepar::sim::{
-    render_gantt, robustness_json, robustness_metrics, robustness_sweep, simulate_layer,
-    simulate_model, RobustnessOptions,
+    accounting_metrics, render_gantt, robustness_json, robustness_metrics, robustness_sweep,
+    simulate_layer, simulate_model, LayerReport, RobustnessOptions, RobustnessReport,
 };
 use primepar::tensor::Tensor;
-use primepar::topology::{Cluster, PerturbationModel};
+use primepar::topology::Cluster;
 use primepar::Error;
 use primepar::{
     compare_metrics, compare_systems, plan_summary, run_metrics, validate_artifacts, RunInfo,
@@ -97,17 +69,6 @@ impl Args {
     }
 }
 
-/// The CLI's cluster model, with the topology contract checked up front so
-/// bad device counts answer [`Error::Topology`] instead of panicking.
-fn cluster_for(devices: usize) -> Result<Cluster, Error> {
-    if devices == 0 || !devices.is_power_of_two() {
-        return Err(Error::topology(format!(
-            "devices must be a power of two, got {devices}"
-        )));
-    }
-    Ok(Cluster::v100_like(devices))
-}
-
 fn usage() -> &'static str {
     "usage: primepar <command> [options]\n\
      \n\
@@ -115,17 +76,22 @@ fn usage() -> &'static str {
      \x20 models                       list the model zoo\n\
      \x20 plan    --model M --devices N   search and explain a partition plan\n\
      \x20         [--system primepar|alpa|megatron] [--batch B] [--seq S]\n\
-     \x20         [--alpha A] [--no-batch-split] [--gantt]\n\
+     \x20         [--alpha A] [--threads T] [--no-batch-split] [--gantt]\n\
      \x20         [--strategy exact|beam:WIDTH|anytime:BUDGETms]\n\
      \x20         exact (default) runs the full segment DP; beam:8 keeps the 8\n\
      \x20         best-looking states per operator; anytime:500ms widens the\n\
      \x20         beam until the budget runs out, reporting optimality gap\n\
+     \x20         [--set OP=SEQ]...  override an operator's sequence, e.g. fc2=N.P2x2\n\
+     \x20         [--plan PATH]  explain a saved plan instead of searching\n\
+     \x20         [--save PATH]  write the plan as text\n\
      \x20         [--metrics-json PATH] [--chrome-trace PATH]\n\
      \x20 compare --model M --devices N   Megatron vs Alpa vs PrimePar\n\
+     \x20         [--batch B] [--seq S]\n\
      \x20         [--perturb-scenarios N] [--perturb-seed S] [--perturb-profile ideal|mild|harsh]\n\
      \x20         [--metrics-json PATH] [--chrome-trace PATH]\n\
      \x20 verify  [--k 1|2] [--iters N]   functional equivalence check of P_{2^k x 2^k}\n\
      \x20 sweep   --model M [--devices 2,4,8,16]  scaling study\n\
+     \x20         [--batch B] [--seq S]\n\
      \x20         [--perturb-scenarios N] [--perturb-seed S] [--perturb-profile ideal|mild|harsh]\n\
      \x20         [--metrics-json PATH] [--chrome-trace PATH]\n\
      \x20 robustness --model M --devices N   plan ranking under seeded fault & variance sweeps\n\
@@ -197,79 +163,54 @@ fn run() -> Result<(), Error> {
             Ok(())
         }
         "plan" => {
-            let model = required_model(&args)?;
-            let devices: usize = args.parse("--devices", 4)?;
-            let batch: u64 = args.parse("--batch", 8)?;
-            let seq: u64 = args.parse("--seq", 2048)?;
-            let alpha: f64 = args.parse("--alpha", 0.0)?;
-            let system = args.value("--system")?.unwrap_or("primepar").to_lowercase();
-            let strategy = match args.value("--strategy")? {
-                None => SearchStrategy::default(),
-                Some(text) => text
-                    .parse::<SearchStrategy>()
-                    .map_err(|e| Error::config(format!("--strategy: {e}")))?,
-            };
-            let cluster = cluster_for(devices)?;
-            let graph = model.layer_graph(batch, seq);
-            if let Some(path) = args.value("--plan")? {
-                // Load a saved plan instead of searching.
+            let mut request = workload(&args, 4)?;
+            request.alpha = args.parse("--alpha", request.alpha)?;
+            request.threads = args.parse("--threads", request.threads)?;
+            request.allow_batch_split &= !args.flag("--no-batch-split");
+            if let Some(text) = args.value("--strategy")? {
+                request.strategy = text
+                    .parse()
+                    .map_err(|e| Error::config(format!("--strategy: {e}")))?;
+            }
+            let resolved = request.resolve()?;
+            let (model, devices) = (resolved.model, resolved.devices);
+            let cluster = Cluster::v100_like(devices);
+            let graph = model.layer_graph(resolved.batch, resolved.seq);
+            let alpha = resolved.opts.alpha;
+            let mut planner = None;
+            let (mut seqs, label, system) = if let Some(path) = args.value("--plan")? {
                 let text = read_artifact(Path::new(path))?;
                 let seqs = parse_plan(&graph, &text).map_err(|e| Error::protocol(e.to_string()))?;
-                println!("{} on {devices} GPUs — plan from {path}\n", model.name);
-                println!("{}", explain_plan(&cluster, &graph, &seqs));
-                let report =
-                    simulate_model(&cluster, &graph, &seqs, model.layers, (batch * seq) as f64);
-                println!(
-                    "simulated: {:.0} tokens/s, {:.1} GB peak per device",
-                    report.tokens_per_second,
-                    report.peak_memory_bytes / 1e9
-                );
-                let run = RunInfo {
-                    model: model.name,
-                    system: "saved-plan",
-                    devices,
-                    batch,
-                    seq,
+                (seqs, format!("plan from {path}"), "saved-plan".to_string())
+            } else {
+                let system = args.value("--system")?.unwrap_or("primepar").to_lowercase();
+                let (seqs, label) = match system.as_str() {
+                    "megatron" => {
+                        let (plan, (d, m), _) = best_megatron(&cluster, &graph, alpha);
+                        (plan, format!("Megatron (d={d}, m={m})"))
+                    }
+                    "alpa" => {
+                        let p = alpa_plan(&cluster, &graph, resolved.layers, alpha);
+                        (p.seqs, format!("Alpa ({:?} search)", p.search_time))
+                    }
+                    "primepar" => {
+                        let resp = request.run()?;
+                        let (strategy, time) = (resp.strategy, resp.plan.search_time);
+                        let label = if strategy == SearchStrategy::Exact {
+                            format!("PrimePar ({time:?} search)")
+                        } else {
+                            format!(
+                                "PrimePar ({strategy}, {time:?} search, optimality gap ≤ {:.1}%)",
+                                resp.metrics.optimality_gap * 100.0
+                            )
+                        };
+                        planner = Some(resp.metrics);
+                        (resp.plan.seqs, label)
+                    }
+                    other => return Err(Error::config(format!("unknown system: {other}"))),
                 };
-                write_observability(&args, &run, None, &report)?;
-                return Ok(());
-            }
-            let mut planner_tm = None;
-            let (seqs, label) = match system.as_str() {
-                "megatron" => {
-                    let (plan, (d, m), _) = best_megatron(&cluster, &graph, alpha);
-                    (plan, format!("Megatron (d={d}, m={m})"))
-                }
-                "alpa" => {
-                    let p = primepar::search::alpa_plan(&cluster, &graph, model.layers, alpha);
-                    (p.seqs, format!("Alpa ({:?} search)", p.search_time))
-                }
-                "primepar" => {
-                    let opts = PlannerOptions::default()
-                        .with_space(SpaceOptions {
-                            allow_batch_split: !args.flag("--no-batch-split"),
-                            ..SpaceOptions::default()
-                        })
-                        .with_alpha(alpha)
-                        .with_threads(args.parse("--threads", 0)?)
-                        .with_strategy(strategy);
-                    let (p, tm) =
-                        Planner::new(&cluster, &graph, opts).optimize_instrumented(model.layers);
-                    let label = if strategy == SearchStrategy::Exact {
-                        format!("PrimePar ({:?} search)", p.search_time)
-                    } else {
-                        format!(
-                            "PrimePar ({strategy}, {:?} search, optimality gap ≤ {:.1}%)",
-                            p.search_time,
-                            tm.optimality_gap * 100.0
-                        )
-                    };
-                    planner_tm = Some(tm);
-                    (p.seqs, label)
-                }
-                other => return Err(Error::config(format!("unknown system: {other}"))),
+                (seqs, label, system)
             };
-            let mut seqs = seqs;
             // Manual strategy overrides: --set fc2=N.P2x2 ('.' separates tokens).
             for spec in args.values("--set")? {
                 let (op_name, text) = spec
@@ -296,37 +237,30 @@ fn run() -> Result<(), Error> {
             }
             println!("{} on {devices} GPUs — {label}\n", model.name);
             println!("{}", explain_plan(&cluster, &graph, &seqs));
-            let report =
-                simulate_model(&cluster, &graph, &seqs, model.layers, (batch * seq) as f64);
+            let tokens = (resolved.batch * resolved.seq) as f64;
+            let report = simulate_model(&cluster, &graph, &seqs, resolved.layers, tokens);
             println!(
                 "simulated: {:.0} tokens/s, {:.1} GB peak per device",
                 report.tokens_per_second,
                 report.peak_memory_bytes / 1e9
             );
             if let Some(path) = args.value("--save")? {
-                std::fs::write(path, render_plan(&graph, &seqs))
-                    .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
+                std::fs::write(path, render_plan(&graph, &seqs)).map_err(cannot_write(path))?;
                 println!("plan saved to {path}");
             }
             if args.flag("--gantt") {
-                let layer = simulate_layer(&cluster, &graph, &seqs);
-                println!("\n{}", render_gantt(&layer.timeline, 100));
+                println!("\n{}", render_gantt(&report.layer.timeline, 100));
             }
-            let run = RunInfo {
-                model: model.name,
-                system: &system,
-                devices,
-                batch,
-                seq,
-            };
-            write_observability(&args, &run, planner_tm.as_ref(), &report)?;
-            Ok(())
+            let run = RunInfo::of(&resolved, &system);
+            write_metrics(&args, || run_metrics(&run, planner.as_ref(), Some(&report)))?;
+            write_trace(&args, || report.layer.clone())
         }
         "compare" => {
-            let model = required_model(&args)?;
-            let devices: usize = args.parse("--devices", 4)?;
-            let batch: u64 = args.parse("--batch", 8)?;
-            let seq: u64 = args.parse("--seq", 2048)?;
+            let resolved = workload(&args, 4)?.resolve()?;
+            let (model, devices) = (resolved.model, resolved.devices);
+            let (batch, seq) = (resolved.batch, resolved.seq);
+            let cluster = Cluster::v100_like(devices);
+            let graph = model.layer_graph(batch, seq);
             println!(
                 "{} on {devices} GPUs (batch {batch}, seq {seq})\n",
                 model.name
@@ -355,10 +289,8 @@ fn run() -> Result<(), Error> {
             // Optional robustness re-ranking under seeded fault & variance
             // scenarios (--perturb-scenarios enables it).
             let (profile, opts) = robustness_options(&args, 0)?;
-            let mut robust = primepar::obs::Metrics::new();
+            let mut robust = Metrics::new();
             if opts.scenarios > 0 {
-                let cluster = cluster_for(devices)?;
-                let graph = model.layer_graph(batch, seq);
                 println!(
                     "\nrobustness under the {profile} variance model \
                      ({} scenarios, seed {}):",
@@ -378,44 +310,15 @@ fn run() -> Result<(), Error> {
                         s.p95_makespan * 1e3,
                         s.mean_slowdown
                     );
-                    let key = r.system.to_lowercase();
-                    robust.gauge(
-                        &format!("sim.robustness.compare.{key}.ideal_makespan_s"),
-                        s.ideal_makespan,
-                    );
-                    robust.gauge(
-                        &format!("sim.robustness.compare.{key}.p95_makespan_s"),
-                        s.p95_makespan,
-                    );
-                    robust.gauge(
-                        &format!("sim.robustness.compare.{key}.mean_slowdown"),
-                        s.mean_slowdown,
-                    );
+                    robustness_gauges(&mut robust, &r.system.to_lowercase(), &s);
                 }
             }
-            let run = RunInfo {
-                model: model.name,
-                system: "compare",
-                devices,
-                batch,
-                seq,
-            };
-            if let Some(path) = args.value("--metrics-json")? {
-                let mut metrics = compare_metrics(&run, &rows);
+            write_metrics(&args, || {
+                let mut metrics = compare_metrics(&RunInfo::of(&resolved, "compare"), &rows);
                 metrics.merge(&robust);
-                primepar::write_metrics_json(path, &metrics)
-                    .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
-                println!("metrics written to {path}");
-            }
-            if let Some(path) = args.value("--chrome-trace")? {
-                let cluster = cluster_for(devices)?;
-                let graph = model.layer_graph(batch, seq);
-                let layer = simulate_layer(&cluster, &graph, &prime.plan);
-                primepar::write_layer_chrome_trace(path, &layer)
-                    .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
-                println!("chrome trace written to {path}");
-            }
-            Ok(())
+                metrics
+            })?;
+            write_trace(&args, || simulate_layer(&cluster, &graph, &prime.plan))
         }
         "verify" => {
             let k: u32 = args.parse("--k", 1)?;
@@ -461,10 +364,20 @@ fn run() -> Result<(), Error> {
             }
         }
         "sweep" => {
-            let model = required_model(&args)?;
             let list = args.value("--devices")?.unwrap_or("2,4,8,16");
-            let batch: u64 = args.parse("--batch", 8)?;
-            let seq: u64 = args.parse("--seq", 2048)?;
+            let requests = list
+                .split(',')
+                .map(|tok| {
+                    let devices = tok
+                        .trim()
+                        .parse()
+                        .map_err(|_| Error::config(format!("bad device count: {tok}")))?;
+                    let request = workload_on(&args, devices)?;
+                    Ok((request.resolve()?, request))
+                })
+                .collect::<Result<Vec<_>, Error>>()?;
+            let first = &requests[0].0;
+            let (model, batch, seq) = (first.model, first.batch, first.seq);
             let (profile, opts) = robustness_options(&args, 0)?;
             println!("{} scaling sweep\n", model.name);
             if opts.scenarios > 0 {
@@ -489,36 +402,22 @@ fn run() -> Result<(), Error> {
                     "devices", "megatron t/s", "primepar t/s", "speedup"
                 );
             }
-            let mut metrics = primepar::obs::Metrics::new();
+            // No single device count, so no run_metrics header.
+            let mut metrics = Metrics::new();
             metrics.text("run.model", model.name);
             metrics.text("run.system", "sweep");
             metrics.gauge("run.batch", batch as f64);
             metrics.gauge("run.seq", seq as f64);
             let mut last_prime_layer = None;
-            for tok in list.split(',') {
-                let devices: usize = tok
-                    .trim()
-                    .parse()
-                    .map_err(|_| Error::config(format!("bad device count: {tok}")))?;
-                let cluster = cluster_for(devices)?;
+            for (resolved, request) in &requests {
+                let devices = resolved.devices;
+                let cluster = Cluster::v100_like(devices);
                 let graph = model.layer_graph(batch, seq);
+                let (layers, tokens) = (resolved.layers, (batch * seq) as f64);
                 let (mega_plan, _, _) = best_megatron(&cluster, &graph, 0.0);
-                let mega = simulate_model(
-                    &cluster,
-                    &graph,
-                    &mega_plan,
-                    model.layers,
-                    (batch * seq) as f64,
-                );
-                let plan = Planner::new(&cluster, &graph, PlannerOptions::default())
-                    .optimize(model.layers);
-                let prime = simulate_model(
-                    &cluster,
-                    &graph,
-                    &plan.seqs,
-                    model.layers,
-                    (batch * seq) as f64,
-                );
+                let mega = simulate_model(&cluster, &graph, &mega_plan, layers, tokens);
+                let plan = request.run()?.plan;
+                let prime = simulate_model(&cluster, &graph, &plan.seqs, layers, tokens);
                 let p = format!("sweep.{devices:02}");
                 if opts.scenarios > 0 {
                     let mega_s = robustness_sweep(&cluster, &graph, &mega_plan, &opts);
@@ -563,88 +462,58 @@ fn run() -> Result<(), Error> {
                 );
                 last_prime_layer = Some(prime.layer);
             }
-            if let Some(path) = args.value("--metrics-json")? {
-                primepar::write_metrics_json(path, &metrics)
-                    .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
-                println!("metrics written to {path}");
-            }
-            if let Some(path) = args.value("--chrome-trace")? {
-                let layer =
-                    last_prime_layer.ok_or_else(|| Error::config("empty --devices list"))?;
-                primepar::write_layer_chrome_trace(path, &layer)
-                    .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
-                println!("chrome trace written to {path}");
-            }
-            Ok(())
+            write_metrics(&args, || metrics)?;
+            write_trace(&args, || {
+                last_prime_layer.expect("--devices names at least one count")
+            })
         }
         "audit" => {
-            let model = required_model(&args)?;
-            let devices: usize = args.parse("--devices", 4)?;
-            let batch: u64 = args.parse("--batch", 8)?;
-            let seq: u64 = args.parse("--seq", 2048)?;
-            let alpha: f64 = args.parse("--alpha", 0.0)?;
+            let mut request = workload(&args, 4)?;
+            request.alpha = args.parse("--alpha", request.alpha)?;
+            let resolved = request.resolve()?;
             let system = args.value("--system")?.unwrap_or("primepar").to_lowercase();
-            let cluster = cluster_for(devices)?;
-            let graph = if args.flag("--mlp-block") {
-                model.mlp_block_graph(batch, seq)
-            } else {
-                model.layer_graph(batch, seq)
-            };
+            let cluster = Cluster::v100_like(resolved.devices);
+            let (graph, block) = block_graph(&args, &resolved);
+            let alpha = resolved.opts.alpha;
             let seqs = match system.as_str() {
                 "megatron" => best_megatron(&cluster, &graph, alpha).0,
-                "alpa" => primepar::search::alpa_plan(&cluster, &graph, 1, alpha).seqs,
+                "alpa" => alpa_plan(&cluster, &graph, 1, alpha).seqs,
                 "primepar" => {
-                    let opts = PlannerOptions::default().with_alpha(alpha);
-                    Planner::new(&cluster, &graph, opts).optimize(1).seqs
+                    Planner::new(&cluster, &graph, resolved.opts)
+                        .optimize(1)
+                        .seqs
                 }
                 other => return Err(Error::config(format!("unknown system: {other}"))),
             };
-            let block = if args.flag("--mlp-block") {
-                "MLP block"
-            } else {
-                "layer"
-            };
-            println!("{} {block} on {devices} GPUs — {system} plan\n", model.name);
+            println!(
+                "{} {block} on {} GPUs — {system} plan\n",
+                resolved.model.name, resolved.devices
+            );
             let audit = audit_layer(&cluster, &graph, &seqs, alpha);
             print!("{}", render_audit(&audit));
-            if let Some(path) = args.value("--metrics-json")? {
-                let mut m = primepar::obs::Metrics::new();
-                m.text("run.model", model.name);
-                m.text("run.system", &system);
-                m.gauge("run.devices", devices as f64);
-                m.gauge("run.batch", batch as f64);
-                m.gauge("run.seq", seq as f64);
+            write_metrics(&args, || {
+                let mut m = run_metrics(&RunInfo::of(&resolved, &system), None, None);
                 m.merge(&audit_metrics(&audit));
-                m.merge(&primepar::sim::accounting_metrics(&audit.sim.accounting));
-                primepar::write_metrics_json(path, &m)
-                    .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
-                println!("metrics written to {path}");
-            }
-            Ok(())
+                m.merge(&accounting_metrics(&audit.sim.accounting));
+                m
+            })
         }
         "robustness" => {
-            let model = required_model(&args)?;
-            let devices: usize = args.parse("--devices", 8)?;
-            let batch: u64 = args.parse("--batch", 8)?;
-            let seq: u64 = args.parse("--seq", 2048)?;
+            let resolved = workload(&args, 8)?.resolve()?;
             let (profile, opts) = robustness_options(&args, 16)?;
             if opts.scenarios == 0 {
                 return Err(Error::config("--perturb-scenarios must be > 0"));
             }
-            let cluster = cluster_for(devices)?;
-            let (graph, block) = if args.flag("--mlp-block") {
-                (model.mlp_block_graph(batch, seq), "MLP block")
-            } else {
-                (model.layer_graph(batch, seq), "layer")
-            };
+            let cluster = Cluster::v100_like(resolved.devices);
+            let (graph, block) = block_graph(&args, &resolved);
             println!(
-                "{} {block} on {devices} GPUs — {profile} variance model, \
+                "{} {block} on {} GPUs — {profile} variance model, \
                  {} scenarios (seed {})\n",
-                model.name, opts.scenarios, opts.base_seed
+                resolved.model.name, resolved.devices, opts.scenarios, opts.base_seed
             );
             let (mega_plan, (d, m), _) = best_megatron(&cluster, &graph, 0.0);
-            let prime_plan = Planner::new(&cluster, &graph, PlannerOptions::default())
-                .optimize(model.layers)
+            let prime_plan = Planner::new(&cluster, &graph, resolved.opts)
+                .optimize(resolved.layers)
                 .seqs;
             let mega = robustness_sweep(&cluster, &graph, &mega_plan, &opts);
             let prime = robustness_sweep(&cluster, &graph, &prime_plan, &opts);
@@ -694,70 +563,39 @@ fn run() -> Result<(), Error> {
                      pay it once per\nphase (DESIGN.md §9)."
                 );
             }
-            if let Some(path) = args.value("--metrics-json")? {
-                let mut metrics = primepar::obs::Metrics::new();
-                metrics.text("run.model", model.name);
-                metrics.text("run.system", "robustness");
-                metrics.gauge("run.devices", devices as f64);
-                metrics.gauge("run.batch", batch as f64);
-                metrics.gauge("run.seq", seq as f64);
+            write_metrics(&args, || {
+                let mut metrics = run_metrics(&RunInfo::of(&resolved, "robustness"), None, None);
                 metrics.text("sim.robustness.profile", profile);
                 metrics.text(
                     "sim.robustness.ranking_flipped",
                     if flipped { "yes" } else { "no" },
                 );
-                for (key, s) in [("megatron", &mega), ("primepar", &prime)] {
-                    metrics.gauge(
-                        &format!("sim.robustness.compare.{key}.ideal_makespan_s"),
-                        s.ideal_makespan,
-                    );
-                    metrics.gauge(
-                        &format!("sim.robustness.compare.{key}.p95_makespan_s"),
-                        s.p95_makespan,
-                    );
-                    metrics.gauge(
-                        &format!("sim.robustness.compare.{key}.mean_slowdown"),
-                        s.mean_slowdown,
-                    );
-                }
+                robustness_gauges(&mut metrics, "megatron", &mega);
+                robustness_gauges(&mut metrics, "primepar", &prime);
                 metrics.merge(&robustness_metrics(&prime));
-                primepar::write_metrics_json(path, &metrics)
-                    .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
-                println!("metrics written to {path}");
-            }
+                metrics
+            })?;
             if let Some(path) = args.value("--report-json")? {
                 std::fs::write(path, robustness_json(&prime).render())
-                    .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
+                    .map_err(cannot_write(path))?;
                 println!("robustness report written to {path}");
             }
             Ok(())
         }
         "replan" => {
-            let model = required_model(&args)?;
-            let devices: usize = args.parse("--devices", 8)?;
-            let batch: u64 = args.parse("--batch", 8)?;
-            let seq: u64 = args.parse("--seq", 2048)?;
-            let layers: u64 = args.parse("--layers", 0)?;
-            let (profile, _) = perturb_profile(&args)?;
-            let perturb_seed: u64 = args.parse("--perturb-seed", 42)?;
-            let lambda: f64 = args.parse("--lambda", 1.0)?;
-            let horizon: u64 = args.parse("--horizon", 1000)?;
-            let request = primepar::api::ReplanRequest::of(
-                primepar::api::PlanRequest::builder(model.name)
-                    .devices(devices)
-                    .batch(batch)
-                    .seq(seq)
-                    .layers((layers > 0).then_some(layers))
-                    .build(),
-            )
-            .with_scenario(profile, perturb_seed)
-            .with_lambda(lambda)
-            .with_horizon(horizon);
-            let resp = request.run()?;
+            let mut request = workload(&args, 8)?;
+            request.layers = Some(args.parse("--layers", 0)?).filter(|&l| l > 0);
+            let resolved = request.resolve()?;
+            let (profile, scenario) = robustness_options(&args, 0)?;
+            let mut replan = ReplanRequest::of(request).with_scenario(profile, scenario.base_seed);
+            replan.lambda = args.parse("--lambda", replan.lambda)?;
+            replan.horizon = args.parse("--horizon", replan.horizon)?;
+            let resp = replan.run()?;
+            let (seed, lambda, horizon) = (replan.seed, replan.lambda, replan.horizon);
             println!(
-                "{} on {devices} GPUs — {profile} scenario (seed {perturb_seed}, λ {lambda}), \
+                "{} on {} GPUs — {profile} scenario (seed {seed}, λ {lambda}), \
                  horizon {horizon} iteration(s)\n",
-                model.name
+                resolved.model.name, resolved.devices
             );
             println!(
                 "{:<8} {:>8} {:>13} {:>12} {:>11} {:>11}",
@@ -781,15 +619,10 @@ fn run() -> Result<(), Error> {
                 resp.outcome.migration_seconds,
                 resp.fingerprint
             );
-            if let Some(path) = args.value("--metrics-json")? {
-                let mut m = primepar::obs::Metrics::new();
-                m.text("run.model", model.name);
-                m.text("run.system", "replan");
-                m.gauge("run.devices", devices as f64);
-                m.gauge("run.batch", batch as f64);
-                m.gauge("run.seq", seq as f64);
+            write_metrics(&args, || {
+                let mut m = run_metrics(&RunInfo::of(&resolved, "replan"), None, None);
                 m.text("replan.profile", profile);
-                m.gauge("replan.seed", perturb_seed as f64);
+                m.gauge("replan.seed", seed as f64);
                 m.gauge("replan.lambda", lambda);
                 m.gauge("replan.horizon_iterations", horizon as f64);
                 m.text("replan.decision", resp.decision.tag());
@@ -806,11 +639,8 @@ fn run() -> Result<(), Error> {
                         if c.feasible { "yes" } else { "no" },
                     );
                 }
-                primepar::write_metrics_json(path, &m)
-                    .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
-                println!("metrics written to {path}");
-            }
-            Ok(())
+                m
+            })
         }
         "validate" => {
             let dirs = args.values("--dir")?;
@@ -899,35 +729,65 @@ fn run() -> Result<(), Error> {
     }
 }
 
-/// Honors `--metrics-json` / `--chrome-trace`, writing the run's telemetry
-/// registry and the Fig. 9 timeline as machine-readable artifacts.
-fn write_observability(
-    args: &Args,
-    run: &RunInfo<'_>,
-    planner: Option<&PlannerMetrics>,
-    report: &ModelReport,
-) -> Result<(), Error> {
+/// The workload of `--model`, `--batch` and `--seq` on `devices` GPUs, with
+/// the service's defaults for every other field. Callers set the flags they
+/// read, then [`resolve`](PlanRequest::resolve) it before any work.
+fn workload_on(args: &Args, devices: usize) -> Result<PlanRequest, Error> {
+    let model = args
+        .value("--model")?
+        .ok_or_else(|| Error::config("missing --model"))?;
+    let mut request = PlanRequest::builder(model).devices(devices).build();
+    request.batch = args.parse("--batch", request.batch)?;
+    request.seq = args.parse("--seq", request.seq)?;
+    Ok(request)
+}
+
+/// [`workload_on`] the `--devices` count, `default_devices` when absent.
+fn workload(args: &Args, default_devices: usize) -> Result<PlanRequest, Error> {
+    workload_on(args, args.parse("--devices", default_devices)?)
+}
+
+/// The graph `--mlp-block` picks — the Fig. 9 MLP block, else a full
+/// layer — and its name.
+fn block_graph(args: &Args, resolved: &ResolvedPlan) -> (Graph, &'static str) {
+    let (model, batch, seq) = (resolved.model, resolved.batch, resolved.seq);
+    if args.flag("--mlp-block") {
+        (model.mlp_block_graph(batch, seq), "MLP block")
+    } else {
+        (model.layer_graph(batch, seq), "layer")
+    }
+}
+
+fn cannot_write(path: &str) -> impl FnOnce(std::io::Error) -> Error + '_ {
+    move |e| Error::internal(format!("cannot write {path}: {e}"))
+}
+
+/// Honors `--metrics-json`, writing the registry `metrics` builds.
+fn write_metrics(args: &Args, metrics: impl FnOnce() -> Metrics) -> Result<(), Error> {
     if let Some(path) = args.value("--metrics-json")? {
-        let metrics = run_metrics(run, planner, Some(report));
-        primepar::write_metrics_json(path, &metrics)
-            .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
+        primepar::write_metrics_json(path, &metrics()).map_err(cannot_write(path))?;
         println!("metrics written to {path}");
     }
+    Ok(())
+}
+
+/// Honors `--chrome-trace`, writing the Fig. 9 timeline of the layer `layer`
+/// yields.
+fn write_trace(args: &Args, layer: impl FnOnce() -> LayerReport) -> Result<(), Error> {
     if let Some(path) = args.value("--chrome-trace")? {
-        primepar::write_layer_chrome_trace(path, &report.layer)
-            .map_err(|e| Error::internal(format!("cannot write {path}: {e}")))?;
+        primepar::write_layer_chrome_trace(path, &layer()).map_err(cannot_write(path))?;
         println!("chrome trace written to {path}");
     }
     Ok(())
 }
 
 /// The seeded variance sweep of `--perturb-scenarios` (default `scenarios`),
-/// `--perturb-seed` (default 42) and `--perturb-profile`, with the profile's
-/// name.
+/// `--perturb-seed` (default 42) and `--perturb-profile` (default `mild`),
+/// with the profile's name.
 fn robustness_options(args: &Args, scenarios: usize) -> Result<(&str, RobustnessOptions), Error> {
-    let (profile, model) = perturb_profile(args)?;
+    let profile = args.value("--perturb-profile")?.unwrap_or("mild");
     let opts = RobustnessOptions {
-        model,
+        model: perturbation_profile(profile)?,
         scenarios: args.parse("--perturb-scenarios", scenarios)?,
         base_seed: args.parse("--perturb-seed", 42)?,
         ..RobustnessOptions::default()
@@ -935,26 +795,10 @@ fn robustness_options(args: &Args, scenarios: usize) -> Result<(&str, Robustness
     Ok((profile, opts))
 }
 
-/// Resolves `--perturb-profile` (default `mild`) to a named variance model.
-fn perturb_profile(args: &Args) -> Result<(&str, PerturbationModel), Error> {
-    match args.value("--perturb-profile")?.unwrap_or("mild") {
-        "ideal" => Ok(("ideal", PerturbationModel::ideal())),
-        "mild" => Ok(("mild", PerturbationModel::mild())),
-        "harsh" => Ok(("harsh", PerturbationModel::harsh())),
-        other => Err(Error::config(format!(
-            "unknown perturbation profile: {other} (expected ideal|mild|harsh)"
-        ))),
-    }
-}
-
-fn required_model(args: &Args) -> Result<ModelConfig, Error> {
-    let name = args
-        .value("--model")?
-        .ok_or_else(|| Error::config("missing --model"))?;
-    ModelConfig::by_name(name).ok_or_else(|| {
-        Error::config(format!(
-            "unknown model: {name} (known: {})",
-            ModelConfig::all().map(|m| m.name).join(", ")
-        ))
-    })
+/// The `sim.robustness.compare.<system>.*` gauges of one system's sweep.
+fn robustness_gauges(m: &mut Metrics, system: &str, s: &RobustnessReport) {
+    let key = format!("sim.robustness.compare.{system}");
+    m.gauge(&format!("{key}.ideal_makespan_s"), s.ideal_makespan);
+    m.gauge(&format!("{key}.p95_makespan_s"), s.p95_makespan);
+    m.gauge(&format!("{key}.mean_slowdown"), s.mean_slowdown);
 }

@@ -13,7 +13,9 @@ use std::path::Path;
 
 use primepar_obs::{parse_event_log, parse_json, parse_trace, Json, Metrics, SchemaError};
 use primepar_search::PlannerMetrics;
-use primepar_service::{read_artifact, validate_cache_doc, validate_stats_doc, Error};
+use primepar_service::{
+    read_artifact, validate_cache_doc, validate_stats_doc, Error, ResolvedPlan,
+};
 use primepar_sim::{
     layer_report_metrics, parse_robustness, render_chrome_trace,
     render_chrome_trace_with_accounting, LayerReport, ModelReport, Timeline,
@@ -34,6 +36,19 @@ pub struct RunInfo<'a> {
     pub batch: u64,
     /// Sequence length.
     pub seq: u64,
+}
+
+impl<'a> RunInfo<'a> {
+    /// The identity of a `system` run on a validated workload.
+    pub fn of(resolved: &ResolvedPlan, system: &'a str) -> Self {
+        RunInfo {
+            model: resolved.model.name,
+            system,
+            devices: resolved.devices,
+            batch: resolved.batch,
+            seq: resolved.seq,
+        }
+    }
 }
 
 /// Builds the combined registry for one run. `planner` is absent for manual

@@ -54,7 +54,7 @@ pub struct PlanRequest {
     pub seq: u64,
     /// Stacked layer count; `None` uses the zoo model's depth.
     pub layers: Option<u64>,
-    /// Eq. 7 latency/memory trade-off `α`.
+    /// Eq. 7 latency/memory trade-off `α` (finite and non-negative).
     pub alpha: f64,
     /// Planner worker threads (`0` = single-threaded).
     pub threads: usize,
@@ -111,8 +111,10 @@ impl PlanRequest {
     ///
     /// # Errors
     ///
-    /// [`Error::Config`] for an unknown model or degenerate shape;
-    /// [`Error::Topology`] for a device count that is not a power of two.
+    /// [`Error::Config`] for an unknown model, a degenerate shape, or an `α`
+    /// that is non-finite or negative (the DP's lower bound assumes
+    /// non-negative terms); [`Error::Topology`] for a device count that is
+    /// not a power of two.
     pub fn resolve(&self) -> Result<ResolvedPlan, Error> {
         let model = ModelConfig::by_name(&self.model).ok_or_else(|| {
             Error::config(format!(
@@ -136,6 +138,12 @@ impl PlanRequest {
         let layers = self.layers.unwrap_or(model.layers);
         if layers == 0 {
             return Err(Error::config("layers must be positive, got 0"));
+        }
+        if !self.alpha.is_finite() || self.alpha < 0.0 {
+            return Err(Error::config(format!(
+                "alpha must be finite and non-negative, got {}",
+                self.alpha
+            )));
         }
         Ok(ResolvedPlan {
             model,
@@ -523,7 +531,11 @@ pub struct SimResponse {
 }
 
 /// Resolves a perturbation profile name (`ideal` / `mild` / `harsh`).
-fn perturbation_profile(name: &str) -> Result<PerturbationModel, Error> {
+///
+/// # Errors
+///
+/// [`Error::Config`] for any other name.
+pub fn perturbation_profile(name: &str) -> Result<PerturbationModel, Error> {
     match name {
         "ideal" => Ok(PerturbationModel::ideal()),
         "mild" => Ok(PerturbationModel::mild()),
@@ -774,6 +786,16 @@ mod tests {
         assert!(matches!(lopsided, Err(Error::Topology(_))), "{lopsided:?}");
         let empty = PlanRequest::builder("opt-6.7b").batch(0).build().resolve();
         assert!(matches!(empty, Err(Error::Config(_))), "{empty:?}");
+        for alpha in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1e-12] {
+            let bad = PlanRequest::builder("opt-6.7b")
+                .alpha(alpha)
+                .build()
+                .resolve();
+            assert!(
+                matches!(bad, Err(Error::Config(_))),
+                "alpha {alpha}: {bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -40,8 +40,9 @@ mod server;
 mod shard;
 
 pub use api::{
-    CacheOutcome, PlanKey, PlanRequest, PlanRequestBuilder, PlanResponse, ReplanRequest,
-    ReplanResponse, Request, ResolvedPlan, Response, SimRequest, SimResponse, SERVICE_SCHEMA,
+    perturbation_profile, CacheOutcome, PlanKey, PlanRequest, PlanRequestBuilder, PlanResponse,
+    ReplanRequest, ReplanResponse, Request, ResolvedPlan, Response, SimRequest, SimResponse,
+    SERVICE_SCHEMA,
 };
 pub use cache::{CacheConfig, CachedPlan, ServiceCacheStats, WarmCache};
 pub use error::Error;

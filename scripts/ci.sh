@@ -139,7 +139,10 @@ cmp "$artifacts/robustness1.txt" "$artifacts/robustness2.txt" \
 echo "== service smoke (Table 2 point: OPT-6.7B, 16 devices) =="
 # Two identical requests through one `primepar serve` session: the second
 # must be answered from the whole-plan memo, and both served plans must be
-# byte-identical to a direct `plan --save` of the same point. Every serve
+# byte-identical to a `plan --save` of the same point. Both sides are one
+# producer (`plan` plans through `PlanRequest::run`), so this pins the
+# served frames against the CLI; the pin against a direct `Planner` call is
+# crates/service/tests/concurrency.rs. Every serve
 # session here runs under `timeout 120`: the serve loop blocks on one inbox
 # until each request's reply arrives, so a lost reply fails CI, not hangs it.
 ./target/release/primepar plan --model opt-6.7b --devices 16 \
@@ -362,6 +365,19 @@ drop_wall_clock() {
     || { echo "figure ablations failed" >&2; exit 1; }
 cmp <(drop_wall_clock "$artifacts/figures/ablations.txt") <(drop_wall_clock results/ablations.txt) \
     || { echo "ablations output differs from results/ablations.txt" >&2; exit 1; }
+
+echo "== CLI transcripts (plan and sweep stdout pinned in results/) =="
+# The CLI's stdout on the Table-2 point and on a small scaling sweep, with
+# the wall-clock `(… search)` label masked, must match the committed
+# transcripts: any change to how the CLI resolves, plans or prints a
+# workload shows here.
+./target/release/primepar plan --model opt-6.7b --devices 16 \
+    | sed -E 's/\([^()]* search\)/(… search)/' >"$artifacts/cli_plan_t2.txt"
+cmp "$artifacts/cli_plan_t2.txt" results/cli_plan_t2.txt \
+    || { echo "plan transcript differs from results/cli_plan_t2.txt" >&2; exit 1; }
+./target/release/primepar sweep --model opt-6.7b --devices 2,4,8 >"$artifacts/cli_sweep.txt"
+cmp "$artifacts/cli_sweep.txt" results/cli_sweep.txt \
+    || { echo "sweep transcript differs from results/cli_sweep.txt" >&2; exit 1; }
 
 echo "== cargo doc (whole workspace, -D warnings) =="
 # Broken or private intra-doc links anywhere in the workspace fail the gate.

@@ -70,7 +70,32 @@ fn plan_save_and_reload_roundtrip() {
     ]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("plan from"));
+    // A loaded plan runs the same pipeline as a searched one: `--save`
+    // writes it back byte for byte.
+    let resaved = std::env::temp_dir().join("primepar_cli_plan_test_resaved.txt");
+    let resaved = resaved.to_str().expect("utf-8 temp path");
+    let (ok, stdout, stderr) = primepar(&[
+        "plan",
+        "--model",
+        "llama2-7b",
+        "--devices",
+        "2",
+        "--seq",
+        "512",
+        "--plan",
+        path,
+        "--save",
+        resaved,
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("plan saved to"), "{stdout}");
+    assert_eq!(
+        std::fs::read(path).expect("saved plan"),
+        std::fs::read(resaved).expect("re-saved plan"),
+        "--plan FILE --save must write FILE back unchanged"
+    );
     let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(resaved);
 }
 
 #[test]
@@ -303,5 +328,61 @@ fn a_trailing_flag_without_a_value_is_a_config_error() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         let flag = args.last().expect("non-empty");
         assert!(stderr.contains(flag), "error must name {flag}: {stderr}");
+    }
+}
+
+#[test]
+fn invalid_workloads_exit_with_the_served_config_error() {
+    let degenerate = "batch and seq must be positive";
+    for (command, message) in [
+        ("plan --model opt-6.7b --batch 0", degenerate),
+        ("audit --model opt-6.7b --seq 0", degenerate),
+        ("compare --model opt-6.7b --seq 0", degenerate),
+        ("sweep --model opt-6.7b --batch 0", degenerate),
+        ("robustness --model opt-6.7b --batch 0", degenerate),
+        (
+            "plan --model opt-6.7b --devices 2 --alpha inf",
+            "alpha must be finite and non-negative",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_primepar"))
+            .args(command.split_whitespace())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        assert!(
+            stderr.contains(message),
+            "{command} must answer the served frame's message: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn help_names_every_flag_plan_reads() {
+    let (ok, stdout, _) = primepar(&["help"]);
+    assert!(ok);
+    for flag in [
+        "--model",
+        "--devices",
+        "--batch",
+        "--seq",
+        "--alpha",
+        "--threads",
+        "--strategy",
+        "--no-batch-split",
+        "--system",
+        "--plan",
+        "--set",
+        "--save",
+        "--gantt",
+        "--metrics-json",
+        "--chrome-trace",
+    ] {
+        // `--plan` must not count as named through `--plan-dir`.
+        let named = stdout.match_indices(flag).any(|(at, _)| {
+            !stdout[at + flag.len()..].starts_with(|c: char| c == '-' || c.is_ascii_alphanumeric())
+        });
+        assert!(named, "usage omits {flag}:\n{stdout}");
     }
 }
