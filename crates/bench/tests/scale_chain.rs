@@ -12,7 +12,9 @@
 //!   chain's nominal Bellman candidates.
 //! * On both inputs the planner's closed-form `arena_bytes` prediction
 //!   equals the bytes its edge and choice arenas hold, and the chain's 96
-//!   edges read at most 4 distinct compacted planes.
+//!   edges read at most 4 distinct compacted planes. The chain's arenas
+//!   stay under 2 MiB: its one segment has no merge, so they hold edge
+//!   planes only, and a stored per-step choice plane would add megabytes.
 //!
 //! `cargo test --release -p primepar-bench --test scale_chain`
 
@@ -25,6 +27,11 @@ use primepar_bench::planner_scale_graph;
 
 /// Digest of the exact plan of `planner_scale_graph(512, 97)`.
 const PIN_CHAIN512: &str = "d666d0256cea7fcb";
+
+/// Ceiling on the exact chain plan's `arena_bytes`: its 4 compacted edge
+/// planes hold 1,137,136 bytes; per-step Bellman choice planes would add
+/// 17,942,400 more.
+const CHAIN_ARENA_CEILING: u64 = 2 << 20;
 
 /// Minimum beam(8) speedup over the exact sweep on the scaling chain. The
 /// exact sweep prunes dominated states (about 1.5x faster than an unpruned
@@ -78,6 +85,11 @@ fn exact_chain_plan_is_pinned_and_beam_is_faster_and_never_better() {
     );
 
     assert_arena_is_sized_before_allocation(&metrics);
+    assert!(
+        metrics.arena_bytes < CHAIN_ARENA_CEILING,
+        "the chain's arenas hold {} bytes (>= {CHAIN_ARENA_CEILING})",
+        metrics.arena_bytes
+    );
     assert!(
         metrics.edge_planes <= 4,
         "the chain's edges read {} distinct planes",

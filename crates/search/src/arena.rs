@@ -1,4 +1,4 @@
-//! The edge-plane and backtrack-choice arenas behind the segmented DP.
+//! The edge-plane and merge-choice arenas behind the segmented DP.
 //!
 //! The seed planner kept its per-pair edge-cost matrices in a
 //! `HashMap<(usize, usize), Vec<f64>>`: a hash on every chain lookup of the
@@ -10,10 +10,11 @@
 //! one edge *shares* its unique matrix with every other such pair of the
 //! same matrix sweep instead of copying it; only a pair with parallel edges
 //! holds a plane of its own, summed in edge order. [`ChoiceArena`] holds
-//! the backtrack choice planes, one exact-size plane per DP step, whose
-//! element is `u16` or `u32` by [`choice_width`]. Neither changes any
-//! value: the same sums fold in the same order, so every plane is
-//! bitwise-identical to the seed maps.
+//! the segment merges' backtrack choice planes, one exact-size plane per
+//! merge, whose element is `u16` or `u32` by [`choice_width`]; the Bellman
+//! sweeps store none, since their backtrack re-sweeps one row. Neither
+//! changes any value: the same sums fold in the same order, so every plane
+//! is bitwise-identical to the seed maps.
 
 use std::sync::Arc;
 
@@ -262,14 +263,14 @@ pub(crate) fn choice_width(max_states: usize) -> usize {
     }
 }
 
-/// The backtrack choice planes of one pass: every Bellman extension and
-/// segment merge allocates its argmin plane here, exactly its size, and
-/// addresses it by the plane id `alloc` returns. One plane per step, not
-/// one buffer for the pass: a single multi-megabyte block must find a
-/// contiguous hole in a heap the edge stage has just fragmented. Under
-/// glibc malloc on Linux x86-64, the 512-device chain's 17.9 MB buffer
-/// failed to in about half the benchmark processes, taking peak RSS from
-/// 34 to 51 MB.
+/// The merge choice planes of one pass: every segment merge (Eq. 13)
+/// allocates its argmin plane here, exactly its size, and addresses it by
+/// the plane id `alloc` returns. The Bellman extensions allocate none:
+/// their backtrack re-sweeps the chosen row. One plane per merge, not one
+/// buffer for the pass: a single large block must find a contiguous hole
+/// in a heap the edge stage has just fragmented (under glibc malloc on
+/// Linux x86-64, a 17.9 MB buffer failed to in about half the benchmark
+/// processes when the Bellman steps still stored their planes).
 #[derive(Debug)]
 pub(crate) struct ChoiceArena<C> {
     planes: Vec<Vec<C>>,

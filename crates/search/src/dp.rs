@@ -6,6 +6,7 @@
 //! subtracting the shared node), and finally composes `log₂(#layers)` min-plus
 //! doublings across the stacked identical layers per Eq. 14.
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -137,29 +138,25 @@ struct Table {
     rows: usize,
     cols: usize,
     cost: Vec<f64>,
-    /// Backtrack data: for each Bellman/merge step, the argmin interior state.
-    steps: Vec<BacktrackStep>,
+    /// How [`extract`] recovers the interior states behind a cell.
+    step: BacktrackStep,
 }
 
+/// How [`extract`] resolves a table's interior states for one endpoint
+/// pair. Resolving runs in the compose stage.
 #[derive(Debug, Clone)]
 enum BacktrackStep {
-    /// Initial two-node table `(left, right)`.
-    Base { left: usize, right: usize },
-    /// Chain extension to a new right endpoint `node`: the
-    /// [`ChoiceArena`] plane at `choice` holds, at `row * cols + new_col`,
-    /// the argmin state of the previous endpoint `prev_node`.
-    Extend {
-        node: usize,
-        prev_node: usize,
-        choice: usize,
-        cols: usize,
-    },
-    /// Merge of two tables at node `mid`: the arena plane at `choice` holds,
-    /// at `row * cols + col`, the argmin mid state.
+    /// The Bellman sweep of segment `(s, e)` (Eqs. 11–12). It stores no
+    /// choices: [`Sweep::resweep`] re-sweeps the chosen start row alone,
+    /// which reproduces that row of every step, argmins included, bit for
+    /// bit.
+    Segment { s: usize, e: usize },
+    /// Merge of two tables at node `mid` (Eq. 13): the [`ChoiceArena`]
+    /// plane at `choice` holds, at `row * cols + col`, the argmin mid state.
     Merge {
         mid: usize,
-        left_steps: Vec<BacktrackStep>,
-        right_steps: Vec<BacktrackStep>,
+        left: Box<BacktrackStep>,
+        right: Box<BacktrackStep>,
         choice: usize,
         cols: usize,
     },
@@ -254,20 +251,14 @@ impl PassState {
 }
 
 /// Choice-plane cells one pass allocates, in closed form from the post-prune
-/// space sizes and the segments: a `|space(s)| × |space(j)|` plane for each
-/// Bellman extension to node `j` of segment `(s, e)` (Eq. 12), and a
-/// `|space(first)| × |space(e)|` plane for each merge onto segment `(_, e)`
-/// (Eq. 13), where `first` is the first segment's left endpoint.
+/// space sizes and the segments: a `|space(first)| × |space(e)|` plane for
+/// each merge onto segment `(_, e)` (Eq. 13), where `first` is the first
+/// segment's left endpoint. The Bellman sweeps store no choices.
 fn choice_cells(sizes: &[usize], segments: &[(usize, usize)]) -> usize {
-    let extensions: usize = segments
-        .iter()
-        .map(|&(s, e)| (s + 2..=e).map(|j| sizes[s] * sizes[j]).sum::<usize>())
-        .sum();
-    let merges: usize = segments[1..]
+    segments[1..]
         .iter()
         .map(|&(_, e)| sizes[segments[0].0] * sizes[e])
-        .sum();
-    extensions + merges
+        .sum()
 }
 
 /// The segmented-DP planner for one transformer layer graph stacked
@@ -660,7 +651,7 @@ impl<'a> Planner<'a> {
         tm.states_pruned += state.restrict(&report.kept);
         // Both arenas in closed form from the post-prune spaces, before
         // either is allocated: the compacted edge planes, and one choice
-        // per cell of every Bellman extension and merge.
+        // per cell of every merge.
         tm.arena_bytes = (edge_tables.compacted_bytes(&report.kept)
             + state.choice_width() * choice_cells(&state.sizes(), &state.segments))
             as u64;
@@ -672,8 +663,8 @@ impl<'a> Planner<'a> {
 
     /// Stages 3–6 over the pruned state — segment DP (Eqs. 11–12), merges
     /// (Eq. 13), layer composition (Eq. 14) and backtrack — with every
-    /// choice plane a `C` sized exactly to its step. `seg_pruned` holds the
-    /// states pruned in each segment. Stamps the stage seconds and the
+    /// merge's choice plane a `C` sized exactly to it. `seg_pruned` holds
+    /// the states pruned in each segment. Stamps the stage seconds and the
     /// bytes both arenas hold into `tm`.
     fn solve<C: Choice>(
         &self,
@@ -685,22 +676,19 @@ impl<'a> Planner<'a> {
     ) -> ModelPlan {
         let (spaces, intra, segments) = (&state.spaces, &state.intra, &state.segments);
         let t2 = Instant::now();
-        // 3. Segment DP (Eqs. 11-12). Each step allocates its backtrack
-        // choice plane in the pass's arena.
-        let mut choices = ChoiceArena::<C>::new();
+        // 3. Segment DP (Eqs. 11-12), costs only: the backtrack re-sweeps
+        // the chosen rows.
+        let sweep = Sweep {
+            intra,
+            edges: edge_tables,
+        };
         let mut tables: Vec<Table> = Vec::with_capacity(segments.len());
         tm.segments.clear();
         for (&(s, e), &pruned) in segments.iter().zip(seg_pruned) {
-            let sweep = Instant::now();
-            let (table, mut seg_tm) = self.segment_dp(
-                s,
-                e,
-                state,
-                edge_tables,
-                &mut choices,
-                &mut tm.thread_busy_seconds,
-            );
-            seg_tm.sweep_seconds = sweep.elapsed().as_secs_f64();
+            let started = Instant::now();
+            let (table, mut seg_tm) =
+                sweep.forward(s, e, self.opts.threads, &mut tm.thread_busy_seconds);
+            seg_tm.sweep_seconds = started.elapsed().as_secs_f64();
             seg_tm.states_pruned = pruned;
             tm.segments.push(seg_tm);
             tables.push(table);
@@ -708,7 +696,9 @@ impl<'a> Planner<'a> {
         tm.segment_dp_seconds += t2.elapsed().as_secs_f64();
 
         let t3 = Instant::now();
-        // 4. Merge segments left to right (Eq. 13).
+        // 4. Merge segments left to right (Eq. 13), each allocating its
+        // choice plane in the pass's arena.
+        let mut choices = ChoiceArena::<C>::new();
         let mut merged = tables.remove(0);
         let mut span = segments[0];
         for (table, seg) in tables.into_iter().zip(&segments[1..]) {
@@ -777,9 +767,15 @@ impl<'a> Planner<'a> {
         }
         // 6. Backtrack per-operator states for the chosen endpoint pair.
         let mut states = vec![usize::MAX; self.graph.ops.len()];
-        states[first] = row_star;
-        states[last] = col_star;
-        extract(&merged.steps, row_star, col_star, &choices, &mut states);
+        extract(
+            &merged.step,
+            row_star,
+            col_star,
+            &sweep,
+            &choices,
+            &mut tm.thread_busy_seconds,
+            &mut states,
+        );
         tm.compose_seconds += t4.elapsed().as_secs_f64();
         let seqs = states
             .iter()
@@ -797,68 +793,76 @@ impl<'a> Planner<'a> {
             search_time: Duration::ZERO,
         }
     }
+}
 
-    /// Bellman iteration over segment `(s, e)` (Eqs. 11-12), ping-ponging
-    /// between two arena-backed cost planes (no allocation per extension)
-    /// and allocating every argmin plane in the pass's [`ChoiceArena`].
-    /// Worker busy time is accumulated into `busy` (indexed by worker slot);
-    /// the returned [`SegmentMetrics`] carries table dimensions and
-    /// relaxation counts, nominal and visited — the caller stamps
-    /// `sweep_seconds`.
-    fn segment_dp<C: Choice>(
+/// What every Bellman sweep (Eqs. 11–12) reads: each node's intra vector,
+/// whose length is the node's state count, and the edge planes.
+#[derive(Debug, Clone, Copy)]
+struct Sweep<'a> {
+    intra: &'a [Arc<Vec<f64>>],
+    edges: &'a EdgeTables,
+}
+
+impl Sweep<'_> {
+    /// Row `r` of segment `(s, _)`'s base table `Model_{s, s+1}` into
+    /// `out`: both endpoints' intra costs plus the chain edge.
+    fn base_row(&self, s: usize, r: usize, out: &mut [f64]) {
+        let chain = self.edges.get(s, s + 1).expect("chain edge present");
+        let cols = out.len();
+        for (c, v) in out.iter_mut().enumerate() {
+            *v = self.intra[s][r] + self.intra[s + 1][c] + chain[r * cols + c];
+        }
+    }
+
+    /// The largest state count among segment `(s, e)`'s right endpoints.
+    fn max_cols(&self, s: usize, e: usize) -> usize {
+        (s + 1..=e)
+            .map(|j| self.intra[j].len())
+            .max()
+            .expect("span")
+    }
+
+    /// The forward Bellman iteration over segment `(s, e)`, costs only,
+    /// ping-ponging between two cost planes (no allocation per extension)
+    /// and storing no choices. Worker busy time is accumulated into `busy`
+    /// (indexed by worker slot); the returned [`SegmentMetrics`] carries
+    /// table dimensions and relaxation counts, nominal and visited — the
+    /// caller stamps `sweep_seconds`.
+    fn forward(
         &self,
         s: usize,
         e: usize,
-        state: &PassState,
-        edge_tables: &EdgeTables,
-        choices: &mut ChoiceArena<C>,
+        threads: usize,
         busy: &mut [f64],
     ) -> (Table, SegmentMetrics) {
-        let (spaces, intra) = (&state.spaces, &state.intra);
         let (mut relaxations, mut visited) = (0u64, 0u64);
-        let rows = spaces[s].len();
-        let max_cols = (s + 1..=e).map(|j| spaces[j].len()).max().expect("span");
+        let rows = self.intra[s].len();
+        let max_cols = self.max_cols(s, e);
         let mut cur = vec![0.0; rows * max_cols];
         let mut next = vec![0.0; rows * max_cols];
         // Base: Model_{s, s+1}.
-        let mut cols = spaces[s + 1].len();
-        let chain = edge_tables.get(s, s + 1).expect("chain edge present");
-        for r in 0..rows {
-            for c in 0..cols {
-                cur[r * cols + c] = intra[s][r] + intra[s + 1][c] + chain[r * cols + c];
-            }
+        let mut cols = self.intra[s + 1].len();
+        for (r, row) in cur[..rows * cols].chunks_mut(cols).enumerate() {
+            self.base_row(s, r, row);
         }
-        let mut steps = vec![BacktrackStep::Base {
-            left: s,
-            right: s + 1,
-        }];
-
         for j in (s + 2)..=e {
-            let new_cols = spaces[j].len();
+            let new_cols = self.intra[j].len();
             relaxations += (rows * new_cols * cols) as u64;
-            let chain = edge_tables.get(j - 1, j).expect("chain edge present");
+            let chain = self.edges.get(j - 1, j).expect("chain edge present");
             // Eq. 12's e_{i,j+1} term.
-            let head = edge_tables.get(s, j);
-            let choice = choices.alloc(rows * new_cols);
-            visited += minplus::bellman_extend(
-                self.opts.threads,
+            let head = self.edges.get(s, j);
+            visited += minplus::bellman_costs(
+                threads,
                 rows,
                 cols,
                 new_cols,
                 &cur[..rows * cols],
                 chain,
-                &intra[j],
+                &self.intra[j],
                 head,
                 &mut next[..rows * new_cols],
-                choices.plane_mut(choice),
                 busy,
             );
-            steps.push(BacktrackStep::Extend {
-                node: j,
-                prev_node: j - 1,
-                choice,
-                cols: new_cols,
-            });
             std::mem::swap(&mut cur, &mut next);
             cols = new_cols;
         }
@@ -877,10 +881,66 @@ impl<'a> Planner<'a> {
                 rows,
                 cols,
                 cost: cur,
-                steps,
+                step: BacktrackStep::Segment { s, e },
             },
             seg_tm,
         )
+    }
+
+    /// Resolves segment `(s, e)`'s states for endpoint states `(row, col)`
+    /// into `states`. Re-sweeps row `row` alone with the argmin kernel,
+    /// keeping one choice vector per extension step, then walks the choices
+    /// back from `col`. Bellman row `row` reads only its own previous row,
+    /// the shared chain plane, the new node's intra vector and head row
+    /// `row`, so the one-row sweep reproduces the forward sweep's row and
+    /// its argmins bit for bit. Its relaxations are not counted.
+    fn resweep<C: Choice>(
+        &self,
+        (s, e): (usize, usize),
+        (row, col): (usize, usize),
+        busy: &mut [f64],
+        states: &mut [usize],
+    ) {
+        let max_cols = self.max_cols(s, e);
+        let mut cur = vec![0.0; max_cols];
+        let mut next = vec![0.0; max_cols];
+        let mut cols = self.intra[s + 1].len();
+        self.base_row(s, row, &mut cur[..cols]);
+        let mut choices: Vec<Vec<C>> = Vec::with_capacity(e - s - 1);
+        for j in (s + 2)..=e {
+            let new_cols = self.intra[j].len();
+            let chain = self.edges.get(j - 1, j).expect("chain edge present");
+            let head = self
+                .edges
+                .get(s, j)
+                .map(|h| &h[row * new_cols..(row + 1) * new_cols]);
+            let mut choice = vec![C::default(); new_cols];
+            minplus::bellman_extend(
+                1,
+                1,
+                cols,
+                new_cols,
+                &cur[..cols],
+                chain,
+                &self.intra[j],
+                head,
+                &mut next[..new_cols],
+                &mut choice,
+                busy,
+            );
+            choices.push(choice);
+            std::mem::swap(&mut cur, &mut next);
+            cols = new_cols;
+        }
+        // Walk back from the right endpoint: step `i` extended to node
+        // `s + 2 + i` from node `s + 1 + i`.
+        states[s] = row;
+        let mut current = col;
+        for (i, choice) in choices.iter().enumerate().rev() {
+            states[s + 2 + i] = current;
+            current = choice[current].state();
+        }
+        states[s + 1] = current;
     }
 }
 
@@ -919,19 +979,19 @@ fn merge<C: Choice>(
         choices.plane_mut(choice),
         busy,
     );
-    let steps = vec![BacktrackStep::Merge {
+    let step = BacktrackStep::Merge {
         mid,
-        left_steps: left.steps,
-        right_steps: right.steps,
+        left: Box::new(left.step),
+        right: Box::new(right.step),
         choice,
         cols,
-    }];
+    };
     (
         Table {
             rows,
             cols,
             cost,
-            steps,
+            step,
         },
         visited,
     )
@@ -939,7 +999,9 @@ fn merge<C: Choice>(
 
 /// Eq. 14 generalized: exact cost of `layers` stacked copies of the layer
 /// table `t` sharing boundary nodes, via min-plus doubling (row-parallel
-/// joins when threads are requested).
+/// joins when threads are requested). The table is borrowed, not copied,
+/// and the last doubling moves into the result: only join results are
+/// owned, and none is copied.
 fn minplus_chain(
     t: &Table,
     boundary_intra: &[f64],
@@ -951,21 +1013,23 @@ fn minplus_chain(
     let n = t.rows;
     let mut join =
         |a: &[f64], b: &[f64]| minplus::minplus_join(threads, n, a, b, boundary_intra, busy);
-    let mut result: Option<Vec<f64>> = None;
-    let mut power = t.cost.clone();
+    let mut result: Option<Cow<'_, [f64]>> = None;
+    let mut power = Cow::Borrowed(t.cost.as_slice());
     let mut remaining = layers.max(1);
     loop {
         if remaining & 1 == 1 {
             result = Some(match result {
+                // The last set bit: `power` is not read again.
+                None if remaining == 1 => std::mem::take(&mut power),
                 None => power.clone(),
-                Some(r) => join(&r, &power),
+                Some(r) => Cow::Owned(join(&r, &power)),
             });
         }
         remaining >>= 1;
         if remaining == 0 {
             break;
         }
-        power = join(&power, &power);
+        power = Cow::Owned(join(&power, &power));
     }
     result
         .expect("at least one layer")
@@ -975,48 +1039,30 @@ fn minplus_chain(
 }
 
 /// Recursively resolves the argmin interior states for endpoint states
-/// `(row, col)` into `states`, reading choice planes from the arena.
+/// `(row, col)` into `states`: a merge reads its choice plane from the
+/// arena, a segment re-sweeps its row ([`Sweep::resweep`]).
 fn extract<C: Choice>(
-    steps: &[BacktrackStep],
+    step: &BacktrackStep,
     row: usize,
     col: usize,
-    choices: &ChoiceArena<C>,
+    sweep: &Sweep<'_>,
+    merges: &ChoiceArena<C>,
+    busy: &mut [f64],
     states: &mut [usize],
 ) {
-    if let [BacktrackStep::Merge {
-        mid,
-        left_steps,
-        right_steps,
-        choice,
-        cols,
-    }] = steps
-    {
-        let m = choices.at(*choice, row * cols + col);
-        states[*mid] = m;
-        extract(left_steps, row, m, choices, states);
-        extract(right_steps, m, col, choices, states);
-        return;
-    }
-    // A chain of Base + Extend steps: walk backwards from the right endpoint.
-    let mut current_col = col;
-    for step in steps.iter().rev() {
-        match step {
-            BacktrackStep::Extend {
-                node,
-                prev_node,
-                choice,
-                cols,
-            } => {
-                states[*node] = current_col;
-                let prev = choices.at(*choice, row * cols + current_col);
-                states[*prev_node] = prev;
-                current_col = prev;
-            }
-            BacktrackStep::Base { left, right } => {
-                states[*left] = row;
-                states[*right] = current_col;
-            }
-            BacktrackStep::Merge { .. } => unreachable!("merge step inside a chain"),
+    match step {
+        BacktrackStep::Segment { s, e } => sweep.resweep::<C>((*s, *e), (row, col), busy, states),
+        BacktrackStep::Merge {
+            mid,
+            left,
+            right,
+            choice,
+            cols,
+        } => {
+            let m = merges.at(*choice, row * cols + col);
+            states[*mid] = m;
+            extract(left, row, m, sweep, merges, busy, states);
+            extract(right, m, col, sweep, merges, busy, states);
         }
     }
 }
@@ -1025,7 +1071,7 @@ fn extract<C: Choice>(
 mod tests {
     use super::*;
     use crate::{evaluate_layer_plan, operator_space};
-    use primepar_graph::ModelConfig;
+    use primepar_graph::{Edge, ModelConfig};
 
     #[test]
     fn edge_prepare_is_timed_inside_the_edge_stage() {
@@ -1319,6 +1365,198 @@ mod tests {
         let (diff_a, diff_b) = ids(every(&full, a, 2), every(&full, a, 3));
         assert_ne!(diff_a, diff_b);
         assert!(diff_a > max && diff_b > max);
+    }
+
+    /// Pseudo-random draws in `0..levels` from an LCG, as `f64`s: with few
+    /// levels, exactly tied costs recur.
+    fn draws(len: usize, levels: u64, state: &mut u64) -> Vec<f64> {
+        (0..len)
+            .map(|_| {
+                *state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((*state >> 33) % levels) as f64
+            })
+            .collect()
+    }
+
+    /// The stored-plane segment sweep the re-sweep replaced, built on the
+    /// scalar extension row: segment `(s, e)`'s final cost table and one
+    /// choice plane per extension step.
+    fn stored_segment(sweep: &Sweep<'_>, s: usize, e: usize) -> (Vec<f64>, Vec<Vec<u32>>) {
+        let intra = sweep.intra;
+        let rows = intra[s].len();
+        let mut cols = intra[s + 1].len();
+        let chain = sweep.edges.get(s, s + 1).expect("chain edge");
+        let mut cur: Vec<f64> = (0..rows * cols)
+            .map(|i| intra[s][i / cols] + intra[s + 1][i % cols] + chain[i])
+            .collect();
+        let mut planes = Vec::new();
+        for j in s + 2..=e {
+            let new_cols = intra[j].len();
+            let chain = sweep.edges.get(j - 1, j).expect("chain edge");
+            let head = sweep.edges.get(s, j);
+            let mut next = vec![0.0; rows * new_cols];
+            let mut plane = vec![0u32; rows * new_cols];
+            for r in 0..rows {
+                let cells = r * new_cols..(r + 1) * new_cols;
+                minplus::extend_row_scalar(
+                    &cur[r * cols..(r + 1) * cols],
+                    chain,
+                    &intra[j],
+                    head.map(|h| &h[cells.clone()]),
+                    &mut next[cells.clone()],
+                    &mut plane[cells],
+                );
+            }
+            planes.push(plane);
+            cur = next;
+            cols = new_cols;
+        }
+        (cur, planes)
+    }
+
+    /// Each segment's span with its stored choice planes.
+    type StoredPlanes = [((usize, usize), Vec<Vec<u32>>)];
+
+    /// The old backtrack: a segment walks its stored planes back from the
+    /// right endpoint (the `Extend` steps, then the `Base`), a merge reads
+    /// its arena plane.
+    fn stored_extract(
+        step: &BacktrackStep,
+        (row, col): (usize, usize),
+        sweep: &Sweep<'_>,
+        stored: &StoredPlanes,
+        merges: &ChoiceArena<u32>,
+        states: &mut [usize],
+    ) {
+        match step {
+            BacktrackStep::Merge {
+                mid,
+                left,
+                right,
+                choice,
+                cols,
+            } => {
+                let m = merges.at(*choice, row * cols + col);
+                states[*mid] = m;
+                stored_extract(left, (row, m), sweep, stored, merges, states);
+                stored_extract(right, (m, col), sweep, stored, merges, states);
+            }
+            &BacktrackStep::Segment { s, e } => {
+                let planes = &stored
+                    .iter()
+                    .find(|(span, _)| *span == (s, e))
+                    .expect("stored segment")
+                    .1;
+                let mut current = col;
+                for (i, plane) in planes.iter().enumerate().rev() {
+                    let node = s + 2 + i;
+                    states[node] = current;
+                    let prev = plane[row * sweep.intra[node].len() + current] as usize;
+                    states[node - 1] = prev;
+                    current = prev;
+                }
+                states[s] = row;
+                states[s + 1] = current;
+            }
+        }
+    }
+
+    #[test]
+    fn resweep_backtrack_names_the_stored_plane_states() {
+        // Random small chains of three segments — a two-node one (0, 1),
+        // then two longer ones joined by merges — with head edges, span
+        // edges onto the merges, and costs on a few levels so that exact
+        // ties abound. Every cell of the merged table must backtrack to the
+        // states the stored planes name.
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        for case in 0..48usize {
+            let mid = 3 + case % 3;
+            let n = mid + 2 + case % 4;
+            let segments = [(0, 1), (1, mid), (mid, n - 1)];
+            let sizes: Vec<usize> = draws(n, 11, &mut state)
+                .iter()
+                .map(|&v| 1 + v as usize)
+                .collect();
+            let mut edges: Vec<Edge> = (1..n).map(|j| Edge::plain(j - 1, j)).collect();
+            let coin = |state: &mut u64| draws(1, 2, state)[0] == 1.0;
+            for &(s, e) in &segments {
+                for j in s + 2..=e {
+                    if coin(&mut state) {
+                        edges.push(Edge::plain(s, j));
+                    }
+                }
+            }
+            for &(_, e) in &segments[1..] {
+                if coin(&mut state) {
+                    edges.push(Edge::plain(0, e));
+                }
+            }
+            let mats: Vec<Vec<f64>> = edges
+                .iter()
+                .map(|edge| draws(sizes[edge.src] * sizes[edge.dst], 4, &mut state))
+                .collect();
+            let tables = EdgeTables::per_edge(&edges, &sizes, &mats);
+            let intra: SharedVecs = sizes
+                .iter()
+                .map(|&k| Arc::new(draws(k, 3, &mut state)))
+                .collect();
+            let sweep = Sweep {
+                intra: &intra,
+                edges: &tables,
+            };
+            let threads = case % 3;
+            let mut busy = vec![0.0; 3];
+            let mut merges = ChoiceArena::<u32>::new();
+            let mut stored = Vec::new();
+            let mut merged: Option<Table> = None;
+            for &(s, e) in &segments {
+                let (table, _) = sweep.forward(s, e, threads, &mut busy);
+                let (cost, planes) = stored_segment(&sweep, s, e);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&table.cost),
+                    bits(&cost),
+                    "case {case}, segment ({s}, {e})"
+                );
+                stored.push(((s, e), planes));
+                merged = Some(match merged {
+                    None => table,
+                    Some(left) => {
+                        let span_edge = tables.get(0, e);
+                        merge(
+                            left,
+                            table,
+                            s,
+                            &intra[s],
+                            span_edge,
+                            threads,
+                            &mut merges,
+                            &mut busy,
+                        )
+                        .0
+                    }
+                });
+            }
+            let merged = merged.expect("three segments");
+            for row in 0..merged.rows {
+                for col in 0..merged.cols {
+                    let mut got = vec![usize::MAX; n];
+                    extract(&merged.step, row, col, &sweep, &merges, &mut busy, &mut got);
+                    let mut want = vec![usize::MAX; n];
+                    stored_extract(
+                        &merged.step,
+                        (row, col),
+                        &sweep,
+                        &stored,
+                        &merges,
+                        &mut want,
+                    );
+                    assert_eq!(got, want, "case {case}, cell ({row}, {col})");
+                }
+            }
+        }
     }
 
     #[test]

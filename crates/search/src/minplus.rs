@@ -14,7 +14,10 @@
 //!
 //! The two argmin products (Eqs. 12–13) also skip every candidate that
 //! provably cannot reach a tile's minimum; [`argmin_row`] states the bound
-//! and why the result stays bitwise.
+//! and why the result stays bitwise. The segment DP's forward sweep runs
+//! Eq. 12 costs-only ([`bellman_costs`]): the same tile loop without the
+//! argmin lanes, so the same cost bits and visited counts. Its backtrack
+//! re-sweeps the one chosen row with the argmin ([`bellman_extend`]).
 //!
 //! All three products parallelize over output rows and write into
 //! caller-provided planes (the DP's arena scratch), so the hot loop does no
@@ -31,9 +34,18 @@ use crate::arena::Choice;
 /// line, two AVX2 registers or one AVX-512 register.
 const LANES: usize = 8;
 
+/// `plane` cut into `len`-entry pieces, then an endless run of empty ones:
+/// an empty plane (a costs-only sweep's choices) yields empty pieces only.
+fn pieces<T>(plane: &mut [T], len: usize) -> impl Iterator<Item = &mut [T]> {
+    plane
+        .chunks_mut(len)
+        .chain(std::iter::repeat_with(<&mut [T]>::default))
+}
+
 /// Runs `row_fn(r, cost_row, choice_row)` for every row, chunked across
 /// `threads` scoped workers (serial when `threads <= 1`), adding per-worker
-/// busy seconds into `busy`. Returns the sum of `row_fn`'s counts.
+/// busy seconds into `busy`. Returns the sum of `row_fn`'s counts. `choice`
+/// is as long as `cost`, or empty — then every `choice_row` is empty.
 fn drive<C: Choice>(
     threads: usize,
     rows: usize,
@@ -49,7 +61,7 @@ fn drive<C: Choice>(
             let mut handles = Vec::new();
             for (band, (cost_band, choice_band)) in cost
                 .chunks_mut(chunk * width)
-                .zip(choice.chunks_mut(chunk * width))
+                .zip(pieces(choice, chunk * width))
                 .enumerate()
             {
                 let row_fn = &row_fn;
@@ -58,7 +70,7 @@ fn drive<C: Choice>(
                     let mut count = 0;
                     for (i, (oc, och)) in cost_band
                         .chunks_mut(width)
-                        .zip(choice_band.chunks_mut(width))
+                        .zip(pieces(choice_band, width))
                         .enumerate()
                     {
                         count += row_fn(band * chunk + i, oc, och);
@@ -79,7 +91,7 @@ fn drive<C: Choice>(
         let mut count = 0;
         for (r, (oc, och)) in cost
             .chunks_mut(width)
-            .zip(choice.chunks_mut(width))
+            .zip(pieces(choice, width))
             .enumerate()
         {
             count += row_fn(r, oc, och);
@@ -112,6 +124,10 @@ fn column_minima(plane: &[f64], width: usize) -> Option<Vec<f64>> {
 /// `rows × new_cols` planes: `out_choice[r·new_cols + nc]` is the argmin
 /// previous-endpoint state. Returns the candidates relaxed, in cells (see
 /// [`argmin_row`]).
+///
+/// Output row `r` reads only input row `r`, head row `r` and the shared
+/// chain matrix and intra vector, so a one-row call on row `r` alone
+/// reproduces that row's costs and choices bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bellman_extend<C: Choice>(
     threads: usize,
@@ -126,8 +142,60 @@ pub(crate) fn bellman_extend<C: Choice>(
     out_choice: &mut [C],
     busy: &mut [f64],
 ) -> u64 {
-    assert_eq!(out_cost.len(), rows * new_cols);
     assert_eq!(out_choice.len(), rows * new_cols);
+    extend::<true, C>(
+        threads, rows, cols, new_cols, cost, chain, intra_j, head, out_cost, out_choice, busy,
+    )
+}
+
+/// [`bellman_extend`] without the argmin: the same tile loop, skip bound
+/// and strict-`<` select, so the same cost bits and the same count of
+/// candidates relaxed, but no argmin lanes and no choice plane.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn bellman_costs(
+    threads: usize,
+    rows: usize,
+    cols: usize,
+    new_cols: usize,
+    cost: &[f64],
+    chain: &[f64],
+    intra_j: &[f64],
+    head: Option<&[f64]>,
+    out_cost: &mut [f64],
+    busy: &mut [f64],
+) -> u64 {
+    extend::<false, u32>(
+        threads,
+        rows,
+        cols,
+        new_cols,
+        cost,
+        chain,
+        intra_j,
+        head,
+        out_cost,
+        &mut [],
+        busy,
+    )
+}
+
+/// The Eq. 12 row loop behind [`bellman_extend`] (`ARGMIN`) and
+/// [`bellman_costs`] (empty `out_choice`).
+#[allow(clippy::too_many_arguments)]
+fn extend<const ARGMIN: bool, C: Choice>(
+    threads: usize,
+    rows: usize,
+    cols: usize,
+    new_cols: usize,
+    cost: &[f64],
+    chain: &[f64],
+    intra_j: &[f64],
+    head: Option<&[f64]>,
+    out_cost: &mut [f64],
+    out_choice: &mut [C],
+    busy: &mut [f64],
+) -> u64 {
+    assert_eq!(out_cost.len(), rows * new_cols);
     assert_eq!(chain.len(), cols * new_cols);
     let chain_min = column_minima(chain, new_cols);
     drive(
@@ -143,7 +211,7 @@ pub(crate) fn bellman_extend<C: Choice>(
             let bound = chain_min
                 .as_deref()
                 .filter(|_| row.iter().all(|v| v.is_finite()));
-            argmin_row(
+            argmin_row::<ARGMIN, C, _>(
                 chain,
                 bound,
                 |p| {
@@ -164,7 +232,7 @@ pub(crate) fn bellman_extend<C: Choice>(
 /// The per-cell scalar extension row: the oracle the lane-tiled kernel is
 /// pinned against.
 #[cfg(test)]
-fn extend_row_scalar(
+pub(crate) fn extend_row_scalar(
     row: &[f64],
     chain: &[f64],
     intra_j: &[f64],
@@ -194,10 +262,10 @@ fn extend_row_scalar(
 
 /// One output row of an argmin min-plus product over the `n × width` plane
 /// `m`: cell `c` is `finish(c, min_p value(p)(m[p, c]))`, its choice the
-/// argmin `p`; `value(p)` reads candidate `p`'s row terms once for all the
-/// lanes it relaxes. Returns the candidates relaxed, counted in cells:
-/// `LANES` per candidate a tile visits, one per candidate a tail cell
-/// visits.
+/// argmin `p`, stored only when `ARGMIN` (`out_choice` is empty otherwise);
+/// `value(p)` reads candidate `p`'s row terms once for all the lanes it
+/// relaxes. Returns the candidates relaxed, counted in cells: `LANES` per
+/// candidate a tile visits, one per candidate a tail cell visits.
 ///
 /// `LANES` output cells share one pass over the candidates, each lane
 /// keeping its own running (min, argmin) pair — the `if`-converted
@@ -205,6 +273,8 @@ fn extend_row_scalar(
 /// reduction vectorizes. Candidates arrive per cell in the same
 /// ascending-`p` order with the same strict `<`, and `value` and `finish`
 /// keep the scalar row's association, so cost and argmin match it bitwise.
+/// Whether the argmin is kept changes neither the minima nor which
+/// candidates are visited.
 ///
 /// With `colmin` (the per-column minima of `m`, given only when every input
 /// is finite) each tile first takes a bound `U = max over its lanes of
@@ -220,7 +290,7 @@ fn extend_row_scalar(
 /// The bound costs a test per candidate, which only pays while it skips:
 /// once the row's tiles have visited half their candidates, the rest of the
 /// row scans densely — the same result, without the test.
-fn argmin_row<C: Choice, V: Fn(f64) -> f64>(
+fn argmin_row<const ARGMIN: bool, C: Choice, V: Fn(f64) -> f64>(
     m: &[f64],
     colmin: Option<&[f64]>,
     value: impl Fn(usize) -> V,
@@ -259,15 +329,17 @@ fn argmin_row<C: Choice, V: Fn(f64) -> f64>(
     for (t, c0) in (0..tiled).step_by(LANES).enumerate() {
         let (min, arg, tile_visited) = if bounded {
             let (floor, cap) = bound(c0..c0 + LANES);
-            relax_tile::<true, C, _>(m, width, c0, &value, floor, cap)
+            relax_tile::<true, ARGMIN, C, _>(m, width, c0, &value, floor, cap)
         } else {
-            relax_tile::<false, C, _>(m, width, c0, &value, 0.0, 0.0)
+            relax_tile::<false, ARGMIN, C, _>(m, width, c0, &value, 0.0, 0.0)
         };
         visited += LANES as u64 * tile_visited;
         bounded &= 2 * visited < ((t + 1) * n * LANES) as u64;
         for l in 0..LANES {
             out_cost[c0 + l] = finish(c0 + l, min[l]);
-            out_choice[c0 + l] = arg[l];
+        }
+        if ARGMIN {
+            out_choice[c0..c0 + LANES].copy_from_slice(&arg);
         }
     }
     // Scalar tail: the per-cell loop of the scalar row, each cell its own
@@ -285,20 +357,25 @@ fn argmin_row<C: Choice, V: Fn(f64) -> f64>(
             let v = value(m[p * width + c]);
             if v < best {
                 best = v;
-                best_p = C::from_state(p);
+                if ARGMIN {
+                    best_p = C::from_state(p);
+                }
             }
         }
         out_cost[c] = finish(c, best);
-        out_choice[c] = best_p;
+        if ARGMIN {
+            out_choice[c] = best_p;
+        }
     }
     visited
 }
 
 /// One tile of [`argmin_row`] — the `LANES` columns from `c0` of the plane
-/// `m`, `width` wide: each lane's `(min, argmin)` over the candidates,
-/// skipping those with `value(p)(floor) > cap` when `BOUNDED`, and how many
-/// candidates it visited.
-fn relax_tile<const BOUNDED: bool, C: Choice, V: Fn(f64) -> f64>(
+/// `m`, `width` wide: each lane's minimum over the candidates (and its
+/// argmin when `ARGMIN`; the default choice otherwise), skipping those with
+/// `value(p)(floor) > cap` when `BOUNDED`, and how many candidates it
+/// visited.
+fn relax_tile<const BOUNDED: bool, const ARGMIN: bool, C: Choice, V: Fn(f64) -> f64>(
     m: &[f64],
     width: usize,
     c0: usize,
@@ -316,13 +393,20 @@ fn relax_tile<const BOUNDED: bool, C: Choice, V: Fn(f64) -> f64>(
             continue;
         }
         visited += 1;
-        let choice = C::from_state(p);
         let x: &[f64; LANES] = m[p * width + c0..][..LANES].try_into().expect("lane");
-        for l in 0..LANES {
-            let v = value(x[l]);
-            let better = v < min[l];
-            min[l] = if better { v } else { min[l] };
-            arg[l] = if better { choice } else { arg[l] };
+        if ARGMIN {
+            let choice = C::from_state(p);
+            for l in 0..LANES {
+                let v = value(x[l]);
+                let better = v < min[l];
+                min[l] = if better { v } else { min[l] };
+                arg[l] = if better { choice } else { arg[l] };
+            }
+        } else {
+            for l in 0..LANES {
+                let v = value(x[l]);
+                min[l] = if v < min[l] { v } else { min[l] };
+            }
         }
     }
     (min, arg, visited)
@@ -363,7 +447,7 @@ pub(crate) fn merge_tables<C: Choice>(
             let bound = right_min
                 .as_deref()
                 .filter(|_| left_row.iter().all(|v| v.is_finite()));
-            argmin_row(
+            argmin_row::<true, C, _>(
                 right,
                 bound,
                 |m| {
@@ -959,6 +1043,80 @@ mod tests {
                 let (matrix, rest) = rest.split_at(matrix_len);
                 check_extension(cols, new_cols, table, matrix);
                 check_merge(cols, new_cols, table, matrix, &rest[..cols]);
+            }
+
+            /// Eq. 12 costs-only: [`bellman_costs`] writes
+            /// [`bellman_extend`]'s cost bits and relaxes as many
+            /// candidates, and a one-row [`bellman_extend`] call on any
+            /// row alone (the backtrack's re-sweep) reproduces that row's
+            /// costs and choices. Widths fall below `LANES` and leave
+            /// tails; the table is continuous, tied (four levels, so rows
+            /// scan densely) or one cheap state per row (rows the bound
+            /// narrows); an `+∞` table entry or a NaN in the chain turns
+            /// the bound off; head rows are present or absent.
+            #[test]
+            fn costs_only_and_one_row_sweeps_match_the_argmin_kernel(
+                rows in 1usize..6,
+                cols in 1usize..12,
+                new_cols in 1usize..20,
+                regime in 0u8..3,
+                poison in 0u8..3,
+                poison_at in 0usize..1000,
+                with_head in 0u8..2,
+                threads in 0usize..4,
+                pool in entries(5 * 11 + 11 * 19 + 19 + 5 * 19),
+            ) {
+                let (table, rest) = pool.split_at(rows * cols);
+                let (chain, rest) = rest.split_at(cols * new_cols);
+                let (intra, rest) = rest.split_at(new_cols);
+                let head = (with_head == 1).then_some(&rest[..rows * new_cols]);
+                let mut table = match regime {
+                    0 => table.to_vec(),
+                    1 => table.iter().map(|v| (v / 250_000.0).floor()).collect(),
+                    _ => (0..rows * cols)
+                        .map(|i| if i % cols == (i / cols * 5) % cols { 0.0 } else { 1e7 })
+                        .collect(),
+                };
+                let mut chain = chain.to_vec();
+                match poison {
+                    1 => table[poison_at % (rows * cols)] = f64::INFINITY,
+                    2 => chain[poison_at % (cols * new_cols)] = f64::NAN,
+                    _ => {}
+                }
+                let mut busy = vec![0.0; 4];
+                let mut full = vec![f64::NAN; rows * new_cols];
+                let mut choice = vec![u32::MAX; rows * new_cols];
+                let visited = bellman_extend(
+                    threads, rows, cols, new_cols, &table, &chain, intra, head, &mut full,
+                    &mut choice, &mut busy,
+                );
+                let mut costs = vec![f64::NAN; rows * new_cols];
+                let costs_visited = bellman_costs(
+                    threads, rows, cols, new_cols, &table, &chain, intra, head, &mut costs,
+                    &mut busy,
+                );
+                assert_bitwise(&full, &costs);
+                prop_assert_eq!(visited, costs_visited);
+                for r in 0..rows {
+                    let cells = r * new_cols..(r + 1) * new_cols;
+                    let mut row_cost = vec![f64::NAN; new_cols];
+                    let mut row_choice = vec![u32::MAX; new_cols];
+                    bellman_extend(
+                        1,
+                        1,
+                        cols,
+                        new_cols,
+                        &table[r * cols..(r + 1) * cols],
+                        &chain,
+                        intra,
+                        head.map(|h| &h[cells.clone()]),
+                        &mut row_cost,
+                        &mut row_choice,
+                        &mut busy,
+                    );
+                    assert_bitwise(&full[cells.clone()], &row_cost);
+                    prop_assert_eq!(&choice[cells], row_choice.as_slice());
+                }
             }
 
             /// Eq. 13: the merge, with and without a span-edge plane.

@@ -26,7 +26,8 @@ pub struct SegmentMetrics {
     pub bellman_relaxations: u64,
     /// The candidates of those the extension kernel actually relaxed, in
     /// the same cell units: the rest provably could not win their tile.
-    /// At most `bellman_relaxations`.
+    /// At most `bellman_relaxations`. Both count the forward sweep only,
+    /// not the backtrack's one-row re-sweep.
     pub bellman_visited: u64,
     /// Wall-clock seconds of this segment's sweep.
     pub sweep_seconds: f64,
@@ -160,7 +161,10 @@ pub struct PlannerMetrics {
     pub segment_dp_seconds: f64,
     /// Stage 4 (segment merges) wall seconds.
     pub merge_seconds: f64,
-    /// Stage 5 (min-plus layer composition + backtrack) wall seconds.
+    /// Stage 5 (min-plus layer composition + backtrack) wall seconds. The
+    /// backtrack re-sweeps each segment's chosen row (one row of Eqs.
+    /// 11–12 per segment), so that work is timed here, not in
+    /// `segment_dp_seconds`, and no `bellman_*` counter includes it.
     pub compose_seconds: f64,
     /// Whole-run wall seconds (equals `ModelPlan::search_time`).
     pub total_seconds: f64,
@@ -176,9 +180,11 @@ pub struct PlannerMetrics {
     /// run, in bytes; 0 where the platform has no cheap probe.
     pub peak_rss_bytes: u64,
     /// Bytes of the DP's two arenas — the compacted edge planes and the
-    /// backtrack choice planes — predicted in closed form from the
+    /// merges' backtrack choice planes — predicted in closed form from the
     /// post-prune space sizes and the segments before either is allocated
-    /// (last round).
+    /// (last round). The Bellman sweeps store no choices: the backtrack
+    /// re-sweeps one row per segment in the compose stage, in buffers
+    /// outside the arenas.
     pub arena_bytes: u64,
     /// Bytes those two arenas actually held once the merges were done (last
     /// round); equal to [`arena_bytes`](Self::arena_bytes).

@@ -25,11 +25,20 @@ cargo test --release -q --offline --manifest-path crates/bench/src/bin/benchmark
 echo "== benchmark output checks (contract workloads, 1 s each) =="
 # Each contract workload checks its own outputs against the digests it pins
 # (PIN_T2, PIN_CHAIN512, PIN_SCENARIOS) and exits non-zero on a mismatch,
-# so a planner- or simulator-side bit change fails here too.
+# so a planner- or simulator-side bit change fails here too. The chain's
+# peak RSS is about 11 MB with the segment DP storing no per-step choice
+# planes (about 31 MB when it did): its result line must read <= 16 MB.
+chain_rss_ceiling_mb=16
 for workload in plan-t2 plan-chain512 replan-harsh; do
-    cargo run --release --quiet --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
-        --workload "$workload" --seed 42 --seconds 1 --trace 0 >/dev/null \
+    result="$(cargo run --release --quiet --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 42 --seconds 1 --trace 0 | tail -n 1)" \
         || { echo "benchmark workload $workload failed its output checks" >&2; exit 1; }
+    if [ "$workload" = plan-chain512 ]; then
+        rss="$(echo "$result" | sed -n 's/.*"peak_rss_mb":{"value":\([0-9.e+-]*\),.*/\1/p')"
+        awk -v rss="$rss" -v cap="$chain_rss_ceiling_mb" 'BEGIN { exit !(rss != "" && rss + 0 <= cap) }' \
+            || { echo "plan-chain512 peak_rss_mb ${rss:-missing} > $chain_rss_ceiling_mb MB" >&2; exit 1; }
+        echo "plan-chain512 peak_rss_mb: $rss (ceiling $chain_rss_ceiling_mb)"
+    fi
 done
 
 echo "== planner smoke timing (OPT-6.7B, 16 devices) =="
