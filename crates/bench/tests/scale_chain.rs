@@ -11,10 +11,10 @@
 //! * The exact sweep's early-exit min-plus kernel relaxes under 15% of the
 //!   chain's nominal Bellman candidates.
 //! * On both inputs the planner's closed-form `arena_bytes` prediction
-//!   equals the bytes its edge and choice arenas hold, and the chain's 96
-//!   edges read at most 4 distinct compacted planes. The chain's arenas
-//!   stay under 2 MiB: its one segment has no merge, so they hold edge
-//!   planes only, and a stored per-step choice plane would add megabytes.
+//!   equals the bytes its edge arena holds, and the chain's 96 edges read
+//!   at most 4 distinct compacted planes. The chain's arena stays under
+//!   2 MiB: the DP stores no backtrack choices, and a stored per-step
+//!   choice plane would add megabytes.
 //!
 //! `cargo test --release -p primepar-bench --test scale_chain`
 
@@ -29,8 +29,8 @@ use primepar_bench::planner_scale_graph;
 const PIN_CHAIN512: &str = "d666d0256cea7fcb";
 
 /// Ceiling on the exact chain plan's `arena_bytes`: its 4 compacted edge
-/// planes hold 1,137,136 bytes; per-step Bellman choice planes would add
-/// 17,942,400 more.
+/// planes hold 1,137,136 bytes; stored per-step Bellman choice planes
+/// would add 17,942,400 more.
 const CHAIN_ARENA_CEILING: u64 = 2 << 20;
 
 /// Minimum beam(8) speedup over the exact sweep on the scaling chain. The
@@ -59,7 +59,7 @@ fn plan_digest(graph: &Graph, plan: &ModelPlan) -> String {
 }
 
 /// The arena prediction is exact: what the planner sized from the post-prune
-/// spaces is what its arenas held.
+/// spaces is what its edge arena held.
 fn assert_arena_is_sized_before_allocation(metrics: &PlannerMetrics) {
     assert!(metrics.arena_bytes > 0);
     assert_eq!(
@@ -87,7 +87,7 @@ fn exact_chain_plan_is_pinned_and_beam_is_faster_and_never_better() {
     assert_arena_is_sized_before_allocation(&metrics);
     assert!(
         metrics.arena_bytes < CHAIN_ARENA_CEILING,
-        "the chain's arenas hold {} bytes (>= {CHAIN_ARENA_CEILING})",
+        "the chain's edge arena holds {} bytes (>= {CHAIN_ARENA_CEILING})",
         metrics.arena_bytes
     );
     assert!(

@@ -1,4 +1,4 @@
-//! The edge-plane and merge-choice arenas behind the segmented DP.
+//! The edge-plane arena behind the segmented DP.
 //!
 //! The seed planner kept its per-pair edge-cost matrices in a
 //! `HashMap<(usize, usize), Vec<f64>>`: a hash on every chain lookup of the
@@ -9,12 +9,10 @@
 //! slot table (binary search + index arithmetic, no hashing). A pair with
 //! one edge *shares* its unique matrix with every other such pair of the
 //! same matrix sweep instead of copying it; only a pair with parallel edges
-//! holds a plane of its own, summed in edge order. [`ChoiceArena`] holds
-//! the segment merges' backtrack choice planes, one exact-size plane per
-//! merge, whose element is `u16` or `u32` by [`choice_width`]; the Bellman
-//! sweeps store none, since their backtrack re-sweeps one row. Neither
-//! changes any value: the same sums fold in the same order, so every plane
-//! is bitwise-identical to the seed maps.
+//! holds a plane of its own, summed in edge order. That changes no value:
+//! the same sums fold in the same order, so every plane is bitwise-identical
+//! to the seed maps. The DP stores no backtrack choices beside these
+//! planes: its backtrack recomputes each argmin it needs.
 
 use std::sync::Arc;
 
@@ -217,91 +215,6 @@ impl EdgeTables {
             })
             .collect();
         EdgeTables { planes, index }
-    }
-}
-
-/// A backtrack choice: the argmin state index one cell of a choice plane
-/// stores.
-pub(crate) trait Choice: Copy + Default + Send + Sync {
-    /// The choice of state `p`; `p` fits by [`choice_width`].
-    fn from_state(p: usize) -> Self;
-    /// The state this choice names.
-    fn state(self) -> usize;
-}
-
-impl Choice for u16 {
-    fn from_state(p: usize) -> Self {
-        debug_assert!(
-            p <= usize::from(u16::MAX),
-            "state {p} overflows a u16 choice"
-        );
-        p as u16
-    }
-    fn state(self) -> usize {
-        usize::from(self)
-    }
-}
-
-impl Choice for u32 {
-    fn from_state(p: usize) -> Self {
-        debug_assert!(u32::try_from(p).is_ok(), "state {p} overflows a u32 choice");
-        p as u32
-    }
-    fn state(self) -> usize {
-        self as usize
-    }
-}
-
-/// Bytes per backtrack choice for a run whose largest post-prune space
-/// holds `max_states` states: a `u16` while every space has at most
-/// 65,535 states, a `u32` otherwise.
-pub(crate) fn choice_width(max_states: usize) -> usize {
-    if max_states <= usize::from(u16::MAX) {
-        std::mem::size_of::<u16>()
-    } else {
-        std::mem::size_of::<u32>()
-    }
-}
-
-/// The merge choice planes of one pass: every segment merge (Eq. 13)
-/// allocates its argmin plane here, exactly its size, and addresses it by
-/// the plane id `alloc` returns. The Bellman extensions allocate none:
-/// their backtrack re-sweeps the chosen row. One plane per merge, not one
-/// buffer for the pass: a single large block must find a contiguous hole
-/// in a heap the edge stage has just fragmented (under glibc malloc on
-/// Linux x86-64, a 17.9 MB buffer failed to in about half the benchmark
-/// processes when the Bellman steps still stored their planes).
-#[derive(Debug)]
-pub(crate) struct ChoiceArena<C> {
-    planes: Vec<Vec<C>>,
-}
-
-impl<C: Choice> ChoiceArena<C> {
-    pub fn new() -> Self {
-        ChoiceArena { planes: Vec::new() }
-    }
-
-    /// Allocates a zero-filled plane of `len` entries, returning its id.
-    pub fn alloc(&mut self, len: usize) -> usize {
-        self.planes.push(vec![C::default(); len]);
-        self.planes.len() - 1
-    }
-
-    /// The state entry `idx` of plane `plane` names.
-    pub fn at(&self, plane: usize, idx: usize) -> usize {
-        self.planes[plane][idx].state()
-    }
-
-    pub fn plane_mut(&mut self, plane: usize) -> &mut [C] {
-        &mut self.planes[plane]
-    }
-
-    /// Bytes the planes hold (their allocated capacity).
-    pub fn bytes(&self) -> usize {
-        self.planes
-            .iter()
-            .map(|p| p.capacity() * std::mem::size_of::<C>())
-            .sum()
     }
 }
 
@@ -527,38 +440,5 @@ mod tests {
             .collect();
         let small = check_shared(&edges, &sizes, &jobs, &mats, &kept);
         assert!(small.planes() <= 4, "{} planes", small.planes());
-    }
-
-    #[test]
-    fn the_choice_width_follows_the_largest_space() {
-        assert_eq!(choice_width(1), 2);
-        assert_eq!(choice_width(65_535), 2);
-        assert_eq!(choice_width(65_536), 4);
-        // The widest state index of each width round-trips.
-        assert_eq!(u16::from_state(65_534).state(), 65_534);
-        assert_eq!(u32::from_state(65_535).state(), 65_535);
-    }
-
-    #[test]
-    fn choice_arena_allocates_disjoint_planes() {
-        fn fill<C: Choice>() {
-            let mut a = ChoiceArena::<C>::new();
-            let p1 = a.alloc(4);
-            let p2 = a.alloc(3);
-            for (slot, v) in a.plane_mut(p1).iter_mut().zip([1, 2, 3, 4]) {
-                *slot = C::from_state(v);
-            }
-            for (slot, v) in a.plane_mut(p2).iter_mut().zip([7, 8, 9]) {
-                *slot = C::from_state(v);
-            }
-            assert_eq!(
-                (0..4).map(|i| a.at(p1, i)).collect::<Vec<_>>(),
-                [1, 2, 3, 4]
-            );
-            assert_eq!((0..3).map(|i| a.at(p2, i)).collect::<Vec<_>>(), [7, 8, 9]);
-            assert_eq!(a.bytes(), 7 * std::mem::size_of::<C>());
-        }
-        fill::<u16>();
-        fill::<u32>();
     }
 }

@@ -15,7 +15,7 @@ use primepar_graph::Graph;
 use primepar_partition::PartitionSeq;
 use primepar_topology::Cluster;
 
-use crate::arena::{choice_width, Choice, ChoiceArena, EdgeTables};
+use crate::arena::EdgeTables;
 use crate::prune::{dominance_prune, prune_keys};
 use crate::strategy::{self, SearchInterrupt, SearchStrategy};
 use crate::{minplus, PlannerMetrics, PlannerWarmCache, SegmentMetrics, SpaceCache, SpaceOptions};
@@ -143,22 +143,20 @@ struct Table {
 }
 
 /// How [`extract`] resolves a table's interior states for one endpoint
-/// pair. Resolving runs in the compose stage.
+/// pair. Neither step stores a choice: the backtrack recomputes each argmin
+/// it needs, in the compose stage.
 #[derive(Debug, Clone)]
 enum BacktrackStep {
-    /// The Bellman sweep of segment `(s, e)` (Eqs. 11–12). It stores no
-    /// choices: [`Sweep::resweep`] re-sweeps the chosen start row alone,
-    /// which reproduces that row of every step, argmins included, bit for
-    /// bit.
+    /// The Bellman sweep of segment `(s, e)` (Eqs. 11–12): [`Sweep::resweep`]
+    /// re-sweeps the chosen start row alone, which reproduces that row of
+    /// every step, argmins included, bit for bit.
     Segment { s: usize, e: usize },
-    /// Merge of two tables at node `mid` (Eq. 13): the [`ChoiceArena`]
-    /// plane at `choice` holds, at `row * cols + col`, the argmin mid state.
+    /// Merge of two tables at node `mid` (Eq. 13), kept as its inputs:
+    /// [`minplus::merge_argmin`] rescans one cell's mid states over them.
     Merge {
         mid: usize,
-        left: Box<BacktrackStep>,
-        right: Box<BacktrackStep>,
-        choice: usize,
-        cols: usize,
+        left: Box<Table>,
+        right: Box<Table>,
     },
 }
 
@@ -185,11 +183,6 @@ impl PassState {
     /// Each node's state count.
     fn sizes(&self) -> Vec<usize> {
         self.spaces.iter().map(|s| s.len()).collect()
-    }
-
-    /// The bytes of one backtrack choice over these spaces.
-    fn choice_width(&self) -> usize {
-        choice_width(self.spaces.iter().map(|s| s.len()).max().unwrap_or(0))
     }
 
     /// The nodes that are not segment endpoints.
@@ -248,17 +241,6 @@ impl PassState {
         }
         dropped
     }
-}
-
-/// Choice-plane cells one pass allocates, in closed form from the post-prune
-/// space sizes and the segments: a `|space(first)| × |space(e)|` plane for
-/// each merge onto segment `(_, e)` (Eq. 13), where `first` is the first
-/// segment's left endpoint. The Bellman sweeps store no choices.
-fn choice_cells(sizes: &[usize], segments: &[(usize, usize)]) -> usize {
-    segments[1..]
-        .iter()
-        .map(|&(_, e)| sizes[segments[0].0] * sizes[e])
-        .sum()
 }
 
 /// The segmented-DP planner for one transformer layer graph stacked
@@ -421,11 +403,7 @@ impl<'a> Planner<'a> {
         self.beam(&mut state, ctx, cache, &mut stats, beam_width, tm);
         let (edge_tables, edge_jobs) = self.edges(&state, ctx, own, warm, stats, tm);
         let (edge_tables, seg_pruned) = self.prune(&mut state, edge_tables, &edge_jobs, tm);
-        if state.choice_width() == std::mem::size_of::<u16>() {
-            self.solve::<u16>(&state, &edge_tables, &seg_pruned, layers, tm)
-        } else {
-            self.solve::<u32>(&state, &edge_tables, &seg_pruned, layers, tm)
-        }
+        self.solve(&state, &edge_tables, &seg_pruned, layers, tm)
     }
 
     /// Stage 1: per-operator spaces plus per-state intra-cost and memory
@@ -649,12 +627,9 @@ impl<'a> Planner<'a> {
             .map(|&(s, e)| report.pruned_in_segment(s, e))
             .collect();
         tm.states_pruned += state.restrict(&report.kept);
-        // Both arenas in closed form from the post-prune spaces, before
-        // either is allocated: the compacted edge planes, and one choice
-        // per cell of every merge.
-        tm.arena_bytes = (edge_tables.compacted_bytes(&report.kept)
-            + state.choice_width() * choice_cells(&state.sizes(), &state.segments))
-            as u64;
+        // The compacted edge planes in closed form from the post-prune
+        // spaces, before they are allocated.
+        tm.arena_bytes = edge_tables.compacted_bytes(&report.kept) as u64;
         let edge_tables = edge_tables.compact(&report.kept);
         tm.edge_planes = edge_tables.planes();
         tm.prune_seconds += tp.elapsed().as_secs_f64();
@@ -662,11 +637,10 @@ impl<'a> Planner<'a> {
     }
 
     /// Stages 3–6 over the pruned state — segment DP (Eqs. 11–12), merges
-    /// (Eq. 13), layer composition (Eq. 14) and backtrack — with every
-    /// merge's choice plane a `C` sized exactly to it. `seg_pruned` holds
-    /// the states pruned in each segment. Stamps the stage seconds and the
-    /// bytes both arenas hold into `tm`.
-    fn solve<C: Choice>(
+    /// (Eq. 13), layer composition (Eq. 14) and backtrack. `seg_pruned`
+    /// holds the states pruned in each segment. Stamps the stage seconds
+    /// and the bytes the edge arena holds into `tm`.
+    fn solve(
         &self,
         state: &PassState,
         edge_tables: &EdgeTables,
@@ -696,9 +670,8 @@ impl<'a> Planner<'a> {
         tm.segment_dp_seconds += t2.elapsed().as_secs_f64();
 
         let t3 = Instant::now();
-        // 4. Merge segments left to right (Eq. 13), each allocating its
-        // choice plane in the pass's arena.
-        let mut choices = ChoiceArena::<C>::new();
+        // 4. Merge segments left to right (Eq. 13), costs only: each merged
+        // table keeps its two inputs for the backtrack.
         let mut merged = tables.remove(0);
         let mut span = segments[0];
         for (table, seg) in tables.into_iter().zip(&segments[1..]) {
@@ -711,14 +684,13 @@ impl<'a> Planner<'a> {
                 &intra[seg.0],
                 edge_tables.get(span.0, seg.1),
                 self.opts.threads,
-                &mut choices,
                 &mut tm.thread_busy_seconds,
             );
             tm.merge_visited += visited;
             span = (span.0, seg.1);
         }
         tm.merge_seconds += t3.elapsed().as_secs_f64();
-        tm.arena_bytes_allocated = (edge_tables.bytes() + choices.bytes()) as u64;
+        tm.arena_bytes_allocated = edge_tables.bytes() as u64;
 
         let t4 = Instant::now();
         // 5. Compose layers by min-plus doubling (Eq. 14). Boundary nodes of
@@ -767,15 +739,7 @@ impl<'a> Planner<'a> {
         }
         // 6. Backtrack per-operator states for the chosen endpoint pair.
         let mut states = vec![usize::MAX; self.graph.ops.len()];
-        extract(
-            &merged.step,
-            row_star,
-            col_star,
-            &sweep,
-            &choices,
-            &mut tm.thread_busy_seconds,
-            &mut states,
-        );
+        extract(&merged.step, row_star, col_star, &sweep, &mut states);
         tm.compose_seconds += t4.elapsed().as_secs_f64();
         let seqs = states
             .iter()
@@ -888,25 +852,20 @@ impl Sweep<'_> {
     }
 
     /// Resolves segment `(s, e)`'s states for endpoint states `(row, col)`
-    /// into `states`. Re-sweeps row `row` alone with the argmin kernel,
-    /// keeping one choice vector per extension step, then walks the choices
-    /// back from `col`. Bellman row `row` reads only its own previous row,
-    /// the shared chain plane, the new node's intra vector and head row
-    /// `row`, so the one-row sweep reproduces the forward sweep's row and
-    /// its argmins bit for bit. Its relaxations are not counted.
-    fn resweep<C: Choice>(
-        &self,
-        (s, e): (usize, usize),
-        (row, col): (usize, usize),
-        busy: &mut [f64],
-        states: &mut [usize],
-    ) {
+    /// into `states`. Re-sweeps row `row` alone with
+    /// [`minplus::extend_row_argmin`], keeping one choice vector per
+    /// extension step, then walks the choices back from `col`. Bellman row
+    /// `row` reads only its own previous row, the shared chain plane, the
+    /// new node's intra vector and head row `row`, so the one-row sweep
+    /// reproduces the forward sweep's row bit for bit, with its first
+    /// minimizers. Its relaxations are not counted.
+    fn resweep(&self, (s, e): (usize, usize), (row, col): (usize, usize), states: &mut [usize]) {
         let max_cols = self.max_cols(s, e);
         let mut cur = vec![0.0; max_cols];
         let mut next = vec![0.0; max_cols];
         let mut cols = self.intra[s + 1].len();
         self.base_row(s, row, &mut cur[..cols]);
-        let mut choices: Vec<Vec<C>> = Vec::with_capacity(e - s - 1);
+        let mut choices: Vec<Vec<usize>> = Vec::with_capacity(e - s - 1);
         for j in (s + 2)..=e {
             let new_cols = self.intra[j].len();
             let chain = self.edges.get(j - 1, j).expect("chain edge present");
@@ -914,19 +873,14 @@ impl Sweep<'_> {
                 .edges
                 .get(s, j)
                 .map(|h| &h[row * new_cols..(row + 1) * new_cols]);
-            let mut choice = vec![C::default(); new_cols];
-            minplus::bellman_extend(
-                1,
-                1,
-                cols,
-                new_cols,
+            let mut choice = vec![0; new_cols];
+            minplus::extend_row_argmin(
                 &cur[..cols],
                 chain,
                 &self.intra[j],
                 head,
                 &mut next[..new_cols],
                 &mut choice,
-                busy,
             );
             choices.push(choice);
             std::mem::swap(&mut cur, &mut next);
@@ -938,7 +892,7 @@ impl Sweep<'_> {
         let mut current = col;
         for (i, choice) in choices.iter().enumerate().rev() {
             states[s + 2 + i] = current;
-            current = choice[current].state();
+            current = choice[current];
         }
         states[s + 1] = current;
     }
@@ -947,17 +901,16 @@ impl Sweep<'_> {
 /// Eq. 13: merge `left` (span `a..mid`) and `right` (span `mid..c`),
 /// subtracting the shared node's intra cost and adding any direct `a → c`
 /// edge. Routed through the lane-tiled min-plus kernels, row-parallel when
-/// threads are requested — bitwise-identical either way. Also returns the
-/// candidates the kernel relaxed.
-#[allow(clippy::too_many_arguments)]
-fn merge<C: Choice>(
+/// threads are requested — bitwise-identical either way. The merged table
+/// keeps both inputs for the backtrack. Also returns the candidates the
+/// kernel relaxed.
+fn merge(
     left: Table,
     right: Table,
     mid: usize,
     mid_intra: &[f64],
     span_edge: Option<&[f64]>,
     threads: usize,
-    choices: &mut ChoiceArena<C>,
     busy: &mut [f64],
 ) -> (Table, u64) {
     assert_eq!(left.cols, right.rows, "merge point spaces must agree");
@@ -965,7 +918,6 @@ fn merge<C: Choice>(
     let cols = right.cols;
     let k = left.cols;
     let mut cost = vec![0.0; rows * cols];
-    let choice = choices.alloc(rows * cols);
     let visited = minplus::merge_tables(
         threads,
         rows,
@@ -976,15 +928,12 @@ fn merge<C: Choice>(
         mid_intra,
         span_edge,
         &mut cost,
-        choices.plane_mut(choice),
         busy,
     );
     let step = BacktrackStep::Merge {
         mid,
-        left: Box::new(left.step),
-        right: Box::new(right.step),
-        choice,
-        cols,
+        left: Box::new(left),
+        right: Box::new(right),
     };
     (
         Table {
@@ -1039,30 +988,20 @@ fn minplus_chain(
 }
 
 /// Recursively resolves the argmin interior states for endpoint states
-/// `(row, col)` into `states`: a merge reads its choice plane from the
-/// arena, a segment re-sweeps its row ([`Sweep::resweep`]).
-fn extract<C: Choice>(
-    step: &BacktrackStep,
-    row: usize,
-    col: usize,
-    sweep: &Sweep<'_>,
-    merges: &ChoiceArena<C>,
-    busy: &mut [f64],
-    states: &mut [usize],
-) {
+/// `(row, col)` into `states`, recomputing every argmin: a merge rescans
+/// cell `(row, col)`'s mid states over its kept inputs
+/// ([`minplus::merge_argmin`]), a segment re-sweeps its row
+/// ([`Sweep::resweep`]).
+fn extract(step: &BacktrackStep, row: usize, col: usize, sweep: &Sweep<'_>, states: &mut [usize]) {
     match step {
-        BacktrackStep::Segment { s, e } => sweep.resweep::<C>((*s, *e), (row, col), busy, states),
-        BacktrackStep::Merge {
-            mid,
-            left,
-            right,
-            choice,
-            cols,
-        } => {
-            let m = merges.at(*choice, row * cols + col);
+        &BacktrackStep::Segment { s, e } => sweep.resweep((s, e), (row, col), states),
+        BacktrackStep::Merge { mid, left, right } => {
+            let left_row = &left.cost[row * left.cols..(row + 1) * left.cols];
+            let (m, _) =
+                minplus::merge_argmin(left_row, &right.cost, &sweep.intra[*mid], right.cols, col);
             states[*mid] = m;
-            extract(left, row, m, sweep, merges, busy, states);
-            extract(right, m, col, sweep, merges, busy, states);
+            extract(&left.step, row, m, sweep, states);
+            extract(&right.step, m, col, sweep, states);
         }
     }
 }
@@ -1383,7 +1322,7 @@ mod tests {
     /// The stored-plane segment sweep the re-sweep replaced, built on the
     /// scalar extension row: segment `(s, e)`'s final cost table and one
     /// choice plane per extension step.
-    fn stored_segment(sweep: &Sweep<'_>, s: usize, e: usize) -> (Vec<f64>, Vec<Vec<u32>>) {
+    fn stored_segment(sweep: &Sweep<'_>, s: usize, e: usize) -> (Vec<f64>, Vec<Vec<usize>>) {
         let intra = sweep.intra;
         let rows = intra[s].len();
         let mut cols = intra[s + 1].len();
@@ -1397,7 +1336,7 @@ mod tests {
             let chain = sweep.edges.get(j - 1, j).expect("chain edge");
             let head = sweep.edges.get(s, j);
             let mut next = vec![0.0; rows * new_cols];
-            let mut plane = vec![0u32; rows * new_cols];
+            let mut plane = vec![0; rows * new_cols];
             for r in 0..rows {
                 let cells = r * new_cols..(r + 1) * new_cols;
                 minplus::extend_row_scalar(
@@ -1416,35 +1355,62 @@ mod tests {
         (cur, planes)
     }
 
-    /// Each segment's span with its stored choice planes.
-    type StoredPlanes = [((usize, usize), Vec<Vec<u32>>)];
+    /// The stored merge plane the recomputed argmin replaced, built on the
+    /// scalar merge row: for every cell of the `left ⋈ right` merge at a
+    /// node with intra vector `mid_intra`, its argmin mid state.
+    fn stored_merge(left: &Table, right: &Table, mid_intra: &[f64]) -> Vec<usize> {
+        let mut cost = vec![0.0; left.rows * right.cols];
+        let mut plane = vec![0; left.rows * right.cols];
+        for r in 0..left.rows {
+            let cells = r * right.cols..(r + 1) * right.cols;
+            minplus::merge_row_scalar(
+                &left.cost[r * left.cols..(r + 1) * left.cols],
+                &right.cost,
+                mid_intra,
+                None,
+                &mut cost[cells.clone()],
+                &mut plane[cells],
+            );
+        }
+        plane
+    }
+
+    /// One segment's span with its per-step choice planes.
+    type SegmentPlanes = ((usize, usize), Vec<Vec<usize>>);
+
+    /// The stored choice planes of one chain: each segment's, and each
+    /// merge's mid node with its plane.
+    struct StoredPlanes {
+        segments: Vec<SegmentPlanes>,
+        merges: Vec<(usize, Vec<usize>)>,
+    }
 
     /// The old backtrack: a segment walks its stored planes back from the
     /// right endpoint (the `Extend` steps, then the `Base`), a merge reads
-    /// its arena plane.
+    /// its stored plane.
     fn stored_extract(
         step: &BacktrackStep,
         (row, col): (usize, usize),
         sweep: &Sweep<'_>,
         stored: &StoredPlanes,
-        merges: &ChoiceArena<u32>,
         states: &mut [usize],
     ) {
         match step {
-            BacktrackStep::Merge {
-                mid,
-                left,
-                right,
-                choice,
-                cols,
-            } => {
-                let m = merges.at(*choice, row * cols + col);
+            BacktrackStep::Merge { mid, left, right } => {
+                let plane = &stored
+                    .merges
+                    .iter()
+                    .find(|(node, _)| node == mid)
+                    .expect("stored merge")
+                    .1;
+                let m = plane[row * right.cols + col];
                 states[*mid] = m;
-                stored_extract(left, (row, m), sweep, stored, merges, states);
-                stored_extract(right, (m, col), sweep, stored, merges, states);
+                stored_extract(&left.step, (row, m), sweep, stored, states);
+                stored_extract(&right.step, (m, col), sweep, stored, states);
             }
             &BacktrackStep::Segment { s, e } => {
                 let planes = &stored
+                    .segments
                     .iter()
                     .find(|(span, _)| *span == (s, e))
                     .expect("stored segment")
@@ -1453,7 +1419,7 @@ mod tests {
                 for (i, plane) in planes.iter().enumerate().rev() {
                     let node = s + 2 + i;
                     states[node] = current;
-                    let prev = plane[row * sweep.intra[node].len() + current] as usize;
+                    let prev = plane[row * sweep.intra[node].len() + current];
                     states[node - 1] = prev;
                     current = prev;
                 }
@@ -1468,10 +1434,13 @@ mod tests {
         // Random small chains of three segments — a two-node one (0, 1),
         // then two longer ones joined by merges — with head edges, span
         // edges onto the merges, and costs on a few levels so that exact
-        // ties abound. Every cell of the merged table must backtrack to the
-        // states the stored planes name.
+        // ties abound. Every fourth chain also sets about a fifth of its
+        // edge cells to +∞, so its merge tables hold ∞ entries. Every cell
+        // of the merged table must backtrack to the states the stored
+        // planes name.
         let mut state = 0x9e37_79b9_7f4a_7c15;
-        for case in 0..48usize {
+        let mut infinite_merge_cells = 0;
+        for case in 0..64usize {
             let mid = 3 + case % 3;
             let n = mid + 2 + case % 4;
             let segments = [(0, 1), (1, mid), (mid, n - 1)];
@@ -1493,9 +1462,21 @@ mod tests {
                     edges.push(Edge::plain(0, e));
                 }
             }
+            let poisoned = case % 4 == 3;
             let mats: Vec<Vec<f64>> = edges
                 .iter()
-                .map(|edge| draws(sizes[edge.src] * sizes[edge.dst], 4, &mut state))
+                .map(|edge| {
+                    let len = sizes[edge.src] * sizes[edge.dst];
+                    let mut mat = draws(len, 4, &mut state);
+                    if poisoned {
+                        for (v, roll) in mat.iter_mut().zip(draws(len, 5, &mut state)) {
+                            if roll == 0.0 {
+                                *v = f64::INFINITY;
+                            }
+                        }
+                    }
+                    mat
+                })
                 .collect();
             let tables = EdgeTables::per_edge(&edges, &sizes, &mats);
             let intra: SharedVecs = sizes
@@ -1508,8 +1489,10 @@ mod tests {
             };
             let threads = case % 3;
             let mut busy = vec![0.0; 3];
-            let mut merges = ChoiceArena::<u32>::new();
-            let mut stored = Vec::new();
+            let mut stored = StoredPlanes {
+                segments: Vec::new(),
+                merges: Vec::new(),
+            };
             let mut merged: Option<Table> = None;
             for &(s, e) in &segments {
                 let (table, _) = sweep.forward(s, e, threads, &mut busy);
@@ -1520,22 +1503,21 @@ mod tests {
                     bits(&cost),
                     "case {case}, segment ({s}, {e})"
                 );
-                stored.push(((s, e), planes));
+                stored.segments.push(((s, e), planes));
                 merged = Some(match merged {
                     None => table,
                     Some(left) => {
+                        infinite_merge_cells += left
+                            .cost
+                            .iter()
+                            .chain(&table.cost)
+                            .filter(|v| v.is_infinite())
+                            .count();
+                        stored
+                            .merges
+                            .push((s, stored_merge(&left, &table, &intra[s])));
                         let span_edge = tables.get(0, e);
-                        merge(
-                            left,
-                            table,
-                            s,
-                            &intra[s],
-                            span_edge,
-                            threads,
-                            &mut merges,
-                            &mut busy,
-                        )
-                        .0
+                        merge(left, table, s, &intra[s], span_edge, threads, &mut busy).0
                     }
                 });
             }
@@ -1543,20 +1525,14 @@ mod tests {
             for row in 0..merged.rows {
                 for col in 0..merged.cols {
                     let mut got = vec![usize::MAX; n];
-                    extract(&merged.step, row, col, &sweep, &merges, &mut busy, &mut got);
+                    extract(&merged.step, row, col, &sweep, &mut got);
                     let mut want = vec![usize::MAX; n];
-                    stored_extract(
-                        &merged.step,
-                        (row, col),
-                        &sweep,
-                        &stored,
-                        &merges,
-                        &mut want,
-                    );
+                    stored_extract(&merged.step, (row, col), &sweep, &stored, &mut want);
                     assert_eq!(got, want, "case {case}, cell ({row}, {col})");
                 }
             }
         }
+        assert!(infinite_merge_cells > 0, "no merge table held +∞");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   (§6.1's enumeration).
 //! * [`alpa_plan`] — the Alpa stand-in: the same optimal search restricted to
 //!   the conventional (spatial-only) partition space.
-//! * [`replan`] / [`run_elastic`] — online re-planning: the costed
+//! * [`replan()`] / [`run_elastic`] — online re-planning: the costed
 //!   `Stay / Patch / FullReplan` migration decision for an observed
 //!   fault/variance scenario, and the elastic timeline driver racing it
 //!   against the never-replan and always-replan static extremes.

@@ -9,71 +9,51 @@
 //! autovectorizer can keep in SIMD registers (compare + blend, no cross-lane
 //! dependency). The candidate *order* per output cell is the scalar one
 //! (ascending interior state, strict `<`), and every sum keeps the scalar
-//! association — results and argmin choices are bitwise-identical to the
-//! per-cell scalar rows, which survive only as the tests' oracle.
+//! association — results are bitwise-identical to the per-cell scalar rows,
+//! which survive only as the tests' oracle.
 //!
-//! The two argmin products (Eqs. 12–13) also skip every candidate that
-//! provably cannot reach a tile's minimum; [`argmin_row`] states the bound
-//! and why the result stays bitwise. The segment DP's forward sweep runs
-//! Eq. 12 costs-only ([`bellman_costs`]): the same tile loop without the
-//! argmin lanes, so the same cost bits and visited counts. Its backtrack
-//! re-sweeps the one chosen row with the argmin ([`bellman_extend`]).
+//! The kernels compute costs only. Eqs. 12–13 also skip every candidate
+//! that provably cannot reach a tile's minimum; [`min_row`] states the
+//! bound and why the result stays bitwise. The backtrack recomputes the
+//! argmins it needs on its own path, with two scalar scans kept here beside
+//! the products they invert: [`extend_row_argmin`] re-sweeps one Bellman
+//! row, [`merge_argmin`] resolves one merged cell. Both scan candidates in
+//! the kernels' order with their strict `<`, so they name the first
+//! minimizer of the very sums the kernels reduced.
 //!
 //! All three products parallelize over output rows and write into
-//! caller-provided planes (the DP's arena scratch), so the hot loop does no
-//! allocation. The argmin products are generic over the [`Choice`] type of
-//! the planner's choice arena (`u16` or `u32`): the width changes how a
-//! choice is stored, never which state it names. Per-worker busy seconds
-//! accumulate into the planner's `thread_busy_seconds` slots.
+//! caller-provided planes, so the hot loop does no allocation. Per-worker
+//! busy seconds accumulate into the planner's `thread_busy_seconds` slots.
 
 use std::time::Instant;
-
-use crate::arena::Choice;
 
 /// Fixed lane width of the vectorized kernels: 8 `f64`s — one 64-byte cache
 /// line, two AVX2 registers or one AVX-512 register.
 const LANES: usize = 8;
 
-/// `plane` cut into `len`-entry pieces, then an endless run of empty ones:
-/// an empty plane (a costs-only sweep's choices) yields empty pieces only.
-fn pieces<T>(plane: &mut [T], len: usize) -> impl Iterator<Item = &mut [T]> {
-    plane
-        .chunks_mut(len)
-        .chain(std::iter::repeat_with(<&mut [T]>::default))
-}
-
-/// Runs `row_fn(r, cost_row, choice_row)` for every row, chunked across
-/// `threads` scoped workers (serial when `threads <= 1`), adding per-worker
-/// busy seconds into `busy`. Returns the sum of `row_fn`'s counts. `choice`
-/// is as long as `cost`, or empty — then every `choice_row` is empty.
-fn drive<C: Choice>(
+/// Runs `row_fn(r, cost_row)` for every `width`-wide row of `cost`, chunked
+/// across `threads` scoped workers (serial when `threads <= 1`), adding
+/// per-worker busy seconds into `busy`. Returns the sum of `row_fn`'s
+/// counts.
+fn drive(
     threads: usize,
     rows: usize,
     width: usize,
     cost: &mut [f64],
-    choice: &mut [C],
     busy: &mut [f64],
-    row_fn: impl Fn(usize, &mut [f64], &mut [C]) -> u64 + Sync,
+    row_fn: impl Fn(usize, &mut [f64]) -> u64 + Sync,
 ) -> u64 {
     if threads > 1 && rows > 1 {
         std::thread::scope(|scope| {
             let chunk = rows.div_ceil(threads).max(1);
             let mut handles = Vec::new();
-            for (band, (cost_band, choice_band)) in cost
-                .chunks_mut(chunk * width)
-                .zip(pieces(choice, chunk * width))
-                .enumerate()
-            {
+            for (band, cost_band) in cost.chunks_mut(chunk * width).enumerate() {
                 let row_fn = &row_fn;
                 handles.push(scope.spawn(move || {
                     let sweep = Instant::now();
                     let mut count = 0;
-                    for (i, (oc, och)) in cost_band
-                        .chunks_mut(width)
-                        .zip(pieces(choice_band, width))
-                        .enumerate()
-                    {
-                        count += row_fn(band * chunk + i, oc, och);
+                    for (i, out) in cost_band.chunks_mut(width).enumerate() {
+                        count += row_fn(band * chunk + i, out);
                     }
                     (sweep.elapsed().as_secs_f64(), count)
                 }));
@@ -89,12 +69,8 @@ fn drive<C: Choice>(
     } else {
         let sweep = Instant::now();
         let mut count = 0;
-        for (r, (oc, och)) in cost
-            .chunks_mut(width)
-            .zip(pieces(choice, width))
-            .enumerate()
-        {
-            count += row_fn(r, oc, och);
+        for (r, out) in cost.chunks_mut(width).enumerate() {
+            count += row_fn(r, out);
         }
         busy[0] += sweep.elapsed().as_secs_f64();
         count
@@ -120,37 +96,13 @@ fn column_minima(plane: &[f64], width: usize) -> Option<Vec<f64>> {
 
 /// One Bellman chain extension (Eq. 12): from the `rows × cols` table against
 /// the `cols × new_cols` chain-edge matrix, adding the new endpoint's intra
-/// cost and the optional segment-head edge. Writes into the caller's
-/// `rows × new_cols` planes: `out_choice[r·new_cols + nc]` is the argmin
-/// previous-endpoint state. Returns the candidates relaxed, in cells (see
-/// [`argmin_row`]).
+/// cost and the optional segment-head edge, into the caller's `rows ×
+/// new_cols` plane. Returns the candidates relaxed, in cells (see
+/// [`min_row`]).
 ///
 /// Output row `r` reads only input row `r`, head row `r` and the shared
-/// chain matrix and intra vector, so a one-row call on row `r` alone
-/// reproduces that row's costs and choices bit for bit.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn bellman_extend<C: Choice>(
-    threads: usize,
-    rows: usize,
-    cols: usize,
-    new_cols: usize,
-    cost: &[f64],
-    chain: &[f64],
-    intra_j: &[f64],
-    head: Option<&[f64]>,
-    out_cost: &mut [f64],
-    out_choice: &mut [C],
-    busy: &mut [f64],
-) -> u64 {
-    assert_eq!(out_choice.len(), rows * new_cols);
-    extend::<true, C>(
-        threads, rows, cols, new_cols, cost, chain, intra_j, head, out_cost, out_choice, busy,
-    )
-}
-
-/// [`bellman_extend`] without the argmin: the same tile loop, skip bound
-/// and strict-`<` select, so the same cost bits and the same count of
-/// candidates relaxed, but no argmin lanes and no choice plane.
+/// chain matrix and intra vector, which is what lets [`extend_row_argmin`]
+/// recompute one row alone.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bellman_costs(
     threads: usize,
@@ -164,73 +116,70 @@ pub(crate) fn bellman_costs(
     out_cost: &mut [f64],
     busy: &mut [f64],
 ) -> u64 {
-    extend::<false, u32>(
-        threads,
-        rows,
-        cols,
-        new_cols,
-        cost,
-        chain,
-        intra_j,
-        head,
-        out_cost,
-        &mut [],
-        busy,
-    )
-}
-
-/// The Eq. 12 row loop behind [`bellman_extend`] (`ARGMIN`) and
-/// [`bellman_costs`] (empty `out_choice`).
-#[allow(clippy::too_many_arguments)]
-fn extend<const ARGMIN: bool, C: Choice>(
-    threads: usize,
-    rows: usize,
-    cols: usize,
-    new_cols: usize,
-    cost: &[f64],
-    chain: &[f64],
-    intra_j: &[f64],
-    head: Option<&[f64]>,
-    out_cost: &mut [f64],
-    out_choice: &mut [C],
-    busy: &mut [f64],
-) -> u64 {
     assert_eq!(out_cost.len(), rows * new_cols);
     assert_eq!(chain.len(), cols * new_cols);
     let chain_min = column_minima(chain, new_cols);
-    drive(
-        threads,
-        rows,
-        new_cols,
-        out_cost,
-        out_choice,
-        busy,
-        |r, out_cost, out_choice| {
-            let row = &cost[r * cols..(r + 1) * cols];
-            let head_row = head.map(|h| &h[r * new_cols..(r + 1) * new_cols]);
-            let bound = chain_min
-                .as_deref()
-                .filter(|_| row.iter().all(|v| v.is_finite()));
-            argmin_row::<ARGMIN, C, _>(
-                chain,
-                bound,
-                |p| {
-                    let base = row[p];
-                    move |c| base + c
-                },
-                |nc, best| {
-                    let v = best + intra_j[nc];
-                    head_row.map_or(v, |h| v + h[nc])
-                },
-                out_cost,
-                out_choice,
-            )
-        },
-    )
+    drive(threads, rows, new_cols, out_cost, busy, |r, out_cost| {
+        let row = &cost[r * cols..(r + 1) * cols];
+        let head_row = head.map(|h| &h[r * new_cols..(r + 1) * new_cols]);
+        let bound = chain_min
+            .as_deref()
+            .filter(|_| row.iter().all(|v| v.is_finite()));
+        min_row(
+            chain,
+            bound,
+            |p| {
+                let base = row[p];
+                move |c| base + c
+            },
+            |nc, best| {
+                let v = best + intra_j[nc];
+                head_row.map_or(v, |h| v + h[nc])
+            },
+            out_cost,
+        )
+    })
 }
 
-/// The per-cell scalar extension row: the oracle the lane-tiled kernel is
-/// pinned against.
+/// One row of [`bellman_costs`] with its argmins, for the backtrack: cell
+/// `nc` of `out_cost` gets the row's Eq. 12 cost and `out_choice[nc]` the
+/// previous-endpoint state that attains it. Candidate-outer: each `p` in
+/// ascending order relaxes every cell with `row[p] + chain[p·new_cols +
+/// nc]` under a strict `<`, then each cell adds `intra_j[nc]` and, if
+/// present, `head_row[nc]`. Per cell that is the scalar row's candidate
+/// order and association, so the costs are [`bellman_costs`]' bits and each
+/// choice is the first minimizer.
+pub(crate) fn extend_row_argmin(
+    row: &[f64],
+    chain: &[f64],
+    intra_j: &[f64],
+    head_row: Option<&[f64]>,
+    out_cost: &mut [f64],
+    out_choice: &mut [usize],
+) {
+    let new_cols = out_cost.len();
+    out_cost.fill(f64::INFINITY);
+    out_choice.fill(0);
+    for (p, &base) in row.iter().enumerate() {
+        let chain_row = &chain[p * new_cols..(p + 1) * new_cols];
+        for (nc, &c) in chain_row.iter().enumerate() {
+            let v = base + c;
+            if v < out_cost[nc] {
+                out_cost[nc] = v;
+                out_choice[nc] = p;
+            }
+        }
+    }
+    for (nc, v) in out_cost.iter_mut().enumerate() {
+        *v += intra_j[nc];
+        if let Some(h) = head_row {
+            *v += h[nc];
+        }
+    }
+}
+
+/// The per-cell scalar extension row: the oracle the lane-tiled kernel and
+/// [`extend_row_argmin`] are pinned against.
 #[cfg(test)]
 pub(crate) fn extend_row_scalar(
     row: &[f64],
@@ -238,17 +187,17 @@ pub(crate) fn extend_row_scalar(
     intra_j: &[f64],
     head_row: Option<&[f64]>,
     out_cost: &mut [f64],
-    out_choice: &mut [u32],
+    out_choice: &mut [usize],
 ) {
     let new_cols = out_cost.len();
     for nc in 0..new_cols {
         let mut best = f64::INFINITY;
-        let mut best_p = 0u32;
+        let mut best_p = 0;
         for (p, &base) in row.iter().enumerate() {
             let v = base + chain[p * new_cols + nc];
             if v < best {
                 best = v;
-                best_p = p as u32;
+                best_p = p;
             }
         }
         let mut v = best + intra_j[nc];
@@ -260,21 +209,19 @@ pub(crate) fn extend_row_scalar(
     }
 }
 
-/// One output row of an argmin min-plus product over the `n × width` plane
-/// `m`: cell `c` is `finish(c, min_p value(p)(m[p, c]))`, its choice the
-/// argmin `p`, stored only when `ARGMIN` (`out_choice` is empty otherwise);
-/// `value(p)` reads candidate `p`'s row terms once for all the lanes it
-/// relaxes. Returns the candidates relaxed, counted in cells: `LANES` per
-/// candidate a tile visits, one per candidate a tail cell visits.
+/// One output row of a min-plus product over the `n × width` plane `m`:
+/// cell `c` is `finish(c, min_p value(p)(m[p, c]))`; `value(p)` reads
+/// candidate `p`'s row terms once for all the lanes it relaxes. Returns the
+/// candidates relaxed, counted in cells: `LANES` per candidate a tile
+/// visits, one per candidate a tail cell visits.
 ///
 /// `LANES` output cells share one pass over the candidates, each lane
-/// keeping its own running (min, argmin) pair — the `if`-converted
-/// compare/select has no loop-carried cross-lane dependency, so the
-/// reduction vectorizes. Candidates arrive per cell in the same
-/// ascending-`p` order with the same strict `<`, and `value` and `finish`
-/// keep the scalar row's association, so cost and argmin match it bitwise.
-/// Whether the argmin is kept changes neither the minima nor which
-/// candidates are visited.
+/// keeping its own running minimum — the `if`-converted compare/select has
+/// no loop-carried cross-lane dependency, so the reduction vectorizes.
+/// Candidates arrive per cell in the same ascending-`p` order with the same
+/// strict `<`, and `value` and `finish` keep the scalar row's association,
+/// so each cost matches it bitwise: every cell keeps the sum of its first
+/// minimizer, the candidate a backtrack argmin names.
 ///
 /// With `colmin` (the per-column minima of `m`, given only when every input
 /// is finite) each tile first takes a bound `U = max over its lanes of
@@ -282,21 +229,20 @@ pub(crate) fn extend_row_scalar(
 /// skips every `p` with `value(p)(min over its lanes of colmin) > U`.
 /// Each `value(p)` is monotone — a chain of correctly rounded additions —
 /// so a skipped candidate is strictly above `U`, which is at least every
-/// lane's final minimum. Under ascending-`p`, strict-`<` scanning the result
-/// is the first candidate that attains the minimum, and no such candidate
-/// is ever skipped: the choice and its cost bits are those of the full scan.
+/// lane's final minimum. No minimizer is ever skipped, so under
+/// ascending-`p`, strict-`<` scanning each cell keeps the sum of the same
+/// first minimizer as the full scan: the cost bits are the full scan's.
 /// Without `colmin` every candidate is visited, as in the dense kernel.
 ///
 /// The bound costs a test per candidate, which only pays while it skips:
 /// once the row's tiles have visited half their candidates, the rest of the
 /// row scans densely — the same result, without the test.
-fn argmin_row<const ARGMIN: bool, C: Choice, V: Fn(f64) -> f64>(
+fn min_row<V: Fn(f64) -> f64>(
     m: &[f64],
     colmin: Option<&[f64]>,
     value: impl Fn(usize) -> V,
     finish: impl Fn(usize, f64) -> f64,
     out_cost: &mut [f64],
-    out_choice: &mut [C],
 ) -> u64 {
     let width = out_cost.len();
     let n = m.len() / width;
@@ -327,19 +273,16 @@ fn argmin_row<const ARGMIN: bool, C: Choice, V: Fn(f64) -> f64>(
     let mut visited = 0u64;
     let tiled = width - width % LANES;
     for (t, c0) in (0..tiled).step_by(LANES).enumerate() {
-        let (min, arg, tile_visited) = if bounded {
+        let (min, tile_visited) = if bounded {
             let (floor, cap) = bound(c0..c0 + LANES);
-            relax_tile::<true, ARGMIN, C, _>(m, width, c0, &value, floor, cap)
+            relax_tile::<true, _>(m, width, c0, &value, floor, cap)
         } else {
-            relax_tile::<false, ARGMIN, C, _>(m, width, c0, &value, 0.0, 0.0)
+            relax_tile::<false, _>(m, width, c0, &value, 0.0, 0.0)
         };
         visited += LANES as u64 * tile_visited;
         bounded &= 2 * visited < ((t + 1) * n * LANES) as u64;
         for l in 0..LANES {
             out_cost[c0 + l] = finish(c0 + l, min[l]);
-        }
-        if ARGMIN {
-            out_choice[c0..c0 + LANES].copy_from_slice(&arg);
         }
     }
     // Scalar tail: the per-cell loop of the scalar row, each cell its own
@@ -347,7 +290,6 @@ fn argmin_row<const ARGMIN: bool, C: Choice, V: Fn(f64) -> f64>(
     for c in tiled..width {
         let (floor, cap) = bound(c..c + 1);
         let mut best = f64::INFINITY;
-        let mut best_p = C::default();
         for p in 0..n {
             let value = value(p);
             if value(floor) > cap {
@@ -357,35 +299,27 @@ fn argmin_row<const ARGMIN: bool, C: Choice, V: Fn(f64) -> f64>(
             let v = value(m[p * width + c]);
             if v < best {
                 best = v;
-                if ARGMIN {
-                    best_p = C::from_state(p);
-                }
             }
         }
         out_cost[c] = finish(c, best);
-        if ARGMIN {
-            out_choice[c] = best_p;
-        }
     }
     visited
 }
 
-/// One tile of [`argmin_row`] — the `LANES` columns from `c0` of the plane
-/// `m`, `width` wide: each lane's minimum over the candidates (and its
-/// argmin when `ARGMIN`; the default choice otherwise), skipping those with
-/// `value(p)(floor) > cap` when `BOUNDED`, and how many candidates it
-/// visited.
-fn relax_tile<const BOUNDED: bool, const ARGMIN: bool, C: Choice, V: Fn(f64) -> f64>(
+/// One tile of [`min_row`] — the `LANES` columns from `c0` of the plane
+/// `m`, `width` wide: each lane's minimum over the candidates, skipping
+/// those with `value(p)(floor) > cap` when `BOUNDED`, and how many
+/// candidates it visited.
+fn relax_tile<const BOUNDED: bool, V: Fn(f64) -> f64>(
     m: &[f64],
     width: usize,
     c0: usize,
     value: &impl Fn(usize) -> V,
     floor: f64,
     cap: f64,
-) -> ([f64; LANES], [C; LANES], u64) {
+) -> ([f64; LANES], u64) {
     let n = m.len() / width;
     let mut min = [f64::INFINITY; LANES];
-    let mut arg = [C::default(); LANES];
     let mut visited = 0;
     for p in 0..n {
         let value = value(p);
@@ -394,30 +328,20 @@ fn relax_tile<const BOUNDED: bool, const ARGMIN: bool, C: Choice, V: Fn(f64) -> 
         }
         visited += 1;
         let x: &[f64; LANES] = m[p * width + c0..][..LANES].try_into().expect("lane");
-        if ARGMIN {
-            let choice = C::from_state(p);
-            for l in 0..LANES {
-                let v = value(x[l]);
-                let better = v < min[l];
-                min[l] = if better { v } else { min[l] };
-                arg[l] = if better { choice } else { arg[l] };
-            }
-        } else {
-            for l in 0..LANES {
-                let v = value(x[l]);
-                min[l] = if v < min[l] { v } else { min[l] };
-            }
+        for l in 0..LANES {
+            let v = value(x[l]);
+            min[l] = if v < min[l] { v } else { min[l] };
         }
     }
-    (min, arg, visited)
+    (min, visited)
 }
 
 /// One segment merge (Eq. 13): `out[r, c] = min_m (left[r, m] + right[m, c] −
-/// mid_intra[m])`, plus the optional direct span edge added after the argmin.
-/// Writes into the caller's `rows × cols` planes. Returns the candidates
-/// relaxed, in cells.
+/// mid_intra[m])`, plus the optional direct span edge added after the
+/// minimum. Writes into the caller's `rows × cols` plane. Returns the
+/// candidates relaxed, in cells.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_tables<C: Choice>(
+pub(crate) fn merge_tables(
     threads: usize,
     rows: usize,
     k: usize,
@@ -427,60 +351,73 @@ pub(crate) fn merge_tables<C: Choice>(
     mid_intra: &[f64],
     span_edge: Option<&[f64]>,
     out_cost: &mut [f64],
-    out_choice: &mut [C],
     busy: &mut [f64],
 ) -> u64 {
     assert_eq!(out_cost.len(), rows * cols);
-    assert_eq!(out_choice.len(), rows * cols);
     assert_eq!(right.len(), k * cols);
     let right_min = column_minima(right, cols).filter(|_| mid_intra.iter().all(|v| v.is_finite()));
-    drive(
-        threads,
-        rows,
-        cols,
-        out_cost,
-        out_choice,
-        busy,
-        |r, out_cost, out_choice| {
-            let left_row = &left[r * k..(r + 1) * k];
-            let edge_row = span_edge.map(|e| &e[r * cols..(r + 1) * cols]);
-            let bound = right_min
-                .as_deref()
-                .filter(|_| left_row.iter().all(|v| v.is_finite()));
-            argmin_row::<true, C, _>(
-                right,
-                bound,
-                |m| {
-                    let (l, mid) = (left_row[m], mid_intra[m]);
-                    move |x| l + x - mid
-                },
-                |c, best| edge_row.map_or(best, |e| best + e[c]),
-                out_cost,
-                out_choice,
-            )
-        },
-    )
+    drive(threads, rows, cols, out_cost, busy, |r, out_cost| {
+        let left_row = &left[r * k..(r + 1) * k];
+        let edge_row = span_edge.map(|e| &e[r * cols..(r + 1) * cols]);
+        let bound = right_min
+            .as_deref()
+            .filter(|_| left_row.iter().all(|v| v.is_finite()));
+        min_row(
+            right,
+            bound,
+            |m| {
+                let (l, mid) = (left_row[m], mid_intra[m]);
+                move |x| l + x - mid
+            },
+            |c, best| edge_row.map_or(best, |e| best + e[c]),
+            out_cost,
+        )
+    })
 }
 
-/// The per-cell scalar merge row (test oracle).
+/// The argmin behind merged cell `(r, col)` of [`merge_tables`], for the
+/// backtrack: the first `m`, scanning ascending with a strict `<`, that
+/// minimizes `left_row[m] + right[m·cols + col] − mid_intra[m]`, with that
+/// minimum. This is the kernel's expression and association; the span edge
+/// is constant over `m`, so it is left out. `(0, +∞)` when no candidate
+/// is finite.
+pub(crate) fn merge_argmin(
+    left_row: &[f64],
+    right: &[f64],
+    mid_intra: &[f64],
+    cols: usize,
+    col: usize,
+) -> (usize, f64) {
+    let (mut best_m, mut best) = (0, f64::INFINITY);
+    for (m, &l) in left_row.iter().enumerate() {
+        let v = l + right[m * cols + col] - mid_intra[m];
+        if v < best {
+            (best_m, best) = (m, v);
+        }
+    }
+    (best_m, best)
+}
+
+/// The per-cell scalar merge row: the oracle the lane-tiled kernel and
+/// [`merge_argmin`] are pinned against.
 #[cfg(test)]
-fn merge_row_scalar(
+pub(crate) fn merge_row_scalar(
     left_row: &[f64],
     right: &[f64],
     mid_intra: &[f64],
     edge_row: Option<&[f64]>,
     out_cost: &mut [f64],
-    out_choice: &mut [u32],
+    out_choice: &mut [usize],
 ) {
     let cols = out_cost.len();
     for c in 0..cols {
         let mut best = f64::INFINITY;
-        let mut best_m = 0u32;
+        let mut best_m = 0;
         for (m, &l) in left_row.iter().enumerate() {
             let v = l + right[m * cols + c] - mid_intra[m];
             if v < best {
                 best = v;
-                best_m = m as u32;
+                best_m = m;
             }
         }
         if let Some(e) = edge_row {
@@ -502,32 +439,10 @@ pub(crate) fn minplus_join(
     busy: &mut [f64],
 ) -> Vec<f64> {
     let mut out = vec![f64::INFINITY; n * n];
-    let join = |r: usize, out_row: &mut [f64]| join_row_lanes(r * n, a, b, boundary_intra, out_row);
-    if threads > 1 && n > 1 {
-        std::thread::scope(|scope| {
-            let chunk = n.div_ceil(threads).max(1);
-            let mut handles = Vec::new();
-            for (band, out_band) in out.chunks_mut(chunk * n).enumerate() {
-                let join = &join;
-                handles.push(scope.spawn(move || {
-                    let sweep = Instant::now();
-                    for (i, out_row) in out_band.chunks_mut(n).enumerate() {
-                        join(band * chunk + i, out_row);
-                    }
-                    sweep.elapsed().as_secs_f64()
-                }));
-            }
-            for (slot, handle) in handles.into_iter().enumerate() {
-                busy[slot] += handle.join().expect("join worker");
-            }
-        });
-    } else {
-        let sweep = Instant::now();
-        for (r, out_row) in out.chunks_mut(n).enumerate() {
-            join(r, out_row);
-        }
-        busy[0] += sweep.elapsed().as_secs_f64();
-    }
+    drive(threads, n, n, &mut out, busy, |r, out_row| {
+        join_row_lanes(r * n, a, b, boundary_intra, out_row);
+        0
+    });
     out
 }
 
@@ -552,7 +467,8 @@ fn join_row(a_off: usize, a: &[f64], b: &[f64], boundary_intra: &[f64], out_row:
 
 /// Lane-tiled join: same per-cell candidate order (`q` ascending, non-finite
 /// leads skipped) and the same `fl(a − intra) + b` sums — bitwise-identical
-/// to [`join_row`]. No argmin here; the layer composition needs values only.
+/// to the scalar join row of the tests. No argmin here; the layer
+/// composition needs values only.
 fn join_row_lanes(a_off: usize, a: &[f64], b: &[f64], boundary_intra: &[f64], out_row: &mut [f64]) {
     let n = out_row.len();
     let tiled = n - n % LANES;
@@ -613,33 +529,8 @@ mod tests {
         }
     }
 
-    /// A kernel's output: cost plane, choice plane (widened to `u32`) and
-    /// the candidates it relaxed.
-    type Planes = (Vec<f64>, Vec<u32>, u64);
-
-    /// Runs `kernel` into fresh `u16` and `u32` choice planes, asserts the
-    /// two widths agree bitwise — costs, choices and candidates relaxed —
-    /// and returns the result.
-    fn at_both_widths(
-        len: usize,
-        kernel16: impl FnOnce(&mut [f64], &mut [u16]) -> u64,
-        kernel32: impl FnOnce(&mut [f64], &mut [u32]) -> u64,
-    ) -> Planes {
-        let mut cost16 = vec![f64::NAN; len];
-        let mut choice16 = vec![u16::MAX; len];
-        let visited16 = kernel16(&mut cost16, &mut choice16);
-        let mut cost = vec![f64::NAN; len];
-        let mut choice = vec![u32::MAX; len];
-        let visited = kernel32(&mut cost, &mut choice);
-        assert_bitwise(&cost16, &cost);
-        let widened: Vec<u32> = choice16.iter().map(|&c| u32::from(c)).collect();
-        assert_eq!(widened, choice, "u16 and u32 choices differ");
-        assert_eq!(visited16, visited);
-        (cost, choice, visited)
-    }
-
-    /// The lane-tiled [`bellman_extend`] into fresh planes, at both choice
-    /// widths.
+    /// The lane-tiled [`bellman_costs`] into a fresh plane, with the
+    /// candidates it relaxed.
     #[allow(clippy::too_many_arguments)]
     fn extend(
         threads: usize,
@@ -650,33 +541,13 @@ mod tests {
         chain: &[f64],
         intra: &[f64],
         head: Option<&[f64]>,
-    ) -> Planes {
+    ) -> (Vec<f64>, u64) {
         let mut busy = vec![0.0; threads.max(1)];
-        let mut busy32 = busy.clone();
-        at_both_widths(
-            rows * new_cols,
-            |out_cost, out_choice| {
-                bellman_extend(
-                    threads, rows, cols, new_cols, cost, chain, intra, head, out_cost, out_choice,
-                    &mut busy,
-                )
-            },
-            |out_cost, out_choice| {
-                bellman_extend(
-                    threads,
-                    rows,
-                    cols,
-                    new_cols,
-                    cost,
-                    chain,
-                    intra,
-                    head,
-                    out_cost,
-                    out_choice,
-                    &mut busy32,
-                )
-            },
-        )
+        let mut out = vec![f64::NAN; rows * new_cols];
+        let visited = bellman_costs(
+            threads, rows, cols, new_cols, cost, chain, intra, head, &mut out, &mut busy,
+        );
+        (out, visited)
     }
 
     /// Oracle: the scalar extension row over every row, serially.
@@ -687,10 +558,10 @@ mod tests {
         chain: &[f64],
         intra: &[f64],
         head: Option<&[f64]>,
-    ) -> (Vec<f64>, Vec<u32>) {
+    ) -> (Vec<f64>, Vec<usize>) {
         let rows = cost.len() / cols;
         let mut out_cost = vec![f64::NAN; rows * new_cols];
-        let mut out_choice = vec![u32::MAX; rows * new_cols];
+        let mut out_choice = vec![usize::MAX; rows * new_cols];
         for r in 0..rows {
             extend_row_scalar(
                 &cost[r * cols..(r + 1) * cols],
@@ -704,8 +575,34 @@ mod tests {
         (out_cost, out_choice)
     }
 
-    /// The lane-tiled [`merge_tables`] into fresh planes, at both choice
-    /// widths.
+    /// [`extend_row_argmin`] over every row, serially.
+    fn extend_argmin(
+        cols: usize,
+        new_cols: usize,
+        cost: &[f64],
+        chain: &[f64],
+        intra: &[f64],
+        head: Option<&[f64]>,
+    ) -> (Vec<f64>, Vec<usize>) {
+        let rows = cost.len() / cols;
+        let mut out_cost = vec![f64::NAN; rows * new_cols];
+        let mut out_choice = vec![usize::MAX; rows * new_cols];
+        for r in 0..rows {
+            let cells = r * new_cols..(r + 1) * new_cols;
+            extend_row_argmin(
+                &cost[r * cols..(r + 1) * cols],
+                chain,
+                intra,
+                head.map(|h| &h[cells.clone()]),
+                &mut out_cost[cells.clone()],
+                &mut out_choice[cells],
+            );
+        }
+        (out_cost, out_choice)
+    }
+
+    /// The lane-tiled [`merge_tables`] into a fresh plane, with the
+    /// candidates it relaxed.
     #[allow(clippy::too_many_arguments)]
     fn merge(
         threads: usize,
@@ -716,32 +613,13 @@ mod tests {
         right: &[f64],
         mid: &[f64],
         span: Option<&[f64]>,
-    ) -> Planes {
+    ) -> (Vec<f64>, u64) {
         let mut busy = vec![0.0; threads.max(1)];
-        let mut busy32 = busy.clone();
-        at_both_widths(
-            rows * cols,
-            |out_cost, out_choice| {
-                merge_tables(
-                    threads, rows, k, cols, left, right, mid, span, out_cost, out_choice, &mut busy,
-                )
-            },
-            |out_cost, out_choice| {
-                merge_tables(
-                    threads,
-                    rows,
-                    k,
-                    cols,
-                    left,
-                    right,
-                    mid,
-                    span,
-                    out_cost,
-                    out_choice,
-                    &mut busy32,
-                )
-            },
-        )
+        let mut out = vec![f64::NAN; rows * cols];
+        let visited = merge_tables(
+            threads, rows, k, cols, left, right, mid, span, &mut out, &mut busy,
+        );
+        (out, visited)
     }
 
     /// Oracle: the scalar merge row over every row, serially.
@@ -752,10 +630,10 @@ mod tests {
         right: &[f64],
         mid: &[f64],
         span: Option<&[f64]>,
-    ) -> (Vec<f64>, Vec<u32>) {
+    ) -> (Vec<f64>, Vec<usize>) {
         let rows = left.len() / k;
         let mut out_cost = vec![f64::NAN; rows * cols];
-        let mut out_choice = vec![u32::MAX; rows * cols];
+        let mut out_choice = vec![usize::MAX; rows * cols];
         for r in 0..rows {
             merge_row_scalar(
                 &left[r * k..(r + 1) * k],
@@ -767,6 +645,26 @@ mod tests {
             );
         }
         (out_cost, out_choice)
+    }
+
+    /// [`merge_argmin`] over every cell, the span edge added after it as
+    /// the kernel does.
+    fn merge_cells(
+        k: usize,
+        cols: usize,
+        left: &[f64],
+        right: &[f64],
+        mid: &[f64],
+        span: Option<&[f64]>,
+    ) -> (Vec<f64>, Vec<usize>) {
+        let rows = left.len() / k;
+        (0..rows * cols)
+            .map(|cell| {
+                let (r, c) = (cell / cols, cell % cols);
+                let (m, best) = merge_argmin(&left[r * k..(r + 1) * k], right, mid, cols, c);
+                (span.map_or(best, |e| best + e[cell]), m)
+            })
+            .unzip()
     }
 
     /// Oracle: the scalar join row over every row, serially.
@@ -790,13 +688,11 @@ mod tests {
             let head = noise(rows * new_cols, 4);
             for (head_opt, threads) in [(None, 0usize), (Some(&head), 0), (Some(&head), 3)] {
                 let head_opt = head_opt.map(|h: &Vec<f64>| h.as_slice());
-                let (c_scalar, ch_scalar) =
-                    extend_scalar(cols, new_cols, &cost, &chain, &intra, head_opt);
-                let (c_lanes, ch_lanes, _) = extend(
+                let (c_scalar, _) = extend_scalar(cols, new_cols, &cost, &chain, &intra, head_opt);
+                let (c_lanes, _) = extend(
                     threads, rows, cols, new_cols, &cost, &chain, &intra, head_opt,
                 );
                 assert_bitwise(&c_scalar, &c_lanes);
-                assert_eq!(ch_scalar, ch_lanes);
             }
         }
     }
@@ -804,18 +700,20 @@ mod tests {
     #[test]
     fn extension_ties_pick_the_earliest_state() {
         // A constant landscape makes every interior state tie: the argmin
-        // must stay at p = 0 in both variants (strict `<` discipline).
+        // must stay at p = 0 in both argmin scans (strict `<` discipline),
+        // and the kernel's costs are theirs.
         let (rows, cols, new_cols) = (2, 6, 19);
         let cost = vec![1.0; rows * cols];
         let chain = vec![2.0; cols * new_cols];
         let intra = vec![0.5; new_cols];
-        let (c_lanes, ch_lanes, _) = extend(1, rows, cols, new_cols, &cost, &chain, &intra, None);
+        let (c_lanes, _) = extend(1, rows, cols, new_cols, &cost, &chain, &intra, None);
+        assert!(c_lanes.iter().all(|&v| v == 3.5));
         for (c, ch) in [
             extend_scalar(cols, new_cols, &cost, &chain, &intra, None),
-            (c_lanes, ch_lanes),
+            extend_argmin(cols, new_cols, &cost, &chain, &intra, None),
         ] {
             assert!(ch.iter().all(|&p| p == 0));
-            assert!(c.iter().all(|&v| v == 3.5));
+            assert_bitwise(&c, &c_lanes);
         }
     }
 
@@ -829,31 +727,26 @@ mod tests {
             let span = noise(rows * cols, 13);
             for (span_opt, threads) in [(None, 0usize), (Some(&span), 0), (Some(&span), 4)] {
                 let span_opt = span_opt.map(|s: &Vec<f64>| s.as_slice());
-                let (c_scalar, ch_scalar) = merge_scalar(k, cols, &left, &right, &mid, span_opt);
-                let (c_lanes, ch_lanes, _) =
-                    merge(threads, rows, k, cols, &left, &right, &mid, span_opt);
+                let (c_scalar, _) = merge_scalar(k, cols, &left, &right, &mid, span_opt);
+                let (c_lanes, _) = merge(threads, rows, k, cols, &left, &right, &mid, span_opt);
                 assert_bitwise(&c_scalar, &c_lanes);
-                assert_eq!(ch_scalar, ch_lanes);
             }
         }
     }
 
-    /// Checks the extension kernel against the scalar oracle bitwise —
-    /// costs and choices, with and without a head plane, serial and on 3
-    /// workers — and returns the candidates it relaxed.
+    /// Checks the extension kernel's costs against the scalar oracle
+    /// bitwise — with and without a head plane, serial and on 3 workers —
+    /// and returns the candidates it relaxed.
     fn check_extension(cols: usize, new_cols: usize, cost: &[f64], chain: &[f64]) -> u64 {
         let rows = cost.len() / cols;
         let intra = noise(new_cols, 30);
         let head = noise(rows * new_cols, 31);
         let mut visited = Vec::new();
         for head_opt in [None, Some(head.as_slice())] {
-            let (c_scalar, ch_scalar) =
-                extend_scalar(cols, new_cols, cost, chain, &intra, head_opt);
+            let (c_scalar, _) = extend_scalar(cols, new_cols, cost, chain, &intra, head_opt);
             for threads in [0, 3] {
-                let (c, ch, v) =
-                    extend(threads, rows, cols, new_cols, cost, chain, &intra, head_opt);
+                let (c, v) = extend(threads, rows, cols, new_cols, cost, chain, &intra, head_opt);
                 assert_bitwise(&c_scalar, &c);
-                assert_eq!(ch_scalar, ch);
                 visited.push(v);
             }
         }
@@ -869,11 +762,10 @@ mod tests {
         let span = noise(rows * cols, 32);
         let mut visited = Vec::new();
         for span_opt in [None, Some(span.as_slice())] {
-            let (c_scalar, ch_scalar) = merge_scalar(k, cols, left, right, mid, span_opt);
+            let (c_scalar, _) = merge_scalar(k, cols, left, right, mid, span_opt);
             for threads in [0, 3] {
-                let (c, ch, v) = merge(threads, rows, k, cols, left, right, mid, span_opt);
+                let (c, v) = merge(threads, rows, k, cols, left, right, mid, span_opt);
                 assert_bitwise(&c_scalar, &c);
-                assert_eq!(ch_scalar, ch);
                 visited.push(v);
             }
         }
@@ -996,9 +888,9 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// Eq. 12: the lane-tiled Bellman extension is bitwise-identical
-            /// to the scalar sweep — costs and argmin choices — on random
-            /// cost matrices of random shapes, serial and threaded.
+            /// Eq. 12: the lane-tiled Bellman extension's costs are
+            /// bitwise-identical to the scalar sweep's on random cost
+            /// matrices of random shapes, serial and threaded.
             #[test]
             fn vectorized_extension_is_bitwise_on_random_matrices(
                 rows in 1usize..8,
@@ -1010,12 +902,9 @@ mod tests {
                 let (cost, rest) = pool.split_at(rows * cols);
                 let (chain, rest) = rest.split_at(cols * new_cols);
                 let intra = &rest[..new_cols];
-                let (c_scalar, ch_scalar) =
-                    extend_scalar(cols, new_cols, cost, chain, intra, None);
-                let (c_lanes, ch_lanes, _) =
-                    extend(threads, rows, cols, new_cols, cost, chain, intra, None);
+                let (c_scalar, _) = extend_scalar(cols, new_cols, cost, chain, intra, None);
+                let (c_lanes, _) = extend(threads, rows, cols, new_cols, cost, chain, intra, None);
                 assert_bitwise(&c_scalar, &c_lanes);
-                prop_assert_eq!(ch_scalar, ch_lanes);
             }
 
             /// Eqs. 12–13 on tie-heavy inputs: entries from four levels, so
@@ -1045,31 +934,29 @@ mod tests {
                 check_merge(cols, new_cols, table, matrix, &rest[..cols]);
             }
 
-            /// Eq. 12 costs-only: [`bellman_costs`] writes
-            /// [`bellman_extend`]'s cost bits and relaxes as many
-            /// candidates, and a one-row [`bellman_extend`] call on any
-            /// row alone (the backtrack's re-sweep) reproduces that row's
-            /// costs and choices. Widths fall below `LANES` and leave
-            /// tails; the table is continuous, tied (four levels, so rows
-            /// scan densely) or one cheap state per row (rows the bound
-            /// narrows); an `+∞` table entry or a NaN in the chain turns
-            /// the bound off; head rows are present or absent.
+            /// The backtrack's argmins: [`extend_row_argmin`] (the
+            /// re-sweep's row) and [`merge_argmin`] (one merged cell) equal
+            /// [`extend_row_scalar`] and [`merge_row_scalar`], costs and
+            /// choices bit for bit, and their costs are the kernels'. Widths
+            /// fall below `LANES` and leave tails; the tables are
+            /// continuous, tied (four levels) or one cheap state per row;
+            /// an `+∞` lands in a table, an edge matrix or a whole table
+            /// row; head rows and span edges are present or absent.
             #[test]
-            fn costs_only_and_one_row_sweeps_match_the_argmin_kernel(
+            fn backtrack_argmins_match_the_scalar_oracles(
                 rows in 1usize..6,
                 cols in 1usize..12,
                 new_cols in 1usize..20,
                 regime in 0u8..3,
-                poison in 0u8..3,
+                poison in 0u8..4,
                 poison_at in 0usize..1000,
-                with_head in 0u8..2,
-                threads in 0usize..4,
+                with_edge in 0u8..2,
                 pool in entries(5 * 11 + 11 * 19 + 19 + 5 * 19),
             ) {
                 let (table, rest) = pool.split_at(rows * cols);
-                let (chain, rest) = rest.split_at(cols * new_cols);
+                let (matrix, rest) = rest.split_at(cols * new_cols);
                 let (intra, rest) = rest.split_at(new_cols);
-                let head = (with_head == 1).then_some(&rest[..rows * new_cols]);
+                let edge = (with_edge == 1).then_some(&rest[..rows * new_cols]);
                 let mut table = match regime {
                     0 => table.to_vec(),
                     1 => table.iter().map(|v| (v / 250_000.0).floor()).collect(),
@@ -1077,46 +964,40 @@ mod tests {
                         .map(|i| if i % cols == (i / cols * 5) % cols { 0.0 } else { 1e7 })
                         .collect(),
                 };
-                let mut chain = chain.to_vec();
+                let mut matrix = matrix.to_vec();
                 match poison {
                     1 => table[poison_at % (rows * cols)] = f64::INFINITY,
-                    2 => chain[poison_at % (cols * new_cols)] = f64::NAN,
+                    2 => matrix[poison_at % (cols * new_cols)] = f64::INFINITY,
+                    3 => {
+                        let r = poison_at % rows;
+                        table[r * cols..(r + 1) * cols].fill(f64::INFINITY);
+                    }
                     _ => {}
                 }
-                let mut busy = vec![0.0; 4];
-                let mut full = vec![f64::NAN; rows * new_cols];
-                let mut choice = vec![u32::MAX; rows * new_cols];
-                let visited = bellman_extend(
-                    threads, rows, cols, new_cols, &table, &chain, intra, head, &mut full,
-                    &mut choice, &mut busy,
-                );
-                let mut costs = vec![f64::NAN; rows * new_cols];
-                let costs_visited = bellman_costs(
-                    threads, rows, cols, new_cols, &table, &chain, intra, head, &mut costs,
-                    &mut busy,
-                );
-                assert_bitwise(&full, &costs);
-                prop_assert_eq!(visited, costs_visited);
-                for r in 0..rows {
-                    let cells = r * new_cols..(r + 1) * new_cols;
-                    let mut row_cost = vec![f64::NAN; new_cols];
-                    let mut row_choice = vec![u32::MAX; new_cols];
-                    bellman_extend(
-                        1,
-                        1,
-                        cols,
-                        new_cols,
-                        &table[r * cols..(r + 1) * cols],
-                        &chain,
-                        intra,
-                        head.map(|h| &h[cells.clone()]),
-                        &mut row_cost,
-                        &mut row_choice,
-                        &mut busy,
-                    );
-                    assert_bitwise(&full[cells.clone()], &row_cost);
-                    prop_assert_eq!(&choice[cells], row_choice.as_slice());
-                }
+                let (table, matrix) = (table.as_slice(), matrix.as_slice());
+
+                // Eq. 12, the re-sweep's row: `matrix` is the chain plane.
+                let (c_scalar, ch_scalar) =
+                    extend_scalar(cols, new_cols, table, matrix, intra, edge);
+                let (c_argmin, ch_argmin) =
+                    extend_argmin(cols, new_cols, table, matrix, intra, edge);
+                assert_bitwise(&c_scalar, &c_argmin);
+                prop_assert_eq!(ch_scalar, ch_argmin);
+                let (c_kernel, _) = extend(2, rows, cols, new_cols, table, matrix, intra, edge);
+                assert_bitwise(&c_kernel, &c_argmin);
+
+                // Eq. 13, one merged cell: `table` is the left table over
+                // `cols` mid states, `matrix` the right one.
+                let mid = &intra[..cols.min(new_cols)];
+                let k = mid.len();
+                let left: Vec<f64> = table.chunks(cols).flat_map(|r| r[..k].to_vec()).collect();
+                let right = &matrix[..k * new_cols];
+                let (c_scalar, ch_scalar) = merge_scalar(k, new_cols, &left, right, mid, edge);
+                let (c_cell, ch_cell) = merge_cells(k, new_cols, &left, right, mid, edge);
+                assert_bitwise(&c_scalar, &c_cell);
+                prop_assert_eq!(ch_scalar, ch_cell);
+                let (c_kernel, _) = merge(2, rows, k, new_cols, &left, right, mid, edge);
+                assert_bitwise(&c_kernel, &c_cell);
             }
 
             /// Eq. 13: the merge, with and without a span-edge plane.
@@ -1132,11 +1013,9 @@ mod tests {
                 let (right, rest) = rest.split_at(k * cols);
                 let (mid, rest) = rest.split_at(k);
                 let span_opt = (with_span == 1).then_some(&rest[..rows * cols]);
-                let (c_scalar, ch_scalar) = merge_scalar(k, cols, left, right, mid, span_opt);
-                let (c_lanes, ch_lanes, _) =
-                    merge(2, rows, k, cols, left, right, mid, span_opt);
+                let (c_scalar, _) = merge_scalar(k, cols, left, right, mid, span_opt);
+                let (c_lanes, _) = merge(2, rows, k, cols, left, right, mid, span_opt);
                 assert_bitwise(&c_scalar, &c_lanes);
-                prop_assert_eq!(ch_scalar, ch_lanes);
             }
 
             /// Eq. 14: the layer-doubling join, including unreachable

@@ -179,14 +179,14 @@ pub struct PlannerMetrics {
     /// Process peak resident set size (`VmHWM`) sampled at the end of the
     /// run, in bytes; 0 where the platform has no cheap probe.
     pub peak_rss_bytes: u64,
-    /// Bytes of the DP's two arenas — the compacted edge planes and the
-    /// merges' backtrack choice planes — predicted in closed form from the
-    /// post-prune space sizes and the segments before either is allocated
-    /// (last round). The Bellman sweeps store no choices: the backtrack
-    /// re-sweeps one row per segment in the compose stage, in buffers
-    /// outside the arenas.
+    /// Bytes of the DP's edge arena — the compacted edge planes — predicted
+    /// in closed form from the post-prune space sizes before it is
+    /// allocated (last round). The DP stores no backtrack choices: the
+    /// compose stage recomputes each argmin it needs, re-sweeping one row
+    /// per segment and rescanning one cell per merge, in buffers outside
+    /// the arena.
     pub arena_bytes: u64,
-    /// Bytes those two arenas actually held once the merges were done (last
+    /// Bytes the edge arena actually held once the merges were done (last
     /// round); equal to [`arena_bytes`](Self::arena_bytes).
     pub arena_bytes_allocated: u64,
     /// Distinct compacted edge planes the DP read (last round): pairs with

@@ -11,7 +11,7 @@
 //!    and share the result — and **LRU eviction** under a configurable
 //!    memory budget ([`CacheConfig::memory_budget_bytes`]).
 //! 2. **Edge-matrix warm cache** — a
-//!    [`PlannerWarmCache`](primepar_search::PlannerWarmCache) shared by
+//!    [`PlannerWarmCache`] shared by
 //!    every planner run. Its side profiles and volume planes are keyed by
 //!    layout alone — model shape, device count and space, never the
 //!    cluster's links or α — so *similar* requests reuse the expensive

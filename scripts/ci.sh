@@ -391,5 +391,8 @@ cmp "$artifacts/cli_sweep.txt" results/cli_sweep.txt \
 echo "== cargo doc (whole workspace, -D warnings) =="
 # Broken or private intra-doc links anywhere in the workspace fail the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline >/dev/null
+# Again over private items: a link from an internal doc to a deleted or
+# test-only item fails here too.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items --offline >/dev/null
 
 echo "CI gate passed."

@@ -52,6 +52,13 @@ fn small_request(id: &str) -> PlanRequest {
         .build()
 }
 
+/// The Table-2 point (OPT-6.7B, 16 devices, batch 8, sequence 2048): it
+/// plans cold about 25 times slower than [`small_request`], so it holds a
+/// worker while the frames after it are read.
+fn expensive_request(id: &str) -> PlanRequest {
+    PlanRequest::builder("opt-6.7b").id(id).devices(16).build()
+}
+
 fn response_lines(stdout: &str) -> Vec<Json> {
     stdout
         .lines()
@@ -241,7 +248,9 @@ fn interleaved_cancels_stay_in_band_under_load() {
     // client id. Both must answer in-band as cancelled, and the session must
     // keep serving afterwards.
     let mut input = String::new();
-    for id in ["busy", "doomed-rid", "doomed-id"] {
+    input.push_str(&request_json(&expensive_request("busy")).render());
+    input.push('\n');
+    for id in ["doomed-rid", "doomed-id"] {
         input.push_str(&request_json(&small_request(id)).render());
         input.push('\n');
     }
@@ -294,12 +303,7 @@ fn interleaved_cancels_stay_in_band_under_load() {
 fn cheap_requests_overtake_expensive_ones_out_of_order() {
     // Two workers, an expensive request submitted before a cheap one: the
     // cheap response must be emitted first, correlated by request_id.
-    let slow = PlanRequest::builder("opt-6.7b")
-        .id("slow")
-        .devices(8)
-        .seq(1024)
-        .layers(Some(4))
-        .build();
+    let slow = expensive_request("slow");
     let mut input = String::new();
     input.push_str(&request_json(&slow).render());
     input.push('\n');
