@@ -9,10 +9,11 @@
 //! silent correctness hazard for every figure in the reproduction.
 //!
 //! [`audit_layer`] makes the comparison explicit: it prices a plan with the
-//! cost model, simulates it, attributes the simulated timeline back to the
-//! model's components — per-operator compute / exposed ring / all-reduce,
-//! per-edge redistribution, layer-level peak memory — and reports the drift
-//! of every component as an [`AuditReport`]. [`render_audit`] prints the
+//! cost model, simulates it, and sets each of the model's components beside
+//! the walk's own record of it — per-operator compute / exposed ring /
+//! all-reduce from [`LayerReport::op_breakdown`], per-edge redistribution
+//! from [`LayerReport::edge_seconds`], layer-level peak memory — reporting
+//! the drift of every component as an [`AuditReport`]. [`render_audit`] prints the
 //! ASCII drift table, [`audit_metrics`] folds it into an
 //! [`primepar_obs::Metrics`] document, and [`plan_comm_volume`] derives the
 //! plan's analytic wire-byte volume, against which the simulator's
@@ -41,7 +42,7 @@ use primepar_cost::{CostCtx, PlanGeometry};
 use primepar_graph::Graph;
 use primepar_obs::Metrics;
 use primepar_partition::{PartitionSeq, Phase};
-use primepar_sim::{simulate_layer, EventKind, LayerReport};
+use primepar_sim::{simulate_layer, LayerReport};
 use primepar_topology::Cluster;
 
 /// Drift below this relative magnitude is considered agreement in
@@ -130,7 +131,7 @@ pub struct AuditRow {
     /// metrics; migration costing does not read it
     /// ([`primepar_cost::migration_seconds`] charges one exchange).
     pub corrected: f64,
-    /// The simulated timeline's value.
+    /// The simulator's value, as the walk recorded it.
     pub simulated: f64,
 }
 
@@ -232,16 +233,8 @@ fn segment_of(segments: &[(usize, usize)], op: usize) -> usize {
         .unwrap_or(0)
 }
 
-/// Simulated per-operator component sums reconstructed from the timeline.
-#[derive(Default, Clone)]
-struct SimOpSums {
-    compute: f64,
-    ring_exposed: f64,
-    allreduce: f64,
-}
-
-/// Prices `seqs` with the cost model, simulates it, and attributes the
-/// simulated timeline back to the model's components.
+/// Prices `seqs` with the cost model, simulates it, and pairs each
+/// component with the walk's per-operator and per-edge record of it.
 ///
 /// `alpha` is the Eq. 7 memory weight — it scales the model's *scalar*
 /// objective but none of the time components, so it only affects the audit's
@@ -261,52 +254,17 @@ pub fn audit_layer(
     let sim = simulate_layer(cluster, graph, seqs);
     let segments = graph.segments();
 
-    // Attribute the timeline: per-op compute/allreduce sums, exposed ring
-    // reconstructed by pairing each Ring span with the Compute span it
-    // overlaps (same operator, start and phase), per-edge redistribution by
-    // the `"src->dst fwd|bwd"` span names.
-    let mut op_sums: BTreeMap<&str, SimOpSums> = BTreeMap::new();
-    let mut edge_sums: BTreeMap<String, f64> = BTreeMap::new();
-    for (i, ev) in sim.timeline.iter().enumerate() {
-        match ev.kind {
-            EventKind::Compute => {
-                op_sums.entry(&ev.op).or_default().compute += ev.duration;
-            }
-            EventKind::Ring => {
-                let paired = sim.timeline[..i].iter().rev().find(|c| {
-                    c.kind == EventKind::Compute
-                        && c.op == ev.op
-                        && c.phase == ev.phase
-                        && c.start == ev.start
-                });
-                let hidden = paired.map_or(0.0, |c| c.duration);
-                op_sums.entry(&ev.op).or_default().ring_exposed += (ev.duration - hidden).max(0.0);
-            }
-            EventKind::AllReduce => {
-                op_sums.entry(&ev.op).or_default().allreduce += ev.duration;
-            }
-            EventKind::Redistribution => {
-                let label = ev
-                    .op
-                    .trim_end_matches(" fwd")
-                    .trim_end_matches(" bwd")
-                    .to_string();
-                *edge_sums.entry(label).or_default() += ev.duration;
-            }
-        }
-    }
-
     let mut rows = Vec::new();
     let mut predicted_layer_time = 0.0;
     for (i, (op, op_geometry)) in graph.ops.iter().zip(&geometry.ops).enumerate() {
         let ic = ctx.price_intra(op_geometry);
         predicted_layer_time += ic.latency;
-        let sums = op_sums.get(op.name.as_str()).cloned().unwrap_or_default();
+        let simulated = &sim.op_breakdown[i];
         let seg = segment_of(&segments, i);
         for (component, predicted, simulated) in [
-            ("compute", ic.compute, sums.compute),
-            ("ring_exposed", ic.ring_exposed, sums.ring_exposed),
-            ("allreduce", ic.allreduce, sums.allreduce),
+            ("compute", ic.compute, simulated.compute),
+            ("ring_exposed", ic.ring_exposed, simulated.ring_exposed),
+            ("allreduce", ic.allreduce, simulated.collective),
         ] {
             rows.push(AuditRow {
                 label: op.name.clone(),
@@ -319,24 +277,24 @@ pub fn audit_layer(
         }
     }
     // Parallel edges sharing a (src, dst) pair (e.g. qkv feeding qk twice,
-    // as Q and as K) fold into one row: the simulator names redistribution
-    // spans `"src->dst"` only, so the simulated side cannot be split per
-    // edge — compare it against the summed predicted cost instead.
+    // as Q and as K) fold into one `"src->dst"` row, each side summed over
+    // the pair in edge order.
     let mut edge_rows: Vec<AuditRow> = Vec::new();
     let mut edge_index: BTreeMap<String, usize> = BTreeMap::new();
-    for (edge, &bytes) in graph.edges.iter().zip(&geometry.edge_bytes) {
+    for (e, (edge, &bytes)) in graph.edges.iter().zip(&geometry.edge_bytes).enumerate() {
         let predicted = ctx.redistribution_time(bytes);
         // The simulator-consistent charge: each direction pays its own
-        // latency term (the PR-3 double-charge, priced explicitly).
+        // latency term (the known double-charge, priced explicitly).
         let corrected = ctx.redistribution_time_split(bytes);
+        let simulated = sim.edge_seconds[e];
         predicted_layer_time += predicted;
         let label = format!("{}->{}", graph.ops[edge.src].name, graph.ops[edge.dst].name);
         if let Some(&i) = edge_index.get(&label) {
             edge_rows[i].predicted += predicted;
             edge_rows[i].corrected += corrected;
+            edge_rows[i].simulated += simulated;
         } else {
             edge_index.insert(label.clone(), edge_rows.len());
-            let simulated = edge_sums.get(&label).copied().unwrap_or(0.0);
             edge_rows.push(AuditRow {
                 label,
                 segment: segment_of(&segments, edge.src),
@@ -543,8 +501,8 @@ mod tests {
     #[test]
     fn parallel_edges_fold_into_one_row() {
         // The full-layer graph feeds qkv into qk twice (Q and K inputs);
-        // the audit must sum both predicted costs against the one simulated
-        // `"qkv->qk"` span family instead of double-reading it.
+        // the audit folds both edges' predicted, corrected and simulated
+        // seconds into the one `"qkv->qk"` row.
         let cluster = Cluster::v100_like(4);
         let graph = ModelConfig::opt_6_7b().layer_graph(8, 256);
         let parallel = graph
@@ -565,6 +523,9 @@ mod tests {
             assert!(r.simulated >= r.predicted - 1e-12);
             assert!(r.rel_drift() < 0.5, "drift {} too large", r.rel_drift());
         }
+        // Both sides fold the pair in edge order: the simulated sum is the
+        // corrected one, bit for bit.
+        assert_eq!(r.simulated.to_bits(), r.corrected.to_bits());
     }
 
     #[test]
@@ -631,20 +592,22 @@ mod tests {
                     r.simulated,
                     r.predicted
                 );
-                // The corrected column re-prices the gap exactly: against it
-                // the drift vanishes.
                 assert!(
                     r.corrected >= r.predicted,
                     "{}: corrected below predicted",
                     r.label
                 );
-                assert!(
-                    r.corrected_drift().abs() < 1e-9,
-                    "{}: corrected drift {} should be ~0",
-                    r.label,
-                    r.corrected_drift()
-                );
             }
+            // The corrected column re-prices the gap exactly: it is the
+            // simulated value, bit for bit.
+            assert_eq!(
+                r.simulated.to_bits(),
+                r.corrected.to_bits(),
+                "{}: corrected {} vs simulated {}",
+                r.label,
+                r.corrected,
+                r.simulated
+            );
         }
         // Megatron's row/column splits on the MLP block do redistribute.
         assert!(travelled > 0, "fixture should exercise redistribution");

@@ -111,7 +111,7 @@ fn memory_timeline_peak_matches_the_report() {
 
 /// Regression for the redistribution latency double-charge: the corrected
 /// audit column must price travelled edges exactly as the simulator executes
-/// them (per-direction latency terms), leaving zero residual drift — across
+/// them (per-direction latency terms), bit for bit — across
 /// ideal and perturbed clusters alike. Migration costing (`cost::migration`,
 /// the replan decision's numerator) relies on this consistency: its charge
 /// is the single-exchange model, and the corrected column proves the only
@@ -130,16 +130,16 @@ fn corrected_redistribution_column_eliminates_the_double_charge_drift() {
             {
                 // Corrected never undercuts the planner's single-charge model.
                 assert!(r.corrected >= r.predicted - 1e-12, "{}", r.label);
+                assert_eq!(
+                    r.simulated.to_bits(),
+                    r.corrected.to_bits(),
+                    "{}: corrected {} vs simulated {}",
+                    r.label,
+                    r.corrected,
+                    r.simulated
+                );
                 if r.simulated > 0.0 {
                     travelled += 1;
-                    assert!(
-                        r.corrected_drift().abs() < 1e-9,
-                        "{}: corrected {} vs simulated {} (residual drift {})",
-                        r.label,
-                        r.corrected,
-                        r.simulated,
-                        r.corrected_drift()
-                    );
                 }
             }
             assert!(travelled > 0, "fixture should exercise redistribution");

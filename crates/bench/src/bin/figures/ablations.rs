@@ -125,7 +125,6 @@ pub fn run(opts: &Opts) {
             tokens,
             &primepar::sim::SimOptions {
                 recompute_activations: recompute,
-                ..primepar::sim::SimOptions::default()
             },
         );
         metrics.gauge(

@@ -28,9 +28,12 @@
 //! ```
 //!
 //! v2 removed the deprecated pre-service free functions (`optimize`,
-//! `optimize_instrumented`, `simulate_layer_with`, `simulate_model_robust`);
-//! their engines are re-exported under [`crate::search`] and [`crate::sim`]
-//! for borrowed-input callers, and the request types cover everything else.
+//! `optimize_instrumented`, `simulate_layer_with` and its robust model
+//! variant); their engines are re-exported under [`crate::search`] and
+//! [`crate::sim`] for borrowed-input callers (a robust run is
+//! `sim::simulate_model_with` plus `sim::robustness_sweep`, whose report
+//! [`SimResponse::robustness`] carries for a served request), and the
+//! request types cover everything else.
 //! See `CHANGELOG.md` for the migration table.
 
 #[cfg(unix)]

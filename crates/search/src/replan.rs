@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use primepar_cost::{failover_traffic, migration_seconds, migration_traffic, CostCtx};
 use primepar_graph::Graph;
 use primepar_partition::PartitionSeq;
-use primepar_sim::{simulate_elastic, ElasticAction, ElasticEvent, ElasticReport, SimOptions};
+use primepar_sim::{simulate_elastic, ElasticAction, ElasticEvent, ElasticReport};
 use primepar_topology::{AppliedPerturbation, Cluster};
 
 use crate::{
@@ -401,13 +401,14 @@ pub struct ElasticRunReport {
 /// into [`primepar_sim::simulate_elastic`]. The elastic policy amortizes
 /// each decision over the iterations actually remaining at the event (not
 /// `opts.horizon_iterations`); the planner configuration and warm cache are
-/// shared by every planner run the policy makes.
+/// shared by every planner run the policy makes. Iterations are simulated
+/// with the default `SimOptions` (no activation recomputation).
 ///
 /// # Panics
 ///
 /// Panics on the same malformed inputs as
 /// [`primepar_sim::simulate_elastic`].
-#[allow(clippy::too_many_arguments)] // the full workload description, like the sim entry point
+#[allow(clippy::too_many_arguments)] // the full workload description, like the planner entry points
 pub fn run_elastic(
     cluster: &Cluster,
     graph: &Graph,
@@ -420,7 +421,6 @@ pub fn run_elastic(
     warm: Option<&PlannerWarmCache>,
 ) -> ElasticRunReport {
     let mut outcomes = Vec::with_capacity(events.len());
-    let sim_options = SimOptions::default();
     let report = simulate_elastic(
         cluster,
         graph,
@@ -428,7 +428,6 @@ pub fn run_elastic(
         layers,
         total_iterations,
         events,
-        &sim_options,
         |ctx| {
             let outcome = match policy {
                 ElasticPolicy::Never => ReplanOutcome::stay(Vec::new(), Duration::ZERO),

@@ -27,7 +27,7 @@ use primepar_search::{
     MigrationDecision, ModelPlan, PlannerMetrics, PlannerOptions, ReplanOptions, ReplanOutcome,
     SearchStrategy, SpaceOptions,
 };
-use primepar_sim::{ModelReport, RobustnessOptions, SimOptions};
+use primepar_sim::{ModelReport, RobustnessOptions, RobustnessReport, SimOptions};
 use primepar_topology::{AppliedPerturbation, PerturbationModel};
 
 use crate::Error;
@@ -488,7 +488,6 @@ impl SimRequest {
         let resolved = self.plan.resolve()?;
         let sim = SimOptions {
             recompute_activations: self.recompute_activations,
-            perturbation: None,
         };
         let sweep = if self.scenarios == 0 {
             None
@@ -521,9 +520,10 @@ pub struct SimResponse {
     pub id: String,
     /// Fingerprint of the plan that was simulated.
     pub fingerprint: String,
-    /// The simulated iteration; `report.layer.robustness` carries the sweep
-    /// when one was requested.
+    /// The simulated iteration on the ideal cluster.
     pub report: ModelReport,
+    /// The robustness sweep of the plan, when one was requested.
+    pub robustness: Option<RobustnessReport>,
     /// Cache accounting of the underlying plan lookup.
     pub cache: CacheOutcome,
     /// Wall-clock service time of this request.

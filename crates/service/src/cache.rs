@@ -40,7 +40,8 @@ use primepar_search::{
     SearchInterrupt, WarmStats,
 };
 use primepar_sim::{
-    robustness_sweep, simulate_model_with, ModelReport, RobustnessOptions, SimOptions,
+    robustness_sweep, simulate_model_with, ModelReport, RobustnessOptions, RobustnessReport,
+    SimOptions,
 };
 use primepar_topology::Cluster;
 
@@ -287,6 +288,7 @@ impl WarmCache {
                 let (cached, outcome) = self.lookup(&resolved, trace, interrupt);
                 let sim = req.simulate.then(|| {
                     self.simulate(trace, &resolved, &cached, &SimOptions::default(), None)
+                        .0
                 });
                 Response::Plan(Box::new(PlanResponse {
                     id: req.id.clone(),
@@ -308,11 +310,13 @@ impl WarmCache {
             Request::Sim(req) => {
                 let (resolved, opts, sweep) = req.resolve()?;
                 let (cached, outcome) = self.lookup(&resolved, trace, interrupt);
-                let report = self.simulate(trace, &resolved, &cached, &opts, sweep.as_ref());
+                let (report, robustness) =
+                    self.simulate(trace, &resolved, &cached, &opts, sweep.as_ref());
                 Response::Sim(Box::new(SimResponse {
                     id: req.id.clone(),
                     fingerprint: resolved.fingerprint(),
                     report,
+                    robustness,
                     cache: self.outcome(outcome, planned_warm(outcome, &cached.metrics)),
                     elapsed: start.elapsed(),
                 }))
@@ -420,17 +424,15 @@ impl WarmCache {
         cached: &CachedPlan,
         opts: &SimOptions,
         sweep: Option<&RobustnessOptions>,
-    ) -> ModelReport {
+    ) -> (ModelReport, Option<RobustnessReport>) {
         let (cluster, graph) = self.scene(resolved);
         let seqs = &cached.plan.seqs;
         let tokens = (resolved.batch * resolved.seq) as f64;
-        let mut report = traced(trace, "sim.simulate", || {
+        let report = traced(trace, "sim.simulate", || {
             simulate_model_with(&cluster, &graph, seqs, resolved.layers, tokens, opts)
         });
-        if let Some(sweep) = sweep {
-            report.layer.robustness = Some(robustness_sweep(&cluster, &graph, seqs, sweep));
-        }
-        report
+        let robustness = sweep.map(|sweep| robustness_sweep(&cluster, &graph, seqs, sweep));
+        (report, robustness)
     }
 
     /// Per-shard occupancy of the whole-plan memo, for the live `stats`
@@ -575,11 +577,66 @@ mod tests {
         let sim = SimRequest::of(small_request("s1")).with_sweep("mild", 2, 7);
         let first = cache.execute_sim(&sim).expect("simulates");
         assert!(!first.cache.plan_cache_hit);
-        let sweep = first.report.layer.robustness.as_ref().expect("sweep ran");
+        let sweep = first.robustness.as_ref().expect("sweep ran");
         assert_eq!(sweep.outcomes.len(), 2);
         let second = cache.execute_sim(&sim).expect("simulates");
         assert!(second.cache.plan_cache_hit);
         assert!(second.report.iteration_time > 0.0);
+    }
+
+    #[test]
+    fn sim_responses_carry_the_sweep_beside_the_report() {
+        let cache = WarmCache::new();
+        // Without a sweep there is no report, and the frame has no key.
+        let plain = cache
+            .execute_sim(&SimRequest::of(small_request("plain")))
+            .expect("simulates");
+        assert!(plain.robustness.is_none());
+        let frame = crate::protocol::sim_response_json(&plain);
+        assert!(frame.get("robustness").is_none());
+
+        // A sweep under recomputation is the direct sweep, bit for bit.
+        let mut req = SimRequest::of(small_request("swept")).with_sweep("harsh", 3, 11);
+        req.recompute_activations = true;
+        let swept = cache.execute_sim(&req).expect("simulates");
+        let seqs = cache
+            .execute_plan(&small_request("plan"))
+            .expect("plans")
+            .plan
+            .seqs;
+        let (cluster, graph) = (
+            Cluster::v100_like(4),
+            primepar_graph::ModelConfig::opt_6_7b().layer_graph(8, 512),
+        );
+        let opts = RobustnessOptions {
+            model: primepar_topology::PerturbationModel::harsh(),
+            scenarios: 3,
+            base_seed: 11,
+            sim: SimOptions {
+                recompute_activations: true,
+            },
+        };
+        let direct = robustness_sweep(&cluster, &graph, &seqs, &opts);
+        let served = swept.robustness.as_ref().expect("sweep ran");
+        assert_eq!(served, &direct);
+        let render = |r: &RobustnessReport| primepar_sim::robustness_json(r).render();
+        assert_eq!(render(served), render(&direct));
+        let frame = crate::protocol::sim_response_json(&swept);
+        assert_eq!(
+            frame.get("robustness").map(|j| j.render()),
+            Some(render(&direct))
+        );
+        // The option reached the sweep: recomputation moves the ideal run.
+        let without = robustness_sweep(
+            &cluster,
+            &graph,
+            &seqs,
+            &RobustnessOptions {
+                sim: SimOptions::default(),
+                ..opts
+            },
+        );
+        assert_ne!(without.ideal_makespan, direct.ideal_makespan);
     }
 
     #[test]

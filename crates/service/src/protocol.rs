@@ -312,10 +312,7 @@ pub fn sim_response_json(resp: &SimResponse) -> Json {
         .with("peak_memory_bytes", report.peak_memory_bytes)
         .with("tokens_per_second", report.tokens_per_second)
         .with("cache", cache_json(&resp.cache))
-        .with_opt(
-            "robustness",
-            report.layer.robustness.as_ref().map(robustness_json),
-        )
+        .with_opt("robustness", resp.robustness.as_ref().map(robustness_json))
 }
 
 /// Encodes a [`ReplanResponse`] as a `replan_response` frame: the decision

@@ -119,7 +119,7 @@ fn mixed_kinds_are_each_answered_once_and_counters_balance() {
     ] {
         assert_eq!(f64_field(served, key).to_bits(), value.to_bits(), "{key}");
     }
-    let sweep = direct.report.layer.robustness.as_ref().expect("sweep ran");
+    let sweep = direct.robustness.as_ref().expect("sweep ran");
     assert_eq!(
         served.get("robustness").map(Json::render),
         Some(robustness_json(sweep).render())

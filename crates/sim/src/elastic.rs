@@ -144,14 +144,14 @@ impl ElasticReport {
 
 /// Runs the degradation timeline. Events must be sorted by `at_iteration`,
 /// strictly increasing, and within `(0, total_iterations)`; the policy is
-/// consulted once per event.
+/// consulted once per event. Each iteration is the SPMD walk with
+/// [`SimOptions::default`] on the cluster the latest event derived
+/// ([`Cluster::with_perturbation`]).
 ///
 /// # Panics
 ///
-/// Panics on unsorted/out-of-range events, a plan/graph length mismatch, an
-/// adopted plan of the wrong length, or `options.perturbation` being set
-/// (scenarios come from the event list here).
-#[allow(clippy::too_many_arguments)] // the full workload description, like the planner entry points
+/// Panics on unsorted/out-of-range events, a plan/graph length mismatch, or
+/// an adopted plan of the wrong length.
 pub fn simulate_elastic<F>(
     cluster: &Cluster,
     graph: &Graph,
@@ -159,7 +159,6 @@ pub fn simulate_elastic<F>(
     layers: u64,
     total_iterations: u64,
     events: &[ElasticEvent],
-    options: &SimOptions,
     mut policy: F,
 ) -> ElasticReport
 where
@@ -169,10 +168,6 @@ where
         initial_seqs.len(),
         graph.ops.len(),
         "one sequence per operator"
-    );
-    assert!(
-        options.perturbation.is_none(),
-        "elastic scenarios come from the event list, not SimOptions"
     );
     for w in events.windows(2) {
         assert!(
@@ -192,7 +187,8 @@ where
     }
 
     let iter_time = |c: &Cluster, geometry: &PlanGeometry| -> f64 {
-        simulate_layer_geometry(c, graph, geometry, options).layer_time * layers as f64
+        simulate_layer_geometry(c, graph, geometry, &SimOptions::default()).layer_time
+            * layers as f64
     };
 
     let mut segments = Vec::with_capacity(events.len() + 1);
@@ -336,16 +332,9 @@ mod tests {
     #[test]
     fn no_events_is_one_segment_of_pure_iterations() {
         let (cluster, graph, seqs) = fixture();
-        let r = simulate_elastic(
-            &cluster,
-            &graph,
-            &seqs,
-            2,
-            10,
-            &[],
-            &SimOptions::default(),
-            |_| unreachable!("no events, no decisions"),
-        );
+        let r = simulate_elastic(&cluster, &graph, &seqs, 2, 10, &[], |_| {
+            unreachable!("no events, no decisions")
+        });
         assert_eq!(r.segments.len(), 1);
         assert_eq!(r.segments[0].decision, "initial");
         assert_eq!(r.segments[0].iterations, 10);
@@ -362,16 +351,9 @@ mod tests {
             at_iteration: 4,
             perturbation: applied,
         }];
-        let r = simulate_elastic(
-            &cluster,
-            &graph,
-            &seqs,
-            2,
-            10,
-            &events,
-            &SimOptions::default(),
-            |_| ElasticAction::Stay,
-        );
+        let r = simulate_elastic(&cluster, &graph, &seqs, 2, 10, &events, |_| {
+            ElasticAction::Stay
+        });
         assert_eq!(r.segments.len(), 2);
         assert_eq!(r.decision_trace(), vec!["stay"]);
         assert_eq!(r.segments[1].start_iteration, 4);
@@ -394,23 +376,14 @@ mod tests {
             perturbation: applied.clone(),
         }];
         let bytes = 1e9;
-        let r = simulate_elastic(
-            &cluster,
-            &graph,
-            &seqs,
-            2,
-            6,
-            &events,
-            &SimOptions::default(),
-            |ctx| {
-                assert_eq!(ctx.remaining_iterations, 4);
-                assert_eq!(ctx.applied, &applied);
-                ElasticAction::Adopt {
-                    seqs: new_seqs.clone(),
-                    migration_bytes: bytes,
-                }
-            },
-        );
+        let r = simulate_elastic(&cluster, &graph, &seqs, 2, 6, &events, |ctx| {
+            assert_eq!(ctx.remaining_iterations, 4);
+            assert_eq!(ctx.applied, &applied);
+            ElasticAction::Adopt {
+                seqs: new_seqs.clone(),
+                migration_bytes: bytes,
+            }
+        });
         assert_eq!(r.decision_trace(), vec!["replan"]);
         assert_eq!(r.migration_bytes_total, bytes);
         assert!(r.migration_seconds_total > 0.0);
@@ -432,18 +405,11 @@ mod tests {
             perturbation: applied,
         }];
         let run = |_: ()| {
-            simulate_elastic(
-                &cluster,
-                &graph,
-                &seqs,
-                1,
-                5,
-                &events,
-                &SimOptions::default(),
-                |_| ElasticAction::Patch {
+            simulate_elastic(&cluster, &graph, &seqs, 1, 5, &events, |_| {
+                ElasticAction::Patch {
                     migration_bytes: 5e8,
-                },
-            )
+                }
+            })
         };
         let a = run(());
         let b = run(());
@@ -469,15 +435,8 @@ mod tests {
                 perturbation: p,
             },
         ];
-        simulate_elastic(
-            &cluster,
-            &graph,
-            &seqs,
-            1,
-            10,
-            &events,
-            &SimOptions::default(),
-            |_| ElasticAction::Stay,
-        );
+        simulate_elastic(&cluster, &graph, &seqs, 1, 10, &events, |_| {
+            ElasticAction::Stay
+        });
     }
 }

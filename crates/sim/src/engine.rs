@@ -3,12 +3,13 @@
 use primepar_cost::{CostCtx, MemoryBytes, OpGeometry, PlanGeometry};
 use primepar_graph::Graph;
 use primepar_partition::{PartitionSeq, Phase};
-use primepar_topology::{Cluster, Perturbation};
+use primepar_topology::Cluster;
 
 use crate::accounting::{indicator_link_class, redistribution_link_class, AccountingBuilder};
 use crate::{Breakdown, EventKind, LayerReport, Timeline, TimelineEvent};
 
-/// Simulation knobs.
+/// Simulation knobs. A fault/variance scenario is not one of them: simulate
+/// on [`Cluster::perturbed`] instead.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimOptions {
     /// Activation recomputation (gradient checkpointing, cf. Korthikanti et
@@ -16,10 +17,6 @@ pub struct SimOptions {
     /// after the forward pass — only the layer-boundary activation is kept —
     /// and the backward sweep re-runs each operator's forward first.
     pub recompute_activations: bool,
-    /// Seeded fault/variance scenario applied to the cluster before
-    /// simulating (see [`primepar_topology::perturb`]); `None` simulates the
-    /// ideal hardware.
-    pub perturbation: Option<Perturbation>,
 }
 
 /// Simulates one training iteration of one transformer layer under the
@@ -27,10 +24,11 @@ pub struct SimOptions {
 ///
 /// The forward pass walks operators in topological order (redistribution,
 /// then per-step compute with overlapped ring transfers, then collectives);
-/// the combined backward+gradient pass walks in reverse. Memory is traced as
-/// a running high-water mark: parameters and gradients are persistent,
-/// stashes are allocated at an operator's forward and released after its
-/// gradient, double buffers live only while their operator executes.
+/// the combined backward+gradient pass walks in reverse. Memory is sampled
+/// into the accounting's live-memory timeline, whose maximum is the peak:
+/// parameters and gradients are persistent, stashes are allocated at an
+/// operator's forward and released after its gradient, double buffers live
+/// only while their operator executes.
 ///
 /// # Panics
 ///
@@ -49,6 +47,16 @@ pub fn simulate_layer_with(
     simulate_layer_geometry(cluster, graph, &PlanGeometry::new(graph, seqs), options)
 }
 
+/// The walk's clock and every record it appends to.
+struct Walk {
+    now: f64,
+    breakdown: Breakdown,
+    op_breakdown: Vec<Breakdown>,
+    edge_seconds: Vec<f64>,
+    timeline: Timeline,
+    acct: AccountingBuilder,
+}
+
 /// [`simulate_layer_with`] over the plan's precomputed geometry
 /// ([`PlanGeometry::new`]`(graph, seqs)`), which does not depend on the
 /// cluster, so callers simulating one plan on many clusters derive it once.
@@ -58,119 +66,110 @@ pub(crate) fn simulate_layer_geometry(
     geometry: &PlanGeometry,
     options: &SimOptions,
 ) -> LayerReport {
-    // Applying a perturbation derives a degraded cluster; every downstream
-    // consumer (profiles, cost context, accounting) sees it transparently.
-    let derived;
-    let cluster = match &options.perturbation {
-        Some(p) => {
-            derived = cluster.perturbed(&p.model, p.seed);
-            &derived
-        }
-        None => cluster,
-    };
     let ctx = CostCtx::new(cluster, 0.0);
     let n_devices = cluster.num_devices();
-    let mut now = 0.0f64;
-    let mut breakdown = Breakdown::default();
-    let mut timeline: Timeline = Vec::new();
+    let mut w = Walk {
+        now: 0.0,
+        breakdown: Breakdown::default(),
+        op_breakdown: vec![Breakdown::default(); graph.ops.len()],
+        edge_seconds: vec![0.0; graph.edges.len()],
+        timeline: Vec::new(),
+        acct: AccountingBuilder::new(cluster),
+    };
 
     let mems: Vec<&MemoryBytes> = geometry.ops.iter().map(|g| &g.memory).collect();
     let persistent_bytes: f64 = mems.iter().map(|m| m.params + m.grads).sum();
     let mut live = persistent_bytes;
-    let mut peak = live;
-    let mut acct = AccountingBuilder::new(cluster);
-    acct.on_memory(0.0, live);
+    w.acct.on_memory(0.0, live);
 
-    let run_phase = |now: &mut f64,
-                     breakdown: &mut Breakdown,
-                     timeline: &mut Timeline,
-                     acct: &mut AccountingBuilder,
-                     op_index: usize,
-                     phase: Phase| {
+    let run_phase = |w: &mut Walk, op_index: usize, phase: Phase| {
         let op = &graph.ops[op_index];
         let ev = ctx.price_phase(&geometry.ops[op_index], phase);
         let ring_class = indicator_link_class(cluster, &geometry.ops[op_index].ring_indicator);
         for (t, &ring) in ev.ring_steps.iter().enumerate() {
             if ev.compute_step > 0.0 {
-                timeline.push(TimelineEvent {
+                w.timeline.push(TimelineEvent {
                     op: op.name.clone(),
                     phase,
                     kind: EventKind::Compute,
-                    start: *now,
+                    start: w.now,
                     duration: ev.compute_step,
                 });
             }
             if ring > 0.0 {
-                timeline.push(TimelineEvent {
+                w.timeline.push(TimelineEvent {
                     op: op.name.clone(),
                     phase,
                     kind: EventKind::Ring,
-                    start: *now,
+                    start: w.now,
                     duration: ring,
                 });
             }
-            breakdown.compute += ev.compute_step;
-            breakdown.ring_total += ring;
-            breakdown.ring_exposed += (ring - ev.compute_step).max(0.0);
-            acct.on_step(
+            // The layer's sums and the operator's own, increment for increment.
+            for b in [&mut w.breakdown, &mut w.op_breakdown[op_index]] {
+                b.compute += ev.compute_step;
+                b.ring_total += ring;
+                b.ring_exposed += (ring - ev.compute_step).max(0.0);
+            }
+            let step = ev.compute_step.max(ring);
+            w.acct.on_step(
                 ev.compute_step,
                 ring,
                 ring_class,
                 n_devices as f64 * ev.ring_bytes_steps[t],
-                *now + ev.compute_step.max(ring),
+                w.now + step,
             );
-            *now += ev.compute_step.max(ring);
+            w.now += step;
         }
         if ev.allreduce > 0.0 {
-            timeline.push(TimelineEvent {
+            w.timeline.push(TimelineEvent {
                 op: op.name.clone(),
                 phase,
                 kind: EventKind::AllReduce,
-                start: *now,
+                start: w.now,
                 duration: ev.allreduce,
             });
-            breakdown.collective += ev.allreduce;
-            let mut end = *now;
+            w.breakdown.collective += ev.allreduce;
+            w.op_breakdown[op_index].collective += ev.allreduce;
+            let mut end = w.now;
             for c in &ev.collectives {
                 end += c.seconds;
-                acct.on_collective(
+                w.acct.on_collective(
                     c.seconds,
                     indicator_link_class(cluster, &c.indicator),
                     c.wire_bytes(n_devices),
                     end,
                 );
             }
-            *now += ev.allreduce;
+            w.now += ev.allreduce;
         }
     };
 
-    let redistribute = |now: &mut f64,
-                        breakdown: &mut Breakdown,
-                        timeline: &mut Timeline,
-                        acct: &mut AccountingBuilder,
-                        e: usize,
-                        direction: &str| {
+    let redistribute = |w: &mut Walk, e: usize, phase: Phase| {
         let edge = &graph.edges[e];
         let bytes = geometry.edge_bytes[e] / 2.0; // the volume is fwd+bwd; each direction pays half
         let t = ctx.redistribution_time(bytes);
         if t > 0.0 {
-            timeline.push(TimelineEvent {
+            let direction = if phase == Phase::Forward {
+                "fwd"
+            } else {
+                "bwd"
+            };
+            w.timeline.push(TimelineEvent {
                 op: format!(
                     "{}->{} {direction}",
                     graph.ops[edge.src].name, graph.ops[edge.dst].name
                 ),
-                phase: if direction == "fwd" {
-                    Phase::Forward
-                } else {
-                    Phase::Backward
-                },
+                phase,
                 kind: EventKind::Redistribution,
-                start: *now,
+                start: w.now,
                 duration: t,
             });
-            breakdown.redistribution += t;
-            acct.on_redistribution(t, redistribution_link_class(cluster), bytes, *now + t);
-            *now += t;
+            w.breakdown.redistribution += t;
+            w.edge_seconds[e] += t;
+            let link = redistribution_link_class(cluster);
+            w.acct.on_redistribution(t, link, bytes, w.now + t);
+            w.now += t;
         }
     };
 
@@ -181,93 +180,64 @@ pub(crate) fn simulate_layer_geometry(
     // Forward sweep.
     for i in 0..graph.ops.len() {
         for e in graph.in_edge_ids(i) {
-            redistribute(&mut now, &mut breakdown, &mut timeline, &mut acct, e, "fwd");
+            redistribute(&mut w, e, Phase::Forward);
         }
         // Double buffers and stash become live while the operator runs.
         live += mems[i].double_buffer + mems[i].stash;
-        peak = peak.max(live);
-        acct.on_memory(now, live);
-        run_phase(
-            &mut now,
-            &mut breakdown,
-            &mut timeline,
-            &mut acct,
-            i,
-            Phase::Forward,
-        );
+        w.acct.on_memory(w.now, live);
+        run_phase(&mut w, i, Phase::Forward);
         live -= mems[i].double_buffer;
         if options.recompute_activations {
             live -= mems[i].stash; // dropped immediately; recomputed later
         }
-        acct.on_memory(now, live);
+        w.acct.on_memory(w.now, live);
     }
     if options.recompute_activations {
         live += boundary_stash;
-        peak = peak.max(live);
-        acct.on_memory(now, live);
+        w.acct.on_memory(w.now, live);
     }
 
     // Backward + gradient sweep, reverse topological order.
     for i in (0..graph.ops.len()).rev() {
         for e in graph.out_edge_ids(i) {
-            redistribute(&mut now, &mut breakdown, &mut timeline, &mut acct, e, "bwd");
+            redistribute(&mut w, e, Phase::Backward);
         }
         live += mems[i].double_buffer;
         if options.recompute_activations {
             // Re-run this operator's forward to rebuild its stash.
             live += mems[i].stash;
-            peak = peak.max(live);
-            acct.on_memory(now, live);
-            run_phase(
-                &mut now,
-                &mut breakdown,
-                &mut timeline,
-                &mut acct,
-                i,
-                Phase::Forward,
-            );
+            w.acct.on_memory(w.now, live);
+            run_phase(&mut w, i, Phase::Forward);
         }
-        peak = peak.max(live);
-        acct.on_memory(now, live);
-        run_phase(
-            &mut now,
-            &mut breakdown,
-            &mut timeline,
-            &mut acct,
-            i,
-            Phase::Backward,
-        );
-        run_phase(
-            &mut now,
-            &mut breakdown,
-            &mut timeline,
-            &mut acct,
-            i,
-            Phase::Gradient,
-        );
+        w.acct.on_memory(w.now, live);
+        run_phase(&mut w, i, Phase::Backward);
+        run_phase(&mut w, i, Phase::Gradient);
         live -= mems[i].double_buffer + mems[i].stash;
-        acct.on_memory(now, live);
+        w.acct.on_memory(w.now, live);
     }
     if options.recompute_activations {
         live -= boundary_stash;
-        acct.on_memory(now, live);
+        w.acct.on_memory(w.now, live);
     }
-    let _ = live;
 
     let stash_bytes: f64 = if options.recompute_activations {
         boundary_stash
     } else {
         mems.iter().map(|m| m.stash).sum()
     };
+    // Memory only grows where a sample is taken, so the samples' maximum is
+    // the high-water mark.
+    let accounting = w.acct.finish(w.now);
     LayerReport {
-        layer_time: now,
-        breakdown,
-        peak_memory_bytes: peak,
+        layer_time: w.now,
+        breakdown: w.breakdown,
+        op_breakdown: w.op_breakdown,
+        edge_seconds: w.edge_seconds,
+        peak_memory_bytes: accounting.peak_memory_bytes(),
         persistent_bytes,
         stash_bytes,
-        timeline,
-        accounting: acct.finish(now),
-        robustness: None,
+        timeline: w.timeline,
+        accounting,
     }
 }
 
@@ -447,7 +417,6 @@ mod tests {
             8.0 * 512.0,
             &super::SimOptions {
                 recompute_activations: true,
-                ..SimOptions::default()
             },
         );
         assert!(

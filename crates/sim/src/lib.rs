@@ -13,10 +13,18 @@
 //! * [`simulate_3d`] — GPipe-style pipeline composition for the (p, d, m)
 //!   3D-parallelism study (Fig. 10),
 //! * [`ideal_memory_bytes`] — the replication-free lower bound of Fig. 2(b),
-//! * [`robustness_sweep`] / [`simulate_layer_robust`] — seeded fault &
-//!   variance scenarios ([`primepar_topology::perturb`]) folded into a
-//!   [`RobustnessReport`] (min/median/p95 makespan, slowdown-vs-ideal,
-//!   critical-device histogram).
+//! * [`robustness_sweep`] — seeded fault & variance scenarios
+//!   ([`primepar_topology::perturb`]) folded into a [`RobustnessReport`]
+//!   (min/median/p95 makespan, slowdown-vs-ideal, critical-device
+//!   histogram), a report of its own beside the ideal [`LayerReport`].
+//!
+//! A scenario is simulated by deriving the cluster
+//! ([`Cluster::perturbed`](primepar_topology::Cluster::perturbed)); no
+//! simulator option perturbs one. Each [`LayerReport`] records the walk's
+//! per-operator ([`LayerReport::op_breakdown`]) and per-edge
+//! ([`LayerReport::edge_seconds`]) seconds beside the layer breakdown, so
+//! readers such as the drift audit take the figures from the walk instead
+//! of re-parsing its [`Timeline`].
 //!
 //! # Example
 //!
@@ -63,8 +71,8 @@ pub use gantt::render_gantt;
 pub use pipeline::{simulate_3d, simulate_3d_with, PipelineSchedule, ThreeDConfig, ThreeDReport};
 pub use report::{Breakdown, EventKind, LayerReport, Timeline, TimelineEvent};
 pub use robustness::{
-    parse_robustness, robustness_json, robustness_metrics, robustness_sweep, simulate_layer_robust,
-    simulate_model_robust, RobustnessOptions, RobustnessReport, ScenarioOutcome, ROBUSTNESS_SCHEMA,
+    parse_robustness, robustness_json, robustness_metrics, robustness_sweep, RobustnessOptions,
+    RobustnessReport, ScenarioOutcome, ROBUSTNESS_SCHEMA,
 };
 pub use trace::{
     accounting_metrics, breakdown_json, chrome_trace, chrome_trace_with_accounting,

@@ -89,8 +89,17 @@ pub struct LayerReport {
     pub layer_time: f64,
     /// Component breakdown.
     pub breakdown: Breakdown,
+    /// Each operator's own compute, ring and collective seconds (indexed
+    /// like `graph.ops`), summed increment for increment with `breakdown`:
+    /// the simulated side of Eq. 7, term by term. Its `redistribution` is 0;
+    /// edges carry that in `edge_seconds`.
+    pub op_breakdown: Vec<Breakdown>,
+    /// Each edge's forward plus backward redistribution seconds (indexed
+    /// like `graph.edges`): the simulated side of Eqs. 8–9.
+    pub edge_seconds: Vec<f64>,
     /// Peak per-device memory of this layer alone (bytes): persistent
-    /// parameters + gradients plus the activation-stash high-water mark.
+    /// parameters + gradients plus the activation-stash high-water mark,
+    /// the maximum of `accounting.memory_timeline`.
     pub peak_memory_bytes: f64,
     /// Persistent (parameters + gradients) bytes per device.
     pub persistent_bytes: f64,
@@ -102,10 +111,6 @@ pub struct LayerReport {
     /// per-link-class byte volumes and occupancy, per-collective-kind
     /// counts, and the per-device live-memory timeline.
     pub accounting: ClusterAccounting,
-    /// Robustness sweep results when the report was produced by
-    /// [`crate::simulate_layer_robust`] / [`crate::simulate_model_robust`];
-    /// `None` for plain simulations.
-    pub robustness: Option<crate::RobustnessReport>,
 }
 
 #[cfg(test)]

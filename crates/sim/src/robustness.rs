@@ -23,10 +23,7 @@ use primepar_partition::PartitionSeq;
 use primepar_topology::{Cluster, PerturbationModel};
 
 use crate::des::{simulate_layer_des_geometry, DesOptions};
-use crate::engine::{
-    simulate_layer_geometry, simulate_layer_with, simulate_model_with, ModelReport, SimOptions,
-};
-use crate::LayerReport;
+use crate::engine::{simulate_layer_geometry, SimOptions};
 
 /// Schema tag of the robustness-report JSON document.
 pub const ROBUSTNESS_SCHEMA: &str = "primepar.robustness.v1";
@@ -40,8 +37,7 @@ pub struct RobustnessOptions {
     pub scenarios: usize,
     /// Scenario `i` is drawn with seed `base_seed.wrapping_add(i)`.
     pub base_seed: u64,
-    /// Simulator options shared by the ideal run and every scenario; its
-    /// `perturbation` field is ignored (the sweep applies its own).
+    /// Simulator options shared by the ideal run and every scenario.
     pub sim: SimOptions,
 }
 
@@ -135,12 +131,10 @@ pub fn robustness_sweep(
     opts: &RobustnessOptions,
 ) -> RobustnessReport {
     assert!(opts.scenarios > 0, "robustness sweep needs >= 1 scenario");
-    let mut sim = opts.sim;
-    sim.perturbation = None;
     // One plan on clusters of one size: its geometry is shared by the ideal
     // run and every scenario's SPMD and DES runs.
     let geometry = PlanGeometry::new(graph, seqs);
-    let ideal = simulate_layer_geometry(cluster, graph, &geometry, &sim);
+    let ideal = simulate_layer_geometry(cluster, graph, &geometry, &opts.sim);
     let ideal_makespan = ideal.layer_time;
 
     let mut outcomes = Vec::with_capacity(opts.scenarios);
@@ -148,7 +142,7 @@ pub fn robustness_sweep(
     for scenario in 0..opts.scenarios {
         let seed = opts.base_seed.wrapping_add(scenario as u64);
         let perturbed = cluster.perturbed(&opts.model, seed);
-        let spmd = simulate_layer_geometry(&perturbed, graph, &geometry, &sim);
+        let spmd = simulate_layer_geometry(&perturbed, graph, &geometry, &opts.sim);
         spmd.accounting
             .validate()
             .expect("accounting identities must hold under perturbation");
@@ -184,38 +178,6 @@ pub fn robustness_sweep(
         critical_device_histogram: histogram,
         outcomes,
     }
-}
-
-/// [`crate::simulate_layer_with`] on the ideal cluster, with a robustness
-/// sweep attached to [`LayerReport::robustness`].
-pub fn simulate_layer_robust(
-    cluster: &Cluster,
-    graph: &Graph,
-    seqs: &[PartitionSeq],
-    opts: &RobustnessOptions,
-) -> LayerReport {
-    let mut sim = opts.sim;
-    sim.perturbation = None;
-    let mut report = simulate_layer_with(cluster, graph, seqs, &sim);
-    report.robustness = Some(robustness_sweep(cluster, graph, seqs, opts));
-    report
-}
-
-/// [`crate::simulate_model_with`] with a per-layer robustness sweep attached
-/// to the underlying [`LayerReport`].
-pub fn simulate_model_robust(
-    cluster: &Cluster,
-    graph: &Graph,
-    seqs: &[PartitionSeq],
-    layers: u64,
-    tokens_per_iteration: f64,
-    opts: &RobustnessOptions,
-) -> ModelReport {
-    let mut sim = opts.sim;
-    sim.perturbation = None;
-    let mut report = simulate_model_with(cluster, graph, seqs, layers, tokens_per_iteration, &sim);
-    report.layer.robustness = Some(robustness_sweep(cluster, graph, seqs, opts));
-    report
 }
 
 /// Flattens a report into `sim.robustness.*` metrics. Purely derived from the
@@ -463,23 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn layer_and_model_reports_carry_the_sweep() {
-        let cluster = Cluster::v100_like(4);
-        let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
-        let plan = megatron_layer_plan(&graph, 1, 4);
-        let opts = RobustnessOptions {
-            scenarios: 3,
-            ..RobustnessOptions::default()
-        };
-        let layer = simulate_layer_robust(&cluster, &graph, &plan, &opts);
-        let r = layer.robustness.as_ref().expect("attached");
-        assert_eq!(r.outcomes.len(), 3);
-        assert_eq!(r.ideal_makespan, layer.layer_time);
-        let model = simulate_model_robust(&cluster, &graph, &plan, 4, 8.0 * 512.0, &opts);
-        assert_eq!(model.layer.robustness.as_ref().expect("attached"), r);
-    }
-
-    #[test]
     fn metrics_expose_the_sweep() {
         let r = sweep(3, 5);
         let m = robustness_metrics(&r);
@@ -495,36 +440,5 @@ mod tests {
             .map(|d| m.counter(&format!("sim.robustness.critical_device.{d}")))
             .sum();
         assert_eq!(critical, 3);
-    }
-
-    #[test]
-    fn sim_options_perturbation_matches_direct_cluster_perturbation() {
-        // `SimOptions::perturbation` and a pre-perturbed cluster are the same
-        // code path — bitwise-identical reports.
-        let cluster = Cluster::v100_like(4);
-        let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
-        let plan = megatron_layer_plan(&graph, 1, 4);
-        let model = PerturbationModel::mild();
-        let via_options = simulate_layer_with(
-            &cluster,
-            &graph,
-            &plan,
-            &SimOptions {
-                perturbation: Some(primepar_topology::Perturbation { model, seed: 17 }),
-                ..SimOptions::default()
-            },
-        );
-        let via_cluster = simulate_layer_with(
-            &cluster.perturbed(&model, 17),
-            &graph,
-            &plan,
-            &SimOptions::default(),
-        );
-        assert_eq!(via_options, via_cluster);
-        assert!(
-            via_options.layer_time
-                >= simulate_layer_with(&cluster, &graph, &plan, &SimOptions::default()).layer_time
-        );
-        via_options.accounting.validate().expect("valid accounting");
     }
 }

@@ -83,7 +83,6 @@ proptest! {
             &plan,
             &SimOptions {
                 recompute_activations: true,
-                ..SimOptions::default()
             },
         );
         prop_assert!(rc.peak_memory_bytes <= base.peak_memory_bytes * 1.0001);

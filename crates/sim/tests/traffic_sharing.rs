@@ -1,6 +1,6 @@
 //! One geometry per plan: `PlanGeometry`'s per-edge volumes equal
-//! `inter_traffic_bytes` and its priced operators equal `intra_cost`, and a
-//! robustness sweep that shares the geometry across its simulations reports
+//! `inter_traffic_bytes`, its priced operators equal `intra_cost` and the
+//! walk's per-operator and per-edge records, and a robustness sweep that shares the geometry across its simulations reports
 //! bitwise what per-scenario calls of the public entry points report.
 
 use primepar_cost::{inter_traffic_bytes, intra_cost, CostCtx, PlanGeometry};
@@ -62,6 +62,32 @@ fn plan_traffic_matches_per_edge_traffic_on_the_table2_plan() {
             ("cost", priced.cost, direct.cost),
         ] {
             assert_eq!(p.to_bits(), d.to_bits(), "{}.{field}", op.name);
+        }
+    }
+    // The walk records Eq. 7 per operator and the per-direction charge per
+    // edge, bit for bit, on ideal and perturbed hardware alike.
+    let perturbed = cluster.perturbed(&PerturbationModel::harsh(), 11);
+    for cluster in [&cluster, &perturbed] {
+        let ctx = CostCtx::new(cluster, 0.0);
+        let report = simulate_layer_with(cluster, &graph, &plan, &SimOptions::default());
+        assert_eq!(report.op_breakdown.len(), graph.ops.len());
+        for (i, op) in graph.ops.iter().enumerate() {
+            let priced = ctx.price_intra(&geometry.ops[i]);
+            let walked = &report.op_breakdown[i];
+            for (field, p, w) in [
+                ("compute", priced.compute, walked.compute),
+                ("ring_total", priced.ring_total, walked.ring_total),
+                ("ring_exposed", priced.ring_exposed, walked.ring_exposed),
+                ("allreduce", priced.allreduce, walked.collective),
+            ] {
+                assert_eq!(p.to_bits(), w.to_bits(), "{}.{field}", op.name);
+            }
+            assert_eq!(walked.redistribution, 0.0, "{}: edges carry it", op.name);
+        }
+        assert_eq!(report.edge_seconds.len(), graph.edges.len());
+        for (e, &seconds) in report.edge_seconds.iter().enumerate() {
+            let split = ctx.redistribution_time_split(geometry.edge_bytes[e]);
+            assert_eq!(seconds.to_bits(), split.to_bits(), "edge {e}");
         }
     }
 }

@@ -107,7 +107,8 @@ pub struct Cluster {
     /// slowest device (`== device` when unperturbed).
     effective_device: DeviceModel,
     topology: Topology,
-    perturbation: Option<AppliedPerturbation>,
+    /// The applied fault/variance scenario; `None` on ideal hardware.
+    scenario: Option<AppliedPerturbation>,
 }
 
 impl Cluster {
@@ -204,7 +205,7 @@ impl Cluster {
             device,
             effective_device: device,
             topology,
-            perturbation: None,
+            scenario: None,
         })
     }
 
@@ -249,18 +250,18 @@ impl Cluster {
             memory_bytes: self.device.memory_bytes,
             kernel_overhead_s: self.device.kernel_overhead_s * f,
         };
-        out.perturbation = Some(applied);
+        out.scenario = Some(applied);
         out
     }
 
     /// The applied fault/variance scenario, if any.
     pub fn perturbation(&self) -> Option<&AppliedPerturbation> {
-        self.perturbation.as_ref()
+        self.scenario.as_ref()
     }
 
     /// `true` when a fault/variance scenario is applied.
     pub fn is_perturbed(&self) -> bool {
-        self.perturbation.is_some()
+        self.scenario.is_some()
     }
 
     /// The unperturbed per-device performance model.
@@ -271,14 +272,14 @@ impl Cluster {
     /// Compute slowdown factor of `device` under the applied scenario (1 when
     /// unperturbed).
     pub fn compute_slowdown_of(&self, device: DeviceId) -> f64 {
-        self.perturbation
+        self.scenario
             .as_ref()
             .map_or(1.0, |p| p.compute_factors[device.index()])
     }
 
     /// The scenario's worst per-device compute slowdown (1 when unperturbed).
     pub fn max_compute_slowdown(&self) -> f64 {
-        self.perturbation
+        self.scenario
             .as_ref()
             .map_or(1.0, AppliedPerturbation::max_compute_factor)
     }
@@ -288,7 +289,7 @@ impl Cluster {
     /// from the (bottleneck-paced) [`Cluster::device_model`] by this yields
     /// the device's own kernel time.
     pub fn relative_compute_pace(&self, device: DeviceId) -> f64 {
-        match &self.perturbation {
+        match &self.scenario {
             None => 1.0,
             Some(p) => p.compute_factors[device.index()] / p.max_compute_factor(),
         }
@@ -297,14 +298,14 @@ impl Cluster {
     /// Link slowdown factor of `device` under the applied scenario, excluding
     /// the per-class factor (1 when unperturbed).
     pub fn link_factor_of(&self, device: DeviceId) -> f64 {
-        self.perturbation
+        self.scenario
             .as_ref()
             .map_or(1.0, |p| p.link_factors[device.index()])
     }
 
     /// The scenario's worst per-device link slowdown (1 when unperturbed).
     pub fn worst_link_factor(&self) -> f64 {
-        self.perturbation
+        self.scenario
             .as_ref()
             .map_or(1.0, AppliedPerturbation::max_link_factor)
     }
@@ -312,7 +313,7 @@ impl Cluster {
     /// The worst per-device link slowdown within `group` (1 when unperturbed
     /// or the group is empty).
     pub fn group_link_factor(&self, group: &[DeviceId]) -> f64 {
-        match &self.perturbation {
+        match &self.scenario {
             None => 1.0,
             Some(p) => group
                 .iter()
@@ -380,7 +381,7 @@ impl Cluster {
             LinkClass::IntraNode => self.intra,
             LinkClass::InterNode => self.inter,
         };
-        match &self.perturbation {
+        match &self.scenario {
             None => base,
             Some(p) => {
                 let f = match class {

@@ -40,7 +40,7 @@ mod profile;
 
 pub use cluster::{Cluster, ClusterError, DeviceModel, LinkClass, LinkModel, Topology};
 pub use device::{DeviceId, DeviceSpace, GroupIndicator};
-pub use perturb::{AppliedPerturbation, Perturbation, PerturbationError, PerturbationModel};
+pub use perturb::{AppliedPerturbation, PerturbationError, PerturbationModel};
 pub use profile::{
     all_indicators, fit_linear, fit_linear2, CommProfile, ComputeProfile, LinearModel, LinearModel2,
 };

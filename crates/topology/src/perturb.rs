@@ -185,16 +185,6 @@ impl fmt::Display for PerturbationError {
 
 impl Error for PerturbationError {}
 
-/// A `(model, seed)` pair naming one scenario; what [`crate::Cluster`] timing
-/// callers pass around (e.g. simulator options).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Perturbation {
-    /// The distribution to draw from.
-    pub model: PerturbationModel,
-    /// Seed of this scenario's draw.
-    pub seed: u64,
-}
-
 /// One concrete scenario: the factors actually drawn from a
 /// [`PerturbationModel`] for a cluster of `n` devices.
 #[derive(Debug, Clone, PartialEq)]

@@ -375,7 +375,7 @@ drop_wall_clock() {
 cmp <(drop_wall_clock "$artifacts/figures/ablations.txt") <(drop_wall_clock results/ablations.txt) \
     || { echo "ablations output differs from results/ablations.txt" >&2; exit 1; }
 
-echo "== CLI transcripts (plan and sweep stdout pinned in results/) =="
+echo "== CLI transcripts (plan, sweep and audit stdout pinned in results/) =="
 # The CLI's stdout on the Table-2 point and on a small scaling sweep, with
 # the wall-clock `(… search)` label masked, must match the committed
 # transcripts: any change to how the CLI resolves, plans or prints a
@@ -387,6 +387,15 @@ cmp "$artifacts/cli_plan_t2.txt" results/cli_plan_t2.txt \
 ./target/release/primepar sweep --model opt-6.7b --devices 2,4,8 >"$artifacts/cli_sweep.txt"
 cmp "$artifacts/cli_sweep.txt" results/cli_sweep.txt \
     || { echo "sweep transcript differs from results/cli_sweep.txt" >&2; exit 1; }
+# The drift audit on the Table-2 point and on the OPT-175B MLP block under
+# Megatron: its simulated column is the walk's per-operator and per-edge
+# record, so a change to what the walk records or how it is charged shows here.
+{
+    ./target/release/primepar audit --model opt-6.7b --devices 16
+    ./target/release/primepar audit --model opt-175b --mlp-block --devices 4 --system megatron
+} >"$artifacts/cli_audit.txt"
+cmp "$artifacts/cli_audit.txt" results/cli_audit.txt \
+    || { echo "audit transcript differs from results/cli_audit.txt" >&2; exit 1; }
 
 echo "== cargo doc (whole workspace, -D warnings) =="
 # Broken or private intra-doc links anywhere in the workspace fail the gate.
