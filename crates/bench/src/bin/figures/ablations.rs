@@ -11,6 +11,7 @@
 //! `cargo run --release -p primepar-bench --bin figures -- ablations`
 
 use crate::*;
+use primepar::topology::AppliedPerturbation;
 
 pub fn run(opts: &Opts) {
     let (batch, seq) = (8u64, 2048u64);
@@ -181,21 +182,12 @@ pub fn run(opts: &Opts) {
     );
     // The same 8-GPU PrimePar plan as Ablation D.
     let (mega_plan, _, _) = best_megatron(&cluster_8, &graph, 0.0);
+    let mut straggler = AppliedPerturbation::ideal(8);
+    straggler.compute_factors[3] = 1.3;
+    let straggling = cluster_8.with_perturbation(straggler);
     for (name, plan) in [("Megatron", &mega_plan), ("PrimePar", &prime_plan)] {
-        let base = primepar::sim::simulate_layer_des(
-            &cluster_8,
-            &graph,
-            plan,
-            &primepar::sim::DesOptions::default(),
-        );
-        let slow = primepar::sim::simulate_layer_des(
-            &cluster_8,
-            &graph,
-            plan,
-            &primepar::sim::DesOptions {
-                straggler: Some((3, 1.3)),
-            },
-        );
+        let base = primepar::sim::simulate_layer_des(&cluster_8, &graph, plan);
+        let slow = primepar::sim::simulate_layer_des(&straggling, &graph, plan);
         metrics.gauge(
             &format!("straggler.{}.slowdown", slug(name)),
             slow.iteration_time / base.iteration_time,

@@ -1,5 +1,6 @@
 //! Elastic re-planning study: the costed replan loop against both static
-//! extremes on a pinned degradation timeline (ROADMAP item 5).
+//! extremes on a pinned degradation timeline — does re-choosing the layout
+//! pay once the inter-node fabric degrades?
 //!
 //! A two-node OPT-6.7B MLP-block job rides out congestion building on the
 //! inter-node fabric — 8× at iteration 300, collapsing to 32× at iteration
@@ -16,8 +17,7 @@
 //! `cargo run --release -p primepar-bench --bin figures -- replan`
 
 use crate::*;
-use primepar::search::{run_elastic, ElasticPolicy, ReplanOptions};
-use primepar::sim::ElasticEvent;
+use primepar::search::{run_elastic, ElasticEvent, ElasticPolicy, ReplanOptions};
 use primepar::topology::AppliedPerturbation;
 
 const DEVICES: usize = 8;
@@ -94,27 +94,27 @@ pub fn run(opts: &Opts) {
             &replan_opts,
             None,
         );
-        let trace = run.report.decision_trace().join(",");
+        let trace = run.decision_trace().join(",");
         println!(
             "{:<8} {:>12.6} {:>14.3} {:>13.6} {:<20}",
             policy.tag(),
-            run.report.makespan,
-            run.report.migration_bytes_total / 1e9,
-            run.report.migration_seconds_total,
+            run.makespan,
+            run.migration_bytes_total / 1e9,
+            run.migration_seconds_total,
             trace
         );
         let key = format!("replan.{}", policy.tag());
-        metrics.gauge(&format!("{key}.makespan_s"), run.report.makespan);
+        metrics.gauge(&format!("{key}.makespan_s"), run.makespan);
         metrics.gauge(
             &format!("{key}.migration_bytes_total"),
-            run.report.migration_bytes_total,
+            run.migration_bytes_total,
         );
         metrics.gauge(
             &format!("{key}.migration_seconds_total"),
-            run.report.migration_seconds_total,
+            run.migration_seconds_total,
         );
         metrics.text(&format!("{key}.decisions"), &trace);
-        makespans[i] = run.report.makespan;
+        makespans[i] = run.makespan;
     }
     let [never, always, elastic] = makespans;
     metrics.gauge("replan.elastic_vs_never_speedup", never / elastic);

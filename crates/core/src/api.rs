@@ -53,10 +53,10 @@ pub use primepar_service::{
 pub use primepar_graph::ModelConfig;
 pub use primepar_partition::PartitionSeq;
 pub use primepar_search::{
-    render_plan, run_elastic, ElasticPolicy, ElasticRunReport, MigrationDecision, ReplanOptions,
-    ReplanOutcome, SpaceOptions,
+    render_plan, run_elastic, ElasticEvent, ElasticPolicy, ElasticRunReport, MigrationDecision,
+    ReplanOptions, ReplanOutcome, SpaceOptions,
 };
-pub use primepar_sim::{ElasticEvent, ElasticReport, RobustnessReport};
+pub use primepar_sim::RobustnessReport;
 pub use primepar_topology::{AppliedPerturbation, PerturbationModel};
 
 #[cfg(test)]

@@ -119,7 +119,7 @@ fn elastic_loop_is_reachable_through_the_facade() {
     };
     let a = run(ElasticPolicy::Elastic);
     let b = run(ElasticPolicy::Elastic);
-    assert_eq!(a.report.decision_trace(), b.report.decision_trace());
-    assert_eq!(a.report.makespan.to_bits(), b.report.makespan.to_bits());
+    assert_eq!(a.decision_trace(), b.decision_trace());
+    assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
     assert_eq!(a.outcomes.len(), 1);
 }

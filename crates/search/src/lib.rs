@@ -15,8 +15,10 @@
 //!   the conventional (spatial-only) partition space.
 //! * [`replan()`] / [`run_elastic`] — online re-planning: the costed
 //!   `Stay / Patch / FullReplan` migration decision for an observed
-//!   fault/variance scenario, and the elastic timeline driver racing it
-//!   against the never-replan and always-replan static extremes.
+//!   fault/variance scenario, and the degradation timeline that charges
+//!   each decision its own migration price and measures iterations with
+//!   the simulator's SPMD walk, racing the costed policy against the
+//!   never-replan and always-replan static extremes.
 //!
 //! # Example
 //!
@@ -51,8 +53,8 @@ pub use baselines::{alpa_plan, best_megatron, evaluate_layer_plan, megatron_laye
 pub use dp::{ModelPlan, Planner, PlannerOptions};
 pub use plan_io::{parse_plan, render_plan, PlanIoError};
 pub use replan::{
-    replan, run_elastic, CandidateCost, ElasticPolicy, ElasticRunReport, MigrationDecision,
-    ReplanOptions, ReplanOutcome,
+    replan, run_elastic, CandidateCost, ElasticEvent, ElasticPolicy, ElasticRunReport,
+    ElasticSegment, MigrationDecision, ReplanOptions, ReplanOutcome,
 };
 pub use report::explain_plan;
 pub use space::{operator_space, SpaceCache, SpaceOptions};

@@ -1,4 +1,5 @@
-//! Online re-planning (ROADMAP item 5): the costed migration decision.
+//! Online re-planning: the costed migration decision and the degradation
+//! timeline it is charged on.
 //!
 //! When a running job observes a fault/variance scenario
 //! ([`AppliedPerturbation`]), [`replan`] compares three recovery candidates
@@ -22,17 +23,22 @@
 //! The decision is `argmin(migration_seconds + horizon × iteration_cost)`
 //! with ties broken toward the least disruptive action
 //! (`Stay ≤ Patch ≤ FullReplan`), and a no-op scenario short-circuits to
-//! `Stay` without running the planner. [`run_elastic`] threads the decision
-//! through [`primepar_sim::simulate_elastic`] as a policy, alongside the two
-//! static extremes ([`ElasticPolicy::Never`], [`ElasticPolicy::Always`]) the
-//! end-to-end comparison is judged against.
+//! `Stay` without running the planner.
+//!
+//! [`run_elastic`] plays the decision out over a degradation timeline: at
+//! each [`ElasticEvent`] it asks an [`ElasticPolicy`] for a
+//! [`ReplanOutcome`], charges the outcome's own migration price, and
+//! measures every iteration with the SPMD walk on the degraded cluster. The
+//! costed policy races the two static extremes ([`ElasticPolicy::Never`],
+//! [`ElasticPolicy::Always`]) — whether re-choosing the tensor-parallel
+//! layout pays once the interconnect degrades.
 
 use std::time::{Duration, Instant};
 
 use primepar_cost::{failover_traffic, migration_seconds, migration_traffic, CostCtx};
 use primepar_graph::Graph;
 use primepar_partition::PartitionSeq;
-use primepar_sim::{simulate_elastic, ElasticAction, ElasticEvent, ElasticReport};
+use primepar_sim::simulate_layer;
 use primepar_topology::{AppliedPerturbation, Cluster};
 
 use crate::{
@@ -53,9 +59,7 @@ pub enum MigrationDecision {
 }
 
 impl MigrationDecision {
-    /// Short lowercase tag, matching
-    /// [`ElasticAction::tag`](primepar_sim::ElasticAction::tag) and the
-    /// decision traces the service and CI compare.
+    /// Short lowercase tag: the decision traces the service and CI compare.
     pub fn tag(&self) -> &'static str {
         match self {
             MigrationDecision::Stay => "stay",
@@ -173,23 +177,6 @@ impl ReplanOutcome {
             .find(|c| c.decision == self.decision)
             .expect("the chosen decision is always a candidate")
     }
-
-    /// Converts the outcome into the action the elastic simulator executes.
-    pub fn to_action(&self) -> ElasticAction {
-        match self.decision {
-            MigrationDecision::Stay => ElasticAction::Stay,
-            MigrationDecision::Patch => ElasticAction::Patch {
-                migration_bytes: self.migration_bytes,
-            },
-            MigrationDecision::FullReplan => ElasticAction::Adopt {
-                seqs: self
-                    .new_seqs
-                    .clone()
-                    .expect("FullReplan always carries the new plan"),
-                migration_bytes: self.migration_bytes,
-            },
-        }
-    }
 }
 
 /// Prices the three recovery candidates for `applied` landing on a job that
@@ -200,11 +187,10 @@ impl ReplanOutcome {
 /// The per-iteration term of every candidate is
 /// [`evaluate_layer_plan`] `× layers` on the degraded cluster; migration is
 /// priced by the single-exchange model
-/// ([`primepar_cost::migration_seconds`]) on the degraded cluster — exactly
-/// the charge [`primepar_sim::simulate_elastic`] levies, so the decision's
-/// arithmetic matches what the timeline will measure. `FullReplan`'s
-/// migration includes the failover recovery of dead devices' shards (they
-/// must be re-homed before they can be re-laid-out).
+/// ([`primepar_cost::migration_seconds`]) on the degraded cluster at
+/// `alpha = 0`; [`run_elastic`] charges the chosen candidate's price as is.
+/// `FullReplan`'s migration includes the failover recovery of dead devices'
+/// shards (they must be re-homed before they can be re-laid-out).
 ///
 /// # Panics
 ///
@@ -387,27 +373,84 @@ impl ElasticPolicy {
     }
 }
 
-/// An elastic run plus the decision audit trail of every event.
+/// One scheduled degradation: `perturbation` becomes the observed scenario
+/// just before iteration `at_iteration` starts. Scenarios replace each other
+/// (they do not compose) — each is drawn against the base hardware, exactly
+/// like [`Cluster::with_perturbation`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct ElasticRunReport {
-    /// The timeline the simulator measured.
-    pub report: ElasticReport,
-    /// One [`ReplanOutcome`] per event, in order. [`ElasticPolicy::Never`]
-    /// decides without costing, so its outcomes are synthesized `Stay` rows.
-    pub outcomes: Vec<ReplanOutcome>,
+pub struct ElasticEvent {
+    /// Iteration index (0-based) before which the scenario is observed.
+    pub at_iteration: u64,
+    /// The observed scenario.
+    pub perturbation: AppliedPerturbation,
 }
 
-/// Runs the degradation timeline under `policy`, wiring the costed decision
-/// into [`primepar_sim::simulate_elastic`]. The elastic policy amortizes
-/// each decision over the iterations actually remaining at the event (not
-/// `opts.horizon_iterations`); the planner configuration and warm cache are
-/// shared by every planner run the policy makes. Iterations are simulated
-/// with the default `SimOptions` (no activation recomputation).
+/// One homogeneous stretch of the timeline: a plan running under one
+/// scenario, plus the migration that opened the stretch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ElasticSegment {
+    /// First iteration of the segment (0-based).
+    pub start_iteration: u64,
+    /// Iterations executed in the segment.
+    pub iterations: u64,
+    /// Migration lane: bytes moved to open the segment (0 for the initial
+    /// segment and after a stay).
+    pub migration_bytes: f64,
+    /// Migration lane: seconds charged for the move, priced on the degraded
+    /// cluster.
+    pub migration_seconds: f64,
+    /// Per-iteration latency of the plan on this segment's cluster (whole
+    /// model: layer time × layers).
+    pub iteration_seconds: f64,
+}
+
+impl ElasticSegment {
+    /// Wall-clock the segment contributes: migration + its iterations.
+    pub fn elapsed_seconds(&self) -> f64 {
+        self.migration_seconds + self.iterations as f64 * self.iteration_seconds
+    }
+}
+
+/// An elastic run: the timeline segments, the decision behind every event,
+/// and the makespan the policy is judged by.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ElasticRunReport {
+    /// Timeline segments in order: the initial one, then one per event.
+    pub segments: Vec<ElasticSegment>,
+    /// One [`ReplanOutcome`] per event, in order; segment `i + 1` charges
+    /// outcome `i`. [`ElasticPolicy::Never`] decides without costing, so its
+    /// outcomes are synthesized `Stay` rows.
+    pub outcomes: Vec<ReplanOutcome>,
+    /// End-to-end wall-clock: every iteration plus every migration.
+    pub makespan: f64,
+    /// Total migration-lane bytes across the run.
+    pub migration_bytes_total: f64,
+    /// Total migration-lane seconds across the run.
+    pub migration_seconds_total: f64,
+}
+
+impl ElasticRunReport {
+    /// The decision tags in event order — the bit-reproducible trace the
+    /// service and CI compare.
+    pub fn decision_trace(&self) -> Vec<&'static str> {
+        self.outcomes.iter().map(|o| o.decision.tag()).collect()
+    }
+}
+
+/// Runs the degradation timeline under `policy`. Events must be sorted by
+/// `at_iteration`, strictly increasing, and within `(0, total_iterations)`;
+/// the policy decides once per event. Each segment charges the outcome's own
+/// `migration_bytes` / `migration_seconds` and runs its iterations as the
+/// SPMD walk ([`simulate_layer`]) of the resident plan on the cluster the
+/// event derives ([`Cluster::with_perturbation`]). The elastic policy
+/// amortizes each decision over the iterations actually remaining at the
+/// event (not `opts.horizon_iterations`); the planner configuration and warm
+/// cache are shared by every planner run the policy makes.
 ///
 /// # Panics
 ///
-/// Panics on the same malformed inputs as
-/// [`primepar_sim::simulate_elastic`].
+/// Panics on unsorted/out-of-range events, a plan/graph length mismatch, or
+/// an adopted plan of the wrong length.
 #[allow(clippy::too_many_arguments)] // the full workload description, like the planner entry points
 pub fn run_elastic(
     cluster: &Cluster,
@@ -420,45 +463,86 @@ pub fn run_elastic(
     opts: &ReplanOptions,
     warm: Option<&PlannerWarmCache>,
 ) -> ElasticRunReport {
-    let mut outcomes = Vec::with_capacity(events.len());
-    let report = simulate_elastic(
-        cluster,
-        graph,
-        initial_seqs,
-        layers,
-        total_iterations,
-        events,
-        |ctx| {
-            let outcome = match policy {
-                ElasticPolicy::Never => ReplanOutcome::stay(Vec::new(), Duration::ZERO),
-                ElasticPolicy::Always => always_outcome(
-                    cluster,
-                    ctx.applied,
-                    graph,
-                    ctx.current_seqs,
-                    layers,
-                    opts,
-                    warm,
-                ),
-                ElasticPolicy::Elastic => replan(
-                    cluster,
-                    graph,
-                    ctx.current_seqs,
-                    ctx.applied,
-                    layers,
-                    &opts.with_horizon(ctx.remaining_iterations),
-                    warm,
-                ),
-            };
-            let action = match outcome.decision {
-                MigrationDecision::Stay => ElasticAction::Stay,
-                _ => outcome.to_action(),
-            };
-            outcomes.push(outcome);
-            action
-        },
+    assert_eq!(
+        initial_seqs.len(),
+        graph.ops.len(),
+        "one sequence per operator"
     );
-    ElasticRunReport { report, outcomes }
+    for w in events.windows(2) {
+        assert!(
+            w[0].at_iteration < w[1].at_iteration,
+            "events must be strictly increasing by iteration"
+        );
+    }
+    if let (Some(first), Some(last)) = (events.first(), events.last()) {
+        assert!(
+            first.at_iteration > 0,
+            "first event must come after iteration 0"
+        );
+        assert!(
+            last.at_iteration < total_iterations,
+            "events past the end of the job are unreachable"
+        );
+    }
+    let iteration_seconds = |c: &Cluster, seqs: &[PartitionSeq]| {
+        simulate_layer(c, graph, seqs).layer_time * layers as f64
+    };
+    let segment_end = |i: usize| events.get(i).map_or(total_iterations, |e| e.at_iteration);
+
+    let mut seqs = initial_seqs.to_vec();
+    let mut segments = Vec::with_capacity(events.len() + 1);
+    segments.push(ElasticSegment {
+        start_iteration: 0,
+        iterations: segment_end(0),
+        migration_bytes: 0.0,
+        migration_seconds: 0.0,
+        iteration_seconds: iteration_seconds(cluster, &seqs),
+    });
+    let mut outcomes = Vec::with_capacity(events.len());
+    for (i, event) in events.iter().enumerate() {
+        let start = event.at_iteration;
+        let applied = &event.perturbation;
+        let outcome = match policy {
+            ElasticPolicy::Never => ReplanOutcome::stay(Vec::new(), Duration::ZERO),
+            ElasticPolicy::Always => {
+                always_outcome(cluster, applied, graph, &seqs, layers, opts, warm)
+            }
+            ElasticPolicy::Elastic => replan(
+                cluster,
+                graph,
+                &seqs,
+                applied,
+                layers,
+                &opts.with_horizon(total_iterations - start),
+                warm,
+            ),
+        };
+        if let Some(adopted) = &outcome.new_seqs {
+            assert_eq!(
+                adopted.len(),
+                graph.ops.len(),
+                "adopted plan must cover every operator"
+            );
+            seqs.clone_from(adopted);
+        }
+        let degraded = cluster.with_perturbation(applied.clone());
+        segments.push(ElasticSegment {
+            start_iteration: start,
+            iterations: segment_end(i + 1) - start,
+            migration_bytes: outcome.migration_bytes,
+            migration_seconds: outcome.migration_seconds,
+            iteration_seconds: iteration_seconds(&degraded, &seqs),
+        });
+        outcomes.push(outcome);
+    }
+
+    ElasticRunReport {
+        makespan: segments.iter().map(ElasticSegment::elapsed_seconds).sum(),
+        migration_bytes_total: segments.iter().map(|s| s.migration_bytes).sum(),
+        migration_seconds_total: segments.iter().map(|s| s.migration_seconds).sum(),
+        segments,
+        outcomes,
+    }
 }
 
 /// The always-full-replan extreme: plan on the degraded cluster, adopt
@@ -629,6 +713,242 @@ mod tests {
         assert!(long.decision >= short.decision);
     }
 
+    /// `n` devices with `device` dead: its ring buddy carries both shards at
+    /// twice the compute and link time, and the dead slot mirrors the buddy
+    /// (what `AppliedPerturbation::draw` derives for a dead draw).
+    fn dead_device(n: usize, device: usize) -> AppliedPerturbation {
+        let mut p = AppliedPerturbation::ideal(n);
+        p.dead[device] = true;
+        for d in [device, device ^ 1] {
+            p.compute_factors[d] = 2.0;
+            p.link_factors[d] = 2.0;
+        }
+        p
+    }
+
+    /// `n` devices whose inter-node fabric runs `factor ×` slower.
+    fn brownout(n: usize, factor: f64) -> AppliedPerturbation {
+        let mut p = AppliedPerturbation::ideal(n);
+        p.inter_link_factor = factor;
+        p
+    }
+
+    /// Runs `events` under every policy and checks, bit for bit, that each
+    /// segment charges its outcome's migration and iterates the resident
+    /// plan's SPMD walk on the event's degraded cluster. Returns the
+    /// `[never, always, elastic]` runs.
+    fn runs_charging_what_was_priced(
+        cluster: &Cluster,
+        graph: &Graph,
+        seqs: &[PartitionSeq],
+        layers: u64,
+        total_iterations: u64,
+        events: &[ElasticEvent],
+    ) -> [ElasticRunReport; 3] {
+        let walk = |c: &Cluster, plan: &[PartitionSeq]| {
+            (simulate_layer(c, graph, plan).layer_time * layers as f64).to_bits()
+        };
+        [
+            ElasticPolicy::Never,
+            ElasticPolicy::Always,
+            ElasticPolicy::Elastic,
+        ]
+        .map(|policy| {
+            let run = run_elastic(
+                cluster,
+                graph,
+                seqs,
+                layers,
+                total_iterations,
+                events,
+                policy,
+                &ReplanOptions::default(),
+                None,
+            );
+            assert_eq!(run.segments.len(), events.len() + 1);
+            assert_eq!(run.outcomes.len(), events.len());
+            let first = &run.segments[0];
+            assert_eq!(first.migration_bytes.to_bits(), 0.0f64.to_bits());
+            assert_eq!(first.migration_seconds.to_bits(), 0.0f64.to_bits());
+            assert_eq!(first.iteration_seconds.to_bits(), walk(cluster, seqs));
+            let mut resident = seqs.to_vec();
+            for ((segment, outcome), event) in
+                run.segments[1..].iter().zip(&run.outcomes).zip(events)
+            {
+                if policy != ElasticPolicy::Never {
+                    let chosen = outcome.chosen();
+                    assert_eq!(
+                        chosen.migration_bytes.to_bits(),
+                        outcome.migration_bytes.to_bits()
+                    );
+                    assert_eq!(
+                        chosen.migration_seconds.to_bits(),
+                        outcome.migration_seconds.to_bits()
+                    );
+                }
+                assert_eq!(segment.start_iteration, event.at_iteration);
+                assert_eq!(
+                    segment.migration_bytes.to_bits(),
+                    outcome.migration_bytes.to_bits()
+                );
+                assert_eq!(
+                    segment.migration_seconds.to_bits(),
+                    outcome.migration_seconds.to_bits()
+                );
+                if let Some(adopted) = &outcome.new_seqs {
+                    resident.clone_from(adopted);
+                }
+                let degraded = cluster.with_perturbation(event.perturbation.clone());
+                assert_eq!(
+                    segment.iteration_seconds.to_bits(),
+                    walk(&degraded, &resident)
+                );
+            }
+            let makespan: f64 = run
+                .segments
+                .iter()
+                .map(ElasticSegment::elapsed_seconds)
+                .sum();
+            assert_eq!(run.makespan.to_bits(), makespan.to_bits());
+            run
+        })
+    }
+
+    #[test]
+    fn timeline_charges_what_the_decision_priced() {
+        // The `figures replan` brownout: 8x at iteration 300, 32x at 350.
+        let cluster = Cluster::v100_like(8);
+        let graph = ModelConfig::opt_6_7b().mlp_block_graph(8, 256);
+        let seqs = Planner::new(&cluster, &graph, PlannerOptions::default())
+            .optimize(2)
+            .seqs;
+        let events = [(300, 8.0), (350, 32.0)].map(|(at_iteration, factor)| ElasticEvent {
+            at_iteration,
+            perturbation: brownout(8, factor),
+        });
+        let [never, always, elastic] =
+            runs_charging_what_was_priced(&cluster, &graph, &seqs, 2, 400, &events);
+        assert_eq!(never.decision_trace(), vec!["stay", "stay"]);
+        assert_eq!(always.decision_trace(), vec!["replan", "replan"]);
+        assert_eq!(elastic.decision_trace(), vec!["stay", "replan"]);
+
+        // A device dies two iterations before the end: re-homing its shards
+        // beats re-planning over so short a horizon.
+        let (cluster, graph, seqs) = fixture();
+        let events = [ElasticEvent {
+            at_iteration: 8,
+            perturbation: dead_device(4, 1),
+        }];
+        let [never, _, elastic] =
+            runs_charging_what_was_priced(&cluster, &graph, &seqs, 2, 10, &events);
+        assert_eq!(never.decision_trace(), vec!["stay"]);
+        assert_eq!(elastic.decision_trace(), vec!["patch"]);
+        assert!(elastic.migration_bytes_total > 0.0);
+    }
+
+    #[test]
+    fn no_events_is_one_segment_of_pure_iterations() {
+        let (cluster, graph, seqs) = fixture();
+        let r = run_elastic(
+            &cluster,
+            &graph,
+            &seqs,
+            2,
+            10,
+            &[],
+            ElasticPolicy::Elastic,
+            &ReplanOptions::default(),
+            None,
+        );
+        assert_eq!(r.segments.len(), 1);
+        assert_eq!(r.segments[0].iterations, 10);
+        assert_eq!(r.migration_bytes_total, 0.0);
+        assert!((r.makespan - 10.0 * r.segments[0].iteration_seconds).abs() < 1e-12);
+        assert!(r.outcomes.is_empty());
+        assert!(r.decision_trace().is_empty());
+    }
+
+    #[test]
+    fn stay_keeps_the_plan_but_pays_degraded_iterations() {
+        let (cluster, graph, seqs) = fixture();
+        let events = vec![ElasticEvent {
+            at_iteration: 4,
+            perturbation: AppliedPerturbation::draw(&PerturbationModel::harsh(), 3, 4),
+        }];
+        let r = run_elastic(
+            &cluster,
+            &graph,
+            &seqs,
+            2,
+            10,
+            &events,
+            ElasticPolicy::Never,
+            &ReplanOptions::default(),
+            None,
+        );
+        assert_eq!(r.segments.len(), 2);
+        assert_eq!(r.decision_trace(), vec!["stay"]);
+        assert_eq!(r.segments[1].start_iteration, 4);
+        assert_eq!(r.segments[1].iterations, 6);
+        assert!(r.segments[1].iteration_seconds > r.segments[0].iteration_seconds);
+        assert_eq!(r.migration_seconds_total, 0.0);
+    }
+
+    #[test]
+    fn adopt_switches_the_plan_and_charges_the_migration_lane() {
+        let (cluster, graph, seqs) = fixture();
+        // A dead device: the adopted plan must at least re-home its shards.
+        let applied = dead_device(4, 1);
+        let events = vec![ElasticEvent {
+            at_iteration: 2,
+            perturbation: applied.clone(),
+        }];
+        let r = run_elastic(
+            &cluster,
+            &graph,
+            &seqs,
+            2,
+            6,
+            &events,
+            ElasticPolicy::Always,
+            &ReplanOptions::default(),
+            None,
+        );
+        assert_eq!(r.decision_trace(), vec!["replan"]);
+        assert!(r.outcomes[0].new_seqs.is_some());
+        let bytes = r.outcomes[0].migration_bytes;
+        assert!(bytes > 0.0);
+        assert_eq!(r.migration_bytes_total, bytes);
+        // The charged lane is priced on the degraded cluster.
+        let degraded = cluster.with_perturbation(applied);
+        let ctx = CostCtx::new(&degraded, 0.0);
+        assert_eq!(r.migration_seconds_total, migration_seconds(&ctx, bytes));
+        // Makespan decomposes into the two segments plus the migration.
+        let expect: f64 = r.segments.iter().map(|s| s.elapsed_seconds()).sum();
+        assert!((r.makespan - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn unsorted_events_are_rejected() {
+        let (cluster, graph, seqs) = fixture();
+        let events = [4, 2].map(|at_iteration| ElasticEvent {
+            at_iteration,
+            perturbation: AppliedPerturbation::ideal(4),
+        });
+        run_elastic(
+            &cluster,
+            &graph,
+            &seqs,
+            1,
+            10,
+            &events,
+            ElasticPolicy::Never,
+            &ReplanOptions::default(),
+            None,
+        );
+    }
+
     #[test]
     fn run_elastic_policies_produce_consistent_traces() {
         let (cluster, graph, seqs) = fixture();
@@ -649,8 +969,8 @@ mod tests {
             &opts,
             None,
         );
-        assert_eq!(never.report.decision_trace(), vec!["stay"]);
-        assert_eq!(never.report.migration_bytes_total, 0.0);
+        assert_eq!(never.decision_trace(), vec!["stay"]);
+        assert_eq!(never.migration_bytes_total, 0.0);
 
         let always = run_elastic(
             &cluster,
@@ -663,7 +983,7 @@ mod tests {
             &opts,
             None,
         );
-        assert_eq!(always.report.decision_trace(), vec!["replan"]);
+        assert_eq!(always.decision_trace(), vec!["replan"]);
         assert_eq!(always.outcomes.len(), 1);
         assert_eq!(always.outcomes[0].decision, MigrationDecision::FullReplan);
 
@@ -679,13 +999,13 @@ mod tests {
             None,
         );
         assert_eq!(elastic.outcomes.len(), 1);
-        // The simulator executed exactly what the decision said.
+        // The timeline charged exactly what the decision said.
         assert_eq!(
-            elastic.report.decision_trace(),
+            elastic.decision_trace(),
             vec![elastic.outcomes[0].decision.tag()]
         );
         assert_eq!(
-            elastic.report.migration_bytes_total,
+            elastic.migration_bytes_total,
             elastic.outcomes[0].migration_bytes
         );
         // The elastic policy is never worse than blindly adopting: it

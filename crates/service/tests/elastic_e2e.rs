@@ -20,12 +20,13 @@
 use std::time::Duration;
 
 use primepar_graph::ModelConfig;
-use primepar_search::{run_elastic, ElasticPolicy, Planner, PlannerOptions, ReplanOptions};
+use primepar_search::{
+    run_elastic, ElasticEvent, ElasticPolicy, Planner, PlannerOptions, ReplanOptions,
+};
 use primepar_service::{
     parse_frame, replan_request_json, serve_lines, Frame, PlanRequest, ReplanRequest, Request,
     ServeOptions,
 };
-use primepar_sim::ElasticEvent;
 use primepar_topology::{AppliedPerturbation, Cluster};
 
 const DEVICES: usize = 8;
@@ -91,33 +92,30 @@ fn elastic_strictly_beats_both_static_extremes() {
     let elastic = run(ElasticPolicy::Elastic);
 
     assert!(
-        elastic.report.makespan < never.report.makespan,
+        elastic.makespan < never.makespan,
         "elastic {} must strictly beat never-replan {}",
-        elastic.report.makespan,
-        never.report.makespan
+        elastic.makespan,
+        never.makespan
     );
     assert!(
-        elastic.report.makespan < always.report.makespan,
+        elastic.makespan < always.makespan,
         "elastic {} must strictly beat always-full-replan {}",
-        elastic.report.makespan,
-        always.report.makespan
+        elastic.makespan,
+        always.makespan
     );
 
     // The loop took the migration when it paid and skipped it when it
     // couldn't amortize.
-    let trace = elastic.report.decision_trace();
+    let trace = elastic.decision_trace();
     assert_eq!(trace, vec!["stay", "replan"]);
 
     // Same scenario, same decisions, same bytes — bit-for-bit.
     let again = run(ElasticPolicy::Elastic);
-    assert_eq!(again.report.decision_trace(), trace);
+    assert_eq!(again.decision_trace(), trace);
+    assert_eq!(again.makespan.to_bits(), elastic.makespan.to_bits());
     assert_eq!(
-        again.report.makespan.to_bits(),
-        elastic.report.makespan.to_bits()
-    );
-    assert_eq!(
-        again.report.migration_bytes_total.to_bits(),
-        elastic.report.migration_bytes_total.to_bits()
+        again.migration_bytes_total.to_bits(),
+        elastic.migration_bytes_total.to_bits()
     );
     for (a, b) in elastic.outcomes.iter().zip(&again.outcomes) {
         assert_eq!(a.decision, b.decision);

@@ -13,22 +13,17 @@
 //! statistics all-reduce waits for its hidden-split peers only.
 //!
 //! With homogeneous devices the result provably coincides with the SPMD walk
-//! (unit-tested); with a straggler it quantifies how tightly each strategy
-//! couples devices — the temporal primitive's per-step ring handoffs versus
-//! the conventional strategies' per-phase collectives.
+//! (unit-tested). A straggler is a cluster scenario like any other — an
+//! [`AppliedPerturbation`](primepar_topology::AppliedPerturbation) with one
+//! raised `compute_factors` entry, applied by
+//! [`Cluster::with_perturbation`] — and the DES quantifies how tightly each
+//! strategy couples devices to it: the temporal primitive's per-step ring
+//! handoffs versus the conventional strategies' per-phase collectives.
 
 use primepar_cost::{CostCtx, PlanGeometry};
 use primepar_graph::Graph;
 use primepar_partition::{ring_transfers, PartitionSeq, Phase};
 use primepar_topology::{Cluster, DeviceId, DeviceSpace};
-
-/// Heterogeneity knobs for the per-device simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DesOptions {
-    /// `(device index, compute slowdown factor ≥ 1.0)` — the named device's
-    /// kernels take `factor ×` as long.
-    pub straggler: Option<(usize, f64)>,
-}
 
 /// Result of a per-device simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,16 +61,10 @@ impl DesReport {
 ///
 /// # Panics
 ///
-/// Panics if `seqs.len() != graph.ops.len()` or a straggler index is out of
-/// range.
-pub fn simulate_layer_des(
-    cluster: &Cluster,
-    graph: &Graph,
-    seqs: &[PartitionSeq],
-    options: &DesOptions,
-) -> DesReport {
+/// Panics if `seqs.len() != graph.ops.len()`.
+pub fn simulate_layer_des(cluster: &Cluster, graph: &Graph, seqs: &[PartitionSeq]) -> DesReport {
     let geometry = PlanGeometry::new(graph, seqs);
-    simulate_layer_des_geometry(cluster, graph, seqs, &geometry, options)
+    simulate_layer_des_geometry(cluster, graph, seqs, &geometry)
 }
 
 /// [`simulate_layer_des`] over the plan's precomputed geometry
@@ -85,13 +74,8 @@ pub(crate) fn simulate_layer_des_geometry(
     graph: &Graph,
     seqs: &[PartitionSeq],
     geometry: &PlanGeometry,
-    options: &DesOptions,
 ) -> DesReport {
     let n = cluster.num_devices();
-    if let Some((d, f)) = options.straggler {
-        assert!(d < n, "straggler device {d} out of range");
-        assert!(f >= 1.0, "slowdown must be >= 1");
-    }
     let ctx = CostCtx::new(cluster, 0.0);
     let space = cluster.space();
     let mut clocks = vec![0.0f64; n];
@@ -100,13 +84,8 @@ pub(crate) fn simulate_layer_des_geometry(
     // device (bulk-synchronous bottleneck); rescaling by each device's
     // relative pace recovers genuine per-device heterogeneity under an
     // applied perturbation. On an ideal cluster the pace is exactly 1.
-    let slow = |device: usize, t: f64| -> f64 {
-        let paced = t * cluster.relative_compute_pace(DeviceId(device));
-        match options.straggler {
-            Some((d, f)) if d == device => paced * f,
-            _ => paced,
-        }
-    };
+    let slow =
+        |device: usize, t: f64| -> f64 { t * cluster.relative_compute_pace(DeviceId(device)) };
 
     let run_op_phase =
         |clocks: &mut Vec<f64>, busy: &mut Vec<f64>, op_index: usize, phase: Phase| {
@@ -225,6 +204,15 @@ mod tests {
     use super::*;
     use primepar_graph::ModelConfig;
     use primepar_search::{megatron_layer_plan, Planner, PlannerOptions};
+    use primepar_topology::AppliedPerturbation;
+
+    /// `cluster` with `device`'s kernels `factor ×` slower, nothing else
+    /// perturbed.
+    fn with_straggler(cluster: &Cluster, device: usize, factor: f64) -> Cluster {
+        let mut scenario = AppliedPerturbation::ideal(cluster.num_devices());
+        scenario.compute_factors[device] = factor;
+        cluster.with_perturbation(scenario)
+    }
 
     #[test]
     fn homogeneous_des_matches_spmd_walk() {
@@ -239,7 +227,7 @@ mod tests {
                 .seqs,
         ] {
             let spmd = crate::simulate_layer(&cluster, &graph, &plan);
-            let des = simulate_layer_des(&cluster, &graph, &plan, &DesOptions::default());
+            let des = simulate_layer_des(&cluster, &graph, &plan);
             assert!(
                 (des.iteration_time - spmd.layer_time).abs() < 1e-9 * (1.0 + spmd.layer_time),
                 "DES {} vs SPMD {}",
@@ -256,13 +244,8 @@ mod tests {
         let cluster = Cluster::v100_like(4);
         let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
         let plan = megatron_layer_plan(&graph, 2, 2);
-        for options in [
-            DesOptions::default(),
-            DesOptions {
-                straggler: Some((1, 1.5)),
-            },
-        ] {
-            let des = simulate_layer_des(&cluster, &graph, &plan, &options);
+        for c in [cluster.clone(), with_straggler(&cluster, 1, 1.5)] {
+            let des = simulate_layer_des(&c, &graph, &plan);
             let tol = 1e-9 * (1.0 + des.iteration_time);
             for d in 0..4 {
                 let accounted = des.device_busy[d] + des.idle_seconds(d);
@@ -276,7 +259,7 @@ mod tests {
         }
         // Homogeneous: no barrier drags anyone, so busy == makespan and the
         // per-device busy matches the SPMD walk's device accounts.
-        let des = simulate_layer_des(&cluster, &graph, &plan, &DesOptions::default());
+        let des = simulate_layer_des(&cluster, &graph, &plan);
         let spmd = crate::simulate_layer(&cluster, &graph, &plan);
         for d in 0..4 {
             assert!(
@@ -294,15 +277,8 @@ mod tests {
         let cluster = Cluster::v100_like(4);
         let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
         let plan = megatron_layer_plan(&graph, 1, 4);
-        let base = simulate_layer_des(&cluster, &graph, &plan, &DesOptions::default());
-        let slow = simulate_layer_des(
-            &cluster,
-            &graph,
-            &plan,
-            &DesOptions {
-                straggler: Some((2, 1.5)),
-            },
-        );
+        let base = simulate_layer_des(&cluster, &graph, &plan);
+        let slow = simulate_layer_des(&with_straggler(&cluster, 2, 1.5), &graph, &plan);
         assert!(slow.iteration_time > base.iteration_time);
         // The collective barriers drag everyone to the straggler's pace.
         assert!(
@@ -321,15 +297,8 @@ mod tests {
         let plan = Planner::new(&cluster, &graph, PlannerOptions::default())
             .optimize(1)
             .seqs;
-        let base = simulate_layer_des(&cluster, &graph, &plan, &DesOptions::default());
-        let slow = simulate_layer_des(
-            &cluster,
-            &graph,
-            &plan,
-            &DesOptions {
-                straggler: Some((0, 2.0)),
-            },
-        );
+        let base = simulate_layer_des(&cluster, &graph, &plan);
+        let slow = simulate_layer_des(&with_straggler(&cluster, 0, 2.0), &graph, &plan);
         assert!(slow.iteration_time <= 2.0 * base.iteration_time * 1.0001);
         assert_ne!(slow.device_clocks[0], 0.0);
     }
@@ -347,15 +316,8 @@ mod tests {
             plan.iter().any(|s| s.temporal_k().is_some()),
             "want a temporal plan"
         );
-        let base = simulate_layer_des(&cluster, &graph, &plan, &DesOptions::default());
-        let slow = simulate_layer_des(
-            &cluster,
-            &graph,
-            &plan,
-            &DesOptions {
-                straggler: Some((1, 1.3)),
-            },
-        );
+        let base = simulate_layer_des(&cluster, &graph, &plan);
+        let slow = simulate_layer_des(&with_straggler(&cluster, 1, 1.3), &graph, &plan);
         for d in 0..4 {
             assert!(
                 slow.device_clocks[d] > base.device_clocks[d],

@@ -10,6 +10,9 @@
 //!   breakdown (compute / collective / exposed ring / redistribution), a
 //!   named kernel [`Timeline`] (Fig. 9), and per-device peak memory from a
 //!   high-water-mark trace (Figs. 2b, 8),
+//! * [`simulate_layer_des`] — the same iteration with a clock per device,
+//!   so a slow device on a perturbed cluster delays its ring partners and
+//!   collective groups the way the plan couples them ([`DesReport`]),
 //! * [`simulate_3d`] — GPipe-style pipeline composition for the (p, d, m)
 //!   3D-parallelism study (Fig. 10),
 //! * [`ideal_memory_bytes`] — the replication-free lower bound of Fig. 2(b),
@@ -18,9 +21,12 @@
 //!   (min/median/p95 makespan, slowdown-vs-ideal, critical-device
 //!   histogram), a report of its own beside the ideal [`LayerReport`].
 //!
-//! A scenario is simulated by deriving the cluster
-//! ([`Cluster::perturbed`](primepar_topology::Cluster::perturbed)); no
-//! simulator option perturbs one. Each [`LayerReport`] records the walk's
+//! A scenario — a single straggler included — is simulated by deriving the
+//! cluster ([`Cluster::perturbed`](primepar_topology::Cluster::perturbed) or
+//! [`Cluster::with_perturbation`](primepar_topology::Cluster::with_perturbation));
+//! no simulator option perturbs one. The elastic replan timeline is not
+//! here: `primepar_search::run_elastic` runs it beside the decision it
+//! charges and measures each segment with [`simulate_layer`]. Each [`LayerReport`] records the walk's
 //! per-operator ([`LayerReport::op_breakdown`]) and per-edge
 //! ([`LayerReport::edge_seconds`]) seconds beside the layer breakdown, so
 //! readers such as the drift audit take the figures from the walk instead
@@ -46,7 +52,6 @@
 #![allow(clippy::needless_range_loop)]
 mod accounting;
 mod des;
-mod elastic;
 mod engine;
 mod gantt;
 mod pipeline;
@@ -58,11 +63,7 @@ pub use accounting::{
     indicator_link_class, redistribution_link_class, ByteSample, ClusterAccounting,
     CollectiveAccount, DeviceAccount, LinkAccount,
 };
-pub use des::{simulate_layer_des, DesOptions, DesReport};
-pub use elastic::{
-    elastic_metrics, render_elastic, simulate_elastic, ElasticAction, ElasticContext, ElasticEvent,
-    ElasticReport, ElasticSegment,
-};
+pub use des::{simulate_layer_des, DesReport};
 pub use engine::{
     ideal_memory_bytes, simulate_layer, simulate_layer_with, simulate_model, simulate_model_with,
     ModelReport, SimOptions,

@@ -22,7 +22,7 @@ use primepar_obs::{Json, Metrics, SchemaError};
 use primepar_partition::PartitionSeq;
 use primepar_topology::{Cluster, PerturbationModel};
 
-use crate::des::{simulate_layer_des_geometry, DesOptions};
+use crate::des::simulate_layer_des_geometry;
 use crate::engine::{simulate_layer_geometry, SimOptions};
 
 /// Schema tag of the robustness-report JSON document.
@@ -146,8 +146,7 @@ pub fn robustness_sweep(
         spmd.accounting
             .validate()
             .expect("accounting identities must hold under perturbation");
-        let des =
-            simulate_layer_des_geometry(&perturbed, graph, seqs, &geometry, &DesOptions::default());
+        let des = simulate_layer_des_geometry(&perturbed, graph, seqs, &geometry);
         let critical_device = des.critical_device();
         histogram[critical_device] += 1;
         outcomes.push(ScenarioOutcome {

@@ -5,7 +5,7 @@
 use primepar_cost::{inter_cost, intra_cost, CostCtx};
 use primepar_graph::ModelConfig;
 use primepar_search::{megatron_layer_plan, Planner, PlannerOptions};
-use primepar_sim::{simulate_layer, simulate_layer_des, DesOptions};
+use primepar_sim::{simulate_layer, simulate_layer_des};
 use primepar_topology::Cluster;
 
 #[test]
@@ -68,7 +68,7 @@ fn spmd_des_and_cost_agree_for_every_model() {
         let graph = model.layer_graph(4, 256);
         let plan = megatron_layer_plan(&graph, 2, 2);
         let spmd = simulate_layer(&cluster, &graph, &plan);
-        let des = simulate_layer_des(&cluster, &graph, &plan, &DesOptions::default());
+        let des = simulate_layer_des(&cluster, &graph, &plan);
         assert!(
             (spmd.layer_time - des.iteration_time).abs() < 1e-9 * (1.0 + spmd.layer_time),
             "{}: SPMD {} vs DES {}",

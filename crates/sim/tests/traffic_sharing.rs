@@ -7,8 +7,7 @@ use primepar_cost::{inter_traffic_bytes, intra_cost, CostCtx, PlanGeometry};
 use primepar_graph::ModelConfig;
 use primepar_search::{Planner, PlannerOptions};
 use primepar_sim::{
-    robustness_sweep, simulate_layer_des, simulate_layer_with, DesOptions, RobustnessOptions,
-    SimOptions,
+    robustness_sweep, simulate_layer_des, simulate_layer_with, RobustnessOptions, SimOptions,
 };
 use primepar_topology::{Cluster, PerturbationModel};
 
@@ -112,7 +111,7 @@ fn shared_traffic_sweep_matches_per_scenario_simulations() {
     for o in &report.outcomes {
         let perturbed = cluster.perturbed(&opts.model, o.seed);
         let spmd = simulate_layer_with(&perturbed, &graph, &plan, &SimOptions::default());
-        let des = simulate_layer_des(&perturbed, &graph, &plan, &DesOptions::default());
+        let des = simulate_layer_des(&perturbed, &graph, &plan);
         let s = o.scenario;
         assert_eq!(
             o.makespan.to_bits(),

@@ -304,7 +304,8 @@ cmp "$artifacts/anytime1.plan.txt" "$artifacts/anytime2.plan.txt" \
 echo "== elastic smoke (replan decision + degradation timeline, determinism) =="
 # The costed replan decision and the seeded degradation-timeline study must
 # both be bit-reproducible: two same-seed runs write byte-identical decision
-# transcripts, decision metrics, and results/replan.metrics.json. The
+# transcripts, decision metrics, and results/replan.metrics.json, and the
+# transcript matches results/cli_replan.txt. The
 # `figures replan` study itself asserts the elastic loop strictly beats both
 # static extremes.
 for run in 1 2; do
@@ -317,6 +318,8 @@ for run in 1 2; do
 done
 cmp "$artifacts/replan1.txt" "$artifacts/replan2.txt" \
     || { echo "replan decision transcript is not deterministic" >&2; exit 1; }
+cmp "$artifacts/replan1.txt" results/cli_replan.txt \
+    || { echo "replan decision transcript differs from results/cli_replan.txt" >&2; exit 1; }
 cmp "$artifacts/replan1.metrics.json" "$artifacts/replan2.metrics.json" \
     || { echo "replan decision metrics are not deterministic" >&2; exit 1; }
 grep -q 'decision: replan' "$artifacts/replan1.txt" \
