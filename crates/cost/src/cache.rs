@@ -19,16 +19,19 @@
 //!   equal an earlier one's (the K and V slices of the fused QKV output
 //!   when no cut reaches the Q/K/V axis) ends on that one's `Arc`;
 //! * within one side's profile vector, most per-device holdings repeat (a
-//!   coarse split leaves many devices with identical slices), so the dense
-//!   intervals are deduplicated and each device's holding ids over the whole
-//!   space are stored together (`[device][seq]`);
-//! * the overlap is a product of per-axis factors, and on each axis a side
-//!   holds only a few distinct intervals. So each direction of a sweep
-//!   keeps, per axis whose factors are not all exactly `1.0`, one factor row
-//!   per distinct hold interval over the need side's unique holdings, and
-//!   never a `|need uniques| × |hold uniques|` table. The sweep builds its
-//!   two directions from the plane's profiles and drops them when it ends;
-//!   the cache never holds them;
+//!   coarse split leaves many devices with identical slices), so holdings
+//!   are deduplicated and each device's holding ids over the whole space are
+//!   stored together (`[device][seq]`);
+//! * Eq. 9's overlap is a product over axes, and on each axis a side holds
+//!   only a few distinct intervals. So a profile stores, per axis, a short
+//!   table of its distinct `(lo, hi)` intervals, and each unique holding as
+//!   its tuple of axis ids, interned once while the profile builds. Each
+//!   direction of a sweep reads those tables as they are: per axis whose
+//!   factors are not all exactly `1.0`, one factor row per hold interval
+//!   over the need side's unique holdings, and never a `|need uniques| ×
+//!   |hold uniques|` table. The sweep builds its two directions from the
+//!   plane's profiles and drops them when it ends; the cache never holds
+//!   them;
 //! * the sweep is device-major: per device and direction it builds one term
 //!   row `(V − total·overlap)⁺` per distinct holding on the hold side, from
 //!   the factor rows, and adds it into every cell that holds it — see
@@ -183,19 +186,66 @@ pub fn matrix_job_ids(edges: &[Edge], sig_ids: &[usize]) -> Vec<usize> {
         .collect()
 }
 
+/// One holding as its interval id on every axis: an index into that axis's
+/// table of [`SideProfiles`].
+type AxisIds = [u16; Axis::COUNT];
+
 /// One side's boundary profiles over a whole partition-space vector, with
-/// per-device holdings deduplicated: `ids[device * len() + seq]` indexes
-/// into `uniques`, the distinct dense interval sets observed on this side.
+/// per-device holdings deduplicated and interned per axis:
+/// `ids[device * len() + seq]` indexes into `uniques`, the distinct holdings
+/// observed on this side, and each unique names its interval on axis `a` by
+/// an index into `intervals[a]`.
 #[derive(Debug, Clone)]
 pub struct SideProfiles {
     /// Per-sequence block volume fraction (the `V` of Eq. 9, as a fraction).
     volume_fraction: Vec<f64>,
+    /// Per axis, the distinct `(lo, hi)` intervals the uniques hold on it, in
+    /// first-seen order. Every entry is some unique's.
+    intervals: [Vec<(f64, f64)>; Axis::COUNT],
     /// Distinct per-device holdings, in first-seen order.
-    uniques: Vec<DenseIntervals>,
+    uniques: Vec<AxisIds>,
     /// `[device][seq]` (device-major) indices into `uniques`: one device's
     /// holdings over the whole space are contiguous, as the sweep reads them.
     ids: Vec<u32>,
     devices: usize,
+}
+
+/// The interning state of one [`SideProfiles`] build: holdings are equal
+/// exactly when their intervals are bitwise equal on every axis, which is
+/// exactly when their axis-id tuples are equal.
+#[derive(Debug, Default)]
+struct Interner {
+    intervals: [Vec<(f64, f64)>; Axis::COUNT],
+    uniques: Vec<AxisIds>,
+    by_ids: HashMap<AxisIds, u32>,
+}
+
+impl Interner {
+    /// `holding`'s unique id: each axis's interval found in that axis's
+    /// short table by a linear scan over bit patterns (or appended), then
+    /// the id tuple interned.
+    fn intern(&mut self, holding: &DenseIntervals) -> u32 {
+        let mut key: AxisIds = [0; Axis::COUNT];
+        for ((id, table), &(lo, hi)) in key.iter_mut().zip(&mut self.intervals).zip(&holding.0) {
+            let bits = (lo.to_bits(), hi.to_bits());
+            let at = match table
+                .iter()
+                .position(|&(a, b)| (a.to_bits(), b.to_bits()) == bits)
+            {
+                Some(at) => at,
+                None => {
+                    table.push((lo, hi));
+                    table.len() - 1
+                }
+            };
+            *id = u16::try_from(at).expect("at most 65,536 intervals per axis");
+        }
+        let uniques = &mut self.uniques;
+        *self.by_ids.entry(key).or_insert_with(|| {
+            uniques.push(key);
+            (uniques.len() - 1) as u32
+        })
+    }
 }
 
 impl SideProfiles {
@@ -216,11 +266,10 @@ impl SideProfiles {
     ) -> Self {
         let devices = space.devices().count();
         let mut volume_fraction = Vec::with_capacity(seqs.len());
-        let mut uniques: Vec<DenseIntervals> = Vec::new();
+        let mut interner = Interner::default();
         // `[seq][device]`, as the profile builder emits them; transposed once
         // at the end.
         let mut by_seq = Vec::with_capacity(seqs.len() * devices);
-        let mut by_bits: HashMap<[u64; 2 * Axis::COUNT], u32> = HashMap::new();
         // base unique id → this build's unique id, filled on demand.
         let mut translate = vec![u32::MAX; base.map_or(0, |b| b.uniques.len())];
         let mut memo = ShapeMemo::new();
@@ -230,11 +279,7 @@ impl SideProfiles {
                 for d in 0..devices {
                     let g = b.on_device(d)[i] as usize;
                     if translate[g] == u32::MAX {
-                        let dense = b.uniques[g];
-                        translate[g] = *by_bits.entry(dense_bits(&dense)).or_insert_with(|| {
-                            uniques.push(dense);
-                            (uniques.len() - 1) as u32
-                        });
+                        translate[g] = interner.intern(&b.holding(g));
                     }
                     by_seq.push(translate[g]);
                 }
@@ -242,17 +287,12 @@ impl SideProfiles {
             }
             // `profile_dedup_into` builds each distinct DSI-tuple holding
             // once per slice shape across the whole sequence list; only
-            // those few are hashed and interned here.
+            // those few are interned here.
             let vf = side.profile_dedup_into(
                 seq,
                 space,
                 &mut memo,
-                &mut |holding| {
-                    *by_bits.entry(dense_bits(&holding)).or_insert_with(|| {
-                        uniques.push(holding);
-                        (uniques.len() - 1) as u32
-                    })
-                },
+                &mut |holding| interner.intern(&holding),
                 &mut by_seq,
             );
             volume_fraction.push(vf);
@@ -265,7 +305,8 @@ impl SideProfiles {
         }
         SideProfiles {
             volume_fraction,
-            uniques,
+            intervals: interner.intervals,
+            uniques: interner.uniques,
             ids,
             devices,
         }
@@ -286,10 +327,18 @@ impl SideProfiles {
         self.uniques.len()
     }
 
+    /// Unique `u` as dense intervals, bitwise the holding it was interned
+    /// from.
+    fn holding(&self, u: usize) -> DenseIntervals {
+        let ids = &self.uniques[u];
+        DenseIntervals(std::array::from_fn(|a| self.intervals[a][ids[a] as usize]))
+    }
+
     /// Heap bytes of the profile vector's payload.
     fn heap_bytes(&self) -> usize {
         size_of::<f64>() * self.volume_fraction.len()
-            + size_of::<DenseIntervals>() * self.uniques.len()
+            + size_of::<(f64, f64)>() * self.intervals.iter().map(Vec::len).sum::<usize>()
+            + size_of::<AxisIds>() * self.uniques.len()
             + size_of::<u32>() * self.ids.len()
     }
 
@@ -297,6 +346,15 @@ impl SideProfiles {
     fn on_device(&self, d: usize) -> &[u32] {
         let n = self.len();
         &self.ids[d * n..(d + 1) * n]
+    }
+
+    /// Every axis table as bit patterns, in table order, each led by its
+    /// length.
+    fn table_bits(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.intervals.iter().flat_map(|table| {
+            let len = (table.len() as u64, 0);
+            std::iter::once(len).chain(table.iter().map(|&(lo, hi)| (lo.to_bits(), hi.to_bits())))
+        })
     }
 
     /// A hash of the bits [`same_bits`](Self::same_bits) compares, bar the
@@ -309,40 +367,26 @@ impl SideProfiles {
         for vf in &self.volume_fraction {
             vf.to_bits().hash(&mut h);
         }
-        for u in &self.uniques {
-            dense_bits(u).hash(&mut h);
-        }
+        self.table_bits().for_each(|bits| bits.hash(&mut h));
+        self.uniques.hash(&mut h);
         h.finish()
     }
 
     /// Whether the two vectors are bitwise equal: then every plane swept
-    /// from one is bitwise the other's.
+    /// from one is bitwise the other's. Axis tables are in first-seen order
+    /// over the uniques, so equal holdings make equal tables and tuples.
     fn same_bits(&self, other: &SideProfiles) -> bool {
         self.devices == other.devices
             && self.ids == other.ids
+            && self.uniques == other.uniques
             && self.volume_fraction.len() == other.volume_fraction.len()
             && self
                 .volume_fraction
                 .iter()
                 .zip(&other.volume_fraction)
                 .all(|(a, b)| a.to_bits() == b.to_bits())
-            && self.uniques.len() == other.uniques.len()
-            && self
-                .uniques
-                .iter()
-                .zip(&other.uniques)
-                .all(|(a, b)| dense_bits(a) == dense_bits(b))
+            && self.table_bits().eq(other.table_bits())
     }
-}
-
-/// Exact bit pattern of a dense interval set, for hashing.
-fn dense_bits(d: &DenseIntervals) -> [u64; 2 * Axis::COUNT] {
-    let mut bits = [0u64; 2 * Axis::COUNT];
-    for (i, (lo, hi)) in d.0.iter().enumerate() {
-        bits[2 * i] = lo.to_bits();
-        bits[2 * i + 1] = hi.to_bits();
-    }
-    bits
 }
 
 /// A prepared edge: a handle on its cache's volume-plane entry, which every
@@ -439,12 +483,16 @@ impl PreparedEdge {
 /// side's unique holdings. The product of an axis-ordered pick of those rows
 /// times the element count is `total · need.overlap_fraction(hold)`, bitwise
 /// (skipping an all-`1.0` axis is exact: `x · 1.0 == x`), so no `|needs| ×
-/// |holds|` table is ever built.
+/// |holds|` table is ever built. Both sides' axis tables come interned from
+/// their profiles.
 #[derive(Debug)]
-struct Direction {
+struct Direction<'a> {
     total_elems: f64,
     /// The need side's unique holding count: every factor row's length.
     needs: usize,
+    /// The hold side's uniques: each one's interval id per axis picks its
+    /// factor row.
+    holds: &'a [AxisIds],
     /// The live axes, ascending.
     axes: Vec<AxisFactors>,
 }
@@ -452,27 +500,18 @@ struct Direction {
 /// One live axis of a [`Direction`].
 #[derive(Debug)]
 struct AxisFactors {
-    /// Each hold unique's factor row.
-    hold_row: Vec<u32>,
+    axis: usize,
     /// `[hold interval][need unique]` factors `(min(hi) − max(lo))⁺` —
     /// [`DenseIntervals::overlap_fraction`]'s per-axis expression, with the
     /// need as its receiver.
     rows: Vec<f64>,
 }
 
-impl AxisFactors {
-    /// The factor row of hold unique `hold`, `needs` long.
-    fn row(&self, hold: usize, needs: usize) -> &[f64] {
-        &self.rows[self.hold_row[hold] as usize * needs..][..needs]
-    }
-}
-
-impl Direction {
-    fn build(total_elems: f64, needs: &SideProfiles, holds: &SideProfiles) -> Self {
+impl<'a> Direction<'a> {
+    fn build(total_elems: f64, needs: &SideProfiles, holds: &'a SideProfiles) -> Self {
         let axes = (0..Axis::COUNT)
             .filter_map(|axis| {
-                let (need_iv, need_ivs) = intern_axis(&needs.uniques, axis);
-                let (hold_row, hold_ivs) = intern_axis(&holds.uniques, axis);
+                let (need_ivs, hold_ivs) = (&needs.intervals[axis], &holds.intervals[axis]);
                 // Each distinct interval pair's factor, `[hold][need]`.
                 let factors: Vec<f64> = hold_ivs
                     .iter()
@@ -485,18 +524,24 @@ impl Direction {
                 if factors.iter().all(|f| f.to_bits() == 1.0f64.to_bits()) {
                     return None;
                 }
-                let mut rows = Vec::with_capacity(hold_ivs.len() * need_iv.len());
+                let mut rows = Vec::with_capacity(hold_ivs.len() * needs.uniques.len());
                 for f in factors.chunks_exact(need_ivs.len()) {
-                    rows.extend(need_iv.iter().map(|&i| f[i as usize]));
+                    rows.extend(needs.uniques.iter().map(|u| f[u[axis] as usize]));
                 }
-                Some(AxisFactors { hold_row, rows })
+                Some(AxisFactors { axis, rows })
             })
             .collect();
         Direction {
             total_elems,
             needs: needs.uniques.len(),
+            holds: &holds.uniques,
             axes,
         }
+    }
+
+    /// The factor row of hold unique `hold` on live axis `a`, `needs` long.
+    fn row(&self, a: &'a AxisFactors, hold: usize) -> &'a [f64] {
+        &a.rows[self.holds[hold][a.axis] as usize * self.needs..][..self.needs]
     }
 
     /// `out[x] = finish(x, ((G_a·G_b)·…)·total)` for hold unique `hold`
@@ -511,7 +556,7 @@ impl Direction {
     fn fill(&self, hold: usize, need: &[u32], out: &mut [f64], finish: impl Fn(usize, f64) -> f64) {
         let slots = out.iter_mut().zip(need).enumerate();
         if let [a, b, c] = self.axes.as_slice() {
-            let [ga, gb, gc] = [a, b, c].map(|g| g.row(hold, self.needs));
+            let [ga, gb, gc] = [a, b, c].map(|g| self.row(g, hold));
             for (x, (p, &u)) in slots {
                 let u = u as usize;
                 *p = finish(x, ga[u] * gb[u] * gc[u] * self.total_elems);
@@ -527,7 +572,7 @@ impl Direction {
     /// (`1.0 · total` with no live axis).
     fn product(&self, hold: usize, need: usize) -> f64 {
         let overlap = self.axes.iter().fold(1.0, |p, a| {
-            p * a.rows[a.hold_row[hold] as usize * self.needs + need]
+            p * a.rows[self.holds[hold][a.axis] as usize * self.needs + need]
         });
         overlap * self.total_elems
     }
@@ -591,26 +636,6 @@ impl Direction {
         }
         built
     }
-}
-
-/// One axis of `uniques`, interned by bit pattern: each holding's index into
-/// the distinct `(lo, hi)` intervals, in first-seen order.
-fn intern_axis(uniques: &[DenseIntervals], axis: usize) -> (Vec<u32>, Vec<(f64, f64)>) {
-    let mut distinct: Vec<(f64, f64)> = Vec::new();
-    let mut by_bits: HashMap<(u64, u64), u32> = HashMap::new();
-    let ids = uniques
-        .iter()
-        .map(|u| {
-            let iv = u.0[axis];
-            *by_bits
-                .entry((iv.0.to_bits(), iv.1.to_bits()))
-                .or_insert_with(|| {
-                    distinct.push(iv);
-                    (distinct.len() - 1) as u32
-                })
-        })
-        .collect();
-    (ids, distinct)
 }
 
 /// Interning cache of sequence lists, side profiles and volume planes, keyed
@@ -805,6 +830,66 @@ mod tests {
             .collect()
     }
 
+    /// Every `bits`-bit sequence: splits of any dimension in any order,
+    /// with at most one `P_{2×2}` at any position.
+    fn every_seq(bits: usize) -> Vec<PartitionSeq> {
+        fn grow(prefix: &[Primitive], left: usize, out: &mut Vec<PartitionSeq>) {
+            if left == 0 {
+                out.push(PartitionSeq::new(prefix.to_vec()).unwrap());
+                return;
+            }
+            for d in [Dim::B, Dim::M, Dim::N, Dim::K] {
+                grow(&[prefix, &[Primitive::Split(d)]].concat(), left - 1, out);
+            }
+            let temporal = Primitive::Temporal { k: 1 };
+            if left >= 2 && !prefix.contains(&temporal) {
+                grow(&[prefix, &[temporal]].concat(), left - 2, out);
+            }
+        }
+        let mut out = Vec::new();
+        grow(&[], bits, &mut out);
+        out
+    }
+
+    #[test]
+    fn axis_ids_rebuild_every_direct_holding_at_the_replan_point() {
+        // Each interned profile of every edge of the replan point's layer
+        // (OPT-6.7B, seq 1024, 8 devices), read back through its axis
+        // tables, is bitwise the direct builder's holding on every device
+        // under every sequence, and so is its block volume fraction.
+        let g = ModelConfig::opt_6_7b().layer_graph(8, 1024);
+        let seqs = every_seq(3);
+        assert_eq!(seqs.len(), 4 * 4 * 4 + 2 * 4);
+        let space = DeviceSpace::new(3);
+        let mut cache = EdgeCostCache::new();
+        let mut stats = CacheStats::default();
+        let bits = |h: &DenseIntervals| h.0.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+        let mut checked = 0;
+        for edge in &g.edges {
+            let (src, dst) = (&g.ops[edge.src], &g.ops[edge.dst]);
+            let sides = EdgeSides::new(edge, src, dst, 3, 3);
+            let prepared = cache.prepare(&mut stats, edge, src, dst, &seqs, &seqs);
+            let e = &prepared.entry;
+            for (profile, side) in [
+                (&e.produce, &sides.produce),
+                (&e.consume, &sides.consume),
+                (&e.g_produce, &sides.g_produce),
+                (&e.g_consume, &sides.g_consume),
+            ] {
+                for (i, seq) in seqs.iter().enumerate() {
+                    let (fraction, direct) = side.profile(seq, space);
+                    assert_eq!(profile.volume_fraction[i].to_bits(), fraction.to_bits());
+                    for (d, want) in direct.iter().enumerate() {
+                        let got = profile.holding(profile.on_device(d)[i] as usize);
+                        assert_eq!(bits(&got), bits(want), "{seq} on device {d}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, g.edges.len() * 4 * seqs.len() * 8);
+    }
+
     #[test]
     fn matrix_job_ids_match_matrix_key_dedup() {
         // The interned ids must reproduce the first-seen dense numbering a
@@ -928,15 +1013,29 @@ mod tests {
         DenseIntervals(d)
     }
 
-    /// One sequence over `uniques.len()` devices, device `d` holding
-    /// `uniques[d]`.
-    fn one_seq_side(uniques: Vec<DenseIntervals>) -> SideProfiles {
+    /// A side over `devices` devices whose `[device][seq]` holdings are
+    /// `pool[at]` for each `at` of `ids`, interned as a build interns them.
+    fn side_of(
+        volume_fraction: Vec<f64>,
+        devices: usize,
+        pool: &[DenseIntervals],
+        ids: impl Iterator<Item = usize>,
+    ) -> SideProfiles {
+        let mut interner = Interner::default();
+        let pool_ids: Vec<u32> = pool.iter().map(|h| interner.intern(h)).collect();
         SideProfiles {
-            volume_fraction: vec![1.0],
-            ids: (0..uniques.len() as u32).collect(),
-            devices: uniques.len(),
-            uniques,
+            volume_fraction,
+            intervals: interner.intervals,
+            uniques: interner.uniques,
+            ids: ids.map(|at| pool_ids[at]).collect(),
+            devices,
         }
+    }
+
+    /// One sequence over `holdings.len()` devices, device `d` holding
+    /// `holdings[d]`.
+    fn one_seq_side(holdings: Vec<DenseIntervals>) -> SideProfiles {
+        side_of(vec![1.0], holdings.len(), &holdings, 0..holdings.len())
     }
 
     /// A pseudo-random side: `seqs` sequences over `devices` devices, each
@@ -952,7 +1051,7 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             (state >> 33) % n
         };
-        let uniques = (0..pool)
+        let pool: Vec<DenseIntervals> = (0..pool)
             .map(|_| {
                 let mut d = [(0.0, 1.0); Axis::COUNT];
                 for a in [0, 3, 6] {
@@ -962,14 +1061,11 @@ mod tests {
                 DenseIntervals(d)
             })
             .collect();
-        SideProfiles {
-            volume_fraction: (0..seqs).map(|_| (8 + next(6)) as f64 / 7.0).collect(),
-            ids: (0..seqs * devices)
-                .map(|_| next(pool as u64) as u32)
-                .collect(),
-            devices,
-            uniques,
-        }
+        let volume_fraction = (0..seqs).map(|_| (8 + next(6)) as f64 / 7.0).collect();
+        let ids: Vec<usize> = (0..seqs * devices)
+            .map(|_| next(pool.len() as u64) as usize)
+            .collect();
+        side_of(volume_fraction, devices, &pool, ids.into_iter())
     }
 
     #[test]
@@ -999,13 +1095,13 @@ mod tests {
                 s.volume_fraction.iter().map(|f| total * f).collect()
             };
             let (vc, vg) = (volumes(&entry.consume), volumes(&entry.g_consume));
-            let fwd_dir = Direction::build(total, &entry.consume, &entry.produce);
-            let bwd_dir = Direction::build(total, &entry.g_consume, &entry.g_produce);
-            assert_eq!(fwd_dir.axes.len(), 3);
             let edge = PreparedEdge {
                 entry: Arc::new(entry),
             };
             let e = &edge.entry;
+            let fwd_dir = Direction::build(total, &e.consume, &e.produce);
+            let bwd_dir = Direction::build(total, &e.g_consume, &e.g_produce);
+            assert_eq!(fwd_dir.axes.len(), 3);
             let ctx = CostCtx::new(&cluster, 0.0);
             let mut swept = edge.volumes(&ctx);
             ctx.price(&mut swept);
@@ -1013,9 +1109,9 @@ mod tests {
             let traffic =
                 |needs: &SideProfiles, n: usize, holds: &SideProfiles, h: usize, v: f64| {
                     (0..devices).fold(0.0, |sum, d| {
-                        let need = &needs.uniques[needs.on_device(d)[n] as usize];
-                        let hold = &holds.uniques[holds.on_device(d)[h] as usize];
-                        sum + (v - total * need.overlap_fraction(hold)).max(0.0)
+                        let need = needs.holding(needs.on_device(d)[n] as usize);
+                        let hold = holds.holding(holds.on_device(d)[h] as usize);
+                        sum + (v - total * need.overlap_fraction(&hold)).max(0.0)
                     })
                 };
             // Each direction's sums too, before the cost model rounds them.
@@ -1125,13 +1221,13 @@ mod tests {
             let (needs, holds) = (one_seq_side(needs), one_seq_side(holds));
             let dir = Direction::build(total, &needs, &holds);
             assert_eq!(dir.axes.len(), live);
-            let every_need: Vec<u32> = (0..needs.uniques.len() as u32).collect();
+            let every_need: Vec<u32> = (0..needs.unique_holdings() as u32).collect();
             let mut got = vec![f64::NAN; every_need.len()];
-            for (h, hold) in holds.uniques.iter().enumerate() {
+            for h in 0..holds.unique_holdings() {
                 dir.fill(h, &every_need, &mut got, |_, p| p);
-                for (n, need) in needs.uniques.iter().enumerate() {
-                    let expect = total * need.overlap_fraction(hold);
-                    for (path, p) in [("fill", got[n]), ("product", dir.product(h, n))] {
+                for (n, &filled) in got.iter().enumerate() {
+                    let expect = total * needs.holding(n).overlap_fraction(&holds.holding(h));
+                    for (path, p) in [("fill", filled), ("product", dir.product(h, n))] {
                         assert_eq!(
                             p.to_bits(),
                             expect.to_bits(),

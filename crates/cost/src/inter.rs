@@ -12,6 +12,8 @@
 //! `EdgeSide::holding` builds every per-device holding, and `traffic` is the
 //! direct reduction. The planner's cache, the simulator's plan volumes, the
 //! reference [`edge_cost_matrix`] and the migration prices all read them.
+//! The cache stores each holding that `profile_dedup_into` hands it as
+//! per-axis interval ids, interned once.
 
 use primepar_graph::{Axis, Edge, Operator};
 use primepar_partition::{Dim, PartitionSeq, Phase, TensorKind};
@@ -165,10 +167,11 @@ impl<'a> EdgeSide<'a> {
         ids: &mut Vec<u32>,
     ) -> f64 {
         let (slices, volume_fraction) = self.slicing(seq);
-        let table = memo.table(slices);
         let prog = seq.dsi_program(space, self.phase, self.dims, self.step(seq));
         let mask = prog.relevant_mask();
-        let mut id_of_masked = vec![u32::MAX; space.num_devices()];
+        let (table, id_of_masked) = memo.table(slices, space.num_devices());
+        // Only the submasks of `mask` are written below, and only they are
+        // read, so the buffer carries no state from an earlier sequence.
         let mut sub = mask;
         loop {
             let idxs = prog.keys(sub);
@@ -194,13 +197,17 @@ impl<'a> EdgeSide<'a> {
 /// holding, no matter how their primitives are ordered. The memo keeps one
 /// dense table per slice shape, indexed by the DSI tuple read as a
 /// mixed-radix number over that shape's slice counts ([`tuple_index`]), so
-/// repeat tuples across sequences skip interval construction — and hashing —
-/// entirely.
+/// repeat tuples across sequences skip interval construction entirely. One
+/// build meets a few dozen shapes at most (34 on the Table-2 point), so the
+/// shapes are a short list scanned in order.
 #[derive(Debug, Default)]
 pub(crate) struct ShapeMemo {
-    /// Per-dimension slice counts → the caller's interned unique id of every
-    /// DSI tuple of that shape (`u32::MAX` until first built).
-    tables: std::collections::HashMap<[usize; 4], Vec<u32>>,
+    /// Per-dimension slice counts and the caller's interned unique id of
+    /// every DSI tuple of that shape (`u32::MAX` until first built).
+    tables: Vec<([usize; 4], Vec<u32>)>,
+    /// Per masked device index, the id its tuple resolved to: one buffer
+    /// every sequence of the build reuses.
+    id_of_masked: Vec<u32>,
 }
 
 impl ShapeMemo {
@@ -208,12 +215,19 @@ impl ShapeMemo {
         ShapeMemo::default()
     }
 
-    /// The id table of slice shape `slices`, allocated on first use.
-    fn table(&mut self, slices: [usize; 4]) -> &mut [u32] {
-        self.tables.entry(slices).or_insert_with(|| {
-            let tuples = slices.iter().map(|&n| n.max(1)).product();
-            vec![u32::MAX; tuples]
-        })
+    /// The id table of slice shape `slices`, allocated on first use, and the
+    /// masked-index buffer over `devices` devices.
+    fn table(&mut self, slices: [usize; 4], devices: usize) -> (&mut [u32], &mut [u32]) {
+        let at = match self.tables.iter().position(|(s, _)| *s == slices) {
+            Some(at) => at,
+            None => {
+                let tuples = slices.iter().map(|&n| n.max(1)).product();
+                self.tables.push((slices, vec![u32::MAX; tuples]));
+                self.tables.len() - 1
+            }
+        };
+        self.id_of_masked.resize(devices, u32::MAX);
+        (&mut self.tables[at].1, &mut self.id_of_masked)
     }
 }
 

@@ -8,9 +8,10 @@
 //! align with axis boundaries (the power-of-two common case); a slight
 //! overestimate of the overlap otherwise — conservative for a cost model.
 //!
-//! [`DenseIntervals`] is the one holding type every Eqs. 8–9 path reads: the
-//! planner's side profiles and sweep, the simulator's plan volumes, the
-//! reference edge matrix and the migration and failover prices.
+//! [`DenseIntervals`] is the one holding type every Eqs. 8–9 path builds:
+//! the planner's side profiles (which store each as its per-axis interval
+//! ids), the simulator's plan volumes, the reference edge matrix and the
+//! migration and failover prices.
 
 use primepar_graph::Axis;
 

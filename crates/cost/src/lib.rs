@@ -19,9 +19,9 @@
 //!   checked against, bit for bit.
 //!
 //! Every Eqs. 8–9 path — the planner's planes, the simulator's volumes, the
-//! reference matrix and the migration prices — reads one holding type,
-//! [`DenseIntervals`], built by one builder from one description of an
-//! edge's four sides.
+//! reference matrix and the migration prices — builds one holding type,
+//! [`DenseIntervals`], by one builder from one description of an edge's
+//! four sides; the planner's profiles keep each as per-axis interval ids.
 //!
 //! # Example
 //!

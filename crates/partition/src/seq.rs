@@ -327,11 +327,13 @@ impl PartitionSeq {
     /// which device-index bits each queried dimension gathers and the
     /// temporal primitive's modular contribution, so evaluating a device is
     /// a handful of shifts instead of a primitive walk per `(dim, device)`.
+    /// The program lives in fixed-capacity arrays and allocates nothing.
     ///
     /// # Panics
     ///
-    /// Panics like `dsi` on a space/bit mismatch or `t` out of range, and if
-    /// `dims` holds more than [`DsiProgram::MAX_DIMS`] dimensions.
+    /// Panics like `dsi` on a space/bit mismatch or `t` out of range, if
+    /// `dims` holds more than [`DsiProgram::MAX_DIMS`] dimensions, and if
+    /// the space has more than [`DsiProgram::MAX_BITS`] device bits.
     pub fn dsi_program(
         &self,
         space: DeviceSpace,
@@ -343,19 +345,29 @@ impl PartitionSeq {
         assert!(t < self.temporal_steps(), "step {t} out of range");
         assert!(dims.len() <= DsiProgram::MAX_DIMS, "too many dims");
         let n_bits = space.n_bits();
-        let mut slots: Vec<Vec<DsiStep>> = vec![Vec::new(); dims.len()];
-        let mut r_shifts = Vec::new();
-        let mut c_shifts = Vec::new();
-        let mut relevant_mask = 0usize;
+        assert!(
+            n_bits <= DsiProgram::MAX_BITS,
+            "DsiProgram capacity exceeded: {n_bits} device bits, at most {}",
+            DsiProgram::MAX_BITS
+        );
+        // Every step consumes at least one device bit, so no array below can
+        // overflow once the bit count fits.
+        let mut prog = DsiProgram {
+            slots: [DsiSlot::EMPTY; DsiProgram::MAX_DIMS],
+            r_shifts: [0; DsiProgram::MAX_BITS / 2],
+            c_shifts: [0; DsiProgram::MAX_BITS / 2],
+            k: 0,
+            relevant_mask: 0,
+        };
         let mut bit_pos = 1usize; // next unconsumed device bit (1-based)
         for prim in &self.prims {
             match *prim {
                 Primitive::Split(d) => {
                     let shift = n_bits - bit_pos;
-                    for (slot, &dim) in slots.iter_mut().zip(dims) {
+                    for (slot, &dim) in prog.slots.iter_mut().zip(dims) {
                         if d == dim {
-                            slot.push(DsiStep::Bit { shift });
-                            relevant_mask |= 1 << shift;
+                            slot.push(DsiStep::Bit { shift: shift as u8 });
+                            prog.relevant_mask |= 1 << shift;
                         }
                     }
                     bit_pos += 1;
@@ -363,13 +375,10 @@ impl PartitionSeq {
                 Primitive::Temporal { k } => {
                     let side = 1i64 << k;
                     let ku = k as usize;
-                    for j in 0..ku {
-                        r_shifts.push(n_bits - (bit_pos + 2 * j));
-                        c_shifts.push(n_bits - (bit_pos + 2 * j + 1));
-                    }
                     let t = t as i64;
                     let delta = i64::from(t == side - 1);
-                    for (slot, &dim) in slots.iter_mut().zip(dims) {
+                    let mut read = false;
+                    for (slot, &dim) in prog.slots.iter_mut().zip(dims) {
                         // The same `(phase, dim) → a_r·r + a_c·c + add`
                         // table `dsi` evaluates, with the device-independent
                         // part folded into `add`.
@@ -387,31 +396,31 @@ impl PartitionSeq {
                         };
                         if let Some((use_r, use_c, add)) = contribution {
                             slot.push(DsiStep::Temporal {
-                                k,
+                                k: k as u8,
                                 use_r,
                                 use_c,
-                                add,
+                                add: add as i32,
                             });
-                            for j in 0..ku {
-                                relevant_mask |= 1 << (n_bits - (bit_pos + 2 * j));
-                                relevant_mask |= 1 << (n_bits - (bit_pos + 2 * j + 1));
-                            }
+                            read = true;
+                        }
+                    }
+                    // The square's coordinates, only when some dimension
+                    // reads them (a sequence has one temporal primitive).
+                    if read {
+                        prog.k = ku;
+                        for j in 0..ku {
+                            let r = n_bits - (bit_pos + 2 * j);
+                            let c = r - 1;
+                            prog.r_shifts[j] = r as u8;
+                            prog.c_shifts[j] = c as u8;
+                            prog.relevant_mask |= (1 << r) | (1 << c);
                         }
                     }
                     bit_pos += 2 * ku;
                 }
             }
         }
-        let temporal = slots
-            .iter()
-            .flatten()
-            .any(|s| matches!(s, DsiStep::Temporal { .. }));
-        DsiProgram {
-            slots,
-            r_shifts: if temporal { r_shifts } else { Vec::new() },
-            c_shifts: if temporal { c_shifts } else { Vec::new() },
-            relevant_mask,
-        }
+        prog
     }
 }
 
@@ -421,15 +430,38 @@ enum DsiStep {
     /// `dsi = 2·dsi + bit(device, shift)`.
     Bit {
         /// Right-shift of the device index selecting the split's bit.
-        shift: usize,
+        shift: u8,
     },
     /// `dsi = (dsi << k) + (a_r·r + a_c·c + add) mod 2^k`.
     Temporal {
-        k: u32,
+        k: u8,
         use_r: bool,
         use_c: bool,
-        add: i64,
+        add: i32,
     },
+}
+
+/// One compiled dimension of a [`DsiProgram`]: its steps, in a fixed array.
+#[derive(Debug, Clone, Copy)]
+struct DsiSlot {
+    steps: [DsiStep; DsiProgram::MAX_BITS],
+    len: u8,
+}
+
+impl DsiSlot {
+    const EMPTY: DsiSlot = DsiSlot {
+        steps: [DsiStep::Bit { shift: 0 }; DsiProgram::MAX_BITS],
+        len: 0,
+    };
+
+    fn push(&mut self, step: DsiStep) {
+        self.steps[self.len as usize] = step;
+        self.len += 1;
+    }
+
+    fn steps(&self) -> &[DsiStep] {
+        &self.steps[..self.len as usize]
+    }
 }
 
 /// A compiled DSI evaluator returned by [`PartitionSeq::dsi_program`]:
@@ -437,17 +469,25 @@ enum DsiStep {
 /// at once, and [`relevant_mask`](DsiProgram::relevant_mask) names the
 /// device-index bits the result can depend on — devices equal under the
 /// mask share a DSI tuple, which callers exploit to deduplicate evaluation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct DsiProgram {
-    slots: Vec<Vec<DsiStep>>,
-    r_shifts: Vec<usize>,
-    c_shifts: Vec<usize>,
+    /// One slot per compiled dimension; the trailing slots stay empty.
+    slots: [DsiSlot; DsiProgram::MAX_DIMS],
+    /// The temporal primitive's row and column bit shifts, the first `k` of
+    /// each (`k` is 0 when no compiled dimension reads the square).
+    r_shifts: [u8; DsiProgram::MAX_BITS / 2],
+    c_shifts: [u8; DsiProgram::MAX_BITS / 2],
+    k: usize,
     relevant_mask: usize,
 }
 
 impl DsiProgram {
     /// Upper bound on the `dims` list length a program compiles.
     pub const MAX_DIMS: usize = 4;
+
+    /// Upper bound on the device bits a program compiles (65,536 devices):
+    /// the capacity of its step arrays.
+    pub const MAX_BITS: usize = 16;
 
     /// Bit mask over the *device index* (not the 1-based `d_pos` numbering):
     /// two devices with equal masked indices produce identical
@@ -461,16 +501,14 @@ impl DsiProgram {
     /// [`PartitionSeq::dsi`] per dimension.
     pub fn keys(&self, device: usize) -> [usize; Self::MAX_DIMS] {
         let (mut r, mut c) = (0i64, 0i64);
-        for &shift in &self.r_shifts {
-            r = (r << 1) | ((device >> shift) & 1) as i64;
-        }
-        for &shift in &self.c_shifts {
-            c = (c << 1) | ((device >> shift) & 1) as i64;
+        for (&rs, &cs) in self.r_shifts[..self.k].iter().zip(&self.c_shifts) {
+            r = (r << 1) | ((device >> rs) & 1) as i64;
+            c = (c << 1) | ((device >> cs) & 1) as i64;
         }
         let mut out = [0usize; Self::MAX_DIMS];
         for (slot, o) in self.slots.iter().zip(&mut out) {
             let mut dsi = 0usize;
-            for step in slot {
+            for step in slot.steps() {
                 match *step {
                     DsiStep::Bit { shift } => dsi = 2 * dsi + ((device >> shift) & 1),
                     DsiStep::Temporal {
@@ -480,7 +518,7 @@ impl DsiProgram {
                         add,
                     } => {
                         let side = 1i64 << k;
-                        let v = i64::from(use_r) * r + i64::from(use_c) * c + add;
+                        let v = i64::from(use_r) * r + i64::from(use_c) * c + i64::from(add);
                         dsi = (dsi << k) + v.rem_euclid(side) as usize;
                     }
                 }
@@ -823,6 +861,35 @@ mod tests {
                 split(Dim::N),
             ])
             .unwrap(),
+            // 9 bits (512 devices): splits on either side of a `P_{4×4}`,
+            // and dimensions split several times.
+            PartitionSeq::new(vec![
+                split(Dim::M),
+                split(Dim::N),
+                Primitive::Temporal { k: 2 },
+                split(Dim::K),
+                split(Dim::M),
+                split(Dim::B),
+            ])
+            .unwrap(),
+            PartitionSeq::new(vec![
+                split(Dim::K),
+                split(Dim::K),
+                split(Dim::B),
+                split(Dim::N),
+                split(Dim::N),
+                Primitive::Temporal { k: 2 },
+            ])
+            .unwrap(),
+            PartitionSeq::new(vec![
+                Primitive::Temporal { k: 2 },
+                split(Dim::N),
+                split(Dim::N),
+                split(Dim::M),
+                split(Dim::K),
+                split(Dim::N),
+            ])
+            .unwrap(),
         ];
         let dims = [Dim::B, Dim::M, Dim::N, Dim::K];
         for seq in &seqs {
@@ -849,6 +916,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "DsiProgram capacity exceeded: 17 device bits, at most 16")]
+    fn dsi_program_rejects_a_space_over_its_capacity() {
+        // 17 M splits would need 17 steps in one slot: the program refuses
+        // to compile rather than drop a step.
+        let seq = PartitionSeq::new(vec![split(Dim::M); 17]).unwrap();
+        seq.dsi_program(DeviceSpace::new(17), Phase::Forward, &[Dim::M], 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use primepar_cost::{
 use primepar_graph::{Graph, ModelConfig};
 use primepar_partition::PartitionSeq;
 use primepar_search::{Planner, PlannerOptions, SpaceCache, SpaceOptions};
-use primepar_topology::Cluster;
+use primepar_topology::{AppliedPerturbation, Cluster, PerturbationModel};
 
 /// Every operator's partition space, enumerated as the planner enumerates it.
 fn op_spaces(cluster: &Cluster, graph: &Graph) -> Vec<Vec<PartitionSeq>> {
@@ -108,11 +108,12 @@ fn simulator_volumes_match_swept_planes_at_the_table2_plan() {
     }
 }
 
-#[test]
-fn prepared_matrices_match_direct_on_the_table2_spaces_at_16_devices() {
-    let cluster = Cluster::v100_like(16);
-    let graph = ModelConfig::opt_6_7b().layer_graph(8, 2048);
-    let spaces = op_spaces(&cluster, &graph);
+/// Checks every unique prepared matrix of `graph` on `cluster`'s spaces
+/// against `edge_cost_matrix`, bit for bit, each priced on `cluster` and on
+/// every cluster of `repriced`: the swept volume plane carries no cluster,
+/// so one sweep prices on any of them. Returns the matrices checked.
+fn check_prepared_against_direct(cluster: &Cluster, repriced: &[Cluster], graph: &Graph) -> usize {
+    let spaces = op_spaces(cluster, graph);
     let sig_ids = graph.signature_ids();
     let jobs = matrix_job_ids(&graph.edges, &sig_ids);
     let mut cache = EdgeCostCache::new();
@@ -124,27 +125,56 @@ fn prepared_matrices_match_direct_on_the_table2_spaces_at_16_devices() {
         }
         let (src, dst) = (&graph.ops[edge.src], &graph.ops[edge.dst]);
         let (src_seqs, dst_seqs) = (&spaces[edge.src], &spaces[edge.dst]);
-        let ctx = CostCtx::new(&cluster, 0.0);
-        let direct = edge_cost_matrix(&ctx, edge, src, dst, src_seqs, dst_seqs);
-        let mut prepared = cache
-            .prepare(&mut stats, edge, src, dst, src_seqs, dst_seqs)
-            .volumes(&ctx);
-        ctx.price(&mut prepared);
-        assert_eq!(direct.len(), src_seqs.len() * dst_seqs.len());
-        assert_eq!(direct.len(), prepared.len());
-        for (i, (a, b)) in direct.iter().zip(&prepared).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "edge ({}, {}) cell {i}: {a} vs {b}",
-                edge.src,
-                edge.dst
-            );
+        let prepared = cache.prepare(&mut stats, edge, src, dst, src_seqs, dst_seqs);
+        for on in std::iter::once(cluster).chain(repriced) {
+            let ctx = CostCtx::new(on, 0.0);
+            let direct = edge_cost_matrix(&ctx, edge, src, dst, src_seqs, dst_seqs);
+            let mut swept = prepared.plane(&ctx).to_vec();
+            ctx.price(&mut swept);
+            assert_eq!(direct.len(), src_seqs.len() * dst_seqs.len());
+            assert_eq!(direct.len(), swept.len());
+            for (i, (a, b)) in direct.iter().zip(&swept).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "edge ({}, {}) cell {i}: {a} vs {b}",
+                    edge.src,
+                    edge.dst
+                );
+            }
         }
         checked += 1;
     }
+    checked
+}
+
+#[test]
+fn prepared_matrices_match_direct_on_the_table2_spaces_at_16_devices() {
+    let cluster = Cluster::v100_like(16);
+    let graph = ModelConfig::opt_6_7b().layer_graph(8, 2048);
     // The Table-2 layer has 14 unique matrices (residual adds dedup).
-    assert_eq!(checked, 14);
+    assert_eq!(check_prepared_against_direct(&cluster, &[], &graph), 14);
+}
+
+#[test]
+fn prepared_matrices_match_direct_at_the_replan_point_under_harsh_scenarios() {
+    // The elastic replan point (OPT-6.7B, 8 devices, seq 1024), each matrix
+    // priced on the ideal cluster and on the first two harsh draws with every
+    // device alive and the first two with a dead device failing over.
+    let cluster = Cluster::v100_like(8);
+    let draws: Vec<AppliedPerturbation> = (0..)
+        .map(|seed| AppliedPerturbation::draw(&PerturbationModel::harsh(), seed, 8))
+        .take(128)
+        .collect();
+    let (dead, alive): (Vec<_>, Vec<_>) = draws.into_iter().partition(|s| s.dead_devices() > 0);
+    assert!(dead.len() >= 2, "harsh draws kill a device now and then");
+    let harsh: Vec<Cluster> = alive[..2]
+        .iter()
+        .chain(&dead[..2])
+        .map(|s| cluster.with_perturbation(s.clone()))
+        .collect();
+    let graph = ModelConfig::opt_6_7b().layer_graph(8, 1024);
+    assert_eq!(check_prepared_against_direct(&cluster, &harsh, &graph), 14);
 }
 
 /// The edge stage's work on the Table-2 point, counted: profiles and matrix

@@ -244,10 +244,11 @@ echo "== warm cache smoke (replans on perturbed clusters share one shape's plane
 # a session answering 20 harsh replans with distinct seeds on one shape
 # (OPT-6.7B, 8 devices, seq 512) must hold exactly as many warm entries and
 # warm bytes as a session answering one. The cache holds only side profiles
-# and volume planes; the bytes ceiling is its reading on this shape when the
-# sweep-local factor rows left the cache (376,288 bytes, down from 864,224),
-# so a tier that creeps back into the warm cache trips it.
-warm_bytes_ceiling=376288
+# and volume planes; the bytes ceiling is its reading on this shape since
+# side profiles store each holding as per-axis interval ids (199,392 bytes,
+# down from 376,288 with 128-byte dense holdings and 864,224 with the factor
+# rows cached), so a tier that creeps back into the warm cache trips it.
+warm_bytes_ceiling=199392
 for frames in 1 20; do
     {
         for seed in $(seq 1 "$frames"); do
