@@ -186,17 +186,14 @@ pub fn run(opts: &Opts) {
     straggler.compute_factors[3] = 1.3;
     let straggling = cluster_8.with_perturbation(straggler);
     for (name, plan) in [("Megatron", &mega_plan), ("PrimePar", &prime_plan)] {
-        let base = primepar::sim::simulate_layer_des(&cluster_8, &graph, plan);
-        let slow = primepar::sim::simulate_layer_des(&straggling, &graph, plan);
-        metrics.gauge(
-            &format!("straggler.{}.slowdown", slug(name)),
-            slow.iteration_time / base.iteration_time,
-        );
+        let base = simulate_layer(&cluster_8, &graph, plan).layer_time;
+        let slow = simulate_layer(&straggling, &graph, plan).layer_time;
+        metrics.gauge(&format!("straggler.{}.slowdown", slug(name)), slow / base);
         println!(
             "{name:<10} {:>14.2} {:>14.2} {:>11.3}x",
-            base.iteration_time * 1e3,
-            slow.iteration_time * 1e3,
-            slow.iteration_time / base.iteration_time
+            base * 1e3,
+            slow * 1e3,
+            slow / base
         );
     }
     println!("question answered: does the temporal primitive's per-step ring coupling make");

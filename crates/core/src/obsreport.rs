@@ -144,7 +144,7 @@ const VALIDATORS: [(&str, Validator, Counter); 6] = [
 /// `*.cache.json`, `*.events.jsonl` and `*.stats.json` under `dir` with the
 /// strict `obs`/`sim`/`service` readers. Every document must carry its
 /// `schema_version` tag ([`METRICS_SCHEMA`], `primepar.trace.v1`,
-/// `primepar.robustness.v1`, `primepar.cache.v1`, `primepar.events.v1` on
+/// `primepar.robustness.v2`, `primepar.cache.v1`, `primepar.events.v1` on
 /// every line, `primepar.stats.v1`); untagged documents are malformed. Files
 /// longer than [`MAX_ARTIFACT_BYTES`](primepar_service::MAX_ARTIFACT_BYTES)
 /// are rejected unread.

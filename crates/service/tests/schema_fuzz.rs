@@ -99,7 +99,6 @@ fn report() -> RobustnessReport {
         scenario,
         seed: u64::MAX - scenario as u64,
         makespan: 0.25,
-        des_makespan: 0.2,
         slowdown: 1.25,
         critical_device: 1,
         max_compute_slowdown: 1.5,

@@ -16,11 +16,8 @@ use primepar_topology::{Cluster, GroupIndicator, LinkClass};
 
 use crate::EventKind;
 
-/// Where one device spent the iteration. In the homogeneous SPMD walk every
-/// device carries identical numbers; the per-device [`DesReport`]
-/// diverges under a straggler.
-///
-/// [`DesReport`]: crate::DesReport
+/// Where one device spent the iteration. Every device runs the same
+/// program, so in the SPMD walk every device carries identical numbers.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DeviceAccount {
     /// Device index.
@@ -38,8 +35,8 @@ pub struct DeviceAccount {
     /// (`Σ min(compute, ring)` per step) — informational, already contained
     /// in `compute_seconds`.
     pub overlap_seconds: f64,
-    /// Seconds the device sat idle (0 in the SPMD walk; barrier waits in the
-    /// per-device DES).
+    /// Seconds the device sat idle: 0 in the SPMD walk, whose devices all
+    /// run at the cluster's bottleneck pace.
     pub idle_seconds: f64,
 }
 

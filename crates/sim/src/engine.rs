@@ -444,4 +444,39 @@ mod tests {
         }
         assert!(r.timeline.iter().any(|e| e.kind == EventKind::AllReduce));
     }
+
+    /// `cluster` with `device`'s kernels `factor ×` slower, nothing else
+    /// perturbed.
+    fn with_straggler(cluster: &Cluster, device: usize, factor: f64) -> Cluster {
+        let mut scenario = primepar_topology::AppliedPerturbation::ideal(cluster.num_devices());
+        scenario.compute_factors[device] = factor;
+        cluster.with_perturbation(scenario)
+    }
+
+    #[test]
+    fn straggler_slows_the_iteration() {
+        let cluster = Cluster::v100_like(4);
+        let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
+        let plan = megatron_layer_plan(&graph, 1, 4);
+        let base = simulate_layer(&cluster, &graph, &plan).layer_time;
+        let slow = simulate_layer(&with_straggler(&cluster, 2, 1.5), &graph, &plan).layer_time;
+        // Every device runs at the straggler's pace.
+        assert!(slow > 1.2 * base, "{slow} vs {base}");
+    }
+
+    #[test]
+    fn straggler_sensitivity_is_bounded_by_slowdown() {
+        // The whole iteration can never be slower than scaling every kernel.
+        let cluster = Cluster::v100_like(4);
+        let graph = ModelConfig::llama2_7b().layer_graph(8, 512);
+        let plan = Planner::new(&cluster, &graph, PlannerOptions::default())
+            .optimize(1)
+            .seqs;
+        let base = simulate_layer(&cluster, &graph, &plan).layer_time;
+        let slow = simulate_layer(&with_straggler(&cluster, 0, 2.0), &graph, &plan).layer_time;
+        assert!(
+            slow > base && slow <= 2.0 * base * 1.0001,
+            "{slow} vs {base}"
+        );
+    }
 }

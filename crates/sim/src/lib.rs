@@ -1,4 +1,4 @@
-//! Discrete-event cluster simulator for PrimePar plans.
+//! Cluster simulator for PrimePar plans: one SPMD walk.
 //!
 //! This is the reproduction's stand-in for the paper's 32-V100 testbed: it
 //! executes a partitioned training iteration as an explicit event timeline —
@@ -10,9 +10,6 @@
 //!   breakdown (compute / collective / exposed ring / redistribution), a
 //!   named kernel [`Timeline`] (Fig. 9), and per-device peak memory from a
 //!   high-water-mark trace (Figs. 2b, 8),
-//! * [`simulate_layer_des`] — the same iteration with a clock per device,
-//!   so a slow device on a perturbed cluster delays its ring partners and
-//!   collective groups the way the plan couples them ([`DesReport`]),
 //! * [`simulate_3d`] — GPipe-style pipeline composition for the (p, d, m)
 //!   3D-parallelism study (Fig. 10),
 //! * [`ideal_memory_bytes`] — the replication-free lower bound of Fig. 2(b),
@@ -21,13 +18,21 @@
 //!   (min/median/p95 makespan, slowdown-vs-ideal, critical-device
 //!   histogram), a report of its own beside the ideal [`LayerReport`].
 //!
-//! A scenario — a single straggler included — is simulated by deriving the
-//! cluster ([`Cluster::perturbed`](primepar_topology::Cluster::perturbed) or
+//! The walk is the simulator. Every device executes the same program (§4,
+//! Eqs. 7–10), so one timeline stands for all of them. A scenario — a single
+//! straggler included — is simulated by deriving the cluster
+//! ([`Cluster::perturbed`](primepar_topology::Cluster::perturbed) or
 //! [`Cluster::with_perturbation`](primepar_topology::Cluster::with_perturbation));
-//! no simulator option perturbs one. The elastic replan timeline is not
-//! here: `primepar_search::run_elastic` runs it beside the decision it
-//! charges and measures each segment with [`simulate_layer`]. Each [`LayerReport`] records the walk's
-//! per-operator ([`LayerReport::op_breakdown`]) and per-edge
+//! no simulator option perturbs one. A perturbed cluster runs at its slowest
+//! device's pace, and every ring step, collective and redistribution
+//! synchronizes the devices, so a per-device clock would end where the walk
+//! ends, on the scenario's
+//! [`slowest_device`](primepar_topology::AppliedPerturbation::slowest_device).
+//!
+//! The elastic replan timeline is not here: `primepar_search::run_elastic`
+//! runs it beside the decision it charges and measures each segment with
+//! [`simulate_layer`]. Each [`LayerReport`] records the walk's per-operator
+//! ([`LayerReport::op_breakdown`]) and per-edge
 //! ([`LayerReport::edge_seconds`]) seconds beside the layer breakdown, so
 //! readers such as the drift audit take the figures from the walk instead
 //! of re-parsing its [`Timeline`].
@@ -51,7 +56,6 @@
 // Loops indexed by device id / wide internal signatures are deliberate.
 #![allow(clippy::needless_range_loop)]
 mod accounting;
-mod des;
 mod engine;
 mod gantt;
 mod pipeline;
@@ -63,7 +67,6 @@ pub use accounting::{
     indicator_link_class, redistribution_link_class, ByteSample, ClusterAccounting,
     CollectiveAccount, DeviceAccount, LinkAccount,
 };
-pub use des::{simulate_layer_des, DesReport};
 pub use engine::{
     ideal_memory_bytes, simulate_layer, simulate_layer_with, simulate_model, simulate_model_with,
     ModelReport, SimOptions,

@@ -8,9 +8,13 @@
 //! its slowest hop on every temporal step, while an all-reduce pays the
 //! group's worst member once per phase. This module quantifies that: it draws
 //! `N` scenarios from a [`PerturbationModel`] (seeds `base_seed + i`), runs
-//! both the SPMD walk and the per-device DES under each, and folds the
-//! results into a [`RobustnessReport`] — min/median/p95/max makespan,
-//! slowdown versus the ideal cluster, and a critical-device histogram.
+//! the SPMD walk under each, and folds the results into a
+//! [`RobustnessReport`] — min/median/p95/max makespan, slowdown versus the
+//! ideal cluster, and a critical-device histogram. The critical device is a
+//! property of the draw ([`AppliedPerturbation::slowest_device`]): the
+//! cluster runs at its slowest device's pace and every ring step, collective
+//! and redistribution synchronizes the devices, so that device finishes last
+//! under any plan.
 //!
 //! Everything is bit-reproducible: identical `(model, base_seed, scenarios)`
 //! inputs produce identical reports, and [`robustness_json`] /
@@ -20,13 +24,12 @@ use primepar_cost::PlanGeometry;
 use primepar_graph::Graph;
 use primepar_obs::{Json, Metrics, SchemaError};
 use primepar_partition::PartitionSeq;
-use primepar_topology::{Cluster, PerturbationModel};
+use primepar_topology::{AppliedPerturbation, Cluster, PerturbationModel};
 
-use crate::des::simulate_layer_des_geometry;
 use crate::engine::{simulate_layer_geometry, SimOptions};
 
 /// Schema tag of the robustness-report JSON document.
-pub const ROBUSTNESS_SCHEMA: &str = "primepar.robustness.v1";
+pub const ROBUSTNESS_SCHEMA: &str = "primepar.robustness.v2";
 
 /// Knobs of a robustness sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,15 +62,12 @@ pub struct ScenarioOutcome {
     pub scenario: usize,
     /// Seed the scenario was drawn with.
     pub seed: u64,
-    /// Bulk-synchronous (SPMD walk) makespan under the scenario (s).
+    /// SPMD-walk makespan under the scenario (s).
     pub makespan: f64,
-    /// Per-device discrete-event makespan under the scenario (s); at most
-    /// `makespan`, since the DES lets fast devices run ahead where the
-    /// communication pattern permits.
-    pub des_makespan: f64,
     /// `makespan / ideal_makespan`.
     pub slowdown: f64,
-    /// Device finishing last in the DES run.
+    /// The scenario's slowest device
+    /// ([`AppliedPerturbation::slowest_device`]), which finishes last.
     pub critical_device: usize,
     /// The scenario's worst per-device compute slowdown factor.
     pub max_compute_slowdown: f64,
@@ -98,7 +98,7 @@ pub struct RobustnessReport {
     pub mean_slowdown: f64,
     /// Worst per-scenario slowdown versus ideal.
     pub max_slowdown: f64,
-    /// How often each device was the DES critical device, indexed by device.
+    /// How often each device was the critical device, indexed by device.
     pub critical_device_histogram: Vec<u64>,
     /// Per-scenario outcomes, in scenario order.
     pub outcomes: Vec<ScenarioOutcome>,
@@ -132,7 +132,7 @@ pub fn robustness_sweep(
 ) -> RobustnessReport {
     assert!(opts.scenarios > 0, "robustness sweep needs >= 1 scenario");
     // One plan on clusters of one size: its geometry is shared by the ideal
-    // run and every scenario's SPMD and DES runs.
+    // run and every scenario's run.
     let geometry = PlanGeometry::new(graph, seqs);
     let ideal = simulate_layer_geometry(cluster, graph, &geometry, &opts.sim);
     let ideal_makespan = ideal.layer_time;
@@ -141,24 +141,24 @@ pub fn robustness_sweep(
     let mut histogram = vec![0u64; cluster.num_devices()];
     for scenario in 0..opts.scenarios {
         let seed = opts.base_seed.wrapping_add(scenario as u64);
-        let perturbed = cluster.perturbed(&opts.model, seed);
-        let spmd = simulate_layer_geometry(&perturbed, graph, &geometry, &opts.sim);
-        spmd.accounting
+        let draw = AppliedPerturbation::draw(&opts.model, seed, cluster.num_devices());
+        let critical_device = draw.slowest_device();
+        let dead_devices = draw.dead_devices();
+        let perturbed = cluster.with_perturbation(draw);
+        let walk = simulate_layer_geometry(&perturbed, graph, &geometry, &opts.sim);
+        walk.accounting
             .validate()
             .expect("accounting identities must hold under perturbation");
-        let des = simulate_layer_des_geometry(&perturbed, graph, seqs, &geometry);
-        let critical_device = des.critical_device();
         histogram[critical_device] += 1;
         outcomes.push(ScenarioOutcome {
             scenario,
             seed,
-            makespan: spmd.layer_time,
-            des_makespan: des.iteration_time,
-            slowdown: spmd.layer_time / ideal_makespan,
+            makespan: walk.layer_time,
+            slowdown: walk.layer_time / ideal_makespan,
             critical_device,
             max_compute_slowdown: perturbed.max_compute_slowdown(),
             worst_link_factor: perturbed.worst_link_factor(),
-            dead_devices: perturbed.perturbation().map_or(0, |p| p.dead_devices()),
+            dead_devices,
         });
     }
 
@@ -195,7 +195,6 @@ pub fn robustness_metrics(report: &RobustnessReport) -> Metrics {
     m.gauge("sim.robustness.slowdown.max", report.max_slowdown);
     for o in &report.outcomes {
         m.observe("sim.robustness.makespan_s", o.makespan);
-        m.observe("sim.robustness.des_makespan_s", o.des_makespan);
         m.observe(
             "sim.robustness.max_compute_slowdown",
             o.max_compute_slowdown,
@@ -221,7 +220,6 @@ pub fn robustness_json(report: &RobustnessReport) -> Json {
                 .with("scenario", o.scenario as f64)
                 .with("seed", o.seed.to_string())
                 .with("makespan", o.makespan)
-                .with("des_makespan", o.des_makespan)
                 .with("slowdown", o.slowdown)
                 .with("critical_device", o.critical_device as f64)
                 .with("max_compute_slowdown", o.max_compute_slowdown)
@@ -272,7 +270,6 @@ fn outcome(o: &Json) -> Result<ScenarioOutcome, SchemaError> {
         scenario: o.req("scenario")?,
         seed: seed(o, "seed")?,
         makespan: o.req("makespan")?,
-        des_makespan: o.req("des_makespan")?,
         slowdown: o.req("slowdown")?,
         critical_device: o.req("critical_device")?,
         max_compute_slowdown: o.req("max_compute_slowdown")?,
@@ -349,7 +346,6 @@ mod tests {
         assert!(r.max_makespan >= r.p95_makespan);
         assert!(r.max_slowdown >= r.mean_slowdown && r.mean_slowdown >= 1.0 - 1e-9);
         for o in &r.outcomes {
-            assert!(o.des_makespan <= o.makespan * (1.0 + 1e-9));
             assert!(o.max_compute_slowdown >= 1.0 && o.worst_link_factor >= 1.0);
         }
     }
@@ -387,6 +383,17 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("schema"));
+    }
+
+    #[test]
+    fn parse_rejects_a_v1_document() {
+        // v1 outcomes carried a second, per-device makespan; v2 has one.
+        let mut doc =
+            robustness_json(&sweep(2, 3)).with("schema_version", "primepar.robustness.v1");
+        let err = parse_robustness(&doc).unwrap_err().to_string();
+        assert!(err.contains("primepar.robustness.v1"), "{err}");
+        doc = doc.with("schema_version", ROBUSTNESS_SCHEMA);
+        assert!(parse_robustness(&doc).is_ok());
     }
 
     #[test]

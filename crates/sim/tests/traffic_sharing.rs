@@ -6,10 +6,8 @@
 use primepar_cost::{inter_traffic_bytes, intra_cost, CostCtx, PlanGeometry};
 use primepar_graph::ModelConfig;
 use primepar_search::{Planner, PlannerOptions};
-use primepar_sim::{
-    robustness_sweep, simulate_layer_des, simulate_layer_with, RobustnessOptions, SimOptions,
-};
-use primepar_topology::{Cluster, PerturbationModel};
+use primepar_sim::{robustness_sweep, simulate_layer_with, RobustnessOptions, SimOptions};
+use primepar_topology::{AppliedPerturbation, Cluster, PerturbationModel};
 
 #[test]
 fn plan_traffic_matches_per_edge_traffic_on_the_table2_plan() {
@@ -98,36 +96,41 @@ fn shared_traffic_sweep_matches_per_scenario_simulations() {
     let plan = Planner::new(&cluster, &graph, PlannerOptions::default())
         .optimize(32)
         .seqs;
-    let opts = RobustnessOptions {
-        model: PerturbationModel::harsh(),
-        scenarios: 16,
-        base_seed: 42,
-        sim: SimOptions::default(),
-    };
-    let report = robustness_sweep(&cluster, &graph, &plan, &opts);
-    let ideal = simulate_layer_with(&cluster, &graph, &plan, &SimOptions::default());
-    assert_eq!(report.ideal_makespan.to_bits(), ideal.layer_time.to_bits());
-    assert_eq!(report.outcomes.len(), 16);
-    for o in &report.outcomes {
-        let perturbed = cluster.perturbed(&opts.model, o.seed);
-        let spmd = simulate_layer_with(&perturbed, &graph, &plan, &SimOptions::default());
-        let des = simulate_layer_des(&perturbed, &graph, &plan);
-        let s = o.scenario;
-        assert_eq!(
-            o.makespan.to_bits(),
-            spmd.layer_time.to_bits(),
-            "scenario {s}"
-        );
-        assert_eq!(
-            o.des_makespan.to_bits(),
-            des.iteration_time.to_bits(),
-            "scenario {s}"
-        );
-        assert_eq!(
-            o.slowdown.to_bits(),
-            (spmd.layer_time / ideal.layer_time).to_bits(),
-            "scenario {s}"
-        );
-        assert_eq!(o.critical_device, des.critical_device(), "scenario {s}");
+    for sim in [
+        SimOptions::default(),
+        SimOptions {
+            recompute_activations: true,
+        },
+    ] {
+        let opts = RobustnessOptions {
+            model: PerturbationModel::harsh(),
+            scenarios: 16,
+            base_seed: 42,
+            sim,
+        };
+        let report = robustness_sweep(&cluster, &graph, &plan, &opts);
+        let ideal = simulate_layer_with(&cluster, &graph, &plan, &sim);
+        assert_eq!(report.ideal_makespan.to_bits(), ideal.layer_time.to_bits());
+        assert_eq!(report.outcomes.len(), 16);
+        let mut histogram = vec![0u64; cluster.num_devices()];
+        for o in &report.outcomes {
+            let draw = AppliedPerturbation::draw(&opts.model, o.seed, cluster.num_devices());
+            histogram[draw.slowest_device()] += 1;
+            let perturbed = cluster.perturbed(&opts.model, o.seed);
+            let walk = simulate_layer_with(&perturbed, &graph, &plan, &sim);
+            let s = o.scenario;
+            assert_eq!(
+                o.makespan.to_bits(),
+                walk.layer_time.to_bits(),
+                "{sim:?} scenario {s}"
+            );
+            assert_eq!(
+                o.slowdown.to_bits(),
+                (walk.layer_time / ideal.layer_time).to_bits(),
+                "{sim:?} scenario {s}"
+            );
+            assert_eq!(o.critical_device, draw.slowest_device(), "scenario {s}");
+        }
+        assert_eq!(report.critical_device_histogram, histogram, "{sim:?}");
     }
 }

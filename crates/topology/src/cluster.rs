@@ -264,35 +264,11 @@ impl Cluster {
         self.scenario.is_some()
     }
 
-    /// The unperturbed per-device performance model.
-    pub fn base_device_model(&self) -> &DeviceModel {
-        &self.device
-    }
-
-    /// Compute slowdown factor of `device` under the applied scenario (1 when
-    /// unperturbed).
-    pub fn compute_slowdown_of(&self, device: DeviceId) -> f64 {
-        self.scenario
-            .as_ref()
-            .map_or(1.0, |p| p.compute_factors[device.index()])
-    }
-
     /// The scenario's worst per-device compute slowdown (1 when unperturbed).
     pub fn max_compute_slowdown(&self) -> f64 {
         self.scenario
             .as_ref()
             .map_or(1.0, AppliedPerturbation::max_compute_factor)
-    }
-
-    /// `device`'s pace relative to the scenario's slowest device, in `(0, 1]`
-    /// — exactly `1.0` on an unperturbed cluster. Multiplying a kernel time
-    /// from the (bottleneck-paced) [`Cluster::device_model`] by this yields
-    /// the device's own kernel time.
-    pub fn relative_compute_pace(&self, device: DeviceId) -> f64 {
-        match &self.scenario {
-            None => 1.0,
-            Some(p) => p.compute_factors[device.index()] / p.max_compute_factor(),
-        }
     }
 
     /// Link slowdown factor of `device` under the applied scenario, excluding
@@ -338,10 +314,9 @@ impl Cluster {
     }
 
     /// The per-device performance model. Under an applied perturbation this
-    /// is the *bottleneck-paced* model (the slowest device's pace — what a
-    /// bulk-synchronous schedule observes); see
-    /// [`Cluster::base_device_model`] for the unperturbed hardware and
-    /// [`Cluster::relative_compute_pace`] for per-device pacing.
+    /// is the *bottleneck-paced* model: every device runs at the slowest
+    /// device's pace ([`AppliedPerturbation::slowest_device`]), which is what
+    /// a bulk-synchronous schedule observes.
     pub fn device_model(&self) -> &DeviceModel {
         &self.effective_device
     }
@@ -599,7 +574,6 @@ mod tests {
         assert_eq!(p.num_devices(), c.num_devices());
         assert_eq!(p.devices_per_node(), c.devices_per_node());
         assert_eq!(p.topology(), c.topology());
-        assert_eq!(p.base_device_model(), c.device_model());
         let group: Vec<DeviceId> = (0..8).map(DeviceId).collect();
         assert!(p.allreduce_time(1e7, &group, 1) >= c.allreduce_time(1e7, &group, 1));
         assert!(p.ring_shift_time(1e6, &group, 1) >= c.ring_shift_time(1e6, &group, 1));
@@ -668,24 +642,8 @@ mod tests {
             c.allreduce_time(1e7, &group, 1)
         );
         assert_eq!(p.device_model(), c.device_model());
-        assert_eq!(p.relative_compute_pace(DeviceId(2)), 1.0);
         assert_eq!(p.max_compute_slowdown(), 1.0);
         assert_eq!(p.worst_link_factor(), 1.0);
-    }
-
-    #[test]
-    fn relative_pace_is_one_for_the_bottleneck() {
-        let c = Cluster::v100_like(8);
-        let p = c.perturbed(&PerturbationModel::harsh(), 3);
-        let paces: Vec<f64> = (0..8)
-            .map(|d| p.relative_compute_pace(DeviceId(d)))
-            .collect();
-        assert!(paces.iter().all(|&f| f > 0.0 && f <= 1.0));
-        assert!(paces.contains(&1.0), "bottleneck pace is 1");
-        for d in 0..8 {
-            let via_pace = paces[d] * p.max_compute_slowdown();
-            assert!((p.compute_slowdown_of(DeviceId(d)) - via_pace).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -323,6 +323,22 @@ impl AppliedPerturbation {
         self.compute_factors.iter().copied().fold(1.0, f64::max)
     }
 
+    /// The scenario's critical device: the last index of the largest
+    /// `compute_factors` entry. It is a property of the draw, not of a plan:
+    /// the cluster runs at its slowest device's pace
+    /// ([`Cluster::device_model`](crate::Cluster::device_model)), and every
+    /// ring step, collective and redistribution synchronizes the devices, so
+    /// the slowest device finishes last under any plan.
+    pub fn slowest_device(&self) -> usize {
+        // `max_by` keeps the last of equal maxima.
+        self.compute_factors
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(d, _)| d)
+            .expect("at least one device")
+    }
+
     /// The largest per-device link slowdown of the scenario (excluding the
     /// class factors).
     pub fn max_link_factor(&self) -> f64 {
@@ -357,6 +373,16 @@ mod tests {
         assert_eq!(a.intra_link_factor, 1.0);
         assert_eq!(a.inter_link_factor, 1.0);
         assert_eq!(a.dead_devices(), 0);
+    }
+
+    #[test]
+    fn slowest_device_is_the_last_of_equal_maxima() {
+        let mut a = AppliedPerturbation::ideal(8);
+        assert_eq!(a.slowest_device(), 7);
+        a.compute_factors[2] = 1.5;
+        a.compute_factors[5] = 1.5;
+        a.compute_factors[6] = 1.2;
+        assert_eq!(a.slowest_device(), 5);
     }
 
     #[test]

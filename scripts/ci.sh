@@ -129,7 +129,8 @@ grep -q "conservation: busy+idle = makespan on 8 devices: ok" \
 
 echo "== robustness determinism smoke (Fig. 9 workload, seeded variance sweep) =="
 # Same seed twice must give byte-identical console output, metrics JSON and
-# robustness-report JSON.
+# robustness-report JSON, and the console output matches
+# results/cli_robustness.txt.
 for run in 1 2; do
     ./target/release/primepar robustness --model opt-175b --devices 8 --mlp-block \
         --perturb-scenarios 6 --perturb-seed 42 \
@@ -143,6 +144,8 @@ cmp "$artifacts/robustness1.report.json" "$artifacts/robustness2.report.json" \
     || { echo "robustness report is not deterministic" >&2; exit 1; }
 cmp "$artifacts/robustness1.txt" "$artifacts/robustness2.txt" \
     || { echo "robustness output is not deterministic" >&2; exit 1; }
+cmp "$artifacts/robustness1.txt" results/cli_robustness.txt \
+    || { echo "robustness output differs from results/cli_robustness.txt" >&2; exit 1; }
 ./target/release/primepar validate --dir "$artifacts"
 
 echo "== service smoke (Table 2 point: OPT-6.7B, 16 devices) =="
@@ -369,7 +372,7 @@ for name in fig2_motivation fig7_throughput fig8_memory fig9_ablation fig10_3d; 
 done
 # ablations.txt is pinned minus its wall-clock rows: the Ablation E block
 # (search ms and the host's core count) and the "written to" line. Every
-# other row, the DES straggler rows of Ablation F included, is deterministic.
+# other row, the straggler rows of Ablation F included, is deterministic.
 drop_wall_clock() {
     grep -v ' written to ' "$1" | sed '/^Ablation E/,/^Ablation F/{/^Ablation F/!d}'
 }
