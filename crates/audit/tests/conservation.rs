@@ -10,6 +10,7 @@
 //! scenario.
 
 use primepar_audit::{audit_layer, plan_comm_volume};
+use primepar_cost::{CostCtx, PlanGeometry};
 use primepar_graph::ModelConfig;
 use primepar_partition::PartitionSeq;
 use primepar_search::{megatron_layer_plan, Planner, PlannerOptions};
@@ -109,48 +110,49 @@ fn memory_timeline_peak_matches_the_report() {
     }
 }
 
-/// Regression for the redistribution latency double-charge: the corrected
-/// audit column must price travelled edges exactly as the simulator executes
-/// them (per-direction latency terms), bit for bit — across
-/// ideal and perturbed clusters alike. Migration costing (`cost::migration`,
-/// the replan decision's numerator) relies on this consistency: its charge
-/// is the single-exchange model, and the corrected column proves the only
-/// model-vs-simulator gap on redistribution was the charging convention.
+/// Regression for the redistribution latency double-charge: every folded
+/// redistribution row's walked seconds are, bit for bit, the per-direction
+/// charge [`CostCtx::redistribution_time_split`] summed over the row's edges
+/// in edge order — across ideal and perturbed clusters alike — and never
+/// undercut the planner's single-exchange model. So the only model-vs-walk
+/// gap on redistribution is the charging convention; migration costing
+/// (`cost::migration`, the replan decision's numerator) charges the
+/// single-exchange model.
 #[test]
 fn corrected_redistribution_column_eliminates_the_double_charge_drift() {
     let graph = ModelConfig::opt_175b().mlp_block_graph(8, 2048);
     for cluster in clusters() {
         for plan in plans(&cluster, &graph) {
-            let audit = audit_layer(&cluster, &graph, &plan, 0.0);
+            let sim = simulate_layer(&cluster, &graph, &plan);
+            let audit = audit_layer(&cluster, &graph, &plan, &sim);
+            let geometry = PlanGeometry::new(&graph, &plan);
+            let ctx = CostCtx::new(&cluster, 0.0);
             let mut travelled = 0;
-            for r in audit
-                .rows
-                .iter()
-                .filter(|r| r.component == "redistribution")
-            {
-                // Corrected never undercuts the planner's single-charge model.
-                assert!(r.corrected >= r.predicted - 1e-12, "{}", r.label);
+            for r in &audit.edges {
+                let split = graph
+                    .edges
+                    .iter()
+                    .zip(&geometry.edge_bytes)
+                    .filter(|(e, _)| {
+                        format!("{}->{}", graph.ops[e.src].name, graph.ops[e.dst].name) == r.label
+                    })
+                    .fold(0.0, |sum, (_, &bytes)| {
+                        sum + ctx.redistribution_time_split(bytes)
+                    });
                 assert_eq!(
                     r.simulated.to_bits(),
-                    r.corrected.to_bits(),
-                    "{}: corrected {} vs simulated {}",
+                    split.to_bits(),
+                    "{}: simulated {} vs split charge {}",
                     r.label,
-                    r.corrected,
-                    r.simulated
+                    r.simulated,
+                    split
                 );
                 if r.simulated > 0.0 {
                     travelled += 1;
+                    assert!(r.simulated >= r.predicted, "{}", r.label);
                 }
             }
             assert!(travelled > 0, "fixture should exercise redistribution");
-            // Non-redistribution rows are untouched by the correction.
-            for r in audit
-                .rows
-                .iter()
-                .filter(|r| r.component != "redistribution")
-            {
-                assert_eq!(r.corrected, r.predicted, "{}.{}", r.label, r.component);
-            }
         }
     }
 }

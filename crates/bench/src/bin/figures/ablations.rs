@@ -198,6 +198,7 @@ pub fn run(opts: &Opts) {
     }
     println!("question answered: does the temporal primitive's per-step ring coupling make");
     println!("PrimePar more straggler-sensitive than collective-based strategies?");
-    merge_drift_summary(&mut metrics, &cluster_8, &graph, &prime_plan);
+    let sim = simulate_layer(&cluster_8, &graph, &prime_plan);
+    merge_drift_summary(&mut metrics, &cluster_8, &graph, &prime_plan, &sim);
     opts.write_metrics("ablations", &metrics);
 }

@@ -92,12 +92,12 @@ pub fn run(opts: &Opts) {
     let report = simulate_layer(&cluster, &graph, &prime);
     println!("{}", primepar::sim::render_gantt(&report.timeline, 100));
     let trace_path = opts.out_dir.join("fig9_timeline.trace.json");
-    match primepar::write_chrome_trace(&trace_path, &report.timeline) {
+    match primepar::write_chrome_trace(&trace_path, &report) {
         Ok(()) => println!("chrome trace written to {}", trace_path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", trace_path.display()),
     }
     metrics.merge(&primepar::sim::layer_report_metrics(&report));
-    merge_drift_summary(&mut metrics, &cluster, &graph, &prime);
+    merge_drift_summary(&mut metrics, &cluster, &graph, &prime, &report);
     opts.write_metrics("fig9_ablation", &metrics);
     for ev in report
         .timeline

@@ -28,7 +28,7 @@ use primepar::graph::{Graph, ModelConfig};
 use primepar::obs::Metrics;
 use primepar::partition::PartitionSeq;
 use primepar::search::{best_megatron, megatron_layer_plan, Planner, PlannerOptions, SpaceOptions};
-use primepar::sim::{simulate_layer, simulate_model};
+use primepar::sim::{simulate_layer, simulate_model, LayerReport};
 use primepar::topology::Cluster;
 
 /// A figure's body: prints its table and writes its artifacts.
@@ -127,16 +127,18 @@ fn primepar_plan(cluster: &Cluster, graph: &Graph, layers: u64) -> Vec<Partition
         .seqs
 }
 
-/// Runs the cost-model drift auditor on one plan and folds its one-line
-/// summary (`audit.layer.rel_drift`, `audit.max_rel_drift`, worst
-/// component, conservation verdict) into the figure's metrics.
+/// Runs the cost-model drift auditor on one plan and its walk `sim`, and
+/// folds its one-line summary (`audit.layer.rel_drift`,
+/// `audit.max_rel_drift`, worst component, conservation verdict) into the
+/// figure's metrics.
 fn merge_drift_summary(
     metrics: &mut Metrics,
     cluster: &Cluster,
     graph: &Graph,
     plan: &[PartitionSeq],
+    sim: &LayerReport,
 ) {
-    let audit = primepar::audit::audit_layer(cluster, graph, plan, 0.0);
+    let audit = primepar::audit::audit_layer(cluster, graph, plan, sim);
     metrics.merge(&primepar::audit::summary_metrics(&audit));
 }
 
@@ -151,7 +153,8 @@ fn audit_point(
 ) {
     let cluster = Cluster::v100_like(devices);
     let plan = plan(&cluster, graph);
-    merge_drift_summary(metrics, &cluster, graph, &plan);
+    let sim = simulate_layer(&cluster, graph, &plan);
+    merge_drift_summary(metrics, &cluster, graph, &plan, &sim);
 }
 
 /// Kebab-cases a label for use inside a metric key: `"OPT 6.7B"` →

@@ -15,7 +15,7 @@ use primepar::graph::{Graph, ModelConfig};
 use primepar::obs::Metrics;
 use primepar::partition::{PartitionSeq, Primitive};
 use primepar::search::{
-    alpa_plan, best_megatron, explain_plan, parse_plan, render_plan, Planner, SearchStrategy,
+    alpa_plan, best_megatron, parse_plan, render_plan, Planner, SearchStrategy,
 };
 use primepar::service::{read_artifact, ResolvedPlan};
 use primepar::sim::{
@@ -236,9 +236,10 @@ fn run() -> Result<(), Error> {
                 seqs[idx] = parsed;
             }
             println!("{} on {devices} GPUs — {label}\n", model.name);
-            println!("{}", explain_plan(&cluster, &graph, &seqs));
             let tokens = (resolved.batch * resolved.seq) as f64;
             let report = simulate_model(&cluster, &graph, &seqs, resolved.layers, tokens);
+            let audit = audit_layer(&cluster, &graph, &seqs, &report.layer);
+            println!("{}", render_audit(&audit));
             println!(
                 "simulated: {:.0} tokens/s, {:.1} GB peak per device",
                 report.tokens_per_second,
@@ -474,10 +475,9 @@ fn run() -> Result<(), Error> {
             let system = args.value("--system")?.unwrap_or("primepar").to_lowercase();
             let cluster = Cluster::v100_like(resolved.devices);
             let (graph, block) = block_graph(&args, &resolved);
-            let alpha = resolved.opts.alpha;
             let seqs = match system.as_str() {
-                "megatron" => best_megatron(&cluster, &graph, alpha).0,
-                "alpa" => alpa_plan(&cluster, &graph, 1, alpha).seqs,
+                "megatron" => best_megatron(&cluster, &graph, resolved.opts.alpha).0,
+                "alpa" => alpa_plan(&cluster, &graph, 1, resolved.opts.alpha).seqs,
                 "primepar" => {
                     Planner::new(&cluster, &graph, resolved.opts)
                         .optimize(1)
@@ -489,12 +489,13 @@ fn run() -> Result<(), Error> {
                 "{} {block} on {} GPUs — {system} plan\n",
                 resolved.model.name, resolved.devices
             );
-            let audit = audit_layer(&cluster, &graph, &seqs, alpha);
+            let report = simulate_layer(&cluster, &graph, &seqs);
+            let audit = audit_layer(&cluster, &graph, &seqs, &report);
             print!("{}", render_audit(&audit));
             write_metrics(&args, || {
                 let mut m = run_metrics(&RunInfo::of(&resolved, &system), None, None);
                 m.merge(&audit_metrics(&audit));
-                m.merge(&accounting_metrics(&audit.sim.accounting));
+                m.merge(&accounting_metrics(&report.accounting));
                 m
             })
         }
@@ -771,11 +772,10 @@ fn write_metrics(args: &Args, metrics: impl FnOnce() -> Metrics) -> Result<(), E
     Ok(())
 }
 
-/// Honors `--chrome-trace`, writing the Fig. 9 timeline of the layer `layer`
-/// yields.
+/// Honors `--chrome-trace`, writing the walk `layer` yields: spans and counters.
 fn write_trace(args: &Args, layer: impl FnOnce() -> LayerReport) -> Result<(), Error> {
     if let Some(path) = args.value("--chrome-trace")? {
-        primepar::write_layer_chrome_trace(path, &layer()).map_err(cannot_write(path))?;
+        primepar::write_chrome_trace(path, &layer()).map_err(cannot_write(path))?;
         println!("chrome trace written to {path}");
     }
     Ok(())

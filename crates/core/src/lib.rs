@@ -18,7 +18,7 @@
 //! | [`cost`] | `primepar-cost` | Eq. 7 intra-operator and Eqs. 8–9 inter-operator cost models |
 //! | [`search`] | `primepar-search` | segmented DP optimizer (Eqs. 11–14), Megatron/Alpa baselines |
 //! | [`sim`] | `primepar-sim` | discrete-event cluster simulator, 3D-parallelism composition |
-//! | [`audit`] | `primepar-audit` | cost-model drift auditor: predicted vs simulated attribution |
+//! | [`audit`] | `primepar-audit` | the plan explanation: each Eq. 7–9 term beside the simulator's figure (what `plan` and `audit` print) |
 //! | [`api`] / [`service`] | `primepar-service` | typed plan/sim API, planner service (worker pool, warm cache, line protocol) |
 //! | [`topology`] | `primepar-topology` | device spaces, group indicators, cluster models, profiling |
 //! | [`tensor`] | `primepar-tensor` | dense f32 tensors backing the executor |
@@ -54,7 +54,7 @@ pub mod tutorial;
 
 pub use compare::{compare_systems, plan_summary, system_report, SystemKind, SystemReport};
 pub use obsreport::{
-    compare_metrics, run_metrics, validate_artifacts, write_chrome_trace, write_layer_chrome_trace,
-    write_metrics_json, ArtifactSummary, RunInfo, METRICS_SCHEMA,
+    compare_metrics, run_metrics, validate_artifacts, write_chrome_trace, write_metrics_json,
+    ArtifactSummary, RunInfo, METRICS_SCHEMA,
 };
 pub use primepar_service::Error;

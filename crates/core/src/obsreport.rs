@@ -17,8 +17,7 @@ use primepar_service::{
     read_artifact, validate_cache_doc, validate_stats_doc, Error, ResolvedPlan,
 };
 use primepar_sim::{
-    layer_report_metrics, parse_robustness, render_chrome_trace,
-    render_chrome_trace_with_accounting, LayerReport, ModelReport, Timeline,
+    layer_report_metrics, parse_robustness, render_chrome_trace, LayerReport, ModelReport,
 };
 
 use crate::SystemReport;
@@ -206,25 +205,16 @@ pub fn write_metrics_json(path: impl AsRef<Path>, metrics: &Metrics) -> io::Resu
     write_artifact(path.as_ref(), doc.render_pretty())
 }
 
-/// Writes the timeline as a Chrome/Perfetto-loadable `primepar.trace.v1`
-/// document at `path`, creating parent directories.
+/// Writes the walk `report` as a Chrome/Perfetto-loadable
+/// `primepar.trace.v1` document at `path`, creating parent directories: the
+/// kernel spans plus the cluster-accounting counter lanes (live memory,
+/// cumulative per-link wire bytes).
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_chrome_trace(path: impl AsRef<Path>, timeline: &Timeline) -> io::Result<()> {
-    write_artifact(path.as_ref(), render_chrome_trace(timeline))
-}
-
-/// Like [`write_chrome_trace`], but from a full [`LayerReport`]: the kernel
-/// spans plus the cluster-accounting counter lanes (live memory, cumulative
-/// per-link wire bytes).
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_layer_chrome_trace(path: impl AsRef<Path>, report: &LayerReport) -> io::Result<()> {
-    write_artifact(path.as_ref(), render_chrome_trace_with_accounting(report))
+pub fn write_chrome_trace(path: impl AsRef<Path>, report: &LayerReport) -> io::Result<()> {
+    write_artifact(path.as_ref(), render_chrome_trace(report))
 }
 
 #[cfg(test)]
@@ -275,10 +265,15 @@ mod tests {
         let text = std::fs::read_to_string(&metrics_path).unwrap();
         assert!(primepar_obs::parse_json(&text).is_ok());
 
+        let cluster = Cluster::v100_like(2);
+        let graph = ModelConfig::opt_6_7b().mlp_block_graph(8, 256);
+        let plan = primepar_search::megatron_layer_plan(&graph, 1, 2);
+        let report = primepar_sim::simulate_layer(&cluster, &graph, &plan);
         let trace_path = dir.join("run.trace.json");
-        write_chrome_trace(&trace_path, &Vec::new()).unwrap();
+        write_chrome_trace(&trace_path, &report).unwrap();
         let text = std::fs::read_to_string(&trace_path).unwrap();
-        assert!(primepar_obs::parse_trace(&text).unwrap().is_empty());
+        let timeline = primepar_sim::parse_chrome_trace(&text).unwrap();
+        assert_eq!(timeline, report.timeline);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -157,9 +157,10 @@ impl<'a> CostCtx<'a> {
     /// (the alpha term) is paid twice. [`CostCtx::redistribution_time`] — the
     /// model plan search optimizes — charges one combined exchange and thus
     /// one latency term; the gap between the two is exactly the audit's
-    /// known redistribution-latency drift (one extra alpha per edge). Its
-    /// one consumer is the drift auditor's corrected column
-    /// (`AuditRow::corrected` in `primepar-audit`). Everything else charges
+    /// known redistribution-latency drift (one extra alpha per edge). It is
+    /// the reference the audit's conservation and the simulator's
+    /// traffic-sharing tests hold the walk's edge seconds to, bit for bit;
+    /// no planner path charges it. Those charge
     /// [`CostCtx::redistribution_time`]: the search, so every pinned plan
     /// stays bitwise stable, and replan migration
     /// ([`migration_seconds`](crate::migration_seconds)), because the

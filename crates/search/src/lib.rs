@@ -43,7 +43,6 @@ mod minplus;
 mod plan_io;
 mod prune;
 mod replan;
-mod report;
 mod space;
 mod strategy;
 mod telemetry;
@@ -56,7 +55,6 @@ pub use replan::{
     replan, run_elastic, CandidateCost, ElasticEvent, ElasticPolicy, ElasticRunReport,
     ElasticSegment, MigrationDecision, ReplanOptions, ReplanOutcome,
 };
-pub use report::explain_plan;
 pub use space::{operator_space, SpaceCache, SpaceOptions};
 pub use strategy::{SearchInterrupt, SearchStrategy};
 pub use telemetry::{PlannerMetrics, SegmentMetrics};

@@ -79,7 +79,6 @@ pub use robustness::{
     RobustnessReport, ScenarioOutcome, ROBUSTNESS_SCHEMA,
 };
 pub use trace::{
-    accounting_metrics, breakdown_json, chrome_trace, chrome_trace_with_accounting,
-    layer_report_metrics, parse_chrome_trace, render_chrome_trace,
-    render_chrome_trace_with_accounting, timeline_from_trace,
+    accounting_metrics, chrome_trace, chrome_trace_with_accounting, layer_report_metrics,
+    parse_chrome_trace, render_chrome_trace, timeline_from_trace,
 };

@@ -7,13 +7,15 @@
 //! Perfetto. [`timeline_from_trace`] inverts the mapping exactly: the span
 //! `args` carry the original `f64` start/duration in seconds (rendered in
 //! shortest-round-trip form), so export → parse reproduces every
-//! [`TimelineEvent`] bit for bit.
+//! [`TimelineEvent`] bit for bit. [`render_chrome_trace`] writes a walk's
+//! [`LayerReport`] as the one trace document: those spans plus the cluster
+//! accounting's counter lanes.
 
 use primepar_obs::{Json, Metrics, SchemaError, TraceEvent, TracePhase};
 use primepar_partition::Phase;
 use primepar_topology::LinkClass;
 
-use crate::{Breakdown, ClusterAccounting, EventKind, LayerReport, Timeline, TimelineEvent};
+use crate::{ClusterAccounting, EventKind, LayerReport, Timeline, TimelineEvent};
 
 /// `pid` used for all simulator spans (one simulated device timeline).
 const SIM_PID: u64 = 1;
@@ -81,11 +83,6 @@ pub fn chrome_trace(timeline: &Timeline) -> Vec<TraceEvent> {
             }
         })
         .collect()
-}
-
-/// Renders a timeline as a Chrome-loadable `trace_event` JSON array.
-pub fn render_chrome_trace(timeline: &Timeline) -> String {
-    primepar_obs::render_trace(&chrome_trace(timeline))
 }
 
 /// Reconstructs the timeline from exported spans — the exact inverse of
@@ -183,8 +180,10 @@ pub fn chrome_trace_with_accounting(report: &LayerReport) -> Vec<TraceEvent> {
     events
 }
 
-/// Renders the spans-plus-counters trace of [`chrome_trace_with_accounting`].
-pub fn render_chrome_trace_with_accounting(report: &LayerReport) -> String {
+/// Renders a walk as a Chrome/Perfetto-loadable `primepar.trace.v1`
+/// document: the spans-plus-counters trace of
+/// [`chrome_trace_with_accounting`].
+pub fn render_chrome_trace(report: &LayerReport) -> String {
     primepar_obs::render_trace(&chrome_trace_with_accounting(report))
 }
 
@@ -216,18 +215,6 @@ pub fn accounting_metrics(acct: &ClusterAccounting) -> Metrics {
     m.gauge("sim.memory.peak_bytes", acct.peak_memory_bytes());
     m.incr("sim.memory.samples", acct.memory_timeline.len() as u64);
     m
-}
-
-/// Renders an iteration breakdown as a JSON object (`compute`, `collective`,
-/// `ring_total`, `ring_exposed`, `redistribution`, `total` seconds).
-pub fn breakdown_json(b: &Breakdown) -> Json {
-    Json::obj()
-        .with("compute", b.compute)
-        .with("collective", b.collective)
-        .with("ring_total", b.ring_total)
-        .with("ring_exposed", b.ring_exposed)
-        .with("redistribution", b.redistribution)
-        .with("total", b.total())
 }
 
 /// Folds a simulated layer report into an observability registry under
@@ -316,7 +303,7 @@ mod tests {
     #[test]
     fn rendered_trace_roundtrips_exactly() {
         let tl = sample_timeline();
-        let text = render_chrome_trace(&tl);
+        let text = primepar_obs::render_trace(&chrome_trace(&tl));
         assert_eq!(parse_chrome_trace(&text).unwrap(), tl);
     }
 
@@ -345,7 +332,7 @@ mod tests {
         let cluster = Cluster::v100_like(4);
         let graph = ModelConfig::opt_6_7b().layer_graph(8, 256);
         let report = crate::simulate_layer(&cluster, &graph, &megatron_layer_plan(&graph, 1, 4));
-        let text = render_chrome_trace(&report.timeline);
+        let text = render_chrome_trace(&report);
         assert_eq!(parse_chrome_trace(&text).unwrap(), report.timeline);
 
         let m = layer_report_metrics(&report);
@@ -357,7 +344,7 @@ mod tests {
     fn empty_timeline_traces_to_empty_array() {
         let tl: Timeline = Vec::new();
         assert!(chrome_trace(&tl).is_empty());
-        let text = render_chrome_trace(&tl);
+        let text = primepar_obs::render_trace(&chrome_trace(&tl));
         assert_eq!(parse_chrome_trace(&text).unwrap(), tl);
     }
 
@@ -381,7 +368,7 @@ mod tests {
 
         // The full spans-plus-counters document still parses back to the
         // exact timeline: counters are skipped, spans are untouched.
-        let text = render_chrome_trace_with_accounting(&report);
+        let text = render_chrome_trace(&report);
         assert_eq!(parse_chrome_trace(&text).unwrap(), report.timeline);
     }
 
@@ -408,19 +395,5 @@ mod tests {
         );
         let stats = m.histogram("sim.device.busy_seconds").unwrap();
         assert_eq!(stats.count, 4);
-    }
-
-    #[test]
-    fn breakdown_json_carries_components() {
-        let b = Breakdown {
-            compute: 2.0,
-            collective: 1.0,
-            ring_total: 0.5,
-            ring_exposed: 0.25,
-            redistribution: 0.75,
-        };
-        let doc = breakdown_json(&b);
-        assert_eq!(doc.get("total").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(doc.get("ring_exposed").and_then(Json::as_f64), Some(0.25));
     }
 }

@@ -5,11 +5,9 @@
 
 use proptest::prelude::*;
 
-use primepar_obs::parse_json;
+use primepar_obs::{parse_json, render_trace};
 use primepar_partition::Phase;
-use primepar_sim::{
-    chrome_trace, parse_chrome_trace, render_chrome_trace, EventKind, Timeline, TimelineEvent,
-};
+use primepar_sim::{chrome_trace, parse_chrome_trace, EventKind, Timeline, TimelineEvent};
 
 const OPS: &[&str] = &["qkv", "qk", "softmax", "av", "proj", "fc1", "act", "fc2"];
 const PHASES: &[Phase] = &[Phase::Forward, Phase::Backward, Phase::Gradient];
@@ -49,7 +47,7 @@ proptest! {
         ),
     ) {
         let timeline = timeline_from(raw);
-        let text = render_chrome_trace(&timeline);
+        let text = render_trace(&chrome_trace(&timeline));
         let doc = parse_json(&text).expect("export must be valid JSON");
         prop_assert_eq!(
             doc.get("schema_version").and_then(|v| v.as_str()),
@@ -78,7 +76,7 @@ proptest! {
         ),
     ) {
         let timeline = timeline_from(raw);
-        let reloaded = parse_chrome_trace(&render_chrome_trace(&timeline))
+        let reloaded = parse_chrome_trace(&render_trace(&chrome_trace(&timeline)))
             .expect("own export must parse");
         prop_assert_eq!(reloaded, timeline);
     }

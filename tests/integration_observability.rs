@@ -108,7 +108,7 @@ fn audit_emits_deterministic_drift_report() {
 
     assert!(first.contains("cost-model drift audit"));
     assert!(first.contains("predicted"), "{first}");
-    for component in ["compute", "ring_exposed", "allreduce", "peak_memory"] {
+    for component in ["compute", "ring_exposed", "allreduce", "peak memory"] {
         assert!(
             first.contains(component),
             "missing {component} in:\n{first}"
@@ -212,7 +212,7 @@ fn library_accounting_is_exposed_through_the_facade() {
     let tol = 1e-6 * (1.0 + volume.total());
     assert!((report.accounting.total_wire_bytes() - volume.total()).abs() <= tol);
 
-    let audit = audit_layer(&cluster, &graph, &plan, 0.0);
-    assert!(audit.simulated_layer_time > 0.0);
-    assert!(!audit.rows.is_empty());
+    let audit = audit_layer(&cluster, &graph, &plan, &report);
+    assert!(audit.predicted_layer_time > 0.0);
+    assert!(!audit.rows().is_empty());
 }
