@@ -135,4 +135,38 @@ mod tests {
     fn zero_breakdown_fraction_is_zero() {
         assert_eq!(Breakdown::default().collective_fraction(), 0.0);
     }
+
+    #[test]
+    fn report_covers_every_operator() {
+        // The plan explanation reads each operator's and each edge's figures
+        // off the report, so the walk must record every one of them.
+        use primepar_graph::ModelConfig;
+        use primepar_search::megatron_layer_plan;
+        use primepar_topology::Cluster;
+
+        let cluster = Cluster::v100_like(4);
+        let graph = ModelConfig::opt_6_7b().layer_graph(8, 256);
+        let plan = megatron_layer_plan(&graph, 2, 2);
+        let report = crate::simulate_layer(&cluster, &graph, &plan);
+        assert_eq!(report.op_breakdown.len(), graph.ops.len());
+        assert_eq!(report.edge_seconds.len(), graph.edges.len());
+        for (op, b) in graph.ops.iter().zip(&report.op_breakdown) {
+            assert!(b.compute > 0.0, "no compute recorded for {}", op.name);
+            assert_eq!(
+                b.redistribution, 0.0,
+                "{} carries an edge's seconds",
+                op.name
+            );
+        }
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+        let sum = |f: fn(&Breakdown) -> f64| report.op_breakdown.iter().map(f).sum::<f64>();
+        assert!(close(sum(|b| b.compute), report.breakdown.compute));
+        assert!(close(sum(|b| b.collective), report.breakdown.collective));
+        assert!(close(
+            sum(|b| b.ring_exposed),
+            report.breakdown.ring_exposed
+        ));
+        let edges: f64 = report.edge_seconds.iter().sum();
+        assert!(close(edges, report.breakdown.redistribution));
+    }
 }
