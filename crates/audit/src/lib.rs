@@ -91,8 +91,8 @@ fn comm_volume(ctx: &CostCtx<'_>, geometry: &PlanGeometry) -> CommVolume {
             // Every device sends its block each ring step and its share of
             // each collective.
             let ev = ctx.price_phase(op, phase);
-            v.ring_bytes += n as f64 * ev.ring_bytes_steps.iter().sum::<f64>();
-            v.collective_bytes += ev.collectives.iter().map(|c| c.wire_bytes(n)).sum::<f64>();
+            v.ring_bytes += n as f64 * ev.ring_steps().map(|r| r.bytes).sum::<f64>();
+            v.collective_bytes += ev.collective.map_or(0.0, |c| c.wire_bytes(n));
         }
     }
     for &bytes in &geometry.edge_bytes {

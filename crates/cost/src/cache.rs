@@ -72,6 +72,7 @@ use primepar_graph::{Axis, Edge, Operator};
 use primepar_partition::{Dim, PartitionSeq, Phase, TensorKind};
 use primepar_topology::DeviceSpace;
 
+use crate::hash::WordHash;
 use crate::inter::{renamed, EdgeSide, EdgeSides, ShapeMemo, Side};
 use crate::{CostCtx, DenseIntervals};
 
@@ -217,7 +218,7 @@ pub struct SideProfiles {
 struct Interner {
     intervals: [Vec<(f64, f64)>; Axis::COUNT],
     uniques: Vec<AxisIds>,
-    by_ids: HashMap<AxisIds, u32>,
+    by_ids: HashMap<AxisIds, u32, WordHash>,
 }
 
 impl Interner {

@@ -6,10 +6,12 @@ use primepar_topology::{
     Cluster, CommProfile, ComputeProfile, GroupIndicator, LinkClass, LinkModel,
 };
 
+use crate::hash::WordHash;
+
 /// Shared state for cost evaluation: the cluster model, the latency/memory
 /// trade-off coefficient `α` of Eq. 7, and a cache of fitted communication
 /// profiles (one per group indicator, mirroring the paper's profiling
-/// methodology, §4.1).
+/// methodology, §4.1), keyed by the indicator's bit mask.
 ///
 /// The context is `Sync`: the profile cache sits behind an `RwLock` (reads
 /// dominate once the handful of group indicators is fitted) and the telemetry
@@ -19,7 +21,7 @@ use primepar_topology::{
 pub struct CostCtx<'a> {
     cluster: &'a Cluster,
     alpha: f64,
-    profiles: RwLock<HashMap<GroupIndicator, CommProfile>>,
+    profiles: RwLock<HashMap<GroupIndicator, CommProfile, WordHash>>,
     compute: ComputeProfile,
     /// The link redistribution is charged on and the worst per-device link
     /// factor: both fixed by the cluster, so they are picked once here
@@ -48,7 +50,7 @@ impl<'a> CostCtx<'a> {
         CostCtx {
             cluster,
             alpha,
-            profiles: RwLock::new(HashMap::new()),
+            profiles: RwLock::new(HashMap::default()),
             compute: ComputeProfile::profile(cluster.device_model()),
             redistribution_link: cluster.link(class),
             worst_link_factor: cluster.worst_link_factor(),
@@ -108,20 +110,20 @@ impl<'a> CostCtx<'a> {
 
     /// Predicted all-reduce latency of `bytes` under the grouping pattern of
     /// `indicator`, from the cached fitted linear model.
-    pub fn allreduce_time(&self, indicator: &GroupIndicator, bytes: f64) -> f64 {
+    pub fn allreduce_time(&self, indicator: GroupIndicator, bytes: f64) -> f64 {
         if indicator.is_empty() || bytes <= 0.0 {
             return 0.0;
         }
-        self.with_profile(indicator, |p| p.allreduce_time(bytes))
+        self.comm_profile(indicator).allreduce_time(bytes)
     }
 
     /// Predicted single ring-shift latency of `bytes` under the grouping
     /// pattern of `indicator`.
-    pub fn ring_shift_time(&self, indicator: &GroupIndicator, bytes: f64) -> f64 {
+    pub fn ring_shift_time(&self, indicator: GroupIndicator, bytes: f64) -> f64 {
         if indicator.is_empty() || bytes <= 0.0 {
             return 0.0;
         }
-        self.with_profile(indicator, |p| p.ring_shift_time(bytes))
+        self.comm_profile(indicator).ring_shift_time(bytes)
     }
 
     /// Latency of redistributing `total_bytes` of inter-operator traffic
@@ -172,19 +174,25 @@ impl<'a> CostCtx<'a> {
         2.0 * self.redistribution_time(total_bytes / 2.0)
     }
 
-    fn with_profile<R>(&self, indicator: &GroupIndicator, f: impl FnOnce(&CommProfile) -> R) -> R {
+    /// The fitted communication profile of `indicator`, fitted on first use.
+    pub(crate) fn comm_profile(&self, indicator: GroupIndicator) -> CommProfile {
+        if let Some(&profile) = self
+            .profiles
+            .read()
+            .expect("profile cache poisoned")
+            .get(&indicator)
         {
-            let cache = self.profiles.read().expect("profile cache poisoned");
-            if let Some(profile) = cache.get(indicator) {
-                return f(profile);
-            }
+            return profile;
         }
         // Fit outside the write lock; a racing thread's duplicate fit is
         // discarded by `or_insert` (fits are deterministic, so either wins).
         let fitted = CommProfile::profile(self.cluster, indicator);
-        let mut cache = self.profiles.write().expect("profile cache poisoned");
-        let profile = cache.entry(indicator.clone()).or_insert(fitted);
-        f(profile)
+        *self
+            .profiles
+            .write()
+            .expect("profile cache poisoned")
+            .entry(indicator)
+            .or_insert(fitted)
     }
 }
 
@@ -198,8 +206,8 @@ mod tests {
         let cluster = Cluster::v100_like(8);
         let ctx = CostCtx::new(&cluster, 0.5);
         let ind = GroupIndicator::new(vec![1]);
-        let a = ctx.allreduce_time(&ind, 1e6);
-        let b = ctx.allreduce_time(&ind, 1e6);
+        let a = ctx.allreduce_time(ind, 1e6);
+        let b = ctx.allreduce_time(ind, 1e6);
         assert_eq!(a, b);
         assert_eq!(ctx.profiles.read().unwrap().len(), 1);
         assert_eq!(ctx.alpha(), 0.5);
@@ -214,12 +222,12 @@ mod tests {
         let cluster = Cluster::v100_like(8);
         let ctx = CostCtx::new(&cluster, 0.0);
         let ind = GroupIndicator::new(vec![1, 2]);
-        let expect = ctx.allreduce_time(&ind, 1e6);
+        let expect = ctx.allreduce_time(ind, 1e6);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     ctx.note_intra_eval();
-                    assert_eq!(ctx.allreduce_time(&ind, 1e6), expect);
+                    assert_eq!(ctx.allreduce_time(ind, 1e6), expect);
                 });
             }
         });
@@ -231,8 +239,8 @@ mod tests {
     fn empty_indicator_is_free() {
         let cluster = Cluster::v100_like(4);
         let ctx = CostCtx::new(&cluster, 0.0);
-        assert_eq!(ctx.allreduce_time(&GroupIndicator::empty(), 1e9), 0.0);
-        assert_eq!(ctx.ring_shift_time(&GroupIndicator::empty(), 1e9), 0.0);
+        assert_eq!(ctx.allreduce_time(GroupIndicator::empty(), 1e9), 0.0);
+        assert_eq!(ctx.ring_shift_time(GroupIndicator::empty(), 1e9), 0.0);
     }
 
     #[test]
@@ -273,8 +281,8 @@ mod tests {
         let pert = CostCtx::new(&perturbed, 0.0);
         assert!(pert.redistribution_time(1e7) >= base.redistribution_time(1e7));
         let ind = GroupIndicator::new(vec![1]);
-        assert!(pert.allreduce_time(&ind, 1e7) >= base.allreduce_time(&ind, 1e7));
-        assert!(pert.ring_shift_time(&ind, 1e6) >= base.ring_shift_time(&ind, 1e6));
+        assert!(pert.allreduce_time(ind, 1e7) >= base.allreduce_time(ind, 1e7));
+        assert!(pert.ring_shift_time(ind, 1e6) >= base.ring_shift_time(ind, 1e6));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use primepar_graph::{Graph, OpKind, Operator};
 use primepar_partition::{ring_transfers, Dim, PartitionSeq, Phase, TensorKind};
-use primepar_topology::GroupIndicator;
+use primepar_topology::{CommProfile, GroupIndicator};
 
 use crate::{inter_traffic_bytes, CostCtx};
 
@@ -59,7 +59,7 @@ fn work_fraction(op: &Operator, seq: &PartitionSeq) -> f64 {
 
 /// One priced end-of-phase collective: which group pattern it runs over, how
 /// many payload bytes each device contributes, and what it costs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveEvent {
     /// Group pattern the all-reduce runs over.
     pub indicator: GroupIndicator,
@@ -78,40 +78,61 @@ impl CollectiveEvent {
     }
 }
 
+/// One temporal step's ring shift, priced: its latency, and the per-device
+/// bytes it moves (0 when the shift costs nothing).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RingStep {
+    /// Ring-shift latency overlapping the step's kernel.
+    pub seconds: f64,
+    /// Per-device bytes the shift moves.
+    pub bytes: f64,
+}
+
 /// One phase of an [`OpGeometry`] priced on a cluster by
 /// [`CostCtx::price_phase`]: the inputs of Eq. 7's `max(compute, ring)`
-/// overlap and `allreduce` terms, which both simulators execute.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseEvents {
+/// overlap and `allreduce` terms, which the walk executes. It borrows the
+/// geometry's ring bytes and prices each step as
+/// [`PhaseEvents::ring_steps`] yields it, so pricing allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PhaseEvents<'g> {
     /// Kernel latency of one temporal step on one device.
     pub compute_step: f64,
-    /// Ring-shift latency overlapping each step (one entry per step).
-    pub ring_steps: Vec<f64>,
-    /// Per-device bytes each ring shift moves (one entry per step, aligned
-    /// with `ring_steps`; 0 when the step has no transfer).
-    pub ring_bytes_steps: Vec<f64>,
-    /// End-of-phase collective latency (0 when the phase is collective-free);
-    /// always equals the sum of `collectives[..].seconds`.
-    pub allreduce: f64,
-    /// The individual collectives behind `allreduce`, for per-event
-    /// accounting (counts, volumes, link classes, barrier groups).
-    pub collectives: Vec<CollectiveEvent>,
+    /// The end-of-phase collective, if the phase has one that costs
+    /// anything.
+    pub collective: Option<CollectiveEvent>,
+    /// Per-device bytes of each step's ring shift, from the geometry.
+    ring_bytes: &'g [f64],
+    /// The ring's fitted profile; `None` when the ring is free (no
+    /// indicator, or no step moves bytes).
+    ring: Option<CommProfile>,
+}
+
+impl<'g> PhaseEvents<'g> {
+    /// The phase's ring shifts, one per temporal step.
+    pub fn ring_steps(&self) -> impl ExactSizeIterator<Item = RingStep> + 'g {
+        let ring = self.ring;
+        self.ring_bytes.iter().map(move |&bytes| {
+            let seconds = ring.map_or(0.0, |p| p.ring_shift_time(bytes));
+            RingStep {
+                seconds,
+                bytes: if seconds > 0.0 { bytes } else { 0.0 },
+            }
+        })
+    }
 }
 
 /// Eq. 7's geometry of one phase of one operator: FLOPs and bytes, never
 /// seconds.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseGeometry {
     /// FLOPs of one kernel step on one device (0 when the phase does no
     /// work).
     pub sub_flops: f64,
     /// Bytes one kernel step reads and writes on one device.
     pub sub_bytes: f64,
-    /// Per-device bytes each ring shift moves, one entry per temporal step.
-    pub ring_bytes: Vec<f64>,
-    /// The end-of-phase collective candidates: group pattern and per-device
-    /// payload bytes.
-    pub collectives: Vec<(GroupIndicator, f64)>,
+    /// The end-of-phase collective candidate, if any: group pattern and
+    /// per-device payload bytes.
+    pub collective: Option<(GroupIndicator, f64)>,
 }
 
 /// Eq. 7's geometry of one operator under one partition sequence: which
@@ -132,8 +153,8 @@ pub struct PhaseGeometry {
 /// let geometry = OpGeometry::new(&graph.ops[9], &seq);
 /// let cluster = Cluster::v100_like(4);
 /// let ev = CostCtx::new(&cluster, 0.0).price_phase(&geometry, Phase::Forward);
-/// assert_eq!(ev.ring_steps.len(), 2);     // 2^k temporal steps
-/// assert_eq!(ev.allreduce, 0.0);          // feature 1
+/// assert_eq!(ev.ring_steps().len(), 2); // 2^k temporal steps
+/// assert!(ev.collective.is_none());     // feature 1
 /// # Ok::<(), primepar_partition::PartitionError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -143,12 +164,16 @@ pub struct OpGeometry {
     pub ring_indicator: GroupIndicator,
     /// One entry per phase, in [`Phase::ALL`] order.
     pub phases: [PhaseGeometry; 3],
+    /// Per-device bytes each ring shift moves: one entry per temporal step
+    /// of each phase, phase-major in [`Phase::ALL`] order.
+    ring_bytes: Vec<f64>,
     /// Per-device memory footprint.
     pub memory: MemoryBytes,
 }
 
 impl OpGeometry {
-    /// Derives the geometry of `op` partitioned by `seq`.
+    /// Derives the geometry of `op` partitioned by `seq`. Its one heap
+    /// allocation holds the ring bytes.
     pub fn new(op: &Operator, seq: &PartitionSeq) -> Self {
         let frac = work_fraction(op, seq);
         let (in_block, w_block, out_block) = blocks(op, seq);
@@ -157,24 +182,34 @@ impl OpGeometry {
         } else {
             4.0 * 2.0 * out_block
         };
-        let phase = |phase: Phase| PhaseGeometry {
-            sub_flops: op.flops(phase) * frac,
-            sub_bytes,
-            ring_bytes: (0..seq.temporal_steps())
-                .map(|t| {
-                    ring_transfers(seq, phase, t)
-                        .iter()
-                        .map(|tr| 4.0 * tensor_block_elems(op, seq, tr.tensor))
-                        .sum()
-                })
-                .collect(),
-            collectives: collectives(op, seq, phase),
-        };
+        let steps = seq.temporal_steps();
+        let mut ring_bytes = Vec::with_capacity(Phase::ALL.len() * steps);
+        for phase in Phase::ALL {
+            ring_bytes.extend((0..steps).map(|t| -> f64 {
+                ring_transfers(seq, phase, t)
+                    .iter()
+                    .map(|tr| 4.0 * tensor_block_elems(op, seq, tr.tensor))
+                    .sum()
+            }));
+        }
         OpGeometry {
             ring_indicator: seq.ring_indicator(),
-            phases: Phase::ALL.map(phase),
+            phases: Phase::ALL.map(|phase| PhaseGeometry {
+                sub_flops: op.flops(phase) * frac,
+                sub_bytes,
+                collective: collective(op, seq, phase),
+            }),
+            ring_bytes,
             memory: memory_bytes(op, seq),
         }
+    }
+
+    /// Per-device bytes of each ring shift of `phase`, one entry per
+    /// temporal step.
+    pub fn ring_bytes(&self, phase: Phase) -> &[f64] {
+        let steps = self.ring_bytes.len() / Phase::ALL.len();
+        // `Phase::ALL` lists the variants in declaration order.
+        &self.ring_bytes[phase as usize * steps..][..steps]
     }
 }
 
@@ -199,28 +234,26 @@ fn block_rows(op: &Operator, seq: &PartitionSeq) -> f64 {
         .product()
 }
 
-/// The end-of-phase collective candidates of `op` under `seq`: a matmul's
+/// The end-of-phase collective candidate of `op` under `seq`: a matmul's
 /// reduction over its split reduce dimensions, and a norm's small
 /// collectives for statistics (hidden split, charged in forward) and for γ/β
 /// gradients (batch/sequence splits, charged in gradient) — paper §3.2.
-fn collectives(op: &Operator, seq: &PartitionSeq, phase: Phase) -> Vec<(GroupIndicator, f64)> {
-    let split = |dims: &[Dim]| {
-        GroupIndicator::new(dims.iter().flat_map(|&d| seq.split_positions(d)).collect())
-    };
-    vec![match op.kind {
+fn collective(op: &Operator, seq: &PartitionSeq, phase: Phase) -> Option<(GroupIndicator, f64)> {
+    Some(match op.kind {
         _ if op.is_matmul_like() => (
             seq.allreduce_indicator(phase, op.weight_has_batch()),
             4.0 * tensor_block_elems(op, seq, phase.output_tensor()),
         ),
-        OpKind::Norm(_) if phase == Phase::Forward => {
-            (split(&[Dim::K]), 4.0 * 2.0 * block_rows(op, seq))
-        }
+        OpKind::Norm(_) if phase == Phase::Forward => (
+            seq.split_indicator(&[Dim::K]),
+            4.0 * 2.0 * block_rows(op, seq),
+        ),
         OpKind::Norm(_) if phase == Phase::Gradient => (
-            split(&[Dim::B, Dim::M]),
+            seq.split_indicator(&[Dim::B, Dim::M]),
             4.0 * op.weight_elems() / seq.num_slices(Dim::K) as f64,
         ),
-        _ => return Vec::new(),
-    }]
+        _ => return None,
+    })
 }
 
 /// The cluster-free geometry of one plan: every operator's Eq. 7 geometry
@@ -268,7 +301,7 @@ impl CostCtx<'_> {
     /// context's cluster. A phase without FLOPs computes for 0 s, a ring
     /// shift that costs nothing moves no bytes, and a collective that costs
     /// nothing is dropped.
-    pub fn price_phase(&self, op: &OpGeometry, phase: Phase) -> PhaseEvents {
+    pub fn price_phase<'g>(&self, op: &'g OpGeometry, phase: Phase) -> PhaseEvents<'g> {
         // `Phase::ALL` lists the variants in declaration order.
         let g = &op.phases[phase as usize];
         let compute_step = if g.sub_flops > 0.0 {
@@ -276,32 +309,23 @@ impl CostCtx<'_> {
         } else {
             0.0
         };
-        let mut ring_steps = Vec::with_capacity(g.ring_bytes.len());
-        let mut ring_bytes_steps = Vec::with_capacity(g.ring_bytes.len());
-        for &bytes in &g.ring_bytes {
-            let t_ring = self.ring_shift_time(&op.ring_indicator, bytes);
-            ring_steps.push(t_ring);
-            ring_bytes_steps.push(if t_ring > 0.0 { bytes } else { 0.0 });
-        }
-        let mut allreduce = 0.0;
-        let mut collectives = Vec::new();
-        for (indicator, bytes) in &g.collectives {
-            let seconds = self.allreduce_time(indicator, *bytes);
-            if seconds > 0.0 {
-                allreduce += seconds;
-                collectives.push(CollectiveEvent {
-                    indicator: indicator.clone(),
-                    bytes: *bytes,
-                    seconds,
-                });
-            }
-        }
+        let ring_bytes = op.ring_bytes(phase);
+        // A free ring (no indicator, or no step moving bytes) fits nothing.
+        let ring = (!op.ring_indicator.is_empty() && ring_bytes.iter().any(|&b| b > 0.0))
+            .then(|| self.comm_profile(op.ring_indicator));
+        let collective = g.collective.and_then(|(indicator, bytes)| {
+            let seconds = self.allreduce_time(indicator, bytes);
+            (seconds > 0.0).then_some(CollectiveEvent {
+                indicator,
+                bytes,
+                seconds,
+            })
+        });
         PhaseEvents {
             compute_step,
-            ring_steps,
-            ring_bytes_steps,
-            allreduce,
-            collectives,
+            collective,
+            ring_bytes,
+            ring,
         }
     }
 
@@ -311,14 +335,16 @@ impl CostCtx<'_> {
         let mut cost = IntraCost::default();
         for phase in Phase::ALL {
             let ev = self.price_phase(op, phase);
-            for &ring_step in &ev.ring_steps {
+            for ring in ev.ring_steps() {
                 cost.compute += ev.compute_step;
-                cost.ring_total += ring_step;
-                cost.ring_exposed += (ring_step - ev.compute_step).max(0.0);
-                cost.latency += ev.compute_step.max(ring_step);
+                cost.ring_total += ring.seconds;
+                cost.ring_exposed += (ring.seconds - ev.compute_step).max(0.0);
+                cost.latency += ev.compute_step.max(ring.seconds);
             }
-            cost.allreduce += ev.allreduce;
-            cost.latency += ev.allreduce;
+            if let Some(c) = ev.collective {
+                cost.allreduce += c.seconds;
+                cost.latency += c.seconds;
+            }
         }
         cost.memory_bytes = op.memory.total();
         cost.cost = cost.latency + self.alpha() * cost.memory_bytes;

@@ -11,7 +11,10 @@
 //! * [`OpGeometry`] / [`PlanGeometry`] — the cluster-free geometry of one
 //!   operator (Eq. 7's FLOPs, bytes, groups and memory) or of a plan (plus
 //!   each edge's Eqs. 8–9 volume). [`CostCtx::price_phase`] is the one step
-//!   that turns it into seconds, for the planner, the simulators and the audit.
+//!   that turns it into seconds, for the planner, the simulator and the audit.
+//!   Once the context has fitted its profiles (one per group-indicator
+//!   mask), pricing allocates nothing: [`PhaseEvents`] borrows the geometry's
+//!   ring bytes and prices each [`RingStep`] as it is read.
 //! * [`EdgeCostCache`] / [`PreparedEdge`] — the optimizer's edge-cost
 //!   planes (the `e(p_i, p_j)` inputs of Eqs. 11–14), swept from
 //!   layout-interned side profiles.
@@ -47,6 +50,7 @@
 #![allow(clippy::too_many_arguments)]
 mod cache;
 mod ctx;
+mod hash;
 mod inter;
 mod intervals;
 mod intra;
@@ -58,7 +62,7 @@ pub use inter::{edge_cost_matrix, inter_cost, inter_traffic_bytes};
 pub use intervals::DenseIntervals;
 pub use intra::{
     intra_cost, memory_bytes, tensor_block_elems, CollectiveEvent, IntraCost, MemoryBytes,
-    OpGeometry, PhaseEvents, PhaseGeometry, PlanGeometry,
+    OpGeometry, PhaseEvents, PhaseGeometry, PlanGeometry, RingStep,
 };
 pub use migration::{
     failover_traffic, migration_seconds, migration_traffic, MigrationVolume, OpMigration,

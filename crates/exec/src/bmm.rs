@@ -257,7 +257,7 @@ impl DistBmm {
         // All-reduce partial sums (batch splits excluded via weight_has_batch).
         let indicator = self.seq.allreduce_indicator(phase, true);
         if !indicator.is_empty() {
-            for group in self.space.groups(&indicator) {
+            for group in self.space.groups(indicator) {
                 let first = &self.devices[group[0].index()][&out_kind];
                 let dsi = first.dsi.clone();
                 let mut sum = first.data.clone();

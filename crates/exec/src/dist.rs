@@ -558,8 +558,7 @@ impl DistLinear {
     /// The device in the same temporal square group as `base` at coordinates
     /// `(r, c)`.
     fn device_with_coords(&self, base: DeviceId, r: usize, c: usize) -> DeviceId {
-        let positions = self.seq.ring_indicator();
-        let positions = positions.positions();
+        let positions: Vec<usize> = self.seq.ring_indicator().positions().collect();
         let k = positions.len() / 2;
         let nb = self.space.n_bits();
         let mut idx = base.index();
@@ -584,7 +583,7 @@ impl DistLinear {
             return Ok(());
         }
         let out_kind = phase.output_tensor();
-        for group in self.space.groups(&indicator) {
+        for group in self.space.groups(indicator) {
             let first = &self.devices[group[0].index()].blocks[&out_kind];
             let dsi = first.dsi.clone();
             let mut sum = first.data.clone();

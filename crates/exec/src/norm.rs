@@ -7,7 +7,7 @@
 
 use primepar_partition::{Dim, PartitionSeq, Phase};
 use primepar_tensor::Tensor;
-use primepar_topology::{DeviceId, DeviceSpace, GroupIndicator};
+use primepar_topology::{DeviceId, DeviceSpace};
 
 use crate::{ExecError, Result};
 
@@ -78,8 +78,7 @@ impl DistNorm {
     /// The hidden-split all-reduce groups (the paper's "all-reduce of
     /// expectations").
     fn stats_groups(&self) -> Vec<Vec<DeviceId>> {
-        let ind = GroupIndicator::new(self.seq.split_positions(Dim::K));
-        self.space.groups(&ind)
+        self.space.groups(self.seq.split_indicator(&[Dim::K]))
     }
 
     /// Forward: each device normalizes its block using group-reduced
@@ -226,8 +225,7 @@ impl DistNorm {
         }
         // All-reduce γ/β gradients within row-split groups (paper: "gradient
         // of parameters γ, β").
-        let row_ind = GroupIndicator::new(self.seq.split_positions(Dim::M));
-        for group in self.space.groups(&row_ind) {
+        for group in self.space.groups(self.seq.split_indicator(&[Dim::M])) {
             let mut dg = parts[group[0].index()].dgamma.clone();
             let mut db = parts[group[0].index()].dbeta.clone();
             for member in &group[1..] {

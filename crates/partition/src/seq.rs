@@ -273,17 +273,17 @@ impl PartitionSeq {
     /// no all-reduce.
     pub fn allreduce_indicator(&self, phase: Phase, weight_has_batch: bool) -> GroupIndicator {
         let out_dims = phase.output_tensor().dims(weight_has_batch);
-        let mut positions = Vec::new();
+        let mut indicator = GroupIndicator::empty();
         let mut bit_pos = 1usize;
         for prim in &self.prims {
             if let Primitive::Split(d) = *prim {
                 if phase.reduce_dims().contains(&d) && !out_dims.contains(&d) {
-                    positions.push(bit_pos);
+                    indicator.insert(bit_pos);
                 }
             }
             bit_pos += prim.bits();
         }
-        GroupIndicator::new(positions)
+        indicator
     }
 
     /// The ring-communication group indicator: the bit positions consumed by
@@ -293,23 +293,22 @@ impl PartitionSeq {
     pub fn ring_indicator(&self) -> GroupIndicator {
         match self.temporal {
             None => GroupIndicator::empty(),
-            Some((_, k, offset)) => {
-                GroupIndicator::new((1..=2 * k as usize).map(|j| offset + j).collect())
-            }
+            Some((_, k, offset)) => GroupIndicator::new((1..=2 * k as usize).map(|j| offset + j)),
         }
     }
 
-    /// Positions (1-based) of all bits consumed by `Split(dim)` primitives.
-    pub fn split_positions(&self, dim: Dim) -> Vec<usize> {
-        let mut positions = Vec::new();
+    /// The indicator of all bits consumed by `Split(d)` primitives for any
+    /// `d` in `dims`.
+    pub fn split_indicator(&self, dims: &[Dim]) -> GroupIndicator {
+        let mut indicator = GroupIndicator::empty();
         let mut bit_pos = 1usize;
         for prim in &self.prims {
-            if *prim == Primitive::Split(dim) {
-                positions.push(bit_pos);
+            if matches!(*prim, Primitive::Split(d) if dims.contains(&d)) {
+                indicator.insert(bit_pos);
             }
             bit_pos += prim.bits();
         }
-        positions
+        indicator
     }
 
     fn check_space(&self, space: DeviceSpace) {
@@ -729,15 +728,15 @@ mod tests {
         // Fig. 3 scenario: M then N split. Forward reduce dim is N -> bit 2.
         let seq = PartitionSeq::new(vec![split(Dim::M), split(Dim::N)]).unwrap();
         assert_eq!(
-            seq.allreduce_indicator(Phase::Forward, false).positions(),
-            &[2]
+            seq.allreduce_indicator(Phase::Forward, false),
+            GroupIndicator::new([2])
         );
         // Backward reduce dim is K: no K split -> empty.
         assert!(seq.allreduce_indicator(Phase::Backward, false).is_empty());
         // Gradient reduce dims are B, M -> bit 1 (the M split).
         assert_eq!(
-            seq.allreduce_indicator(Phase::Gradient, false).positions(),
-            &[1]
+            seq.allreduce_indicator(Phase::Gradient, false),
+            GroupIndicator::new([1])
         );
     }
 
@@ -758,12 +757,12 @@ mod tests {
         // batch split partitions it instead of producing partial sums.
         let seq = PartitionSeq::new(vec![split(Dim::B), split(Dim::M)]).unwrap();
         assert_eq!(
-            seq.allreduce_indicator(Phase::Gradient, false).positions(),
-            &[1, 2]
+            seq.allreduce_indicator(Phase::Gradient, false),
+            GroupIndicator::new([1, 2])
         );
         assert_eq!(
-            seq.allreduce_indicator(Phase::Gradient, true).positions(),
-            &[2]
+            seq.allreduce_indicator(Phase::Gradient, true),
+            GroupIndicator::new([2])
         );
     }
 
@@ -771,7 +770,7 @@ mod tests {
     fn ring_indicator_covers_temporal_bits() {
         let seq = PartitionSeq::new(vec![split(Dim::N), Primitive::Temporal { k: 1 }]).unwrap();
         // N-split takes bit 1; temporal takes bits 2, 3.
-        assert_eq!(seq.ring_indicator().positions(), &[2, 3]);
+        assert_eq!(seq.ring_indicator(), GroupIndicator::new([2, 3]));
         assert!(PartitionSeq::new(vec![split(Dim::B)])
             .unwrap()
             .ring_indicator()
@@ -797,8 +796,12 @@ mod tests {
             split(Dim::B),
         ])
         .unwrap();
-        assert_eq!(seq.split_positions(Dim::N), vec![1, 4]);
-        assert_eq!(seq.split_positions(Dim::B), vec![5]);
+        assert_eq!(seq.split_indicator(&[Dim::N]), GroupIndicator::new([1, 4]));
+        assert_eq!(seq.split_indicator(&[Dim::B]), GroupIndicator::new([5]));
+        assert_eq!(
+            seq.split_indicator(&[Dim::B, Dim::N]),
+            GroupIndicator::new([1, 4, 5])
+        );
         assert_eq!(seq.bits(), 5);
     }
 

@@ -66,7 +66,8 @@ fn ring_sender(
     let n = space.n_bits();
     let mut idx = device.index();
     // Row and column bits interleave, most significant first.
-    for (j, pair) in seq.ring_indicator().positions().chunks(2).enumerate() {
+    let positions: Vec<usize> = seq.ring_indicator().positions().collect();
+    for (j, pair) in positions.chunks(2).enumerate() {
         for (&pos, coord) in pair.iter().zip([sr, sc]) {
             let bit = (coord >> (k - 1 - j)) & 1;
             idx = (idx & !(1 << (n - pos))) | (bit << (n - pos));
@@ -217,7 +218,7 @@ proptest! {
             let absent_splits: usize = Dim::ALL
                 .iter()
                 .filter(|d| !dims.contains(d))
-                .map(|&d| seq.split_positions(d).len())
+                .map(|&d| seq.split_indicator(&[d]).len())
                 .sum();
             let expected = 1usize << absent_splits;
             let got = replication_factor(&seq, space, Phase::Forward, tensor, 0);
@@ -231,7 +232,7 @@ proptest! {
     fn allreduce_indicator_matches_reduce_splits(seq in arb_seq()) {
         for phase in Phase::ALL {
             let expected: usize =
-                phase.reduce_dims().iter().map(|&d| seq.split_positions(d).len()).sum();
+                phase.reduce_dims().iter().map(|&d| seq.split_indicator(&[d]).len()).sum();
             let ind = seq.allreduce_indicator(phase, false);
             prop_assert_eq!(ind.len(), expected, "{} in {}", seq, phase);
         }

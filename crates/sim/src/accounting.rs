@@ -171,15 +171,17 @@ impl ClusterAccounting {
 /// The link class a group-indicator communication pattern exercises: the
 /// slowest bottleneck across its groups (`None` for an empty indicator —
 /// nothing moves).
-pub fn indicator_link_class(cluster: &Cluster, indicator: &GroupIndicator) -> Option<LinkClass> {
+pub fn indicator_link_class(cluster: &Cluster, indicator: GroupIndicator) -> Option<LinkClass> {
     if indicator.is_empty() {
         return None;
     }
+    // A group spans nodes when some member's node differs from its leader's.
     let space = cluster.space();
-    let spans = space
-        .groups(indicator)
-        .iter()
-        .any(|g| cluster.group_spans_nodes(g));
+    let spans = space.group_leaders(indicator).any(|leader| {
+        space
+            .group_members(indicator, leader)
+            .any(|d| cluster.node_of(d) != cluster.node_of(leader))
+    });
     Some(if spans {
         LinkClass::InterNode
     } else {
@@ -405,15 +407,15 @@ mod tests {
         // the two nodes, so grouping over it crosses nodes.
         let cluster = Cluster::v100_like(8);
         assert_eq!(
-            indicator_link_class(&cluster, &GroupIndicator::new(vec![1])),
+            indicator_link_class(&cluster, GroupIndicator::new(vec![1])),
             Some(LinkClass::InterNode)
         );
         assert_eq!(
-            indicator_link_class(&cluster, &GroupIndicator::new(vec![3])),
+            indicator_link_class(&cluster, GroupIndicator::new(vec![3])),
             Some(LinkClass::IntraNode)
         );
         assert_eq!(
-            indicator_link_class(&cluster, &GroupIndicator::empty()),
+            indicator_link_class(&cluster, GroupIndicator::empty()),
             None
         );
         assert_eq!(redistribution_link_class(&cluster), LinkClass::InterNode);

@@ -85,8 +85,8 @@ pub(crate) fn simulate_layer_geometry(
     let run_phase = |w: &mut Walk, op_index: usize, phase: Phase| {
         let op = &graph.ops[op_index];
         let ev = ctx.price_phase(&geometry.ops[op_index], phase);
-        let ring_class = indicator_link_class(cluster, &geometry.ops[op_index].ring_indicator);
-        for (t, &ring) in ev.ring_steps.iter().enumerate() {
+        let ring_class = indicator_link_class(cluster, geometry.ops[op_index].ring_indicator);
+        for ring in ev.ring_steps() {
             if ev.compute_step > 0.0 {
                 w.timeline.push(TimelineEvent {
                     op: op.name.clone(),
@@ -96,52 +96,48 @@ pub(crate) fn simulate_layer_geometry(
                     duration: ev.compute_step,
                 });
             }
-            if ring > 0.0 {
+            if ring.seconds > 0.0 {
                 w.timeline.push(TimelineEvent {
                     op: op.name.clone(),
                     phase,
                     kind: EventKind::Ring,
                     start: w.now,
-                    duration: ring,
+                    duration: ring.seconds,
                 });
             }
             // The layer's sums and the operator's own, increment for increment.
             for b in [&mut w.breakdown, &mut w.op_breakdown[op_index]] {
                 b.compute += ev.compute_step;
-                b.ring_total += ring;
-                b.ring_exposed += (ring - ev.compute_step).max(0.0);
+                b.ring_total += ring.seconds;
+                b.ring_exposed += (ring.seconds - ev.compute_step).max(0.0);
             }
-            let step = ev.compute_step.max(ring);
+            let step = ev.compute_step.max(ring.seconds);
             w.acct.on_step(
                 ev.compute_step,
-                ring,
+                ring.seconds,
                 ring_class,
-                n_devices as f64 * ev.ring_bytes_steps[t],
+                n_devices as f64 * ring.bytes,
                 w.now + step,
             );
             w.now += step;
         }
-        if ev.allreduce > 0.0 {
+        if let Some(c) = ev.collective {
             w.timeline.push(TimelineEvent {
                 op: op.name.clone(),
                 phase,
                 kind: EventKind::AllReduce,
                 start: w.now,
-                duration: ev.allreduce,
+                duration: c.seconds,
             });
-            w.breakdown.collective += ev.allreduce;
-            w.op_breakdown[op_index].collective += ev.allreduce;
-            let mut end = w.now;
-            for c in &ev.collectives {
-                end += c.seconds;
-                w.acct.on_collective(
-                    c.seconds,
-                    indicator_link_class(cluster, &c.indicator),
-                    c.wire_bytes(n_devices),
-                    end,
-                );
-            }
-            w.now += ev.allreduce;
+            w.breakdown.collective += c.seconds;
+            w.op_breakdown[op_index].collective += c.seconds;
+            w.acct.on_collective(
+                c.seconds,
+                indicator_link_class(cluster, c.indicator),
+                c.wire_bytes(n_devices),
+                w.now + c.seconds,
+            );
+            w.now += c.seconds;
         }
     };
 

@@ -7,7 +7,10 @@
 //! Fig. 5). This crate provides:
 //!
 //! * [`DeviceId`] / [`DeviceSpace`] — the bit-vector addressing scheme,
-//! * [`GroupIndicator`] — bit subsets and the grouping patterns they induce,
+//! * [`GroupIndicator`] — bit subsets, held as a `Copy` bit mask, and the
+//!   grouping patterns they induce ([`DeviceSpace::group_leaders`] and
+//!   [`DeviceSpace::group_members`] walk the groups from the mask without
+//!   building them),
 //! * [`Cluster`] — a hierarchical (node/NVLink/InfiniBand) performance model
 //!   with alpha–beta link costs, matching the paper's 8×4-V100 testbed, plus a
 //!   torus variant for the §7 discussion,
@@ -26,7 +29,7 @@
 //! let cluster = Cluster::v100_like(8);
 //! let space = DeviceSpace::new(3);
 //! // Group indicator (d_1): inter-node pairs (0,4), (1,5), (2,6), (3,7).
-//! let groups = space.groups(&GroupIndicator::new(vec![1]));
+//! let groups = space.groups(GroupIndicator::new([1]));
 //! assert_eq!(groups.len(), 4);
 //! assert!(cluster.group_spans_nodes(&groups[0]));
 //! ```

@@ -17,7 +17,7 @@ proptest! {
         let positions: Vec<usize> =
             (1..=n_bits).filter(|&p| mask & (1 << (p - 1)) != 0).collect();
         let ind = GroupIndicator::new(positions);
-        let groups = space.groups(&ind);
+        let groups = space.groups(ind);
         let mut all: Vec<usize> = groups.iter().flatten().map(|d| d.index()).collect();
         all.sort_unstable();
         prop_assert_eq!(all, (0..space.num_devices()).collect::<Vec<_>>());
@@ -35,9 +35,9 @@ proptest! {
         let positions: Vec<usize> =
             (1..=n_bits).filter(|&p| mask & (1 << (p - 1)) != 0).collect();
         let ind = GroupIndicator::new(positions);
-        let own = space.group_of(&ind, dev);
+        let own = space.group_of(ind, dev);
         prop_assert!(own.contains(&dev));
-        let groups = space.groups(&ind);
+        let groups = space.groups(ind);
         let containing = groups.iter().find(|g| g.contains(&dev)).expect("covered");
         prop_assert_eq!(&own, containing);
     }

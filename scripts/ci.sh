@@ -63,8 +63,13 @@ echo "== planner scaling contracts (512-device chain, Table-2 slab) =="
 # The exact plan of the 512-device chain is pinned to its digest and must
 # round-trip through the plan parser; beam(8) must never beat the exact
 # optimum, must run >=6x faster on the chain and must land within 5% on the
-# Table-2 slab.
-cargo test --release -q --offline -p primepar-bench --test scale_chain
+# Table-2 slab. The test runs with --nocapture so its measured
+# beam(8)/exact speedup line lands in this log: each run records its margin
+# over the 6x floor.
+scale_out="$(cargo test --release -q --offline -p primepar-bench --test scale_chain -- --nocapture 2>&1)" \
+    || { echo "$scale_out" >&2; echo "scale_chain failed" >&2; exit 1; }
+echo "$scale_out" | grep -o 'scale_chain: beam(8)/exact speedup.*' \
+    || { echo "scale_chain printed no beam(8)/exact speedup line" >&2; exit 1; }
 
 echo "== serve-loop ordering tripwire (100 release runs) =="
 # The logical-clock event log must be ordered by the input alone, however a
