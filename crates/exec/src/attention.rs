@@ -1,16 +1,16 @@
 //! Functional verification of a full attention block under partitioning:
 //! `scores = α·Q·Kᵀ → probs = softmax(scores) → O = probs·V`, forward and
 //! backward, with each operator under its own partition sequence (the
-//! batched matmuls via [`crate::DistBmm`], the softmax via a
+//! batched matmuls via [`DistLinear::batched`], the softmax via a
 //! distributed row-block executor). Closes the numerical-equivalence loop
 //! over the paper's attention operators (§3.2).
 
-use primepar_partition::{Dim, PartitionSeq, Phase, TensorKind};
+use primepar_partition::{Dim, PartitionSeq, Phase, Primitive, TensorKind};
 use primepar_tensor::Tensor;
 use primepar_topology::{DeviceId, DeviceSpace};
 
-use crate::bmm::{BmmShape, DistBmm};
-use crate::{ExecError, Result};
+use crate::error::check_primitives;
+use crate::{DistLinear, ExecError, LinearShape, Result};
 
 /// Outputs of one attention forward+backward pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,16 +72,14 @@ impl DistSoftmax {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Indivisible`] if the sequence splits the softmax
-    /// dimension or any extent unevenly.
+    /// Returns [`ExecError::UnsupportedPrimitive`] if the sequence splits
+    /// anything but rows (`B`, `M`) — the softmax dimension is never
+    /// partitioned — and [`ExecError::Indivisible`] if it splits a row
+    /// extent unevenly.
     pub fn new(seq: PartitionSeq, b: usize, m: usize, k: usize) -> Result<Self> {
-        if seq.num_slices(Dim::K) != 1 || seq.num_slices(Dim::N) != 1 {
-            return Err(ExecError::Indivisible {
-                dim: Dim::K,
-                extent: k,
-                slices: seq.num_slices(Dim::K),
-            });
-        }
+        check_primitives("softmax", &seq, |p| {
+            matches!(p, Primitive::Split(Dim::B | Dim::M))
+        })?;
         for (dim, extent) in [(Dim::B, b), (Dim::M, m)] {
             if extent % seq.num_slices(dim) != 0 {
                 return Err(ExecError::Indivisible {
@@ -186,30 +184,32 @@ pub fn attention_distributed(
 
     // scores = (α·Q) · Kᵀ as a batched matmul with W = Kᵀ.
     let kt = transpose_batched(k)?;
-    let mut qk = DistBmm::new(
+    let mut qk = DistLinear::batched(
         seq_qk,
-        BmmShape {
+        LinearShape {
             b: h,
             m,
             n: e,
             k: m,
         },
     )?;
-    let scores = qk.forward(&q.scale(alpha), &kt)?;
+    qk.scatter(&q.scale(alpha), &kt)?;
+    let scores = qk.forward()?;
 
     let mut softmax = DistSoftmax::new(seq_softmax, h, m, m)?;
     let probs = softmax.forward(&scores)?;
 
-    let mut av = DistBmm::new(
+    let mut av = DistLinear::batched(
         seq_av,
-        BmmShape {
+        LinearShape {
             b: h,
             m,
             n: m,
             k: e,
         },
     )?;
-    let output = av.forward(&probs, v)?;
+    av.scatter(&probs, v)?;
+    let output = av.forward()?;
 
     // Backward: av produces dProbs (its dI) and dV (its dW).
     let d_probs = av.backward(d_o)?;
@@ -496,11 +496,20 @@ mod tests {
 
     #[test]
     fn softmax_dimension_split_is_rejected() {
-        let seq = PartitionSeq::new(vec![Primitive::Split(Dim::K)]).unwrap();
-        assert!(matches!(
-            DistSoftmax::new(seq, 4, 8, 8),
-            Err(ExecError::Indivisible { dim: Dim::K, .. })
-        ));
+        let seq =
+            PartitionSeq::new(vec![Primitive::Split(Dim::B), Primitive::Split(Dim::K)]).unwrap();
+        let err = DistSoftmax::new(seq, 4, 8, 4).unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::UnsupportedPrimitive {
+                operator: "softmax",
+                primitive: Primitive::Split(Dim::K),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "the softmax executor cannot take a split of dimension K"
+        );
     }
 
     #[test]

@@ -1,16 +1,20 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use primepar_partition::{ring_transfers, Dim, PartitionSeq, Phase, TensorKind, TransferReason};
+use primepar_partition::{
+    ring_transfers, Dim, PartitionSeq, Phase, Primitive, TensorKind, TransferReason,
+};
 use primepar_tensor::Tensor;
 use primepar_topology::{DeviceId, DeviceSpace};
 
+use crate::error::check_primitives;
 use crate::{ExecError, Result};
 
-/// Global extents of the linear operator's four dimensions (paper Eq. 1).
+/// Global extents of a matmul's four dimensions (paper Eq. 1):
+/// `O[B,M,K] = Σ_N I[B,M,N] · W[N,K]`, with `W[B,N,K]` for a batched matmul.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinearShape {
-    /// Batch extent.
+    /// Batch extent (for attention matmuls: heads, or batch × heads).
     pub b: usize,
     /// Sequence extent.
     pub m: usize,
@@ -62,8 +66,10 @@ struct DeviceState {
     adam: Option<(Block, Block)>,
 }
 
-/// Functional multi-device executor for one linear operator under an
-/// arbitrary partition sequence.
+/// Functional multi-device executor for one matmul-like operator under an
+/// arbitrary partition sequence: a linear with `W[N, K]`
+/// ([`DistLinear::new`]), or a batched matmul whose second operand carries
+/// the batch dimension, `W[B, N, K]` ([`DistLinear::batched`]).
 ///
 /// # Example
 ///
@@ -89,19 +95,64 @@ pub struct DistLinear {
     seq: PartitionSeq,
     space: DeviceSpace,
     shape: LinearShape,
+    /// `W` (and `dW`) carry the batch dimension: the DSI formalism's
+    /// `weight_has_batch`, passed straight to every partition-crate query.
+    weight_has_batch: bool,
     devices: Vec<DeviceState>,
     fault: Option<FaultSpec>,
 }
 
 impl DistLinear {
-    /// Creates an executor, validating that every dimension divides evenly
-    /// into its slice count.
+    /// Creates an executor for a linear `O = I·W` with `W[N, K]`, validating
+    /// that every dimension divides evenly into its slice count.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::Indivisible`] when a dimension cannot be blocked
     /// exactly.
     pub fn new(seq: PartitionSeq, shape: LinearShape) -> Result<Self> {
+        Self::build(seq, shape, false)
+    }
+
+    /// Creates an executor for a batched matmul `O[b] = I[b] · W[b]`, whose
+    /// second operand is an activation carrying the batch dimension (the
+    /// attention score and value matmuls, paper §3.2). A batch split then
+    /// partitions `dW` rather than partial-summing it, so no gradient
+    /// all-reduce crosses batch splits.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use primepar_exec::bmm_reference as reference;
+    /// use primepar_exec::{DistLinear, LinearShape};
+    /// use primepar_partition::{Dim, PartitionSeq, Primitive};
+    /// use primepar_tensor::Tensor;
+    /// use rand::{rngs::StdRng, SeedableRng};
+    ///
+    /// let mut rng = StdRng::seed_from_u64(1);
+    /// let shape = LinearShape { b: 4, m: 4, n: 4, k: 4 };
+    /// let i = Tensor::randn(vec![4, 4, 4], 1.0, &mut rng);
+    /// let w = Tensor::randn(vec![4, 4, 4], 1.0, &mut rng);
+    /// let seq = PartitionSeq::new(vec![Primitive::Split(Dim::B)])?;
+    /// let mut dist = DistLinear::batched(seq, shape)?;
+    /// dist.scatter(&i, &w)?;
+    /// let o = dist.forward()?;
+    /// assert!(o.allclose(&reference::forward(&i, &w)?, 1e-4));
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::UnsupportedPrimitive`] for a temporal primitive
+    /// (it would slice the head-embed dimension, which the paper leaves
+    /// whole for attention matmuls) and [`ExecError::Indivisible`] when a
+    /// dimension cannot be blocked exactly.
+    pub fn batched(seq: PartitionSeq, shape: LinearShape) -> Result<Self> {
+        check_primitives("batched matmul", &seq, |p| matches!(p, Primitive::Split(_)))?;
+        Self::build(seq, shape, true)
+    }
+
+    fn build(seq: PartitionSeq, shape: LinearShape, weight_has_batch: bool) -> Result<Self> {
         for dim in Dim::ALL {
             let slices = seq.num_slices(dim);
             if !shape.extent(dim).is_multiple_of(slices) {
@@ -120,6 +171,7 @@ impl DistLinear {
             seq,
             space,
             shape,
+            weight_has_batch,
             devices,
             fault: None,
         })
@@ -153,7 +205,9 @@ impl DistLinear {
     ///
     /// # Errors
     ///
-    /// Returns an error on any routing or shape violation.
+    /// Returns an error on any routing or shape violation, including
+    /// [`ExecError::MisroutedBlock`] when [`DistLinear::scatter`] has not
+    /// supplied `I` and `W`.
     pub fn forward(&mut self) -> Result<Tensor> {
         self.run_phase(Phase::Forward)?;
         self.gather(TensorKind::Output)
@@ -176,7 +230,9 @@ impl DistLinear {
     ///
     /// # Errors
     ///
-    /// Returns an error on any routing or shape violation.
+    /// Returns an error on any routing or shape violation, including
+    /// [`ExecError::MisroutedBlock`] when [`DistLinear::backward`] has not
+    /// supplied `dO`.
     pub fn gradient(&mut self) -> Result<Tensor> {
         self.run_phase(Phase::Gradient)?;
         self.gather(TensorKind::GradWeight)
@@ -188,41 +244,13 @@ impl DistLinear {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::MisroutedBlock`] if `dW` and `W` blocks disagree.
+    /// Returns [`ExecError::MisroutedBlock`] if `dW` is absent or its blocks
+    /// disagree with `W`'s.
     pub fn apply_update(&mut self, lr: f32) -> Result<()> {
-        for (idx, dev) in self.devices.iter_mut().enumerate() {
-            let dw = dev.blocks.get(&TensorKind::GradWeight).cloned().ok_or(
-                ExecError::MisroutedBlock {
-                    phase: Phase::Gradient,
-                    step: 0,
-                    tensor: TensorKind::GradWeight,
-                    device: idx,
-                    expected: vec![],
-                    actual: vec![],
-                },
-            )?;
-            let w = dev
-                .blocks
-                .get_mut(&TensorKind::Weight)
-                .expect("weight present");
-            if w.dsi != dw.dsi {
-                return Err(ExecError::MisroutedBlock {
-                    phase: Phase::Gradient,
-                    step: 0,
-                    tensor: TensorKind::GradWeight,
-                    device: idx,
-                    expected: w.dsi.clone(),
-                    actual: dw.dsi.clone(),
-                });
-            }
-            w.data = w.data.sub(&dw.data.scale(lr))?;
-            dev.blocks.remove(&TensorKind::GradWeight);
-            dev.blocks.remove(&TensorKind::Input);
-            dev.blocks.remove(&TensorKind::GradOutput);
-            dev.blocks.remove(&TensorKind::Output);
-            dev.blocks.remove(&TensorKind::GradInput);
-        }
-        Ok(())
+        self.update_weights(|_, w, dw, _| {
+            w.data = w.data.sub(&dw.scale(lr))?;
+            Ok(())
+        })
     }
 
     /// Applies one Adam step locally on every device: the first/second moment
@@ -244,56 +272,26 @@ impl DistLinear {
     ) -> Result<()> {
         let bc1 = 1.0 - beta1.powi(step as i32);
         let bc2 = 1.0 - beta2.powi(step as i32);
-        for (idx, dev) in self.devices.iter_mut().enumerate() {
-            let dw = dev.blocks.get(&TensorKind::GradWeight).cloned().ok_or(
-                ExecError::MisroutedBlock {
-                    phase: Phase::Gradient,
-                    step: 0,
-                    tensor: TensorKind::GradWeight,
-                    device: idx,
-                    expected: vec![],
-                    actual: vec![],
-                },
-            )?;
-            let w = dev
-                .blocks
-                .get_mut(&TensorKind::Weight)
-                .expect("weight present");
-            if w.dsi != dw.dsi {
-                return Err(ExecError::MisroutedBlock {
-                    phase: Phase::Gradient,
-                    step: 0,
-                    tensor: TensorKind::GradWeight,
-                    device: idx,
-                    expected: w.dsi.clone(),
-                    actual: dw.dsi.clone(),
-                });
-            }
-            let (m, v) = dev.adam.get_or_insert_with(|| {
-                let zero = Tensor::zeros(w.data.shape().clone());
-                (
-                    Block {
-                        dsi: w.dsi.clone(),
-                        data: zero.clone(),
-                    },
-                    Block {
-                        dsi: w.dsi.clone(),
-                        data: zero,
-                    },
-                )
+        self.update_weights(|device, w, dw, moments| {
+            let (m, v) = moments.get_or_insert_with(|| {
+                let zero = Block {
+                    dsi: w.dsi.clone(),
+                    data: Tensor::zeros(w.data.shape().clone()),
+                };
+                (zero.clone(), zero)
             });
             if m.dsi != w.dsi || v.dsi != w.dsi {
                 return Err(ExecError::MisroutedBlock {
                     phase: Phase::Gradient,
                     step: 0,
                     tensor: TensorKind::Weight,
-                    device: idx,
+                    device,
                     expected: w.dsi.clone(),
                     actual: m.dsi.clone(),
                 });
             }
             for i in 0..w.data.data().len() {
-                let g = dw.data.data()[i];
+                let g = dw.data()[i];
                 let mi = beta1 * m.data.data()[i] + (1.0 - beta1) * g;
                 let vi = beta2 * v.data.data()[i] + (1.0 - beta2) * g * g;
                 m.data.data_mut()[i] = mi;
@@ -302,13 +300,8 @@ impl DistLinear {
                 let vhat = vi / bc2;
                 w.data.data_mut()[i] -= lr * mhat / (vhat.sqrt() + eps);
             }
-            dev.blocks.remove(&TensorKind::GradWeight);
-            dev.blocks.remove(&TensorKind::Input);
-            dev.blocks.remove(&TensorKind::GradOutput);
-            dev.blocks.remove(&TensorKind::Output);
-            dev.blocks.remove(&TensorKind::GradInput);
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Gathers the current global weight (valid between iterations, when `W`
@@ -348,23 +341,61 @@ impl DistLinear {
     // internals
     // ------------------------------------------------------------------
 
-    fn block_ranges(&self, kind: TensorKind, dsi: &[usize]) -> Vec<Range<usize>> {
-        kind.dims(false)
+    /// The update step shared by SGD and Adam: on every device, takes `dW`,
+    /// checks it is aligned with `W`, runs `update(device, W, dW, moments)`,
+    /// and drops the iteration's stashes (everything but `W`).
+    fn update_weights(
+        &mut self,
+        mut update: impl FnMut(usize, &mut Block, &Tensor, &mut Option<(Block, Block)>) -> Result<()>,
+    ) -> Result<()> {
+        for (device, dev) in self.devices.iter_mut().enumerate() {
+            let misrouted = |expected: Vec<usize>, actual: Vec<usize>| ExecError::MisroutedBlock {
+                phase: Phase::Gradient,
+                step: 0,
+                tensor: TensorKind::GradWeight,
+                device,
+                expected,
+                actual,
+            };
+            let dw = dev
+                .blocks
+                .remove(&TensorKind::GradWeight)
+                .ok_or_else(|| misrouted(vec![], vec![]))?;
+            let w = dev
+                .blocks
+                .get_mut(&TensorKind::Weight)
+                .expect("a gradient phase implies a scattered weight");
+            if w.dsi != dw.dsi {
+                return Err(misrouted(w.dsi.clone(), dw.dsi));
+            }
+            update(device, w, &dw.data, &mut dev.adam)?;
+            dev.blocks.retain(|&kind, _| kind == TensorKind::Weight);
+        }
+        Ok(())
+    }
+
+    /// Per-device block extents of `kind`, in its canonical dimension order.
+    fn block_dims(&self, kind: TensorKind) -> Vec<usize> {
+        kind.dims(self.weight_has_batch)
             .iter()
+            .map(|&dim| self.shape.extent(dim) / self.seq.num_slices(dim))
+            .collect()
+    }
+
+    fn block_ranges(&self, kind: TensorKind, dsi: &[usize]) -> Vec<Range<usize>> {
+        self.block_dims(kind)
+            .into_iter()
             .zip(dsi)
-            .map(|(&dim, &ix)| {
-                let len = self.shape.extent(dim) / self.seq.num_slices(dim);
-                ix * len..(ix + 1) * len
-            })
+            .map(|(len, &ix)| ix * len..(ix + 1) * len)
             .collect()
     }
 
     fn scatter_tensor(&mut self, kind: TensorKind, global: &Tensor, phase: Phase) -> Result<()> {
         for d in 0..self.devices.len() {
             let dev_id = DeviceId(d);
-            let dsi = self
-                .seq
-                .tensor_dsi(self.space, phase, kind, false, dev_id, 0);
+            let dsi =
+                self.seq
+                    .tensor_dsi(self.space, phase, kind, self.weight_has_batch, dev_id, 0);
             let ranges = self.block_ranges(kind, &dsi);
             let data = global.slice(&ranges)?;
             self.devices[d].blocks.insert(kind, Block { dsi, data });
@@ -374,17 +405,17 @@ impl DistLinear {
 
     fn gather(&self, kind: TensorKind) -> Result<Tensor> {
         let dims: Vec<usize> = kind
-            .dims(false)
+            .dims(self.weight_has_batch)
             .iter()
             .map(|&d| self.shape.extent(d))
             .collect();
         let mut out = Tensor::zeros(dims);
-        for dev in &self.devices {
+        for (device, dev) in self.devices.iter().enumerate() {
             let block = dev.blocks.get(&kind).ok_or(ExecError::MisroutedBlock {
                 phase: Phase::Forward,
                 step: 0,
                 tensor: kind,
-                device: 0,
+                device,
                 expected: vec![],
                 actual: vec![],
             })?;
@@ -426,29 +457,34 @@ impl DistLinear {
     fn compute_step(&mut self, phase: Phase, t: usize) -> Result<()> {
         for d in 0..self.devices.len() {
             let dev_id = DeviceId(d);
-            // Check the routing invariant on both inputs.
-            let [a_kind, b_kind] = phase.input_tensors();
-            for kind in [a_kind, b_kind] {
-                let expected = self
-                    .seq
-                    .tensor_dsi(self.space, phase, kind, false, dev_id, t);
-                let block = &self.devices[d].blocks[&kind];
-                if block.dsi != expected {
+            // Check the routing invariant on both inputs; a block no earlier
+            // phase supplied fails it with an empty `actual`.
+            for kind in phase.input_tensors() {
+                let expected =
+                    self.seq
+                        .tensor_dsi(self.space, phase, kind, self.weight_has_batch, dev_id, t);
+                let held = self.devices[d].blocks.get(&kind).map(|b| b.dsi.as_slice());
+                if held != Some(expected.as_slice()) {
                     return Err(ExecError::MisroutedBlock {
                         phase,
                         step: t,
                         tensor: kind,
                         device: d,
+                        actual: held.unwrap_or_default().to_vec(),
                         expected,
-                        actual: block.dsi.clone(),
                     });
                 }
             }
             let partial = self.partial_product(phase, d)?;
             let out_kind = phase.output_tensor();
-            let out_dsi = self
-                .seq
-                .tensor_dsi(self.space, phase, out_kind, false, dev_id, t);
+            let out_dsi = self.seq.tensor_dsi(
+                self.space,
+                phase,
+                out_kind,
+                self.weight_has_batch,
+                dev_id,
+                t,
+            );
             let dev = &mut self.devices[d];
             match dev.blocks.get_mut(&out_kind) {
                 None => {
@@ -478,36 +514,29 @@ impl DistLinear {
         Ok(())
     }
 
+    /// Device `d`'s local product for `phase`: `O = I·W`, `dI = dO·Wᵀ` or
+    /// `dW = Iᵀ·dO` on its blocks. A batched matmul multiplies batch by
+    /// batch; a linear's `W` has no batch, so every operand folds its
+    /// leading dimensions into rows and the product unfolds into the output
+    /// block.
     fn partial_product(&self, phase: Phase, d: usize) -> Result<Tensor> {
+        let [a_kind, b_kind] = phase.input_tensors();
         let blocks = &self.devices[d].blocks;
-        let (bb, mb, nb, kb) = (
-            self.shape.b / self.seq.num_slices(Dim::B),
-            self.shape.m / self.seq.num_slices(Dim::M),
-            self.shape.n / self.seq.num_slices(Dim::N),
-            self.shape.k / self.seq.num_slices(Dim::K),
-        );
-        let out = match phase {
-            Phase::Forward => {
-                let i = blocks[&TensorKind::Input].data.reshape(vec![bb * mb, nb])?;
-                let w = &blocks[&TensorKind::Weight].data;
-                i.matmul(w)?.reshape(vec![bb, mb, kb])?
-            }
-            Phase::Backward => {
-                let d_o = blocks[&TensorKind::GradOutput]
-                    .data
-                    .reshape(vec![bb * mb, kb])?;
-                let w = &blocks[&TensorKind::Weight].data;
-                d_o.matmul_ex(w, false, true)?.reshape(vec![bb, mb, nb])?
-            }
-            Phase::Gradient => {
-                let i = blocks[&TensorKind::Input].data.reshape(vec![bb * mb, nb])?;
-                let d_o = blocks[&TensorKind::GradOutput]
-                    .data
-                    .reshape(vec![bb * mb, kb])?;
-                i.matmul_ex(&d_o, true, false)?
-            }
+        let (a, b) = (&blocks[&a_kind].data, &blocks[&b_kind].data);
+        let (ta, tb) = match phase {
+            Phase::Forward => (false, false),
+            Phase::Backward => (false, true),
+            Phase::Gradient => (true, false),
         };
-        Ok(out)
+        if self.weight_has_batch {
+            return Ok(a.batched_matmul(b, ta, tb)?);
+        }
+        let matrix = |t: &Tensor| {
+            let cols = t.shape().dim(t.rank() - 1);
+            t.reshape(vec![t.shape().volume() / cols, cols])
+        };
+        let out = matrix(a)?.matmul_ex(&matrix(b)?, ta, tb)?;
+        Ok(out.reshape(self.block_dims(phase.output_tensor()))?)
     }
 
     /// Applies one simultaneous ring rotation: every device's `kind` block is
@@ -578,7 +607,7 @@ impl DistLinear {
     /// End-of-phase all-reduce of the output accumulator within the phase's
     /// all-reduce groups (empty indicator ⇒ no-op, feature 1).
     fn allreduce_output(&mut self, phase: Phase) -> Result<()> {
-        let indicator = self.seq.allreduce_indicator(phase, false);
+        let indicator = self.seq.allreduce_indicator(phase, self.weight_has_batch);
         if indicator.is_empty() {
             return Ok(());
         }
@@ -826,6 +855,65 @@ mod tests {
         dist.scatter(&i, &w).unwrap();
         dist.forward().unwrap();
         assert!(dist.apply_adam(0.01, 0.9, 0.999, 1e-8, 1).is_err());
+    }
+
+    /// A linear under `P_{2x2}` and a batched matmul under a batch split.
+    fn executors() -> [DistLinear; 2] {
+        let temporal = PartitionSeq::new(vec![Primitive::Temporal { k: 1 }]).unwrap();
+        let batch = PartitionSeq::new(vec![Primitive::Split(Dim::B)]).unwrap();
+        [
+            DistLinear::new(temporal, SHAPE).unwrap(),
+            DistLinear::batched(batch, SHAPE).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn forward_requires_scatter() {
+        for mut dist in executors() {
+            let err = dist.forward().unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    ExecError::MisroutedBlock {
+                        phase: Phase::Forward,
+                        step: 0,
+                        tensor: TensorKind::Input,
+                        device: 0,
+                        actual,
+                        ..
+                    } if actual.is_empty()
+                ),
+                "{err:?}"
+            );
+            assert_eq!(err.to_string(), "Forward step 0: device 0 holds no I block");
+        }
+    }
+
+    #[test]
+    fn gradient_requires_backward() {
+        let (i, _, _) = fixtures(5);
+        let mut rng = StdRng::seed_from_u64(5);
+        let weights = [
+            Tensor::randn(vec![SHAPE.n, SHAPE.k], 1.0, &mut rng),
+            Tensor::randn(vec![SHAPE.b, SHAPE.n, SHAPE.k], 1.0, &mut rng),
+        ];
+        for (mut dist, w) in executors().into_iter().zip(&weights) {
+            dist.scatter(&i, w).unwrap();
+            dist.forward().unwrap();
+            let err = dist.gradient().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ExecError::MisroutedBlock {
+                        phase: Phase::Gradient,
+                        tensor: TensorKind::GradOutput,
+                        device: 0,
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use primepar_partition::{Dim, Phase, TensorKind};
+use primepar_partition::{Dim, PartitionSeq, Phase, Primitive, TensorKind};
 use primepar_tensor::TensorError;
 
 /// Error raised by the functional executor.
@@ -18,9 +18,20 @@ pub enum ExecError {
         /// Number of slices requested by the partition sequence.
         slices: usize,
     },
+    /// An executor was handed a partition primitive its operator cannot
+    /// take: a temporal primitive on a batched matmul (it would slice the
+    /// head-embed dimension), or a split of a dimension the operator never
+    /// partitions (the softmax and normalized dimensions, paper §3.2).
+    UnsupportedPrimitive {
+        /// The operator whose executor rejected the sequence.
+        operator: &'static str,
+        /// The first primitive of the sequence it cannot take.
+        primitive: Primitive,
+    },
     /// A block arrived at a device with a different DSI tuple than the
     /// schedule requires — a routing fault (also raised by deliberate fault
-    /// injection in tests).
+    /// injection in tests) — or a phase found no block at all because the
+    /// phase that supplies it was not run first.
     MisroutedBlock {
         /// The phase in which the fault was detected.
         phase: Phase,
@@ -32,7 +43,8 @@ pub enum ExecError {
         device: usize,
         /// The DSI tuple the schedule expects.
         expected: Vec<usize>,
-        /// The DSI tuple actually held.
+        /// The DSI tuple actually held; empty when the device holds no block
+        /// of `tensor`.
         actual: Vec<usize>,
     },
     /// An underlying dense-tensor operation failed.
@@ -44,6 +56,15 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::Indivisible { dim, extent, slices } => {
                 write!(f, "dimension {dim} of extent {extent} is not divisible into {slices} slices")
+            }
+            ExecError::UnsupportedPrimitive { operator, primitive: Primitive::Split(dim) } => {
+                write!(f, "the {operator} executor cannot take a split of dimension {dim}")
+            }
+            ExecError::UnsupportedPrimitive { operator, primitive: temporal @ Primitive::Temporal { .. } } => {
+                write!(f, "the {operator} executor cannot take the temporal primitive {temporal}")
+            }
+            ExecError::MisroutedBlock { phase, step, tensor, device, actual, .. } if actual.is_empty() => {
+                write!(f, "{phase} step {step}: device {device} holds no {tensor} block")
             }
             ExecError::MisroutedBlock { phase, step, tensor, device, expected, actual } => write!(
                 f,
@@ -60,6 +81,22 @@ impl Error for ExecError {
             ExecError::Tensor(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+/// Rejects `seq` with [`ExecError::UnsupportedPrimitive`] at its first
+/// primitive that `supported` refuses.
+pub(crate) fn check_primitives(
+    operator: &'static str,
+    seq: &PartitionSeq,
+    supported: impl Fn(Primitive) -> bool,
+) -> Result<(), ExecError> {
+    match seq.primitives().iter().find(|&&p| !supported(p)) {
+        Some(&primitive) => Err(ExecError::UnsupportedPrimitive {
+            operator,
+            primitive,
+        }),
+        None => Ok(()),
     }
 }
 

@@ -9,16 +9,24 @@
 //! dense `f32` tensors, one simulated device at a time, and compares every
 //! output against serial execution.
 //!
-//! * [`reference`][mod@reference] — serial forward/backward/gradient for the linear operator.
-//! * [`DistLinear`] — the distributed executor for an arbitrary
-//!   [`PartitionSeq`](primepar_partition::PartitionSeq).
+//! * [`reference`][mod@reference] — serial forward/backward/gradient for the linear operator;
+//!   [`bmm_reference`] — the same for the batched matmul.
+//! * [`DistLinear`] — the one distributed matmul executor, for an arbitrary
+//!   [`PartitionSeq`](primepar_partition::PartitionSeq): a linear
+//!   ([`DistLinear::new`]) or a batched matmul whose second operand carries
+//!   the batch dimension ([`DistLinear::batched`], the attention matmuls).
+//! * [`DistSoftmax`], [`DistNorm`], [`attention_distributed`] and
+//!   [`block_distributed_step`] — the other operators of a transformer
+//!   block, and the block itself.
 //! * [`train_distributed`] / [`train_serial`] — multi-iteration SGD loops used
 //!   to check end-to-end training equivalence.
 //!
 //! Every block carries its expected DSI tuple and the executor asserts the
 //! routing invariant at each use, so a misrouted ring message is detected
 //! immediately (see [`ExecError::MisroutedBlock`] and the fault-injection
-//! tests).
+//! tests); a phase run before the one that supplies its operands fails the
+//! same check. A sequence an operator cannot take is refused at
+//! construction with [`ExecError::UnsupportedPrimitive`].
 
 // Loops indexed by device id / wide internal signatures are deliberate.
 #![allow(clippy::needless_range_loop)]
@@ -38,7 +46,6 @@ pub use block::{
     block_distributed_step, block_serial_step, BlockPlan, BlockShape, BlockStep, BlockWeights,
 };
 pub use bmm::reference as bmm_reference;
-pub use bmm::{BmmShape, DistBmm};
 pub use dist::{DistLinear, FaultSpec, LinearShape};
 pub use error::ExecError;
 pub use norm::DistNorm;

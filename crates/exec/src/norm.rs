@@ -5,10 +5,11 @@
 //! block and all-reduces them within the hidden-split groups, and row splits
 //! all-reduce the parameter gradients.
 
-use primepar_partition::{Dim, PartitionSeq, Phase};
+use primepar_partition::{Dim, PartitionSeq, Phase, Primitive};
 use primepar_tensor::Tensor;
 use primepar_topology::{DeviceId, DeviceSpace};
 
+use crate::error::check_primitives;
 use crate::{ExecError, Result};
 
 /// Distributed LayerNorm over `[rows, hidden]`-shaped activations (callers
@@ -30,18 +31,14 @@ impl DistNorm {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Indivisible`] on uneven blockings or unsupported
-    /// primitives (`B`/`N` splits and temporal primitives do not apply to a
-    /// flattened 2-D normalization).
+    /// Returns [`ExecError::UnsupportedPrimitive`] for anything but `M`/`K`
+    /// splits (`B`/`N` splits and temporal primitives do not apply to a
+    /// flattened 2-D normalization) and [`ExecError::Indivisible`] on uneven
+    /// blockings.
     pub fn new(seq: PartitionSeq, rows: usize, hidden: usize, eps: f32) -> Result<Self> {
-        if seq.temporal_k().is_some() || seq.num_slices(Dim::B) != 1 || seq.num_slices(Dim::N) != 1
-        {
-            return Err(ExecError::Indivisible {
-                dim: Dim::B,
-                extent: rows,
-                slices: seq.num_slices(Dim::B).max(seq.num_slices(Dim::N)),
-            });
-        }
+        check_primitives("layer norm", &seq, |p| {
+            matches!(p, Primitive::Split(Dim::M | Dim::K))
+        })?;
         for (dim, extent) in [(Dim::M, rows), (Dim::K, hidden)] {
             if extent % seq.num_slices(dim) != 0 {
                 return Err(ExecError::Indivisible {
@@ -327,10 +324,25 @@ mod tests {
 
     #[test]
     fn unsupported_primitives_rejected() {
-        let t = PartitionSeq::new(vec![Primitive::Temporal { k: 1 }]).unwrap();
-        assert!(DistNorm::new(t, 8, 16, 1e-5).is_err());
+        for primitive in [
+            Primitive::Temporal { k: 1 },
+            Primitive::Split(Dim::B),
+            Primitive::Split(Dim::N),
+        ] {
+            let seq = PartitionSeq::new(vec![Primitive::Split(Dim::M), primitive]).unwrap();
+            assert_eq!(
+                DistNorm::new(seq, 8, 8, 1e-5).unwrap_err(),
+                ExecError::UnsupportedPrimitive {
+                    operator: "layer norm",
+                    primitive,
+                }
+            );
+        }
         let b = PartitionSeq::new(vec![Primitive::Split(Dim::B)]).unwrap();
-        assert!(DistNorm::new(b, 8, 16, 1e-5).is_err());
+        assert_eq!(
+            DistNorm::new(b, 8, 8, 1e-5).unwrap_err().to_string(),
+            "the layer norm executor cannot take a split of dimension B"
+        );
     }
 
     #[test]

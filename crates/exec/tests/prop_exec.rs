@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use primepar_exec::{reference, DistLinear, LinearShape};
+use primepar_exec::{bmm_reference, reference, DistLinear, LinearShape};
 use primepar_partition::{Dim, PartitionSeq, Primitive};
 use primepar_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -35,18 +35,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Distributed F/B/G + SGD equals serial for random sequences, shapes
-    /// and data.
+    /// and data — for a linear (`W[N, K]`), and for a batched matmul
+    /// (`W[B, N, K]`, split-only sequences) against the batched oracle.
     #[test]
-    fn any_partition_trains_exactly(seq in arb_seq(), seed in 0u64..1000, mshift in 0usize..2) {
+    fn any_partition_trains_exactly(
+        seq in arb_seq(),
+        seed in 0u64..1000,
+        mshift in 0usize..2,
+        batched in prop_oneof![Just(false), Just(true)],
+    ) {
         // Extents divisible by any slice count reachable at <=5 bits.
         let shape = LinearShape { b: 8, m: 8 << mshift, n: 32, k: 32 };
+        let w_dims = if batched {
+            vec![shape.b, shape.n, shape.k]
+        } else {
+            vec![shape.n, shape.k]
+        };
         let mut rng = StdRng::seed_from_u64(seed);
         let i = Tensor::randn(vec![shape.b, shape.m, shape.n], 1.0, &mut rng);
-        let w = Tensor::randn(vec![shape.n, shape.k], 1.0, &mut rng);
+        let w = Tensor::randn(w_dims, 1.0, &mut rng);
         let d_o = Tensor::randn(vec![shape.b, shape.m, shape.k], 1.0, &mut rng);
-        let mut dist = DistLinear::new(seq.clone(), shape).expect("divisible");
+        let (seq, mut dist, (o_r, d_i_r, d_w_r, w_r)) = if batched {
+            let splits = seq.primitives().iter().copied();
+            let seq = PartitionSeq::new(splits.filter(|p| matches!(p, Primitive::Split(_))).collect())
+                .expect("split-only");
+            let dist = DistLinear::batched(seq.clone(), shape).expect("divisible");
+            let d_w = bmm_reference::gradient(&i, &d_o).expect("serial");
+            let serial = (
+                bmm_reference::forward(&i, &w).expect("serial"),
+                bmm_reference::backward(&d_o, &w).expect("serial"),
+                d_w.clone(),
+                w.sub(&d_w.scale(0.01)).expect("serial"),
+            );
+            (seq, dist, serial)
+        } else {
+            let dist = DistLinear::new(seq.clone(), shape).expect("divisible");
+            (seq, dist, reference::train_step(&i, &w, &d_o, 0.01).expect("serial"))
+        };
         let (o, d_i, d_w, w_new) = dist.train_step(&i, &w, &d_o, 0.01).expect("dist step");
-        let (o_r, d_i_r, d_w_r, w_r) = reference::train_step(&i, &w, &d_o, 0.01).expect("serial");
         prop_assert!(o.allclose(&o_r, 2e-3), "{}: O diff {}", seq, o.max_abs_diff(&o_r));
         prop_assert!(d_i.allclose(&d_i_r, 2e-3), "{}: dI diff {}", seq, d_i.max_abs_diff(&d_i_r));
         prop_assert!(d_w.allclose(&d_w_r, 2e-3), "{}: dW diff {}", seq, d_w.max_abs_diff(&d_w_r));

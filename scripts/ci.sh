@@ -387,6 +387,15 @@ drop_wall_clock() {
 cmp <(drop_wall_clock "$artifacts/figures/ablations.txt") <(drop_wall_clock results/ablations.txt) \
     || { echo "ablations output differs from results/ablations.txt" >&2; exit 1; }
 
+echo "== functional equivalence through the CLI (P_{4x4}, 16 devices) =="
+# Eight SGD iterations of a two-linear model under P_{4x4} on 16 simulated
+# devices must match serial training: `primepar verify` exits non-zero on a
+# weight divergence, and it must print its `OK:` line.
+verify_out="$(./target/release/primepar verify --k 2 --iters 8)" \
+    || { echo "primepar verify --k 2 --iters 8 failed" >&2; exit 1; }
+grep -q '^OK: ' <<<"$verify_out" \
+    || { echo "primepar verify --k 2 --iters 8 printed no OK: line" >&2; exit 1; }
+
 echo "== CLI transcripts (plan, sweep and audit stdout pinned in results/) =="
 # The CLI's stdout on the Table-2 point and on a small scaling sweep, with
 # the wall-clock `(… search)` label masked, must match the committed
