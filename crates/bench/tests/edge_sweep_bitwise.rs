@@ -47,8 +47,9 @@ fn device_major_sweep_matches_direct_on_the_chain_at_64_devices() {
             let direct_ctx = CostCtx::new(&cluster, 0.0);
             let direct = edge_cost_matrix(&direct_ctx, edge, src, dst, src_seqs, dst_seqs);
             let ctx = CostCtx::new(&cluster, 0.0);
+            let (src_list, dst_list) = (cache.list(src_seqs), cache.list(dst_seqs));
             let mut swept = cache
-                .prepare(&mut stats, edge, src, dst, src_seqs, dst_seqs)
+                .prepare(&mut stats, edge, src, dst, src_list, dst_list)
                 .volumes(&ctx);
             ctx.price(&mut swept);
             assert_eq!(direct.len(), src_seqs.len() * dst_seqs.len());

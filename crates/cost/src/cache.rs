@@ -139,6 +139,15 @@ struct SeqList {
     temporal: bool,
 }
 
+/// A partition-space vector as one [`EdgeCostCache`] has interned it: the
+/// sequences and their list id, from [`EdgeCostCache::list`]. It is valid
+/// only with the cache that listed it.
+#[derive(Debug, Clone, Copy)]
+pub struct ListedSpace<'a> {
+    seqs: &'a [PartitionSeq],
+    list: SeqList,
+}
+
 /// One sweep identity's cache entry: the four interned side profiles the
 /// sweep reads, the edge's element count, and the volume plane, empty until
 /// the first sweep.
@@ -362,8 +371,8 @@ impl SideProfiles {
     /// `[device][seq]` ids: they are the bulk of a large space's profile,
     /// and `same_bits` settles any collision.
     fn content_hash(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        use std::hash::{BuildHasher, Hash, Hasher};
+        let mut h = WordHash::default().build_hasher();
         self.devices.hash(&mut h);
         for vf in &self.volume_fraction {
             vf.to_bits().hash(&mut h);
@@ -646,7 +655,7 @@ impl<'a> Direction<'a> {
 pub struct EdgeCostCache {
     /// Sequence lists by content. Addresses would not do: a freed beam
     /// subset can reuse one.
-    lists: HashMap<Vec<PartitionSeq>, SeqList>,
+    lists: HashMap<Vec<PartitionSeq>, SeqList, WordHash>,
     profiles: HashMap<ProfileKey, Arc<SideProfiles>>,
     /// The distinct built profiles by content hash: every key whose build
     /// came out bitwise equal to an earlier one maps to that one's `Arc`.
@@ -678,38 +687,25 @@ impl EdgeCostCache {
     }
 
     /// Interns the four side profiles of `edge` and their plane entry, and
-    /// returns the prepared edge. Profile builds are shared across every side
-    /// of every edge with the same layout; the profile hits and misses, and
-    /// the run's first read of each plane, are counted in `stats`.
+    /// returns the prepared edge. `src` and `dst` are the two operators'
+    /// spaces as this cache listed them. Profile builds are shared across
+    /// every side of every edge with the same layout; the profile hits and
+    /// misses, and the run's first read of each plane, are counted in
+    /// `stats`.
     pub fn prepare(
         &mut self,
         stats: &mut CacheStats,
         edge: &Edge,
         src_op: &Operator,
         dst_op: &Operator,
-        src_seqs: &[PartitionSeq],
-        dst_seqs: &[PartitionSeq],
+        src: ListedSpace<'_>,
+        dst: ListedSpace<'_>,
     ) -> PreparedEdge {
-        let sides = EdgeSides::new(edge, src_op, dst_op, src_seqs[0].bits(), dst_seqs[0].bits());
-        let (src_list, dst_list) = (self.list(src_seqs), self.list(dst_seqs));
-        let produce = self.side(stats, &sides.produce, src_seqs, src_list, sides.space, None);
-        let consume = self.side(stats, &sides.consume, dst_seqs, dst_list, sides.space, None);
-        let g_produce = self.side(
-            stats,
-            &sides.g_produce,
-            dst_seqs,
-            dst_list,
-            sides.space,
-            Some(&consume),
-        );
-        let g_consume = self.side(
-            stats,
-            &sides.g_consume,
-            src_seqs,
-            src_list,
-            sides.space,
-            Some(&produce),
-        );
+        let sides = EdgeSides::new(edge, src_op, dst_op, src.seqs[0].bits(), dst.seqs[0].bits());
+        let produce = self.side(stats, &sides.produce, src, sides.space, None);
+        let consume = self.side(stats, &sides.consume, dst, sides.space, None);
+        let g_produce = self.side(stats, &sides.g_produce, dst, sides.space, Some(&consume));
+        let g_consume = self.side(stats, &sides.g_consume, src, sides.space, Some(&produce));
         let key = (
             [&produce, &consume, &g_produce, &g_consume].map(|p| Arc::as_ptr(p) as usize),
             sides.total_elems.to_bits(),
@@ -732,17 +728,22 @@ impl EdgeCostCache {
         PreparedEdge { entry }
     }
 
-    /// `seqs` interned by content.
-    fn list(&mut self, seqs: &[PartitionSeq]) -> SeqList {
-        if let Some(&list) = self.lists.get(seqs) {
-            return list;
-        }
-        let list = SeqList {
-            id: self.lists.len() as u32,
-            temporal: seqs.iter().any(|s| s.temporal_steps() > 1),
+    /// `seqs` interned by content, for [`prepare`](Self::prepare): the
+    /// lookup hashes and compares the whole vector, so a caller preparing
+    /// many edges over one space lists it once.
+    pub fn list<'a>(&mut self, seqs: &'a [PartitionSeq]) -> ListedSpace<'a> {
+        let list = match self.lists.get(seqs) {
+            Some(&list) => list,
+            None => {
+                let list = SeqList {
+                    id: self.lists.len() as u32,
+                    temporal: seqs.iter().any(|s| s.temporal_steps() > 1),
+                };
+                self.lists.insert(seqs.to_vec(), list);
+                list
+            }
         };
-        self.lists.insert(seqs.to_vec(), list);
-        list
+        ListedSpace { seqs, list }
     }
 
     /// The interned profile vector of `side` over `seqs`. `base`, when
@@ -753,11 +754,11 @@ impl EdgeCostCache {
         &mut self,
         stats: &mut CacheStats,
         side: &EdgeSide,
-        seqs: &[PartitionSeq],
-        list: SeqList,
+        seqs: ListedSpace<'_>,
         space: DeviceSpace,
         base: Option<&Arc<SideProfiles>>,
     ) -> Arc<SideProfiles> {
+        let ListedSpace { seqs, list } = seqs;
         let op = side.op;
         let dims = side
             .dims
@@ -869,7 +870,8 @@ mod tests {
         for edge in &g.edges {
             let (src, dst) = (&g.ops[edge.src], &g.ops[edge.dst]);
             let sides = EdgeSides::new(edge, src, dst, 3, 3);
-            let prepared = cache.prepare(&mut stats, edge, src, dst, &seqs, &seqs);
+            let listed = cache.list(&seqs);
+            let prepared = cache.prepare(&mut stats, edge, src, dst, listed, listed);
             let e = &prepared.entry;
             for (profile, side) in [
                 (&e.produce, &sides.produce),
@@ -959,7 +961,8 @@ mod tests {
                     let (src, dst) = (&g.ops[edge.src], &g.ops[edge.dst]);
                     let direct_ctx = CostCtx::new(&cluster, 0.0);
                     let direct = edge_cost_matrix(&direct_ctx, edge, src, dst, src_seqs, dst_seqs);
-                    let prepared = cache.prepare(&mut stats, edge, src, dst, src_seqs, dst_seqs);
+                    let (src_list, dst_list) = (cache.list(src_seqs), cache.list(dst_seqs));
+                    let prepared = cache.prepare(&mut stats, edge, src, dst, src_list, dst_list);
                     for (profile, op) in [
                         (&prepared.entry.produce, edge.src),
                         (&prepared.entry.consume, edge.dst),
@@ -1256,9 +1259,10 @@ mod tests {
             matrix_job_ids(&[e01.clone(), e78.clone()], &sig_ids),
             vec![0, 0]
         );
-        let first = cache.prepare(&mut stats, e01, &g.ops[0], &g.ops[1], &seqs, &seqs);
+        let listed = cache.list(&seqs);
+        let first = cache.prepare(&mut stats, e01, &g.ops[0], &g.ops[1], listed, listed);
         assert_eq!(stats.profile_misses, 4);
-        let second = cache.prepare(&mut stats, e78, &g.ops[7], &g.ops[8], &seqs, &seqs);
+        let second = cache.prepare(&mut stats, e78, &g.ops[7], &g.ops[8], listed, listed);
         assert_eq!(stats.profile_misses, 4);
         assert_eq!(stats.profile_hits, 4);
         assert!(first.shares_plane(&second));
@@ -1285,8 +1289,9 @@ mod tests {
             matrix_job_ids(&[q.clone(), k.clone()], &sig_ids),
             vec![0, 1]
         );
-        let q = cache.prepare(&mut stats, q, &g.ops[2], &g.ops[3], &seqs, &seqs);
-        let k = cache.prepare(&mut stats, k, &g.ops[2], &g.ops[3], &seqs, &seqs);
+        let listed = cache.list(&seqs);
+        let q = cache.prepare(&mut stats, q, &g.ops[2], &g.ops[3], listed, listed);
+        let k = cache.prepare(&mut stats, k, &g.ops[2], &g.ops[3], listed, listed);
         assert!(!q.shares_plane(&k));
     }
 
@@ -1309,7 +1314,7 @@ mod tests {
                 renames,
                 selector,
             );
-            cache.side(stats, &side, &seqs, list, DeviceSpace::new(2), None)
+            cache.side(stats, &side, list, DeviceSpace::new(2), None)
         };
         let builds =
             |(_, stats): &(EdgeCostCache, CacheStats)| (stats.profile_misses, stats.profile_hits);

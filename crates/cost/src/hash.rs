@@ -1,7 +1,8 @@
-//! A multiply-rotate hasher for the cost model's small fixed-size keys: a
-//! group indicator's mask and an interned holding's axis-id tuple. Neither
-//! key comes from outside the process, so the maps keyed by them need no
-//! DoS-resistant SipHash, only a cheap deterministic mix.
+//! A multiply-rotate hasher for the cost model's keys: a group indicator's
+//! mask, an interned holding's axis-id tuple, a sequence list and a side
+//! profile's content. No key comes from outside the process, so the maps
+//! keyed by them need no DoS-resistant SipHash, only a cheap deterministic
+//! mix.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -34,6 +35,10 @@ impl Hasher for WordHasher {
 
     fn write_u32(&mut self, n: u32) {
         self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
     }
 
     fn write_usize(&mut self, n: usize) {

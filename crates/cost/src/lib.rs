@@ -56,7 +56,9 @@ mod intervals;
 mod intra;
 pub mod migration;
 
-pub use cache::{matrix_job_ids, CacheStats, EdgeCostCache, PreparedEdge, SideProfiles};
+pub use cache::{
+    matrix_job_ids, CacheStats, EdgeCostCache, ListedSpace, PreparedEdge, SideProfiles,
+};
 pub use ctx::CostCtx;
 pub use inter::{edge_cost_matrix, inter_cost, inter_traffic_bytes};
 pub use intervals::DenseIntervals;

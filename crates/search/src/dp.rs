@@ -10,7 +10,9 @@ use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use primepar_cost::{intra_cost, matrix_job_ids, CacheStats, CostCtx, EdgeCostCache, PreparedEdge};
+use primepar_cost::{
+    intra_cost, matrix_job_ids, CacheStats, CostCtx, EdgeCostCache, ListedSpace, PreparedEdge,
+};
 use primepar_graph::Graph;
 use primepar_partition::PartitionSeq;
 use primepar_topology::Cluster;
@@ -218,25 +220,36 @@ impl PassState {
     /// nodes may keep different subsets, so each distinct (signature id,
     /// kept set) class of restricted nodes gets a fresh id above the
     /// current maximum: matrix job ids and prune keys then identify only
-    /// nodes whose signature and kept set agree. Returns the states dropped.
+    /// nodes whose signature and kept set agree. Equal signature ids carry
+    /// equal vectors, so a class gathers once and its nodes share the
+    /// result. Returns the states dropped.
     fn restrict(&mut self, kept: &[Option<Vec<u32>>]) -> u64 {
         fn gather<T: Clone>(v: &[T], kept: &[u32]) -> Arc<Vec<T>> {
             Arc::new(kept.iter().map(|&i| v[i as usize].clone()).collect())
         }
         let fresh = self.sig_ids.iter().max().map_or(0, |m| m + 1);
-        let mut classes: Vec<(usize, &Vec<u32>)> = Vec::new();
+        let mut classes: Vec<((usize, &Vec<u32>), usize)> = Vec::new();
         let mut dropped = 0;
         for (n, k) in kept.iter().enumerate() {
             let Some(k) = k else { continue };
             dropped += (self.spaces[n].len() - k.len()) as u64;
-            self.spaces[n] = gather(self.spaces[n].as_slice(), k);
-            self.intra[n] = gather(self.intra[n].as_slice(), k);
-            self.mem[n] = gather(self.mem[n].as_slice(), k);
             let key = (self.sig_ids[n], k);
-            let class = classes.iter().position(|c| *c == key).unwrap_or_else(|| {
-                classes.push(key);
-                classes.len() - 1
-            });
+            let class = match classes.iter().position(|c| c.0 == key) {
+                Some(class) => {
+                    let first = classes[class].1;
+                    self.spaces[n] = self.spaces[first].clone();
+                    self.intra[n] = self.intra[first].clone();
+                    self.mem[n] = self.mem[first].clone();
+                    class
+                }
+                None => {
+                    self.spaces[n] = gather(self.spaces[n].as_slice(), k);
+                    self.intra[n] = gather(self.intra[n].as_slice(), k);
+                    self.mem[n] = gather(self.mem[n].as_slice(), k);
+                    classes.push((key, n));
+                    classes.len() - 1
+                }
+            };
             self.sig_ids[n] = fresh + class;
         }
         dropped
@@ -508,6 +521,17 @@ impl<'a> Planner<'a> {
         let t1 = Instant::now();
         let cache = warm.map_or(&own, |w| &w.edges);
         let edge_jobs = matrix_job_ids(&self.graph.edges, &state.sig_ids);
+        // Each distinct node space is listed once: nodes of one signature
+        // share their space's `Arc`, which outlives this call.
+        let lists: Vec<ListedSpace<'_>> = {
+            let mut cache = cache.lock().expect("edge cache lock");
+            let mut lists: Vec<ListedSpace<'_>> = Vec::with_capacity(state.spaces.len());
+            for (n, space) in state.spaces.iter().enumerate() {
+                let same = state.spaces[..n].iter().position(|s| Arc::ptr_eq(s, space));
+                lists.push(same.map_or_else(|| cache.list(space), |m| lists[m]));
+            }
+            lists
+        };
         // One prepared edge per distinct plane, and each job's plane.
         let mut sweeps: Vec<PreparedEdge> = Vec::new();
         let mut job_planes: Vec<usize> = Vec::new();
@@ -522,8 +546,8 @@ impl<'a> Planner<'a> {
                 edge,
                 &self.graph.ops[edge.src],
                 &self.graph.ops[edge.dst],
-                &state.spaces[edge.src],
-                &state.spaces[edge.dst],
+                lists[edge.src],
+                lists[edge.dst],
             );
             let plane = match sweeps.iter().position(|s| s.shares_plane(&prepared)) {
                 Some(plane) => plane,

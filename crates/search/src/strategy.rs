@@ -177,7 +177,9 @@ pub(crate) fn beam_kept(
     // (job id, node-is-src) → the prepared probe over the node's full space.
     let mut probes: HashMap<(usize, bool), PreparedEdge> = HashMap::new();
     let prepare = |stats: &mut CacheStats, edge: &Edge, src: &[PartitionSeq], dst| {
-        cache.lock().expect("edge cache lock").prepare(
+        let mut cache = cache.lock().expect("edge cache lock");
+        let (src, dst) = (cache.list(src), cache.list(dst));
+        cache.prepare(
             stats,
             edge,
             &graph.ops[edge.src],

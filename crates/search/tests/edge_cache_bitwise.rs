@@ -39,14 +39,16 @@ fn check_cells(
     let (src, dst) = (&graph.ops[edge.src], &graph.ops[edge.dst]);
     let (src_seqs, dst_seqs) = (&spaces[edge.src], &spaces[edge.dst]);
     let ctx = CostCtx::new(cluster, 0.0);
-    let plane = EdgeCostCache::new()
+    let mut cache = EdgeCostCache::new();
+    let (src_list, dst_list) = (cache.list(src_seqs), cache.list(dst_seqs));
+    let plane = cache
         .prepare(
             &mut CacheStats::default(),
             edge,
             src,
             dst,
-            src_seqs,
-            dst_seqs,
+            src_list,
+            dst_list,
         )
         .volumes(&ctx);
     let mut checked = 0;
@@ -125,7 +127,8 @@ fn check_prepared_against_direct(cluster: &Cluster, repriced: &[Cluster], graph:
         }
         let (src, dst) = (&graph.ops[edge.src], &graph.ops[edge.dst]);
         let (src_seqs, dst_seqs) = (&spaces[edge.src], &spaces[edge.dst]);
-        let prepared = cache.prepare(&mut stats, edge, src, dst, src_seqs, dst_seqs);
+        let (src_list, dst_list) = (cache.list(src_seqs), cache.list(dst_seqs));
+        let prepared = cache.prepare(&mut stats, edge, src, dst, src_list, dst_list);
         for on in std::iter::once(cluster).chain(repriced) {
             let ctx = CostCtx::new(on, 0.0);
             let direct = edge_cost_matrix(&ctx, edge, src, dst, src_seqs, dst_seqs);

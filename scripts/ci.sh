@@ -53,6 +53,13 @@ timeout 60 ./target/release/primepar plan --model opt-6.7b --devices 16 --batch 
     >/dev/null || { echo "planner smoke run failed or exceeded 60 s" >&2; exit 1; }
 edge_cells="$(sed -n 's/^ *"planner.edge_evaluations": *\([0-9]*\),*$/\1/p' "$smoke_metrics")"
 term_rows="$(sed -n 's/^ *"planner.edge_term_rows": *\([0-9]*\),*$/\1/p' "$smoke_metrics")"
+# Informational, not gated: this cold plan's prune and edge-prepare stage
+# times.
+stage_seconds() {
+    sed -n "/\"planner.stage.$1_seconds\"/,/}/s/^ *\"seconds\": *\([0-9.e+-]*\),*$/\1/p" "$smoke_metrics"
+}
+echo "planner smoke stages: prune_seconds $(stage_seconds prune)," \
+    "edge_prepare_seconds $(stage_seconds edge_prepare)"
 rm -f "$smoke_metrics"
 [ -n "$edge_cells" ] && [ "$edge_cells" -le 180144 ] \
     || { echo "planner.edge_evaluations ${edge_cells:-missing} > 180144 on the Table-2 point" >&2; exit 1; }
