@@ -391,7 +391,6 @@ pub fn render_audit(audit: &AuditReport<'_>) -> String {
     }
 
     let sim = audit.sim;
-    let acct = &sim.accounting;
     out.push_str(&format!(
         "\nlayer time: predicted {:.6} ms, simulated {:.6} ms, drift {:+.3}%\n",
         ms(audit.predicted_layer_time),
@@ -410,15 +409,14 @@ pub fn render_audit(audit: &AuditReport<'_>) -> String {
         audit.plan_comm.ring_bytes,
         audit.plan_comm.collective_bytes,
         audit.plan_comm.redistribution_bytes,
-        acct.total_wire_bytes(),
+        sim.accounting.total_wire_bytes(),
     ));
-    let conservation = match acct.validate() {
+    let conservation = match sim.check_time_conservation() {
         Ok(()) => "ok".to_string(),
         Err(e) => format!("VIOLATED ({e})"),
     };
     out.push_str(&format!(
-        "conservation: busy+idle = makespan on {} devices: {conservation}\n",
-        acct.devices.len()
+        "conservation: breakdown total = layer time: {conservation}\n"
     ));
     match audit.worst_row() {
         Some(worst) => out.push_str(&format!(
@@ -490,7 +488,7 @@ pub fn summary_metrics(audit: &AuditReport<'_>) -> Metrics {
     );
     m.text(
         "audit.conservation",
-        match audit.sim.accounting.validate() {
+        match audit.sim.check_time_conservation() {
             Ok(()) => "ok",
             Err(_) => "violated",
         },

@@ -50,7 +50,7 @@ pub fn run(opts: &Opts) {
                 let replica_micro = (batch as usize / (d * micro)).max(1) as u64;
                 let graph = model.layer_graph(replica_micro, seq);
                 let mega_plan = megatron_layer_plan(&graph, 1, m);
-                let mega = simulate_3d(&model, &graph, &mega_plan, cfg, batch, seq);
+                let mega = simulate_3d(&model, &mega_plan, cfg, batch, seq);
                 let cluster_m = Cluster::v100_like(m);
                 let opts = PlannerOptions::default()
                     .with_space(SpaceOptions {
@@ -59,7 +59,7 @@ pub fn run(opts: &Opts) {
                     })
                     .with_alpha(0.0);
                 let prime_plan = Planner::new(&cluster_m, &graph, opts).optimize(model.layers);
-                let prime = simulate_3d(&model, &graph, &prime_plan.seqs, cfg, batch, seq);
+                let prime = simulate_3d(&model, &prime_plan.seqs, cfg, batch, seq);
                 let key = format!("{}.p{p}d{d}m{m}", slug(model.name));
                 metrics.gauge(
                     &format!("{key}.megatron_tokens_per_second"),

@@ -8,7 +8,7 @@
 //! `cargo test -p primepar-bench --test edge_sweep_bitwise`
 
 use primepar::cost::{edge_cost_matrix, CacheStats, CostCtx, EdgeCostCache};
-use primepar::search::{SpaceCache, SpaceOptions};
+use primepar::search::{operator_space, SpaceOptions};
 use primepar::topology::Cluster;
 use primepar_bench::planner_scale_graph;
 
@@ -17,11 +17,10 @@ fn device_major_sweep_matches_direct_on_the_chain_at_64_devices() {
     let cluster = Cluster::v100_like(64);
     let graph = planner_scale_graph(64, 5);
     let n_bits = cluster.space().n_bits();
-    let mut spaces = SpaceCache::new();
     let spaces: Vec<_> = graph
         .ops
         .iter()
-        .map(|op| spaces.get(op, n_bits, &SpaceOptions::default()))
+        .map(|op| operator_space(op, n_bits, &SpaceOptions::default()))
         .collect();
     let mut cache = EdgeCostCache::new();
     let mut stats = CacheStats::default();

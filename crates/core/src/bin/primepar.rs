@@ -19,7 +19,7 @@ use primepar::search::{
 };
 use primepar::service::{read_artifact, ResolvedPlan};
 use primepar::sim::{
-    accounting_metrics, render_gantt, robustness_json, robustness_metrics, robustness_sweep,
+    layer_report_metrics, render_gantt, robustness_json, robustness_metrics, robustness_sweep,
     simulate_layer, simulate_model, LayerReport, RobustnessOptions, RobustnessReport,
 };
 use primepar::tensor::Tensor;
@@ -495,7 +495,7 @@ fn run() -> Result<(), Error> {
             write_metrics(&args, || {
                 let mut m = run_metrics(&RunInfo::of(&resolved, &system), None, None);
                 m.merge(&audit_metrics(&audit));
-                m.merge(&accounting_metrics(&report.accounting));
+                m.merge(&layer_report_metrics(&report));
                 m
             })
         }

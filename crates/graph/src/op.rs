@@ -187,19 +187,6 @@ impl Operator {
         }
     }
 
-    /// Bytes of memory traffic of one execution of `phase` (reads of the
-    /// phase's two operands plus the write of its result, f32).
-    pub fn io_bytes(&self, phase: Phase) -> f64 {
-        let [b, m, n, k] = self.extents.map(|e| e as f64);
-        let (i, w, o) = (b * m * n, self.weight_volume(), b * m * k);
-        let elems = match phase {
-            Phase::Forward => i + w + o,
-            Phase::Backward => o + w + i,
-            Phase::Gradient => i + o + w,
-        };
-        4.0 * elems
-    }
-
     /// Elements of the trainable weight (0 for weight-less operators; batched
     /// matmuls' second operand is an activation, not a weight).
     pub fn weight_elems(&self) -> f64 {
@@ -240,22 +227,6 @@ impl Operator {
             OpKind::Activation(_) => b * m * k,
             OpKind::Elementwise => 0.0,
         }
-    }
-
-    /// The dimensions of the tensor this operator *receives* along graph
-    /// edges: `(B, M, N)` for matmul-like operators (their `I` operand),
-    /// `(B, M, K)` for point-wise operators (which pass activations through).
-    pub fn edge_input_dims(&self) -> &'static [Dim] {
-        if self.is_matmul_like() {
-            &[Dim::B, Dim::M, Dim::N]
-        } else {
-            &[Dim::B, Dim::M, Dim::K]
-        }
-    }
-
-    /// The dimensions of this operator's output tensor: always `(B, M, K)`.
-    pub fn edge_output_dims(&self) -> &'static [Dim] {
-        &[Dim::B, Dim::M, Dim::K]
     }
 }
 
@@ -372,32 +343,5 @@ mod tests {
         op.kind = OpKind::Norm(NormKind::Rms);
         assert_eq!(op.weight_elems(), 8.0);
         assert_eq!(op.allowed_splits(), vec![Dim::B, Dim::M, Dim::K]);
-    }
-
-    #[test]
-    fn edge_dims_by_operator_class() {
-        let lin = linear(1, 2, 3, 4);
-        assert_eq!(lin.edge_input_dims(), &[Dim::B, Dim::M, Dim::N]);
-        let ew = Operator {
-            name: "add".into(),
-            kind: OpKind::Elementwise,
-            extents: [1, 2, 1, 4],
-            axes: [
-                vec![(Axis::Batch, 1)],
-                vec![(Axis::Seq, 2)],
-                vec![],
-                vec![(Axis::Hidden, 4)],
-            ],
-        };
-        assert_eq!(ew.edge_input_dims(), &[Dim::B, Dim::M, Dim::K]);
-        assert_eq!(ew.edge_output_dims(), &[Dim::B, Dim::M, Dim::K]);
-    }
-
-    #[test]
-    fn io_bytes_positive_and_phase_dependent() {
-        let op = linear(2, 4, 8, 16);
-        for phase in Phase::ALL {
-            assert!(op.io_bytes(phase) > 0.0);
-        }
     }
 }

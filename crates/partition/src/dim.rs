@@ -152,14 +152,6 @@ impl TensorKind {
             }
         }
     }
-
-    /// `true` for the gradient counterparts.
-    pub fn is_gradient(self) -> bool {
-        matches!(
-            self,
-            TensorKind::GradInput | TensorKind::GradOutput | TensorKind::GradWeight
-        )
-    }
 }
 
 impl fmt::Display for TensorKind {

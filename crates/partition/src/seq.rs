@@ -154,15 +154,6 @@ impl PartitionSeq {
             .product()
     }
 
-    /// The fraction of a tensor each device holds at any instant:
-    /// `1 / tensor_blocks` (feature 2 of `P_{2^k×2^k}` guarantees the blocks
-    /// held across devices are disjoint; splits of dims absent from the
-    /// tensor replicate it instead, which leaves the per-device fraction
-    /// unchanged but multiplies the cluster-wide footprint).
-    pub fn tensor_fraction(&self, kind: TensorKind, weight_has_batch: bool) -> f64 {
-        1.0 / self.tensor_blocks(kind, weight_has_batch) as f64
-    }
-
     /// The `(row, column)` of `device` within the temporal primitive's logical
     /// `2^k × 2^k` square (Algorithm 1 lines 9–10), or `None` if the sequence
     /// has no temporal primitive.
@@ -784,7 +775,6 @@ mod tests {
         assert_eq!(seq.tensor_blocks(TensorKind::Input, false), 8);
         // W(N,K): 2 * 2 = 4 blocks.
         assert_eq!(seq.tensor_blocks(TensorKind::Weight, false), 4);
-        assert!((seq.tensor_fraction(TensorKind::Weight, false) - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -159,20 +159,6 @@ impl EdgeTables {
         (firsts, class)
     }
 
-    /// Bytes [`compact`](Self::compact)`(kept)` will hold, in closed form:
-    /// `|kept[src]| × |kept[dst]|` `f64`s per distinct compacted plane.
-    pub fn compacted_bytes(&self, kept: &[Option<Vec<u32>>]) -> usize {
-        let len = |node: usize, full: usize| kept[node].as_ref().map_or(full, Vec::len);
-        self.classes(kept)
-            .0
-            .iter()
-            .map(|&f| {
-                let s = &self.index[f];
-                len(s.src, s.rows) * len(s.dst, s.cols) * std::mem::size_of::<f64>()
-            })
-            .sum()
-    }
-
     /// Keeps, per node, only the states listed in `kept[node]` (`None`
     /// keeps the node's full space): rows filter by a pair's `src`, columns
     /// by its `dst`. Each distinct `(plane, kept[src], kept[dst])` compacts
@@ -211,8 +197,8 @@ impl EdgeTables {
                             plane.copy_within(run, len);
                             len += n;
                         }
-                        // `bytes` counts capacity, which must come down to
-                        // what `compacted_bytes` predicts.
+                        // `bytes` counts capacity: hand the pruned tail
+                        // back.
                         plane.truncate(len);
                         plane.shrink_to_fit();
                         plane
@@ -337,8 +323,9 @@ mod tests {
     }
 
     /// Builds and compacts the shared tables, then checks every pair's
-    /// plane bitwise against the seed's fold and gather, and the byte
-    /// prediction against what the compacted tables hold.
+    /// plane bitwise against the seed's fold and gather, and the bytes the
+    /// compacted tables hold against the closed form:
+    /// `|kept[src]| × |kept[dst]|` `f64`s per distinct compacted plane.
     fn check_shared(
         edges: &[Edge],
         sizes: &[usize],
@@ -352,9 +339,17 @@ mod tests {
         for (&(s, d), expect) in &folded {
             assert_bitwise(tables.get(s, d).unwrap(), expect);
         }
-        let predicted = tables.compacted_bytes(kept);
+        let (firsts, _) = tables.classes(kept);
+        let len = |node: usize, full: usize| kept[node].as_ref().map_or(full, Vec::len);
+        let closed_form: usize = firsts
+            .iter()
+            .map(|&f| {
+                let s = &tables.index[f];
+                len(s.src, s.rows) * len(s.dst, s.cols) * std::mem::size_of::<f64>()
+            })
+            .sum();
         let small = tables.compact(kept);
-        assert_eq!(small.bytes(), predicted);
+        assert_eq!(small.bytes(), closed_form);
         for (&(s, d), expect) in &folded {
             let want = gather(expect, sizes[s], sizes[d], &kept[s], &kept[d]);
             assert_bitwise(small.get(s, d).unwrap(), &want);
@@ -504,7 +499,6 @@ mod tests {
         assert_eq!(in_place.planes(), 4);
         assert_eq!(copied.planes(), in_place.planes());
         assert_eq!(in_place.bytes(), copied.bytes());
-        assert_eq!(in_place.bytes(), build().compacted_bytes(&kept));
         for (&(s, d), plane) in &hashmap_fold(&edges, &jobs, &mats) {
             let want = gather(plane, sizes[s], sizes[d], &kept[s], &kept[d]);
             assert_bitwise(in_place.get(s, d).unwrap(), &want);

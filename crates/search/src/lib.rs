@@ -55,7 +55,7 @@ pub use replan::{
     replan, run_elastic, CandidateCost, ElasticEvent, ElasticPolicy, ElasticRunReport,
     ElasticSegment, MigrationDecision, ReplanOptions, ReplanOutcome,
 };
-pub use space::{operator_space, SpaceCache, SpaceOptions};
+pub use space::{operator_space, SpaceOptions};
 pub use strategy::{SearchInterrupt, SearchStrategy};
 pub use telemetry::{PlannerMetrics, SegmentMetrics};
 pub use warm::{PlannerWarmCache, WarmStats};

@@ -1,9 +1,6 @@
 //! Per-operator partition-space enumeration (paper §5.3).
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use primepar_graph::{OpSignature, Operator};
+use primepar_graph::Operator;
 use primepar_partition::{Dim, PartitionSeq, Primitive};
 
 /// Knobs restricting the enumerated space.
@@ -154,54 +151,6 @@ fn extend(op: &Operator, mut slices: [u64; 4], token: Primitive) -> Option<[u64;
         }
     }
     Some(slices)
-}
-
-/// Memoized [`operator_space`] keyed by structural operator signature:
-/// structurally identical operators (the residual adds, the two norms, every
-/// stacked-layer repeat) share one enumeration instead of re-running the
-/// recursive search per node per planner call.
-#[derive(Debug, Default)]
-pub struct SpaceCache {
-    spaces: HashMap<(OpSignature, usize, SpaceOptions), Arc<Vec<PartitionSeq>>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl SpaceCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        SpaceCache::default()
-    }
-
-    /// The partition space of `op` over `2^n_bits` devices — enumerated on
-    /// first sight of the signature, shared afterwards. Identical to
-    /// [`operator_space`] on the same inputs.
-    pub fn get(
-        &mut self,
-        op: &Operator,
-        n_bits: usize,
-        opts: &SpaceOptions,
-    ) -> Arc<Vec<PartitionSeq>> {
-        let key = (op.signature(), n_bits, *opts);
-        if let Some(cached) = self.spaces.get(&key) {
-            self.hits += 1;
-            return cached.clone();
-        }
-        self.misses += 1;
-        let space = Arc::new(operator_space(op, n_bits, opts));
-        self.spaces.insert(key, space.clone());
-        space
-    }
-
-    /// Enumerations served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Enumerations actually performed.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
 }
 
 #[cfg(test)]
@@ -387,9 +336,11 @@ mod tests {
 
     #[test]
     fn space_cache_matches_direct_enumeration() {
-        // ISSUE 2 satellite: the memo must be observationally identical to
-        // re-enumerating per operator, across options and device counts.
+        // The planner enumerates each signature once and shares the space
+        // with every node of that signature, so equal signature ids must
+        // enumerate equal spaces, across options and device counts.
         let g = graph();
+        let ids = g.signature_ids();
         for opts in [
             SpaceOptions::default(),
             SpaceOptions {
@@ -402,45 +353,15 @@ mod tests {
                 ..SpaceOptions::default()
             },
         ] {
-            let mut cache = SpaceCache::new();
             for n_bits in [0usize, 2, 4] {
-                for op in &g.ops {
+                let mut first: Vec<Option<Vec<PartitionSeq>>> = vec![None; g.ops.len()];
+                for (op, &sig) in g.ops.iter().zip(&ids) {
                     let direct = operator_space(op, n_bits, &opts);
-                    let memoized = cache.get(op, n_bits, &opts);
-                    assert_eq!(*memoized, direct, "{} at {n_bits} bits", op.name);
+                    let shared = first[sig].get_or_insert_with(|| direct.clone());
+                    assert_eq!(*shared, direct, "{} at {n_bits} bits", op.name);
                 }
             }
         }
-    }
-
-    #[test]
-    fn space_cache_dedups_structural_repeats() {
-        let g = graph();
-        let opts = SpaceOptions::default();
-        let mut cache = SpaceCache::new();
-        for op in &g.ops {
-            cache.get(op, 3, &opts);
-        }
-        // 13 ops, 10 unique signatures.
-        assert_eq!(cache.misses(), 10);
-        assert_eq!(cache.hits(), 3);
-        // A second pass over the whole graph is all hits.
-        for op in &g.ops {
-            cache.get(op, 3, &opts);
-        }
-        assert_eq!(cache.misses(), 10);
-        assert_eq!(cache.hits(), 16);
-        // Different options or bits miss again.
-        cache.get(
-            &g.ops[0],
-            3,
-            &SpaceOptions {
-                allow_temporal: false,
-                ..opts
-            },
-        );
-        cache.get(&g.ops[0], 4, &opts);
-        assert_eq!(cache.misses(), 12);
     }
 
     #[test]

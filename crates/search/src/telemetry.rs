@@ -50,8 +50,7 @@ pub struct SegmentMetrics {
 ///   merge counters, `states_pruned`, and every stage's seconds after
 ///   stage 1 and the worker busy time;
 /// * **last round**: `beam_width`, `states_beamed`, `segments` (with their
-///   Bellman counts), `arena_bytes`, `arena_bytes_allocated` and
-///   `edge_planes`.
+///   Bellman counts), `arena_bytes` and `edge_planes`.
 ///
 /// Exact and beam runs have one round, so the groups agree there.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -106,10 +105,12 @@ pub struct PlannerMetrics {
     /// Distinct structural operator signatures in the graph (vs `op_names
     /// .len()` nodes; stage 1).
     pub unique_signatures: usize,
-    /// Stage 1 space enumerations served from the signature-keyed cache
-    /// (once per run).
+    /// Stage 1 nodes that share an earlier node's space, one per node past
+    /// the first of its signature: nodes − `unique_signatures` (once per
+    /// run).
     pub space_cache_hits: u64,
-    /// Stage 1 space enumerations actually run (once per run).
+    /// Stage 1 space enumerations actually run, one per signature:
+    /// `unique_signatures` (once per run).
     pub space_cache_misses: u64,
     /// Stage 2 side-profile vectors reused across edges (summed over
     /// rounds, as are the four counters below).
@@ -179,16 +180,12 @@ pub struct PlannerMetrics {
     /// Process peak resident set size (`VmHWM`) sampled at the end of the
     /// run, in bytes; 0 where the platform has no cheap probe.
     pub peak_rss_bytes: u64,
-    /// Bytes of the DP's edge arena — the compacted edge planes — predicted
-    /// in closed form from the post-prune space sizes before it is
-    /// allocated (last round). The DP stores no backtrack choices: the
-    /// compose stage recomputes each argmin it needs, re-sweeping one row
-    /// per segment and rescanning one cell per merge, in buffers outside
-    /// the arena.
+    /// Bytes the DP's edge arena — the compacted edge planes — holds once
+    /// the prune has compacted it (last round). The DP stores no backtrack
+    /// choices: the compose stage recomputes each argmin it needs,
+    /// re-sweeping one row per segment and rescanning one cell per merge,
+    /// in buffers outside the arena.
     pub arena_bytes: u64,
-    /// Bytes the edge arena actually held once the merges were done (last
-    /// round); equal to [`arena_bytes`](Self::arena_bytes).
-    pub arena_bytes_allocated: u64,
     /// Distinct compacted edge planes the DP read (last round): pairs with
     /// one edge share their matrix sweep's plane.
     pub edge_planes: usize,
@@ -269,10 +266,6 @@ impl PlannerMetrics {
         m.incr("planner.prune.states_pruned", self.states_pruned);
         m.gauge("planner.peak_rss_bytes", self.peak_rss_bytes as f64);
         m.gauge("planner.arena_bytes", self.arena_bytes as f64);
-        m.gauge(
-            "planner.arena_bytes_allocated",
-            self.arena_bytes_allocated as f64,
-        );
         m.gauge("planner.edge_planes", self.edge_planes as f64);
         m.gauge("planner.unique_signatures", self.unique_signatures as f64);
         m.incr("planner.cache.space.hits", self.space_cache_hits);
@@ -376,7 +369,6 @@ mod tests {
             thread_busy_seconds: vec![1.0, 1.0],
             peak_rss_bytes: 1 << 20,
             arena_bytes: 3 << 10,
-            arena_bytes_allocated: 3 << 10,
             edge_planes: 4,
         }
     }
@@ -436,7 +428,6 @@ mod tests {
             Some((1u64 << 20) as f64)
         );
         assert_eq!(m.gauge_value("planner.arena_bytes"), Some(3072.0));
-        assert_eq!(m.gauge_value("planner.arena_bytes_allocated"), Some(3072.0));
         assert_eq!(m.gauge_value("planner.edge_planes"), Some(4.0));
         assert!(m.timer_seconds("planner.stage.prune_seconds") > 0.0);
         assert_eq!(m.timer_seconds("planner.stage.edge_prepare_seconds"), 0.75);

@@ -11,17 +11,16 @@ use primepar_cost::{
 };
 use primepar_graph::{Graph, ModelConfig};
 use primepar_partition::PartitionSeq;
-use primepar_search::{Planner, PlannerOptions, SpaceCache, SpaceOptions};
+use primepar_search::{operator_space, Planner, PlannerOptions, SpaceOptions};
 use primepar_topology::{AppliedPerturbation, Cluster, PerturbationModel};
 
 /// Every operator's partition space, enumerated as the planner enumerates it.
 fn op_spaces(cluster: &Cluster, graph: &Graph) -> Vec<Vec<PartitionSeq>> {
     let n_bits = cluster.space().n_bits();
-    let mut spaces = SpaceCache::new();
     graph
         .ops
         .iter()
-        .map(|op| spaces.get(op, n_bits, &SpaceOptions::default()).to_vec())
+        .map(|op| operator_space(op, n_bits, &SpaceOptions::default()))
         .collect()
 }
 

@@ -1,60 +1,25 @@
-//! Cluster-level accounting of a simulated iteration.
+//! Cluster-level accounting of a simulated iteration: where the wires went.
 //!
-//! The SPMD walk in [`crate::simulate_layer`] reports *what the critical path
-//! is*; this module reports *where the cluster's time and wires went*: per
-//! device, busy/idle/overlap seconds; per link class (NVLink-like intra-node
-//! vs IB-like inter-node), wire bytes and occupancy; per communication kind,
-//! event counts and volumes; and the per-device memory high-water timeline.
+//! The SPMD walk in [`crate::simulate_layer`] states the layer's time once,
+//! in [`LayerReport::layer_time`](crate::LayerReport::layer_time) and its
+//! [`breakdown`](crate::LayerReport::breakdown): every device runs the same
+//! program, so one timeline stands for all of them. This module keeps what
+//! the report does not already say: per link class (NVLink-like intra-node
+//! vs IB-like inter-node), wire bytes, transfers, busy seconds and a
+//! cumulative byte series; per communication kind, wire bytes; and the
+//! per-device live-memory timeline.
 //!
 //! Two conservation laws hold by construction and are pinned by tests:
 //!
-//! 1. every device's `busy + idle` seconds equal the simulated makespan, and
+//! 1. the breakdown accounts for the whole layer time
+//!    ([`LayerReport::check_time_conservation`](crate::LayerReport::check_time_conservation)),
+//!    and
 //! 2. the per-link-class wire bytes sum to the plan's analytically derived
 //!    communication volume (ring + collective + redistribution).
 
 use primepar_topology::{Cluster, GroupIndicator, LinkClass};
 
 use crate::EventKind;
-
-/// Where one device spent the iteration. Every device runs the same
-/// program, so in the SPMD walk every device carries identical numbers.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DeviceAccount {
-    /// Device index.
-    pub device: usize,
-    /// Kernel-busy seconds (compute steps, including time a ring transfer
-    /// proceeds concurrently).
-    pub compute_seconds: f64,
-    /// Ring-shift seconds *not* hidden behind compute.
-    pub ring_exposed_seconds: f64,
-    /// Collective (all-reduce) seconds.
-    pub collective_seconds: f64,
-    /// Inter-operator redistribution seconds.
-    pub redistribution_seconds: f64,
-    /// Seconds compute and a ring shift proceeded together
-    /// (`Σ min(compute, ring)` per step) — informational, already contained
-    /// in `compute_seconds`.
-    pub overlap_seconds: f64,
-    /// Seconds the device sat idle: 0 in the SPMD walk, whose devices all
-    /// run at the cluster's bottleneck pace.
-    pub idle_seconds: f64,
-}
-
-impl DeviceAccount {
-    /// Seconds the device was doing *something*: compute, exposed ring,
-    /// collectives or redistribution.
-    pub fn busy_seconds(&self) -> f64 {
-        self.compute_seconds
-            + self.ring_exposed_seconds
-            + self.collective_seconds
-            + self.redistribution_seconds
-    }
-
-    /// `busy + idle` — equals the makespan when accounting is conservative.
-    pub fn accounted_seconds(&self) -> f64 {
-        self.busy_seconds() + self.idle_seconds
-    }
-}
 
 /// One `(time, bytes)` sample of a running byte series (live memory, or
 /// cumulative wire traffic of a link class).
@@ -84,37 +49,30 @@ pub struct LinkAccount {
 }
 
 impl LinkAccount {
-    /// Fraction of the makespan the class was busy.
-    pub fn occupancy(&self, makespan: f64) -> f64 {
-        if makespan > 0.0 {
-            self.busy_seconds / makespan
+    /// Fraction of the layer time the class was busy.
+    pub fn occupancy(&self, layer_time: f64) -> f64 {
+        if layer_time > 0.0 {
+            self.busy_seconds / layer_time
         } else {
             0.0
         }
     }
 }
 
-/// Counts and volumes of one communication kind (ring / all-reduce /
+/// Cluster-wide wire bytes of one communication kind (ring / all-reduce /
 /// redistribution).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveAccount {
     /// Communication kind.
     pub kind: EventKind,
-    /// Number of events.
-    pub count: u64,
     /// Cluster-wide wire bytes moved.
     pub wire_bytes: f64,
-    /// Total seconds (serialized).
-    pub seconds: f64,
 }
 
-/// The full cluster accounting of one simulated layer iteration.
+/// The cluster accounting of one simulated layer iteration, filled in as
+/// the walk runs.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClusterAccounting {
-    /// The simulated makespan (equals `LayerReport::layer_time`).
-    pub makespan: f64,
-    /// One account per device, index-aligned with the cluster.
-    pub devices: Vec<DeviceAccount>,
     /// One account per link class that carried traffic, in
     /// intra-node-before-inter-node order.
     pub links: Vec<LinkAccount>,
@@ -148,23 +106,80 @@ impl ClusterAccounting {
             .fold(0.0, f64::max)
     }
 
-    /// Checks the conservation law `busy + idle = makespan` on every device.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violating device.
-    pub fn validate(&self) -> Result<(), String> {
-        let tol = 1e-9 * (1.0 + self.makespan);
-        for d in &self.devices {
-            let accounted = d.accounted_seconds();
-            if (accounted - self.makespan).abs() > tol {
-                return Err(format!(
-                    "device {}: busy+idle {accounted} != makespan {}",
-                    d.device, self.makespan
-                ));
-            }
+    fn link(&mut self, class: LinkClass) -> &mut LinkAccount {
+        if let Some(idx) = self.links.iter().position(|l| l.class == class) {
+            return &mut self.links[idx];
         }
-        Ok(())
+        self.links.push(LinkAccount {
+            class,
+            bytes: 0.0,
+            transfers: 0,
+            busy_seconds: 0.0,
+            cumulative: Vec::new(),
+        });
+        // Keep intra-node before inter-node for stable rendering.
+        self.links.sort_by_key(|l| match l.class {
+            LinkClass::Loopback => 0,
+            LinkClass::IntraNode => 1,
+            LinkClass::InterNode => 2,
+        });
+        self.links
+            .iter_mut()
+            .find(|l| l.class == class)
+            .expect("just inserted")
+    }
+
+    fn collective_slot(&mut self, kind: EventKind) -> &mut CollectiveAccount {
+        if let Some(idx) = self.collectives.iter().position(|c| c.kind == kind) {
+            return &mut self.collectives[idx];
+        }
+        self.collectives.push(CollectiveAccount {
+            kind,
+            wire_bytes: 0.0,
+        });
+        self.collectives.sort_by_key(|c| match c.kind {
+            EventKind::Compute => 0,
+            EventKind::Ring => 1,
+            EventKind::AllReduce => 2,
+            EventKind::Redistribution => 3,
+        });
+        self.collectives
+            .iter_mut()
+            .find(|c| c.kind == kind)
+            .expect("just inserted")
+    }
+
+    /// One transfer of `kind` that ends at `end_time`: a ring step, a
+    /// collective or a redistribution, carried by `class` (`None` when no
+    /// link is involved).
+    pub(crate) fn on_traffic(
+        &mut self,
+        kind: EventKind,
+        class: Option<LinkClass>,
+        wire_bytes: f64,
+        seconds: f64,
+        end_time: f64,
+    ) {
+        self.collective_slot(kind).wire_bytes += wire_bytes;
+        if let Some(class) = class {
+            let link = self.link(class);
+            link.bytes += wire_bytes;
+            link.transfers += 1;
+            link.busy_seconds += seconds;
+            let cum = link.bytes;
+            link.cumulative.push(ByteSample {
+                time_s: end_time,
+                bytes: cum,
+            });
+        }
+    }
+
+    /// A live-memory change at `time_s`.
+    pub(crate) fn on_memory(&mut self, time_s: f64, live_bytes: f64) {
+        self.memory_timeline.push(ByteSample {
+            time_s,
+            bytes: live_bytes,
+        });
     }
 }
 
@@ -199,206 +214,24 @@ pub fn redistribution_link_class(cluster: &Cluster) -> LinkClass {
     }
 }
 
-/// Incrementally builds a [`ClusterAccounting`] while the SPMD walk runs.
-/// All devices are symmetric, so one prototype account is accumulated and
-/// replicated per device at [`finish`](AccountingBuilder::finish).
-#[derive(Debug)]
-pub(crate) struct AccountingBuilder {
-    num_devices: usize,
-    prototype: DeviceAccount,
-    links: Vec<LinkAccount>,
-    collectives: Vec<CollectiveAccount>,
-    memory_timeline: Vec<ByteSample>,
-}
-
-impl AccountingBuilder {
-    pub(crate) fn new(cluster: &Cluster) -> Self {
-        AccountingBuilder {
-            num_devices: cluster.num_devices(),
-            prototype: DeviceAccount::default(),
-            links: Vec::new(),
-            collectives: Vec::new(),
-            memory_timeline: Vec::new(),
-        }
-    }
-
-    fn link(&mut self, class: LinkClass) -> &mut LinkAccount {
-        if let Some(idx) = self.links.iter().position(|l| l.class == class) {
-            return &mut self.links[idx];
-        }
-        self.links.push(LinkAccount {
-            class,
-            bytes: 0.0,
-            transfers: 0,
-            busy_seconds: 0.0,
-            cumulative: Vec::new(),
-        });
-        // Keep intra-node before inter-node for stable rendering.
-        self.links.sort_by_key(|l| match l.class {
-            LinkClass::Loopback => 0,
-            LinkClass::IntraNode => 1,
-            LinkClass::InterNode => 2,
-        });
-        self.links
-            .iter_mut()
-            .find(|l| l.class == class)
-            .expect("just inserted")
-    }
-
-    fn collective_slot(&mut self, kind: EventKind) -> &mut CollectiveAccount {
-        if let Some(idx) = self.collectives.iter().position(|c| c.kind == kind) {
-            return &mut self.collectives[idx];
-        }
-        self.collectives.push(CollectiveAccount {
-            kind,
-            count: 0,
-            wire_bytes: 0.0,
-            seconds: 0.0,
-        });
-        self.collectives.sort_by_key(|c| match c.kind {
-            EventKind::Compute => 0,
-            EventKind::Ring => 1,
-            EventKind::AllReduce => 2,
-            EventKind::Redistribution => 3,
-        });
-        self.collectives
-            .iter_mut()
-            .find(|c| c.kind == kind)
-            .expect("just inserted")
-    }
-
-    fn record_traffic(
-        &mut self,
-        kind: EventKind,
-        class: Option<LinkClass>,
-        wire_bytes: f64,
-        seconds: f64,
-        end_time: f64,
-    ) {
-        let c = self.collective_slot(kind);
-        c.count += 1;
-        c.wire_bytes += wire_bytes;
-        c.seconds += seconds;
-        if let Some(class) = class {
-            let link = self.link(class);
-            link.bytes += wire_bytes;
-            link.transfers += 1;
-            link.busy_seconds += seconds;
-            let cum = link.bytes;
-            link.cumulative.push(ByteSample {
-                time_s: end_time,
-                bytes: cum,
-            });
-        }
-    }
-
-    /// One overlapped `(compute ‖ ring)` step on every device.
-    pub(crate) fn on_step(
-        &mut self,
-        compute: f64,
-        ring: f64,
-        ring_class: Option<LinkClass>,
-        ring_wire_bytes: f64,
-        end_time: f64,
-    ) {
-        self.prototype.compute_seconds += compute;
-        self.prototype.ring_exposed_seconds += (ring - compute).max(0.0);
-        self.prototype.overlap_seconds += compute.min(ring);
-        if ring > 0.0 {
-            self.record_traffic(EventKind::Ring, ring_class, ring_wire_bytes, ring, end_time);
-        }
-    }
-
-    /// One end-of-phase collective on every device.
-    pub(crate) fn on_collective(
-        &mut self,
-        seconds: f64,
-        class: Option<LinkClass>,
-        wire_bytes: f64,
-        end_time: f64,
-    ) {
-        self.prototype.collective_seconds += seconds;
-        self.record_traffic(EventKind::AllReduce, class, wire_bytes, seconds, end_time);
-    }
-
-    /// One inter-operator redistribution involving every device.
-    pub(crate) fn on_redistribution(
-        &mut self,
-        seconds: f64,
-        class: LinkClass,
-        wire_bytes: f64,
-        end_time: f64,
-    ) {
-        self.prototype.redistribution_seconds += seconds;
-        self.record_traffic(
-            EventKind::Redistribution,
-            Some(class),
-            wire_bytes,
-            seconds,
-            end_time,
-        );
-    }
-
-    /// A live-memory change at `time_s`.
-    pub(crate) fn on_memory(&mut self, time_s: f64, live_bytes: f64) {
-        self.memory_timeline.push(ByteSample {
-            time_s,
-            bytes: live_bytes,
-        });
-    }
-
-    pub(crate) fn finish(self, makespan: f64) -> ClusterAccounting {
-        let devices = (0..self.num_devices)
-            .map(|device| DeviceAccount {
-                device,
-                ..self.prototype.clone()
-            })
-            .collect();
-        ClusterAccounting {
-            makespan,
-            devices,
-            links: self.links,
-            collectives: self.collectives,
-            memory_timeline: self.memory_timeline,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use primepar_topology::Cluster;
 
     #[test]
-    fn device_account_sums() {
-        let d = DeviceAccount {
-            device: 0,
-            compute_seconds: 2.0,
-            ring_exposed_seconds: 0.5,
-            collective_seconds: 1.0,
-            redistribution_seconds: 0.25,
-            overlap_seconds: 0.75,
-            idle_seconds: 0.25,
-        };
-        assert_eq!(d.busy_seconds(), 3.75);
-        assert_eq!(d.accounted_seconds(), 4.0);
-    }
-
-    #[test]
     fn validate_flags_leaky_accounting() {
-        let mut acct = ClusterAccounting {
-            makespan: 4.0,
-            devices: vec![DeviceAccount {
-                device: 0,
-                compute_seconds: 3.0,
-                idle_seconds: 1.0,
-                ..DeviceAccount::default()
-            }],
-            ..ClusterAccounting::default()
-        };
-        assert!(acct.validate().is_ok());
-        acct.devices[0].idle_seconds = 0.0;
-        assert!(acct.validate().unwrap_err().contains("device 0"));
+        use primepar_graph::ModelConfig;
+        use primepar_search::megatron_layer_plan;
+
+        let cluster = Cluster::v100_like(4);
+        let graph = ModelConfig::opt_6_7b().mlp_block_graph(8, 256);
+        let mut report =
+            crate::simulate_layer(&cluster, &graph, &megatron_layer_plan(&graph, 1, 4));
+        assert!(report.check_time_conservation().is_ok());
+        report.breakdown.collective = 0.0;
+        let err = report.check_time_conservation().unwrap_err();
+        assert!(err.contains("layer time"), "{err}");
     }
 
     #[test]
@@ -426,26 +259,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_accumulates_and_replicates() {
-        let cluster = Cluster::v100_like(4);
-        let mut b = AccountingBuilder::new(&cluster);
-        b.on_memory(0.0, 10.0);
-        b.on_step(2.0, 1.0, Some(LinkClass::IntraNode), 100.0, 2.0);
-        b.on_step(1.0, 3.0, Some(LinkClass::IntraNode), 100.0, 5.0);
-        b.on_collective(0.5, Some(LinkClass::IntraNode), 50.0, 5.5);
-        b.on_redistribution(0.25, LinkClass::IntraNode, 25.0, 5.75);
-        let acct = b.finish(5.75);
-        assert_eq!(acct.devices.len(), 4);
-        let d = &acct.devices[2];
-        assert_eq!(d.device, 2);
-        assert_eq!(d.compute_seconds, 3.0);
-        assert_eq!(d.ring_exposed_seconds, 2.0);
-        assert_eq!(d.overlap_seconds, 2.0);
-        assert_eq!(d.collective_seconds, 0.5);
-        assert_eq!(d.redistribution_seconds, 0.25);
-        assert!(acct.validate().is_ok());
+    fn traffic_accumulates_per_link_and_kind() {
+        let intra = Some(LinkClass::IntraNode);
+        let mut acct = ClusterAccounting::default();
+        acct.on_memory(0.0, 10.0);
+        acct.on_traffic(EventKind::Ring, intra, 100.0, 1.0, 2.0);
+        acct.on_traffic(EventKind::Ring, intra, 100.0, 3.0, 5.0);
+        acct.on_traffic(EventKind::AllReduce, intra, 50.0, 0.5, 5.5);
+        acct.on_traffic(EventKind::Redistribution, intra, 25.0, 0.25, 5.75);
         assert_eq!(acct.total_wire_bytes(), 275.0);
         assert_eq!(acct.wire_bytes_of(EventKind::Ring), 200.0);
+        assert_eq!(acct.wire_bytes_of(EventKind::Compute), 0.0);
         let link = &acct.links[0];
         assert_eq!(link.class, LinkClass::IntraNode);
         assert_eq!(link.transfers, 4);

@@ -5,8 +5,8 @@ use primepar_graph::Graph;
 use primepar_partition::{PartitionSeq, Phase};
 use primepar_topology::Cluster;
 
-use crate::accounting::{indicator_link_class, redistribution_link_class, AccountingBuilder};
-use crate::{Breakdown, EventKind, LayerReport, Timeline, TimelineEvent};
+use crate::accounting::{indicator_link_class, redistribution_link_class};
+use crate::{Breakdown, ClusterAccounting, EventKind, LayerReport, Timeline, TimelineEvent};
 
 /// Simulation knobs. A fault/variance scenario is not one of them: simulate
 /// on [`Cluster::perturbed`] instead.
@@ -54,7 +54,7 @@ struct Walk {
     op_breakdown: Vec<Breakdown>,
     edge_seconds: Vec<f64>,
     timeline: Timeline,
-    acct: AccountingBuilder,
+    acct: ClusterAccounting,
 }
 
 /// [`simulate_layer_with`] over the plan's precomputed geometry
@@ -74,7 +74,7 @@ pub(crate) fn simulate_layer_geometry(
         op_breakdown: vec![Breakdown::default(); graph.ops.len()],
         edge_seconds: vec![0.0; graph.edges.len()],
         timeline: Vec::new(),
-        acct: AccountingBuilder::new(cluster),
+        acct: ClusterAccounting::default(),
     };
 
     let mems: Vec<&MemoryBytes> = geometry.ops.iter().map(|g| &g.memory).collect();
@@ -112,13 +112,15 @@ pub(crate) fn simulate_layer_geometry(
                 b.ring_exposed += (ring.seconds - ev.compute_step).max(0.0);
             }
             let step = ev.compute_step.max(ring.seconds);
-            w.acct.on_step(
-                ev.compute_step,
-                ring.seconds,
-                ring_class,
-                n_devices as f64 * ring.bytes,
-                w.now + step,
-            );
+            if ring.seconds > 0.0 {
+                w.acct.on_traffic(
+                    EventKind::Ring,
+                    ring_class,
+                    n_devices as f64 * ring.bytes,
+                    ring.seconds,
+                    w.now + step,
+                );
+            }
             w.now += step;
         }
         if let Some(c) = ev.collective {
@@ -131,10 +133,11 @@ pub(crate) fn simulate_layer_geometry(
             });
             w.breakdown.collective += c.seconds;
             w.op_breakdown[op_index].collective += c.seconds;
-            w.acct.on_collective(
-                c.seconds,
+            w.acct.on_traffic(
+                EventKind::AllReduce,
                 indicator_link_class(cluster, c.indicator),
                 c.wire_bytes(n_devices),
+                c.seconds,
                 w.now + c.seconds,
             );
             w.now += c.seconds;
@@ -163,8 +166,13 @@ pub(crate) fn simulate_layer_geometry(
             });
             w.breakdown.redistribution += t;
             w.edge_seconds[e] += t;
-            let link = redistribution_link_class(cluster);
-            w.acct.on_redistribution(t, link, bytes, w.now + t);
+            w.acct.on_traffic(
+                EventKind::Redistribution,
+                Some(redistribution_link_class(cluster)),
+                bytes,
+                t,
+                w.now + t,
+            );
             w.now += t;
         }
     };
@@ -223,17 +231,16 @@ pub(crate) fn simulate_layer_geometry(
     };
     // Memory only grows where a sample is taken, so the samples' maximum is
     // the high-water mark.
-    let accounting = w.acct.finish(w.now);
     LayerReport {
         layer_time: w.now,
         breakdown: w.breakdown,
         op_breakdown: w.op_breakdown,
         edge_seconds: w.edge_seconds,
-        peak_memory_bytes: accounting.peak_memory_bytes(),
+        peak_memory_bytes: w.acct.peak_memory_bytes(),
         persistent_bytes,
         stash_bytes,
         timeline: w.timeline,
-        accounting,
+        accounting: w.acct,
     }
 }
 

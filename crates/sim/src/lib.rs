@@ -10,7 +10,7 @@
 //!   breakdown (compute / collective / exposed ring / redistribution), a
 //!   named kernel [`Timeline`] (Fig. 9), and per-device peak memory from a
 //!   high-water-mark trace (Figs. 2b, 8),
-//! * [`simulate_3d`] — GPipe-style pipeline composition for the (p, d, m)
+//! * [`simulate_3d`] — 1F1B pipeline composition for the (p, d, m)
 //!   3D-parallelism study (Fig. 10),
 //! * [`ideal_memory_bytes`] — the replication-free lower bound of Fig. 2(b),
 //! * [`robustness_sweep`] — seeded fault & variance scenarios
@@ -65,20 +65,20 @@ mod trace;
 
 pub use accounting::{
     indicator_link_class, redistribution_link_class, ByteSample, ClusterAccounting,
-    CollectiveAccount, DeviceAccount, LinkAccount,
+    CollectiveAccount, LinkAccount,
 };
 pub use engine::{
     ideal_memory_bytes, simulate_layer, simulate_layer_with, simulate_model, simulate_model_with,
     ModelReport, SimOptions,
 };
 pub use gantt::render_gantt;
-pub use pipeline::{simulate_3d, simulate_3d_with, PipelineSchedule, ThreeDConfig, ThreeDReport};
+pub use pipeline::{simulate_3d, ThreeDConfig, ThreeDReport};
 pub use report::{Breakdown, EventKind, LayerReport, Timeline, TimelineEvent};
 pub use robustness::{
     parse_robustness, robustness_json, robustness_metrics, robustness_sweep, RobustnessOptions,
     RobustnessReport, ScenarioOutcome, ROBUSTNESS_SCHEMA,
 };
 pub use trace::{
-    accounting_metrics, chrome_trace, chrome_trace_with_accounting, layer_report_metrics,
-    parse_chrome_trace, render_chrome_trace, timeline_from_trace,
+    chrome_trace, chrome_trace_with_accounting, layer_report_metrics, parse_chrome_trace,
+    render_chrome_trace, timeline_from_trace,
 };

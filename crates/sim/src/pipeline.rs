@@ -3,8 +3,10 @@
 //! Devices split into `p` pipeline groups of `d·m` devices; each group runs
 //! `layers/p` stages under a model-parallel plan of size `m`, replicated
 //! `d`-ways over the batch with a gradient all-reduce. Pipeline execution is
-//! GPipe-style: `micro + p − 1` stage slots per iteration plus inter-stage
-//! activation point-to-point transfers.
+//! 1F1B (PipeDream-flush): `micro + p − 1` stage slots per iteration — the
+//! GPipe bubble for uniform stages — plus inter-stage activation
+//! point-to-point transfers, with at most `p` micro-batch stashes live per
+//! device.
 
 use primepar_cost::memory_bytes;
 use primepar_graph::{Graph, ModelConfig};
@@ -12,19 +14,6 @@ use primepar_partition::{Dim, PartitionSeq, Primitive};
 use primepar_topology::{Cluster, DeviceId};
 
 use crate::{simulate_layer, LayerReport};
-
-/// Pipeline execution schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PipelineSchedule {
-    /// GPipe: all forwards, then all backwards. Every in-flight micro-batch's
-    /// stash is alive simultaneously.
-    GPipe,
-    /// 1F1B (PipeDream-flush): interleaved forward/backward steady state —
-    /// same bubble as GPipe for uniform stages, but at most `p` stashes live
-    /// per device.
-    #[default]
-    OneFOneB,
-}
 
 /// One (p, d, m) configuration of §6.4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,7 +49,7 @@ pub struct ThreeDReport {
     /// Pipeline fill/drain bubble: `(p − 1) · stage_time` seconds of the
     /// iteration no stage overlaps with useful work.
     pub bubble_seconds: f64,
-    /// `bubble_seconds / iteration_time` — the GPipe bubble fraction.
+    /// `bubble_seconds / iteration_time` — the pipeline bubble fraction.
     pub bubble_fraction: f64,
     /// Full (pre-overlap) data-parallel gradient all-reduce seconds.
     pub dp_allreduce_seconds: f64,
@@ -112,14 +101,14 @@ fn widen_with_data_parallel(graph: &Graph, plan: &[PartitionSeq], d: usize) -> V
 /// let graph = model.layer_graph(8, 512);
 /// let plan = megatron_layer_plan(&graph, 1, 2);
 /// let cfg = ThreeDConfig { p: 2, d: 1, m: 2, micro_batches: 4 };
-/// let report = simulate_3d(&model, &graph, &plan, cfg, 8, 512);
+/// let report = simulate_3d(&model, &plan, cfg, 8, 512);
 /// assert_eq!(report.config.devices(), 4);
 /// assert!(report.tokens_per_second > 0.0);
 /// ```
 ///
 /// The stage plan is widened with the `d` batch splits, simulated on a
-/// `d·m`-device cluster, composed GPipe-style over `p` stages, and charged
-/// the data-parallel gradient all-reduce and inter-stage activation traffic.
+/// `d·m`-device cluster, composed 1F1B over `p` stages, and charged the
+/// data-parallel gradient all-reduce and inter-stage activation traffic.
 ///
 /// # Panics
 ///
@@ -127,32 +116,10 @@ fn widen_with_data_parallel(graph: &Graph, plan: &[PartitionSeq], d: usize) -> V
 /// or the layer count is not divisible by `p`.
 pub fn simulate_3d(
     model: &ModelConfig,
-    graph: &Graph,
     stage_plan_m: &[PartitionSeq],
     config: ThreeDConfig,
     batch: u64,
     seq_len: u64,
-) -> ThreeDReport {
-    simulate_3d_with(
-        model,
-        graph,
-        stage_plan_m,
-        config,
-        batch,
-        seq_len,
-        PipelineSchedule::default(),
-    )
-}
-
-/// [`simulate_3d`] with an explicit [`PipelineSchedule`].
-pub fn simulate_3d_with(
-    model: &ModelConfig,
-    _graph: &Graph,
-    stage_plan_m: &[PartitionSeq],
-    config: ThreeDConfig,
-    batch: u64,
-    seq_len: u64,
-    schedule: PipelineSchedule,
 ) -> ThreeDReport {
     let ThreeDConfig {
         p,
@@ -179,7 +146,7 @@ pub fn simulate_3d_with(
     let stage = simulate_layer(&stage_cluster, &stage_graph, &plan);
     let stage_time = stage.layer_time * layers_per_stage as f64;
 
-    // GPipe schedule: (micro + p - 1) slots of stage_time, plus per-boundary
+    // Pipeline slots: (micro + p - 1) of stage_time, plus per-boundary
     // activation sends (micro crossings per boundary, overlappable but we
     // charge them serialized — conservative for every system equally).
     let slots = (micro_batches + p - 1) as f64;
@@ -217,13 +184,9 @@ pub fn simulate_3d_with(
 
     let iteration_time = pipeline_time + exposed_allreduce;
     let tokens = (batch * seq_len) as f64;
-    // Memory: stage layers' persistent + stash, with the schedule deciding
-    // how many micro-batch stashes are simultaneously live on the first
-    // stage: all of them for GPipe, at most `p` for 1F1B.
-    let in_flight = match schedule {
-        PipelineSchedule::GPipe => micro_batches as f64,
-        PipelineSchedule::OneFOneB => p.min(micro_batches) as f64,
-    };
+    // Memory: stage layers' persistent + stash, with at most `p` micro-batch
+    // stashes simultaneously live on the first stage under 1F1B.
+    let in_flight = p.min(micro_batches) as f64;
     let peak_memory_bytes =
         layers_per_stage as f64 * (stage.persistent_bytes + in_flight * stage.stash_bytes);
 
@@ -272,8 +235,8 @@ mod tests {
             micro_batches: 8,
             ..base
         };
-        let r2 = simulate_3d(&model, &graph, &plan, base, 8, 512);
-        let r8 = simulate_3d(&model, &graph, &plan, more, 8, 512);
+        let r2 = simulate_3d(&model, &plan, base, 8, 512);
+        let r8 = simulate_3d(&model, &plan, more, 8, 512);
         assert!(
             r8.tokens_per_second > r2.tokens_per_second,
             "more micro-batches must shrink the bubble: {} vs {}",
@@ -289,7 +252,6 @@ mod tests {
         let plan = megatron_layer_plan(&graph, 1, 2);
         let no_dp = simulate_3d(
             &model,
-            &graph,
             &plan,
             ThreeDConfig {
                 p: 2,
@@ -302,7 +264,6 @@ mod tests {
         );
         let with_dp = simulate_3d(
             &model,
-            &graph,
             &plan,
             ThreeDConfig {
                 p: 2,
@@ -324,31 +285,21 @@ mod tests {
         let model = small_model();
         let graph = model.layer_graph(8, 512);
         let plan = megatron_layer_plan(&graph, 1, 2);
-        let cfg = ThreeDConfig {
-            p: 2,
-            d: 1,
-            m: 2,
-            micro_batches: 8,
-        };
-        let gpipe =
-            super::simulate_3d_with(&model, &graph, &plan, cfg, 8, 512, PipelineSchedule::GPipe);
-        let ofob = super::simulate_3d_with(
-            &model,
-            &graph,
-            &plan,
-            cfg,
-            8,
-            512,
-            PipelineSchedule::OneFOneB,
-        );
-        // Same bubble math, strictly less activation memory for 1F1B.
-        assert_eq!(gpipe.iteration_time, ofob.iteration_time);
-        assert!(
-            ofob.peak_memory_bytes < gpipe.peak_memory_bytes,
-            "1F1B {} vs GPipe {}",
-            ofob.peak_memory_bytes,
-            gpipe.peak_memory_bytes
-        );
+        let layers_per_stage = (model.layers / 2) as f64;
+        // micro_batches = 1 (< p) and 8 (> p): min(p, micro_batches) = 1, 2.
+        for (micro_batches, stashes) in [(1, 1.0), (8, 2.0)] {
+            let cfg = ThreeDConfig {
+                p: 2,
+                d: 1,
+                m: 2,
+                micro_batches,
+            };
+            let r = simulate_3d(&model, &plan, cfg, 8, 512);
+            let stage = &r.stage;
+            assert!(stage.stash_bytes > 0.0);
+            let want = layers_per_stage * (stage.persistent_bytes + stashes * stage.stash_bytes);
+            assert_eq!(r.peak_memory_bytes.to_bits(), want.to_bits(), "{cfg:?}");
+        }
     }
 
     #[test]
@@ -369,7 +320,7 @@ mod tests {
             m: 4,
             micro_batches: 4,
         };
-        let r = simulate_3d(&model, &graph, &plan.seqs, cfg, 8, 512);
+        let r = simulate_3d(&model, &plan.seqs, cfg, 8, 512);
         assert!(r.tokens_per_second > 0.0);
         assert_eq!(r.config.devices(), 8);
     }
@@ -385,7 +336,7 @@ mod tests {
             m: 2,
             micro_batches: 4,
         };
-        let r = simulate_3d(&model, &graph, &plan, cfg, 16, 512);
+        let r = simulate_3d(&model, &plan, cfg, 16, 512);
         // One stage slot of fill plus one of drain: bubble = (p-1)·stage.
         let stage_time = r.stage.layer_time * (model.layers / 2) as f64;
         assert!((r.bubble_seconds - stage_time).abs() < 1e-12 * (1.0 + stage_time));
@@ -405,7 +356,6 @@ mod tests {
         // p=1: no pipeline, no bubble, no p2p.
         let flat = simulate_3d(
             &model,
-            &graph,
             &plan,
             ThreeDConfig {
                 p: 1,

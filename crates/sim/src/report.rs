@@ -107,10 +107,30 @@ pub struct LayerReport {
     pub stash_bytes: f64,
     /// Kernel timeline (forward, then backward/gradient).
     pub timeline: Timeline,
-    /// Cluster-level accounting: per-device busy/idle/overlap seconds,
-    /// per-link-class byte volumes and occupancy, per-collective-kind
-    /// counts, and the per-device live-memory timeline.
+    /// Where the wires went, beside the time stated above: per-link-class
+    /// bytes, transfers and busy seconds, wire bytes per communication
+    /// kind, and the per-device live-memory timeline.
     pub accounting: ClusterAccounting,
+}
+
+impl LayerReport {
+    /// Conservation law 1: the breakdown accounts for the whole layer time,
+    /// `breakdown.total()` equal to `layer_time` within
+    /// `1e-9·(1 + layer_time)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns both figures when they disagree.
+    pub fn check_time_conservation(&self) -> Result<(), String> {
+        let total = self.breakdown.total();
+        if (total - self.layer_time).abs() > 1e-9 * (1.0 + self.layer_time) {
+            return Err(format!(
+                "breakdown total {total} != layer time {}",
+                self.layer_time
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

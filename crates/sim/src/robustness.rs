@@ -116,14 +116,15 @@ fn percentile(values: &[f64], q: f64) -> f64 {
 }
 
 /// Sweeps `opts.scenarios` seeded fault/variance scenarios over the plan and
-/// folds the outcomes. Every scenario's accounting is validated — the
-/// busy+idle==makespan and byte-conservation identities must hold under
-/// perturbation, not just on ideal hardware.
+/// folds the outcomes. Every scenario's walk is checked for time
+/// conservation ([`crate::LayerReport::check_time_conservation`]): the breakdown
+/// must account for the layer time under perturbation, not just on ideal
+/// hardware.
 ///
 /// # Panics
 ///
-/// Panics if `opts.scenarios == 0`, the perturbation model is invalid, or an
-/// accounting identity breaks.
+/// Panics if `opts.scenarios == 0`, the perturbation model is invalid, or a
+/// walk's breakdown misses its layer time.
 pub fn robustness_sweep(
     cluster: &Cluster,
     graph: &Graph,
@@ -146,9 +147,8 @@ pub fn robustness_sweep(
         let dead_devices = draw.dead_devices();
         let perturbed = cluster.with_perturbation(draw);
         let walk = simulate_layer_geometry(&perturbed, graph, &geometry, &opts.sim);
-        walk.accounting
-            .validate()
-            .expect("accounting identities must hold under perturbation");
+        walk.check_time_conservation()
+            .expect("time conservation must hold under perturbation");
         histogram[critical_device] += 1;
         outcomes.push(ScenarioOutcome {
             scenario,

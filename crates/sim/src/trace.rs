@@ -187,30 +187,20 @@ pub fn render_chrome_trace(report: &LayerReport) -> String {
     primepar_obs::render_trace(&chrome_trace_with_accounting(report))
 }
 
-/// Folds a [`ClusterAccounting`] into an observability registry under
-/// `sim.device.*`, `sim.link.*`, `sim.collective.*` and `sim.memory.*`.
-pub fn accounting_metrics(acct: &ClusterAccounting) -> Metrics {
+/// The accounting section of [`layer_report_metrics`]: `sim.link.*`,
+/// `sim.collective.*.wire_bytes` and `sim.memory.*`.
+fn accounting_metrics(acct: &ClusterAccounting, layer_time: f64) -> Metrics {
     let mut m = Metrics::new();
-    m.gauge("sim.makespan_seconds", acct.makespan);
-    for d in &acct.devices {
-        let p = format!("sim.device.{:02}", d.device);
-        m.gauge(&format!("{p}.busy_seconds"), d.busy_seconds());
-        m.gauge(&format!("{p}.idle_seconds"), d.idle_seconds);
-        m.gauge(&format!("{p}.overlap_seconds"), d.overlap_seconds);
-        m.observe("sim.device.busy_seconds", d.busy_seconds());
-    }
     for link in &acct.links {
         let p = format!("sim.link.{}", link_class_name(link.class));
         m.gauge(&format!("{p}.bytes"), link.bytes);
         m.incr(&format!("{p}.transfers"), link.transfers);
         m.gauge(&format!("{p}.busy_seconds"), link.busy_seconds);
-        m.gauge(&format!("{p}.occupancy"), link.occupancy(acct.makespan));
+        m.gauge(&format!("{p}.occupancy"), link.occupancy(layer_time));
     }
     for c in &acct.collectives {
         let p = format!("sim.collective.{}", name_of(&KINDS, c.kind));
-        m.incr(&format!("{p}.count"), c.count);
         m.gauge(&format!("{p}.wire_bytes"), c.wire_bytes);
-        m.gauge(&format!("{p}.seconds"), c.seconds);
     }
     m.gauge("sim.memory.peak_bytes", acct.peak_memory_bytes());
     m.incr("sim.memory.samples", acct.memory_timeline.len() as u64);
@@ -218,7 +208,8 @@ pub fn accounting_metrics(acct: &ClusterAccounting) -> Metrics {
 }
 
 /// Folds a simulated layer report into an observability registry under
-/// `sim.*`: per-iteration breakdown totals, latency, memory, event counts.
+/// `sim.*`: per-iteration breakdown totals, latency, memory, event counts,
+/// and the cluster accounting's links, wire bytes and memory timeline.
 pub fn layer_report_metrics(report: &LayerReport) -> Metrics {
     let mut m = Metrics::new();
     m.gauge("sim.layer_time_seconds", report.layer_time);
@@ -254,7 +245,7 @@ pub fn layer_report_metrics(report: &LayerReport) -> Metrics {
             ev.duration,
         );
     }
-    m.merge(&accounting_metrics(&report.accounting));
+    m.merge(&accounting_metrics(&report.accounting, report.layer_time));
     m
 }
 
@@ -383,17 +374,30 @@ mod tests {
         let report = crate::simulate_layer(&cluster, &graph, &megatron_layer_plan(&graph, 1, 4));
 
         let m = layer_report_metrics(&report);
-        let busy = m.gauge_value("sim.device.00.busy_seconds").unwrap();
-        let idle = m.gauge_value("sim.device.00.idle_seconds").unwrap();
-        let makespan = m.gauge_value("sim.makespan_seconds").unwrap();
-        assert!((busy + idle - makespan).abs() <= 1e-9 * (1.0 + makespan));
-        assert!(m.gauge_value("sim.link.intra_node.bytes").unwrap() > 0.0);
-        assert!(m.counter("sim.collective.allreduce.count") > 0);
+        let acct = &report.accounting;
+        let link = &acct.links[0];
+        assert_eq!(link.class, LinkClass::IntraNode);
         assert_eq!(
-            m.gauge_value("sim.memory.peak_bytes").unwrap(),
-            report.peak_memory_bytes
+            m.gauge_value("sim.link.intra_node.bytes"),
+            Some(acct.total_wire_bytes())
         );
-        let stats = m.histogram("sim.device.busy_seconds").unwrap();
-        assert_eq!(stats.count, 4);
+        assert_eq!(m.counter("sim.link.intra_node.transfers"), link.transfers);
+        assert_eq!(
+            m.gauge_value("sim.link.intra_node.occupancy"),
+            Some(link.busy_seconds / report.layer_time)
+        );
+        assert_eq!(
+            m.gauge_value("sim.collective.allreduce.wire_bytes"),
+            Some(acct.wire_bytes_of(EventKind::AllReduce))
+        );
+        assert!(acct.wire_bytes_of(EventKind::AllReduce) > 0.0);
+        assert_eq!(
+            m.gauge_value("sim.memory.peak_bytes"),
+            Some(report.peak_memory_bytes)
+        );
+        assert_eq!(
+            m.counter("sim.memory.samples"),
+            acct.memory_timeline.len() as u64
+        );
     }
 }

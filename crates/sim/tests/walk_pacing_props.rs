@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use primepar_graph::ModelConfig;
 use primepar_partition::PartitionSeq;
-use primepar_search::{SpaceCache, SpaceOptions};
+use primepar_search::{operator_space, SpaceOptions};
 use primepar_sim::simulate_layer;
 use primepar_topology::{AppliedPerturbation, Cluster, PerturbationModel};
 
@@ -69,14 +69,13 @@ proptest! {
         let n = 1usize << bits;
         let model = ModelConfig::all()[model_ix];
         let graph = model.layer_graph(8, 256);
-        let mut spaces = SpaceCache::new();
         // A random state of every operator's space.
         let plan: Vec<PartitionSeq> = graph
             .ops
             .iter()
             .enumerate()
             .map(|(i, op)| {
-                let space = spaces.get(op, bits, &SpaceOptions::default());
+                let space = operator_space(op, bits, &SpaceOptions::default());
                 space[picks[i % picks.len()] as usize % space.len()].clone()
             })
             .collect();

@@ -75,16 +75,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// Creates a 1-D tensor `[0, 1, .., n-1]` scaled by `step` — handy for
-    /// deterministic test fixtures.
-    pub fn arange(n: usize, step: f32) -> Self {
-        let data = (0..n).map(|i| i as f32 * step).collect();
-        Tensor {
-            shape: Shape::new(vec![n]),
-            data,
-        }
-    }
-
     /// The tensor's shape.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -225,17 +215,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Accumulates `block` into the region covered by `ranges` (`+=`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::write_slice`].
-    pub fn add_slice(&mut self, ranges: &[Range<usize>], block: &Tensor) -> Result<()> {
-        let mut current = self.slice(ranges)?;
-        current = current.add(block)?;
-        self.write_slice(ranges, &current)
-    }
-
     /// `true` when every element differs from `other` by at most `tol` and shapes match.
     pub fn allclose(&self, other: &Tensor, tol: f32) -> bool {
         self.shape == other.shape
@@ -266,11 +245,6 @@ impl Tensor {
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Consumes the tensor, returning the raw buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 }
 
@@ -450,15 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn add_slice_accumulates() {
-        let mut t = Tensor::full(vec![2, 2], 1.0);
-        let b = Tensor::full(vec![1, 2], 2.0);
-        t.add_slice(&[0..1, 0..2], &b).unwrap();
-        assert_eq!(t.get(&[0, 0]), 3.0);
-        assert_eq!(t.get(&[1, 0]), 1.0);
-    }
-
-    #[test]
     fn slice_3d_block() {
         let t = Tensor::from_vec(vec![2, 3, 4], (0..24).map(|x| x as f32).collect()).unwrap();
         let b = t.slice(&[1..2, 1..3, 2..4]).unwrap();
@@ -492,7 +457,7 @@ mod tests {
 
     #[test]
     fn reshape_preserves_data() {
-        let t = Tensor::arange(6, 1.0);
+        let t = Tensor::from_vec(vec![6], (0..6).map(|x| x as f32).collect()).unwrap();
         let r = t.reshape(vec![2, 3]).unwrap();
         assert_eq!(r.get(&[1, 2]), 5.0);
         assert!(t.reshape(vec![4]).is_err());

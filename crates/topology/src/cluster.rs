@@ -259,11 +259,6 @@ impl Cluster {
         self.scenario.as_ref()
     }
 
-    /// `true` when a fault/variance scenario is applied.
-    pub fn is_perturbed(&self) -> bool {
-        self.scenario.is_some()
-    }
-
     /// The scenario's worst per-device compute slowdown (1 when unperturbed).
     pub fn max_compute_slowdown(&self) -> f64 {
         self.scenario
@@ -570,7 +565,6 @@ mod tests {
     fn perturbed_cluster_is_slower_never_faster() {
         let c = Cluster::v100_like(8);
         let p = c.perturbed(&PerturbationModel::harsh(), 42);
-        assert!(p.is_perturbed() && !c.is_perturbed());
         assert_eq!(p.num_devices(), c.num_devices());
         assert_eq!(p.devices_per_node(), c.devices_per_node());
         assert_eq!(p.topology(), c.topology());

@@ -135,7 +135,7 @@ echo "== drift audit smoke (Fig. 9 workload: OPT-175B MLP block, 8 GPUs) =="
     >"$artifacts/audit2.txt"
 cmp "$artifacts/audit1.txt" "$artifacts/audit2.txt" \
     || { echo "audit output is not deterministic" >&2; exit 1; }
-grep -q "conservation: busy+idle = makespan on 8 devices: ok" \
+grep -q "conservation: breakdown total = layer time: ok" \
     "$artifacts/audit1.txt" \
     || { echo "audit conservation check violated" >&2; exit 1; }
 

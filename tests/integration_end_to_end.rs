@@ -54,7 +54,7 @@ fn three_d_parallelism_composes_with_both_planners() {
     };
 
     let mega_plan = megatron_layer_plan(&graph, 1, 2);
-    let mega = simulate_3d(&model, &graph, &mega_plan, cfg, 8, 512);
+    let mega = simulate_3d(&model, &mega_plan, cfg, 8, 512);
 
     let cluster_m = Cluster::v100_like(2);
     let opts = PlannerOptions::default()
@@ -64,7 +64,7 @@ fn three_d_parallelism_composes_with_both_planners() {
         })
         .with_alpha(0.0);
     let prime_plan = Planner::new(&cluster_m, &graph, opts).optimize(model.layers);
-    let prime = simulate_3d(&model, &graph, &prime_plan.seqs, cfg, 8, 512);
+    let prime = simulate_3d(&model, &prime_plan.seqs, cfg, 8, 512);
 
     assert!(mega.tokens_per_second > 0.0);
     assert!(

@@ -118,7 +118,7 @@ fn audit_emits_deterministic_drift_report() {
         assert!(first.contains(op), "missing {op} rows in:\n{first}");
     }
     assert!(
-        first.contains("conservation: busy+idle = makespan on 8 devices: ok"),
+        first.contains("conservation: breakdown total = layer time: ok"),
         "conservation line missing or violated in:\n{first}"
     );
 }
@@ -145,7 +145,7 @@ fn audit_metrics_json_carries_rows_and_accounting() {
         "audit.layer.predicted_seconds",
         "audit.layer.simulated_seconds",
         "audit.row.fc2.allreduce.predicted",
-        "sim.device.00.busy_seconds",
+        "sim.breakdown.total_seconds",
         "sim.memory.peak_bytes",
     ] {
         assert!(
@@ -205,8 +205,7 @@ fn library_accounting_is_exposed_through_the_facade() {
     let plan = megatron_layer_plan(&graph, 1, 4);
     let report = simulate_layer(&cluster, &graph, &plan);
     report
-        .accounting
-        .validate()
+        .check_time_conservation()
         .expect("conservative accounting");
     let volume = plan_comm_volume(&cluster, &graph, &plan);
     let tol = 1e-6 * (1.0 + volume.total());
