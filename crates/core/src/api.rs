@@ -7,7 +7,11 @@
 //! / [`SimResponse`], and the elastic re-planning loop via [`ReplanRequest`]
 //! / [`ReplanResponse`] (a costed [`MigrationDecision`] over stay / patch /
 //! full-replan candidates); [`Request`] / [`Response`] carry any of the
-//! three through the worker pool and the wire protocol. Every failure is
+//! three through the worker pool and the wire protocol. Each request states
+//! its workload once, as the [`PlanRequest`] a sim or replan request
+//! embeds ([`Request::workload`]), and resolves it to a [`ResolvedPlan`],
+//! the plan's identity and fingerprint. A [`Pending`] handle cancels
+//! through the request's one stop flag, a [`SearchInterrupt`]. Every failure is
 //! the one typed [`Error`] (enum {config, topology, protocol, cancelled,
 //! internal}), which the CLI maps onto distinct exit codes. The service internals ride along for
 //! hosts that need them: the sharded warm cache ([`WarmCache`] /
@@ -42,11 +46,10 @@ pub use primepar_service::{
     cache_to_json, cancel_json, error_json, parse_frame, perturbation_profile, plan_response_json,
     replan_request_json, replan_response_json, request_json, serve_lines, serve_lines_with_cache,
     sim_request_json, sim_response_json, validate_cache_doc, CacheConfig, CacheOutcome, CachedPlan,
-    CancelToken, Error, Frame, Outcome, ParsedFrame, Pending, PlanKey, PlanRequest,
-    PlanRequestBuilder, PlanResponse, PlannerService, ReplanRequest, ReplanResponse, Request,
-    ResolvedPlan, Response, ServeEnd, ServeOptions, ServiceCacheStats, ServiceClient,
-    ServiceOptions, ShardStats, ShardedMap, SimRequest, SimResponse, WarmCache, CACHE_SCHEMA,
-    SERVICE_SCHEMA,
+    Error, Frame, Outcome, ParsedFrame, Pending, PlanRequest, PlanRequestBuilder, PlanResponse,
+    PlannerService, ReplanRequest, ReplanResponse, Request, ResolvedPlan, Response, ServeEnd,
+    ServeOptions, ServiceCacheStats, ServiceClient, ServiceOptions, ShardStats, ShardedMap,
+    SimRequest, SimResponse, WarmCache, CACHE_SCHEMA, SERVICE_SCHEMA,
 };
 
 // Re-exported domain types, so facade users need no sub-crate imports.
@@ -54,7 +57,7 @@ pub use primepar_graph::ModelConfig;
 pub use primepar_partition::PartitionSeq;
 pub use primepar_search::{
     render_plan, run_elastic, ElasticEvent, ElasticPolicy, ElasticRunReport, MigrationDecision,
-    ReplanOptions, ReplanOutcome, SpaceOptions,
+    ReplanOptions, ReplanOutcome, SearchInterrupt, SpaceOptions,
 };
 pub use primepar_sim::RobustnessReport;
 pub use primepar_topology::{AppliedPerturbation, PerturbationModel};

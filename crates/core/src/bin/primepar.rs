@@ -615,7 +615,7 @@ fn run() -> Result<(), Error> {
             }
             println!(
                 "\ndecision: {} ({:.3} GB moved in {:.6}s; plan {})",
-                resp.decision.tag(),
+                resp.outcome.decision.tag(),
                 resp.outcome.migration_bytes / 1e9,
                 resp.outcome.migration_seconds,
                 resp.fingerprint
@@ -626,7 +626,7 @@ fn run() -> Result<(), Error> {
                 m.gauge("replan.seed", seed as f64);
                 m.gauge("replan.lambda", lambda);
                 m.gauge("replan.horizon_iterations", horizon as f64);
-                m.text("replan.decision", resp.decision.tag());
+                m.text("replan.decision", resp.outcome.decision.tag());
                 m.gauge("replan.migration_bytes", resp.outcome.migration_bytes);
                 m.gauge("replan.migration_seconds", resp.outcome.migration_seconds);
                 for c in &resp.outcome.candidates {

@@ -310,6 +310,11 @@ fn min_row<V: Fn(f64) -> f64>(
 /// `m`, `width` wide: each lane's minimum over the candidates, skipping
 /// those with `value(p)(floor) > cap` when `BOUNDED`, and how many
 /// candidates it visited.
+///
+/// Kept out of line: inlined into [`min_row`], the lanes' running minima
+/// were split into scalars and re-packed on every candidate, which made the
+/// Eq. 14 join about 40% slower than a standalone tile loop.
+#[inline(never)]
 fn relax_tile<const BOUNDED: bool, V: Fn(f64) -> f64>(
     m: &[f64],
     width: usize,
@@ -429,7 +434,12 @@ pub(crate) fn merge_row_scalar(
 }
 
 /// One layer-doubling join (Eq. 14): `out[r, c] = min_q (a[r, q] −
-/// boundary_intra[q] + b[q, c])` over the shared `n × n` boundary space.
+/// boundary_intra[q] + b[q, c])` over the shared `n × n` boundary space,
+/// through [`min_row`] unbounded: candidates arrive per cell in ascending
+/// `q` under a strict `<`, each the sum `fl(a − intra) + b`, so every cell
+/// is the scalar join row's bitwise. That row skips a non-finite lead; here
+/// a `+∞` or NaN lead is relaxed but can never win a strict `<`, and a `−∞`
+/// lead cannot occur, since the boundary intra costs are finite Eq. 7 sums.
 pub(crate) fn minplus_join(
     threads: usize,
     n: usize,
@@ -440,8 +450,16 @@ pub(crate) fn minplus_join(
 ) -> Vec<f64> {
     let mut out = vec![f64::INFINITY; n * n];
     drive(threads, n, n, &mut out, busy, |r, out_row| {
-        join_row_lanes(r * n, a, b, boundary_intra, out_row);
-        0
+        min_row(
+            b,
+            None,
+            move |q| {
+                let lead = a[r * n + q] - boundary_intra[q];
+                move |x| lead + x
+            },
+            |_, best| best,
+            out_row,
+        )
     });
     out
 }
@@ -462,46 +480,6 @@ fn join_row(a_off: usize, a: &[f64], b: &[f64], boundary_intra: &[f64], out_row:
                 out_row[c] = v;
             }
         }
-    }
-}
-
-/// Lane-tiled join: same per-cell candidate order (`q` ascending, non-finite
-/// leads skipped) and the same `fl(a − intra) + b` sums — bitwise-identical
-/// to the scalar join row of the tests. No argmin here; the layer
-/// composition needs values only.
-fn join_row_lanes(a_off: usize, a: &[f64], b: &[f64], boundary_intra: &[f64], out_row: &mut [f64]) {
-    let n = out_row.len();
-    let tiled = n - n % LANES;
-    let mut c0 = 0;
-    while c0 < tiled {
-        let mut min = [f64::INFINITY; LANES];
-        for q in 0..n {
-            let lead = a[a_off + q] - boundary_intra[q];
-            if !lead.is_finite() {
-                continue;
-            }
-            let br: &[f64; LANES] = b[q * n + c0..][..LANES].try_into().expect("lane");
-            for l in 0..LANES {
-                let v = lead + br[l];
-                min[l] = if v < min[l] { v } else { min[l] };
-            }
-        }
-        out_row[c0..c0 + LANES].copy_from_slice(&min);
-        c0 += LANES;
-    }
-    for c in tiled..n {
-        let mut best = f64::INFINITY;
-        for q in 0..n {
-            let lead = a[a_off + q] - boundary_intra[q];
-            if !lead.is_finite() {
-                continue;
-            }
-            let v = lead + b[q * n + c];
-            if v < best {
-                best = v;
-            }
-        }
-        out_row[c] = best;
     }
 }
 

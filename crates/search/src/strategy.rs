@@ -108,10 +108,11 @@ impl FromStr for SearchStrategy {
     }
 }
 
-/// A shared stop flag the anytime driver polls between beam rounds. The
-/// service bridges its per-request `CancelToken` onto one of these, so a
-/// cancelled or deadline-expired `plan` frame makes the search stop widening
-/// and answer with the best plan found so far instead of `cancelled`.
+/// A shared stop flag the anytime driver polls between beam rounds. Clones
+/// share the flag. The service's per-request stop flag is one of these, so
+/// a cancelled or deadline-expired anytime request makes the search stop
+/// widening and answer with the best plan found so far instead of
+/// `cancelled`.
 #[derive(Debug, Clone, Default)]
 pub struct SearchInterrupt(Arc<AtomicBool>);
 
@@ -119,12 +120,6 @@ impl SearchInterrupt {
     /// A fresh, unset interrupt.
     pub fn new() -> Self {
         SearchInterrupt::default()
-    }
-
-    /// Wraps an existing shared flag (e.g. a service cancel token's), so
-    /// setting the flag through either handle interrupts the search.
-    pub fn from_flag(flag: Arc<AtomicBool>) -> Self {
-        SearchInterrupt(flag)
     }
 
     /// Requests the search stop at the next round boundary.
@@ -274,11 +269,10 @@ mod tests {
 
     #[test]
     fn interrupt_is_shared_through_clones_and_flags() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let interrupt = SearchInterrupt::from_flag(flag.clone());
+        let interrupt = SearchInterrupt::new();
         let sibling = interrupt.clone();
         assert!(!sibling.is_interrupted());
-        flag.store(true, Ordering::SeqCst);
+        interrupt.interrupt();
         assert!(sibling.is_interrupted());
         let own = SearchInterrupt::new();
         assert!(!own.is_interrupted());

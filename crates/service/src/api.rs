@@ -8,24 +8,29 @@
 //! [`PlanResponse`] carrying the [`ModelPlan`], its canonical text rendering,
 //! the run's [`PlannerMetrics`] and the cache outcome. A [`ReplanRequest`]
 //! names a *running* workload plus an observed degradation scenario and
-//! yields a [`ReplanResponse`] carrying the costed [`MigrationDecision`].
+//! yields a [`ReplanResponse`] carrying the costed
+//! [`MigrationDecision`](primepar_search::MigrationDecision).
 //! Validation happens in the `resolve` methods; nothing in this crate panics
 //! on bad input.
 //!
-//! Requests have a *canonical fingerprint* naming the plan they produce:
-//! everything that changes the optimizer's output is included (model,
-//! devices, batch, seq, layers, `α`, space options, and any non-exact
-//! search strategy) and everything proven not to is excluded (`threads` —
-//! pinned to bitwise-identical plans; `id` and `deadline_ms` — delivery
-//! concerns).
-//! Whole-plan memoization keys on this fingerprint.
+//! A [`PlanRequest`] is the one place a request states its workload, `id`
+//! and deadline: a [`SimRequest`] or [`ReplanRequest`] embeds one and adds
+//! only its own knobs ([`Request::workload`]). Resolving it yields the
+//! [`ResolvedPlan`], the plan's identity, whose *canonical fingerprint*
+//! names the plan it produces: everything that changes the optimizer's
+//! output is included (model, devices, batch, seq, layers, `α`, space
+//! options, and any non-exact search strategy) and everything proven not to
+//! is excluded (`threads` — pinned to bitwise-identical plans; `id` and
+//! `deadline_ms` — delivery concerns). Whole-plan memoization keys on this
+//! fingerprint, and a persisted memo entry is restored by resolving its
+//! workload again.
 
 use std::time::Duration;
 
 use primepar_graph::ModelConfig;
 use primepar_search::{
-    MigrationDecision, ModelPlan, PlannerMetrics, PlannerOptions, ReplanOptions, ReplanOutcome,
-    SearchStrategy, SpaceOptions,
+    ModelPlan, PlannerMetrics, PlannerOptions, ReplanOptions, ReplanOutcome, SearchStrategy,
+    SpaceOptions,
 };
 use primepar_sim::{ModelReport, RobustnessOptions, RobustnessReport, SimOptions};
 use primepar_topology::{AppliedPerturbation, PerturbationModel};
@@ -68,8 +73,6 @@ pub struct PlanRequest {
     /// fixed-width beam, or the anytime driver. Non-exact strategies change
     /// the plan the request names, so they are part of the fingerprint.
     pub strategy: SearchStrategy,
-    /// Also simulate one training iteration of the planned model.
-    pub simulate: bool,
     /// Relative deadline: the request is cancelled if a worker has not
     /// picked it up within this budget.
     pub deadline_ms: Option<u64>,
@@ -91,7 +94,6 @@ impl Default for PlanRequest {
             allow_batch_split: space.allow_batch_split,
             max_temporal_k: space.max_temporal_k,
             strategy: SearchStrategy::Exact,
-            simulate: false,
             deadline_ms: None,
         }
     }
@@ -246,10 +248,6 @@ impl PlanRequestBuilder {
         strategy: SearchStrategy
     );
     setter!(
-        /// Requests an iteration simulation alongside the plan.
-        simulate: bool
-    );
-    setter!(
         /// Sets the pickup deadline in milliseconds.
         deadline_ms: Option<u64>
     );
@@ -260,7 +258,11 @@ impl PlanRequestBuilder {
     }
 }
 
-/// A validated [`PlanRequest`] with names resolved to domain objects.
+/// A validated [`PlanRequest`] with names resolved to domain objects: the
+/// identity of one plan. Two requests that resolve to equal workloads
+/// produce bitwise-identical plans; the [fingerprint](ResolvedPlan::fingerprint)
+/// names it, and a memo entry keeps it (`primepar.cache.v1` persists it so a
+/// restart can rebuild the entry).
 #[derive(Debug, Clone)]
 pub struct ResolvedPlan {
     /// The zoo model.
@@ -278,94 +280,44 @@ pub struct ResolvedPlan {
 }
 
 impl ResolvedPlan {
-    /// The plan-identity key of this request: exactly the fields the
-    /// fingerprint hashes, detached from delivery concerns. This is what the
-    /// cache persists (`primepar.cache.v1`) so a restart can rebuild the
-    /// entry.
-    pub fn key(&self) -> PlanKey {
-        PlanKey {
-            model: self.model.name.to_string(),
-            devices: self.devices,
-            batch: self.batch,
-            seq: self.seq,
-            layers: self.layers,
-            alpha: self.opts.alpha,
-            allow_temporal: self.opts.space.allow_temporal,
-            allow_batch_split: self.opts.space.allow_batch_split,
-            max_temporal_k: self.opts.space.max_temporal_k,
-            strategy: self.opts.strategy,
-        }
-    }
-
-    /// The canonical plan fingerprint (see [`PlanRequest::fingerprint`]).
-    pub fn fingerprint(&self) -> String {
-        self.key().fingerprint()
-    }
-}
-
-/// The identity of one plan: every request field the optimizer sees, and
-/// nothing else. Two requests with equal keys produce bitwise-identical
-/// plans; the canonical [fingerprint](PlanKey::fingerprint) is this key
-/// rendered as a string.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanKey {
-    /// Canonical zoo model name (as spelled by [`ModelConfig::name`]).
-    pub model: String,
-    /// Cluster size (power of two).
-    pub devices: usize,
-    /// Micro-batch size.
-    pub batch: u64,
-    /// Sequence length.
-    pub seq: u64,
-    /// Stacked layer count.
-    pub layers: u64,
-    /// Eq. 7's `α` (compared and fingerprinted by bit pattern).
-    pub alpha: f64,
-    /// Temporal primitives allowed.
-    pub allow_temporal: bool,
-    /// Batch splits allowed.
-    pub allow_batch_split: bool,
-    /// Largest temporal primitive, as `k`.
-    pub max_temporal_k: u32,
-    /// Search strategy: a beam or anytime plan is (potentially) a different
-    /// plan than the exact one, so it must not share a memo slot with it.
-    pub strategy: SearchStrategy,
-}
-
-impl PlanKey {
-    /// The canonical fingerprint string. Model names canonicalize to their
-    /// lowercase alphanumeric spine, so every CLI spelling of a model
-    /// collides into the same memo slot; `α` is rendered by bit pattern so
-    /// distinct floats never alias. Non-exact strategies append a `:st:`
-    /// suffix; the exact default appends nothing, so every fingerprint ever
-    /// written by a pre-strategy build still names the same (exact) plan —
-    /// persisted caches restore unchanged.
+    /// The canonical plan fingerprint: the plan identity rendered as a
+    /// string (see the module docs for what is included and why). Model
+    /// names canonicalize to their lowercase alphanumeric spine, so every
+    /// CLI spelling of a model collides into the same memo slot; `α` is
+    /// rendered by bit pattern so distinct floats never alias. Non-exact
+    /// strategies append a `:st:` suffix; the exact default appends nothing,
+    /// so every fingerprint ever written by a pre-strategy build still names
+    /// the same (exact) plan — persisted caches restore unchanged.
     pub fn fingerprint(&self) -> String {
         let canon: String = self
             .model
+            .name
             .chars()
             .filter(char::is_ascii_alphanumeric)
             .map(|c| c.to_ascii_lowercase())
             .collect();
+        let (space, strategy) = (&self.opts.space, self.opts.strategy);
         let mut fp = format!(
             "plan:{canon}:d{}:b{}:s{}:l{}:a{:016x}:t{}:bs{}:k{}",
             self.devices,
             self.batch,
             self.seq,
             self.layers,
-            self.alpha.to_bits(),
-            u8::from(self.allow_temporal),
-            u8::from(self.allow_batch_split),
-            self.max_temporal_k,
+            self.opts.alpha.to_bits(),
+            u8::from(space.allow_temporal),
+            u8::from(space.allow_batch_split),
+            space.max_temporal_k,
         );
-        if self.strategy != SearchStrategy::Exact {
-            fp.push_str(&format!(":st:{}", self.strategy));
+        if strategy != SearchStrategy::Exact {
+            fp.push_str(&format!(":st:{strategy}"));
         }
         fp
     }
 }
 
-/// How the caches treated one request.
+/// How the caches treated this one request. The serving cache's cumulative
+/// counts are [`WarmCache::stats`](crate::WarmCache::stats), and the `stats`
+/// frame on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheOutcome {
     /// This response was served from the whole-plan memo.
@@ -373,26 +325,12 @@ pub struct CacheOutcome {
     /// This response coalesced onto another request's in-flight planner run
     /// (the plan was computed exactly once and shared).
     pub coalesced: bool,
-    /// Cumulative whole-plan memo hits of the serving cache.
-    pub plan_cache_hits: u64,
-    /// Cumulative whole-plan memo misses of the serving cache.
-    pub plan_cache_misses: u64,
-    /// Cumulative coalesced requests of the serving cache.
-    pub plan_cache_coalesced: u64,
-    /// Cumulative plans evicted to respect the cache's memory budget.
-    pub plan_cache_evictions: u64,
-    /// Approximate resident bytes of the serving cache's plan memo.
-    pub plan_cache_bytes: u64,
     /// Volume planes the request's planner run found in the warm cache:
     /// the cold plan's run on a memo miss, the decision's own run for a
     /// replan, 0 when no planner ran.
     pub warm_matrix_hits: u64,
     /// Volume planes that run had to sweep.
     pub warm_matrix_misses: u64,
-    /// Plans currently interned by the serving cache.
-    pub plans_interned: usize,
-    /// Clusters currently interned by the serving cache.
-    pub clusters_interned: usize,
 }
 
 /// The answer to a [`PlanRequest`].
@@ -425,8 +363,6 @@ pub struct PlanResponse {
     /// Planner telemetry of the run that produced the plan (the original
     /// cold run's, when served from the memo).
     pub metrics: PlannerMetrics,
-    /// Iteration simulation, when the request asked for one.
-    pub sim: Option<ModelReport>,
     /// Cache accounting for this request.
     pub cache: CacheOutcome,
     /// Wall-clock service time of this request (memo hits are microseconds;
@@ -438,10 +374,8 @@ pub struct PlanResponse {
 /// optionally under a seeded fault/variance sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimRequest {
-    /// Caller-chosen request id, echoed in the response.
-    pub id: String,
-    /// The workload to plan and simulate (its `simulate` flag is ignored;
-    /// this request always simulates).
+    /// The workload to plan and simulate, with the request's id and
+    /// deadline.
     pub plan: PlanRequest,
     /// Activation recomputation (gradient checkpointing).
     pub recompute_activations: bool,
@@ -451,16 +385,12 @@ pub struct SimRequest {
     pub profile: String,
     /// Base seed of the scenario sweep.
     pub seed: u64,
-    /// Relative pickup deadline, like [`PlanRequest::deadline_ms`].
-    pub deadline_ms: Option<u64>,
 }
 
 impl SimRequest {
     /// A simulation of `plan` on ideal hardware (no sweep).
     pub fn of(plan: PlanRequest) -> Self {
         SimRequest {
-            id: plan.id.clone(),
-            deadline_ms: plan.deadline_ms,
             plan,
             recompute_activations: false,
             scenarios: 0,
@@ -557,9 +487,7 @@ pub fn perturbation_profile(name: &str) -> Result<PerturbationModel, Error> {
 /// is amortized over.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplanRequest {
-    /// Caller-chosen request id, echoed in the response.
-    pub id: String,
-    /// The running workload (its `simulate` flag is ignored here).
+    /// The running workload, with the request's id and deadline.
     pub plan: PlanRequest,
     /// Perturbation profile of the observed scenario: `ideal`, `mild` or
     /// `harsh`.
@@ -571,8 +499,6 @@ pub struct ReplanRequest {
     /// Iterations remaining in the job — the recovery deadline `H` in
     /// `migration + H × iteration_cost`.
     pub horizon: u64,
-    /// Relative pickup deadline, like [`PlanRequest::deadline_ms`].
-    pub deadline_ms: Option<u64>,
 }
 
 impl ReplanRequest {
@@ -580,8 +506,6 @@ impl ReplanRequest {
     /// 1000-iteration horizon.
     pub fn of(plan: PlanRequest) -> Self {
         ReplanRequest {
-            id: plan.id.clone(),
-            deadline_ms: plan.deadline_ms,
             plan,
             profile: "harsh".into(),
             seed: 42,
@@ -660,10 +584,9 @@ pub struct ReplanResponse {
     pub id: String,
     /// Fingerprint of the running plan the decision was made for.
     pub fingerprint: String,
-    /// The argmin decision.
-    pub decision: MigrationDecision,
-    /// The full costing audit trail (every candidate priced, the adopted
-    /// plan when the decision is `FullReplan`).
+    /// The costed decision (`outcome.decision`, the argmin) with its full
+    /// audit trail (every candidate priced, the adopted plan when the
+    /// decision is `FullReplan`).
     pub outcome: ReplanOutcome,
     /// Cache accounting of the running-plan lookup.
     pub cache: CacheOutcome,
@@ -693,31 +616,29 @@ impl Request {
         }
     }
 
+    /// The workload the request plans, recalls or simulates, with its id
+    /// and deadline.
+    pub fn workload(&self) -> &PlanRequest {
+        match self {
+            Request::Plan(req) => req,
+            Request::Sim(req) => &req.plan,
+            Request::Replan(req) => &req.plan,
+        }
+    }
+
     /// The caller-chosen request id.
     pub fn id(&self) -> &str {
-        match self {
-            Request::Plan(req) => &req.id,
-            Request::Sim(req) => &req.id,
-            Request::Replan(req) => &req.id,
-        }
+        &self.workload().id
     }
 
     /// The search strategy of the workload's plan.
     pub fn strategy(&self) -> SearchStrategy {
-        match self {
-            Request::Plan(req) => req.strategy,
-            Request::Sim(req) => req.plan.strategy,
-            Request::Replan(req) => req.plan.strategy,
-        }
+        self.workload().strategy
     }
 
     /// The relative pickup deadline.
     pub fn deadline_ms(&self) -> Option<u64> {
-        match self {
-            Request::Plan(req) => req.deadline_ms,
-            Request::Sim(req) => req.deadline_ms,
-            Request::Replan(req) => req.deadline_ms,
-        }
+        self.workload().deadline_ms
     }
 }
 
@@ -761,7 +682,6 @@ mod tests {
             .allow_temporal(false)
             .allow_batch_split(false)
             .max_temporal_k(1)
-            .simulate(true)
             .deadline_ms(Some(50))
             .build();
         assert_eq!(req.id, "r1");

@@ -39,15 +39,12 @@ use primepar_search::{
     render_plan, replan, MigrationDecision, ModelPlan, Planner, PlannerMetrics, PlannerWarmCache,
     SearchInterrupt, WarmStats,
 };
-use primepar_sim::{
-    robustness_sweep, simulate_model_with, ModelReport, RobustnessOptions, RobustnessReport,
-    SimOptions,
-};
+use primepar_sim::{robustness_sweep, simulate_model_with};
 use primepar_topology::Cluster;
 
 use crate::api::{
-    CacheOutcome, PlanKey, PlanRequest, PlanResponse, ReplanRequest, ReplanResponse, Request,
-    ResolvedPlan, Response, SimRequest, SimResponse,
+    CacheOutcome, PlanRequest, PlanResponse, ReplanRequest, ReplanResponse, Request, ResolvedPlan,
+    Response, SimRequest, SimResponse,
 };
 use crate::observe::RequestTrace;
 use crate::shard::{Outcome, ShardLoad, ShardedMap};
@@ -56,9 +53,9 @@ use crate::Error;
 /// One memoized plan: everything a repeat request needs.
 #[derive(Debug)]
 pub struct CachedPlan {
-    /// The plan-identity key (what [`WarmCache::save`] persists so a restart
+    /// The plan's identity (what [`WarmCache::save`] persists so a restart
     /// can rebuild the entry).
-    pub key: PlanKey,
+    pub resolved: ResolvedPlan,
     /// The optimized plan.
     pub plan: ModelPlan,
     /// Telemetry of the cold run that produced it (defaulted on entries
@@ -83,8 +80,11 @@ impl CachedPlan {
             + self.metrics.space_sizes.len() * size_of::<usize>()
             + self.metrics.segments.len() * 64
             + self.metrics.thread_busy_seconds.len() * size_of::<f64>();
-        (size_of::<CachedPlan>() + self.key.model.len() + self.plan_text.len() + seqs + metrics)
-            as u64
+        (size_of::<CachedPlan>()
+            + self.resolved.model.name.len()
+            + self.plan_text.len()
+            + seqs
+            + metrics) as u64
     }
 }
 
@@ -212,7 +212,7 @@ impl WarmCache {
         }
         let (plan, metrics) = planner.optimize_warm_instrumented(resolved.layers, &self.warm);
         CachedPlan {
-            key: resolved.key(),
+            resolved: resolved.clone(),
             plan_text: render_plan(&graph, &plan.seqs),
             plan,
             metrics,
@@ -233,32 +233,13 @@ impl WarmCache {
 
     /// Seeds the memo with an already-built entry (the restore path).
     pub(crate) fn adopt(&self, entry: CachedPlan) {
-        let fingerprint = entry.key.fingerprint();
+        let fingerprint = entry.resolved.fingerprint();
         self.plans.insert(&fingerprint, Arc::new(entry));
     }
 
     /// Visits every resident memo entry.
     pub(crate) fn each_plan(&self, f: impl FnMut(&str, &Arc<CachedPlan>)) {
         self.plans.for_each(f);
-    }
-
-    /// The response's cache fields; `warm` is the `(hits, misses)` of the
-    /// planner run the request made, if any.
-    fn outcome(&self, outcome: Outcome, warm: (u64, u64)) -> CacheOutcome {
-        let stats = self.stats();
-        CacheOutcome {
-            plan_cache_hit: outcome == Outcome::Hit,
-            coalesced: outcome == Outcome::Coalesced,
-            plan_cache_hits: stats.plan_hits,
-            plan_cache_misses: stats.plan_misses,
-            plan_cache_coalesced: stats.plan_coalesced,
-            plan_cache_evictions: stats.plan_evictions,
-            plan_cache_bytes: stats.plan_bytes,
-            warm_matrix_hits: warm.0,
-            warm_matrix_misses: warm.1,
-            plans_interned: stats.plans_interned,
-            clusters_interned: stats.clusters_interned,
-        }
     }
 
     /// Executes any request against the cache — the one path the worker
@@ -271,9 +252,9 @@ impl WarmCache {
     /// [`PlannerMetrics`] (recorded after the fact, so tracing cannot
     /// perturb planning), and the simulation or replan decision becomes a
     /// `sim.simulate` / `replan.decide` span. An `interrupt`, when given, is
-    /// attached to any cold planner run: the service bridges an anytime
-    /// plan's cancel token onto it so the search answers with its
-    /// best-so-far plan instead of `cancelled`. Memo hits and coalesced
+    /// attached to any cold planner run: the worker pool passes an anytime
+    /// workload's stop flag, so the search answers with its best-so-far
+    /// plan instead of `cancelled`. Memo hits and coalesced
     /// waits never consult it (there is nothing to stop).
     pub(crate) fn execute(
         &self,
@@ -286,10 +267,6 @@ impl WarmCache {
             Request::Plan(req) => {
                 let resolved = req.resolve()?;
                 let (cached, outcome) = self.lookup(&resolved, trace, interrupt);
-                let sim = req.simulate.then(|| {
-                    self.simulate(trace, &resolved, &cached, &SimOptions::default(), None)
-                        .0
-                });
                 Response::Plan(Box::new(PlanResponse {
                     id: req.id.clone(),
                     fingerprint: resolved.fingerprint(),
@@ -302,22 +279,27 @@ impl WarmCache {
                     plan: cached.plan.clone(),
                     plan_text: cached.plan_text.clone(),
                     metrics: cached.metrics.clone(),
-                    sim,
-                    cache: self.outcome(outcome, planned_warm(outcome, &cached.metrics)),
+                    cache: planned_outcome(outcome, &cached.metrics),
                     elapsed: start.elapsed(),
                 }))
             }
             Request::Sim(req) => {
                 let (resolved, opts, sweep) = req.resolve()?;
                 let (cached, outcome) = self.lookup(&resolved, trace, interrupt);
-                let (report, robustness) =
-                    self.simulate(trace, &resolved, &cached, &opts, sweep.as_ref());
+                let (cluster, graph) = self.scene(&resolved);
+                let seqs = &cached.plan.seqs;
+                let tokens = (resolved.batch * resolved.seq) as f64;
+                let report = traced(trace, "sim.simulate", || {
+                    simulate_model_with(&cluster, &graph, seqs, resolved.layers, tokens, &opts)
+                });
+                let robustness =
+                    sweep.map(|sweep| robustness_sweep(&cluster, &graph, seqs, &sweep));
                 Response::Sim(Box::new(SimResponse {
-                    id: req.id.clone(),
+                    id: req.plan.id.clone(),
                     fingerprint: resolved.fingerprint(),
                     report,
                     robustness,
-                    cache: self.outcome(outcome, planned_warm(outcome, &cached.metrics)),
+                    cache: planned_outcome(outcome, &cached.metrics),
                     elapsed: start.elapsed(),
                 }))
             }
@@ -338,13 +320,15 @@ impl WarmCache {
                 self.replans[slot].fetch_add(1, Ordering::Relaxed);
                 // The warm counters are the decision's own planner run's, not
                 // the memoized base plan's.
-                let warm = (decision.warm_matrix_hits, decision.warm_matrix_misses);
+                let cache = cache_outcome(
+                    outcome,
+                    (decision.warm_matrix_hits, decision.warm_matrix_misses),
+                );
                 Response::Replan(Box::new(ReplanResponse {
-                    id: req.id.clone(),
+                    id: req.plan.id.clone(),
                     fingerprint: resolved.fingerprint(),
-                    decision: decision.decision,
                     outcome: decision,
-                    cache: self.outcome(outcome, warm),
+                    cache,
                     elapsed: start.elapsed(),
                 }))
             }
@@ -415,26 +399,6 @@ impl WarmCache {
         (self.cluster(resolved.devices), graph)
     }
 
-    /// Simulates one training iteration of a memoized plan, recorded as a
-    /// `sim.simulate` span, plus the robustness `sweep` when one is given.
-    fn simulate(
-        &self,
-        trace: Option<&RequestTrace>,
-        resolved: &ResolvedPlan,
-        cached: &CachedPlan,
-        opts: &SimOptions,
-        sweep: Option<&RobustnessOptions>,
-    ) -> (ModelReport, Option<RobustnessReport>) {
-        let (cluster, graph) = self.scene(resolved);
-        let seqs = &cached.plan.seqs;
-        let tokens = (resolved.batch * resolved.seq) as f64;
-        let report = traced(trace, "sim.simulate", || {
-            simulate_model_with(&cluster, &graph, seqs, resolved.layers, tokens, opts)
-        });
-        let robustness = sweep.map(|sweep| robustness_sweep(&cluster, &graph, seqs, sweep));
-        (report, robustness)
-    }
-
     /// Per-shard occupancy of the whole-plan memo, for the live `stats`
     /// snapshot.
     pub fn plan_shard_loads(&self) -> Vec<ShardLoad> {
@@ -460,13 +424,25 @@ impl WarmCache {
     }
 }
 
-/// The warm `(hits, misses)` of the plan lookup's planner run: the cold
-/// run's on a memo miss, none on a hit or a coalesced wait.
-fn planned_warm(outcome: Outcome, metrics: &PlannerMetrics) -> (u64, u64) {
-    match outcome {
+/// What the caches did for one request; `warm` is the `(hits, misses)` of
+/// the planner run the request made, if any.
+fn cache_outcome(outcome: Outcome, warm: (u64, u64)) -> CacheOutcome {
+    CacheOutcome {
+        plan_cache_hit: outcome == Outcome::Hit,
+        coalesced: outcome == Outcome::Coalesced,
+        warm_matrix_hits: warm.0,
+        warm_matrix_misses: warm.1,
+    }
+}
+
+/// [`cache_outcome`] of a plan lookup, whose planner run is the cold run on
+/// a memo miss and none on a hit or a coalesced wait.
+fn planned_outcome(outcome: Outcome, metrics: &PlannerMetrics) -> CacheOutcome {
+    let warm = match outcome {
         Outcome::Miss => (metrics.warm_matrix_hits, metrics.warm_matrix_misses),
         _ => (0, 0),
-    }
+    };
+    cache_outcome(outcome, warm)
 }
 
 /// Runs `f`, recorded as a `name` span under the trace's execution span.
@@ -522,6 +498,7 @@ impl WarmCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use primepar_sim::{RobustnessOptions, RobustnessReport, SimOptions};
 
     fn small_request(id: &str) -> PlanRequest {
         PlanRequest::builder("opt-6.7b")
@@ -542,7 +519,7 @@ mod tests {
         assert!(cold.cache.warm_matrix_misses > 0);
         let warm = cache.execute_plan(&small_request("warm")).expect("plans");
         assert!(warm.cache.plan_cache_hit);
-        assert_eq!(warm.cache.plan_cache_hits, 1);
+        assert_eq!(cache.stats().plan_hits, 1);
         assert_eq!(warm.id, "warm", "id echoes the request, not the memo");
         assert_eq!(warm.plan_text, cold.plan_text);
         assert_eq!(
@@ -653,12 +630,11 @@ mod tests {
         let req = ReplanRequest::of(small_request("r1")).with_scenario("harsh", 5);
         let cold = cache.execute_replan(&req).expect("decides");
         assert!(!cold.cache.plan_cache_hit, "first touch plans the workload");
-        assert_eq!(cold.decision, cold.outcome.decision);
         // A repeat decision recalls the running plan from the memo and is
         // bit-identical.
         let warm = cache.execute_replan(&req).expect("decides");
         assert!(warm.cache.plan_cache_hit);
-        assert_eq!(warm.decision, cold.decision);
+        assert_eq!(warm.outcome.decision, cold.outcome.decision);
         assert_eq!(
             warm.outcome.migration_bytes.to_bits(),
             cold.outcome.migration_bytes.to_bits()
@@ -673,7 +649,7 @@ mod tests {
         let idle = cache
             .execute_replan(&ReplanRequest::of(small_request("r2")).with_scenario("ideal", 1))
             .expect("decides");
-        assert_eq!(idle.decision, MigrationDecision::Stay);
+        assert_eq!(idle.outcome.decision, MigrationDecision::Stay);
         assert_eq!(cache.stats().replan_stay, stats.replan_stay + 1);
     }
 

@@ -4,8 +4,9 @@
 //! Layers, each usable on its own:
 //!
 //! * the typed API — [`PlanRequest`]/[`PlanResponse`] (plus sim and replan
-//!   twins) with a builder, validation and canonical plan fingerprints
-//!   ([`PlanKey`]). One-shot callers use [`PlanRequest::run`] /
+//!   twins, which embed the [`PlanRequest`] as their workload) with a
+//!   builder, validation, and the plan identity ([`ResolvedPlan`]) with its
+//!   canonical fingerprint. One-shot callers use [`PlanRequest::run`] /
 //!   [`ReplanRequest::run`], which hit the process-wide [`WarmCache`].
 //! * the cache — a [`WarmCache`] whose whole-plan memo is a [`ShardedMap`]:
 //!   per-shard hashmaps behind a shared-seed hasher, with in-flight request
@@ -14,9 +15,11 @@
 //!   ([`CACHE_SCHEMA`]).
 //! * the server — a bounded worker pool ([`PlannerService`]) sharing one
 //!   [`WarmCache`]. Every request is one [`Request`] job answered by one
-//!   [`Response`]; submissions return a [`Pending`] handle carrying a
-//!   [`CancelToken`], and deadlines/cancellations surface as
-//!   [`Error::Cancelled`] without poisoning the pool.
+//!   [`Response`]; submissions return a [`Pending`] handle carrying the
+//!   request's stop flag (a
+//!   [`SearchInterrupt`](primepar_search::SearchInterrupt)), and
+//!   deadlines/cancellations surface as [`Error::Cancelled`] without
+//!   poisoning the pool.
 //! * the wire protocol — the line-delimited JSON format behind
 //!   `primepar serve`: [`parse_frame`] / response builders /
 //!   [`serve_lines`], every emitted document tagged with
@@ -40,7 +43,7 @@ mod server;
 mod shard;
 
 pub use api::{
-    perturbation_profile, CacheOutcome, PlanKey, PlanRequest, PlanRequestBuilder, PlanResponse,
+    perturbation_profile, CacheOutcome, PlanRequest, PlanRequestBuilder, PlanResponse,
     ReplanRequest, ReplanResponse, Request, ResolvedPlan, Response, SimRequest, SimResponse,
     SERVICE_SCHEMA,
 };
@@ -56,5 +59,5 @@ pub use protocol::{
     sim_response_json, stats_request_json, Frame, ParsedFrame, ServeEnd, ServeOptions,
     MAX_ARTIFACT_BYTES, MAX_FRAME_BYTES,
 };
-pub use server::{CancelToken, Pending, PlannerService, ServiceClient, ServiceOptions};
+pub use server::{Pending, PlannerService, ServiceClient, ServiceOptions};
 pub use shard::{FixedSeedHasher, FixedSeedState, Outcome, ShardLoad, ShardStats, ShardedMap};

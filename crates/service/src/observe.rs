@@ -109,7 +109,7 @@ fn outcome_label(resp: &Response) -> &'static str {
     let cache = match resp {
         Response::Plan(resp) => &resp.cache,
         Response::Sim(resp) => &resp.cache,
-        Response::Replan(resp) => return resp.decision.tag(),
+        Response::Replan(resp) => return resp.outcome.decision.tag(),
     };
     if cache.plan_cache_hit {
         "hit"

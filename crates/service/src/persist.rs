@@ -7,13 +7,15 @@
 //! every other observability file in this workspace, so `primepar validate`
 //! re-parses it through the same strict path.
 //!
-//! Each entry persists the [`PlanKey`] (plan identity), the canonical
-//! `plan_text`, and the plan costs with **f64 bit patterns rendered as hex
-//! strings** — JSON numbers round-trip through decimal and this artifact's
-//! contract is bitwise exactness. On load, every entry is rebuilt from its
-//! own key (`ModelConfig::by_name` → `layer_graph` → `parse_plan`) and its
-//! recomputed fingerprint must equal the recorded one; mismatches reject the
-//! whole artifact rather than serving a wrong plan. Planner telemetry is
+//! Each entry persists its [`ResolvedPlan`](crate::ResolvedPlan) (the plan
+//! identity), the canonical `plan_text`, and the plan costs with
+//! **f64 bit patterns rendered as hex strings** — JSON numbers round-trip
+//! through decimal and this artifact's contract is bitwise exactness. On
+//! load, every entry's workload is read back as a [`PlanRequest`] and
+//! resolved, so it passes the same validation as a request; its recomputed
+//! fingerprint must equal the recorded one, and its plan text must parse
+//! against its layer graph. Any failure rejects the whole artifact rather
+//! than serving a wrong plan. Planner telemetry is
 //! *not* persisted — a restored entry carries
 //! [`PlannerMetrics::default()`](primepar_search::PlannerMetrics), because
 //! the restart did not search.
@@ -21,11 +23,10 @@
 use std::path::Path;
 use std::time::Duration;
 
-use primepar_graph::ModelConfig;
 use primepar_obs::{parse_json, Json, SchemaError};
 use primepar_search::{parse_plan, ModelPlan, PlannerMetrics, SearchStrategy};
 
-use crate::api::PlanKey;
+use crate::api::PlanRequest;
 use crate::cache::{CachedPlan, WarmCache};
 use crate::protocol::read_artifact;
 use crate::Error;
@@ -47,23 +48,24 @@ fn hex_f64(entry: &Json, key: &str) -> Result<f64, SchemaError> {
 }
 
 fn entry_json(entry: &CachedPlan) -> Json {
-    let key = &entry.key;
+    let resolved = &entry.resolved;
+    let (space, strategy) = (&resolved.opts.space, resolved.opts.strategy);
     // `strategy` is written only for non-exact plans, so exact-only dumps
     // stay byte-identical to pre-strategy artifacts (and restore under them).
     Json::obj()
-        .with("fingerprint", key.fingerprint())
-        .with("model", key.model.as_str())
-        .with("devices", key.devices)
-        .with("batch", key.batch)
-        .with("seq", key.seq)
-        .with("layers", key.layers)
-        .with("alpha_bits", f64_hex(key.alpha))
-        .with("allow_temporal", key.allow_temporal)
-        .with("allow_batch_split", key.allow_batch_split)
-        .with("max_temporal_k", key.max_temporal_k)
+        .with("fingerprint", resolved.fingerprint())
+        .with("model", resolved.model.name)
+        .with("devices", resolved.devices)
+        .with("batch", resolved.batch)
+        .with("seq", resolved.seq)
+        .with("layers", resolved.layers)
+        .with("alpha_bits", f64_hex(resolved.opts.alpha))
+        .with("allow_temporal", space.allow_temporal)
+        .with("allow_batch_split", space.allow_batch_split)
+        .with("max_temporal_k", space.max_temporal_k)
         .with_opt(
             "strategy",
-            (key.strategy != SearchStrategy::Exact).then(|| key.strategy.to_string()),
+            (strategy != SearchStrategy::Exact).then(|| strategy.to_string()),
         )
         .with("layer_cost_bits", f64_hex(entry.plan.layer_cost))
         .with("total_cost_bits", f64_hex(entry.plan.total_cost))
@@ -88,12 +90,12 @@ pub fn cache_to_json(cache: &WarmCache) -> Json {
 
 /// Rebuilds one memo entry from its persisted form.
 fn restore_entry(entry: &Json) -> Result<CachedPlan, Error> {
-    let key = PlanKey {
+    let resolved = PlanRequest {
         model: entry.req("model")?,
         devices: entry.req("devices")?,
         batch: entry.req("batch")?,
         seq: entry.req("seq")?,
-        layers: entry.req("layers")?,
+        layers: Some(entry.req("layers")?),
         alpha: hex_f64(entry, "alpha_bits")?,
         allow_temporal: entry.req("allow_temporal")?,
         allow_batch_split: entry.req("allow_batch_split")?,
@@ -105,17 +107,18 @@ fn restore_entry(entry: &Json) -> Result<CachedPlan, Error> {
                 .parse()
                 .map_err(|e| Error::protocol(format!("cache entry strategy rejected: {e}")))?,
         },
-    };
+        ..PlanRequest::default()
+    }
+    .resolve()
+    .map_err(|e| Error::protocol(format!("cache entry rejected: {}", e.message())))?;
     let recorded = entry.req::<&str>("fingerprint")?;
-    let fingerprint = key.fingerprint();
+    let fingerprint = resolved.fingerprint();
     if fingerprint != recorded {
         return Err(Error::protocol(format!(
             "cache entry fingerprint mismatch: recorded {recorded}, rebuilt {fingerprint}"
         )));
     }
-    let model = ModelConfig::by_name(&key.model)
-        .ok_or_else(|| Error::protocol(format!("cache entry names unknown model {}", key.model)))?;
-    let graph = model.layer_graph(key.batch, key.seq);
+    let graph = resolved.model.layer_graph(resolved.batch, resolved.seq);
     let plan_text: String = entry.req("plan_text")?;
     let seqs = parse_plan(&graph, &plan_text)
         .map_err(|e| Error::protocol(format!("cache entry plan text rejected: {e}")))?;
@@ -126,7 +129,7 @@ fn restore_entry(entry: &Json) -> Result<CachedPlan, Error> {
         search_time: Duration::from_micros(entry.req("search_time_us")?),
     };
     Ok(CachedPlan {
-        key,
+        resolved,
         plan,
         metrics: PlannerMetrics::default(),
         plan_text,
@@ -201,7 +204,6 @@ impl WarmCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::PlanRequest;
 
     fn small_request(id: &str) -> PlanRequest {
         PlanRequest::builder("opt-6.7b")

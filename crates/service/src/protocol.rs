@@ -49,12 +49,12 @@ use std::sync::Arc;
 use std::thread;
 
 use primepar_obs::{parse_json, peak_rss_bytes, ClockMode, Event, EventLevel, EventLog, Json};
-use primepar_search::SearchStrategy;
+use primepar_search::{SearchInterrupt, SearchStrategy};
 use primepar_sim::robustness_json;
 
 use crate::cache::WarmCache;
 use crate::observe::{Ending, RequestTrace, ServiceObserver};
-use crate::server::{CancelToken, PlannerService, ServiceOptions};
+use crate::server::{PlannerService, ServiceOptions};
 use crate::{
     Error, PlanRequest, PlanResponse, ReplanRequest, ReplanResponse, Request, Response, SimRequest,
     SimResponse, SERVICE_SCHEMA,
@@ -113,7 +113,6 @@ fn parse_plan_request(obj: &Json) -> Result<PlanRequest, Error> {
         max_temporal_k: obj
             .opt("max_temporal_k")?
             .unwrap_or(defaults.max_temporal_k),
-        simulate: obj.opt("simulate")?.unwrap_or(defaults.simulate),
         deadline_ms: obj.opt("deadline_ms")?,
         strategy: match obj.opt::<&str>("strategy")? {
             None => defaults.strategy,
@@ -198,7 +197,8 @@ fn tagged(kind: &str) -> Json {
 pub fn request_json(req: &PlanRequest) -> Json {
     // `strategy` is emitted only when non-default so pre-strategy
     // transcripts replay byte-identically (mirrors the fingerprint's `:st:`
-    // suffix rule).
+    // suffix rule). For the same reason the retired `simulate` key is still
+    // written, always false; parsers ignore it.
     tagged("plan")
         .with("id", req.id.as_str())
         .with("model", req.model.as_str())
@@ -211,7 +211,7 @@ pub fn request_json(req: &PlanRequest) -> Json {
         .with("allow_temporal", req.allow_temporal)
         .with("allow_batch_split", req.allow_batch_split)
         .with("max_temporal_k", req.max_temporal_k)
-        .with("simulate", req.simulate)
+        .with("simulate", false)
         .with_opt("deadline_ms", req.deadline_ms)
         .with_opt(
             "strategy",
@@ -221,7 +221,7 @@ pub fn request_json(req: &PlanRequest) -> Json {
 
 /// Encodes a [`SimRequest`] as a `sim` frame.
 pub fn sim_request_json(req: &SimRequest) -> Json {
-    let mut doc = request_json(&req.plan).with("id", req.id.as_str());
+    let mut doc = request_json(&req.plan);
     doc.set("type", "sim");
     doc.set("recompute_activations", req.recompute_activations);
     doc.set("scenarios", req.scenarios);
@@ -232,7 +232,7 @@ pub fn sim_request_json(req: &SimRequest) -> Json {
 
 /// Encodes a [`ReplanRequest`] as a `replan` frame.
 pub fn replan_request_json(req: &ReplanRequest) -> Json {
-    let mut doc = request_json(&req.plan).with("id", req.id.as_str());
+    let mut doc = request_json(&req.plan);
     doc.set("type", "replan");
     doc.set("profile", req.profile.as_str());
     doc.set("seed", req.seed);
@@ -259,15 +259,8 @@ fn cache_json(resp: &crate::CacheOutcome) -> Json {
     Json::obj()
         .with("plan_cache_hit", resp.plan_cache_hit)
         .with("coalesced", resp.coalesced)
-        .with("plan_cache_hits", resp.plan_cache_hits)
-        .with("plan_cache_misses", resp.plan_cache_misses)
-        .with("plan_cache_coalesced", resp.plan_cache_coalesced)
-        .with("plan_cache_evictions", resp.plan_cache_evictions)
-        .with("plan_cache_bytes", resp.plan_cache_bytes)
         .with("warm_matrix_hits", resp.warm_matrix_hits)
         .with("warm_matrix_misses", resp.warm_matrix_misses)
-        .with("plans_interned", resp.plans_interned)
-        .with("clusters_interned", resp.clusters_interned)
 }
 
 /// Encodes a [`PlanResponse`] as a `plan_response` frame.
@@ -289,15 +282,6 @@ pub fn plan_response_json(resp: &PlanResponse) -> Json {
         .with("plan_text", resp.plan_text.as_str())
         .with("cache", cache_json(&resp.cache))
         .with("metrics", resp.metrics.to_metrics().to_json())
-        .with_opt(
-            "sim",
-            resp.sim.as_ref().map(|sim| {
-                Json::obj()
-                    .with("iteration_time", sim.iteration_time)
-                    .with("peak_memory_bytes", sim.peak_memory_bytes)
-                    .with("tokens_per_second", sim.tokens_per_second)
-            }),
-        )
 }
 
 /// Encodes a [`SimResponse`] as a `sim_response` frame.
@@ -339,7 +323,7 @@ pub fn replan_response_json(resp: &ReplanResponse) -> Json {
         .with("id", resp.id.as_str())
         .with("ok", true)
         .with("fingerprint", resp.fingerprint.as_str())
-        .with("decision", resp.decision.tag())
+        .with("decision", outcome.decision.tag())
         .with("migration_bytes", outcome.migration_bytes)
         .with("migration_seconds", outcome.migration_seconds)
         .with("candidates", candidates)
@@ -418,7 +402,7 @@ enum Input {
 /// One accepted request awaiting its verdict.
 struct Admitted {
     trace: Arc<RequestTrace>,
-    cancel: CancelToken,
+    cancel: SearchInterrupt,
 }
 
 fn sanitize_artifact_id(id: &str) -> String {
@@ -852,7 +836,7 @@ pub fn serve_lines_with_cache(
                             id.as_deref() == Some(r.trace.id())
                                 || request_id == Some(r.trace.request_id())
                         }) {
-                            reply.cancel.cancel();
+                            reply.cancel.interrupt();
                         }
                     }
                     Frame::Stats => session.send(
@@ -1020,14 +1004,17 @@ mod tests {
 
     #[test]
     fn retired_memoize_and_prune_keys_are_ignored() {
-        // Older clients still send the two retired planner knobs; like any
+        // Older clients still send the three retired request knobs; like any
         // unknown key they no longer change (or fail) the parse.
         let plain = r#"{"schema_version":"primepar.service.v2","type":"plan","id":"r1","model":"opt-6.7b"}"#;
-        let retired = r#"{"schema_version":"primepar.service.v2","type":"plan","id":"r1","model":"opt-6.7b","memoize":false,"prune":true}"#;
+        let retired = r#"{"schema_version":"primepar.service.v2","type":"plan","id":"r1","model":"opt-6.7b","memoize":false,"prune":true,"simulate":true}"#;
         let expect = parse_frame(plain).expect("parses");
         assert_eq!(parse_frame(retired).expect("parses"), expect);
         let encoded = request_json(&PlanRequest::builder("opt-6.7b").build()).render();
         assert!(!encoded.contains("memoize") && !encoded.contains("prune"));
+        // `simulate` is still written, always false, so transcripts replay
+        // byte-identically.
+        assert!(encoded.contains(r#""simulate":false"#));
     }
 
     #[test]

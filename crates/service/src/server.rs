@@ -6,6 +6,15 @@
 //! [`Response`]; [`ServiceClient::submit`] returns immediately with a
 //! [`Pending`] handle the caller waits on or cancels.
 //!
+//! Each request carries one stop flag, a [`SearchInterrupt`]: cancelling
+//! sets it. A request stopped before a worker picks it up is never planned;
+//! one stopped mid-flight still completes its planning work and answers
+//! [`Error::Cancelled`]. A request whose workload plans with
+//! [`SearchStrategy::Anytime`] never answers `cancelled`: its search polls
+//! that very flag between beam rounds, and an expired pickup deadline sets
+//! it, so the answer is the best plan found so far plus its
+//! `optimality_gap`.
+//!
 //! The pool is unpoisonable by construction: every job runs under
 //! [`catch_unwind`], a cancelled or deadline-expired ticket short-circuits
 //! to [`Error::Cancelled`] *before* any planning happens, and a worker that
@@ -13,7 +22,6 @@
 //! queue for the next.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -38,50 +46,16 @@ impl Default for ServiceOptions {
     }
 }
 
-/// Shared cancellation flag of one submitted request.
-///
-/// Cloning shares the flag; any clone can cancel. A request cancelled
-/// before a worker picks it up is never planned. One cancelled mid-flight
-/// still completes its planning work and answers [`Error::Cancelled`] —
-/// except an [`SearchStrategy::Anytime`] plan, whose search polls this very
-/// flag (via [`CancelToken::search_interrupt`]) between beam rounds and
-/// answers with the best plan found so far plus its `optimality_gap`.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation. Idempotent.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-
-    /// A [`SearchInterrupt`] sharing this token's flag: cancelling the token
-    /// interrupts any anytime search it was attached to, with no extra
-    /// signalling.
-    pub fn search_interrupt(&self) -> SearchInterrupt {
-        SearchInterrupt::from_flag(self.0.clone())
-    }
-}
-
-/// Delivery constraints travelling with a job.
+/// Delivery constraints travelling with a job: its stop flag and pickup
+/// deadline.
 #[derive(Debug, Clone)]
 struct Ticket {
-    cancel: CancelToken,
+    cancel: SearchInterrupt,
     deadline: Option<Instant>,
 }
 
 impl Ticket {
-    fn for_deadline(cancel: CancelToken, deadline_ms: Option<u64>) -> Ticket {
+    fn for_deadline(cancel: SearchInterrupt, deadline_ms: Option<u64>) -> Ticket {
         Ticket {
             cancel,
             deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
@@ -104,7 +78,7 @@ struct Job {
 #[derive(Debug)]
 pub struct Pending {
     rx: Receiver<Verdict>,
-    cancel: CancelToken,
+    cancel: SearchInterrupt,
 }
 
 impl Pending {
@@ -120,13 +94,14 @@ impl Pending {
             .unwrap_or_else(|_| Err(Error::internal("service dropped the reply channel")))
     }
 
-    /// Requests cancellation of this request.
+    /// Requests cancellation of this request. Idempotent.
     pub fn cancel(&self) {
-        self.cancel.cancel();
+        self.cancel.interrupt();
     }
 
-    /// A clone of this request's cancellation token.
-    pub fn token(&self) -> CancelToken {
+    /// A clone of this request's stop flag: setting it through any clone
+    /// cancels the request.
+    pub fn token(&self) -> SearchInterrupt {
         self.cancel.clone()
     }
 }
@@ -182,15 +157,15 @@ impl ServiceClient<'_> {
     }
 
     /// Enqueues `req`, to be answered exactly once through `reply`; returns
-    /// the request's cancellation token. The worker that picks the job up
+    /// the request's stop flag. The worker that picks the job up
     /// records its execution spans into `trace`, when given.
     pub(crate) fn dispatch(
         &self,
         req: Request,
         trace: Option<Arc<RequestTrace>>,
         reply: impl FnOnce(Verdict) + Send + 'static,
-    ) -> CancelToken {
-        let cancel = CancelToken::new();
+    ) -> SearchInterrupt {
+        let cancel = SearchInterrupt::new();
         let job = Job {
             ticket: Ticket::for_deadline(cancel.clone(), req.deadline_ms()),
             req,
@@ -274,14 +249,9 @@ fn worker_loop(
         if let Some(trace) = trace {
             trace.begin_exec(idx);
         }
-        let anytime = match req {
-            Request::Plan(plan) => matches!(plan.strategy, SearchStrategy::Anytime { .. }),
-            _ => false,
-        };
-        let verdict = if anytime {
-            let interrupt = ticket.cancel.search_interrupt();
+        let verdict = if matches!(req.strategy(), SearchStrategy::Anytime { .. }) {
             guarded_anytime(ticket, panic_dump, || {
-                cache.execute(req, trace, Some(&interrupt))
+                cache.execute(req, trace, Some(&ticket.cancel))
             })
         } else {
             guarded(ticket, panic_dump, || cache.execute(req, trace, None))
@@ -305,7 +275,7 @@ fn guarded<T>(
     panic_dump: Option<(&ServiceObserver, &WarmCache)>,
     job: impl FnOnce() -> Result<T, Error>,
 ) -> Result<T, Error> {
-    if ticket.cancel.is_cancelled() {
+    if ticket.cancel.is_interrupted() {
         return Err(Error::cancelled("request cancelled before pickup"));
     }
     if ticket
@@ -315,18 +285,18 @@ fn guarded<T>(
         return Err(Error::cancelled("deadline expired before pickup"));
     }
     match run_caught(panic_dump, job) {
-        Ok(_) if ticket.cancel.is_cancelled() => {
+        Ok(_) if ticket.cancel.is_interrupted() => {
             Err(Error::cancelled("request cancelled while in flight"))
         }
         other => other,
     }
 }
 
-/// [`guarded`] for anytime plan jobs, which never answer `cancelled`:
-/// delivery pressure — a fired cancel token, an already-expired pickup
-/// deadline — becomes an interrupt on the job's [`SearchInterrupt`] (the
-/// cancel token *is* the interrupt flag), so the search still runs at least
-/// one width-1 round and answers with its best-so-far plan and gap.
+/// [`guarded`] for jobs whose workload plans with anytime, which never
+/// answer `cancelled`: delivery pressure — a cancel, an already-expired
+/// pickup deadline — sets the job's stop flag, which the search polls, so
+/// it still runs at least one width-1 round and answers with its
+/// best-so-far plan and gap.
 fn guarded_anytime<T>(
     ticket: &Ticket,
     panic_dump: Option<(&ServiceObserver, &WarmCache)>,
@@ -336,7 +306,7 @@ fn guarded_anytime<T>(
         .deadline
         .is_some_and(|deadline| Instant::now() >= deadline)
     {
-        ticket.cancel.cancel();
+        ticket.cancel.interrupt();
     }
     run_caught(panic_dump, job)
 }
@@ -421,7 +391,7 @@ mod tests {
             let busy = client.submit_plan(tiny("busy"));
             let queued = client.submit_plan(tiny("queued"));
             queued.cancel();
-            assert!(queued.token().is_cancelled());
+            assert!(queued.token().is_interrupted());
             assert!(busy.wait().is_ok());
             let verdict = queued.wait();
             assert!(matches!(verdict, Err(Error::Cancelled(_))), "{verdict:?}");
@@ -439,7 +409,6 @@ mod tests {
                 panic!("expected a replan response, got {verdict:?}");
             };
             assert_eq!(resp.id, "r");
-            assert_eq!(resp.decision, resp.outcome.decision);
             let stats = client.stats();
             assert_eq!(
                 stats.replan_stay + stats.replan_patch + stats.replan_full,
@@ -451,15 +420,15 @@ mod tests {
 
     #[test]
     fn guarded_maps_panics_to_internal() {
-        let ticket = Ticket::for_deadline(CancelToken::new(), None);
+        let ticket = Ticket::for_deadline(SearchInterrupt::new(), None);
         let verdict: Result<(), Error> = guarded(&ticket, None, || panic!("kaboom"));
         match verdict {
             Err(Error::Internal(msg)) => assert!(msg.contains("kaboom"), "{msg}"),
             other => panic!("expected internal error, got {other:?}"),
         }
         // The post-run cancel check wins over a successful result.
-        let ticket = Ticket::for_deadline(CancelToken::new(), None);
-        ticket.cancel.cancel();
+        let ticket = Ticket::for_deadline(SearchInterrupt::new(), None);
+        ticket.cancel.interrupt();
         let verdict: Result<(), Error> = guarded(&ticket, None, || Ok(()));
         assert!(matches!(verdict, Err(Error::Cancelled(_))));
     }

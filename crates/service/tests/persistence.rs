@@ -8,10 +8,11 @@
 use std::fs;
 use std::path::PathBuf;
 
-use primepar_obs::parse_json;
+use primepar_obs::{parse_json, Json};
 use primepar_search::Planner;
 use primepar_service::{
-    validate_cache_doc, PlanRequest, PlannerService, ServiceOptions, WarmCache, CACHE_SCHEMA,
+    cache_to_json, validate_cache_doc, Error, PlanRequest, PlannerService, ServiceOptions,
+    WarmCache, CACHE_SCHEMA,
 };
 use primepar_topology::Cluster;
 
@@ -123,4 +124,70 @@ fn dump_restore_dump_is_a_fixed_point() {
 
     fs::remove_file(&first).ok();
     fs::remove_file(&second).ok();
+}
+
+/// `doc` with `edit` applied to its first entry.
+fn with_first_entry(doc: &Json, edit: impl FnOnce(&mut Json)) -> Json {
+    let mut doc = doc.clone();
+    let Json::Obj(fields) = &mut doc else {
+        panic!("a cache artifact is an object")
+    };
+    let Some((_, Json::Arr(entries))) = fields.iter_mut().find(|(key, _)| key == "entries") else {
+        panic!("a cache artifact has entries")
+    };
+    edit(&mut entries[0]);
+    doc
+}
+
+#[test]
+fn restore_refuses_entries_no_request_could_name() {
+    // A restored entry passes the same validation as a request. Each
+    // tampered entry below keeps a fingerprint consistent with its own
+    // fields, so only that validation can refuse it: a device count that is
+    // not a power of two, and a negative α.
+    let cache = WarmCache::new();
+    cache.execute_plan(&workload()[0]).expect("serves");
+    let doc = cache_to_json(&cache);
+    let retag = |entry: &mut Json, field: &str, value: Json, from: &str, to: &str| {
+        let fingerprint = entry
+            .get("fingerprint")
+            .and_then(Json::as_str)
+            .expect("entry fingerprint");
+        assert!(fingerprint.contains(from), "{fingerprint}");
+        let fingerprint = fingerprint.replace(from, to);
+        entry.set("fingerprint", fingerprint);
+        entry.set(field, value);
+    };
+    let negative = format!("{:016x}", (-1.0f64).to_bits());
+    let tampered = [
+        with_first_entry(&doc, |entry| {
+            retag(entry, "devices", Json::from(3u64), ":d4:", ":d3:");
+        }),
+        with_first_entry(&doc, |entry| {
+            let to = format!(":a{negative}:");
+            retag(
+                entry,
+                "alpha_bits",
+                Json::from(negative.as_str()),
+                ":a0000000000000000:",
+                &to,
+            );
+        }),
+    ];
+    for (i, bad) in tampered.iter().enumerate() {
+        assert!(
+            matches!(validate_cache_doc(bad), Err(Error::Protocol(_))),
+            "case {i}: {:?}",
+            validate_cache_doc(bad)
+        );
+        let path = scratch(&format!("refused-{i}.cache.json"));
+        fs::write(&path, bad.render_pretty()).expect("writes");
+        let fresh = WarmCache::new();
+        assert!(
+            matches!(fresh.load(&path), Err(Error::Protocol(_))),
+            "case {i}"
+        );
+        assert_eq!(fresh.stats().plans_interned, 0, "case {i}: nothing adopted");
+        fs::remove_file(&path).ok();
+    }
 }

@@ -27,17 +27,17 @@ fn strategy_strategy() -> impl Strategy<Value = SearchStrategy> {
     ]
 }
 
-/// The full 13-knob [`PlanRequest`] space, folded into the vendored
+/// The full 12-knob [`PlanRequest`] space, folded into the vendored
 /// harness's 6-wide tuples.
 fn plan_request_strategy() -> impl Strategy<Value = PlanRequest> {
     let shape = (0usize..MODELS.len(), 0u32..7, 1u64..64, 5u32..12, 0u64..17);
     let knobs = (1e-7f64..1e-3, 0usize..8, 0u8..2, 0u8..2);
-    let delivery = (1u32..8, 0u8..2, 0u64..10_001, strategy_strategy());
+    let delivery = (1u32..8, 0u64..10_001, strategy_strategy());
     (shape, knobs, delivery).prop_map(
         |(
             (model_ix, dev_pow, batch, seq_pow, layers),
             (alpha, threads, allow_temporal, allow_batch_split),
-            (max_temporal_k, simulate, deadline_ms, strategy),
+            (max_temporal_k, deadline_ms, strategy),
         )| {
             PlanRequest::builder(MODELS[model_ix])
                 .id(format!("p{dev_pow}-{batch}"))
@@ -50,7 +50,6 @@ fn plan_request_strategy() -> impl Strategy<Value = PlanRequest> {
                 .allow_temporal(allow_temporal == 1)
                 .allow_batch_split(allow_batch_split == 1)
                 .max_temporal_k(max_temporal_k)
-                .simulate(simulate == 1)
                 .deadline_ms((deadline_ms > 0).then_some(deadline_ms))
                 .strategy(strategy)
                 .build()

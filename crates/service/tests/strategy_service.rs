@@ -1,16 +1,20 @@
 //! ISSUE 9 service acceptance: anytime requests never answer `cancelled`.
 //!
-//! The pickup-deadline/`CancelToken` machinery that turns a late exact plan
-//! into an in-band `cancelled` error instead *interrupts* an anytime search:
-//! the cancel token's flag doubles as the planner's `SearchInterrupt`, the
-//! width-1 round still runs, and the response carries the best-so-far plan
-//! plus its `optimality_gap`.
+//! The pickup-deadline/cancel machinery that turns a late exact plan into an
+//! in-band `cancelled` error instead *interrupts* an anytime search: the
+//! request's stop flag is the planner's `SearchInterrupt`, the width-1
+//! round still runs, and the response carries the best-so-far plan plus its
+//! `optimality_gap`. That holds for every request whose workload plans with
+//! anytime, `sim` requests included.
 
 use primepar_obs::{parse_json, Json};
 use primepar_search::SearchStrategy;
 use primepar_service::{
-    serve_lines, PlanRequest, PlannerService, ServeOptions, ServiceOptions, WarmCache,
+    serve_lines, PlanRequest, PlannerService, Request, Response, ServeOptions, ServiceOptions,
+    SimRequest, WarmCache,
 };
+use primepar_sim::simulate_model;
+use primepar_topology::Cluster;
 
 fn anytime_request(id: &str, budget_ms: u64, deadline_ms: Option<u64>) -> PlanRequest {
     PlanRequest::builder("opt-6.7b")
@@ -20,7 +24,6 @@ fn anytime_request(id: &str, budget_ms: u64, deadline_ms: Option<u64>) -> PlanRe
         .layers(Some(2))
         .strategy(SearchStrategy::Anytime { budget_ms })
         .deadline_ms(deadline_ms)
-        .simulate(true)
         .build()
 }
 
@@ -35,23 +38,45 @@ fn an_expired_deadline_still_yields_a_valid_simulatable_plan() {
             .plan(anytime_request("late", 60_000, Some(0)))
             .expect("anytime requests never answer cancelled")
     });
-    let graph_ops = {
-        let resolved = anytime_request("late", 60_000, Some(0))
-            .resolve()
-            .expect("valid request");
-        resolved
-            .model
-            .layer_graph(resolved.batch, resolved.seq)
-            .ops
-            .len()
-    };
-    assert_eq!(resp.plan.seqs.len(), graph_ops, "plan covers every op");
+    let resolved = anytime_request("late", 60_000, Some(0))
+        .resolve()
+        .expect("valid request");
+    let graph = resolved.model.layer_graph(resolved.batch, resolved.seq);
+    assert_eq!(
+        resp.plan.seqs.len(),
+        graph.ops.len(),
+        "plan covers every op"
+    );
     assert!(resp.plan.total_cost.is_finite());
     assert!((0.0..=1.0).contains(&resp.metrics.optimality_gap));
     assert!(resp.metrics.anytime_rounds >= 1, "one round always runs");
-    let sim = resp.sim.expect("requested simulation ran on the plan");
+    let sim = simulate_model(
+        &Cluster::v100_like(resolved.devices),
+        &graph,
+        &resp.plan.seqs,
+        resolved.layers,
+        (resolved.batch * resolved.seq) as f64,
+    );
     assert!(sim.iteration_time.is_finite() && sim.iteration_time > 0.0);
     assert!(sim.peak_memory_bytes > 0.0);
+}
+
+#[test]
+fn an_expired_deadline_still_simulates_an_anytime_workload() {
+    // A `sim` request is guarded by its workload's strategy like a `plan`
+    // request: the expired deadline interrupts the anytime search, and the
+    // best-so-far plan is simulated instead of answering `cancelled`.
+    let cache = WarmCache::new();
+    let req = SimRequest::of(anytime_request("late-sim", 60_000, Some(0)));
+    let verdict = PlannerService::run_with_cache(ServiceOptions { workers: 1 }, &cache, |client| {
+        client.submit(Request::Sim(req)).wait()
+    });
+    let Ok(Response::Sim(resp)) = verdict else {
+        panic!("anytime workloads never answer cancelled, got {verdict:?}");
+    };
+    assert_eq!(resp.id, "late-sim");
+    assert!(resp.report.iteration_time.is_finite() && resp.report.iteration_time > 0.0);
+    assert!(resp.report.peak_memory_bytes > 0.0);
 }
 
 #[test]
