@@ -24,8 +24,6 @@ fn counters(run: &str, tm: &PlannerMetrics) -> Metrics {
     let visited: u64 = tm.segments.iter().map(|s| s.bellman_visited).sum();
     for (name, value) in [
         ("unique_signatures", tm.unique_signatures as u64),
-        ("space_cache_hits", tm.space_cache_hits),
-        ("space_cache_misses", tm.space_cache_misses),
         ("profile_cache_hits", tm.profile_cache_hits),
         ("profile_cache_misses", tm.profile_cache_misses),
         ("edge_matrix_cache_hits", tm.edge_matrix_cache_hits),

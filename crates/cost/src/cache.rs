@@ -20,8 +20,9 @@
 //!   when no cut reaches the Q/K/V axis) ends on that one's `Arc`;
 //! * within one side's profile vector, most per-device holdings repeat (a
 //!   coarse split leaves many devices with identical slices), so holdings
-//!   are deduplicated and each device's holding ids over the whole space are
-//!   stored together (`[device][seq]`);
+//!   are deduplicated, one build per distinct DSI tuple index, and each
+//!   device's holding ids over the whole space are stored together
+//!   (`[device][seq]`), written straight into their slots;
 //! * Eq. 9's overlap is a product over axes, and on each axis a side holds
 //!   only a few distinct intervals. So a profile stores, per axis, a short
 //!   table of its distinct `(lo, hi)` intervals, and each unique holding as
@@ -274,24 +275,25 @@ impl SideProfiles {
         space: DeviceSpace,
         base: Option<&SideProfiles>,
     ) -> Self {
-        let devices = space.devices().count();
-        let mut volume_fraction = Vec::with_capacity(seqs.len());
+        let devices = space.num_devices();
+        let n = seqs.len();
+        let mut volume_fraction = Vec::with_capacity(n);
         let mut interner = Interner::default();
-        // `[seq][device]`, as the profile builder emits them; transposed once
-        // at the end.
-        let mut by_seq = Vec::with_capacity(seqs.len() * devices);
+        // `[device][seq]`: sequence `i`'s id on device `d` at `d * n + i`.
+        let mut ids = vec![0u32; devices * n];
         // base unique id → this build's unique id, filled on demand.
         let mut translate = vec![u32::MAX; base.map_or(0, |b| b.uniques.len())];
         let mut memo = ShapeMemo::new();
         for (i, seq) in seqs.iter().enumerate() {
+            let slots = ids.iter_mut().skip(i).step_by(n);
             if let Some(b) = base.filter(|_| seq.temporal_steps() == 1) {
                 volume_fraction.push(b.volume_fraction[i]);
-                for d in 0..devices {
-                    let g = b.on_device(d)[i] as usize;
+                for (slot, &g) in slots.zip(b.ids.iter().skip(i).step_by(n)) {
+                    let g = g as usize;
                     if translate[g] == u32::MAX {
                         translate[g] = interner.intern(&b.holding(g));
                     }
-                    by_seq.push(translate[g]);
+                    *slot = translate[g];
                 }
                 continue;
             }
@@ -303,15 +305,9 @@ impl SideProfiles {
                 space,
                 &mut memo,
                 &mut |holding| interner.intern(&holding),
-                &mut by_seq,
+                slots,
             );
             volume_fraction.push(vf);
-        }
-        let mut ids = vec![0u32; by_seq.len()];
-        for (i, seq_ids) in by_seq.chunks_exact(devices).enumerate() {
-            for (d, &id) in seq_ids.iter().enumerate() {
-                ids[d * seqs.len() + i] = id;
-            }
         }
         SideProfiles {
             volume_fraction,
@@ -1293,6 +1289,27 @@ mod tests {
         let q = cache.prepare(&mut stats, q, &g.ops[2], &g.ops[3], listed, listed);
         let k = cache.prepare(&mut stats, k, &g.ops[2], &g.ops[3], listed, listed);
         assert!(!q.shares_plane(&k));
+    }
+
+    /// A matmul's dO at backward step 0 holds what its output held at the
+    /// last forward step (`M = r`, `K = c` in both), so the backward side —
+    /// whose non-temporal rows are copied from the forward twin and whose
+    /// temporal rows are built afresh — numbers its holdings as the twin
+    /// did and ends on the twin's `Arc`.
+    #[test]
+    fn a_backward_side_equal_to_its_forward_twin_shares_its_profile() {
+        let g = ModelConfig::opt_6_7b().layer_graph(8, 512);
+        let seqs = seqs_for(4);
+        let space = DeviceSpace::new(4);
+        let (mut cache, mut stats) = (EdgeCostCache::new(), CacheStats::default());
+        let list = cache.list(&seqs);
+        let side = |kind, phase, side| EdgeSide::new(&g.ops[9], kind, phase, side, &[], None);
+        let forward = side(TensorKind::Output, Phase::Forward, Side::Produce);
+        let backward = side(TensorKind::GradOutput, Phase::Backward, Side::Consume);
+        let twin = cache.side(&mut stats, &forward, list, space, None);
+        let built = cache.side(&mut stats, &backward, list, space, Some(&twin));
+        assert_eq!(stats.profile_misses, 2, "two keys, two builds");
+        assert!(Arc::ptr_eq(&twin, &built));
     }
 
     #[test]

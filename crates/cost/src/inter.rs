@@ -13,7 +13,8 @@
 //! direct reduction. The planner's cache, the simulator's plan volumes, the
 //! reference [`edge_cost_matrix`] and the migration prices all read them.
 //! The cache stores each holding that `profile_dedup_into` hands it as
-//! per-axis interval ids, interned once.
+//! per-axis interval ids, interned once; that builder reads every device's
+//! DSI tuple from one [`PartitionSeq::dsi_indices`] column per sequence.
 
 use primepar_graph::{Axis, Edge, Operator};
 use primepar_partition::{Dim, PartitionSeq, Phase, TensorKind};
@@ -147,45 +148,38 @@ impl<'a> EdgeSide<'a> {
         (volume_fraction, holdings)
     }
 
-    /// The DSI-program builder: [`profile`](Self::profile) with
-    /// deduplication, appending per-device interned ids to `ids` (one per
-    /// device, in device order) and returning the block volume fraction.
-    /// Devices whose DSI index tuples coincide hold bitwise-identical
-    /// intervals, so each distinct tuple is built once: the compiled
-    /// [`DsiProgram`](primepar_partition::DsiProgram) names the device-index
-    /// bits the tuple can depend on, tuples are evaluated once per distinct
-    /// *masked* index (every submask of the mask), resolved through `memo`,
-    /// and fanned out to the full device list by a mask-and-lookup — the hot
-    /// loop of whole-space profile builds. `intern` maps a freshly built
-    /// holding to the caller's unique id.
-    pub(crate) fn profile_dedup_into(
+    /// The deduplicating builder: [`profile`](Self::profile) as interned
+    /// ids, one per device in device order, written through `slots`, and the
+    /// block volume fraction. Devices whose DSI tuples coincide hold
+    /// bitwise-identical intervals, so each distinct tuple is built once:
+    /// [`PartitionSeq::dsi_indices`] gives every device's tuple as its index
+    /// into `memo`'s table for the slice shape, and only a tuple the table
+    /// has not met yet is built and handed to `intern`, which maps it to the
+    /// caller's unique id.
+    pub(crate) fn profile_dedup_into<'s>(
         &self,
         seq: &PartitionSeq,
         space: DeviceSpace,
         memo: &mut ShapeMemo,
         intern: &mut dyn FnMut(DenseIntervals) -> u32,
-        ids: &mut Vec<u32>,
+        slots: impl Iterator<Item = &'s mut u32>,
     ) -> f64 {
         let (slices, volume_fraction) = self.slicing(seq);
-        let prog = seq.dsi_program(space, self.phase, self.dims, self.step(seq));
-        let mask = prog.relevant_mask();
-        let (table, id_of_masked) = memo.table(slices, space.num_devices());
-        // Only the submasks of `mask` are written below, and only they are
-        // read, so the buffer carries no state from an earlier sequence.
-        let mut sub = mask;
-        loop {
-            let idxs = prog.keys(sub);
-            let id = &mut table[tuple_index(&slices, &idxs)];
+        let (table, column) = memo.table(slices);
+        seq.dsi_indices(space, self.phase, self.dims, self.step(seq), column);
+        for (slot, &index) in slots.zip(column.iter()) {
+            let id = &mut table[index];
             if *id == u32::MAX {
+                let mut rest = index;
+                let mut idxs = [0usize; 4];
+                for (idx, &n) in idxs.iter_mut().zip(&slices).take(self.dims.len()).rev() {
+                    *idx = rest % n;
+                    rest /= n;
+                }
                 *id = intern(self.holding(&slices, &idxs));
             }
-            id_of_masked[sub] = *id;
-            if sub == 0 {
-                break;
-            }
-            sub = (sub - 1) & mask;
+            *slot = *id;
         }
-        ids.extend((0..space.num_devices()).map(|d| id_of_masked[d & mask]));
         volume_fraction
     }
 }
@@ -196,18 +190,19 @@ impl<'a> EdgeSide<'a> {
 /// sequences that cut a dimension into the same number of slices share every
 /// holding, no matter how their primitives are ordered. The memo keeps one
 /// dense table per slice shape, indexed by the DSI tuple read as a
-/// mixed-radix number over that shape's slice counts ([`tuple_index`]), so
-/// repeat tuples across sequences skip interval construction entirely. One
-/// build meets a few dozen shapes at most (34 on the Table-2 point), so the
-/// shapes are a short list scanned in order.
+/// mixed-radix number over that shape's slice counts (the index
+/// [`PartitionSeq::dsi_indices`] writes), so repeat tuples across sequences
+/// skip interval construction entirely. One build meets a few dozen shapes
+/// at most (34 on the Table-2 point), so the shapes are a short list scanned
+/// in order.
 #[derive(Debug, Default)]
 pub(crate) struct ShapeMemo {
     /// Per-dimension slice counts and the caller's interned unique id of
     /// every DSI tuple of that shape (`u32::MAX` until first built).
     tables: Vec<([usize; 4], Vec<u32>)>,
-    /// Per masked device index, the id its tuple resolved to: one buffer
-    /// every sequence of the build reuses.
-    id_of_masked: Vec<u32>,
+    /// Every device's tuple index: one buffer every sequence of the build
+    /// reuses.
+    column: Vec<usize>,
 }
 
 impl ShapeMemo {
@@ -216,8 +211,8 @@ impl ShapeMemo {
     }
 
     /// The id table of slice shape `slices`, allocated on first use, and the
-    /// masked-index buffer over `devices` devices.
-    fn table(&mut self, slices: [usize; 4], devices: usize) -> (&mut [u32], &mut [u32]) {
+    /// tuple-index buffer.
+    fn table(&mut self, slices: [usize; 4]) -> (&mut [u32], &mut Vec<usize>) {
         let at = match self.tables.iter().position(|(s, _)| *s == slices) {
             Some(at) => at,
             None => {
@@ -226,20 +221,8 @@ impl ShapeMemo {
                 self.tables.len() - 1
             }
         };
-        self.id_of_masked.resize(devices, u32::MAX);
-        (&mut self.tables[at].1, &mut self.id_of_masked)
+        (&mut self.tables[at].1, &mut self.column)
     }
-}
-
-/// The dense index of DSI tuple `idxs` under per-dimension slice counts
-/// `slices`: the tuple as a mixed-radix number, first dimension most
-/// significant. Unused trailing slots (count 0, index 0) have radix 1.
-fn tuple_index(slices: &[usize; 4], idxs: &[usize; 4]) -> usize {
-    slices.iter().zip(idxs).fold(0, |index, (&n, &idx)| {
-        let radix = n.max(1);
-        debug_assert!(idx < radix, "DSI {idx} out of {radix} slices");
-        index * radix + idx
-    })
 }
 
 /// Eq. 8's four sides of one edge and its element count, for every caller
@@ -518,9 +501,11 @@ mod tests {
 
     /// The dense per-shape tables resolve DSI tuples exactly as a
     /// `(slice shape, tuple)` hash map would: on one side whose slice shapes
-    /// (2, 4) and (4, 2) have unequal radices, every device of every sequence
-    /// gets the id of its tuple, equal tuples share an id and distinct tuples
-    /// never do.
+    /// (2, 8) and (8, 2) have unequal radices, and whose `P_{4×4}` cuts both
+    /// dimensions into four (alone, sharing the (4, 4) table with splits)
+    /// or into eight between splits, every device of every sequence gets
+    /// the id of its tuple, equal tuples share an id, distinct tuples never
+    /// do, and each id's holding is the one its tuple's scalar DSIs build.
     #[test]
     fn dense_tables_match_a_hash_map_oracle() {
         use std::collections::HashMap;
@@ -534,48 +519,54 @@ mod tests {
             &[],
             None,
         );
-        let split = Primitive::Split;
-        let seqs = [
-            seq(vec![split(Dim::N), split(Dim::K), split(Dim::K)]),
-            seq(vec![split(Dim::N), split(Dim::N), split(Dim::K)]),
-            seq(vec![split(Dim::K), split(Dim::N), split(Dim::K)]),
-            seq(vec![split(Dim::B), Primitive::Temporal { k: 1 }]),
+        let parse = |text: &str| text.parse::<PartitionSeq>().unwrap();
+        // Per space: its sequences and the distinct tuples they reach.
+        let cases = [
+            (
+                4,
+                vec!["N K K K", "N N N K", "K N K K", "P4x4", "N N K K"],
+                48,
+            ),
+            (6, vec!["N P4x4 K", "K N N N K K", "B P4x4 B"], 80),
         ];
-        let space = DeviceSpace::new(3);
-        let mut memo = ShapeMemo::new();
-        let mut built = 0u32;
-        let mut oracle: HashMap<([usize; 4], [usize; 4]), u32> = HashMap::new();
-        let mut tuple_of_id: HashMap<u32, ([usize; 4], [usize; 4])> = HashMap::new();
-        for s in &seqs {
-            let mut ids = Vec::new();
-            side.profile_dedup_into(
-                s,
-                space,
-                &mut memo,
-                &mut |_| {
-                    built += 1;
-                    built - 1
-                },
-                &mut ids,
-            );
-            let slices = side.slicing(s).0;
-            for (device, &id) in space.devices().zip(&ids) {
-                let mut idxs = [0usize; 4];
-                for (idx, &dim) in idxs.iter_mut().zip(side.dims) {
-                    *idx = s.dsi(space, side.phase, dim, device, 0);
-                }
-                let key = (slices, idxs);
-                assert_eq!(*oracle.entry(key).or_insert(id), id, "{s} on {device}");
-                assert_eq!(
-                    *tuple_of_id.entry(id).or_insert(key),
-                    key,
-                    "{s} on {device}"
+        for (bits, texts, tuples) in cases {
+            let space = DeviceSpace::new(bits);
+            let mut memo = ShapeMemo::new();
+            let mut built = Vec::new();
+            let mut oracle: HashMap<([usize; 4], [usize; 4]), u32> = HashMap::new();
+            let mut tuple_of_id: HashMap<u32, ([usize; 4], [usize; 4])> = HashMap::new();
+            for s in texts.into_iter().map(parse) {
+                let mut ids = vec![u32::MAX; space.num_devices()];
+                side.profile_dedup_into(
+                    &s,
+                    space,
+                    &mut memo,
+                    &mut |holding| {
+                        built.push(holding);
+                        built.len() as u32 - 1
+                    },
+                    ids.iter_mut(),
                 );
+                let slices = side.slicing(&s).0;
+                for (device, &id) in space.devices().zip(&ids) {
+                    let mut idxs = [0usize; 4];
+                    for (idx, &dim) in idxs.iter_mut().zip(side.dims) {
+                        *idx = s.dsi(space, side.phase, dim, device, 0);
+                    }
+                    let key = (slices, idxs);
+                    assert_eq!(*oracle.entry(key).or_insert(id), id, "{s} on {device}");
+                    assert_eq!(
+                        *tuple_of_id.entry(id).or_insert(key),
+                        key,
+                        "{s} on {device}"
+                    );
+                    assert_eq!(built[id as usize], side.holding(&slices, &idxs));
+                }
             }
+            // Each distinct tuple built once.
+            assert_eq!(oracle.len(), tuples, "{bits} bits");
+            assert_eq!(built.len(), tuples, "{bits} bits");
         }
-        // (2, 4) and (4, 2) hold 8 tuples each, (2, 2) holds 4: each built once.
-        assert_eq!(oracle.len(), 20);
-        assert_eq!(built, 20);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! * [`PartitionSeq`] — a sequence of [`Primitive`]s over a
 //!   [`DeviceSpace`](primepar_topology::DeviceSpace), Algorithm 1's input `𝒫`.
 //! * [`PartitionSeq::dsi`] — Algorithm 1: the slice of dimension `X` held by
-//!   sub-operator `(D, t)` in each training [`Phase`].
+//!   sub-operator `(D, t)` in each training [`Phase`];
+//!   [`PartitionSeq::dsi_indices`] is the same map over the whole device
+//!   space, every device's DSI tuple as one mixed-radix index.
 //! * [`ring_transfers`] — the ring point-to-point communication schedule of
 //!   `P_{2^k×2^k}` derived from the DSIs and verified against the paper's
 //!   Table 1. It depends on `k` alone, so each `k`'s schedule is derived
@@ -43,4 +45,4 @@ pub mod verify;
 pub use comm::{ring_transfers, RingTransfer, TransferReason};
 pub use dim::{Dim, Phase, TensorKind};
 pub use primitive::Primitive;
-pub use seq::{DsiProgram, PartitionError, PartitionSeq};
+pub use seq::{PartitionError, PartitionSeq};

@@ -203,32 +203,12 @@ impl PartitionSeq {
                     bit_pos += 1;
                 }
                 Primitive::Temporal { k } => {
-                    let side = 1i64 << k;
-                    let ku = k as usize;
-                    let mut r: i64 = 0;
-                    let mut c: i64 = 0;
-                    for j in 0..ku {
-                        r = (r << 1) | space.bit(device, bit_pos + 2 * j) as i64;
-                        c = (c << 1) | space.bit(device, bit_pos + 2 * j + 1) as i64;
+                    // A sequence has one square, so these are its coordinates.
+                    let (r, c) = self.square_coords(space, device).expect("temporal");
+                    if let Some(v) = square_slice(phase, dim, k, t, r, c) {
+                        dsi = (dsi << k) + v;
                     }
-                    let t = t as i64;
-                    let delta = i64::from(t == side - 1);
-                    let contribution: Option<i64> = match (phase, dim) {
-                        (_, Dim::B) => None,
-                        (Phase::Forward, Dim::M) => Some(r),
-                        (Phase::Forward, Dim::N) => Some(r + c + t),
-                        (Phase::Forward, Dim::K) => Some(c),
-                        (Phase::Backward, Dim::M) => Some(r),
-                        (Phase::Backward, Dim::N) => Some(r + c - 1),
-                        (Phase::Backward, Dim::K) => Some(c + t),
-                        (Phase::Gradient, Dim::M) => Some(r + t),
-                        (Phase::Gradient, Dim::N) => Some(r + c - 1 + delta),
-                        (Phase::Gradient, Dim::K) => Some(c - 1 + delta),
-                    };
-                    if let Some(v) = contribution {
-                        dsi = (dsi << k) + v.rem_euclid(side) as usize;
-                    }
-                    bit_pos += 2 * ku;
+                    bit_pos += 2 * k as usize;
                 }
             }
         }
@@ -312,211 +292,104 @@ impl PartitionSeq {
         );
     }
 
-    /// Precompiles [`dsi`](PartitionSeq::dsi) for a fixed `(phase, dims, t)`
-    /// over the whole device space: one walk of the primitive list captures
-    /// which device-index bits each queried dimension gathers and the
-    /// temporal primitive's modular contribution, so evaluating a device is
-    /// a handful of shifts instead of a primitive walk per `(dim, device)`.
-    /// The program lives in fixed-capacity arrays and allocates nothing.
+    /// Algorithm 1 over the whole device space: for every device, in index
+    /// order, the mixed-radix index of its DSI tuple over `dims` (radix
+    /// `num_slices(dim)`, the first dimension most significant) at `phase`
+    /// and step `t`, written into `out`. Each primitive reads only the
+    /// device bits it consumes, and the first primitive's bits are the most
+    /// significant, so the column is the outer sum, in primitive order, of
+    /// one digit table per primitive: a split contributes `{0, w}`, a
+    /// `P_{2^k×2^k}` one entry per square cell. Decoded, each index is
+    /// [`dsi`](PartitionSeq::dsi) on every dimension.
     ///
     /// # Panics
     ///
-    /// Panics like `dsi` on a space/bit mismatch or `t` out of range, if
-    /// `dims` holds more than [`DsiProgram::MAX_DIMS`] dimensions, and if
-    /// the space has more than [`DsiProgram::MAX_BITS`] device bits.
-    pub fn dsi_program(
+    /// Panics like `dsi` on a space/bit mismatch or `t` out of range.
+    pub fn dsi_indices(
         &self,
         space: DeviceSpace,
         phase: Phase,
         dims: &[Dim],
         t: usize,
-    ) -> DsiProgram {
+        out: &mut Vec<usize>,
+    ) {
         self.check_space(space);
         assert!(t < self.temporal_steps(), "step {t} out of range");
-        assert!(dims.len() <= DsiProgram::MAX_DIMS, "too many dims");
-        let n_bits = space.n_bits();
-        assert!(
-            n_bits <= DsiProgram::MAX_BITS,
-            "DsiProgram capacity exceeded: {n_bits} device bits, at most {}",
-            DsiProgram::MAX_BITS
-        );
-        // Every step consumes at least one device bit, so no array below can
-        // overflow once the bit count fits.
-        let mut prog = DsiProgram {
-            slots: [DsiSlot::EMPTY; DsiProgram::MAX_DIMS],
-            r_shifts: [0; DsiProgram::MAX_BITS / 2],
-            c_shifts: [0; DsiProgram::MAX_BITS / 2],
-            k: 0,
-            relevant_mask: 0,
-        };
-        let mut bit_pos = 1usize; // next unconsumed device bit (1-based)
-        for prim in &self.prims {
-            match *prim {
+        // Per dimension, the index weight of one slice cut by the primitives
+        // still to come: its tuple stride times the slices they cut it into.
+        let mut weights: Vec<usize> = dims.iter().map(|&d| self.num_slices(d)).collect();
+        for i in (1..weights.len()).rev() {
+            weights[i - 1] *= weights[i];
+        }
+        out.clear();
+        out.push(0);
+        for &prim in &self.prims {
+            for (w, &dim) in weights.iter_mut().zip(dims) {
+                *w /= prim.slice_factor(dim);
+            }
+            let (split, square): ([usize; 2], Vec<usize>);
+            let digits: &[usize] = match prim {
                 Primitive::Split(d) => {
-                    let shift = n_bits - bit_pos;
-                    for (slot, &dim) in prog.slots.iter_mut().zip(dims) {
-                        if d == dim {
-                            slot.push(DsiStep::Bit { shift: shift as u8 });
-                            prog.relevant_mask |= 1 << shift;
-                        }
-                    }
-                    bit_pos += 1;
+                    let w = dims.iter().zip(&weights).filter(|&(&x, _)| x == d);
+                    split = [0, w.map(|(_, &w)| w).sum()];
+                    &split
                 }
                 Primitive::Temporal { k } => {
-                    let side = 1i64 << k;
-                    let ku = k as usize;
-                    let t = t as i64;
-                    let delta = i64::from(t == side - 1);
-                    let mut read = false;
-                    for (slot, &dim) in prog.slots.iter_mut().zip(dims) {
-                        // The same `(phase, dim) → a_r·r + a_c·c + add`
-                        // table `dsi` evaluates, with the device-independent
-                        // part folded into `add`.
-                        let contribution: Option<(bool, bool, i64)> = match (phase, dim) {
-                            (_, Dim::B) => None,
-                            (Phase::Forward, Dim::M) => Some((true, false, 0)),
-                            (Phase::Forward, Dim::N) => Some((true, true, t)),
-                            (Phase::Forward, Dim::K) => Some((false, true, 0)),
-                            (Phase::Backward, Dim::M) => Some((true, false, 0)),
-                            (Phase::Backward, Dim::N) => Some((true, true, -1)),
-                            (Phase::Backward, Dim::K) => Some((false, true, t)),
-                            (Phase::Gradient, Dim::M) => Some((true, false, t)),
-                            (Phase::Gradient, Dim::N) => Some((true, true, -1 + delta)),
-                            (Phase::Gradient, Dim::K) => Some((false, true, -1 + delta)),
-                        };
-                        if let Some((use_r, use_c, add)) = contribution {
-                            slot.push(DsiStep::Temporal {
-                                k: k as u8,
-                                use_r,
-                                use_c,
-                                add: add as i32,
-                            });
-                            read = true;
-                        }
-                    }
-                    // The square's coordinates, only when some dimension
-                    // reads them (a sequence has one temporal primitive).
-                    if read {
-                        prog.k = ku;
-                        for j in 0..ku {
-                            let r = n_bits - (bit_pos + 2 * j);
-                            let c = r - 1;
-                            prog.r_shifts[j] = r as u8;
-                            prog.c_shifts[j] = c as u8;
-                            prog.relevant_mask |= (1 << r) | (1 << c);
-                        }
-                    }
-                    bit_pos += 2 * ku;
+                    square = (0..1usize << (2 * k))
+                        .map(|cell| {
+                            // Row bits at even offsets within the cell,
+                            // columns at odd, most significant first.
+                            let (mut r, mut c) = (0, 0);
+                            for j in (0..k).rev() {
+                                r = (r << 1) | ((cell >> (2 * j + 1)) & 1);
+                                c = (c << 1) | ((cell >> (2 * j)) & 1);
+                            }
+                            let slice =
+                                |(&dim, &w)| Some(square_slice(phase, dim, k, t, r, c)? * w);
+                            dims.iter().zip(&weights).filter_map(slice).sum()
+                        })
+                        .collect();
+                    &square
+                }
+            };
+            // The primitive's bits are less significant than every earlier
+            // one's: each entry fans out into one entry per digit, in place
+            // from the back so no entry is overwritten before it is read.
+            let len = out.len();
+            out.resize(len * digits.len(), 0);
+            for i in (0..len).rev() {
+                let base = out[i];
+                for (o, &digit) in out[i * digits.len()..][..digits.len()]
+                    .iter_mut()
+                    .zip(digits)
+                {
+                    *o = base + digit;
                 }
             }
         }
-        prog
     }
 }
 
-/// One composition step of a [`DsiProgram`] slot, in primitive order.
-#[derive(Debug, Clone, Copy)]
-enum DsiStep {
-    /// `dsi = 2·dsi + bit(device, shift)`.
-    Bit {
-        /// Right-shift of the device index selecting the split's bit.
-        shift: u8,
-    },
-    /// `dsi = (dsi << k) + (a_r·r + a_c·c + add) mod 2^k`.
-    Temporal {
-        k: u8,
-        use_r: bool,
-        use_c: bool,
-        add: i32,
-    },
-}
-
-/// One compiled dimension of a [`DsiProgram`]: its steps, in a fixed array.
-#[derive(Debug, Clone, Copy)]
-struct DsiSlot {
-    steps: [DsiStep; DsiProgram::MAX_BITS],
-    len: u8,
-}
-
-impl DsiSlot {
-    const EMPTY: DsiSlot = DsiSlot {
-        steps: [DsiStep::Bit { shift: 0 }; DsiProgram::MAX_BITS],
-        len: 0,
+/// The slice of `dim` that square cell `(r, c)` of a `P_{2^k×2^k}` holds at
+/// step `t` of `phase` (Eqs. 4–6), or `None` for the batch dimension, which
+/// the square does not cut.
+fn square_slice(phase: Phase, dim: Dim, k: u32, t: usize, r: usize, c: usize) -> Option<usize> {
+    let side = 1i64 << k;
+    let (r, c, t) = (r as i64, c as i64, t as i64);
+    let delta = i64::from(t == side - 1);
+    let v = match (phase, dim) {
+        (_, Dim::B) => return None,
+        (Phase::Forward, Dim::M) => r,
+        (Phase::Forward, Dim::N) => r + c + t,
+        (Phase::Forward, Dim::K) => c,
+        (Phase::Backward, Dim::M) => r,
+        (Phase::Backward, Dim::N) => r + c - 1,
+        (Phase::Backward, Dim::K) => c + t,
+        (Phase::Gradient, Dim::M) => r + t,
+        (Phase::Gradient, Dim::N) => r + c - 1 + delta,
+        (Phase::Gradient, Dim::K) => c - 1 + delta,
     };
-
-    fn push(&mut self, step: DsiStep) {
-        self.steps[self.len as usize] = step;
-        self.len += 1;
-    }
-
-    fn steps(&self) -> &[DsiStep] {
-        &self.steps[..self.len as usize]
-    }
-}
-
-/// A compiled DSI evaluator returned by [`PartitionSeq::dsi_program`]:
-/// [`keys`](DsiProgram::keys) reproduces `dsi` for every queried dimension
-/// at once, and [`relevant_mask`](DsiProgram::relevant_mask) names the
-/// device-index bits the result can depend on — devices equal under the
-/// mask share a DSI tuple, which callers exploit to deduplicate evaluation.
-#[derive(Debug, Clone, Copy)]
-pub struct DsiProgram {
-    /// One slot per compiled dimension; the trailing slots stay empty.
-    slots: [DsiSlot; DsiProgram::MAX_DIMS],
-    /// The temporal primitive's row and column bit shifts, the first `k` of
-    /// each (`k` is 0 when no compiled dimension reads the square).
-    r_shifts: [u8; DsiProgram::MAX_BITS / 2],
-    c_shifts: [u8; DsiProgram::MAX_BITS / 2],
-    k: usize,
-    relevant_mask: usize,
-}
-
-impl DsiProgram {
-    /// Upper bound on the `dims` list length a program compiles.
-    pub const MAX_DIMS: usize = 4;
-
-    /// Upper bound on the device bits a program compiles (65,536 devices):
-    /// the capacity of its step arrays.
-    pub const MAX_BITS: usize = 16;
-
-    /// Bit mask over the *device index* (not the 1-based `d_pos` numbering):
-    /// two devices with equal masked indices produce identical
-    /// [`keys`](DsiProgram::keys).
-    pub fn relevant_mask(&self) -> usize {
-        self.relevant_mask
-    }
-
-    /// The DSI of every compiled dimension for `device` (trailing slots of
-    /// the fixed-size array are zero), bit-identical to calling
-    /// [`PartitionSeq::dsi`] per dimension.
-    pub fn keys(&self, device: usize) -> [usize; Self::MAX_DIMS] {
-        let (mut r, mut c) = (0i64, 0i64);
-        for (&rs, &cs) in self.r_shifts[..self.k].iter().zip(&self.c_shifts) {
-            r = (r << 1) | ((device >> rs) & 1) as i64;
-            c = (c << 1) | ((device >> cs) & 1) as i64;
-        }
-        let mut out = [0usize; Self::MAX_DIMS];
-        for (slot, o) in self.slots.iter().zip(&mut out) {
-            let mut dsi = 0usize;
-            for step in slot.steps() {
-                match *step {
-                    DsiStep::Bit { shift } => dsi = 2 * dsi + ((device >> shift) & 1),
-                    DsiStep::Temporal {
-                        k,
-                        use_r,
-                        use_c,
-                        add,
-                    } => {
-                        let side = 1i64 << k;
-                        let v = i64::from(use_r) * r + i64::from(use_c) * c + i64::from(add);
-                        dsi = (dsi << k) + v.rem_euclid(side) as usize;
-                    }
-                }
-            }
-            *o = dsi;
-        }
-        out
-    }
+    Some(v.rem_euclid(side) as usize)
 }
 
 impl std::str::FromStr for PartitionSeq {
@@ -836,88 +709,6 @@ mod tests {
             "P2x2 P2x2".parse::<PartitionSeq>(),
             Err(PartitionError::MultipleTemporal)
         ));
-    }
-
-    #[test]
-    fn dsi_program_matches_scalar_dsi_everywhere() {
-        // Every (phase, dim, step, device) of several representative
-        // sequences — with and without a temporal primitive, splits before
-        // and after it — must agree with Algorithm 1's scalar evaluator,
-        // and devices equal under the relevant mask must share tuples.
-        let seqs = [
-            PartitionSeq::new(vec![split(Dim::M), split(Dim::N)]).unwrap(),
-            PartitionSeq::new(vec![split(Dim::B), split(Dim::B), split(Dim::K)]).unwrap(),
-            PartitionSeq::new(vec![split(Dim::M), Primitive::Temporal { k: 1 }]).unwrap(),
-            PartitionSeq::new(vec![
-                Primitive::Temporal { k: 2 },
-                split(Dim::B),
-                split(Dim::N),
-            ])
-            .unwrap(),
-            // 9 bits (512 devices): splits on either side of a `P_{4×4}`,
-            // and dimensions split several times.
-            PartitionSeq::new(vec![
-                split(Dim::M),
-                split(Dim::N),
-                Primitive::Temporal { k: 2 },
-                split(Dim::K),
-                split(Dim::M),
-                split(Dim::B),
-            ])
-            .unwrap(),
-            PartitionSeq::new(vec![
-                split(Dim::K),
-                split(Dim::K),
-                split(Dim::B),
-                split(Dim::N),
-                split(Dim::N),
-                Primitive::Temporal { k: 2 },
-            ])
-            .unwrap(),
-            PartitionSeq::new(vec![
-                Primitive::Temporal { k: 2 },
-                split(Dim::N),
-                split(Dim::N),
-                split(Dim::M),
-                split(Dim::K),
-                split(Dim::N),
-            ])
-            .unwrap(),
-        ];
-        let dims = [Dim::B, Dim::M, Dim::N, Dim::K];
-        for seq in &seqs {
-            let space = DeviceSpace::new(seq.bits());
-            for phase in [Phase::Forward, Phase::Backward, Phase::Gradient] {
-                for t in 0..seq.temporal_steps() {
-                    let prog = seq.dsi_program(space, phase, &dims, t);
-                    let mask = prog.relevant_mask();
-                    for device in space.devices() {
-                        let keys = prog.keys(device.index());
-                        for (slot, &dim) in dims.iter().enumerate() {
-                            assert_eq!(
-                                keys[slot],
-                                seq.dsi(space, phase, dim, device, t),
-                                "{seq} {phase:?} {dim:?} t={t} {device}"
-                            );
-                        }
-                        assert_eq!(
-                            keys,
-                            prog.keys(device.index() & mask),
-                            "masked twin must share the tuple"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "DsiProgram capacity exceeded: 17 device bits, at most 16")]
-    fn dsi_program_rejects_a_space_over_its_capacity() {
-        // 17 M splits would need 17 steps in one slot: the program refuses
-        // to compile rather than drop a step.
-        let seq = PartitionSeq::new(vec![split(Dim::M); 17]).unwrap();
-        seq.dsi_program(DeviceSpace::new(17), Phase::Forward, &[Dim::M], 0);
     }
 
     #[test]

@@ -76,6 +76,52 @@ fn ring_sender(
     DeviceId(idx)
 }
 
+/// The first place where [`PartitionSeq::dsi_indices`] disagrees with the
+/// scalar `dsi`, over every phase, step and device of `seq`'s space and
+/// several dimension lists: each index, decoded as a mixed-radix number over
+/// the dims' slice counts (first dim most significant), must be the scalar
+/// DSI on every dim.
+fn dsi_indices_mismatch(seq: &PartitionSeq) -> Option<String> {
+    let space = DeviceSpace::new(seq.bits());
+    let dim_lists: [&[Dim]; 4] = [
+        &[Dim::B, Dim::M, Dim::N, Dim::K],
+        &[Dim::K, Dim::N, Dim::B],
+        &[Dim::N, Dim::K],
+        &[Dim::M],
+    ];
+    let mut column = Vec::new();
+    for phase in Phase::ALL {
+        for t in 0..seq.temporal_steps() {
+            for dims in dim_lists {
+                seq.dsi_indices(space, phase, dims, t, &mut column);
+                if column.len() != space.num_devices() {
+                    return Some(format!("{seq}: {} indices", column.len()));
+                }
+                for (device, &index) in space.devices().zip(&column) {
+                    let mut rest = index;
+                    for &dim in dims.iter().rev() {
+                        let n = seq.num_slices(dim);
+                        let want = seq.dsi(space, phase, dim, device, t);
+                        if rest % n != want {
+                            return Some(format!(
+                                "{seq} {phase} t={t} {dims:?} {device}: {dim} decodes to {}, dsi {want}",
+                                rest % n
+                            ));
+                        }
+                        rest /= n;
+                    }
+                    if rest != 0 {
+                        return Some(format!(
+                            "{seq} {phase} t={t} {dims:?} {device}: index {index} out of range"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    None
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -153,6 +199,16 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// The whole-space DSI column is Algorithm 1 on every device: with and
+    /// without a temporal primitive, splits on either side of it.
+    #[test]
+    fn dsi_indices_decode_to_scalar_dsi(seq in arb_seq(), temporal in arb_temporal_seq()) {
+        for s in [&seq, &temporal] {
+            let mismatch = dsi_indices_mismatch(s);
+            prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
         }
     }
 
@@ -257,5 +313,25 @@ proptest! {
             let group = device.index() >> (2 * k as usize);
             prop_assert!(seen.insert((group, r, c)), "duplicate coords in {}", seq);
         }
+    }
+}
+
+/// Fixed sequences, among them three 9-bit (512-device) ones past the
+/// strategies' reach: splits on either side of a `P_{4×4}`, and dimensions
+/// split several times.
+#[test]
+fn dsi_indices_decode_to_scalar_dsi_on_fixed_sequences() {
+    let seqs = [
+        "M N",
+        "B B K",
+        "M P2x2",
+        "P4x4 B N",
+        "M N P4x4 K M B",
+        "K K B N N P4x4",
+        "P4x4 N N M K N",
+    ];
+    for text in seqs {
+        let seq: PartitionSeq = text.parse().expect("valid sequence");
+        assert_eq!(dsi_indices_mismatch(&seq), None);
     }
 }

@@ -454,8 +454,6 @@ impl<'a> Planner<'a> {
             intra.push(c);
             mem.push(m);
         }
-        tm.space_cache_misses = tm.unique_signatures as u64;
-        tm.space_cache_hits = (self.graph.ops.len() - tm.unique_signatures) as u64;
         tm.op_names = self.graph.ops.iter().map(|op| op.name.clone()).collect();
         tm.space_sizes = spaces.iter().map(|s| s.len()).collect();
         tm.intra_evaluations = ctx.intra_evaluations();
@@ -1183,8 +1181,6 @@ mod tests {
         // ISSUE 2: cache telemetry is deterministic too — the matrix dedup
         // happens before any work is parallelized.
         assert_eq!(single_tm.unique_signatures, multi_tm.unique_signatures);
-        assert_eq!(single_tm.space_cache_hits, multi_tm.space_cache_hits);
-        assert_eq!(single_tm.space_cache_misses, multi_tm.space_cache_misses);
         assert_eq!(single_tm.profile_cache_hits, multi_tm.profile_cache_hits);
         assert_eq!(
             single_tm.profile_cache_misses,

@@ -105,13 +105,6 @@ pub struct PlannerMetrics {
     /// Distinct structural operator signatures in the graph (vs `op_names
     /// .len()` nodes; stage 1).
     pub unique_signatures: usize,
-    /// Stage 1 nodes that share an earlier node's space, one per node past
-    /// the first of its signature: nodes − `unique_signatures` (once per
-    /// run).
-    pub space_cache_hits: u64,
-    /// Stage 1 space enumerations actually run, one per signature:
-    /// `unique_signatures` (once per run).
-    pub space_cache_misses: u64,
     /// Stage 2 side-profile vectors reused across edges (summed over
     /// rounds, as are the four counters below).
     pub profile_cache_hits: u64,
@@ -268,8 +261,6 @@ impl PlannerMetrics {
         m.gauge("planner.arena_bytes", self.arena_bytes as f64);
         m.gauge("planner.edge_planes", self.edge_planes as f64);
         m.gauge("planner.unique_signatures", self.unique_signatures as f64);
-        m.incr("planner.cache.space.hits", self.space_cache_hits);
-        m.incr("planner.cache.space.misses", self.space_cache_misses);
         m.incr("planner.cache.profile.hits", self.profile_cache_hits);
         m.incr("planner.cache.profile.misses", self.profile_cache_misses);
         m.incr(
@@ -347,8 +338,6 @@ mod tests {
             merge_visited: 0,
             states_pruned: 6,
             unique_signatures: 2,
-            space_cache_hits: 3,
-            space_cache_misses: 2,
             profile_cache_hits: 4,
             profile_cache_misses: 8,
             edge_matrix_cache_hits: 5,
@@ -413,7 +402,6 @@ mod tests {
         assert_eq!(m.counter("planner.edge_terms"), 544);
         assert_eq!(m.counter("planner.edge_term_rows"), 200);
         assert_eq!(m.gauge_value("planner.unique_signatures"), Some(2.0));
-        assert_eq!(m.counter("planner.cache.space.hits"), 3);
         assert_eq!(m.counter("planner.cache.profile.misses"), 8);
         assert_eq!(m.counter("planner.cache.edge_matrix.hits"), 5);
         assert_eq!(m.counter("planner.cache.edge_matrix.aliased"), 2);

@@ -10,14 +10,10 @@ mod goldens;
 use primepar_graph::Graph;
 use primepar_search::PlannerMetrics;
 
-/// Every node's space went through the signature cache: one miss per unique
-/// signature, a hit for each repeat.
+/// Nodes of one signature shared one space, and the edge matrices went
+/// through the cache.
 fn assert_memoized(graph: &Graph, tm: &PlannerMetrics) {
-    assert_eq!(tm.space_cache_misses, tm.unique_signatures as u64);
-    assert_eq!(
-        tm.space_cache_hits + tm.space_cache_misses,
-        graph.ops.len() as u64
-    );
+    assert!(tm.unique_signatures < graph.ops.len());
     assert!(tm.edge_matrix_cache_hits + tm.edge_matrix_cache_misses > 0);
 }
 

@@ -106,9 +106,8 @@ fn memoization_reduces_cost_model_work() {
         Planner::new(&cluster, &graph, PlannerOptions::default()).optimize_instrumented(4);
 
     // 13 ops share 10 signatures; 3 intra vectors come for free.
+    assert_eq!(graph.ops.len(), 13);
     assert_eq!(tm.unique_signatures, 10);
-    assert_eq!(tm.space_cache_misses, 10);
-    assert_eq!(tm.space_cache_hits, 3);
     let per_node: u64 = tm.space_sizes.iter().map(|&n| n as u64).sum();
     let per_edge: u64 = graph
         .edges

@@ -214,11 +214,6 @@ fn anytime_with_a_generous_budget_converges_to_the_exact_plan() {
     // Stage 1 runs once per call, however many rounds the driver completes.
     assert!(tm.anytime_rounds > 1, "width 1 cannot cover this graph");
     assert_eq!(tm.intra_evaluations, exact_tm.intra_evaluations);
-    assert_eq!(tm.space_cache_misses, tm.unique_signatures as u64);
-    assert_eq!(
-        tm.space_cache_hits + tm.space_cache_misses,
-        graph.ops.len() as u64
-    );
 }
 
 #[test]

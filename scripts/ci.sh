@@ -44,15 +44,16 @@ done
 echo "== planner smoke timing (OPT-6.7B, 16 devices) =="
 # The memoized planner finishes this point in well under a second; the 60 s
 # budget is a generous regression tripwire, not a tight perf gate. The edge
-# stage's counts are exact: the layout-keyed cache sweeps 180,144 cells on
-# this point, and the device-major sweep builds 2,341,231 term-row entries
-# for them; any rise means some dedup was lost.
+# stage's counts are exact: the layout-keyed cache builds 25 side profiles
+# and sweeps 180,144 cells on this point, and the device-major sweep builds
+# 2,341,231 term-row entries for them; any rise means some dedup was lost.
 smoke_metrics="$(mktemp)"
 timeout 60 ./target/release/primepar plan --model opt-6.7b --devices 16 --batch 8 --seq 2048 \
     --metrics-json "$smoke_metrics" \
     >/dev/null || { echo "planner smoke run failed or exceeded 60 s" >&2; exit 1; }
 edge_cells="$(sed -n 's/^ *"planner.edge_evaluations": *\([0-9]*\),*$/\1/p' "$smoke_metrics")"
 term_rows="$(sed -n 's/^ *"planner.edge_term_rows": *\([0-9]*\),*$/\1/p' "$smoke_metrics")"
+profile_builds="$(sed -n 's/^ *"planner.cache.profile.misses": *\([0-9]*\),*$/\1/p' "$smoke_metrics")"
 # Informational, not gated: this cold plan's prune and edge-prepare stage
 # times.
 stage_seconds() {
@@ -65,6 +66,8 @@ rm -f "$smoke_metrics"
     || { echo "planner.edge_evaluations ${edge_cells:-missing} > 180144 on the Table-2 point" >&2; exit 1; }
 [ -n "$term_rows" ] && [ "$term_rows" -le 2341231 ] \
     || { echo "planner.edge_term_rows ${term_rows:-missing} > 2341231 on the Table-2 point" >&2; exit 1; }
+[ -n "$profile_builds" ] && [ "$profile_builds" -le 25 ] \
+    || { echo "planner.cache.profile.misses ${profile_builds:-missing} > 25 on the Table-2 point" >&2; exit 1; }
 
 echo "== planner scaling contracts (512-device chain, Table-2 slab) =="
 # The exact plan of the 512-device chain is pinned to its digest and must
@@ -260,10 +263,12 @@ echo "== warm cache smoke (replans on perturbed clusters share one shape's plane
 # (OPT-6.7B, 8 devices, seq 512) must hold exactly as many warm entries and
 # warm bytes as a session answering one. The cache holds only side profiles
 # and volume planes; the bytes ceiling is its reading on this shape since
-# side profiles store each holding as per-axis interval ids (199,392 bytes,
-# down from 376,288 with 128-byte dense holdings and 864,224 with the factor
+# every side build numbers its holdings in device order, so a backward side
+# equal to its forward twin shares that profile (183,024 bytes, down from
+# 199,392 when copied and freshly built rows were numbered in different
+# orders, 376,288 with 128-byte dense holdings and 864,224 with the factor
 # rows cached), so a tier that creeps back into the warm cache trips it.
-warm_bytes_ceiling=199392
+warm_bytes_ceiling=183024
 for frames in 1 20; do
     {
         for seed in $(seq 1 "$frames"); do
